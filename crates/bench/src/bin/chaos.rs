@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pdm_core::query::recursive;
-use pdm_core::{recover_server, DurabilityConfig, PdmServer, SharedServer};
+use pdm_core::{recover_server, DurabilityConfig, PdmServer, Recorder, SharedServer};
 use pdm_prng::Prng;
 use pdm_sql::persist::{database_fingerprint, state_fingerprint};
 use pdm_sql::shared::Snapshot;
@@ -75,6 +75,10 @@ fn flagged_ids(server: &PdmServer, table: &str) -> Vec<i64> {
 /// running after the device dies (post-crash writes fail fast).
 fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) -> Vec<u64> {
     let mut rng = Prng::seed_from_u64(seed);
+    // Post-crash writes fail fast; the workload keeps going regardless.
+    let execute = |sql: String| {
+        let _ = server.execute_deadline_obs(&sql, None, &Recorder::disabled());
+    };
     let roots = int_column(&server.query("SELECT obid FROM assy ORDER BY obid").unwrap());
     let mut spec_obid = 900_000i64;
     let mut tokens = Vec::new();
@@ -83,14 +87,14 @@ fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) -> Vec<u64> {
             0 => {
                 let id = roots[rng.index(roots.len())];
                 let payload = rng.ident(4, 12);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "UPDATE assy SET payload = '{payload}' WHERE obid = {id}"
                 ));
             }
             1 => {
                 let name = rng.ident(3, 10);
                 let lo = rng.i64_inclusive(1, 40);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "UPDATE comp SET name = '{name}' WHERE obid >= {lo} AND obid <= {}",
                     lo + 2
                 ));
@@ -98,31 +102,32 @@ fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) -> Vec<u64> {
             2 => {
                 spec_obid += 1;
                 let name = rng.ident(3, 10);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "INSERT INTO spec VALUES ('spec', {spec_obid}, '{name}')"
                 ));
             }
             3 => {
                 let victim = 900_000 + rng.i64_inclusive(1, (spec_obid - 900_000).max(1));
-                let _ = server.execute(&format!("DELETE FROM spec WHERE obid = {victim}"));
+                execute(format!("DELETE FROM spec WHERE obid = {victim}"));
             }
             4 => {
                 let root = roots[rng.index(roots.len())];
                 let sql = recursive::mle_query(root).to_string();
                 let token = server.shared().next_token();
                 tokens.push(token);
-                let _ = server.checkout_procedure_with_deadline(
+                let _ = server.checkout_procedure_with_deadline_obs(
                     root,
                     &sql,
                     token,
                     Some(Duration::from_secs(5)),
+                    &Recorder::disabled(),
                 );
             }
             _ => {
                 let assy = flagged_ids(server, "assy");
                 let comp = flagged_ids(server, "comp");
                 if !assy.is_empty() || !comp.is_empty() {
-                    let _ = server.checkin_procedure(&assy, &comp);
+                    let _ = server.checkin_procedure(&assy, &comp, &Recorder::disabled());
                 }
             }
         }
@@ -226,11 +231,17 @@ fn run_cycle(seed: u64, cycle: u64) -> Result<(u64, u64, String), CycleFailure> 
             // any) was swept. Nothing to replay.
             continue;
         }
-        let before = recovered.shared().version();
+        let before = recovered.database().version();
         recovered
-            .checkout_procedure_with_deadline(1, "unused", token, Some(Duration::from_secs(1)))
+            .checkout_procedure_with_deadline_obs(
+                1,
+                "unused",
+                token,
+                Some(Duration::from_secs(1)),
+                &Recorder::disabled(),
+            )
             .map_err(|e| fail(format!("token {token} replay failed: {e}")))?;
-        if recovered.shared().version() != before {
+        if recovered.database().version() != before {
             return Err(fail(format!("token {token} replay re-executed")));
         }
     }
@@ -251,9 +262,11 @@ fn profile_point(commits: u64, interval: u64) -> (usize, u64, f64) {
         let id = roots[rng.index(roots.len())];
         let payload = rng.ident(4, 12);
         server
-            .execute(&format!(
-                "UPDATE assy SET payload = '{payload}' WHERE obid = {id}"
-            ))
+            .execute_deadline_obs(
+                &format!("UPDATE assy SET payload = '{payload}' WHERE obid = {id}"),
+                None,
+                &Recorder::disabled(),
+            )
             .unwrap();
     }
     let durability = server.shared().durability().unwrap();

@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use pdm_bench::visibility_rules;
 use pdm_core::{
-    chrome_trace_json, AttributionTable, PdmServer, Session, SessionConfig, Strategy, TailSampler,
-    TraceTree,
+    chrome_trace_json, AttributionTable, PdmServer, Recorder, Session, SessionConfig, Strategy,
+    TailSampler, TraceTree,
 };
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
@@ -178,9 +178,11 @@ fn main() {
                     // the cache through a fresh epoch.
                     _ => {
                         server
-                            .execute(&format!(
-                                "UPDATE comp SET checkedout = FALSE WHERE obid = {root}"
-                            ))
+                            .execute_deadline_obs(
+                                &format!("UPDATE comp SET checkedout = FALSE WHERE obid = {root}"),
+                                None,
+                                &Recorder::disabled(),
+                            )
                             .unwrap();
                         out.writes += 1;
                     }
@@ -248,7 +250,7 @@ fn main() {
     println!(
         "{:<26}{:>12}",
         "final storage version",
-        server.shared().version()
+        server.database().version()
     );
 
     let (attr, sampler, exemplar) = traced_side_pass(&server, &roots);
@@ -305,7 +307,7 @@ fn main() {
         grants,
         refusals,
         writes,
-        server.shared().version(),
+        server.database().version(),
         attr.to_json(2),
         exemplar.trace_id,
         exemplar.action,

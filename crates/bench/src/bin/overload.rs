@@ -34,8 +34,8 @@ use std::collections::BinaryHeap;
 
 use pdm_bench::visibility_rules;
 use pdm_core::{
-    OverloadConfig, PdmServer, Priority, RetryBudget, Session, SessionConfig, SessionError,
-    Strategy,
+    OverloadConfig, PdmServer, Priority, Recorder, RetryBudget, Session, SessionConfig,
+    SessionError, Strategy,
 };
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
@@ -219,7 +219,9 @@ fn simulate(arrivals: Vec<Arrival>, budgets_on: bool, seed: u64, cutoff: f64) ->
                             _ => {}
                         }
                     }
-                    server.checkin_procedure(&assy, &comp).unwrap();
+                    server
+                        .checkin_procedure(&assy, &comp, &Recorder::disabled())
+                        .unwrap();
                 }
             }),
         };

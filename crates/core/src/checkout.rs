@@ -8,6 +8,7 @@
 //! measure the difference.
 
 use pdm_net::TrafficStats;
+use pdm_sql::{DmlOutcome, ExecOutcome, ResultSet};
 
 use crate::product::{ObjectId, ProductTree};
 use crate::query::recursive;
@@ -15,7 +16,7 @@ use crate::rules::classify::ConditionClass;
 use crate::rules::condition::Condition;
 use crate::rules::ActionKind;
 use crate::server::id_list;
-use crate::session::{Session, SessionError, SessionResult};
+use crate::session::{Session, SessionResult};
 
 /// Result of a check-out attempt.
 #[derive(Debug, Clone)]
@@ -74,7 +75,7 @@ impl Session {
                 "UPDATE {table} SET checkedout = TRUE WHERE obid IN ({})",
                 id_list(ids)
             );
-            self.metered_update_public(&sql)?;
+            self.metered_update(&sql)?;
             update_round_trips += 1;
         }
         // Fold ONLY the post-reset UPDATE-phase traffic: phase 1 already
@@ -103,11 +104,9 @@ impl Session {
         &mut self,
         root: ObjectId,
     ) -> SessionResult<CheckoutOutcome> {
-        let action = self.begin_action("check_out_function_shipping");
-        let result = self.check_out_function_shipping_inner(root);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
+        self.action("check_out_function_shipping", |s| {
+            s.check_out_function_shipping_inner(root)
+        })
     }
 
     fn check_out_function_shipping_inner(
@@ -140,56 +139,24 @@ impl Session {
             drop(span);
         }
         let sql = q.to_string();
-        let token = self.next_checkout_token();
+        // Drawn from the shared server's counter so tokens never collide
+        // across sessions; retries of this action reuse it.
+        let token = self.server().next_token();
         let request_bytes = sql.len() + 32; // procedure-call framing
 
         // A conflicting check-out that is mid-procedure on another session's
         // thread makes the server-side call WAIT; the session's per-action
-        // deadline bounds that wait and surfaces as a Timeout.
-        let lock_deadline = self.lock_deadline();
-        let obs = self.recorder().clone();
-        let result = if self.channel_mut().fault_plan().is_none() {
-            let elapsed = self.elapsed();
-            let result = self
-                .server()
-                .checkout_procedure_with_deadline_obs(root, &sql, token, lock_deadline, &obs)
-                .map_err(|e| SessionError::from_shared(e, elapsed, &obs))?;
-            let response = procedure_response_size(&result);
-            self.meter_round_trip(request_bytes, response);
-            result
-        } else {
-            let mut attempt = 1u32;
-            loop {
-                self.check_deadline(attempt)?;
-                let failure = match self.channel_mut().try_send_request(request_bytes) {
-                    Ok(pending) => {
-                        let elapsed = self.elapsed();
-                        let result = self
-                            .server()
-                            .checkout_procedure_with_deadline_obs(
-                                root,
-                                &sql,
-                                token,
-                                lock_deadline,
-                                &obs,
-                            )
-                            .map_err(|e| SessionError::from_shared(e, elapsed, &obs))?;
-                        let response = procedure_response_size(&result);
-                        match self.channel_mut().try_receive_response(pending, response) {
-                            Ok(_) => break result,
-                            // The confirmation was lost after the server
-                            // committed: replaying the SAME token returns
-                            // the recorded outcome without re-flipping.
-                            Err(e) => e,
-                        }
-                    }
-                    // Request never reached the server — nothing happened.
-                    Err(e) => e,
-                };
-                self.back_off_or_fail(attempt, failure)?;
-                attempt += 1;
-            }
-        };
+        // deadline bounds that wait and surfaces as a Timeout. If the
+        // confirmation is lost after the server committed, the retry
+        // replays the SAME token and gets the recorded outcome back
+        // without re-flipping.
+        let result = self.exchange(request_bytes, |server, deadline, obs| {
+            let result =
+                server.checkout_procedure_with_deadline_obs(root, &sql, token, deadline, obs)?;
+            // Wire size: real rows, or a small refusal message.
+            let bytes = result.rows.as_ref().map_or(32, ResultSet::wire_size);
+            Ok((result, bytes))
+        })?;
 
         match result.rows {
             None => Ok(CheckoutOutcome {
@@ -198,18 +165,8 @@ impl Session {
                 update_round_trips: 0,
             }),
             Some(rows) => {
-                let mut tree = ProductTree::new();
-                let root_node = self.fetch_root_cached(root)?;
-                tree.insert(root_node);
-                for row in &rows.rows {
-                    let attrs = crate::client::row_attrs(&rows, row);
-                    let parent = attrs.get("parent").and_then(|v| match v {
-                        pdm_sql::Value::Int(i) => Some(*i),
-                        _ => None,
-                    });
-                    let node = crate::session::node_from_attrs(attrs, parent);
-                    tree.insert(node);
-                }
+                let mut tree = self.rooted_tree(root)?;
+                crate::session::insert_rows(&mut tree, &rows);
                 Ok(CheckoutOutcome {
                     tree: Some(tree),
                     stats: self.stats().clone(),
@@ -222,11 +179,7 @@ impl Session {
     /// Check a previously retrieved subtree back in (one UPDATE round trip
     /// per affected table).
     pub fn check_in(&mut self, tree: &ProductTree) -> SessionResult<usize> {
-        let action = self.begin_action("check_in");
-        let result = self.check_in_inner(tree);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
+        self.action("check_in", |s| s.check_in_inner(tree))
     }
 
     fn check_in_inner(&mut self, tree: &ProductTree) -> SessionResult<usize> {
@@ -248,7 +201,7 @@ impl Session {
                 "UPDATE {table} SET checkedout = FALSE WHERE obid IN ({})",
                 id_list(ids)
             );
-            n += self.metered_update_public(&sql)?;
+            n += self.metered_update(&sql)?;
         }
         // Release the lock-table entries a function-shipping check-out of
         // this tree registered (no-op for classically checked-out trees).
@@ -293,62 +246,20 @@ impl Session {
     }
 }
 
-/// Wire size of a procedure result: real rows, or a small refusal message.
-fn procedure_response_size(result: &crate::server::CheckoutProcedureResult) -> usize {
-    match &result.rows {
-        None => 32,
-        Some(rows) => rows.wire_size(),
-    }
-}
-
-// Helper re-exports used by checkout (kept out of the public session API).
 impl Session {
     /// One metered UPDATE exchange. The check-out/check-in flag updates are
     /// idempotent (`SET checkedout = <const>` over a fixed id set), so on a
     /// faulty link every failure mode — including a lost confirmation after
     /// the server applied the update — is safe to replay.
-    pub(crate) fn metered_update_public(&mut self, sql: &str) -> SessionResult<usize> {
+    pub(crate) fn metered_update(&mut self, sql: &str) -> SessionResult<usize> {
         let _permit = self.admit(crate::overload::Priority::Checkout)?;
-        let obs = self.recorder().clone();
-        if self.channel_mut().fault_plan().is_none() {
-            self.check_deadline(1)?;
-            let deadline = self.lock_deadline();
-            let elapsed = self.elapsed();
-            let out = self
-                .server()
-                .shared()
-                .execute_deadline_obs(sql, deadline, &obs)
-                .map_err(|e| SessionError::from_shared(e, elapsed, &obs))?;
-            self.meter_round_trip(sql.len(), 16);
-            return Ok(updated_rows(out));
-        }
-        let mut attempt = 1u32;
-        loop {
-            self.check_deadline(attempt)?;
-            let failure = match self.channel_mut().try_send_request(sql.len()) {
-                Ok(pending) => {
-                    let out = self.server().execute_obs(sql, &obs)?;
-                    match self.channel_mut().try_receive_response(pending, 16) {
-                        Ok(_) => return Ok(updated_rows(out)),
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
+        self.exchange(sql.len(), |server, deadline, obs| {
+            let updated = match server.execute_deadline_obs(sql, deadline, obs)? {
+                ExecOutcome::Dml(DmlOutcome::Updated(n)) => n,
+                _ => 0,
             };
-            self.back_off_or_fail(attempt, failure)?;
-            attempt += 1;
-        }
-    }
-
-    fn meter_round_trip(&mut self, request: usize, response: usize) {
-        self.channel_mut().round_trip(request, response);
-    }
-}
-
-fn updated_rows(out: pdm_sql::ExecOutcome) -> usize {
-    match out {
-        pdm_sql::ExecOutcome::Dml(pdm_sql::DmlOutcome::Updated(n)) => n,
-        _ => 0,
+            Ok((updated, 16))
+        })
     }
 }
 

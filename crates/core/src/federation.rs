@@ -20,7 +20,8 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
+use pdm_net::{FaultPlan, LinkProfile, MeteredChannel, TrafficStats};
+use pdm_obs::Recorder;
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Value};
 
@@ -185,65 +186,26 @@ impl Federation {
             .ok_or(SessionError::RootNotFound(obid))
     }
 
-    /// One metered query against a site, resilient when that site has a
-    /// fault plan installed (expand queries are idempotent reads — safe to
-    /// replay on any failure, including a lost response).
+    /// One metered query against a site (expand queries are idempotent
+    /// reads — safe to replay on any failure, including a lost response).
     fn metered_query(&mut self, site: usize, sql: &str) -> SessionResult<ResultSet> {
-        if self.sites[site].channel.fault_plan().is_none() {
-            let rs = self.sites[site].server.query(sql)?;
-            self.sites[site]
-                .channel
-                .round_trip(sql.len(), rs.wire_size());
-            return Ok(rs);
-        }
-        let mut attempt = 1u32;
-        loop {
-            {
-                let ch = &self.sites[site].channel;
-                if ch.elapsed() >= self.retry.deadline {
-                    return Err(SessionError::Timeout {
-                        attempts: attempt.saturating_sub(1),
-                        elapsed: ch.elapsed(),
-                        context: pdm_obs::FlightDump::at("net.exchange"),
-                    });
-                }
-            }
-            let failure = match self.sites[site].channel.try_send_request(sql.len()) {
-                Ok(pending) => {
-                    let rs = self.sites[site].server.query(sql)?;
-                    match self.sites[site]
-                        .channel
-                        .try_receive_response(pending, rs.wire_size())
-                    {
-                        Ok(_) => return Ok(rs),
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            let ch = &mut self.sites[site].channel;
-            if attempt >= self.retry.max_attempts {
-                return Err(SessionError::from_link(
-                    failure,
-                    attempt,
-                    ch.elapsed(),
-                    &pdm_obs::Recorder::disabled(),
-                ));
-            }
-            let mut wait = self.retry.backoff(attempt, ch.exchanges_attempted());
-            if let LinkError::Outage { until, .. } = failure {
-                wait = wait.max(until - ch.elapsed());
-            }
-            if ch.elapsed() + wait > self.retry.deadline {
-                return Err(SessionError::Timeout {
-                    attempts: attempt,
-                    elapsed: ch.elapsed(),
-                    context: pdm_obs::FlightDump::at("net.exchange"),
-                });
-            }
-            ch.wait(wait);
-            attempt += 1;
-        }
+        let site = &mut self.sites[site];
+        crate::resilience::exchange(
+            &mut site.channel,
+            &self.retry,
+            None,
+            sql.len(),
+            |deadline| {
+                let rs = (*site.server.query_cached_deadline_obs(
+                    sql,
+                    deadline,
+                    &Recorder::disabled(),
+                )?)
+                .clone();
+                let bytes = rs.wire_size();
+                Ok((rs, bytes))
+            },
+        )
     }
 
     /// Does the mount's connecting link pass the relation rules? Evaluated

@@ -21,6 +21,12 @@
 //! * **check-out/check-in** (§6): tree retrieval plus the separate UPDATE
 //!   round trip that recursive querying cannot absorb, and the
 //!   function-shipping (stored procedure) remedy the paper sketches;
+//! * **one request path**: every client/server exchange — query, update,
+//!   function-shipping check-out, federated site query — runs through
+//!   [`resilience`]'s single exchange routine, and [`SharedServer`] has one
+//!   entry point per operation that takes the caller's deadline and span
+//!   recorder explicitly ([`PdmServer`] is a cloneable handle that
+//!   dereferences to it);
 //! * a **resilience layer** for faulty WANs: retry with deterministic
 //!   backoff, failure-atomic check-out via idempotency tokens, circuit-
 //!   breaker degradation from the recursive strategy to level-batched

@@ -594,7 +594,7 @@ impl Cluster {
     /// then issue the receipt a session needs for read-your-writes.
     pub fn acknowledge_write(&mut self, obs: &Recorder) -> SessionResult<WriteReceipt> {
         let seq = self.feed.last_seq();
-        let version = self.primary.shared().version();
+        let version = self.primary.database().version();
         let epoch = self.epoch;
         let need = self.cfg.ack_replicas.min(self.replicas.len());
         let start = self.clock;

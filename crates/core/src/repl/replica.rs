@@ -204,7 +204,7 @@ impl ReplicaSite {
 
     /// Storage version of the replica's state.
     pub fn version(&self) -> u64 {
-        self.server.shared().version()
+        self.server.database().version()
     }
 
     /// The replica's server (attach read sessions to a clone of this).

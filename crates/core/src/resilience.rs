@@ -7,8 +7,20 @@
 //! survive an unreliable one. The policy objects here are deliberately pure
 //! data + arithmetic on the virtual clock — no wall time, no global RNG —
 //! so every simulated failure scenario replays exactly.
+//!
+//! [`exchange`] is the one place a request crosses the WAN: queries,
+//! updates, the function-shipping check-out and federated site queries all
+//! run through it, so deadline, retry and error-mapping rules exist once.
 
+use std::time::Duration;
+
+use pdm_net::{LinkError, MeteredChannel};
+use pdm_obs::FlightDump;
 use pdm_prng::splitmix64;
+
+use crate::overload::RetryBudget;
+use crate::session::{SessionError, SessionResult};
+use crate::shared::SharedServerError;
 
 /// Retry budget for one metered exchange: how many attempts, how long to
 /// back off between them, and a per-action deadline on the virtual clock.
@@ -82,6 +94,91 @@ impl RetryPolicy {
         let bits = splitmix64(self.jitter_seed ^ splitmix64(salt.wrapping_add(retry as u64)));
         let unit = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         capped * (0.5 + 0.5 * unit)
+    }
+
+    /// The per-action deadline as the real-time bound the server applies at
+    /// its blocking points (`None` when the policy has no deadline).
+    fn server_deadline(&self) -> Option<Duration> {
+        self.deadline
+            .is_finite()
+            .then(|| Duration::from_secs_f64(self.deadline))
+    }
+}
+
+/// One client/server exchange, the unit the paper's cost model counts
+/// (eqs. (1)–(6): `2·T_Lat + vol/dtr` each): gate on the action deadline,
+/// ship the request, let `serve` do the server-side work, ship its response.
+///
+/// `serve` is always handed the policy's deadline, so no caller can run
+/// server work unbounded on a session that carries one; it returns the
+/// value plus its response wire size. A server error is final. A link
+/// failure backs off and retries per `retry` (and only out of `budget`,
+/// when one is installed) — a lost response re-runs `serve`, so the work
+/// must be replay-safe (reads, constant-flag updates, token-keyed
+/// check-outs). With no fault plan on `channel` the two phases account
+/// bit-identically to [`MeteredChannel::round_trip`], and under
+/// [`RetryPolicy::none`] the loop body runs exactly once.
+pub(crate) fn exchange<T>(
+    channel: &mut MeteredChannel,
+    retry: &RetryPolicy,
+    mut budget: Option<&mut RetryBudget>,
+    request_bytes: usize,
+    mut serve: impl FnMut(Option<Duration>) -> Result<(T, usize), SharedServerError>,
+) -> SessionResult<T> {
+    let timeout = |channel: &MeteredChannel, attempts: u32| SessionError::Timeout {
+        attempts,
+        elapsed: channel.elapsed(),
+        context: FlightDump::at("net.exchange").with_events(channel.obs()),
+    };
+    let server_deadline = retry.server_deadline();
+    let mut attempt = 1u32;
+    loop {
+        // The deadline is a hard gate on *starting* attempts: once the
+        // virtual clock (reset at action start) has crossed it — possibly
+        // spent by earlier exchanges of the same action — no further
+        // timeout budget may be burned and the server is not bothered.
+        if channel.elapsed() >= retry.deadline {
+            return Err(timeout(channel, attempt.saturating_sub(1)));
+        }
+        let failure = match channel.try_send_request(request_bytes) {
+            Ok(pending) => {
+                let (value, response_bytes) = serve(server_deadline)
+                    .map_err(|e| SessionError::from_shared(e, channel.elapsed(), channel.obs()))?;
+                match channel.try_receive_response(pending, response_bytes) {
+                    Ok(_) => return Ok(value),
+                    // The server did the work but the response was lost.
+                    Err(e) => e,
+                }
+            }
+            // The request never reached the server — nothing happened.
+            Err(e) => e,
+        };
+        let give_up = |channel: &MeteredChannel| {
+            SessionError::from_link(failure, attempt, channel.elapsed(), channel.obs())
+        };
+        if attempt >= retry.max_attempts {
+            return Err(give_up(channel));
+        }
+        // A retry may only proceed out of the leaky bucket. An exhausted
+        // budget surfaces the underlying failure immediately — under a
+        // brown-out this is what keeps aggregate offered load converging
+        // instead of amplifying (DESIGN.md §14).
+        if let Some(budget) = budget.as_deref_mut() {
+            if !budget.try_spend() {
+                channel.note_budget_denied();
+                return Err(give_up(channel));
+            }
+        }
+        let mut wait = retry.backoff(attempt, channel.exchanges_attempted());
+        if let LinkError::Outage { until, .. } = failure {
+            // no point probing again before the scheduled window ends
+            wait = wait.max(until - channel.elapsed());
+        }
+        if channel.elapsed() + wait > retry.deadline {
+            return Err(timeout(channel, attempt));
+        }
+        channel.wait(wait);
+        attempt += 1;
     }
 }
 

@@ -1,26 +1,23 @@
 //! The database-server side: a handle to the shared PDM server.
 //!
-//! Historically `PdmServer` *owned* its database, which made every session
-//! a private universe — nothing the paper describes (one central server,
-//! many worldwide clients, §1 Fig. 1) could be measured. It is now a cheap
-//! cloneable handle over [`crate::shared::SharedServer`]: cloning the
-//! handle (or [`crate::Session::attach`]-ing more sessions) shares ONE
-//! server — one storage, one check-out lock table, one cross-session
-//! result cache — across any number of threads.
-//!
-//! The server-resident check-out procedure the paper proposes for function
-//! shipping (§6: "application-specific functionality performing the
-//! desired user action has to be installed at the database server") lives
-//! on the shared server; the wrappers here keep the PR-1 call surface.
+//! The paper's deployment is one central server and many worldwide clients
+//! (§1 Fig. 1). [`PdmServer`] is the cheap cloneable handle sessions hold
+//! on that server: cloning it (or [`crate::Session::attach`]-ing more
+//! sessions) shares ONE [`SharedServer`] — one storage, one check-out lock
+//! table, one cross-session result cache — across any number of threads.
+//! It dereferences to the shared server, which owns every request entry
+//! point (including the server-resident check-out procedure the paper
+//! proposes for function shipping, §6); each of those takes its deadline
+//! and recorder explicitly, so a caller cannot drop context by picking a
+//! shorter name.
 
-use std::collections::HashSet;
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Duration;
 
-use pdm_sql::{Database, ExecOutcome, Result, ResultSet, SharedDatabase, Statement, Value};
+use pdm_sql::{Database, Result, ResultSet, Value};
 
 use crate::product::ObjectId;
-use crate::shared::{SharedServer, SharedServerError};
+use crate::shared::SharedServer;
 
 /// A handle to the PDM database server. Clones share the same server.
 #[derive(Debug, Clone)]
@@ -32,9 +29,7 @@ impl PdmServer {
     /// Publish a populated database as a fresh shared server (PDM stored
     /// functions installed).
     pub fn new(db: Database) -> Self {
-        PdmServer {
-            shared: Arc::new(SharedServer::new(db)),
-        }
+        PdmServer::from_shared(Arc::new(SharedServer::new(db)))
     }
 
     /// Handle to an existing shared server.
@@ -47,135 +42,19 @@ impl PdmServer {
         &self.shared
     }
 
-    /// The snapshot store (direct storage access for loaders and tests).
-    pub fn database(&self) -> &SharedDatabase {
-        self.shared.database()
-    }
-
-    /// Execute a read query arriving from the client, through the
-    /// cross-session result cache.
+    /// An owned copy of a read query's result, through the cross-session
+    /// result cache — the unmetered convenience read of tests, loaders and
+    /// the client-cached root fetch (paper footnote 4).
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
         Ok((*self.shared.query_cached(sql)?).clone())
     }
+}
 
-    /// [`PdmServer::query`] with span recording (parse, cache probe, engine
-    /// operators).
-    pub fn query_obs(&self, sql: &str, obs: &pdm_obs::Recorder) -> Result<ResultSet> {
-        Ok((*self.shared.query_cached_obs(sql, obs)?).clone())
-    }
+impl Deref for PdmServer {
+    type Target = SharedServer;
 
-    /// Execute any statement (the check-out UPDATE path).
-    pub fn execute(&self, sql: &str) -> Result<ExecOutcome> {
-        self.shared.execute(sql)
-    }
-
-    /// [`PdmServer::execute`] with span recording (parse, WAL commit).
-    pub fn execute_obs(&self, sql: &str, obs: &pdm_obs::Recorder) -> Result<ExecOutcome> {
-        self.shared.execute_obs(sql, obs)
-    }
-
-    /// Names of views defined at the server — schema knowledge the client's
-    /// query modificator consults for the §5.5 view caveat.
-    pub fn view_names(&self) -> HashSet<String> {
-        self.shared.view_names()
-    }
-
-    /// Server-side check-out procedure (function shipping): retrieve the
-    /// subtree with an already-modified recursive query, verify via the
-    /// lock table and the `checkedout` flags that nothing in it is taken,
-    /// flip the flags, and return the rows — all in ONE client/server
-    /// exchange. Conflicting concurrent check-outs serialize on the lock
-    /// table.
-    pub fn checkout_procedure(
-        &self,
-        root: ObjectId,
-        modified_sql: &str,
-    ) -> Result<CheckoutProcedureResult> {
-        let token = self.shared.next_token();
-        self.checkout_procedure_idempotent(root, modified_sql, token)
-    }
-
-    /// Failure-atomic check-out keyed by a client-chosen idempotency
-    /// `token` (see PR 1): a retry with the same token — after a lost
-    /// response — returns the original outcome without flipping any flag
-    /// twice or refusing its own check-out.
-    pub fn checkout_procedure_idempotent(
-        &self,
-        root: ObjectId,
-        modified_sql: &str,
-        token: u64,
-    ) -> Result<CheckoutProcedureResult> {
-        match self
-            .shared
-            .checkout_procedure_locked(root, modified_sql, token, None)
-        {
-            Ok(r) => Ok(r),
-            Err(SharedServerError::Sql(e)) => Err(e),
-            // Without a deadline only Sql can occur; the overload-era
-            // variants (timeout, queue-full, deadline-abandon) are mapped
-            // for totality.
-            Err(other) => Err(pdm_sql::Error::Eval(format!("check-out failed: {other}"))),
-        }
-    }
-
-    /// Check-out with a bound on how long to wait for a conflicting
-    /// in-flight check-out ([`SharedServerError::LockTimeout`] past it).
-    pub fn checkout_procedure_with_deadline(
-        &self,
-        root: ObjectId,
-        modified_sql: &str,
-        token: u64,
-        deadline: Option<Duration>,
-    ) -> std::result::Result<CheckoutProcedureResult, SharedServerError> {
-        self.shared
-            .checkout_procedure_locked(root, modified_sql, token, deadline)
-    }
-
-    /// [`PdmServer::checkout_procedure_with_deadline`] with span recording
-    /// (retrieval, lock wait, durable grant/token appends).
-    pub fn checkout_procedure_with_deadline_obs(
-        &self,
-        root: ObjectId,
-        modified_sql: &str,
-        token: u64,
-        deadline: Option<Duration>,
-        obs: &pdm_obs::Recorder,
-    ) -> std::result::Result<CheckoutProcedureResult, SharedServerError> {
-        self.shared
-            .checkout_procedure_locked_obs(root, modified_sql, token, deadline, obs)
-    }
-
-    /// Whether a check-out with this idempotency token has already
-    /// completed (test/diagnostic hook).
-    pub fn checkout_recorded(&self, token: u64) -> bool {
-        self.shared.checkout_recorded(token)
-    }
-
-    /// Server-side check-in: clear the flags for the given objects and
-    /// release their lock-table entries.
-    pub fn checkin_procedure(&self, assy_ids: &[ObjectId], comp_ids: &[ObjectId]) -> Result<usize> {
-        self.shared.checkin_procedure(assy_ids, comp_ids)
-    }
-
-    /// [`PdmServer::checkin_procedure`] with span recording.
-    pub fn checkin_procedure_obs(
-        &self,
-        assy_ids: &[ObjectId],
-        comp_ids: &[ObjectId],
-        obs: &pdm_obs::Recorder,
-    ) -> Result<usize> {
-        self.shared.checkin_procedure_obs(assy_ids, comp_ids, obs)
-    }
-
-    /// The server-wide metrics registry (see [`SharedServer::metrics`]).
-    pub fn metrics(&self) -> &std::sync::Arc<pdm_obs::MetricsRegistry> {
-        self.shared.metrics()
-    }
-
-    /// Parse and execute a statement AST directly (bypasses re-parsing when
-    /// the caller built the AST itself).
-    pub fn execute_ast(&self, stmt: &Statement) -> Result<ExecOutcome> {
-        self.shared.execute_ast(stmt)
+    fn deref(&self) -> &SharedServer {
+        &self.shared
     }
 }
 
@@ -226,6 +105,7 @@ pub(crate) fn id_list(ids: &[ObjectId]) -> String {
 mod tests {
     use super::*;
     use crate::query::recursive;
+    use pdm_obs::Recorder;
     use pdm_workload::{build_database, TreeSpec};
 
     fn server() -> PdmServer {
@@ -233,11 +113,22 @@ mod tests {
         PdmServer::new(db)
     }
 
+    fn execute(s: &PdmServer, sql: &str) {
+        s.execute_deadline_obs(sql, None, &Recorder::disabled())
+            .unwrap();
+    }
+
+    fn checkout(s: &PdmServer, token: u64) -> CheckoutProcedureResult {
+        let sql = recursive::mle_query(1).to_string();
+        s.checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
+            .unwrap()
+    }
+
     #[test]
     fn query_and_views() {
         let s = server();
         assert!(s.view_names().is_empty());
-        s.execute("CREATE VIEW v AS SELECT obid FROM assy").unwrap();
+        execute(&s, "CREATE VIEW v AS SELECT obid FROM assy");
         assert!(s.view_names().contains("v"));
         let rs = s.query("SELECT COUNT(*) AS n FROM assy").unwrap();
         assert_eq!(rs.rows[0].get(0), &Value::Int(3));
@@ -255,9 +146,9 @@ mod tests {
     #[test]
     fn checkout_procedure_flips_flags_once() {
         let s = server();
-        let sql = recursive::mle_query(1).to_string();
-        let result = s.checkout_procedure(1, &sql).unwrap();
-        let rows = result.rows.expect("first check-out succeeds");
+        let rows = checkout(&s, s.next_token())
+            .rows
+            .expect("first check-out succeeds");
         assert_eq!(rows.len(), 2 + 4); // 2 child assys + 4 comps (root excluded)
 
         // everything below (and including) the root is now flagged
@@ -267,52 +158,47 @@ mod tests {
         assert_eq!(rs.rows[0].get(0), &Value::Int(3));
 
         // a second check-out must fail the ∀rows condition
-        let again = s.checkout_procedure(1, &sql).unwrap();
-        assert!(again.rows.is_none());
+        assert!(checkout(&s, s.next_token()).rows.is_none());
     }
 
     #[test]
     fn checkin_procedure_clears_flags() {
         let s = server();
-        let sql = recursive::mle_query(1).to_string();
-        s.checkout_procedure(1, &sql).unwrap();
-        let n = s.checkin_procedure(&[1, 2, 3], &[4, 5, 6, 7]).unwrap();
+        checkout(&s, s.next_token());
+        let n = s
+            .checkin_procedure(&[1, 2, 3], &[4, 5, 6, 7], &Recorder::disabled())
+            .unwrap();
         assert_eq!(n, 7);
         let rs = s
             .query("SELECT COUNT(*) AS n FROM comp WHERE checkedout = TRUE")
             .unwrap();
         assert_eq!(rs.rows[0].get(0), &Value::Int(0));
-        assert!(s.shared().lock_table().is_empty());
+        assert!(s.lock_table().is_empty());
     }
 
     #[test]
     fn idempotent_checkout_replays_original_outcome() {
         let s = server();
-        let sql = recursive::mle_query(1).to_string();
-        let first = s.checkout_procedure_idempotent(1, &sql, 42).unwrap();
-        assert!(first.rows.is_some());
+        assert!(checkout(&s, 42).rows.is_some());
         assert!(s.checkout_recorded(42));
         // replaying the same token returns the original success instead of
         // refusing its own check-out
-        let replay = s.checkout_procedure_idempotent(1, &sql, 42).unwrap();
-        assert!(replay.rows.is_some());
+        assert!(checkout(&s, 42).rows.is_some());
         // a genuinely new check-out still fails the ∀rows condition
-        let other = s.checkout_procedure_idempotent(1, &sql, 43).unwrap();
-        assert!(other.rows.is_none());
+        assert!(checkout(&s, 43).rows.is_none());
     }
 
     #[test]
     fn cloned_handles_share_one_server() {
         let s = server();
         let s2 = s.clone();
-        s.execute("CREATE VIEW shared_v AS SELECT obid FROM assy")
-            .unwrap();
+        execute(&s, "CREATE VIEW shared_v AS SELECT obid FROM assy");
         assert!(s2.view_names().contains("shared_v"));
         // Result cache is shared too: same query from the other handle hits.
         s.query("SELECT obid FROM comp WHERE obid = 4").unwrap();
-        let before = s2.shared().cache_stats();
+        let before = s2.cache_stats();
         s2.query("SELECT obid FROM comp WHERE obid = 4").unwrap();
-        let after = s2.shared().cache_stats();
+        let after = s2.cache_stats();
         assert_eq!(after.hits, before.hits + 1);
     }
 

@@ -6,6 +6,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
 use pdm_obs::{
@@ -23,6 +24,7 @@ use crate::resilience::{DegradationController, RetryPolicy};
 use crate::rules::table::RuleTable;
 use crate::rules::ActionKind;
 use crate::server::PdmServer;
+use crate::shared::{SharedServer, SharedServerError};
 
 /// Errors surfaced by session actions.
 #[derive(Debug)]
@@ -471,10 +473,6 @@ impl Session {
         });
     }
 
-    pub fn tracing_enabled(&self) -> bool {
-        self.tracing.is_some()
-    }
-
     /// Site label this session's spans carry in assembled trees (default
     /// `"client"`; routed sessions label themselves `client<site>`).
     pub fn set_trace_site(&mut self, site: impl Into<String>) {
@@ -527,11 +525,11 @@ impl Session {
         asm.finish()
     }
 
-    /// Post-action tracing hook, called by every action wrapper: assemble
+    /// Post-action tracing hook of [`Session::action`]: assemble
     /// the tree, remember it, clear the wire piggyback, and on a failure
     /// that carries a flight dump splice the tree in — a timeout arrives
     /// with its own causal tree up to the failure point.
-    pub(crate) fn trace_result<T>(&mut self, mut result: SessionResult<T>) -> SessionResult<T> {
+    fn trace_result<T>(&mut self, mut result: SessionResult<T>) -> SessionResult<T> {
         let Some(ctx) = self.tracing.as_ref().and_then(|t| t.current) else {
             return result;
         };
@@ -554,7 +552,7 @@ impl Session {
     /// recorder's per-action state, and open the root `session.action` span.
     /// Each action also credits the retry budget (a fresh request earns
     /// its fraction of a retry token).
-    pub(crate) fn begin_action(&mut self, name: &'static str) -> SpanGuard {
+    fn begin_action(&mut self, name: &'static str) -> SpanGuard {
         if let Some(b) = &mut self.retry_budget {
             b.on_request();
         }
@@ -577,18 +575,11 @@ impl Session {
         pdm_net::record_traffic(&self.metrics, self.channel.stats());
     }
 
-    /// A fresh idempotency token for a check-out attempt. Drawn from the
-    /// shared server's counter so tokens never collide across sessions;
-    /// retries of the same action reuse the token they drew.
-    pub(crate) fn next_checkout_token(&mut self) -> u64 {
-        self.server.shared().next_token()
-    }
-
-    /// Install a fault plan on the link. Queries switch to the fallible
-    /// exchange path with retries; a freshly installed plan also upgrades a
-    /// no-retry policy to [`RetryPolicy::default_wan`] (override afterwards
-    /// with [`Session::set_retry_policy`] if needed). A
-    /// [`FaultPlan::none()`] plan reproduces the reliable numbers exactly.
+    /// Install a fault plan on the link: exchanges can now fail and are
+    /// retried. A freshly installed plan also upgrades a no-retry policy to
+    /// [`RetryPolicy::default_wan`] (override afterwards with
+    /// [`Session::set_retry_policy`] if needed). A [`FaultPlan::none()`]
+    /// plan reproduces the plan-less numbers exactly.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.channel.set_fault_plan(plan.clone());
         self.fault_plan = Some(plan);
@@ -660,16 +651,6 @@ impl Session {
         }
     }
 
-    /// The per-action deadline as a real-time bound for check-out lock
-    /// waits on the shared server (`None` when the policy has no deadline).
-    pub(crate) fn lock_deadline(&self) -> Option<std::time::Duration> {
-        if self.retry.deadline.is_finite() {
-            Some(std::time::Duration::from_secs_f64(self.retry.deadline))
-        } else {
-            None
-        }
-    }
-
     pub fn retry_policy(&self) -> &RetryPolicy {
         &self.retry
     }
@@ -697,10 +678,6 @@ impl Session {
 
     pub fn server(&self) -> &PdmServer {
         &self.server
-    }
-
-    pub fn server_mut(&mut self) -> &mut PdmServer {
-        &mut self.server
     }
 
     pub fn config(&self) -> &SessionConfig {
@@ -747,10 +724,6 @@ impl Session {
         self.channel.reset();
     }
 
-    pub(crate) fn channel_mut(&mut self) -> &mut MeteredChannel {
-        &mut self.channel
-    }
-
     /// Record a per-exchange timeline for subsequent actions (analysis of
     /// where the seconds go; see [`pdm_net::Trace`]).
     pub fn enable_trace(&mut self) {
@@ -766,110 +739,40 @@ impl Session {
         Modificator::new(&self.rules, &self.config.user, action, &self.view_names)
     }
 
-    /// Ship a query over the WAN and return its result (one metered round
-    /// trip: request = SQL text, response = result rows).
-    ///
-    /// With no fault plan installed this is the reliable path the paper
-    /// models. With one installed, the exchange becomes fallible and is
-    /// retried per [`RetryPolicy`]: queries are idempotent reads, so any
-    /// failure — even a lost response, after which the server *did* run the
-    /// query — is safe to replay.
+    /// One metered exchange with this session's server over its channel,
+    /// under its retry policy and budget (see [`crate::resilience::exchange`]).
+    /// `serve` gets the shared server, the deadline to hand it, and the
+    /// session's recorder.
+    pub(crate) fn exchange<T>(
+        &mut self,
+        request_bytes: usize,
+        mut serve: impl FnMut(
+            &SharedServer,
+            Option<Duration>,
+            &Recorder,
+        ) -> Result<(T, usize), SharedServerError>,
+    ) -> SessionResult<T> {
+        let (server, obs) = (self.server.shared(), &self.obs);
+        crate::resilience::exchange(
+            &mut self.channel,
+            &self.retry,
+            self.retry_budget.as_mut(),
+            request_bytes,
+            |deadline| serve(server, deadline, obs),
+        )
+    }
+
+    /// Ship a query over the WAN and return its result (request = SQL text,
+    /// response = result rows). Queries are idempotent reads, so on a faulty
+    /// link any failure — even a lost response, after which the server *did*
+    /// run the query — is safe to replay.
     fn metered_query(&mut self, sql: &str) -> SessionResult<ResultSet> {
         let _permit = self.admit(crate::overload::Priority::Interactive)?;
-        if self.channel.fault_plan().is_none() {
-            // Deadline propagation on the reliable path too: a doomed
-            // dispatch (deadline already spent by earlier work in this
-            // action) is abandoned before the server does anything. A
-            // no-deadline policy makes this a free no-op.
-            self.check_deadline(1)?;
-            let rs = self
-                .server
-                .shared()
-                .query_cached_deadline_obs(sql, self.lock_deadline(), &self.obs)
-                .map(|r| (*r).clone())?;
-            self.channel.round_trip(sql.len(), rs.wire_size());
-            return Ok(rs);
-        }
-        let mut attempt = 1u32;
-        loop {
-            self.check_deadline(attempt)?;
-            let failure = match self.channel.try_send_request(sql.len()) {
-                Ok(pending) => {
-                    let rs = self.server.query_obs(sql, &self.obs)?;
-                    match self.channel.try_receive_response(pending, rs.wire_size()) {
-                        Ok(_) => return Ok(rs),
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            self.back_off_or_fail(attempt, failure)?;
-            attempt += 1;
-        }
-    }
-
-    /// The action's deadline is a hard gate on *starting* attempts: once the
-    /// virtual clock (reset at action start) has crossed it, no further
-    /// timeout budget may be burned — important when a fallback path runs
-    /// after the primary path already ate the whole deadline.
-    pub(crate) fn check_deadline(&mut self, attempt: u32) -> SessionResult<()> {
-        if self.channel.elapsed() >= self.retry.deadline {
-            return Err(SessionError::Timeout {
-                attempts: attempt.saturating_sub(1),
-                elapsed: self.channel.elapsed(),
-                context: FlightDump::at("net.exchange").with_events(&self.obs),
-            });
-        }
-        Ok(())
-    }
-
-    /// After a failed attempt: either burn the backoff on the virtual clock
-    /// and let the caller retry, or give up with a classified error. Shared
-    /// by the query and check-out retry loops.
-    pub(crate) fn back_off_or_fail(
-        &mut self,
-        attempt: u32,
-        failure: LinkError,
-    ) -> SessionResult<()> {
-        if attempt >= self.retry.max_attempts {
-            return Err(SessionError::from_link(
-                failure,
-                attempt,
-                self.channel.elapsed(),
-                &self.obs,
-            ));
-        }
-        // Retry budget: a retry may only proceed out of the leaky bucket.
-        // An exhausted budget surfaces the underlying failure immediately —
-        // under a brown-out this is what keeps aggregate offered load
-        // converging instead of amplifying (DESIGN.md §14).
-        if let Some(budget) = &mut self.retry_budget {
-            if !budget.try_spend() {
-                self.channel.note_budget_denied();
-                return Err(SessionError::from_link(
-                    failure,
-                    attempt,
-                    self.channel.elapsed(),
-                    &self.obs,
-                ));
-            }
-        }
-        let mut wait = self
-            .retry
-            .backoff(attempt, self.channel.exchanges_attempted());
-        if let LinkError::Outage { until, .. } = failure {
-            // no point probing again before the scheduled window ends
-            wait = wait.max(until - self.channel.elapsed());
-        }
-        if self.channel.elapsed() + wait > self.retry.deadline {
-            return Err(SessionError::Timeout {
-                attempts: attempt,
-                elapsed: self.channel.elapsed(),
-                context: FlightDump::at("net.exchange").with_events(&self.obs),
-            });
-        }
-        self.channel.wait(wait);
-        Ok(())
+        self.exchange(sql.len(), |server, deadline, obs| {
+            let rs = (*server.query_cached_deadline_obs(sql, deadline, obs)?).clone();
+            let bytes = rs.wire_size();
+            Ok((rs, bytes))
+        })
     }
 
     /// Fetch the root object without metering: the paper's footnote 4 —
@@ -886,24 +789,38 @@ impl Session {
     // Actions
     // ---------------------------------------------------------------------
 
-    /// Single-level expand: the direct children of `parent`.
-    pub fn single_level_expand(&mut self, parent: ObjectId) -> SessionResult<ExpandOutcome> {
-        let action = self.begin_action("single_level_expand");
-        let result = self.single_level_expand_inner(parent);
-        drop(action);
+    /// Run `body` as one measured user action named `name`: fresh metering
+    /// and root span before it; traffic folded into the registry and the
+    /// causal tree assembled after it, whether it succeeded or not.
+    pub(crate) fn action<T>(
+        &mut self,
+        name: &'static str,
+        body: impl FnOnce(&mut Session) -> SessionResult<T>,
+    ) -> SessionResult<T> {
+        let span = self.begin_action(name);
+        let result = body(self);
+        drop(span);
         self.fold_traffic();
         self.trace_result(result)
     }
 
-    fn single_level_expand_inner(&mut self, parent: ObjectId) -> SessionResult<ExpandOutcome> {
-        let root_node = self.fetch_root_cached(parent)?;
+    /// A tree holding just `root`, fetched unmetered.
+    pub(crate) fn rooted_tree(&mut self, root: ObjectId) -> SessionResult<ProductTree> {
         let mut tree = ProductTree::new();
-        tree.insert(root_node);
-        self.expand_one_level(parent, &mut tree, ActionKind::Expand)?;
-        Ok(ExpandOutcome {
-            tree,
-            stats: self.channel.stats().clone(),
-            degraded: false,
+        tree.insert(self.fetch_root_cached(root)?);
+        Ok(tree)
+    }
+
+    /// Single-level expand: the direct children of `parent`.
+    pub fn single_level_expand(&mut self, parent: ObjectId) -> SessionResult<ExpandOutcome> {
+        self.action("single_level_expand", |s| {
+            let mut tree = s.rooted_tree(parent)?;
+            s.expand_one_level(parent, &mut tree, ActionKind::Expand)?;
+            Ok(ExpandOutcome {
+                tree,
+                stats: s.channel.stats().clone(),
+                degraded: false,
+            })
         })
     }
 
@@ -917,17 +834,11 @@ impl Session {
     /// navigational expansion, whose smaller per-level exchanges ride out
     /// loss with cheap retries. The outcome is flagged `degraded`.
     pub fn multi_level_expand(&mut self, root: ObjectId) -> SessionResult<ExpandOutcome> {
-        let action = self.begin_action("multi_level_expand");
-        let result = self.multi_level_expand_inner(root);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
+        self.action("multi_level_expand", |s| s.multi_level_expand_inner(root))
     }
 
     fn multi_level_expand_inner(&mut self, root: ObjectId) -> SessionResult<ExpandOutcome> {
-        let root_node = self.fetch_root_cached(root)?;
-        let mut tree = ProductTree::new();
-        tree.insert(root_node);
+        let mut tree = self.rooted_tree(root)?;
         let mut degraded = false;
 
         match self.config.strategy {
@@ -982,13 +893,7 @@ impl Session {
                 .modify_recursive(&mut q)?;
             drop(span);
         }
-        let sql = q.to_string();
-        let rs = self.metered_query(&sql)?;
-        for row in &rs.rows {
-            let attrs = client::row_attrs(&rs, row);
-            let parent = attrs.get("parent").and_then(as_id);
-            tree.insert(node_from_attrs(attrs, parent));
-        }
+        insert_rows(tree, &self.metered_query(&q.to_string())?);
         Ok(())
     }
 
@@ -1000,22 +905,14 @@ impl Session {
     /// packet effect. Rules follow the session strategy: early strategies
     /// inject them, late evaluation filters after transfer.
     pub fn multi_level_expand_batched(&mut self, root: ObjectId) -> SessionResult<ExpandOutcome> {
-        let action = self.begin_action("multi_level_expand_batched");
-        let result = self.multi_level_expand_batched_inner(root);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
-    }
-
-    fn multi_level_expand_batched_inner(&mut self, root: ObjectId) -> SessionResult<ExpandOutcome> {
-        let root_node = self.fetch_root_cached(root)?;
-        let mut tree = ProductTree::new();
-        tree.insert(root_node);
-        self.batched_levels(root, &mut tree)?;
-        Ok(ExpandOutcome {
-            tree,
-            stats: self.channel.stats().clone(),
-            degraded: false,
+        self.action("multi_level_expand_batched", |s| {
+            let mut tree = s.rooted_tree(root)?;
+            s.batched_levels(root, &mut tree)?;
+            Ok(ExpandOutcome {
+                tree,
+                stats: s.channel.stats().clone(),
+                degraded: false,
+            })
         })
     }
 
@@ -1023,132 +920,43 @@ impl Session {
     /// [`Session::multi_level_expand_batched`] and the degraded recursive
     /// path: one IN-list query per tree level.
     fn batched_levels(&mut self, root: ObjectId, tree: &mut ProductTree) -> SessionResult<()> {
-        let structure_table = self.structure_table.clone();
-        let rules = self.rules.clone();
-        let lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
-        let groups = client::permission_groups(
-            &rules,
-            &self.config.user,
-            ActionKind::MultiLevelExpand,
-            &[
-                structure_table.as_str(),
-                crate::query::T_ASSY,
-                crate::query::T_COMP,
-            ],
-        );
-        drop(lookup);
-
+        let view = self.structure_table.clone();
         let mut frontier: Vec<ObjectId> = vec![root];
         while !frontier.is_empty() {
-            let mut q = navigational::expand_many_query(&frontier, &structure_table);
-            if self.config.strategy.early_rules() {
-                let span = self.obs.span(kinds::QUERY_MODIFY, "navigational");
-                self.modificator(ActionKind::MultiLevelExpand)
-                    .modify_navigational(&mut q)?;
-                drop(span);
-            }
-            let sql = q.to_string();
-            let rs = self.metered_query(&sql)?;
-            let late = self.late_filter_span("batched_level");
-            let transferred = rs.len() as u64;
-            let mut next = Vec::with_capacity(rs.len());
-            for row in &rs.rows {
-                let attrs = client::row_attrs(&rs, row);
-                if !self.config.strategy.early_rules()
-                    && !client::permitted(&attrs, &groups, &self.funcs)
-                {
-                    continue;
-                }
-                let node = node_from_attrs(attrs, None);
-                next.push(node.obid);
-                tree.insert(node);
-            }
-            self.close_late_filter(late, transferred, next.len() as u64);
-            frontier = next;
+            let nodes = self.retrieve(
+                navigational::expand_many_query(&frontier, &view),
+                ActionKind::MultiLevelExpand,
+                &[&view, crate::query::T_ASSY, crate::query::T_COMP],
+                "batched_level",
+                None,
+            )?;
+            frontier = insert_all(tree, nodes);
         }
         Ok(())
-    }
-
-    /// Open a late-filter span when this session filters rules client-side
-    /// (late evaluation); `None` under early strategies, which never filter
-    /// after transfer.
-    fn late_filter_span(&self, label: &'static str) -> Option<SpanGuard> {
-        if self.config.strategy.early_rules() {
-            None
-        } else {
-            Some(self.obs.span(kinds::LATE_FILTER, label))
-        }
-    }
-
-    /// Close a late-filter span with the rows it saw, and account the
-    /// paper's γ split: how many transferred rows the client kept vs threw
-    /// away after paying for their transfer.
-    fn close_late_filter(&self, span: Option<SpanGuard>, transferred: u64, kept: u64) {
-        let Some(span) = span else { return };
-        span.set_rows(transferred, kept);
-        drop(span);
-        self.metrics.counter("session.rows_kept").add(kept);
-        self.metrics
-            .counter("session.rows_filtered_late")
-            .add(transferred.saturating_sub(kept));
     }
 
     /// One standalone metered DML statement as its own measured action
     /// (retried per the session's policy like any other exchange). The
     /// write path replicated clusters forward to the primary.
     pub fn execute_update(&mut self, sql: &str) -> SessionResult<usize> {
-        let action = self.begin_action("execute_update");
-        let result = self.metered_update_public(sql);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
+        self.action("execute_update", |s| s.metered_update(sql))
     }
 
     /// The set-oriented Query action: all (visible) nodes of the product,
     /// without structure information, in one query.
     pub fn query_all(&mut self, root: ObjectId) -> SessionResult<QueryOutcome> {
-        let action = self.begin_action("query_all");
-        let result = self.query_all_inner(root);
-        drop(action);
-        self.fold_traffic();
-        self.trace_result(result)
-    }
-
-    fn query_all_inner(&mut self, root: ObjectId) -> SessionResult<QueryOutcome> {
-        let mut q = navigational::query_all_query(root);
-        if self.config.strategy.early_rules() {
-            let span = self.obs.span(kinds::QUERY_MODIFY, "navigational");
-            self.modificator(ActionKind::Query)
-                .modify_navigational(&mut q)?;
-            drop(span);
-        }
-        let sql = q.to_string();
-        let rs = self.metered_query(&sql)?;
-
-        let lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
-        let groups = client::permission_groups(
-            &self.rules,
-            &self.config.user,
-            ActionKind::Query,
-            &[crate::query::T_ASSY, crate::query::T_COMP],
-        );
-        drop(lookup);
-        let late = self.late_filter_span("query_all");
-        let transferred = rs.len() as u64;
-        let mut nodes = Vec::with_capacity(rs.len());
-        for row in &rs.rows {
-            let attrs = client::row_attrs(&rs, row);
-            if !self.config.strategy.early_rules()
-                && !client::permitted(&attrs, &groups, &self.funcs)
-            {
-                continue;
-            }
-            nodes.push(node_from_attrs(attrs, None));
-        }
-        self.close_late_filter(late, transferred, nodes.len() as u64);
-        Ok(QueryOutcome {
-            nodes,
-            stats: self.channel.stats().clone(),
+        self.action("query_all", |s| {
+            let nodes = s.retrieve(
+                navigational::query_all_query(root),
+                ActionKind::Query,
+                &[crate::query::T_ASSY, crate::query::T_COMP],
+                "query_all",
+                None,
+            )?;
+            Ok(QueryOutcome {
+                nodes,
+                stats: s.channel.stats().clone(),
+            })
         })
     }
 
@@ -1160,48 +968,74 @@ impl Session {
         tree: &mut ProductTree,
         action: ActionKind,
     ) -> SessionResult<Vec<ObjectId>> {
-        let mut q = navigational::expand_query_in(parent, &self.structure_table);
-        if self.config.strategy.early_rules() {
+        let view = self.structure_table.clone();
+        let nodes = self.retrieve(
+            navigational::expand_query_in(parent, &view),
+            action,
+            &[&view, crate::query::T_ASSY, crate::query::T_COMP],
+            "expand",
+            Some(parent),
+        )?;
+        Ok(insert_all(tree, nodes))
+    }
+
+    /// The one navigational retrieval every non-recursive action is built
+    /// from: splice the rules into `q` (early strategies), ship it, and
+    /// turn the transferred rows into nodes under `parent`. Late evaluation
+    /// filters after transfer — the row rules of `tables`, evaluated on the
+    /// transferred attributes — and accounts the paper's γ split: how many
+    /// rows the client kept vs threw away after paying for their transfer.
+    fn retrieve(
+        &mut self,
+        mut q: pdm_sql::Query,
+        action: ActionKind,
+        tables: &[&str],
+        label: &'static str,
+        parent: Option<ObjectId>,
+    ) -> SessionResult<Vec<ProductNode>> {
+        let early = self.config.strategy.early_rules();
+        if early {
             let span = self.obs.span(kinds::QUERY_MODIFY, "navigational");
             self.modificator(action).modify_navigational(&mut q)?;
             drop(span);
         }
-        let sql = q.to_string();
-        let rs = self.metered_query(&sql)?;
+        let rs = self.metered_query(&q.to_string())?;
 
-        // Late evaluation filters after transfer: link rules plus node
-        // rules, evaluated on the transferred attributes.
-        let structure_table = self.structure_table.clone();
         let lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
-        let groups = client::permission_groups(
-            &self.rules,
-            &self.config.user,
-            action,
-            &[
-                structure_table.as_str(),
-                crate::query::T_ASSY,
-                crate::query::T_COMP,
-            ],
-        );
+        let groups = client::permission_groups(&self.rules, &self.config.user, action, tables);
         drop(lookup);
 
-        let late = self.late_filter_span("expand");
-        let transferred = rs.len() as u64;
-        let mut children = Vec::with_capacity(rs.len());
-        for row in &rs.rows {
-            let attrs = client::row_attrs(&rs, row);
-            if !self.config.strategy.early_rules()
-                && !client::permitted(&attrs, &groups, &self.funcs)
-            {
-                continue;
-            }
-            let node = node_from_attrs(attrs, Some(parent));
-            children.push(node.obid);
-            tree.insert(node);
+        let late = (!early).then(|| self.obs.span(kinds::LATE_FILTER, label));
+        let nodes: Vec<ProductNode> = rs
+            .rows
+            .iter()
+            .map(|row| client::row_attrs(&rs, row))
+            .filter(|attrs| early || client::permitted(attrs, &groups, &self.funcs))
+            .map(|attrs| node_from_attrs(attrs, parent))
+            .collect();
+        if let Some(span) = late {
+            let (transferred, kept) = (rs.len() as u64, nodes.len() as u64);
+            span.set_rows(transferred, kept);
+            drop(span);
+            self.metrics.counter("session.rows_kept").add(kept);
+            self.metrics
+                .counter("session.rows_filtered_late")
+                .add(transferred - kept);
         }
-        self.close_late_filter(late, transferred, children.len() as u64);
-        Ok(children)
+        Ok(nodes)
     }
+}
+
+/// Move `nodes` into `tree`, returning their ids in order.
+fn insert_all(tree: &mut ProductTree, nodes: Vec<ProductNode>) -> Vec<ObjectId> {
+    nodes
+        .into_iter()
+        .map(|node| {
+            let id = node.obid;
+            tree.insert(node);
+            id
+        })
+        .collect()
 }
 
 // Sessions are moved into worker threads of the shared-server harness.
@@ -1209,6 +1043,14 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Session>();
 };
+
+/// Insert every row of a recursive result (which carries each node's
+/// `parent`) into `tree`.
+pub(crate) fn insert_rows(tree: &mut ProductTree, rs: &ResultSet) {
+    for row in &rs.rows {
+        tree.insert(node_from_attrs(client::row_attrs(rs, row), None));
+    }
+}
 
 /// Interpret a homogenized result row as a product node.
 pub(crate) fn node_from_attrs(

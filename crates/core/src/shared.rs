@@ -90,6 +90,15 @@ impl From<pdm_sql::Error> for SharedServerError {
     }
 }
 
+/// The error of one of the server's own deadline-less calls (recovery
+/// sweep, check-in), where only [`SharedServerError::Sql`] can occur.
+fn sql_error(e: SharedServerError) -> pdm_sql::Error {
+    match e {
+        SharedServerError::Sql(e) => e,
+        other => pdm_sql::Error::Eval(other.to_string()),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Lock table
 // ---------------------------------------------------------------------------
@@ -152,6 +161,25 @@ struct LockTableState {
 /// Waiters sleep in bounded slices even with no deadline, so a missed
 /// wakeup can only cost one slice, never a hang.
 const WAIT_SLICE: Duration = Duration::from_millis(25);
+
+/// Start of one server call's deadline window.
+fn deadline_clock() -> Instant {
+    // lint:allow(wall-clock): condvar, gate and fsync waits are real-OS
+    // blocking; their deadline must be measured on the OS clock, not the
+    // virtual one.
+    Instant::now()
+}
+
+/// The next condvar wait under `deadline` (measured from `started`): at
+/// most [`WAIT_SLICE`], `None` once the deadline is spent.
+fn wait_slice(deadline: Option<Duration>, started: Instant) -> Option<Duration> {
+    match deadline {
+        None => Some(WAIT_SLICE),
+        Some(d) => d
+            .checked_sub(started.elapsed())
+            .map(|remaining| remaining.min(WAIT_SLICE)),
+    }
+}
 
 /// The check-out lock table: object id → lock state, with a ticketed
 /// FIFO wait queue for in-flight conflicts (bounded depth, arrival-order
@@ -249,9 +277,7 @@ impl LockTable {
         token: u64,
         deadline: Option<Duration>,
     ) -> Result<Acquire, SharedServerError> {
-        // lint:allow(wall-clock): condvar waits are real-OS blocking; their
-        // deadline must be measured on the OS clock, not the virtual one.
-        let start = Instant::now();
+        let start = deadline_clock();
         let mut guard = lock_unpoisoned(&self.state);
         if Self::is_busy(&guard, ids, token) {
             self.journal_refused(&mut guard, ids, token);
@@ -276,20 +302,14 @@ impl LockTable {
             ids: ids.to_vec(),
         });
         loop {
-            let slice = match deadline {
-                None => WAIT_SLICE,
-                Some(d) => {
-                    let Some(remaining) = d.checked_sub(start.elapsed()) else {
-                        Self::remove_ticket(&mut guard, seq);
-                        drop(guard);
-                        // Our departure may unblock tickets queued behind us.
-                        self.cv.notify_all();
-                        return Err(SharedServerError::LockTimeout {
-                            waited: start.elapsed(),
-                        });
-                    };
-                    remaining.min(WAIT_SLICE)
-                }
+            let Some(slice) = wait_slice(deadline, start) else {
+                Self::remove_ticket(&mut guard, seq);
+                drop(guard);
+                // Our departure may unblock tickets queued behind us.
+                self.cv.notify_all();
+                return Err(SharedServerError::LockTimeout {
+                    waited: start.elapsed(),
+                });
             };
             guard = match self.cv.wait_timeout(guard, slice) {
                 Ok((g, _)) => g,
@@ -675,11 +695,6 @@ impl SharedServer {
         &self.locks
     }
 
-    /// Current storage version — the cache epoch.
-    pub fn version(&self) -> u64 {
-        self.db.version()
-    }
-
     /// A server-unique idempotency token (sessions draw from this counter,
     /// so tokens never collide across sessions).
     pub fn next_token(&self) -> u64 {
@@ -737,24 +752,17 @@ impl SharedServer {
     /// the cached version to equal the *current* version, so results can
     /// never be stale.
     pub fn query_cached(&self, sql: &str) -> pdm_sql::Result<Arc<ResultSet>> {
-        self.query_cached_obs(sql, &Recorder::disabled())
+        self.query_cached_deadline_obs(sql, None, &Recorder::disabled())
     }
 
-    /// [`SharedServer::query_cached`] with span recording: the parse, the
+    /// [`SharedServer::query_cached`] as sessions call it. The parse, the
     /// cache probe (detail `hit`/`miss`), and — on a miss — the engine's
-    /// per-operator spans land in `obs`. With a disabled recorder this is
-    /// byte-identical to the unprofiled path.
-    pub fn query_cached_obs(&self, sql: &str, obs: &Recorder) -> pdm_sql::Result<Arc<ResultSet>> {
-        self.query_cached_deadline_obs(sql, None, obs)
-    }
-
-    /// [`SharedServer::query_cached_obs`] with deadline-bounded
-    /// single-flight: concurrent misses on the same canonical key wait for
-    /// the first computation (up to `deadline`) and share its result
-    /// instead of stampeding the engine. A waiter whose deadline runs out
-    /// falls back to computing for itself — never worse than no
-    /// single-flight. With no concurrency this path is identical to the
-    /// pre-single-flight behaviour.
+    /// per-operator spans land in `obs`; a disabled recorder makes that
+    /// free. Single-flight is bounded by `deadline`: concurrent misses on
+    /// the same canonical key wait for the first computation (up to
+    /// `deadline`) and share its result instead of stampeding the engine. A
+    /// waiter whose deadline runs out falls back to computing for itself —
+    /// never worse than no single-flight.
     pub fn query_cached_deadline_obs(
         &self,
         sql: &str,
@@ -765,9 +773,7 @@ impl SharedServer {
         let query = pdm_sql::parser::parse_query(sql)?;
         drop(parse_span);
         let key = query.to_string();
-        // lint:allow(wall-clock): the single-flight wait is real-OS
-        // blocking, bounded on the OS clock like every condvar wait here.
-        let started = Instant::now();
+        let started = deadline_clock();
         self.m.queries.inc();
         let mut waited_sf = false;
         let mut leader = false;
@@ -812,14 +818,10 @@ impl SharedServer {
             }
             // Another session is computing this key: wait for it, bounded
             // by our propagated deadline, then re-probe.
-            let slice = match deadline {
-                None => WAIT_SLICE,
-                Some(d) => match d.checked_sub(started.elapsed()) {
-                    // Deadline spent: stop waiting and compute for
-                    // ourselves rather than returning empty-handed.
-                    None => break snapshot,
-                    Some(remaining) => remaining.min(WAIT_SLICE),
-                },
+            let Some(slice) = wait_slice(deadline, started) else {
+                // Deadline spent: stop waiting and compute for ourselves
+                // rather than returning empty-handed.
+                break snapshot;
             };
             waited_sf = true;
             let (g, _) = match self.cache.sf_cv.wait_timeout(infl, slice) {
@@ -886,51 +888,20 @@ impl SharedServer {
 
     /// Execute any statement. Writes serialize on the commit gate so the
     /// DML journal order is exactly the storage commit order.
-    pub fn execute(&self, sql: &str) -> pdm_sql::Result<ExecOutcome> {
-        self.execute_obs(sql, &Recorder::disabled())
-    }
-
-    /// [`SharedServer::execute`] with span recording (parse + WAL commit).
-    pub fn execute_obs(&self, sql: &str, obs: &Recorder) -> pdm_sql::Result<ExecOutcome> {
-        let parse_span = obs.span(kinds::PARSE, "statement");
-        let stmt = pdm_sql::parser::parse_statement(sql)?;
-        drop(parse_span);
-        self.execute_ast_obs(&stmt, obs)
-    }
-
-    /// Like [`SharedServer::execute`] for a parsed statement.
     ///
     /// With durability attached, the write path runs the WAL commit gate:
-    /// the commit record is appended and fsynced after the statement is
+    /// the commit record is appended and fsynced (under a `wal.append`
+    /// span, feeding the `wal.fsync_ns` histogram) after the statement is
     /// applied to the copied catalog but before the snapshot is published,
     /// so a state change is visible only once durable. The checkpoint
     /// cadence is also driven from here, inside the write gate, so a
     /// checkpoint can never interleave with a commit.
-    pub fn execute_ast(&self, stmt: &Statement) -> pdm_sql::Result<ExecOutcome> {
-        self.execute_ast_obs(stmt, &Recorder::disabled())
-    }
-
-    /// [`SharedServer::execute_ast`] with span recording: with durability
-    /// attached, the WAL commit (append + fsync, inside the gate) gets a
-    /// `wal.append` span and feeds the `wal.fsync_ns` histogram.
-    pub fn execute_ast_obs(
-        &self,
-        stmt: &Statement,
-        obs: &Recorder,
-    ) -> pdm_sql::Result<ExecOutcome> {
-        match self.execute_ast_deadline_obs(stmt, None, obs) {
-            Ok(outcome) => Ok(outcome),
-            Err(SharedServerError::Sql(e)) => Err(e),
-            // Unreachable with deadline = None; mapped for totality.
-            Err(other) => Err(pdm_sql::Error::Eval(other.to_string())),
-        }
-    }
-
-    /// Deadline-aware write: parse-and-execute `sql`, abandoning the work
-    /// at the commit gate if the caller's propagated `deadline` (measured
-    /// from entry) is already spent — once before waiting on the gate, and
-    /// once after acquiring it (before the WAL fsync), so a doomed commit
-    /// never pays for an fsync whose result the client gave up on.
+    ///
+    /// The work is abandoned at the commit gate if the caller's propagated
+    /// `deadline` (measured from entry) is already spent — once before
+    /// waiting on the gate, and once after acquiring it (before the WAL
+    /// fsync), so a doomed commit never pays for an fsync whose result the
+    /// client gave up on. `None` never abandons.
     pub fn execute_deadline_obs(
         &self,
         sql: &str,
@@ -938,27 +909,13 @@ impl SharedServer {
         obs: &Recorder,
     ) -> Result<ExecOutcome, SharedServerError> {
         let parse_span = obs.span(kinds::PARSE, "statement");
-        let stmt = pdm_sql::parser::parse_statement(sql).map_err(SharedServerError::Sql)?;
+        let stmt = &pdm_sql::parser::parse_statement(sql)?;
         drop(parse_span);
-        self.execute_ast_deadline_obs(&stmt, deadline, obs)
-    }
-
-    /// [`SharedServer::execute_deadline_obs`] for a parsed statement.
-    /// With `deadline = None` this is byte-identical to the pre-deadline
-    /// write path.
-    pub fn execute_ast_deadline_obs(
-        &self,
-        stmt: &Statement,
-        deadline: Option<Duration>,
-        obs: &Recorder,
-    ) -> Result<ExecOutcome, SharedServerError> {
         if matches!(stmt, Statement::Query(_)) {
             let (outcome, _) = self.db.execute_ast(stmt)?;
             return Ok(outcome);
         }
-        // lint:allow(wall-clock): gate/fsync deadline checks bound real-OS
-        // blocking, measured on the OS clock (see acquire_in_flight).
-        let started = Instant::now();
+        let started = deadline_clock();
         self.check_deadline(deadline, started, "write_gate", obs)?;
         // lint:allow(lock-across-boundary): the write gate serializes DML
         // so the WAL fsync lands before the new version is published
@@ -1047,27 +1004,16 @@ impl SharedServer {
     ///    set by the classic UPDATE path, which bypasses the lock table).
     /// 4. Flip the flags, promote the locks to held, record the outcome
     ///    under the idempotency token.
-    pub fn checkout_procedure_locked(
-        &self,
-        root: ObjectId,
-        modified_sql: &str,
-        token: u64,
-        deadline: Option<Duration>,
-    ) -> Result<CheckoutProcedureResult, SharedServerError> {
-        self.checkout_procedure_locked_obs(
-            root,
-            modified_sql,
-            token,
-            deadline,
-            &Recorder::disabled(),
-        )
-    }
-
-    /// [`SharedServer::checkout_procedure_locked`] with span recording: the
-    /// retrieval's engine spans, the lock-table wait (`locks.wait`, fed into
-    /// the `locks.wait_ns` histogram even when it times out), and the
+    ///
+    /// The retrieval's engine spans, the lock-table wait (`locks.wait`, fed
+    /// into the `locks.wait_ns` histogram even when it times out), and the
     /// durable grant/token WAL appends all land in `obs`.
-    pub fn checkout_procedure_locked_obs(
+    ///
+    /// The call is failure-atomic under its client-chosen idempotency
+    /// `token`: a retry with the same token — after a lost response —
+    /// returns the original outcome without flipping any flag twice or
+    /// refusing its own check-out.
+    pub fn checkout_procedure_with_deadline_obs(
         &self,
         root: ObjectId,
         modified_sql: &str,
@@ -1079,27 +1025,17 @@ impl SharedServer {
         // ONCE: a concurrent call with the same token (an aggressive client
         // retry racing its own original) waits here for the recorded
         // outcome rather than running the procedure a second time.
-        // lint:allow(wall-clock): real-OS condvar wait deadline (see
-        // acquire_in_flight).
-        let start = Instant::now();
+        let start = deadline_clock();
         {
             let mut log = lock_unpoisoned(&self.checkout_log);
             loop {
                 match log.get(&token) {
                     Some(Some(done)) => return Ok(done.clone()),
                     Some(None) => {
-                        // Bounded slices even without a deadline, so a
-                        // missed wakeup costs one slice, never a hang.
-                        let slice = match deadline {
-                            None => WAIT_SLICE,
-                            Some(d) => {
-                                let Some(remaining) = d.checked_sub(start.elapsed()) else {
-                                    return Err(SharedServerError::LockTimeout {
-                                        waited: start.elapsed(),
-                                    });
-                                };
-                                remaining.min(WAIT_SLICE)
-                            }
+                        let Some(slice) = wait_slice(deadline, start) else {
+                            return Err(SharedServerError::LockTimeout {
+                                waited: start.elapsed(),
+                            });
                         };
                         log = match self.checkout_cv.wait_timeout(log, slice) {
                             Ok((g, _)) => g,
@@ -1250,7 +1186,7 @@ impl SharedServer {
                 // if the device is already dead, recovery sweeps instead.
                 let _ = d.log_release(&lock_ids);
             }
-            return Err(e.into());
+            return Err(e);
         }
         self.locks.promote(&lock_ids, token);
         self.m.lock_grants.inc();
@@ -1267,8 +1203,9 @@ impl SharedServer {
         comp_ids: &[ObjectId],
     ) -> pdm_sql::Result<()> {
         let obs = Recorder::disabled();
-        self.set_checked_out("assy", assy_ids, false, &obs)?;
-        self.set_checked_out("comp", comp_ids, false, &obs)?;
+        self.set_checked_out("assy", assy_ids, false, &obs)
+            .and_then(|_| self.set_checked_out("comp", comp_ids, false, &obs))
+            .map_err(sql_error)?;
         if assy_ids.is_empty() && comp_ids.is_empty() {
             return Ok(());
         }
@@ -1290,23 +1227,19 @@ impl SharedServer {
     }
 
     /// Server-side check-in: clear the flags and release the lock entries.
+    /// Never abandoned half-way, so it takes no deadline.
     pub fn checkin_procedure(
-        &self,
-        assy_ids: &[ObjectId],
-        comp_ids: &[ObjectId],
-    ) -> pdm_sql::Result<usize> {
-        self.checkin_procedure_obs(assy_ids, comp_ids, &Recorder::disabled())
-    }
-
-    /// [`SharedServer::checkin_procedure`] with span recording.
-    pub fn checkin_procedure_obs(
         &self,
         assy_ids: &[ObjectId],
         comp_ids: &[ObjectId],
         obs: &Recorder,
     ) -> pdm_sql::Result<usize> {
-        let a = self.set_checked_out("assy", assy_ids, false, obs)?;
-        let c = self.set_checked_out("comp", comp_ids, false, obs)?;
+        let a = self
+            .set_checked_out("assy", assy_ids, false, obs)
+            .map_err(sql_error)?;
+        let c = self
+            .set_checked_out("comp", comp_ids, false, obs)
+            .map_err(sql_error)?;
         let mut ids: Vec<ObjectId> = Vec::with_capacity(assy_ids.len() + comp_ids.len());
         ids.extend(assy_ids);
         ids.extend(comp_ids);
@@ -1335,26 +1268,30 @@ impl SharedServer {
         Ok(row.get(0) != &pdm_sql::Value::Int(0))
     }
 
+    /// Flip the `checkedout` flag of `ids`. No deadline: the callers are
+    /// past the point where abandoning is free (a half-flipped id set).
     fn set_checked_out(
         &self,
         table: &str,
         ids: &[ObjectId],
         value: bool,
         obs: &Recorder,
-    ) -> pdm_sql::Result<usize> {
+    ) -> Result<usize, SharedServerError> {
         if ids.is_empty() {
             return Ok(0);
         }
         let list = id_list(ids);
         let flag = if value { "TRUE" } else { "FALSE" };
-        match self.execute_obs(
+        match self.execute_deadline_obs(
             &format!("UPDATE {table} SET checkedout = {flag} WHERE obid IN ({list})"),
+            None,
             obs,
         )? {
             ExecOutcome::Dml(pdm_sql::DmlOutcome::Updated(n)) => Ok(n),
             other => Err(pdm_sql::Error::Eval(format!(
                 "UPDATE returned unexpected outcome {other:?}"
-            ))),
+            ))
+            .into()),
         }
     }
 }
@@ -1386,8 +1323,12 @@ mod tests {
         assert_eq!(s.cache_stats(), CacheStats { hits: 1, misses: 1 });
 
         // DML bumps the epoch: next lookup recomputes.
-        s.execute("UPDATE assy SET checkedout = FALSE WHERE obid = 1")
-            .unwrap();
+        s.execute_deadline_obs(
+            "UPDATE assy SET checkedout = FALSE WHERE obid = 1",
+            None,
+            &Recorder::disabled(),
+        )
+        .unwrap();
         let c = s.query_cached(sql).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(s.cache_stats(), CacheStats { hits: 1, misses: 2 });
@@ -1460,27 +1401,28 @@ mod tests {
         let s = server();
         let sql = crate::query::recursive::mle_query(1).to_string();
         let t1 = s.next_token();
-        let first = s.checkout_procedure_locked(1, &sql, t1, None).unwrap();
+        let checkout = |token| {
+            s.checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
+                .unwrap()
+        };
+        let first = checkout(t1);
         assert!(first.rows.is_some());
         assert!(s.lock_table().holder(1).is_some());
 
         // Conflicting check-out refuses (completed holder).
         let t2 = s.next_token();
-        let second = s.checkout_procedure_locked(1, &sql, t2, None).unwrap();
+        let second = checkout(t2);
         assert!(second.rows.is_none());
 
         // Replay of the first token returns the recorded success.
-        let replay = s.checkout_procedure_locked(1, &sql, t1, None).unwrap();
+        let replay = checkout(t1);
         assert!(replay.rows.is_some());
 
         // Check-in releases locks and flags; a new check-out succeeds.
-        s.checkin_procedure(&[1, 2, 3], &[4, 5, 6, 7]).unwrap();
+        s.checkin_procedure(&[1, 2, 3], &[4, 5, 6, 7], &Recorder::disabled())
+            .unwrap();
         assert!(s.lock_table().is_empty());
         let t3 = s.next_token();
-        assert!(s
-            .checkout_procedure_locked(1, &sql, t3, None)
-            .unwrap()
-            .rows
-            .is_some());
+        assert!(checkout(t3).rows.is_some());
     }
 }

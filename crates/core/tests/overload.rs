@@ -9,12 +9,17 @@
 //!    *admits* return byte-identical results to an unloaded serial oracle
 //!    replaying exactly the admitted subsequence. Admission control may
 //!    reject work; it may never corrupt it.
+//! 3. **Deadline propagation**: a write whose budget is spent is abandoned
+//!    at the commit gate, on every kind of link.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use pdm_core::{
-    OverloadConfig, PdmServer, Priority, ProductTree, Session, SessionConfig, SessionError,
-    Strategy,
+    DurabilityConfig, OverloadConfig, PdmServer, Priority, ProductTree, Recorder, RetryPolicy,
+    Session, SessionConfig, SessionError, SharedServer, SharedServerError, Strategy,
 };
-use pdm_net::LinkProfile;
+use pdm_net::{FaultPlan, LinkProfile};
 use pdm_prng::Prng;
 use pdm_workload::{build_database, TreeSpec};
 
@@ -278,4 +283,78 @@ fn batch_sheds_before_checkout_sheds_before_interactive() {
     interactive
         .multi_level_expand(root)
         .expect("interactive must still be admitted when batch sheds");
+}
+
+/// A write whose server-side budget is already spent is abandoned at the
+/// commit gate — no new version, no WAL record — and the session surfaces
+/// that as a `Timeout` pinned at `overload.abandon`. The session's deadline
+/// reaches the server whether or not a fault plan is installed.
+#[test]
+fn spent_deadline_abandons_the_write_with_or_without_a_fault_plan() {
+    let (db, _) = build_database(&TreeSpec::new(2, 3, 1.0).with_node_size(128)).unwrap();
+    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
+    let server = PdmServer::from_shared(Arc::new(shared));
+    let sql = "UPDATE assy SET checkedout = FALSE WHERE obid = 1";
+    let abandons = || {
+        let m = server.metrics().snapshot();
+        m.counter("overload.deadline_abandons")
+    };
+    let durable_state = || {
+        let log_len = server.durability().unwrap().log_len();
+        (server.database().version(), log_len)
+    };
+    let untouched = durable_state();
+
+    // Server level.
+    let err = server
+        .execute_deadline_obs(sql, Some(Duration::ZERO), &Recorder::disabled())
+        .unwrap_err();
+    assert!(matches!(err, SharedServerError::DeadlineExpired { .. }));
+    assert_eq!(abandons(), 1);
+    assert_eq!(durable_state(), untouched);
+
+    // Session level. The deadline is below the OS clock's resolution: the
+    // client's virtual clock (0 at action start) has not reached it, the
+    // server's real one has.
+    for plan in [None, Some(FaultPlan::none())] {
+        let faulty = plan.is_some();
+        let mut s = session(&server);
+        if let Some(plan) = plan {
+            s.set_fault_plan(plan);
+        }
+        s.set_retry_policy(RetryPolicy::none().with_deadline(1e-12));
+        let before = abandons();
+        match s.execute_update(sql) {
+            Err(SessionError::Timeout { context, .. }) => {
+                assert_eq!(context.expired_in, "overload.abandon", "faulty={faulty}")
+            }
+            other => panic!("faulty={faulty}: expected an abandoned write, got {other:?}"),
+        }
+        assert_eq!(abandons(), before + 1, "faulty={faulty}");
+        assert_eq!(durable_state(), untouched, "faulty={faulty}");
+
+        // The check-out procedure sees the same spent budget.
+        match s.check_out_function_shipping(1) {
+            Err(SessionError::Timeout { context, .. }) => {
+                assert_eq!(context.expired_in, "overload.abandon", "faulty={faulty}")
+            }
+            other => panic!("faulty={faulty}: expected an abandoned check-out, got {other:?}"),
+        }
+        assert_eq!(durable_state(), untouched, "faulty={faulty}");
+
+        // Reads have no abandon point; a navigational expand spends the
+        // deadline on its first exchange and is stopped client-side before
+        // the second, identically on both links.
+        s.set_strategy(Strategy::LateEval);
+        match s.multi_level_expand(1) {
+            Err(SessionError::Timeout {
+                attempts, context, ..
+            }) => {
+                assert_eq!(context.expired_in, "net.exchange", "faulty={faulty}");
+                assert_eq!(attempts, 0, "faulty={faulty}");
+            }
+            other => panic!("faulty={faulty}: expected a client-side stop, got {other:?}"),
+        }
+        assert_eq!(s.stats().queries, 1, "faulty={faulty}");
+    }
 }

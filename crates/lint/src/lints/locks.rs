@@ -21,7 +21,9 @@ use crate::source::{is_keyword, LintFile};
 const LOCK_HELPERS: &[&str] = &["lock_unpoisoned", "lock"];
 
 /// Calls that cross a network or durability boundary. Transitive
-/// callers inherit the property through the call graph.
+/// callers inherit the property through the call graph. `exchange` is
+/// `pdm-core`'s one request routine; it takes the server call as a
+/// closure, so it is named here rather than left to the call graph.
 const BOUNDARY_BASE: &[&str] = &[
     "try_send_request",
     "try_receive_response",

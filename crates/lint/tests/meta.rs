@@ -29,6 +29,28 @@ fn every_lint_rejects_its_fixture_and_accepts_the_twin() {
     }
 }
 
+/// `pdm-core`'s one exchange routine takes the server call as a closure.
+/// A guard live across a call to it is still a lock held across the
+/// network boundary — the closure does not hide the crossing.
+#[test]
+fn lock_across_the_closure_taking_exchange_routine_is_flagged() {
+    let reg = Registries::fixture();
+    let bad = "impl S {\n    fn relay(&mut self, sql: &str) {\n        let g = self.state.lock();\n                       exchange(&mut self.channel, &self.retry, None, sql.len(), |deadline| {\n                           self.server.query_cached_deadline_obs(sql, deadline, &g.obs)\n        });\n    }\n}\n";
+    let good = "impl S {\n    fn relay(&mut self, sql: &str) {\n        let obs = {\n                            let g = self.state.lock();\n            g.obs.clone()\n        };\n                        exchange(&mut self.channel, &self.retry, None, sql.len(), |deadline| {\n                            self.server.query_cached_deadline_obs(sql, deadline, &obs)\n        });\n    }\n}\n";
+    let rbad = lint_source(FIXTURE_PATH, bad, &reg);
+    assert!(
+        rbad.flags(Lint::LockAcrossBoundary),
+        "guard across exchange(.., |..| ..) not flagged: {:?}",
+        rbad.findings
+    );
+    let rgood = lint_source(FIXTURE_PATH, good, &reg);
+    assert!(
+        !rgood.flags(Lint::LockAcrossBoundary),
+        "scoped guard flagged: {:?}",
+        rgood.findings
+    );
+}
+
 #[test]
 fn fixtures_are_minimal_enough_to_differ() {
     for lint in Lint::ALL {

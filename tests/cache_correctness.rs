@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use pdm_core::query::recursive;
-use pdm_core::{PdmServer, SharedServer};
+use pdm_core::{PdmServer, Recorder, SharedServer};
 use pdm_prng::Prng;
 use pdm_sql::{Database, ExecConfig};
 use pdm_workload::{build_database, TreeSpec};
@@ -96,16 +96,22 @@ fn dml_invalidates_exactly_the_dependent_epoch() {
             } else {
                 "FALSE"
             };
-            let before = shared.version();
+            let before = shared.database().version();
             server
-                .execute(&format!(
-                    "UPDATE assy SET checkedout = {flag} WHERE obid = {obid}"
-                ))
+                .execute_deadline_obs(
+                    &format!("UPDATE assy SET checkedout = {flag} WHERE obid = {obid}"),
+                    None,
+                    &Recorder::disabled(),
+                )
                 .unwrap();
-            assert_eq!(shared.version(), before + 1, "DML must bump the epoch");
+            assert_eq!(
+                shared.database().version(),
+                before + 1,
+                "DML must bump the epoch"
+            );
         } else {
             let sql = &queries[(prng.next_u64() % queries.len() as u64) as usize];
-            let version = shared.version();
+            let version = shared.database().version();
             let before = shared.cache_stats();
             let warm = shared.query_cached(sql).unwrap();
             let after = shared.cache_stats();
@@ -140,14 +146,14 @@ fn dml_invalidates_exactly_the_dependent_epoch() {
 fn queries_do_not_invalidate() {
     let server = fresh_shared();
     let shared = server.shared();
-    let v = shared.version();
+    let v = shared.database().version();
     for sql in battery() {
         shared.query_cached(&sql).unwrap();
     }
     for sql in battery() {
         shared.query_cached(&sql).unwrap();
     }
-    assert_eq!(shared.version(), v);
+    assert_eq!(shared.database().version(), v);
     assert_eq!(shared.cache_stats().hits, battery().len() as u64);
 }
 

@@ -14,7 +14,9 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use pdm_core::query::recursive;
-use pdm_core::{PdmServer, RetryPolicy, RuleTable, Session, SessionConfig, SessionError, Strategy};
+use pdm_core::{
+    PdmServer, Recorder, RetryPolicy, RuleTable, Session, SessionConfig, SessionError, Strategy,
+};
 use pdm_net::LinkProfile;
 use pdm_workload::{build_database, TreeSpec};
 
@@ -64,7 +66,7 @@ fn reentrant_token_executes_at_most_once() {
         handles.push(std::thread::spawn(move || {
             barrier.wait();
             server
-                .checkout_procedure_with_deadline(1, &sql, token, None)
+                .checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
                 .unwrap()
         }));
     }
@@ -93,19 +95,19 @@ fn recorded_token_replays_without_reexecution() {
     let token = server.shared().next_token();
 
     let first = server
-        .checkout_procedure_with_deadline(1, &sql, token, None)
+        .checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
         .unwrap();
     assert!(first.rows.is_some());
     let flags_after_first = flagged(&server);
-    let version_after_first = server.shared().version();
+    let version_after_first = server.database().version();
 
     let replay = server
-        .checkout_procedure_with_deadline(1, &sql, token, None)
+        .checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
         .unwrap();
     assert_eq!(replay.rows, first.rows);
     assert_eq!(flagged(&server), flags_after_first, "no second flag flip");
     assert_eq!(
-        server.shared().version(),
+        server.database().version(),
         version_after_first,
         "replay must not write"
     );

@@ -22,7 +22,9 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
-use pdm_core::{LockEvent, PdmServer, ProductTree, RuleTable, Session, SessionConfig, Strategy};
+use pdm_core::{
+    LockEvent, PdmServer, ProductTree, Recorder, RuleTable, Session, SessionConfig, Strategy,
+};
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
 use pdm_workload::{build_database, TreeSpec};
@@ -171,7 +173,9 @@ fn stress_final_state_equals_serial_replay() {
     assert!(!dml.is_empty(), "check-outs must have journaled their DML");
     let replay = fresh_server();
     for stmt in &dml {
-        replay.execute(stmt).unwrap();
+        replay
+            .execute_deadline_obs(stmt, None, &Recorder::disabled())
+            .unwrap();
     }
     assert_eq!(
         storage_state(&server),
@@ -255,8 +259,12 @@ fn replay_of_replay_is_stable() {
     let replay1 = fresh_server();
     let replay2 = fresh_server();
     for stmt in &dml {
-        replay1.execute(stmt).unwrap();
-        replay2.execute(stmt).unwrap();
+        replay1
+            .execute_deadline_obs(stmt, None, &Recorder::disabled())
+            .unwrap();
+        replay2
+            .execute_deadline_obs(stmt, None, &Recorder::disabled())
+            .unwrap();
     }
     assert_eq!(storage_state(&replay1), storage_state(&replay2));
     assert_eq!(storage_state(&server), storage_state(&replay1));

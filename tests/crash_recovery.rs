@@ -32,8 +32,8 @@ use std::time::Duration;
 
 use pdm_core::query::recursive;
 use pdm_core::{
-    recover_server, DurabilityConfig, PdmServer, RetryPolicy, RuleTable, Session, SessionConfig,
-    SessionError, SharedServer, Strategy,
+    recover_server, DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session,
+    SessionConfig, SessionError, SharedServer, Strategy,
 };
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
@@ -96,6 +96,10 @@ fn flagged_ids(server: &PdmServer, table: &str) -> Vec<i64> {
 /// errors and the rest of the script becomes no-ops on state).
 fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) {
     let mut rng = Prng::seed_from_u64(seed);
+    // Post-crash writes fail fast; the workload keeps going regardless.
+    let execute = |sql: String| {
+        let _ = server.execute_deadline_obs(&sql, None, &Recorder::disabled());
+    };
     let roots = assy_ids(server);
     let mut spec_obid = 900_000i64;
     for _ in 0..steps {
@@ -104,14 +108,14 @@ fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) {
             0 => {
                 let id = roots[rng.index(roots.len())];
                 let payload = rng.ident(4, 12);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "UPDATE assy SET payload = '{payload}' WHERE obid = {id}"
                 ));
             }
             1 => {
                 let name = rng.ident(3, 10);
                 let lo = rng.i64_inclusive(1, 40);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "UPDATE comp SET name = '{name}' WHERE obid >= {lo} AND obid <= {}",
                     lo + 2
                 ));
@@ -119,23 +123,24 @@ fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) {
             2 => {
                 spec_obid += 1;
                 let name = rng.ident(3, 10);
-                let _ = server.execute(&format!(
+                execute(format!(
                     "INSERT INTO spec VALUES ('spec', {spec_obid}, '{name}')"
                 ));
             }
             3 => {
                 let victim = 900_000 + rng.i64_inclusive(1, (spec_obid - 900_000).max(1));
-                let _ = server.execute(&format!("DELETE FROM spec WHERE obid = {victim}"));
+                execute(format!("DELETE FROM spec WHERE obid = {victim}"));
             }
             4 => {
                 let root = roots[rng.index(roots.len())];
                 let sql = recursive::mle_query(root).to_string();
                 let token = server.shared().next_token();
-                let _ = server.checkout_procedure_with_deadline(
+                let _ = server.checkout_procedure_with_deadline_obs(
                     root,
                     &sql,
                     token,
                     Some(Duration::from_secs(5)),
+                    &Recorder::disabled(),
                 );
             }
             _ => {
@@ -143,7 +148,7 @@ fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) {
                 let assy = flagged_ids(server, "assy");
                 let comp = flagged_ids(server, "comp");
                 if !assy.is_empty() || !comp.is_empty() {
-                    let _ = server.checkin_procedure(&assy, &comp);
+                    let _ = server.checkin_procedure(&assy, &comp, &Recorder::disabled());
                 }
             }
         }
@@ -302,12 +307,18 @@ fn assert_recovery_invariants(image: DurableImage, crashed: &PdmServer, context:
             recovered.checkout_recorded(token),
             "{context}: completed token {token} lost"
         );
-        let before = recovered.shared().version();
+        let before = recovered.database().version();
         let replayed = recovered
-            .checkout_procedure_with_deadline(1, "unused", token, Some(Duration::from_secs(1)))
+            .checkout_procedure_with_deadline_obs(
+                1,
+                "unused",
+                token,
+                Some(Duration::from_secs(1)),
+                &Recorder::disabled(),
+            )
             .unwrap_or_else(|e| panic!("{context}: token {token} replay failed: {e}"));
         assert_eq!(
-            recovered.shared().version(),
+            recovered.database().version(),
             before,
             "{context}: token {token} replay re-executed the procedure"
         );
@@ -470,7 +481,13 @@ fn crashed_grant_is_released_and_waiting_retry_succeeds() {
     let sql = recursive::mle_query(1).to_string();
     let token = server.shared().next_token();
     let granted = server
-        .checkout_procedure_with_deadline(1, &sql, token, Some(Duration::from_secs(5)))
+        .checkout_procedure_with_deadline_obs(
+            1,
+            &sql,
+            token,
+            Some(Duration::from_secs(5)),
+            &Recorder::disabled(),
+        )
         .unwrap();
     assert!(granted.rows.is_some(), "setup: check-out must be granted");
     assert!(!flagged_ids(&server, "assy").is_empty());

@@ -8,9 +8,11 @@
 
 use pdm_bench::visibility_rules;
 use pdm_core::{
-    Federation, MountPoint, RetryPolicy, Session, SessionConfig, SessionError, Strategy,
+    Federation, MountPoint, ProductTree, RetryPolicy, Session, SessionConfig, SessionError,
+    Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile, OutageWindow, ScriptedKind};
+use pdm_prng::Prng;
 use pdm_sql::Value;
 use pdm_workload::{build_database, generate, partition, TreeSpec};
 
@@ -334,4 +336,86 @@ fn timeout_context_carries_flight_events_when_profiling() {
     assert!(context
         .render()
         .contains("deadline expired in: net.exchange"));
+}
+
+/// One step of the seeded differential schedule; returns a byte-comparable
+/// print of what the user saw. Granted check-outs are remembered so a later
+/// step can check them back in.
+fn differential_step(s: &mut Session, op: usize, root: i64, held: &mut Vec<ProductTree>) -> String {
+    let ids = |tree: &ProductTree| {
+        let mut ids: Vec<i64> = tree.node_ids().collect();
+        ids.sort_unstable();
+        format!("{ids:?}")
+    };
+    match op {
+        0 => format!("expand {}", ids(&s.multi_level_expand(root).unwrap().tree)),
+        1 => {
+            let mut ids: Vec<i64> = s
+                .query_all(root)
+                .unwrap()
+                .nodes
+                .iter()
+                .map(|n| n.obid)
+                .collect();
+            ids.sort_unstable();
+            format!("query {ids:?}")
+        }
+        2 => match s.check_out_function_shipping(root).unwrap().tree {
+            Some(tree) => {
+                let print = format!("granted {}", ids(&tree));
+                held.push(tree);
+                print
+            }
+            None => "refused".into(),
+        },
+        3 => match held.pop() {
+            Some(tree) => format!("checked in {}", s.check_in(&tree).unwrap()),
+            None => "nothing held".into(),
+        },
+        _ => {
+            let sql = format!("UPDATE assy SET payload = 'p{root}' WHERE obid = {root}");
+            format!("updated {}", s.execute_update(&sql).unwrap())
+        }
+    }
+}
+
+/// Every session runs the one exchange routine, so a session with no fault
+/// plan and one with a fault-free plan must be indistinguishable: same
+/// trees, same traffic, same virtual clock to the bit, action by action.
+#[test]
+fn fault_free_plan_is_indistinguishable_from_no_plan() {
+    let sp = spec();
+    for strategy in [Strategy::LateEval, Strategy::EarlyEval, Strategy::Recursive] {
+        let mut plain = session(strategy, &sp);
+        let mut planned = session(strategy, &sp);
+        planned.set_fault_plan(FaultPlan::none());
+        assert!(plain.fault_plan().is_none() && planned.fault_plan().is_some());
+
+        let roots: Vec<i64> = plain
+            .server()
+            .query("SELECT obid FROM assy ORDER BY obid")
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| match r.get(0) {
+                Value::Int(i) => *i,
+                other => panic!("unexpected obid {other:?}"),
+            })
+            .collect();
+        let mut rng = Prng::seed_from_u64(0x12_D1FF);
+        let (mut held_plain, mut held_planned) = (Vec::new(), Vec::new());
+        for step in 0..60 {
+            let (op, root) = (rng.index(5), roots[rng.index(roots.len())]);
+            let a = differential_step(&mut plain, op, root, &mut held_plain);
+            let b = differential_step(&mut planned, op, root, &mut held_planned);
+            assert_eq!(a, b, "{strategy:?} step {step} (op {op}, root {root})");
+            assert_eq!(plain.stats(), planned.stats(), "{strategy:?} step {step}");
+            assert_eq!(
+                plain.elapsed().to_bits(),
+                planned.elapsed().to_bits(),
+                "{strategy:?} step {step}"
+            );
+        }
+        assert_eq!(checked_out_count(&plain), checked_out_count(&planned));
+    }
 }

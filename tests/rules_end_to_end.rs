@@ -259,15 +259,19 @@ fn view_hides_structure_from_modificator() {
     let rules = base_rules();
     let spec = TreeSpec::new(2, 2, 1.0).with_node_size(128);
     let (db, _) = build_database(&spec).unwrap();
-    let mut s = Session::new(
+    let s = Session::new(
         db,
         SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
         rules.clone(),
     );
     // Rename the real table away and install a view in its place, then
     // re-open the session so it learns the server's view set.
-    s.server_mut()
-        .execute("CREATE VIEW assy_view AS SELECT * FROM assy")
+    s.server()
+        .execute_deadline_obs(
+            "CREATE VIEW assy_view AS SELECT * FROM assy",
+            None,
+            &pdm_core::Recorder::disabled(),
+        )
         .unwrap();
     let views = s.server().view_names();
     assert!(views.contains("assy_view"));
