@@ -203,11 +203,11 @@ impl Session {
             );
             n += self.metered_update(&sql)?;
         }
-        // Release the lock-table entries a function-shipping check-out of
-        // this tree registered (no-op for classically checked-out trees).
+        // Retire what a function-shipping check-out of this tree registered
+        // at the server: its lock-table entries and its durable grant.
         let mut all_ids = assy_ids;
         all_ids.extend(comp_ids);
-        self.server().shared().lock_table().release(&all_ids);
+        self.server().release_checkout(&all_ids, self.recorder())?;
         Ok(n)
     }
 

@@ -36,15 +36,15 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pdm_sql::persist::{
-    self, decode_snapshot, encode_snapshot, put_result_set, put_u32, put_u64, put_u8, Cursor,
-};
+use pdm_sql::persist::{self, encode_snapshot, put_result_set, put_u32, put_u64, put_u8, Cursor};
 use pdm_sql::shared::Snapshot;
-use pdm_sql::ResultSet;
+use pdm_sql::{ResultSet, SharedDatabase};
 use pdm_wal::{CrashPlan, DeviceStats, DurableImage, DurableStore, LogDamage, WalError, WalRecord};
 
 use crate::product::ObjectId;
 use crate::repl::ReplicationFeed;
+use crate::replay::{become_primary, database_from_snapshot, ReplayState};
+use crate::shared::lock_unpoisoned;
 
 /// Tuning knobs for the durability layer.
 #[derive(Debug, Clone, Copy)]
@@ -85,27 +85,13 @@ pub struct GrantIds {
     pub comp: Vec<ObjectId>,
 }
 
-impl GrantIds {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.assy.is_empty() && self.comp.is_empty()
-    }
-
-    pub(crate) fn remove(&mut self, ids: &[ObjectId]) {
-        self.assy.retain(|id| !ids.contains(id));
-        self.comp.retain(|id| !ids.contains(id));
-    }
-}
-
 #[derive(Debug)]
 struct DurState {
     store: DurableStore,
-    /// Outstanding grants (token → ids), mirrored into checkpoints so a
-    /// truncated grant record is never forgotten. Updated atomically with
-    /// the corresponding log append.
-    grants: BTreeMap<u64, GrantIds>,
-    /// Completed token outcomes (`None` = recorded refusal), mirrored into
-    /// checkpoints for the same reason.
-    tokens: BTreeMap<u64, Option<ResultSet>>,
+    /// The grant and token trackers, mirrored into checkpoints so a
+    /// truncated record is never forgotten. Updated atomically with the
+    /// corresponding log append.
+    replay: ReplayState,
     commits_since_checkpoint: u64,
     /// Replication tap: every durably committed record is republished here
     /// (same seq the store assigned) for shipping to replica sites. The
@@ -125,39 +111,22 @@ fn wal_to_sql(e: WalError) -> pdm_sql::Error {
     pdm_sql::Error::Eval(format!("durability: {e}"))
 }
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 impl Durability {
     /// Fresh durability state over an empty store.
     pub fn new(cfg: &DurabilityConfig) -> Self {
-        Durability {
-            state: Mutex::new(DurState {
-                store: DurableStore::new(cfg.crash_plan),
-                grants: BTreeMap::new(),
-                tokens: BTreeMap::new(),
-                commits_since_checkpoint: 0,
-                feed: None,
-            }),
-            interval: cfg.checkpoint_interval,
-        }
+        Durability::resume(
+            DurableStore::new(cfg.crash_plan),
+            ReplayState::default(),
+            cfg.checkpoint_interval,
+        )
     }
 
-    pub(crate) fn from_parts(
-        store: DurableStore,
-        grants: BTreeMap<u64, GrantIds>,
-        tokens: BTreeMap<u64, Option<ResultSet>>,
-        interval: u64,
-    ) -> Self {
+    /// Durability over `store`, carrying already-replayed trackers.
+    pub(crate) fn resume(store: DurableStore, replay: ReplayState, interval: u64) -> Self {
         Durability {
             state: Mutex::new(DurState {
                 store,
-                grants,
-                tokens,
+                replay,
                 commits_since_checkpoint: 0,
                 feed: None,
             }),
@@ -172,22 +141,34 @@ impl Durability {
         lock_unpoisoned(&self.state).feed = Some(feed);
     }
 
+    /// The one logging step: append + fsync the record, apply it to the
+    /// trackers, republish it to the feed — all under the store lock, so a
+    /// checkpoint can never see the record without its tracker effect (or
+    /// vice versa) and feed order is commit order. Returns the guard so a
+    /// caller can finish its own bookkeeping in the same critical section.
+    fn log(&self, record: WalRecord) -> pdm_sql::Result<MutexGuard<'_, DurState>> {
+        // lint:allow(lock-across-boundary): append+fsync under the store
+        // lock IS the commit point; seq and in-memory state must advance
+        // atomically (DESIGN.md §10).
+        let mut st = lock_unpoisoned(&self.state);
+        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
+        st.replay
+            .apply(None, seq, &record)
+            .map_err(|e| pdm_sql::Error::Eval(e.to_string()))?;
+        if let Some(feed) = &st.feed {
+            feed.publish(seq, record);
+        }
+        Ok(st)
+    }
+
     /// The commit gate body: append + fsync one DML commit record. Called
     /// with the version the statement will publish as.
     pub fn log_commit(&self, version: u64, sql: &str) -> pdm_sql::Result<()> {
-        // lint:allow(lock-across-boundary): append+fsync under the store
-        // lock IS the commit point; seq and in-memory state must advance
-        // atomically (DESIGN.md §9).
-        let mut st = lock_unpoisoned(&self.state);
         let record = WalRecord::DmlCommit {
             version,
             sql: sql.to_string(),
         };
-        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
-        st.commits_since_checkpoint += 1;
-        if let Some(feed) = &st.feed {
-            feed.publish(seq, record);
-        }
+        self.log(record)?.commits_since_checkpoint += 1;
         Ok(())
     }
 
@@ -197,72 +178,34 @@ impl Durability {
         lock_unpoisoned(&self.state).commits_since_checkpoint >= self.interval
     }
 
-    /// Log a check-out grant and track it for sweeping. Atomic with the
-    /// tracker update, so a checkpoint can never see the record without the
-    /// tracker entry or vice versa.
+    /// Log a check-out grant and track it for sweeping.
     pub fn log_grant(
         &self,
         token: u64,
         assy: &[ObjectId],
         comp: &[ObjectId],
     ) -> pdm_sql::Result<()> {
-        // lint:allow(lock-across-boundary): grant durability and the
-        // outstanding-grant table must move together — fsync under the
-        // lock is the commit point.
-        let mut st = lock_unpoisoned(&self.state);
         let record = WalRecord::CheckoutGrant {
             token,
             assy_ids: assy.to_vec(),
             comp_ids: comp.to_vec(),
         };
-        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
-        st.grants.insert(
-            token,
-            GrantIds {
-                assy: assy.to_vec(),
-                comp: comp.to_vec(),
-            },
-        );
-        if let Some(feed) = &st.feed {
-            feed.publish(seq, record);
-        }
-        Ok(())
+        self.log(record).map(drop)
     }
 
     /// Log a release covering `ids` and drop them from outstanding grants.
     pub fn log_release(&self, ids: &[ObjectId]) -> pdm_sql::Result<()> {
-        // lint:allow(lock-across-boundary): release durability and the
-        // outstanding-grant table must move together — fsync under the
-        // lock is the commit point.
-        let mut st = lock_unpoisoned(&self.state);
-        let record = WalRecord::CheckoutRelease { ids: ids.to_vec() };
-        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
-        for grant in st.grants.values_mut() {
-            grant.remove(ids);
-        }
-        st.grants.retain(|_, g| !g.is_empty());
-        if let Some(feed) = &st.feed {
-            feed.publish(seq, record);
-        }
-        Ok(())
+        self.log(WalRecord::CheckoutRelease { ids: ids.to_vec() })
+            .map(drop)
     }
 
     /// Log a token completion and track its outcome for checkpointing.
     pub fn log_token(&self, token: u64, rows: Option<&ResultSet>) -> pdm_sql::Result<()> {
-        // lint:allow(lock-across-boundary): token completion is logged and
-        // tracked for checkpointing in one atomic step; fsync under the
-        // lock is the commit point.
-        let mut st = lock_unpoisoned(&self.state);
         let record = WalRecord::TokenComplete {
             token,
             rows: rows.cloned(),
         };
-        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
-        st.tokens.insert(token, rows.cloned());
-        if let Some(feed) = &st.feed {
-            feed.publish(seq, record);
-        }
-        Ok(())
+        self.log(record).map(drop)
     }
 
     /// Cut a checkpoint of `snapshot` plus the aux trackers and truncate
@@ -270,7 +213,7 @@ impl Durability {
     /// interleaves between the snapshot read and the install.
     pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
         let mut st = lock_unpoisoned(&self.state);
-        let payload = encode_checkpoint(snapshot, &st.grants, &st.tokens);
+        let payload = encode_checkpoint(snapshot, &st.replay);
         st.store.install_checkpoint(&payload).map_err(wal_to_sql)?;
         st.commits_since_checkpoint = 0;
         Ok(())
@@ -292,13 +235,13 @@ impl Durability {
 
     /// Outstanding (unreleased) grants, for diagnostics and tests.
     pub fn outstanding_grants(&self) -> BTreeMap<u64, GrantIds> {
-        lock_unpoisoned(&self.state).grants.clone()
+        lock_unpoisoned(&self.state).replay.grants.clone()
     }
 
-    /// Completed token outcomes (replication bootstrap carries these so a
-    /// re-seeded site replays idempotent check-outs correctly).
-    pub(crate) fn completed_tokens(&self) -> BTreeMap<u64, Option<ResultSet>> {
-        lock_unpoisoned(&self.state).tokens.clone()
+    /// The trackers as of now (a re-seeded replica and a new primary's
+    /// idempotency log both start from these).
+    pub(crate) fn replay_state(&self) -> ReplayState {
+        lock_unpoisoned(&self.state).replay.clone()
     }
 
     /// Current log size in bytes (excludes the checkpoint cell).
@@ -336,23 +279,19 @@ fn read_ids(cur: &mut Cursor<'_>, what: &str) -> pdm_sql::Result<Vec<ObjectId>> 
     Ok(ids)
 }
 
-fn encode_checkpoint(
-    snapshot: &Snapshot,
-    grants: &BTreeMap<u64, GrantIds>,
-    tokens: &BTreeMap<u64, Option<ResultSet>>,
-) -> Vec<u8> {
+fn encode_checkpoint(snapshot: &Snapshot, replay: &ReplayState) -> Vec<u8> {
     let mut out = Vec::new();
     let snap = encode_snapshot(snapshot);
     put_u32(&mut out, snap.len() as u32);
     out.extend_from_slice(&snap);
-    put_u32(&mut out, grants.len() as u32);
-    for (token, g) in grants {
+    put_u32(&mut out, replay.grants.len() as u32);
+    for (token, g) in &replay.grants {
         put_u64(&mut out, *token);
         put_ids(&mut out, &g.assy);
         put_ids(&mut out, &g.comp);
     }
-    put_u32(&mut out, tokens.len() as u32);
-    for (token, rows) in tokens {
+    put_u32(&mut out, replay.tokens.len() as u32);
+    for (token, rows) in &replay.tokens {
         put_u64(&mut out, *token);
         match rows {
             None => put_u8(&mut out, 0),
@@ -365,27 +304,19 @@ fn encode_checkpoint(
     out
 }
 
-type CheckpointParts = (
-    Snapshot,
-    BTreeMap<u64, GrantIds>,
-    BTreeMap<u64, Option<ResultSet>>,
-);
-
-fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<CheckpointParts> {
+fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayState)> {
     let mut cur = Cursor::new(payload);
     let snap_len = cur.u32("checkpoint snapshot length")? as usize;
-    let snap_bytes = cur.take(snap_len, "checkpoint snapshot")?;
-    let snapshot = decode_snapshot(snap_bytes)?;
+    let db = database_from_snapshot(cur.take(snap_len, "checkpoint snapshot")?)?;
+    let mut replay = ReplayState::default();
     let n_grants = cur.u32("checkpoint grant count")? as usize;
-    let mut grants = BTreeMap::new();
     for _ in 0..n_grants {
         let token = cur.u64("grant token")?;
         let assy = read_ids(&mut cur, "grant assy ids")?;
         let comp = read_ids(&mut cur, "grant comp ids")?;
-        grants.insert(token, GrantIds { assy, comp });
+        replay.grants.insert(token, GrantIds { assy, comp });
     }
     let n_tokens = cur.u32("checkpoint token count")? as usize;
-    let mut tokens = BTreeMap::new();
     for _ in 0..n_tokens {
         let token = cur.u64("token id")?;
         let rows = match cur.u8("token outcome tag")? {
@@ -398,7 +329,7 @@ fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<CheckpointParts> {
                 )))
             }
         };
-        tokens.insert(token, rows);
+        replay.tokens.insert(token, rows);
     }
     if !cur.is_empty() {
         return Err(pdm_sql::Error::Persist(format!(
@@ -406,7 +337,7 @@ fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<CheckpointParts> {
             cur.remaining()
         )));
     }
-    Ok((snapshot, grants, tokens))
+    Ok((db, replay))
 }
 
 // ---------------------------------------------------------------------------
@@ -527,9 +458,11 @@ pub struct RecoveryReport {
     pub tail_damage: Option<String>,
 }
 
-/// Rebuild a server from a surviving image. See the module docs for the
-/// invariants; the crash harness in `tests/crash_recovery.rs` checks them
-/// across hundreds of seeded crash points.
+/// Rebuild a server from a surviving image: load the checkpoint, apply the
+/// log suffix through the one state machine ([`crate::replay`]), become
+/// primary. See the module docs for the invariants; the crash harness in
+/// `tests/crash_recovery.rs` checks them across hundreds of seeded crash
+/// points.
 pub fn recover_server(
     image: DurableImage,
     cfg: &DurabilityConfig,
@@ -539,116 +472,36 @@ pub fn recover_server(
     let (_cp_seq, cp_payload) = recovered
         .checkpoint
         .ok_or(RecoveryError::MissingCheckpoint)?;
-    let (mut snapshot, mut grants, mut tokens) =
+    let (db, mut state) =
         decode_checkpoint(&cp_payload).map_err(|e| RecoveryError::CheckpointDecode {
             detail: e.to_string(),
         })?;
+    let checkpoint_version = db.version();
 
-    // The snapshot comes back with builtin functions only; restore the PDM
-    // stored functions before any replayed SQL can call them.
-    crate::functions::register_into(&mut snapshot.catalog.functions);
-
-    let mut report = RecoveryReport {
-        checkpoint_version: snapshot.version,
-        tail_damage: recovered.damage.map(|d| d.to_string()),
-        ..RecoveryReport::default()
-    };
-
-    let db = pdm_sql::SharedDatabase::from_snapshot(snapshot);
-
-    // Replay the log suffix in sequence order.
-    for (seq, record) in recovered.records {
-        match record {
-            WalRecord::DmlCommit { version, sql } => {
-                let stmt = pdm_sql::parser::parse_statement(&sql).map_err(|error| {
-                    RecoveryError::Replay {
-                        seq,
-                        sql: sql.clone(),
-                        error,
-                    }
-                })?;
-                let (_, produced) =
-                    db.execute_ast(&stmt)
-                        .map_err(|error| RecoveryError::Replay {
-                            seq,
-                            sql: sql.clone(),
-                            error,
-                        })?;
-                if produced != version {
-                    return Err(RecoveryError::VersionChain {
-                        seq,
-                        logged: version,
-                        produced,
-                        sql,
-                    });
-                }
-                report.replayed_commits += 1;
-            }
-            WalRecord::CheckoutGrant {
-                token,
-                assy_ids,
-                comp_ids,
-            } => {
-                grants.insert(
-                    token,
-                    GrantIds {
-                        assy: assy_ids,
-                        comp: comp_ids,
-                    },
-                );
-            }
-            WalRecord::CheckoutRelease { ids } => {
-                for grant in grants.values_mut() {
-                    grant.remove(&ids);
-                }
-                grants.retain(|_, g| !g.is_empty());
-            }
-            WalRecord::TokenComplete { token, rows } => {
-                tokens.insert(token, rows);
-            }
-        }
+    for (seq, record) in &recovered.records {
+        state.apply(Some(&db), *seq, record)?;
     }
+    // Every replayed commit published exactly the next version (the chain
+    // check in `apply`), so the version distance counts them.
+    let replayed_commits = db.version().saturating_sub(checkpoint_version);
+    let restored_tokens = state.tokens.len();
 
-    // Every session died with the process, so no grant survives recovery:
-    // sweep the outstanding ones back to FALSE (deterministically — sorted
-    // unions — so the harness can reproduce the exact recovered bytes).
-    let mut sweep_assy: Vec<ObjectId> = Vec::new();
-    let mut sweep_comp: Vec<ObjectId> = Vec::new();
-    for (token, g) in &grants {
-        report.swept_tokens.push(*token);
-        sweep_assy.extend(&g.assy);
-        sweep_comp.extend(&g.comp);
-    }
-    sweep_assy.sort_unstable();
-    sweep_assy.dedup();
-    sweep_comp.sort_unstable();
-    sweep_comp.dedup();
-
-    let next_token = tokens
-        .keys()
-        .chain(grants.keys())
-        .max()
-        .map(|t| t.saturating_add(1))
-        .unwrap_or(1)
-        .max(1);
-    report.restored_tokens = tokens.len();
-
-    let durability = Durability::from_parts(store, grants, tokens.clone(), cfg.checkpoint_interval);
-    let server = crate::SharedServer::assemble(db, Some(durability), tokens, next_token);
-
-    // The sweep runs through the normal durable write path, so the reset
-    // UPDATEs are themselves logged and a re-crash during recovery replays
-    // them; the closing release record clears the grant trackers.
-    server
-        .sweep_stale_grants(&sweep_assy, &sweep_comp)
-        .map_err(|error| RecoveryError::Replay {
+    let durability = Durability::resume(store, state, cfg.checkpoint_interval);
+    let (server, sweep) =
+        become_primary(db, durability).map_err(|error| RecoveryError::Replay {
             seq: 0,
             sql: "recovery sweep".into(),
             error,
         })?;
-    report.swept_assy = sweep_assy;
-    report.swept_comp = sweep_comp;
-
+    let report = RecoveryReport {
+        checkpoint_version,
+        replayed_commits,
+        restored_tokens,
+        swept_tokens: sweep.tokens,
+        swept_assy: sweep.assy,
+        swept_comp: sweep.comp,
+        tail_damage: recovered.damage.map(|d| d.to_string()),
+    };
     Ok((server, report))
 }
 
@@ -682,17 +535,20 @@ mod tests {
         );
         let mut tokens = BTreeMap::new();
         tokens.insert(7u64, None);
-        let payload = encode_checkpoint(&snap(), &grants, &tokens);
-        let (s, g, t) = decode_checkpoint(&payload).unwrap();
-        assert_eq!(s.version, 3);
-        assert_eq!(g, grants);
-        assert_eq!(t.len(), 1);
-        assert!(t[&7].is_none());
+        let state = ReplayState {
+            grants: grants.clone(),
+            tokens,
+        };
+        let (db, replay) = decode_checkpoint(&encode_checkpoint(&snap(), &state)).unwrap();
+        assert_eq!(db.version(), 3);
+        assert_eq!(replay.grants, grants);
+        assert_eq!(replay.tokens.len(), 1);
+        assert!(replay.tokens[&7].is_none());
     }
 
     #[test]
     fn checkpoint_decode_rejects_truncation() {
-        let payload = encode_checkpoint(&snap(), &BTreeMap::new(), &BTreeMap::new());
+        let payload = encode_checkpoint(&snap(), &ReplayState::default());
         assert!(decode_checkpoint(&payload[..payload.len() - 1]).is_err());
     }
 

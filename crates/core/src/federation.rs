@@ -20,20 +20,17 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
-use pdm_net::{FaultPlan, LinkProfile, MeteredChannel, TrafficStats};
-use pdm_obs::Recorder;
+use pdm_net::{FaultPlan, LinkProfile, TrafficStats};
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Value};
 
 use crate::client::{self, Strategy};
 use crate::product::{ObjectId, ProductTree};
-use crate::query::modificator::Modificator;
 use crate::query::{navigational, recursive};
 use crate::resilience::RetryPolicy;
 use crate::rules::table::RuleTable;
 use crate::rules::ActionKind;
-use crate::server::PdmServer;
-use crate::session::{node_from_attrs, SessionError, SessionResult};
+use crate::session::{node_from_attrs, Session, SessionConfig, SessionError, SessionResult};
 
 /// A cross-site edge as the client sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,21 +42,22 @@ pub struct MountPoint {
     pub visible: bool,
 }
 
-/// One database site of the federation.
+/// One database site of the federation: a session on that site's server
+/// over its own link. The federation drives the session's retrieval steps
+/// directly rather than as whole actions, so a site's metering accumulates
+/// across one federated expand.
 pub struct FederatedSite {
     pub name: String,
-    server: PdmServer,
-    channel: MeteredChannel,
-    view_names: HashSet<String>,
+    session: Session,
 }
 
 impl FederatedSite {
     pub fn stats(&self) -> &TrafficStats {
-        self.channel.stats()
+        self.session.stats()
     }
 
     pub fn elapsed(&self) -> f64 {
-        self.channel.elapsed()
+        self.session.elapsed()
     }
 }
 
@@ -100,7 +98,6 @@ pub struct Federation {
     user: String,
     strategy: Strategy,
     funcs: FunctionRegistry,
-    retry: RetryPolicy,
 }
 
 impl Federation {
@@ -120,19 +117,18 @@ impl Federation {
     ) -> Self {
         assert_eq!(databases.len(), links.len());
         assert_eq!(databases.len(), site_names.len());
+        let user = user.into();
         let sites = databases
             .into_iter()
             .zip(links)
             .zip(site_names)
-            .map(|((db, link), name)| {
-                let server = PdmServer::new(db);
-                let view_names = server.view_names();
-                FederatedSite {
-                    name,
-                    server,
-                    channel: MeteredChannel::new(link),
-                    view_names,
-                }
+            .map(|((db, link), name)| FederatedSite {
+                name,
+                session: Session::new(
+                    db,
+                    SessionConfig::new(user.clone(), strategy, link),
+                    rules.clone(),
+                ),
             })
             .collect();
         let mut mounts_by_parent: HashMap<ObjectId, Vec<MountPoint>> = HashMap::new();
@@ -144,10 +140,9 @@ impl Federation {
             directory,
             mounts_by_parent,
             rules,
-            user: user.into(),
+            user,
             strategy,
             funcs: crate::functions::client_registry(),
-            retry: RetryPolicy::none(),
         }
     }
 
@@ -155,27 +150,29 @@ impl Federation {
         &self.sites
     }
 
-    /// Install a fault plan on one site's link. Like
-    /// [`crate::Session::set_fault_plan`], a first install upgrades a
-    /// no-retry policy to [`RetryPolicy::default_wan`].
+    /// Install a fault plan on one site's link
+    /// ([`crate::Session::set_fault_plan`]: a first install upgrades that
+    /// site's no-retry policy to [`RetryPolicy::default_wan`]).
     pub fn set_site_fault_plan(&mut self, site: usize, plan: FaultPlan) {
-        self.sites[site].channel.set_fault_plan(plan);
-        if self.retry == RetryPolicy::none() {
-            self.retry = RetryPolicy::default_wan();
-        }
+        self.sites[site].session.set_fault_plan(plan);
     }
 
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
+        for s in &mut self.sites {
+            s.session.set_retry_policy(policy.clone());
+        }
     }
 
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.strategy = strategy;
+        for s in &mut self.sites {
+            s.session.set_strategy(strategy);
+        }
     }
 
     pub fn reset_metering(&mut self) {
         for s in &mut self.sites {
-            s.channel.reset();
+            s.session.reset_metering();
         }
     }
 
@@ -184,28 +181,6 @@ impl Federation {
             .get(&obid)
             .copied()
             .ok_or(SessionError::RootNotFound(obid))
-    }
-
-    /// One metered query against a site (expand queries are idempotent
-    /// reads — safe to replay on any failure, including a lost response).
-    fn metered_query(&mut self, site: usize, sql: &str) -> SessionResult<ResultSet> {
-        let site = &mut self.sites[site];
-        crate::resilience::exchange(
-            &mut site.channel,
-            &self.retry,
-            None,
-            sql.len(),
-            |deadline| {
-                let rs = (*site.server.query_cached_deadline_obs(
-                    sql,
-                    deadline,
-                    &Recorder::disabled(),
-                )?)
-                .clone();
-                let bytes = rs.wire_size();
-                Ok((rs, bytes))
-            },
-        )
     }
 
     /// Does the mount's connecting link pass the relation rules? Evaluated
@@ -243,14 +218,7 @@ impl Federation {
         let mut unreachable: BTreeSet<usize> = BTreeSet::new();
 
         // Root is client-cached (footnote 4): fetch unmetered.
-        let root_node = {
-            let q = navigational::fetch_node_query(root);
-            let rs = self.sites[root_site].server.query(&q.to_string())?;
-            let row = rs.rows.first().ok_or(SessionError::RootNotFound(root))?;
-            node_from_attrs(client::row_attrs(&rs, row), None)
-        };
-        let mut tree = ProductTree::new();
-        tree.insert(root_node);
+        let mut tree = self.sites[root_site].session.rooted_tree(root)?;
 
         match self.strategy {
             Strategy::Recursive => {
@@ -267,17 +235,11 @@ impl Federation {
                     visited_sites.insert(site);
                     let include_root = attach_to.is_some();
                     let mut q = recursive::mle_query_with_root(r, include_root);
-                    let rules = self.rules.clone();
-                    let user = self.user.clone();
-                    let m = Modificator::new(
-                        &rules,
-                        &user,
-                        ActionKind::MultiLevelExpand,
-                        &self.sites[site].view_names,
-                    );
-                    m.modify_recursive(&mut q)?;
-                    let sql = q.to_string();
-                    let rs = match self.metered_query(site, &sql) {
+                    let session = &mut self.sites[site].session;
+                    session
+                        .modificator(ActionKind::MultiLevelExpand)
+                        .modify_recursive(&mut q)?;
+                    let rs = match session.metered_query(&q.to_string()) {
                         Ok(rs) => rs,
                         Err(e) if e.is_link_failure() && site != root_site => {
                             unreachable.insert(site);
@@ -312,45 +274,25 @@ impl Federation {
                         continue;
                     }
                     visited_sites.insert(site);
-                    let mut q = navigational::expand_query(parent);
-                    if self.strategy.early_rules() {
-                        let rules = self.rules.clone();
-                        let user = self.user.clone();
-                        Modificator::new(
-                            &rules,
-                            &user,
-                            ActionKind::MultiLevelExpand,
-                            &self.sites[site].view_names,
-                        )
-                        .modify_navigational(&mut q)?;
-                    }
-                    let sql = q.to_string();
-                    let rs = match self.metered_query(site, &sql) {
-                        Ok(rs) => rs,
-                        Err(e) if e.is_link_failure() && site != root_site => {
-                            unreachable.insert(site);
-                            continue;
-                        }
-                        Err(e) => return Err(e),
-                    };
-                    let groups = client::permission_groups(
-                        &self.rules,
-                        &self.user,
+                    let nodes = match self.sites[site].session.retrieve(
+                        navigational::expand_query(parent),
                         ActionKind::MultiLevelExpand,
                         &[
                             crate::query::T_LINK,
                             crate::query::T_ASSY,
                             crate::query::T_COMP,
                         ],
-                    );
-                    for row in &rs.rows {
-                        let attrs = client::row_attrs(&rs, row);
-                        if !self.strategy.early_rules()
-                            && !client::permitted(&attrs, &groups, &self.funcs)
-                        {
+                        "expand",
+                        Some(parent),
+                    ) {
+                        Ok(nodes) => nodes,
+                        Err(e) if e.is_link_failure() && site != root_site => {
+                            unreachable.insert(site);
                             continue;
                         }
-                        let node = node_from_attrs(attrs, Some(parent));
+                        Err(e) => return Err(e),
+                    };
+                    for node in nodes {
                         queue.push_back(node.obid);
                         tree.insert(node);
                     }
@@ -364,7 +306,10 @@ impl Federation {
                                 continue;
                             }
                             let fq = navigational::fetch_node_query(mount.child);
-                            let rs = match self.metered_query(mount.child_site, &fq.to_string()) {
+                            let fetched = self.sites[mount.child_site]
+                                .session
+                                .metered_query(&fq.to_string());
+                            let rs = match fetched {
                                 Ok(rs) => rs,
                                 Err(e) if e.is_link_failure() => {
                                     unreachable.insert(mount.child_site);
@@ -401,11 +346,7 @@ impl Federation {
         sites_visited: usize,
         unreachable: &BTreeSet<usize>,
     ) -> FederatedOutcome {
-        let per_site = self
-            .sites
-            .iter()
-            .map(|s| s.channel.stats().clone())
-            .collect();
+        let per_site = self.sites.iter().map(|s| s.stats().clone()).collect();
         FederatedOutcome {
             tree,
             per_site,

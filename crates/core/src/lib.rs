@@ -46,6 +46,7 @@ pub mod overload;
 pub mod product;
 pub mod query;
 pub mod repl;
+mod replay;
 pub mod resilience;
 pub mod rules;
 pub mod server;

@@ -43,10 +43,11 @@ use pdm_sql::persist::{database_digest, database_fingerprint, encode_snapshot};
 use pdm_sql::Database;
 use pdm_wal::{DurableStore, WalRecord};
 
-use super::replica::{ReplicaSite, ACK_BYTES, RECORD_FRAME_BYTES};
+use super::replica::{ship_bytes, ReplicaSite, ACK_BYTES};
 use super::{ReplError, ReplicationFeed};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::product::ObjectId;
+use crate::replay::{become_primary, database_from_snapshot, ReplayState};
 use crate::resilience::RetryPolicy;
 use crate::server::PdmServer;
 use crate::session::{SessionError, SessionResult};
@@ -309,10 +310,8 @@ impl Cluster {
                 &epoch_base,
                 epoch,
                 0,
-                BTreeMap::new(),
-                BTreeMap::new(),
-                cfg.ship_link,
-                plan,
+                ReplayState::default(),
+                MeteredChannel::with_faults(cfg.ship_link, plan),
             )
             .map_err(|e| pdm_sql::Error::Eval(format!("replica bootstrap: {e}")))?;
             replicas.insert(site, replica);
@@ -492,10 +491,7 @@ impl Cluster {
             self.m.lag_seqs.set(0.0);
             return Ok(0);
         }
-        let bytes: usize = batch
-            .iter()
-            .map(|(_, r)| r.encode().len() + RECORD_FRAME_BYTES)
-            .sum();
+        let bytes = ship_bytes(&batch);
         let start = self.clock;
         let before = replica.elapsed();
         let result = replica.receive_ship(epoch, &batch, bytes);
@@ -837,11 +833,7 @@ impl Cluster {
             if batch.is_empty() {
                 continue;
             }
-            let bytes: usize = batch
-                .iter()
-                .map(|(_, r)| r.encode().len() + RECORD_FRAME_BYTES)
-                .sum();
-            coord.round_trip(bytes, ACK_BYTES);
+            coord.round_trip(ship_bytes(&batch), ACK_BYTES);
             catchup_records += replica.apply_batch(old_epoch, &batch)?;
         }
 
@@ -856,18 +848,14 @@ impl Cluster {
         let base_bytes = encode_snapshot(&promoted.server().database().snapshot());
         coord.round_trip(64, 32); // epoch-bump coordination round
 
-        // Rebuild the promoted state as a durable primary: fresh store,
-        // grant/token trackers carried over, initial checkpoint, new feed.
-        let grants = promoted.grants_clone();
-        let tokens = promoted.tokens_clone();
-        let mut snapshot = pdm_sql::persist::decode_snapshot(&base_bytes)
-            .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
-        crate::functions::register_into(&mut snapshot.catalog.functions);
-        let db = pdm_sql::SharedDatabase::from_snapshot(snapshot);
-        let durability = Durability::from_parts(
+        // Rebuild the promoted state as a durable primary — fresh store with
+        // the epoch base as its first checkpoint, new feed, trackers carried
+        // over — and finish exactly as crash recovery does.
+        let db =
+            database_from_snapshot(&base_bytes).map_err(|e| ReplError::Bootstrap(e.to_string()))?;
+        let durability = Durability::resume(
             DurableStore::new(self.cfg.durability.crash_plan),
-            grants.clone(),
-            tokens.clone(),
+            promoted.into_state(),
             self.cfg.durability.checkpoint_interval,
         );
         durability
@@ -875,39 +863,9 @@ impl Cluster {
             .map_err(|e| ReplError::Bootstrap(format!("promotion checkpoint: {e}")))?;
         let feed = Arc::new(ReplicationFeed::new(new_epoch));
         durability.attach_feed(Arc::clone(&feed));
-        let next_token = tokens
-            .keys()
-            .chain(grants.keys())
-            .max()
-            .map(|t| t.saturating_add(1))
-            .unwrap_or(1)
-            .max(1);
-        let shared = SharedServer::assemble(db, Some(durability), tokens, next_token);
+        let (shared, sweep) = become_primary(db, durability)
+            .map_err(|e| ReplError::Bootstrap(format!("failover sweep: {e}")))?;
         let new_primary = PdmServer::from_shared(Arc::new(shared));
-
-        // Sweep stale grants exactly as crash recovery does: every session
-        // at the old primary died with it, so no grant survives. The sweep
-        // runs through the durable write path — its UPDATEs and closing
-        // release flow into the new feed for the remaining replicas.
-        let mut swept_tokens: Vec<u64> = Vec::new();
-        let mut sweep_assy: Vec<ObjectId> = Vec::new();
-        let mut sweep_comp: Vec<ObjectId> = Vec::new();
-        for (token, g) in &grants {
-            swept_tokens.push(*token);
-            sweep_assy.extend(&g.assy);
-            sweep_comp.extend(&g.comp);
-        }
-        sweep_assy.sort_unstable();
-        sweep_assy.dedup();
-        sweep_comp.sort_unstable();
-        sweep_comp.dedup();
-        new_primary
-            .shared()
-            .sweep_stale_grants(&sweep_assy, &sweep_comp)
-            .map_err(|e| ReplError::Replay {
-                seq: 0,
-                detail: format!("failover sweep: {e}"),
-            })?;
 
         // Install the new topology and fence the survivors onto the new
         // epoch. They are all caught up to the promoted prefix, i.e. their
@@ -963,9 +921,9 @@ impl Cluster {
             promoted_site,
             promoted_seq,
             catchup_records,
-            swept_tokens,
-            swept_assy: sweep_assy,
-            swept_comp: sweep_comp,
+            swept_tokens: sweep.tokens,
+            swept_assy: sweep.assy,
+            swept_comp: sweep.comp,
             started_at: started,
             duration,
             promoted_fingerprint,
@@ -986,10 +944,11 @@ impl Cluster {
         }
         self.pending_heal = None;
         let snapshot_bytes = encode_snapshot(&self.primary.database().snapshot());
-        let (grants, tokens) = match self.primary.shared().durability() {
-            Some(d) => (d.outstanding_grants(), d.completed_tokens()),
-            None => (BTreeMap::new(), BTreeMap::new()),
-        };
+        let state = self
+            .primary
+            .durability()
+            .map(Durability::replay_state)
+            .unwrap_or_default();
         let base_seq = self.feed.last_seq();
         // A fresh fault stream for the healed link (epoch-mixed so it does
         // not replay the pre-failover faults).
@@ -1003,10 +962,8 @@ impl Cluster {
             &snapshot_bytes,
             self.epoch,
             base_seq,
-            grants,
-            tokens,
-            self.cfg.ship_link,
-            plan,
+            state,
+            MeteredChannel::with_faults(self.cfg.ship_link, plan),
         ) {
             Ok(mut replica) => {
                 // A heal inside a traced action carries the piggyback too:

@@ -9,16 +9,11 @@
 //! the failover oracle: serial replay of any prefix onto the epoch base
 //! must reproduce the primary's state at that sequence.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use pdm_wal::WalRecord;
 
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use crate::shared::lock_unpoisoned;
 
 #[derive(Debug, Default)]
 struct FeedState {

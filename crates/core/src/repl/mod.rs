@@ -16,8 +16,8 @@
 //!   applied-seq watermark, fenced by epoch;
 //! * [`Cluster`] — the deterministic coordinator: shipping, semi-
 //!   synchronous write acknowledgement, lease-based failover promotion
-//!   (sweeping stale grants exactly as crash recovery does), fencing, and
-//!   healing of the failed primary;
+//!   (ending in the same become-primary step as crash recovery), fencing,
+//!   and healing of the failed primary;
 //! * [`RoutedSession`] — a client session that routes reads to its nearest
 //!   replica with per-session read-your-writes, and writes to the primary.
 //!
@@ -38,6 +38,8 @@ use std::fmt;
 
 use pdm_net::LinkError;
 
+use crate::durability::RecoveryError;
+
 /// Why replication machinery failed. Link errors are transient (shipping
 /// is idempotent and retried); the rest are fatal consistency violations.
 #[derive(Debug)]
@@ -45,15 +47,10 @@ pub enum ReplError {
     /// A ship batch carried a stale epoch — the sender was deposed and
     /// must re-bootstrap from the new primary.
     Fenced { expected: u64, got: u64 },
-    /// A shipped statement failed to re-execute on the replica.
-    Replay { seq: u64, detail: String },
-    /// A replayed commit produced a different storage version than the one
-    /// it logged — the replica is not tracking this primary's history.
-    VersionChain {
-        seq: u64,
-        logged: u64,
-        produced: u64,
-    },
+    /// A shipped record failed to apply: its statement did not re-execute,
+    /// or published a different storage version than the one it logged —
+    /// the replica is not tracking this primary's history.
+    Replay(RecoveryError),
     /// A site could not be (re-)seeded from a snapshot image.
     Bootstrap(String),
     /// A fully caught-up replica's state digest differs from the
@@ -67,19 +64,12 @@ impl fmt::Display for ReplError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplError::Fenced { expected, got } => {
-                write!(f, "fenced: replica at epoch {expected}, batch from epoch {got}")
+                write!(
+                    f,
+                    "fenced: replica at epoch {expected}, batch from epoch {got}"
+                )
             }
-            ReplError::Replay { seq, detail } => {
-                write!(f, "replica replay failed at seq {seq}: {detail}")
-            }
-            ReplError::VersionChain {
-                seq,
-                logged,
-                produced,
-            } => write!(
-                f,
-                "replica version chain broken at seq {seq}: logged v{logged}, replay produced v{produced}"
-            ),
+            ReplError::Replay(e) => write!(f, "replica {e}"),
             ReplError::Bootstrap(detail) => write!(f, "site bootstrap failed: {detail}"),
             ReplError::Diverged { site, seq } => {
                 write!(f, "site {site} diverged from primary at seq {seq}")
@@ -97,6 +87,12 @@ impl From<LinkError> for ReplError {
     }
 }
 
+impl From<RecoveryError> for ReplError {
+    fn from(e: RecoveryError) -> Self {
+        ReplError::Replay(e)
+    }
+}
+
 /// The serial-replay oracle: decode an epoch-base snapshot, replay a
 /// durable-log prefix onto it statement by statement, and return the
 /// resulting state fingerprint. Tests compare this against a promoted
@@ -110,26 +106,24 @@ pub fn replay_prefix(
     epoch_base: &[u8],
     prefix: &[(u64, pdm_wal::WalRecord)],
 ) -> Result<Vec<u8>, ReplError> {
-    let mut snapshot = pdm_sql::persist::decode_snapshot(epoch_base)
+    let db = crate::replay::database_from_snapshot(epoch_base)
         .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
-    crate::functions::register_into(&mut snapshot.catalog.functions);
-    let db = pdm_sql::SharedDatabase::from_snapshot(snapshot);
     for (seq, record) in prefix {
         if let pdm_wal::WalRecord::DmlCommit { version, sql } = record {
-            let stmt = pdm_sql::parser::parse_statement(sql).map_err(|e| ReplError::Replay {
+            let failed = |error| RecoveryError::Replay {
                 seq: *seq,
-                detail: format!("{sql}: {e}"),
-            })?;
-            let (_, produced) = db.execute_ast(&stmt).map_err(|e| ReplError::Replay {
-                seq: *seq,
-                detail: format!("{sql}: {e}"),
-            })?;
+                sql: sql.clone(),
+                error,
+            };
+            let stmt = pdm_sql::parser::parse_statement(sql).map_err(failed)?;
+            let (_, produced) = db.execute_ast(&stmt).map_err(failed)?;
             if produced != *version {
-                return Err(ReplError::VersionChain {
+                return Err(ReplError::Replay(RecoveryError::VersionChain {
                     seq: *seq,
                     logged: *version,
                     produced,
-                });
+                    sql: sql.clone(),
+                }));
             }
         }
     }

@@ -2,11 +2,10 @@
 //! primary's shipped WAL records.
 //!
 //! A replica is bootstrapped from an epoch-base snapshot and then applies
-//! ship batches in sequence order, using the same replay rules as crash
-//! recovery ([`crate::durability::recover_server`]): DML commits re-execute
-//! with a version-chain check, grant/release/token records maintain the aux
-//! trackers. The `applied_seq` watermark is the replica's position in the
-//! primary's logical log; read-your-writes waits compare against it.
+//! ship batches in sequence order through the same state machine as crash
+//! recovery (`crate::replay`). The `applied_seq` watermark is the
+//! replica's position in the primary's logical log; read-your-writes waits
+//! compare against it.
 //!
 //! Shipping is idempotent — a batch may be re-delivered after a lost ack,
 //! and records at or below the watermark are skipped — and fenced: a batch
@@ -16,19 +15,27 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pdm_net::{FaultPlan, LinkProfile, MeteredChannel};
-use pdm_sql::persist::{database_fingerprint, decode_snapshot, fingerprint_digest};
-use pdm_sql::{ResultSet, SharedDatabase};
+use pdm_net::MeteredChannel;
+use pdm_sql::persist::{database_fingerprint, fingerprint_digest};
 use pdm_wal::WalRecord;
 
 use super::ReplError;
 use crate::durability::GrantIds;
+use crate::replay::{database_from_snapshot, ReplayState};
 use crate::server::PdmServer;
 use crate::shared::SharedServer;
 
 /// Bytes of framing overhead charged per shipped record (seq + length +
 /// checksum), mirroring the WAL's on-device framing.
-pub(crate) const RECORD_FRAME_BYTES: usize = 12;
+const RECORD_FRAME_BYTES: usize = 12;
+
+/// Wire size of a ship batch.
+pub(crate) fn ship_bytes(batch: &[(u64, WalRecord)]) -> usize {
+    batch
+        .iter()
+        .map(|(_, r)| r.encode().len() + RECORD_FRAME_BYTES)
+        .sum()
+}
 
 /// Bytes in a ship acknowledgement (epoch + applied seq + state digest).
 pub(crate) const ACK_BYTES: usize = 24;
@@ -41,46 +48,33 @@ pub struct ReplicaSite {
     channel: MeteredChannel,
     epoch: u64,
     applied_seq: u64,
-    grants: BTreeMap<u64, GrantIds>,
-    tokens: BTreeMap<u64, Option<ResultSet>>,
+    /// Grant and token trackers replayed from shipped records; what this
+    /// site would sweep and restore if it were promoted.
+    state: ReplayState,
 }
 
 impl ReplicaSite {
     /// Seed a site from a snapshot image at watermark `base_seq` of
-    /// `epoch`, with the grant/token trackers current at that point.
-    #[allow(clippy::too_many_arguments)]
+    /// `epoch`, with the trackers current at that point, shipping over
+    /// `channel`.
     pub(crate) fn bootstrap(
         site: usize,
         snapshot_bytes: &[u8],
         epoch: u64,
         base_seq: u64,
-        grants: BTreeMap<u64, GrantIds>,
-        tokens: BTreeMap<u64, Option<ResultSet>>,
-        link: LinkProfile,
-        plan: FaultPlan,
+        state: ReplayState,
+        channel: MeteredChannel,
     ) -> Result<ReplicaSite, ReplError> {
-        let mut snapshot =
-            decode_snapshot(snapshot_bytes).map_err(|e| ReplError::Bootstrap(e.to_string()))?;
-        // Decoded snapshots carry builtin functions only; restore the PDM
-        // stored functions before any replayed SQL can call them.
-        crate::functions::register_into(&mut snapshot.catalog.functions);
-        let db = SharedDatabase::from_snapshot(snapshot);
-        let next_token = tokens
-            .keys()
-            .chain(grants.keys())
-            .max()
-            .map(|t| t.saturating_add(1))
-            .unwrap_or(1)
-            .max(1);
-        let shared = SharedServer::assemble(db, None, tokens.clone(), next_token);
+        let db = database_from_snapshot(snapshot_bytes)
+            .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
+        let shared = SharedServer::assemble(db, None, &state);
         Ok(ReplicaSite {
             site,
             server: PdmServer::from_shared(Arc::new(shared)),
-            channel: MeteredChannel::with_faults(link, plan),
+            channel,
             epoch,
             applied_seq: base_seq,
-            grants,
-            tokens,
+            state,
         })
     }
 
@@ -103,61 +97,12 @@ impl ReplicaSite {
             if *seq <= self.applied_seq {
                 continue;
             }
-            self.apply_one(*seq, record)?;
+            self.state
+                .apply(Some(self.server.database()), *seq, record)?;
             self.applied_seq = *seq;
             applied += 1;
         }
         Ok(applied)
-    }
-
-    fn apply_one(&mut self, seq: u64, record: &WalRecord) -> Result<(), ReplError> {
-        match record {
-            WalRecord::DmlCommit { version, sql } => {
-                let stmt =
-                    pdm_sql::parser::parse_statement(sql).map_err(|e| ReplError::Replay {
-                        seq,
-                        detail: format!("{sql}: {e}"),
-                    })?;
-                let (_, produced) =
-                    self.server
-                        .database()
-                        .execute_ast(&stmt)
-                        .map_err(|e| ReplError::Replay {
-                            seq,
-                            detail: format!("{sql}: {e}"),
-                        })?;
-                if produced != *version {
-                    return Err(ReplError::VersionChain {
-                        seq,
-                        logged: *version,
-                        produced,
-                    });
-                }
-            }
-            WalRecord::CheckoutGrant {
-                token,
-                assy_ids,
-                comp_ids,
-            } => {
-                self.grants.insert(
-                    *token,
-                    GrantIds {
-                        assy: assy_ids.clone(),
-                        comp: comp_ids.clone(),
-                    },
-                );
-            }
-            WalRecord::CheckoutRelease { ids } => {
-                for grant in self.grants.values_mut() {
-                    grant.remove(ids);
-                }
-                self.grants.retain(|_, g| !g.is_empty());
-            }
-            WalRecord::TokenComplete { token, rows } => {
-                self.tokens.insert(*token, rows.clone());
-            }
-        }
-        Ok(())
     }
 
     /// One metered ship exchange: deliver `request_bytes` of batch over the
@@ -233,15 +178,12 @@ impl ReplicaSite {
 
     /// Outstanding grants tracked from shipped records.
     pub fn grants(&self) -> &BTreeMap<u64, GrantIds> {
-        &self.grants
+        &self.state.grants
     }
 
-    pub(crate) fn grants_clone(&self) -> BTreeMap<u64, GrantIds> {
-        self.grants.clone()
-    }
-
-    pub(crate) fn tokens_clone(&self) -> BTreeMap<u64, Option<ResultSet>> {
-        self.tokens.clone()
+    /// Give up the site, keeping its trackers (promotion).
+    pub(crate) fn into_state(self) -> ReplayState {
+        self.state
     }
 
     /// Fence this site onto a new epoch (after a promotion it observed).
@@ -258,8 +200,9 @@ impl ReplicaSite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_net::FaultPlan;
+    use pdm_net::LinkProfile;
     use pdm_sql::persist::encode_snapshot;
+    use pdm_sql::SharedDatabase;
     use pdm_workload::{build_database, TreeSpec};
 
     fn seeded_replica() -> (ReplicaSite, Vec<u8>) {
@@ -271,10 +214,8 @@ mod tests {
             &bytes,
             2,
             0,
-            BTreeMap::new(),
-            BTreeMap::new(),
-            LinkProfile::lan(),
-            FaultPlan::none(),
+            ReplayState::default(),
+            MeteredChannel::new(LinkProfile::lan()),
         )
         .unwrap();
         (replica, bytes)
@@ -304,8 +245,7 @@ mod tests {
     fn redelivered_batches_apply_once() {
         let (mut replica, bytes) = seeded_replica();
         // Learn the version the statement produces on a twin of the base.
-        let twin =
-            SharedDatabase::from_snapshot(decode_snapshot(&bytes).expect("snapshot round-trips"));
+        let twin = database_from_snapshot(&bytes).expect("snapshot round-trips");
         let stmt = pdm_sql::parser::parse_statement("UPDATE assy SET payload = 'x' WHERE obid = 1")
             .unwrap();
         let (_, version) = twin.execute_ast(&stmt).unwrap();

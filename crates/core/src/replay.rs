@@ -1,0 +1,245 @@
+//! The one WAL-record state machine (DESIGN.md §10).
+//!
+//! A server's replicated state is its SQL snapshot plus the two trackers
+//! the snapshot does not hold ([`ReplayState`]). [`ReplayState::apply`] is
+//! the only place that says what a [`WalRecord`] does to that state: live
+//! logging, crash recovery and replica apply all run it, and promotion
+//! takes the promoted replica's state as is. Recovery and promotion both
+//! end in [`become_primary`]. The serial-replay oracles
+//! ([`crate::replay_prefix`], the harnesses under `tests/`) share none of
+//! this on purpose: they are what it is compared against.
+
+use std::collections::BTreeMap;
+
+use pdm_sql::persist::decode_snapshot;
+use pdm_sql::{ResultSet, SharedDatabase};
+use pdm_wal::WalRecord;
+
+use pdm_obs::Recorder;
+
+use crate::durability::{Durability, GrantIds, RecoveryError};
+use crate::product::ObjectId;
+use crate::shared::SharedServer;
+
+/// The replicated server state that is not in the SQL snapshot.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ReplayState {
+    /// Outstanding grants (token → ids): logged before the flag UPDATEs,
+    /// trimmed by release records, swept when a site becomes primary.
+    pub(crate) grants: BTreeMap<u64, GrantIds>,
+    /// Completed token outcomes (`None` = recorded refusal).
+    pub(crate) tokens: BTreeMap<u64, Option<ResultSet>>,
+}
+
+/// The stale grants a new primary resets: their tokens and the sorted,
+/// deduplicated id unions (deterministic, so harnesses can reproduce the
+/// exact swept bytes).
+#[derive(Debug, Default)]
+pub(crate) struct Sweep {
+    pub(crate) tokens: Vec<u64>,
+    pub(crate) assy: Vec<ObjectId>,
+    pub(crate) comp: Vec<ObjectId>,
+}
+
+impl ReplayState {
+    /// Apply the record at `seq`. DML commits re-execute on `db` and must
+    /// publish the version they logged; with no `db` the caller has
+    /// already applied the statement (live logging inside the commit gate).
+    /// Grant, release and token records maintain the trackers; their row
+    /// effects ride in the surrounding DML commits.
+    pub(crate) fn apply(
+        &mut self,
+        db: Option<&SharedDatabase>,
+        seq: u64,
+        record: &WalRecord,
+    ) -> Result<(), RecoveryError> {
+        match record {
+            WalRecord::DmlCommit { version, sql } => {
+                let Some(db) = db else { return Ok(()) };
+                let failed = |error| RecoveryError::Replay {
+                    seq,
+                    sql: sql.clone(),
+                    error,
+                };
+                let stmt = pdm_sql::parser::parse_statement(sql).map_err(failed)?;
+                let (_, produced) = db.execute_ast(&stmt).map_err(failed)?;
+                if produced != *version {
+                    return Err(RecoveryError::VersionChain {
+                        seq,
+                        logged: *version,
+                        produced,
+                        sql: sql.clone(),
+                    });
+                }
+            }
+            WalRecord::CheckoutGrant {
+                token,
+                assy_ids,
+                comp_ids,
+            } => {
+                self.grants.insert(
+                    *token,
+                    GrantIds {
+                        assy: assy_ids.clone(),
+                        comp: comp_ids.clone(),
+                    },
+                );
+            }
+            WalRecord::CheckoutRelease { ids } => {
+                self.grants.retain(|_, g| {
+                    g.assy.retain(|id| !ids.contains(id));
+                    g.comp.retain(|id| !ids.contains(id));
+                    !(g.assy.is_empty() && g.comp.is_empty())
+                });
+            }
+            WalRecord::TokenComplete { token, rows } => {
+                self.tokens.insert(*token, rows.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// The first idempotency token a server carrying this state may hand
+    /// out: above every token it has seen.
+    pub(crate) fn next_token(&self) -> u64 {
+        self.tokens
+            .keys()
+            .chain(self.grants.keys())
+            .max()
+            .map_or(1, |t| t.saturating_add(1))
+    }
+
+    fn sweep(&self) -> Sweep {
+        let mut sweep = Sweep::default();
+        for (token, g) in &self.grants {
+            sweep.tokens.push(*token);
+            sweep.assy.extend(&g.assy);
+            sweep.comp.extend(&g.comp);
+        }
+        sweep.assy.sort_unstable();
+        sweep.assy.dedup();
+        sweep.comp.sort_unstable();
+        sweep.comp.dedup();
+        sweep
+    }
+}
+
+/// Decode a snapshot image into a live database. Decoded snapshots carry
+/// builtin functions only; the PDM stored functions are restored before
+/// any replayed SQL can call them.
+pub(crate) fn database_from_snapshot(bytes: &[u8]) -> pdm_sql::Result<SharedDatabase> {
+    let mut snapshot = decode_snapshot(bytes)?;
+    crate::functions::register_into(&mut snapshot.catalog.functions);
+    Ok(SharedDatabase::from_snapshot(snapshot))
+}
+
+/// The last step of crash recovery and of failover promotion alike: turn
+/// replayed state into a serving durable primary. Every session of the
+/// previous primary died with it, so no grant survives — the outstanding
+/// ones are checked in through the new server's own durable path (the
+/// reset UPDATEs and the closing release are themselves logged, so a
+/// re-crash replays them and an attached feed ships them).
+pub(crate) fn become_primary(
+    db: SharedDatabase,
+    durability: Durability,
+) -> pdm_sql::Result<(SharedServer, Sweep)> {
+    let state = durability.replay_state();
+    let sweep = state.sweep();
+    let server = SharedServer::assemble(db, Some(durability), &state);
+    if !sweep.tokens.is_empty() {
+        server.checkin_procedure(&sweep.assy, &sweep.comp, &Recorder::disabled())?;
+    }
+    Ok((server, sweep))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pdm_sql::persist::encode_snapshot;
+    use pdm_sql::Database;
+
+    fn base() -> SharedDatabase {
+        let mut db = Database::new();
+        db.execute("CREATE TABLE assy (obid INTEGER NOT NULL, checkedout BOOLEAN)")
+            .unwrap();
+        db.execute("INSERT INTO assy VALUES (1, FALSE), (2, FALSE)")
+            .unwrap();
+        database_from_snapshot(&encode_snapshot(&SharedDatabase::new(db).snapshot())).unwrap()
+    }
+
+    fn grant(token: u64, assy: &[ObjectId], comp: &[ObjectId]) -> WalRecord {
+        WalRecord::CheckoutGrant {
+            token,
+            assy_ids: assy.to_vec(),
+            comp_ids: comp.to_vec(),
+        }
+    }
+
+    fn update(version: u64) -> WalRecord {
+        WalRecord::DmlCommit {
+            version,
+            sql: "UPDATE assy SET checkedout = TRUE WHERE obid = 1".into(),
+        }
+    }
+
+    #[test]
+    fn each_variant_drives_the_trackers() {
+        let complete = WalRecord::TokenComplete {
+            token: 7,
+            rows: None,
+        };
+        let release = |ids: &[ObjectId]| WalRecord::CheckoutRelease { ids: ids.to_vec() };
+        type Grants<'a> = &'a [(u64, &'a [ObjectId], &'a [ObjectId])];
+        // (record, grants after it, completed tokens after it, version after it)
+        let steps: [(WalRecord, Grants, &[u64], u64); 6] = [
+            (grant(7, &[2, 1], &[9, 8]), &[(7, &[2, 1], &[9, 8])], &[], 0),
+            (update(1), &[(7, &[2, 1], &[9, 8])], &[], 1),
+            (complete, &[(7, &[2, 1], &[9, 8])], &[7], 1),
+            (
+                grant(9, &[3, 1], &[]),
+                &[(7, &[2, 1], &[9, 8]), (9, &[3, 1], &[])],
+                &[7],
+                1,
+            ),
+            // A release trims every grant it touches and retires emptied ones.
+            (release(&[1, 3, 9]), &[(7, &[2], &[8])], &[7], 1),
+            (release(&[2, 8]), &[], &[7], 1),
+        ];
+        let db = base();
+        let mut state = ReplayState::default();
+        assert_eq!(state.next_token(), 1);
+        for (i, (record, grants, tokens, version)) in steps.into_iter().enumerate() {
+            state.apply(Some(&db), i as u64 + 1, &record).unwrap();
+            let tracked: Vec<_> = state
+                .grants
+                .iter()
+                .map(|(t, g)| (*t, &g.assy[..], &g.comp[..]))
+                .collect();
+            assert_eq!(tracked, grants, "after {record:?}");
+            let completed: Vec<u64> = state.tokens.keys().copied().collect();
+            assert_eq!(completed, tokens, "after {record:?}");
+            assert_eq!(db.version(), version, "after {record:?}");
+            if i == 3 {
+                // Both grants outstanding: sorted, deduplicated unions.
+                let sweep = state.sweep();
+                assert_eq!(sweep.tokens, [7, 9]);
+                assert_eq!(sweep.assy, [1, 2, 3]);
+                assert_eq!(sweep.comp, [8, 9]);
+                assert_eq!(state.next_token(), 10, "above every token seen");
+            }
+        }
+    }
+
+    #[test]
+    fn version_chain_mismatch_names_its_seq() {
+        match ReplayState::default().apply(Some(&base()), 42, &update(5)) {
+            Err(RecoveryError::VersionChain {
+                seq: 42,
+                logged: 5,
+                produced: 1,
+                ..
+            }) => {}
+            other => panic!("expected a version-chain error at seq 42, got {other:?}"),
+        }
+    }
+}

@@ -724,18 +724,7 @@ impl Session {
         self.channel.reset();
     }
 
-    /// Record a per-exchange timeline for subsequent actions (analysis of
-    /// where the seconds go; see [`pdm_net::Trace`]).
-    pub fn enable_trace(&mut self) {
-        self.channel.enable_trace();
-    }
-
-    /// The recorded timeline, if tracing was enabled.
-    pub fn trace(&self) -> Option<&pdm_net::Trace> {
-        self.channel.trace()
-    }
-
-    fn modificator(&self, action: ActionKind) -> Modificator<'_> {
+    pub(crate) fn modificator(&self, action: ActionKind) -> Modificator<'_> {
         Modificator::new(&self.rules, &self.config.user, action, &self.view_names)
     }
 
@@ -766,7 +755,7 @@ impl Session {
     /// response = result rows). Queries are idempotent reads, so on a faulty
     /// link any failure — even a lost response, after which the server *did*
     /// run the query — is safe to replay.
-    fn metered_query(&mut self, sql: &str) -> SessionResult<ResultSet> {
+    pub(crate) fn metered_query(&mut self, sql: &str) -> SessionResult<ResultSet> {
         let _permit = self.admit(crate::overload::Priority::Interactive)?;
         self.exchange(sql.len(), |server, deadline, obs| {
             let rs = (*server.query_cached_deadline_obs(sql, deadline, obs)?).clone();
@@ -985,7 +974,7 @@ impl Session {
     /// filters after transfer — the row rules of `tables`, evaluated on the
     /// transferred attributes — and accounts the paper's γ split: how many
     /// rows the client kept vs threw away after paying for their transfer.
-    fn retrieve(
+    pub(crate) fn retrieve(
         &mut self,
         mut q: pdm_sql::Query,
         action: ActionKind,

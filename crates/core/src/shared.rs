@@ -30,12 +30,13 @@ use pdm_sql::{Database, ExecOutcome, ResultSet, SharedDatabase, Statement};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::overload::{OverloadConfig, OverloadGate};
 use crate::product::ObjectId;
+use crate::replay::ReplayState;
 use crate::server::{id_list, split_ids, CheckoutProcedureResult};
 
 /// Lock a mutex, treating poison as "the panicking thread is gone, the data
 /// is still consistent" (every critical section here is short and
 /// non-panicking in release paths).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -618,7 +619,7 @@ impl SharedServer {
     /// Wrap a populated database, installing the PDM stored functions.
     pub fn new(mut db: Database) -> Self {
         crate::functions::register_pdm_functions(&mut db);
-        Self::assemble(SharedDatabase::new(db), None, HashMap::new(), 1)
+        Self::assemble(SharedDatabase::new(db), None, &ReplayState::default())
     }
 
     /// Wrap a populated database with a durability attachment: every commit
@@ -629,20 +630,25 @@ impl SharedServer {
         let shared = SharedDatabase::new(db);
         let durability = Durability::new(cfg);
         durability.checkpoint(&shared.snapshot())?;
-        Ok(Self::assemble(shared, Some(durability), HashMap::new(), 1))
+        Ok(Self::assemble(
+            shared,
+            Some(durability),
+            &ReplayState::default(),
+        ))
     }
 
-    /// Assemble a server from recovered (or fresh) parts. `tokens` seeds
-    /// the idempotency log; `next_token` must exceed every token in it.
+    /// Assemble a server from replayed (or fresh) parts. The completed
+    /// tokens of `state` seed the idempotency log, and the token counter
+    /// starts above every token the state has seen.
     pub(crate) fn assemble(
         db: SharedDatabase,
         durability: Option<Durability>,
-        tokens: impl IntoIterator<Item = (u64, Option<ResultSet>)>,
-        next_token: u64,
+        state: &ReplayState,
     ) -> Self {
-        let checkout_log: HashMap<u64, Option<CheckoutProcedureResult>> = tokens
-            .into_iter()
-            .map(|(token, rows)| (token, Some(CheckoutProcedureResult { rows })))
+        let checkout_log: HashMap<u64, Option<CheckoutProcedureResult>> = state
+            .tokens
+            .iter()
+            .map(|(token, rows)| (*token, Some(CheckoutProcedureResult { rows: rows.clone() })))
             .collect();
         let metrics = Arc::new(MetricsRegistry::new());
         let cache = QueryCache::new(&metrics);
@@ -655,7 +661,7 @@ impl SharedServer {
             cache,
             checkout_log: Mutex::new(checkout_log),
             checkout_cv: Condvar::new(),
-            token_counter: AtomicU64::new(next_token),
+            token_counter: AtomicU64::new(state.next_token()),
             write_gate: Mutex::new(Vec::new()),
             journal: AtomicBool::new(false),
             durability,
@@ -1194,30 +1200,6 @@ impl SharedServer {
         Ok(CheckoutProcedureResult { rows: Some(rows) })
     }
 
-    /// Recovery hook: force `checkedout = FALSE` on the given ids (the
-    /// union of all stale grants) and log the closing release. Runs through
-    /// the normal durable write path so the sweep itself is replayable.
-    pub(crate) fn sweep_stale_grants(
-        &self,
-        assy_ids: &[ObjectId],
-        comp_ids: &[ObjectId],
-    ) -> pdm_sql::Result<()> {
-        let obs = Recorder::disabled();
-        self.set_checked_out("assy", assy_ids, false, &obs)
-            .and_then(|_| self.set_checked_out("comp", comp_ids, false, &obs))
-            .map_err(sql_error)?;
-        if assy_ids.is_empty() && comp_ids.is_empty() {
-            return Ok(());
-        }
-        if let Some(d) = &self.durability {
-            let mut all: Vec<ObjectId> = Vec::with_capacity(assy_ids.len() + comp_ids.len());
-            all.extend(assy_ids);
-            all.extend(comp_ids);
-            d.log_release(&all)?;
-        }
-        Ok(())
-    }
-
     /// Whether a check-out with this token has completed.
     pub fn checkout_recorded(&self, token: u64) -> bool {
         matches!(
@@ -1243,14 +1225,21 @@ impl SharedServer {
         let mut ids: Vec<ObjectId> = Vec::with_capacity(assy_ids.len() + comp_ids.len());
         ids.extend(assy_ids);
         ids.extend(comp_ids);
-        self.locks.release(&ids);
-        // The flag-clearing UPDATEs above are already durable; the release
-        // record retires the grant so recovery stops sweeping these ids. A
-        // crash between the two is safe: the sweep re-forces FALSE, a no-op.
-        if let Some(d) = &self.durability {
-            self.wal_op(obs, "release", || d.log_release(&ids))?;
-        }
+        self.release_checkout(&ids, obs)?;
         Ok(a + c)
+    }
+
+    /// The release step every check-in ends with, once its flag-clearing
+    /// UPDATEs are durable: drop the lock-table entries and log the release
+    /// record that retires the grant, so recovery stops sweeping these ids.
+    /// A crash between the UPDATEs and the record is safe: the sweep
+    /// re-forces FALSE, a no-op.
+    pub(crate) fn release_checkout(&self, ids: &[ObjectId], obs: &Recorder) -> pdm_sql::Result<()> {
+        self.locks.release(ids);
+        if let Some(d) = &self.durability {
+            self.wal_op(obs, "release", || d.log_release(ids))?;
+        }
+        Ok(())
     }
 
     fn any_checked_out(&self, table: &str, ids: &[ObjectId]) -> pdm_sql::Result<bool> {

@@ -59,6 +59,38 @@ fn connect(cluster: &Cluster, site: usize) -> RoutedSession {
     )
 }
 
+/// Every replica at lag 0 holds the primary's exact state: the same
+/// database bytes, and — replayed side vs live side of the one record
+/// state machine — the same outstanding-grant tracker.
+fn assert_caught_up_replicas_match(cluster: &Cluster) {
+    let primary_fp = cluster.primary_fingerprint();
+    let primary_grants = cluster.primary().durability().unwrap().outstanding_grants();
+    for s in cluster.replica_sites() {
+        assert_eq!(cluster.lag(s), 0, "site {s} never caught up");
+        let replica = cluster.replica(s).unwrap();
+        assert_eq!(
+            replica.fingerprint(),
+            primary_fp,
+            "site {s} caught up to a different state"
+        );
+        assert_eq!(
+            replica.grants(),
+            &primary_grants,
+            "site {s} tracks different outstanding grants"
+        );
+    }
+}
+
+/// Pump until every site is caught up (bounded).
+fn pump_to_lag_zero(cluster: &mut Cluster) {
+    for _ in 0..512 {
+        if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
+            break;
+        }
+        cluster.pump().unwrap();
+    }
+}
+
 /// Replaying any recorded prefix of the durable log onto the epoch base
 /// reproduces the primary fingerprint observed at that sequence.
 #[test]
@@ -124,6 +156,11 @@ fn prefix_replay_matches_primary_at_seq() {
                 cluster.primary_fingerprint(),
                 "full replay diverged from primary"
             );
+
+            // With check-outs still held, the caught-up replicas track the
+            // same grants the primary logged live.
+            pump_to_lag_zero(&mut cluster);
+            assert_caught_up_replicas_match(&cluster);
         },
     );
 }
@@ -147,24 +184,10 @@ fn caught_up_replicas_are_byte_identical() {
                 let sql = format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
                 session.execute_dml(&mut cluster, &sql).unwrap();
             }
-            // Pump until every site is caught up; ship_once embeds the
-            // divergence check, so reaching lag 0 IS the assertion — but
-            // compare fingerprints explicitly anyway.
-            for _ in 0..512 {
-                if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
-                    break;
-                }
-                cluster.pump().unwrap();
-            }
-            let primary_fp = cluster.primary_fingerprint();
-            for s in cluster.replica_sites() {
-                assert_eq!(cluster.lag(s), 0, "site {s} never caught up");
-                assert_eq!(
-                    cluster.replica(s).unwrap().fingerprint(),
-                    primary_fp,
-                    "site {s} caught up to a different state"
-                );
-            }
+            // ship_once embeds the divergence check, so reaching lag 0 IS
+            // the assertion — but compare explicitly anyway.
+            pump_to_lag_zero(&mut cluster);
+            assert_caught_up_replicas_match(&cluster);
         },
     );
 }

@@ -5,7 +5,7 @@
 use pdm_obs::{kinds, Recorder, TraceContext};
 
 use crate::clock::VirtualClock;
-use crate::fault::{FaultEvent, FaultEventKind, FaultPlan, LinkError, ScriptedKind};
+use crate::fault::{FaultEventKind, FaultPlan, LinkError, ScriptedKind};
 use crate::link::LinkProfile;
 use crate::stats::TrafficStats;
 
@@ -44,7 +44,6 @@ pub struct MeteredChannel {
     link: LinkProfile,
     clock: VirtualClock,
     stats: TrafficStats,
-    trace: Option<crate::trace::Trace>,
     /// Observability recorder (disabled by default — a free no-op handle).
     /// The channel is the only component that advances the virtual clock,
     /// so it is also the only emitter of virtually-wide spans.
@@ -95,7 +94,6 @@ impl MeteredChannel {
             link,
             clock: VirtualClock::new(),
             stats: TrafficStats::new(),
-            trace: None,
             obs: Recorder::disabled(),
             ctx: None,
             faults: None,
@@ -143,16 +141,6 @@ impl MeteredChannel {
         self.faults.as_ref()
     }
 
-    /// Start recording a per-exchange timeline (see [`crate::trace::Trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(crate::trace::Trace::new());
-    }
-
-    /// The recorded timeline, if tracing is enabled.
-    pub fn trace(&self) -> Option<&crate::trace::Trace> {
-        self.trace.as_ref()
-    }
-
     /// Attach an observability recorder: every exchange, fault charge, and
     /// backoff wait is emitted as a span on the virtual timeline. Attaching
     /// a disabled recorder (the default) costs nothing.
@@ -189,14 +177,10 @@ impl MeteredChannel {
         self.clock.now()
     }
 
-    /// Clear counters, clock, and any recorded trace before measuring a new
-    /// user action.
+    /// Clear counters and clock before measuring a new user action.
     pub fn reset(&mut self) {
         self.clock.reset();
         self.stats = TrafficStats::new();
-        if let Some(trace) = &mut self.trace {
-            trace.clear();
-        }
         // The virtual clock restarts at 0; rebase the recorder so the
         // action timeline stays monotonic.
         self.obs.meter_reset();
@@ -261,14 +245,6 @@ impl MeteredChannel {
             latency_time,
             transfer_time,
         };
-        if let Some(trace) = &mut self.trace {
-            trace.record(crate::trace::TraceEntry {
-                start,
-                request_bytes,
-                response_bytes: response_payload_bytes,
-                cost,
-            });
-        }
         // Exact per-exchange latency/transfer split: profiles summing these
         // attributes in record order reproduce the TrafficStats totals
         // bit-for-bit (same additions, same order).
@@ -307,13 +283,9 @@ impl MeteredChannel {
             FaultEventKind::Outage => self.stats.outage_hits += 1,
             FaultEventKind::ServerError => self.stats.server_errors += 1,
             FaultEventKind::ResponseLost => self.stats.timeouts += 1,
-            FaultEventKind::Retransmit => {}
         }
         let at = self.clock.now();
         self.clock.advance(waited);
-        if let Some(trace) = &mut self.trace {
-            trace.record_fault(FaultEvent { exchange, at, kind });
-        }
         let mut attrs = vec![("wait_s", waited), ("v_s", waited)];
         if let Some(ctx) = self.ctx {
             attrs.push(("trace_id", ctx.trace_id as f64));
@@ -327,13 +299,6 @@ impl MeteredChannel {
             &attrs,
             "",
         );
-    }
-
-    fn record_fault(&mut self, exchange: u64, kind: FaultEventKind) {
-        let at = self.clock.now();
-        if let Some(trace) = &mut self.trace {
-            trace.record_fault(FaultEvent { exchange, at, kind });
-        }
     }
 
     /// Phase 1 of a fallible exchange: deliver the request to the server.
@@ -420,7 +385,6 @@ impl MeteredChannel {
                 extra_volume += self.link.packet_size as f64;
                 extra_latency += 2.0 * self.link.latency;
                 retransmits += 1;
-                self.record_fault(exchange, FaultEventKind::Retransmit);
             }
         }
 
@@ -491,7 +455,6 @@ impl MeteredChannel {
                         extra_volume += self.link.packet_size as f64;
                         extra_latency += 2.0 * self.link.latency;
                         retransmits += 1;
-                        self.record_fault(exchange, FaultEventKind::Retransmit);
                     }
                 }
             }

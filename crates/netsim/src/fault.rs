@@ -254,21 +254,10 @@ impl fmt::Display for LinkError {
 
 impl std::error::Error for LinkError {}
 
-/// One fault occurrence on the channel's timeline, recorded when tracing is
-/// enabled.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultEvent {
-    /// Exchange attempt index the fault belongs to.
-    pub exchange: u64,
-    /// Virtual time the fault was observed.
-    pub at: f64,
-    pub kind: FaultEventKind,
-}
-
+/// Why a failed attempt was charged to the channel's clock (the label of
+/// its `net.fault` span).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEventKind {
-    /// A lost packet was retransmitted (request or response direction).
-    Retransmit,
     /// The attempt was abandoned: request never delivered.
     RequestTimeout,
     /// The attempt hit a scheduled outage window.

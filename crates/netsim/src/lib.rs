@@ -21,14 +21,10 @@ pub mod fault;
 pub mod link;
 pub mod packet;
 pub mod stats;
-pub mod trace;
 
 pub use channel::{MeteredChannel, PendingRequest, RoundTrip};
 pub use clock::VirtualClock;
-pub use fault::{
-    FaultEvent, FaultEventKind, FaultPlan, LinkError, OutageWindow, ScriptedFault, ScriptedKind,
-};
+pub use fault::{FaultEventKind, FaultPlan, LinkError, OutageWindow, ScriptedFault, ScriptedKind};
 pub use link::LinkProfile;
 pub use packet::packet_count;
 pub use stats::{record_traffic, TrafficStats};
-pub use trace::{Trace, TraceEntry};

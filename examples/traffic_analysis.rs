@@ -1,7 +1,7 @@
 #![allow(clippy::unwrap_used)]
 
-//! Where do the seconds go? Trace every WAN exchange of a multi-level
-//! expand and break the delay down — the diagnostic view that motivated the
+//! Where do the seconds go? Profile a multi-level expand, read the
+//! `net.exchange` span of every WAN exchange and break the delay down — the diagnostic view that motivated the
 //! paper's suspicion ("the problem is caused by the large number of isolated
 //! queries ... resulting in many messages", §1).
 //!
@@ -13,6 +13,7 @@ use pdm_repro::core::rules::condition::{CmpOp, Condition, RowPredicate};
 use pdm_repro::core::rules::{ActionKind, Rule};
 use pdm_repro::core::{RuleTable, Session, SessionConfig, Strategy};
 use pdm_repro::net::LinkProfile;
+use pdm_repro::obs::{kinds, SpanRecord};
 use pdm_repro::workload::{build_database, TreeSpec};
 
 fn rules() -> RuleTable {
@@ -27,6 +28,21 @@ fn rules() -> RuleTable {
     t
 }
 
+/// Cost of one exchange in virtual seconds (latency + transfer — the
+/// amount the channel advanced its clock by).
+fn cost(exchange: &SpanRecord) -> f64 {
+    exchange.attr("v_s").unwrap_or(0.0)
+}
+
+/// Nearest-rank percentile over ascending `costs` (p in 0..=100).
+fn percentile(costs: &[f64], p: f64) -> f64 {
+    let rank = ((p / 100.0) * costs.len() as f64).ceil().max(1.0) as usize - 1;
+    costs
+        .get(rank.min(costs.len().saturating_sub(1)))
+        .copied()
+        .unwrap_or(0.0)
+}
+
 fn main() {
     let spec = TreeSpec::new(4, 4, 0.75).with_node_size(512);
 
@@ -37,30 +53,39 @@ fn main() {
             SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
             rules(),
         );
-        session.enable_trace();
+        session.enable_profiling();
         let out = session.multi_level_expand(1).expect("expand succeeds");
-        let trace = session.trace().expect("tracing enabled");
+        let exchanges: Vec<SpanRecord> = session
+            .recorder()
+            .spans()
+            .into_iter()
+            .filter(|s| s.kind == kinds::NET_EXCHANGE)
+            .collect();
+        let total: f64 = exchanges.iter().map(cost).sum();
+        let latency: f64 = exchanges.iter().filter_map(|e| e.attr("latency_s")).sum();
+        let mut costs: Vec<f64> = exchanges.iter().map(cost).collect();
+        costs.sort_by(f64::total_cmp);
 
         println!("=== {} ===", strategy.label());
         println!(
             "exchanges: {:>5}   total: {:>8.2}s   latency share: {:>5.1}%",
-            trace.len(),
-            trace.total_time(),
-            100.0 * trace.latency_share()
+            exchanges.len(),
+            total,
+            100.0 * latency / total
         );
         println!(
             "per-exchange cost: p50 {:>6.3}s   p99 {:>6.3}s   max {:>6.3}s",
-            trace.percentile(50.0).unwrap_or(0.0),
-            trace.percentile(99.0).unwrap_or(0.0),
-            trace.percentile(100.0).unwrap_or(0.0),
+            percentile(&costs, 50.0),
+            percentile(&costs, 99.0),
+            percentile(&costs, 100.0),
         );
-        if let Some(slowest) = trace.slowest() {
+        if let Some(slowest) = exchanges.iter().max_by(|a, b| cost(a).total_cmp(&cost(b))) {
             println!(
                 "slowest exchange: {} B request → {} B response ({:.3}s at t={:.2}s)",
-                slowest.request_bytes,
-                slowest.response_bytes,
-                slowest.cost.total_time(),
-                slowest.start
+                slowest.attr("request_bytes").unwrap_or(0.0),
+                slowest.attr("response_bytes").unwrap_or(0.0),
+                cost(slowest),
+                slowest.v_start
             );
         }
         println!("tree: {} nodes\n", out.tree.len());

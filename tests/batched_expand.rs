@@ -101,11 +101,17 @@ fn batched_late_filters_client_side() {
 #[test]
 fn session_trace_records_batched_exchanges() {
     let mut s = session(3, 3, 1.0, Strategy::EarlyEval);
-    s.enable_trace();
+    s.enable_profiling();
     let out = s.multi_level_expand_batched(1).unwrap();
-    let trace = s.trace().expect("tracing enabled");
-    assert_eq!(trace.len(), out.stats.queries);
-    assert!((trace.total_time() - out.stats.response_time()).abs() < 1e-9);
+    let exchanges: Vec<_> = s
+        .recorder()
+        .spans()
+        .into_iter()
+        .filter(|span| span.kind == pdm_obs::kinds::NET_EXCHANGE)
+        .collect();
+    let sum = |key: &str| -> f64 { exchanges.iter().filter_map(|e| e.attr(key)).sum() };
+    assert_eq!(exchanges.len(), out.stats.queries);
+    assert!((sum("v_s") - out.stats.response_time()).abs() < 1e-9);
     // navigational batching is still latency-heavy on a WAN
-    assert!(trace.latency_share() > 0.2);
+    assert!(sum("latency_s") / sum("v_s") > 0.2);
 }

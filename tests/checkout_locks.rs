@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use pdm_core::query::recursive;
 use pdm_core::{
-    PdmServer, Recorder, RetryPolicy, RuleTable, Session, SessionConfig, SessionError, Strategy,
+    DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session, SessionConfig,
+    SessionError, SharedServer, Strategy,
 };
 use pdm_net::LinkProfile;
 use pdm_workload::{build_database, TreeSpec};
@@ -137,6 +138,34 @@ fn checkin_releases_lock_entries() {
 
     // Released: bob now wins.
     assert!(bob.check_out_function_shipping(1).unwrap().tree.is_some());
+}
+
+/// A session check-in retires the durable grant its function-shipping
+/// check-out logged: after any number of cycles nothing is outstanding, so
+/// checkpoints carry no retired grants and recovery has nothing to sweep.
+#[test]
+fn session_checkin_retires_durable_grants() {
+    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
+    let (db, _) = build_database(&spec).unwrap();
+    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
+    let server = PdmServer::from_shared(Arc::new(shared));
+    let mut alice = session_on(&server, "alice");
+
+    for cycle in 0..5 {
+        let out = alice.check_out_function_shipping(1).unwrap();
+        let tree = out.tree.expect("check-out of a released tree succeeds");
+        assert_eq!(
+            server.durability().unwrap().outstanding_grants().len(),
+            1,
+            "cycle {cycle}: the held check-out is the one outstanding grant"
+        );
+        alice.check_in(&tree).unwrap();
+        assert!(
+            server.durability().unwrap().outstanding_grants().is_empty(),
+            "cycle {cycle}: check-in left a durable grant behind"
+        );
+    }
+    assert!(server.lock_table().is_empty());
 }
 
 /// An in-flight conflict that outlives the session's RetryPolicy deadline
