@@ -22,11 +22,13 @@
 //!   log without re-executing the procedure — a client replaying the token
 //!   gets its recorded rows (or recorded refusal) exactly once.
 //! * **Checkpoints** serialize the current snapshot plus the durability
-//!   aux state (outstanding grants, completed token outcomes) and truncate
-//!   the log. They are cut inside the write gate, so no DML commit can
-//!   interleave; grant/token records racing the checkpoint are safe because
-//!   the aux trackers are updated atomically with their log appends under
-//!   the store lock, and the sweep is idempotent.
+//!   aux state (outstanding grants, the retained completed-token outcomes
+//!   — at most `RETAINED_TOKENS`, so a checkpoint does not grow with
+//!   history) and truncate the log. They are cut inside the write gate, so
+//!   no DML commit can interleave; grant/token records racing the
+//!   checkpoint are safe because the aux trackers are updated atomically
+//!   with their log appends under the store lock, and the sweep is
+//!   idempotent.
 //!
 //! The recovery invariant the crash harness asserts: for any crash point,
 //! `recover` produces a state byte-identical to replaying the durable
@@ -36,7 +38,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pdm_sql::persist::{self, encode_snapshot, put_result_set, put_u32, put_u64, put_u8, Cursor};
+use pdm_sql::persist::{self, put_result_set, put_snapshot, put_u32, put_u64, put_u8, Cursor};
 use pdm_sql::shared::Snapshot;
 use pdm_sql::{ResultSet, SharedDatabase};
 use pdm_wal::{CrashPlan, DeviceStats, DurableImage, DurableStore, LogDamage, WalError, WalRecord};
@@ -213,8 +215,10 @@ impl Durability {
     /// interleaves between the snapshot read and the install.
     pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
         let mut st = lock_unpoisoned(&self.state);
-        let payload = encode_checkpoint(snapshot, &st.replay);
-        st.store.install_checkpoint(&payload).map_err(wal_to_sql)?;
+        let DurState { store, replay, .. } = &mut *st;
+        store
+            .install_checkpoint(|out| put_checkpoint(out, snapshot, replay))
+            .map_err(wal_to_sql)?;
         st.commits_since_checkpoint = 0;
         Ok(())
     }
@@ -236,6 +240,12 @@ impl Durability {
     /// Outstanding (unreleased) grants, for diagnostics and tests.
     pub fn outstanding_grants(&self) -> BTreeMap<u64, GrantIds> {
         lock_unpoisoned(&self.state).replay.grants.clone()
+    }
+
+    /// The tokens whose outcomes are retained, ascending (diagnostics and
+    /// tests).
+    pub fn retained_tokens(&self) -> Vec<u64> {
+        lock_unpoisoned(&self.state).replay.tokens.tokens()
     }
 
     /// The trackers as of now (a re-seeded replica and a new primary's
@@ -279,29 +289,34 @@ fn read_ids(cur: &mut Cursor<'_>, what: &str) -> pdm_sql::Result<Vec<ObjectId>> 
     Ok(ids)
 }
 
-fn encode_checkpoint(snapshot: &Snapshot, replay: &ReplayState) -> Vec<u8> {
-    let mut out = Vec::new();
-    let snap = encode_snapshot(snapshot);
-    put_u32(&mut out, snap.len() as u32);
-    out.extend_from_slice(&snap);
-    put_u32(&mut out, replay.grants.len() as u32);
+/// Append the checkpoint payload to `out`: length-prefixed snapshot,
+/// outstanding grants, retained token outcomes. Written in place — the
+/// snapshot length is patched in once the snapshot has been written.
+fn put_checkpoint(out: &mut Vec<u8>, snapshot: &Snapshot, replay: &ReplayState) {
+    let len_at = out.len();
+    put_u32(out, 0);
+    put_snapshot(out, snapshot);
+    let snap_len = (out.len() - len_at - 4) as u32;
+    out.get_mut(len_at..len_at + 4)
+        .expect("the length slot was pushed above")
+        .copy_from_slice(&snap_len.to_le_bytes());
+    put_u32(out, replay.grants.len() as u32);
     for (token, g) in &replay.grants {
-        put_u64(&mut out, *token);
-        put_ids(&mut out, &g.assy);
-        put_ids(&mut out, &g.comp);
+        put_u64(out, *token);
+        put_ids(out, &g.assy);
+        put_ids(out, &g.comp);
     }
-    put_u32(&mut out, replay.tokens.len() as u32);
-    for (token, rows) in &replay.tokens {
-        put_u64(&mut out, *token);
+    put_u32(out, replay.tokens.len() as u32);
+    for (token, rows) in replay.tokens.iter() {
+        put_u64(out, token);
         match rows {
-            None => put_u8(&mut out, 0),
+            None => put_u8(out, 0),
             Some(rs) => {
-                put_u8(&mut out, 1);
-                put_result_set(&mut out, rs);
+                put_u8(out, 1);
+                put_result_set(out, rs);
             }
         }
     }
-    out
 }
 
 fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayState)> {
@@ -329,7 +344,7 @@ fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayS
                 )))
             }
         };
-        replay.tokens.insert(token, rows);
+        replay.tokens.record(token, rows);
     }
     if !cur.is_empty() {
         return Err(pdm_sql::Error::Persist(format!(
@@ -508,7 +523,14 @@ pub fn recover_server(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::TokenStatus;
     use pdm_sql::Database;
+
+    fn encode_checkpoint(snapshot: &Snapshot, replay: &ReplayState) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_checkpoint(&mut out, snapshot, replay);
+        out
+    }
 
     fn snap() -> Snapshot {
         let mut db = Database::new();
@@ -533,17 +555,16 @@ mod tests {
                 comp: vec![10],
             },
         );
-        let mut tokens = BTreeMap::new();
-        tokens.insert(7u64, None);
-        let state = ReplayState {
+        let mut state = ReplayState {
             grants: grants.clone(),
-            tokens,
+            ..ReplayState::default()
         };
+        state.tokens.record(7, None);
         let (db, replay) = decode_checkpoint(&encode_checkpoint(&snap(), &state)).unwrap();
         assert_eq!(db.version(), 3);
         assert_eq!(replay.grants, grants);
-        assert_eq!(replay.tokens.len(), 1);
-        assert!(replay.tokens[&7].is_none());
+        assert_eq!(replay.tokens.tokens(), [7]);
+        assert!(matches!(replay.tokens.status(7), TokenStatus::Done(None)));
     }
 
     #[test]

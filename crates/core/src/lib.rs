@@ -75,4 +75,6 @@ pub use rules::table::RuleTable;
 pub use rules::{ActionKind, Rule, UserPattern};
 pub use server::PdmServer;
 pub use session::{ExpandOutcome, QueryOutcome, Session, SessionConfig, SessionError};
-pub use shared::{Acquire, CacheStats, LockEvent, LockTable, SharedServer, SharedServerError};
+pub use shared::{
+    Acquire, CacheStats, LockEvent, LockTable, SharedServer, SharedServerError, RETAINED_TOKENS,
+};

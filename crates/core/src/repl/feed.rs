@@ -62,23 +62,24 @@ impl ReplicationFeed {
     /// All records with sequence strictly greater than `seq`, in order —
     /// the ship batch for a replica whose watermark is `seq`.
     pub fn since(&self, seq: u64) -> Vec<(u64, WalRecord)> {
-        lock_unpoisoned(&self.state)
-            .records
-            .iter()
-            .filter(|(s, _)| *s > seq)
-            .cloned()
-            .collect()
+        let st = lock_unpoisoned(&self.state);
+        let (_, after) = st.records.split_at(Self::through(&st.records, seq));
+        after.to_vec()
     }
 
     /// The prefix of records with sequence `<= seq`, in order — the serial
     /// replay oracle for a promotion at watermark `seq`.
     pub fn prefix_through(&self, seq: u64) -> Vec<(u64, WalRecord)> {
-        lock_unpoisoned(&self.state)
-            .records
-            .iter()
-            .take_while(|(s, _)| *s <= seq)
-            .cloned()
-            .collect()
+        let st = lock_unpoisoned(&self.state);
+        let (through, _) = st.records.split_at(Self::through(&st.records, seq));
+        through.to_vec()
+    }
+
+    /// Number of records with sequence `<= seq` (sequences are strictly
+    /// increasing, so a binary search finds the cut without walking the
+    /// never-truncated history).
+    fn through(records: &[(u64, WalRecord)], seq: u64) -> usize {
+        records.partition_point(|(s, _)| *s <= seq)
     }
 
     /// Number of retained records.

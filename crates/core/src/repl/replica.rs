@@ -181,6 +181,12 @@ impl ReplicaSite {
         &self.state.grants
     }
 
+    /// The tokens whose outcomes this site retains, ascending — equal to
+    /// the primary's at equal watermark.
+    pub fn retained_tokens(&self) -> Vec<u64> {
+        self.state.tokens.tokens()
+    }
+
     /// Give up the site, keeping its trackers (promotion).
     pub(crate) fn into_state(self) -> ReplayState {
         self.state

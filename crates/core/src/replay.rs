@@ -19,7 +19,65 @@ use pdm_obs::Recorder;
 
 use crate::durability::{Durability, GrantIds, RecoveryError};
 use crate::product::ObjectId;
-use crate::shared::SharedServer;
+use crate::shared::{SharedServer, RETAINED_TOKENS};
+
+/// What the idempotency log knows about a token.
+#[derive(Debug)]
+pub(crate) enum TokenStatus<'a> {
+    /// Completed, outcome retained (`None` = recorded refusal).
+    Done(&'a Option<ResultSet>),
+    /// Below every retained token while the log is full: it may have
+    /// completed and been trimmed, so it must never execute (again).
+    Expired,
+    /// Never completed here.
+    Unknown,
+}
+
+/// The idempotency log: outcomes of the [`RETAINED_TOKENS`] highest
+/// completed tokens. Tokens are drawn from one increasing counter, so the
+/// highest are the most recent, and the retained set is the same whatever
+/// order completions were recorded in — live logging, recovery, a replica
+/// and the server's in-memory copy all agree on it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TokenLog {
+    done: BTreeMap<u64, Option<ResultSet>>,
+}
+
+impl TokenLog {
+    /// Record a completion and trim to the retention bound.
+    pub(crate) fn record(&mut self, token: u64, rows: Option<ResultSet>) {
+        self.done.insert(token, rows);
+        while self.done.len() > RETAINED_TOKENS {
+            self.done.pop_first();
+        }
+    }
+
+    pub(crate) fn status(&self, token: u64) -> TokenStatus<'_> {
+        if let Some(rows) = self.done.get(&token) {
+            return TokenStatus::Done(rows);
+        }
+        match self.done.first_key_value() {
+            Some((lowest, _)) if self.done.len() >= RETAINED_TOKENS && token < *lowest => {
+                TokenStatus::Expired
+            }
+            _ => TokenStatus::Unknown,
+        }
+    }
+
+    /// Retained `(token, outcome)` pairs, ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Option<ResultSet>)> {
+        self.done.iter().map(|(t, rows)| (*t, rows))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.done.len()
+    }
+
+    /// The retained tokens, ascending.
+    pub(crate) fn tokens(&self) -> Vec<u64> {
+        self.done.keys().copied().collect()
+    }
+}
 
 /// The replicated server state that is not in the SQL snapshot.
 #[derive(Debug, Clone, Default)]
@@ -27,8 +85,8 @@ pub(crate) struct ReplayState {
     /// Outstanding grants (token → ids): logged before the flag UPDATEs,
     /// trimmed by release records, swept when a site becomes primary.
     pub(crate) grants: BTreeMap<u64, GrantIds>,
-    /// Completed token outcomes (`None` = recorded refusal).
-    pub(crate) tokens: BTreeMap<u64, Option<ResultSet>>,
+    /// Completed token outcomes, bounded (see [`TokenLog`]).
+    pub(crate) tokens: TokenLog,
 }
 
 /// The stale grants a new primary resets: their tokens and the sorted,
@@ -93,7 +151,7 @@ impl ReplayState {
                 });
             }
             WalRecord::TokenComplete { token, rows } => {
-                self.tokens.insert(*token, rows.clone());
+                self.tokens.record(*token, rows.clone());
             }
         }
         Ok(())
@@ -103,8 +161,9 @@ impl ReplayState {
     /// out: above every token it has seen.
     pub(crate) fn next_token(&self) -> u64 {
         self.tokens
-            .keys()
-            .chain(self.grants.keys())
+            .iter()
+            .map(|(t, _)| t)
+            .chain(self.grants.keys().copied())
             .max()
             .map_or(1, |t| t.saturating_add(1))
     }
@@ -216,8 +275,7 @@ mod tests {
                 .map(|(t, g)| (*t, &g.assy[..], &g.comp[..]))
                 .collect();
             assert_eq!(tracked, grants, "after {record:?}");
-            let completed: Vec<u64> = state.tokens.keys().copied().collect();
-            assert_eq!(completed, tokens, "after {record:?}");
+            assert_eq!(state.tokens.tokens(), tokens, "after {record:?}");
             assert_eq!(db.version(), version, "after {record:?}");
             if i == 3 {
                 // Both grants outstanding: sorted, deduplicated unions.
@@ -228,6 +286,28 @@ mod tests {
                 assert_eq!(state.next_token(), 10, "above every token seen");
             }
         }
+    }
+
+    #[test]
+    fn token_log_keeps_the_highest_tokens_in_any_order() {
+        let n = RETAINED_TOKENS as u64;
+        let mut ascending = TokenLog::default();
+        let mut descending = TokenLog::default();
+        for t in 1..=n + 10 {
+            assert!(matches!(ascending.status(t), TokenStatus::Unknown));
+            ascending.record(t, None);
+            descending.record(n + 11 - t, None);
+        }
+        let kept: Vec<u64> = (11..=n + 10).collect();
+        assert_eq!(ascending.tokens(), kept);
+        assert_eq!(descending.tokens(), kept);
+        assert!(matches!(ascending.status(10), TokenStatus::Expired));
+        assert!(matches!(ascending.status(11), TokenStatus::Done(None)));
+        assert!(matches!(ascending.status(n + 11), TokenStatus::Unknown));
+        // Not full: a low unseen token is merely unknown.
+        let mut sparse = TokenLog::default();
+        sparse.record(50, None);
+        assert!(matches!(sparse.status(7), TokenStatus::Unknown));
     }
 
     #[test]

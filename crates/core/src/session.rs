@@ -98,6 +98,13 @@ pub enum SessionError {
         /// admitted, assuming no competing arrivals.
         retry_after: f64,
     },
+    /// The check-out's idempotency token is older than every outcome the
+    /// server still retains. The server refused to run it (it may already
+    /// have run); the client must find out what it holds and start over
+    /// under a fresh token.
+    TokenExpired {
+        token: u64,
+    },
 }
 
 impl fmt::Display for SessionError {
@@ -163,6 +170,10 @@ impl fmt::Display for SessionError {
             SessionError::Overloaded { retry_after } => {
                 write!(f, "server overloaded; retry after {retry_after:.3}s")
             }
+            SessionError::TokenExpired { token } => write!(
+                f,
+                "idempotency token {token} expired: its outcome is no longer retained"
+            ),
         }
     }
 }
@@ -223,6 +234,7 @@ impl SessionError {
             SessionError::ReplicaLagTimeout { .. } => "ReplicaLagTimeout",
             SessionError::PrimaryUnavailable { .. } => "PrimaryUnavailable",
             SessionError::Overloaded { .. } => "Overloaded",
+            SessionError::TokenExpired { .. } => "TokenExpired",
         }
     }
 
@@ -266,6 +278,9 @@ impl SessionError {
             // fast overload rejection, retryable out of the budget.
             crate::shared::SharedServerError::QueueFull { .. } => {
                 SessionError::Overloaded { retry_after: 0.1 }
+            }
+            crate::shared::SharedServerError::TokenExpired { token } => {
+                SessionError::TokenExpired { token }
             }
         }
     }

@@ -15,9 +15,11 @@
 //!   storage version. Any DML bumps the version (the cache epoch), so a
 //!   stale read is impossible by construction — a cached result is only
 //!   returned while the storage it was computed from is still current;
-//! * an **idempotency log** for failure-atomic check-outs (PR 1), now
-//!   shared so tokens are unique across sessions, plus an optional
-//!   **operation journal** the deterministic concurrency tests replay.
+//! * an **idempotency log** for failure-atomic check-outs (PR 1), shared
+//!   so tokens are unique across sessions and bounded to the
+//!   [`RETAINED_TOKENS`] most recent outcomes (an older token fails closed
+//!   rather than executing twice), plus an optional **operation journal**
+//!   the deterministic concurrency tests replay.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +32,7 @@ use pdm_sql::{Database, ExecOutcome, ResultSet, SharedDatabase, Statement};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::overload::{OverloadConfig, OverloadGate};
 use crate::product::ObjectId;
-use crate::replay::ReplayState;
+use crate::replay::{ReplayState, TokenLog, TokenStatus};
 use crate::server::{id_list, split_ids, CheckoutProcedureResult};
 
 /// Lock a mutex, treating poison as "the panicking thread is gone, the data
@@ -64,6 +66,12 @@ pub enum SharedServerError {
     DeadlineExpired {
         waited: Duration,
     },
+    /// The idempotency token is older than every retained outcome while the
+    /// log is full: it may already have executed, so the call fails closed
+    /// instead of executing (possibly a second time).
+    TokenExpired {
+        token: u64,
+    },
 }
 
 impl std::fmt::Display for SharedServerError {
@@ -78,6 +86,12 @@ impl std::fmt::Display for SharedServerError {
             }
             SharedServerError::DeadlineExpired { waited } => {
                 write!(f, "deadline expired after {waited:?}; work abandoned")
+            }
+            SharedServerError::TokenExpired { token } => {
+                write!(
+                    f,
+                    "idempotency token {token} is older than the retained outcomes"
+                )
             }
         }
     }
@@ -499,6 +513,22 @@ struct QueryCache {
 /// Entries beyond this trigger an eviction sweep of stale versions.
 const CACHE_CAPACITY: usize = 4096;
 
+/// Completed idempotency tokens whose outcome stays replayable: the highest
+/// (most recent) this many. An older token fails closed with
+/// [`SharedServerError::TokenExpired`] — at-most-once holds for every
+/// token, outcome replay for these. Bounds the idempotency log, and with it
+/// every checkpoint, against the number of check-outs ever completed.
+pub const RETAINED_TOKENS: usize = 256;
+
+/// The server's idempotency log: retained outcomes plus the tokens whose
+/// procedure is running right now (never trimmed; concurrent calls with
+/// such a token wait for its outcome instead of executing twice).
+#[derive(Debug, Default)]
+struct CheckoutLog {
+    done: TokenLog,
+    in_progress: HashSet<u64>,
+}
+
 impl QueryCache {
     fn new(registry: &MetricsRegistry) -> Self {
         QueryCache {
@@ -588,10 +618,9 @@ pub struct SharedServer {
     locks: LockTable,
     cache: QueryCache,
     /// Check-outs by idempotency token (shared across sessions — tokens are
-    /// drawn from [`SharedServer::next_token`]). `None` marks a call still
-    /// in progress: concurrent calls with the same token wait on
-    /// `checkout_cv` for its recorded outcome instead of executing twice.
-    checkout_log: Mutex<HashMap<u64, Option<CheckoutProcedureResult>>>,
+    /// drawn from [`SharedServer::next_token`]). Calls finding their token
+    /// in progress wait on `checkout_cv` for its recorded outcome.
+    checkout_log: Mutex<CheckoutLog>,
     checkout_cv: Condvar,
     token_counter: AtomicU64,
     /// DML journal: the exact commit order of every write statement, for
@@ -645,11 +674,10 @@ impl SharedServer {
         durability: Option<Durability>,
         state: &ReplayState,
     ) -> Self {
-        let checkout_log: HashMap<u64, Option<CheckoutProcedureResult>> = state
-            .tokens
-            .iter()
-            .map(|(token, rows)| (*token, Some(CheckoutProcedureResult { rows: rows.clone() })))
-            .collect();
+        let checkout_log = CheckoutLog {
+            done: state.tokens.clone(),
+            in_progress: HashSet::new(),
+        };
         let metrics = Arc::new(MetricsRegistry::new());
         let cache = QueryCache::new(&metrics);
         let m = ServerMetrics::new(&metrics);
@@ -1030,28 +1058,29 @@ impl SharedServer {
         // Claim the token, or adopt its outcome. A token executes AT MOST
         // ONCE: a concurrent call with the same token (an aggressive client
         // retry racing its own original) waits here for the recorded
-        // outcome rather than running the procedure a second time.
+        // outcome rather than running the procedure a second time, and a
+        // token too old to still have an outcome is refused, not re-run.
         let start = deadline_clock();
         {
             let mut log = lock_unpoisoned(&self.checkout_log);
-            loop {
-                match log.get(&token) {
-                    Some(Some(done)) => return Ok(done.clone()),
-                    Some(None) => {
-                        let Some(slice) = wait_slice(deadline, start) else {
-                            return Err(SharedServerError::LockTimeout {
-                                waited: start.elapsed(),
-                            });
-                        };
-                        log = match self.checkout_cv.wait_timeout(log, slice) {
-                            Ok((g, _)) => g,
-                            Err(poisoned) => poisoned.into_inner().0,
-                        };
-                    }
-                    None => {
-                        log.insert(token, None);
-                        break;
-                    }
+            while log.in_progress.contains(&token) {
+                let Some(slice) = wait_slice(deadline, start) else {
+                    return Err(SharedServerError::LockTimeout {
+                        waited: start.elapsed(),
+                    });
+                };
+                log = match self.checkout_cv.wait_timeout(log, slice) {
+                    Ok((g, _)) => g,
+                    Err(poisoned) => poisoned.into_inner().0,
+                };
+            }
+            match log.done.status(token) {
+                TokenStatus::Done(rows) => {
+                    return Ok(CheckoutProcedureResult { rows: rows.clone() })
+                }
+                TokenStatus::Expired => return Err(SharedServerError::TokenExpired { token }),
+                TokenStatus::Unknown => {
+                    log.in_progress.insert(token);
                 }
             }
         }
@@ -1069,14 +1098,10 @@ impl SharedServer {
             }
         }
         let mut log = lock_unpoisoned(&self.checkout_log);
-        match &result {
-            Ok(outcome) => {
-                log.insert(token, Some(outcome.clone()));
-            }
-            // A failed call records nothing: the token stays replayable.
-            Err(_) => {
-                log.remove(&token);
-            }
+        log.in_progress.remove(&token);
+        // A failed call records nothing: the token stays replayable.
+        if let Ok(outcome) = &result {
+            log.done.record(token, outcome.rows.clone());
         }
         drop(log);
         self.checkout_cv.notify_all();
@@ -1203,8 +1228,8 @@ impl SharedServer {
     /// Whether a check-out with this token has completed.
     pub fn checkout_recorded(&self, token: u64) -> bool {
         matches!(
-            lock_unpoisoned(&self.checkout_log).get(&token),
-            Some(Some(_))
+            lock_unpoisoned(&self.checkout_log).done.status(token),
+            TokenStatus::Done(_)
         )
     }
 

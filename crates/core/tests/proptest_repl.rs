@@ -59,14 +59,19 @@ fn connect(cluster: &Cluster, site: usize) -> RoutedSession {
     )
 }
 
-/// Every replica at lag 0 holds the primary's exact state: the same
-/// database bytes, and — replayed side vs live side of the one record
-/// state machine — the same outstanding-grant tracker.
-fn assert_caught_up_replicas_match(cluster: &Cluster) {
+/// Every replica that is at lag 0 right now holds the primary's exact
+/// state: the same database bytes, and — replayed side vs live side of the
+/// one record state machine — the same outstanding-grant tracker and the
+/// same set of retained idempotency tokens.
+fn assert_lag_zero_replicas_match(cluster: &Cluster) {
     let primary_fp = cluster.primary_fingerprint();
-    let primary_grants = cluster.primary().durability().unwrap().outstanding_grants();
+    let durability = cluster.primary().durability().unwrap();
+    let primary_grants = durability.outstanding_grants();
+    let primary_tokens = durability.retained_tokens();
     for s in cluster.replica_sites() {
-        assert_eq!(cluster.lag(s), 0, "site {s} never caught up");
+        if cluster.lag(s) != 0 {
+            continue;
+        }
         let replica = cluster.replica(s).unwrap();
         assert_eq!(
             replica.fingerprint(),
@@ -78,7 +83,20 @@ fn assert_caught_up_replicas_match(cluster: &Cluster) {
             &primary_grants,
             "site {s} tracks different outstanding grants"
         );
+        assert_eq!(
+            replica.retained_tokens(),
+            primary_tokens,
+            "site {s} retains different idempotency tokens"
+        );
     }
+}
+
+/// Every replica has caught up, and to the primary's exact state.
+fn assert_caught_up_replicas_match(cluster: &Cluster) {
+    for s in cluster.replica_sites() {
+        assert_eq!(cluster.lag(s), 0, "site {s} never caught up");
+    }
+    assert_lag_zero_replicas_match(cluster);
 }
 
 /// Pump until every site is caught up (bounded).
@@ -137,6 +155,7 @@ fn prefix_replay_matches_primary_at_seq() {
                     SiteOp::Expand { .. } | SiteOp::QueryAll { .. } => continue,
                 }
                 observed.push((cluster.feed().last_seq(), cluster.primary_fingerprint()));
+                assert_lag_zero_replicas_match(&cluster);
             }
             assert!(!observed.is_empty(), "plan produced no writes");
 

@@ -3,10 +3,12 @@
 //! Tables are held behind [`Arc`] so a catalog clone is a cheap snapshot:
 //! only the table maps and `Arc` pointers are copied, never the rows. DML
 //! then copies-on-write exactly the tables it touches (via
-//! [`Arc::make_mut`]), which is what makes the shared-server storage model
+//! [`Arc::make_mut`]) — and of such a table only the spine: one pointer per
+//! row, the rows and indexes themselves staying shared until written (see
+//! [`crate::storage`]). That is what makes the shared-server storage model
 //! ([`crate::shared::SharedDatabase`]) affordable — every write produces a
-//! new immutable snapshot without duplicating the untouched 99 % of the
-//! database.
+//! new immutable snapshot whose cost follows the rows it touched, not the
+//! size of the database.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,8 +108,9 @@ impl Catalog {
     }
 
     /// Mutable access for DML. If the table is shared with an older
-    /// snapshot, this copies it first (`Arc::make_mut`), so writes never
-    /// reach rows a concurrent reader is scanning.
+    /// snapshot, this copies its spine first (`Arc::make_mut`: one pointer
+    /// per row; the table's mutators then copy the rows they change), so
+    /// writes never reach rows a concurrent reader is scanning.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         let key = name.to_ascii_lowercase();
         self.tables

@@ -9,7 +9,7 @@ use std::fmt::Write;
 use crate::ast::{BinOp, Expr, JoinKind, Query, Select, SetExpr, TableFactor};
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::exec::join::{classify_side, conjunct_target, equality_literal, Side};
+use crate::exec::join::{classify_side, conjunct_target, probe_literals, Side};
 use crate::exec::{recursion, split_conjuncts, Bindings, ExecConfig};
 use crate::schema::Schema;
 
@@ -237,7 +237,7 @@ fn explain_select(
                         // base factor scan
                         let indexed = schema.as_ref().and_then(|s| {
                             conjuncts.iter().find_map(|c| {
-                                equality_literal(c, s).and_then(|(idx, _)| {
+                                probe_literals(c, &lower, s).and_then(|(idx, _)| {
                                     let t = catalog.table(&lower).ok()?;
                                     if t.has_index(idx) && config.index_pushdown {
                                         Some(s.column(idx).name.clone())
@@ -400,6 +400,10 @@ mod tests {
             plan.contains("IndexJoin assy [probe index on obid]"),
             "{plan}"
         );
+        // An IN list of literals over an indexed column is probed as well.
+        let q = parse_query("SELECT name FROM assy WHERE obid IN (1, 2)").unwrap();
+        let plan = explain_query(&db.catalog, &db.config, &q).unwrap();
+        assert!(plan.contains("IndexScan assy [index on obid]"), "{plan}");
     }
 
     #[test]

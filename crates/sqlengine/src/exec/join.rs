@@ -9,7 +9,8 @@ use crate::exec::{
     expr::eval_expr, factor_source, Bindings, Env, ExecContext, FactorSource, Relation,
 };
 use crate::schema::Schema;
-use crate::value::Value;
+use crate::storage::Table;
+use crate::value::{DataType, Value};
 
 /// Build the joined relation for a SELECT's FROM clause.
 ///
@@ -146,7 +147,7 @@ fn source_schema(ctx: &ExecContext<'_>, source: &FactorSource) -> Result<Schema>
 }
 
 /// Materialize a factor's rows, applying pushed-down filters during the scan
-/// and using a hash index for `col = literal` filters when available.
+/// and visiting only the index candidates when a filter names them.
 fn scan_source(
     ctx: &ExecContext<'_>,
     binding: &str,
@@ -156,110 +157,132 @@ fn scan_source(
 ) -> Result<Vec<Vec<Value>>> {
     let bindings = Bindings::single(binding, schema.clone());
     let span = ctx.obs.span(pdm_obs::kinds::SCAN, binding);
+    let mut out = Vec::new();
+    let mut keep_row = |row: &[Value]| -> Result<()> {
+        let env = Env::new(&bindings, row);
+        for f in filters {
+            if !eval_expr(ctx, &env, f)?.is_true() {
+                return Ok(());
+            }
+        }
+        out.push(row.to_vec());
+        Ok(())
+    };
 
-    match source {
+    let detail = match source {
         FactorSource::Table(name) => {
             let table = ctx.catalog.table(name)?;
-            // Try to satisfy one equality filter with an index probe.
-            let mut probe: Option<(usize, Value)> = None;
-            let mut remaining: Vec<&Expr> = Vec::new();
-            for f in filters {
-                if probe.is_none() {
-                    if let Some((col, value)) = equality_literal(f, schema) {
-                        if table.has_index(col) {
-                            probe = Some((col, value));
-                            continue;
-                        }
-                    }
-                }
-                remaining.push(f);
-            }
-
-            let mut out = Vec::new();
-            let mut keep_row = |row: &crate::row::Row| -> Result<()> {
-                let env = Env::new(&bindings, row.values());
-                for f in &remaining {
-                    if !eval_expr(ctx, &env, f)?.is_true() {
-                        return Ok(());
-                    }
-                }
-                out.push(row.values().to_vec());
-                Ok(())
-            };
-
-            let probed = probe.is_some();
-            if let Some((col, value)) = probe {
-                ctx.stats.borrow_mut().index_probes += 1;
-                if let Some(row_ids) = table.index_lookup(col, &value) {
-                    for &rid in row_ids {
+            match index_candidates(ctx, table, binding, filters) {
+                Some(row_ids) => {
+                    for rid in row_ids {
                         keep_row(table.row(rid))?;
                     }
+                    "index probe"
                 }
-            } else {
-                for row in table.rows() {
-                    keep_row(row)?;
+                None => {
+                    for row in table.rows() {
+                        keep_row(row)?;
+                    }
+                    "full scan"
                 }
             }
-            ctx.stats.borrow_mut().rows_scanned += out.len();
-            span.set_rows(0, out.len() as u64);
-            span.set_detail(if probed { "index probe" } else { "full scan" });
-            Ok(out)
         }
         FactorSource::Rows(rel) => {
-            let mut out = Vec::new();
             for row in &rel.rows {
-                let env = Env::new(&bindings, row);
-                let mut keep = true;
-                for f in filters {
-                    if !eval_expr(ctx, &env, f)?.is_true() {
-                        keep = false;
-                        break;
-                    }
-                }
-                if keep {
-                    out.push(row.clone());
-                }
+                keep_row(row)?;
             }
-            ctx.stats.borrow_mut().rows_scanned += out.len();
-            span.set_rows(0, out.len() as u64);
-            span.set_detail("rows");
-            Ok(out)
+            "rows"
         }
-    }
+    };
+    ctx.stats.borrow_mut().rows_scanned += out.len();
+    span.set_rows(0, out.len() as u64);
+    span.set_detail(detail);
+    Ok(out)
 }
 
-/// If `e` is `col = literal` (either order) over `schema`, return the column
-/// position and the literal.
-pub(crate) fn equality_literal(e: &Expr, schema: &Schema) -> Option<(usize, Value)> {
-    let Expr::BinaryOp {
-        left,
-        op: BinOp::Eq,
-        right,
-    } = e
-    else {
-        return None;
-    };
+/// If `e` is `col = literal` (either order) or `col IN (literals)` over a
+/// column of `binding`, and a hash index on that column would find exactly
+/// the rows SQL `=` matches, return the column position and the literals.
+pub(crate) fn probe_literals<'e>(
+    e: &'e Expr,
+    binding: &str,
+    schema: &Schema,
+) -> Option<(usize, Vec<&'e Value>)> {
     let as_col = |x: &Expr| -> Option<usize> {
-        if let Expr::Column { name, .. } = x {
-            schema.index_of(name)
-        } else {
-            None
+        match x {
+            Expr::Column { qualifier, name }
+                if qualifier
+                    .as_deref()
+                    .is_none_or(|q| q.eq_ignore_ascii_case(binding)) =>
+            {
+                schema.index_of(name)
+            }
+            _ => None,
         }
     };
-    let as_lit = |x: &Expr| -> Option<Value> {
-        if let Expr::Literal(v) = x {
-            Some(v.clone())
-        } else {
-            None
+    let as_lit = |x: &'e Expr| -> Option<&'e Value> {
+        match x {
+            Expr::Literal(v) => Some(v),
+            _ => None,
         }
     };
-    if let (Some(c), Some(v)) = (as_col(left), as_lit(right)) {
-        return Some((c, v));
+    let (col, literals) = match e {
+        Expr::BinaryOp {
+            left,
+            op: BinOp::Eq,
+            right,
+        } => [(left, right), (right, left)]
+            .into_iter()
+            .find_map(|(c, v)| Some((as_col(c)?, vec![as_lit(v)?])))?,
+        Expr::InList {
+            expr,
+            list,
+            negated: false,
+        } => (
+            as_col(expr)?,
+            list.iter().map(as_lit).collect::<Option<_>>()?,
+        ),
+        _ => return None,
+    };
+    // Index keys compare by `Value::total_cmp`, which — unlike SQL `=` —
+    // tells `-0.0` from `0.0`: a zero that may meet a FLOAT is not probed.
+    let float_column = schema.column(col).dtype == DataType::Float;
+    let exact = |v: &&Value| match v {
+        Value::Float(f) => *f != 0.0,
+        Value::Int(0) => !float_column,
+        _ => true,
+    };
+    literals.iter().all(exact).then_some((col, literals))
+}
+
+/// The one index-driven access path, shared by SELECT scans, UPDATE and
+/// DELETE: if one of `conjuncts` is `col = literal` or `col IN (literals)`
+/// over an indexed column of `table`, the ascending ids of the rows that
+/// can satisfy it. The caller still evaluates its whole predicate on each
+/// candidate. `None` — no such conjunct, or `index_pushdown` off — means
+/// scan the table.
+pub(crate) fn index_candidates(
+    ctx: &ExecContext<'_>,
+    table: &Table,
+    binding: &str,
+    conjuncts: &[Expr],
+) -> Option<Vec<usize>> {
+    if !ctx.config.index_pushdown {
+        return None;
     }
-    if let (Some(c), Some(v)) = (as_col(right), as_lit(left)) {
-        return Some((c, v));
+    let (col, literals) = conjuncts.iter().find_map(|c| {
+        probe_literals(c, binding, &table.schema).filter(|(col, _)| table.has_index(*col))
+    })?;
+    let mut row_ids = Vec::new();
+    for v in &literals {
+        row_ids.extend_from_slice(table.index_lookup(col, v)?);
     }
-    None
+    if literals.len() > 1 {
+        row_ids.sort_unstable();
+        row_ids.dedup();
+    }
+    ctx.stats.borrow_mut().index_probes += literals.len();
+    Some(row_ids)
 }
 
 /// Which binding(s) a conjunct's columns reference. `None` means it cannot
@@ -472,7 +495,7 @@ fn try_index_join(
             if let Some(row_ids) = table.index_lookup(col_idx, &key) {
                 for &rid in row_ids {
                     let mut row = lrow.clone();
-                    row.extend(table.row(rid).values().iter().cloned());
+                    row.extend_from_slice(table.row(rid));
                     let env = Env::with_outer(&combined, &row, outer);
                     let mut keep = true;
                     for c in &checks {
@@ -689,14 +712,27 @@ mod tests {
     #[test]
     fn equality_literal_both_orders() {
         let s = schema(&["obid", "left"]);
-        let e = parse_expr("left = 42").unwrap();
-        assert_eq!(equality_literal(&e, &s), Some((1, Value::Int(42))));
-        let e = parse_expr("42 = left").unwrap();
-        assert_eq!(equality_literal(&e, &s), Some((1, Value::Int(42))));
-        let e = parse_expr("left > 42").unwrap();
-        assert_eq!(equality_literal(&e, &s), None);
-        let e = parse_expr("left = obid").unwrap();
-        assert_eq!(equality_literal(&e, &s), None);
+        let probe = |sql: &str| {
+            let e = parse_expr(sql).unwrap();
+            probe_literals(&e, "link", &s).map(|(c, vs)| (c, vs.into_iter().cloned().collect()))
+        };
+        let ints = |vs: &[i64]| vs.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>();
+        assert_eq!(probe("left = 42"), Some((1, ints(&[42]))));
+        assert_eq!(probe("42 = left"), Some((1, ints(&[42]))));
+        assert_eq!(probe("LINK.left = 42"), Some((1, ints(&[42]))));
+        assert_eq!(probe("left IN (3, 1, 3)"), Some((1, ints(&[3, 1, 3]))));
+        for not_a_probe in [
+            "left > 42",
+            "left = obid",
+            "other.left = 42",
+            "left NOT IN (1, 2)",
+            "left IN (1, obid)",
+            "left + 1 IN (1, 2)",
+            "left = -0.0",
+            "left IN (1, 0.0)",
+        ] {
+            assert_eq!(probe(not_a_probe), None, "{not_a_probe}");
+        }
     }
 
     #[test]

@@ -37,7 +37,9 @@ pub struct ExecConfig {
     /// Rewrite correlated `EXISTS` with equality correlation into a hashed
     /// semi-join evaluated once.
     pub semijoin_decorrelation: bool,
-    /// Use hash indexes to satisfy `col = literal` filters on base tables.
+    /// Use hash indexes to find the rows of `col = literal` and
+    /// `col IN (literals)` filters on base tables — in SELECT scans, UPDATE
+    /// and DELETE alike.
     pub index_pushdown: bool,
     /// Iteration bound for recursive CTEs (cycle guard).
     pub recursion_limit: usize,
@@ -66,7 +68,8 @@ pub struct ExecStats {
     pub decorrelated_semijoins: usize,
     /// Iterations across all recursive CTE evaluations.
     pub recursion_iterations: usize,
-    /// Base-table filters satisfied by a hash index probe.
+    /// Hash index look-ups made for base-table filters and index joins
+    /// (an IN list counts one per item).
     pub index_probes: usize,
     /// Rows materialized out of base-table scans (after pushdown).
     pub rows_scanned: usize,

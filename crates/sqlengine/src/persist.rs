@@ -204,9 +204,9 @@ pub fn read_value(cur: &mut Cursor<'_>) -> Result<Value> {
     })
 }
 
-pub fn put_row(out: &mut Vec<u8>, row: &Row) {
+pub fn put_row(out: &mut Vec<u8>, row: &[Value]) {
     put_u32(out, row.len() as u32);
-    for v in row.values() {
+    for v in row {
         put_value(out, v);
     }
 }
@@ -250,11 +250,7 @@ pub fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema> {
 /// outcomes so a replayed token returns its rows without re-executing).
 pub fn encode_result_set(rs: &ResultSet) -> Vec<u8> {
     let mut out = Vec::new();
-    put_schema(&mut out, &rs.schema);
-    put_u32(&mut out, rs.rows.len() as u32);
-    for row in &rs.rows {
-        put_row(&mut out, row);
-    }
+    put_result_set(&mut out, rs);
     out
 }
 
@@ -284,7 +280,7 @@ pub fn put_result_set(out: &mut Vec<u8>, rs: &ResultSet) {
     put_schema(out, &rs.schema);
     put_u32(out, rs.rows.len() as u32);
     for row in &rs.rows {
-        put_row(out, row);
+        put_row(out, row.values());
     }
 }
 
@@ -330,23 +326,28 @@ fn read_table(cur: &mut Cursor<'_>) -> Result<Table> {
 /// Serialize the data-bearing parts of a catalog: tables (schema + rows +
 /// indexed column names) and view definitions (SQL text). Deterministic:
 /// names are sorted.
-pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
-    let mut out = Vec::new();
+pub fn put_catalog(out: &mut Vec<u8>, catalog: &Catalog) {
     let names = catalog.table_names();
-    put_u32(&mut out, names.len() as u32);
+    put_u32(out, names.len() as u32);
     for name in names {
         if let Ok(t) = catalog.table(name) {
-            put_table(&mut out, t);
+            put_table(out, t);
         }
     }
     let views = catalog.view_names();
-    put_u32(&mut out, views.len() as u32);
+    put_u32(out, views.len() as u32);
     for name in views {
         if let Some(v) = catalog.view(name) {
-            put_str(&mut out, &v.name);
-            put_str(&mut out, &v.sql);
+            put_str(out, &v.name);
+            put_str(out, &v.sql);
         }
     }
+}
+
+/// [`put_catalog`] into a fresh buffer.
+pub fn encode_catalog(catalog: &Catalog) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_catalog(&mut out, catalog);
     out
 }
 
@@ -372,15 +373,20 @@ pub fn read_catalog(cur: &mut Cursor<'_>) -> Result<Catalog> {
 
 /// Serialize a published snapshot: format version, storage version,
 /// executor configuration, catalog.
+pub fn put_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_u32(out, SNAPSHOT_FORMAT);
+    put_u64(out, snapshot.version);
+    put_u8(out, snapshot.config.subquery_cache as u8);
+    put_u8(out, snapshot.config.semijoin_decorrelation as u8);
+    put_u8(out, snapshot.config.index_pushdown as u8);
+    put_u64(out, snapshot.config.recursion_limit as u64);
+    put_catalog(out, &snapshot.catalog);
+}
+
+/// [`put_snapshot`] into a fresh buffer.
 pub fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u32(&mut out, SNAPSHOT_FORMAT);
-    put_u64(&mut out, snapshot.version);
-    put_u8(&mut out, snapshot.config.subquery_cache as u8);
-    put_u8(&mut out, snapshot.config.semijoin_decorrelation as u8);
-    put_u8(&mut out, snapshot.config.index_pushdown as u8);
-    put_u64(&mut out, snapshot.config.recursion_limit as u64);
-    out.extend_from_slice(&encode_catalog(&snapshot.catalog));
+    put_snapshot(&mut out, snapshot);
     out
 }
 

@@ -13,9 +13,10 @@
 //!   it.
 //! * **Writes copy-on-write and swap.** A writer serializes on the writer
 //!   mutex, clones the catalog (cheap: tables are `Arc`ed, see
-//!   [`crate::Catalog`]), applies the DML — deep-copying only the touched
-//!   tables — and atomically publishes the new snapshot with a bumped
-//!   version.
+//!   [`crate::Catalog`]), applies the DML — copying the touched table's
+//!   row-pointer spine and the rows it actually changes, nothing else (see
+//!   [`crate::storage`]) — and atomically publishes the new snapshot with
+//!   a bumped version.
 //! * **The version doubles as a cache epoch.** Every published snapshot
 //!   carries a monotonically increasing `version`; any result computed
 //!   against version *v* is valid exactly while the current version is

@@ -5,13 +5,27 @@
 //! 100k-node expand into O(n²) work. Hash indexes keep the *local* cost
 //! negligible, which matches the paper's premise that transmission — not
 //! server execution — dominates response time.
+//!
+//! Rows and indexes are individually shared (`Arc`), so cloning a table —
+//! what [`crate::Catalog::table_mut`] does when an older snapshot still
+//! reads it — copies one pointer per row, and a mutator then copies only
+//! the rows it changes. An index is copied or rebuilt only when a column
+//! it covers is written. A commit therefore costs in proportion to the
+//! rows it touches, not to the size of the table they live in.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{Error, Result};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
+
+/// One stored tuple, shared between every snapshot that has not rewritten it.
+pub type SharedRow = Arc<[Value]>;
+
+/// Value → ascending row ids of one indexed column.
+type Index = HashMap<Value, Vec<usize>>;
 
 /// One base table: schema, rows, and hash indexes (column position →
 /// value → row ids).
@@ -19,8 +33,8 @@ use crate::value::Value;
 pub struct Table {
     pub name: String,
     pub schema: Schema,
-    rows: Vec<Row>,
-    indexes: HashMap<usize, HashMap<Value, Vec<usize>>>,
+    rows: Vec<SharedRow>,
+    indexes: HashMap<usize, Arc<Index>>,
 }
 
 impl Table {
@@ -33,7 +47,8 @@ impl Table {
         }
     }
 
-    pub fn rows(&self) -> &[Row] {
+    /// The stored rows, in storage order.
+    pub fn rows(&self) -> &[SharedRow] {
         &self.rows
     }
 
@@ -76,24 +91,28 @@ impl Table {
         // column and updated independently; visit order cannot change the
         // resulting postings.
         for (&col_idx, index) in self.indexes.iter_mut() {
-            index
+            Arc::make_mut(index)
                 .entry(coerced[col_idx].clone())
                 .or_default()
                 .push(row_id);
         }
-        self.rows.push(Row(coerced));
+        self.rows.push(coerced.into());
         Ok(())
     }
 
     /// Build (or rebuild) a hash index on the named column.
     pub fn create_index(&mut self, column: &str) -> Result<()> {
         let idx = self.schema.require(column)?;
-        let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-        for (row_id, row) in self.rows.iter().enumerate() {
-            map.entry(row.get(idx).clone()).or_default().push(row_id);
-        }
-        self.indexes.insert(idx, map);
+        self.rebuild_index(idx);
         Ok(())
+    }
+
+    fn rebuild_index(&mut self, col_idx: usize) {
+        let mut map = Index::new();
+        for (row_id, row) in self.rows.iter().enumerate() {
+            map.entry(row[col_idx].clone()).or_default().push(row_id);
+        }
+        self.indexes.insert(col_idx, Arc::new(map));
     }
 
     /// True if the column (by position) has a hash index.
@@ -114,57 +133,23 @@ impl Table {
         names
     }
 
-    /// Row ids matching `value` via the index on `col_idx`, if indexed.
+    /// Row ids matching `value` via the index on `col_idx`, ascending, if
+    /// indexed.
     pub fn index_lookup(&self, col_idx: usize, value: &Value) -> Option<&[usize]> {
         self.indexes
             .get(&col_idx)
             .map(|m| m.get(value).map(Vec::as_slice).unwrap_or(&[]))
     }
 
-    pub fn row(&self, id: usize) -> &Row {
+    pub fn row(&self, id: usize) -> &[Value] {
         &self.rows[id]
-    }
-
-    /// Replace the value set of selected rows; rebuilds affected indexes.
-    /// `updates` maps column position → new value, applied to every row id in
-    /// `row_ids`.
-    pub fn update_rows(&mut self, row_ids: &[usize], updates: &[(usize, Value)]) -> Result<usize> {
-        for &(col_idx, ref value) in updates {
-            let col = self.schema.column(col_idx);
-            if value.is_null() && !col.nullable {
-                return Err(Error::Schema(format!(
-                    "column '{}.{}' is NOT NULL",
-                    self.name, col.name
-                )));
-            }
-        }
-        for &rid in row_ids {
-            for (col_idx, value) in updates {
-                let col = self.schema.column(*col_idx);
-                self.rows[rid].0[*col_idx] = value.coerce_for_column(col.dtype)?;
-            }
-        }
-        // Any touched column's index is stale; rebuild them.
-        let touched: Vec<usize> = updates
-            .iter()
-            .map(|(c, _)| *c)
-            .filter(|c| self.indexes.contains_key(c))
-            .collect();
-        for col_idx in touched {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (row_id, row) in self.rows.iter().enumerate() {
-                map.entry(row.get(col_idx).clone())
-                    .or_default()
-                    .push(row_id);
-            }
-            self.indexes.insert(col_idx, map);
-        }
-        Ok(row_ids.len())
     }
 
     /// Apply per-row updates (`row id` → list of `(column, value)`), then
     /// rebuild the affected indexes once. Used by UPDATE, whose assignment
     /// expressions may evaluate differently per row (`SET x = x + 1`).
+    /// Only the listed rows are copied; every other row stays shared with
+    /// older snapshots.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<(usize, Value)>)]) -> Result<usize> {
         let mut touched: std::collections::HashSet<usize> = std::collections::HashSet::new();
         for (rid, cols) in updates {
@@ -176,7 +161,8 @@ impl Table {
                         self.name, col.name
                     )));
                 }
-                self.rows[*rid].0[*col_idx] = value.coerce_for_column(col.dtype)?;
+                Arc::make_mut(&mut self.rows[*rid])[*col_idx] =
+                    value.coerce_for_column(col.dtype)?;
                 touched.insert(*col_idx);
             }
         }
@@ -186,13 +172,7 @@ impl Table {
             .collect();
         indexed.sort_unstable();
         for col_idx in indexed {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (row_id, row) in self.rows.iter().enumerate() {
-                map.entry(row.get(col_idx).clone())
-                    .or_default()
-                    .push(row_id);
-            }
-            self.indexes.insert(col_idx, map);
+            self.rebuild_index(col_idx);
         }
         Ok(updates.len())
     }
@@ -215,13 +195,7 @@ impl Table {
         let mut indexed: Vec<usize> = self.indexes.keys().copied().collect();
         indexed.sort_unstable();
         for col_idx in indexed {
-            let mut map: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (row_id, row) in self.rows.iter().enumerate() {
-                map.entry(row.get(col_idx).clone())
-                    .or_default()
-                    .push(row_id);
-            }
-            self.indexes.insert(col_idx, map);
+            self.rebuild_index(col_idx);
         }
         before - self.rows.len()
     }
@@ -318,7 +292,8 @@ mod tests {
         let mut t = table();
         t.create_index("left").unwrap();
         let left_idx = t.schema.index_of("left").unwrap();
-        t.update_rows(&[0], &[(left_idx, Value::Int(7))]).unwrap();
+        t.apply_updates(&[(0, vec![(left_idx, Value::Int(7))])])
+            .unwrap();
         assert_eq!(t.index_lookup(left_idx, &Value::Int(1)).unwrap().len(), 1);
         assert_eq!(t.index_lookup(left_idx, &Value::Int(7)).unwrap().len(), 1);
     }

@@ -10,8 +10,12 @@ use std::cell::RefCell;
 use crate::ast::{Expr, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
-use crate::exec::{expr::eval_expr, Bindings, Env, ExecConfig, ExecContext, ExecStats};
+use crate::exec::join::index_candidates;
+use crate::exec::{
+    expr::eval_expr, split_conjuncts, Bindings, Env, ExecConfig, ExecContext, ExecStats,
+};
 use crate::row::Row;
+use crate::storage::Table;
 use crate::value::Value;
 
 /// Outcome of a non-query statement.
@@ -139,6 +143,33 @@ fn insert(
     Ok(DmlOutcome::Inserted(n))
 }
 
+/// Ids of the rows of `table` that satisfy `predicate`, ascending. Visits
+/// only the index candidates when a conjunct of the predicate names them
+/// (see [`index_candidates`]); the whole predicate decides on each visited
+/// row either way.
+fn matching_rows(
+    ctx: &ExecContext<'_>,
+    table: &Table,
+    bindings: &Bindings,
+    predicate: Option<&Expr>,
+) -> Result<Vec<usize>> {
+    let Some(p) = predicate else {
+        return Ok((0..table.len()).collect());
+    };
+    let candidates: Box<dyn Iterator<Item = usize>> =
+        match index_candidates(ctx, table, &table.name, &split_conjuncts(p)) {
+            Some(row_ids) => Box::new(row_ids.into_iter()),
+            None => Box::new(0..table.len()),
+        };
+    let mut matched = Vec::new();
+    for rid in candidates {
+        if eval_expr(ctx, &Env::new(bindings, table.row(rid)), p)?.is_true() {
+            matched.push(rid);
+        }
+    }
+    Ok(matched)
+}
+
 fn update(
     catalog: &mut Catalog,
     config: &ExecConfig,
@@ -156,15 +187,8 @@ fn update(
             .iter()
             .map(|(c, _)| t.schema.require(c))
             .collect::<Result<_>>()?;
-        for (rid, row) in t.rows().iter().enumerate() {
-            let env = Env::new(&bindings, row.values());
-            let matches = match predicate {
-                Some(p) => eval_expr(&ctx, &env, p)?.is_true(),
-                None => true,
-            };
-            if !matches {
-                continue;
-            }
+        for rid in matching_rows(&ctx, t, &bindings, predicate)? {
+            let env = Env::new(&bindings, t.row(rid));
             let mut vals = Vec::with_capacity(cols.len());
             for (col_idx, (_, e)) in cols.iter().zip(assignments) {
                 vals.push((*col_idx, eval_expr(&ctx, &env, e)?));
@@ -183,22 +207,12 @@ fn delete(
     predicate: Option<&Expr>,
 ) -> Result<DmlOutcome> {
     let stats = RefCell::new(ExecStats::default());
-    let mut doomed: Vec<usize> = Vec::new();
-    {
+    let doomed = {
         let ctx = ExecContext::new(catalog, config, &stats);
         let t = catalog.table(table)?;
         let bindings = Bindings::single(&t.name, t.schema.clone());
-        for (rid, row) in t.rows().iter().enumerate() {
-            let env = Env::new(&bindings, row.values());
-            let matches = match predicate {
-                Some(p) => eval_expr(&ctx, &env, p)?.is_true(),
-                None => true,
-            };
-            if matches {
-                doomed.push(rid);
-            }
-        }
-    }
+        matching_rows(&ctx, t, &bindings, predicate)?
+    };
     let n = catalog.table_mut(table)?.delete_rows(&doomed);
     Ok(DmlOutcome::Deleted(n))
 }

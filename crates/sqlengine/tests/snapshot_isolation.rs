@@ -10,7 +10,10 @@
 //! catalog state published before it, and nothing a statement returned can
 //! be mutated by a later one.
 
-use pdm_sql::{Database, SharedDatabase, Value};
+use pdm_prng::check::cases;
+use pdm_prng::Prng;
+use pdm_sql::persist::state_fingerprint;
+use pdm_sql::{Database, Row, SharedDatabase, Snapshot, Value};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -147,4 +150,218 @@ fn snapshot_index_stays_consistent_with_its_rows() {
     assert_eq!(rs.len(), 0);
     let rs = shared.query("SELECT a FROM t WHERE b = 'moved'").unwrap();
     assert_eq!(rs.len(), 1);
+}
+
+/// Hazard 7: copy-on-write is per row. A one-row UPDATE on a large indexed
+/// table must leave every other row of the new snapshot the very same
+/// allocation as in the old one (a commit costs the rows it touches, not
+/// the table), while the old snapshot keeps reading the old value.
+#[test]
+fn one_row_update_shares_every_untouched_row() {
+    const ROWS: i64 = 10_000;
+    const TARGET: usize = 4_321;
+    let mut d = Database::new();
+    d.execute("CREATE TABLE big (a INTEGER NOT NULL, b VARCHAR)")
+        .unwrap();
+    d.insert_rows(
+        "big",
+        (0..ROWS)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Text(format!("payload-{i}"))]))
+            .collect(),
+    )
+    .unwrap();
+    d.execute("CREATE INDEX ON big (a)").unwrap();
+    let shared = SharedDatabase::new(d);
+
+    let old = shared.snapshot();
+    shared
+        .execute(&format!(
+            "UPDATE big SET b = 'rewritten' WHERE a = {TARGET}"
+        ))
+        .unwrap();
+    let new = shared.snapshot();
+    let (old_t, new_t) = (
+        old.catalog.table("big").unwrap(),
+        new.catalog.table("big").unwrap(),
+    );
+    for i in 0..ROWS as usize {
+        assert_eq!(
+            std::ptr::eq(old_t.row(i), new_t.row(i)),
+            i != TARGET,
+            "row {i}: only the updated row may be copied"
+        );
+    }
+    assert_eq!(
+        old_t.row(TARGET)[1],
+        Value::Text(format!("payload-{TARGET}"))
+    );
+    assert_eq!(new_t.row(TARGET)[1], Value::Text("rewritten".into()));
+    let probe = format!("SELECT b FROM big WHERE a = {TARGET}");
+    assert_eq!(
+        old.query(&probe).unwrap().rows[0].get(0),
+        &Value::Text(format!("payload-{TARGET}"))
+    );
+
+    // An UPDATE that matches nothing copies no row.
+    shared
+        .execute("UPDATE big SET b = 'nobody' WHERE a = -1")
+        .unwrap();
+    let after = shared.snapshot();
+    let after_t = after.catalog.table("big").unwrap();
+    assert!(after.version > new.version);
+    for i in 0..ROWS as usize {
+        assert!(std::ptr::eq(new_t.row(i), after_t.row(i)), "row {i}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Index-driven DML ≡ scanning DML
+// ---------------------------------------------------------------------------
+
+/// A literal for column `k` (INTEGER), `f` (DOUBLE) or `n` (INTEGER,
+/// nullable): small domains so predicates hit, INT and FLOAT spellings of
+/// the same number, halves that match no integer, both zeros, NULL.
+fn arb_number(rng: &mut Prng) -> String {
+    match rng.index(8) {
+        0 => "NULL".into(),
+        1 => format!("{}.0", rng.i64_inclusive(0, 9)),
+        2 => format!("{}.5", rng.i64_inclusive(0, 9)),
+        3 => "-0.0".into(),
+        4 => "0".into(),
+        _ => rng.i64_inclusive(-1, 9).to_string(),
+    }
+}
+
+/// A value the INTEGER columns accept.
+fn arb_int(rng: &mut Prng) -> String {
+    match rng.index(6) {
+        0 => "NULL".into(),
+        _ => rng.i64_inclusive(0, 9).to_string(),
+    }
+}
+
+fn arb_text(rng: &mut Prng) -> String {
+    format!("'s{}'", rng.index(4))
+}
+
+fn arb_list(rng: &mut Prng, item: fn(&mut Prng) -> String) -> String {
+    // Short lists from a small domain: duplicates are common.
+    let n = rng.usize_inclusive(1, 4);
+    (0..n).map(|_| item(rng)).collect::<Vec<_>>().join(", ")
+}
+
+/// A WHERE clause over `t (k, f, s, n)`; `k`, `f` and `s` are indexed.
+fn arb_predicate(rng: &mut Prng) -> String {
+    let indexed = |rng: &mut Prng| match rng.index(8) {
+        0 => format!("k = {}", arb_number(rng)),
+        1 => format!("{} = t.k", arb_number(rng)),
+        2 => format!("k IN ({})", arb_list(rng, arb_number)),
+        3 => format!("f = {}", arb_number(rng)),
+        4 => format!("f IN ({})", arb_list(rng, arb_number)),
+        5 => format!("s = {}", arb_text(rng)),
+        6 => format!("s IN ({})", arb_list(rng, arb_text)),
+        _ => format!("T.k IN ({})", arb_list(rng, arb_number)),
+    };
+    let residual = |rng: &mut Prng| match rng.index(5) {
+        0 => format!("n = {}", arb_number(rng)),
+        1 => format!("n > {}", rng.i64_inclusive(0, 9)),
+        2 => "n IS NULL".to_string(),
+        3 => format!("k < {}", rng.i64_inclusive(0, 9)),
+        _ => format!("k NOT IN ({})", arb_list(rng, arb_number)),
+    };
+    match rng.index(7) {
+        0 | 1 => indexed(rng),
+        2 => residual(rng),
+        3 => format!("{} AND {}", indexed(rng), residual(rng)),
+        4 => format!("{} AND {}", residual(rng), indexed(rng)),
+        5 => format!("{} OR {}", indexed(rng), indexed(rng)),
+        _ => format!("{} AND {}", indexed(rng), indexed(rng)),
+    }
+}
+
+fn arb_statement(rng: &mut Prng) -> String {
+    match rng.index(6) {
+        0 | 1 => {
+            let rows = (0..rng.usize_inclusive(1, 3))
+                .map(|_| {
+                    format!(
+                        "({}, {}, {}, {})",
+                        arb_int(rng),
+                        arb_number(rng),
+                        if rng.index(5) == 0 {
+                            "NULL".into()
+                        } else {
+                            arb_text(rng)
+                        },
+                        arb_int(rng)
+                    )
+                })
+                .collect::<Vec<_>>()
+                .join(", ");
+            format!("INSERT INTO t VALUES {rows}")
+        }
+        2 => format!("DELETE FROM t WHERE {}", arb_predicate(rng)),
+        _ => {
+            let set = match rng.index(5) {
+                0 => "n = n + 1".to_string(),
+                1 => format!("n = {}", arb_number(rng)),
+                // Updates OF an indexed column: the index must follow.
+                2 => format!("k = {}", rng.i64_inclusive(0, 9)),
+                3 => format!("f = {}, n = 0", arb_number(rng)),
+                _ => format!("s = {}", arb_text(rng)),
+            };
+            format!("UPDATE t SET {set} WHERE {}", arb_predicate(rng))
+        }
+    }
+}
+
+fn fingerprint(d: &Database) -> Vec<u8> {
+    state_fingerprint(&Snapshot {
+        catalog: d.catalog.clone(),
+        config: d.config.clone(),
+        version: 0,
+    })
+}
+
+/// UPDATE and DELETE visit only index candidates when a conjunct names
+/// them; `index_pushdown = false` makes them scan. Over random statement
+/// streams the two must be indistinguishable: same outcome (or the same
+/// refusal — a FLOAT into the INTEGER column, say) and byte-identical state
+/// after every statement, and the same rows in the same order for SELECTs
+/// whose IN lists are now answered from the index.
+#[test]
+fn index_driven_dml_matches_the_scan() {
+    cases(
+        "index_driven_dml_matches_the_scan",
+        40,
+        0x1DE0_0015,
+        |rng| {
+            let mut probing = Database::new();
+            for ddl in [
+                "CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER)",
+                "CREATE INDEX ON t (k)",
+                "CREATE INDEX ON t (f)",
+                "CREATE INDEX ON t (s)",
+            ] {
+                probing.execute(ddl).unwrap();
+            }
+            let mut scanning = probing.clone();
+            scanning.config.index_pushdown = false;
+
+            for _ in 0..60 {
+                let sql = arb_statement(rng);
+                let a = probing.execute(&sql).map_err(|e| e.to_string());
+                let b = scanning.execute(&sql).map_err(|e| e.to_string());
+                assert_eq!(a, b, "{sql}");
+                assert!(fingerprint(&probing) == fingerprint(&scanning), "{sql}");
+
+                let select = format!("SELECT * FROM t WHERE {}", arb_predicate(rng));
+                assert_eq!(
+                    probing.query(&select).map_err(|e| e.to_string()),
+                    scanning.query(&select).map_err(|e| e.to_string()),
+                    "{select}"
+                );
+            }
+        },
+    );
 }

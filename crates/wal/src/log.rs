@@ -118,14 +118,22 @@ pub struct LogScan {
 
 /// Encode one frame.
 pub fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
+    frame_with(seq, |out| out.extend_from_slice(payload))
+}
+
+/// Encode one frame whose payload `write_payload` appends straight into
+/// the frame's buffer (a checkpoint payload is megabytes; it is written
+/// once, in place). The header is filled in afterwards.
+pub fn frame_with(seq: u64, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER];
+    write_payload(&mut out);
+    let len = (out.len() - HEADER) as u32;
     let seq_bytes = seq.to_le_bytes();
-    let crc = crc32_pair(&seq_bytes, payload);
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.push(MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq_bytes);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(payload);
+    let crc = crc32_pair(&seq_bytes, &out[HEADER..]);
+    out[0] = MAGIC;
+    out[1..5].copy_from_slice(&len.to_le_bytes());
+    out[5..13].copy_from_slice(&seq_bytes);
+    out[13..HEADER].copy_from_slice(&crc.to_le_bytes());
     out
 }
 

@@ -157,15 +157,19 @@ impl DurableStore {
     }
 
     /// Install a checkpoint covering everything up to and including the
-    /// last assigned sequence, then truncate the log. Atomic (see module
-    /// docs); refuses on a crashed device so a dead server cannot
-    /// checkpoint.
-    pub fn install_checkpoint(&mut self, payload: &[u8]) -> Result<u64, WalError> {
+    /// last assigned sequence, then truncate the log. `write_payload`
+    /// appends the payload straight into the checkpoint cell's frame.
+    /// Atomic (see module docs); refuses on a crashed device so a dead
+    /// server cannot checkpoint.
+    pub fn install_checkpoint(
+        &mut self,
+        write_payload: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<u64, WalError> {
         if self.log.is_crashed() {
             return Err(WalError::DeviceCrashed);
         }
         let covered = self.next_seq.saturating_sub(1);
-        self.checkpoint = log::frame(covered, payload);
+        self.checkpoint = log::frame_with(covered, write_payload);
         self.log = SimDevice::with_contents(Vec::new()).with_plan_of(&self.log);
         Ok(covered)
     }
@@ -257,7 +261,9 @@ mod tests {
         for v in 1..=3 {
             store.commit(&rec(v)).unwrap();
         }
-        let covered = store.install_checkpoint(b"snapshot-at-3").unwrap();
+        let covered = store
+            .install_checkpoint(|out| out.extend_from_slice(b"snapshot-at-3"))
+            .unwrap();
         assert_eq!(covered, 3);
         assert_eq!(store.log_len(), 0);
         for v in 4..=5 {
@@ -300,7 +306,7 @@ mod tests {
         let mut store = DurableStore::new(CrashPlan::none());
         store.commit(&rec(1)).unwrap();
         store
-            .install_checkpoint(b"good checkpoint payload")
+            .install_checkpoint(|out| out.extend_from_slice(b"good checkpoint payload"))
             .unwrap();
         let mut image = store.image();
         let mid = image.checkpoint.len() - 2;
@@ -335,7 +341,9 @@ mod tests {
         // checkpoint.
         let mut store = DurableStore::new(CrashPlan::at_op(5));
         store.commit(&rec(1)).unwrap(); // ops 0,1
-        store.install_checkpoint(b"cp").unwrap();
+        store
+            .install_checkpoint(|out| out.extend_from_slice(b"cp"))
+            .unwrap();
         store.commit(&rec(2)).unwrap(); // ops 2,3
         store.append(&rec(3)).unwrap(); // op 4
         assert_eq!(store.sync(), Err(WalError::DeviceCrashed)); // op 5

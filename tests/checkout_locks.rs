@@ -8,15 +8,18 @@
 //! * a lock wait that exceeds the session's `RetryPolicy` deadline
 //!   surfaces as `SessionError::Timeout`, not a hang;
 //! * a conflict with a COMPLETED check-out refuses immediately (∀rows
-//!   semantics) instead of waiting.
+//!   semantics) instead of waiting;
+//! * the idempotency log is bounded: only the most recent tokens replay
+//!   their outcome, an older one fails closed, and checkpoints stop
+//!   growing with the number of check-outs ever completed.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use pdm_core::query::recursive;
 use pdm_core::{
-    DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session, SessionConfig,
-    SessionError, SharedServer, Strategy,
+    recover_server, DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session,
+    SessionConfig, SessionError, SharedServer, SharedServerError, Strategy, RETAINED_TOKENS,
 };
 use pdm_net::LinkProfile;
 use pdm_workload::{build_database, TreeSpec};
@@ -166,6 +169,74 @@ fn session_checkin_retires_durable_grants() {
         );
     }
     assert!(server.lock_table().is_empty());
+}
+
+/// The idempotency log keeps the outcomes of the `RETAINED_TOKENS` most
+/// recent tokens — live and after recovery alike. A retry under an older
+/// token is refused without executing (it may already have run); a retry
+/// under a retained one still replays its rows. Because the log is
+/// bounded, so is the checkpoint that carries it.
+#[test]
+fn old_tokens_expire_closed_and_checkpoints_stop_growing() {
+    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
+    let (db, _) = build_database(&spec).unwrap();
+    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
+    let server = PdmServer::from_shared(Arc::new(shared));
+    let mut alice = session_on(&server, "alice");
+    let sql = recursive::mle_query(1).to_string();
+    let retry = |server: &PdmServer, token: u64| {
+        server.checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
+    };
+    // Alice is the server's only client: her n-th check-out draws token n.
+    let cycle = |alice: &mut Session| {
+        let tree = alice.check_out_function_shipping(1).unwrap().tree.unwrap();
+        alice.check_in(&tree).unwrap();
+    };
+
+    let completed = RETAINED_TOKENS as u64 + 5;
+    for _ in 0..completed {
+        cycle(&mut alice);
+    }
+    let durability = server.durability().unwrap();
+    assert_eq!(
+        durability.retained_tokens(),
+        (6..=completed).collect::<Vec<_>>()
+    );
+
+    let check = |server: &PdmServer| {
+        let version = server.database().version();
+        for expired in [1, 5] {
+            match retry(server, expired) {
+                Err(SharedServerError::TokenExpired { token }) => assert_eq!(token, expired),
+                other => panic!("token {expired} must fail closed, got {other:?}"),
+            }
+        }
+        for retained in [6, completed] {
+            let replay = retry(server, retained).unwrap();
+            assert!(replay.rows.is_some(), "token {retained} replays its rows");
+        }
+        assert_eq!(server.database().version(), version, "no retry may write");
+        assert_eq!(flagged(server), 0, "no retry may flip a flag");
+        assert!(server.lock_table().is_empty(), "no retry may take a lock");
+    };
+    check(&server);
+    let (recovered, _) = recover_server(durability.image(), &DurabilityConfig::default()).unwrap();
+    check(&PdmServer::from_shared(Arc::new(recovered)));
+
+    // A checkpoint is cut every 64 commits = 16 cycles; once the log is
+    // full, each one carries the same number of outcomes.
+    for _ in completed..300 {
+        cycle(&mut alice);
+    }
+    let at_300 = durability.checkpoint_len();
+    for _ in 300..600 {
+        cycle(&mut alice);
+    }
+    assert!(
+        durability.checkpoint_len() <= at_300,
+        "checkpoint grew from {at_300} to {} bytes over 300 more check-outs",
+        durability.checkpoint_len()
+    );
 }
 
 /// An in-flight conflict that outlives the session's RetryPolicy deadline
