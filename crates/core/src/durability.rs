@@ -97,8 +97,8 @@ struct DurState {
     commits_since_checkpoint: u64,
     /// Replication tap: every durably committed record is republished here
     /// (same seq the store assigned) for shipping to replica sites. The
-    /// feed retains records across checkpoint truncation — replicas replay
-    /// the logical history, not the physical log.
+    /// feed keeps its own retention, apart from checkpoint truncation —
+    /// replicas replay the logical history, not the physical log.
     feed: Option<Arc<ReplicationFeed>>,
 }
 
@@ -153,12 +153,12 @@ impl Durability {
         // lock IS the commit point; seq and in-memory state must advance
         // atomically (DESIGN.md §10).
         let mut st = lock_unpoisoned(&self.state);
-        let seq = st.store.commit(&record).map_err(wal_to_sql)?;
+        let (seq, payload_bytes) = st.store.commit(&record).map_err(wal_to_sql)?;
         st.replay
             .apply(None, seq, &record)
             .map_err(|e| pdm_sql::Error::Eval(e.to_string()))?;
         if let Some(feed) = &st.feed {
-            feed.publish(seq, record);
+            feed.publish(seq, record, payload_bytes);
         }
         Ok(st)
     }

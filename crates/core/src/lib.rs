@@ -67,7 +67,7 @@ pub use pdm_obs::{
 pub use product::{ObjectId, ProductNode, ProductTree};
 pub use repl::{
     replay_prefix, AckedWrite, Cluster, ClusterConfig, FailoverReport, ReplError, ReplicaSite,
-    ReplicationFeed, RoutedRead, RoutedSession, Staleness, WriteReceipt,
+    ReplicationFeed, RoutedRead, RoutedSession, Shipped, Staleness, WriteReceipt,
 };
 pub use resilience::{DegradationController, RetryPolicy};
 pub use rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};

@@ -31,6 +31,25 @@
 //! primary's durable write path (every session at the old primary is
 //! presumed lost), and [`FailoverReport`] retains the epoch base and the
 //! replayed prefix so tests can verify byte-identity independently.
+//!
+//! # Continuous divergence check
+//!
+//! Every ship that leaves a replica fully caught up compares the replica's
+//! state digest (8 of the ack's bytes) with the primary's and fails with
+//! [`super::ReplError::Diverged`] when they differ. Both sides compute
+//! [`pdm_sql::persist::database_digest`], which combines per-table digests
+//! the storage layer maintains as rows are written — the check costs the
+//! table headers, so it stays on every caught-up ship.
+//!
+//! # Rebase
+//!
+//! The feed retains the records above its base and `epoch_base` is the
+//! primary's snapshot at that base (see [`super::feed`] for the rule). A
+//! caught-up ship that finds every replica at the feed's head, with at
+//! least a checkpoint interval of records retained, moves the base to the
+//! head: nothing is shipped, the records are dropped. When a replica lags
+//! past the retention bound the base moves without it and the replica is
+//! re-seeded from the new base like a healed site.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,9 +60,10 @@ use pdm_obs::{
 };
 use pdm_sql::persist::{database_digest, database_fingerprint, encode_snapshot};
 use pdm_sql::Database;
-use pdm_wal::{DurableStore, WalRecord};
+use pdm_wal::DurableStore;
 
-use super::replica::{ship_bytes, ReplicaSite, ACK_BYTES};
+use super::feed::{Shipped, RETENTION_INTERVALS};
+use super::replica::{ReplicaSite, ACK_BYTES};
 use super::{ReplError, ReplicationFeed};
 use crate::durability::{Durability, DurabilityConfig};
 use crate::product::ObjectId;
@@ -172,10 +192,10 @@ pub struct FailoverReport {
     /// State fingerprint of the promoted replica BEFORE the sweep — the
     /// value serial replay of `prefix` onto `epoch_base` must reproduce.
     pub promoted_fingerprint: Vec<u8>,
-    /// Encoded snapshot the old epoch's replicas bootstrapped from.
+    /// Encoded snapshot of the old epoch's state at its feed's base.
     pub epoch_base: Vec<u8>,
-    /// The old epoch's durable-log prefix through `promoted_seq`.
-    pub prefix: Vec<(u64, WalRecord)>,
+    /// The old epoch's durable log above that base, through `promoted_seq`.
+    pub prefix: Vec<Shipped>,
 }
 
 /// Pre-resolved handles for the `repl.*` metric families (resolved at
@@ -286,7 +306,7 @@ pub struct Cluster {
     /// Cross-site tracing: segments collected for the in-flight traced
     /// action (`None` when tracing is off — zero work, zero wire bytes).
     action_trace: Option<ActionTraceBuf>,
-    /// Encoded snapshot the current epoch's replicas bootstrapped from.
+    /// The primary's encoded snapshot at the feed's base sequence.
     epoch_base: Vec<u8>,
 }
 
@@ -415,8 +435,8 @@ impl Cluster {
         &self.feed
     }
 
-    /// Encoded snapshot the current epoch's replicas bootstrapped from —
-    /// the base state [`super::replay_prefix`] replays the feed onto.
+    /// The primary's encoded snapshot at the feed's base sequence — the
+    /// state [`super::replay_prefix`] replays the retained feed onto.
     pub fn epoch_base(&self) -> &[u8] {
         &self.epoch_base
     }
@@ -442,6 +462,20 @@ impl Cluster {
     /// Schedule a primary-site outage window on the cluster clock.
     pub fn schedule_outage(&mut self, window: OutageWindow) {
         self.outages.push(window);
+    }
+
+    /// Schedule an outage window on one site's ship link, on that link's
+    /// own clock (test/admin hook; `ship_faults` gives every link the same
+    /// windows).
+    pub fn schedule_ship_outage(&mut self, site: usize, window: OutageWindow) {
+        if let Some(replica) = self.replicas.get_mut(&site) {
+            let channel = replica.channel_mut();
+            let plan = channel
+                .fault_plan()
+                .cloned()
+                .unwrap_or_else(FaultPlan::none);
+            channel.set_fault_plan(plan.with_outage(window));
+        }
     }
 
     /// The server a site's reads should run against: the local replica, or
@@ -486,12 +520,11 @@ impl Cluster {
         let Some(replica) = self.replicas.get_mut(&site) else {
             return Ok(0); // the site is the primary or still healing
         };
-        let batch = self.feed.since(replica.applied_seq());
+        let (batch, bytes) = self.feed.batch(replica.applied_seq(), last);
         if batch.is_empty() {
             self.m.lag_seqs.set(0.0);
             return Ok(0);
         }
-        let bytes = ship_bytes(&batch);
         let start = self.clock;
         let before = replica.elapsed();
         let result = replica.receive_ship(epoch, &batch, bytes);
@@ -543,6 +576,7 @@ impl Cluster {
                     if rd != pd {
                         return Err(ReplError::Diverged { site, seq: last });
                     }
+                    self.rebase_if_due();
                 }
                 Ok(applied)
             }
@@ -571,6 +605,37 @@ impl Cluster {
             }
             Err(fatal) => Err(fatal),
         }
+    }
+
+    /// Move the feed's base to its head when the retention rule says so
+    /// (module docs): every replica has applied everything and a checkpoint
+    /// interval of records is retained, or [`RETENTION_INTERVALS`] of them
+    /// are and the replicas still behind are re-seeded from the new base.
+    /// Either way every replica ends at or above the base.
+    fn rebase_if_due(&mut self) {
+        let retained = self.feed.retained() as u64;
+        let interval = self.cfg.durability.checkpoint_interval;
+        if retained < interval {
+            return;
+        }
+        let last = self.feed.last_seq();
+        let behind: Vec<usize> = self
+            .replicas
+            .iter()
+            .filter(|(_, r)| r.applied_seq() < last)
+            .map(|(site, _)| *site)
+            .collect();
+        if !behind.is_empty() && retained < interval.saturating_mul(RETENTION_INTERVALS) {
+            return;
+        }
+        let base = encode_snapshot(&self.primary.database().snapshot());
+        self.feed.rebase();
+        for site in behind {
+            if let Some(laggard) = self.replicas.remove(&site) {
+                self.seed_replica(site, &base, laggard.into_channel(), "reseed");
+            }
+        }
+        self.epoch_base = base;
     }
 
     /// One ship round across every replica.
@@ -824,16 +889,11 @@ impl Cluster {
             let Some(replica) = self.replicas.get_mut(&site) else {
                 continue;
             };
-            let batch: Vec<(u64, WalRecord)> = self
-                .feed
-                .since(replica.applied_seq())
-                .into_iter()
-                .filter(|(s, _)| *s <= promoted_seq)
-                .collect();
+            let (batch, bytes) = self.feed.batch(replica.applied_seq(), promoted_seq);
             if batch.is_empty() {
                 continue;
             }
-            coord.round_trip(ship_bytes(&batch), ACK_BYTES);
+            coord.round_trip(bytes, ACK_BYTES);
             catchup_records += replica.apply_batch(old_epoch, &batch)?;
         }
 
@@ -943,13 +1003,6 @@ impl Cluster {
             return;
         }
         self.pending_heal = None;
-        let snapshot_bytes = encode_snapshot(&self.primary.database().snapshot());
-        let state = self
-            .primary
-            .durability()
-            .map(Durability::replay_state)
-            .unwrap_or_default();
-        let base_seq = self.feed.last_seq();
         // A fresh fault stream for the healed link (epoch-mixed so it does
         // not replay the pre-failover faults).
         let plan = self
@@ -957,22 +1010,39 @@ impl Cluster {
             .ship_faults
             .clone()
             .for_site(site as u64 + 1000 * self.epoch);
-        match ReplicaSite::bootstrap(
-            site,
-            &snapshot_bytes,
-            self.epoch,
-            base_seq,
-            state,
-            MeteredChannel::with_faults(self.cfg.ship_link, plan),
-        ) {
+        let channel = MeteredChannel::with_faults(self.cfg.ship_link, plan);
+        let snapshot_bytes = encode_snapshot(&self.primary.database().snapshot());
+        self.seed_replica(site, &snapshot_bytes, channel, "heal");
+    }
+
+    /// Seed `site` as a replica from `snapshot_bytes`, the primary's
+    /// current state at the feed's head — a healed ex-primary, or a laggard
+    /// the feed no longer retains records for (`why` names which in traces
+    /// and events): bootstrap with the primary's trackers, charge the
+    /// transfer to `channel`, install the site and bump the generation so
+    /// routed sessions re-resolve their read server.
+    fn seed_replica(
+        &mut self,
+        site: usize,
+        snapshot_bytes: &[u8],
+        channel: MeteredChannel,
+        why: &str,
+    ) {
+        let state = self
+            .primary
+            .durability()
+            .map(Durability::replay_state)
+            .unwrap_or_default();
+        let base_seq = self.feed.last_seq();
+        match ReplicaSite::bootstrap(site, snapshot_bytes, self.epoch, base_seq, state, channel) {
             Ok(mut replica) => {
-                // A heal inside a traced action carries the piggyback too:
+                // Seeding inside a traced action carries the piggyback too:
                 // the snapshot frame grows by the context bytes and the
                 // transfer shows up as a primary-side ship segment.
                 if let Some(buf) = &self.action_trace {
                     replica.channel_mut().set_trace_context(Some(buf.ctx));
                 }
-                // Charge the snapshot transfer to the healed site's link.
+                // Charge the snapshot transfer to the site's link.
                 let before = replica.elapsed();
                 let rt = replica
                     .channel_mut()
@@ -982,7 +1052,7 @@ impl Cluster {
                     buf.ops.push(TraceOp::Segment {
                         site: "primary".into(),
                         kind: kinds::REPL_SHIP,
-                        label: format!("heal site{site}"),
+                        label: format!("{why} site{site}"),
                         v_excl: rt.total_time(),
                         attrs: vec![("bytes", (snapshot_bytes.len() + 64) as f64)],
                         detail: String::new(),
@@ -991,13 +1061,13 @@ impl Cluster {
                 self.replicas.insert(site, replica);
                 self.generation += 1;
                 self.obs
-                    .event(kinds::REPL_APPLY, format!("site{site} healed"));
+                    .event(kinds::REPL_APPLY, format!("site{site} {why}: seeded"));
             }
             Err(e) => {
-                // A heal that cannot decode the primary snapshot is fatal
-                // for the site; leave it out of the topology.
+                // A site that cannot decode the primary snapshot is lost;
+                // leave it out of the topology.
                 self.obs
-                    .event(kinds::REPL_APPLY, format!("site{site} heal failed: {e}"));
+                    .event(kinds::REPL_APPLY, format!("site{site} {why} failed: {e}"));
             }
         }
     }
@@ -1005,5 +1075,123 @@ impl Cluster {
     /// State fingerprint of the current primary.
     pub fn primary_fingerprint(&self) -> Vec<u8> {
         database_fingerprint(self.primary.database())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::table::RuleTable;
+    use crate::session::SessionConfig;
+    use crate::{RoutedSession, Strategy};
+    use pdm_sql::persist::decode_snapshot;
+    use pdm_sql::storage::Table;
+    use pdm_sql::Value;
+    use pdm_workload::{build_database, TreeSpec};
+
+    const INTERVAL: u64 = 4;
+
+    /// Two replicas, writes acknowledged without shipping, so a test
+    /// decides exactly when a site is shipped to.
+    fn quiet_cluster() -> (Cluster, RoutedSession) {
+        let (db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(64)).unwrap();
+        let cfg = ClusterConfig::default()
+            .with_replicas(2)
+            .with_ack_replicas(0)
+            .with_durability(DurabilityConfig::default().with_interval(INTERVAL));
+        let cluster = Cluster::new(db, cfg).unwrap();
+        let session = RoutedSession::connect(
+            &cluster,
+            1,
+            SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
+            RuleTable::new(),
+        );
+        (cluster, session)
+    }
+
+    fn write(cluster: &mut Cluster, session: &mut RoutedSession, payload: &str) {
+        let assy = cluster.primary.query("SELECT MIN(obid) FROM assy").unwrap();
+        let root = assy.rows[0].get(0).clone();
+        let sql = format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
+        assert_eq!(session.execute_dml(cluster, &sql).unwrap().0, 1);
+    }
+
+    /// Swap caught-up site 1 for a replica seeded from the primary's own
+    /// snapshot after `tamper` rewrote its `comp` table: same version, same
+    /// watermark, same trackers — only rows differ.
+    fn corrupt_site_1(cluster: &mut Cluster, tamper: fn(&mut Table)) {
+        cluster.pump().unwrap();
+        assert_eq!(cluster.lag(1), 0);
+        let honest = encode_snapshot(&cluster.primary.database().snapshot());
+        let mut snapshot = decode_snapshot(&honest).unwrap();
+        tamper(snapshot.catalog.table_mut("comp").unwrap());
+        let watermark = cluster.feed.last_seq();
+        let state = cluster.primary.durability().unwrap().replay_state();
+        let replica = ReplicaSite::bootstrap(
+            1,
+            &encode_snapshot(&snapshot),
+            cluster.epoch,
+            watermark,
+            state,
+            MeteredChannel::new(cluster.cfg.ship_link),
+        )
+        .unwrap();
+        assert_eq!(replica.version(), cluster.primary.database().version());
+        cluster.replicas.insert(1, replica);
+    }
+
+    fn flip_one_value(comp: &mut Table) {
+        let payload = comp.schema.require("payload").unwrap();
+        comp.apply_updates(&[(0, vec![(payload, Value::Text("flipped".into()))])])
+            .unwrap();
+    }
+
+    fn swap_two_rows(comp: &mut Table) {
+        let assign = |row: &[Value]| row.iter().cloned().enumerate().collect::<Vec<_>>();
+        let (first, second) = (assign(comp.row(0)), assign(comp.row(1)));
+        assert_ne!(first, second);
+        comp.apply_updates(&[(0, second), (1, first)]).unwrap();
+    }
+
+    /// The next ship that leaves the corrupted site caught up must refuse.
+    fn assert_next_ship_diverges(cluster: &mut Cluster, session: &mut RoutedSession) {
+        write(cluster, session, "after");
+        let seq = cluster.feed.last_seq();
+        match cluster.ship_once(1) {
+            Err(ReplError::Diverged { site: 1, seq: at }) => assert_eq!(at, seq),
+            other => panic!("corruption went unnoticed: {other:?}"),
+        }
+        // The honest site is unaffected.
+        cluster.ship_once(2).unwrap();
+        assert_eq!(cluster.lag(2), 0);
+    }
+
+    #[test]
+    fn a_flipped_value_diverges_on_the_next_caught_up_ship() {
+        let (mut cluster, mut session) = quiet_cluster();
+        write(&mut cluster, &mut session, "before");
+        corrupt_site_1(&mut cluster, flip_one_value);
+        assert_next_ship_diverges(&mut cluster, &mut session);
+    }
+
+    #[test]
+    fn swapped_rows_diverge_on_the_next_caught_up_ship() {
+        let (mut cluster, mut session) = quiet_cluster();
+        write(&mut cluster, &mut session, "before");
+        corrupt_site_1(&mut cluster, swap_two_rows);
+        assert_next_ship_diverges(&mut cluster, &mut session);
+    }
+
+    #[test]
+    fn the_check_survives_a_rebase() {
+        let (mut cluster, mut session) = quiet_cluster();
+        for i in 0..2 * INTERVAL {
+            write(&mut cluster, &mut session, &format!("w{i}"));
+            cluster.pump().unwrap();
+        }
+        assert!(cluster.feed.base_seq() > 0, "no rebase happened");
+        assert!((cluster.feed.retained() as u64) < INTERVAL);
+        corrupt_site_1(&mut cluster, flip_one_value);
+        assert_next_ship_diverges(&mut cluster, &mut session);
     }
 }

@@ -10,8 +10,9 @@
 //!
 //! The pieces:
 //!
-//! * [`ReplicationFeed`] — the primary's retained logical commit log, fed
-//!   by the durability layer at commit time ([`crate::Durability::attach_feed`]);
+//! * [`ReplicationFeed`] — the primary's logical commit log above the
+//!   epoch base, fed by the durability layer at commit time
+//!   ([`crate::Durability::attach_feed`]);
 //! * [`ReplicaSite`] — a continuously replaying replica with an
 //!   applied-seq watermark, fenced by epoch;
 //! * [`Cluster`] — the deterministic coordinator: shipping, semi-
@@ -30,7 +31,7 @@ mod replica;
 mod routed;
 
 pub use cluster::{AckedWrite, Cluster, ClusterConfig, FailoverReport, WriteReceipt};
-pub use feed::ReplicationFeed;
+pub use feed::{ReplicationFeed, Shipped, RETENTION_INTERVALS};
 pub use replica::ReplicaSite;
 pub use routed::{RoutedRead, RoutedSession, Staleness};
 
@@ -102,14 +103,11 @@ impl From<RecoveryError> for ReplError {
 /// Grant/release/token records maintain no database rows (their row
 /// effects ride in their surrounding DML commits, exactly as in crash
 /// recovery), so only [`pdm_wal::WalRecord::DmlCommit`] replays here.
-pub fn replay_prefix(
-    epoch_base: &[u8],
-    prefix: &[(u64, pdm_wal::WalRecord)],
-) -> Result<Vec<u8>, ReplError> {
+pub fn replay_prefix(epoch_base: &[u8], prefix: &[Shipped]) -> Result<Vec<u8>, ReplError> {
     let db = crate::replay::database_from_snapshot(epoch_base)
         .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
     for (seq, record) in prefix {
-        if let pdm_wal::WalRecord::DmlCommit { version, sql } = record {
+        if let pdm_wal::WalRecord::DmlCommit { version, sql } = &**record {
             let failed = |error| RecoveryError::Replay {
                 seq: *seq,
                 sql: sql.clone(),

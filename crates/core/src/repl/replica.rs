@@ -16,26 +16,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pdm_net::MeteredChannel;
-use pdm_sql::persist::{database_fingerprint, fingerprint_digest};
-use pdm_wal::WalRecord;
+use pdm_sql::persist::{database_digest, database_fingerprint};
 
+use super::feed::Shipped;
 use super::ReplError;
 use crate::durability::GrantIds;
 use crate::replay::{database_from_snapshot, ReplayState};
 use crate::server::PdmServer;
 use crate::shared::SharedServer;
-
-/// Bytes of framing overhead charged per shipped record (seq + length +
-/// checksum), mirroring the WAL's on-device framing.
-const RECORD_FRAME_BYTES: usize = 12;
-
-/// Wire size of a ship batch.
-pub(crate) fn ship_bytes(batch: &[(u64, WalRecord)]) -> usize {
-    batch
-        .iter()
-        .map(|(_, r)| r.encode().len() + RECORD_FRAME_BYTES)
-        .sum()
-}
 
 /// Bytes in a ship acknowledgement (epoch + applied seq + state digest).
 pub(crate) const ACK_BYTES: usize = 24;
@@ -81,11 +69,7 @@ impl ReplicaSite {
     /// Apply a ship batch: fence stale epochs, skip already-applied
     /// records (idempotent re-delivery), replay the rest in order.
     /// Returns the number of records newly applied.
-    pub fn apply_batch(
-        &mut self,
-        epoch: u64,
-        records: &[(u64, WalRecord)],
-    ) -> Result<u64, ReplError> {
+    pub fn apply_batch(&mut self, epoch: u64, records: &[Shipped]) -> Result<u64, ReplError> {
         if epoch != self.epoch {
             return Err(ReplError::Fenced {
                 expected: self.epoch,
@@ -119,7 +103,7 @@ impl ReplicaSite {
     pub(crate) fn receive_ship(
         &mut self,
         epoch: u64,
-        records: &[(u64, WalRecord)],
+        records: &[Shipped],
         request_bytes: usize,
     ) -> Result<(u64, f64), ReplError> {
         let pending = self
@@ -171,9 +155,10 @@ impl ReplicaSite {
         database_fingerprint(self.server.database())
     }
 
-    /// Compact digest of the fingerprint — rides in ship acks.
+    /// Compact digest of the state the fingerprint images — rides in ship
+    /// acks. The same function the primary runs on its own state.
     pub fn digest(&self) -> u64 {
-        fingerprint_digest(&self.fingerprint())
+        database_digest(self.server.database())
     }
 
     /// Outstanding grants tracked from shipped records.
@@ -190,6 +175,11 @@ impl ReplicaSite {
     /// Give up the site, keeping its trackers (promotion).
     pub(crate) fn into_state(self) -> ReplayState {
         self.state
+    }
+
+    /// Give up the site, keeping its ship link (re-seeding a laggard).
+    pub(crate) fn into_channel(self) -> MeteredChannel {
+        self.channel
     }
 
     /// Fence this site onto a new epoch (after a promotion it observed).
@@ -209,6 +199,7 @@ mod tests {
     use pdm_net::LinkProfile;
     use pdm_sql::persist::encode_snapshot;
     use pdm_sql::SharedDatabase;
+    use pdm_wal::WalRecord;
     use pdm_workload::{build_database, TreeSpec};
 
     fn seeded_replica() -> (ReplicaSite, Vec<u8>) {
@@ -232,10 +223,10 @@ mod tests {
         let (mut replica, _) = seeded_replica();
         let batch = vec![(
             1u64,
-            WalRecord::DmlCommit {
+            Arc::new(WalRecord::DmlCommit {
                 version: 1,
                 sql: "UPDATE assy SET payload = 'x' WHERE obid = 1".into(),
-            },
+            }),
         )];
         match replica.apply_batch(1, &batch) {
             Err(ReplError::Fenced {
@@ -257,10 +248,10 @@ mod tests {
         let (_, version) = twin.execute_ast(&stmt).unwrap();
         let batch = vec![(
             1u64,
-            WalRecord::DmlCommit {
+            Arc::new(WalRecord::DmlCommit {
                 version,
                 sql: "UPDATE assy SET payload = 'x' WHERE obid = 1".into(),
-            },
+            }),
         )];
         assert_eq!(replica.apply_batch(2, &batch).unwrap(), 1);
         // Re-delivery after a lost ack skips everything at or below the

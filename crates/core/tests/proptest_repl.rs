@@ -10,8 +10,10 @@
 //! Uses the in-repo `pdm_prng::check` harness (explicit generator loops)
 //! instead of proptest, which the offline build cannot fetch.
 
+use pdm_core::repl::RETENTION_INTERVALS;
 use pdm_core::{
-    replay_prefix, Cluster, ClusterConfig, RoutedSession, RuleTable, SessionConfig, Strategy,
+    replay_prefix, Cluster, ClusterConfig, DurabilityConfig, RoutedSession, RuleTable,
+    SessionConfig, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile};
 use pdm_prng::check::cases;
@@ -34,6 +36,12 @@ fn roots_of(cluster: &Cluster) -> Vec<i64> {
 }
 
 fn arb_cluster(rng: &mut Prng) -> Cluster {
+    arb_cluster_checkpointing(rng, DurabilityConfig::default().checkpoint_interval)
+}
+
+/// A random cluster whose primary checkpoints — and whose feed may rebase
+/// — every `interval` records.
+fn arb_cluster_checkpointing(rng: &mut Prng, interval: u64) -> Cluster {
     let depth = rng.u32_inclusive(2, 3);
     let branching = rng.u32_inclusive(2, 3);
     let (db, _) = build_database(&TreeSpec::new(depth, branching, 1.0).with_node_size(64)).unwrap();
@@ -46,7 +54,8 @@ fn arb_cluster(rng: &mut Prng) -> Cluster {
     let cfg = ClusterConfig::default()
         .with_replicas(rng.usize_inclusive(2, 4))
         .with_ship_faults(faults)
-        .with_max_pump_rounds(256);
+        .with_max_pump_rounds(256)
+        .with_durability(DurabilityConfig::default().with_interval(interval));
     Cluster::new(db, cfg).unwrap()
 }
 
@@ -119,7 +128,6 @@ fn prefix_replay_matches_primary_at_seq() {
         0x5EED_0001,
         |rng| {
             let mut cluster = arb_cluster(rng);
-            let base = cluster.epoch_base().to_vec();
             let roots = roots_of(&cluster);
             let sites = cluster.replica_sites();
             let mut sessions: Vec<RoutedSession> =
@@ -159,7 +167,10 @@ fn prefix_replay_matches_primary_at_seq() {
             }
             assert!(!observed.is_empty(), "plan produced no writes");
 
-            // Any recorded cut point replays byte-identically.
+            // Any recorded cut point the feed still covers (all of them,
+            // unless the base moved) replays byte-identically.
+            let base = cluster.epoch_base().to_vec();
+            observed.retain(|(seq, _)| *seq >= cluster.feed().base_seq());
             let (seq, fp) = &observed[rng.index(observed.len())];
             let prefix = cluster.feed().prefix_through(*seq);
             assert_eq!(
@@ -209,4 +220,76 @@ fn caught_up_replicas_are_byte_identical() {
             assert_caught_up_replicas_match(&cluster);
         },
     );
+}
+
+/// The feed's retention rule under rebases: with a checkpoint interval of
+/// a few records the base moves many times in one plan, and after every
+/// write the retained feed replayed onto the current epoch base is the
+/// primary's state, the feed holds no more than the retention bound plus
+/// the records of one action while `len()` still counts every record ever
+/// published, and caught-up replicas — re-seeded laggards among them —
+/// hold the primary's bytes, grants and tokens.
+#[test]
+fn feed_stays_bounded_across_rebases() {
+    const INTERVAL: u64 = 4;
+    cases("feed_stays_bounded_across_rebases", 8, 0x5EED_0003, |rng| {
+        let mut cluster = arb_cluster_checkpointing(rng, INTERVAL);
+        let roots = roots_of(&cluster);
+        let sites = cluster.replica_sites();
+        let mut sessions: Vec<RoutedSession> =
+            sites.iter().map(|s| connect(&cluster, *s)).collect();
+        let mut held: Vec<Option<pdm_core::ProductTree>> = vec![None; sessions.len()];
+
+        let plan = multisite_plan(rng.u64_inclusive(0, 1 << 40), sessions.len(), 64, &roots);
+        let (mut rebases, mut largest_action) = (0, 0);
+        for step in plan {
+            let i = step.site;
+            let (base_before, head_before) = (cluster.feed().base_seq(), cluster.feed().last_seq());
+            match step.op {
+                SiteOp::Update { root, payload } => {
+                    let sql = format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
+                    sessions[i].execute_dml(&mut cluster, &sql).unwrap();
+                }
+                SiteOp::CheckOut { root } => {
+                    let (out, _) = sessions[i].check_out(&mut cluster, root).unwrap();
+                    if let Some(tree) = out.tree {
+                        held[i] = Some(tree);
+                    }
+                }
+                SiteOp::CheckIn => {
+                    if let Some(tree) = held[i].take() {
+                        sessions[i].check_in(&mut cluster, &tree).unwrap();
+                    }
+                }
+                SiteOp::Expand { root } => {
+                    sessions[i].multi_level_expand(&mut cluster, root).unwrap();
+                }
+                SiteOp::QueryAll { root } => {
+                    sessions[i].query_all(&mut cluster, root).unwrap();
+                }
+            }
+            let feed = cluster.feed();
+            rebases += usize::from(feed.base_seq() > base_before);
+            largest_action = largest_action.max(feed.last_seq() - head_before);
+
+            // Sequences run 1, 2, 3, … so the head counts every record.
+            assert_eq!(feed.len() as u64, feed.last_seq());
+            assert_eq!(feed.retained() as u64, feed.last_seq() - feed.base_seq());
+            assert!(
+                feed.retained() as u64 <= RETENTION_INTERVALS * INTERVAL + largest_action,
+                "feed retains {} records",
+                feed.retained()
+            );
+            assert_eq!(
+                replay_prefix(cluster.epoch_base(), &feed.since(0)).unwrap(),
+                cluster.primary_fingerprint(),
+                "retained feed no longer replays onto the epoch base"
+            );
+            assert_lag_zero_replicas_match(&cluster);
+        }
+        assert!(rebases >= 3, "only {rebases} rebases in the plan");
+
+        pump_to_lag_zero(&mut cluster);
+        assert_caught_up_replicas_match(&cluster);
+    });
 }

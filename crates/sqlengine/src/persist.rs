@@ -12,6 +12,11 @@
 //! exactly: INSERT appends, UPDATE mutates in place, DELETE compacts
 //! preserving order).
 //!
+//! [`state_fingerprint`] is that byte image and the equality witness of
+//! every harness. [`state_digest`] is its 64-bit stand-in for comparisons
+//! made on a hot path (replication acks): the same image with each table's
+//! rows replaced by the digest the table maintains, hashed.
+//!
 //! What is NOT serialized:
 //! * **functions** — a [`FunctionRegistry`](crate::functions::FunctionRegistry)
 //!   holds code, not data. Decoding rebuilds the builtin registry; the PDM
@@ -288,16 +293,21 @@ pub fn put_result_set(out: &mut Vec<u8>, rs: &ResultSet) {
 // Tables, catalogs, snapshots
 // ---------------------------------------------------------------------------
 
-fn put_table(out: &mut Vec<u8>, table: &Table) {
+/// Everything [`put_table`] writes ahead of the rows: name, schema,
+/// indexed column names, row count.
+fn put_table_header(out: &mut Vec<u8>, table: &Table) {
     put_str(out, &table.name);
     put_schema(out, &table.schema);
-    let mut indexed = table.indexed_columns();
-    indexed.sort_unstable();
+    let indexed = table.indexed_columns();
     put_u32(out, indexed.len() as u32);
     for col in indexed {
         put_str(out, &col);
     }
     put_u32(out, table.len() as u32);
+}
+
+fn put_table(out: &mut Vec<u8>, table: &Table) {
+    put_table_header(out, table);
     for row in table.rows() {
         put_row(out, row);
     }
@@ -327,11 +337,20 @@ fn read_table(cur: &mut Cursor<'_>) -> Result<Table> {
 /// indexed column names) and view definitions (SQL text). Deterministic:
 /// names are sorted.
 pub fn put_catalog(out: &mut Vec<u8>, catalog: &Catalog) {
+    put_catalog_with(out, catalog, put_table);
+}
+
+/// The catalog image with each table written by `put_one_table`.
+fn put_catalog_with(
+    out: &mut Vec<u8>,
+    catalog: &Catalog,
+    put_one_table: impl Fn(&mut Vec<u8>, &Table),
+) {
     let names = catalog.table_names();
     put_u32(out, names.len() as u32);
     for name in names {
         if let Ok(t) = catalog.table(name) {
-            put_table(out, t);
+            put_one_table(out, t);
         }
     }
     let views = catalog.view_names();
@@ -433,21 +452,51 @@ pub fn database_fingerprint(db: &crate::SharedDatabase) -> Vec<u8> {
     state_fingerprint(Arc::as_ref(&db.snapshot()))
 }
 
-/// Compact 64-bit digest (FNV-1a) of a fingerprint byte image — cheap
-/// enough to ride in every replication ship ack for cross-site state
-/// comparison without shipping the full catalog image back.
-pub fn fingerprint_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit hash of `bytes` under `seed`, eight bytes at a time. Equal inputs
+/// hash equal on every site and in every run (no per-process key): replicas
+/// compare these across the ship link. Guards against corruption, not
+/// against an adversary choosing the bytes.
+pub(crate) fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
+    // One multiply per word — each step a bijection of the state and of the
+    // word — and the splitmix64 finalizer once, to spread the last words'
+    // high bits over the result.
+    let step =
+        |h: u64, word: [u8; 8]| (h.rotate_left(29) ^ u64::from_le_bytes(word)).wrapping_mul(ODD);
+    let mut h = seed.wrapping_mul(ODD) ^ bytes.len() as u64;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = step(h, word.try_into().expect("chunks_exact(8) yields 8 bytes"));
     }
-    h
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        h = step(h, word);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+/// Compact 64-bit digest of the data in a snapshot: a hash of the
+/// [`state_fingerprint`] image with each table's rows replaced by its
+/// maintained [`Table::digest`]. Costs the table headers, not the rows —
+/// cheap enough to ride in every replication ship ack for cross-site state
+/// comparison. Equal fingerprints give equal digests; unequal ones collide
+/// with probability about 2^-64.
+pub fn state_digest(snapshot: &Snapshot) -> u64 {
+    let mut image = Vec::new();
+    put_catalog_with(&mut image, &snapshot.catalog, |out, table| {
+        put_table_header(out, table);
+        put_u64(out, table.digest());
+    });
+    hash_bytes(0, &image)
 }
 
 /// Digest of a shared database's current state, for watermark acks.
 pub fn database_digest(db: &crate::SharedDatabase) -> u64 {
-    fingerprint_digest(&database_fingerprint(db))
+    state_digest(Arc::as_ref(&db.snapshot()))
 }
 
 #[cfg(test)]

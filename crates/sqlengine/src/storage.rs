@@ -12,11 +12,19 @@
 //! the rows it changes. An index is copied or rebuilt only when a column
 //! it covers is written. A commit therefore costs in proportion to the
 //! rows it touches, not to the size of the table they live in.
+//!
+//! Each table also carries a 64-bit [`Table::digest`] of its rows — the
+//! wrapping sum of [`row_hash`] over `(row id, row)` — which the same three
+//! mutators that write `rows` keep current: [`Table::insert`] adds a term,
+//! [`Table::apply_updates`] swaps the terms of the rows it writes,
+//! [`Table::delete_rows`] recomputes (row ids shift). Comparing two states
+//! ([`crate::persist::state_digest`]) therefore never re-reads the rows.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::persist::{hash_bytes, put_row};
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -27,6 +35,20 @@ pub type SharedRow = Arc<[Value]>;
 /// Value → ascending row ids of one indexed column.
 type Index = HashMap<Value, Vec<usize>>;
 
+/// One row's term of its table's digest: a hash of the row's snapshot bytes
+/// ([`put_row`]) seeded with its position, so the same rows in another
+/// order sum to a different digest.
+pub fn row_hash(row_id: usize, row: &[Value]) -> u64 {
+    row_hash_in(&mut Vec::new(), row_id, row)
+}
+
+/// [`row_hash`] encoding into `scratch`, for a mutator hashing many rows.
+fn row_hash_in(scratch: &mut Vec<u8>, row_id: usize, row: &[Value]) -> u64 {
+    scratch.clear();
+    put_row(scratch, row);
+    hash_bytes(row_id as u64, scratch)
+}
+
 /// One base table: schema, rows, and hash indexes (column position →
 /// value → row ids).
 #[derive(Debug, Clone)]
@@ -35,6 +57,8 @@ pub struct Table {
     pub schema: Schema,
     rows: Vec<SharedRow>,
     indexes: HashMap<usize, Arc<Index>>,
+    /// Wrapping sum of [`row_hash`] over `rows`; see the module docs.
+    digest: u64,
 }
 
 impl Table {
@@ -44,6 +68,7 @@ impl Table {
             schema,
             rows: Vec::new(),
             indexes: HashMap::new(),
+            digest: 0,
         }
     }
 
@@ -58,6 +83,12 @@ impl Table {
 
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Digest of the stored rows in storage order, maintained by the
+    /// mutators (module docs). Equal to summing [`row_hash`] afresh.
+    pub fn digest(&self) -> u64 {
+        self.digest
     }
 
     /// Validate a row against the schema (arity, types with implicit INT→
@@ -96,6 +127,7 @@ impl Table {
                 .or_default()
                 .push(row_id);
         }
+        self.digest = self.digest.wrapping_add(row_hash(row_id, &coerced));
         self.rows.push(coerced.into());
         Ok(())
     }
@@ -149,21 +181,21 @@ impl Table {
     /// rebuild the affected indexes once. Used by UPDATE, whose assignment
     /// expressions may evaluate differently per row (`SET x = x + 1`).
     /// Only the listed rows are copied; every other row stays shared with
-    /// older snapshots.
+    /// older snapshots. A refused assignment (NOT NULL, type) stops the
+    /// statement with the earlier assignments written; the digest and the
+    /// indexes describe the rows as they then are.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<(usize, Value)>)]) -> Result<usize> {
         let mut touched: std::collections::HashSet<usize> = std::collections::HashSet::new();
+        let mut outcome = Ok(updates.len());
+        let mut scratch = Vec::new();
         for (rid, cols) in updates {
-            for (col_idx, value) in cols {
-                let col = self.schema.column(*col_idx);
-                if value.is_null() && !col.nullable {
-                    return Err(Error::Schema(format!(
-                        "column '{}.{}' is NOT NULL",
-                        self.name, col.name
-                    )));
-                }
-                Arc::make_mut(&mut self.rows[*rid])[*col_idx] =
-                    value.coerce_for_column(col.dtype)?;
-                touched.insert(*col_idx);
+            let before = row_hash_in(&mut scratch, *rid, &self.rows[*rid]);
+            let written = self.write_row(*rid, cols, &mut touched);
+            let after = row_hash_in(&mut scratch, *rid, &self.rows[*rid]);
+            self.digest = self.digest.wrapping_sub(before).wrapping_add(after);
+            if let Err(refused) = written {
+                outcome = Err(refused);
+                break;
             }
         }
         let mut indexed: Vec<usize> = touched
@@ -174,11 +206,32 @@ impl Table {
         for col_idx in indexed {
             self.rebuild_index(col_idx);
         }
-        Ok(updates.len())
+        outcome
+    }
+
+    /// Assign `cols` to row `rid`, recording the columns written.
+    fn write_row(
+        &mut self,
+        rid: usize,
+        cols: &[(usize, Value)],
+        touched: &mut std::collections::HashSet<usize>,
+    ) -> Result<()> {
+        for (col_idx, value) in cols {
+            let col = self.schema.column(*col_idx);
+            if value.is_null() && !col.nullable {
+                return Err(Error::Schema(format!(
+                    "column '{}.{}' is NOT NULL",
+                    self.name, col.name
+                )));
+            }
+            Arc::make_mut(&mut self.rows[rid])[*col_idx] = value.coerce_for_column(col.dtype)?;
+            touched.insert(*col_idx);
+        }
+        Ok(())
     }
 
     /// Remove the given rows (ids into the current ordering); rebuilds all
-    /// indexes.
+    /// indexes and the digest (the surviving rows change position).
     pub fn delete_rows(&mut self, row_ids: &[usize]) -> usize {
         if row_ids.is_empty() {
             return 0;
@@ -192,6 +245,10 @@ impl Table {
             }
         }
         self.rows = kept;
+        let mut scratch = Vec::new();
+        self.digest = self.rows.iter().enumerate().fold(0, |sum, (i, row)| {
+            sum.wrapping_add(row_hash_in(&mut scratch, i, row))
+        });
         let mut indexed: Vec<usize> = self.indexes.keys().copied().collect();
         indexed.sort_unstable();
         for col_idx in indexed {

@@ -12,8 +12,9 @@
 
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
-use pdm_sql::persist::state_fingerprint;
-use pdm_sql::{Database, Row, SharedDatabase, Snapshot, Value};
+use pdm_sql::persist::{decode_snapshot, encode_snapshot, state_digest, state_fingerprint};
+use pdm_sql::storage::row_hash;
+use pdm_sql::{Database, DmlOutcome, ExecOutcome, Row, SharedDatabase, Snapshot, Value};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -315,12 +316,16 @@ fn arb_statement(rng: &mut Prng) -> String {
     }
 }
 
-fn fingerprint(d: &Database) -> Vec<u8> {
-    state_fingerprint(&Snapshot {
+fn snapshot_of(d: &Database) -> Snapshot {
+    Snapshot {
         catalog: d.catalog.clone(),
         config: d.config.clone(),
         version: 0,
-    })
+    }
+}
+
+fn fingerprint(d: &Database) -> Vec<u8> {
+    state_fingerprint(&snapshot_of(d))
 }
 
 /// UPDATE and DELETE visit only index candidates when a conjunct names
@@ -361,6 +366,81 @@ fn index_driven_dml_matches_the_scan() {
                     scanning.query(&select).map_err(|e| e.to_string()),
                     "{select}"
                 );
+            }
+        },
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Maintained table digest ≡ digest of the rows
+// ---------------------------------------------------------------------------
+
+/// The statement stream of `index_driven_dml_matches_the_scan`, plus what
+/// stresses digest maintenance: UPDATEs that `apply_updates` refuses after
+/// writing some rows and the first column of the refused row (a NULL into
+/// the NOT NULL column `n`, a DOUBLE into the INTEGER column `k` — both
+/// only for the rows whose source value is one), and indexes created in
+/// mid-stream.
+fn arb_digest_statement(rng: &mut Prng) -> String {
+    match rng.index(10) {
+        0 => format!(
+            "UPDATE t SET s = 'half', n = k WHERE {}",
+            arb_predicate(rng)
+        ),
+        1 => format!("UPDATE t SET n = n + 1, k = f WHERE {}", arb_predicate(rng)),
+        2 => "UPDATE t SET s = 'all', n = n + 1".to_string(),
+        3 => format!("CREATE INDEX ON t ({})", ["k", "f", "s", "n"][rng.index(4)]),
+        _ => arb_statement(rng),
+    }
+}
+
+/// `Table::digest` is maintained by the mutators, never recomputed on the
+/// write path. After every statement of a random stream — failed ones
+/// included: they leave the rows they wrote — it equals the sum of
+/// `row_hash` over the rows as they are, the snapshot round trip (the
+/// replica bootstrap path, which rebuilds the table by inserts) lands on
+/// the same state digest, and two states of a stream share a state digest
+/// exactly when they share a fingerprint.
+#[test]
+fn maintained_digest_matches_a_fresh_one() {
+    cases(
+        "maintained_digest_matches_a_fresh_one",
+        40,
+        0x1DE0_0016,
+        |rng| {
+            let mut db = Database::new();
+            db.execute("CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER NOT NULL)")
+                .unwrap();
+            db.execute("CREATE INDEX ON t (k)").unwrap();
+            let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
+            let (mut refused, mut empty) = (0, 0);
+            for _ in 0..60 {
+                let sql = arb_digest_statement(rng);
+                match db.execute(&sql) {
+                    Err(_) => refused += 1,
+                    Ok(ExecOutcome::Dml(DmlOutcome::Updated(0))) => empty += 1,
+                    Ok(_) => {}
+                }
+
+                let t = db.catalog.table("t").unwrap();
+                let fresh = t
+                    .rows()
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |sum, (i, row)| sum.wrapping_add(row_hash(i, row)));
+                assert_eq!(t.digest(), fresh, "{sql}");
+
+                let snapshot = snapshot_of(&db);
+                let digest = state_digest(&snapshot);
+                let reloaded = decode_snapshot(&encode_snapshot(&snapshot)).unwrap();
+                assert_eq!(state_digest(&reloaded), digest, "{sql}");
+                seen.push((state_fingerprint(&snapshot), digest));
+            }
+            assert!(refused > 0 && empty > 0, "stream too tame");
+            for (i, (fp_a, digest_a)) in seen.iter().enumerate() {
+                for (fp_b, digest_b) in &seen[..i] {
+                    assert_eq!(fp_a == fp_b, digest_a == digest_b);
+                }
             }
         },
     );

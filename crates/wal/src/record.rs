@@ -70,39 +70,45 @@ fn read_ids(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<i64>, pdm_sql::Error
 impl WalRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the payload encoding to `out` (a log frame's buffer, so a
+    /// record is written once, in place).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::DmlCommit { version, sql } => {
-                put_u8(&mut out, TAG_DML);
-                put_u64(&mut out, *version);
-                put_str(&mut out, sql);
+                put_u8(out, TAG_DML);
+                put_u64(out, *version);
+                put_str(out, sql);
             }
             WalRecord::CheckoutGrant {
                 token,
                 assy_ids,
                 comp_ids,
             } => {
-                put_u8(&mut out, TAG_GRANT);
-                put_u64(&mut out, *token);
-                put_ids(&mut out, assy_ids);
-                put_ids(&mut out, comp_ids);
+                put_u8(out, TAG_GRANT);
+                put_u64(out, *token);
+                put_ids(out, assy_ids);
+                put_ids(out, comp_ids);
             }
             WalRecord::CheckoutRelease { ids } => {
-                put_u8(&mut out, TAG_RELEASE);
-                put_ids(&mut out, ids);
+                put_u8(out, TAG_RELEASE);
+                put_ids(out, ids);
             }
             WalRecord::TokenComplete { token, rows } => {
-                put_u8(&mut out, TAG_TOKEN);
-                put_u64(&mut out, *token);
+                put_u8(out, TAG_TOKEN);
+                put_u64(out, *token);
                 match rows {
-                    None => put_u8(&mut out, 0),
+                    None => put_u8(out, 0),
                     Some(rs) => {
-                        put_u8(&mut out, 1);
-                        put_result_set(&mut out, rs);
+                        put_u8(out, 1);
+                        put_result_set(out, rs);
                     }
                 }
             }
         }
-        out
     }
 
     pub fn decode(bytes: &[u8]) -> Result<WalRecord, WalError> {

@@ -136,12 +136,14 @@ impl DurableStore {
         ))
     }
 
-    /// Append a record to the log (not yet durable). Returns its sequence.
-    pub fn append(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
+    /// Append a record to the log (not yet durable), encoding it straight
+    /// into its frame. Returns its sequence and its payload length in bytes.
+    pub fn append(&mut self, rec: &WalRecord) -> Result<(u64, usize), WalError> {
         let seq = self.next_seq;
-        log::append_record(&mut self.log, seq, &rec.encode())?;
+        let frame = log::frame_with(seq, |out| rec.encode_into(out));
+        self.log.append(&frame)?;
         self.next_seq = self.next_seq.saturating_add(1);
-        Ok(seq)
+        Ok((seq, frame.len() - log::HEADER))
     }
 
     /// Durability barrier on the log.
@@ -149,11 +151,12 @@ impl DurableStore {
         self.log.sync()
     }
 
-    /// Append + sync: the record is durable when this returns.
-    pub fn commit(&mut self, rec: &WalRecord) -> Result<u64, WalError> {
-        let seq = self.append(rec)?;
+    /// Append + sync: the record is durable when this returns (same result
+    /// as [`DurableStore::append`]).
+    pub fn commit(&mut self, rec: &WalRecord) -> Result<(u64, usize), WalError> {
+        let appended = self.append(rec)?;
         self.sync()?;
-        Ok(seq)
+        Ok(appended)
     }
 
     /// Install a checkpoint covering everything up to and including the
@@ -330,7 +333,8 @@ mod tests {
         store.commit(&rec(1)).unwrap();
         store.commit(&rec(2)).unwrap();
         let (mut reopened, _) = DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
-        let seq = reopened.commit(&rec(3)).unwrap();
+        let (seq, len) = reopened.commit(&rec(3)).unwrap();
+        assert_eq!(len, rec(3).encode().len());
         assert_eq!(seq, 3);
     }
 

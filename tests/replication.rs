@@ -11,6 +11,12 @@
 //!   prefix ([`pdm_core::replay_prefix`] — the crash-recovery oracle), no
 //!   acknowledged commit may be lost, and no stale check-out grant may
 //!   survive promotion.
+//!   A second leg of the sweep checkpoints every few records, so its cuts
+//!   lie beyond the first feed rebase and the report's epoch base is a
+//!   moved one.
+//! * **Laggard re-seed** — a site whose ship link is down past the feed's
+//!   retention bound is re-bootstrapped from the moved base, converges
+//!   byte-identically and keeps read-your-writes.
 //! * **Read-your-writes stress** — ≥4 sites over lossy links: every
 //!   un-annotated read observes the session's last acknowledged write.
 //! * **Lease failover through the writer path** — an outage outliving the
@@ -22,9 +28,10 @@
 //!   degradation controller's staleness rung converts repeated lag
 //!   timeouts into explicitly annotated stale reads.
 
+use pdm_core::repl::RETENTION_INTERVALS;
 use pdm_core::{
-    replay_prefix, Cluster, ClusterConfig, ProductTree, RetryPolicy, RoutedSession, RuleTable,
-    SessionConfig, SessionError, Strategy,
+    replay_prefix, Cluster, ClusterConfig, DurabilityConfig, ProductTree, RetryPolicy,
+    RoutedSession, RuleTable, SessionConfig, SessionError, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile, OutageWindow};
 use pdm_prng::splitmix64;
@@ -120,15 +127,18 @@ fn drive_step(
     }
 }
 
-/// One enumerated failover point: run `cut + 1` workload steps, force
-/// promotion, verify the failover invariants, then keep writing in the new
-/// epoch and converge every survivor.
-fn failover_point(seed: u64, cut: usize) {
+/// One enumerated failover point: run `cut + 1` workload steps on a
+/// cluster checkpointing every `interval` records, force promotion, verify
+/// the failover invariants, then keep writing in the new epoch and
+/// converge every survivor. Returns whether the feed's base had moved by
+/// the time of the promotion.
+fn failover_point(seed: u64, cut: usize, interval: u64) -> bool {
     let faults = FaultPlan::lossy(splitmix64(seed ^ cut as u64), 0.2).with_stall_rate(0.1);
     let cfg = ClusterConfig::default()
         .with_replicas(3)
         .with_ship_faults(faults)
-        .with_max_pump_rounds(512);
+        .with_max_pump_rounds(512)
+        .with_durability(DurabilityConfig::default().with_interval(interval));
     let mut cluster = small_cluster(cfg);
     let roots = roots_of(&cluster);
     let sites = cluster.replica_sites();
@@ -148,6 +158,7 @@ fn failover_point(seed: u64, cut: usize) {
     }
 
     // Kill the primary: promote the most caught-up replica.
+    let rebased = cluster.feed().base_seq() > 0;
     cluster.promote().unwrap();
     assert_eq!(cluster.failovers().len(), 1);
     let report = cluster.failovers()[0].clone();
@@ -167,6 +178,7 @@ fn failover_point(seed: u64, cut: usize) {
         .prefix
         .iter()
         .all(|(seq, _)| *seq <= report.promoted_seq));
+    assert_eq!(rebased, report.prefix.len() as u64 != report.promoted_seq);
 
     // No acknowledged commit of the old epoch is beyond the surviving
     // prefix — semi-synchronous ack means promotion never loses one.
@@ -221,20 +233,104 @@ fn failover_point(seed: u64, cut: usize) {
         assert_eq!(cluster.lag(s), 0, "seed {seed} cut {cut}: site {s} stuck");
         assert_eq!(cluster.replica(s).unwrap().fingerprint(), fp);
     }
+    rebased
 }
 
 /// ≥100 enumerated failover points: every workload cut × several fault
-/// seeds.
+/// seeds, then late cuts on a cluster whose feed has rebased before the
+/// primary dies.
 #[test]
 fn failover_sweep_matches_serial_replay_oracle() {
     let mut points = 0;
     for seed in [0xA1, 0xB2, 0xC3] {
         for cut in 0..35 {
-            failover_point(seed, cut);
+            failover_point(seed, cut, DurabilityConfig::default().checkpoint_interval);
             points += 1;
         }
     }
     assert!(points >= 100, "sweep must cover at least 100 points");
+
+    let mut beyond_a_rebase = 0;
+    for seed in [0xA1, 0xB2, 0xC3] {
+        for cut in (14..35).step_by(4) {
+            beyond_a_rebase += usize::from(failover_point(seed, cut, 4));
+        }
+    }
+    assert!(
+        beyond_a_rebase >= 12,
+        "only {beyond_a_rebase} failovers promoted from a moved base"
+    );
+}
+
+/// A site whose ship link stays down while the feed fills to its retention
+/// bound is not waited for: the base moves, the site is re-seeded from it
+/// (a topology change, so its session re-resolves its read server), and
+/// once the link is back it follows the primary like any other replica.
+#[test]
+fn laggard_past_the_retention_bound_is_reseeded() {
+    const INTERVAL: u64 = 4;
+    let cfg = ClusterConfig::default()
+        .with_replicas(2)
+        .with_durability(DurabilityConfig::default().with_interval(INTERVAL));
+    let mut cluster = small_cluster(cfg);
+    let root = roots_of(&cluster)[0];
+    let mut near = connect(&cluster, 1);
+    let mut far = connect(&cluster, 2);
+    let generation = cluster.generation();
+
+    // Every failed ship burns the link's 30 s timeout of the window: the
+    // link is down for the first 40 ships, far longer than the bound.
+    let bound = RETENTION_INTERVALS * INTERVAL;
+    cluster.schedule_ship_outage(2, OutageWindow::new(0.0, 40.0 * 30.0));
+    let mut reseeded_at = None;
+    for i in 0..bound + INTERVAL {
+        let sql = format!("UPDATE assy SET payload = 'w{i}' WHERE obid = {root}");
+        near.execute_dml(&mut cluster, &sql).unwrap();
+        assert!(cluster.feed().retained() as u64 <= bound);
+        assert_eq!(
+            replay_prefix(cluster.epoch_base(), &cluster.feed().since(0)).unwrap(),
+            cluster.primary_fingerprint()
+        );
+        if cluster.generation() > generation && reseeded_at.is_none() {
+            reseeded_at = Some(i + 1);
+            // Re-seeded at the head, from the primary's bytes.
+            assert_eq!(cluster.lag(2), 0);
+            assert_eq!(
+                cluster.replica(2).unwrap().fingerprint(),
+                cluster.primary_fingerprint()
+            );
+        }
+    }
+    assert_eq!(
+        reseeded_at,
+        Some(bound),
+        "the laggard goes when the bound fills"
+    );
+    assert_eq!(cluster.feed().len() as u64, bound + INTERVAL);
+    assert!(cluster.lag(2) > 0, "site 2's link is still down");
+
+    // Read-your-writes at the re-seeded site: the read waits out what is
+    // left of the outage on the ship link, then sees the session's write.
+    let sql = format!("UPDATE assy SET payload = 'mine' WHERE obid = {root}");
+    let (_, receipt) = far.execute_dml(&mut cluster, &sql).unwrap();
+    let out = far.multi_level_expand(&mut cluster, root).unwrap();
+    assert!(out.staleness.is_none());
+    assert!(cluster.replica(2).unwrap().applied_seq() >= receipt.seq);
+    let seen = far
+        .read_session()
+        .server()
+        .query(&format!("SELECT payload FROM assy WHERE obid = {root}"))
+        .unwrap();
+    assert_eq!(seen.rows[0].get(0), &Value::Text("mine".into()));
+
+    cluster.pump().unwrap();
+    for site in cluster.replica_sites() {
+        assert_eq!(cluster.lag(site), 0);
+        assert_eq!(
+            cluster.replica(site).unwrap().fingerprint(),
+            cluster.primary_fingerprint()
+        );
+    }
 }
 
 /// Read-your-writes over 4 sites with lossy ship links: every read that
