@@ -11,7 +11,7 @@ use pdm_net::TrafficStats;
 use pdm_sql::{DmlOutcome, ExecOutcome, ResultSet};
 
 use crate::product::{ObjectId, ProductTree};
-use crate::query::recursive;
+use crate::query::prepared::Shape;
 use crate::rules::classify::ConditionClass;
 use crate::rules::condition::Condition;
 use crate::rules::ActionKind;
@@ -117,28 +117,7 @@ impl Session {
         // append, so it rides the Checkout priority class (sheds before
         // interactive queries as the token bucket drains).
         let _permit = self.admit(crate::overload::Priority::Checkout)?;
-        let mut q = recursive::mle_query(root);
-        {
-            let rules = self.rules().clone();
-            let user = self.config().user.clone();
-            let views = self.server().view_names();
-            let lookup = self
-                .recorder()
-                .span(pdm_obs::kinds::RULE_LOOKUP, "checkout_rules");
-            let m = crate::query::modificator::Modificator::new(
-                &rules,
-                &user,
-                ActionKind::CheckOut,
-                &views,
-            );
-            drop(lookup);
-            let span = self
-                .recorder()
-                .span(pdm_obs::kinds::QUERY_MODIFY, "recursive");
-            m.modify_recursive(&mut q)?;
-            drop(span);
-        }
-        let sql = q.to_string();
+        let sql = self.statement(Shape::MlePhysical, ActionKind::CheckOut, &[root])?;
         // Drawn from the shared server's counter so tokens never collide
         // across sessions; retries of this action reuse it.
         let token = self.server().next_token();

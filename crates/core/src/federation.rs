@@ -26,7 +26,7 @@ use pdm_sql::{Database, ResultSet, Value};
 
 use crate::client::{self, Strategy};
 use crate::product::{ObjectId, ProductTree};
-use crate::query::{navigational, recursive};
+use crate::query::prepared::Shape;
 use crate::resilience::RetryPolicy;
 use crate::rules::table::RuleTable;
 use crate::rules::ActionKind;
@@ -233,13 +233,12 @@ impl Federation {
                         continue;
                     }
                     visited_sites.insert(site);
-                    let include_root = attach_to.is_some();
-                    let mut q = recursive::mle_query_with_root(r, include_root);
+                    let shape = Shape::Mle {
+                        include_root: attach_to.is_some(),
+                    };
                     let session = &mut self.sites[site].session;
-                    session
-                        .modificator(ActionKind::MultiLevelExpand)
-                        .modify_recursive(&mut q)?;
-                    let rs = match session.metered_query(&q.to_string()) {
+                    let sql = session.statement(shape, ActionKind::MultiLevelExpand, &[r])?;
+                    let rs = match session.metered_query(&sql) {
                         Ok(rs) => rs,
                         Err(e) if e.is_link_failure() && site != root_site => {
                             unreachable.insert(site);
@@ -275,7 +274,8 @@ impl Federation {
                     }
                     visited_sites.insert(site);
                     let nodes = match self.sites[site].session.retrieve(
-                        navigational::expand_query(parent),
+                        Shape::Expand,
+                        &[parent],
                         ActionKind::MultiLevelExpand,
                         &[
                             crate::query::T_LINK,
@@ -305,11 +305,13 @@ impl Federation {
                             {
                                 continue;
                             }
-                            let fq = navigational::fetch_node_query(mount.child);
-                            let fetched = self.sites[mount.child_site]
-                                .session
-                                .metered_query(&fq.to_string());
-                            let rs = match fetched {
+                            let session = &mut self.sites[mount.child_site].session;
+                            let sql = session.statement(
+                                Shape::FetchNode,
+                                ActionKind::Access,
+                                &[mount.child],
+                            )?;
+                            let rs = match session.metered_query(&sql) {
                                 Ok(rs) => rs,
                                 Err(e) if e.is_link_failure() => {
                                     unreachable.insert(mount.child_site);

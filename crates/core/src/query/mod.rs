@@ -8,10 +8,18 @@
 //! structure option). The information content is identical, the row count
 //! equals the transferred-node count of the cost model, and every row
 //! occupies the configured node size on the wire.
+//!
+//! [`navigational`] and [`recursive`] build a statement's AST for an object
+//! id, the [`modificator`] splices the user's rules into it, and every
+//! finished AST passes the [`audit`] hook. A session does not run that
+//! pipeline per statement: [`prepared`] runs it once per statement *shape*
+//! and splices ids into the printed text, which is all that differs between
+//! the hundreds of statements of a navigational expand.
 
 pub mod audit;
 pub mod modificator;
 pub mod navigational;
+pub mod prepared;
 pub mod recursive;
 
 use pdm_sql::ast::{Expr, SelectItem};

@@ -2,6 +2,15 @@
 //! metered WAN. This is where the paper's three system variants become
 //! executable — every user action runs real SQL and every byte crosses the
 //! simulated link.
+//!
+//! The statement path, by what each step is paid for: *per shape* (a
+//! generator, an action, the strategy and structure view in force) the
+//! session generates, rule-modifies and prints a statement once
+//! ([`Session::statement`], [`crate::query::prepared`]); *per statement* it
+//! splices the object id into that text and ships it through one metered
+//! exchange ([`crate::resilience`]); *per row* it reads the server's shared
+//! result by reference into [`ProductNode`]s — the result set itself is
+//! never copied.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -10,7 +19,7 @@ use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
 use pdm_obs::{
-    kinds, FlightDump, MetricsRegistry, QueryProfile, Recorder, SpanGuard, TraceAssembler,
+    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, SpanGuard, TraceAssembler,
     TraceContext, TraceIdGen, TraceTree, ROOT_GID,
 };
 use pdm_sql::functions::FunctionRegistry;
@@ -19,7 +28,7 @@ use pdm_sql::{Database, ResultSet, Value};
 use crate::client::{self, Strategy};
 use crate::product::{ObjectId, ProductNode, ProductTree};
 use crate::query::modificator::{ModError, Modificator};
-use crate::query::{navigational, recursive};
+use crate::query::prepared::{Prepared, Shape};
 use crate::resilience::{DegradationController, RetryPolicy};
 use crate::rules::table::RuleTable;
 use crate::rules::ActionKind;
@@ -405,6 +414,17 @@ pub struct Session {
     tracing: Option<TraceState>,
     /// Assembled causal tree of the most recent traced action.
     last_trace: Option<TraceTree>,
+    /// The statements this session has generated, one per shape and action
+    /// (see [`Session::statement`]). Emptied by the two setters that change
+    /// what a shape generates, [`Session::set_strategy`] and
+    /// [`Session::set_structure_view`]; rules, user and view names are
+    /// fixed at [`Session::attach`].
+    prepared: HashMap<(Shape, ActionKind), Prepared>,
+    /// `session.rows_kept` / `session.rows_filtered_late`, resolved on the
+    /// first late-filtered statement rather than at attach: a registry
+    /// lookup registers the name, and a server that only ever saw early
+    /// sessions reports neither.
+    late_rows: Option<(Counter, Counter)>,
 }
 
 impl Session {
@@ -438,6 +458,8 @@ impl Session {
             metrics,
             tracing: None,
             last_trace: None,
+            prepared: HashMap::new(),
+            late_rows: None,
         }
     }
 
@@ -684,6 +706,7 @@ impl Session {
     /// table name, so a view can carry its own access rules.
     pub fn set_structure_view(&mut self, link_table: impl Into<String>) {
         self.structure_table = link_table.into().to_ascii_lowercase();
+        self.prepared.clear();
     }
 
     /// The link table currently navigated.
@@ -705,6 +728,7 @@ impl Session {
 
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.config.strategy = strategy;
+        self.prepared.clear();
     }
 
     /// Re-point the session at a different WAN profile (fresh channel and
@@ -739,8 +763,30 @@ impl Session {
         self.channel.reset();
     }
 
-    pub(crate) fn modificator(&self, action: ActionKind) -> Modificator<'_> {
-        Modificator::new(&self.rules, &self.config.user, action, &self.view_names)
+    /// The SQL text of the `shape` statement for `ids` under `action`, as
+    /// this session ships it — the one place a session's statements come
+    /// from. The first use of a shape and action generates, rule-modifies
+    /// (per the strategy) and prints it (`Prepared::new`); every later
+    /// use splices the ids into that text.
+    pub fn statement(
+        &mut self,
+        shape: Shape,
+        action: ActionKind,
+        ids: &[ObjectId],
+    ) -> SessionResult<String> {
+        if let Some(prepared) = self.prepared.get(&(shape, action)) {
+            return Ok(prepared.bind(ids));
+        }
+        let prepared = Prepared::new(
+            shape,
+            &self.structure_table,
+            &Modificator::new(&self.rules, &self.config.user, action, &self.view_names),
+            self.config.strategy.early_rules(),
+            &self.obs,
+        )?;
+        let sql = prepared.bind(ids);
+        self.prepared.insert((shape, action), prepared);
+        Ok(sql)
     }
 
     /// One metered exchange with this session's server over its channel,
@@ -770,10 +816,11 @@ impl Session {
     /// response = result rows). Queries are idempotent reads, so on a faulty
     /// link any failure — even a lost response, after which the server *did*
     /// run the query — is safe to replay.
-    pub(crate) fn metered_query(&mut self, sql: &str) -> SessionResult<ResultSet> {
+    /// The rows are the server's own shared result, not a copy.
+    pub(crate) fn metered_query(&mut self, sql: &str) -> SessionResult<Arc<ResultSet>> {
         let _permit = self.admit(crate::overload::Priority::Interactive)?;
         self.exchange(sql.len(), |server, deadline, obs| {
-            let rs = (*server.query_cached_deadline_obs(sql, deadline, obs)?).clone();
+            let rs = server.query_cached_deadline_obs(sql, deadline, obs)?;
             let bytes = rs.wire_size();
             Ok((rs, bytes))
         })
@@ -782,8 +829,8 @@ impl Session {
     /// Fetch the root object without metering: the paper's footnote 4 —
     /// "the root object is considered to be already at the client".
     pub fn fetch_root_cached(&mut self, root: ObjectId) -> SessionResult<ProductNode> {
-        let q = navigational::fetch_node_query(root);
-        let rs = self.server.query(&q.to_string())?;
+        let sql = self.statement(Shape::FetchNode, ActionKind::Access, &[root])?;
+        let rs = self.server.query_cached(&sql)?;
         let row = rs.rows.first().ok_or(SessionError::RootNotFound(root))?;
         let attrs = client::row_attrs(&rs, row);
         Ok(node_from_attrs(attrs, None))
@@ -890,14 +937,12 @@ impl Session {
         root: ObjectId,
         tree: &mut ProductTree,
     ) -> SessionResult<()> {
-        let mut q = recursive::mle_query_in(root, &self.structure_table, false);
-        {
-            let span = self.obs.span(kinds::QUERY_MODIFY, "recursive");
-            self.modificator(ActionKind::MultiLevelExpand)
-                .modify_recursive(&mut q)?;
-            drop(span);
-        }
-        insert_rows(tree, &self.metered_query(&q.to_string())?);
+        let shape = Shape::Mle {
+            include_root: false,
+        };
+        let sql = self.statement(shape, ActionKind::MultiLevelExpand, &[root])?;
+        let rs = self.metered_query(&sql)?;
+        insert_rows(tree, &rs);
         Ok(())
     }
 
@@ -928,7 +973,8 @@ impl Session {
         let mut frontier: Vec<ObjectId> = vec![root];
         while !frontier.is_empty() {
             let nodes = self.retrieve(
-                navigational::expand_many_query(&frontier, &view),
+                Shape::ExpandMany,
+                &frontier,
                 ActionKind::MultiLevelExpand,
                 &[&view, crate::query::T_ASSY, crate::query::T_COMP],
                 "batched_level",
@@ -951,7 +997,8 @@ impl Session {
     pub fn query_all(&mut self, root: ObjectId) -> SessionResult<QueryOutcome> {
         self.action("query_all", |s| {
             let nodes = s.retrieve(
-                navigational::query_all_query(root),
+                Shape::QueryAll,
+                &[root],
                 ActionKind::Query,
                 &[crate::query::T_ASSY, crate::query::T_COMP],
                 "query_all",
@@ -974,7 +1021,8 @@ impl Session {
     ) -> SessionResult<Vec<ObjectId>> {
         let view = self.structure_table.clone();
         let nodes = self.retrieve(
-            navigational::expand_query_in(parent, &view),
+            Shape::Expand,
+            &[parent],
             action,
             &[&view, crate::query::T_ASSY, crate::query::T_COMP],
             "expand",
@@ -984,47 +1032,56 @@ impl Session {
     }
 
     /// The one navigational retrieval every non-recursive action is built
-    /// from: splice the rules into `q` (early strategies), ship it, and
-    /// turn the transferred rows into nodes under `parent`. Late evaluation
-    /// filters after transfer — the row rules of `tables`, evaluated on the
-    /// transferred attributes — and accounts the paper's γ split: how many
-    /// rows the client kept vs threw away after paying for their transfer.
+    /// from: ship the `shape` statement for `ids` (rules spliced in under
+    /// the early strategies) and turn the transferred rows into nodes under
+    /// `parent`. Late evaluation filters after transfer — the row rules of
+    /// `tables`, evaluated on the transferred attributes — and accounts the
+    /// paper's γ split: how many rows the client kept vs threw away after
+    /// paying for their transfer.
     pub(crate) fn retrieve(
         &mut self,
-        mut q: pdm_sql::Query,
+        shape: Shape,
+        ids: &[ObjectId],
         action: ActionKind,
         tables: &[&str],
         label: &'static str,
         parent: Option<ObjectId>,
     ) -> SessionResult<Vec<ProductNode>> {
-        let early = self.config.strategy.early_rules();
-        if early {
-            let span = self.obs.span(kinds::QUERY_MODIFY, "navigational");
-            self.modificator(action).modify_navigational(&mut q)?;
-            drop(span);
-        }
-        let rs = self.metered_query(&q.to_string())?;
+        let sql = self.statement(shape, action, ids)?;
+        let rs = self.metered_query(&sql)?;
 
-        let lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
-        let groups = client::permission_groups(&self.rules, &self.config.user, action, tables);
-        drop(lookup);
-
-        let late = (!early).then(|| self.obs.span(kinds::LATE_FILTER, label));
+        // Early strategies already paid for the rules at the server.
+        let groups = (!self.config.strategy.early_rules()).then(|| {
+            let _lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
+            client::permission_groups(&self.rules, &self.config.user, action, tables)
+        });
+        let late = groups
+            .as_ref()
+            .map(|_| self.obs.span(kinds::LATE_FILTER, label));
         let nodes: Vec<ProductNode> = rs
             .rows
             .iter()
             .map(|row| client::row_attrs(&rs, row))
-            .filter(|attrs| early || client::permitted(attrs, &groups, &self.funcs))
+            .filter(|attrs| {
+                groups
+                    .as_ref()
+                    .is_none_or(|groups| client::permitted(attrs, groups, &self.funcs))
+            })
             .map(|attrs| node_from_attrs(attrs, parent))
             .collect();
         if let Some(span) = late {
             let (transferred, kept) = (rs.len() as u64, nodes.len() as u64);
             span.set_rows(transferred, kept);
             drop(span);
-            self.metrics.counter("session.rows_kept").add(kept);
-            self.metrics
-                .counter("session.rows_filtered_late")
-                .add(transferred - kept);
+            let metrics = &self.metrics;
+            let (rows_kept, rows_filtered) = self.late_rows.get_or_insert_with(|| {
+                (
+                    metrics.counter("session.rows_kept"),
+                    metrics.counter("session.rows_filtered_late"),
+                )
+            });
+            rows_kept.add(kept);
+            rows_filtered.add(transferred - kept);
         }
         Ok(nodes)
     }

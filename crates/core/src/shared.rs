@@ -14,7 +14,11 @@
 //! * a **cross-session query-result cache** keyed by canonical SQL text +
 //!   storage version. Any DML bumps the version (the cache epoch), so a
 //!   stale read is impossible by construction — a cached result is only
-//!   returned while the storage it was computed from is still current;
+//!   returned while the storage it was computed from is still current.
+//!   A request is looked up by its text as sent before it is parsed, so a
+//!   repeated statement in canonical spelling — every statement a session
+//!   generates — costs one hash probe
+//!   ([`SharedServer::query_cached_deadline_obs`]);
 //! * an **idempotency log** for failure-atomic check-outs (PR 1), shared
 //!   so tokens are unique across sessions and bounded to the
 //!   [`RETAINED_TOKENS`] most recent outcomes (an older token fails closed
@@ -486,6 +490,13 @@ impl CacheStats {
 /// invalidates every entry — a lookup only ever returns a result computed
 /// against the *current* storage.
 ///
+/// Every key is therefore the print of a parsed query, and such a print
+/// parses back to that query: a request whose text, as sent, is a key needs
+/// no parse to learn its canonical key. The server probes with the raw
+/// text first and parses only what that probe does not find; there is no
+/// text → query memo beside the map, because a hit needs nothing but the
+/// key.
+///
 /// Hit/miss/invalidation counts live in the server's metrics registry
 /// (`cache.hits`, `cache.misses`, `cache.invalidations`), so they appear in
 /// the same snapshot as every other subsystem's counters.
@@ -548,6 +559,15 @@ impl QueryCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
         }
+    }
+
+    /// The result cached under `key`, if it was computed on storage
+    /// `version` — the only kind of entry a look-up may return.
+    fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
+        lock_unpoisoned(&self.map)
+            .get(key)
+            .filter(|entry| entry.version == version)
+            .map(|entry| Arc::clone(&entry.result))
     }
 }
 
@@ -789,20 +809,37 @@ impl SharedServer {
         self.query_cached_deadline_obs(sql, None, &Recorder::disabled())
     }
 
-    /// [`SharedServer::query_cached`] as sessions call it. The parse, the
-    /// cache probe (detail `hit`/`miss`), and — on a miss — the engine's
-    /// per-operator spans land in `obs`; a disabled recorder makes that
-    /// free. Single-flight is bounded by `deadline`: concurrent misses on
-    /// the same canonical key wait for the first computation (up to
-    /// `deadline`) and share its result instead of stampeding the engine. A
-    /// waiter whose deadline runs out falls back to computing for itself —
-    /// never worse than no single-flight.
+    /// [`SharedServer::query_cached`] as sessions call it. A text that is
+    /// itself a key of the cache (any statement already served in canonical
+    /// spelling) is answered by one probe, unparsed, and records only that
+    /// probe. Otherwise the parse, the cache probe (detail `hit`/`miss`),
+    /// and — on a miss — the engine's per-operator spans land in `obs`; a
+    /// disabled recorder makes that free. Single-flight is bounded by
+    /// `deadline`: concurrent misses on the same canonical key wait for the
+    /// first computation (up to `deadline`) and share its result instead of
+    /// stampeding the engine. A waiter whose deadline runs out falls back to
+    /// computing for itself — never worse than no single-flight.
     pub fn query_cached_deadline_obs(
         &self,
         sql: &str,
         deadline: Option<Duration>,
         obs: &Recorder,
     ) -> pdm_sql::Result<Arc<ResultSet>> {
+        // Probe with the text as sent, before parsing it. Every key of the
+        // map is the print of a parsed query, and such a print parses back
+        // to that query (what the server already relies on when it executes
+        // whatever it parses from a client's printed statement), so a text
+        // found among the keys IS its own canonical key. A text in any
+        // other spelling finds nothing here and takes the parse below to
+        // the same entry. The hit's `cache.probe` span is recorded once the
+        // entry is found: a probe that finds nothing leaves the statement's
+        // one probe span to the canonical look-up after the parse.
+        if let Some(result) = self.cache.get(sql, self.db.snapshot().version) {
+            obs.span(kinds::CACHE_PROBE, "lookup").set_detail("hit");
+            self.m.queries.inc();
+            self.cache.hits.inc();
+            return Ok(result);
+        }
         let parse_span = obs.span(kinds::PARSE, "query");
         let query = pdm_sql::parser::parse_query(sql)?;
         drop(parse_span);
@@ -817,15 +854,13 @@ impl SharedServer {
                 // Scope the probe span so engine spans are siblings, not
                 // children, of the probe.
                 let probe = obs.span(kinds::CACHE_PROBE, "lookup");
-                if let Some(entry) = lock_unpoisoned(&self.cache.map).get(&key) {
-                    if entry.version == snapshot.version {
-                        self.cache.hits.inc();
-                        if waited_sf {
-                            self.cache.singleflight_hits.inc();
-                        }
-                        probe.set_detail("hit");
-                        return Ok(Arc::clone(&entry.result));
+                if let Some(result) = self.cache.get(&key, snapshot.version) {
+                    self.cache.hits.inc();
+                    if waited_sf {
+                        self.cache.singleflight_hits.inc();
                     }
+                    probe.set_detail("hit");
+                    return Ok(result);
                 }
                 probe.set_detail("miss");
             }
@@ -836,14 +871,12 @@ impl SharedServer {
                 // probe above and taking the in-flight lock. (Lock order
                 // inflight→map is safe: no path holds map while taking
                 // inflight.)
-                if let Some(entry) = lock_unpoisoned(&self.cache.map).get(&key) {
-                    if entry.version == snapshot.version {
-                        self.cache.hits.inc();
-                        if waited_sf {
-                            self.cache.singleflight_hits.inc();
-                        }
-                        return Ok(Arc::clone(&entry.result));
+                if let Some(result) = self.cache.get(&key, snapshot.version) {
+                    self.cache.hits.inc();
+                    if waited_sf {
+                        self.cache.singleflight_hits.inc();
                     }
+                    return Ok(result);
                 }
                 infl.insert(key.clone());
                 leader = true;

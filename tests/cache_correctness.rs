@@ -14,7 +14,12 @@
 use std::collections::HashMap;
 
 use pdm_core::query::recursive;
-use pdm_core::{PdmServer, Recorder, SharedServer};
+use pdm_core::{
+    CacheStats, PdmServer, Recorder, RuleTable, Session, SessionConfig, SharedServer, SpanKind,
+    Strategy,
+};
+use pdm_net::LinkProfile;
+use pdm_obs::kinds;
 use pdm_prng::Prng;
 use pdm_sql::{Database, ExecConfig};
 use pdm_workload::{build_database, TreeSpec};
@@ -187,4 +192,170 @@ fn subquery_cache_is_result_invisible() {
         db.execute("DELETE FROM link WHERE left = 1").unwrap();
     }
     check(&with_cache, &without_cache);
+}
+
+// ---------------------------------------------------------------------------
+// The raw-text probe: a text that is already a key of the cache is found
+// before it is parsed. It may change what a hit costs — never a count, and
+// never an answer.
+// ---------------------------------------------------------------------------
+
+/// N distinct session-generated statements, issued twice: N misses, then N
+/// hits — and the second round, all hits on texts the printer produced,
+/// parses nothing and generates nothing.
+#[test]
+fn session_texts_hit_without_a_parse() {
+    let server = fresh_shared();
+    let mut s = Session::attach(
+        server.clone(),
+        SessionConfig::new("scott", Strategy::EarlyEval, LinkProfile::wan_256()),
+        RuleTable::new(),
+    );
+    s.enable_profiling();
+    let count = |s: &Session, kind: SpanKind| {
+        let spans = s.last_profile().unwrap().spans;
+        spans.iter().filter(|sp| sp.kind == kind).count()
+    };
+
+    let first = s.multi_level_expand(1).unwrap();
+    // One statement per node of the tree; the root's own fetch is unmetered
+    // and unprofiled but goes through the same cache.
+    let n = first.stats.queries as u64 + 1;
+    assert_eq!(n, first.tree.len() as u64 + 1);
+    let stats = server.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (0, n));
+    assert_eq!(count(&s, kinds::PARSE) as u64, n - 1);
+    assert_eq!(count(&s, kinds::QUERY_MODIFY), 1, "one shape was prepared");
+
+    let second = s.multi_level_expand(1).unwrap();
+    assert_eq!(
+        second.tree.nodes().collect::<Vec<_>>(),
+        first.tree.nodes().collect::<Vec<_>>()
+    );
+    assert_eq!(second.stats, first.stats, "a hit ships the same bytes");
+    let stats = server.cache_stats();
+    assert_eq!((stats.hits, stats.misses), (n, n));
+    assert_eq!(count(&s, kinds::PARSE), 0, "a raw-text hit parses nothing");
+    assert_eq!(count(&s, kinds::QUERY_MODIFY), 0, "nothing new to prepare");
+    let probes: Vec<_> = s
+        .last_profile()
+        .unwrap()
+        .spans
+        .into_iter()
+        .filter(|sp| sp.kind == kinds::CACHE_PROBE)
+        .collect();
+    assert_eq!(probes.len() as u64, n - 1, "one probe span per statement");
+    assert!(probes.iter().all(|sp| sp.detail == "hit"));
+    let snap = server.metrics().snapshot();
+    assert_eq!(snap.counter("server.queries"), 2 * n);
+}
+
+/// A cached statement sent in another spelling — case, whitespace,
+/// redundant parentheses — misses the raw-text probe, parses, and lands on
+/// the very same entry.
+#[test]
+fn respelt_text_hits_the_same_entry() {
+    let server = fresh_shared();
+    let shared = server.shared();
+    let canonical = "SELECT obid FROM assy WHERE obid = 1 AND checkedout = FALSE";
+    assert_eq!(
+        pdm_sql::parser::parse_query(canonical).unwrap().to_string(),
+        canonical
+    );
+    let filled = shared.query_cached(canonical).unwrap();
+    let before = shared.cache_stats();
+    for spelling in [
+        "select obid from ASSY where obid = 1 and checkedout = false",
+        "SELECT  obid\n\tFROM assy\n\tWHERE obid = 1   AND checkedout = FALSE  ",
+        "SELECT obid FROM assy WHERE ((obid = 1) AND (checkedout = FALSE))",
+        canonical,
+    ] {
+        let rs = shared.query_cached(spelling).unwrap();
+        assert!(
+            std::sync::Arc::ptr_eq(&rs, &filled),
+            "a second entry for: {spelling}"
+        );
+    }
+    let after = shared.cache_stats();
+    assert_eq!(after.hits, before.hits + 4);
+    assert_eq!(after.misses, before.misses, "a re-spelling is not a miss");
+}
+
+/// The interleaving of `dml_invalidates_exactly_the_dependent_epoch` with
+/// every read sent at random in the spelling it was written in or in its
+/// canonical one (the one the raw-text probe can find): a text that hit
+/// before a DML misses after it, and never returns the old rows.
+#[test]
+fn a_raw_text_hit_never_outlives_a_dml() {
+    let server = fresh_shared();
+    let shared = server.shared();
+    // (as written, canonical) — the written form must not be canonical, or
+    // the two arms below are one.
+    let queries: Vec<(String, String)> = battery()
+        .into_iter()
+        .map(|sql| {
+            let canonical = pdm_sql::parser::parse_query(&sql).unwrap().to_string();
+            let written = format!(" {}", canonical.replace(" FROM ", "\nfrom "));
+            assert_ne!(written, canonical);
+            (written, canonical)
+        })
+        .collect();
+    let mut prng = Prng::seed_from_u64(0xF00D);
+    let mut last_run: HashMap<usize, u64> = HashMap::new();
+    let (mut raw_hits, mut raw_misses_after_dml) = (0, 0);
+
+    for step in 0..600 {
+        if prng.next_u64().is_multiple_of(4) {
+            let obid = 1 + (prng.next_u64() % 7) as i64;
+            let flag = prng.next_u64().is_multiple_of(2);
+            server
+                .execute_deadline_obs(
+                    &format!("UPDATE assy SET checkedout = {flag} WHERE obid = {obid}"),
+                    None,
+                    &Recorder::disabled(),
+                )
+                .unwrap();
+            continue;
+        }
+        let which = (prng.next_u64() % queries.len() as u64) as usize;
+        let send_canonical = prng.next_u64().is_multiple_of(2);
+        let (written, canonical) = &queries[which];
+        let sql = if send_canonical { canonical } else { written };
+        let version = shared.database().version();
+        let before = shared.cache_stats();
+        let warm = shared.query_cached(sql).unwrap();
+        let after = shared.cache_stats();
+
+        let expect_hit = last_run.get(&which) == Some(&version);
+        let delta = (after.hits - before.hits, after.misses - before.misses);
+        assert_eq!(
+            delta,
+            if expect_hit { (1, 0) } else { (0, 1) },
+            "step {step}: wrong count for {sql}"
+        );
+        if send_canonical {
+            raw_hits += u64::from(expect_hit);
+            raw_misses_after_dml += u64::from(!expect_hit && last_run.contains_key(&which));
+        }
+        let cold = shared.query_uncached(sql).unwrap();
+        assert_eq!(*warm, cold, "step {step}: stale result served: {sql}");
+        last_run.insert(which, version);
+    }
+    assert!(raw_hits > 0, "no read ever took the raw-text probe");
+    assert!(raw_misses_after_dml > 0, "no cached text was ever outdated");
+}
+
+/// Malformed text finds nothing to hit and still gets the parser's error,
+/// uncounted as before.
+#[test]
+fn malformed_text_is_still_a_parse_error() {
+    let server = fresh_shared();
+    let shared = server.shared();
+    for bad in ["SELEC obid FROM assy", "SELECT obid FROM", ""] {
+        let expected = pdm_sql::parser::parse_query(bad).unwrap_err();
+        let got = shared.query_cached(bad).unwrap_err();
+        assert_eq!(got.to_string(), expected.to_string());
+    }
+    assert_eq!(shared.cache_stats(), CacheStats::default());
+    assert_eq!(server.metrics().snapshot().counter("server.queries"), 0);
 }
