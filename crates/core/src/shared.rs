@@ -908,29 +908,32 @@ impl SharedServer {
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();
+        // Entries leaving the map are only *moved* out under its lock and
+        // freed after it is released: a swept result set is thousands of
+        // deallocations, and every concurrent hit would wait for them.
+        let mut stale = Vec::new();
+        let mut cleared = HashMap::new();
         let mut map = lock_unpoisoned(&self.cache.map);
         if map.len() >= CACHE_CAPACITY {
             let current = snapshot.version;
-            let before = map.len();
-            map.retain(|_, e| e.version == current);
-            self.cache.invalidations.add((before - map.len()) as u64);
+            stale.extend(map.extract_if(|_, e| e.version != current));
             if map.len() >= CACHE_CAPACITY {
-                self.cache.invalidations.add(map.len() as u64);
-                map.clear();
+                cleared = std::mem::take(&mut *map);
             }
+            self.cache
+                .invalidations
+                .add((stale.len() + cleared.len()) as u64);
         }
-        if let Some(old) = map.insert(
-            key.clone(),
-            CacheEntry {
-                version: snapshot.version,
-                result: Arc::clone(&result),
-            },
-        ) {
-            if old.version != snapshot.version {
-                self.cache.invalidations.inc();
-            }
-        }
+        let entry = CacheEntry {
+            version: snapshot.version,
+            result: Arc::clone(&result),
+        };
+        let replaced = map.insert(key.clone(), entry);
         drop(map);
+        if replaced.is_some_and(|old| old.version != snapshot.version) {
+            self.cache.invalidations.inc();
+        }
+        drop((stale, cleared));
         self.finish_singleflight(&key, leader);
         Ok(result)
     }

@@ -10,6 +10,7 @@
 //! new immutable snapshot whose cost follows the rows it touched, not the
 //! size of the database.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,6 +47,16 @@ impl Default for Catalog {
             views: HashMap::new(),
             functions: FunctionRegistry::with_builtins(),
         }
+    }
+}
+
+/// `name` folded to lower case — the key it is stored under. Names that
+/// already are (what the lexer produces) are borrowed, not copied.
+pub(crate) fn lower(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -90,9 +101,9 @@ impl Catalog {
     }
 
     pub fn table(&self, name: &str) -> Result<&Table> {
-        let key = name.to_ascii_lowercase();
+        let key = lower(name);
         self.tables
-            .get(&key)
+            .get(&*key)
             .map(Arc::as_ref)
             .ok_or_else(|| Error::Bind(format!("unknown table '{key}'")))
     }
@@ -100,9 +111,9 @@ impl Catalog {
     /// The shared handle to a table (cheap clone; used by snapshot readers
     /// that must keep the rows alive past the catalog borrow).
     pub fn table_arc(&self, name: &str) -> Result<Arc<Table>> {
-        let key = name.to_ascii_lowercase();
+        let key = lower(name);
         self.tables
-            .get(&key)
+            .get(&*key)
             .cloned()
             .ok_or_else(|| Error::Bind(format!("unknown table '{key}'")))
     }
@@ -112,23 +123,23 @@ impl Catalog {
     /// per row; the table's mutators then copy the rows they change), so
     /// writes never reach rows a concurrent reader is scanning.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        let key = name.to_ascii_lowercase();
+        let key = lower(name);
         self.tables
-            .get_mut(&key)
+            .get_mut(&*key)
             .map(Arc::make_mut)
             .ok_or_else(|| Error::Bind(format!("unknown table '{key}'")))
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*lower(name))
     }
 
     pub fn view(&self, name: &str) -> Option<&ViewDef> {
-        self.views.get(&name.to_ascii_lowercase())
+        self.views.get(&*lower(name))
     }
 
     pub fn has_view(&self, name: &str) -> bool {
-        self.views.contains_key(&name.to_ascii_lowercase())
+        self.views.contains_key(&*lower(name))
     }
 
     pub fn table_names(&self) -> Vec<&str> {

@@ -1,268 +1,149 @@
 //! GROUP BY / aggregate evaluation.
 //!
-//! Aggregates are computed per group, then projection/HAVING expressions are
-//! evaluated with the precomputed values injected via `Env::aggs` (looked up
-//! by the aggregate's rendered SQL form). Plain column references inside a
-//! grouped projection resolve against the group's first row, which is exact
-//! for group-by columns and permissive (first-value) otherwise.
+//! Aggregates are computed per group into the slots the plan gave them, then
+//! projection/HAVING expressions are evaluated with those values in the
+//! frame. Plain column references inside a grouped projection resolve
+//! against the group's first row, which is exact for group-by columns and
+//! permissive (first-value) otherwise.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
-use crate::ast::{Expr, Select};
 use crate::error::{Error, Result};
-use crate::exec::{expr::eval_expr, Bindings, Env, ExecContext};
-use crate::row::{ResultSet, Row};
-use crate::schema::{Column, Schema};
-use crate::value::{DataType, Value};
+use crate::exec::plan::{Agg, AggArg, Group, SelectPlan};
+use crate::exec::{Cx, Frame};
+use crate::row::Row;
+use crate::value::Value;
 
-/// Evaluate a SELECT that needs grouping/aggregation over the filtered rows.
-pub fn eval_aggregate_select(
-    ctx: &ExecContext<'_>,
-    sel: &Select,
-    bindings: &Bindings,
-    rows: Vec<Vec<Value>>,
-    outer: Option<&Env<'_>>,
-) -> Result<ResultSet> {
-    // Collect the distinct aggregate expressions appearing anywhere in the
-    // projection or HAVING, keyed by rendered form.
-    let mut agg_nodes: Vec<Expr> = Vec::new();
-    let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut collect = |e: &Expr| {
-        collect_aggregates(e, &mut |agg| {
-            let key = agg.to_string();
-            if seen.insert(key) {
-                agg_nodes.push(agg.clone());
+/// Evaluate a SELECT that needs grouping/aggregation over its filtered,
+/// joined rows (`n` references each).
+pub(crate) fn run_group<'v>(
+    cx: Cx<'v>,
+    sel: &'v SelectPlan<'v>,
+    group: &'v Group<'v>,
+    rows: &[&'v [Value]],
+    n: usize,
+    outer: Option<&Frame<'_, 'v>>,
+) -> Result<Vec<Row>> {
+    let frame_of = |i: usize| Frame::of(&rows[i * n..(i + 1) * n], outer);
+    // Group the row positions, in order of first appearance.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    if group.keys.is_empty() {
+        // A global aggregate over zero rows still yields one group.
+        groups.push((0..rows.len() / n).collect());
+    } else {
+        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
+        for i in 0..rows.len() / n {
+            let frame = frame_of(i);
+            let mut key = Vec::with_capacity(group.keys.len());
+            for g in &group.keys {
+                key.push(g.eval(cx, &frame)?.into_owned());
             }
-        })
-    };
-    for item in &sel.projection {
-        if let crate::ast::SelectItem::Expr { expr, .. } = item {
-            collect(expr);
-        }
-    }
-    if let Some(h) = &sel.having {
-        collect(h);
-    }
-
-    // Group rows.
-    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
-    let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for row in rows {
-        let env = Env::with_outer(bindings, &row, outer);
-        let mut key = Vec::with_capacity(sel.group_by.len());
-        for g in &sel.group_by {
-            key.push(eval_expr(ctx, &env, g)?);
-        }
-        match index.get(&key) {
-            Some(&i) => groups[i].1.push(row),
-            None => {
-                index.insert(key.clone(), groups.len());
-                groups.push((key, vec![row]));
+            let next = groups.len();
+            let at = *index.entry(key).or_insert(next);
+            if at == next {
+                groups.push(Vec::new());
             }
+            groups[at].push(i);
         }
     }
 
-    // A global aggregate (no GROUP BY) over zero rows still yields one group.
-    if sel.group_by.is_empty() && groups.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
-    }
-
-    // Projection schema (wildcards expand against the source bindings and
-    // take first-row values per group).
-    let items = super::expand_projection(sel, bindings)?;
-    let schema = Schema::new(
-        items
-            .iter()
-            .map(|(e, n)| Column::new(n.clone(), infer_agg_type(e)))
-            .collect(),
-    );
-
-    let empty_row: Vec<Value> = vec![Value::Null; bindings.width()];
+    // What plain columns read when a global aggregate has no row at all.
+    let null_rows: Vec<&[Value]> = sel.factors.iter().map(|f| &*f.nulls).collect();
     let mut out = Vec::with_capacity(groups.len());
-    for (_key, group_rows) in &groups {
-        // Compute each aggregate over the group.
-        let mut aggs: HashMap<String, Value> = HashMap::new();
-        for agg in &agg_nodes {
-            let v = compute_aggregate(ctx, bindings, group_rows, agg, outer)?;
-            aggs.insert(agg.to_string(), v);
+    for members in &groups {
+        let mut aggs = Vec::with_capacity(group.aggs.len());
+        for agg in &group.aggs {
+            aggs.push(compute(cx, agg, members.iter().map(|&i| frame_of(i)))?);
         }
-
-        let rep = group_rows.first().map(Vec::as_slice).unwrap_or(&empty_row);
-        let env = Env {
-            bindings,
+        let rep: &[&[Value]] = match members.first() {
+            Some(&i) => &rows[i * n..(i + 1) * n],
+            None => &null_rows,
+        };
+        let frame = Frame {
             row: rep,
             outer,
-            aggs: Some(&aggs),
+            aggs: &aggs,
         };
-
-        if let Some(h) = &sel.having {
-            if !eval_expr(ctx, &env, h)?.is_true() {
+        if let Some(h) = &group.having {
+            if !h.holds(cx, &frame)? {
                 continue;
             }
         }
-
-        let mut values = Vec::with_capacity(items.len());
-        for (e, _) in &items {
-            values.push(eval_expr(ctx, &env, e)?);
+        let mut values = Vec::with_capacity(sel.items.len());
+        for e in &sel.items {
+            values.push(e.eval(cx, &frame)?.into_owned());
         }
         out.push(Row(values));
     }
-
-    Ok(ResultSet::new(schema, out))
+    Ok(out)
 }
 
-/// Find aggregate function nodes in an expression (not descending into
-/// subqueries — their aggregates belong to them).
-fn collect_aggregates(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    match e {
-        Expr::Function { name, args, .. } if crate::ast::is_aggregate_name(name) => {
-            f(e);
-            // nested aggregates are invalid SQL; don't recurse into args
-            let _ = args;
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, f);
-            }
-        }
-        Expr::BinaryOp { left, right, .. } => {
-            collect_aggregates(left, f);
-            collect_aggregates(right, f);
-        }
-        Expr::Not(x) | Expr::Negate(x) | Expr::Cast { expr: x, .. } => collect_aggregates(x, f),
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, f),
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, f);
-            for x in list {
-                collect_aggregates(x, f);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, f);
-            collect_aggregates(low, f);
-            collect_aggregates(high, f);
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, r) in branches {
-                collect_aggregates(c, f);
-                collect_aggregates(r, f);
-            }
-            if let Some(x) = else_expr {
-                collect_aggregates(x, f);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Compute one aggregate over a group's rows.
-fn compute_aggregate(
-    ctx: &ExecContext<'_>,
-    bindings: &Bindings,
-    rows: &[Vec<Value>],
-    agg: &Expr,
-    outer: Option<&Env<'_>>,
+/// Compute one aggregate over a group's rows. The argument is evaluated for
+/// every row (NULLs skipped, SQL semantics); only the running state is kept.
+fn compute<'f, 'v: 'f>(
+    cx: Cx<'v>,
+    agg: &'v Agg<'v>,
+    rows: impl ExactSizeIterator<Item = Frame<'f, 'v>>,
 ) -> Result<Value> {
-    let Expr::Function { name, args, star } = agg else {
-        return Err(Error::Eval(format!("not an aggregate: {agg}")));
+    let arg = match &agg.arg {
+        AggArg::Star => return Ok(Value::Int(rows.len() as i64)),
+        AggArg::Invalid(e) => return Err(e.clone()),
+        AggArg::Expr(arg) => arg,
     };
-
-    if *star {
-        if name != "count" {
-            return Err(Error::Eval(format!("{name}(*) is not valid")));
+    let mut count = 0usize;
+    let mut best: Option<Cow<'v, Value>> = None;
+    let (mut all_int, mut sum, mut isum) = (true, 0.0f64, 0i64);
+    // A non-numeric operand fails SUM/AVG only after every row's argument
+    // was evaluated (an evaluation error in a later row comes first).
+    let mut non_numeric = None;
+    for frame in rows {
+        let v = arg.eval(cx, &frame)?;
+        if v.is_null() {
+            continue;
         }
-        return Ok(Value::Int(rows.len() as i64));
-    }
-
-    if args.len() != 1 {
-        return Err(Error::Eval(format!(
-            "{}() expects exactly one argument",
-            name.to_uppercase()
-        )));
-    }
-
-    // Evaluate the argument per row, skipping NULLs (SQL semantics).
-    let mut values = Vec::with_capacity(rows.len());
-    for row in rows {
-        let env = Env::with_outer(bindings, row, outer);
-        let v = eval_expr(ctx, &env, &args[0])?;
-        if !v.is_null() {
-            values.push(v);
-        }
-    }
-
-    match name.as_str() {
-        "count" => Ok(Value::Int(values.len() as i64)),
-        "min" => Ok(values
-            .into_iter()
-            .reduce(|a, b| {
-                if b.total_cmp(&a) == std::cmp::Ordering::Less {
-                    b
+        count += 1;
+        match agg.func {
+            "min" | "max" => {
+                let wanted = if agg.func == "min" {
+                    Ordering::Less
                 } else {
-                    a
-                }
-            })
-            .unwrap_or(Value::Null)),
-        "max" => Ok(values
-            .into_iter()
-            .reduce(|a, b| {
-                if b.total_cmp(&a) == std::cmp::Ordering::Greater {
-                    b
-                } else {
-                    a
-                }
-            })
-            .unwrap_or(Value::Null)),
-        "sum" | "avg" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let mut all_int = true;
-            let mut sum = 0.0f64;
-            let mut isum = 0i64;
-            for v in &values {
-                match v {
-                    Value::Int(i) => {
-                        sum += *i as f64;
-                        isum = isum.wrapping_add(*i);
-                    }
-                    Value::Float(f) => {
-                        all_int = false;
-                        sum += *f;
-                    }
-                    other => {
-                        return Err(Error::Eval(format!(
-                            "{}() over non-numeric value {other}",
-                            name.to_uppercase()
-                        )))
-                    }
+                    Ordering::Greater
+                };
+                if best.as_ref().is_none_or(|b| v.total_cmp(b) == wanted) {
+                    best = Some(v);
                 }
             }
-            if name == "sum" {
-                Ok(if all_int {
-                    Value::Int(isum)
-                } else {
-                    Value::Float(sum)
-                })
-            } else {
-                Ok(Value::Float(sum / values.len() as f64))
-            }
+            "sum" | "avg" => match &*v {
+                Value::Int(i) => {
+                    sum += *i as f64;
+                    isum = isum.wrapping_add(*i);
+                }
+                Value::Float(x) => {
+                    all_int = false;
+                    sum += *x;
+                }
+                other if non_numeric.is_none() => {
+                    non_numeric = Some(Error::Eval(format!(
+                        "{}() over non-numeric value {other}",
+                        agg.func.to_uppercase()
+                    )));
+                }
+                _ => {}
+            },
+            _ => {}
         }
-        other => Err(Error::Eval(format!("unknown aggregate '{other}'"))),
     }
-}
-
-fn infer_agg_type(e: &Expr) -> DataType {
-    match e {
-        Expr::Function { name, .. } if name == "count" => DataType::Int,
-        Expr::Function { name, .. } if name == "avg" => DataType::Float,
-        Expr::Cast { dtype, .. } => *dtype,
-        Expr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
-        _ => DataType::Float,
+    if let Some(e) = non_numeric {
+        return Err(e);
     }
+    Ok(match agg.func {
+        "count" => Value::Int(count as i64),
+        "min" | "max" => best.map_or(Value::Null, Cow::into_owned),
+        _ if count == 0 => Value::Null,
+        "sum" if all_int => Value::Int(isum),
+        "sum" => Value::Float(sum),
+        _ => Value::Float(sum / count as f64),
+    })
 }

@@ -1,371 +1,191 @@
-//! EXPLAIN: a static preview of the executor's decisions — which filters
-//! push into scans, which joins use an index or a hash table, how
-//! subqueries will be treated. Produced without executing the query, by
-//! replaying the same analysis the executor performs, so the output is the
-//! plan the executor will actually follow.
+//! EXPLAIN: the `Display` of the compiled plan — which filters were pushed
+//! into scans, which joins probe an index or build a hash table, how
+//! subqueries are treated. The executor runs exactly the plan rendered here
+//! ([`super::plan`]); EXPLAIN has no analysis of its own to drift.
 
-use std::fmt::Write;
+use std::fmt::{self, Display, Formatter};
 
-use crate::ast::{BinOp, Expr, JoinKind, Query, Select, SetExpr, TableFactor};
+use crate::ast::{JoinKind, Query, SetOp};
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::exec::join::{classify_side, conjunct_target, probe_literals, Side};
-use crate::exec::{recursion, split_conjuncts, Bindings, ExecConfig};
-use crate::schema::Schema;
+use crate::exec::plan::{
+    compile, Conjunct, CteBody, Factor, Join, Op, PExpr, Plan, QueryPlan, SelectPlan, SetPlan,
+    Source,
+};
+use crate::exec::ExecConfig;
 
-/// Render the plan of `query` as indented text.
+/// Render the plan of `query` as indented text, without running it.
 pub fn explain_query(catalog: &Catalog, config: &ExecConfig, query: &Query) -> Result<String> {
-    let mut out = String::new();
-    explain_into(catalog, config, query, 0, &mut out)?;
-    Ok(out)
+    Ok(compile(catalog, config, query)?.to_string())
 }
 
-fn pad(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
+impl Display for Plan<'_> {
+    fn fmt(&self, out: &mut Formatter<'_>) -> fmt::Result {
+        query(out, &self.query, 0)
     }
 }
 
-fn explain_into(
-    catalog: &Catalog,
-    config: &ExecConfig,
-    query: &Query,
-    depth: usize,
-    out: &mut String,
-) -> Result<()> {
-    if let Some(with) = &query.with {
-        for cte in &with.ctes {
-            let recursive = with.recursive && recursion::references_cte(&cte.query, &cte.name);
-            pad(out, depth);
-            if recursive {
-                let terms = cte.query.body.flatten_setop(crate::ast::SetOp::Union).len();
-                let _ = writeln!(
-                    out,
-                    "RecursiveCTE {} [semi-naive, {} union terms, limit {}]",
-                    cte.name, terms, config.recursion_limit
-                );
-            } else {
-                let _ = writeln!(out, "CTE {} [materialized once]", cte.name);
+fn pad(out: &mut Formatter<'_>, depth: usize) -> fmt::Result {
+    write!(out, "{:1$}", "", depth * 2)
+}
+
+fn query(out: &mut Formatter<'_>, q: &QueryPlan<'_>, depth: usize) -> fmt::Result {
+    for cte in &q.ctes {
+        pad(out, depth)?;
+        match &cte.body {
+            CteBody::Plain(plan) => {
+                writeln!(out, "CTE {} [materialized once]", cte.name)?;
+                set_expr(out, &plan.body, depth + 1)?;
             }
-            explain_body(catalog, config, &cte.query.body, depth + 1, out)?;
+            CteBody::Recursive {
+                terms,
+                dedup,
+                limit,
+                ..
+            } => {
+                writeln!(
+                    out,
+                    "RecursiveCTE {} [semi-naive, {} union terms, limit {limit}]",
+                    cte.name,
+                    terms.len()
+                )?;
+                // The terms of the left-deep UNION chain, as it was written.
+                let op = set_op_label(SetOp::Union, !dedup);
+                for level in 1..terms.len() {
+                    pad(out, depth + level)?;
+                    writeln!(out, "{op}")?;
+                }
+                for (i, (term, _)) in terms.iter().enumerate() {
+                    set_expr(out, term, depth + terms.len() - i.max(1) + 1)?;
+                }
+            }
         }
     }
-    explain_body(catalog, config, &query.body, depth, out)?;
-    if !query.order_by.is_empty() {
-        pad(out, depth);
-        let _ = writeln!(out, "Sort [{} key(s)]", query.order_by.len());
+    set_expr(out, &q.body, depth)?;
+    if q.sort.is_some() {
+        pad(out, depth)?;
+        writeln!(out, "Sort [{} key(s)]", q.order_by)?;
     }
-    if let Some(n) = query.limit {
-        pad(out, depth);
-        let _ = writeln!(out, "Limit {n}");
+    if let Some(n) = q.limit {
+        pad(out, depth)?;
+        writeln!(out, "Limit {n}")?;
     }
     Ok(())
 }
 
-fn explain_body(
-    catalog: &Catalog,
-    config: &ExecConfig,
-    body: &SetExpr,
-    depth: usize,
-    out: &mut String,
-) -> Result<()> {
+fn set_op_label(op: SetOp, all: bool) -> &'static str {
+    match (op, all) {
+        (SetOp::Union, true) => "UnionAll [concatenate]",
+        (SetOp::Union, false) => "Union [hash dedup]",
+        (SetOp::Intersect, _) => "Intersect [hash]",
+        (SetOp::Except, _) => "Except [hash]",
+    }
+}
+
+fn set_expr(out: &mut Formatter<'_>, body: &SetPlan<'_>, depth: usize) -> fmt::Result {
     match body {
-        SetExpr::Select(sel) => explain_select(catalog, config, sel, depth, out),
-        SetExpr::SetOp {
+        SetPlan::Select(sel) => select(out, sel, depth),
+        SetPlan::Op {
             op,
             all,
             left,
             right,
         } => {
-            pad(out, depth);
-            let name = match op {
-                crate::ast::SetOp::Union => {
-                    if *all {
-                        "UnionAll [concatenate]"
-                    } else {
-                        "Union [hash dedup]"
-                    }
-                }
-                crate::ast::SetOp::Intersect => "Intersect [hash]",
-                crate::ast::SetOp::Except => "Except [hash]",
-            };
-            let _ = writeln!(out, "{name}");
-            explain_body(catalog, config, left, depth + 1, out)?;
-            explain_body(catalog, config, right, depth + 1, out)
+            pad(out, depth)?;
+            writeln!(out, "{}", set_op_label(*op, *all))?;
+            set_expr(out, left, depth + 1)?;
+            set_expr(out, right, depth + 1)
         }
     }
 }
 
-/// Schema of a named factor as the planner can know it statically (base
-/// table or view output; CTEs and derived tables are reported opaquely).
-fn static_schema(catalog: &Catalog, name: &str) -> Option<Schema> {
-    if catalog.has_table(name) {
-        return catalog.table(name).ok().map(|t| t.schema.clone());
+/// ` AND `-joined conjunct texts.
+struct Conjuncts<'p, 'a>(&'p [Conjunct<'a>]);
+
+impl Display for Conjuncts<'_, '_> {
+    fn fmt(&self, out: &mut Formatter<'_>) -> fmt::Result {
+        for (i, c) in self.0.iter().enumerate() {
+            let sep = if i > 0 { " AND " } else { "" };
+            write!(out, "{sep}{}", c.text)?;
+            // An uncorrelated subquery's result is kept for the statement.
+            if let PExpr::Op {
+                op: Op::Exists { sub, .. } | Op::InSubquery { sub, .. },
+                ..
+            } = &c.expr
+            {
+                if sub.cache {
+                    write!(out, " {{subquery: cached if uncorrelated}}")?;
+                }
+            }
+        }
+        Ok(())
     }
-    None
 }
 
-fn explain_select(
-    catalog: &Catalog,
-    config: &ExecConfig,
-    sel: &Select,
-    depth: usize,
-    out: &mut String,
-) -> Result<()> {
-    let has_aggregate = !sel.group_by.is_empty()
-        || sel.having.is_some()
-        || sel.projection.iter().any(|item| match item {
-            crate::ast::SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        });
-
-    pad(out, depth);
-    let _ = writeln!(
-        out,
-        "Select{}{}",
-        if sel.distinct { " [distinct]" } else { "" },
-        if has_aggregate {
-            if sel.group_by.is_empty() {
-                " [aggregate]"
-            } else {
-                " [group by]"
-            }
-        } else {
-            ""
+fn select(out: &mut Formatter<'_>, sel: &SelectPlan<'_>, depth: usize) -> fmt::Result {
+    pad(out, depth)?;
+    let distinct = if sel.distinct { " [distinct]" } else { "" };
+    let grouped = match &sel.group {
+        Some(g) if g.keys.is_empty() => " [aggregate]",
+        Some(_) => " [group by]",
+        None => "",
+    };
+    writeln!(out, "Select{distinct}{grouped}")?;
+    for f in &sel.factors {
+        pad(out, depth + 1)?;
+        factor(out, f)?;
+        if !f.filters.is_empty() {
+            write!(out, " filter[{}]", Conjuncts(&f.filters))?;
         }
-    );
-
-    // Replay pushdown analysis.
-    let conjuncts = sel
-        .where_clause
-        .as_ref()
-        .map(split_conjuncts)
-        .unwrap_or_default();
-    let mut binding_schemas: Vec<(String, Schema)> = Vec::new();
-    for twj in &sel.from {
-        for factor in std::iter::once(&twj.base).chain(twj.joins.iter().map(|j| &j.factor)) {
-            if let TableFactor::Table { name, alias } = factor {
-                if let Some(schema) = static_schema(catalog, name) {
-                    binding_schemas.push((
-                        alias.as_deref().unwrap_or(name).to_ascii_lowercase(),
-                        schema,
-                    ));
-                }
-            }
-        }
+        writeln!(out)?;
     }
-    let mut pushed: Vec<(String, &Expr)> = Vec::new();
-    let mut residual: Vec<&Expr> = Vec::new();
-    for c in &conjuncts {
-        match conjunct_target(c, &binding_schemas).filter(|_| config.index_pushdown) {
-            Some(b) => pushed.push((b, c)),
-            None => residual.push(c),
-        }
-    }
-
-    // Factors.
-    let mut left_bindings = Bindings::new();
-    for twj in &sel.from {
-        for (i, (factor, kind, on)) in std::iter::once((&twj.base, JoinKind::Inner, &None))
-            .chain(twj.joins.iter().map(|j| (&j.factor, j.kind, &j.on)))
-            .enumerate()
-        {
-            let binding = factor_binding(factor);
-            let schema = match factor {
-                TableFactor::Table { name, .. } => static_schema(catalog, name),
-                TableFactor::Derived { .. } => None,
-            };
-            pad(out, depth + 1);
-            let filters: Vec<String> = pushed
-                .iter()
-                .filter(|(b, _)| *b == binding)
-                .map(|(_, e)| e.to_string())
-                .collect();
-
-            match factor {
-                TableFactor::Derived { .. } => {
-                    let _ = writeln!(out, "DerivedTable {binding}");
-                }
-                TableFactor::Table { name, .. } => {
-                    let lower = name.to_ascii_lowercase();
-                    let source_kind = if catalog.has_table(&lower) {
-                        "table"
-                    } else if catalog.has_view(&lower) {
-                        "view"
-                    } else {
-                        "cte"
-                    };
-
-                    // Determine access path.
-                    let is_join = i > 0;
-                    let mut described = false;
-                    if is_join && config.index_pushdown && source_kind == "table" {
-                        if let (Some(on), Some(schema)) = (on.as_ref(), schema.as_ref()) {
-                            if let Some(col) =
-                                index_join_column(catalog, &left_bindings, &lower, schema, on)
-                            {
-                                let _ = writeln!(
-                                    out,
-                                    "{} IndexJoin {lower} [probe index on {col}]{}",
-                                    join_kw(kind),
-                                    filter_suffix(&filters)
-                                );
-                                described = true;
-                            }
-                        }
-                    }
-                    if !described && is_join {
-                        let strategy = on
-                            .as_ref()
-                            .map(|e| {
-                                if has_equi_pair(&left_bindings, &lower, schema.as_ref(), e) {
-                                    "HashJoin"
-                                } else {
-                                    "NestedLoopJoin"
-                                }
-                            })
-                            .unwrap_or("CrossJoin");
-                        let _ = writeln!(
-                            out,
-                            "{} {strategy} {lower} [{source_kind} scan]{}",
-                            join_kw(kind),
-                            filter_suffix(&filters)
-                        );
-                        described = true;
-                    }
-                    if !described {
-                        // base factor scan
-                        let indexed = schema.as_ref().and_then(|s| {
-                            conjuncts.iter().find_map(|c| {
-                                probe_literals(c, &lower, s).and_then(|(idx, _)| {
-                                    let t = catalog.table(&lower).ok()?;
-                                    if t.has_index(idx) && config.index_pushdown {
-                                        Some(s.column(idx).name.clone())
-                                    } else {
-                                        None
-                                    }
-                                })
-                            })
-                        });
-                        match indexed {
-                            Some(col) => {
-                                let _ = writeln!(
-                                    out,
-                                    "IndexScan {lower} [index on {col}]{}",
-                                    filter_suffix(&filters)
-                                );
-                            }
-                            None => {
-                                let _ = writeln!(
-                                    out,
-                                    "Scan {lower} [{source_kind}]{}",
-                                    filter_suffix(&filters)
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(schema) = schema {
-                left_bindings.push(&binding, schema);
-            } else {
-                left_bindings.push(&binding, Schema::empty());
-            }
-        }
-    }
-
-    // Residual filter + subquery notes.
-    if !residual.is_empty() {
-        pad(out, depth + 1);
-        let notes: Vec<String> = residual
-            .iter()
-            .map(|e| format!("{e}{}", subquery_note(config, e)))
-            .collect();
-        let _ = writeln!(out, "Filter [{}]", notes.join(" AND "));
+    if !sel.residual.is_empty() {
+        pad(out, depth + 1)?;
+        writeln!(out, "Filter [{}]", Conjuncts(&sel.residual))?;
     }
     Ok(())
 }
 
-fn factor_binding(f: &TableFactor) -> String {
-    f.binding_name().to_ascii_lowercase()
-}
-
-fn join_kw(kind: JoinKind) -> &'static str {
-    match kind {
+/// One FROM binding: its access path and, past the first of a FROM item,
+/// how it joins.
+fn factor(out: &mut Formatter<'_>, f: &Factor<'_>) -> fmt::Result {
+    let (name, kind) = match &f.source {
+        Source::Table(t) => (t.name.as_str(), "table"),
+        Source::Cte { name, .. } => (*name, "cte"),
+        Source::Sub {
+            view: Some(name), ..
+        } => (*name, "view"),
+        Source::Sub { view: None, .. } => return write!(out, "DerivedTable {}", f.binding),
+    };
+    let name = name.to_ascii_lowercase();
+    let column = |col: usize| match &f.source {
+        Source::Table(t) => t.schema.column(col).name.as_str(),
+        _ => unreachable!("only base tables are indexed"),
+    };
+    let join = match f.kind {
         JoinKind::Inner => "Inner",
         JoinKind::Left => "Left",
-    }
-}
-
-fn filter_suffix(filters: &[String]) -> String {
-    if filters.is_empty() {
-        String::new()
-    } else {
-        format!(" filter[{}]", filters.join(" AND "))
-    }
-}
-
-/// Would the executor's index nested-loop join fire for this ON clause?
-fn index_join_column(
-    catalog: &Catalog,
-    left: &Bindings,
-    table: &str,
-    schema: &Schema,
-    on: &Expr,
-) -> Option<String> {
-    let right = Bindings::single(table, schema.clone());
-    let t = catalog.table(table).ok()?;
-    for c in split_conjuncts(on) {
-        if let Expr::BinaryOp {
-            left: a,
-            op: BinOp::Eq,
-            right: b,
-        } = &c
-        {
-            for (lhs, rhs) in [(a, b), (b, a)] {
-                if classify_side(lhs, left, &right) == Side::Left {
-                    if let Expr::Column { name, .. } = rhs.as_ref() {
-                        if let Some(idx) = schema.index_of(name) {
-                            if t.has_index(idx) {
-                                return Some(schema.column(idx).name.clone());
-                            }
-                        }
-                    }
-                }
+    };
+    match (&f.join, &f.probe) {
+        (Join::Index { col, .. }, _) => {
+            let col = column(*col);
+            write!(out, "{join} IndexJoin {name} [probe index on {col}]")
+        }
+        (_, Some((col, _))) if f.new_item => {
+            write!(out, "IndexScan {name} [index on {}]", column(*col))
+        }
+        _ if f.new_item => write!(out, "Scan {name} [{kind}]"),
+        (method, probe) => {
+            let method = match method {
+                Join::Scanned { keys, .. } if !keys.is_empty() => "HashJoin",
+                _ if f.on.is_some() => "NestedLoopJoin",
+                _ => "CrossJoin",
+            };
+            match probe {
+                Some((col, _)) => write!(out, "{join} {method} {name} [index on {}]", column(*col)),
+                None => write!(out, "{join} {method} {name} [{kind} scan]"),
             }
         }
-    }
-    None
-}
-
-/// Would the hash join find at least one usable equi pair?
-fn has_equi_pair(left: &Bindings, table: &str, schema: Option<&Schema>, on: &Expr) -> bool {
-    let Some(schema) = schema else { return false };
-    let right = Bindings::single(table, schema.clone());
-    split_conjuncts(on).iter().any(|c| {
-        if let Expr::BinaryOp {
-            left: a,
-            op: BinOp::Eq,
-            right: b,
-        } = c
-        {
-            let sa = classify_side(a, left, &right);
-            let sb = classify_side(b, left, &right);
-            matches!(
-                (sa, sb),
-                (Side::Left, Side::Right) | (Side::Right, Side::Left)
-            )
-        } else {
-            false
-        }
-    })
-}
-
-fn subquery_note(config: &ExecConfig, e: &Expr) -> &'static str {
-    match e {
-        Expr::Exists { .. } if config.subquery_cache => " {subquery: cached if uncorrelated}",
-        Expr::InSubquery { .. } if config.subquery_cache => " {subquery: cached if uncorrelated}",
-        _ => "",
     }
 }
 

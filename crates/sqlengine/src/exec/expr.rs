@@ -1,237 +1,177 @@
-//! Scalar expression evaluation with SQL three-valued logic.
+//! Evaluation of compiled expressions with SQL three-valued logic.
 //!
 //! Boolean "unknown" is represented as `Value::Null`; `WHERE` keeps a row
-//! only when the predicate evaluates to `Bool(true)`.
+//! only when the predicate evaluates to `Bool(true)`. A column or a literal
+//! evaluates to a *borrow* of the stored value, so predicates and join keys
+//! compare without copying; a value is cloned only when the caller keeps it
+//! (`into_owned`: a projected item, a hash key, an aggregate state).
 
-use crate::ast::{BinOp, Expr};
+use std::borrow::Cow;
+
+use crate::ast::BinOp;
 use crate::error::{Error, Result};
-use crate::exec::{subquery, Env, ExecContext};
+use crate::exec::plan::{Op, PExpr};
+use crate::exec::{subquery, Cx, Frame};
 use crate::value::Value;
 
-/// Evaluate `expr` for the row described by `env`.
-pub fn eval_expr(ctx: &ExecContext<'_>, env: &Env<'_>, expr: &Expr) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { qualifier, name } => lookup_column(ctx, env, qualifier.as_deref(), name),
-        Expr::BinaryOp { left, op, right } => eval_binary(ctx, env, left, *op, right),
-        Expr::Not(e) => match eval_expr(ctx, env, e)? {
-            Value::Null => Ok(Value::Null),
-            Value::Bool(b) => Ok(Value::Bool(!b)),
-            other => Err(Error::Eval(format!("NOT applied to non-boolean {other}"))),
-        },
-        Expr::Negate(e) => match eval_expr(ctx, env, e)? {
-            Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
-            Value::Float(f) => Ok(Value::Float(-f)),
-            other => Err(Error::Eval(format!("unary minus on non-number {other}"))),
-        },
-        Expr::IsNull { expr, negated } => {
-            let v = eval_expr(ctx, env, expr)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let needle = eval_expr(ctx, env, expr)?;
-            let mut saw_null = needle.is_null();
-            let mut found = false;
-            for item in list {
-                let v = eval_expr(ctx, env, item)?;
-                match needle.sql_eq(&v) {
-                    Some(true) => {
-                        found = true;
-                        break;
-                    }
-                    Some(false) => {}
-                    None => saw_null = true,
+fn owned<'v>(v: Value) -> Result<Cow<'v, Value>> {
+    Ok(Cow::Owned(v))
+}
+
+fn bool3<'v>(b: Option<bool>) -> Result<Cow<'v, Value>> {
+    owned(b.map_or(Value::Null, Value::Bool))
+}
+
+impl<'a> PExpr<'a> {
+    /// Does the predicate hold (is it TRUE, not FALSE or unknown) for `f`?
+    pub(crate) fn holds(&self, cx: Cx<'_>, f: &Frame<'_, '_>) -> Result<bool> {
+        Ok(self.eval(cx, f)?.is_true())
+    }
+
+    /// Evaluate for the row in `f`.
+    pub(crate) fn eval<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
+        let (op, args) = match self {
+            PExpr::Literal(v) => return Ok(Cow::Borrowed(*v)),
+            PExpr::Column {
+                depth,
+                binding,
+                ordinal,
+            } => {
+                let mut frame = f;
+                for _ in 0..*depth {
+                    frame = frame.outer.expect("scope depth fixed at compile time");
                 }
+                return Ok(Cow::Borrowed(&frame.row[*binding][*ordinal]));
             }
-            Ok(three_valued_in(found, saw_null, *negated))
-        }
-        Expr::InSubquery {
-            expr,
-            query,
-            negated,
-        } => {
-            let needle = eval_expr(ctx, env, expr)?;
-            let (found, saw_null) = subquery::eval_in_subquery(ctx, env, query, &needle)?;
-            Ok(three_valued_in(
-                found,
-                saw_null || needle.is_null(),
-                *negated,
-            ))
-        }
-        Expr::Exists { query, negated } => {
-            let exists = subquery::eval_exists(ctx, env, query)?;
-            Ok(Value::Bool(exists != *negated))
-        }
-        Expr::ScalarSubquery(query) => subquery::eval_scalar(ctx, env, query),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_expr(ctx, env, expr)?;
-            let lo = eval_expr(ctx, env, low)?;
-            let hi = eval_expr(ctx, env, high)?;
-            let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
-            let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
-            let both = and3(ge, le);
-            Ok(match both {
-                Some(b) => Value::Bool(b != *negated),
-                None => Value::Null,
-            })
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_expr(ctx, env, expr)?;
-            let p = eval_expr(ctx, env, pattern)?;
-            match (&v, &p) {
-                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            PExpr::Agg(slot) => return owned(f.aggs[*slot].clone()),
+            PExpr::Fail(e) => return Err(e.clone()),
+            PExpr::Op { op, args } => (op, args.as_slice()),
+        };
+        let arg = |i: usize| args[i].eval(cx, f);
+        match op {
+            Op::Binary(op) => eval_binary(cx, f, &args[0], *op, &args[1]),
+            Op::Not => match &*arg(0)? {
+                Value::Null => owned(Value::Null),
+                Value::Bool(b) => owned(Value::Bool(!b)),
+                other => Err(Error::Eval(format!("NOT applied to non-boolean {other}"))),
+            },
+            Op::Negate => match &*arg(0)? {
+                Value::Null => owned(Value::Null),
+                Value::Int(i) => owned(Value::Int(-i)),
+                Value::Float(x) => owned(Value::Float(-x)),
+                other => Err(Error::Eval(format!("unary minus on non-number {other}"))),
+            },
+            Op::IsNull { negated } => owned(Value::Bool(arg(0)?.is_null() != *negated)),
+            Op::Cast(dtype) => arg(0)?.cast(*dtype).map(Cow::Owned),
+            Op::InList { negated } => {
+                let needle = arg(0)?;
+                let mut saw_null = needle.is_null();
+                let mut found = false;
+                for item in &args[1..] {
+                    match needle.sql_eq(&*item.eval(cx, f)?) {
+                        Some(true) => {
+                            found = true;
+                            break;
+                        }
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                owned(three_valued_in(found, saw_null, *negated))
+            }
+            Op::InSubquery { sub, negated } => {
+                let needle = arg(0)?;
+                let (found, saw_null) = subquery::in_subquery(cx, f, sub, &needle)?;
+                let saw_null = saw_null || needle.is_null();
+                owned(three_valued_in(found, saw_null, *negated))
+            }
+            Op::Exists { sub, negated } => {
+                owned(Value::Bool(subquery::exists(cx, f, sub)? != *negated))
+            }
+            Op::Scalar(sub) => subquery::scalar(cx, f, sub).map(Cow::Owned),
+            Op::Between { negated } => {
+                let (v, lo, hi) = (arg(0)?, arg(1)?, arg(2)?);
+                let ge = v.sql_cmp(&lo).map(|o| o != std::cmp::Ordering::Less);
+                let le = v.sql_cmp(&hi).map(|o| o != std::cmp::Ordering::Greater);
+                bool3(and3(ge, le).map(|b| b != *negated))
+            }
+            Op::Like { negated } => match (&*arg(0)?, &*arg(1)?) {
+                (Value::Null, _) | (_, Value::Null) => owned(Value::Null),
                 (Value::Text(s), Value::Text(pat)) => {
-                    Ok(Value::Bool(like_match(s, pat) != *negated))
+                    owned(Value::Bool(like_match(s, pat) != *negated))
                 }
                 (a, b) => Err(Error::Eval(format!(
                     "LIKE expects text operands, got {a} LIKE {b}"
                 ))),
-            }
-        }
-        Expr::Function { name, args, star } => {
-            if crate::ast::is_aggregate_name(name) {
-                // In a grouped context the aggregate was precomputed and is
-                // looked up by its rendered form.
-                if let Some(aggs) = env.aggs {
-                    let key = expr.to_string();
-                    return aggs.get(&key).cloned().ok_or_else(|| {
-                        Error::Eval(format!("aggregate {key} not available in this context"))
-                    });
+            },
+            Op::Call { name, func } => {
+                let mut values = Vec::with_capacity(args.len());
+                for a in args {
+                    values.push(a.eval(cx, f)?.into_owned());
                 }
-                return Err(Error::Eval(format!(
-                    "aggregate {}() used outside GROUP BY context",
-                    name.to_uppercase()
-                )));
+                let func = func.ok_or_else(|| Error::Bind(format!("unknown function '{name}'")))?;
+                func(&values).map(Cow::Owned)
             }
-            if *star {
-                return Err(Error::Eval(format!("{name}(*) is not a valid call")));
-            }
-            let mut values = Vec::with_capacity(args.len());
-            for a in args {
-                values.push(eval_expr(ctx, env, a)?);
-            }
-            ctx.catalog.functions.call(name, &values)
-        }
-        Expr::Cast { expr, dtype } => eval_expr(ctx, env, expr)?.cast(*dtype),
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (cond, result) in branches {
-                if eval_expr(ctx, env, cond)?.is_true() {
-                    return eval_expr(ctx, env, result);
+            Op::Case => {
+                let mut branches = args.chunks_exact(2);
+                for branch in &mut branches {
+                    if branch[0].holds(cx, f)? {
+                        return branch[1].eval(cx, f);
+                    }
                 }
-            }
-            match else_expr {
-                Some(e) => eval_expr(ctx, env, e),
-                None => Ok(Value::Null),
+                match branches.remainder() {
+                    [otherwise] => otherwise.eval(cx, f),
+                    _ => owned(Value::Null),
+                }
             }
         }
     }
 }
 
-/// Resolve a column through the env chain; accesses that resolve in an outer
-/// scope flip the context's correlation flag (used by the subquery cache to
-/// decide whether a result may be reused across rows).
-fn lookup_column(
-    ctx: &ExecContext<'_>,
-    env: &Env<'_>,
-    qualifier: Option<&str>,
-    name: &str,
-) -> Result<Value> {
-    let mut scope = Some(env);
-    let mut depth = 0usize;
-    while let Some(e) = scope {
-        if let Some(idx) = e.bindings.resolve(qualifier, name)? {
-            if depth > 0 {
-                ctx.outer_access.set(true);
-            }
-            return Ok(e.row[idx].clone());
-        }
-        scope = e.outer;
-        depth += 1;
-    }
-    let full = match qualifier {
-        Some(q) => format!("{q}.{name}"),
-        None => name.to_string(),
-    };
-    Err(Error::Bind(format!("unknown column '{full}'")))
-}
-
-fn eval_binary(
-    ctx: &ExecContext<'_>,
-    env: &Env<'_>,
-    left: &Expr,
+fn eval_binary<'v>(
+    cx: Cx<'v>,
+    f: &Frame<'_, 'v>,
+    left: &'v PExpr<'_>,
     op: BinOp,
-    right: &Expr,
-) -> Result<Value> {
+    right: &'v PExpr<'_>,
+) -> Result<Cow<'v, Value>> {
     // AND/OR get short-circuit three-valued treatment.
-    if op == BinOp::And {
-        let l = to_bool3(eval_expr(ctx, env, left)?)?;
-        if l == Some(false) {
-            return Ok(Value::Bool(false));
+    if op == BinOp::And || op == BinOp::Or {
+        let decides = op == BinOp::Or;
+        let l = to_bool3(&*left.eval(cx, f)?)?;
+        if l == Some(decides) {
+            return owned(Value::Bool(decides));
         }
-        let r = to_bool3(eval_expr(ctx, env, right)?)?;
-        return Ok(match and3(l, r) {
-            Some(b) => Value::Bool(b),
-            None => Value::Null,
-        });
-    }
-    if op == BinOp::Or {
-        let l = to_bool3(eval_expr(ctx, env, left)?)?;
-        if l == Some(true) {
-            return Ok(Value::Bool(true));
-        }
-        let r = to_bool3(eval_expr(ctx, env, right)?)?;
-        return Ok(match or3(l, r) {
-            Some(b) => Value::Bool(b),
-            None => Value::Null,
-        });
+        let r = to_bool3(&*right.eval(cx, f)?)?;
+        return bool3(if decides { or3(l, r) } else { and3(l, r) });
     }
 
-    let l = eval_expr(ctx, env, left)?;
-    let r = eval_expr(ctx, env, right)?;
-
+    let l = left.eval(cx, f)?;
+    let r = right.eval(cx, f)?;
     match op {
         BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
             if l.is_null() || r.is_null() {
-                return Ok(Value::Null);
+                return owned(Value::Null);
             }
             let ord = l.sql_cmp(&r).ok_or_else(|| {
                 Error::Eval(format!("cannot compare {l} with {r} (type mismatch)"))
             })?;
-            let b = match op {
-                BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                BinOp::NotEq => ord != std::cmp::Ordering::Equal,
-                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                BinOp::LtEq => ord != std::cmp::Ordering::Greater,
-                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                BinOp::GtEq => ord != std::cmp::Ordering::Less,
-                _ => unreachable!(),
-            };
-            Ok(Value::Bool(b))
+            owned(Value::Bool(match op {
+                BinOp::Eq => ord.is_eq(),
+                BinOp::NotEq => ord.is_ne(),
+                BinOp::Lt => ord.is_lt(),
+                BinOp::LtEq => ord.is_le(),
+                BinOp::Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            }))
         }
         BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            eval_arithmetic(op, &l, &r)
+            eval_arithmetic(op, &l, &r).map(Cow::Owned)
         }
-        BinOp::Concat => match (&l, &r) {
-            (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-            (a, b) => Ok(Value::Text(format!("{}{}", text_of(a), text_of(b)))),
-        },
+        BinOp::Concat => owned(match (&*l, &*r) {
+            (Value::Null, _) | (_, Value::Null) => Value::Null,
+            (a, b) => Value::Text(format!("{}{}", text_of(a), text_of(b))),
+        }),
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
 }
@@ -255,10 +195,10 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
     rec(&s, &p)
 }
 
-fn text_of(v: &Value) -> String {
+fn text_of(v: &Value) -> Cow<'_, str> {
     match v {
-        Value::Text(s) => s.clone(),
-        other => other.to_string(),
+        Value::Text(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()),
     }
 }
 
@@ -320,9 +260,9 @@ fn num_of(v: &Value) -> Result<f64> {
     }
 }
 
-fn to_bool3(v: Value) -> Result<Option<bool>> {
+fn to_bool3(v: &Value) -> Result<Option<bool>> {
     match v {
-        Value::Bool(b) => Ok(Some(b)),
+        Value::Bool(b) => Ok(Some(*b)),
         Value::Null => Ok(None),
         other => Err(Error::Eval(format!("expected a boolean, got {other}"))),
     }
@@ -360,27 +300,34 @@ fn three_valued_in(found: bool, saw_null: bool, negated: bool) -> Value {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::exec::{Bindings, ExecConfig, ExecStats};
+    use crate::exec::plan::Compiler;
+    use crate::exec::{ExecConfig, Rt};
     use crate::parser::parse_expr;
     use crate::schema::{Column, Schema};
+    use crate::storage::Table;
     use crate::value::DataType;
-    use std::cell::RefCell;
 
+    /// Compile `sql` against a one-row table `t` with the given columns and
+    /// evaluate it for that row.
     fn eval(sql: &str, cols: &[(&str, Value)]) -> Result<Value> {
         let catalog = Catalog::new();
         let config = ExecConfig::default();
-        let stats = RefCell::new(ExecStats::default());
-        let ctx = ExecContext::new(&catalog, &config, &stats);
         let schema = Schema::new(
             cols.iter()
                 .map(|(n, v)| Column::new(*n, v.data_type().unwrap_or(DataType::Int)))
                 .collect(),
         );
-        let bindings = Bindings::single("t", schema);
+        let table = Table::new("t", schema);
         let row: Vec<Value> = cols.iter().map(|(_, v)| v.clone()).collect();
-        let env = Env::new(&bindings, &row);
         let e = parse_expr(sql)?;
-        eval_expr(&ctx, &env, &e)
+        let mut compiler = Compiler::new(&catalog, &config);
+        compiler.bind_table(&table);
+        let compiled = compiler.expr(&e)?;
+        let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+        let value = compiled
+            .eval(rt.cx(), &Frame::of(&[row.as_slice()], None))?
+            .into_owned();
+        Ok(value)
     }
 
     #[test]

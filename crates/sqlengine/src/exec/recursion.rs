@@ -5,30 +5,29 @@
 //! Each round binds the CTE name to the *delta* of the previous round
 //! (semi-naive), so a β-ary tree of depth δ finishes in δ joins instead of
 //! δ² — this is what makes the paper's one-query multi-level expand cheap on
-//! the server side.
+//! the server side. The terms were compiled once ([`super::plan`]); a round
+//! only runs them. The delta is a range of the accumulated total, and UNION
+//! de-duplication remembers positions in that total ([`Seen`]), so a row is
+//! stored once and hashed once.
 
-use std::collections::HashSet;
-use std::sync::Arc;
-
-use crate::ast::{Cte, Query, SetExpr, SetOp, TableFactor};
+use crate::ast::{SetExpr, SetOp, TableFactor};
 use crate::error::{Error, Result};
-use crate::exec::{eval_set_expr, ExecContext, RelRows};
+use crate::exec::plan::{CteBody, CtePlan};
+use crate::exec::setops::Seen;
+use crate::exec::{run_set, CteEnv, Cx};
 use crate::row::Row;
-use crate::schema::{Column, Schema};
 
-/// Does `query` reference `name` as a table anywhere in its FROM clauses
+/// Does `body` reference `name` as a table anywhere in its FROM clauses
 /// (including derived tables and set-operation branches)?
-pub fn references_cte(query: &Query, name: &str) -> bool {
-    let lower = name.to_ascii_lowercase();
-    body_references(&query.body, &lower)
-}
-
-fn body_references(body: &SetExpr, name: &str) -> bool {
+pub(crate) fn body_references(body: &SetExpr, name: &str) -> bool {
     match body {
         SetExpr::Select(sel) => sel.from.iter().any(|twj| {
             std::iter::once(&twj.base)
                 .chain(twj.joins.iter().map(|j| &j.factor))
-                .any(|f| factor_references(f, name))
+                .any(|f| match f {
+                    TableFactor::Table { name: n, .. } => n.eq_ignore_ascii_case(name),
+                    TableFactor::Derived { subquery, .. } => body_references(&subquery.body, name),
+                })
         }),
         SetExpr::SetOp { left, right, .. } => {
             body_references(left, name) || body_references(right, name)
@@ -36,199 +35,113 @@ fn body_references(body: &SetExpr, name: &str) -> bool {
     }
 }
 
-fn factor_references(f: &TableFactor, name: &str) -> bool {
-    match f {
-        TableFactor::Table { name: n, .. } => n.to_ascii_lowercase() == name,
-        TableFactor::Derived { subquery, .. } => body_references(&subquery.body, name),
-    }
-}
-
-/// Rename a relation's columns to the CTE's declared column list (keeping
-/// inferred types), and validate arity.
-pub fn rename_columns(rel: RelRows, declared: &[String], cte_name: &str) -> Result<RelRows> {
-    if declared.is_empty() {
-        return Ok(rel);
-    }
-    if declared.len() != rel.schema.len() {
-        return Err(Error::Bind(format!(
-            "CTE '{cte_name}' declares {} columns but its query produces {}",
-            declared.len(),
-            rel.schema.len()
-        )));
-    }
-    let schema = Schema::new(
-        declared
-            .iter()
-            .zip(rel.schema.columns())
-            .map(|(name, col)| Column::new(name.clone(), col.dtype))
-            .collect(),
-    );
-    Ok(RelRows {
-        schema,
-        rows: rel.rows,
-    })
-}
-
-/// Evaluate one recursive CTE into a materialized relation.
-///
-/// `ctx` is the WITH clause's child context; earlier CTEs of the same WITH
-/// are already bound in it.
-pub fn eval_recursive_cte(ctx: &ExecContext<'_>, cte: &Cte) -> Result<RelRows> {
-    if !cte.query.order_by.is_empty() || cte.query.limit.is_some() {
-        return Err(Error::Bind(
-            "ORDER BY/LIMIT are not allowed in a recursive CTE body".into(),
-        ));
-    }
-
-    // Flatten the UNION chain and split seed vs recursive terms.
-    let dedup = !union_chain_is_all(&cte.query.body)?;
-    let terms = cte.query.body.flatten_setop(SetOp::Union);
-    let mut seeds = Vec::new();
-    let mut recursive = Vec::new();
-    for t in terms {
-        if body_references(t, &cte.name.to_ascii_lowercase()) {
-            recursive.push(t);
-        } else {
-            seeds.push(t);
-        }
-    }
-    if recursive.is_empty() {
-        // Not actually recursive; evaluate the whole body normally.
-        let rs = eval_set_expr(ctx, &cte.query.body, None)?;
-        return rename_columns(RelRows::from_result_set(rs), &cte.columns, &cte.name);
-    }
-    if seeds.is_empty() {
-        return Err(Error::Bind(format!(
-            "recursive CTE '{}' has no non-recursive seed term",
-            cte.name
-        )));
-    }
-
-    // Evaluate seeds.
-    let mut schema: Option<Schema> = None;
-    let mut total: Vec<Vec<crate::value::Value>> = Vec::new();
-    let mut total_set: HashSet<Row> = HashSet::new();
-    let mut delta: Vec<Vec<crate::value::Value>> = Vec::new();
-
-    for seed in &seeds {
-        let rs = eval_set_expr(ctx, seed, None)?;
-        let rel = rename_columns(RelRows::from_result_set(rs), &cte.columns, &cte.name)?;
-        match &schema {
-            None => schema = Some(rel.schema.clone()),
-            Some(s) => {
-                if s.len() != rel.schema.len() {
-                    return Err(Error::Bind(format!(
-                        "recursive CTE '{}' seed terms disagree in arity",
-                        cte.name
-                    )));
-                }
-            }
-        }
-        for row in rel.rows {
-            if !dedup || total_set.insert(Row(row.clone())) {
-                total.push(row.clone());
-                delta.push(row);
-            }
-        }
-    }
-    let schema = schema.expect("at least one seed");
-
-    // Iterate.
-    let rec_span = ctx.obs.span(pdm_obs::kinds::RECURSION, &cte.name);
-    let limit = ctx.config.recursion_limit;
-    let mut iterations = 0usize;
-    while !delta.is_empty() {
-        iterations += 1;
-        if iterations > limit {
-            return Err(Error::RecursionLimit(limit));
-        }
-        let round_span = ctx.obs.span(
-            pdm_obs::kinds::RECURSION_ROUND,
-            format!("round{iterations}"),
-        );
-        let delta_in = delta.len() as u64;
-
-        // Bind the CTE name to the delta for this round, in a fresh child
-        // layer (fresh subquery cache — cached results against the previous
-        // delta would be stale).
-        let mut iter_ctx = ctx.child();
-        iter_ctx.bind_cte(
-            &cte.name,
-            Arc::new(RelRows {
-                schema: schema.clone(),
-                rows: std::mem::take(&mut delta),
-            }),
-        );
-
-        let mut produced: Vec<Vec<crate::value::Value>> = Vec::new();
-        for term in &recursive {
-            let rs = eval_set_expr(&iter_ctx, term, None)?;
-            if rs.schema.len() != schema.len() {
-                return Err(Error::Bind(format!(
-                    "recursive term of CTE '{}' produces {} columns, expected {}",
-                    cte.name,
-                    rs.schema.len(),
-                    schema.len()
-                )));
-            }
-            for row in rs.rows {
-                if dedup {
-                    if total_set.insert(row.clone()) {
-                        produced.push(row.0);
-                    }
-                } else {
-                    produced.push(row.0);
-                }
-            }
-        }
-
-        round_span.set_rows(delta_in, produced.len() as u64);
-        total.extend(produced.iter().cloned());
-        delta = produced;
-    }
-
-    ctx.stats.borrow_mut().recursion_iterations += iterations;
-    rec_span.set_rows(0, total.len() as u64);
-    rec_span.set_detail(format!("{iterations} rounds"));
-    Ok(RelRows {
-        schema,
-        rows: total,
-    })
-}
-
 /// Inspect the UNION chain: `true` if every set operation is UNION ALL.
 /// Mixing UNION and UNION ALL in one recursive body is rejected.
-fn union_chain_is_all(body: &SetExpr) -> Result<bool> {
-    let mut saw_all = false;
-    let mut saw_distinct = false;
-    walk_ops(body, &mut |op, all| {
-        if op == SetOp::Union {
-            if all {
-                saw_all = true;
-            } else {
-                saw_distinct = true;
+pub(crate) fn union_chain_is_all(body: &SetExpr) -> Result<bool> {
+    fn walk(body: &SetExpr, saw_all: &mut bool, saw_distinct: &mut bool) {
+        if let SetExpr::SetOp {
+            op,
+            all,
+            left,
+            right,
+        } = body
+        {
+            if *op == SetOp::Union {
+                *(if *all {
+                    &mut *saw_all
+                } else {
+                    &mut *saw_distinct
+                }) = true;
             }
+            walk(left, saw_all, saw_distinct);
+            walk(right, saw_all, saw_distinct);
         }
-    });
+    }
+    let (mut saw_all, mut saw_distinct) = (false, false);
+    walk(body, &mut saw_all, &mut saw_distinct);
     match (saw_all, saw_distinct) {
         (true, true) => Err(Error::Bind(
             "recursive CTE mixes UNION and UNION ALL".into(),
         )),
-        (true, false) => Ok(true),
-        _ => Ok(false),
+        (all, _) => Ok(all),
     }
 }
 
-fn walk_ops(body: &SetExpr, f: &mut impl FnMut(SetOp, bool)) {
-    if let SetExpr::SetOp {
-        op,
-        all,
-        left,
-        right,
-    } = body
-    {
-        f(*op, *all);
-        walk_ops(left, f);
-        walk_ops(right, f);
+/// Evaluate one recursive CTE into its materialised rows. `cx` holds the
+/// CTEs bound before it.
+pub(crate) fn run_recursive(cx: Cx<'_>, cte: &CtePlan<'_>) -> Result<Vec<Row>> {
+    let CteBody::Recursive {
+        terms,
+        dedup,
+        limit,
+        slots,
+    } = &cte.body
+    else {
+        unreachable!("called for recursive CTEs")
+    };
+    let mut total: Vec<Row> = Vec::new();
+    let mut seen = Seen::default();
+    let mut absorb = |total: &mut Vec<Row>, rows: Vec<Row>| {
+        for row in rows {
+            if !dedup || seen.is_new(total, &row) {
+                total.push(row);
+            }
+        }
+    };
+    for (seed, _) in terms.iter().filter(|(_, recursive)| !recursive) {
+        let rows = run_set(cx, seed, None)?;
+        absorb(&mut total, rows);
     }
+
+    let obs = &cx.rt.obs;
+    let rec_span = obs.span(pdm_obs::kinds::RECURSION, cte.name);
+    let mut iterations = 0usize;
+    // The previous round's delta is `total[delta_start..]`.
+    let mut delta_start = 0;
+    while delta_start < total.len() {
+        iterations += 1;
+        if iterations > *limit {
+            return Err(Error::RecursionLimit(*limit));
+        }
+        let label = if obs.is_enabled() {
+            format!("round{iterations}")
+        } else {
+            String::new()
+        };
+        let round_span = obs.span(pdm_obs::kinds::RECURSION_ROUND, label);
+        let delta_end = total.len();
+        // Results cached against the previous delta would be stale.
+        cx.rt.reset_slots(slots.clone());
+        for (term, _) in terms.iter().filter(|(_, recursive)| *recursive) {
+            let rows = {
+                let delta = CteEnv {
+                    id: cte.id,
+                    rows: &total[delta_start..delta_end],
+                    parent: cx.ctes,
+                };
+                let ctes = Some(&delta);
+                run_set(Cx { ctes, ..cx }, term, None)?
+            };
+            let width = term.schema().len();
+            if width != cte.width {
+                return Err(Error::Bind(format!(
+                    "recursive term of CTE '{}' produces {width} columns, expected {}",
+                    cte.name, cte.width
+                )));
+            }
+            absorb(&mut total, rows);
+        }
+        round_span.set_rows(
+            (delta_end - delta_start) as u64,
+            (total.len() - delta_end) as u64,
+        );
+        delta_start = delta_end;
+    }
+
+    cx.rt.stats.borrow_mut().recursion_iterations += iterations;
+    rec_span.set_rows(0, total.len() as u64);
+    if obs.is_enabled() {
+        rec_span.set_detail(format!("{iterations} rounds"));
+    }
+    Ok(total)
 }

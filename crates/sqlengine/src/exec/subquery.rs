@@ -5,198 +5,142 @@
 //!   row. §5.3.1 notes the ∀rows translation re-uses `rec_table` in the
 //!   outer and inner clause "but an intelligent query optimizer will
 //!   recognize that the inner clause needs to be evaluated only once, as it
-//!   is an uncorrelated sub-query". Correlation is detected at runtime: the
-//!   first evaluation records whether any column resolved in an outer scope.
+//!   is an uncorrelated sub-query". Whether a subquery is correlated is a
+//!   fact of its plan (it holds a column of a scope outside itself); its
+//!   result lives in the plan's cache slot, which starts empty whenever the
+//!   relations it may read change — per evaluation of an enclosing WITH
+//!   query, per round of an enclosing recursion.
 //!
 //! * **Correlated EXISTS with equality correlation decorrelates into a
 //!   hashed semi-join** built once and probed per row — this keeps the
 //!   ∃structure conditions (§5.3.2) linear instead of quadratic.
 
 use std::collections::HashSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use crate::ast::{BinOp, Expr, Query, Select, SelectItem, SetExpr, TableFactor};
 use crate::error::{Error, Result};
-use crate::exec::{
-    eval_query, eval_select, expr::eval_expr, Bindings, CachedSubquery, Env, ExecContext,
-};
-use crate::row::ResultSet;
+use crate::exec::plan::{PExpr, SelectPlan, SetPlan, SubPlan};
+use crate::exec::{join, run_query, Cx, Frame};
+use crate::row::Row;
 use crate::value::Value;
 
-/// Stable identity of an AST node for the duration of one query execution.
-fn node_key(q: &Query) -> usize {
-    q as *const Query as usize
+/// What a subquery's cache slot holds.
+#[derive(Clone)]
+pub(crate) enum Cached {
+    Exists(bool),
+    Scalar(Value),
+    /// `IN` set plus whether it contained NULL (three-valued logic).
+    InSet(Rc<(HashSet<Value>, bool)>),
+    /// A correlated EXISTS met its first row: the key set of its semi-join,
+    /// or `None` when it does not decorrelate and runs per row.
+    Semi(Option<Rc<HashSet<Vec<Value>>>>),
 }
 
-/// Evaluate a query as a subquery, detecting whether it touched any outer
-/// scope (correlation).
-fn eval_detecting(
-    ctx: &ExecContext<'_>,
-    env: &Env<'_>,
-    query: &Query,
-) -> Result<(ResultSet, bool)> {
-    let span = ctx.obs.span(pdm_obs::kinds::SUBQUERY, "eval");
-    let saved = ctx.outer_access.replace(false);
-    let result = eval_query(ctx, query, Some(env));
-    let correlated = ctx.outer_access.get();
-    ctx.outer_access.set(saved || correlated);
-    ctx.stats.borrow_mut().subquery_evals += 1;
-    let rs = result?;
-    span.set_rows(0, rs.len() as u64);
-    span.set_detail(if correlated {
+/// Run the subquery for the row in `f`.
+fn run(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<Vec<Row>> {
+    let span = cx.rt.obs.span(pdm_obs::kinds::SUBQUERY, "eval");
+    cx.rt.stats.borrow_mut().subquery_evals += 1;
+    let rows = run_query(cx, &sub.query, Some(f))?;
+    span.set_rows(0, rows.len() as u64);
+    span.set_detail(if sub.correlated {
         "correlated"
     } else {
         "uncorrelated"
     });
-    Ok((rs, correlated))
+    Ok(rows)
 }
 
-// ---------------------------------------------------------------------------
-// EXISTS
-// ---------------------------------------------------------------------------
-
-/// `EXISTS (query)` for the row in `env`.
-pub fn eval_exists(ctx: &ExecContext<'_>, env: &Env<'_>, query: &Query) -> Result<bool> {
-    let key = node_key(query);
-
-    {
-        let cache = ctx.cache().borrow();
-        if ctx.config.subquery_cache {
-            if let Some(CachedSubquery::Exists(b)) = cache.uncorrelated.get(&key) {
-                ctx.stats.borrow_mut().subquery_cache_hits += 1;
-                return Ok(*b);
-            }
+/// `EXISTS (query)` for the row in `f`.
+pub(crate) fn exists(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<bool> {
+    let rt = cx.rt;
+    match rt.cached(sub.slot) {
+        Some(Cached::Exists(b)) => {
+            rt.stats.borrow_mut().subquery_cache_hits += 1;
+            Ok(b)
         }
-        if ctx.config.semijoin_decorrelation {
-            if let Some(set) = cache.semijoin.get(&key) {
-                let set = Arc::clone(set);
-                drop(cache);
-                ctx.stats.borrow_mut().subquery_cache_hits += 1;
-                return set.probe(ctx, env);
+        Some(Cached::Semi(Some(keys))) => {
+            rt.stats.borrow_mut().subquery_cache_hits += 1;
+            probe_semijoin(cx, f, sub, &keys)
+        }
+        Some(Cached::Semi(None)) => Ok(!run(cx, f, sub)?.is_empty()),
+        _ => {
+            // First encounter: evaluate for this row; a correlated EXISTS in
+            // the decorrelatable shape then builds its key set for the rows
+            // to come.
+            let found = !run(cx, f, sub)?.is_empty();
+            if sub.correlated {
+                let keys = match &sub.semi {
+                    Some(pairs) => {
+                        let keys = build_semijoin(cx, sub, pairs)?;
+                        rt.stats.borrow_mut().decorrelated_semijoins += 1;
+                        Some(Rc::new(keys))
+                    }
+                    None => None,
+                };
+                rt.cache(sub.slot, Cached::Semi(keys));
+            } else if sub.cache {
+                rt.cache(sub.slot, Cached::Exists(found));
             }
+            Ok(found)
         }
     }
-
-    let known_correlated = ctx.cache().borrow().known_correlated.contains(&key);
-
-    if !known_correlated {
-        // First encounter: evaluate once, learn whether it's correlated.
-        let (rs, correlated) = eval_detecting(ctx, env, query)?;
-        let exists = !rs.is_empty();
-        if !correlated {
-            if ctx.config.subquery_cache {
-                ctx.cache()
-                    .borrow_mut()
-                    .uncorrelated
-                    .insert(key, CachedSubquery::Exists(exists));
-            }
-            return Ok(exists);
-        }
-        ctx.cache().borrow_mut().known_correlated.insert(key);
-        // Correlated: try to build a semi-join set for subsequent rows.
-        if ctx.config.semijoin_decorrelation {
-            if let Some(set) = SemiJoinSet::build(ctx, query)? {
-                ctx.stats.borrow_mut().decorrelated_semijoins += 1;
-                ctx.cache().borrow_mut().semijoin.insert(key, Arc::new(set));
-            }
-        }
-        return Ok(exists);
-    }
-
-    // Known-correlated and no semi-join available: per-row evaluation.
-    let (rs, _) = eval_detecting(ctx, env, query)?;
-    Ok(!rs.is_empty())
 }
-
-// ---------------------------------------------------------------------------
-// IN (subquery)
-// ---------------------------------------------------------------------------
 
 /// `needle IN (query)`. Returns `(found, saw_null_in_set)`.
-pub fn eval_in_subquery(
-    ctx: &ExecContext<'_>,
-    env: &Env<'_>,
-    query: &Query,
+pub(crate) fn in_subquery(
+    cx: Cx<'_>,
+    f: &Frame<'_, '_>,
+    sub: &SubPlan<'_>,
     needle: &Value,
 ) -> Result<(bool, bool)> {
-    let key = node_key(query);
-
-    if ctx.config.subquery_cache {
-        let cache = ctx.cache().borrow();
-        if let Some(CachedSubquery::InSet(set)) = cache.uncorrelated.get(&key) {
-            let set = Arc::clone(set);
-            drop(cache);
-            ctx.stats.borrow_mut().subquery_cache_hits += 1;
-            return Ok((set.0.contains(needle), set.1));
-        }
+    if let Some(Cached::InSet(set)) = cx.rt.cached(sub.slot) {
+        cx.rt.stats.borrow_mut().subquery_cache_hits += 1;
+        return Ok((set.0.contains(needle), set.1));
     }
-
-    let known_correlated = ctx.cache().borrow().known_correlated.contains(&key);
-    let (rs, correlated) = eval_detecting(ctx, env, query)?;
-    if rs.schema.len() != 1 {
+    let rows = run(cx, f, sub)?;
+    let width = sub.query.schema.len();
+    if width != 1 {
         return Err(Error::Eval(format!(
-            "IN subquery must return one column, got {}",
-            rs.schema.len()
+            "IN subquery must return one column, got {width}"
         )));
     }
-    let mut set = HashSet::with_capacity(rs.len());
+    let mut set = HashSet::with_capacity(rows.len());
     let mut saw_null = false;
-    for row in &rs.rows {
-        let v = row.get(0);
+    for v in rows.into_iter().flat_map(|row| row.0) {
         if v.is_null() {
             saw_null = true;
         } else {
-            set.insert(v.clone());
+            set.insert(v);
         }
     }
     let found = set.contains(needle);
-    if correlated {
-        ctx.cache().borrow_mut().known_correlated.insert(key);
-    } else if ctx.config.subquery_cache && !known_correlated {
-        ctx.cache()
-            .borrow_mut()
-            .uncorrelated
-            .insert(key, CachedSubquery::InSet(Arc::new((set, saw_null))));
+    if sub.cache && !sub.correlated {
+        cx.rt
+            .cache(sub.slot, Cached::InSet(Rc::new((set, saw_null))));
     }
     Ok((found, saw_null))
 }
 
-// ---------------------------------------------------------------------------
-// Scalar subquery
-// ---------------------------------------------------------------------------
-
 /// `(SELECT single-value)`; NULL on zero rows, error on more than one row.
-pub fn eval_scalar(ctx: &ExecContext<'_>, env: &Env<'_>, query: &Query) -> Result<Value> {
-    let key = node_key(query);
-
-    if ctx.config.subquery_cache {
-        let cache = ctx.cache().borrow();
-        if let Some(CachedSubquery::Scalar(v)) = cache.uncorrelated.get(&key) {
-            ctx.stats.borrow_mut().subquery_cache_hits += 1;
-            return Ok(v.clone());
-        }
+pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<Value> {
+    if let Some(Cached::Scalar(v)) = cx.rt.cached(sub.slot) {
+        cx.rt.stats.borrow_mut().subquery_cache_hits += 1;
+        return Ok(v);
     }
-
-    let known_correlated = ctx.cache().borrow().known_correlated.contains(&key);
-    let (rs, correlated) = eval_detecting(ctx, env, query)?;
-    if rs.schema.len() != 1 {
+    let mut rows = run(cx, f, sub)?;
+    let width = sub.query.schema.len();
+    if width != 1 {
         return Err(Error::Eval(format!(
-            "scalar subquery must return one column, got {}",
-            rs.schema.len()
+            "scalar subquery must return one column, got {width}"
         )));
     }
-    let value = match rs.len() {
+    let value = match rows.len() {
         0 => Value::Null,
-        1 => rs.rows[0].get(0).clone(),
+        1 => rows.swap_remove(0).0.swap_remove(0),
         n => return Err(Error::Eval(format!("scalar subquery returned {n} rows"))),
     };
-    if correlated {
-        ctx.cache().borrow_mut().known_correlated.insert(key);
-    } else if ctx.config.subquery_cache && !known_correlated {
-        ctx.cache()
-            .borrow_mut()
-            .uncorrelated
-            .insert(key, CachedSubquery::Scalar(value.clone()));
+    if sub.cache && !sub.correlated {
+        cx.rt.cache(sub.slot, Cached::Scalar(value.clone()));
     }
     Ok(value)
 }
@@ -205,217 +149,77 @@ pub fn eval_scalar(ctx: &ExecContext<'_>, env: &Env<'_>, query: &Query) -> Resul
 // Semi-join decorrelation
 // ---------------------------------------------------------------------------
 
-/// A decorrelated EXISTS: the inner query was executed once with its
-/// correlated equality conjuncts removed; `keys` holds the tuples of inner
-/// values those conjuncts compare against. Probing evaluates the outer side
-/// of each pair in the outer row's environment.
-pub struct SemiJoinSet {
-    outer_exprs: Vec<Expr>,
-    keys: HashSet<Vec<Value>>,
+fn inner_select<'p>(sub: &'p SubPlan<'p>) -> &'p SelectPlan<'p> {
+    match &sub.query.body {
+        SetPlan::Select(sel) => sel,
+        SetPlan::Op { .. } => unreachable!("only a single SELECT decorrelates"),
+    }
 }
 
-impl SemiJoinSet {
-    /// Probe for the current outer row. NULL outer values never match
-    /// (equality with NULL is unknown, so EXISTS is false).
-    pub fn probe(&self, ctx: &ExecContext<'_>, env: &Env<'_>) -> Result<bool> {
-        let mut key = Vec::with_capacity(self.outer_exprs.len());
-        for e in &self.outer_exprs {
-            let v = eval_expr(ctx, env, e)?;
+/// The two operands of correlated conjunct `at`: (inner side, outer side).
+fn pair<'p>(
+    sel: &'p SelectPlan<'p>,
+    (at, inner_left): (usize, bool),
+) -> (&'p PExpr<'p>, &'p PExpr<'p>) {
+    match &sel.residual[at].expr {
+        PExpr::Op { args, .. } if inner_left => (&args[0], &args[1]),
+        PExpr::Op { args, .. } => (&args[1], &args[0]),
+        _ => unreachable!("a decorrelated conjunct is an equality"),
+    }
+}
+
+/// Run the inner SELECT once without its `inner = outer` conjuncts and hash
+/// the tuples of inner values those conjuncts compare against. NULL inner
+/// keys never match.
+fn build_semijoin(
+    cx: Cx<'_>,
+    sub: &SubPlan<'_>,
+    pairs: &[(usize, bool)],
+) -> Result<HashSet<Vec<Value>>> {
+    let sel = inner_select(sub);
+    let local: Vec<&PExpr<'_>> = (0..sel.residual.len())
+        .filter(|i| pairs.iter().all(|(at, _)| at != i))
+        .map(|i| &sel.residual[i].expr)
+        .collect();
+    let n = sel.factors.len();
+    let mut rows = join::run_from(cx, sel, &[], None)?;
+    crate::exec::filter(cx, &mut rows, n, &local, None)?;
+    let mut keys = HashSet::with_capacity(rows.len() / n.max(1));
+    'rows: for row in rows.chunks(n.max(1)) {
+        let frame = Frame::of(row, None);
+        let mut key = Vec::with_capacity(pairs.len());
+        for p in pairs {
+            let v = pair(sel, *p).0.eval(cx, &frame)?;
             if v.is_null() {
-                return Ok(false);
+                continue 'rows;
             }
-            key.push(v);
+            key.push(v.into_owned());
         }
-        Ok(self.keys.contains(&key))
+        keys.insert(key);
     }
-
-    /// Try to build the set. Returns `Ok(None)` when the subquery does not
-    /// match the decorrelatable pattern (we then fall back to per-row
-    /// evaluation).
-    pub fn build(ctx: &ExecContext<'_>, query: &Query) -> Result<Option<SemiJoinSet>> {
-        if query.with.is_some() || query.limit == Some(0) {
-            return Ok(None);
-        }
-        let SetExpr::Select(sel) = &query.body else {
-            return Ok(None);
-        };
-        if !sel.group_by.is_empty() || sel.having.is_some() {
-            return Ok(None);
-        }
-
-        // Build the inner binding layout from the FROM clause.
-        let mut inner = Bindings::new();
-        for twj in &sel.from {
-            for factor in std::iter::once(&twj.base).chain(twj.joins.iter().map(|j| &j.factor)) {
-                let TableFactor::Table { name, alias } = factor else {
-                    return Ok(None);
-                };
-                let schema = if let Some(rel) = ctx.lookup_cte(name) {
-                    rel.schema.clone()
-                } else if ctx.catalog.has_table(name) {
-                    ctx.catalog.table(name)?.schema.clone()
-                } else {
-                    return Ok(None); // view or unknown — don't decorrelate
-                };
-                inner.push(alias.as_deref().unwrap_or(name), schema);
-            }
-            // All ON conjuncts must be inner-only.
-            for j in &twj.joins {
-                if let Some(on) = &j.on {
-                    if !all_inner(on, &inner) {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-
-        // Classify WHERE conjuncts.
-        let conjuncts = sel
-            .where_clause
-            .as_ref()
-            .map(super::split_conjuncts)
-            .unwrap_or_default();
-        let mut local: Vec<Expr> = Vec::new();
-        let mut pairs: Vec<(Expr, Expr)> = Vec::new(); // (inner, outer)
-        for c in conjuncts {
-            if all_inner(&c, &inner) {
-                local.push(c);
-                continue;
-            }
-            if let Expr::BinaryOp {
-                left,
-                op: BinOp::Eq,
-                right,
-            } = &c
-            {
-                let l_inner = all_inner(left, &inner);
-                let r_inner = all_inner(right, &inner);
-                let l_outer = all_outer(left, &inner);
-                let r_outer = all_outer(right, &inner);
-                if l_inner && r_outer {
-                    pairs.push(((**left).clone(), (**right).clone()));
-                    continue;
-                }
-                if r_inner && l_outer {
-                    pairs.push(((**right).clone(), (**left).clone()));
-                    continue;
-                }
-            }
-            return Ok(None); // some other correlated shape — bail
-        }
-        if pairs.is_empty() {
-            return Ok(None); // not correlated via equality — nothing to gain
-        }
-
-        // Execute the stripped query once, projecting the inner key exprs.
-        let mut stripped = Select::new();
-        stripped.from = sel.from.clone();
-        stripped.where_clause = Expr::conjunction(local);
-        stripped.projection = pairs
-            .iter()
-            .map(|(inner_expr, _)| SelectItem::expr(inner_expr.clone()))
-            .collect();
-        let rs = eval_select(ctx, &stripped, None)?;
-
-        let mut keys = HashSet::with_capacity(rs.len());
-        'rows: for row in &rs.rows {
-            let mut key = Vec::with_capacity(row.len());
-            for v in row.values() {
-                if v.is_null() {
-                    continue 'rows; // NULL inner keys never match
-                }
-                key.push(v.clone());
-            }
-            keys.insert(key);
-        }
-
-        Ok(Some(SemiJoinSet {
-            outer_exprs: pairs.into_iter().map(|(_, o)| o).collect(),
-            keys,
-        }))
-    }
+    Ok(keys)
 }
 
-/// Every column in `e` resolves inside `inner`, and `e` has no subqueries.
-fn all_inner(e: &Expr, inner: &Bindings) -> bool {
-    let mut ok = true;
-    let mut any = false;
-    visit(e, &mut |q, n, sub| {
-        any = true;
-        if sub || !matches!(inner.resolve(q, n), Ok(Some(_))) {
-            ok = false;
+/// Probe for the current outer row. NULL outer values never match (equality
+/// with NULL is unknown, so EXISTS is false).
+fn probe_semijoin(
+    cx: Cx<'_>,
+    f: &Frame<'_, '_>,
+    sub: &SubPlan<'_>,
+    keys: &HashSet<Vec<Value>>,
+) -> Result<bool> {
+    let sel = inner_select(sub);
+    // The outer operands were compiled one scope in: give them an (unread)
+    // inner row to step out of.
+    let frame = Frame::of(&[], Some(f));
+    let pairs = sub.semi.as_deref().unwrap_or_default();
+    let mut key = Vec::with_capacity(pairs.len());
+    for p in pairs {
+        let v = pair(sel, *p).1.eval(cx, &frame)?;
+        if v.is_null() {
+            return Ok(false);
         }
-    });
-    // Pure literals count as inner-local.
-    ok || !any
-}
-
-/// No column in `e` resolves inside `inner` (so all references are outer),
-/// `e` contains at least one column, and no subqueries.
-fn all_outer(e: &Expr, inner: &Bindings) -> bool {
-    let mut ok = true;
-    let mut cols = 0usize;
-    visit(e, &mut |q, n, sub| {
-        if sub {
-            ok = false;
-            return;
-        }
-        cols += 1;
-        if matches!(inner.resolve(q, n), Ok(Some(_))) {
-            ok = false;
-        }
-    });
-    ok && cols > 0
-}
-
-fn visit(e: &Expr, f: &mut impl FnMut(Option<&str>, &str, bool)) {
-    match e {
-        Expr::Column { qualifier, name } => f(qualifier.as_deref(), name, false),
-        Expr::Literal(_) => {}
-        Expr::BinaryOp { left, right, .. } => {
-            visit(left, f);
-            visit(right, f);
-        }
-        Expr::Not(x) | Expr::Negate(x) | Expr::Cast { expr: x, .. } => visit(x, f),
-        Expr::IsNull { expr, .. } => visit(expr, f),
-        Expr::InList { expr, list, .. } => {
-            visit(expr, f);
-            for x in list {
-                visit(x, f);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            visit(expr, f);
-            visit(low, f);
-            visit(high, f);
-        }
-        Expr::Like { expr, pattern, .. } => {
-            visit(expr, f);
-            visit(pattern, f);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                visit(a, f);
-            }
-        }
-        Expr::Case {
-            branches,
-            else_expr,
-        } => {
-            for (c, r) in branches {
-                visit(c, f);
-                visit(r, f);
-            }
-            if let Some(x) = else_expr {
-                visit(x, f);
-            }
-        }
-        Expr::InSubquery { expr, .. } => {
-            visit(expr, f);
-            f(None, "", true);
-        }
-        Expr::Exists { .. } | Expr::ScalarSubquery(_) => f(None, "", true),
+        key.push(v.into_owned());
     }
+    Ok(keys.contains(&key))
 }

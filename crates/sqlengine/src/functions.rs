@@ -91,11 +91,11 @@ impl FunctionRegistry {
     }
 
     pub fn get(&self, name: &str) -> Option<&ScalarFn> {
-        self.funcs.get(&name.to_ascii_lowercase())
+        self.funcs.get(&*crate::catalog::lower(name))
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.funcs.contains_key(&name.to_ascii_lowercase())
+        self.get(name).is_some()
     }
 
     pub fn call(&self, name: &str, args: &[Value]) -> Result<Value> {

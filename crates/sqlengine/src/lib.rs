@@ -36,8 +36,6 @@ pub mod storage;
 pub mod update;
 pub mod value;
 
-use std::cell::RefCell;
-
 pub use ast::{Expr, Query, Select, Statement};
 pub use catalog::Catalog;
 pub use error::{Error, Result};
@@ -129,12 +127,8 @@ impl Database {
 
     /// Run an already-parsed query, returning execution statistics.
     pub fn query_ast_with_stats(&self, query: &Query) -> Result<(ResultSet, ExecStats)> {
-        let stats = RefCell::new(ExecStats::default());
-        let result = {
-            let ctx = exec::ExecContext::new(&self.catalog, &self.config, &stats);
-            exec::eval_query(&ctx, query, None)?
-        };
-        Ok((result, stats.into_inner()))
+        let obs = pdm_obs::Recorder::disabled();
+        exec::execute(&self.catalog, &self.config, query, &obs)
     }
 
     /// Execute a parsed DML/DDL statement.

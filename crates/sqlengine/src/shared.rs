@@ -67,18 +67,11 @@ impl Snapshot {
         query: &crate::ast::Query,
         obs: &pdm_obs::Recorder,
     ) -> Result<(ResultSet, crate::exec::ExecStats)> {
-        let stats = std::cell::RefCell::new(crate::exec::ExecStats::default());
-        let ctx = crate::exec::ExecContext::with_recorder(
-            &self.catalog,
-            &self.config,
-            &stats,
-            obs.clone(),
-        );
         let span = obs.span(pdm_obs::kinds::ENGINE_QUERY, "eval");
-        let rs = crate::exec::eval_query(&ctx, query, None)?;
+        let (rs, stats) = crate::exec::execute(&self.catalog, &self.config, query, obs)?;
         span.set_rows(0, rs.len() as u64);
         drop(span);
-        Ok((rs, stats.into_inner()))
+        Ok((rs, stats))
     }
 }
 

@@ -5,17 +5,13 @@
 //! flag is a *separate* statement — and therefore a separate WAN round trip
 //! — that recursive querying cannot absorb.
 
-use std::cell::RefCell;
-
 use crate::ast::{Expr, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::join::index_candidates;
-use crate::exec::{
-    expr::eval_expr, split_conjuncts, Bindings, Env, ExecConfig, ExecContext, ExecStats,
-};
+use crate::exec::plan::{conjuncts, index_probe, Compiler};
+use crate::exec::{ExecConfig, Frame, Rt};
 use crate::row::Row;
-use crate::storage::Table;
 use crate::value::Value;
 
 /// Outcome of a non-query statement.
@@ -49,9 +45,20 @@ pub fn execute_statement(
             table,
             assignments,
             predicate,
-        } => update(catalog, config, table, assignments, predicate.as_ref()),
+        } => {
+            let updates = matching_rows(catalog, config, table, predicate.as_ref(), assignments)?;
+            let n = catalog.table_mut(table)?.apply_updates(&updates)?;
+            Ok(DmlOutcome::Updated(n))
+        }
         Statement::Delete { table, predicate } => {
-            delete(catalog, config, table, predicate.as_ref())
+            let doomed: Vec<usize> =
+                matching_rows(catalog, config, table, predicate.as_ref(), &[])?
+                    .into_iter()
+                    .map(|(rid, _)| rid)
+                    .collect();
+            Ok(DmlOutcome::Deleted(
+                catalog.table_mut(table)?.delete_rows(&doomed),
+            ))
         }
         Statement::CreateTable { name, columns } => {
             let schema = crate::schema::Schema::new(
@@ -85,14 +92,19 @@ pub fn execute_statement(
     }
 }
 
-/// Evaluate an expression with no row context (INSERT values).
-fn eval_const(catalog: &Catalog, config: &ExecConfig, e: &Expr) -> Result<Value> {
-    let stats = RefCell::new(ExecStats::default());
-    let ctx = ExecContext::new(catalog, config, &stats);
-    let bindings = Bindings::new();
-    let row: Vec<Value> = Vec::new();
-    let env = Env::new(&bindings, &row);
-    eval_expr(&ctx, &env, e)
+/// Evaluate expressions with no row context (INSERT values), in order.
+fn eval_consts(catalog: &Catalog, config: &ExecConfig, exprs: &[Expr]) -> Result<Vec<Value>> {
+    let mut compiler = Compiler::new(catalog, config);
+    let compiled: Vec<_> = exprs
+        .iter()
+        .map(|e| compiler.expr(e))
+        .collect::<Result<_>>()?;
+    let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+    let frame = Frame::of(&[], None);
+    compiled
+        .iter()
+        .map(|e| Ok(e.eval(rt.cx(), &frame)?.into_owned()))
+        .collect()
 }
 
 fn insert(
@@ -103,14 +115,13 @@ fn insert(
     rows: &[Vec<Expr>],
 ) -> Result<DmlOutcome> {
     // Evaluate first (immutable borrow), then write.
-    let schema = catalog.table(table)?.schema.clone();
+    let schema = &catalog.table(table)?.schema;
     let positions: Vec<usize> = match columns {
         None => (0..schema.len()).collect(),
         Some(cols) => {
-            let mut seen = std::collections::HashSet::new();
             let mut positions = Vec::with_capacity(cols.len());
-            for c in cols {
-                if !seen.insert(c.to_ascii_lowercase()) {
+            for (i, c) in cols.iter().enumerate() {
+                if cols[..i].iter().any(|d| d.eq_ignore_ascii_case(c)) {
                     return Err(Error::Schema(format!("duplicate column '{c}' in INSERT")));
                 }
                 positions.push(schema.require(c)?);
@@ -129,8 +140,8 @@ fn insert(
             )));
         }
         let mut row = vec![Value::Null; schema.len()];
-        for (pos, e) in positions.iter().zip(exprs) {
-            row[*pos] = eval_const(catalog, config, e)?;
+        for (pos, v) in positions.iter().zip(eval_consts(catalog, config, exprs)?) {
+            row[*pos] = v;
         }
         materialized.push(Row(row));
     }
@@ -143,76 +154,63 @@ fn insert(
     Ok(DmlOutcome::Inserted(n))
 }
 
-/// Ids of the rows of `table` that satisfy `predicate`, ascending. Visits
-/// only the index candidates when a conjunct of the predicate names them
-/// (see [`index_candidates`]); the whole predicate decides on each visited
-/// row either way.
+/// A row id and the `(column, value)` assignments to write there.
+type RowUpdate = (usize, Vec<(usize, Value)>);
+
+/// The rows of `table` that satisfy `predicate`, ascending, each with the
+/// values `assignments` take on it (UPDATE; none for DELETE). Predicate and
+/// assignments are compiled once against the table's row. Only the index
+/// candidates are visited when a conjunct of the predicate names them (see
+/// [`index_probe`]); the whole predicate decides on each visited row either
+/// way.
 fn matching_rows(
-    ctx: &ExecContext<'_>,
-    table: &Table,
-    bindings: &Bindings,
+    catalog: &Catalog,
+    config: &ExecConfig,
+    table: &str,
     predicate: Option<&Expr>,
-) -> Result<Vec<usize>> {
-    let Some(p) = predicate else {
-        return Ok((0..table.len()).collect());
+    assignments: &[(String, Expr)],
+) -> Result<Vec<RowUpdate>> {
+    let t = catalog.table(table)?;
+    let mut compiler = Compiler::new(catalog, config);
+    compiler.bind_table(t);
+    let cols: Vec<usize> = assignments
+        .iter()
+        .map(|(c, _)| t.schema.require(c))
+        .collect::<Result<_>>()?;
+    let parts = predicate
+        .map(conjuncts)
+        .unwrap_or_default()
+        .into_iter()
+        .map(|c| compiler.expr(c))
+        .collect::<Result<Vec<_>>>()?;
+    // The index is chosen from the conjuncts; the row is judged by the
+    // predicate as written (its AND is three-valued and type-checked).
+    let probe = index_probe(config, t, 0, &parts);
+    let predicate = predicate.map(|p| compiler.expr(p)).transpose()?;
+    let values = assignments
+        .iter()
+        .map(|(_, e)| compiler.expr(e))
+        .collect::<Result<Vec<_>>>()?;
+
+    let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+    let candidates = match &probe {
+        Some((col, literals)) => index_candidates(t, *col, literals),
+        None => (0..t.len()).collect(),
     };
-    let candidates: Box<dyn Iterator<Item = usize>> =
-        match index_candidates(ctx, table, &table.name, &split_conjuncts(p)) {
-            Some(row_ids) => Box::new(row_ids.into_iter()),
-            None => Box::new(0..table.len()),
-        };
     let mut matched = Vec::new();
-    for rid in candidates {
-        if eval_expr(ctx, &Env::new(bindings, table.row(rid)), p)?.is_true() {
-            matched.push(rid);
+    for &rid in candidates.iter() {
+        let row = [t.row(rid)];
+        let frame = Frame::of(&row, None);
+        if let Some(p) = &predicate {
+            if !p.holds(rt.cx(), &frame)? {
+                continue;
+            }
         }
+        let mut vals = Vec::with_capacity(cols.len());
+        for (col, e) in cols.iter().zip(&values) {
+            vals.push((*col, e.eval(rt.cx(), &frame)?.into_owned()));
+        }
+        matched.push((rid, vals));
     }
     Ok(matched)
-}
-
-fn update(
-    catalog: &mut Catalog,
-    config: &ExecConfig,
-    table: &str,
-    assignments: &[(String, Expr)],
-    predicate: Option<&Expr>,
-) -> Result<DmlOutcome> {
-    let stats = RefCell::new(ExecStats::default());
-    let mut updates: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
-    {
-        let ctx = ExecContext::new(catalog, config, &stats);
-        let t = catalog.table(table)?;
-        let bindings = Bindings::single(&t.name, t.schema.clone());
-        let cols: Vec<usize> = assignments
-            .iter()
-            .map(|(c, _)| t.schema.require(c))
-            .collect::<Result<_>>()?;
-        for rid in matching_rows(&ctx, t, &bindings, predicate)? {
-            let env = Env::new(&bindings, t.row(rid));
-            let mut vals = Vec::with_capacity(cols.len());
-            for (col_idx, (_, e)) in cols.iter().zip(assignments) {
-                vals.push((*col_idx, eval_expr(&ctx, &env, e)?));
-            }
-            updates.push((rid, vals));
-        }
-    }
-    let n = catalog.table_mut(table)?.apply_updates(&updates)?;
-    Ok(DmlOutcome::Updated(n))
-}
-
-fn delete(
-    catalog: &mut Catalog,
-    config: &ExecConfig,
-    table: &str,
-    predicate: Option<&Expr>,
-) -> Result<DmlOutcome> {
-    let stats = RefCell::new(ExecStats::default());
-    let doomed = {
-        let ctx = ExecContext::new(catalog, config, &stats);
-        let t = catalog.table(table)?;
-        let bindings = Bindings::single(&t.name, t.schema.clone());
-        matching_rows(&ctx, t, &bindings, predicate)?
-    };
-    let n = catalog.table_mut(table)?.delete_rows(&doomed);
-    Ok(DmlOutcome::Deleted(n))
 }
