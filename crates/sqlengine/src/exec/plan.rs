@@ -360,6 +360,19 @@ pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
     out
 }
 
+impl<'a> PExpr<'a> {
+    /// The top-level AND operands of a compiled predicate, in order.
+    pub(crate) fn conjuncts(&self) -> Vec<&PExpr<'a>> {
+        match self {
+            PExpr::Op {
+                op: Op::Binary(BinOp::And),
+                args,
+            } => args.iter().flat_map(|x| x.conjuncts()).collect(),
+            other => vec![other],
+        }
+    }
+}
+
 /// What an expression reads: its column count, how many of those lie in an
 /// outer scope, the span of own-scope bindings, and whether it holds a
 /// subquery.
@@ -736,12 +749,10 @@ impl<'a> Compiler<'a> {
         let (body, sort, visible) = match &q.body {
             // A plain SELECT may ORDER BY source columns that are not in the
             // projection; hidden sort columns handle that.
-            SetExpr::Select(sel) if !q.order_by.is_empty() => {
-                self.select(sel, &q.order_by, true)?
-            }
+            SetExpr::Select(sel) if !q.order_by.is_empty() => self.select(sel, &q.order_by)?,
             body => {
                 // Set operations sort by output columns / ordinals only.
-                let b = self.set_expr(body, true)?;
+                let b = self.set_expr(body)?;
                 let sort = (!q.order_by.is_empty())
                     .then(|| output_keys(b.schema().columns(), &q.order_by));
                 let visible = b.schema().len();
@@ -765,11 +776,9 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    /// `named`: the result's column names can be observed. A set operation
-    /// takes them from its left operand, so the right one's are not built.
-    fn set_expr(&mut self, body: &'a SetExpr, named: bool) -> Result<SetPlan<'a>> {
+    fn set_expr(&mut self, body: &'a SetExpr) -> Result<SetPlan<'a>> {
         Ok(match body {
-            SetExpr::Select(sel) => self.select(sel, &[], named)?.0,
+            SetExpr::Select(sel) => self.select(sel, &[])?.0,
             SetExpr::SetOp {
                 op,
                 all,
@@ -778,8 +787,8 @@ impl<'a> Compiler<'a> {
             } => SetPlan::Op {
                 op: *op,
                 all: *all,
-                left: Box::new(self.set_expr(left, named)?),
-                right: Box::new(self.set_expr(right, false)?),
+                left: Box::new(self.set_expr(left)?),
+                right: Box::new(self.set_expr(right)?),
             },
         })
     }
@@ -809,7 +818,7 @@ impl<'a> Compiler<'a> {
                 if body_references(part, name) {
                     continue;
                 }
-                let seed = c.set_expr(part, schema.is_none())?;
+                let seed = c.set_expr(part)?;
                 let renamed = rename_columns(seed.schema(), &cte.columns, &cte.name)?;
                 match &schema {
                     None => schema = Some(renamed),
@@ -827,7 +836,7 @@ impl<'a> Compiler<'a> {
             c.ctes.push((name, id, Rc::clone(&schema)));
             for (slot, part) in terms.iter_mut().zip(&parts) {
                 if slot.is_none() {
-                    *slot = Some((c.set_expr(part, false)?, true));
+                    *slot = Some((c.set_expr(part)?, true));
                 }
             }
             c.ctes.pop();
@@ -899,7 +908,6 @@ impl<'a> Compiler<'a> {
         &mut self,
         sel: &'a Select,
         order_by: &'a [OrderItem],
-        named: bool,
     ) -> Result<(SetPlan<'a>, SortKeys, usize)> {
         // 1. FROM: sources and their schemas, before this SELECT's own scope
         //    opens.
@@ -981,7 +989,7 @@ impl<'a> Compiler<'a> {
             .map(|g| self.expr(g))
             .collect::<Result<_>>()?;
         self.group = grouped.then(|| (Vec::new(), Vec::new()));
-        let (items, columns, sort, visible) = self.projection(sel, order_by, grouped, named)?;
+        let (items, columns, sort, visible) = self.projection(sel, order_by, grouped)?;
         let having = sel.having.as_ref().map(|h| self.expr(h)).transpose()?;
         let group = self
             .group
@@ -1092,18 +1100,13 @@ impl<'a> Compiler<'a> {
         sel: &'a Select,
         order_by: &'a [OrderItem],
         grouped: bool,
-        named: bool,
     ) -> Result<(Vec<PExpr<'a>>, Vec<Column>, SortKeys, usize)> {
         let mut items = Vec::with_capacity(sel.projection.len());
         let mut columns = Vec::with_capacity(sel.projection.len());
         // Result-schema types are best effort (the executor is dynamically
         // typed); a grouped SELECT types everything it cannot name FLOAT.
         let column = |name: Cow<'_, str>, dtype| Column {
-            name: if named {
-                name.into_owned()
-            } else {
-                String::new()
-            },
+            name: name.into_owned(),
             dtype,
             nullable: true,
         };
@@ -1192,10 +1195,17 @@ impl<'a> Compiler<'a> {
                 Expr::Column {
                     qualifier: None,
                     name,
-                } if visible_names.iter().any(|v| v.eq_ignore_ascii_case(name)) => columns
-                    .iter()
-                    .position(|c| c.name.eq_ignore_ascii_case(name))
-                    .expect("an explicit item carries the name"),
+                } if visible_names.iter().any(|v| v.eq_ignore_ascii_case(name)) => {
+                    // An unaliased expression is `col1` here but `col<position>`
+                    // in the output: past position 1 the key names no column.
+                    let found = columns
+                        .iter()
+                        .position(|c| c.name.eq_ignore_ascii_case(name));
+                    if found.is_none() && failed.is_none() {
+                        failed = Some(Error::Bind(format!("unknown column '{}'", lower(name))));
+                    }
+                    found.unwrap_or(0)
+                }
                 hidden => {
                     let compiled = self.expr(hidden)?;
                     let dtype = self.infer_type(&compiled);

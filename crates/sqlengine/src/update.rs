@@ -9,7 +9,7 @@ use crate::ast::{Expr, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::join::index_candidates;
-use crate::exec::plan::{conjuncts, index_probe, Compiler};
+use crate::exec::plan::{index_probe, Compiler};
 use crate::exec::{ExecConfig, Frame, Rt};
 use crate::row::Row;
 use crate::value::Value;
@@ -177,16 +177,11 @@ fn matching_rows(
         .iter()
         .map(|(c, _)| t.schema.require(c))
         .collect::<Result<_>>()?;
-    let parts = predicate
-        .map(conjuncts)
-        .unwrap_or_default()
-        .into_iter()
-        .map(|c| compiler.expr(c))
-        .collect::<Result<Vec<_>>>()?;
+    let predicate = predicate.map(|p| compiler.expr(p)).transpose()?;
     // The index is chosen from the conjuncts; the row is judged by the
     // predicate as written (its AND is three-valued and type-checked).
-    let probe = index_probe(config, t, 0, &parts);
-    let predicate = predicate.map(|p| compiler.expr(p)).transpose()?;
+    let parts = predicate.iter().flat_map(|p| p.conjuncts());
+    let probe = index_probe(config, t, 0, parts);
     let values = assignments
         .iter()
         .map(|(_, e)| compiler.expr(e))

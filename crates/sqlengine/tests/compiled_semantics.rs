@@ -104,6 +104,52 @@ fn binding_errors_are_reported_at_compile_time() {
     assert!(db.query("SELECT 1 / 0 FROM empty_t").unwrap().is_empty());
 }
 
+/// ORDER BY knows an unaliased expression as `col1` wherever it stands, the
+/// output names it `col<position>`: past position 1 the key names no output
+/// column. That is a bind error (lower-cased, as always), raised where it
+/// always was — after the body ran, in ORDER BY order — and never a panic.
+#[test]
+fn order_by_col1_that_no_output_column_carries() {
+    let mut db = db();
+    db.execute("CREATE TABLE c (col1 INTEGER, x INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO c VALUES (2, 1), (1, 2)").unwrap();
+    let unknown = "bind error: unknown column 'col1'";
+    for (sql, message) in [
+        ("SELECT b, a + 1 FROM t ORDER BY col1", unknown),
+        ("SELECT *, 1 FROM t ORDER BY col1", unknown),
+        ("SELECT a, a + 1 FROM t ORDER BY COL1", unknown),
+        ("SELECT a, a + 1 FROM empty_t ORDER BY col1", unknown),
+        // The expression hides the source column of that name.
+        ("SELECT x, x + 1 FROM c ORDER BY col1", unknown),
+        // The body's own failure comes first; then the keys, in order.
+        (
+            "SELECT a, 1 / 0 FROM t ORDER BY col1",
+            "eval error: division by zero",
+        ),
+        ("SELECT a, a + 1 FROM t ORDER BY col1, 5", unknown),
+        (
+            "SELECT a, a + 1 FROM t ORDER BY 5, col1",
+            "bind error: ORDER BY ordinal 5 out of range 1..=2",
+        ),
+    ] {
+        assert_eq!(db.query(sql).unwrap_err().to_string(), message, "{sql}");
+    }
+    // Where an output column does carry the name, it is the key.
+    assert_eq!(
+        ints(&db, "SELECT a + 1 FROM t ORDER BY col1 DESC"),
+        vec![Some(4), Some(3), Some(2), None]
+    );
+    assert_eq!(
+        ints(&db, "SELECT *, 1 FROM c ORDER BY col1"),
+        [Some(1), Some(2)]
+    );
+    assert_eq!(
+        ints(&db, "SELECT x, 1 + 1, col1 FROM c ORDER BY col1"),
+        [Some(2), Some(1)]
+    );
+}
+
 /// An inner binding shadows an outer one of the same name; a name the inner
 /// scopes do not have resolves one, two scopes out.
 #[test]
@@ -220,6 +266,37 @@ fn a_zero_against_a_float_column_scans() {
         let plan = db.explain(&sql).unwrap();
         assert_eq!(plan.contains("IndexScan"), probes > 0, "{sql}: {plan}");
     }
+}
+
+/// UPDATE / DELETE take their index probe from the AND operands of the one
+/// compiled predicate, however the ANDs nest: only the candidates are
+/// visited, so a conjunct that would fail on any row fails on none. The
+/// column `u.a` has no index: every row is visited and the first one fails.
+#[test]
+fn dml_probes_an_index_named_by_any_conjunct() {
+    let mut db = db();
+    let mismatch = "eval error: cannot compare 'a' with 1 (type mismatch)";
+    for predicate in [
+        "'a' = 1 AND a = 99",
+        "('a' = 1 AND a > 100) AND a IN (98, 99)",
+        "'a' = 1 AND (a > 100 AND (99 = a AND a < 0))",
+    ] {
+        for (indexed, scanned) in [
+            ("UPDATE t SET b = 'q'", "UPDATE u SET c = 0"),
+            ("DELETE FROM t", "DELETE FROM u"),
+        ] {
+            let sql = format!("{indexed} WHERE {predicate}");
+            db.execute(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let sql = format!("{scanned} WHERE {predicate}");
+            assert_eq!(db.execute(&sql).unwrap_err().to_string(), mismatch, "{sql}");
+        }
+    }
+    // An OR is no conjunct: scanned, and the mismatch is met.
+    let err = db
+        .execute("DELETE FROM t WHERE a = 99 OR 'a' = 1")
+        .unwrap_err();
+    assert_eq!(err.to_string(), mismatch);
+    assert_eq!(db.query("SELECT * FROM t").unwrap().len(), 4);
 }
 
 #[test]
