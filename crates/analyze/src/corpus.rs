@@ -14,7 +14,7 @@ use pdm_core::query::modificator::{ModReport, Modificator};
 use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
 use pdm_core::rules::table::RuleTable;
-use pdm_core::rules::{ActionKind, Rule};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 
 /// One corpus member: a generated query plus the context needed to verify
 /// predicate placement (if it was modified).
@@ -32,20 +32,6 @@ pub struct CorpusEntry {
     /// The modificator's own account of its injections, cross-checked
     /// against the analyzer's re-derivation.
     pub report: Option<ModReport>,
-}
-
-/// The §4.1 visibility rule set: `strc_opt = 'OPTA'` row conditions on all
-/// three structure-bearing tables.
-pub fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
 }
 
 /// The full §5.5 rule set: visibility rows plus a ∀rows release-flag rule,

@@ -364,18 +364,11 @@ mod tests {
     use pdm_core::query::modificator::Modificator;
     use pdm_core::query::{navigational, recursive};
     use pdm_core::rules::condition::{AggFunc, CmpOp, RowPredicate};
-    use pdm_core::rules::Rule;
+    use pdm_core::rules::{visibility_rules, Rule};
     use std::collections::HashSet;
 
     fn paper_rules() -> RuleTable {
-        let mut t = RuleTable::new();
-        for table in ["link", "assy", "comp"] {
-            t.add(Rule::for_all_users(
-                ActionKind::Access,
-                table,
-                Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-            ));
-        }
+        let mut t = visibility_rules();
         t.add(Rule::for_all_users(
             ActionKind::MultiLevelExpand,
             "assy",

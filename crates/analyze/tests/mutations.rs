@@ -6,7 +6,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use pdm_analyze::corpus::{paper_rules, visibility_rules};
+use pdm_analyze::corpus::paper_rules;
 use pdm_analyze::placement::check_placement;
 use pdm_analyze::{Analyzer, Check, Report, SchemaInfo};
 use pdm_core::query::modificator::Modificator;
@@ -14,7 +14,7 @@ use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::condition::{CmpOp, Condition, FnArg, RowPredicate};
 use pdm_core::rules::table::RuleTable;
 use pdm_core::rules::translate::row_predicate_expr;
-use pdm_core::rules::{ActionKind, Rule};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, TableWithJoins};
 use pdm_sql::parser::parse_query;
 use pdm_sql::Value;

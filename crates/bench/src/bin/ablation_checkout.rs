@@ -6,23 +6,15 @@
 //! the action at the server). This binary compares the two, per tree size
 //! and link.
 
-use pdm_bench::{make_session, visibility_rules};
-use pdm_core::{Session, SessionConfig, Strategy};
+use pdm_bench::make_session;
+use pdm_core::{Session, Strategy};
 use pdm_net::LinkProfile;
-use pdm_workload::{build_database, TreeSpec};
 
 fn fresh_session(depth: u32, branching: u32, link: LinkProfile) -> Session {
-    let spec = TreeSpec::new(depth, branching, 1.0).with_node_size(512);
-    let (db, _) = build_database(&spec).unwrap();
-    Session::new(
-        db,
-        SessionConfig::new("scott", Strategy::Recursive, link),
-        visibility_rules(),
-    )
+    make_session(depth, branching, 1.0, 512, Strategy::Recursive, link)
 }
 
 fn main() {
-    let _ = make_session; // shared harness also used by other bins
     println!("check-out: classic (retrieval + separate UPDATEs) vs function shipping");
     println!(
         "{:<10}{:>8}{:>14}{:>12}{:>14}{:>12}{:>10}",

@@ -5,10 +5,10 @@
 //! the paper's recursive query. Batching removes most round trips without
 //! SQL:1999 — but still pays one per level, which recursion collapses too.
 
-use pdm_bench::{make_session, visibility_rules};
-use pdm_core::{Session, SessionConfig, Strategy};
+use pdm_bench::session_over;
+use pdm_core::Strategy;
 use pdm_net::LinkProfile;
-use pdm_workload::{build_database, TreeSpec};
+use pdm_workload::TreeSpec;
 
 fn main() {
     println!("multi-level expand access paths, γ=0.6, node=512B, 256 kbit/s / 150 ms");
@@ -20,33 +20,19 @@ fn main() {
         let spec = TreeSpec::new(depth, branching, 0.6).with_node_size(512);
         let visible = 3u64.pow(depth + 1) / 2; // γβ = 3
 
-        let mut s = make_session(
-            depth,
-            branching,
-            0.6,
-            512,
-            Strategy::LateEval,
-            LinkProfile::wan_256(),
-        );
-        let nav = s.multi_level_expand(1).expect("expand").stats;
-
-        let (db, _) = build_database(&spec).expect("build");
-        let mut s = Session::new(
-            db,
-            SessionConfig::new("scott", Strategy::EarlyEval, LinkProfile::wan_256()),
-            visibility_rules(),
-        );
-        let batched = s.multi_level_expand_batched(1).expect("expand").stats;
-
-        let mut s = make_session(
-            depth,
-            branching,
-            0.6,
-            512,
-            Strategy::Recursive,
-            LinkProfile::wan_256(),
-        );
-        let rec = s.multi_level_expand(1).expect("expand").stats;
+        let session = |strategy| session_over(&spec, strategy, LinkProfile::wan_256());
+        let nav = session(Strategy::LateEval)
+            .multi_level_expand(1)
+            .expect("expand")
+            .stats;
+        let batched = session(Strategy::EarlyEval)
+            .multi_level_expand_batched(1)
+            .expect("expand")
+            .stats;
+        let rec = session(Strategy::Recursive)
+            .multi_level_expand(1)
+            .expect("expand")
+            .stats;
 
         for (name, st) in [
             ("per-node", &nav),

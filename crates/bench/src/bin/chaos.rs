@@ -15,161 +15,33 @@
 //!    `CHAOS_journal.txt` with the failing seed and dies non-zero — the CI
 //!    chaos job uploads that file as an artifact.
 //!
-//! 2. **Recovery profile** — recovery wall time and replay volume as a
-//!    function of log length and checkpoint interval, written to
-//!    `BENCH_recovery.json`.
+//! 2. **Recovery profile** — recovery wall time (stdout only: it differs
+//!    run to run) and replay volume (also written to `BENCH_recovery.json`,
+//!    which a seeded run regenerates byte for byte) as a function of log
+//!    length and checkpoint interval.
 //!
 //! Usage: `chaos [seed] [cycles]` (also honors `CHAOS_SEED`; CI runs three
 //! distinct seeds in release mode).
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use pdm_core::query::recursive;
-use pdm_core::{recover_server, DurabilityConfig, PdmServer, Recorder, SharedServer};
+use pdm_bench::harness::{
+    check_recovered, crash_image, durable_server, recover, roots, scripted_workload, small_tree,
+    NO_CHECKPOINTS,
+};
+use pdm_bench::report::Report;
+use pdm_core::{MetricsSnapshot, Recorder};
 use pdm_prng::Prng;
-use pdm_sql::persist::{database_fingerprint, state_fingerprint};
-use pdm_sql::shared::Snapshot;
-use pdm_sql::{Database, Value};
 use pdm_wal::{CrashPlan, TailFault};
-use pdm_workload::{build_database, TreeSpec};
 
-const NO_CHECKPOINTS: u64 = 1 << 40;
-
-fn initial_database() -> Database {
-    build_database(&TreeSpec::new(3, 3, 1.0).with_node_size(64))
-        .unwrap()
-        .0
-}
-
-fn durable_server(plan: CrashPlan, interval: u64) -> PdmServer {
-    let cfg = DurabilityConfig::default()
-        .with_interval(interval)
-        .with_crash_plan(plan);
-    PdmServer::from_shared(Arc::new(
-        SharedServer::with_durability(initial_database(), &cfg).unwrap(),
-    ))
-}
-
-fn int_column(rows: &pdm_sql::ResultSet) -> Vec<i64> {
-    rows.rows
-        .iter()
-        .filter_map(|r| match r.get(0) {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
-fn flagged_ids(server: &PdmServer, table: &str) -> Vec<i64> {
-    int_column(
-        &server
-            .query(&format!(
-                "SELECT obid FROM {table} WHERE checkedout = TRUE ORDER BY obid"
-            ))
-            .unwrap(),
-    )
-}
-
-/// Seed-deterministic op mix; results are ignored so the script keeps
-/// running after the device dies (post-crash writes fail fast).
-fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) -> Vec<u64> {
-    let mut rng = Prng::seed_from_u64(seed);
-    // Post-crash writes fail fast; the workload keeps going regardless.
-    let execute = |sql: String| {
-        let _ = server.execute_deadline_obs(&sql, None, &Recorder::disabled());
-    };
-    let roots = int_column(&server.query("SELECT obid FROM assy ORDER BY obid").unwrap());
-    let mut spec_obid = 900_000i64;
-    let mut tokens = Vec::new();
-    for _ in 0..steps {
-        match rng.index(6) {
-            0 => {
-                let id = roots[rng.index(roots.len())];
-                let payload = rng.ident(4, 12);
-                execute(format!(
-                    "UPDATE assy SET payload = '{payload}' WHERE obid = {id}"
-                ));
-            }
-            1 => {
-                let name = rng.ident(3, 10);
-                let lo = rng.i64_inclusive(1, 40);
-                execute(format!(
-                    "UPDATE comp SET name = '{name}' WHERE obid >= {lo} AND obid <= {}",
-                    lo + 2
-                ));
-            }
-            2 => {
-                spec_obid += 1;
-                let name = rng.ident(3, 10);
-                execute(format!(
-                    "INSERT INTO spec VALUES ('spec', {spec_obid}, '{name}')"
-                ));
-            }
-            3 => {
-                let victim = 900_000 + rng.i64_inclusive(1, (spec_obid - 900_000).max(1));
-                execute(format!("DELETE FROM spec WHERE obid = {victim}"));
-            }
-            4 => {
-                let root = roots[rng.index(roots.len())];
-                let sql = recursive::mle_query(root).to_string();
-                let token = server.shared().next_token();
-                tokens.push(token);
-                let _ = server.checkout_procedure_with_deadline_obs(
-                    root,
-                    &sql,
-                    token,
-                    Some(Duration::from_secs(5)),
-                    &Recorder::disabled(),
-                );
-            }
-            _ => {
-                let assy = flagged_ids(server, "assy");
-                let comp = flagged_ids(server, "comp");
-                if !assy.is_empty() || !comp.is_empty() {
-                    let _ = server.checkin_procedure(&assy, &comp, &Recorder::disabled());
-                }
-            }
-        }
-    }
-    tokens
-}
-
-/// Expected recovered state: the crashed server's published snapshot (the
-/// commit gate syncs before publishing, so published == durable) with all
-/// outstanding grants swept back to `FALSE`.
-fn published_plus_sweep(server: &PdmServer) -> Vec<u8> {
-    let snapshot = server.database().snapshot();
-    let mut db = Database {
-        catalog: snapshot.catalog.clone(),
-        config: snapshot.config.clone(),
-    };
-    let grants = server.shared().durability().unwrap().outstanding_grants();
-    let mut sweep_assy: Vec<i64> = grants.values().flat_map(|g| g.assy.clone()).collect();
-    let mut sweep_comp: Vec<i64> = grants.values().flat_map(|g| g.comp.clone()).collect();
-    sweep_assy.sort_unstable();
-    sweep_assy.dedup();
-    sweep_comp.sort_unstable();
-    sweep_comp.dedup();
-    for (table, ids) in [("assy", &sweep_assy), ("comp", &sweep_comp)] {
-        if !ids.is_empty() {
-            let list = ids
-                .iter()
-                .map(|id| id.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            db.execute(&format!(
-                "UPDATE {table} SET checkedout = FALSE WHERE obid IN ({list})"
-            ))
-            .unwrap();
-        }
-    }
-    state_fingerprint(&Snapshot {
-        catalog: db.catalog,
-        config: db.config,
-        version: 0,
-    })
-}
+/// Families the recovery report must carry: the victim logged commits and
+/// grants, and timed its fsyncs.
+const MANDATORY: &[&str] = &[
+    "wal.appends",
+    "server.dml_commits",
+    "locks.grants",
+    "wal.fsync_ns",
+];
 
 struct CycleFailure {
     cycle: u64,
@@ -181,7 +53,9 @@ struct CycleFailure {
     metrics: String,
 }
 
-fn run_cycle(seed: u64, cycle: u64) -> Result<(u64, u64, String), CycleFailure> {
+/// One crash/recovery cycle: replayed commits, swept grants, and the
+/// victim's metrics.
+fn run_cycle(seed: u64, cycle: u64) -> Result<(u64, u64, MetricsSnapshot), CycleFailure> {
     let mut rng = Prng::seed_from_u64(seed ^ cycle.wrapping_mul(0x9E37_79B9));
     let crash_op = rng.u64_inclusive(0, 90);
     let fault = match rng.index(3) {
@@ -193,7 +67,7 @@ fn run_cycle(seed: u64, cycle: u64) -> Result<(u64, u64, String), CycleFailure> 
     let plan = CrashPlan::at_op(crash_op)
         .with_fault(fault)
         .with_seed(rng.next_u64());
-    let victim = durable_server(plan, NO_CHECKPOINTS);
+    let victim = durable_server(&small_tree(), plan, NO_CHECKPOINTS);
     let fail = |detail: String| CycleFailure {
         cycle,
         crash_op,
@@ -202,62 +76,21 @@ fn run_cycle(seed: u64, cycle: u64) -> Result<(u64, u64, String), CycleFailure> 
         metrics: victim.metrics().snapshot().to_json(0),
     };
     let tokens = scripted_workload(&victim, rng.next_u64(), 30);
-    let durability = victim.shared().durability().unwrap();
-    if !durability.is_crashed() {
-        durability.crash_now();
-    }
-
-    let cfg = DurabilityConfig::default().with_interval(NO_CHECKPOINTS);
-    let (recovered, report) = recover_server(durability.image(), &cfg)
-        .map_err(|e| fail(format!("recovery failed: {e}")))?;
-    let recovered = PdmServer::from_shared(Arc::new(recovered));
-
-    if database_fingerprint(recovered.database()) != published_plus_sweep(&victim) {
-        return Err(fail(
-            "recovered state differs from durable prefix + sweep".into(),
-        ));
-    }
-    if !recovered.shared().lock_table().is_empty() {
-        return Err(fail("stale lock grants survived recovery".into()));
-    }
-    for table in ["assy", "comp"] {
-        if !flagged_ids(&recovered, table).is_empty() {
-            return Err(fail(format!("stale checkedout flags in {table}")));
-        }
-    }
-    for token in tokens {
-        if !recovered.checkout_recorded(token) {
-            // The token never completed before the crash; its grant (if
-            // any) was swept. Nothing to replay.
-            continue;
-        }
-        let before = recovered.database().version();
-        recovered
-            .checkout_procedure_with_deadline_obs(
-                1,
-                "unused",
-                token,
-                Some(Duration::from_secs(1)),
-                &Recorder::disabled(),
-            )
-            .map_err(|e| fail(format!("token {token} replay failed: {e}")))?;
-        if recovered.database().version() != before {
-            return Err(fail(format!("token {token} replay re-executed")));
-        }
-    }
+    let (recovered, report) = recover(crash_image(&victim), NO_CHECKPOINTS).map_err(fail)?;
+    check_recovered(&victim, &recovered, &tokens).map_err(fail)?;
     Ok((
         report.replayed_commits,
         report.swept_tokens.len() as u64,
-        victim.metrics().snapshot().to_json(2),
+        victim.metrics().snapshot(),
     ))
 }
 
 /// One recovery-time sample: `commits` UPDATE commits at checkpoint
 /// `interval`, crash at the end, time `recover_server`.
 fn profile_point(commits: u64, interval: u64) -> (usize, u64, f64) {
-    let server = durable_server(CrashPlan::none(), interval);
+    let server = durable_server(&small_tree(), CrashPlan::none(), interval);
     let mut rng = Prng::seed_from_u64(0x5EED ^ commits ^ interval);
-    let roots = int_column(&server.query("SELECT obid FROM assy ORDER BY obid").unwrap());
+    let roots = roots(&server);
     for _ in 0..commits {
         let id = roots[rng.index(roots.len())];
         let payload = rng.ident(4, 12);
@@ -269,13 +102,10 @@ fn profile_point(commits: u64, interval: u64) -> (usize, u64, f64) {
             )
             .unwrap();
     }
-    let durability = server.shared().durability().unwrap();
-    durability.crash_now();
-    let image = durability.image();
+    let image = crash_image(&server);
     let log_len = image.log.len();
-    let cfg = DurabilityConfig::default().with_interval(interval);
     let start = Instant::now();
-    let (_server, report) = recover_server(image, &cfg).unwrap();
+    let (_server, report) = recover(image, interval).unwrap();
     let elapsed = start.elapsed().as_secs_f64() * 1e3;
     (log_len, report.replayed_commits, elapsed)
 }
@@ -294,7 +124,7 @@ fn main() {
     let mut swept_total = 0u64;
     // Metrics of the LAST completed cycle's victim server: one
     // representative per-cycle workload snapshot for the bench report.
-    let mut cycle_metrics = String::from("{}");
+    let mut cycle_metrics = MetricsSnapshot::default();
     let start = Instant::now();
     for cycle in 0..cycles {
         match run_cycle(seed, cycle) {
@@ -333,34 +163,20 @@ fn main() {
             rows.push(format!(
                 concat!(
                     "    {{ \"checkpoint_interval\": \"{}\", \"commits\": {}, ",
-                    "\"log_bytes\": {}, \"replayed_commits\": {}, \"recovery_ms\": {:.3} }}"
+                    "\"log_bytes\": {}, \"replayed_commits\": {} }}"
                 ),
-                label, commits, log_len, replayed, ms
+                label, commits, log_len, replayed
             ));
         }
     }
 
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"recovery\",\n",
-            "  \"seed\": {},\n",
-            "  \"crash_cycles\": {},\n",
-            "  \"cycle_wall_seconds\": {:.3},\n",
-            "  \"replayed_commits\": {},\n",
-            "  \"swept_grants\": {},\n",
-            "  \"profile\": [\n{}\n  ],\n",
-            "  \"metrics\": {}\n",
-            "}}\n"
-        ),
-        seed,
-        cycles,
-        wall,
-        replayed_total,
-        swept_total,
-        rows.join(",\n"),
-        cycle_metrics.trim_end()
-    );
-    std::fs::write("BENCH_recovery.json", json).unwrap();
-    println!("wrote BENCH_recovery.json");
+    // Wall-clock figures (cycle time, recovery ms) are on stdout only: the
+    // committed report regenerates byte for byte.
+    Report::new("recovery", cycle_metrics, MANDATORY)
+        .field("seed", seed)
+        .field("crash_cycles", cycles)
+        .field("replayed_commits", replayed_total)
+        .field("swept_grants", swept_total)
+        .field("profile", format!("[\n{}\n  ]", rows.join(",\n")))
+        .write();
 }

@@ -5,36 +5,13 @@
 //! per visited partition instead of one total — and how far that still is
 //! from navigational access.
 
-use pdm_bench::visibility_rules;
-use pdm_core::{Federation, MountPoint, Strategy};
+use pdm_bench::harness::federation;
+use pdm_core::{Federation, Strategy};
 use pdm_net::LinkProfile;
-use pdm_workload::{generate, partition, TreeSpec};
+use pdm_workload::TreeSpec;
 
 fn build(spec: &TreeSpec, n_sites: usize, strategy: Strategy) -> Federation {
-    let data = generate(spec);
-    let (dbs, info) = partition(&data, n_sites).expect("partition");
-    let mounts = info
-        .mounts
-        .iter()
-        .map(|m| MountPoint {
-            parent: m.parent,
-            child: m.child,
-            child_site: m.child_site,
-            visible: m.visible,
-        })
-        .collect();
-    let links = vec![LinkProfile::wan_256(); n_sites];
-    let names = (0..n_sites).map(|i| format!("site{i}")).collect();
-    Federation::new(
-        dbs,
-        links,
-        names,
-        info.site_of.clone(),
-        mounts,
-        "scott",
-        strategy,
-        visibility_rules(),
-    )
+    federation(spec, vec![LinkProfile::wan_256(); n_sites], strategy)
 }
 
 fn main() {

@@ -32,14 +32,16 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use pdm_bench::harness::{percentile, roots, server};
+use pdm_bench::report::Report;
 use pdm_bench::visibility_rules;
 use pdm_core::{
-    OverloadConfig, PdmServer, Priority, Recorder, RetryBudget, Session, SessionConfig,
-    SessionError, Strategy,
+    MetricsSnapshot, OverloadConfig, PdmServer, Priority, Recorder, RetryBudget, Session,
+    SessionConfig, SessionError, Strategy,
 };
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
-use pdm_workload::{build_database, Arrival, ArrivalClass, ClassMix, OpenLoop, TreeSpec};
+use pdm_workload::{Arrival, ArrivalClass, ClassMix, OpenLoop, TreeSpec};
 
 /// Admission-gate capacity (token refill rate, ops/s of virtual time).
 const CAPACITY: f64 = 20.0;
@@ -57,6 +59,38 @@ const MIN_RETRY: f64 = 0.1;
 /// seconds are excluded because the token bucket starts full, so an
 /// over-capacity run begins with a one-time burst-sized queue transient.
 const WARMUP: f64 = 5.0;
+
+/// Families the overload report must carry: the admission and shedding
+/// counters this bench exists for, and — its sessions drive the whole read
+/// and check-out path — the WAN, cache, lock-table, engine and query totals
+/// (`session.rows_*` is pinned by `tests/observability.rs`).
+const MANDATORY: &[&str] = &[
+    "admission.admitted",
+    "admission.rejected",
+    "admission.inflight",
+    "overload.shed_interactive",
+    "overload.shed_checkout",
+    "overload.shed_batch",
+    "overload.deadline_abandons",
+    "overload.retry_budget_denials",
+    "overload.lock_queue_rejections",
+    "cache.singleflight_leaders",
+    "cache.singleflight_hits",
+    "net.queries",
+    "net.communications",
+    "net.retransmits",
+    "net.volume_bytes",
+    "net.latency_s",
+    "net.transfer_s",
+    "cache.hits",
+    "cache.misses",
+    "cache.invalidations",
+    "locks.grants",
+    "locks.refusals",
+    "locks.wait_ns",
+    "engine.rows_scanned",
+    "server.queries",
+];
 
 /// One simulated user action.
 struct Op {
@@ -101,14 +135,6 @@ struct SimOut {
     server: PdmServer,
 }
 
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Goodput over an arrival window: ops arriving in `[lo, hi)` that
 /// completed within the SLO, per second of window.
 fn window_goodput(ops: &[Op], lo: f64, hi: f64) -> f64 {
@@ -120,16 +146,10 @@ fn window_goodput(ops: &[Op], lo: f64, hi: f64) -> f64 {
     good as f64 / (hi - lo)
 }
 
-fn fresh_server() -> PdmServer {
-    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
-    let (db, _) = build_database(&spec).unwrap();
-    PdmServer::new(db)
-}
-
 /// Run one open-loop simulation: real execution through the admission
 /// gate, virtual-time latency, client-side retry loop.
 fn simulate(arrivals: Vec<Arrival>, budgets_on: bool, seed: u64, cutoff: f64) -> SimOut {
-    let server = fresh_server();
+    let server = server(&TreeSpec::new(2, 3, 1.0).with_node_size(128));
     server
         .shared()
         .install_overload_gate(OverloadConfig::per_second(CAPACITY));
@@ -151,16 +171,7 @@ fn simulate(arrivals: Vec<Arrival>, budgets_on: bool, seed: u64, cutoff: f64) ->
         }
     }
 
-    let roots: Vec<i64> = {
-        let rs = server.query("SELECT obid FROM assy ORDER BY obid").unwrap();
-        rs.rows
-            .iter()
-            .filter_map(|r| match r.get(0) {
-                pdm_sql::Value::Int(i) => Some(*i),
-                _ => None,
-            })
-            .collect()
-    };
+    let roots = roots(&server);
 
     let mut jitter = Prng::seed_from_u64(seed ^ 0x0FF_10AD);
     let mut ops: Vec<Op> = arrivals
@@ -376,7 +387,7 @@ fn main() {
     let mut journal = String::new();
     journal.push_str(&format!("overload bench journal (seed {seed})\n"));
     let mut points = Vec::new();
-    let mut sweep_metrics_json = String::new();
+    let mut sweep_metrics = MetricsSnapshot::default();
     for multiplier in [0.5, 1.0, 2.0, 4.0] {
         let (p, out) = sweep_point(seed, multiplier);
         journal.push_str(&format!(
@@ -388,7 +399,7 @@ fn main() {
             p.multiplier, p.offered, p.goodput, p.shed_rate, p.admitted_p50, p.admitted_p99
         );
         if multiplier == 2.0 {
-            sweep_metrics_json = out.server.metrics().snapshot().to_json(2);
+            sweep_metrics = out.server.metrics().snapshot();
         }
         points.push(p);
     }
@@ -501,38 +512,30 @@ fn main() {
             s.unresolved,
         )
     };
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"overload\",\n",
-            "  \"seed\": {},\n",
-            "  \"capacity_ops_per_s\": {},\n",
-            "  \"service_rate_ops_per_s\": {},\n",
-            "  \"horizon_s\": {},\n",
-            "  \"slo_s\": {},\n",
-            "  \"sweep\": [\n{}\n  ],\n",
-            "  \"storm\": {{\n",
-            "    \"budgets_on\": {},\n",
-            "    \"budgets_off\": {},\n",
-            "    \"control_on\": {},\n",
-            "    \"control_off\": {}\n",
-            "  }},\n",
-            "  \"metrics\": {}\n",
-            "}}\n"
-        ),
-        seed,
-        CAPACITY,
-        SERVICE_RATE,
-        HORIZON,
-        SLO,
-        sweep_json.join(",\n"),
-        storm_json(&on),
-        storm_json(&off),
-        storm_json(&control_on),
-        storm_json(&control_off),
-        sweep_metrics_json.trim_end(),
-    );
-    std::fs::write("BENCH_overload.json", json).unwrap();
     println!("acceptance: all overload criteria hold");
-    println!("wrote BENCH_overload.json");
+    Report::new("overload", sweep_metrics, MANDATORY)
+        .field("seed", seed)
+        .field("capacity_ops_per_s", CAPACITY)
+        .field("service_rate_ops_per_s", SERVICE_RATE)
+        .field("horizon_s", HORIZON)
+        .field("slo_s", SLO)
+        .field("sweep", format!("[\n{}\n  ]", sweep_json.join(",\n")))
+        .field(
+            "storm",
+            format!(
+                concat!(
+                    "{{\n",
+                    "    \"budgets_on\": {},\n",
+                    "    \"budgets_off\": {},\n",
+                    "    \"control_on\": {},\n",
+                    "    \"control_off\": {}\n",
+                    "  }}"
+                ),
+                storm_json(&on),
+                storm_json(&off),
+                storm_json(&control_on),
+                storm_json(&control_off),
+            ),
+        )
+        .write();
 }

@@ -22,45 +22,35 @@
 
 use std::collections::BTreeMap;
 
-use pdm_core::{
-    chrome_trace_json, replay_prefix, AttributionTable, Cluster, ClusterConfig, PdmServer,
-    ProductTree, RoutedSession, RuleTable, Session, SessionConfig, Strategy, TailSampler,
-    TraceTree,
+use pdm_bench::harness::{
+    action_name, cluster, connect_all, connect_direct, converge, drive_step, percentile, roots,
+    server, small_tree, traced_side_pass, Client,
 };
-use pdm_net::{FaultPlan, LinkProfile};
+use pdm_bench::report::Report;
+use pdm_core::{replay_prefix, ClusterConfig, MetricsSnapshot, ProductTree, Session};
+use pdm_net::FaultPlan;
 use pdm_prng::splitmix64;
 use pdm_sql::persist::database_fingerprint;
-use pdm_sql::{Database, Value};
-use pdm_workload::{build_database, multisite_plan, SiteOp, SiteStep, TreeSpec};
+use pdm_workload::{multisite_plan, SiteStep};
 
 const SITES: usize = 3;
 
-fn initial_database() -> Database {
-    build_database(&TreeSpec::new(3, 3, 1.0).with_node_size(64))
-        .unwrap()
-        .0
-}
-
-fn roots_of(server: &PdmServer) -> Vec<i64> {
-    server
-        .query("SELECT obid FROM assy ORDER BY obid")
-        .unwrap()
-        .rows
-        .iter()
-        .filter_map(|r| match r.get(0) {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
+/// Families the replication report must carry: the cluster shipped,
+/// acknowledged and waited on watermarks, and timed all three.
+const MANDATORY: &[&str] = &[
+    "repl.ship_batches",
+    "repl.records_shipped",
+    "repl.ship_failures",
+    "repl.acked_writes",
+    "repl.watermark_waits",
+    "repl.watermark_timeouts",
+    "repl.stale_reads",
+    "repl.failovers",
+    "repl.lag_seqs",
+    "repl.ship_us",
+    "repl.failover_us",
+    "repl.watermark_wait_us",
+];
 
 #[derive(Default)]
 struct Latencies(BTreeMap<&'static str, Vec<f64>>);
@@ -103,65 +93,16 @@ impl Latencies {
     }
 }
 
-fn action_name(op: &SiteOp) -> &'static str {
-    match op {
-        SiteOp::Expand { .. } => "expand",
-        SiteOp::QueryAll { .. } => "query",
-        SiteOp::Update { .. } => "update",
-        SiteOp::CheckOut { .. } => "checkout",
-        SiteOp::CheckIn => "checkin",
-    }
-}
-
 /// Topology A: every session talks to the one central server over the WAN.
 fn run_remote_everything(plan: &[SiteStep]) -> (Latencies, Vec<u8>) {
-    let server = PdmServer::new(initial_database());
-    let mut sessions: Vec<Session> = (0..SITES)
-        .map(|_| {
-            Session::attach(
-                server.clone(),
-                SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-                RuleTable::new(),
-            )
-        })
-        .collect();
+    let server = server(&small_tree());
+    let mut sessions: Vec<Session> = (0..SITES).map(|_| connect_direct(&server)).collect();
     let mut held: Vec<Option<ProductTree>> = vec![None; SITES];
     let mut lat = Latencies::default();
     for step in plan {
-        let s = &mut sessions[step.site];
-        let ran = match &step.op {
-            SiteOp::Expand { root } => {
-                s.multi_level_expand(*root).unwrap();
-                true
-            }
-            SiteOp::QueryAll { root } => {
-                s.query_all(*root).unwrap();
-                true
-            }
-            SiteOp::Update { root, payload } => {
-                s.execute_update(&format!(
-                    "UPDATE assy SET payload = '{payload}' WHERE obid = {root}"
-                ))
-                .unwrap();
-                true
-            }
-            SiteOp::CheckOut { root } => {
-                let out = s.check_out_function_shipping(*root).unwrap();
-                if let Some(tree) = out.tree {
-                    held[step.site] = Some(tree);
-                }
-                true
-            }
-            SiteOp::CheckIn => match held[step.site].take() {
-                Some(tree) => {
-                    s.check_in(&tree).unwrap();
-                    true
-                }
-                None => false,
-            },
-        };
-        if ran {
-            lat.push(action_name(&step.op), sessions[step.site].elapsed());
+        let client = Client::Direct(&mut sessions[step.site]);
+        if let Some(ran) = drive_step(client, &mut held[step.site], &step.op).unwrap() {
+            lat.push(action_name(&step.op), ran.elapsed);
         }
     }
     (lat, database_fingerprint(server.database()))
@@ -169,222 +110,34 @@ fn run_remote_everything(plan: &[SiteStep]) -> (Latencies, Vec<u8>) {
 
 /// Topology B: reads at the site's replica, writes forwarded to the
 /// primary. Returns latencies, per-step lag samples, the converged
-/// primary fingerprint, and the cluster metrics JSON.
+/// primary fingerprint, and the cluster metrics.
 fn run_local_replica(
     plan: &[SiteStep],
     faults: FaultPlan,
-) -> (Latencies, Vec<u64>, Vec<u8>, String) {
+) -> (Latencies, Vec<u64>, Vec<u8>, MetricsSnapshot) {
     let cfg = ClusterConfig::default()
         .with_replicas(SITES)
         .with_ship_faults(faults)
         .with_max_pump_rounds(512);
-    let mut cluster = Cluster::new(initial_database(), cfg).unwrap();
+    let mut cluster = cluster(&small_tree(), cfg);
     let sites = cluster.replica_sites();
-    let mut sessions: Vec<RoutedSession> = sites
-        .iter()
-        .map(|s| {
-            RoutedSession::connect(
-                &cluster,
-                *s,
-                SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-                RuleTable::new(),
-            )
-        })
-        .collect();
+    let mut sessions = connect_all(&cluster);
     let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
     let mut lat = Latencies::default();
     let mut lag_samples = Vec::new();
     for step in plan {
-        let i = step.site;
-        let ran = match &step.op {
-            SiteOp::Expand { root } => {
-                sessions[i].multi_level_expand(&mut cluster, *root).unwrap();
-                true
-            }
-            SiteOp::QueryAll { root } => {
-                sessions[i].query_all(&mut cluster, *root).unwrap();
-                true
-            }
-            SiteOp::Update { root, payload } => {
-                sessions[i]
-                    .execute_dml(
-                        &mut cluster,
-                        &format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}"),
-                    )
-                    .unwrap();
-                true
-            }
-            SiteOp::CheckOut { root } => {
-                let (out, _) = sessions[i].check_out(&mut cluster, *root).unwrap();
-                if let Some(tree) = out.tree {
-                    held[i] = Some(tree);
-                }
-                true
-            }
-            SiteOp::CheckIn => match held[i].take() {
-                Some(tree) => {
-                    sessions[i].check_in(&mut cluster, &tree).unwrap();
-                    true
-                }
-                None => false,
-            },
-        };
-        if ran {
-            let elapsed = if step.op.is_write() {
-                sessions[i].write_session().elapsed()
-            } else {
-                sessions[i].read_session().elapsed()
-            };
-            lat.push(action_name(&step.op), elapsed);
+        let client = Client::Routed(&mut sessions[step.site], &mut cluster);
+        if let Some(ran) = drive_step(client, &mut held[step.site], &step.op).unwrap() {
+            lat.push(action_name(&step.op), ran.elapsed);
         }
         for site in &sites {
             lag_samples.push(cluster.lag(*site));
         }
     }
     // Converge every replica so the fingerprints can be compared.
-    for _ in 0..4096 {
-        if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
-            break;
-        }
-        cluster.pump().unwrap();
-    }
-    for s in cluster.replica_sites() {
-        assert_eq!(cluster.lag(s), 0, "site {s} never converged");
-    }
-    let metrics = cluster.metrics().snapshot().to_json(2);
+    converge(&mut cluster);
+    let metrics = cluster.metrics().snapshot();
     (lat, lag_samples, cluster.primary_fingerprint(), metrics)
-}
-
-/// Traced side-pass (DESIGN.md §15): replay a short prefix of the SAME
-/// plan through both topologies with cross-site tracing ON, so the
-/// attribution tables answer the paper's question per action class —
-/// remote everything vs local replica, where did the time go. Tail
-/// exemplars are sampled from the 4-site (primary + 3 replicas) cluster
-/// pass, whose trees span client, primary, and replica sites.
-fn traced_side_pass(
-    plan: &[SiteStep],
-    seed: u64,
-) -> (AttributionTable, AttributionTable, TailSampler, TraceTree) {
-    let prefix: Vec<&SiteStep> = plan.iter().take(40).collect();
-
-    // Topology A, traced: one WAN session against the central server.
-    let server = PdmServer::new(initial_database());
-    let mut session = Session::attach(
-        server.clone(),
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-        RuleTable::new(),
-    );
-    session.enable_tracing(seed);
-    let mut remote_attr = AttributionTable::new();
-    let mut held: Option<ProductTree> = None;
-    for step in &prefix {
-        let ran = match &step.op {
-            SiteOp::Expand { root } => session.multi_level_expand(*root).map(|_| true),
-            SiteOp::QueryAll { root } => session.query_all(*root).map(|_| true),
-            SiteOp::Update { root, payload } => session
-                .execute_update(&format!(
-                    "UPDATE assy SET payload = '{payload}' WHERE obid = {root}"
-                ))
-                .map(|_| true),
-            SiteOp::CheckOut { root } => session.check_out_function_shipping(*root).map(|out| {
-                if let Some(tree) = out.tree {
-                    held = Some(tree);
-                }
-                true
-            }),
-            SiteOp::CheckIn => match held.take() {
-                Some(tree) => session.check_in(&tree).map(|_| true),
-                None => Ok(false),
-            },
-        };
-        if ran.unwrap() {
-            let tree = session.last_trace().expect("untraced remote action");
-            tree.validate().expect("remote trace failed validation");
-            remote_attr.add(action_name(&step.op), tree);
-        }
-    }
-
-    // Topology B, traced: one routed session per replica site of a 4-site
-    // cluster (primary + SITES replicas), reads local, writes forwarded.
-    let cfg = ClusterConfig::default()
-        .with_replicas(SITES)
-        .with_max_pump_rounds(512);
-    let mut cluster = Cluster::new(initial_database(), cfg).unwrap();
-    let sites = cluster.replica_sites();
-    let mut sessions: Vec<RoutedSession> = sites
-        .iter()
-        .map(|s| {
-            RoutedSession::connect(
-                &cluster,
-                *s,
-                SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-                RuleTable::new(),
-            )
-        })
-        .collect();
-    for s in &mut sessions {
-        s.enable_tracing(seed);
-    }
-    let mut local_attr = AttributionTable::new();
-    let mut trees: Vec<TraceTree> = Vec::new();
-    let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
-    for step in &prefix {
-        let i = step.site;
-        let ran = match &step.op {
-            SiteOp::Expand { root } => sessions[i]
-                .multi_level_expand(&mut cluster, *root)
-                .map(|_| true),
-            SiteOp::QueryAll { root } => sessions[i].query_all(&mut cluster, *root).map(|_| true),
-            SiteOp::Update { root, payload } => sessions[i]
-                .execute_dml(
-                    &mut cluster,
-                    &format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}"),
-                )
-                .map(|_| true),
-            SiteOp::CheckOut { root } => {
-                sessions[i].check_out(&mut cluster, *root).map(|(out, _)| {
-                    if let Some(tree) = out.tree {
-                        held[i] = Some(tree);
-                    }
-                    true
-                })
-            }
-            SiteOp::CheckIn => match held[i].take() {
-                Some(tree) => sessions[i].check_in(&mut cluster, &tree).map(|_| true),
-                None => Ok(false),
-            },
-        };
-        if ran.unwrap() {
-            let tree = sessions[i].last_trace().expect("untraced routed action");
-            tree.validate().expect("routed trace failed validation");
-            local_attr.add(action_name(&step.op), tree);
-            trees.push(tree.clone());
-        }
-    }
-
-    // Tail threshold at the traced pass's own p90; failure outcomes (none
-    // expected fault-free) would be retained regardless.
-    let mut totals: Vec<f64> = trees.iter().map(|t| t.total_v).collect();
-    totals.sort_by(|a, b| a.total_cmp(b));
-    let threshold = totals[(totals.len() - 1) * 9 / 10];
-    let mut sampler = TailSampler::new(threshold, 4);
-    for t in &trees {
-        sampler.offer(t.clone());
-    }
-    // Prefer an exemplar that covers all three tiers from one trace_id.
-    let exemplar = sampler
-        .exemplars()
-        .iter()
-        .find(|t| {
-            let s = t.sites();
-            s.iter().any(|x| x.starts_with("client"))
-                && s.contains(&"primary")
-                && s.iter().any(|x| x.starts_with("replica"))
-        })
-        .or_else(|| sampler.slowest())
-        .expect("traced side-pass retained no exemplar")
-        .clone();
-    (remote_attr, local_attr, sampler, exemplar)
 }
 
 /// Seeded failover points: run a short write workload under lossy ship
@@ -398,45 +151,14 @@ fn failover_distribution(seed: u64, points: usize) -> Result<Vec<f64>, String> {
             .with_replicas(SITES)
             .with_ship_faults(faults)
             .with_max_pump_rounds(512);
-        let mut cluster = Cluster::new(initial_database(), cfg).unwrap();
-        let roots = roots_of(cluster.primary());
-        let sites = cluster.replica_sites();
-        let mut sessions: Vec<RoutedSession> = sites
-            .iter()
-            .map(|s| {
-                RoutedSession::connect(
-                    &cluster,
-                    *s,
-                    SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-                    RuleTable::new(),
-                )
-            })
-            .collect();
+        let mut cluster = cluster(&small_tree(), cfg);
+        let roots = roots(cluster.primary());
+        let mut sessions = connect_all(&cluster);
         let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
         let plan = multisite_plan(splitmix64(seed).wrapping_add(k as u64), SITES, 10, &roots);
-        for step in &plan {
-            match &step.op {
-                SiteOp::Update { root, payload } => {
-                    sessions[step.site]
-                        .execute_dml(
-                            &mut cluster,
-                            &format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}"),
-                        )
-                        .unwrap();
-                }
-                SiteOp::CheckOut { root } => {
-                    let (out, _) = sessions[step.site].check_out(&mut cluster, *root).unwrap();
-                    if let Some(tree) = out.tree {
-                        held[step.site] = Some(tree);
-                    }
-                }
-                SiteOp::CheckIn => {
-                    if let Some(tree) = held[step.site].take() {
-                        sessions[step.site].check_in(&mut cluster, &tree).unwrap();
-                    }
-                }
-                _ => {}
-            }
+        for step in plan.iter().filter(|step| step.op.is_write()) {
+            let client = Client::Routed(&mut sessions[step.site], &mut cluster);
+            drive_step(client, &mut held[step.site], &step.op).unwrap();
         }
         cluster.promote().map_err(|e| format!("point {k}: {e}"))?;
         let report = &cluster.failovers()[0];
@@ -469,13 +191,11 @@ fn main() {
         .unwrap_or(0xC0FFEE);
     let steps: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(240);
 
-    let probe = PdmServer::new(initial_database());
-    let roots = roots_of(&probe);
-    drop(probe);
+    let roots = roots(&server(&small_tree()));
     let plan = multisite_plan(seed, SITES, steps, &roots);
 
     let (remote, remote_fp) = run_remote_everything(&plan);
-    let (local, _, local_fp, metrics_json) = run_local_replica(&plan, FaultPlan::none());
+    let (local, _, local_fp, metrics) = run_local_replica(&plan, FaultPlan::none());
 
     // Acceptance: a fault-free replicated run is semantically invisible —
     // the primary ends byte-identical to the single-site engine.
@@ -550,12 +270,8 @@ fn main() {
     );
     println!("fault-free byte-identity: ok");
 
-    let (remote_attr, local_attr, sampler, exemplar) = traced_side_pass(&plan, seed);
-    std::fs::write(
-        "BENCH_replication_exemplar.json",
-        chrome_trace_json(std::slice::from_ref(&exemplar)),
-    )
-    .unwrap();
+    let traced = traced_side_pass(&plan, SITES, seed);
+    let exemplar = &traced.exemplar;
     println!(
         "tail exemplar: trace_id={} action={} total_v={:.6}s spans={} sites={:?}",
         exemplar.trace_id,
@@ -564,61 +280,37 @@ fn main() {
         exemplar.spans.len(),
         exemplar.sites()
     );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"replication\",\n",
-            "  \"seed\": {},\n",
-            "  \"steps\": {},\n",
-            "  \"sites\": {},\n",
-            "  \"replicas\": {},\n",
-            "  \"remote_everything\": {},\n",
-            "  \"local_replica\": {},\n",
-            "  \"replica_lag_seqs\": {{ \"p50\": {}, \"p99\": {}, \"max\": {}, \"n\": {} }},\n",
-            "  \"failover_s\": {{ \"p50\": {:.6}, \"p99\": {:.6}, \"n\": {} }},\n",
-            "  \"fault_free_byte_identical\": true,\n",
-            "  \"attribution\": {{\n",
-            "    \"remote_everything\": {},\n",
-            "    \"local_replica\": {}\n",
-            "  }},\n",
-            "  \"tail_exemplar\": {{ \"file\": \"BENCH_replication_exemplar.json\", ",
-            "\"trace_id\": {}, \"action\": \"{}\", \"outcome\": \"{}\", \"total_v_s\": {:.9}, ",
-            "\"spans\": {}, \"sites\": [{}], \"offered\": {}, \"retained\": {} }},\n",
-            "  \"metrics\": {}\n",
-            "}}\n"
-        ),
-        seed,
-        steps,
-        SITES,
-        SITES,
-        remote.json(),
-        local.json(),
-        percentile(&lag_f, 0.5) as u64,
-        percentile(&lag_f, 0.99) as u64,
-        lag_samples.last().copied().unwrap_or(0),
-        lag_samples.len(),
-        percentile(&fo, 0.5),
-        percentile(&fo, 0.99),
-        fo.len(),
-        remote_attr.to_json(4),
-        local_attr.to_json(4),
-        exemplar.trace_id,
-        exemplar.action,
-        exemplar.outcome,
-        exemplar.total_v,
-        exemplar.spans.len(),
-        exemplar
-            .sites()
-            .iter()
-            .map(|s| format!("\"{s}\""))
-            .collect::<Vec<_>>()
-            .join(", "),
-        sampler.offered,
-        sampler.retained,
-        metrics_json.trim_end(),
-    );
-    std::fs::write("BENCH_replication.json", json).unwrap();
     println!();
-    println!("wrote BENCH_replication.json and BENCH_replication_exemplar.json");
+
+    Report::new("replication", metrics, MANDATORY)
+        .field("seed", seed)
+        .field("steps", steps)
+        .field("sites", SITES)
+        .field("replicas", SITES)
+        .field("remote_everything", remote.json())
+        .field("local_replica", local.json())
+        .field(
+            "replica_lag_seqs",
+            format!(
+                "{{ \"p50\": {}, \"p99\": {}, \"max\": {}, \"n\": {} }}",
+                percentile(&lag_f, 0.5) as u64,
+                percentile(&lag_f, 0.99) as u64,
+                lag_samples.last().copied().unwrap_or(0),
+                lag_samples.len()
+            ),
+        )
+        .field(
+            "failover_s",
+            format!(
+                "{{ \"p50\": {:.6}, \"p99\": {:.6}, \"n\": {} }}",
+                percentile(&fo, 0.5),
+                percentile(&fo, 0.99),
+                fo.len()
+            ),
+        )
+        .field("fault_free_byte_identical", true)
+        .attribution("remote_everything", traced.remote)
+        .attribution("local_replica", traced.local)
+        .tail_exemplar(traced.exemplar, &traced.sampler)
+        .write();
 }

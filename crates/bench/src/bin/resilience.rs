@@ -14,21 +14,14 @@
 //!
 //! All numbers are deterministic: same seed, same faults, same output.
 
-use pdm_bench::visibility_rules;
-use pdm_core::{Session, SessionConfig, Strategy};
+use pdm_bench::make_session;
+use pdm_core::{Session, Strategy};
 use pdm_net::{FaultPlan, LinkProfile};
-use pdm_workload::{build_database, TreeSpec};
 
 const TRIALS: usize = 20;
 
 fn fresh_session(strategy: Strategy) -> Session {
-    let spec = TreeSpec::new(3, 5, 0.6).with_node_size(512);
-    let (db, _) = build_database(&spec).unwrap();
-    Session::new(
-        db,
-        SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-        visibility_rules(),
-    )
+    make_session(3, 5, 0.6, 512, strategy, LinkProfile::wan_256())
 }
 
 struct Row {

@@ -1,12 +1,15 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-//! Shared harness for the table/figure regeneration binaries and the
-//! Criterion benches: builds paper-scenario sessions and measures actions
-//! under each strategy.
+//! Shared harness for the table/figure regeneration binaries: builds
+//! paper-scenario sessions and measures actions under each strategy.
+//! [`harness`] holds what the seeded robustness bins and the integration
+//! suites share, [`report`] writes and checks the `BENCH_*.json` files.
 
-use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{ActionKind, Rule};
-use pdm_core::{RuleTable, Session, SessionConfig, Strategy};
+pub mod harness;
+pub mod report;
+
+pub use pdm_core::rules::visibility_rules;
+use pdm_core::{Session, SessionConfig, Strategy};
 use pdm_net::{LinkProfile, TrafficStats};
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
 
@@ -51,21 +54,18 @@ pub fn to_model_strategy(s: Strategy) -> pdm_model::Strategy {
     }
 }
 
-/// The γ-visibility rule set every simulated session uses (structure-option
-/// access rules on relations and objects, §3.1 example 3).
-pub fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
+/// The reproduction session: user `scott`, the γ-visibility rules, a
+/// server of its own over a freshly generated `spec` tree.
+pub fn session_over(spec: &TreeSpec, strategy: Strategy, link: LinkProfile) -> Session {
+    let (db, _) = build_database(spec).expect("benchmark database build cannot fail");
+    Session::new(
+        db,
+        SessionConfig::new("scott", strategy, link),
+        visibility_rules(),
+    )
 }
 
-/// Build a session over a freshly generated tree.
+/// [`session_over`] a complete tree with deterministic visibility.
 pub fn make_session(
     depth: u32,
     branching: u32,
@@ -77,12 +77,7 @@ pub fn make_session(
     let spec = TreeSpec::new(depth, branching, gamma)
         .with_node_size(node_size)
         .with_visibility(VisibilityMode::Deterministic);
-    let (db, _) = build_database(&spec).expect("benchmark database build cannot fail");
-    Session::new(
-        db,
-        SessionConfig::new("scott", strategy, link),
-        visibility_rules(),
-    )
+    session_over(&spec, strategy, link)
 }
 
 /// Run one action and return its traffic stats.

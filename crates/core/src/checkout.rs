@@ -253,14 +253,7 @@ mod tests {
     use pdm_workload::{build_database, TreeSpec};
 
     fn rules_with_checkout() -> crate::rules::table::RuleTable {
-        let mut t = crate::rules::table::RuleTable::new();
-        for table in ["link", "assy", "comp"] {
-            t.add(Rule::for_all_users(
-                ActionKind::Access,
-                table,
-                Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-            ));
-        }
+        let mut t = crate::rules::visibility_rules();
         t.add(Rule::for_all_users(
             ActionKind::CheckOut,
             "assy",

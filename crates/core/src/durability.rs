@@ -38,9 +38,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pdm_sql::persist::{self, put_result_set, put_snapshot, put_u32, put_u64, put_u8, Cursor};
+use pdm_sql::persist::{put_snapshot, put_u32, put_u64, Cursor};
 use pdm_sql::shared::Snapshot;
 use pdm_sql::{ResultSet, SharedDatabase};
+use pdm_wal::record::{put_ids, put_outcome, read_ids, read_outcome};
 use pdm_wal::{CrashPlan, DeviceStats, DurableImage, DurableStore, LogDamage, WalError, WalRecord};
 
 use crate::product::ObjectId;
@@ -273,22 +274,6 @@ impl Durability {
 // Checkpoint payload codec
 // ---------------------------------------------------------------------------
 
-fn put_ids(out: &mut Vec<u8>, ids: &[ObjectId]) {
-    put_u32(out, ids.len() as u32);
-    for &id in ids {
-        persist::put_i64(out, id);
-    }
-}
-
-fn read_ids(cur: &mut Cursor<'_>, what: &str) -> pdm_sql::Result<Vec<ObjectId>> {
-    let n = cur.u32(what)? as usize;
-    let mut ids = Vec::with_capacity(n);
-    for _ in 0..n {
-        ids.push(cur.i64(what)?);
-    }
-    Ok(ids)
-}
-
 /// Append the checkpoint payload to `out`: length-prefixed snapshot,
 /// outstanding grants, retained token outcomes. Written in place — the
 /// snapshot length is patched in once the snapshot has been written.
@@ -309,13 +294,7 @@ fn put_checkpoint(out: &mut Vec<u8>, snapshot: &Snapshot, replay: &ReplayState) 
     put_u32(out, replay.tokens.len() as u32);
     for (token, rows) in replay.tokens.iter() {
         put_u64(out, token);
-        match rows {
-            None => put_u8(out, 0),
-            Some(rs) => {
-                put_u8(out, 1);
-                put_result_set(out, rs);
-            }
-        }
+        put_outcome(out, rows.as_ref());
     }
 }
 
@@ -334,17 +313,7 @@ fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayS
     let n_tokens = cur.u32("checkpoint token count")? as usize;
     for _ in 0..n_tokens {
         let token = cur.u64("token id")?;
-        let rows = match cur.u8("token outcome tag")? {
-            0 => None,
-            1 => Some(persist::read_result_set(&mut cur)?),
-            other => {
-                return Err(pdm_sql::Error::Persist(format!(
-                    "invalid token outcome tag {other} at offset {}",
-                    cur.offset()
-                )))
-            }
-        };
-        replay.tokens.record(token, rows);
+        replay.tokens.record(token, read_outcome(&mut cur)?);
     }
     if !cur.is_empty() {
         return Err(pdm_sql::Error::Persist(format!(

@@ -457,21 +457,8 @@ mod tests {
     use super::*;
     use crate::query::{navigational, recursive};
     use crate::rules::condition::{AggFunc, CmpOp, RowPredicate};
-    use crate::rules::{Rule, UserPattern};
+    use crate::rules::{visibility_rules, Rule, UserPattern};
     use pdm_sql::parser::parse_query;
-
-    fn visibility_rules() -> RuleTable {
-        let mut t = RuleTable::new();
-        // Structure-option visibility on links and nodes.
-        for table in ["link", "assy", "comp"] {
-            t.add(Rule::for_all_users(
-                ActionKind::Access,
-                table,
-                Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-            ));
-        }
-        t
-    }
 
     #[test]
     fn navigational_injection_adds_row_conditions() {

@@ -11,7 +11,8 @@ pub mod condition;
 pub mod table;
 pub mod translate;
 
-use condition::Condition;
+use condition::{CmpOp, Condition, RowPredicate};
+use table::RuleTable;
 
 /// SQL LIKE semantics shared with the server (`%` any sequence, `_` one
 /// character) — client-side late evaluation must match the engine exactly.
@@ -102,6 +103,21 @@ impl Rule {
     ) -> Self {
         Rule::new(UserPattern::Any, action, object_type, condition)
     }
+}
+
+/// The γ-visibility rule set every reproduction session uses: the user
+/// sees only `strc_opt = 'OPTA'` rows of the three structure-bearing tables
+/// (structure-option access rules on relations and objects, §3.1 example 3).
+pub fn visibility_rules() -> RuleTable {
+    let mut t = RuleTable::new();
+    for object_type in ["link", "assy", "comp"] {
+        t.add(Rule::for_all_users(
+            ActionKind::Access,
+            object_type,
+            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
+        ));
+    }
+    t
 }
 
 #[cfg(test)]

@@ -1147,22 +1147,8 @@ fn as_id(v: &Value) -> Option<ObjectId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::condition::{CmpOp, Condition, RowPredicate};
-    use crate::rules::Rule;
+    use crate::rules::visibility_rules;
     use pdm_workload::{build_database, TreeSpec};
-
-    /// Visibility rules: the simulated user sees only OPTA links/nodes.
-    pub(crate) fn visibility_rules() -> RuleTable {
-        let mut t = RuleTable::new();
-        for table in ["link", "assy", "comp"] {
-            t.add(Rule::for_all_users(
-                ActionKind::Access,
-                table,
-                Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-            ));
-        }
-        t
-    }
 
     fn session(strategy: Strategy, gamma: f64) -> Session {
         let spec = TreeSpec::new(3, 5, gamma).with_node_size(256);

@@ -454,6 +454,29 @@ impl LockTable {
     }
 }
 
+/// One token's in-flight marks, from [`LockTable::acquire_in_flight`]
+/// granting them until the check-out commits: dropping the guard — an error
+/// return or an unwinding procedure — aborts the marks and wakes the
+/// waiters; [`InFlightMarks::promote`] turns them into the held grant.
+struct InFlightMarks<'a> {
+    locks: &'a LockTable,
+    ids: &'a [ObjectId],
+    token: u64,
+}
+
+impl InFlightMarks<'_> {
+    fn promote(self) {
+        self.locks.promote(self.ids, self.token);
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for InFlightMarks<'_> {
+    fn drop(&mut self) {
+        self.locks.abort(self.ids, self.token);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cross-session query-result cache
 // ---------------------------------------------------------------------------
@@ -568,6 +591,40 @@ impl QueryCache {
             .get(key)
             .filter(|entry| entry.version == version)
             .map(|entry| Arc::clone(&entry.result))
+    }
+}
+
+/// Single-flight leadership of one canonical key. Dropping it — after the
+/// result is published, on an engine error, or while the computation
+/// unwinds — takes the key out of `inflight` and wakes the waiters so they
+/// re-probe; a key can therefore never outlive its leader.
+struct Leadership<'a> {
+    cache: &'a QueryCache,
+    key: &'a str,
+}
+
+impl Drop for Leadership<'_> {
+    fn drop(&mut self) {
+        lock_unpoisoned(&self.cache.inflight).remove(self.key);
+        self.cache.sf_cv.notify_all();
+    }
+}
+
+/// The claim on an idempotency token while its procedure runs. Dropping it
+/// — the procedure returned, failed or unwound — takes the token out of
+/// `in_progress` and wakes the calls waiting for its outcome; a success is
+/// recorded in `done` first, so a waiter never finds the token unknown.
+struct TokenClaim<'a> {
+    server: &'a SharedServer,
+    token: u64,
+}
+
+impl Drop for TokenClaim<'_> {
+    fn drop(&mut self) {
+        lock_unpoisoned(&self.server.checkout_log)
+            .in_progress
+            .remove(&self.token);
+        self.server.checkout_cv.notify_all();
     }
 }
 
@@ -847,8 +904,9 @@ impl SharedServer {
         let started = deadline_clock();
         self.m.queries.inc();
         let mut waited_sf = false;
-        let mut leader = false;
-        let snapshot = loop {
+        // `_leadership` is held until the result is published (or the
+        // computation fails or unwinds) and released by its drop.
+        let (snapshot, _leadership) = loop {
             let snapshot = self.db.snapshot();
             {
                 // Scope the probe span so engine spans are siblings, not
@@ -879,16 +937,19 @@ impl SharedServer {
                     return Ok(result);
                 }
                 infl.insert(key.clone());
-                leader = true;
                 self.cache.singleflight_leaders.inc();
-                break snapshot;
+                let leadership = Leadership {
+                    cache: &self.cache,
+                    key: &key,
+                };
+                break (snapshot, Some(leadership));
             }
             // Another session is computing this key: wait for it, bounded
             // by our propagated deadline, then re-probe.
             let Some(slice) = wait_slice(deadline, started) else {
                 // Deadline spent: stop waiting and compute for ourselves
                 // rather than returning empty-handed.
-                break snapshot;
+                break (snapshot, None);
             };
             waited_sf = true;
             let (g, _) = match self.cache.sf_cv.wait_timeout(infl, slice) {
@@ -897,14 +958,7 @@ impl SharedServer {
             };
             drop(g);
         };
-        let computed = snapshot.query_ast_profiled(&query, obs);
-        let (rows, stats) = match computed {
-            Ok(v) => v,
-            Err(e) => {
-                self.finish_singleflight(&key, leader);
-                return Err(e);
-            }
-        };
+        let (rows, stats) = snapshot.query_ast_profiled(&query, obs)?;
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();
@@ -934,18 +988,7 @@ impl SharedServer {
             self.cache.invalidations.inc();
         }
         drop((stale, cleared));
-        self.finish_singleflight(&key, leader);
         Ok(result)
-    }
-
-    /// Release single-flight leadership of `key` (publishing already
-    /// happened) and wake the waiters so they re-probe.
-    fn finish_singleflight(&self, key: &str, leader: bool) {
-        if !leader {
-            return;
-        }
-        lock_unpoisoned(&self.cache.inflight).remove(key);
-        self.cache.sf_cv.notify_all();
     }
 
     /// Execute a read query bypassing the cache (cold path; the cache
@@ -1121,6 +1164,10 @@ impl SharedServer {
             }
         }
 
+        let claim = TokenClaim {
+            server: self,
+            token,
+        };
         let mut result =
             self.checkout_procedure_inner(root, modified_sql, token, deadline, start, obs);
         // Make the outcome durable before recording it: a crash after this
@@ -1133,14 +1180,13 @@ impl SharedServer {
                 result = Err(SharedServerError::Sql(e));
             }
         }
-        let mut log = lock_unpoisoned(&self.checkout_log);
-        log.in_progress.remove(&token);
         // A failed call records nothing: the token stays replayable.
         if let Ok(outcome) = &result {
-            log.done.record(token, outcome.rows.clone());
+            lock_unpoisoned(&self.checkout_log)
+                .done
+                .record(token, outcome.rows.clone());
         }
-        drop(log);
-        self.checkout_cv.notify_all();
+        drop(claim);
         result
     }
 
@@ -1212,13 +1258,18 @@ impl SharedServer {
             }
             Acquire::Granted => {}
         }
+        // From here every early return — and an unwind — aborts the marks.
+        let marks = InFlightMarks {
+            locks: &self.locks,
+            ids: &lock_ids,
+            token,
+        };
 
         // Flags may be set by the classic (non-lock-table) check-out path;
         // verify them under the in-flight locks.
         let busy =
             self.any_checked_out("assy", &all_assy)? || self.any_checked_out("comp", &comp_ids)?;
         if busy {
-            self.locks.abort(&lock_ids, token);
             self.m.lock_refusals.inc();
             return Ok(CheckoutProcedureResult { rows: None });
         }
@@ -1226,10 +1277,7 @@ impl SharedServer {
         // Deadline checkpoint: the retrieval and lock wait may have spent
         // the caller's budget. Abandon now — before the durable grant's
         // fsync and the flag UPDATEs — while backing out is still free.
-        if let Err(e) = self.check_deadline(deadline, start, "checkout_grant", obs) {
-            self.locks.abort(&lock_ids, token);
-            return Err(e);
-        }
+        self.check_deadline(deadline, start, "checkout_grant", obs)?;
 
         // Durable-grant protocol: log the grant BEFORE the flag UPDATEs.
         // Whatever happens next — crash between the two UPDATEs, crash
@@ -1237,17 +1285,14 @@ impl SharedServer {
         // to FALSE, so every crash position converges to "the check-out
         // never happened".
         if let Some(d) = &self.durability {
-            if let Err(e) = self.wal_op(obs, "grant", || d.log_grant(token, &all_assy, &comp_ids)) {
-                self.locks.abort(&lock_ids, token);
-                return Err(SharedServerError::Sql(e));
-            }
+            self.wal_op(obs, "grant", || d.log_grant(token, &all_assy, &comp_ids))?;
         }
 
         if let Err(e) = self
             .set_checked_out("assy", &all_assy, true, obs)
             .and_then(|_| self.set_checked_out("comp", &comp_ids, true, obs))
         {
-            self.locks.abort(&lock_ids, token);
+            drop(marks);
             if let Some(d) = &self.durability {
                 // Best-effort: cancel the grant so it is not swept later;
                 // if the device is already dead, recovery sweeps instead.
@@ -1255,7 +1300,7 @@ impl SharedServer {
             }
             return Err(e);
         }
-        self.locks.promote(&lock_ids, token);
+        marks.promote();
         self.m.lock_grants.inc();
 
         Ok(CheckoutProcedureResult { rows: Some(rows) })
@@ -1394,6 +1439,80 @@ mod tests {
             .unwrap();
         let stats = s.cache_stats();
         assert_eq!(stats.hits, 1, "differently formatted same query must hit");
+    }
+
+    /// A server whose stored function `BOOM` panics while `armed` is set
+    /// and returns its argument otherwise.
+    fn server_with_boom() -> (Arc<SharedServer>, Arc<AtomicBool>) {
+        let (mut db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(128)).unwrap();
+        let armed = Arc::new(AtomicBool::new(true));
+        let flag = Arc::clone(&armed);
+        db.register_function("boom", move |args| {
+            assert!(!flag.load(Ordering::SeqCst), "injected engine panic");
+            Ok(args[0].clone())
+        });
+        (Arc::new(SharedServer::new(db)), armed)
+    }
+
+    fn unwinds(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    #[test]
+    fn unwinding_leader_releases_its_single_flight_key() {
+        let (s, armed) = server_with_boom();
+        let sql = "SELECT BOOM(obid) FROM assy";
+        assert!(unwinds(|| {
+            let _ = s.query_cached(sql);
+        }));
+        assert!(
+            lock_unpoisoned(&s.cache.inflight).is_empty(),
+            "the key outlived its leader"
+        );
+
+        // The next request for the same text leads its own computation
+        // instead of waiting out its deadline on a leader that is gone.
+        armed.store(false, Ordering::SeqCst);
+        let rows = s
+            .query_cached_deadline_obs(sql, Some(Duration::from_millis(100)), &Recorder::disabled())
+            .unwrap();
+        assert_eq!(
+            rows.len(),
+            s.query_uncached("SELECT obid FROM assy").unwrap().len()
+        );
+        assert_eq!(s.cache.singleflight_leaders.get(), 2);
+        assert!(lock_unpoisoned(&s.cache.inflight).is_empty());
+    }
+
+    #[test]
+    fn unwinding_checkout_leaves_its_token_retryable() {
+        let (s, _armed) = server_with_boom();
+        let token = s.next_token();
+        assert!(unwinds(|| {
+            let _ = s.checkout_procedure_with_deadline_obs(
+                1,
+                "SELECT BOOM(obid) FROM assy",
+                token,
+                None,
+                &Recorder::disabled(),
+            );
+        }));
+        assert!(lock_unpoisoned(&s.checkout_log).in_progress.is_empty());
+
+        // The client's retry of the same token runs the procedure; it does
+        // not wait out its deadline on a call that no longer exists.
+        let sql = crate::query::recursive::mle_query(1).to_string();
+        let retry = s
+            .checkout_procedure_with_deadline_obs(
+                1,
+                &sql,
+                token,
+                Some(Duration::from_millis(100)),
+                &Recorder::disabled(),
+            )
+            .expect("the token must still be executable");
+        assert!(retry.rows.is_some());
+        assert!(s.checkout_recorded(token));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use pdm_core::query::modificator::Modificator;
 use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
 use pdm_core::rules::table::RuleTable;
-use pdm_core::rules::{ActionKind, Rule};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_sql::parser::parse_query;
 use std::collections::HashSet;
 
@@ -36,14 +36,7 @@ AND NOT EXISTS (SELECT * FROM rtbl WHERE type = 'assy' AND NOT rtbl.dec = '+') \
 AND (SELECT COUNT(*) FROM rtbl WHERE type = 'assy') <= 10000";
 
 fn paper_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
+    let mut t = visibility_rules();
     t.add(Rule::for_all_users(
         ActionKind::MultiLevelExpand,
         "assy",

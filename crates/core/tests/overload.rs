@@ -12,44 +12,22 @@
 //! 3. **Deadline propagation**: a write whose budget is spent is abandoned
 //!    at the commit gate, on every kind of link.
 
-use std::sync::Arc;
 use std::time::Duration;
 
+use pdm_bench::harness::{durable_server, roots, server};
+use pdm_core::rules::visibility_rules;
 use pdm_core::{
     DurabilityConfig, OverloadConfig, PdmServer, Priority, ProductTree, Recorder, RetryPolicy,
-    Session, SessionConfig, SessionError, SharedServer, SharedServerError, Strategy,
+    Session, SessionConfig, SessionError, SharedServerError, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile};
 use pdm_prng::Prng;
-use pdm_workload::{build_database, TreeSpec};
-
-fn rules() -> pdm_core::RuleTable {
-    use pdm_core::{ActionKind, CmpOp, Condition, RowPredicate, Rule};
-    let mut t = pdm_core::RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
+use pdm_wal::CrashPlan;
+use pdm_workload::TreeSpec;
 
 fn fresh() -> (PdmServer, Vec<i64>) {
-    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
-    let (db, _) = build_database(&spec).unwrap();
-    let server = PdmServer::new(db);
-    let roots: Vec<i64> = {
-        let rs = server.query("SELECT obid FROM assy ORDER BY obid").unwrap();
-        rs.rows
-            .iter()
-            .filter_map(|r| match r.get(0) {
-                pdm_sql::Value::Int(i) => Some(*i),
-                _ => None,
-            })
-            .collect()
-    };
+    let server = server(&TreeSpec::new(2, 3, 1.0).with_node_size(128));
+    let roots = roots(&server);
     (server, roots)
 }
 
@@ -57,7 +35,7 @@ fn session(server: &PdmServer) -> Session {
     Session::attach(
         server.clone(),
         SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_256()),
-        rules(),
+        visibility_rules(),
     )
 }
 
@@ -291,9 +269,11 @@ fn batch_sheds_before_checkout_sheds_before_interactive() {
 /// reaches the server whether or not a fault plan is installed.
 #[test]
 fn spent_deadline_abandons_the_write_with_or_without_a_fault_plan() {
-    let (db, _) = build_database(&TreeSpec::new(2, 3, 1.0).with_node_size(128)).unwrap();
-    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
-    let server = PdmServer::from_shared(Arc::new(shared));
+    let server = durable_server(
+        &TreeSpec::new(2, 3, 1.0).with_node_size(128),
+        CrashPlan::none(),
+        DurabilityConfig::default().checkpoint_interval,
+    );
     let sql = "UPDATE assy SET checkedout = FALSE WHERE obid = 1";
     let abandons = || {
         let m = server.metrics().snapshot();

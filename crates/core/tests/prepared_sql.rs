@@ -48,16 +48,15 @@ const ACTIONS: [ActionKind; 5] = [
 
 const VIEWS: [&str; 2] = ["link", "flink"];
 
-/// The benchmark's rules: the user sees only OPTA links and nodes.
+/// The benchmark's rules — the user sees only OPTA links and nodes —
+/// extended to the second structure view these tests navigate.
 fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "flink", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
+    let mut t = pdm_core::rules::visibility_rules();
+    t.add(Rule::for_all_users(
+        ActionKind::Access,
+        "flink",
+        Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
+    ));
     t
 }
 

@@ -13,24 +13,12 @@ use pdm_prng::check::cases;
 use pdm_prng::Prng;
 use std::collections::HashMap;
 
-use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{ActionKind, Rule};
-use pdm_core::{RuleTable, Session, SessionConfig, Strategy as ClientStrategy};
+use pdm_core::rules::condition::{CmpOp, RowPredicate};
+use pdm_core::rules::{visibility_rules, ActionKind};
+use pdm_core::{Session, SessionConfig, Strategy as ClientStrategy};
 use pdm_net::LinkProfile;
 use pdm_sql::Value;
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
-
-fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 fn arb_spec(rng: &mut Prng) -> TreeSpec {
     let depth = rng.u32_inclusive(2, 4);

@@ -10,30 +10,13 @@
 //! Uses the in-repo `pdm_prng::check` harness (explicit generator loops)
 //! instead of proptest, which the offline build cannot fetch.
 
+use pdm_bench::harness::{cluster, connect, connect_all, converge, drive_step, roots, Client};
 use pdm_core::repl::RETENTION_INTERVALS;
-use pdm_core::{
-    replay_prefix, Cluster, ClusterConfig, DurabilityConfig, RoutedSession, RuleTable,
-    SessionConfig, Strategy,
-};
-use pdm_net::{FaultPlan, LinkProfile};
+use pdm_core::{replay_prefix, Cluster, ClusterConfig, DurabilityConfig, ProductTree};
+use pdm_net::FaultPlan;
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
-use pdm_sql::Value;
-use pdm_workload::{build_database, multisite_plan, SiteOp, TreeSpec};
-
-fn roots_of(cluster: &Cluster) -> Vec<i64> {
-    cluster
-        .primary()
-        .query("SELECT obid FROM assy ORDER BY obid")
-        .unwrap()
-        .rows
-        .iter()
-        .filter_map(|r| match r.get(0) {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
+use pdm_workload::{multisite_plan, TreeSpec};
 
 fn arb_cluster(rng: &mut Prng) -> Cluster {
     arb_cluster_checkpointing(rng, DurabilityConfig::default().checkpoint_interval)
@@ -44,7 +27,6 @@ fn arb_cluster(rng: &mut Prng) -> Cluster {
 fn arb_cluster_checkpointing(rng: &mut Prng, interval: u64) -> Cluster {
     let depth = rng.u32_inclusive(2, 3);
     let branching = rng.u32_inclusive(2, 3);
-    let (db, _) = build_database(&TreeSpec::new(depth, branching, 1.0).with_node_size(64)).unwrap();
     let faults = if rng.bool() {
         FaultPlan::lossy(rng.u64_inclusive(1, 1 << 40), rng.f64_range(0.0, 0.25))
             .with_stall_rate(rng.f64_range(0.0, 0.15))
@@ -56,15 +38,9 @@ fn arb_cluster_checkpointing(rng: &mut Prng, interval: u64) -> Cluster {
         .with_ship_faults(faults)
         .with_max_pump_rounds(256)
         .with_durability(DurabilityConfig::default().with_interval(interval));
-    Cluster::new(db, cfg).unwrap()
-}
-
-fn connect(cluster: &Cluster, site: usize) -> RoutedSession {
-    RoutedSession::connect(
-        cluster,
-        site,
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-        RuleTable::new(),
+    cluster(
+        &TreeSpec::new(depth, branching, 1.0).with_node_size(64),
+        cfg,
     )
 }
 
@@ -100,24 +76,6 @@ fn assert_lag_zero_replicas_match(cluster: &Cluster) {
     }
 }
 
-/// Every replica has caught up, and to the primary's exact state.
-fn assert_caught_up_replicas_match(cluster: &Cluster) {
-    for s in cluster.replica_sites() {
-        assert_eq!(cluster.lag(s), 0, "site {s} never caught up");
-    }
-    assert_lag_zero_replicas_match(cluster);
-}
-
-/// Pump until every site is caught up (bounded).
-fn pump_to_lag_zero(cluster: &mut Cluster) {
-    for _ in 0..512 {
-        if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
-            break;
-        }
-        cluster.pump().unwrap();
-    }
-}
-
 /// Replaying any recorded prefix of the durable log onto the epoch base
 /// reproduces the primary fingerprint observed at that sequence.
 #[test]
@@ -128,39 +86,20 @@ fn prefix_replay_matches_primary_at_seq() {
         0x5EED_0001,
         |rng| {
             let mut cluster = arb_cluster(rng);
-            let roots = roots_of(&cluster);
-            let sites = cluster.replica_sites();
-            let mut sessions: Vec<RoutedSession> =
-                sites.iter().map(|s| connect(&cluster, *s)).collect();
-            let mut held: Vec<Option<pdm_core::ProductTree>> = vec![None; sessions.len()];
+            let roots = roots(cluster.primary());
+            let mut sessions = connect_all(&cluster);
+            let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
 
             // Drive a seeded interleaving of writes from every site, recording
             // the primary's fingerprint after each acknowledged write.
             let plan = multisite_plan(rng.u64_inclusive(0, 1 << 40), sessions.len(), 24, &roots);
             let mut observed: Vec<(u64, Vec<u8>)> = Vec::new();
-            for step in plan {
-                let i = step.site;
-                match step.op {
-                    SiteOp::Update { root, payload } => {
-                        let sql =
-                            format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
-                        sessions[i].execute_dml(&mut cluster, &sql).unwrap();
-                    }
-                    SiteOp::CheckOut { root } => {
-                        let (out, _) = sessions[i].check_out(&mut cluster, root).unwrap();
-                        if let Some(tree) = out.tree {
-                            held[i] = Some(tree);
-                        }
-                    }
-                    SiteOp::CheckIn => {
-                        if let Some(tree) = held[i].take() {
-                            sessions[i].check_in(&mut cluster, &tree).unwrap();
-                        } else {
-                            continue;
-                        }
-                    }
-                    // Reads don't extend the log; skip them here.
-                    SiteOp::Expand { .. } | SiteOp::QueryAll { .. } => continue,
+            // Reads don't extend the log; skip them here.
+            for step in plan.iter().filter(|step| step.op.is_write()) {
+                let client = Client::Routed(&mut sessions[step.site], &mut cluster);
+                let ran = drive_step(client, &mut held[step.site], &step.op).unwrap();
+                if ran.is_none() {
+                    continue;
                 }
                 observed.push((cluster.feed().last_seq(), cluster.primary_fingerprint()));
                 assert_lag_zero_replicas_match(&cluster);
@@ -189,8 +128,8 @@ fn prefix_replay_matches_primary_at_seq() {
 
             // With check-outs still held, the caught-up replicas track the
             // same grants the primary logged live.
-            pump_to_lag_zero(&mut cluster);
-            assert_caught_up_replicas_match(&cluster);
+            converge(&mut cluster);
+            assert_lag_zero_replicas_match(&cluster);
         },
     );
 }
@@ -205,7 +144,7 @@ fn caught_up_replicas_are_byte_identical() {
         0x5EED_0002,
         |rng| {
             let mut cluster = arb_cluster(rng);
-            let roots = roots_of(&cluster);
+            let roots = roots(cluster.primary());
             let site = cluster.replica_sites()[0];
             let mut session = connect(&cluster, site);
             for _ in 0..10 {
@@ -216,8 +155,8 @@ fn caught_up_replicas_are_byte_identical() {
             }
             // ship_once embeds the divergence check, so reaching lag 0 IS
             // the assertion — but compare explicitly anyway.
-            pump_to_lag_zero(&mut cluster);
-            assert_caught_up_replicas_match(&cluster);
+            converge(&mut cluster);
+            assert_lag_zero_replicas_match(&cluster);
         },
     );
 }
@@ -234,40 +173,16 @@ fn feed_stays_bounded_across_rebases() {
     const INTERVAL: u64 = 4;
     cases("feed_stays_bounded_across_rebases", 8, 0x5EED_0003, |rng| {
         let mut cluster = arb_cluster_checkpointing(rng, INTERVAL);
-        let roots = roots_of(&cluster);
-        let sites = cluster.replica_sites();
-        let mut sessions: Vec<RoutedSession> =
-            sites.iter().map(|s| connect(&cluster, *s)).collect();
-        let mut held: Vec<Option<pdm_core::ProductTree>> = vec![None; sessions.len()];
+        let roots = roots(cluster.primary());
+        let mut sessions = connect_all(&cluster);
+        let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
 
         let plan = multisite_plan(rng.u64_inclusive(0, 1 << 40), sessions.len(), 64, &roots);
         let (mut rebases, mut largest_action) = (0, 0);
-        for step in plan {
-            let i = step.site;
+        for step in &plan {
             let (base_before, head_before) = (cluster.feed().base_seq(), cluster.feed().last_seq());
-            match step.op {
-                SiteOp::Update { root, payload } => {
-                    let sql = format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
-                    sessions[i].execute_dml(&mut cluster, &sql).unwrap();
-                }
-                SiteOp::CheckOut { root } => {
-                    let (out, _) = sessions[i].check_out(&mut cluster, root).unwrap();
-                    if let Some(tree) = out.tree {
-                        held[i] = Some(tree);
-                    }
-                }
-                SiteOp::CheckIn => {
-                    if let Some(tree) = held[i].take() {
-                        sessions[i].check_in(&mut cluster, &tree).unwrap();
-                    }
-                }
-                SiteOp::Expand { root } => {
-                    sessions[i].multi_level_expand(&mut cluster, root).unwrap();
-                }
-                SiteOp::QueryAll { root } => {
-                    sessions[i].query_all(&mut cluster, root).unwrap();
-                }
-            }
+            let client = Client::Routed(&mut sessions[step.site], &mut cluster);
+            drive_step(client, &mut held[step.site], &step.op).unwrap();
             let feed = cluster.feed();
             rebases += usize::from(feed.base_seq() > base_before);
             largest_action = largest_action.max(feed.last_seq() - head_before);
@@ -289,7 +204,7 @@ fn feed_stays_bounded_across_rebases() {
         }
         assert!(rebases >= 3, "only {rebases} rebases in the plan");
 
-        pump_to_lag_zero(&mut cluster);
-        assert_caught_up_replicas_match(&cluster);
+        converge(&mut cluster);
+        assert_lag_zero_replicas_match(&cluster);
     });
 }

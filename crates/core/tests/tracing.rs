@@ -21,9 +21,10 @@
 //!    replica spans under one trace_id, and timeout-shaped failures
 //!    carry the assembled tree in their `FlightDump`.
 
+use pdm_bench::harness::{cluster, connect};
 use pdm_core::{
-    attribution, Cluster, ClusterConfig, RoutedSession, RuleTable, Session, SessionConfig,
-    Strategy, TailSampler, TraceContext,
+    attribution, Cluster, ClusterConfig, RuleTable, Session, SessionConfig, Strategy, TailSampler,
+    TraceContext,
 };
 use pdm_net::{FaultPlan, LinkProfile};
 use pdm_prng::check::cases;
@@ -176,21 +177,11 @@ fn tracing_off_is_byte_identical() {
 }
 
 fn four_site_cluster(seed: u64) -> Cluster {
-    let (db, _) = build_database(&TreeSpec::new(3, 3, 1.0).with_node_size(96)).unwrap();
     let cfg = ClusterConfig::default()
         .with_replicas(3)
         .with_ship_faults(FaultPlan::lossy(seed, 0.05))
         .with_max_pump_rounds(256);
-    Cluster::new(db, cfg).unwrap()
-}
-
-fn routed(cluster: &Cluster, site: usize) -> RoutedSession {
-    RoutedSession::connect(
-        cluster,
-        site,
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-        RuleTable::new(),
-    )
+    cluster(&TreeSpec::new(3, 3, 1.0).with_node_size(96), cfg)
 }
 
 /// The acceptance run: a seeded 4-site cluster (primary + 3 replicas)
@@ -201,7 +192,7 @@ fn routed(cluster: &Cluster, site: usize) -> RoutedSession {
 fn four_site_run_produces_covering_tail_exemplar() {
     let mut cluster = four_site_cluster(0x45EED);
     let site = cluster.replica_sites()[0];
-    let mut session = routed(&cluster, site);
+    let mut session = connect(&cluster, site);
     session.enable_tracing(0xACE1D);
 
     let mut sampler = TailSampler::new(0.0, 8);
@@ -251,7 +242,7 @@ fn routed_traces_validate_under_ship_faults() {
         |rng| {
             let mut cluster = four_site_cluster(rng.u64_inclusive(1, 1 << 40));
             let site = cluster.replica_sites()[rng.index(cluster.replica_sites().len())];
-            let mut session = routed(&cluster, site);
+            let mut session = connect(&cluster, site);
             session.enable_tracing(rng.u64_inclusive(1, u64::MAX >> 1));
 
             for _ in 0..6 {
@@ -288,7 +279,7 @@ fn replica_lag_timeout_carries_trace_tree() {
         .with_ack_replicas(0);
     let mut cluster = Cluster::new(db, cfg).unwrap();
     let site = cluster.replica_sites()[0];
-    let mut session = routed(&cluster, site);
+    let mut session = connect(&cluster, site);
     session.enable_tracing(0xBAD_5EED);
 
     session

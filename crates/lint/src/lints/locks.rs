@@ -157,6 +157,11 @@ const CALL_DENYLIST: &[&str] = &[
     "is_none",
     "is_ok",
     "is_err",
+    // `drop(x)` is `std::mem::drop`: which `Drop` impl it runs is decided
+    // by `x`'s type, so by bare name it would reach every RAII guard's
+    // `fn drop` in the workspace — and almost every `x` is a `MutexGuard`.
+    // (The locks a guard's `fn drop` takes are still modelled inside it.)
+    "drop",
 ];
 
 /// One lock acquisition with its recovered guard scope (token indices

@@ -320,6 +320,11 @@ impl MetricsSnapshot {
 
     /// JSON object, sorted keys (BTreeMap order), indented by `indent`
     /// spaces at the top level for embedding in bench reports.
+    ///
+    /// A histogram whose name ends `_ns` holds wall-clock samples — the one
+    /// part of a seeded run's snapshot that differs between two runs — and
+    /// prints its `count` only, so a committed report regenerates byte for
+    /// byte; the full summary stays in [`MetricsSnapshot::histograms`].
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);
         let inner = " ".repeat(indent + 2);
@@ -349,6 +354,13 @@ impl MetricsSnapshot {
             .histograms
             .iter()
             .map(|(k, h)| {
+                if k.ends_with("_ns") {
+                    return format!(
+                        "{item}\"{}\": {{ \"count\": {} }}",
+                        json::escape(k),
+                        h.count
+                    );
+                }
                 format!(
                     concat!(
                         "{item}\"{name}\": {{ \"count\": {count}, \"sum\": {sum}, ",
@@ -384,8 +396,9 @@ impl MetricsSnapshot {
 /// `pdm-lint`'s `metric-family-unknown` check parses this list straight out
 /// of the source and flags any registration site that names a family not
 /// declared here, so a typo'd metric name can never silently fork a family.
-/// The CI schema check on the bench reports asserts the converse subset
-/// (mandatory families actually present in snapshots).
+/// The bench report writer (`pdm_bench::report`) asserts the converse
+/// subset before it writes a report: the families its bin declares
+/// mandatory are members and are present in the snapshot.
 pub mod families {
     /// Every declared metric family, grouped by subsystem prefix.
     pub const ALL: &[&str] = &[
@@ -566,5 +579,15 @@ mod tests {
         assert!(json.contains("\"counters\""));
         assert!(json.contains("\"a\": 1"));
         assert!(json.contains("\"p99\""));
+    }
+
+    #[test]
+    fn wall_clock_histograms_print_their_count_only() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("wal.fsync_ns").record(1234);
+        reg.histogram("repl.ship_us").record(1234);
+        let json = reg.snapshot().to_json(0);
+        assert!(json.contains("\"wal.fsync_ns\": { \"count\": 1 }"));
+        assert!(json.contains("\"repl.ship_us\": { \"count\": 1, \"sum\": 1234,"));
     }
 }

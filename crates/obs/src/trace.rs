@@ -668,6 +668,16 @@ impl AttributionTable {
         }
     }
 
+    /// Per action class: its name, the number of actions folded in, their
+    /// total virtual seconds, and the sum of the class segments — the two
+    /// figures the report contract requires to agree.
+    pub fn totals(&self) -> impl Iterator<Item = (&str, u64, f64, f64)> {
+        self.rows.iter().map(|(action, (n, total, classes))| {
+            let segments = classes.values().map(|(v_s, _)| v_s).sum();
+            (action.as_str(), *n, *total, segments)
+        })
+    }
+
     /// JSON object: action class → {actions, total_v_s, classes{...}}.
     pub fn to_json(&self, indent: usize) -> String {
         let pad = " ".repeat(indent);

@@ -65,6 +65,22 @@ impl ExecOutcome {
     }
 }
 
+/// Where every `query_ast*` entry point of [`Database`] and [`Snapshot`]
+/// meets the executor: one `engine.query` span around one
+/// [`exec::execute`]. A disabled recorder records nothing, so the rows and
+/// counters are the same with and without one.
+pub(crate) fn evaluate(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    query: &Query,
+    obs: &pdm_obs::Recorder,
+) -> Result<(ResultSet, ExecStats)> {
+    let span = obs.span(pdm_obs::kinds::ENGINE_QUERY, "eval");
+    let (rs, stats) = exec::execute(catalog, config, query, obs)?;
+    span.set_rows(0, rs.len() as u64);
+    Ok((rs, stats))
+}
+
 /// An in-memory SQL database: catalog + executor configuration.
 ///
 /// Cloning is cheap (tables are `Arc`ed copy-on-write, see [`Catalog`]);
@@ -78,13 +94,6 @@ pub struct Database {
 impl Database {
     pub fn new() -> Self {
         Database::default()
-    }
-
-    pub fn with_config(config: ExecConfig) -> Self {
-        Database {
-            catalog: Catalog::new(),
-            config,
-        }
     }
 
     /// Execute any single SQL statement.
@@ -127,8 +136,12 @@ impl Database {
 
     /// Run an already-parsed query, returning execution statistics.
     pub fn query_ast_with_stats(&self, query: &Query) -> Result<(ResultSet, ExecStats)> {
-        let obs = pdm_obs::Recorder::disabled();
-        exec::execute(&self.catalog, &self.config, query, &obs)
+        evaluate(
+            &self.catalog,
+            &self.config,
+            query,
+            &pdm_obs::Recorder::disabled(),
+        )
     }
 
     /// Execute a parsed DML/DDL statement.

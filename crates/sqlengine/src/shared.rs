@@ -67,11 +67,7 @@ impl Snapshot {
         query: &crate::ast::Query,
         obs: &pdm_obs::Recorder,
     ) -> Result<(ResultSet, crate::exec::ExecStats)> {
-        let span = obs.span(pdm_obs::kinds::ENGINE_QUERY, "eval");
-        let (rs, stats) = crate::exec::execute(&self.catalog, &self.config, query, obs)?;
-        span.set_rows(0, rs.len() as u64);
-        drop(span);
-        Ok((rs, stats))
+        crate::evaluate(&self.catalog, &self.config, query, obs)
     }
 }
 
@@ -166,15 +162,30 @@ impl SharedDatabase {
             let snap = self.snapshot();
             return Ok((ExecOutcome::Rows(snap.query_ast(q)?), snap.version));
         }
+        self.publish(|catalog, config, version| {
+            let outcome = execute_statement(catalog, config, stmt)?;
+            gate(version)?;
+            Ok(ExecOutcome::Dml(outcome))
+        })
+    }
+
+    /// The write protocol, in its one place: serialize on the writer mutex,
+    /// copy the current snapshot's catalog (cheap: `Arc`ed tables), let
+    /// `mutate` change the copy — it is told the version the copy would
+    /// publish as — then swap the copy in and store the version. An error
+    /// from `mutate` abandons the copy: nothing is published.
+    fn publish<T>(
+        &self,
+        mutate: impl FnOnce(&mut Catalog, &ExecConfig, u64) -> Result<T>,
+    ) -> Result<(T, u64)> {
         let _writers = match self.writer.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
         let base = self.snapshot();
-        let mut catalog = base.catalog.clone(); // cheap: Arc'ed tables
-        let outcome = execute_statement(&mut catalog, &base.config, stmt)?;
+        let mut catalog = base.catalog.clone();
         let version = base.version.saturating_add(1);
-        gate(version)?;
+        let out = mutate(&mut catalog, &base.config, version)?;
         let next = Arc::new(Snapshot {
             catalog,
             config: base.config.clone(),
@@ -185,7 +196,7 @@ impl SharedDatabase {
             Err(poisoned) => *poisoned.into_inner() = next,
         }
         self.version.store(version, Ordering::Release);
-        Ok((ExecOutcome::Dml(outcome), version))
+        Ok((out, version))
     }
 
     /// DML convenience: execute and unwrap the DML outcome.
@@ -201,29 +212,14 @@ impl SharedDatabase {
     /// Programmatic bulk load, mirroring [`Database::insert_rows`]: one
     /// version bump for the whole batch.
     pub fn insert_rows(&self, table: &str, rows: Vec<crate::row::Row>) -> Result<(usize, u64)> {
-        let _writers = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let base = self.snapshot();
-        let mut catalog = base.catalog.clone();
-        let t = catalog.table_mut(table)?;
-        let n = rows.len();
-        for row in rows {
-            t.insert(row)?;
-        }
-        let version = base.version.saturating_add(1);
-        let next = Arc::new(Snapshot {
-            catalog,
-            config: base.config.clone(),
-            version,
-        });
-        match self.current.write() {
-            Ok(mut guard) => *guard = next,
-            Err(poisoned) => *poisoned.into_inner() = next,
-        }
-        self.version.store(version, Ordering::Release);
-        Ok((n, version))
+        self.publish(|catalog, _, _| {
+            let t = catalog.table_mut(table)?;
+            let n = rows.len();
+            for row in rows {
+                t.insert(row)?;
+            }
+            Ok(n)
+        })
     }
 }
 

@@ -28,7 +28,7 @@ use std::path::PathBuf;
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{ActionKind, Rule};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_core::RuleTable;
 use pdm_prng::Prng;
 use pdm_sql::{Database, ExecConfig, ExecOutcome, ExecStats, ResultSet};
@@ -610,18 +610,6 @@ const ADHOC: &[&str] = &[
     "SELECT t1.a FROM t1 JOIN t2 ON a = d",
     "SELECT x.a FROM t1 x JOIN t2 y ON x.a = y.a JOIN t3 z ON z.k = y.a AND z.k = x.a ORDER BY z.v, 1",
 ];
-
-fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 /// The rule table of `golden_sql.rs` / `prepared_sql.rs`: all four condition
 /// classes (row, ∀rows, ∃structure, tree aggregate).

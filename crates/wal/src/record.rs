@@ -51,20 +51,45 @@ const TAG_GRANT: u8 = 2;
 const TAG_RELEASE: u8 = 3;
 const TAG_TOKEN: u8 = 4;
 
-fn put_ids(out: &mut Vec<u8>, ids: &[i64]) {
+/// Append a counted id list. Grant records and the checkpoint's grant
+/// table share this encoding (and the token-outcome one below).
+pub fn put_ids(out: &mut Vec<u8>, ids: &[i64]) {
     put_u32(out, ids.len() as u32);
     for &id in ids {
         put_i64(out, id);
     }
 }
 
-fn read_ids(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<i64>, pdm_sql::Error> {
+pub fn read_ids(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<i64>, pdm_sql::Error> {
     let n = cur.u32(what)? as usize;
     let mut ids = Vec::with_capacity(n);
     for _ in 0..n {
         ids.push(cur.i64(what)?);
     }
     Ok(ids)
+}
+
+/// Append a token outcome: tag 0 = recorded refusal, tag 1 = the granted
+/// rows.
+pub fn put_outcome(out: &mut Vec<u8>, rows: Option<&ResultSet>) {
+    match rows {
+        None => put_u8(out, 0),
+        Some(rs) => {
+            put_u8(out, 1);
+            put_result_set(out, rs);
+        }
+    }
+}
+
+pub fn read_outcome(cur: &mut Cursor<'_>) -> Result<Option<ResultSet>, pdm_sql::Error> {
+    match cur.u8("token outcome tag")? {
+        0 => Ok(None),
+        1 => Ok(Some(read_result_set(cur)?)),
+        other => Err(pdm_sql::Error::Persist(format!(
+            "invalid token outcome tag {other} at offset {}",
+            cur.offset()
+        ))),
+    }
 }
 
 impl WalRecord {
@@ -100,13 +125,7 @@ impl WalRecord {
             WalRecord::TokenComplete { token, rows } => {
                 put_u8(out, TAG_TOKEN);
                 put_u64(out, *token);
-                match rows {
-                    None => put_u8(out, 0),
-                    Some(rs) => {
-                        put_u8(out, 1);
-                        put_result_set(out, rs);
-                    }
-                }
+                put_outcome(out, rows.as_ref());
             }
         }
     }
@@ -141,19 +160,10 @@ impl WalRecord {
             TAG_RELEASE => WalRecord::CheckoutRelease {
                 ids: read_ids(cur, "release ids")?,
             },
-            TAG_TOKEN => {
-                let token = cur.u64("token id")?;
-                let rows = match cur.u8("token outcome tag")? {
-                    0 => None,
-                    1 => Some(read_result_set(cur)?),
-                    other => {
-                        return Err(pdm_sql::Error::Persist(format!(
-                            "invalid token outcome tag {other} at offset {at}"
-                        )))
-                    }
-                };
-                WalRecord::TokenComplete { token, rows }
-            }
+            TAG_TOKEN => WalRecord::TokenComplete {
+                token: cur.u64("token id")?,
+                rows: read_outcome(cur)?,
+            },
             other => {
                 return Err(pdm_sql::Error::Persist(format!(
                     "invalid record tag {other} at offset {at}"

@@ -10,20 +10,13 @@
 //! ```
 
 use pdm_repro::core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_repro::core::rules::{ActionKind, Rule};
+use pdm_repro::core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_repro::core::{RuleTable, Session, SessionConfig, Strategy};
 use pdm_repro::net::LinkProfile;
 use pdm_repro::workload::{build_database, TreeSpec};
 
 fn rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
+    let mut t = visibility_rules();
     // The paper's example 2: check-out requires every node checked in.
     t.add(Rule::for_all_users(
         ActionKind::CheckOut,

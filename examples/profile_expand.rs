@@ -19,9 +19,8 @@
 //! tracing on and the assembled causal tree is written as Chrome Trace
 //! Event Format JSON — load it in `chrome://tracing` or Perfetto.
 
-use pdm_repro::core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_repro::core::rules::{ActionKind, Rule};
-use pdm_repro::core::{chrome_trace_json, RuleTable, Session, SessionConfig, Strategy, Subsystem};
+use pdm_repro::core::rules::visibility_rules;
+use pdm_repro::core::{chrome_trace_json, Session, SessionConfig, Strategy, Subsystem};
 use pdm_repro::model::response::response;
 use pdm_repro::model::{Action, KaryTree, Strategy as ModelStrategy};
 use pdm_repro::net::LinkProfile;
@@ -31,18 +30,6 @@ const NODE: usize = 512;
 const DEPTH: u32 = 4;
 const BRANCH: u32 = 5;
 const GAMMA: f64 = 0.6;
-
-fn rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -56,7 +43,7 @@ fn main() {
     let mut session = Session::new(
         db,
         SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_256()),
-        rules(),
+        visibility_rules(),
     );
     session.enable_profiling();
 

@@ -9,38 +9,17 @@
 //! cargo run --example traffic_analysis
 //! ```
 
-use pdm_repro::core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_repro::core::rules::{ActionKind, Rule};
-use pdm_repro::core::{RuleTable, Session, SessionConfig, Strategy};
+use pdm_bench::harness::percentile;
+use pdm_repro::core::rules::visibility_rules;
+use pdm_repro::core::{Session, SessionConfig, Strategy};
 use pdm_repro::net::LinkProfile;
 use pdm_repro::obs::{kinds, SpanRecord};
 use pdm_repro::workload::{build_database, TreeSpec};
-
-fn rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 /// Cost of one exchange in virtual seconds (latency + transfer — the
 /// amount the channel advanced its clock by).
 fn cost(exchange: &SpanRecord) -> f64 {
     exchange.attr("v_s").unwrap_or(0.0)
-}
-
-/// Nearest-rank percentile over ascending `costs` (p in 0..=100).
-fn percentile(costs: &[f64], p: f64) -> f64 {
-    let rank = ((p / 100.0) * costs.len() as f64).ceil().max(1.0) as usize - 1;
-    costs
-        .get(rank.min(costs.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0)
 }
 
 fn main() {
@@ -51,7 +30,7 @@ fn main() {
         let mut session = Session::new(
             db,
             SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-            rules(),
+            visibility_rules(),
         );
         session.enable_profiling();
         let out = session.multi_level_expand(1).expect("expand succeeds");
@@ -75,9 +54,9 @@ fn main() {
         );
         println!(
             "per-exchange cost: p50 {:>6.3}s   p99 {:>6.3}s   max {:>6.3}s",
-            percentile(&costs, 50.0),
-            percentile(&costs, 99.0),
-            percentile(&costs, 100.0),
+            percentile(&costs, 0.50),
+            percentile(&costs, 0.99),
+            percentile(&costs, 1.0),
         );
         if let Some(slowest) = exchanges.iter().max_by(|a, b| cost(a).total_cmp(&cost(b))) {
             println!(

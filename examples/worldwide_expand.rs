@@ -8,23 +8,10 @@
 //! cargo run --release --example worldwide_expand
 //! ```
 
-use pdm_repro::core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_repro::core::rules::{ActionKind, Rule};
-use pdm_repro::core::{RuleTable, Session, SessionConfig, Strategy};
+use pdm_repro::core::rules::visibility_rules;
+use pdm_repro::core::{Session, SessionConfig, Strategy};
 use pdm_repro::net::LinkProfile;
 use pdm_repro::workload::{build_database, TreeSpec};
-
-fn rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 fn main() {
     // A digital-mockup-sized structure: δ=6, β=5 → 19,530 objects.
@@ -49,7 +36,7 @@ fn main() {
     let mut session = Session::new(
         db,
         SessionConfig::new("scott", Strategy::LateEval, settings[0].1),
-        rules(),
+        visibility_rules(),
     );
 
     println!("\n{:<42}{:>16}{:>16}", "link", "navigational", "recursive");

@@ -4,18 +4,18 @@
 //! navigation and one recursive query. Checks semantic equivalence with the
 //! other strategies and the predicted round-trip count (depth + 1 levels).
 
-use pdm_bench::visibility_rules;
-use pdm_core::{Session, SessionConfig, Strategy};
+use pdm_bench::make_session;
+use pdm_core::{Session, Strategy};
 use pdm_net::LinkProfile;
-use pdm_workload::{build_database, TreeSpec};
 
 fn session(depth: u32, branching: u32, gamma: f64, strategy: Strategy) -> Session {
-    let spec = TreeSpec::new(depth, branching, gamma).with_node_size(512);
-    let (db, _) = build_database(&spec).unwrap();
-    Session::new(
-        db,
-        SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-        visibility_rules(),
+    make_session(
+        depth,
+        branching,
+        gamma,
+        512,
+        strategy,
+        LinkProfile::wan_256(),
     )
 }
 

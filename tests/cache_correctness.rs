@@ -13,6 +13,7 @@
 
 use std::collections::HashMap;
 
+use pdm_bench::harness::server;
 use pdm_core::query::recursive;
 use pdm_core::{
     CacheStats, PdmServer, Recorder, RuleTable, Session, SessionConfig, SharedServer, SpanKind,
@@ -25,9 +26,7 @@ use pdm_sql::{Database, ExecConfig};
 use pdm_workload::{build_database, TreeSpec};
 
 fn fresh_shared() -> PdmServer {
-    let spec = TreeSpec::new(3, 2, 1.0).with_node_size(64);
-    let (db, _) = build_database(&spec).unwrap();
-    PdmServer::new(db)
+    server(&TreeSpec::new(3, 2, 1.0).with_node_size(64))
 }
 
 /// A battery covering the query shapes the PDM workload actually issues:

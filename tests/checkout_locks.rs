@@ -16,39 +16,36 @@
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use pdm_bench::harness::{durable_server, flagged_ids, recover, server, session};
 use pdm_core::query::recursive;
 use pdm_core::{
-    recover_server, DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session,
-    SessionConfig, SessionError, SharedServer, SharedServerError, Strategy, RETAINED_TOKENS,
+    DurabilityConfig, PdmServer, Recorder, RetryPolicy, Session, SessionError, SharedServerError,
+    Strategy, RETAINED_TOKENS,
 };
-use pdm_net::LinkProfile;
-use pdm_workload::{build_database, TreeSpec};
+use pdm_wal::CrashPlan;
+use pdm_workload::TreeSpec;
+
+fn spec() -> TreeSpec {
+    TreeSpec::new(2, 3, 1.0).with_node_size(128)
+}
 
 fn fresh_server() -> PdmServer {
-    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
-    let (db, _) = build_database(&spec).unwrap();
-    PdmServer::new(db)
+    server(&spec())
+}
+
+/// A durable server with the default checkpoint cadence.
+fn fresh_durable_server() -> PdmServer {
+    let interval = DurabilityConfig::default().checkpoint_interval;
+    durable_server(&spec(), CrashPlan::none(), interval)
 }
 
 fn session_on(server: &PdmServer, user: &str) -> Session {
-    Session::attach(
-        server.clone(),
-        SessionConfig::new(user, Strategy::Recursive, LinkProfile::wan_256()),
-        RuleTable::new(),
-    )
+    session(server, user, Strategy::Recursive)
 }
 
 /// Number of flagged objects across both object tables.
 fn flagged(server: &PdmServer) -> usize {
-    ["assy", "comp"]
-        .iter()
-        .map(|t| {
-            server
-                .query(&format!("SELECT obid FROM {t} WHERE checkedout = TRUE"))
-                .unwrap()
-                .len()
-        })
-        .sum()
+    flagged_ids(server, "assy").len() + flagged_ids(server, "comp").len()
 }
 
 /// Four threads race the SAME idempotency token (a client retry racing its
@@ -148,10 +145,7 @@ fn checkin_releases_lock_entries() {
 /// checkpoints carry no retired grants and recovery has nothing to sweep.
 #[test]
 fn session_checkin_retires_durable_grants() {
-    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
-    let (db, _) = build_database(&spec).unwrap();
-    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
-    let server = PdmServer::from_shared(Arc::new(shared));
+    let server = fresh_durable_server();
     let mut alice = session_on(&server, "alice");
 
     for cycle in 0..5 {
@@ -178,10 +172,7 @@ fn session_checkin_retires_durable_grants() {
 /// bounded, so is the checkpoint that carries it.
 #[test]
 fn old_tokens_expire_closed_and_checkpoints_stop_growing() {
-    let spec = TreeSpec::new(2, 3, 1.0).with_node_size(128);
-    let (db, _) = build_database(&spec).unwrap();
-    let shared = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
-    let server = PdmServer::from_shared(Arc::new(shared));
+    let server = fresh_durable_server();
     let mut alice = session_on(&server, "alice");
     let sql = recursive::mle_query(1).to_string();
     let retry = |server: &PdmServer, token: u64| {
@@ -220,8 +211,8 @@ fn old_tokens_expire_closed_and_checkpoints_stop_growing() {
         assert!(server.lock_table().is_empty(), "no retry may take a lock");
     };
     check(&server);
-    let (recovered, _) = recover_server(durability.image(), &DurabilityConfig::default()).unwrap();
-    check(&PdmServer::from_shared(Arc::new(recovered)));
+    let interval = DurabilityConfig::default().checkpoint_interval;
+    check(&recover(durability.image(), interval).unwrap().0);
 
     // A checkpoint is cut every 64 commits = 16 cycles; once the log is
     // full, each one carries the same number of outcomes.

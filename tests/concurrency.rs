@@ -22,44 +22,21 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
-use pdm_core::{
-    LockEvent, PdmServer, ProductTree, Recorder, RuleTable, Session, SessionConfig, Strategy,
-};
-use pdm_net::LinkProfile;
+use pdm_bench::harness::{roots, server, session};
+use pdm_core::{LockEvent, PdmServer, ProductTree, Recorder, Session, Strategy};
 use pdm_prng::Prng;
-use pdm_workload::{build_database, TreeSpec};
+use pdm_workload::TreeSpec;
 
 const THREADS: usize = 8;
 const OPS_PER_THREAD: usize = 40;
 const SEED: u64 = 0x5EED_C0DE;
 
-fn spec() -> TreeSpec {
-    TreeSpec::new(3, 3, 1.0).with_node_size(128)
-}
-
 fn fresh_server() -> PdmServer {
-    let (db, _) = build_database(&spec()).unwrap();
-    PdmServer::new(db)
+    server(&TreeSpec::new(3, 3, 1.0).with_node_size(128))
 }
 
 fn session_on(server: &PdmServer, user: &str) -> Session {
-    Session::attach(
-        server.clone(),
-        SessionConfig::new(user, Strategy::Recursive, LinkProfile::wan_256()),
-        RuleTable::new(),
-    )
-}
-
-/// All assembly ids — the candidate check-out/expand roots.
-fn assy_ids(server: &PdmServer) -> Vec<i64> {
-    let rs = server.query("SELECT obid FROM assy ORDER BY obid").unwrap();
-    rs.rows
-        .iter()
-        .map(|r| match r.get(0) {
-            pdm_sql::Value::Int(i) => *i,
-            other => panic!("non-integer obid {other}"),
-        })
-        .collect()
+    session(server, user, Strategy::Recursive)
 }
 
 /// Dump the complete storage state relevant to the workload.
@@ -78,7 +55,7 @@ fn storage_state(server: &PdmServer) -> Vec<pdm_sql::ResultSet> {
 fn stress_final_state_equals_serial_replay() {
     let server = fresh_server();
     server.shared().enable_journal();
-    let roots = assy_ids(&server);
+    let roots = roots(&server);
     assert!(roots.len() >= 8, "need a real tree to contend over");
 
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -234,7 +211,7 @@ fn replay_of_replay_is_stable() {
     server.shared().enable_journal();
     let mut session = session_on(&server, "solo");
     let mut prng = Prng::seed_from_u64(SEED);
-    let roots = assy_ids(&server);
+    let roots = roots(&server);
     let mut held = Vec::new();
     for _ in 0..30 {
         let root = roots[(prng.next_u64() % roots.len() as u64) as usize];

@@ -27,132 +27,28 @@
 //! round out the suite.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::Duration;
 
+use pdm_bench::harness::{
+    check_recovered, crash_image, database, durable_server, fingerprint_of, flagged_ids, recover,
+    scripted_workload, server, session, small_tree, NO_CHECKPOINTS,
+};
 use pdm_core::query::recursive;
 use pdm_core::{
-    recover_server, DurabilityConfig, PdmServer, Recorder, RetryPolicy, RuleTable, Session,
-    SessionConfig, SessionError, SharedServer, Strategy,
+    recover_server, DurabilityConfig, PdmServer, Recorder, RetryPolicy, SessionError, Strategy,
 };
-use pdm_net::LinkProfile;
 use pdm_prng::Prng;
-use pdm_sql::persist::{database_fingerprint, state_fingerprint};
-use pdm_sql::shared::Snapshot;
-use pdm_sql::{Database, Value};
+use pdm_sql::persist::database_fingerprint;
 use pdm_wal::{CrashPlan, DurableImage, DurableStore, TailFault, WalRecord};
-use pdm_workload::{build_database, TreeSpec};
 
 const WORKLOAD_SEED: u64 = 0x000C_0FFE_E001;
-/// Large enough that only the attach-time checkpoint exists, so the
-/// from-scratch reference can rebuild the checkpoint state from the
-/// deterministic generator instead of decoding the checkpoint blob.
-const NO_CHECKPOINTS: u64 = 1 << 40;
 
-fn spec() -> TreeSpec {
-    TreeSpec::new(3, 3, 1.0).with_node_size(64)
-}
-
-fn initial_database() -> Database {
-    build_database(&spec()).unwrap().0
-}
-
-fn durable_server(plan: CrashPlan, interval: u64) -> PdmServer {
-    let cfg = DurabilityConfig::default()
-        .with_interval(interval)
-        .with_crash_plan(plan);
-    let shared = SharedServer::with_durability(initial_database(), &cfg).unwrap();
-    PdmServer::from_shared(Arc::new(shared))
-}
-
-fn int_column(rows: &pdm_sql::ResultSet) -> Vec<i64> {
-    rows.rows
-        .iter()
-        .map(|r| match r.get(0) {
-            Value::Int(i) => *i,
-            other => panic!("expected integer obid, got {other:?}"),
-        })
-        .collect()
-}
-
-fn assy_ids(server: &PdmServer) -> Vec<i64> {
-    int_column(&server.query("SELECT obid FROM assy ORDER BY obid").unwrap())
-}
-
-fn flagged_ids(server: &PdmServer, table: &str) -> Vec<i64> {
-    int_column(
-        &server
-            .query(&format!(
-                "SELECT obid FROM {table} WHERE checkedout = TRUE ORDER BY obid"
-            ))
-            .unwrap(),
-    )
-}
-
-/// Scripted workload: a seed-deterministic mix of attribute updates,
-/// inserts/deletes, server-side check-outs, and check-ins. All PRNG draws
-/// happen unconditionally, so the op *sequence* is identical whether or not
-/// individual ops fail (after the device crashes, every durable write
-/// errors and the rest of the script becomes no-ops on state).
-fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) {
-    let mut rng = Prng::seed_from_u64(seed);
-    // Post-crash writes fail fast; the workload keeps going regardless.
-    let execute = |sql: String| {
-        let _ = server.execute_deadline_obs(&sql, None, &Recorder::disabled());
-    };
-    let roots = assy_ids(server);
-    let mut spec_obid = 900_000i64;
-    for _ in 0..steps {
-        let kind = rng.index(6);
-        match kind {
-            0 => {
-                let id = roots[rng.index(roots.len())];
-                let payload = rng.ident(4, 12);
-                execute(format!(
-                    "UPDATE assy SET payload = '{payload}' WHERE obid = {id}"
-                ));
-            }
-            1 => {
-                let name = rng.ident(3, 10);
-                let lo = rng.i64_inclusive(1, 40);
-                execute(format!(
-                    "UPDATE comp SET name = '{name}' WHERE obid >= {lo} AND obid <= {}",
-                    lo + 2
-                ));
-            }
-            2 => {
-                spec_obid += 1;
-                let name = rng.ident(3, 10);
-                execute(format!(
-                    "INSERT INTO spec VALUES ('spec', {spec_obid}, '{name}')"
-                ));
-            }
-            3 => {
-                let victim = 900_000 + rng.i64_inclusive(1, (spec_obid - 900_000).max(1));
-                execute(format!("DELETE FROM spec WHERE obid = {victim}"));
-            }
-            4 => {
-                let root = roots[rng.index(roots.len())];
-                let sql = recursive::mle_query(root).to_string();
-                let token = server.shared().next_token();
-                let _ = server.checkout_procedure_with_deadline_obs(
-                    root,
-                    &sql,
-                    token,
-                    Some(Duration::from_secs(5)),
-                    &Recorder::disabled(),
-                );
-            }
-            _ => {
-                // Check in whatever is currently flagged (possibly nothing).
-                let assy = flagged_ids(server, "assy");
-                let comp = flagged_ids(server, "comp");
-                if !assy.is_empty() || !comp.is_empty() {
-                    let _ = server.checkin_procedure(&assy, &comp, &Recorder::disabled());
-                }
-            }
-        }
-    }
+/// A durable server on the harness tree with only the attach-time
+/// checkpoint (`NO_CHECKPOINTS`), so the from-scratch reference can rebuild
+/// the checkpoint state from the deterministic generator instead of
+/// decoding the checkpoint blob.
+fn victim(plan: CrashPlan) -> PdmServer {
+    durable_server(&small_tree(), plan, NO_CHECKPOINTS)
 }
 
 /// Independent reference: rebuild the generator's initial state, scan the
@@ -166,7 +62,7 @@ fn reference_replay(image: &DurableImage) -> (Vec<u8>, Vec<u64>) {
         recovered.checkpoint.is_some(),
         "the attach-time checkpoint must always survive"
     );
-    let mut db = initial_database();
+    let mut db = database(&small_tree());
     let mut grants: BTreeMap<u64, (Vec<i64>, Vec<i64>)> = BTreeMap::new();
     let mut tokens = Vec::new();
     for (_seq, record) in recovered.records {
@@ -212,119 +108,34 @@ fn reference_replay(image: &DurableImage) -> (Vec<u8>, Vec<u64>) {
             .unwrap();
         }
     }
-    let fp = fingerprint_of(db);
-    (fp, tokens)
-}
-
-/// The crashed server's published snapshot plus the sweep of its own
-/// outstanding grants — a second, in-memory reference. The commit gate
-/// syncs before publishing, so published state == durable prefix state.
-fn published_plus_sweep(server: &PdmServer) -> Vec<u8> {
-    let snapshot = server.database().snapshot();
-    let mut db = Database {
-        catalog: snapshot.catalog.clone(),
-        config: snapshot.config.clone(),
-    };
-    let grants = server.shared().durability().unwrap().outstanding_grants();
-    let mut sweep_assy: Vec<i64> = grants.values().flat_map(|g| g.assy.clone()).collect();
-    let mut sweep_comp: Vec<i64> = grants.values().flat_map(|g| g.comp.clone()).collect();
-    sweep_assy.sort_unstable();
-    sweep_assy.dedup();
-    sweep_comp.sort_unstable();
-    sweep_comp.dedup();
-    for (table, ids) in [("assy", &sweep_assy), ("comp", &sweep_comp)] {
-        if !ids.is_empty() {
-            let list = ids
-                .iter()
-                .map(|id| id.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            db.execute(&format!(
-                "UPDATE {table} SET checkedout = FALSE WHERE obid IN ({list})"
-            ))
-            .unwrap();
-        }
-    }
-    fingerprint_of(db)
-}
-
-fn fingerprint_of(db: Database) -> Vec<u8> {
-    state_fingerprint(&Snapshot {
-        catalog: db.catalog,
-        config: db.config,
-        version: 0,
-    })
+    (fingerprint_of(db), tokens)
 }
 
 /// Everything the acceptance criteria demand of one recovered server.
 fn assert_recovery_invariants(image: DurableImage, crashed: &PdmServer, context: &str) {
-    let cfg = DurabilityConfig::default().with_interval(NO_CHECKPOINTS);
-    let (recovered, report) = recover_server(image.clone(), &cfg)
-        .unwrap_or_else(|e| panic!("{context}: recovery failed: {e}"));
-    let recovered = PdmServer::from_shared(Arc::new(recovered));
+    let (recovered, report) =
+        recover(image.clone(), NO_CHECKPOINTS).unwrap_or_else(|e| panic!("{context}: {e}"));
 
     // 1. Byte-identical to the independent serial replay of the durable
-    //    commit-log prefix.
+    //    commit-log prefix, and every token the log completed is restored.
     let (reference_fp, tokens) = reference_replay(&image);
-    let recovered_fp = database_fingerprint(recovered.database());
     assert_eq!(
-        recovered_fp, reference_fp,
+        database_fingerprint(recovered.database()),
+        reference_fp,
         "{context}: recovered state differs from serial replay of the durable prefix"
     );
-
-    // 2. ... and to the crashed server's published state plus the sweep.
-    assert_eq!(
-        recovered_fp,
-        published_plus_sweep(crashed),
-        "{context}: durable prefix drifted from the published snapshot"
-    );
-
-    // 3. No check-out held by a dead session.
-    assert!(
-        recovered.shared().lock_table().is_empty(),
-        "{context}: stale lock grants survived recovery"
-    );
-    for table in ["assy", "comp"] {
+    for token in &tokens {
         assert!(
-            flagged_ids(&recovered, table).is_empty(),
-            "{context}: stale checkedout flags in {table}"
-        );
-    }
-    assert!(
-        recovered
-            .shared()
-            .durability()
-            .unwrap()
-            .outstanding_grants()
-            .is_empty(),
-        "{context}: grants still tracked after the sweep"
-    );
-
-    // 4. Completed idempotency tokens replay their recorded outcome
-    //    without re-executing (version must not move).
-    for token in tokens {
-        assert!(
-            recovered.checkout_recorded(token),
+            recovered.checkout_recorded(*token),
             "{context}: completed token {token} lost"
         );
-        let before = recovered.database().version();
-        let replayed = recovered
-            .checkout_procedure_with_deadline_obs(
-                1,
-                "unused",
-                token,
-                Some(Duration::from_secs(1)),
-                &Recorder::disabled(),
-            )
-            .unwrap_or_else(|e| panic!("{context}: token {token} replay failed: {e}"));
-        assert_eq!(
-            recovered.database().version(),
-            before,
-            "{context}: token {token} replay re-executed the procedure"
-        );
-        // The recorded outcome (grant or refusal) came back as recorded.
-        let _ = replayed.rows;
     }
+
+    // 2. The shared oracle: ... and to the crashed server's published state
+    //    plus the sweep; no check-out held by a dead session (locks, flags,
+    //    tracked grants); completed tokens replay their recorded outcome
+    //    without re-executing.
+    check_recovered(crashed, &recovered, &tokens).unwrap_or_else(|e| panic!("{context}: {e}"));
 
     // The report is internally consistent with what we checked.
     assert_eq!(
@@ -340,7 +151,7 @@ fn assert_recovery_invariants(image: DurableImage, crashed: &PdmServer, context:
 #[test]
 fn exhaustive_crash_point_sweep_recovers_exactly() {
     // Fault-free run to learn the op budget of the script.
-    let server = durable_server(CrashPlan::none(), NO_CHECKPOINTS);
+    let server = victim(CrashPlan::none());
     scripted_workload(&server, WORKLOAD_SEED, 30);
     let stats = server.shared().durability().unwrap().device_stats();
     let total_ops = stats.appends + stats.syncs;
@@ -359,14 +170,13 @@ fn exhaustive_crash_point_sweep_recovers_exactly() {
             let plan = CrashPlan::at_op(op)
                 .with_fault(fault)
                 .with_seed(WORKLOAD_SEED ^ op);
-            let victim = durable_server(plan, NO_CHECKPOINTS);
+            let victim = victim(plan);
             scripted_workload(&victim, WORKLOAD_SEED, 30);
-            let durability = victim.shared().durability().unwrap();
             assert!(
-                durability.is_crashed(),
+                victim.durability().unwrap().is_crashed(),
                 "plan at op {op} never fired ({fault:?})"
             );
-            let image = durability.image();
+            let image = crash_image(&victim);
             assert_recovery_invariants(image, &victim, &format!("{fault:?} op {op}"));
             crash_points += 1;
         }
@@ -393,7 +203,7 @@ fn concurrent_workload_killed_at_random_boundary_recovers() {
                 _ => TailFault::PartialSector,
             })
             .with_seed(rng.next_u64());
-        let server = durable_server(plan, NO_CHECKPOINTS);
+        let server = victim(plan);
         let mut handles = Vec::new();
         for worker in 0..3u64 {
             let server = server.clone();
@@ -405,11 +215,7 @@ fn concurrent_workload_killed_at_random_boundary_recovers() {
         for h in handles {
             h.join().unwrap();
         }
-        let durability = server.shared().durability().unwrap();
-        if !durability.is_crashed() {
-            durability.crash_now();
-        }
-        let image = durability.image();
+        let image = crash_image(&server);
         assert_recovery_invariants(image, &server, &format!("concurrent round {round}"));
     }
 }
@@ -419,10 +225,10 @@ fn concurrent_workload_killed_at_random_boundary_recovers() {
 /// running the same script, and to its own recovered image.
 #[test]
 fn fault_free_runs_identical_with_wal_on_and_off() {
-    let durable = durable_server(CrashPlan::none(), NO_CHECKPOINTS);
+    let durable = victim(CrashPlan::none());
     scripted_workload(&durable, WORKLOAD_SEED, 30);
 
-    let plain = PdmServer::new(initial_database());
+    let plain = server(&small_tree());
     scripted_workload(&plain, WORKLOAD_SEED, 30);
 
     assert_eq!(
@@ -441,34 +247,16 @@ fn recovery_with_frequent_checkpoints_matches_published_state() {
         let plan = CrashPlan::at_op(op)
             .with_fault(TailFault::TornWrite)
             .with_seed(op);
-        let run_cfg = DurabilityConfig::default()
-            .with_interval(4)
-            .with_crash_plan(plan);
-        let victim = PdmServer::from_shared(Arc::new(
-            SharedServer::with_durability(initial_database(), &run_cfg).unwrap(),
-        ));
+        let victim = durable_server(&small_tree(), plan, 4);
         scripted_workload(&victim, WORKLOAD_SEED, 30);
-        let durability = victim.shared().durability().unwrap();
-        if !durability.is_crashed() {
-            // The op budget shrinks as checkpoints truncate the log; a plan
-            // past the end simply never fires. Kill at the end instead.
-            durability.crash_now();
-        }
-        // Recover with a crash-free device: the old plan must not re-fire
-        // against the replacement log during the recovery sweep.
-        let recover_cfg = DurabilityConfig::default().with_interval(4);
-        let (recovered, _report) = recover_server(durability.image(), &recover_cfg)
-            .unwrap_or_else(|e| panic!("checkpointed op {op}: recovery failed: {e}"));
-        let recovered = PdmServer::from_shared(Arc::new(recovered));
-        assert_eq!(
-            database_fingerprint(recovered.database()),
-            published_plus_sweep(&victim),
-            "checkpointed op {op}: recovered state drifted"
-        );
-        assert!(recovered.shared().lock_table().is_empty());
-        for table in ["assy", "comp"] {
-            assert!(flagged_ids(&recovered, table).is_empty());
-        }
+        // The op budget shrinks as checkpoints truncate the log; a plan
+        // past the end simply never fires — `crash_image` kills at the end
+        // instead. Recover with a crash-free device: the old plan must not
+        // re-fire against the replacement log during the recovery sweep.
+        let (recovered, _report) = recover(crash_image(&victim), 4)
+            .unwrap_or_else(|e| panic!("checkpointed op {op}: {e}"));
+        check_recovered(&victim, &recovered, &[])
+            .unwrap_or_else(|e| panic!("checkpointed op {op}: {e}"));
     }
 }
 
@@ -477,7 +265,7 @@ fn recovery_with_frequent_checkpoints_matches_published_state() {
 /// its deadline instead of being refused by a dead session's grant.
 #[test]
 fn crashed_grant_is_released_and_waiting_retry_succeeds() {
-    let server = durable_server(CrashPlan::none(), NO_CHECKPOINTS);
+    let server = victim(CrashPlan::none());
     let sql = recursive::mle_query(1).to_string();
     let token = server.shared().next_token();
     let granted = server
@@ -494,28 +282,16 @@ fn crashed_grant_is_released_and_waiting_retry_succeeds() {
     assert!(!server.shared().lock_table().is_empty());
 
     // The process dies with the grant held.
-    let durability = server.shared().durability().unwrap();
-    durability.crash_now();
-    let image = durability.image();
-
-    let cfg = DurabilityConfig::default().with_interval(NO_CHECKPOINTS);
-    let (recovered, report) = recover_server(image, &cfg).unwrap();
+    let (recovered, report) = recover(crash_image(&server), NO_CHECKPOINTS).unwrap();
     assert!(
         report.swept_tokens.contains(&token),
         "the dead session's grant was not swept"
     );
-    let recovered = PdmServer::from_shared(Arc::new(recovered));
-    assert!(recovered.shared().lock_table().is_empty());
-    assert!(flagged_ids(&recovered, "assy").is_empty());
-    assert!(flagged_ids(&recovered, "comp").is_empty());
+    check_recovered(&server, &recovered, &[token]).unwrap();
 
     // A fresh session with a retry policy checks the same tree out within
     // its deadline — the crashed holder no longer blocks it.
-    let mut session = Session::attach(
-        recovered.clone(),
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_256()),
-        RuleTable::new(),
-    );
+    let mut session = session(&recovered, "scott", Strategy::Recursive);
     session.set_retry_policy(RetryPolicy::default_wan().with_max_attempts(3));
     let out = session.check_out_function_shipping(1).unwrap();
     assert!(
@@ -529,7 +305,7 @@ fn crashed_grant_is_released_and_waiting_retry_succeeds() {
 /// `SessionError::CorruptLog`.
 #[test]
 fn corrupt_checkpoint_surfaces_offset_and_checksums() {
-    let server = durable_server(CrashPlan::none(), NO_CHECKPOINTS);
+    let server = victim(CrashPlan::none());
     scripted_workload(&server, WORKLOAD_SEED, 12);
     let mut image = server.shared().durability().unwrap().image();
     let last = image.checkpoint.len() - 1;
@@ -562,19 +338,17 @@ fn corrupt_checkpoint_surfaces_offset_and_checksums() {
 /// truncated.
 #[test]
 fn torn_log_tail_is_truncated_and_reported() {
-    let server = durable_server(CrashPlan::none(), NO_CHECKPOINTS);
+    let server = victim(CrashPlan::none());
     scripted_workload(&server, WORKLOAD_SEED, 12);
     let mut image = server.shared().durability().unwrap().image();
     // Chop mid-record: strictly inside the last frame.
     image.log.truncate(image.log.len() - 3);
 
-    let cfg = DurabilityConfig::default().with_interval(NO_CHECKPOINTS);
-    let (recovered, report) = recover_server(image.clone(), &cfg).unwrap();
+    let (recovered, report) = recover(image.clone(), NO_CHECKPOINTS).unwrap();
     assert!(
         report.tail_damage.is_some(),
         "truncated tail should be reported"
     );
-    let recovered = PdmServer::from_shared(Arc::new(recovered));
     let (reference_fp, _) = reference_replay(&image);
     assert_eq!(database_fingerprint(recovered.database()), reference_fp);
 }

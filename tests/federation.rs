@@ -5,47 +5,17 @@
 //! tree as a single server, with the recursive strategy paying one round
 //! trip per *visited partition* instead of one total.
 
-use pdm_bench::visibility_rules;
-use pdm_core::{Federation, MountPoint, Session, SessionConfig, Strategy};
+use pdm_bench::{harness, session_over};
+use pdm_core::{Federation, Strategy};
 use pdm_net::LinkProfile;
-use pdm_workload::{build_database, generate, partition, TreeSpec};
-
-fn mounts_of(info: &pdm_workload::PartitionInfo) -> Vec<MountPoint> {
-    info.mounts
-        .iter()
-        .map(|m| MountPoint {
-            parent: m.parent,
-            child: m.child,
-            child_site: m.child_site,
-            visible: m.visible,
-        })
-        .collect()
-}
+use pdm_workload::{generate, partition, TreeSpec};
 
 fn federation(spec: &TreeSpec, n_sites: usize, strategy: Strategy) -> Federation {
-    let data = generate(spec);
-    let (dbs, info) = partition(&data, n_sites).unwrap();
-    let links = vec![LinkProfile::wan_256(); n_sites];
-    let names = (0..n_sites).map(|i| format!("site{i}")).collect();
-    Federation::new(
-        dbs,
-        links,
-        names,
-        info.site_of.clone(),
-        mounts_of(&info),
-        "scott",
-        strategy,
-        visibility_rules(),
-    )
+    harness::federation(spec, vec![LinkProfile::wan_256(); n_sites], strategy)
 }
 
 fn single_server_tree(spec: &TreeSpec) -> Vec<i64> {
-    let (db, _) = build_database(spec).unwrap();
-    let mut s = Session::new(
-        db,
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_256()),
-        visibility_rules(),
-    );
+    let mut s = session_over(spec, Strategy::Recursive, LinkProfile::wan_256());
     s.multi_level_expand(1).unwrap().tree.node_ids().collect()
 }
 
@@ -120,20 +90,8 @@ fn federated_recursive_still_beats_navigational() {
 fn heterogeneous_links_charge_per_site() {
     // Site 0 on a LAN, site 1 across the ocean: the slow site dominates.
     let spec = TreeSpec::new(3, 2, 1.0).with_node_size(256);
-    let data = generate(&spec);
-    let (dbs, info) = partition(&data, 2).unwrap();
     let links = vec![LinkProfile::lan(), LinkProfile::wan_256()];
-    let names = vec!["local".to_string(), "overseas".to_string()];
-    let mut fed = Federation::new(
-        dbs,
-        links,
-        names,
-        info.site_of.clone(),
-        mounts_of(&info),
-        "scott",
-        Strategy::Recursive,
-        visibility_rules(),
-    );
+    let mut fed = harness::federation(&spec, links, Strategy::Recursive);
     let out = fed.multi_level_expand(1).unwrap();
     assert!(out.per_site[1].response_time() > 10.0 * out.per_site[0].response_time());
 }

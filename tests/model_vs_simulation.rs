@@ -10,9 +10,8 @@
 //! deviate from the 512-byte average only through per-layout overhead
 //! differences).
 
-use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{ActionKind, Rule};
-use pdm_core::{RuleTable, Session, SessionConfig, Strategy};
+use pdm_bench::{make_session, visibility_rules};
+use pdm_core::{Session, SessionConfig, Strategy};
 use pdm_model::response::response;
 use pdm_model::{Action, KaryTree, Strategy as ModelStrategy};
 use pdm_net::LinkProfile;
@@ -20,26 +19,14 @@ use pdm_workload::{build_database, TreeSpec};
 
 const NODE: usize = 512;
 
-/// Visibility rules matching the generator's γ marking.
-fn visibility_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
-
 fn session(depth: u32, branching: u32, gamma: f64, strategy: Strategy) -> Session {
-    let spec = TreeSpec::new(depth, branching, gamma).with_node_size(NODE);
-    let (db, _) = build_database(&spec).unwrap();
-    Session::new(
-        db,
-        SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-        visibility_rules(),
+    make_session(
+        depth,
+        branching,
+        gamma,
+        NODE,
+        strategy,
+        LinkProfile::wan_256(),
     )
 }
 

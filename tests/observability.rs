@@ -15,38 +15,28 @@
 //!   lock counters, and the WAL fsync histogram in one snapshot;
 //! * meta: every span kind a subsystem emits is declared in `kinds::ALL`.
 
-use std::sync::Arc;
-
-use pdm_core::{
-    DurabilityConfig, PdmServer, RuleTable, Session, SessionConfig, SharedServer, Strategy,
-    Subsystem,
-};
-use pdm_net::LinkProfile;
+use pdm_bench::harness::{durable_server, server, session, NO_CHECKPOINTS};
+use pdm_core::{PdmServer, Session, Strategy, Subsystem};
 use pdm_obs::{kinds, SpanRecord};
-use pdm_workload::{build_database, TreeSpec};
+use pdm_wal::CrashPlan;
+use pdm_workload::TreeSpec;
 
 fn spec() -> TreeSpec {
     TreeSpec::new(3, 3, 1.0).with_node_size(128)
 }
 
 fn plain_server() -> PdmServer {
-    PdmServer::new(build_database(&spec()).unwrap().0)
+    server(&spec())
 }
 
 /// WAL-backed server (checkpoints effectively off) so check-out exercises
 /// the durability path and its WAL spans.
-fn durable_server() -> PdmServer {
-    let cfg = DurabilityConfig::default().with_interval(1 << 40);
-    let shared = SharedServer::with_durability(build_database(&spec()).unwrap().0, &cfg).unwrap();
-    PdmServer::from_shared(Arc::new(shared))
+fn wal_server() -> PdmServer {
+    durable_server(&spec(), CrashPlan::none(), NO_CHECKPOINTS)
 }
 
 fn session_on(server: &PdmServer, strategy: Strategy) -> Session {
-    Session::attach(
-        server.clone(),
-        SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-        RuleTable::new(),
-    )
+    session(server, "scott", strategy)
 }
 
 /// Structural invariants every recorded span tree must satisfy.
@@ -80,7 +70,7 @@ fn assert_well_formed(spans: &[SpanRecord]) {
 /// subsystem and reconciles exactly with the channel's metering.
 #[test]
 fn profiled_checkout_covers_all_subsystems_and_reconciles() {
-    let server = durable_server();
+    let server = wal_server();
     let mut s = session_on(&server, Strategy::Recursive);
     s.enable_profiling();
 
@@ -150,7 +140,7 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
 /// network quantities.
 #[test]
 fn registry_unifies_traffic_cache_locks_and_wal() {
-    let server = durable_server();
+    let server = wal_server();
     let mut s = session_on(&server, Strategy::Recursive);
     s.enable_profiling();
 

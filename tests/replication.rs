@@ -28,102 +28,33 @@
 //!   degradation controller's staleness rung converts repeated lag
 //!   timeouts into explicitly annotated stale reads.
 
+use pdm_bench::harness::{
+    cluster, connect, connect_all, converge, drive_step, flagged_ids, roots, Client,
+};
 use pdm_core::repl::RETENTION_INTERVALS;
 use pdm_core::{
     replay_prefix, Cluster, ClusterConfig, DurabilityConfig, ProductTree, RetryPolicy,
-    RoutedSession, RuleTable, SessionConfig, SessionError, Strategy,
+    RoutedSession, SessionError,
 };
-use pdm_net::{FaultPlan, LinkProfile, OutageWindow};
+use pdm_net::{FaultPlan, OutageWindow};
 use pdm_prng::splitmix64;
 use pdm_sql::Value;
-use pdm_workload::{build_database, multisite_plan, SiteOp, TreeSpec};
+use pdm_workload::{multisite_plan, SiteStep, TreeSpec};
 
 fn small_cluster(cfg: ClusterConfig) -> Cluster {
-    let (db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(64)).unwrap();
-    Cluster::new(db, cfg).unwrap()
+    cluster(&TreeSpec::new(2, 2, 1.0).with_node_size(64), cfg)
 }
 
-fn connect(cluster: &Cluster, site: usize) -> RoutedSession {
-    RoutedSession::connect(
-        cluster,
-        site,
-        SessionConfig::new("scott", Strategy::Recursive, LinkProfile::wan_512()),
-        RuleTable::new(),
-    )
-}
-
-fn roots_of(cluster: &Cluster) -> Vec<i64> {
-    int_column(
-        &cluster
-            .primary()
-            .query("SELECT obid FROM assy ORDER BY obid")
-            .unwrap(),
-    )
-}
-
-fn int_column(rows: &pdm_sql::ResultSet) -> Vec<i64> {
-    rows.rows
-        .iter()
-        .filter_map(|r| match r.get(0) {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
-}
-
-fn flagged_ids(cluster: &Cluster, table: &str) -> Vec<i64> {
-    int_column(
-        &cluster
-            .primary()
-            .query(&format!(
-                "SELECT obid FROM {table} WHERE checkedout = TRUE ORDER BY obid"
-            ))
-            .unwrap(),
-    )
-}
-
-/// Drive one plan step through its site's session; reads are skipped when
-/// `writes_only`. Returns whether the step extended the log.
-fn drive_step(
+/// Drive the write steps of `plan`, each through its site's session.
+fn drive_writes(
     cluster: &mut Cluster,
     sessions: &mut [RoutedSession],
     held: &mut [Option<ProductTree>],
-    site: usize,
-    op: &SiteOp,
-    writes_only: bool,
-) -> bool {
-    match op {
-        SiteOp::Update { root, payload } => {
-            let sql = format!("UPDATE assy SET payload = '{payload}' WHERE obid = {root}");
-            sessions[site].execute_dml(cluster, &sql).unwrap();
-            true
-        }
-        SiteOp::CheckOut { root } => {
-            let (out, _) = sessions[site].check_out(cluster, *root).unwrap();
-            if let Some(tree) = out.tree {
-                held[site] = Some(tree);
-            }
-            true
-        }
-        SiteOp::CheckIn => match held[site].take() {
-            Some(tree) => {
-                sessions[site].check_in(cluster, &tree).unwrap();
-                true
-            }
-            None => false,
-        },
-        SiteOp::Expand { root } => {
-            if !writes_only {
-                sessions[site].multi_level_expand(cluster, *root).unwrap();
-            }
-            false
-        }
-        SiteOp::QueryAll { root } => {
-            if !writes_only {
-                sessions[site].query_all(cluster, *root).unwrap();
-            }
-            false
-        }
+    plan: &[SiteStep],
+) {
+    for step in plan.iter().filter(|step| step.op.is_write()) {
+        let client = Client::Routed(&mut sessions[step.site], cluster);
+        drive_step(client, &mut held[step.site], &step.op).unwrap();
     }
 }
 
@@ -140,22 +71,12 @@ fn failover_point(seed: u64, cut: usize, interval: u64) -> bool {
         .with_max_pump_rounds(512)
         .with_durability(DurabilityConfig::default().with_interval(interval));
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
-    let sites = cluster.replica_sites();
-    let mut sessions: Vec<RoutedSession> = sites.iter().map(|s| connect(&cluster, *s)).collect();
+    let roots = roots(cluster.primary());
+    let mut sessions = connect_all(&cluster);
     let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
 
     let plan = multisite_plan(seed, sessions.len(), cut + 1, &roots);
-    for step in &plan {
-        drive_step(
-            &mut cluster,
-            &mut sessions,
-            &mut held,
-            step.site,
-            &step.op,
-            true,
-        );
-    }
+    drive_writes(&mut cluster, &mut sessions, &mut held, &plan);
 
     // Kill the primary: promote the most caught-up replica.
     let rebased = cluster.feed().base_seq() > 0;
@@ -199,21 +120,12 @@ fn failover_point(seed: u64, cut: usize, interval: u64) -> bool {
         d.outstanding_grants().is_empty(),
         "seed {seed} cut {cut}: grants survived promotion"
     );
-    assert!(flagged_ids(&cluster, "assy").is_empty());
-    assert!(flagged_ids(&cluster, "comp").is_empty());
+    assert!(flagged_ids(cluster.primary(), "assy").is_empty());
+    assert!(flagged_ids(cluster.primary(), "comp").is_empty());
 
     // Writers continue against the new epoch.
     let post = multisite_plan(splitmix64(seed) ^ 0xF0, sessions.len(), 6, &roots);
-    for step in &post {
-        drive_step(
-            &mut cluster,
-            &mut sessions,
-            &mut held,
-            step.site,
-            &step.op,
-            true,
-        );
-    }
+    drive_writes(&mut cluster, &mut sessions, &mut held, &post);
     for s in &sessions {
         if let Some(receipt) = s.last_write() {
             assert!(receipt.epoch <= 2);
@@ -222,15 +134,9 @@ fn failover_point(seed: u64, cut: usize, interval: u64) -> bool {
 
     // Every survivor converges onto the new primary (ship_once runs the
     // divergence digest check on the way).
-    for _ in 0..2048 {
-        if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
-            break;
-        }
-        cluster.pump().unwrap();
-    }
+    converge(&mut cluster);
     let fp = cluster.primary_fingerprint();
     for s in cluster.replica_sites() {
-        assert_eq!(cluster.lag(s), 0, "seed {seed} cut {cut}: site {s} stuck");
         assert_eq!(cluster.replica(s).unwrap().fingerprint(), fp);
     }
     rebased
@@ -273,7 +179,7 @@ fn laggard_past_the_retention_bound_is_reseeded() {
         .with_replicas(2)
         .with_durability(DurabilityConfig::default().with_interval(INTERVAL));
     let mut cluster = small_cluster(cfg);
-    let root = roots_of(&cluster)[0];
+    let root = roots(cluster.primary())[0];
     let mut near = connect(&cluster, 1);
     let mut far = connect(&cluster, 2);
     let generation = cluster.generation();
@@ -343,33 +249,25 @@ fn read_your_writes_holds_across_four_sites() {
         .with_ship_faults(faults)
         .with_max_pump_rounds(512);
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
+    let roots = roots(cluster.primary());
     let sites = cluster.replica_sites();
     assert!(sites.len() >= 4);
-    let mut sessions: Vec<RoutedSession> = sites.iter().map(|s| connect(&cluster, *s)).collect();
+    let mut sessions = connect_all(&cluster);
     let mut held: Vec<Option<ProductTree>> = vec![None; sessions.len()];
 
     let plan = multisite_plan(0x0512_D00D, sessions.len(), 80, &roots);
     let mut reads = 0;
     for step in &plan {
         let i = step.site;
-        match &step.op {
-            SiteOp::Expand { root } => {
-                let out = sessions[i].multi_level_expand(&mut cluster, *root).unwrap();
-                assert!(
-                    out.staleness.is_none(),
-                    "unbounded wait must never go stale"
-                );
-                reads += 1;
-            }
-            SiteOp::QueryAll { root } => {
-                let out = sessions[i].query_all(&mut cluster, *root).unwrap();
-                assert!(out.staleness.is_none());
-                reads += 1;
-            }
-            op => {
-                drive_step(&mut cluster, &mut sessions, &mut held, i, op, false);
-            }
+        let client = Client::Routed(&mut sessions[i], &mut cluster);
+        let ran = drive_step(client, &mut held[i], &step.op).unwrap();
+        if !step.op.is_write() {
+            let read = ran.expect("a read always runs");
+            assert!(
+                read.staleness.is_none(),
+                "unbounded wait must never go stale"
+            );
+            reads += 1;
         }
         // The watermark invariant behind the guarantee: after an
         // un-annotated read, the site's replica is at or past the
@@ -377,7 +275,7 @@ fn read_your_writes_holds_across_four_sites() {
         if let Some(receipt) = sessions[i].last_write() {
             if receipt.epoch == cluster.epoch() {
                 if let Some(replica) = cluster.replica(sites[i]) {
-                    if matches!(step.op, SiteOp::Expand { .. } | SiteOp::QueryAll { .. }) {
+                    if !step.op.is_write() {
                         assert!(
                             replica.applied_seq() >= receipt.seq,
                             "site {} read below its own write: applied {} < seq {}",
@@ -409,7 +307,7 @@ fn read_your_writes_holds_across_four_sites() {
 fn lease_expiry_promotes_and_heals_deposed_primary() {
     let cfg = ClusterConfig::default().with_replicas(2).with_lease(30.0);
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
+    let roots = roots(cluster.primary());
     let mut session = connect(&cluster, 1);
 
     // Seed some replicated history first.
@@ -466,12 +364,7 @@ fn lease_expiry_promotes_and_heals_deposed_primary() {
         cluster.replica_sites().contains(&0),
         "deposed primary never healed back in"
     );
-    for _ in 0..512 {
-        if cluster.replica_sites().iter().all(|s| cluster.lag(*s) == 0) {
-            break;
-        }
-        cluster.pump().unwrap();
-    }
+    converge(&mut cluster);
     assert_eq!(
         cluster.replica(0).unwrap().fingerprint(),
         cluster.primary_fingerprint()
@@ -491,7 +384,7 @@ fn replica_lag_timeout_names_the_expiring_span() {
         .with_ship_faults(FaultPlan::none().with_stall_rate(1.0).with_seed(7))
         .with_ack_replicas(0);
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
+    let roots = roots(cluster.primary());
     let mut session = connect(&cluster, 1);
     session.set_retry_policy(RetryPolicy::none().with_deadline(0.05));
 
@@ -536,7 +429,7 @@ fn replica_lag_timeout_names_the_expiring_span() {
 fn primary_unavailable_names_the_expiring_span() {
     let cfg = ClusterConfig::default().with_replicas(2).with_lease(30.0);
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
+    let roots = roots(cluster.primary());
     let mut session = connect(&cluster, 1);
     session.set_retry_policy(RetryPolicy::none().with_deadline(1.0));
 
@@ -571,7 +464,7 @@ fn staleness_rung_serves_annotated_reads() {
         .with_ship_faults(FaultPlan::none().with_stall_rate(1.0).with_seed(9))
         .with_ack_replicas(0);
     let mut cluster = small_cluster(cfg);
-    let roots = roots_of(&cluster);
+    let roots = roots(cluster.primary());
     let mut session = connect(&cluster, 1);
     session.set_retry_policy(RetryPolicy::none().with_deadline(0.05));
 

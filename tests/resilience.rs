@@ -6,44 +6,23 @@
 //! recursive degradation serves the same visible tree, and federations
 //! mark unreachable sites instead of failing or truncating silently.
 
-use pdm_bench::visibility_rules;
-use pdm_core::{
-    Federation, MountPoint, ProductTree, RetryPolicy, Session, SessionConfig, SessionError,
-    Strategy,
-};
+use pdm_bench::harness::{federation, flagged_ids, roots};
+use pdm_bench::session_over;
+use pdm_core::{ProductTree, RetryPolicy, Session, SessionError, Strategy};
 use pdm_net::{FaultPlan, LinkProfile, OutageWindow, ScriptedKind};
 use pdm_prng::Prng;
-use pdm_sql::Value;
-use pdm_workload::{build_database, generate, partition, TreeSpec};
+use pdm_workload::TreeSpec;
 
 fn session(strategy: Strategy, spec: &TreeSpec) -> Session {
-    let (db, _) = build_database(spec).unwrap();
-    Session::new(
-        db,
-        SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
-        visibility_rules(),
-    )
+    session_over(spec, strategy, LinkProfile::wan_256())
 }
 
 fn spec() -> TreeSpec {
     TreeSpec::new(3, 5, 0.6).with_node_size(256)
 }
 
-fn checked_out_count(s: &Session) -> i64 {
-    let mut n = 0;
-    for table in ["assy", "comp"] {
-        let rs = s
-            .server()
-            .query(&format!(
-                "SELECT COUNT(*) AS n FROM {table} WHERE checkedout = TRUE"
-            ))
-            .unwrap();
-        match rs.rows[0].get(0) {
-            Value::Int(i) => n += i,
-            other => panic!("unexpected count {other:?}"),
-        }
-    }
-    n
+fn checked_out_count(s: &Session) -> usize {
+    flagged_ids(s.server(), "assy").len() + flagged_ids(s.server(), "comp").len()
 }
 
 #[test]
@@ -64,7 +43,7 @@ fn checkout_stays_atomic_when_the_confirmation_is_lost() {
     );
 
     // flags flipped exactly once: every tree node, nothing else
-    assert_eq!(checked_out_count(&s), tree.len() as i64);
+    assert_eq!(checked_out_count(&s), tree.len());
 
     // a genuinely new check-out is still refused (∀rows condition)
     let denied = s.check_out_function_shipping(1).unwrap();
@@ -227,7 +206,7 @@ fn classic_checkout_update_replays_are_idempotent() {
     let out = s.check_out(1).unwrap();
     let tree = out.tree.expect("check-out succeeds through the noise");
     // flags exactly once per node, no matter how many times the UPDATE ran
-    assert_eq!(checked_out_count(&s), tree.len() as i64);
+    assert_eq!(checked_out_count(&s), tree.len());
     // and check-in under the same noise releases everything
     let n = s.check_in(&tree).unwrap();
     assert_eq!(n, tree.len());
@@ -237,35 +216,7 @@ fn classic_checkout_update_replays_are_idempotent() {
 #[test]
 fn federation_marks_unreachable_sites_as_partial() {
     let sp = TreeSpec::new(3, 4, 1.0).with_node_size(256);
-    let data = generate(&sp);
-    let n_sites = 3;
-    let (_, info) = partition(&data, n_sites).unwrap();
-    let links = vec![LinkProfile::wan_256(); n_sites];
-    let names: Vec<String> = (0..n_sites).map(|i| format!("site{i}")).collect();
-    let mounts: Vec<MountPoint> = info
-        .mounts
-        .iter()
-        .map(|m| MountPoint {
-            parent: m.parent,
-            child: m.child,
-            child_site: m.child_site,
-            visible: m.visible,
-        })
-        .collect();
-
-    let build = |strategy: Strategy| {
-        let (dbs, _) = partition(&data, n_sites).unwrap();
-        Federation::new(
-            dbs,
-            links.clone(),
-            names.clone(),
-            info.site_of.clone(),
-            mounts.clone(),
-            "scott",
-            strategy,
-            visibility_rules(),
-        )
-    };
+    let build = |strategy| federation(&sp, vec![LinkProfile::wan_256(); 3], strategy);
 
     for strategy in [Strategy::Recursive, Strategy::EarlyEval] {
         let mut fed = build(strategy);
@@ -391,17 +342,7 @@ fn fault_free_plan_is_indistinguishable_from_no_plan() {
         planned.set_fault_plan(FaultPlan::none());
         assert!(plain.fault_plan().is_none() && planned.fault_plan().is_some());
 
-        let roots: Vec<i64> = plain
-            .server()
-            .query("SELECT obid FROM assy ORDER BY obid")
-            .unwrap()
-            .rows
-            .iter()
-            .map(|r| match r.get(0) {
-                Value::Int(i) => *i,
-                other => panic!("unexpected obid {other:?}"),
-            })
-            .collect();
+        let roots = roots(plain.server());
         let mut rng = Prng::seed_from_u64(0x12_D1FF);
         let (mut held_plain, mut held_planned) = (Vec::new(), Vec::new());
         for step in 0..60 {

@@ -6,22 +6,10 @@
 //! product structures.
 
 use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{ActionKind, Rule, UserPattern};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule, UserPattern};
 use pdm_core::{RuleTable, Session, SessionConfig, Strategy};
 use pdm_net::LinkProfile;
 use pdm_workload::{build_database, TreeSpec};
-
-fn base_rules() -> RuleTable {
-    let mut t = RuleTable::new();
-    for table in ["link", "assy", "comp"] {
-        t.add(Rule::for_all_users(
-            ActionKind::Access,
-            table,
-            Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-        ));
-    }
-    t
-}
 
 fn session_with(spec: &TreeSpec, rules: RuleTable, strategy: Strategy) -> Session {
     let (db, _) = build_database(spec).unwrap();
@@ -35,7 +23,7 @@ fn session_with(spec: &TreeSpec, rules: RuleTable, strategy: Strategy) -> Sessio
 #[test]
 fn forall_rows_all_or_nothing() {
     // Rule: every assembly in the retrieved tree must be decomposable.
-    let mut rules = base_rules();
+    let mut rules = visibility_rules();
     rules.add(Rule::for_all_users(
         ActionKind::MultiLevelExpand,
         "assy",
@@ -63,7 +51,7 @@ fn forall_rows_all_or_nothing() {
 #[test]
 fn exists_structure_filters_unspecified_components() {
     // Rule: components are visible only if they have a specification.
-    let mut rules = base_rules();
+    let mut rules = visibility_rules();
     rules.add(Rule::for_all_users(
         ActionKind::MultiLevelExpand,
         "comp",
@@ -104,7 +92,7 @@ fn exists_structure_filters_unspecified_components() {
 
 #[test]
 fn tree_aggregate_bounds_assembly_count() {
-    let mut permissive = base_rules();
+    let mut permissive = visibility_rules();
     permissive.add(Rule::for_all_users(
         ActionKind::MultiLevelExpand,
         "assy",
@@ -121,7 +109,7 @@ fn tree_aggregate_bounds_assembly_count() {
     assert_eq!(s.multi_level_expand(1).unwrap().tree.len(), 40);
 
     // Tight bound: the tree has 13 assemblies, a ≤10 rule empties it.
-    let mut strict = base_rules();
+    let mut strict = visibility_rules();
     strict.add(Rule::for_all_users(
         ActionKind::MultiLevelExpand,
         "assy",
@@ -256,7 +244,7 @@ fn effectivity_rule_with_stored_function() {
 fn view_hides_structure_from_modificator() {
     // §5.5 caveat: once the server wraps `assy` access in a view and the
     // client builds queries against it, modification must fail loudly.
-    let rules = base_rules();
+    let rules = visibility_rules();
     let spec = TreeSpec::new(2, 2, 1.0).with_node_size(128);
     let (db, _) = build_database(&spec).unwrap();
     let s = Session::new(
@@ -295,7 +283,7 @@ fn view_hides_structure_from_modificator() {
 fn late_and_early_agree_under_every_rule_mix() {
     // Attribute-rule soup: visibility + decomposability row rules; late and
     // early must agree exactly on the returned tree.
-    let mut rules = base_rules();
+    let mut rules = visibility_rules();
     rules.add(Rule::for_all_users(
         ActionKind::Access,
         "assy",
