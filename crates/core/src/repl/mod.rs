@@ -108,21 +108,7 @@ pub fn replay_prefix(epoch_base: &[u8], prefix: &[Shipped]) -> Result<Vec<u8>, R
         .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
     for (seq, record) in prefix {
         if let pdm_wal::WalRecord::DmlCommit { version, sql } = &**record {
-            let failed = |error| RecoveryError::Replay {
-                seq: *seq,
-                sql: sql.clone(),
-                error,
-            };
-            let stmt = pdm_sql::parser::parse_statement(sql).map_err(failed)?;
-            let (_, produced) = db.execute_ast(&stmt).map_err(failed)?;
-            if produced != *version {
-                return Err(ReplError::Replay(RecoveryError::VersionChain {
-                    seq: *seq,
-                    logged: *version,
-                    produced,
-                    sql: sql.clone(),
-                }));
-            }
+            crate::replay::replay_commit(&db, *seq, *version, sql)?;
         }
     }
     Ok(pdm_sql::persist::database_fingerprint(&db))

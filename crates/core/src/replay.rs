@@ -99,6 +99,34 @@ pub(crate) struct Sweep {
     pub(crate) comp: Vec<ObjectId>,
 }
 
+/// Re-execute the DML commit logged at `seq` on `db`: parse, execute, and
+/// check that it publishes the version it logged (the version chain). The
+/// one way a logged statement is replayed — crash recovery, replica apply
+/// and the serial-replay oracle.
+pub(crate) fn replay_commit(
+    db: &SharedDatabase,
+    seq: u64,
+    version: u64,
+    sql: &str,
+) -> Result<(), RecoveryError> {
+    let failed = |error| RecoveryError::Replay {
+        seq,
+        sql: sql.to_string(),
+        error,
+    };
+    let stmt = pdm_sql::parser::parse_statement(sql).map_err(failed)?;
+    let (_, produced) = db.execute_ast(&stmt).map_err(failed)?;
+    if produced != version {
+        return Err(RecoveryError::VersionChain {
+            seq,
+            logged: version,
+            produced,
+            sql: sql.to_string(),
+        });
+    }
+    Ok(())
+}
+
 impl ReplayState {
     /// Apply the record at `seq`. DML commits re-execute on `db` and must
     /// publish the version they logged; with no `db` the caller has
@@ -113,21 +141,8 @@ impl ReplayState {
     ) -> Result<(), RecoveryError> {
         match record {
             WalRecord::DmlCommit { version, sql } => {
-                let Some(db) = db else { return Ok(()) };
-                let failed = |error| RecoveryError::Replay {
-                    seq,
-                    sql: sql.clone(),
-                    error,
-                };
-                let stmt = pdm_sql::parser::parse_statement(sql).map_err(failed)?;
-                let (_, produced) = db.execute_ast(&stmt).map_err(failed)?;
-                if produced != *version {
-                    return Err(RecoveryError::VersionChain {
-                        seq,
-                        logged: *version,
-                        produced,
-                        sql: sql.clone(),
-                    });
+                if let Some(db) = db {
+                    replay_commit(db, seq, *version, sql)?;
                 }
             }
             WalRecord::CheckoutGrant {

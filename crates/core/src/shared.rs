@@ -525,12 +525,14 @@ impl CacheStats {
 /// the same snapshot as every other subsystem's counters.
 #[derive(Debug)]
 struct QueryCache {
-    map: Mutex<HashMap<String, CacheEntry>>,
+    /// A key is one allocation shared with the in-flight set and the
+    /// leader's guard: a miss copies its printed key once.
+    map: Mutex<HashMap<Arc<str>, CacheEntry>>,
     /// Canonical keys currently being computed by a single-flight leader.
     /// Concurrent misses on the same key wait (bounded by their deadline)
     /// on `sf_cv` and re-probe instead of compiling + executing the same
     /// query N times — the cache-stampede (dogpile) fix.
-    inflight: Mutex<HashSet<String>>,
+    inflight: Mutex<HashSet<Arc<str>>>,
     sf_cv: Condvar,
     hits: Counter,
     misses: Counter,
@@ -600,12 +602,12 @@ impl QueryCache {
 /// re-probe; a key can therefore never outlive its leader.
 struct Leadership<'a> {
     cache: &'a QueryCache,
-    key: &'a str,
+    key: Arc<str>,
 }
 
 impl Drop for Leadership<'_> {
     fn drop(&mut self) {
-        lock_unpoisoned(&self.cache.inflight).remove(self.key);
+        lock_unpoisoned(&self.cache.inflight).remove(&*self.key);
         self.cache.sf_cv.notify_all();
     }
 }
@@ -900,7 +902,7 @@ impl SharedServer {
         let parse_span = obs.span(kinds::PARSE, "query");
         let query = pdm_sql::parser::parse_query(sql)?;
         drop(parse_span);
-        let key = query.to_string();
+        let key: Arc<str> = query.to_string().into();
         let started = deadline_clock();
         self.m.queries.inc();
         let mut waited_sf = false;
@@ -923,7 +925,7 @@ impl SharedServer {
                 probe.set_detail("miss");
             }
             let mut infl = lock_unpoisoned(&self.cache.inflight);
-            if !infl.contains(&key) {
+            if !infl.contains(&*key) {
                 // Double-check the cache before claiming leadership: the
                 // previous leader may have published and left between our
                 // probe above and taking the in-flight lock. (Lock order
@@ -936,11 +938,11 @@ impl SharedServer {
                     }
                     return Ok(result);
                 }
-                infl.insert(key.clone());
+                infl.insert(Arc::clone(&key));
                 self.cache.singleflight_leaders.inc();
                 let leadership = Leadership {
                     cache: &self.cache,
-                    key: &key,
+                    key: Arc::clone(&key),
                 };
                 break (snapshot, Some(leadership));
             }
@@ -982,7 +984,7 @@ impl SharedServer {
             version: snapshot.version,
             result: Arc::clone(&result),
         };
-        let replaced = map.insert(key.clone(), entry);
+        let replaced = map.insert(key, entry);
         drop(map);
         if replaced.is_some_and(|old| old.version != snapshot.version) {
             self.cache.invalidations.inc();
@@ -1037,22 +1039,25 @@ impl SharedServer {
         // The gate wait itself may have consumed the deadline: abandon
         // before the fsync, while nothing has been applied yet.
         self.check_deadline(deadline, started, "wal_commit", obs)?;
-        let outcome = match &self.durability {
-            None => self.db.execute_ast(stmt)?.0,
-            Some(d) => {
-                let sql = stmt.to_string();
+        // The canonical text, printed once for the WAL record and the DML
+        // journal.
+        let journal = self.journal.load(Ordering::Relaxed);
+        let text = (journal || self.durability.is_some()).then(|| stmt.to_string());
+        let outcome = match (&self.durability, &text) {
+            (Some(d), Some(sql)) => {
                 let (outcome, _) = self.db.execute_ast_gated(stmt, |version| {
-                    self.wal_op(obs, "commit", || d.log_commit(version, &sql))
+                    self.wal_op(obs, "commit", || d.log_commit(version, sql))
                 })?;
                 if d.checkpoint_due() {
                     d.checkpoint(&self.db.snapshot())?;
                 }
                 outcome
             }
+            _ => self.db.execute_ast(stmt)?.0,
         };
         self.m.dml_commits.inc();
-        if self.journal.load(Ordering::Relaxed) {
-            log.push(stmt.to_string());
+        if journal {
+            log.extend(text);
         }
         Ok(outcome)
     }

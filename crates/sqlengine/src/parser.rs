@@ -5,78 +5,48 @@
 //! subqueries, aggregates, `CAST`, `CASE`, `ORDER BY`, plus the DML/DDL used
 //! by the PDM server (INSERT / UPDATE / DELETE / CREATE TABLE / CREATE VIEW /
 //! CREATE INDEX / DROP TABLE).
+//!
+//! The text is scanned once, as the grammar asks for tokens: a token borrows
+//! from the text, a name is copied (and folded to lowercase) exactly once,
+//! when it enters the AST ([`Parser::expect_ident`]), and a list is
+//! allocated once ([`Parser::comma_list`]).
 
 use crate::ast::*;
 use crate::error::{Error, Result};
-use crate::lexer::{tokenize, Token};
+use crate::lexer::{Kw, Lexer, Token};
 use crate::value::{DataType, Value};
 
-/// Keywords that terminate an expression or cannot serve as implicit aliases.
-const RESERVED: &[&str] = &[
-    "select",
-    "distinct",
-    "from",
-    "where",
-    "group",
-    "having",
-    "order",
-    "limit",
-    "union",
-    "intersect",
-    "except",
-    "join",
-    "left",
-    "inner",
-    "on",
-    "as",
-    "and",
-    "or",
-    "not",
-    "in",
-    "exists",
-    "between",
-    "is",
-    "null",
-    "true",
-    "false",
-    "cast",
-    "case",
-    "when",
-    "then",
-    "else",
-    "end",
-    "set",
-    "values",
-    "desc",
-    "asc",
-    "by",
-    "with",
-    "recursive",
-    "insert",
-    "into",
-    "like",
-    "update",
-    "delete",
-    "create",
-    "table",
-    "view",
-    "index",
-    "drop",
-];
+/// Run `parse` over `sql`. A lexical error anywhere in the text outranks a
+/// parse error before it, as if the whole text were tokenized up front.
+fn parse_with<'a, T>(sql: &'a str, parse: impl FnOnce(&mut Parser<'a>) -> Result<T>) -> Result<T> {
+    let mut p = Parser {
+        lexer: Lexer::new(sql),
+        tok: None,
+        lex_error: None,
+    };
+    p.bump();
+    let parsed = parse(&mut p);
+    if parsed.is_err() {
+        while p.scan().is_some() {}
+    }
+    match p.lex_error {
+        Some(e) => Err(e),
+        None => parsed,
+    }
+}
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.parse_statement()?;
-    p.eat_symbol(&Token::Semicolon);
-    if !p.at_end() {
-        return Err(Error::Parse(format!(
-            "unexpected trailing input at token {:?}",
-            p.peek()
-        )));
-    }
-    Ok(stmt)
+    parse_with(sql, |p| {
+        let stmt = p.parse_statement()?;
+        p.eat(Token::Semicolon);
+        match p.peek() {
+            None => Ok(stmt),
+            rest => Err(Error::Parse(format!(
+                "unexpected trailing input at token {rest:?}"
+            ))),
+        }
+    })
 }
 
 /// Parse a query (SELECT / WITH ...), rejecting DML/DDL.
@@ -90,78 +60,117 @@ pub fn parse_query(sql: &str) -> Result<Query> {
 /// Parse a standalone scalar/boolean expression (used by tests and the rule
 /// translator round-trip checks).
 pub fn parse_expr(sql: &str) -> Result<Expr> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let e = p.parse_expr()?;
-    if !p.at_end() {
-        return Err(Error::Parse("trailing input after expression".into()));
-    }
-    Ok(e)
+    parse_with(sql, |p| {
+        let e = p.parse_expr()?;
+        match p.peek() {
+            None => Ok(e),
+            Some(_) => Err(Error::Parse("trailing input after expression".into())),
+        }
+    })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+struct Parser<'a> {
+    /// Positioned behind `tok`.
+    lexer: Lexer<'a>,
+    /// The next token; `None` is the end of the text.
+    tok: Option<Token<'a>>,
+    /// The first lexical error; the text reads as ended from there.
+    lex_error: Option<Error>,
 }
 
-impl Parser {
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
+/// Binding levels of the expression grammar, loosest first: `OR`, `AND`,
+/// prefix `NOT`, the comparisons (non-associative, with the `IS` / `IN` /
+/// `BETWEEN` / `LIKE` forms), `+ - ||`, `* / %`.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn peek_at(&self, offset: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + offset)
-    }
-
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
+impl<'a> Parser<'a> {
+    fn scan(&mut self) -> Option<Token<'a>> {
+        if self.lex_error.is_some() {
+            return None;
         }
-        t
+        self.lexer.next_token().unwrap_or_else(|e| {
+            self.lex_error = Some(e);
+            None
+        })
     }
 
-    fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(t) if t.is_kw(kw))
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tok
     }
 
-    /// Consume keyword `kw` if present; report whether it was.
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
+    /// The token `offset` past the next one, scanned again when the parser
+    /// gets there: looking ahead is rare (`name . *`, `NOT IN`, `( SELECT`)
+    /// and a second scan of a token or two is cheaper than keeping every
+    /// token in a buffer. An error ahead reads as the end of the text here
+    /// and is reported when the scan reaches it.
+    fn peek_at(&self, offset: usize) -> Option<Token<'a>> {
+        let mut ahead = self.lexer;
+        let mut token = self.tok;
+        for _ in 0..offset {
+            token = ahead.next_token().ok().flatten();
+        }
+        token
+    }
+
+    /// Consume the next token. Kept out of line: it holds the inlined copy
+    /// of the lexer that writes the token in place.
+    #[inline(never)]
+    fn bump(&mut self) {
+        self.tok = self.scan();
+    }
+
+    fn advance(&mut self) -> Option<Token<'a>> {
+        let token = self.tok;
+        self.bump();
+        token
+    }
+
+    fn peek_kw(&self, kw: Kw) -> bool {
+        self.peek() == Some(Token::Kw(kw))
+    }
+
+    /// Does a query (`SELECT`, `WITH`, or with `paren` a parenthesized one)
+    /// start `offset` tokens ahead?
+    fn query_starts_at(&self, offset: usize, paren: bool) -> bool {
+        match self.peek_at(offset) {
+            Some(Token::Kw(Kw::Select | Kw::With)) => true,
+            Some(Token::LParen) => paren,
+            _ => false,
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<()> {
+    /// Consume `tok` if it is next; report whether it was.
+    fn eat(&mut self, tok: Token<'_>) -> bool {
+        let found = self.tok == Some(tok);
+        if found {
+            self.bump();
+        }
+        found
+    }
+
+    fn eat_kw(&mut self, kw: Kw) -> bool {
+        self.eat(Token::Kw(kw))
+    }
+
+    fn expect_kw(&mut self, kw: Kw) -> Result<()> {
         if self.eat_kw(kw) {
             Ok(())
         } else {
             Err(Error::Parse(format!(
                 "expected keyword {} but found {:?}",
-                kw.to_uppercase(),
+                kw.as_str().to_uppercase(),
                 self.peek()
             )))
         }
     }
 
-    fn eat_symbol(&mut self, tok: &Token) -> bool {
-        if self.peek() == Some(tok) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_symbol(&mut self, tok: &Token) -> Result<()> {
-        if self.eat_symbol(tok) {
+    fn expect_symbol(&mut self, tok: Token<'_>) -> Result<()> {
+        if self.eat(tok) {
             Ok(())
         } else {
             Err(Error::Parse(format!(
@@ -171,37 +180,77 @@ impl Parser {
         }
     }
 
-    /// Any identifier (quoted or not); errors otherwise.
+    /// The spelling of any identifier (quoted or not, a keyword included),
+    /// as written; errors otherwise.
+    fn expect_name(&mut self) -> Result<&'a str> {
+        let name = match self.tok {
+            Some(Token::Ident(s) | Token::QuotedIdent(s)) => s,
+            Some(Token::Kw(kw)) => kw.as_str(),
+            other => {
+                self.bump();
+                return Err(Error::Parse(format!(
+                    "expected identifier, found {other:?}"
+                )));
+            }
+        };
+        self.bump();
+        Ok(name)
+    }
+
+    /// Any identifier, folded to lowercase: where a name enters the AST.
     fn expect_ident(&mut self) -> Result<String> {
-        match self.advance() {
-            Some(Token::Ident(s)) => Ok(s),
-            Some(Token::QuotedIdent(s)) => Ok(s.to_ascii_lowercase()),
-            other => Err(Error::Parse(format!(
-                "expected identifier, found {other:?}"
-            ))),
+        Ok(self.expect_name()?.to_ascii_lowercase())
+    }
+
+    /// One or more `item`s separated by commas. `usual` is how many such a
+    /// list holds in the statements sessions ship: the vector is allocated
+    /// once for them and grows only beyond.
+    fn comma_list<T>(
+        &mut self,
+        usual: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let mut items = Vec::with_capacity(usual);
+        loop {
+            items.push(item(self)?);
+            if !self.eat(Token::Comma) {
+                return Ok(items);
+            }
         }
+    }
+
+    /// `( item, ... )`.
+    fn paren_list<T>(
+        &mut self,
+        usual: usize,
+        item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        self.expect_symbol(Token::LParen)?;
+        let items = self.comma_list(usual, item)?;
+        self.expect_symbol(Token::RParen)?;
+        Ok(items)
     }
 
     // -- statements ---------------------------------------------------------
 
     fn parse_statement(&mut self) -> Result<Statement> {
-        if self.peek_kw("select") || self.peek_kw("with") || self.peek() == Some(&Token::LParen) {
+        if self.query_starts_at(0, true) {
             return Ok(Statement::Query(self.parse_query()?));
         }
-        if self.eat_kw("insert") {
+        if self.eat_kw(Kw::Insert) {
             return self.parse_insert();
         }
-        if self.eat_kw("update") {
+        if self.eat_kw(Kw::Update) {
             return self.parse_update();
         }
-        if self.eat_kw("delete") {
+        if self.eat_kw(Kw::Delete) {
             return self.parse_delete();
         }
-        if self.eat_kw("create") {
+        if self.eat_kw(Kw::Create) {
             return self.parse_create();
         }
-        if self.eat_kw("drop") {
-            self.expect_kw("table")?;
+        if self.eat_kw(Kw::Drop) {
+            self.expect_kw(Kw::Table)?;
             let name = self.expect_ident()?;
             return Ok(Statement::DropTable { name });
         }
@@ -212,33 +261,15 @@ impl Parser {
     }
 
     fn parse_insert(&mut self) -> Result<Statement> {
-        self.expect_kw("into")?;
+        self.expect_kw(Kw::Into)?;
         let table = self.expect_ident()?;
-        let columns = if self.peek() == Some(&Token::LParen) {
-            self.expect_symbol(&Token::LParen)?;
-            let mut cols = vec![self.expect_ident()?];
-            while self.eat_symbol(&Token::Comma) {
-                cols.push(self.expect_ident()?);
-            }
-            self.expect_symbol(&Token::RParen)?;
-            Some(cols)
+        let columns = if self.peek() == Some(Token::LParen) {
+            Some(self.paren_list(8, Self::expect_ident)?)
         } else {
             None
         };
-        self.expect_kw("values")?;
-        let mut rows = Vec::new();
-        loop {
-            self.expect_symbol(&Token::LParen)?;
-            let mut row = vec![self.parse_expr()?];
-            while self.eat_symbol(&Token::Comma) {
-                row.push(self.parse_expr()?);
-            }
-            self.expect_symbol(&Token::RParen)?;
-            rows.push(row);
-            if !self.eat_symbol(&Token::Comma) {
-                break;
-            }
-        }
+        self.expect_kw(Kw::Values)?;
+        let rows = self.comma_list(1, |p| p.paren_list(8, Self::parse_expr))?;
         Ok(Statement::Insert {
             table,
             columns,
@@ -248,22 +279,13 @@ impl Parser {
 
     fn parse_update(&mut self) -> Result<Statement> {
         let table = self.expect_ident()?;
-        self.expect_kw("set")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.expect_ident()?;
-            self.expect_symbol(&Token::Eq)?;
-            let e = self.parse_expr()?;
-            assignments.push((col, e));
-            if !self.eat_symbol(&Token::Comma) {
-                break;
-            }
-        }
-        let predicate = if self.eat_kw("where") {
-            Some(self.parse_expr()?)
-        } else {
-            None
-        };
+        self.expect_kw(Kw::Set)?;
+        let assignments = self.comma_list(1, |p| {
+            let col = p.expect_ident()?;
+            p.expect_symbol(Token::Eq)?;
+            Ok((col, p.parse_expr()?))
+        })?;
+        let predicate = self.parse_optional_where()?;
         Ok(Statement::Update {
             table,
             assignments,
@@ -272,51 +294,48 @@ impl Parser {
     }
 
     fn parse_delete(&mut self) -> Result<Statement> {
-        self.expect_kw("from")?;
+        self.expect_kw(Kw::From)?;
         let table = self.expect_ident()?;
-        let predicate = if self.eat_kw("where") {
-            Some(self.parse_expr()?)
-        } else {
-            None
-        };
+        let predicate = self.parse_optional_where()?;
         Ok(Statement::Delete { table, predicate })
     }
 
+    fn parse_optional_where(&mut self) -> Result<Option<Expr>> {
+        if self.eat_kw(Kw::Where) {
+            Ok(Some(self.parse_expr()?))
+        } else {
+            Ok(None)
+        }
+    }
+
     fn parse_create(&mut self) -> Result<Statement> {
-        if self.eat_kw("table") {
+        if self.eat_kw(Kw::Table) {
             let name = self.expect_ident()?;
-            self.expect_symbol(&Token::LParen)?;
-            let mut columns = Vec::new();
-            loop {
-                let col_name = self.expect_ident()?;
-                let dtype = self.parse_data_type()?;
-                let mut nullable = true;
-                if self.eat_kw("not") {
-                    self.expect_kw("null")?;
-                    nullable = false;
+            let columns = self.paren_list(8, |p| {
+                let name = p.expect_ident()?;
+                let dtype = p.parse_data_type()?;
+                let nullable = !p.eat_kw(Kw::Not);
+                if !nullable {
+                    p.expect_kw(Kw::Null)?;
                 }
-                columns.push(ColumnDef {
-                    name: col_name,
+                Ok(ColumnDef {
+                    name,
                     dtype,
                     nullable,
-                });
-                if !self.eat_symbol(&Token::Comma) {
-                    break;
-                }
-            }
-            self.expect_symbol(&Token::RParen)?;
+                })
+            })?;
             Ok(Statement::CreateTable { name, columns })
-        } else if self.eat_kw("view") {
+        } else if self.eat_kw(Kw::View) {
             let name = self.expect_ident()?;
-            self.expect_kw("as")?;
+            self.expect_kw(Kw::As)?;
             let query = self.parse_query()?;
             Ok(Statement::CreateView { name, query })
-        } else if self.eat_kw("index") {
-            self.expect_kw("on")?;
+        } else if self.eat_kw(Kw::Index) {
+            self.expect_kw(Kw::On)?;
             let table = self.expect_ident()?;
-            self.expect_symbol(&Token::LParen)?;
+            self.expect_symbol(Token::LParen)?;
             let column = self.expect_ident()?;
-            self.expect_symbol(&Token::RParen)?;
+            self.expect_symbol(Token::RParen)?;
             Ok(Statement::CreateIndex { table, column })
         } else {
             Err(Error::Parse(
@@ -326,54 +345,61 @@ impl Parser {
     }
 
     fn parse_data_type(&mut self) -> Result<DataType> {
-        let name = self.expect_ident()?;
-        let dt = match name.as_str() {
-            "int" | "integer" | "bigint" | "smallint" => DataType::Int,
-            "double" | "float" | "real" | "decimal" | "numeric" => DataType::Float,
-            "varchar" | "char" | "text" | "string" => DataType::Text,
-            "boolean" | "bool" => DataType::Bool,
-            other => return Err(Error::Parse(format!("unknown data type '{other}'"))),
+        const NAMES: [(&str, DataType); 15] = [
+            ("int", DataType::Int),
+            ("integer", DataType::Int),
+            ("bigint", DataType::Int),
+            ("smallint", DataType::Int),
+            ("double", DataType::Float),
+            ("float", DataType::Float),
+            ("real", DataType::Float),
+            ("decimal", DataType::Float),
+            ("numeric", DataType::Float),
+            ("varchar", DataType::Text),
+            ("char", DataType::Text),
+            ("text", DataType::Text),
+            ("string", DataType::Text),
+            ("boolean", DataType::Bool),
+            ("bool", DataType::Bool),
+        ];
+        let name = self.expect_name()?;
+        let Some((_, dt)) = NAMES.iter().find(|(n, _)| name.eq_ignore_ascii_case(n)) else {
+            let other = name.to_ascii_lowercase();
+            return Err(Error::Parse(format!("unknown data type '{other}'")));
         };
         // swallow optional length like VARCHAR(40)
-        if self.eat_symbol(&Token::LParen) {
-            while !self.eat_symbol(&Token::RParen) {
+        if self.eat(Token::LParen) {
+            while !self.eat(Token::RParen) {
                 if self.advance().is_none() {
                     return Err(Error::Parse("unterminated type parameter list".into()));
                 }
             }
         }
-        Ok(dt)
+        Ok(*dt)
     }
 
     // -- queries ------------------------------------------------------------
 
     fn parse_query(&mut self) -> Result<Query> {
-        let with = if self.eat_kw("with") {
-            let recursive = self.eat_kw("recursive");
-            let mut ctes = Vec::new();
-            loop {
-                let name = self.expect_ident()?;
-                let mut columns = Vec::new();
-                if self.eat_symbol(&Token::LParen) {
-                    columns.push(self.expect_ident()?);
-                    while self.eat_symbol(&Token::Comma) {
-                        columns.push(self.expect_ident()?);
-                    }
-                    self.expect_symbol(&Token::RParen)?;
-                }
-                self.expect_kw("as")?;
-                self.expect_symbol(&Token::LParen)?;
-                let query = self.parse_query()?;
-                self.expect_symbol(&Token::RParen)?;
-                ctes.push(Cte {
+        let with = if self.eat_kw(Kw::With) {
+            let recursive = self.eat_kw(Kw::Recursive);
+            let ctes = self.comma_list(1, |p| {
+                let name = p.expect_ident()?;
+                let columns = if p.peek() == Some(Token::LParen) {
+                    p.paren_list(16, Self::expect_ident)?
+                } else {
+                    Vec::new()
+                };
+                p.expect_kw(Kw::As)?;
+                p.expect_symbol(Token::LParen)?;
+                let query = p.parse_query()?;
+                p.expect_symbol(Token::RParen)?;
+                Ok(Cte {
                     name,
                     columns,
                     query,
-                });
-                if !self.eat_symbol(&Token::Comma) {
-                    break;
-                }
-            }
+                })
+            })?;
             Some(With { recursive, ctes })
         } else {
             None
@@ -382,24 +408,19 @@ impl Parser {
         let body = self.parse_set_expr()?;
 
         let mut order_by = Vec::new();
-        if self.eat_kw("order") {
-            self.expect_kw("by")?;
-            loop {
-                let expr = self.parse_expr()?;
-                let desc = if self.eat_kw("desc") {
-                    true
-                } else {
-                    self.eat_kw("asc");
-                    false
-                };
-                order_by.push(OrderItem { expr, desc });
-                if !self.eat_symbol(&Token::Comma) {
-                    break;
+        if self.eat_kw(Kw::Order) {
+            self.expect_kw(Kw::By)?;
+            order_by = self.comma_list(2, |p| {
+                let expr = p.parse_expr()?;
+                let desc = p.eat_kw(Kw::Desc);
+                if !desc {
+                    p.eat_kw(Kw::Asc);
                 }
-            }
+                Ok(OrderItem { expr, desc })
+            })?;
         }
 
-        let limit = if self.eat_kw("limit") {
+        let limit = if self.eat_kw(Kw::Limit) {
             match self.advance() {
                 Some(Token::Int(n)) if n >= 0 => Some(n as u64),
                 other => return Err(Error::Parse(format!("expected LIMIT count, got {other:?}"))),
@@ -421,17 +442,14 @@ impl Parser {
     fn parse_set_expr(&mut self) -> Result<SetExpr> {
         let mut left = self.parse_set_term()?;
         loop {
-            let op = if self.peek_kw("union") {
-                SetOp::Union
-            } else if self.peek_kw("intersect") {
-                SetOp::Intersect
-            } else if self.peek_kw("except") {
-                SetOp::Except
-            } else {
-                break;
+            let op = match self.peek() {
+                Some(Token::Kw(Kw::Union)) => SetOp::Union,
+                Some(Token::Kw(Kw::Intersect)) => SetOp::Intersect,
+                Some(Token::Kw(Kw::Except)) => SetOp::Except,
+                _ => break,
             };
-            self.pos += 1;
-            let all = self.eat_kw("all");
+            self.bump();
+            let all = self.eat_kw(Kw::All);
             let right = self.parse_set_term()?;
             left = SetExpr::SetOp {
                 op,
@@ -444,87 +462,68 @@ impl Parser {
     }
 
     fn parse_set_term(&mut self) -> Result<SetExpr> {
-        if self.peek() == Some(&Token::LParen) {
-            // Parenthesized query body: (SELECT ... UNION ...)
-            let checkpoint = self.pos;
-            self.pos += 1;
-            if self.peek_kw("select") || self.peek_kw("with") || self.peek() == Some(&Token::LParen)
-            {
-                let inner = self.parse_query()?;
-                self.expect_symbol(&Token::RParen)?;
-                if inner.with.is_none() && inner.order_by.is_empty() && inner.limit.is_none() {
-                    return Ok(inner.body);
-                }
-                // Keep full query semantics by wrapping as derived table.
-                let mut sel = Select::new();
-                sel.projection.push(SelectItem::Wildcard);
-                sel.from.push(TableWithJoins {
-                    base: TableFactor::Derived {
-                        subquery: Box::new(inner),
-                        alias: "__q".into(),
-                    },
-                    joins: Vec::new(),
-                });
-                return Ok(SetExpr::Select(Box::new(sel)));
+        // Parenthesized query body: (SELECT ... UNION ...)
+        if self.peek() == Some(Token::LParen) && self.query_starts_at(1, true) {
+            self.bump();
+            let inner = self.parse_query()?;
+            self.expect_symbol(Token::RParen)?;
+            if inner.with.is_none() && inner.order_by.is_empty() && inner.limit.is_none() {
+                return Ok(inner.body);
             }
-            self.pos = checkpoint;
+            // Keep full query semantics by wrapping as derived table.
+            let mut sel = Select::new();
+            sel.projection.push(SelectItem::Wildcard);
+            sel.from.push(TableWithJoins {
+                base: TableFactor::Derived {
+                    subquery: Box::new(inner),
+                    alias: "__q".into(),
+                },
+                joins: Vec::new(),
+            });
+            return Ok(SetExpr::Select(Box::new(sel)));
         }
-        self.expect_kw("select")?;
+        self.expect_kw(Kw::Select)?;
         Ok(SetExpr::Select(Box::new(self.parse_select_after_kw()?)))
     }
 
     /// Parse the remainder of a SELECT after the SELECT keyword itself.
     fn parse_select_after_kw(&mut self) -> Result<Select> {
         let mut sel = Select::new();
-        sel.distinct = self.eat_kw("distinct");
+        sel.distinct = self.eat_kw(Kw::Distinct);
         if sel.distinct {
-            self.eat_kw("all");
+            self.eat_kw(Kw::All);
         }
 
-        // projection list
-        loop {
-            if self.eat_symbol(&Token::Star) {
-                sel.projection.push(SelectItem::Wildcard);
-            } else if let (Some(Token::Ident(q)), Some(Token::Dot), Some(Token::Star)) =
-                (self.peek(), self.peek_at(1), self.peek_at(2))
+        sel.projection = self.comma_list(12, |p| {
+            if p.eat(Token::Star) {
+                return Ok(SelectItem::Wildcard);
+            }
+            if matches!(p.peek(), Some(Token::Ident(_) | Token::Kw(_)))
+                && p.peek_at(1) == Some(Token::Dot)
+                && p.peek_at(2) == Some(Token::Star)
             {
-                let q = q.clone();
-                self.pos += 3;
-                sel.projection.push(SelectItem::QualifiedWildcard(q));
-            } else {
-                let expr = self.parse_expr()?;
-                let alias = self.parse_optional_alias()?;
-                sel.projection.push(SelectItem::Expr { expr, alias });
+                let qualifier = p.expect_ident()?;
+                p.bump();
+                p.bump();
+                return Ok(SelectItem::QualifiedWildcard(qualifier));
             }
-            if !self.eat_symbol(&Token::Comma) {
-                break;
-            }
+            let expr = p.parse_expr()?;
+            let alias = p.parse_optional_alias()?;
+            Ok(SelectItem::Expr { expr, alias })
+        })?;
+
+        if self.eat_kw(Kw::From) {
+            sel.from = self.comma_list(1, Self::parse_table_with_joins)?;
         }
 
-        if self.eat_kw("from") {
-            loop {
-                sel.from.push(self.parse_table_with_joins()?);
-                if !self.eat_symbol(&Token::Comma) {
-                    break;
-                }
-            }
+        sel.where_clause = self.parse_optional_where()?;
+
+        if self.eat_kw(Kw::Group) {
+            self.expect_kw(Kw::By)?;
+            sel.group_by = self.comma_list(2, Self::parse_expr)?;
         }
 
-        if self.eat_kw("where") {
-            sel.where_clause = Some(self.parse_expr()?);
-        }
-
-        if self.eat_kw("group") {
-            self.expect_kw("by")?;
-            loop {
-                sel.group_by.push(self.parse_expr()?);
-                if !self.eat_symbol(&Token::Comma) {
-                    break;
-                }
-            }
-        }
-
-        if self.eat_kw("having") {
+        if self.eat_kw(Kw::Having) {
             sel.having = Some(self.parse_expr()?);
         }
 
@@ -532,20 +531,12 @@ impl Parser {
     }
 
     fn parse_optional_alias(&mut self) -> Result<Option<String>> {
-        if self.eat_kw("as") {
+        if self.eat_kw(Kw::As) {
             return Ok(Some(self.expect_ident()?));
         }
         match self.peek() {
-            Some(Token::Ident(s)) if !RESERVED.contains(&s.as_str()) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(Some(s))
-            }
-            Some(Token::QuotedIdent(s)) => {
-                let s = s.to_ascii_lowercase();
-                self.pos += 1;
-                Ok(Some(s))
-            }
+            Some(Token::Ident(_) | Token::QuotedIdent(_)) => Ok(Some(self.expect_ident()?)),
+            Some(Token::Kw(kw)) if !kw.is_reserved() => Ok(Some(self.expect_ident()?)),
             _ => Ok(None),
         }
     }
@@ -554,20 +545,19 @@ impl Parser {
         let base = self.parse_table_factor()?;
         let mut joins = Vec::new();
         loop {
-            let kind = if self.peek_kw("join") || self.peek_kw("inner") {
-                self.eat_kw("inner");
-                self.expect_kw("join")?;
+            let kind = if self.peek_kw(Kw::Join) || self.peek_kw(Kw::Inner) {
+                self.eat_kw(Kw::Inner);
+                self.expect_kw(Kw::Join)?;
                 JoinKind::Inner
-            } else if self.peek_kw("left") {
-                self.pos += 1;
-                self.eat_kw("outer");
-                self.expect_kw("join")?;
+            } else if self.eat_kw(Kw::Left) {
+                self.eat_kw(Kw::Outer);
+                self.expect_kw(Kw::Join)?;
                 JoinKind::Left
             } else {
                 break;
             };
             let factor = self.parse_table_factor()?;
-            let on = if self.eat_kw("on") {
+            let on = if self.eat_kw(Kw::On) {
                 Some(self.parse_expr()?)
             } else {
                 None
@@ -578,9 +568,9 @@ impl Parser {
     }
 
     fn parse_table_factor(&mut self) -> Result<TableFactor> {
-        if self.eat_symbol(&Token::LParen) {
+        if self.eat(Token::LParen) {
             let subquery = self.parse_query()?;
-            self.expect_symbol(&Token::RParen)?;
+            self.expect_symbol(Token::RParen)?;
             let alias = self
                 .parse_optional_alias()?
                 .ok_or_else(|| Error::Parse("derived table requires an alias".into()))?;
@@ -597,157 +587,122 @@ impl Parser {
     // -- expressions --------------------------------------------------------
 
     fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_or()
+        self.parse_level(OR)
     }
 
-    fn parse_or(&mut self) -> Result<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_kw("or") {
-            let right = self.parse_and()?;
-            left = Expr::binary(left, BinOp::Or, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_kw("and") {
-            let right = self.parse_not()?;
-            left = Expr::binary(left, BinOp::And, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_not(&mut self) -> Result<Expr> {
-        if self.eat_kw("not") {
-            let inner = self.parse_not()?;
-            Ok(Expr::Not(Box::new(inner)))
+    /// An expression whose operators all bind at level `min` or tighter.
+    /// One loop over the operators that follow an operand, instead of one
+    /// function per level around every operand.
+    fn parse_level(&mut self, min: u8) -> Result<Expr> {
+        // NOT is an operator only where an operand of AND / OR may start.
+        let (mut left, mut max) = if min <= NOT && self.eat_kw(Kw::Not) {
+            (Expr::Not(Box::new(self.parse_level(NOT)?)), AND)
         } else {
-            self.parse_comparison()
-        }
-    }
-
-    fn parse_comparison(&mut self) -> Result<Expr> {
-        let left = self.parse_additive()?;
-
-        // IS [NOT] NULL
-        if self.eat_kw("is") {
-            let negated = self.eat_kw("not");
-            self.expect_kw("null")?;
-            return Ok(Expr::IsNull {
-                expr: Box::new(left),
-                negated,
-            });
-        }
-
-        // [NOT] IN / [NOT] BETWEEN / [NOT] LIKE
-        let negated = if self.peek_kw("not")
-            && matches!(self.peek_at(1), Some(t) if t.is_kw("in") || t.is_kw("between") || t.is_kw("like"))
-        {
-            self.pos += 1;
-            true
-        } else {
-            false
+            (self.parse_unary()?, MUL)
         };
+        // `max`: the tightest level an operator applied to `left` may have.
+        loop {
+            let tok = self.tok;
+            let (level, op) = match tok {
+                Some(Token::Star) => (MUL, BinOp::Mul),
+                Some(Token::Slash) => (MUL, BinOp::Div),
+                Some(Token::Percent) => (MUL, BinOp::Mod),
+                Some(Token::Plus) => (ADD, BinOp::Plus),
+                Some(Token::Minus) => (ADD, BinOp::Minus),
+                Some(Token::Concat) => (ADD, BinOp::Concat),
+                Some(Token::Eq) => (CMP, BinOp::Eq),
+                Some(Token::NotEq) => (CMP, BinOp::NotEq),
+                Some(Token::Lt) => (CMP, BinOp::Lt),
+                Some(Token::LtEq) => (CMP, BinOp::LtEq),
+                Some(Token::Gt) => (CMP, BinOp::Gt),
+                Some(Token::GtEq) => (CMP, BinOp::GtEq),
+                Some(Token::Kw(Kw::And)) => (AND, BinOp::And),
+                Some(Token::Kw(Kw::Or)) => (OR, BinOp::Or),
+                Some(Token::Kw(kw @ (Kw::Is | Kw::In | Kw::Between | Kw::Like | Kw::Not)))
+                    if min <= CMP && CMP <= max =>
+                {
+                    // [NOT] IN / [NOT] BETWEEN / [NOT] LIKE
+                    let negated = kw == Kw::Not;
+                    if negated {
+                        if !matches!(
+                            self.peek_at(1),
+                            Some(Token::Kw(Kw::In | Kw::Between | Kw::Like))
+                        ) {
+                            return Ok(left);
+                        }
+                        self.bump();
+                    }
+                    (left, max) = (self.parse_predicate(left, negated)?, AND);
+                    continue;
+                }
+                _ => return Ok(left),
+            };
+            if level < min || level > max {
+                return Ok(left);
+            }
+            self.bump();
+            let right = self.parse_level(level + 1)?;
+            left = Expr::binary(left, op, right);
+            // A comparison does not chain: only AND / OR may follow it.
+            max = if level == CMP { AND } else { level };
+        }
+    }
 
-        if self.eat_kw("in") {
-            self.expect_symbol(&Token::LParen)?;
-            if self.peek_kw("select") || self.peek_kw("with") {
-                let query = self.parse_query()?;
-                self.expect_symbol(&Token::RParen)?;
+    /// `left IS [NOT] NULL`, `left IN (...)`, `left BETWEEN low AND high`
+    /// or `left LIKE pattern`, the next token being that keyword (a NOT
+    /// before the last three is consumed and passed as `negated`).
+    fn parse_predicate(&mut self, left: Expr, negated: bool) -> Result<Expr> {
+        let expr = Box::new(left);
+
+        if self.eat_kw(Kw::Is) {
+            let negated = self.eat_kw(Kw::Not);
+            self.expect_kw(Kw::Null)?;
+            return Ok(Expr::IsNull { expr, negated });
+        }
+
+        if self.eat_kw(Kw::In) {
+            self.expect_symbol(Token::LParen)?;
+            if self.query_starts_at(0, false) {
+                let query = Box::new(self.parse_query()?);
+                self.expect_symbol(Token::RParen)?;
                 return Ok(Expr::InSubquery {
-                    expr: Box::new(left),
-                    query: Box::new(query),
+                    expr,
+                    query,
                     negated,
                 });
             }
-            let mut list = vec![self.parse_expr()?];
-            while self.eat_symbol(&Token::Comma) {
-                list.push(self.parse_expr()?);
-            }
-            self.expect_symbol(&Token::RParen)?;
+            let list = self.comma_list(16, Self::parse_expr)?;
+            self.expect_symbol(Token::RParen)?;
             return Ok(Expr::InList {
-                expr: Box::new(left),
+                expr,
                 list,
                 negated,
             });
         }
 
-        if self.eat_kw("between") {
-            let low = self.parse_additive()?;
-            self.expect_kw("and")?;
-            let high = self.parse_additive()?;
+        if self.eat_kw(Kw::Between) {
+            let low = Box::new(self.parse_level(ADD)?);
+            self.expect_kw(Kw::And)?;
+            let high = Box::new(self.parse_level(ADD)?);
             return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
+                expr,
+                low,
+                high,
                 negated,
             });
         }
 
-        if self.eat_kw("like") {
-            let pattern = self.parse_additive()?;
-            return Ok(Expr::Like {
-                expr: Box::new(left),
-                pattern: Box::new(pattern),
-                negated,
-            });
-        }
-
-        if negated {
-            return Err(Error::Parse(
-                "expected IN, BETWEEN, or LIKE after NOT".into(),
-            ));
-        }
-
-        let op = match self.peek() {
-            Some(Token::Eq) => BinOp::Eq,
-            Some(Token::NotEq) => BinOp::NotEq,
-            Some(Token::Lt) => BinOp::Lt,
-            Some(Token::LtEq) => BinOp::LtEq,
-            Some(Token::Gt) => BinOp::Gt,
-            Some(Token::GtEq) => BinOp::GtEq,
-            _ => return Ok(left),
-        };
-        self.pos += 1;
-        let right = self.parse_additive()?;
-        Ok(Expr::binary(left, op, right))
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => BinOp::Plus,
-                Some(Token::Minus) => BinOp::Minus,
-                Some(Token::Concat) => BinOp::Concat,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => BinOp::Mul,
-                Some(Token::Slash) => BinOp::Div,
-                Some(Token::Percent) => BinOp::Mod,
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_unary()?;
-            left = Expr::binary(left, op, right);
-        }
-        Ok(left)
+        self.expect_kw(Kw::Like)?;
+        let pattern = Box::new(self.parse_level(ADD)?);
+        Ok(Expr::Like {
+            expr,
+            pattern,
+            negated,
+        })
     }
 
     fn parse_unary(&mut self) -> Result<Expr> {
-        if self.eat_symbol(&Token::Minus) {
+        if self.eat(Token::Minus) {
             let inner = self.parse_unary()?;
             // fold negation of numeric literals
             return Ok(match inner {
@@ -756,97 +711,82 @@ impl Parser {
                 other => Expr::Negate(Box::new(other)),
             });
         }
-        self.eat_symbol(&Token::Plus);
+        self.eat(Token::Plus);
         self.parse_primary()
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
-        match self.peek().cloned() {
-            Some(Token::Int(n)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Int(n)))
+        let literal = |p: &mut Self, value| {
+            p.bump();
+            Ok(Expr::Literal(value))
+        };
+        match self.peek() {
+            Some(Token::Int(n)) => literal(self, Value::Int(n)),
+            Some(Token::Float(x)) => literal(self, Value::Float(x)),
+            Some(Token::Str(raw, escaped)) => {
+                literal(self, Value::Text(Token::unescape(raw, escaped)))
             }
-            Some(Token::Float(x)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Float(x)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Value::Text(s)))
-            }
+            Some(Token::Kw(Kw::Null)) => literal(self, Value::Null),
+            Some(Token::Kw(Kw::True)) => literal(self, Value::Bool(true)),
+            Some(Token::Kw(Kw::False)) => literal(self, Value::Bool(false)),
             Some(Token::LParen) => {
-                self.pos += 1;
-                if self.peek_kw("select") || self.peek_kw("with") {
+                self.bump();
+                if self.query_starts_at(0, false) {
                     let q = self.parse_query()?;
-                    self.expect_symbol(&Token::RParen)?;
+                    self.expect_symbol(Token::RParen)?;
                     Ok(Expr::ScalarSubquery(Box::new(q)))
                 } else {
                     let e = self.parse_expr()?;
-                    self.expect_symbol(&Token::RParen)?;
+                    self.expect_symbol(Token::RParen)?;
                     Ok(e)
                 }
             }
-            Some(Token::Ident(word)) => match word.as_str() {
-                "null" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Value::Null))
+            Some(Token::Kw(Kw::Exists)) => {
+                self.bump();
+                self.expect_symbol(Token::LParen)?;
+                let q = self.parse_query()?;
+                self.expect_symbol(Token::RParen)?;
+                Ok(Expr::Exists {
+                    query: Box::new(q),
+                    negated: false,
+                })
+            }
+            Some(Token::Kw(Kw::Cast)) => {
+                self.bump();
+                self.expect_symbol(Token::LParen)?;
+                let e = self.parse_expr()?;
+                self.expect_kw(Kw::As)?;
+                let dtype = self.parse_data_type()?;
+                self.expect_symbol(Token::RParen)?;
+                Ok(Expr::Cast {
+                    expr: Box::new(e),
+                    dtype,
+                })
+            }
+            Some(Token::Kw(Kw::Case)) => {
+                self.bump();
+                let mut branches = Vec::new();
+                while self.eat_kw(Kw::When) {
+                    let cond = self.parse_expr()?;
+                    self.expect_kw(Kw::Then)?;
+                    let result = self.parse_expr()?;
+                    branches.push((cond, result));
                 }
-                "true" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Value::Bool(true)))
+                if branches.is_empty() {
+                    return Err(Error::Parse("CASE requires at least one WHEN".into()));
                 }
-                "false" => {
-                    self.pos += 1;
-                    Ok(Expr::Literal(Value::Bool(false)))
-                }
-                "exists" => {
-                    self.pos += 1;
-                    self.expect_symbol(&Token::LParen)?;
-                    let q = self.parse_query()?;
-                    self.expect_symbol(&Token::RParen)?;
-                    Ok(Expr::Exists {
-                        query: Box::new(q),
-                        negated: false,
-                    })
-                }
-                "cast" => {
-                    self.pos += 1;
-                    self.expect_symbol(&Token::LParen)?;
-                    let e = self.parse_expr()?;
-                    self.expect_kw("as")?;
-                    let dtype = self.parse_data_type()?;
-                    self.expect_symbol(&Token::RParen)?;
-                    Ok(Expr::Cast {
-                        expr: Box::new(e),
-                        dtype,
-                    })
-                }
-                "case" => {
-                    self.pos += 1;
-                    let mut branches = Vec::new();
-                    while self.eat_kw("when") {
-                        let cond = self.parse_expr()?;
-                        self.expect_kw("then")?;
-                        let result = self.parse_expr()?;
-                        branches.push((cond, result));
-                    }
-                    if branches.is_empty() {
-                        return Err(Error::Parse("CASE requires at least one WHEN".into()));
-                    }
-                    let else_expr = if self.eat_kw("else") {
-                        Some(Box::new(self.parse_expr()?))
-                    } else {
-                        None
-                    };
-                    self.expect_kw("end")?;
-                    Ok(Expr::Case {
-                        branches,
-                        else_expr,
-                    })
-                }
-                _ => self.parse_ident_expr(),
-            },
-            Some(Token::QuotedIdent(_)) => self.parse_ident_expr(),
+                let else_expr = if self.eat_kw(Kw::Else) {
+                    Some(Box::new(self.parse_expr()?))
+                } else {
+                    None
+                };
+                self.expect_kw(Kw::End)?;
+                Ok(Expr::Case {
+                    branches,
+                    else_expr,
+                })
+            }
+            Some(Token::Ident(_) | Token::Kw(_) | Token::QuotedIdent(_)) => self.parse_ident_expr(),
             other => Err(Error::Parse(format!("unexpected token {other:?}"))),
         }
     }
@@ -856,10 +796,9 @@ impl Parser {
     fn parse_ident_expr(&mut self) -> Result<Expr> {
         let first = self.expect_ident()?;
         // function call?
-        if self.peek() == Some(&Token::LParen) {
-            self.pos += 1;
-            if self.eat_symbol(&Token::Star) {
-                self.expect_symbol(&Token::RParen)?;
+        if self.eat(Token::LParen) {
+            if self.eat(Token::Star) {
+                self.expect_symbol(Token::RParen)?;
                 return Ok(Expr::Function {
                     name: first,
                     args: vec![],
@@ -869,15 +808,13 @@ impl Parser {
             // COUNT(DISTINCT x) is normalized to COUNT(x) — the engine's
             // UNION-heavy workloads never produce duplicates we care about,
             // and accepting the syntax keeps paper-style queries parseable.
-            self.eat_kw("distinct");
-            let mut args = Vec::new();
-            if self.peek() != Some(&Token::RParen) {
-                args.push(self.parse_expr()?);
-                while self.eat_symbol(&Token::Comma) {
-                    args.push(self.parse_expr()?);
-                }
-            }
-            self.expect_symbol(&Token::RParen)?;
+            self.eat_kw(Kw::Distinct);
+            let args = if self.peek() == Some(Token::RParen) {
+                Vec::new()
+            } else {
+                self.comma_list(2, Self::parse_expr)?
+            };
+            self.expect_symbol(Token::RParen)?;
             return Ok(Expr::Function {
                 name: first,
                 args,
@@ -885,8 +822,7 @@ impl Parser {
             });
         }
         // qualified column?
-        if self.peek() == Some(&Token::Dot) {
-            self.pos += 1;
+        if self.eat(Token::Dot) {
             let name = self.expect_ident()?;
             return Ok(Expr::Column {
                 qualifier: Some(first),
@@ -1173,6 +1109,37 @@ mod tests {
                 .unwrap_or_else(|e| panic!("re-parse of '{rendered}' failed: {e}"));
             assert_eq!(q1, q2, "round-trip mismatch for {src}");
         }
+    }
+
+    #[test]
+    fn keyword_spelled_names_where_any_name_is_taken() {
+        let q = parse_query("SELECT Link.LEFT, index.* FROM Index AS \"Left\"").unwrap();
+        assert_eq!(
+            q.to_string(),
+            parse_query("SELECT link.left, index.* FROM index AS left")
+                .unwrap()
+                .to_string()
+        );
+        // A reserved word is no implicit alias; `all` and `outer` are.
+        assert!(parse_query("SELECT a FROM t left").is_err());
+        assert!(parse_query("SELECT a outer FROM t all").is_ok());
+    }
+
+    #[test]
+    fn lexical_error_anywhere_outranks_a_parse_error_before_it() {
+        assert_eq!(
+            parse_statement("SELEC 'unterminated"),
+            Err(Error::Lex("unterminated string literal".into()))
+        );
+        assert_eq!(
+            parse_expr("a b #"),
+            Err(Error::Lex("unexpected character '#'".into()))
+        );
+        // ... and one the look-ahead runs into is reported once, as itself.
+        assert_eq!(
+            parse_query("SELECT a.# FROM t"),
+            Err(Error::Lex("unexpected character '#'".into()))
+        );
     }
 
     #[test]

@@ -1,0 +1,139 @@
+#![allow(dead_code)] // each suite uses its part
+
+//! The statement texts a session ships, for the front-end suites
+//! (`parse_golden.rs`, `front_end_allocs.rs`): generator → §5.5 modificator
+//! → printer, which `crates/core/tests/prepared_sql.rs` pins as byte for
+//! byte what `Session::statement` sends.
+
+use std::collections::HashSet;
+
+use pdm_core::query::modificator::Modificator;
+use pdm_core::query::prepared::Shape;
+use pdm_core::query::{navigational, recursive};
+use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::RuleTable;
+
+/// The nine statements a session's actions come down to: every
+/// [`Shape`] through the physical structure with the action its call site
+/// names, plus the two view-dependent retrievals through a second view.
+pub const NINE_SHAPES: [(&str, Shape, ActionKind, &str); 9] = [
+    ("expand", Shape::Expand, ActionKind::Expand, "link"),
+    ("expand_many", Shape::ExpandMany, ActionKind::Expand, "link"),
+    ("query_all", Shape::QueryAll, ActionKind::Query, "link"),
+    ("fetch_node", Shape::FetchNode, ActionKind::Access, "link"),
+    (
+        "mle",
+        Shape::Mle {
+            include_root: false,
+        },
+        ActionKind::MultiLevelExpand,
+        "link",
+    ),
+    (
+        "mle_with_root",
+        Shape::Mle { include_root: true },
+        ActionKind::MultiLevelExpand,
+        "link",
+    ),
+    (
+        "mle_physical",
+        Shape::MlePhysical,
+        ActionKind::CheckOut,
+        "link",
+    ),
+    ("expand_flink", Shape::Expand, ActionKind::Expand, "flink"),
+    (
+        "mle_flink",
+        Shape::Mle {
+            include_root: false,
+        },
+        ActionKind::MultiLevelExpand,
+        "flink",
+    ),
+];
+
+/// The rule table of `crates/core/tests/golden_sql.rs` (all four condition
+/// classes) plus a check-out ∀rows rule.
+pub fn paper_rules() -> RuleTable {
+    let mut t = visibility_rules();
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "assy",
+        Condition::ForAllRows {
+            object_type: Some("assy".into()),
+            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
+        },
+    ));
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "assy",
+        Condition::TreeAggregate {
+            func: AggFunc::Count,
+            attr: None,
+            object_type: Some("assy".into()),
+            op: CmpOp::LtEq,
+            value: 10_000.0,
+        },
+    ));
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "comp",
+        Condition::ExistsStructure {
+            object_table: "comp".into(),
+            relation_table: "specified_by".into(),
+            related_table: "spec".into(),
+        },
+    ));
+    t.add(Rule::for_all_users(
+        ActionKind::CheckOut,
+        "assy",
+        Condition::ForAllRows {
+            object_type: None,
+            predicate: RowPredicate::compare("checkedout", CmpOp::Eq, false),
+        },
+    ));
+    t
+}
+
+/// The text of one statement: `shape` for `ids` through `view`, with the
+/// rules of `action` embedded the way an early-evaluating session embeds
+/// them.
+pub fn shape_text(
+    shape: Shape,
+    action: ActionKind,
+    ids: &[i64],
+    view: &str,
+    rules: &RuleTable,
+) -> String {
+    let id = ids[0];
+    let mut q = match shape {
+        Shape::Expand => navigational::expand_query_in(id, view),
+        Shape::ExpandMany => navigational::expand_many_query(ids, view),
+        Shape::QueryAll => navigational::query_all_query(id),
+        Shape::FetchNode => navigational::fetch_node_query(id),
+        Shape::Mle { include_root } => recursive::mle_query_in(id, view, include_root),
+        Shape::MlePhysical => recursive::mle_query(id),
+    };
+    let views = HashSet::new();
+    let m = Modificator::new(rules, "scott", action, &views);
+    match shape {
+        Shape::Expand | Shape::ExpandMany | Shape::QueryAll => {
+            m.modify_navigational(&mut q).unwrap();
+        }
+        Shape::Mle { .. } | Shape::MlePhysical => {
+            m.modify_recursive(&mut q).unwrap();
+        }
+        Shape::FetchNode => {}
+    }
+    q.to_string()
+}
+
+/// `(label, text)` of the nine shapes under `rules`; the batched expand
+/// takes `ids` whole, every other shape its first id.
+pub fn nine_shape_texts(rules: &RuleTable, ids: &[i64]) -> Vec<(&'static str, String)> {
+    NINE_SHAPES
+        .iter()
+        .map(|&(label, shape, action, view)| (label, shape_text(shape, action, ids, view, rules)))
+        .collect()
+}

@@ -1,0 +1,106 @@
+#![allow(clippy::unwrap_used)]
+#![allow(unsafe_code)]
+
+//! Allocation pin of the SQL front end: parsing a statement a session ships
+//! allocates what the AST it returns is made of and nothing per token.
+//!
+//! The counts repeat exactly (nothing here depends on time, hashing or
+//! threads), so this is a test, not a benchmark. One `#[test]` only: the
+//! allocator is process-wide and counts the thread that asked.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pdm_core::rules::visibility_rules;
+use pdm_sql::lexer::Lexer;
+use pdm_sql::parser::parse_query;
+
+thread_local! {
+    /// `Some(n)` while the calling thread is counting.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+struct Counting;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+}
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given; the only addition is a thread-local counter, which does not
+// allocate (a `const`-initialised `Cell` of a `Copy` value).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract for `alloc` is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, which is `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations (growth in place included) the calling thread makes in `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = COUNT.with(|c| c.replace(None)).unwrap();
+    (out, n)
+}
+
+#[test]
+fn a_parse_allocates_what_its_ast_holds() {
+    let ids: Vec<i64> = (1..=24).collect();
+    let mut table = String::new();
+    for (rules_name, rules) in [
+        ("visibility", visibility_rules()),
+        ("paper", common::paper_rules()),
+    ] {
+        for (label, text) in common::nine_shape_texts(&rules, &ids) {
+            // Lexing alone: nothing.
+            let (tokens, lexing) = allocations(|| {
+                let mut lexer = Lexer::new(&text);
+                let mut n = 0;
+                while lexer.next_token().unwrap().is_some() {
+                    n += 1;
+                }
+                n
+            });
+            assert!(tokens > 10, "{label}: {tokens} tokens");
+            assert_eq!(lexing, 0, "lexing {label} allocated");
+
+            let (query, parsing) = allocations(|| parse_query(&text).unwrap());
+            let (copy, copying) = allocations(|| query.clone());
+            assert_eq!(query, copy);
+            table += &format!(
+                "{rules_name:>10} {label:<14} {:>5} bytes  parse {parsing:>4}  clone {copying:>4}\n",
+                text.len()
+            );
+            assert!(
+                parsing <= copying + 2,
+                "parsing {label} under the {rules_name} rules made {parsing} allocations, \
+                 a deep copy of its AST {copying}:\n{text}"
+            );
+        }
+    }
+    // `-- --nocapture` prints the table EXPERIMENTS.md quotes.
+    println!("{table}");
+}
