@@ -222,7 +222,7 @@ fn write_file(path: &str, text: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_obs::{kinds, MetricsRegistry, TraceAssembler};
+    use pdm_obs::{kinds, MetricsRegistry, Recorder, TraceAssembler};
 
     const MANDATORY: &[&str] = &["cache.hits", "net.latency_s", "locks.wait_ns"];
 
@@ -236,17 +236,14 @@ mod tests {
 
     /// Two exchanges of client1 under trace id 7.
     fn tree() -> TraceTree {
-        let mut asm = TraceAssembler::new(7, "expand", "client1");
+        let rec = Recorder::new();
         for (label, v) in [("q0", 0.25), ("q1", 0.5)] {
-            asm.push_segment(
-                "client1",
-                kinds::NET_EXCHANGE,
-                label,
-                v,
-                &[("v_s", v), ("trace_id", 7.0)],
-                "",
-            );
+            let exchange = rec.span(kinds::NET_EXCHANGE, label);
+            exchange.advance(v);
+            exchange.add_attr("trace_id", 7.0);
         }
+        let mut asm = TraceAssembler::new(7, "expand", "client1");
+        asm.add_recorder_block("client1", &rec.spans());
         asm.finish()
     }
 

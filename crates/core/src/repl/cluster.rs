@@ -41,6 +41,19 @@
 //! the storage layer maintains as rows are written — the check costs the
 //! table headers, so it stays on every caught-up ship.
 //!
+//! # Observation
+//!
+//! The cluster keeps no instrument of its own. Whatever works on an
+//! action's behalf — a watermark wait, the availability gate, the
+//! acknowledgement pump, and the ships, promotion and seeds those set off —
+//! is handed the action's recorder and records its one span there, at the
+//! site it ran at (`primary`, `replica<n>`), advancing the action's
+//! timeline by the exact virtual seconds it took. A ship frame or seed
+//! snapshot sent for a traced action carries the action's context
+//! ([`Recorder::wire_bytes`]). Background work ([`Cluster::pump`]) runs
+//! with a disabled recorder and records nothing; the `repl.*` metrics count
+//! every event either way.
+//!
 //! # Rebase
 //!
 //! The feed retains the records above its base and `epoch_base` is the
@@ -52,12 +65,11 @@
 //! re-seeded from the new base like a healed site.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
-use pdm_net::{FaultPlan, LinkProfile, MeteredChannel, OutageWindow};
-use pdm_obs::{
-    kinds, Counter, FlightDump, Gauge, Histogram, MetricsRegistry, Recorder, SpanKind, TraceContext,
-};
+use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, OutageWindow};
+use pdm_obs::{kinds, Counter, FlightDump, Gauge, Histogram, MetricsRegistry, Recorder};
 use pdm_sql::persist::{database_digest, database_fingerprint, encode_snapshot};
 use pdm_sql::Database;
 use pdm_wal::DurableStore;
@@ -162,8 +174,9 @@ pub struct WriteReceipt {
     pub version: u64,
 }
 
-/// One acknowledged write, retained by the cluster as the loss oracle: a
-/// failover must carry every one of these into the new epoch.
+/// The highest acknowledged write of one epoch, retained by the cluster as
+/// the loss oracle: a failover must carry it — and with it, replay being
+/// sequential, every acknowledged write below it — into the new epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AckedWrite {
     pub epoch: u64,
@@ -236,46 +249,6 @@ impl ReplMetrics {
     }
 }
 
-/// One cluster-side contribution to a traced action's causal tree,
-/// recorded in occurrence order and replayed into a `TraceAssembler` by
-/// `RoutedSession` when the action completes (DESIGN.md §15).
-#[derive(Debug, Clone)]
-pub(crate) enum TraceOp {
-    /// Exclusive segment; `v_excl` is the exact clock-advance amount.
-    Segment {
-        site: String,
-        kind: SpanKind,
-        label: String,
-        v_excl: f64,
-        attrs: Vec<(&'static str, f64)>,
-        detail: String,
-    },
-    /// Zero-width child of the immediately preceding segment (e.g. the
-    /// replica-side apply of a ship batch).
-    Mark {
-        site: String,
-        kind: SpanKind,
-        label: String,
-        attrs: Vec<(&'static str, f64)>,
-    },
-    /// Open a grouping span (watermark wait); segments until the matching
-    /// close are its children and attribute to its class.
-    OpenGroup {
-        site: String,
-        kind: SpanKind,
-        label: String,
-    },
-    CloseGroup,
-}
-
-/// Per-action collection of [`TraceOp`]s plus the propagated context, so
-/// even replicas (re)bootstrapped mid-action get the piggyback installed.
-#[derive(Debug)]
-struct ActionTraceBuf {
-    ctx: TraceContext,
-    ops: Vec<TraceOp>,
-}
-
 /// The replicated cluster. See the module docs.
 #[derive(Debug)]
 pub struct Cluster {
@@ -295,17 +268,18 @@ pub struct Cluster {
     clock: f64,
     /// Scheduled primary-site outage windows on the cluster clock.
     outages: Vec<OutageWindow>,
+    /// One entry per epoch that acknowledged a write: its highest.
     acked: Vec<AckedWrite>,
     metrics: Arc<MetricsRegistry>,
     m: ReplMetrics,
-    obs: Recorder,
     failovers: Vec<FailoverReport>,
     /// A deposed primary site waiting for its outage to end before it
     /// re-bootstraps as a replica: `(site, heal_at)`.
     pending_heal: Option<(usize, f64)>,
-    /// Cross-site tracing: segments collected for the in-flight traced
-    /// action (`None` when tracing is off — zero work, zero wire bytes).
-    action_trace: Option<ActionTraceBuf>,
+    /// Sites whose seed snapshot was lost on their ship link, with that
+    /// link and why they were being seeded: out of the topology until a
+    /// ship round reaches them again and sends a fresh one.
+    unseeded: BTreeMap<usize, (MeteredChannel, &'static str)>,
     /// The primary's encoded snapshot at the feed's base sequence.
     epoch_base: Vec<u8>,
 }
@@ -351,42 +325,11 @@ impl Cluster {
             acked: Vec::new(),
             metrics,
             m,
-            obs: Recorder::new(),
             failovers: Vec::new(),
             pending_heal: None,
-            action_trace: None,
+            unseeded: BTreeMap::new(),
             epoch_base,
         })
-    }
-
-    // -- cross-site tracing ------------------------------------------------
-
-    /// Begin collecting this cluster's contributions to a traced action:
-    /// stamp `ctx` onto every replica ship link (each ship request grows by
-    /// [`TraceContext::WIRE_BYTES`]) and start the per-action op buffer.
-    pub(crate) fn begin_action_trace(&mut self, ctx: TraceContext) {
-        self.action_trace = Some(ActionTraceBuf {
-            ctx,
-            ops: Vec::new(),
-        });
-        for replica in self.replicas.values_mut() {
-            replica.channel_mut().set_trace_context(Some(ctx));
-        }
-    }
-
-    /// Stop collecting: clear the piggyback from the ship links and return
-    /// the recorded ops in occurrence order.
-    pub(crate) fn take_action_trace(&mut self) -> Vec<TraceOp> {
-        for replica in self.replicas.values_mut() {
-            replica.channel_mut().set_trace_context(None);
-        }
-        self.action_trace.take().map(|b| b.ops).unwrap_or_default()
-    }
-
-    /// Ops recorded so far for the in-flight traced action (lets the
-    /// routed session split pre-action from post-action contributions).
-    pub(crate) fn action_trace_len(&self) -> usize {
-        self.action_trace.as_ref().map_or(0, |b| b.ops.len())
     }
 
     // -- accessors ---------------------------------------------------------
@@ -446,15 +389,12 @@ impl Cluster {
         &self.metrics
     }
 
-    /// The cluster's flight recorder (ship / promote spans).
-    pub fn recorder(&self) -> &Recorder {
-        &self.obs
-    }
-
     pub fn failovers(&self) -> &[FailoverReport] {
         &self.failovers
     }
 
+    /// The highest acknowledged write of every epoch that acknowledged one,
+    /// oldest epoch first.
     pub fn acked_writes(&self) -> &[AckedWrite] {
         &self.acked
     }
@@ -510,11 +450,18 @@ impl Cluster {
     // -- shipping ----------------------------------------------------------
 
     /// Ship the outstanding suffix to one replica over its fault-injected
-    /// link. Link failures are counted and absorbed (shipping is
+    /// link, on behalf of the action `obs` records (a disabled recorder for
+    /// none). Link failures are counted and absorbed (shipping is
     /// idempotent and retried next round); consistency violations
-    /// propagate. Returns the number of records the replica acknowledged.
-    pub fn ship_once(&mut self, site: usize) -> Result<u64, ReplError> {
-        self.maybe_heal();
+    /// propagate. A site still waiting for its seed snapshot is sent that
+    /// instead. Returns the number of records the replica acknowledged.
+    pub fn ship_once(&mut self, site: usize, obs: &Recorder) -> Result<u64, ReplError> {
+        self.maybe_heal(obs);
+        if let Some((channel, why)) = self.unseeded.remove(&site) {
+            let snapshot = encode_snapshot(&self.primary.database().snapshot());
+            self.seed_replica(site, &snapshot, channel, why, obs);
+            return Ok(0);
+        }
         let epoch = self.epoch;
         let last = self.feed.last_seq();
         let Some(replica) = self.replicas.get_mut(&site) else {
@@ -525,9 +472,8 @@ impl Cluster {
             self.m.lag_seqs.set(0.0);
             return Ok(0);
         }
-        let start = self.clock;
         let before = replica.elapsed();
-        let result = replica.receive_ship(epoch, &batch, bytes);
+        let result = replica.receive_ship(epoch, &batch, bytes + obs.wire_bytes());
         let delta = replica.elapsed() - before;
         self.clock += delta;
         match result {
@@ -538,35 +484,19 @@ impl Cluster {
                 self.m
                     .lag_seqs
                     .set(last.saturating_sub(replica.applied_seq()) as f64);
-                self.obs.record_closed(
-                    kinds::REPL_SHIP,
-                    format!("site{site}"),
-                    start,
-                    start + delta,
-                    &[
-                        ("records", applied as f64),
-                        ("bytes", bytes as f64),
-                        ("v_s", advance),
-                    ],
-                    "",
-                );
-                if let Some(buf) = &mut self.action_trace {
-                    // Primary-side ship segment with the EXACT advance, and
-                    // the replica-side apply as its zero-width child.
-                    buf.ops.push(TraceOp::Segment {
-                        site: "primary".into(),
-                        kind: kinds::REPL_SHIP,
-                        label: format!("site{site}"),
-                        v_excl: advance,
-                        attrs: vec![("records", applied as f64), ("bytes", bytes as f64)],
-                        detail: String::new(),
-                    });
-                    buf.ops.push(TraceOp::Mark {
-                        site: format!("replica{site}"),
-                        kind: kinds::REPL_APPLY,
-                        label: format!("{applied} records"),
-                        attrs: vec![("records", applied as f64)],
-                    });
+                if obs.is_enabled() {
+                    // The primary-side ship with the EXACT advance, and the
+                    // replica-side apply as its zero-width child.
+                    let ship = obs.span_at("primary", kinds::REPL_SHIP, format!("site{site}"));
+                    ship.add_attr("records", applied as f64);
+                    ship.add_attr("bytes", bytes as f64);
+                    ship.advance(advance);
+                    let apply = obs.span_at(
+                        format!("replica{site}"),
+                        kinds::REPL_APPLY,
+                        format!("{applied} records"),
+                    );
+                    apply.add_attr("records", applied as f64);
                 }
                 // A fully caught-up replica must be byte-equivalent to the
                 // primary — the continuous divergence check.
@@ -576,31 +506,13 @@ impl Cluster {
                     if rd != pd {
                         return Err(ReplError::Diverged { site, seq: last });
                     }
-                    self.rebase_if_due();
+                    self.rebase_if_due(obs);
                 }
                 Ok(applied)
             }
             Err(ReplError::Link(e)) => {
-                let advance = e.waited();
                 self.m.ship_failures.inc();
-                self.obs.record_closed(
-                    kinds::REPL_SHIP,
-                    format!("site{site}"),
-                    start,
-                    start + delta,
-                    &[("bytes", bytes as f64), ("v_s", advance)],
-                    e.to_string(),
-                );
-                if let Some(buf) = &mut self.action_trace {
-                    buf.ops.push(TraceOp::Segment {
-                        site: "primary".into(),
-                        kind: kinds::REPL_SHIP,
-                        label: format!("site{site}"),
-                        v_excl: advance,
-                        attrs: vec![("bytes", bytes as f64)],
-                        detail: e.to_string(),
-                    });
-                }
+                record_lost_frame(obs, format_args!("site{site}"), bytes, &e);
                 Ok(0)
             }
             Err(fatal) => Err(fatal),
@@ -612,7 +524,7 @@ impl Cluster {
     /// interval of records is retained, or [`RETENTION_INTERVALS`] of them
     /// are and the replicas still behind are re-seeded from the new base.
     /// Either way every replica ends at or above the base.
-    fn rebase_if_due(&mut self) {
+    fn rebase_if_due(&mut self, obs: &Recorder) {
         let retained = self.feed.retained() as u64;
         let interval = self.cfg.durability.checkpoint_interval;
         if retained < interval {
@@ -632,18 +544,32 @@ impl Cluster {
         self.feed.rebase();
         for site in behind {
             if let Some(laggard) = self.replicas.remove(&site) {
-                self.seed_replica(site, &base, laggard.into_channel(), "reseed");
+                if !self.seed_replica(site, &base, laggard.into_channel(), "reseed", obs) {
+                    self.generation += 1; // the site has left the topology
+                }
             }
         }
         self.epoch_base = base;
     }
 
-    /// One ship round across every replica.
+    /// One background ship round across every site — for no action, so
+    /// nothing is recorded.
     pub fn pump(&mut self) -> Result<u64, ReplError> {
-        let sites: Vec<usize> = self.replicas.keys().copied().collect();
+        self.pump_for(&Recorder::disabled())
+    }
+
+    /// One ship round across every replica, and every site waiting for its
+    /// seed, on behalf of the action `obs` records.
+    fn pump_for(&mut self, obs: &Recorder) -> Result<u64, ReplError> {
+        let sites: Vec<usize> = self
+            .replicas
+            .keys()
+            .chain(self.unseeded.keys())
+            .copied()
+            .collect();
         let mut total = 0;
         for site in sites {
-            total += self.ship_once(site)?;
+            total += self.ship_once(site, obs)?;
         }
         Ok(total)
     }
@@ -677,15 +603,21 @@ impl Cluster {
                 });
             }
             rounds += 1;
-            self.pump().map_err(|e| SessionError::RecoveryFailed {
-                detail: format!("replication: {e}"),
-            })?;
+            self.pump_for(obs)
+                .map_err(|e| SessionError::RecoveryFailed {
+                    detail: format!("replication: {e}"),
+                })?;
         }
-        self.acked.push(AckedWrite {
+        // Sequences only grow within an epoch: the latest ack is its highest.
+        let acked = AckedWrite {
             epoch,
             seq,
             version,
-        });
+        };
+        match self.acked.last_mut() {
+            Some(last) if last.epoch == epoch => *last = acked,
+            _ => self.acked.push(acked),
+        }
         self.m.acked_writes.inc();
         Ok(WriteReceipt {
             epoch,
@@ -713,7 +645,7 @@ impl Cluster {
         policy: &RetryPolicy,
         obs: &Recorder,
     ) -> SessionResult<u64> {
-        self.maybe_heal();
+        self.maybe_heal(obs);
         if receipt.epoch < self.epoch {
             return Ok(0);
         }
@@ -721,51 +653,30 @@ impl Cluster {
             return Ok(0); // reads run at the primary: trivially fresh
         }
         let start = self.clock;
-        // Ship pumps issued while this wait is open are children of the
-        // watermark group, so their time attributes to repl.wait_watermark
-        // (the class a reader actually experiences) rather than repl.ship.
-        if let Some(buf) = &mut self.action_trace {
-            buf.ops.push(TraceOp::OpenGroup {
-                site: "primary".into(),
-                kind: kinds::REPL_WAIT_WATERMARK,
-                label: format!("site{site} seq{}", receipt.seq),
-            });
-        }
+        // Ships pumped while this span is open are its children, so their
+        // time attributes to repl.wait_watermark (the class a reader
+        // actually experiences) rather than repl.ship.
+        let _wait = obs.is_enabled().then(|| {
+            obs.span_at(
+                "primary",
+                kinds::REPL_WAIT_WATERMARK,
+                format!("site{site} seq{}", receipt.seq),
+            )
+        });
         let mut rounds = 0u32;
         loop {
-            let applied = match self.replicas.get(&site) {
-                Some(r) => r.applied_seq(),
-                None => {
-                    if let Some(buf) = &mut self.action_trace {
-                        buf.ops.push(TraceOp::CloseGroup);
-                    }
-                    return Ok(0);
-                }
+            let Some(applied) = self.replicas.get(&site).map(ReplicaSite::applied_seq) else {
+                return Ok(0);
             };
+            let waited = self.clock - start;
             if applied >= receipt.seq {
-                let waited = self.clock - start;
                 self.m.watermark_waits.inc();
                 self.m.watermark_wait_us.record((waited * 1e6) as u64);
-                self.obs.record_closed(
-                    kinds::REPL_WAIT_WATERMARK,
-                    format!("site{site}"),
-                    start,
-                    self.clock,
-                    &[("seq", receipt.seq as f64), ("rounds", rounds as f64)],
-                    "",
-                );
-                if let Some(buf) = &mut self.action_trace {
-                    buf.ops.push(TraceOp::CloseGroup);
-                }
                 return Ok(applied);
             }
-            let waited = self.clock - start;
             if waited >= policy.deadline || rounds >= self.cfg.max_pump_rounds {
                 self.m.watermark_timeouts.inc();
                 obs.event(kinds::REPL_WAIT_WATERMARK, format!("site{site} deadline"));
-                if let Some(buf) = &mut self.action_trace {
-                    buf.ops.push(TraceOp::CloseGroup);
-                }
                 return Err(SessionError::ReplicaLagTimeout {
                     seq: receipt.seq,
                     applied,
@@ -774,7 +685,7 @@ impl Cluster {
                 });
             }
             rounds += 1;
-            self.ship_once(site)
+            self.ship_once(site, obs)
                 .map_err(|e| SessionError::RecoveryFailed {
                     detail: format!("replication: {e}"),
                 })?;
@@ -789,7 +700,7 @@ impl Cluster {
     /// most caught-up replica. Waits exceeding `max_wait` fail with
     /// [`SessionError::PrimaryUnavailable`].
     pub fn ensure_primary(&mut self, max_wait: f64, obs: &Recorder) -> SessionResult<()> {
-        self.maybe_heal();
+        self.maybe_heal(obs);
         let Some(w) = self
             .outages
             .iter()
@@ -809,17 +720,8 @@ impl Cluster {
                 });
             }
             self.clock = w.end;
-            if let Some(buf) = &mut self.action_trace {
-                buf.ops.push(TraceOp::Segment {
-                    site: "primary".into(),
-                    kind: kinds::NET_BACKOFF,
-                    label: "outage wait".into(),
-                    v_excl: wait,
-                    attrs: vec![("wait_s", wait)],
-                    detail: String::new(),
-                });
-            }
-            self.maybe_heal();
+            record_wait(obs, "outage wait", wait);
+            self.maybe_heal(obs);
             Ok(())
         } else {
             let wait = (lease_expires - self.clock).max(0.0);
@@ -830,18 +732,9 @@ impl Cluster {
                 });
             }
             self.clock = self.clock.max(lease_expires);
-            if let Some(buf) = &mut self.action_trace {
-                buf.ops.push(TraceOp::Segment {
-                    site: "primary".into(),
-                    kind: kinds::NET_BACKOFF,
-                    label: "lease wait".into(),
-                    v_excl: wait,
-                    attrs: vec![("wait_s", wait)],
-                    detail: String::new(),
-                });
-            }
+            record_wait(obs, "lease wait", wait);
             self.outages.retain(|o| *o != w);
-            self.promote_inner(Some(w.end))
+            self.promote_inner(Some(w.end), obs)
                 .map_err(|e| SessionError::RecoveryFailed {
                     detail: format!("failover promotion: {e}"),
                 })?;
@@ -852,10 +745,10 @@ impl Cluster {
     /// Promote the most caught-up replica to primary (test/admin hook; the
     /// deposed primary is abandoned rather than healed).
     pub fn promote(&mut self) -> Result<(), ReplError> {
-        self.promote_inner(None)
+        self.promote_inner(None, &Recorder::disabled())
     }
 
-    fn promote_inner(&mut self, heal_at: Option<f64>) -> Result<(), ReplError> {
+    fn promote_inner(&mut self, heal_at: Option<f64>, obs: &Recorder) -> Result<(), ReplError> {
         let started = self.clock;
         let old_epoch = self.epoch;
         let new_epoch = old_epoch
@@ -948,32 +841,12 @@ impl Cluster {
         self.clock += duration;
         self.m.failovers.inc();
         self.m.failover_us.record((duration * 1e6) as u64);
-        self.obs.record_closed(
-            kinds::REPL_PROMOTE,
-            format!("epoch{new_epoch}"),
-            started,
-            self.clock,
-            &[
-                ("promoted_site", promoted_site as f64),
-                ("promoted_seq", promoted_seq as f64),
-                ("catchup_records", catchup_records as f64),
-                ("v_s", duration),
-            ],
-            "",
-        );
-        if let Some(buf) = &mut self.action_trace {
-            buf.ops.push(TraceOp::Segment {
-                site: "primary".into(),
-                kind: kinds::REPL_PROMOTE,
-                label: format!("epoch{new_epoch}"),
-                v_excl: duration,
-                attrs: vec![
-                    ("promoted_site", promoted_site as f64),
-                    ("promoted_seq", promoted_seq as f64),
-                    ("catchup_records", catchup_records as f64),
-                ],
-                detail: String::new(),
-            });
+        if obs.is_enabled() {
+            let span = obs.span_at("primary", kinds::REPL_PROMOTE, format!("epoch{new_epoch}"));
+            span.add_attr("promoted_site", promoted_site as f64);
+            span.add_attr("promoted_seq", promoted_seq as f64);
+            span.add_attr("catchup_records", catchup_records as f64);
+            span.advance(duration);
         }
         self.failovers.push(FailoverReport {
             old_epoch,
@@ -995,7 +868,7 @@ impl Cluster {
 
     /// Heal a deposed primary whose outage has ended: re-bootstrap it from
     /// the current primary's snapshot as an ordinary replica.
-    fn maybe_heal(&mut self) {
+    fn maybe_heal(&mut self, obs: &Recorder) {
         let Some((site, at)) = self.pending_heal else {
             return;
         };
@@ -1012,22 +885,44 @@ impl Cluster {
             .for_site(site as u64 + 1000 * self.epoch);
         let channel = MeteredChannel::with_faults(self.cfg.ship_link, plan);
         let snapshot_bytes = encode_snapshot(&self.primary.database().snapshot());
-        self.seed_replica(site, &snapshot_bytes, channel, "heal");
+        self.seed_replica(site, &snapshot_bytes, channel, "heal", obs);
     }
 
     /// Seed `site` as a replica from `snapshot_bytes`, the primary's
     /// current state at the feed's head — a healed ex-primary, or a laggard
     /// the feed no longer retains records for (`why` names which in traces
-    /// and events): bootstrap with the primary's trackers, charge the
-    /// transfer to `channel`, install the site and bump the generation so
-    /// routed sessions re-resolve their read server.
+    /// and events): send the snapshot over `channel`, a fallible exchange
+    /// like any ship; bootstrap with the primary's trackers, install the
+    /// site and bump the generation so routed sessions re-resolve their
+    /// read server. A snapshot lost on the link leaves the site out of the
+    /// topology (its readers are served by the primary) until the next ship
+    /// round sends a fresh one. Returns whether the site is installed.
     fn seed_replica(
         &mut self,
         site: usize,
         snapshot_bytes: &[u8],
-        channel: MeteredChannel,
-        why: &str,
-    ) {
+        mut channel: MeteredChannel,
+        why: &'static str,
+        obs: &Recorder,
+    ) -> bool {
+        let bytes = snapshot_bytes.len() + 64;
+        let before = channel.elapsed();
+        let sent = channel.try_round_trip(bytes + obs.wire_bytes(), ACK_BYTES);
+        self.clock += channel.elapsed() - before;
+        let rt = match sent {
+            Ok(rt) => rt,
+            Err(e) => {
+                self.m.ship_failures.inc();
+                record_lost_frame(obs, format_args!("{why} site{site}"), bytes, &e);
+                self.unseeded.insert(site, (channel, why));
+                return false;
+            }
+        };
+        if obs.is_enabled() {
+            let span = obs.span_at("primary", kinds::REPL_SHIP, format!("{why} site{site}"));
+            span.add_attr("bytes", bytes as f64);
+            span.advance(rt.total_time());
+        }
         let state = self
             .primary
             .durability()
@@ -1035,39 +930,17 @@ impl Cluster {
             .unwrap_or_default();
         let base_seq = self.feed.last_seq();
         match ReplicaSite::bootstrap(site, snapshot_bytes, self.epoch, base_seq, state, channel) {
-            Ok(mut replica) => {
-                // Seeding inside a traced action carries the piggyback too:
-                // the snapshot frame grows by the context bytes and the
-                // transfer shows up as a primary-side ship segment.
-                if let Some(buf) = &self.action_trace {
-                    replica.channel_mut().set_trace_context(Some(buf.ctx));
-                }
-                // Charge the snapshot transfer to the site's link.
-                let before = replica.elapsed();
-                let rt = replica
-                    .channel_mut()
-                    .round_trip(snapshot_bytes.len() + 64, ACK_BYTES);
-                self.clock += replica.elapsed() - before;
-                if let Some(buf) = &mut self.action_trace {
-                    buf.ops.push(TraceOp::Segment {
-                        site: "primary".into(),
-                        kind: kinds::REPL_SHIP,
-                        label: format!("{why} site{site}"),
-                        v_excl: rt.total_time(),
-                        attrs: vec![("bytes", (snapshot_bytes.len() + 64) as f64)],
-                        detail: String::new(),
-                    });
-                }
+            Ok(replica) => {
                 self.replicas.insert(site, replica);
                 self.generation += 1;
-                self.obs
-                    .event(kinds::REPL_APPLY, format!("site{site} {why}: seeded"));
+                obs.event(kinds::REPL_APPLY, format!("site{site} {why}: seeded"));
+                true
             }
             Err(e) => {
                 // A site that cannot decode the primary snapshot is lost;
                 // leave it out of the topology.
-                self.obs
-                    .event(kinds::REPL_APPLY, format!("site{site} {why} failed: {e}"));
+                obs.event(kinds::REPL_APPLY, format!("site{site} {why} failed: {e}"));
+                false
             }
         }
     }
@@ -1075,6 +948,24 @@ impl Cluster {
     /// State fingerprint of the current primary.
     pub fn primary_fingerprint(&self) -> Vec<u8> {
         database_fingerprint(self.primary.database())
+    }
+}
+
+/// A wait at the availability gate, as a span of the action `obs` records.
+fn record_wait(obs: &Recorder, label: &'static str, wait: f64) {
+    let span = obs.span_at("primary", kinds::NET_BACKOFF, label);
+    span.add_attr("wait_s", wait);
+    span.advance(wait);
+}
+
+/// A frame lost on a ship link — a batch, a seed snapshot — as a span of
+/// the action `obs` records: the timeout it burned is the time it took.
+fn record_lost_frame(obs: &Recorder, label: fmt::Arguments<'_>, bytes: usize, e: &LinkError) {
+    if obs.is_enabled() {
+        let span = obs.span_at("primary", kinds::REPL_SHIP, label.to_string());
+        span.add_attr("bytes", bytes as f64);
+        span.advance(e.waited());
+        span.set_detail(e.to_string());
     }
 }
 
@@ -1157,12 +1048,12 @@ mod tests {
     fn assert_next_ship_diverges(cluster: &mut Cluster, session: &mut RoutedSession) {
         write(cluster, session, "after");
         let seq = cluster.feed.last_seq();
-        match cluster.ship_once(1) {
+        match cluster.ship_once(1, &Recorder::disabled()) {
             Err(ReplError::Diverged { site: 1, seq: at }) => assert_eq!(at, seq),
             other => panic!("corruption went unnoticed: {other:?}"),
         }
         // The honest site is unaffected.
-        cluster.ship_once(2).unwrap();
+        cluster.ship_once(2, &Recorder::disabled()).unwrap();
         assert_eq!(cluster.lag(2), 0);
     }
 

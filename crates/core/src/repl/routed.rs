@@ -16,18 +16,27 @@
 //! [`DegradationController`] staleness rung opens and reads are served
 //! from the lagging replica with an explicit [`Staleness`] annotation
 //! instead of failing the action outright.
+//!
+//! **One recorder per action**: a routed action's observation context is
+//! owned here, not by whichever inner session happens to run its body. With
+//! tracing on, the two sessions share one recorder; the routed session
+//! opens the action on it *before* the cluster's pre-work (watermark wait,
+//! availability gate) and closes it after the acknowledgement, handing it
+//! to every cluster call in between — so the cluster's spans, the client's
+//! and the replicas' land in one recorder in occurrence order and assemble
+//! into one tree the way a direct session's do. The recorder outlives the
+//! inner sessions, which a topology change rebuilds mid-action.
 
 use pdm_net::LinkProfile;
-use pdm_obs::{TraceAssembler, TraceContext, TraceIdGen, TraceTree, ROOT_GID};
+use pdm_obs::TraceTree;
 
-use super::cluster::TraceOp;
 use super::{Cluster, WriteReceipt};
 use crate::checkout::CheckoutOutcome;
 use crate::product::{ObjectId, ProductTree};
 use crate::resilience::RetryPolicy;
 use crate::rules::table::RuleTable;
 use crate::session::{
-    ExpandOutcome, QueryOutcome, Session, SessionConfig, SessionError, SessionResult,
+    ExpandOutcome, QueryOutcome, Session, SessionConfig, SessionError, SessionResult, Tracing,
 };
 
 /// Explicit staleness annotation on a degraded read: the replica served it
@@ -48,14 +57,6 @@ pub struct RoutedRead<T> {
     pub staleness: Option<Staleness>,
 }
 
-/// Routed-session tracing state: one deterministic id stream shared by
-/// reads and writes, so client spans AND cluster-side segments (ship,
-/// watermark waits, promotion) assemble under a single trace id per action.
-struct RoutedTrace {
-    gen: TraceIdGen,
-    seed: u64,
-}
-
 /// A client session pinned to one site of a replicated cluster. See the
 /// module docs.
 pub struct RoutedSession {
@@ -68,8 +69,10 @@ pub struct RoutedSession {
     epoch: u64,
     last_write: Option<WriteReceipt>,
     policy: RetryPolicy,
-    trace: Option<RoutedTrace>,
-    last_trace: Option<TraceTree>,
+    /// Cross-site tracing, `None` unless [`RoutedSession::enable_tracing`]
+    /// turns it on: whether an action is traced is decided here, once, when
+    /// the action opens.
+    tracing: Option<Tracing>,
 }
 
 impl RoutedSession {
@@ -97,40 +100,25 @@ impl RoutedSession {
             epoch: cluster.epoch(),
             last_write: None,
             policy: RetryPolicy::default_wan(),
-            trace: None,
-            last_trace: None,
+            tracing: None,
         }
     }
 
     /// Turn on cross-site causal tracing for every action of this routed
-    /// session (implies profiling on both underlying sessions). Each action
-    /// draws one trace id; the client exchange spans, the primary's ship /
-    /// watermark / promotion segments, and the replica-side applies all
-    /// assemble into one [`TraceTree`] readable via
-    /// [`RoutedSession::last_trace`].
+    /// session (implies profiling: both underlying sessions record into one
+    /// shared recorder). Each action draws one trace id; the client exchange
+    /// spans, the primary's ship / watermark / promotion spans, and the
+    /// replica-side applies all assemble into one [`TraceTree`] readable
+    /// via [`RoutedSession::last_trace`].
     pub fn enable_tracing(&mut self, seed: u64) {
-        self.trace = Some(RoutedTrace {
-            gen: TraceIdGen::new(seed),
-            seed,
-        });
-        self.apply_tracing();
+        self.write.enable_profiling();
+        self.read.attach_recorder(self.write.recorder().clone());
+        self.tracing = Some(Tracing::new(seed, format!("client{}", self.site)));
     }
 
     /// The causal tree of the most recent traced action.
     pub fn last_trace(&self) -> Option<&TraceTree> {
-        self.last_trace.as_ref()
-    }
-
-    /// (Re-)apply tracing to the underlying sessions — needed after
-    /// [`RoutedSession::resync`] rebuilds them on a topology change.
-    fn apply_tracing(&mut self) {
-        let Some(t) = &self.trace else { return };
-        let seed = t.seed;
-        let site = format!("client{}", self.site);
-        self.read.enable_tracing(seed);
-        self.read.set_trace_site(site.clone());
-        self.write.enable_tracing(seed);
-        self.write.set_trace_site(site);
+        self.tracing.as_ref().and_then(Tracing::last_tree)
     }
 
     pub fn site(&self) -> usize {
@@ -168,7 +156,9 @@ impl RoutedSession {
 
     /// Re-resolve server handles after a topology change (promotion or
     /// heal). Degradation state survives the re-attach — a lag breaker
-    /// tripped against the old topology half-opens normally.
+    /// tripped against the old topology half-opens normally — and so do the
+    /// recorders: a resync in the middle of an action goes on recording
+    /// into the action it is part of.
     fn resync(&mut self, cluster: &Cluster) {
         if self.generation == cluster.generation() && self.epoch == cluster.epoch() {
             return;
@@ -180,14 +170,16 @@ impl RoutedSession {
             ..self.config.clone()
         };
         let degradation = self.read.degradation().clone();
+        let (read_obs, write_obs) = (self.read.recorder().clone(), self.write.recorder().clone());
         self.read = Session::attach(cluster.read_server(self.site), read_cfg, self.rules.clone());
         *self.read.degradation_mut() = degradation;
+        self.read.attach_recorder(read_obs);
         self.write = Session::attach(
             cluster.write_server(),
             self.config.clone(),
             self.rules.clone(),
         );
-        self.apply_tracing();
+        self.write.attach_recorder(write_obs);
     }
 
     /// Enforce read-your-writes before a read, degrading to an annotated
@@ -230,100 +222,23 @@ impl RoutedSession {
         }
     }
 
-    /// Draw this action's trace id, stamp the context onto the cluster's
-    /// ship links, and force it onto both sessions so whichever one runs
-    /// the action records under the same trace.
-    fn begin_routed_trace(&mut self, cluster: &mut Cluster) -> Option<TraceContext> {
-        let t = self.trace.as_mut()?;
-        let ctx = TraceContext::new(t.gen.next_id(), ROOT_GID);
-        cluster.begin_action_trace(ctx);
-        self.read.force_next_trace_id(ctx.trace_id);
-        self.write.force_next_trace_id(ctx.trace_id);
-        Some(ctx)
-    }
-
-    /// Replay cluster-collected [`TraceOp`]s into the assembler: marks hang
-    /// off the segment recorded immediately before them (the replica apply
-    /// under its ship), groups nest exactly as they occurred.
-    fn replay_ops(asm: &mut TraceAssembler, ops: &[TraceOp]) {
-        let mut last_seg = ROOT_GID;
-        for op in ops {
-            match op {
-                TraceOp::Segment {
-                    site,
-                    kind,
-                    label,
-                    v_excl,
-                    attrs,
-                    detail,
-                } => {
-                    last_seg = asm.push_segment(
-                        site.clone(),
-                        *kind,
-                        label.clone(),
-                        *v_excl,
-                        attrs,
-                        detail.clone(),
-                    );
-                }
-                TraceOp::Mark {
-                    site,
-                    kind,
-                    label,
-                    attrs,
-                } => {
-                    asm.push_mark(last_seg, site.clone(), *kind, label.clone(), attrs);
-                }
-                TraceOp::OpenGroup { site, kind, label } => {
-                    asm.open_group(site.clone(), *kind, label.clone());
-                }
-                TraceOp::CloseGroup => asm.close_group(),
-            }
-        }
-    }
-
-    /// Assemble the combined causal tree of a finished routed action:
-    /// cluster ops recorded before the session action (watermark waits,
-    /// availability gates), then the session's own recorder block, then the
-    /// post-action ops (acknowledgement ship pumps). On a failure carrying
-    /// a flight dump, the tree is spliced into it.
-    fn finish_routed_trace<T>(
+    /// Run `body` as one routed action named `name`. Traced, this is where
+    /// the action is opened on the shared recorder and where its tree is
+    /// assembled from it: the inner session that runs the action proper
+    /// finds the context there and joins in (see [`Session::action`]).
+    fn action<T>(
         &mut self,
-        cluster: &mut Cluster,
-        ctx: Option<TraceContext>,
         name: &'static str,
-        pre_len: usize,
-        read_side: bool,
-        mut result: SessionResult<T>,
+        body: impl FnOnce(&mut Self) -> SessionResult<T>,
     ) -> SessionResult<T> {
-        let Some(ctx) = ctx else { return result };
-        let ops = cluster.take_action_trace();
-        let (pre, post) = ops.split_at(pre_len.min(ops.len()));
-        let session = if read_side { &self.read } else { &self.write };
-        // Only splice the recorder block in if the session actually began
-        // the forced action (a pre-action failure leaves stale spans).
-        let spans = if session.current_trace_id() == Some(ctx.trace_id) {
-            session.recorder().spans()
-        } else {
-            Vec::new()
-        };
-        let site = format!("client{}", self.site);
-        let mut asm = TraceAssembler::new(ctx.trace_id, name, site.clone());
-        Self::replay_ops(&mut asm, pre);
-        asm.add_recorder_block(&site, &spans);
-        Self::replay_ops(&mut asm, post);
-        asm.set_outcome(match &result {
-            Ok(_) => "ok",
-            Err(e) => e.kind_name(),
-        });
-        let tree = asm.finish();
-        if let Err(e) = &mut result {
-            if let Some(dump) = e.context_mut() {
-                dump.trace = Some(Box::new(tree.clone()));
-            }
+        if let Some(t) = &mut self.tracing {
+            t.open(self.write.recorder());
         }
-        self.last_trace = Some(tree);
-        result
+        let result = body(self);
+        match &mut self.tracing {
+            Some(t) => t.close(self.write.recorder(), name, result),
+            None => result,
+        }
     }
 
     /// Run one read action on the local session, folding its metered time
@@ -335,21 +250,17 @@ impl RoutedSession {
         action: impl FnOnce(&mut Session) -> SessionResult<T>,
     ) -> SessionResult<RoutedRead<T>> {
         self.resync(cluster);
-        let ctx = self.begin_routed_trace(cluster);
-        let mut pre_len = 0;
-        let result = (|| {
-            let staleness = self.sync_reads(cluster)?;
-            pre_len = cluster.action_trace_len();
-            let result = action(&mut self.read);
+        self.action(name, |this| {
+            let staleness = this.sync_reads(cluster)?;
+            let result = action(&mut this.read);
             // Session metering resets per action, so post-action elapsed IS
             // the action's virtual time.
-            cluster.advance(self.read.elapsed());
+            cluster.advance(this.read.elapsed());
             Ok(RoutedRead {
                 value: result?,
                 staleness,
             })
-        })();
-        self.finish_routed_trace(cluster, ctx, name, pre_len, true, result)
+        })
     }
 
     /// Run one write action against the primary, gated on availability
@@ -361,26 +272,16 @@ impl RoutedSession {
         action: impl FnOnce(&mut Session) -> SessionResult<T>,
     ) -> SessionResult<(T, WriteReceipt)> {
         self.resync(cluster);
-        let ctx = self.begin_routed_trace(cluster);
-        let mut pre_len = 0;
-        let result = (|| {
-            let deadline = self.policy.deadline;
-            cluster.ensure_primary(deadline, self.write.recorder())?;
-            self.resync(cluster); // the primary may have moved
-            if let Some(ctx) = ctx {
-                // resync rebuilds the sessions; re-force the action's id.
-                self.write.force_next_trace_id(ctx.trace_id);
-                self.read.force_next_trace_id(ctx.trace_id);
-            }
-            pre_len = cluster.action_trace_len();
-            let result = action(&mut self.write);
-            cluster.advance(self.write.elapsed());
+        self.action(name, |this| {
+            cluster.ensure_primary(this.policy.deadline, this.write.recorder())?;
+            this.resync(cluster); // the primary may have moved
+            let result = action(&mut this.write);
+            cluster.advance(this.write.elapsed());
             let value = result?;
-            let receipt = cluster.acknowledge_write(self.write.recorder())?;
-            self.last_write = Some(receipt);
+            let receipt = cluster.acknowledge_write(this.write.recorder())?;
+            this.last_write = Some(receipt);
             Ok((value, receipt))
-        })();
-        self.finish_routed_trace(cluster, ctx, name, pre_len, false, result)
+        })
     }
 
     // -- reads -------------------------------------------------------------

@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
 use pdm_obs::{
-    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, SpanGuard, TraceAssembler,
+    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, TraceAssembler,
     TraceContext, TraceIdGen, TraceTree, ROOT_GID,
 };
 use pdm_sql::functions::FunctionRegistry;
@@ -366,16 +366,69 @@ pub struct QueryOutcome {
     pub stats: TrafficStats,
 }
 
-/// Per-session cross-site tracing state (DESIGN.md §15): the deterministic
-/// id stream, this session's site label in assembled trees, the context of
-/// the in-flight action, and an optional externally-forced next id (routed
-/// sessions draw ids from their own stream so client and cluster spans
-/// share one trace).
-struct TraceState {
+/// Cross-site tracing state of an action owner — a [`Session`], or the
+/// routed session over two of them (DESIGN.md §15): the deterministic id
+/// stream, the owner's site label in assembled trees, and the tree of its
+/// most recent action. The context of the action in flight is not here: it
+/// lives in the recorder, where everything the action is handed to finds it.
+pub(crate) struct Tracing {
     gen: TraceIdGen,
     site: String,
-    current: Option<TraceContext>,
-    next_id: Option<u64>,
+    last: Option<TraceTree>,
+}
+
+impl Tracing {
+    pub(crate) fn new(seed: u64, site: impl Into<String>) -> Self {
+        Tracing {
+            gen: TraceIdGen::new(seed),
+            site: site.into(),
+            last: None,
+        }
+    }
+
+    pub(crate) fn last_tree(&self) -> Option<&TraceTree> {
+        self.last.as_ref()
+    }
+
+    /// Open a traced action on `obs`: a fresh timeline under the next
+    /// trace id — the one place an action becomes a traced one.
+    pub(crate) fn open(&mut self, obs: &Recorder) {
+        obs.begin_action();
+        obs.set_context(Some(TraceContext::new(self.gen.next_id(), ROOT_GID)));
+    }
+
+    /// Close the action opened on `obs`: assemble everything recorded since
+    /// into its causal tree and remember it. The root total reconciles
+    /// bit-exactly with the virtual time the action took — both are the
+    /// same running sum of the same exact `v_s` clock-advance amounts in
+    /// the same order. A failure that carries a flight dump gets the tree
+    /// spliced in: a timeout arrives with its own causal tree up to the
+    /// failure point.
+    pub(crate) fn close<T>(
+        &mut self,
+        obs: &Recorder,
+        name: &'static str,
+        mut result: SessionResult<T>,
+    ) -> SessionResult<T> {
+        let Some(ctx) = obs.context() else {
+            return result;
+        };
+        obs.set_context(None);
+        let mut asm = TraceAssembler::new(ctx.trace_id, name, self.site.clone());
+        asm.add_recorder_block(&self.site, &obs.spans());
+        asm.set_outcome(match &result {
+            Ok(_) => "ok",
+            Err(e) => e.kind_name(),
+        });
+        let tree = asm.finish();
+        if let Err(e) = &mut result {
+            if let Some(dump) = e.context_mut() {
+                dump.trace = Some(Box::new(tree.clone()));
+            }
+        }
+        self.last = Some(tree);
+        result
+    }
 }
 
 /// A PDM client session bound to a server and a WAN profile.
@@ -403,17 +456,16 @@ pub struct Session {
     priority_override: Option<crate::overload::Priority>,
     degradation: DegradationController,
     /// Span recorder, disabled (free no-ops) unless
-    /// [`Session::enable_profiling`] turns it on. The channel holds a clone
-    /// of the same recorder for its network spans.
+    /// [`Session::enable_profiling`] turns it on or a routed session shares
+    /// its own. The channel holds a clone of the same recorder for its
+    /// network spans.
     obs: Recorder,
     /// The shared server's metrics registry; this session folds its
     /// per-action traffic (`net.*`) into it.
     metrics: Arc<MetricsRegistry>,
     /// Cross-site tracing, `None` (zero cost, zero wire bytes) unless
     /// [`Session::enable_tracing`] turns it on.
-    tracing: Option<TraceState>,
-    /// Assembled causal tree of the most recent traced action.
-    last_trace: Option<TraceTree>,
+    tracing: Option<Tracing>,
     /// The statements this session has generated, one per shape and action
     /// (see [`Session::statement`]). Emptied by the two setters that change
     /// what a shape generates, [`Session::set_strategy`] and
@@ -457,7 +509,6 @@ impl Session {
             obs: Recorder::disabled(),
             metrics,
             tracing: None,
-            last_trace: None,
             prepared: HashMap::new(),
             late_rows: None,
         }
@@ -470,8 +521,15 @@ impl Session {
     /// profiling off (the default), every recording call is a free no-op
     /// and results are byte-identical.
     pub fn enable_profiling(&mut self) {
-        self.obs = Recorder::new();
-        self.channel.attach_obs(self.obs.clone());
+        self.attach_recorder(Recorder::new());
+    }
+
+    /// Record into `obs` from here on — a recorder of this session's own
+    /// ([`Session::enable_profiling`]), or the one a routed session shares
+    /// between its read and its write session.
+    pub(crate) fn attach_recorder(&mut self, obs: Recorder) {
+        self.channel.attach_obs(obs.clone());
+        self.obs = obs;
     }
 
     /// The session's span recorder (disabled unless
@@ -502,106 +560,13 @@ impl Session {
         if !self.obs.is_enabled() {
             self.enable_profiling();
         }
-        self.tracing = Some(TraceState {
-            gen: TraceIdGen::new(seed),
-            site: "client".into(),
-            current: None,
-            next_id: None,
-        });
-    }
-
-    /// Site label this session's spans carry in assembled trees (default
-    /// `"client"`; routed sessions label themselves `client<site>`).
-    pub fn set_trace_site(&mut self, site: impl Into<String>) {
-        if let Some(t) = &mut self.tracing {
-            t.site = site.into();
-        }
-    }
-
-    /// Force the next action's trace id (routed sessions draw ids from
-    /// their own stream so client and cluster spans share one trace).
-    pub(crate) fn force_next_trace_id(&mut self, id: u64) {
-        if let Some(t) = &mut self.tracing {
-            t.next_id = Some(id);
-        }
-    }
-
-    /// Trace id of the in-flight (or just-finished) traced action.
-    pub(crate) fn current_trace_id(&self) -> Option<u64> {
-        self.tracing
-            .as_ref()
-            .and_then(|t| t.current)
-            .map(|c| c.trace_id)
+        self.tracing = Some(Tracing::new(seed, "client"));
     }
 
     /// The causal tree of the most recent traced action (`None` with
     /// tracing off or before the first action).
     pub fn last_trace(&self) -> Option<&TraceTree> {
-        self.last_trace.as_ref()
-    }
-
-    /// Assemble this session's recorder spans into a causal tree for the
-    /// just-finished action. The root total reconciles bit-exactly with
-    /// [`Session::elapsed`] — both are the same running sum of the same
-    /// exact `v_s` clock-advance amounts in the same order.
-    fn assemble_trace(&self, ctx: TraceContext, outcome: &str) -> TraceTree {
-        let spans = self.obs.spans();
-        let action = spans
-            .iter()
-            .find(|s| s.parent.is_none())
-            .map(|s| s.label.clone())
-            .unwrap_or_default();
-        let site = self
-            .tracing
-            .as_ref()
-            .map(|t| t.site.clone())
-            .unwrap_or_else(|| "client".into());
-        let mut asm = TraceAssembler::new(ctx.trace_id, action, site.clone());
-        asm.add_recorder_block(&site, &spans);
-        asm.set_outcome(outcome);
-        asm.finish()
-    }
-
-    /// Post-action tracing hook of [`Session::action`]: assemble
-    /// the tree, remember it, clear the wire piggyback, and on a failure
-    /// that carries a flight dump splice the tree in — a timeout arrives
-    /// with its own causal tree up to the failure point.
-    fn trace_result<T>(&mut self, mut result: SessionResult<T>) -> SessionResult<T> {
-        let Some(ctx) = self.tracing.as_ref().and_then(|t| t.current) else {
-            return result;
-        };
-        self.channel.set_trace_context(None);
-        let outcome = match &result {
-            Ok(_) => "ok".to_string(),
-            Err(e) => e.kind_name().to_string(),
-        };
-        let tree = self.assemble_trace(ctx, &outcome);
-        if let Err(e) = &mut result {
-            if let Some(dump) = e.context_mut() {
-                dump.trace = Some(Box::new(tree.clone()));
-            }
-        }
-        self.last_trace = Some(tree);
-        result
-    }
-
-    /// Start a measured action: reset the traffic meter, reset the
-    /// recorder's per-action state, and open the root `session.action` span.
-    /// Each action also credits the retry budget (a fresh request earns
-    /// its fraction of a retry token).
-    fn begin_action(&mut self, name: &'static str) -> SpanGuard {
-        if let Some(b) = &mut self.retry_budget {
-            b.on_request();
-        }
-        self.reset_metering();
-        self.obs.begin_action();
-        if let Some(t) = &mut self.tracing {
-            let id = t.next_id.take().unwrap_or_else(|| t.gen.next_id());
-            let ctx = TraceContext::new(id, ROOT_GID);
-            t.current = Some(ctx);
-            self.channel.set_trace_context(Some(ctx));
-        }
-        self.obs.span(kinds::ACTION, name)
+        self.tracing.as_ref().and_then(Tracing::last_tree)
     }
 
     /// Fold the channel's traffic counters since the last meter reset into
@@ -740,12 +705,7 @@ impl Session {
         if let Some(plan) = &self.fault_plan {
             self.channel.set_fault_plan(plan.clone());
         }
-        if self.obs.is_enabled() {
-            self.channel.attach_obs(self.obs.clone());
-        }
-        if let Some(ctx) = self.tracing.as_ref().and_then(|t| t.current) {
-            self.channel.set_trace_context(Some(ctx));
-        }
+        self.channel.attach_obs(self.obs.clone());
     }
 
     /// Accumulated traffic since the last reset.
@@ -842,17 +802,38 @@ impl Session {
 
     /// Run `body` as one measured user action named `name`: fresh metering
     /// and root span before it; traffic folded into the registry and the
-    /// causal tree assembled after it, whether it succeeded or not.
+    /// causal tree assembled after it, whether it succeeded or not. Each
+    /// action also credits the retry budget (a fresh request earns its
+    /// fraction of a retry token).
+    ///
+    /// A recorder that already carries a context belongs to a routed action
+    /// in flight: this action is one part of that one. It adds its spans to
+    /// what the cluster recorded before it and leaves opening the timeline,
+    /// assembling the tree and closing to the routed session that owns it.
     pub(crate) fn action<T>(
         &mut self,
         name: &'static str,
         body: impl FnOnce(&mut Session) -> SessionResult<T>,
     ) -> SessionResult<T> {
-        let span = self.begin_action(name);
+        if let Some(b) = &mut self.retry_budget {
+            b.on_request();
+        }
+        self.reset_metering();
+        let owner = self.obs.context().is_none();
+        if owner {
+            match &mut self.tracing {
+                Some(t) => t.open(&self.obs),
+                None => self.obs.begin_action(),
+            }
+        }
+        let span = self.obs.span(kinds::ACTION, name);
         let result = body(self);
         drop(span);
         self.fold_traffic();
-        self.trace_result(result)
+        match &mut self.tracing {
+            Some(t) if owner => t.close(&self.obs, name, result),
+            _ => result,
+        }
     }
 
     /// A tree holding just `root`, fetched unmetered.

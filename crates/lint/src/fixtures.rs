@@ -68,9 +68,9 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
             "fn lag_error(&self, waited_s: f64) -> SessionError {\n    SessionError::ReplicaLagTimeout { waited_s }\n}\n",
             "fn lag_error(&self, waited_s: f64) -> SessionError {\n    SessionError::ReplicaLagTimeout {\n        waited_s,\n        context: FlightDump::at(&self.recorder),\n    }\n}\n",
         ),
-        Lint::OrphanSpan => (
-            "fn finish(&mut self, latency: f64) {\n    self.obs.record_closed(kinds::NET_EXCHANGE, \"q\", 0.0, latency, &[], \"\");\n}\n",
-            "fn finish(&mut self, latency: f64) {\n    if let Some(ctx) = self.ctx {\n        self.obs.record_closed(\n            kinds::NET_EXCHANGE,\n            \"q\",\n            0.0,\n            latency,\n            &[(\"trace_id\", ctx.trace_id as f64)],\n            \"\",\n        );\n    }\n}\n",
+        Lint::StrayRecorder => (
+            "fn assemble(cfg: ClusterConfig) -> Cluster {\n    Cluster { cfg, obs: Recorder::new() }\n}\n",
+            "impl Session {\n    fn enable_profiling(&mut self) {\n        self.attach_recorder(Recorder::new());\n    }\n}\nfn assemble(cfg: ClusterConfig) -> Cluster {\n    Cluster { cfg }\n}\nfn pump(&mut self) {\n    self.pump_for(&Recorder::disabled());\n}\n",
         ),
         Lint::UncheckedIndex => (
             "fn frame_seq(frame: &[u8], at: usize) -> u8 {\n    frame[at]\n}\n",

@@ -1,6 +1,7 @@
 //! Observability-closure lints: metric families and span kinds must be
-//! members of closed registries, and timeout-shaped session errors must
-//! carry a flight-recorder dump.
+//! members of closed registries, timeout-shaped session errors must carry
+//! a flight-recorder dump, and an enabled recorder is constructed only by
+//! an action's owner.
 
 use crate::lex::TokKind;
 use crate::registry::{Finding, Lint};
@@ -12,7 +13,7 @@ pub fn run(files: &[LintFile], reg: &Registries, out: &mut Vec<Finding>) {
         metric_families(f, reg, out);
         span_kinds(f, out);
         timeout_context(f, reg, out);
-        orphan_span(f, out);
+        stray_recorder(f, out);
     }
 }
 
@@ -94,51 +95,44 @@ fn span_kinds(f: &LintFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// A function that closes spans directly (`.record_closed(..)`) without
-/// referencing any trace context can never contribute to a causal tree:
-/// the span carries no `v_s`/ids linkage and silently falls out of the
-/// cross-site assembly (DESIGN.md §15). Direct closers must either thread
-/// the propagated `ctx` or touch the per-action trace buffer (any
-/// identifier containing "trace").
-fn orphan_span(f: &LintFile, out: &mut Vec<Finding>) {
-    if f.path.ends_with("crates/obs/src/span.rs") {
-        return; // the recorder crate defines the primitive itself
-    }
-    for func in &f.fns {
-        if func.is_test {
+/// An enabled recorder is one action's observation context, and an action
+/// has one owner (DESIGN.md §11): `Recorder::new()` is legal only where an
+/// owner turns profiling on — a function named `enable_profiling` — and in
+/// tests. Everything else is handed the owner's recorder (or a disabled
+/// one); a second always-on recorder beside it is an instrument nothing
+/// assembles and nobody reads.
+fn stray_recorder(f: &LintFile, out: &mut Vec<Finding>) {
+    let toks = &f.toks;
+    for (i, t) in toks.iter().enumerate() {
+        if f.test_mask[i]
+            || !t.is_ident("Recorder")
+            || !toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
+            || !toks.get(i + 2).is_some_and(|t| t.is_ident("new"))
+            || !toks.get(i + 3).is_some_and(|t| t.is_punct("("))
+        {
             continue;
         }
-        let Some((open, close)) = func.body else {
+        let innermost = f
+            .fns
+            .iter()
+            .filter(|func| func.body.is_some_and(|(open, close)| open < i && i < close))
+            .max_by_key(|func| func.sig_start);
+        if innermost.is_some_and(|func| func.name == "enable_profiling") {
             continue;
-        };
-        let body = &f.toks[open..=close];
-        let mut call_line = None;
-        for (k, t) in body.iter().enumerate() {
-            if t.is_punct(".")
-                && body.get(k + 1).is_some_and(|t| t.is_ident("record_closed"))
-                && body.get(k + 2).is_some_and(|t| t.is_punct("("))
-            {
-                call_line = Some(body[k + 1].line);
-                break;
-            }
         }
-        let Some(line) = call_line else { continue };
-        let references_trace = f.toks[func.sig_start..=close].iter().any(|t| {
-            t.kind == TokKind::Ident
-                && (t.text == "ctx" || t.text.to_ascii_lowercase().contains("trace"))
-        });
-        if !references_trace {
-            out.push(Finding::new(
-                Lint::OrphanSpan,
-                &f.path,
-                line,
-                format!(
-                    "fn {} closes spans via record_closed but never references a trace \
-                     context — its spans can never join a causal tree",
+        out.push(Finding::new(
+            Lint::StrayRecorder,
+            &f.path,
+            t.line,
+            format!(
+                "enabled Recorder constructed in {} — only an action owner's \
+                 enable_profiling may; take the owner's recorder as an argument",
+                innermost.map_or("no function".to_string(), |func| format!(
+                    "fn {}",
                     func.name
-                ),
-            ));
-        }
+                )),
+            ),
+        ));
     }
 }
 

@@ -73,10 +73,10 @@ pub enum Lint {
     /// A timeout-shaped `SessionError` built without `FlightDump`
     /// context.
     TimeoutWithoutFlight,
-    /// A function that closes spans directly (`.record_closed(..)`)
-    /// without referencing any trace context — its spans can never join
-    /// a causal tree (DESIGN.md §15).
-    OrphanSpan,
+    /// An enabled `Recorder::new()` outside an action owner's
+    /// `enable_profiling` (and tests): a recorder nothing hands down,
+    /// assembles or reads (DESIGN.md §11).
+    StrayRecorder,
     /// Indexing/slicing with a non-literal index in protocol crates.
     UncheckedIndex,
     /// Bare `+`/`-` arithmetic on sequence/epoch/version/token counters.
@@ -101,7 +101,7 @@ impl Lint {
         Lint::MetricFamilyUnknown,
         Lint::SpanKindUnregistered,
         Lint::TimeoutWithoutFlight,
-        Lint::OrphanSpan,
+        Lint::StrayRecorder,
         Lint::UncheckedIndex,
         Lint::UncheckedProtocolArith,
         Lint::AllowHygiene,
@@ -122,7 +122,7 @@ impl Lint {
             Lint::MetricFamilyUnknown => "metric-family-unknown",
             Lint::SpanKindUnregistered => "span-kind-unregistered",
             Lint::TimeoutWithoutFlight => "timeout-without-flight",
-            Lint::OrphanSpan => "orphan-span",
+            Lint::StrayRecorder => "stray-recorder",
             Lint::UncheckedIndex => "unchecked-index",
             Lint::UncheckedProtocolArith => "unchecked-protocol-arith",
             Lint::AllowHygiene => "allow-hygiene",
@@ -142,7 +142,7 @@ impl Lint {
             Lint::MetricFamilyUnknown
             | Lint::SpanKindUnregistered
             | Lint::TimeoutWithoutFlight
-            | Lint::OrphanSpan => Family::Observability,
+            | Lint::StrayRecorder => Family::Observability,
             Lint::UncheckedIndex | Lint::UncheckedProtocolArith => Family::PanicSurface,
             Lint::AllowHygiene => Family::Policy,
         }
@@ -186,8 +186,8 @@ impl Lint {
             Lint::TimeoutWithoutFlight => {
                 "timeout-shaped SessionError built without FlightDump context"
             }
-            Lint::OrphanSpan => {
-                "record_closed caller never references a trace context; spans cannot join a causal tree"
+            Lint::StrayRecorder => {
+                "enabled Recorder::new() outside an action owner's enable_profiling; recorders are handed down"
             }
             Lint::UncheckedIndex => "non-literal indexing/slicing in protocol crates",
             Lint::UncheckedProtocolArith => {

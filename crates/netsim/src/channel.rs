@@ -2,7 +2,7 @@
 //! server. Every exchange advances the virtual clock and updates traffic
 //! counters exactly per the paper's cost formulas.
 
-use pdm_obs::{kinds, Recorder, TraceContext};
+use pdm_obs::{kinds, Recorder, SpanKind};
 
 use crate::clock::VirtualClock;
 use crate::fault::{FaultEventKind, FaultPlan, LinkError, ScriptedKind};
@@ -44,16 +44,15 @@ pub struct MeteredChannel {
     link: LinkProfile,
     clock: VirtualClock,
     stats: TrafficStats,
-    /// Observability recorder (disabled by default — a free no-op handle).
-    /// The channel is the only component that advances the virtual clock,
-    /// so it is also the only emitter of virtually-wide spans.
+    /// The recorder of the action this channel works for (disabled by
+    /// default — a free no-op handle): every exchange, fault charge and
+    /// backoff wait is a virtually-wide span on it. While it carries a
+    /// [`pdm_obs::TraceContext`] each request also grows by its
+    /// `WIRE_BYTES` (entering the volume model through the
+    /// packet count) and every wide span carries the trace/parent ids;
+    /// without one nothing is added — the tracing-off path is
+    /// byte-identical to the untraced channel.
     obs: Recorder,
-    /// Cross-site trace context piggybacked on every exchange while set:
-    /// each request grows by [`TraceContext::WIRE_BYTES`] (entering the
-    /// volume model through the packet count) and every wide span carries
-    /// the trace/parent ids. `None` adds zero bytes and zero attributes —
-    /// the tracing-off path is byte-identical to the untraced channel.
-    ctx: Option<TraceContext>,
     faults: Option<FaultPlan>,
     /// Attempt counter across the channel's lifetime; indexes fault draws
     /// and scripted faults. Survives `reset()` so a scripted fault plan
@@ -95,31 +94,32 @@ impl MeteredChannel {
             clock: VirtualClock::new(),
             stats: TrafficStats::new(),
             obs: Recorder::disabled(),
-            ctx: None,
             faults: None,
             exchange_index: 0,
         }
     }
 
-    /// Set (or clear) the propagated [`TraceContext`]. The session installs
-    /// a fresh context per traced action; replication installs the acting
-    /// session's context on every replica channel for the action's scope.
-    pub fn set_trace_context(&mut self, ctx: Option<TraceContext>) {
-        self.ctx = ctx;
-    }
-
-    /// The active trace context, if tracing is on.
-    pub fn trace_context(&self) -> Option<TraceContext> {
-        self.ctx
-    }
-
     /// Request bytes actually put on the wire: the caller's payload plus
-    /// the trace-context piggyback when tracing is on.
+    /// the trace-context piggyback while the action is traced.
     fn wire_request_bytes(&self, request_bytes: usize) -> usize {
-        match self.ctx {
-            Some(_) => request_bytes + TraceContext::WIRE_BYTES,
-            None => request_bytes,
+        request_bytes + self.obs.wire_bytes()
+    }
+
+    /// Record the virtually-wide span from `start` to the clock's present,
+    /// stamped with the ids of the action's context while it is traced.
+    fn record_wide(
+        &self,
+        kind: SpanKind,
+        label: String,
+        start: f64,
+        mut attrs: Vec<(&'static str, f64)>,
+    ) {
+        if let Some(ctx) = self.obs.context() {
+            attrs.push(("trace_id", ctx.trace_id as f64));
+            attrs.push(("parent_span", ctx.parent_span as f64));
         }
+        self.obs
+            .record_closed(kind, label, start, self.clock.now(), &attrs, "");
     }
 
     /// A channel with a fault plan installed from the start.
@@ -141,9 +141,10 @@ impl MeteredChannel {
         self.faults.as_ref()
     }
 
-    /// Attach an observability recorder: every exchange, fault charge, and
-    /// backoff wait is emitted as a span on the virtual timeline. Attaching
-    /// a disabled recorder (the default) costs nothing.
+    /// Attach the recorder of the action this channel works for: every
+    /// exchange, fault charge, and backoff wait is emitted as a span on its
+    /// virtual timeline. Attaching a disabled recorder (the default) costs
+    /// nothing.
     pub fn attach_obs(&mut self, obs: Recorder) {
         self.obs = obs;
     }
@@ -248,27 +249,22 @@ impl MeteredChannel {
         // Exact per-exchange latency/transfer split: profiles summing these
         // attributes in record order reproduce the TrafficStats totals
         // bit-for-bit (same additions, same order).
-        let mut attrs = vec![
-            ("latency_s", latency_time),
-            ("transfer_s", transfer_time),
-            ("volume_bytes", volume),
-            ("request_bytes", request_bytes as f64),
-            ("response_bytes", response_payload_bytes as f64),
-            ("retransmits", retransmits as f64),
-            ("v_s", advance),
-        ];
-        if let Some(ctx) = self.ctx {
-            attrs.push(("trace_id", ctx.trace_id as f64));
-            attrs.push(("parent_span", ctx.parent_span as f64));
+        if self.obs.is_enabled() {
+            self.record_wide(
+                kinds::NET_EXCHANGE,
+                format!("q{}", self.stats.queries),
+                start,
+                vec![
+                    ("latency_s", latency_time),
+                    ("transfer_s", transfer_time),
+                    ("volume_bytes", volume),
+                    ("request_bytes", request_bytes as f64),
+                    ("response_bytes", response_payload_bytes as f64),
+                    ("retransmits", retransmits as f64),
+                    ("v_s", advance),
+                ],
+            );
         }
-        self.obs.record_closed(
-            kinds::NET_EXCHANGE,
-            format!("q{}", self.stats.queries),
-            start,
-            self.clock.now(),
-            &attrs,
-            "",
-        );
         cost
     }
 
@@ -286,19 +282,14 @@ impl MeteredChannel {
         }
         let at = self.clock.now();
         self.clock.advance(waited);
-        let mut attrs = vec![("wait_s", waited), ("v_s", waited)];
-        if let Some(ctx) = self.ctx {
-            attrs.push(("trace_id", ctx.trace_id as f64));
-            attrs.push(("parent_span", ctx.parent_span as f64));
+        if self.obs.is_enabled() {
+            self.record_wide(
+                kinds::NET_FAULT,
+                format!("{kind:?} x{exchange}"),
+                at,
+                vec![("wait_s", waited), ("v_s", waited)],
+            );
         }
-        self.obs.record_closed(
-            kinds::NET_FAULT,
-            format!("{kind:?} x{exchange}"),
-            at,
-            self.clock.now(),
-            &attrs,
-            "",
-        );
     }
 
     /// Phase 1 of a fallible exchange: deliver the request to the server.
@@ -480,19 +471,14 @@ impl MeteredChannel {
         self.stats.fault_wait_time += seconds;
         let start = self.clock.now();
         self.clock.advance(seconds);
-        let mut attrs = vec![("wait_s", seconds), ("v_s", seconds)];
-        if let Some(ctx) = self.ctx {
-            attrs.push(("trace_id", ctx.trace_id as f64));
-            attrs.push(("parent_span", ctx.parent_span as f64));
+        if self.obs.is_enabled() {
+            self.record_wide(
+                kinds::NET_BACKOFF,
+                "backoff".into(),
+                start,
+                vec![("wait_s", seconds), ("v_s", seconds)],
+            );
         }
-        self.obs.record_closed(
-            kinds::NET_BACKOFF,
-            "backoff",
-            start,
-            self.clock.now(),
-            &attrs,
-            "",
-        );
     }
 
     /// Exchange attempts started over the channel's lifetime (successful or
@@ -517,6 +503,7 @@ impl MeteredChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdm_obs::TraceContext;
 
     #[test]
     fn single_packet_round_trip_costs_match_paper_formula() {
@@ -585,7 +572,7 @@ mod tests {
         let mut plain = MeteredChannel::new(LinkProfile::wan_256());
         let mut traced = MeteredChannel::new(LinkProfile::wan_256());
         traced.attach_obs(Recorder::new());
-        traced.set_trace_context(Some(TraceContext::new(0xBEEF, 1)));
+        traced.obs().set_context(Some(TraceContext::new(0xBEEF, 1)));
 
         // Small request: the 16 B piggyback stays inside the same packet,
         // so every charged number is bit-identical to the untraced run.

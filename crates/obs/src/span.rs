@@ -1,10 +1,17 @@
-//! Hierarchical spans over a per-session recorder.
+//! Hierarchical spans over a per-action recorder.
 //!
 //! A [`Recorder`] is a cheap-clone handle: `Recorder::disabled()` carries no
 //! allocation and every operation on it is a no-op `Option` check, which is
-//! what makes "profiling off" free. An enabled recorder collects
-//! [`SpanRecord`]s for the current session action plus a persistent flight
-//! ring (see [`crate::flight`]).
+//! what makes "profiling off" free. An enabled recorder is the whole
+//! observation context of the action in flight: its [`SpanRecord`]s, the
+//! action's [`TraceContext`] while it is traced, and a flight ring that
+//! persists across actions (see [`crate::flight`]).
+//!
+//! **Ownership.** Whoever starts an action owns its recorder (a session, for
+//! a routed action the routed session) and hands it down to everything that
+//! works on the action's behalf — the channel, the server, the replication
+//! coordinator. Nothing downstream keeps a recorder of its own: work done
+//! for no action (a background ship round) is handed a disabled one.
 //!
 //! **Clock model.** Each span records a virtual interval (netsim
 //! [`VirtualClock`] seconds — the deterministic timeline) and a wall
@@ -19,6 +26,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use crate::flight::{FlightEvent, FLIGHT_CAPACITY};
+use crate::trace::TraceContext;
 
 /// The instrumented layers of the stack. One span kind belongs to exactly
 /// one subsystem; [`Subsystem::prefix`] is the metric/span naming prefix.
@@ -187,6 +195,9 @@ pub struct SpanRecord {
     pub parent: Option<usize>,
     pub kind: SpanKind,
     pub label: String,
+    /// Where the span ran when that is not the recorder owner's site
+    /// (`primary`, `replica2`, …); empty for the owner's own spans.
+    pub site: String,
     pub v_start: f64,
     pub v_end: f64,
     pub wall_start_ns: u64,
@@ -224,6 +235,8 @@ struct RecState {
     /// metering reset; `vbase + clock_time` keeps the action timeline
     /// monotonic across resets.
     vbase: f64,
+    /// The context of the traced action in flight.
+    ctx: Option<TraceContext>,
     flight: VecDeque<FlightEvent>,
 }
 
@@ -233,7 +246,7 @@ struct RecorderInner {
     state: Mutex<RecState>,
 }
 
-/// Per-session span collector. Cloning shares the underlying state;
+/// Per-action observation context. Cloning shares the underlying state;
 /// `Recorder::disabled()` (also `Default`) is a free no-op handle.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
@@ -275,8 +288,8 @@ impl Recorder {
     }
 
     /// Start a fresh action timeline: drop the previous action's spans and
-    /// rewind the virtual timeline to 0. The flight ring persists across
-    /// actions (that is its point).
+    /// context and rewind the virtual timeline to 0. The flight ring
+    /// persists across actions (that is its point).
     pub fn begin_action(&self) {
         if let Some(inner) = &self.inner {
             let mut st = lock_state(inner);
@@ -284,6 +297,31 @@ impl Recorder {
             st.stack.clear();
             st.vnow = 0.0;
             st.vbase = 0.0;
+            st.ctx = None;
+        }
+    }
+
+    /// Set (or clear) the context of the action in flight. Its owner does,
+    /// once; everything the recorder is handed to reads it from here.
+    pub fn set_context(&self, ctx: Option<TraceContext>) {
+        if let Some(inner) = &self.inner {
+            lock_state(inner).ctx = ctx;
+        }
+    }
+
+    /// The context of the traced action in flight, if there is one.
+    pub fn context(&self) -> Option<TraceContext> {
+        self.inner.as_ref().and_then(|inner| lock_state(inner).ctx)
+    }
+
+    /// Bytes the action's context adds to a frame sent on its behalf:
+    /// [`TraceContext::WIRE_BYTES`] while it is traced, nothing otherwise —
+    /// the volume model sees the piggyback on client exchanges, ship batches
+    /// and seed snapshots alike.
+    pub fn wire_bytes(&self) -> usize {
+        match self.context() {
+            Some(_) => TraceContext::WIRE_BYTES,
+            None => 0,
         }
     }
 
@@ -308,6 +346,18 @@ impl Recorder {
     /// returned guard drops.
     #[must_use]
     pub fn span(&self, kind: SpanKind, label: impl Into<String>) -> SpanGuard {
+        self.span_at("", kind, label)
+    }
+
+    /// [`Recorder::span`] for work done on the action's behalf at another
+    /// site (`primary`, `replica2`, …).
+    #[must_use]
+    pub fn span_at(
+        &self,
+        site: impl Into<String>,
+        kind: SpanKind,
+        label: impl Into<String>,
+    ) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard {
                 rec: Recorder::disabled(),
@@ -324,6 +374,7 @@ impl Recorder {
             parent,
             kind,
             label: label.into(),
+            site: site.into(),
             v_start: vnow,
             v_end: vnow,
             wall_start_ns: wall,
@@ -372,6 +423,7 @@ impl Recorder {
             parent,
             kind,
             label: label.clone(),
+            site: String::new(),
             v_start,
             v_end,
             wall_start_ns: wall,
@@ -492,6 +544,20 @@ impl SpanGuard {
             self.rec.with_span(idx, |s| s.attrs.push((key, value)));
         }
     }
+
+    /// The work this span stands for advanced the action's virtual time by
+    /// exactly `v_s` seconds on a clock the recorder is not attached to (a
+    /// ship link, the coordinator's): move the timeline on by `v_s` and
+    /// record it as the span's exact `v_s` attribute.
+    pub fn advance(&self, v_s: f64) {
+        if let (Some(idx), Some(inner)) = (self.idx, &self.rec.inner) {
+            let mut st = lock_state(inner);
+            st.vnow += v_s;
+            if let Some(span) = st.spans.get_mut(idx) {
+                span.attrs.push(("v_s", v_s));
+            }
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -550,6 +616,39 @@ mod tests {
             assert!(s.v_start >= root.v_start && s.v_end <= root.v_end);
         }
         assert_eq!(spans[1].attr("latency_s"), Some(0.5));
+    }
+
+    #[test]
+    fn a_span_of_another_site_advances_the_timeline_by_its_exact_width() {
+        let rec = Recorder::new();
+        rec.begin_action();
+        let ship = rec.span_at("primary", kinds::REPL_SHIP, "site1");
+        ship.advance(0.25);
+        drop(rec.span_at("replica1", kinds::REPL_APPLY, "1 records"));
+        drop(ship);
+        let spans = rec.spans();
+        assert_eq!(spans[0].site, "primary");
+        assert_eq!((spans[0].v_start, spans[0].v_end), (0.0, 0.25));
+        assert_eq!(spans[0].attr("v_s"), Some(0.25));
+        // The apply ran after the transfer, under the ship.
+        assert_eq!(spans[1].parent, Some(0));
+        assert_eq!((spans[1].v_start, spans[1].v_end), (0.25, 0.25));
+        assert_eq!(rec.virtual_now(), 0.25);
+    }
+
+    #[test]
+    fn the_context_lives_with_the_action() {
+        let rec = Recorder::new();
+        assert_eq!((rec.context(), rec.wire_bytes()), (None, 0));
+        let ctx = TraceContext::new(7, 1);
+        rec.set_context(Some(ctx));
+        assert_eq!(rec.clone().context(), Some(ctx), "clones share it");
+        assert_eq!(rec.wire_bytes(), TraceContext::WIRE_BYTES);
+        rec.begin_action();
+        assert_eq!(rec.context(), None, "a new action starts untraced");
+        let off = Recorder::disabled();
+        off.set_context(Some(ctx));
+        assert_eq!((off.context(), off.wire_bytes()), (None, 0));
     }
 
     #[test]

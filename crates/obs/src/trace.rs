@@ -204,25 +204,20 @@ impl TraceTree {
     }
 }
 
-/// Site-block gid bases: client spans keep their recorder ids under
-/// `CLIENT_BASE`; cluster-side segments are numbered from `CLUSTER_BASE`.
-///
 /// `ROOT_GID` is public: it is the `parent_span` a fresh [`TraceContext`]
 /// points at (everything a traced action causes hangs off the root).
+/// Recorder spans are numbered from `BLOCK_BASE` in record order.
 pub const ROOT_GID: u64 = 1;
-const CLIENT_BASE: u64 = 1_000_000;
-const CLUSTER_BASE: u64 = 2_000_000;
+const BLOCK_BASE: u64 = 1_000_000;
 
-/// Assembles per-site span contributions into one [`TraceTree`], keeping
+/// Assembles an action's recorder spans into one [`TraceTree`], keeping
 /// the single running-sum cursor that makes the reconciliation bit-exact.
 #[derive(Debug)]
 pub struct TraceAssembler {
     tree: TraceTree,
     cursor: f64,
+    /// Gid of the next block's first span.
     next_gid: u64,
-    /// Innermost open grouping span (e.g. a watermark wait) — pushed
-    /// segments become its children.
-    group: Option<u64>,
 }
 
 impl TraceAssembler {
@@ -251,121 +246,24 @@ impl TraceAssembler {
                 total_v: 0.0,
             },
             cursor: 0.0,
-            next_gid: CLUSTER_BASE,
-            group: None,
+            next_gid: BLOCK_BASE,
         }
     }
 
-    /// Append one exclusive segment at the cursor. `v_excl` must be the
-    /// exact clock-advance amount of the segment.
-    pub fn push_segment(
-        &mut self,
-        site: impl Into<String>,
-        kind: SpanKind,
-        label: impl Into<String>,
-        v_excl: f64,
-        attrs: &[(&'static str, f64)],
-        detail: impl Into<String>,
-    ) -> u64 {
-        let gid = self.next_gid;
-        self.next_gid += 1;
-        let v_start = self.cursor;
-        self.cursor += v_excl;
-        self.tree.spans.push(TraceSpan {
-            gid,
-            parent: Some(self.group.unwrap_or(ROOT_GID)),
-            site: site.into(),
-            kind,
-            label: label.into(),
-            v_start,
-            v_end: self.cursor,
-            v_excl,
-            wall_ns: 0,
-            attrs: attrs.to_vec(),
-            detail: detail.into(),
-        });
-        gid
-    }
-
-    /// Append a zero-width span (e.g. a replica-side apply) under `parent`.
-    pub fn push_mark(
-        &mut self,
-        parent: u64,
-        site: impl Into<String>,
-        kind: SpanKind,
-        label: impl Into<String>,
-        attrs: &[(&'static str, f64)],
-    ) -> u64 {
-        let gid = self.next_gid;
-        self.next_gid += 1;
-        self.tree.spans.push(TraceSpan {
-            gid,
-            parent: Some(parent),
-            site: site.into(),
-            kind,
-            label: label.into(),
-            v_start: self.cursor,
-            v_end: self.cursor,
-            v_excl: 0.0,
-            wall_ns: 0,
-            attrs: attrs.to_vec(),
-            detail: String::new(),
-        });
-        gid
-    }
-
-    /// Open a zero-excl grouping span (e.g. `repl.wait_watermark`); the
-    /// segments pushed until [`Self::close_group`] become its children and
-    /// their virtual time is attributed to the group's class.
-    pub fn open_group(
-        &mut self,
-        site: impl Into<String>,
-        kind: SpanKind,
-        label: impl Into<String>,
-    ) -> u64 {
-        let gid = self.next_gid;
-        self.next_gid += 1;
-        self.tree.spans.push(TraceSpan {
-            gid,
-            parent: Some(ROOT_GID),
-            site: site.into(),
-            kind,
-            label: label.into(),
-            v_start: self.cursor,
-            v_end: self.cursor,
-            v_excl: 0.0,
-            wall_ns: 0,
-            attrs: Vec::new(),
-            detail: String::new(),
-        });
-        self.group = Some(gid);
-        gid
-    }
-
-    pub fn close_group(&mut self) {
-        if let Some(gid) = self.group.take() {
-            let cursor = self.cursor;
-            if let Some(g) = self.tree.spans.iter_mut().find(|s| s.gid == gid) {
-                g.v_end = cursor;
-            }
-        }
-    }
-
-    /// Splice a whole session-recorder snapshot in as one site block.
+    /// Splice a whole recorder snapshot in as one block, in record order —
+    /// the one way spans enter a tree. A span belongs to the site it names,
+    /// `site` when it names none.
     ///
     /// Wide spans (those carrying the exact `v_s` attribute) are laid on
     /// the running cursor — their positions and the tree total stay
-    /// bit-exact against the channel's own accumulation. Structural spans
+    /// bit-exact against the clocks' own accumulation. Structural spans
     /// keep their recorder intervals rebased by the block offset (advisory
     /// positions for the viewer; exactness lives in the segments).
     pub fn add_recorder_block(&mut self, site: &str, spans: &[SpanRecord]) {
         let offset = self.cursor;
+        let base = self.next_gid;
+        self.next_gid += spans.len() as u64;
         for r in spans {
-            let gid = CLIENT_BASE + self.site_block_salt(site) + r.id as u64;
-            let parent = match r.parent {
-                Some(p) => Some(CLIENT_BASE + self.site_block_salt(site) + p as u64),
-                None => Some(ROOT_GID),
-            };
             let v_excl = r.attr("v_s").unwrap_or(0.0);
             let (v_start, v_end) = if v_excl != 0.0 {
                 let s = self.cursor;
@@ -375,9 +273,9 @@ impl TraceAssembler {
                 (offset + r.v_start, offset + r.v_end)
             };
             self.tree.spans.push(TraceSpan {
-                gid,
-                parent,
-                site: site.to_string(),
+                gid: base + r.id as u64,
+                parent: Some(r.parent.map_or(ROOT_GID, |p| base + p as u64)),
+                site: if r.site.is_empty() { site } else { &r.site }.to_string(),
                 kind: r.kind,
                 label: r.label.clone(),
                 v_start,
@@ -387,25 +285,6 @@ impl TraceAssembler {
                 attrs: r.attrs.clone(),
                 detail: r.detail.clone(),
             });
-        }
-    }
-
-    /// Distinct gid ranges for distinct site blocks (a routed action has
-    /// at most a handful of blocks; 100k ids per block is plenty).
-    fn site_block_salt(&mut self, site: &str) -> u64 {
-        // Deterministic: hash-free, order-of-first-use numbering.
-        let known: Vec<&str> = {
-            let mut v = Vec::new();
-            for s in &self.tree.spans {
-                if s.gid >= CLIENT_BASE && s.gid < CLUSTER_BASE && !v.contains(&s.site.as_str()) {
-                    v.push(s.site.as_str());
-                }
-            }
-            v
-        };
-        match known.iter().position(|s| *s == site) {
-            Some(i) => i as u64 * 100_000,
-            None => known.len() as u64 * 100_000,
         }
     }
 
@@ -420,7 +299,6 @@ impl TraceAssembler {
 
     /// Close the root over the full timeline and return the tree.
     pub fn finish(mut self) -> TraceTree {
-        self.close_group();
         self.tree.total_v = self.cursor;
         let cursor = self.cursor;
         if let Some(root) = self.tree.spans.first_mut() {
@@ -715,6 +593,7 @@ pub fn subsystem_is_wide(sub: Subsystem) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::{Recorder, SpanGuard};
 
     #[test]
     fn id_gen_is_deterministic_masked_and_nonzero() {
@@ -732,18 +611,32 @@ mod tests {
         }
     }
 
+    /// A span `v_s` wide, recorded the way a coordinator records one.
+    fn wide(rec: &Recorder, site: &str, kind: SpanKind, label: &str, v_s: f64) -> SpanGuard {
+        let span = rec.span_at(site, kind, label);
+        span.advance(v_s);
+        span
+    }
+
+    /// The tree of what `rec` holds, for an action of `site`.
+    fn assemble(rec: &Recorder, trace_id: u64, action: &str, site: &str) -> TraceTree {
+        let mut asm = TraceAssembler::new(trace_id, action, site);
+        asm.add_recorder_block(site, &rec.spans());
+        asm.finish()
+    }
+
     #[test]
     fn assembler_tiles_segments_bit_exactly() {
-        let mut asm = TraceAssembler::new(7, "expand", "client");
+        let rec = Recorder::new();
         // Awkward magnitudes on purpose: telescoping subtraction would
         // NOT reproduce these sums bit-exactly.
         let durations = [0.1, 1e-9, 0.3, 7e-12, 0.25];
         let mut expect = 0.0f64;
         for (i, d) in durations.iter().enumerate() {
-            asm.push_segment("client", kinds::NET_EXCHANGE, format!("q{i}"), *d, &[], "");
+            drop(wide(&rec, "", kinds::NET_EXCHANGE, &format!("q{i}"), *d));
             expect += *d;
         }
-        let tree = asm.finish();
+        let tree = assemble(&rec, 7, "expand", "client");
         tree.validate().unwrap();
         assert_eq!(tree.total_v.to_bits(), expect.to_bits());
         assert_eq!(tree.segments().count(), durations.len());
@@ -754,17 +647,18 @@ mod tests {
 
     #[test]
     fn watermark_group_reclasses_child_shipping() {
-        let mut asm = TraceAssembler::new(9, "query_all", "client3");
-        asm.open_group("primary", kinds::REPL_WAIT_WATERMARK, "seq4");
-        asm.push_segment("primary", kinds::REPL_SHIP, "site1", 0.02, &[], "");
-        asm.push_segment("primary", kinds::REPL_SHIP, "site2", 0.03, &[], "");
-        asm.close_group();
-        asm.push_segment("client3", kinds::NET_EXCHANGE, "q1", 0.5, &[], "");
-        let tree = asm.finish();
+        let rec = Recorder::new();
+        let wait = rec.span_at("primary", kinds::REPL_WAIT_WATERMARK, "seq4");
+        drop(wide(&rec, "primary", kinds::REPL_SHIP, "site1", 0.02));
+        drop(wide(&rec, "primary", kinds::REPL_SHIP, "site2", 0.03));
+        drop(wait);
+        drop(wide(&rec, "", kinds::NET_EXCHANGE, "q1", 0.5));
+        let tree = assemble(&rec, 9, "query_all", "client3");
         tree.validate().unwrap();
+        assert_eq!(tree.sites(), ["client3", "primary"]);
         let a = attribution(&tree);
         let wm = a.class("repl.wait_watermark").unwrap();
-        assert_eq!(wm.count, 3, "group + two child ships");
+        assert_eq!(wm.count, 3, "the wait + two child ships");
         assert!((wm.v_s - 0.05).abs() < 1e-12);
         assert!(a.class("repl.ship").is_none(), "reclassed under the wait");
         assert_eq!(a.class("net.exchange").unwrap().v_s, 0.5);
@@ -773,9 +667,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_orphans_and_sum_drift() {
-        let mut asm = TraceAssembler::new(1, "x", "client");
-        asm.push_segment("client", kinds::NET_EXCHANGE, "q0", 0.25, &[], "");
-        let mut tree = asm.finish();
+        let mut tree = mini_tree(0.25, "ok");
         tree.validate().unwrap();
         let good = tree.clone();
         // Orphan: parent gid that does not exist.
@@ -792,8 +684,10 @@ mod tests {
     }
 
     fn mini_tree(total: f64, outcome: &str) -> TraceTree {
+        let rec = Recorder::new();
+        drop(wide(&rec, "", kinds::NET_EXCHANGE, "q", total));
         let mut asm = TraceAssembler::new(5, "a", "client");
-        asm.push_segment("client", kinds::NET_EXCHANGE, "q", total, &[], "");
+        asm.add_recorder_block("client", &rec.spans());
         asm.set_outcome(outcome);
         asm.finish()
     }
@@ -817,18 +711,12 @@ mod tests {
 
     #[test]
     fn chrome_export_is_wellformed_and_site_partitioned() {
-        let mut asm = TraceAssembler::new(11, "checkout", "client2");
-        let ship = asm.push_segment("primary", kinds::REPL_SHIP, "site1", 0.04, &[], "");
-        asm.push_mark(ship, "replica1", kinds::REPL_APPLY, "3 records", &[]);
-        asm.push_segment(
-            "client2",
-            kinds::NET_EXCHANGE,
-            "q1",
-            0.2,
-            &[("v_s", 0.2)],
-            "",
-        );
-        let tree = asm.finish();
+        let rec = Recorder::new();
+        let ship = wide(&rec, "primary", kinds::REPL_SHIP, "site1", 0.04);
+        drop(rec.span_at("replica1", kinds::REPL_APPLY, "3 records"));
+        drop(ship);
+        drop(wide(&rec, "", kinds::NET_EXCHANGE, "q1", 0.2));
+        let tree = assemble(&rec, 11, "checkout", "client2");
         let json = chrome_trace_json(std::slice::from_ref(&tree));
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("process_name"));

@@ -21,18 +21,21 @@
 //! Re-record (only ever at a commit whose executor is the reference):
 //! `cargo test -p pdm-sql --test exec_golden -- --ignored record_corpus`.
 
+mod common;
+
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::{navigational, recursive};
-use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::rules::{visibility_rules, ActionKind};
 use pdm_core::RuleTable;
 use pdm_prng::Prng;
 use pdm_sql::{Database, ExecConfig, ExecOutcome, ExecStats, ResultSet};
 use pdm_workload::{build_database, TreeSpec};
+
+use common::paper_rules;
 
 // ---------------------------------------------------------------------------
 // Recording
@@ -610,49 +613,6 @@ const ADHOC: &[&str] = &[
     "SELECT t1.a FROM t1 JOIN t2 ON a = d",
     "SELECT x.a FROM t1 x JOIN t2 y ON x.a = y.a JOIN t3 z ON z.k = y.a AND z.k = x.a ORDER BY z.v, 1",
 ];
-
-/// The rule table of `golden_sql.rs` / `prepared_sql.rs`: all four condition
-/// classes (row, ∀rows, ∃structure, tree aggregate).
-fn paper_rules() -> RuleTable {
-    let mut t = visibility_rules();
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::ForAllRows {
-            object_type: Some("assy".into()),
-            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::TreeAggregate {
-            func: AggFunc::Count,
-            attr: None,
-            object_type: Some("assy".into()),
-            op: CmpOp::LtEq,
-            value: 10_000.0,
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "comp",
-        Condition::ExistsStructure {
-            object_table: "comp".into(),
-            relation_table: "specified_by".into(),
-            related_table: "spec".into(),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::CheckOut,
-        "assy",
-        Condition::ForAllRows {
-            object_type: None,
-            predicate: RowPredicate::compare("checkedout", CmpOp::Eq, false),
-        },
-    ));
-    t
-}
 
 /// Every statement shape a session ships (`pdm_core::query::prepared::Shape`)
 /// × rules evaluated early or late × rule table, for a few ids of the tree:

@@ -169,9 +169,12 @@ fn failover_sweep_matches_serial_replay_oracle() {
 }
 
 /// A site whose ship link stays down while the feed fills to its retention
-/// bound is not waited for: the base moves, the site is re-seeded from it
-/// (a topology change, so its session re-resolves its read server), and
-/// once the link is back it follows the primary like any other replica.
+/// bound is not waited for: the base moves without it. The snapshot that
+/// would re-seed it is a frame like any other and is lost on the dead link,
+/// so the site leaves the topology — a generation change: its session
+/// reads at the primary meanwhile, read-your-writes intact — and every ship
+/// round sends a fresh one, until the link is back, the site is seeded at
+/// the head and follows the primary like any other replica.
 #[test]
 fn laggard_past_the_retention_bound_is_reseeded() {
     const INTERVAL: u64 = 4;
@@ -183,12 +186,17 @@ fn laggard_past_the_retention_bound_is_reseeded() {
     let mut near = connect(&cluster, 1);
     let mut far = connect(&cluster, 2);
     let generation = cluster.generation();
+    let payload_at = |session: &RoutedSession| {
+        let sql = format!("SELECT payload FROM assy WHERE obid = {root}");
+        let seen = session.read_session().server().query(&sql).unwrap();
+        seen.rows[0].get(0).clone()
+    };
 
-    // Every failed ship burns the link's 30 s timeout of the window: the
-    // link is down for the first 40 ships, far longer than the bound.
+    // Every failed frame burns the link's 30 s timeout of the window: the
+    // link is down for the first 40 of them, far longer than the bound.
     let bound = RETENTION_INTERVALS * INTERVAL;
     cluster.schedule_ship_outage(2, OutageWindow::new(0.0, 40.0 * 30.0));
-    let mut reseeded_at = None;
+    let mut left_at = None;
     for i in 0..bound + INTERVAL {
         let sql = format!("UPDATE assy SET payload = 'w{i}' WHERE obid = {root}");
         near.execute_dml(&mut cluster, &sql).unwrap();
@@ -197,38 +205,55 @@ fn laggard_past_the_retention_bound_is_reseeded() {
             replay_prefix(cluster.epoch_base(), &cluster.feed().since(0)).unwrap(),
             cluster.primary_fingerprint()
         );
-        if cluster.generation() > generation && reseeded_at.is_none() {
-            reseeded_at = Some(i + 1);
-            // Re-seeded at the head, from the primary's bytes.
-            assert_eq!(cluster.lag(2), 0);
-            assert_eq!(
-                cluster.replica(2).unwrap().fingerprint(),
-                cluster.primary_fingerprint()
-            );
+        if cluster.generation() > generation && left_at.is_none() {
+            left_at = Some(i + 1);
         }
     }
     assert_eq!(
-        reseeded_at,
+        left_at,
         Some(bound),
         "the laggard goes when the bound fills"
     );
     assert_eq!(cluster.feed().len() as u64, bound + INTERVAL);
-    assert!(cluster.lag(2) > 0, "site 2's link is still down");
+    // The window charged the snapshot like any ship: no site was seeded
+    // through a dead link, and the lost frames are counted.
+    assert!(cluster.replica(2).is_none(), "site 2's link is still down");
+    let lost = cluster.metrics().snapshot().counter("repl.ship_failures");
+    assert!(
+        lost >= bound + INTERVAL,
+        "a frame per round, batch or snapshot"
+    );
 
-    // Read-your-writes at the re-seeded site: the read waits out what is
-    // left of the outage on the ship link, then sees the session's write.
+    // Read-your-writes at the site without a replica: its session has
+    // re-resolved its read server to the primary.
     let sql = format!("UPDATE assy SET payload = 'mine' WHERE obid = {root}");
+    far.execute_dml(&mut cluster, &sql).unwrap();
+    let out = far.multi_level_expand(&mut cluster, root).unwrap();
+    assert!(out.staleness.is_none());
+    assert_eq!(payload_at(&far), Value::Text("mine".into()));
+
+    // The rounds go on retrying; the first one past the window seeds the
+    // site at the head, from the primary's bytes.
+    let mut rounds = 0;
+    while cluster.replica(2).is_none() {
+        cluster.pump().unwrap();
+        rounds += 1;
+        assert!(rounds < 40, "site 2 was never seeded");
+    }
+    assert_eq!(cluster.lag(2), 0);
+    assert_eq!(
+        cluster.replica(2).unwrap().fingerprint(),
+        cluster.primary_fingerprint()
+    );
+
+    // Back in the topology it is a replica like any other: the session
+    // reads there again, behind its own writes' watermark.
+    let sql = format!("UPDATE assy SET payload = 'again' WHERE obid = {root}");
     let (_, receipt) = far.execute_dml(&mut cluster, &sql).unwrap();
     let out = far.multi_level_expand(&mut cluster, root).unwrap();
     assert!(out.staleness.is_none());
     assert!(cluster.replica(2).unwrap().applied_seq() >= receipt.seq);
-    let seen = far
-        .read_session()
-        .server()
-        .query(&format!("SELECT payload FROM assy WHERE obid = {root}"))
-        .unwrap();
-    assert_eq!(seen.rows[0].get(0), &Value::Text("mine".into()));
-
+    assert_eq!(payload_at(&far), Value::Text("again".into()));
     cluster.pump().unwrap();
     for site in cluster.replica_sites() {
         assert_eq!(cluster.lag(site), 0);
@@ -237,6 +262,7 @@ fn laggard_past_the_retention_bound_is_reseeded() {
             cluster.primary_fingerprint()
         );
     }
+    assert_eq!(cluster.replica_sites(), [1, 2]);
 }
 
 /// Read-your-writes over 4 sites with lossy ship links: every read that
@@ -506,4 +532,59 @@ fn staleness_rung_serves_annotated_reads() {
         }
     }
     assert!(probe_failed, "half-open probe never ran");
+}
+
+/// Resident set size of this process in kB (0 where `/proc` is absent).
+fn rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/statm")
+        .ok()
+        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
+        .map_or(0, |pages| pages * 4)
+}
+
+/// What a long-lived cluster keeps per write: nothing. Untraced, neither
+/// inner session retains a span and the loss oracle holds one entry per
+/// epoch; traced, what is retained is the last action — exactly the spans
+/// its tree was assembled from. Prints the resident-set growth per write
+/// (`--nocapture`; EXPERIMENTS.md quotes it run alone).
+#[test]
+fn routed_writes_retain_no_spans_and_one_ack_per_epoch() {
+    const WRITES: u64 = 10_000;
+    let mut cluster = small_cluster(ClusterConfig::default().with_replicas(2));
+    let root = roots(cluster.primary())[0];
+    let mut session = connect(&cluster, 1);
+    let write = |cluster: &mut Cluster, session: &mut RoutedSession, i: u64| {
+        let sql = format!("UPDATE assy SET payload = 'w{}' WHERE obid = {root}", i % 7);
+        session.execute_dml(cluster, &sql).unwrap();
+    };
+    for i in 0..100 {
+        write(&mut cluster, &mut session, i); // warm the allocator
+    }
+    let before = rss_kb();
+    for i in 100..WRITES {
+        write(&mut cluster, &mut session, i);
+    }
+    let grown = rss_kb().saturating_sub(before);
+    eprintln!(
+        "rss: +{grown} kB over {} routed writes = {:.1} B per write",
+        WRITES - 100,
+        grown as f64 * 1024.0 / (WRITES - 100) as f64
+    );
+    assert!(session.read_session().recorder().spans().is_empty());
+    assert!(session.write_session().recorder().spans().is_empty());
+    assert!(cluster.acked_writes().len() as u64 <= cluster.epoch());
+    let acked = cluster.metrics().snapshot().counter("repl.acked_writes");
+    assert_eq!(acked, WRITES, "the counter still counts every ack");
+
+    session.enable_tracing(0x5EED);
+    for i in 0..3 {
+        write(&mut cluster, &mut session, i);
+    }
+    let tree = session.last_trace().unwrap();
+    let retained = session.write_session().recorder().spans().len();
+    assert_eq!(
+        retained + 1,
+        tree.spans.len(),
+        "the recorder holds the last action's spans (the tree's, less its synthetic root)"
+    );
 }
