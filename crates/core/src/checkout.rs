@@ -133,7 +133,7 @@ impl Session {
             let result =
                 server.checkout_procedure_with_deadline_obs(root, &sql, token, deadline, obs)?;
             // Wire size: real rows, or a small refusal message.
-            let bytes = result.rows.as_ref().map_or(32, ResultSet::wire_size);
+            let bytes = result.rows.as_deref().map_or(32, ResultSet::wire_size);
             Ok((result, bytes))
         })?;
 

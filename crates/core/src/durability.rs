@@ -202,13 +202,10 @@ impl Durability {
             .map(drop)
     }
 
-    /// Log a token completion and track its outcome for checkpointing.
-    pub fn log_token(&self, token: u64, rows: Option<&ResultSet>) -> pdm_sql::Result<()> {
-        let record = WalRecord::TokenComplete {
-            token,
-            rows: rows.cloned(),
-        };
-        self.log(record).map(drop)
+    /// Log a token completion and track its outcome for checkpointing. The
+    /// record, the tracker and the feed share `rows` with the caller.
+    pub fn log_token(&self, token: u64, rows: Option<Arc<ResultSet>>) -> pdm_sql::Result<()> {
+        self.log(WalRecord::TokenComplete { token, rows }).map(drop)
     }
 
     /// Cut a checkpoint of `snapshot` plus the aux trackers and truncate
@@ -294,7 +291,7 @@ fn put_checkpoint(out: &mut Vec<u8>, snapshot: &Snapshot, replay: &ReplayState) 
     put_u32(out, replay.tokens.len() as u32);
     for (token, rows) in replay.tokens.iter() {
         put_u64(out, token);
-        put_outcome(out, rows.as_ref());
+        put_outcome(out, rows.as_deref());
     }
 }
 
@@ -313,7 +310,9 @@ fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayS
     let n_tokens = cur.u32("checkpoint token count")? as usize;
     for _ in 0..n_tokens {
         let token = cur.u64("token id")?;
-        replay.tokens.record(token, read_outcome(&mut cur)?);
+        replay
+            .tokens
+            .record(token, read_outcome(&mut cur)?.map(Arc::new));
     }
     if !cur.is_empty() {
         return Err(pdm_sql::Error::Persist(format!(

@@ -57,21 +57,25 @@
 //! # Rebase
 //!
 //! The feed retains the records above its base and `epoch_base` is the
-//! primary's snapshot at that base (see [`super::feed`] for the rule). A
-//! caught-up ship that finds every replica at the feed's head, with at
-//! least a checkpoint interval of records retained, moves the base to the
-//! head: nothing is shipped, the records are dropped. When a replica lags
-//! past the retention bound the base moves without it and the replica is
-//! re-seeded from the new base like a healed site.
+//! primary's snapshot at that base (see [`super::feed`] for the rule) —
+//! the snapshot itself, shared with the storage that published it, and
+//! encoded only when something replays or seeds from it. A ship round that
+//! caught some replica up looks, once every site has had its turn, whether
+//! every replica is at the feed's head with at least a checkpoint interval
+//! of records retained, and then moves the base to the head: nothing is
+//! shipped, the records are dropped. When a replica lags past the
+//! retention bound the base moves without it and the replica is re-seeded
+//! from the new base like a healed site; a re-seed lost on the link is
+//! retried by the next round.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, OutageWindow};
 use pdm_obs::{kinds, Counter, FlightDump, Gauge, Histogram, MetricsRegistry, Recorder};
 use pdm_sql::persist::{database_digest, database_fingerprint, encode_snapshot};
-use pdm_sql::Database;
+use pdm_sql::{Database, SharedDatabase, Snapshot};
 use pdm_wal::DurableStore;
 
 use super::feed::{Shipped, RETENTION_INTERVALS};
@@ -211,6 +215,29 @@ pub struct FailoverReport {
     pub prefix: Vec<Shipped>,
 }
 
+/// A snapshot and, once something asks for them, its bytes. The feed's base
+/// is kept this way, so a rebase nobody seeds or replays from encodes
+/// nothing, and a seed encodes the primary's state once.
+#[derive(Debug)]
+struct Base {
+    snapshot: Arc<Snapshot>,
+    bytes: OnceLock<Vec<u8>>,
+}
+
+impl Base {
+    /// `db`'s state as of now.
+    fn of(db: &SharedDatabase) -> Self {
+        Base {
+            snapshot: db.snapshot(),
+            bytes: OnceLock::new(),
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.bytes.get_or_init(|| encode_snapshot(&self.snapshot))
+    }
+}
+
 /// Pre-resolved handles for the `repl.*` metric families (resolved at
 /// cluster assembly so every family exists in a snapshot even before it
 /// first fires).
@@ -280,8 +307,8 @@ pub struct Cluster {
     /// link and why they were being seeded: out of the topology until a
     /// ship round reaches them again and sends a fresh one.
     unseeded: BTreeMap<usize, (MeteredChannel, &'static str)>,
-    /// The primary's encoded snapshot at the feed's base sequence.
-    epoch_base: Vec<u8>,
+    /// The primary's snapshot at the feed's base sequence.
+    epoch_base: Base,
 }
 
 impl Cluster {
@@ -295,13 +322,13 @@ impl Cluster {
             d.attach_feed(Arc::clone(&feed));
         }
         let primary = PdmServer::from_shared(Arc::new(shared));
-        let epoch_base = encode_snapshot(&primary.database().snapshot());
+        let epoch_base = Base::of(primary.database());
         let mut replicas = BTreeMap::new();
         for site in 1..=cfg.replicas {
             let plan = cfg.ship_faults.clone().for_site(site as u64);
             let replica = ReplicaSite::bootstrap(
                 site,
-                &epoch_base,
+                epoch_base.bytes(),
                 epoch,
                 0,
                 ReplayState::default(),
@@ -381,7 +408,7 @@ impl Cluster {
     /// The primary's encoded snapshot at the feed's base sequence — the
     /// state [`super::replay_prefix`] replays the retained feed onto.
     pub fn epoch_base(&self) -> &[u8] {
-        &self.epoch_base
+        self.epoch_base.bytes()
     }
 
     /// Cluster-level metrics (`repl.*` families).
@@ -454,23 +481,48 @@ impl Cluster {
     /// none). Link failures are counted and absorbed (shipping is
     /// idempotent and retried next round); consistency violations
     /// propagate. A site still waiting for its seed snapshot is sent that
-    /// instead. Returns the number of records the replica acknowledged.
+    /// instead. A round of one: a ship that leaves the site at the feed's
+    /// head judges the rebase, with every other site at its true state.
+    /// Returns the number of records the replica acknowledged.
     pub fn ship_once(&mut self, site: usize, obs: &Recorder) -> Result<u64, ReplError> {
+        self.ship_round(&[site], obs)
+    }
+
+    /// Ship to `sites` in order, then decide the rebase — once, and only if
+    /// some ship left its site at the feed's head: no replica is judged
+    /// behind for coming later in the round, and a site the rebase fails to
+    /// re-seed waits for the next round.
+    fn ship_round(&mut self, sites: &[usize], obs: &Recorder) -> Result<u64, ReplError> {
+        let (mut total, mut caught_up) = (0, false);
+        for site in sites {
+            let (applied, at_head) = self.ship(*site, obs)?;
+            total += applied;
+            caught_up |= at_head;
+        }
+        if caught_up {
+            self.rebase_if_due(obs);
+        }
+        Ok(total)
+    }
+
+    /// One ship, short of the rebase decision: the records acknowledged,
+    /// and whether they brought the site to the feed's head.
+    fn ship(&mut self, site: usize, obs: &Recorder) -> Result<(u64, bool), ReplError> {
         self.maybe_heal(obs);
         if let Some((channel, why)) = self.unseeded.remove(&site) {
-            let snapshot = encode_snapshot(&self.primary.database().snapshot());
-            self.seed_replica(site, &snapshot, channel, why, obs);
-            return Ok(0);
+            let base = Base::of(self.primary.database());
+            self.seed_replica(site, &base, channel, why, obs);
+            return Ok((0, false));
         }
         let epoch = self.epoch;
         let last = self.feed.last_seq();
         let Some(replica) = self.replicas.get_mut(&site) else {
-            return Ok(0); // the site is the primary or still healing
+            return Ok((0, false)); // the site is the primary or still healing
         };
         let (batch, bytes) = self.feed.batch(replica.applied_seq(), last);
         if batch.is_empty() {
             self.m.lag_seqs.set(0.0);
-            return Ok(0);
+            return Ok((0, false));
         }
         let before = replica.elapsed();
         let result = replica.receive_ship(epoch, &batch, bytes + obs.wire_bytes());
@@ -500,20 +552,16 @@ impl Cluster {
                 }
                 // A fully caught-up replica must be byte-equivalent to the
                 // primary — the continuous divergence check.
-                if replica.applied_seq() == last {
-                    let rd = replica.digest();
-                    let pd = database_digest(self.primary.database());
-                    if rd != pd {
-                        return Err(ReplError::Diverged { site, seq: last });
-                    }
-                    self.rebase_if_due(obs);
+                let at_head = replica.applied_seq() == last;
+                if at_head && replica.digest() != database_digest(self.primary.database()) {
+                    return Err(ReplError::Diverged { site, seq: last });
                 }
-                Ok(applied)
+                Ok((applied, at_head))
             }
             Err(ReplError::Link(e)) => {
                 self.m.ship_failures.inc();
                 record_lost_frame(obs, format_args!("site{site}"), bytes, &e);
-                Ok(0)
+                Ok((0, false))
             }
             Err(fatal) => Err(fatal),
         }
@@ -540,7 +588,7 @@ impl Cluster {
         if !behind.is_empty() && retained < interval.saturating_mul(RETENTION_INTERVALS) {
             return;
         }
-        let base = encode_snapshot(&self.primary.database().snapshot());
+        let base = Base::of(self.primary.database());
         self.feed.rebase();
         for site in behind {
             if let Some(laggard) = self.replicas.remove(&site) {
@@ -567,11 +615,7 @@ impl Cluster {
             .chain(self.unseeded.keys())
             .copied()
             .collect();
-        let mut total = 0;
-        for site in sites {
-            total += self.ship_once(site, obs)?;
-        }
-        Ok(total)
+        self.ship_round(&sites, obs)
     }
 
     // -- write acknowledgement --------------------------------------------
@@ -797,15 +841,14 @@ impl Cluster {
             .ok_or_else(|| ReplError::Bootstrap("promoted replica vanished".into()))?;
         let promoted_fingerprint = promoted.fingerprint();
         let prefix = self.feed.prefix_through(promoted_seq);
-        let old_base = std::mem::take(&mut self.epoch_base);
-        let base_bytes = encode_snapshot(&promoted.server().database().snapshot());
+        let base = Base::of(promoted.server().database());
         coord.round_trip(64, 32); // epoch-bump coordination round
 
         // Rebuild the promoted state as a durable primary — fresh store with
         // the epoch base as its first checkpoint, new feed, trackers carried
         // over — and finish exactly as crash recovery does.
-        let db =
-            database_from_snapshot(&base_bytes).map_err(|e| ReplError::Bootstrap(e.to_string()))?;
+        let db = database_from_snapshot(base.bytes())
+            .map_err(|e| ReplError::Bootstrap(e.to_string()))?;
         let durability = Durability::resume(
             DurableStore::new(self.cfg.durability.crash_plan),
             promoted.into_state(),
@@ -829,7 +872,7 @@ impl Cluster {
         self.primary_site = promoted_site;
         self.feed = feed;
         self.epoch = new_epoch;
-        self.epoch_base = base_bytes;
+        let old_base = std::mem::replace(&mut self.epoch_base, base);
         self.generation += 1;
         for replica in self.replicas.values_mut() {
             replica.set_epoch(new_epoch);
@@ -860,7 +903,7 @@ impl Cluster {
             started_at: started,
             duration,
             promoted_fingerprint,
-            epoch_base: old_base,
+            epoch_base: old_base.bytes().to_vec(),
             prefix,
         });
         Ok(())
@@ -884,11 +927,11 @@ impl Cluster {
             .clone()
             .for_site(site as u64 + 1000 * self.epoch);
         let channel = MeteredChannel::with_faults(self.cfg.ship_link, plan);
-        let snapshot_bytes = encode_snapshot(&self.primary.database().snapshot());
-        self.seed_replica(site, &snapshot_bytes, channel, "heal", obs);
+        let base = Base::of(self.primary.database());
+        self.seed_replica(site, &base, channel, "heal", obs);
     }
 
-    /// Seed `site` as a replica from `snapshot_bytes`, the primary's
+    /// Seed `site` as a replica from `base`, the primary's
     /// current state at the feed's head — a healed ex-primary, or a laggard
     /// the feed no longer retains records for (`why` names which in traces
     /// and events): send the snapshot over `channel`, a fallible exchange
@@ -900,12 +943,12 @@ impl Cluster {
     fn seed_replica(
         &mut self,
         site: usize,
-        snapshot_bytes: &[u8],
+        base: &Base,
         mut channel: MeteredChannel,
         why: &'static str,
         obs: &Recorder,
     ) -> bool {
-        let bytes = snapshot_bytes.len() + 64;
+        let bytes = base.bytes().len() + 64;
         let before = channel.elapsed();
         let sent = channel.try_round_trip(bytes + obs.wire_bytes(), ACK_BYTES);
         self.clock += channel.elapsed() - before;
@@ -929,7 +972,7 @@ impl Cluster {
             .map(Durability::replay_state)
             .unwrap_or_default();
         let base_seq = self.feed.last_seq();
-        match ReplicaSite::bootstrap(site, snapshot_bytes, self.epoch, base_seq, state, channel) {
+        match ReplicaSite::bootstrap(site, base.bytes(), self.epoch, base_seq, state, channel) {
             Ok(replica) => {
                 self.replicas.insert(site, replica);
                 self.generation += 1;

@@ -7,8 +7,8 @@
 //! order IS commit order).
 //!
 //! **The one retention rule:** the feed holds exactly the records above
-//! its `base_seq`, and the cluster keeps the primary's encoded snapshot at
-//! `base_seq` beside it ([`super::Cluster::epoch_base`]). Serial replay of
+//! its `base_seq`, and the cluster keeps the primary's snapshot at
+//! `base_seq` beside it ([`super::Cluster::epoch_base`] encodes it). Serial replay of
 //! the retained records onto that base therefore reproduces the primary's
 //! state at any time — the failover oracle — and a replica at or above
 //! `base_seq` can always be shipped what it lacks. The cluster moves the

@@ -61,8 +61,6 @@ pub struct RoutedRead<T> {
 /// module docs.
 pub struct RoutedSession {
     site: usize,
-    config: SessionConfig,
-    rules: RuleTable,
     read: Session,
     write: Session,
     generation: u64,
@@ -89,11 +87,9 @@ impl RoutedSession {
             ..config.clone()
         };
         let read = Session::attach(cluster.read_server(site), read_cfg, rules.clone());
-        let write = Session::attach(cluster.write_server(), config.clone(), rules.clone());
+        let write = Session::attach(cluster.write_server(), config, rules);
         RoutedSession {
             site,
-            config,
-            rules,
             read,
             write,
             generation: cluster.generation(),
@@ -154,32 +150,20 @@ impl RoutedSession {
         &self.write
     }
 
-    /// Re-resolve server handles after a topology change (promotion or
-    /// heal). Degradation state survives the re-attach — a lag breaker
-    /// tripped against the old topology half-opens normally — and so do the
-    /// recorders: a resync in the middle of an action goes on recording
-    /// into the action it is part of.
+    /// Re-resolve server handles after a topology change (promotion, heal
+    /// or re-seed). Both sessions are re-pointed, not rebuilt: whatever was
+    /// set on them — a lag breaker tripped against the old topology
+    /// half-opens normally, a fault plan keeps injecting, a retry policy
+    /// keeps bounding — stays in force, and a resync in the middle of an
+    /// action goes on recording into the action it is part of.
     fn resync(&mut self, cluster: &Cluster) {
         if self.generation == cluster.generation() && self.epoch == cluster.epoch() {
             return;
         }
         self.generation = cluster.generation();
         self.epoch = cluster.epoch();
-        let read_cfg = SessionConfig {
-            link: LinkProfile::lan(),
-            ..self.config.clone()
-        };
-        let degradation = self.read.degradation().clone();
-        let (read_obs, write_obs) = (self.read.recorder().clone(), self.write.recorder().clone());
-        self.read = Session::attach(cluster.read_server(self.site), read_cfg, self.rules.clone());
-        *self.read.degradation_mut() = degradation;
-        self.read.attach_recorder(read_obs);
-        self.write = Session::attach(
-            cluster.write_server(),
-            self.config.clone(),
-            self.rules.clone(),
-        );
-        self.write.attach_recorder(write_obs);
+        self.read.rebind(cluster.read_server(self.site));
+        self.write.rebind(cluster.write_server());
     }
 
     /// Enforce read-your-writes before a read, degrading to an annotated

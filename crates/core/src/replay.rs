@@ -10,6 +10,7 @@
 //! this on purpose: they are what it is compared against.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pdm_sql::persist::decode_snapshot;
 use pdm_sql::{ResultSet, SharedDatabase};
@@ -25,7 +26,7 @@ use crate::shared::{SharedServer, RETAINED_TOKENS};
 #[derive(Debug)]
 pub(crate) enum TokenStatus<'a> {
     /// Completed, outcome retained (`None` = recorded refusal).
-    Done(&'a Option<ResultSet>),
+    Done(&'a Option<Arc<ResultSet>>),
     /// Below every retained token while the log is full: it may have
     /// completed and been trimmed, so it must never execute (again).
     Expired,
@@ -37,15 +38,17 @@ pub(crate) enum TokenStatus<'a> {
 /// completed tokens. Tokens are drawn from one increasing counter, so the
 /// highest are the most recent, and the retained set is the same whatever
 /// order completions were recorded in — live logging, recovery, a replica
-/// and the server's in-memory copy all agree on it.
+/// and the server's in-memory copy all agree on it. An outcome's rows are
+/// shared: every log that retains a check-out holds the result its caller
+/// was handed, not a copy.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TokenLog {
-    done: BTreeMap<u64, Option<ResultSet>>,
+    done: BTreeMap<u64, Option<Arc<ResultSet>>>,
 }
 
 impl TokenLog {
     /// Record a completion and trim to the retention bound.
-    pub(crate) fn record(&mut self, token: u64, rows: Option<ResultSet>) {
+    pub(crate) fn record(&mut self, token: u64, rows: Option<Arc<ResultSet>>) {
         self.done.insert(token, rows);
         while self.done.len() > RETAINED_TOKENS {
             self.done.pop_first();
@@ -65,7 +68,7 @@ impl TokenLog {
     }
 
     /// Retained `(token, outcome)` pairs, ascending.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Option<ResultSet>)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Option<Arc<ResultSet>>)> {
         self.done.iter().map(|(t, rows)| (*t, rows))
     }
 
@@ -166,7 +169,7 @@ impl ReplayState {
                 });
             }
             WalRecord::TokenComplete { token, rows } => {
-                self.tokens.record(*token, rows.clone());
+                self.tokens.record(*token, rows.as_ref().map(Arc::clone));
             }
         }
         Ok(())

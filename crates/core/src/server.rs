@@ -59,10 +59,12 @@ impl Deref for PdmServer {
 }
 
 /// Result of the server-side check-out: `None` rows means the ∀rows
-/// condition failed (something was already checked out).
+/// condition failed (something was already checked out). The rows are the
+/// retrieval's own shared result — the one the idempotency logs retain and
+/// a replay of the token hands out again.
 #[derive(Debug, Clone)]
 pub struct CheckoutProcedureResult {
-    pub rows: Option<ResultSet>,
+    pub rows: Option<Arc<ResultSet>>,
 }
 
 /// Split a homogenized result into assembly and component object ids.

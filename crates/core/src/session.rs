@@ -460,17 +460,15 @@ pub struct Session {
     /// its own. The channel holds a clone of the same recorder for its
     /// network spans.
     obs: Recorder,
-    /// The shared server's metrics registry; this session folds its
-    /// per-action traffic (`net.*`) into it.
-    metrics: Arc<MetricsRegistry>,
     /// Cross-site tracing, `None` (zero cost, zero wire bytes) unless
     /// [`Session::enable_tracing`] turns it on.
     tracing: Option<Tracing>,
     /// The statements this session has generated, one per shape and action
     /// (see [`Session::statement`]). Emptied by the two setters that change
     /// what a shape generates, [`Session::set_strategy`] and
-    /// [`Session::set_structure_view`]; rules, user and view names are
-    /// fixed at [`Session::attach`].
+    /// [`Session::set_structure_view`], and by [`Session::rebind`], which
+    /// changes the view names; rules and user are fixed at
+    /// [`Session::attach`].
     prepared: HashMap<(Shape, ActionKind), Prepared>,
     /// `session.rows_kept` / `session.rows_filtered_late`, resolved on the
     /// first late-filtered statement rather than at attach: a registry
@@ -492,7 +490,6 @@ impl Session {
     /// lock table, and its cross-session result cache.
     pub fn attach(server: PdmServer, config: SessionConfig, rules: RuleTable) -> Self {
         let view_names = server.view_names();
-        let metrics = Arc::clone(server.shared().metrics());
         Session {
             channel: MeteredChannel::new(config.link),
             server,
@@ -507,7 +504,6 @@ impl Session {
             priority_override: None,
             degradation: DegradationController::default(),
             obs: Recorder::disabled(),
-            metrics,
             tracing: None,
             prepared: HashMap::new(),
             late_rows: None,
@@ -538,9 +534,10 @@ impl Session {
         &self.obs
     }
 
-    /// The server-wide metrics registry this session reports into.
+    /// The server-wide metrics registry this session reports into: it
+    /// folds its per-action traffic (`net.*`) there.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        self.server.shared().metrics()
     }
 
     /// Span tree of the most recent action (`None` with profiling off or
@@ -574,7 +571,7 @@ impl Session {
     /// metric family: called once per completed metering segment, so
     /// retransmits and volumes are never double-counted.
     pub(crate) fn fold_traffic(&self) {
-        pdm_net::record_traffic(&self.metrics, self.channel.stats());
+        pdm_net::record_traffic(self.metrics(), self.channel.stats());
     }
 
     /// Install a fault plan on the link: exchanges can now fail and are
@@ -694,6 +691,21 @@ impl Session {
     pub fn set_strategy(&mut self, strategy: Strategy) {
         self.config.strategy = strategy;
         self.prepared.clear();
+    }
+
+    /// Re-point the session at a different server — what
+    /// [`Session::set_link`] is for the link. Everything the user set
+    /// (fault plan, retry policy and budget, priority class, strategy,
+    /// structure view, degradation state, recorder, tracing) stays in
+    /// force; what was derived from the old server (its view names, the
+    /// statements prepared against them, the late-filter counters in its
+    /// registry, the channel to it) is built again for the new one.
+    pub(crate) fn rebind(&mut self, server: PdmServer) {
+        self.view_names = server.view_names();
+        self.server = server;
+        self.prepared.clear();
+        self.late_rows = None;
+        self.set_link(self.config.link);
     }
 
     /// Re-point the session at a different WAN profile (fresh channel and
@@ -1054,7 +1066,7 @@ impl Session {
             let (transferred, kept) = (rs.len() as u64, nodes.len() as u64);
             span.set_rows(transferred, kept);
             drop(span);
-            let metrics = &self.metrics;
+            let metrics = self.server.shared().metrics();
             let (rows_kept, rows_filtered) = self.late_rows.get_or_insert_with(|| {
                 (
                     metrics.counter("session.rows_kept"),

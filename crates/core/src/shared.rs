@@ -18,13 +18,19 @@
 //!   A request is looked up by its text as sent before it is parsed, so a
 //!   repeated statement in canonical spelling — every statement a session
 //!   generates — costs one hash probe
-//!   ([`SharedServer::query_cached_deadline_obs`]);
+//!   ([`SharedServer::query_cached_deadline_obs`]); a computation in flight
+//!   is a mark in the same table, which concurrent misses wait on;
 //! * an **idempotency log** for failure-atomic check-outs (PR 1), shared
 //!   so tokens are unique across sessions and bounded to the
 //!   [`RETAINED_TOKENS`] most recent outcomes (an older token fails closed
 //!   rather than executing twice), plus an optional **operation journal**
 //!   the deterministic concurrency tests replay.
+//!
+//! Every call measures its caller's deadline from the moment it entered
+//! the server (`Deadline`), and the three structures above block in that
+//! type's one bounded condvar wait and nowhere else.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -119,6 +125,76 @@ fn sql_error(e: SharedServerError) -> pdm_sql::Error {
 }
 
 // ---------------------------------------------------------------------------
+// Deadline
+// ---------------------------------------------------------------------------
+
+/// Waiters sleep in bounded slices even with no deadline, so a missed
+/// wakeup can only cost one slice, never a hang.
+const WAIT_SLICE: Duration = Duration::from_millis(25);
+
+/// One server call's deadline window: the budget its caller propagated and
+/// the instant the call entered the server. Every blocking point of the
+/// call — the token log, a single-flight slot, the lock queue, the commit
+/// gate — measures against this one window, and [`Deadline::wait`] is the
+/// only place the server blocks on a condvar.
+#[derive(Debug)]
+struct Deadline {
+    budget: Option<Duration>,
+    entered: Instant,
+}
+
+impl Deadline {
+    fn new(budget: Option<Duration>) -> Self {
+        // lint:allow(wall-clock): condvar, gate and fsync waits are real-OS
+        // blocking; their deadline must be measured on the OS clock, not the
+        // virtual one.
+        let entered = Instant::now();
+        Deadline { budget, entered }
+    }
+
+    /// What a wait that ran out of this deadline reports: the time since
+    /// the call entered the server, not since the wait began.
+    fn lock_timeout(&self) -> SharedServerError {
+        let waited = self.entered.elapsed();
+        SharedServerError::LockTimeout { waited }
+    }
+
+    /// What is left of the budget — `None` when the caller set none — or
+    /// [`SharedServerError::DeadlineExpired`] once it is spent: what a
+    /// nested server call is handed as its own deadline, and what stops
+    /// doomed work at its next blocking point.
+    fn remaining(&self) -> Result<Option<Duration>, SharedServerError> {
+        let Some(budget) = self.budget else {
+            return Ok(None);
+        };
+        let waited = self.entered.elapsed();
+        match budget.checked_sub(waited) {
+            Some(left) if !left.is_zero() => Ok(Some(left)),
+            _ => Err(SharedServerError::DeadlineExpired { waited }),
+        }
+    }
+
+    /// One bounded wait on `cv`: at most [`WAIT_SLICE`], less when less is
+    /// left of the budget. `Err` — without having waited — once the
+    /// deadline is spent; either way the caller has its guard back, to
+    /// re-check its predicate and wait again, or to leave.
+    fn wait<'a, T>(
+        &self,
+        cv: &Condvar,
+        guard: MutexGuard<'a, T>,
+    ) -> Result<MutexGuard<'a, T>, MutexGuard<'a, T>> {
+        let Ok(left) = self.remaining() else {
+            return Err(guard);
+        };
+        let slice = left.map_or(WAIT_SLICE, |left| left.min(WAIT_SLICE));
+        Ok(match cv.wait_timeout(guard, slice) {
+            Ok((guard, _)) => guard,
+            Err(poisoned) => poisoned.into_inner().0,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Lock table
 // ---------------------------------------------------------------------------
 
@@ -175,29 +251,6 @@ struct LockTableState {
     /// Appended inside the same critical section that mutates `locks`, so
     /// the recorded order IS the serialization order.
     events: Vec<LockEvent>,
-}
-
-/// Waiters sleep in bounded slices even with no deadline, so a missed
-/// wakeup can only cost one slice, never a hang.
-const WAIT_SLICE: Duration = Duration::from_millis(25);
-
-/// Start of one server call's deadline window.
-fn deadline_clock() -> Instant {
-    // lint:allow(wall-clock): condvar, gate and fsync waits are real-OS
-    // blocking; their deadline must be measured on the OS clock, not the
-    // virtual one.
-    Instant::now()
-}
-
-/// The next condvar wait under `deadline` (measured from `started`): at
-/// most [`WAIT_SLICE`], `None` once the deadline is spent.
-fn wait_slice(deadline: Option<Duration>, started: Instant) -> Option<Duration> {
-    match deadline {
-        None => Some(WAIT_SLICE),
-        Some(d) => d
-            .checked_sub(started.elapsed())
-            .map(|remaining| remaining.min(WAIT_SLICE)),
-    }
 }
 
 /// The check-out lock table: object id → lock state, with a ticketed
@@ -258,12 +311,6 @@ impl LockTable {
         })
     }
 
-    fn grant(state: &mut LockTableState, ids: &[ObjectId], token: u64) {
-        for id in ids {
-            state.locks.entry(*id).or_insert(LockState::InFlight(token));
-        }
-    }
-
     fn journal_refused(&self, state: &mut LockTableState, ids: &[ObjectId], token: u64) {
         if self.journal.load(Ordering::Relaxed) {
             state.events.push(LockEvent::Refused {
@@ -271,10 +318,6 @@ impl LockTable {
                 ids: ids.to_vec(),
             });
         }
-    }
-
-    fn remove_ticket(state: &mut LockTableState, seq: u64) {
-        state.queue.retain(|t| t.seq != seq);
     }
 
     /// All-or-nothing: mark every id in-flight for `token`, waiting (up to
@@ -296,61 +339,64 @@ impl LockTable {
         token: u64,
         deadline: Option<Duration>,
     ) -> Result<Acquire, SharedServerError> {
-        let start = deadline_clock();
+        self.acquire(ids, token, &Deadline::new(deadline))
+    }
+
+    /// [`LockTable::acquire_in_flight`] inside a server call: the wait is
+    /// bounded by — and a timeout reports — the whole call's window.
+    fn acquire(
+        &self,
+        ids: &[ObjectId],
+        token: u64,
+        deadline: &Deadline,
+    ) -> Result<Acquire, SharedServerError> {
         let mut guard = lock_unpoisoned(&self.state);
-        if Self::is_busy(&guard, ids, token) {
-            self.journal_refused(&mut guard, ids, token);
-            return Ok(Acquire::Busy);
-        }
-        if !Self::is_blocked(&guard, ids, token) && !Self::queue_conflicts(&guard, ids, token, None)
-        {
-            Self::grant(&mut guard, ids, token);
-            return Ok(Acquire::Granted);
-        }
-        // Blocked: take a ticket (bounded queue).
-        let depth = guard.queue.len();
-        if depth >= self.queue_bound.load(Ordering::Relaxed) {
-            self.rejections.inc();
-            return Err(SharedServerError::QueueFull { depth });
-        }
-        let seq = guard.next_seq;
-        guard.next_seq = guard.next_seq.saturating_add(1);
-        guard.queue.push_back(Ticket {
-            seq,
-            token,
-            ids: ids.to_vec(),
-        });
-        loop {
-            let Some(slice) = wait_slice(deadline, start) else {
-                Self::remove_ticket(&mut guard, seq);
-                drop(guard);
-                // Our departure may unblock tickets queued behind us.
-                self.cv.notify_all();
-                return Err(SharedServerError::LockTimeout {
-                    waited: start.elapsed(),
-                });
-            };
-            guard = match self.cv.wait_timeout(guard, slice) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
+        // This call's ticket, once it has had to queue.
+        let mut ticket = None;
+        let outcome = loop {
             if Self::is_busy(&guard, ids, token) {
-                Self::remove_ticket(&mut guard, seq);
                 self.journal_refused(&mut guard, ids, token);
-                drop(guard);
-                self.cv.notify_all();
-                return Ok(Acquire::Busy);
+                break Ok(Acquire::Busy);
             }
             if !Self::is_blocked(&guard, ids, token)
-                && !Self::queue_conflicts(&guard, ids, token, Some(seq))
+                && !Self::queue_conflicts(&guard, ids, token, ticket)
             {
-                Self::remove_ticket(&mut guard, seq);
-                Self::grant(&mut guard, ids, token);
-                drop(guard);
-                self.cv.notify_all();
-                return Ok(Acquire::Granted);
+                for id in ids {
+                    guard.locks.entry(*id).or_insert(LockState::InFlight(token));
+                }
+                break Ok(Acquire::Granted);
             }
+            if ticket.is_none() {
+                // Blocked: take a ticket (bounded queue).
+                let depth = guard.queue.len();
+                if depth >= self.queue_bound.load(Ordering::Relaxed) {
+                    self.rejections.inc();
+                    return Err(SharedServerError::QueueFull { depth });
+                }
+                let seq = guard.next_seq;
+                guard.next_seq = guard.next_seq.saturating_add(1);
+                guard.queue.push_back(Ticket {
+                    seq,
+                    token,
+                    ids: ids.to_vec(),
+                });
+                ticket = Some(seq);
+            }
+            match deadline.wait(&self.cv, guard) {
+                Ok(woken) => guard = woken,
+                Err(held) => {
+                    guard = held;
+                    break Err(deadline.lock_timeout());
+                }
+            }
+        };
+        if let Some(seq) = ticket {
+            guard.queue.retain(|t| t.seq != seq);
+            drop(guard);
+            // Our departure may unblock tickets queued behind us.
+            self.cv.notify_all();
         }
+        outcome
     }
 
     /// Bound the wait queue: at most `n` queued waiters, further ones are
@@ -401,12 +447,7 @@ impl LockTable {
                 guard.locks.remove(id);
             }
         }
-        if self.journal.load(Ordering::Relaxed) {
-            guard.events.push(LockEvent::Refused {
-                token,
-                ids: ids.to_vec(),
-            });
-        }
+        self.journal_refused(&mut guard, ids, token);
         drop(guard);
         self.cv.notify_all();
     }
@@ -481,13 +522,34 @@ impl Drop for InFlightMarks<'_> {
 // Cross-session query-result cache
 // ---------------------------------------------------------------------------
 
-/// One cached result: the storage version it was computed against and the
-/// shared rows.
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    version: u64,
-    result: Arc<ResultSet>,
+/// One key of the result cache: the result last published under it and the
+/// mark of a computation in flight. A slot is in the table while it has
+/// either.
+#[derive(Debug, Default)]
+struct Slot {
+    /// The storage version the rows were computed on, and the shared rows.
+    /// An entry of an older version stays where it is until the key's next
+    /// publish or a capacity sweep; only [`Slot::at`] reads it.
+    ready: Option<(u64, Arc<ResultSet>)>,
+    /// A single-flight leader is computing this key. Concurrent misses on
+    /// it wait (bounded by their deadline) on [`QueryCache::cv`] and
+    /// re-probe instead of compiling + executing the same query N times —
+    /// the cache-stampede (dogpile) fix.
+    computing: bool,
 }
+
+impl Slot {
+    /// The result, if it was computed on storage `version` — the only kind
+    /// of entry a look-up may return.
+    fn at(&self, version: u64) -> Option<&Arc<ResultSet>> {
+        match &self.ready {
+            Some((v, result)) if *v == version => Some(result),
+            _ => None,
+        }
+    }
+}
+
+type Slots = HashMap<Arc<str>, Slot>;
 
 /// Hit/miss counters of the cross-session cache (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -517,23 +579,23 @@ impl CacheStats {
 /// parses back to that query: a request whose text, as sent, is a key needs
 /// no parse to learn its canonical key. The server probes with the raw
 /// text first and parses only what that probe does not find; there is no
-/// text → query memo beside the map, because a hit needs nothing but the
-/// key.
+/// text → query memo beside the table, because a hit needs nothing but the
+/// key. A computation in flight is a mark on its key's [`Slot`] in the same
+/// table, so "is it cached", "is somebody computing it" and "store it" are
+/// one look-up each under one mutex.
 ///
 /// Hit/miss/invalidation counts live in the server's metrics registry
 /// (`cache.hits`, `cache.misses`, `cache.invalidations`), so they appear in
 /// the same snapshot as every other subsystem's counters.
 #[derive(Debug)]
 struct QueryCache {
-    /// A key is one allocation shared with the in-flight set and the
-    /// leader's guard: a miss copies its printed key once.
-    map: Mutex<HashMap<Arc<str>, CacheEntry>>,
-    /// Canonical keys currently being computed by a single-flight leader.
-    /// Concurrent misses on the same key wait (bounded by their deadline)
-    /// on `sf_cv` and re-probe instead of compiling + executing the same
-    /// query N times — the cache-stampede (dogpile) fix.
-    inflight: Mutex<HashSet<Arc<str>>>,
-    sf_cv: Condvar,
+    /// The one table: a key is probed, claimed (or waited for) and
+    /// published under this mutex, one look-up each, and the engine never
+    /// runs while it is held. A key is one allocation shared with its
+    /// leader: a miss copies its printed key once.
+    slots: Mutex<Slots>,
+    /// Signalled whenever a leader leaves its slot, published or not.
+    cv: Condvar,
     hits: Counter,
     misses: Counter,
     /// Entries discarded because their storage version went stale — whether
@@ -565,12 +627,22 @@ struct CheckoutLog {
     in_progress: HashSet<u64>,
 }
 
+/// What a miss on its canonical key finds in the key's slot.
+enum Claim<'a> {
+    /// A result of the current version, published since the raw-text probe
+    /// (or under another spelling).
+    Hit(Arc<ResultSet>),
+    /// Nobody is computing the key: the caller is, from now on.
+    Lead(Leadership<'a>),
+    /// Somebody is: the table's guard, to wait on.
+    Wait(MutexGuard<'a, Slots>),
+}
+
 impl QueryCache {
     fn new(registry: &MetricsRegistry) -> Self {
         QueryCache {
-            map: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashSet::new()),
-            sf_cv: Condvar::new(),
+            slots: Mutex::new(HashMap::new()),
+            cv: Condvar::new(),
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
             invalidations: registry.counter("cache.invalidations"),
@@ -579,36 +651,95 @@ impl QueryCache {
         }
     }
 
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-        }
+    /// The result published under `key`, if it was computed on storage
+    /// `version`.
+    fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
+        lock_unpoisoned(&self.slots)
+            .get(key)
+            .and_then(|slot| slot.at(version))
+            .map(Arc::clone)
     }
 
-    /// The result cached under `key`, if it was computed on storage
-    /// `version` — the only kind of entry a look-up may return.
-    fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
-        lock_unpoisoned(&self.map)
-            .get(key)
-            .filter(|entry| entry.version == version)
-            .map(|entry| Arc::clone(&entry.result))
+    /// The one look-up of a canonical miss: return the key's current
+    /// result, or mark its slot as being computed by the caller, or — the
+    /// mark being somebody else's — hand back the guard to wait on.
+    fn claim<'a>(&'a self, key: &'a Arc<str>, version: u64) -> Claim<'a> {
+        let mut slots = lock_unpoisoned(&self.slots);
+        let slot = slots.entry(Arc::clone(key)).or_default();
+        if let Some(result) = slot.at(version) {
+            return Claim::Hit(Arc::clone(result));
+        }
+        if slot.computing {
+            return Claim::Wait(slots);
+        }
+        slot.computing = true;
+        self.singleflight_leaders.inc();
+        Claim::Lead(Leadership { cache: self, key })
+    }
+
+    /// Store `result`, computed on storage `version`, under `key` — by the
+    /// key's leader (whose mark stays until it lets go of its leadership),
+    /// or by a waiter that ran out of deadline and computed for itself. A
+    /// result never replaces one of a newer version. With
+    /// [`CACHE_CAPACITY`] results in the table, the stale ones are swept
+    /// first and, if that is not enough, all of them.
+    fn publish(&self, key: &Arc<str>, version: u64, result: &Arc<ResultSet>) {
+        // What leaves the table is only *moved* out under its lock and
+        // freed after it is released: a swept result set is thousands of
+        // deallocations, and every concurrent hit would wait for them. The
+        // table keeps its allocation, so it does not regrow from nothing.
+        let (mut gone, mut replaced) = (Vec::new(), None);
+        let mut slots = lock_unpoisoned(&self.slots);
+        let results = |slots: &Slots| slots.values().filter(|s| s.ready.is_some()).count();
+        if slots.len() >= CACHE_CAPACITY && results(&slots) >= CACHE_CAPACITY {
+            // A slot that is being computed keeps its mark, whatever it held.
+            let mut sweep = |slots: &mut Slots, all: bool| {
+                slots.retain(|key, slot| {
+                    if slot.ready.is_some() && (all || slot.at(version).is_none()) {
+                        gone.push((Arc::clone(key), slot.ready.take()));
+                    }
+                    slot.computing || slot.ready.is_some()
+                });
+            };
+            sweep(&mut slots, false);
+            if results(&slots) >= CACHE_CAPACITY {
+                sweep(&mut slots, true);
+            }
+            self.invalidations.add(gone.len() as u64);
+        }
+        let slot = slots.entry(Arc::clone(key)).or_default();
+        if slot.ready.as_ref().is_none_or(|(v, _)| *v <= version) {
+            replaced = slot.ready.replace((version, Arc::clone(result)));
+            if replaced.as_ref().is_some_and(|(v, _)| *v != version) {
+                self.invalidations.inc();
+            }
+        }
+        drop(slots);
+        drop((gone, replaced));
     }
 }
 
-/// Single-flight leadership of one canonical key. Dropping it — after the
-/// result is published, on an engine error, or while the computation
-/// unwinds — takes the key out of `inflight` and wakes the waiters so they
-/// re-probe; a key can therefore never outlive its leader.
+/// Single-flight leadership of one canonical key: the `computing` mark on
+/// its slot. Dropping it — after the result is published, on an engine
+/// error, or while the computation unwinds — clears the mark, takes a slot
+/// with nothing published out of the table and wakes the waiters so they
+/// re-probe; a mark can therefore never outlive its leader.
 struct Leadership<'a> {
     cache: &'a QueryCache,
-    key: Arc<str>,
+    key: &'a Arc<str>,
 }
 
 impl Drop for Leadership<'_> {
     fn drop(&mut self) {
-        lock_unpoisoned(&self.cache.inflight).remove(&*self.key);
-        self.cache.sf_cv.notify_all();
+        let mut slots = lock_unpoisoned(&self.cache.slots);
+        if let Entry::Occupied(mut slot) = slots.entry(Arc::clone(self.key)) {
+            slot.get_mut().computing = false;
+            if slot.get().ready.is_none() {
+                slot.remove();
+            }
+        }
+        drop(slots);
+        self.cache.cv.notify_all();
     }
 }
 
@@ -816,7 +947,10 @@ impl SharedServer {
 
     /// Hit/miss counters of the cross-session result cache.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        CacheStats {
+            hits: self.cache.hits.get(),
+            misses: self.cache.misses.get(),
+        }
     }
 
     /// The server-wide metrics registry. Covers the cache
@@ -885,15 +1019,16 @@ impl SharedServer {
         obs: &Recorder,
     ) -> pdm_sql::Result<Arc<ResultSet>> {
         // Probe with the text as sent, before parsing it. Every key of the
-        // map is the print of a parsed query, and such a print parses back
+        // table is the print of a parsed query, and such a print parses back
         // to that query (what the server already relies on when it executes
         // whatever it parses from a client's printed statement), so a text
         // found among the keys IS its own canonical key. A text in any
         // other spelling finds nothing here and takes the parse below to
-        // the same entry. The hit's `cache.probe` span is recorded once the
+        // the same slot. The hit's `cache.probe` span is recorded once the
         // entry is found: a probe that finds nothing leaves the statement's
         // one probe span to the canonical look-up after the parse.
-        if let Some(result) = self.cache.get(sql, self.db.snapshot().version) {
+        let mut snapshot = self.db.snapshot();
+        if let Some(result) = self.cache.get(sql, snapshot.version) {
             obs.span(kinds::CACHE_PROBE, "lookup").set_detail("hit");
             self.m.queries.inc();
             self.cache.hits.inc();
@@ -903,93 +1038,50 @@ impl SharedServer {
         let query = pdm_sql::parser::parse_query(sql)?;
         drop(parse_span);
         let key: Arc<str> = query.to_string().into();
-        let started = deadline_clock();
+        // Only a waiter has a use for the window; a hit reads no clock.
+        let deadline = Deadline::new(deadline);
         self.m.queries.inc();
-        let mut waited_sf = false;
+        let mut waited = false;
         // `_leadership` is held until the result is published (or the
-        // computation fails or unwinds) and released by its drop.
-        let (snapshot, _leadership) = loop {
-            let snapshot = self.db.snapshot();
-            {
-                // Scope the probe span so engine spans are siblings, not
-                // children, of the probe.
-                let probe = obs.span(kinds::CACHE_PROBE, "lookup");
-                if let Some(result) = self.cache.get(&key, snapshot.version) {
+        // computation fails or unwinds) and released by its drop. The first
+        // canonical look-up shares the snapshot of the raw-text probe.
+        let _leadership = loop {
+            // Scope the probe span so engine spans are siblings, not
+            // children, of the probe.
+            let probe = obs.span(kinds::CACHE_PROBE, "lookup");
+            let slots = match self.cache.claim(&key, snapshot.version) {
+                Claim::Hit(result) => {
                     self.cache.hits.inc();
-                    if waited_sf {
+                    if waited {
                         self.cache.singleflight_hits.inc();
                     }
                     probe.set_detail("hit");
                     return Ok(result);
                 }
-                probe.set_detail("miss");
-            }
-            let mut infl = lock_unpoisoned(&self.cache.inflight);
-            if !infl.contains(&*key) {
-                // Double-check the cache before claiming leadership: the
-                // previous leader may have published and left between our
-                // probe above and taking the in-flight lock. (Lock order
-                // inflight→map is safe: no path holds map while taking
-                // inflight.)
-                if let Some(result) = self.cache.get(&key, snapshot.version) {
-                    self.cache.hits.inc();
-                    if waited_sf {
-                        self.cache.singleflight_hits.inc();
-                    }
-                    return Ok(result);
+                Claim::Lead(leadership) => {
+                    probe.set_detail("miss");
+                    break Some(leadership);
                 }
-                infl.insert(Arc::clone(&key));
-                self.cache.singleflight_leaders.inc();
-                let leadership = Leadership {
-                    cache: &self.cache,
-                    key: Arc::clone(&key),
-                };
-                break (snapshot, Some(leadership));
-            }
+                Claim::Wait(slots) => slots,
+            };
+            probe.set_detail("miss");
+            drop(probe);
             // Another session is computing this key: wait for it, bounded
-            // by our propagated deadline, then re-probe.
-            let Some(slice) = wait_slice(deadline, started) else {
+            // by our propagated deadline, then re-probe on the storage that
+            // is current by then.
+            if deadline.wait(&self.cache.cv, slots).is_err() {
                 // Deadline spent: stop waiting and compute for ourselves
                 // rather than returning empty-handed.
-                break (snapshot, None);
-            };
-            waited_sf = true;
-            let (g, _) = match self.cache.sf_cv.wait_timeout(infl, slice) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            drop(g);
+                break None;
+            }
+            waited = true;
+            snapshot = self.db.snapshot();
         };
         let (rows, stats) = snapshot.query_ast_profiled(&query, obs)?;
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();
-        // Entries leaving the map are only *moved* out under its lock and
-        // freed after it is released: a swept result set is thousands of
-        // deallocations, and every concurrent hit would wait for them.
-        let mut stale = Vec::new();
-        let mut cleared = HashMap::new();
-        let mut map = lock_unpoisoned(&self.cache.map);
-        if map.len() >= CACHE_CAPACITY {
-            let current = snapshot.version;
-            stale.extend(map.extract_if(|_, e| e.version != current));
-            if map.len() >= CACHE_CAPACITY {
-                cleared = std::mem::take(&mut *map);
-            }
-            self.cache
-                .invalidations
-                .add((stale.len() + cleared.len()) as u64);
-        }
-        let entry = CacheEntry {
-            version: snapshot.version,
-            result: Arc::clone(&result),
-        };
-        let replaced = map.insert(key, entry);
-        drop(map);
-        if replaced.is_some_and(|old| old.version != snapshot.version) {
-            self.cache.invalidations.inc();
-        }
-        drop((stale, cleared));
+        self.cache.publish(&key, snapshot.version, &result);
         Ok(result)
     }
 
@@ -1030,15 +1122,15 @@ impl SharedServer {
             let (outcome, _) = self.db.execute_ast(stmt)?;
             return Ok(outcome);
         }
-        let started = deadline_clock();
-        self.check_deadline(deadline, started, "write_gate", obs)?;
+        let deadline = Deadline::new(deadline);
+        self.check_deadline(&deadline, "write_gate", obs)?;
         // lint:allow(lock-across-boundary): the write gate serializes DML
         // so the WAL fsync lands before the new version is published
         // (fsync-before-publish, DESIGN.md §9).
         let mut log = lock_unpoisoned(&self.write_gate);
         // The gate wait itself may have consumed the deadline: abandon
         // before the fsync, while nothing has been applied yet.
-        self.check_deadline(deadline, started, "wal_commit", obs)?;
+        self.check_deadline(&deadline, "wal_commit", obs)?;
         // The canonical text, printed once for the WAL record and the DML
         // journal.
         let journal = self.journal.load(Ordering::Relaxed);
@@ -1072,39 +1164,27 @@ impl SharedServer {
         f: impl FnOnce() -> pdm_sql::Result<T>,
     ) -> pdm_sql::Result<T> {
         let span = obs.span(kinds::WAL_APPEND, label);
-        // lint:allow(wall-clock): wal.fsync_ns is an advisory wall-time
-        // histogram (device cost), never part of the deterministic timeline.
-        let t0 = Instant::now();
-        let result = f();
-        self.m
-            .wal_fsync_ns
-            .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let result = self.m.wal_fsync_ns.time(f);
         self.m.wal_appends.inc();
         drop(span);
         result
     }
 
-    /// Deadline-propagation checkpoint: if the caller's remaining
-    /// `deadline` (measured from `started`) is spent, record the abandon
+    /// Deadline-propagation checkpoint before work that is not free to
+    /// back out of: if the call's budget is spent, record the abandon
     /// (`overload.deadline_abandons` + an `overload.abandon` span) and
     /// fail fast instead of doing the doomed work.
     fn check_deadline(
         &self,
-        deadline: Option<Duration>,
-        started: Instant,
+        deadline: &Deadline,
         label: &str,
         obs: &Recorder,
     ) -> Result<(), SharedServerError> {
-        let Some(d) = deadline else { return Ok(()) };
-        let waited = started.elapsed();
-        if waited < d {
-            return Ok(());
-        }
-        self.m.deadline_abandons.inc();
-        let span = obs.span(kinds::OVERLOAD_ABANDON, label.to_string());
-        span.set_detail("deadline");
-        drop(span);
-        Err(SharedServerError::DeadlineExpired { waited })
+        deadline.remaining().map(drop).inspect_err(|_| {
+            self.m.deadline_abandons.inc();
+            obs.span(kinds::OVERLOAD_ABANDON, label.to_string())
+                .set_detail("deadline");
+        })
     }
 
     // -- check-out / check-in --------------------------------------------
@@ -1144,23 +1224,18 @@ impl SharedServer {
         // retry racing its own original) waits here for the recorded
         // outcome rather than running the procedure a second time, and a
         // token too old to still have an outcome is refused, not re-run.
-        let start = deadline_clock();
+        let deadline = Deadline::new(deadline);
         {
             let mut log = lock_unpoisoned(&self.checkout_log);
             while log.in_progress.contains(&token) {
-                let Some(slice) = wait_slice(deadline, start) else {
-                    return Err(SharedServerError::LockTimeout {
-                        waited: start.elapsed(),
-                    });
-                };
-                log = match self.checkout_cv.wait_timeout(log, slice) {
-                    Ok((g, _)) => g,
-                    Err(poisoned) => poisoned.into_inner().0,
-                };
+                log = deadline
+                    .wait(&self.checkout_cv, log)
+                    .map_err(|_| deadline.lock_timeout())?;
             }
             match log.done.status(token) {
                 TokenStatus::Done(rows) => {
-                    return Ok(CheckoutProcedureResult { rows: rows.clone() })
+                    let rows = rows.as_ref().map(Arc::clone);
+                    return Ok(CheckoutProcedureResult { rows });
                 }
                 TokenStatus::Expired => return Err(SharedServerError::TokenExpired { token }),
                 TokenStatus::Unknown => {
@@ -1173,15 +1248,15 @@ impl SharedServer {
             server: self,
             token,
         };
-        let mut result =
-            self.checkout_procedure_inner(root, modified_sql, token, deadline, start, obs);
+        let mut result = self.checkout_procedure_inner(root, modified_sql, token, &deadline, obs);
         // Make the outcome durable before recording it: a crash after this
         // point replays the token's recorded result instead of re-running
         // the procedure; a crash before it sweeps the grant, as if the
-        // check-out never happened.
+        // check-out never happened. The WAL record, both idempotency logs
+        // and the caller share the retrieval's one result.
         if let (Ok(outcome), Some(d)) = (&result, &self.durability) {
-            if let Err(e) = self.wal_op(obs, "token", || d.log_token(token, outcome.rows.as_ref()))
-            {
+            let rows = outcome.rows.as_ref().map(Arc::clone);
+            if let Err(e) = self.wal_op(obs, "token", || d.log_token(token, rows)) {
                 result = Err(SharedServerError::Sql(e));
             }
         }
@@ -1189,73 +1264,45 @@ impl SharedServer {
         if let Ok(outcome) = &result {
             lock_unpoisoned(&self.checkout_log)
                 .done
-                .record(token, outcome.rows.clone());
+                .record(token, outcome.rows.as_ref().map(Arc::clone));
         }
         drop(claim);
         result
     }
 
     /// The procedure body, entered by exactly one call per token. The
-    /// deadline is measured from `start` (the moment the check-out call
-    /// entered the server) and re-checked at every blocking point: the
-    /// retrieval's single-flight wait, the lock queue, and again before
-    /// the durable grant — doomed work is abandoned at the next blocking
-    /// point, not completed uselessly.
+    /// call's one `deadline` window is re-checked at every blocking point:
+    /// before the retrieval and in its single-flight wait, before and in
+    /// the lock queue, and again before the durable grant — doomed work is
+    /// abandoned at the next blocking point, not completed uselessly.
     fn checkout_procedure_inner(
         &self,
         root: ObjectId,
         modified_sql: &str,
         token: u64,
-        deadline: Option<Duration>,
-        start: Instant,
+        deadline: &Deadline,
         obs: &Recorder,
     ) -> Result<CheckoutProcedureResult, SharedServerError> {
-        let remaining = |waited: Duration| match deadline {
-            None => Ok(None),
-            Some(d) => match d.checked_sub(waited) {
-                Some(rem) if !rem.is_zero() => Ok(Some(rem)),
-                _ => Err(SharedServerError::DeadlineExpired { waited }),
-            },
-        };
-        let rows =
-            (*self.query_cached_deadline_obs(modified_sql, remaining(start.elapsed())?, obs)?)
-                .clone();
-        let (assy_ids, comp_ids) = split_ids(&rows)?;
-        let mut all_assy = assy_ids.clone();
+        let rows = self.query_cached_deadline_obs(modified_sql, deadline.remaining()?, obs)?;
+        let (mut all_assy, comp_ids) = split_ids(&rows)?;
         all_assy.push(root);
 
         let mut lock_ids: Vec<ObjectId> = Vec::with_capacity(all_assy.len() + comp_ids.len());
         lock_ids.extend(&all_assy);
         lock_ids.extend(&comp_ids);
 
-        // lint:allow(wall-clock): locks.wait_ns is an advisory wall-time
-        // histogram of real-OS condvar blocking.
-        let waited = Instant::now();
+        deadline.remaining()?;
         let wait_span = obs.span(kinds::LOCK_WAIT, format!("token{token}"));
         let acquired = self
-            .locks
-            .acquire_in_flight(&lock_ids, token, remaining(start.elapsed())?);
-        self.m
+            .m
             .lock_wait_ns
-            .record(u64::try_from(waited.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        if let Ok(acq) = &acquired {
-            wait_span.set_detail(match acq {
-                Acquire::Granted => "granted",
-                Acquire::Busy => "busy",
-            });
-        } else {
-            wait_span.set_detail("timeout");
-        }
-        drop(wait_span);
-        // The lock table only saw the deadline REMAINING after the earlier
-        // procedure phases; account the whole procedure in the timeout so
-        // the caller's reported wait covers its full deadline window.
-        let acquired = acquired.map_err(|e| match e {
-            SharedServerError::LockTimeout { .. } => SharedServerError::LockTimeout {
-                waited: start.elapsed(),
-            },
-            other => other,
+            .time(|| self.locks.acquire(&lock_ids, token, deadline));
+        wait_span.set_detail(match &acquired {
+            Ok(Acquire::Granted) => "granted",
+            Ok(Acquire::Busy) => "busy",
+            Err(_) => "timeout",
         });
+        drop(wait_span);
         match acquired? {
             Acquire::Busy => {
                 self.m.lock_refusals.inc();
@@ -1282,7 +1329,7 @@ impl SharedServer {
         // Deadline checkpoint: the retrieval and lock wait may have spent
         // the caller's budget. Abandon now — before the durable grant's
         // fsync and the flag UPDATEs — while backing out is still free.
-        self.check_deadline(deadline, start, "checkout_grant", obs)?;
+        self.check_deadline(deadline, "checkout_grant", obs)?;
 
         // Durable-grant protocol: log the grant BEFORE the flag UPDATEs.
         // Whatever happens next — crash between the two UPDATEs, crash
@@ -1471,8 +1518,8 @@ mod tests {
             let _ = s.query_cached(sql);
         }));
         assert!(
-            lock_unpoisoned(&s.cache.inflight).is_empty(),
-            "the key outlived its leader"
+            lock_unpoisoned(&s.cache.slots).is_empty(),
+            "the slot outlived its leader"
         );
 
         // The next request for the same text leads its own computation
@@ -1486,7 +1533,9 @@ mod tests {
             s.query_uncached("SELECT obid FROM assy").unwrap().len()
         );
         assert_eq!(s.cache.singleflight_leaders.get(), 2);
-        assert!(lock_unpoisoned(&s.cache.inflight).is_empty());
+        assert!(lock_unpoisoned(&s.cache.slots)
+            .values()
+            .all(|slot| !slot.computing && slot.ready.is_some()));
     }
 
     #[test]
@@ -1518,6 +1567,131 @@ mod tests {
             .expect("the token must still be executable");
         assert!(retry.rows.is_some());
         assert!(s.checkout_recorded(token));
+    }
+
+    fn update(s: &SharedServer) {
+        s.execute_deadline_obs(
+            "UPDATE assy SET checkedout = FALSE WHERE obid = 1",
+            None,
+            &Recorder::disabled(),
+        )
+        .unwrap();
+    }
+
+    #[test]
+    fn an_older_result_never_replaces_a_newer_entry() {
+        let cache = QueryCache::new(&MetricsRegistry::new());
+        let key: Arc<str> = "k".into();
+        let rows = || Arc::new(ResultSet::empty(pdm_sql::Schema::empty()));
+        let (newer, older) = (rows(), rows());
+        cache.publish(&key, 6, &newer);
+        cache.publish(&key, 5, &older);
+        assert!(Arc::ptr_eq(&cache.get("k", 6).unwrap(), &newer));
+        assert!(cache.get("k", 5).is_none());
+        assert_eq!(cache.invalidations.get(), 0);
+        // The other way round is the in-place replacement it always was.
+        cache.publish(&key, 7, &older);
+        assert!(Arc::ptr_eq(&cache.get("k", 7).unwrap(), &older));
+        assert_eq!(cache.invalidations.get(), 1);
+    }
+
+    /// A reader that leads a computation on version N while a writer
+    /// commits N+1: the second request waits out its deadline, computes on
+    /// N+1 for itself and publishes; the leader's late result — correct for
+    /// the snapshot it holds — must not take the entry back to N.
+    #[test]
+    fn a_timed_out_waiter_publishes_and_the_late_leader_leaves_it_alone() {
+        use std::sync::Barrier;
+        let (mut db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(128)).unwrap();
+        let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+        let (armed, e, r) = (
+            AtomicBool::new(true),
+            Arc::clone(&entered),
+            Arc::clone(&release),
+        );
+        db.register_function("gate", move |args| {
+            if armed.swap(false, Ordering::SeqCst) {
+                e.wait();
+                r.wait();
+            }
+            Ok(args[0].clone())
+        });
+        let s = Arc::new(SharedServer::new(db));
+        let sql = "SELECT GATE(obid) FROM assy";
+
+        let leader = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || s.query_cached(sql).unwrap()
+        });
+        entered.wait(); // the leader is inside the engine, its slot marked
+        update(&s);
+        let own = s
+            .query_cached_deadline_obs(sql, Some(Duration::from_millis(20)), &Recorder::disabled())
+            .unwrap();
+        assert_eq!(s.cache.singleflight_leaders.get(), 1, "it waited, then ran");
+        assert!(
+            Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
+            "the waiter's own result was not published"
+        );
+
+        release.wait();
+        let late = leader.join().unwrap();
+        assert!(!Arc::ptr_eq(&late, &own));
+        assert!(
+            Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
+            "a result of the older version replaced the newer entry"
+        );
+        assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(s.cache.invalidations.get(), 0);
+        assert!(lock_unpoisoned(&s.cache.slots)
+            .values()
+            .all(|slot| !slot.computing));
+    }
+
+    /// Fill the cache one key past its capacity, optionally committing after
+    /// `dml_after` keys, and return `cache.invalidations` after the insert
+    /// that fills it, after the next one, and whether the first key is
+    /// still served from the cache after that. The numbers asserted below
+    /// are the ones this body reads at the two-table cache it replaced.
+    fn fill_past_capacity(dml_after: Option<usize>) -> (u64, u64, bool) {
+        let s = server();
+        let key = |i: usize| format!("SELECT obid FROM assy WHERE obid = {i}");
+        for i in 0..CACHE_CAPACITY {
+            if dml_after == Some(i) {
+                update(&s);
+            }
+            s.query_cached(&key(i)).unwrap();
+        }
+        let at_capacity = s.cache.invalidations.get();
+        s.query_cached(&key(CACHE_CAPACITY)).unwrap();
+        let past_capacity = s.cache.invalidations.get();
+        let hits = s.cache_stats().hits;
+        s.query_cached(&key(dml_after.unwrap_or(0))).unwrap();
+        (at_capacity, past_capacity, s.cache_stats().hits > hits)
+    }
+
+    #[test]
+    fn the_sweep_fires_on_the_insert_past_capacity() {
+        // All entries current: nothing is stale, so everything goes.
+        assert_eq!(fill_past_capacity(None), (0, CACHE_CAPACITY as u64, false));
+        // 1,000 entries made stale by a commit: only they go.
+        assert_eq!(fill_past_capacity(Some(1000)), (0, 1000, true));
+    }
+
+    #[test]
+    fn a_replayed_token_returns_the_rows_it_returned_first() {
+        let (db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(128)).unwrap();
+        let s = SharedServer::with_durability(db, &DurabilityConfig::default()).unwrap();
+        let sql = crate::query::recursive::mle_query(1).to_string();
+        let token = s.next_token();
+        let checkout = || {
+            s.checkout_procedure_with_deadline_obs(1, &sql, token, None, &Recorder::disabled())
+                .unwrap()
+                .rows
+                .expect("granted")
+        };
+        let (first, replay) = (checkout(), checkout());
+        assert!(Arc::ptr_eq(&first, &replay), "the replay copied the rows");
     }
 
     #[test]

@@ -10,7 +10,13 @@
 //! were assembled from one recorder (cluster contributions then travelled
 //! in a side buffer and entered the assembler through segment-pushing
 //! methods of their own); a change to how a tree is recorded or assembled
-//! must reproduce it. Pinned per span: site, kind, label, `v_start` /
+//! must reproduce it. (Re-recorded once since, for an intended change to
+//! the plan's ship rounds, not to how trees are built: a round now decides
+//! the rebase after its last ship, so the write that re-seeds site 3 ships
+//! site 2 its record instead of re-seeding that healthy site too, tries
+//! site 3's batch before it sends the snapshot, and site 3's scripted
+//! outage is one attempt longer — every other line is the parent's.)
+//! Pinned per span: site, kind, label, `v_start` /
 //! `v_end` / `v_excl` as bit patterns, attributes, detail and the parent
 //! shape. Not pinned: gid numbering (spans are renumbered in pre-order),
 //! advisory wall time, and the `v_s` attribute — it repeats `v_excl`, which
@@ -39,10 +45,11 @@ use pdm_obs::TraceSpan;
 use pdm_workload::TreeSpec;
 
 const INTERVAL: u64 = 4;
-/// Ship attempts on site 3's link between the start of its outage and the
-/// write whose acknowledgement re-seeds the site; the window ends with the
-/// last of them, so the snapshot travels over a link that is up.
-const LAGGARD_ATTEMPTS: u32 = 17;
+/// Ship attempts on site 3's link from the start of its outage through the
+/// round that re-seeds the site — which ships to every site, site 3
+/// included, before it judges the rebase; the window ends with the last of
+/// them, so the snapshot travels over a link that is up.
+const LAGGARD_ATTEMPTS: u32 = 18;
 
 fn bits(v: f64) -> String {
     format!("{:016x}({v:?})", v.to_bits())

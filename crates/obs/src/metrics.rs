@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
 
 use crate::json;
 
@@ -159,6 +160,18 @@ impl Histogram {
         inner.sum.fetch_add(v, Ordering::Relaxed);
         inner.min.fetch_min(v, Ordering::Relaxed);
         inner.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Run `f` and record the wall time it took, in nanoseconds — for the
+    /// advisory histograms of real-OS blocking (a device sync, a condvar
+    /// wait), which never feed the deterministic timeline.
+    pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
+        // lint:allow(wall-clock): what is timed blocks a real OS thread;
+        // the virtual clock has no reading for it (DESIGN.md §11).
+        let t0 = Instant::now();
+        let out = f();
+        self.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        out
     }
 
     pub fn count(&self) -> u64 {
@@ -519,6 +532,14 @@ mod tests {
         g.add(0.5);
         g.add(0.25);
         assert!((reg.gauge("net.latency_s").get() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn time_records_one_sample_and_hands_the_result_through() {
+        let h = Histogram::new();
+        assert_eq!(h.time(|| 7), 7);
+        assert_eq!(h.time(|| "x"), "x");
+        assert_eq!(h.count(), 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`WalRecord::TokenComplete`] — the procedure under this token finished
 //!   with this outcome (`Some(rows)` = granted payload, `None` = recorded
 //!   refusal). Replay restores the outcome without re-executing, preserving
-//!   exactly-once semantics across a crash.
+//!   exactly-once semantics across a crash. The rows are shared, not owned:
+//!   the record a live server logs holds the same result the caller got.
 //!
 //! Payload encoding reuses the primitives of [`pdm_sql::persist`] so the
 //! byte format (and its offset-reporting decode errors) is shared with the
@@ -23,6 +24,8 @@
 use pdm_sql::persist::{
     put_i64, put_result_set, put_str, put_u32, put_u64, put_u8, read_result_set, Cursor,
 };
+use std::sync::Arc;
+
 use pdm_sql::ResultSet;
 
 use crate::WalError;
@@ -43,7 +46,10 @@ pub enum WalRecord {
     /// The grant over these ids was released.
     CheckoutRelease { ids: Vec<i64> },
     /// Token `token` completed with this outcome (`None` = refusal).
-    TokenComplete { token: u64, rows: Option<ResultSet> },
+    TokenComplete {
+        token: u64,
+        rows: Option<Arc<ResultSet>>,
+    },
 }
 
 const TAG_DML: u8 = 1;
@@ -125,7 +131,7 @@ impl WalRecord {
             WalRecord::TokenComplete { token, rows } => {
                 put_u8(out, TAG_TOKEN);
                 put_u64(out, *token);
-                put_outcome(out, rows.as_ref());
+                put_outcome(out, rows.as_deref());
             }
         }
     }
@@ -162,7 +168,7 @@ impl WalRecord {
             },
             TAG_TOKEN => WalRecord::TokenComplete {
                 token: cur.u64("token id")?,
-                rows: read_outcome(cur)?,
+                rows: read_outcome(cur)?.map(Arc::new),
             },
             other => {
                 return Err(pdm_sql::Error::Persist(format!(
@@ -200,7 +206,7 @@ mod tests {
             WalRecord::CheckoutRelease { ids: vec![1, 2] },
             WalRecord::TokenComplete {
                 token: 3,
-                rows: Some(sample_rows()),
+                rows: Some(Arc::new(sample_rows())),
             },
             WalRecord::TokenComplete {
                 token: 4,

@@ -8,6 +8,8 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::sync::Arc;
+
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
 use pdm_sql::Database;
@@ -57,7 +59,7 @@ fn arbitrary_record(rng: &mut Prng) -> WalRecord {
             }
             WalRecord::TokenComplete {
                 token: rng.u64_inclusive(1, 1 << 32),
-                rows: Some(db.query("SELECT * FROM t ORDER BY a").unwrap()),
+                rows: Some(Arc::new(db.query("SELECT * FROM t ORDER BY a").unwrap())),
             }
         }
     }

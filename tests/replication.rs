@@ -265,6 +265,77 @@ fn laggard_past_the_retention_bound_is_reseeded() {
     assert_eq!(cluster.replica_sites(), [1, 2]);
 }
 
+/// The rebase is a round's decision, taken when every site has had its
+/// ship: a replica is not behind for coming later in the pump order, so a
+/// round that catches everybody up moves the base and re-seeds nobody.
+#[test]
+fn a_round_judges_its_replicas_after_shipping_to_all_of_them() {
+    const INTERVAL: u64 = 4;
+    let cfg = ClusterConfig::default()
+        .with_replicas(2)
+        .with_ack_replicas(0) // nothing ships until the test pumps
+        .with_durability(DurabilityConfig::default().with_interval(INTERVAL));
+    let mut cluster = small_cluster(cfg);
+    let root = roots(cluster.primary())[0];
+    let mut session = connect(&cluster, 1);
+    let bound = RETENTION_INTERVALS * INTERVAL;
+    for i in 0..bound {
+        let sql = format!("UPDATE assy SET payload = 'w{i}' WHERE obid = {root}");
+        session.execute_dml(&mut cluster, &sql).unwrap();
+    }
+    assert_eq!(cluster.feed().retained() as u64, bound);
+    assert_eq!((cluster.lag(1), cluster.lag(2)), (bound, bound));
+
+    let generation = cluster.generation();
+    assert_eq!(cluster.pump().unwrap(), 2 * bound);
+    assert_eq!(cluster.feed().retained(), 0, "the base did not move");
+    assert_eq!(
+        cluster.generation(),
+        generation,
+        "a replica the round had not reached yet was re-seeded"
+    );
+    let shipped = cluster.metrics().snapshot().counter("repl.records_shipped");
+    assert_eq!(shipped, 2 * bound, "both sites took the incremental path");
+    assert_eq!(
+        replay_prefix(cluster.epoch_base(), &cluster.feed().since(0)).unwrap(),
+        cluster.primary_fingerprint()
+    );
+}
+
+/// A re-seed lost on the laggard's link parks the site until the NEXT
+/// round: the round that decided the rebase sends the snapshot once.
+#[test]
+fn a_lost_reseed_waits_for_the_next_round() {
+    const INTERVAL: u64 = 4;
+    let cfg = ClusterConfig::default()
+        .with_replicas(2)
+        .with_durability(DurabilityConfig::default().with_interval(INTERVAL));
+    let mut cluster = small_cluster(cfg);
+    let root = roots(cluster.primary())[0];
+    let mut session = connect(&cluster, 1);
+    session.enable_tracing(7);
+    cluster.schedule_ship_outage(2, OutageWindow::new(0.0, 1e9));
+    // The frames the last write's acknowledgement sent towards site 2.
+    let mut write = |cluster: &mut Cluster| -> Vec<String> {
+        let sql = format!("UPDATE assy SET payload = 'w' WHERE obid = {root}");
+        session.execute_dml(cluster, &sql).unwrap();
+        let tree = session.last_trace().unwrap();
+        let frames = tree.spans.iter().filter(|s| s.label.ends_with("site2"));
+        frames.map(|s| s.label.clone()).collect()
+    };
+
+    let generation = cluster.generation();
+    let mut frames = Vec::new();
+    while cluster.generation() == generation {
+        frames = write(&mut cluster);
+        assert!(cluster.feed().len() < 64, "site 2 never left the topology");
+    }
+    // Its batch, lost; then the rebase and its snapshot, lost — once.
+    assert_eq!(frames, ["site2", "reseed site2"]);
+    assert!(cluster.replica(2).is_none());
+    assert_eq!(write(&mut cluster), ["reseed site2"], "one retry a round");
+}
+
 /// Read-your-writes over 4 sites with lossy ship links: every read that
 /// comes back un-annotated observes the session's last acknowledged write.
 #[test]
@@ -532,6 +603,45 @@ fn staleness_rung_serves_annotated_reads() {
         }
     }
     assert!(probe_failed, "half-open probe never ran");
+}
+
+/// What was set on the read session through `read_session_mut()` outlives
+/// a topology change: the routed session re-points its two sessions at the
+/// new servers, it does not rebuild them.
+#[test]
+fn read_session_settings_survive_a_promotion() {
+    let mut cluster = small_cluster(ClusterConfig::default().with_replicas(2));
+    let root = roots(cluster.primary())[0];
+    let mut session = connect(&cluster, 1);
+    // A read link on which every exchange stalls, and three attempts at it.
+    let plan = FaultPlan::none().with_stall_rate(1.0).with_seed(5);
+    let policy = RetryPolicy::default_wan().with_max_attempts(3);
+    session.read_session_mut().set_fault_plan(plan.clone());
+    session.read_session_mut().set_retry_policy(policy.clone());
+    let attempts = |session: &mut RoutedSession, cluster: &mut Cluster| match session
+        .multi_level_expand(cluster, root)
+    {
+        Err(SessionError::Timeout { attempts, .. }) => attempts,
+        other => panic!("the stalling link served a read: {other:?}"),
+    };
+    assert_eq!(attempts(&mut session, &mut cluster), 3);
+
+    // Site 1 is promoted: its session now reads at the new primary, over
+    // the same stalling link, under the same policy.
+    let replica = cluster.read_server(1);
+    cluster.promote().unwrap();
+    assert_eq!(attempts(&mut session, &mut cluster), 3);
+    let reads = session.read_session();
+    assert!(std::sync::Arc::ptr_eq(
+        reads.server().shared(),
+        cluster.primary().shared()
+    ));
+    assert!(!std::sync::Arc::ptr_eq(
+        reads.server().shared(),
+        replica.shared()
+    ));
+    assert_eq!(reads.fault_plan(), Some(&plan));
+    assert_eq!(reads.retry_policy(), &policy);
 }
 
 /// Resident set size of this process in kB (0 where `/proc` is absent).
