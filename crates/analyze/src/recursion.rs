@@ -234,7 +234,7 @@ fn expr_subquery_refs(expr: &Expr, cte: &str) -> bool {
                     .as_ref()
                     .is_some_and(|e| expr_subquery_refs(e, cte))
         }
-        Expr::Column { .. } | Expr::Literal(_) => false,
+        Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => false,
     }
 }
 

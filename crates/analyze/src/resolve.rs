@@ -275,7 +275,7 @@ impl Resolver<'_, '_> {
     fn expr(&mut self, expr: &Expr, ctes: &CteMap, scopes: &mut Vec<Scope>) {
         match expr {
             Expr::Column { qualifier, name } => self.column(qualifier.as_deref(), name, scopes),
-            Expr::Literal(_) => {}
+            Expr::Literal(_) | Expr::Param(_) => {}
             Expr::BinaryOp { left, right, .. } => {
                 self.expr(left, ctes, scopes);
                 self.expr(right, ctes, scopes);

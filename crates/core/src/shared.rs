@@ -15,11 +15,13 @@
 //!   storage version. Any DML bumps the version (the cache epoch), so a
 //!   stale read is impossible by construction — a cached result is only
 //!   returned while the storage it was computed from is still current.
-//!   A request is looked up by its text as sent before it is parsed, so a
+//!   A request is looked up by its text as sent before anything else, so a
 //!   repeated statement in canonical spelling — every statement a session
 //!   generates — costs one hash probe
-//!   ([`SharedServer::query_cached_deadline_obs`]); a computation in flight
-//!   is a mark in the same table, which concurrent misses wait on;
+//!   ([`SharedServer::query_cached_deadline_obs`]); a miss reads its text
+//!   once, into its template (parsed once per shape, [`Templates`]) and the
+//!   integers bound to it; a computation in flight is a mark in the same
+//!   table, which concurrent misses wait on;
 //! * an **idempotency log** for failure-atomic check-outs (PR 1), shared
 //!   so tokens are unique across sessions and bounded to the
 //!   [`RETAINED_TOKENS`] most recent outcomes (an older token fails closed
@@ -37,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use pdm_obs::{kinds, Counter, Histogram, MetricsRegistry, Recorder};
+use pdm_sql::template::{Resolved, Templates};
 use pdm_sql::{Database, ExecOutcome, ResultSet, SharedDatabase, Statement};
 
 use crate::durability::{Durability, DurabilityConfig};
@@ -208,6 +211,15 @@ enum LockState {
     Held(u64),
 }
 
+impl LockState {
+    /// The token whose check-out holds the lock.
+    fn owner(self) -> u64 {
+        match self {
+            LockState::InFlight(token) | LockState::Held(token) => token,
+        }
+    }
+}
+
 /// Outcome of an all-or-nothing in-flight acquisition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Acquire {
@@ -227,6 +239,15 @@ pub enum LockEvent {
     Granted { token: u64, ids: Vec<ObjectId> },
     Refused { token: u64, ids: Vec<ObjectId> },
     Released { ids: Vec<ObjectId> },
+}
+
+/// The journal entry of a check-out that did not get `ids` (busy, failed or
+/// unwound).
+fn refused(ids: &[ObjectId], token: u64) -> LockEvent {
+    LockEvent::Refused {
+        token,
+        ids: ids.to_vec(),
+    }
 }
 
 /// One queued lock waiter. Tickets are granted in `seq` (arrival) order
@@ -282,18 +303,20 @@ impl Default for LockTable {
 }
 
 impl LockTable {
-    /// Any id held by a completed check-out of another token?
-    fn is_busy(state: &LockTableState, ids: &[ObjectId], token: u64) -> bool {
-        ids.iter().any(
-            |id| matches!(state.locks.get(id), Some(LockState::Held(owner)) if *owner != token),
-        )
-    }
-
-    /// Any id in flight for another token?
-    fn is_blocked(state: &LockTableState, ids: &[ObjectId], token: u64) -> bool {
-        ids.iter().any(
-            |id| matches!(state.locks.get(id), Some(LockState::InFlight(owner)) if *owner != token),
-        )
+    /// Any id locked as `kind` — [`LockState::Held`]: the acquisition
+    /// refuses, [`LockState::InFlight`]: it waits — for another token?
+    fn taken(
+        state: &LockTableState,
+        ids: &[ObjectId],
+        token: u64,
+        kind: fn(u64) -> LockState,
+    ) -> bool {
+        ids.iter().any(|id| {
+            state
+                .locks
+                .get(id)
+                .is_some_and(|&lock| lock.owner() != token && lock == kind(lock.owner()))
+        })
     }
 
     /// Any *earlier* queued ticket (strictly before `before_seq`, or any
@@ -311,12 +334,11 @@ impl LockTable {
         })
     }
 
-    fn journal_refused(&self, state: &mut LockTableState, ids: &[ObjectId], token: u64) {
+    /// Record `event` (when journaling is on), inside the critical section
+    /// that made it happen.
+    fn journal(&self, state: &mut LockTableState, event: impl FnOnce() -> LockEvent) {
         if self.journal.load(Ordering::Relaxed) {
-            state.events.push(LockEvent::Refused {
-                token,
-                ids: ids.to_vec(),
-            });
+            state.events.push(event());
         }
     }
 
@@ -354,11 +376,11 @@ impl LockTable {
         // This call's ticket, once it has had to queue.
         let mut ticket = None;
         let outcome = loop {
-            if Self::is_busy(&guard, ids, token) {
-                self.journal_refused(&mut guard, ids, token);
+            if Self::taken(&guard, ids, token, LockState::Held) {
+                self.journal(&mut guard, || refused(ids, token));
                 break Ok(Acquire::Busy);
             }
-            if !Self::is_blocked(&guard, ids, token)
+            if !Self::taken(&guard, ids, token, LockState::InFlight)
                 && !Self::queue_conflicts(&guard, ids, token, ticket)
             {
                 for id in ids {
@@ -424,47 +446,54 @@ impl LockTable {
     /// Promote this token's in-flight marks to held (check-out committed)
     /// and record the grant.
     pub fn promote(&self, ids: &[ObjectId], token: u64) {
-        let mut guard = lock_unpoisoned(&self.state);
-        for id in ids {
-            guard.locks.insert(*id, LockState::Held(token));
-        }
-        if self.journal.load(Ordering::Relaxed) {
-            guard.events.push(LockEvent::Granted {
+        self.update(
+            ids,
+            |_| Some(LockState::Held(token)),
+            || LockEvent::Granted {
                 token,
                 ids: ids.to_vec(),
-            });
-        }
-        drop(guard);
-        self.cv.notify_all();
+            },
+        );
     }
 
     /// Drop this token's in-flight marks (check-out refused or failed) and
     /// wake waiters.
     pub fn abort(&self, ids: &[ObjectId], token: u64) {
-        let mut guard = lock_unpoisoned(&self.state);
-        for id in ids {
-            if guard.locks.get(id) == Some(&LockState::InFlight(token)) {
-                guard.locks.remove(id);
-            }
-        }
-        self.journal_refused(&mut guard, ids, token);
-        drop(guard);
-        self.cv.notify_all();
+        self.update(
+            ids,
+            |lock| lock.filter(|&lock| lock != LockState::InFlight(token)),
+            || refused(ids, token),
+        );
     }
 
     /// Release held entries (check-in) and wake waiters. Ids not present
     /// are ignored — check-in of a classically checked-out tree (whose
     /// flags were set by plain UPDATEs) has nothing to release here.
     pub fn release(&self, ids: &[ObjectId]) {
+        self.update(
+            ids,
+            |lock| lock.filter(|lock| !matches!(lock, LockState::Held(_))),
+            || LockEvent::Released { ids: ids.to_vec() },
+        );
+    }
+
+    /// What every change to granted locks is: under the table's lock, give
+    /// each id the lock `next` makes of its current one (`None`: unlocked),
+    /// journal `event`, then wake every waiter.
+    fn update(
+        &self,
+        ids: &[ObjectId],
+        next: impl Fn(Option<LockState>) -> Option<LockState>,
+        event: impl FnOnce() -> LockEvent,
+    ) {
         let mut guard = lock_unpoisoned(&self.state);
         for id in ids {
-            if matches!(guard.locks.get(id), Some(LockState::Held(_))) {
-                guard.locks.remove(id);
-            }
+            match next(guard.locks.get(id).copied()) {
+                Some(lock) => guard.locks.insert(*id, lock),
+                None => guard.locks.remove(id),
+            };
         }
-        if self.journal.load(Ordering::Relaxed) {
-            guard.events.push(LockEvent::Released { ids: ids.to_vec() });
-        }
+        self.journal(&mut guard, event);
         drop(guard);
         self.cv.notify_all();
     }
@@ -569,20 +598,21 @@ impl CacheStats {
     }
 }
 
-/// Cross-session query-result cache. Keyed by canonical SQL text (the
-/// parsed query pretty-printed, so formatting differences collapse onto one
-/// entry) plus the storage version. DML bumps the version, which atomically
-/// invalidates every entry — a lookup only ever returns a result computed
-/// against the *current* storage.
+/// Cross-session query-result cache. Keyed by canonical SQL text —
+/// `parse_query(text)?.to_string()`, so formatting differences collapse onto
+/// one entry — plus the storage version. DML bumps the version, which
+/// atomically invalidates every entry — a lookup only ever returns a result
+/// computed against the *current* storage.
 ///
 /// Every key is therefore the print of a parsed query, and such a print
 /// parses back to that query: a request whose text, as sent, is a key needs
-/// no parse to learn its canonical key. The server probes with the raw
-/// text first and parses only what that probe does not find; there is no
-/// text → query memo beside the table, because a hit needs nothing but the
-/// key. A computation in flight is a mark on its key's [`Slot`] in the same
-/// table, so "is it cached", "is somebody computing it" and "store it" are
-/// one look-up each under one mutex.
+/// nothing else to find its entry. The server probes with the raw text
+/// first; what that probe does not find learns its key without a parse or a
+/// print, from its template ([`Templates`]: the text's integers spliced into
+/// the print of its shape, parsed once). A hit needs nothing but the key. A
+/// computation in flight is a mark on its key's [`Slot`] in the same table,
+/// so "is it cached", "is somebody computing it" and "store it" are one
+/// look-up each under one mutex.
 ///
 /// Hit/miss/invalidation counts live in the server's metrics registry
 /// (`cache.hits`, `cache.misses`, `cache.invalidations`), so they appear in
@@ -608,7 +638,9 @@ struct QueryCache {
     singleflight_hits: Counter,
 }
 
-/// Entries beyond this trigger an eviction sweep of stale versions.
+/// Results the table holds at most. A publish that finds it full removes
+/// the results of stale versions and, when that leaves it still full, every
+/// result — current ones included (clear-all).
 const CACHE_CAPACITY: usize = 4096;
 
 /// Completed idempotency tokens whose outcome stays replayable: the highest
@@ -827,6 +859,8 @@ pub struct SharedServer {
     db: SharedDatabase,
     locks: LockTable,
     cache: QueryCache,
+    /// Every query template a result-cache miss met, parsed once.
+    templates: Templates,
     /// Check-outs by idempotency token (shared across sessions — tokens are
     /// drawn from [`SharedServer::next_token`]). Calls finding their token
     /// in progress wait on `checkout_cv` for its recorded outcome.
@@ -897,6 +931,7 @@ impl SharedServer {
             db,
             locks,
             cache,
+            templates: Templates::default(),
             checkout_log: Mutex::new(checkout_log),
             checkout_cv: Condvar::new(),
             token_counter: AtomicU64::new(state.next_token()),
@@ -994,7 +1029,8 @@ impl SharedServer {
 
     /// Execute a read query through the cross-session result cache.
     ///
-    /// The key is the canonical (parsed and re-printed) SQL plus the
+    /// The key is the canonical SQL — what parsing and re-printing the text
+    /// would give, spliced from its template's print instead — plus the
     /// version of the snapshot the result was computed on; a hit requires
     /// the cached version to equal the *current* version, so results can
     /// never be stale.
@@ -1004,9 +1040,10 @@ impl SharedServer {
 
     /// [`SharedServer::query_cached`] as sessions call it. A text that is
     /// itself a key of the cache (any statement already served in canonical
-    /// spelling) is answered by one probe, unparsed, and records only that
-    /// probe. Otherwise the parse, the cache probe (detail `hit`/`miss`),
-    /// and — on a miss — the engine's per-operator spans land in `obs`; a
+    /// spelling) is answered by one probe, unsplit, and records only that
+    /// probe. Otherwise the template look-up (one `compile.parse` span), the
+    /// cache probe (detail `hit`/`miss`), and — on a miss — the engine's
+    /// per-operator spans land in `obs`; a
     /// disabled recorder makes that free. Single-flight is bounded by
     /// `deadline`: concurrent misses on the same canonical key wait for the
     /// first computation (up to `deadline`) and share its result instead of
@@ -1023,10 +1060,10 @@ impl SharedServer {
         // to that query (what the server already relies on when it executes
         // whatever it parses from a client's printed statement), so a text
         // found among the keys IS its own canonical key. A text in any
-        // other spelling finds nothing here and takes the parse below to
+        // other spelling finds nothing here and takes its template below to
         // the same slot. The hit's `cache.probe` span is recorded once the
         // entry is found: a probe that finds nothing leaves the statement's
-        // one probe span to the canonical look-up after the parse.
+        // one probe span to the canonical look-up after the template's.
         let mut snapshot = self.db.snapshot();
         if let Some(result) = self.cache.get(sql, snapshot.version) {
             obs.span(kinds::CACHE_PROBE, "lookup").set_detail("hit");
@@ -1034,10 +1071,16 @@ impl SharedServer {
             self.cache.hits.inc();
             return Ok(result);
         }
+        // A miss reads its text once: split into its template and values,
+        // the template's parse looked up (made, the first time), the key
+        // spliced from the template's print — no parse, no print.
         let parse_span = obs.span(kinds::PARSE, "query");
-        let query = pdm_sql::parser::parse_query(sql)?;
+        let Resolved {
+            key,
+            template,
+            values,
+        } = self.templates.resolve(sql)?;
         drop(parse_span);
-        let key: Arc<str> = query.to_string().into();
         // Only a waiter has a use for the window; a hit reads no clock.
         let deadline = Deadline::new(deadline);
         self.m.queries.inc();
@@ -1077,7 +1120,7 @@ impl SharedServer {
             waited = true;
             snapshot = self.db.snapshot();
         };
-        let (rows, stats) = snapshot.query_ast_profiled(&query, obs)?;
+        let (rows, stats) = snapshot.query_bound_profiled(template.query(), &values, obs)?;
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();
@@ -1491,6 +1534,24 @@ mod tests {
             .unwrap();
         let stats = s.cache_stats();
         assert_eq!(stats.hits, 1, "differently formatted same query must hit");
+    }
+
+    #[test]
+    fn misses_of_one_shape_share_one_parsed_template() {
+        let s = server();
+        for id in 1..=5 {
+            let sql = format!("select obid from assy where obid = {id} order by 1");
+            assert_eq!(
+                *s.query_cached(&sql).unwrap(),
+                s.query_uncached(&sql).unwrap()
+            );
+        }
+        assert_eq!(s.templates.len(), 1);
+        // Each miss was keyed by its canonical print: that spelling hits.
+        let hits = s.cache_stats().hits;
+        s.query_cached("SELECT obid FROM assy WHERE obid = 3 ORDER BY 1")
+            .unwrap();
+        assert_eq!(s.cache_stats().hits, hits + 1);
     }
 
     /// A server whose stored function `BOOM` panics while `armed` is set

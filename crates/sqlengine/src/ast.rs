@@ -280,6 +280,10 @@ pub enum Expr {
         name: String,
     },
     Literal(Value),
+    /// The `i`-th value bound to a template (`$i+1` in its text): only
+    /// [`crate::template`] parses one, and the compiler reads the value it
+    /// is bound to wherever it would read a literal.
+    Param(usize),
     BinaryOp {
         left: Box<Expr>,
         op: BinOp,
@@ -428,6 +432,7 @@ impl Expr {
             }
             Expr::Column { .. }
             | Expr::Literal(_)
+            | Expr::Param(_)
             | Expr::InSubquery { .. }
             | Expr::Exists { .. }
             | Expr::ScalarSubquery(_) => false,
@@ -754,6 +759,7 @@ impl fmt::Display for Expr {
                 write!(f, "{name}")
             }
             Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Param(i) => write!(f, "${}", i + 1),
             Expr::BinaryOp { left, op, right } => {
                 let prec = op.precedence();
                 // Comparisons are non-associative in the grammar (`a = b = c`

@@ -16,7 +16,7 @@ use crate::exec::ExecConfig;
 
 /// Render the plan of `query` as indented text, without running it.
 pub fn explain_query(catalog: &Catalog, config: &ExecConfig, query: &Query) -> Result<String> {
-    Ok(compile(catalog, config, query)?.to_string())
+    Ok(compile(catalog, config, query, &[])?.to_string())
 }
 
 impl Display for Plan<'_> {

@@ -295,7 +295,7 @@ mod tests {
     fn with_select<T>(sql: &str, check: impl FnOnce(&SelectPlan<'_>) -> T) -> crate::Result<T> {
         let db = db();
         let query = parse_query(sql)?;
-        let plan = compile(&db.catalog, &db.config, &query)?;
+        let plan = compile(&db.catalog, &db.config, &query, &[])?;
         match &plan.query.body {
             SetPlan::Select(sel) => Ok(check(sel)),
             SetPlan::Op { .. } => unreachable!(),

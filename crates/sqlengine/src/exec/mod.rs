@@ -192,14 +192,16 @@ impl<'f, 'v> Frame<'f, 'v> {
 // Query evaluation
 // ---------------------------------------------------------------------------
 
-/// Compile and run `query`; operators emit spans into `obs` as they run.
+/// Compile `query` with its `$n` bound to `params` ([`plan::compile`]) and
+/// run it; operators emit spans into `obs` as they run.
 pub fn execute(
     catalog: &Catalog,
     config: &ExecConfig,
     query: &Query,
+    params: &[Value],
     obs: &pdm_obs::Recorder,
 ) -> Result<(ResultSet, ExecStats)> {
-    let plan = plan::compile(catalog, config, query)?;
+    let plan = plan::compile(catalog, config, query, params)?;
     let rt = Rt::new(obs.clone(), plan.slots);
     let rows = run_query(rt.cx(), &plan.query, None)?;
     let schema = Rc::clone(&plan.query.schema);
@@ -381,7 +383,7 @@ mod tests {
         db.execute("CREATE TABLE assy (obid INTEGER, name VARCHAR)")?;
         db.execute("CREATE TABLE link (obid INTEGER, left INTEGER)")?;
         let q = crate::parser::parse_query(&format!("SELECT {sql} FROM assy, link"))?;
-        let plan = plan::compile(&db.catalog, &db.config, &q)?;
+        let plan = plan::compile(&db.catalog, &db.config, &q, &[])?;
         let SetPlan::Select(sel) = &plan.query.body else {
             unreachable!()
         };

@@ -34,6 +34,7 @@ use crate::exec::ExecConfig;
 use crate::functions::ScalarFn;
 use crate::schema::{Column, Schema};
 use crate::storage::Table;
+use crate::template;
 use crate::value::{DataType, Value};
 
 /// A compiled expression. Literals borrow from the statement; a column is a
@@ -307,6 +308,8 @@ struct Scope<'a> {
 pub(crate) struct Compiler<'a> {
     catalog: &'a Catalog,
     config: &'a ExecConfig,
+    /// The values a template's [`Expr::Param`]s are bound to.
+    params: &'a [Value],
     /// Innermost last.
     scopes: Vec<Scope<'a>>,
     /// CTEs in scope, innermost last: name, id, schema.
@@ -323,18 +326,33 @@ pub(crate) struct Compiler<'a> {
     view_depth: usize,
 }
 
-/// Compile a query for execution or EXPLAIN.
+/// Compile a query for execution or EXPLAIN; `$n` of a template reads
+/// `params[n-1]` ([`Expr::Param`]), exactly as a literal of that value would
+/// be read — by index probes, ORDER BY ordinals and all.
 pub fn compile<'a>(
     catalog: &'a Catalog,
     config: &'a ExecConfig,
     query: &'a Query,
+    params: &'a [Value],
 ) -> Result<Plan<'a>> {
-    let mut c = Compiler::new(catalog, config);
+    let mut c = Compiler {
+        params,
+        ..Compiler::new(catalog, config)
+    };
     let query = c.query(query)?;
     Ok(Plan {
         query,
         slots: c.slots,
     })
+}
+
+/// The value `e` is, if it is a literal or a parameter bound in `params`.
+fn value_of<'a>(e: &'a Expr, params: &'a [Value]) -> Option<&'a Value> {
+    match e {
+        Expr::Literal(v) => Some(v),
+        Expr::Param(i) => params.get(*i),
+        _ => None,
+    }
 }
 
 /// All-NULL rows of up to this many columns are not allocated.
@@ -518,6 +536,7 @@ impl<'a> Compiler<'a> {
         Compiler {
             catalog,
             config,
+            params: &[],
             scopes: Vec::new(),
             ctes: Vec::new(),
             open_subs: Vec::new(),
@@ -591,7 +610,11 @@ impl<'a> Compiler<'a> {
 
     pub(crate) fn expr(&mut self, e: &'a Expr) -> Result<PExpr<'a>> {
         let (op, args) = match e {
-            Expr::Literal(v) => return Ok(PExpr::Literal(v)),
+            Expr::Literal(_) | Expr::Param(_) => {
+                return value_of(e, self.params)
+                    .map(PExpr::Literal)
+                    .ok_or_else(|| Error::Bind(format!("no value bound to {e}")));
+            }
             Expr::Column { qualifier, name } => return self.resolve(qualifier.as_deref(), name),
             Expr::BinaryOp { left, op, right } => {
                 (Op::Binary(*op), self.args([&**left, &**right])?)
@@ -649,7 +672,7 @@ impl<'a> Compiler<'a> {
                     // slot. The argument compiles outside the group: a nested
                     // aggregate is the failure below.
                     Some((mut keys, mut aggs)) => {
-                        let key = e.to_string();
+                        let key = template::print_bound(e, self.params);
                         let slot = match keys.iter().position(|k| *k == key) {
                             Some(slot) => slot,
                             None => {
@@ -754,7 +777,7 @@ impl<'a> Compiler<'a> {
                 // Set operations sort by output columns / ordinals only.
                 let b = self.set_expr(body)?;
                 let sort = (!q.order_by.is_empty())
-                    .then(|| output_keys(b.schema().columns(), &q.order_by));
+                    .then(|| output_keys(b.schema().columns(), &q.order_by, self.params));
                 let visible = b.schema().len();
                 (b, sort, visible)
             }
@@ -1159,7 +1182,7 @@ impl<'a> Compiler<'a> {
                     }
                     let compiled = self.expr(expr)?;
                     let dtype = if grouped {
-                        infer_agg_type(expr)
+                        infer_agg_type(expr, self.params)
                     } else {
                         self.infer_type(&compiled)
                     };
@@ -1175,14 +1198,14 @@ impl<'a> Compiler<'a> {
         // Aggregate selects (and DISTINCT, where hidden columns would change
         // dedup semantics) sort on output columns / ordinals only.
         if grouped || sel.distinct {
-            let sort = output_keys(&columns, order_by);
+            let sort = output_keys(&columns, order_by, self.params);
             return Ok((items, columns, Some(sort), visible));
         }
         let mut keys = Vec::with_capacity(order_by.len());
         let mut failed = None;
         for item in order_by {
-            let idx = match &item.expr {
-                Expr::Literal(Value::Int(n)) => {
+            let idx = match (&item.expr, value_of(&item.expr, self.params)) {
+                (_, Some(Value::Int(n))) => {
                     let i = (*n - 1).max(0) as usize;
                     if i >= visible && failed.is_none() {
                         failed = Some(Error::Bind(format!(
@@ -1192,10 +1215,13 @@ impl<'a> Compiler<'a> {
                     }
                     i
                 }
-                Expr::Column {
-                    qualifier: None,
-                    name,
-                } if visible_names.iter().any(|v| v.eq_ignore_ascii_case(name)) => {
+                (
+                    Expr::Column {
+                        qualifier: None,
+                        name,
+                    },
+                    _,
+                ) if visible_names.iter().any(|v| v.eq_ignore_ascii_case(name)) => {
                     // An unaliased expression is `col1` here but `col<position>`
                     // in the output: past position 1 the key names no column.
                     let found = columns
@@ -1206,7 +1232,7 @@ impl<'a> Compiler<'a> {
                     }
                     found.unwrap_or(0)
                 }
-                hidden => {
+                (hidden, _) => {
                     let compiled = self.expr(hidden)?;
                     let dtype = self.infer_type(&compiled);
                     let name = format!("__ord{}", items.len() - visible);
@@ -1255,23 +1281,29 @@ impl<'a> Compiler<'a> {
     }
 }
 
-fn infer_agg_type(e: &Expr) -> DataType {
+fn infer_agg_type(e: &Expr, params: &[Value]) -> DataType {
     match e {
         Expr::Function { name, .. } if name == "count" => DataType::Int,
         Expr::Function { name, .. } if name == "avg" => DataType::Float,
         Expr::Cast { dtype, .. } => *dtype,
-        Expr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
+        Expr::Literal(_) | Expr::Param(_) => value_of(e, params)
+            .and_then(Value::data_type)
+            .unwrap_or(DataType::Int),
         _ => DataType::Float,
     }
 }
 
 /// ORDER BY over a result as it stands: ordinals (`ORDER BY 1, 2`) or
 /// output-column names.
-fn output_keys(columns: &[Column], order_by: &[OrderItem]) -> Result<Vec<(usize, bool)>> {
+fn output_keys(
+    columns: &[Column],
+    order_by: &[OrderItem],
+    params: &[Value],
+) -> Result<Vec<(usize, bool)>> {
     let mut keys = Vec::with_capacity(order_by.len());
     for item in order_by {
-        let idx = match &item.expr {
-            Expr::Literal(Value::Int(n)) => {
+        let idx = match (&item.expr, value_of(&item.expr, params)) {
+            (_, Some(Value::Int(n))) => {
                 let n = *n;
                 if n < 1 || n as usize > columns.len() {
                     return Err(Error::Bind(format!(
@@ -1281,16 +1313,20 @@ fn output_keys(columns: &[Column], order_by: &[OrderItem]) -> Result<Vec<(usize,
                 }
                 (n - 1) as usize
             }
-            Expr::Column {
-                qualifier: None,
-                name,
-            } => columns
+            (
+                Expr::Column {
+                    qualifier: None,
+                    name,
+                },
+                _,
+            ) => columns
                 .iter()
                 .position(|c| c.name.eq_ignore_ascii_case(name))
                 .ok_or_else(|| Error::Bind(format!("unknown column '{name}'")))?,
-            other => {
+            (other, _) => {
                 return Err(Error::Bind(format!(
-                    "ORDER BY supports ordinals and output columns, got {other}"
+                    "ORDER BY supports ordinals and output columns, got {}",
+                    template::print_bound(other, params)
                 )))
             }
         };

@@ -94,6 +94,9 @@ pub enum Token<'a> {
     QuotedIdent(&'a str),
     /// Integer literal.
     Int(i64),
+    /// `$n` of a template: the `n-1`-th bound value. Scanned only by
+    /// [`Lexer::template`]; in a statement text `$` is no character of SQL.
+    Param(usize),
     /// Floating-point literal.
     Float(f64),
     /// String literal: the text between the quotes, and whether it holds
@@ -144,6 +147,7 @@ impl fmt::Debug for Token<'_> {
             Token::Kw(kw) => tuple(f, "Ident", &kw.as_str()),
             Token::QuotedIdent(s) => tuple(f, "QuotedIdent", &s),
             Token::Int(n) => tuple(f, "Int", &n),
+            Token::Param(i) => write!(f, "${}", i + 1),
             Token::Float(x) => tuple(f, "Float", &x),
             Token::Str(raw, escaped) => tuple(f, "Str", &Token::unescape(raw, escaped)),
             Token::LParen => f.write_str("LParen"),
@@ -173,11 +177,30 @@ pub struct Lexer<'a> {
     input: &'a str,
     /// Byte offset of the next unread character.
     pos: usize,
+    /// `$n` is a token ([`Lexer::template`]).
+    params: bool,
 }
 
 impl<'a> Lexer<'a> {
     pub fn new(input: &'a str) -> Self {
-        Lexer { input, pos: 0 }
+        Lexer {
+            input,
+            pos: 0,
+            params: false,
+        }
+    }
+
+    /// A scan over a template's text, where `$n` is [`Token::Param`].
+    pub(crate) fn template(input: &'a str) -> Self {
+        Lexer {
+            params: true,
+            ..Lexer::new(input)
+        }
+    }
+
+    /// Byte offset just past the last token handed out.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     /// The next token, `None` at the end of the text.
@@ -231,6 +254,18 @@ impl<'a> Lexer<'a> {
                 None => return Err(Error::Lex("unterminated quoted identifier".into())),
             },
             b'0'..=b'9' => return self.number(),
+            b'$' if self.params && second.is_ascii_digit() => {
+                let digits = bytes[start + 1..].iter().take_while(|b| b.is_ascii_digit());
+                let text = &self.input[start..start + 1 + digits.count()];
+                match text[1..]
+                    .parse::<usize>()
+                    .ok()
+                    .and_then(|n| n.checked_sub(1))
+                {
+                    Some(i) => (text.len(), Token::Param(i)),
+                    None => return Err(Error::Lex(format!("bad parameter '{text}'"))),
+                }
+            }
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
                 let mut end = start + 1;
                 while end < bytes.len()
@@ -460,6 +495,27 @@ mod tests {
                 Err(Error::Lex(format!("unexpected character '{c}'")))
             );
         }
+    }
+
+    #[test]
+    fn only_a_template_scans_parameters() {
+        let mut template = Lexer::template("a = $12, $0");
+        let mut scanned = Vec::new();
+        while let Ok(Some(token)) = template.next_token() {
+            scanned.push(token);
+        }
+        assert_eq!(
+            scanned,
+            [Token::Ident("a"), Token::Eq, Token::Param(11), Token::Comma]
+        );
+        assert_eq!(
+            template.next_token(),
+            Err(Error::Lex("bad parameter '$0'".into()))
+        );
+        assert_eq!(
+            tokens("a = $12"),
+            Err(Error::Lex("unexpected character '$'".into()))
+        );
     }
 
     #[test]

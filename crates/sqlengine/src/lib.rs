@@ -33,6 +33,7 @@ pub mod row;
 pub mod schema;
 pub mod shared;
 pub mod storage;
+pub mod template;
 pub mod update;
 pub mod value;
 
@@ -73,10 +74,11 @@ pub(crate) fn evaluate(
     catalog: &Catalog,
     config: &ExecConfig,
     query: &Query,
+    params: &[Value],
     obs: &pdm_obs::Recorder,
 ) -> Result<(ResultSet, ExecStats)> {
     let span = obs.span(pdm_obs::kinds::ENGINE_QUERY, "eval");
-    let (rs, stats) = exec::execute(catalog, config, query, obs)?;
+    let (rs, stats) = exec::execute(catalog, config, query, params, obs)?;
     span.set_rows(0, rs.len() as u64);
     Ok((rs, stats))
 }
@@ -140,6 +142,7 @@ impl Database {
             &self.catalog,
             &self.config,
             query,
+            &[],
             &pdm_obs::Recorder::disabled(),
         )
     }

@@ -16,11 +16,15 @@ use crate::error::{Error, Result};
 use crate::lexer::{Kw, Lexer, Token};
 use crate::value::{DataType, Value};
 
-/// Run `parse` over `sql`. A lexical error anywhere in the text outranks a
-/// parse error before it, as if the whole text were tokenized up front.
-fn parse_with<'a, T>(sql: &'a str, parse: impl FnOnce(&mut Parser<'a>) -> Result<T>) -> Result<T> {
+/// Run `parse` over what `lexer` scans. A lexical error anywhere in the text
+/// outranks a parse error before it, as if the whole text were tokenized up
+/// front.
+fn parse_with<'a, T>(
+    lexer: Lexer<'a>,
+    parse: impl FnOnce(&mut Parser<'a>) -> Result<T>,
+) -> Result<T> {
     let mut p = Parser {
-        lexer: Lexer::new(sql),
+        lexer,
         tok: None,
         lex_error: None,
     };
@@ -37,7 +41,11 @@ fn parse_with<'a, T>(sql: &'a str, parse: impl FnOnce(&mut Parser<'a>) -> Result
 
 /// Parse a single SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    parse_with(sql, |p| {
+    statement(Lexer::new(sql))
+}
+
+fn statement(lexer: Lexer<'_>) -> Result<Statement> {
+    parse_with(lexer, |p| {
         let stmt = p.parse_statement()?;
         p.eat(Token::Semicolon);
         match p.peek() {
@@ -51,7 +59,17 @@ pub fn parse_statement(sql: &str) -> Result<Statement> {
 
 /// Parse a query (SELECT / WITH ...), rejecting DML/DDL.
 pub fn parse_query(sql: &str) -> Result<Query> {
-    match parse_statement(sql)? {
+    query(Lexer::new(sql))
+}
+
+/// Parse a template's text: a query in which `$n` stands for the `n`-th
+/// bound value ([`Expr::Param`]). The one parse that accepts `$n`.
+pub(crate) fn parse_template(template: &str) -> Result<Query> {
+    query(Lexer::template(template))
+}
+
+fn query(lexer: Lexer<'_>) -> Result<Query> {
+    match statement(lexer)? {
         Statement::Query(q) => Ok(q),
         other => Err(Error::Parse(format!("expected a query, got {other}"))),
     }
@@ -60,7 +78,7 @@ pub fn parse_query(sql: &str) -> Result<Query> {
 /// Parse a standalone scalar/boolean expression (used by tests and the rule
 /// translator round-trip checks).
 pub fn parse_expr(sql: &str) -> Result<Expr> {
-    parse_with(sql, |p| {
+    parse_with(Lexer::new(sql), |p| {
         let e = p.parse_expr()?;
         match p.peek() {
             None => Ok(e),
@@ -722,6 +740,10 @@ impl<'a> Parser<'a> {
         };
         match self.peek() {
             Some(Token::Int(n)) => literal(self, Value::Int(n)),
+            Some(Token::Param(i)) => {
+                self.bump();
+                Ok(Expr::Param(i))
+            }
             Some(Token::Float(x)) => literal(self, Value::Float(x)),
             Some(Token::Str(raw, escaped)) => {
                 literal(self, Value::Text(Token::unescape(raw, escaped)))

@@ -67,7 +67,18 @@ impl Snapshot {
         query: &crate::ast::Query,
         obs: &pdm_obs::Recorder,
     ) -> Result<(ResultSet, crate::exec::ExecStats)> {
-        crate::evaluate(&self.catalog, &self.config, query, obs)
+        self.query_bound_profiled(query, &[], obs)
+    }
+
+    /// [`Snapshot::query_ast_profiled`] of a template's query with its `$n`
+    /// bound to `params` ([`crate::template`]).
+    pub fn query_bound_profiled(
+        &self,
+        query: &crate::ast::Query,
+        params: &[crate::Value],
+        obs: &pdm_obs::Recorder,
+    ) -> Result<(ResultSet, crate::exec::ExecStats)> {
+        crate::evaluate(&self.catalog, &self.config, query, params, obs)
     }
 }
 

@@ -1,0 +1,354 @@
+//! A statement's shape, parsed once.
+//!
+//! The statements sessions ship come in a handful of shapes that differ
+//! only in object ids — a navigational expand is one text per visible node —
+//! and a result-cache miss used to parse and print each one in full to learn
+//! its canonical key. [`split`] cuts a text into its *template*, the text
+//! with each integer literal replaced by `$1`, `$2`, …, and those integers;
+//! [`Templates`] keeps each template parsed once, its query holding
+//! [`Expr::Param`](crate::ast::Expr::Param) where the text had a value, and
+//! its canonical print cut where the values go. A miss then costs one scan
+//! of its text, one table probe and one splice, and compiles the template's
+//! query with the values bound ([`crate::exec::plan::compile`]).
+//!
+//! Two kinds of literal stay in the template, because the parser reads
+//! their values: one after a `-` (`-5`, `-(5)`, `- +5` fold into a negative
+//! literal) and one after `LIMIT`. A text with a `$` anywhere — it can only
+//! stand inside a string, a quoted name or a comment, elsewhere it is a
+//! lexical error — keeps all of its integers, so that every `$` in the print
+//! of a template with values is one of its holes.
+
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use crate::ast::Query;
+use crate::error::Result;
+use crate::lexer::{Kw, Lexer, Token};
+use crate::parser::{parse_query, parse_template};
+use crate::value::Value;
+
+/// Templates a [`Templates`] table holds; one more empties it.
+const CAPACITY: usize = 1024;
+
+/// A statement text cut into its template and the integers taken out of it.
+#[derive(Debug, Clone, PartialEq)]
+struct Split {
+    /// The text with every integer the parser does not read replaced by
+    /// `$n`, numbered from 1 in order of appearance.
+    template: String,
+    /// The integer `$n` replaced, at `n - 1`.
+    values: Vec<Value>,
+}
+
+/// Cut `text` into its template and its integers (see the module docs). A
+/// lexical error is the one [`parse_query`] of the text reports: both scan
+/// the whole text and stop at its first.
+fn split(text: &str) -> Result<Split> {
+    // Room for a few one-digit holes, which grow by a byte as `$n`.
+    let mut template = String::with_capacity(text.len() + 16);
+    let mut values = Vec::new();
+    let holes = !text.contains('$');
+    let mut lexer = Lexer::new(text);
+    let mut copied = 0;
+    // The integer next would be read by value: it follows `LIMIT`, or a `-`
+    // with only `(` and `+` in between.
+    let mut by_value = false;
+    while let Some(token) = lexer.next_token()? {
+        match token {
+            Token::Int(n) if holes && !by_value => {
+                let end = lexer.position();
+                let digits = text[..end].bytes().rev().take_while(u8::is_ascii_digit);
+                template.push_str(&text[copied..end - digits.count()]);
+                values.push(Value::Int(n));
+                let _ = write!(template, "${}", values.len());
+                copied = end;
+            }
+            Token::Minus | Token::Kw(Kw::Limit) => by_value = true,
+            Token::LParen | Token::Plus => {}
+            _ => by_value = false,
+        }
+    }
+    template.push_str(&text[copied..]);
+    Ok(Split { template, values })
+}
+
+/// A template parsed once: its query, and its canonical print cut where the
+/// values go.
+#[derive(Debug)]
+pub struct Template {
+    query: Query,
+    /// What `parse_query(text)?.to_string()` is for every text this is the
+    /// template of, but with `$n` where that has the value.
+    print: String,
+    /// Each `$n` of `print`: where it stands and which value it names.
+    holes: Vec<(Range<usize>, usize)>,
+}
+
+impl Template {
+    /// `query`, the parse of a template split `with_values` or without:
+    /// without, a `$` in its print is no hole.
+    fn new(query: Query, with_values: bool) -> Self {
+        let print = query.to_string();
+        let holes = if with_values {
+            holes(&print).collect()
+        } else {
+            Vec::new()
+        };
+        Template {
+            query,
+            print,
+            holes,
+        }
+    }
+
+    /// The query, `$n` being [`Expr::Param`](crate::ast::Expr::Param)`(n - 1)`.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Append the canonical key of the text that split into this template
+    /// and `values`: its print with the values spliced in, byte for byte
+    /// `parse_query(text)?.to_string()`.
+    fn write_key(&self, values: &[Value], out: &mut String) {
+        splice(&self.print, self.holes.iter().cloned(), values, out);
+    }
+}
+
+/// Each `$n` of a template's print: its byte range and `n - 1`.
+fn holes(print: &str) -> impl Iterator<Item = (Range<usize>, usize)> + '_ {
+    print.match_indices('$').filter_map(|(at, _)| {
+        let digits = print[at + 1..]
+            .bytes()
+            .take_while(u8::is_ascii_digit)
+            .count();
+        let n: usize = print[at + 1..at + 1 + digits].parse().ok()?;
+        Some((at..at + 1 + digits, n.checked_sub(1)?))
+    })
+}
+
+/// `print` with each of its `holes` replaced by the value it names (a hole
+/// naming none is left as it is).
+fn splice(
+    print: &str,
+    holes: impl Iterator<Item = (Range<usize>, usize)>,
+    values: &[Value],
+    out: &mut String,
+) {
+    let mut from = 0;
+    for (hole, i) in holes {
+        out.push_str(&print[from..hole.start]);
+        match values.get(i) {
+            Some(v) => {
+                let _ = write!(out, "{v}");
+            }
+            None => out.push_str(&print[hole.clone()]),
+        }
+        from = hole.end;
+    }
+    out.push_str(&print[from..]);
+}
+
+/// The print of `e`, a part of a template's query, as the text the template
+/// was split from has it: every `$n` replaced by `params[n - 1]`. What the
+/// compiler names an aggregate by and quotes in an error.
+pub(crate) fn print_bound(e: &impl fmt::Display, params: &[Value]) -> String {
+    let print = e.to_string();
+    if params.is_empty() {
+        return print;
+    }
+    let mut out = String::with_capacity(print.len());
+    splice(&print, holes(&print), params, &mut out);
+    out
+}
+
+/// A query text resolved through [`Templates`].
+#[derive(Debug)]
+pub struct Resolved {
+    /// The text's canonical key: `parse_query(text)?.to_string()`.
+    pub key: Arc<str>,
+    pub template: Arc<Template>,
+    /// What the template's `$n` are bound to.
+    pub values: Vec<Value>,
+}
+
+/// A bounded table of templates, each parsed once. A template that does not
+/// parse is remembered as such: the text it came from does not parse
+/// either, and is parsed once more only to say why.
+#[derive(Debug, Default)]
+pub struct Templates {
+    table: Mutex<HashMap<Box<str>, Option<Arc<Template>>>>,
+}
+
+impl Templates {
+    /// The canonical key of the query `text` and what to run for it: its
+    /// template's query with the values bound. No parse and no print unless
+    /// the template is new (or `text` does not parse).
+    pub fn resolve(&self, text: &str) -> Result<Resolved> {
+        let Split {
+            template: mut buffer,
+            values,
+        } = split(text)?;
+        let known = self.lock().get(buffer.as_str()).cloned();
+        let parsed = match known {
+            Some(parsed) => parsed,
+            None => {
+                let parsed = parse_template(&buffer)
+                    .ok()
+                    .map(|query| Arc::new(Template::new(query, !values.is_empty())));
+                self.insert(&buffer, parsed.clone());
+                parsed
+            }
+        };
+        let template = match parsed {
+            Some(template) => template,
+            // Unreachable but for the error: a template parses exactly when
+            // the texts it is the template of do.
+            None => Arc::new(Template::new(parse_query(text)?, false)),
+        };
+        // The template's text is done with: its buffer takes the key.
+        buffer.clear();
+        template.write_key(&values, &mut buffer);
+        Ok(Resolved {
+            key: buffer.as_str().into(),
+            template,
+            values,
+        })
+    }
+
+    /// Templates in the table.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<Box<str>, Option<Arc<Template>>>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Add a template; a full table is emptied first (the shapes in use
+    /// come back at one parse each) and freed once the lock is released.
+    fn insert(&self, template: &str, parsed: Option<Arc<Template>>) {
+        let mut table = self.lock();
+        let evicted = (table.len() >= CAPACITY).then(|| std::mem::take(&mut *table));
+        table.insert(template.into(), parsed);
+        drop(table);
+        drop(evicted);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::Expr;
+    use crate::error::Error;
+
+    fn holes_of(text: &str) -> (String, Vec<i64>) {
+        let Split { template, values } = split(text).unwrap();
+        let ints = values
+            .iter()
+            .map(|v| match v {
+                Value::Int(n) => *n,
+                other => panic!("{other}"),
+            })
+            .collect();
+        (template, ints)
+    }
+
+    #[test]
+    fn integers_become_holes_except_where_the_parser_reads_them() {
+        assert_eq!(
+            holes_of("SELECT a FROM t WHERE a = 17 AND b IN (3, 007) ORDER BY 1 LIMIT 5"),
+            (
+                "SELECT a FROM t WHERE a = $1 AND b IN ($2, $3) ORDER BY $4 LIMIT 5".into(),
+                vec![17, 3, 7, 1]
+            )
+        );
+        // The negation fold, through parentheses and `+`; a float, a name
+        // and a comment hold no integer.
+        assert_eq!(
+            holes_of("SELECT -5, - (+ 6), -(7 + 8), 1.5, 2e3, t1.c9 -- 10\n FROM t"),
+            (
+                "SELECT -5, - (+ 6), -(7 + $1), 1.5, 2e3, t1.c9 -- 10\n FROM t".into(),
+                vec![8]
+            )
+        );
+        // A `$` anywhere keeps every integer.
+        assert_eq!(
+            holes_of("SELECT 'a$1', 2 FROM t"),
+            ("SELECT 'a$1', 2 FROM t".into(), vec![])
+        );
+    }
+
+    #[test]
+    fn a_lexical_error_is_the_parse_error() {
+        for text in [
+            "SELECT $1",
+            "SELECT 1 FROM t WHERE 'open",
+            "SELECT 99999999999999999999",
+        ] {
+            assert_eq!(split(text).unwrap_err(), parse_query(text).unwrap_err());
+        }
+    }
+
+    #[test]
+    fn a_resolved_text_has_its_parse_key_and_binds_its_values() {
+        let templates = Templates::default();
+        for (i, text) in [
+            "select a from T where a=17 order by 1",
+            "SELECT a FROM t WHERE a = 18 ORDER BY 2",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let r = templates.resolve(text).unwrap();
+            assert_eq!(&*r.key, parse_query(text).unwrap().to_string());
+            assert_eq!(
+                r.values,
+                [Value::Int(17 + i as i64), Value::Int(1 + i as i64)]
+            );
+            assert_eq!(r.template.query().order_by[0].expr, Expr::Param(1));
+        }
+        // Two spellings, one template each.
+        assert_eq!(templates.len(), 2);
+    }
+
+    #[test]
+    fn a_template_that_does_not_parse_is_kept_and_the_text_says_why() {
+        let templates = Templates::default();
+        let text = "SELECT a FROM t WHERE a = 1 AND";
+        for _ in 0..2 {
+            assert_eq!(
+                templates.resolve(text).unwrap_err(),
+                parse_query(text).unwrap_err()
+            );
+        }
+        assert_eq!(templates.len(), 1);
+        assert!(matches!(
+            templates.resolve("UPDATE t SET a = 1"),
+            Err(Error::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn a_full_table_starts_over() {
+        let templates = Templates::default();
+        for i in 0..=CAPACITY {
+            templates
+                .resolve(&format!("SELECT c{i} FROM t WHERE a = 1"))
+                .unwrap();
+        }
+        assert_eq!(templates.len(), 1);
+    }
+
+    #[test]
+    fn print_bound_splices_the_values_back() {
+        let e = Expr::binary(Expr::col("a"), crate::ast::BinOp::Plus, Expr::Param(1));
+        assert_eq!(print_bound(&e, &[]), "a + $2");
+        assert_eq!(print_bound(&e, &[Value::Int(4), Value::Int(5)]), "a + 5");
+    }
+}

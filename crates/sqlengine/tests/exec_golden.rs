@@ -13,6 +13,12 @@
 //! entry of the same key, and every entry must still differ from the
 //! parent's (no stale exceptions).
 //!
+//! A sixth configuration is checked, not recorded: every query with an
+//! integer literal is also run the way a server's cache miss runs it —
+//! split into its template and integers, the template parsed, compiled with
+//! the integers bound ([`bound_runs_as_written`]) — and must return exactly
+//! what the default configuration returns for the text as written.
+//!
 //! `tests/golden/exec_spans.txt`, recorded the same way, holds the operator
 //! spans (kind, label, detail, rows in → out, nesting) a profiled run of the
 //! navigational expand, the modified MLE, the Query and a few statements
@@ -32,6 +38,7 @@ use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::{visibility_rules, ActionKind};
 use pdm_core::RuleTable;
 use pdm_prng::Prng;
+use pdm_sql::template::Templates;
 use pdm_sql::{Database, ExecConfig, ExecOutcome, ExecStats, ResultSet};
 use pdm_workload::{build_database, TreeSpec};
 
@@ -104,6 +111,39 @@ fn indent(text: &str) -> String {
     text.lines().map(|l| format!("  {l}\n")).collect()
 }
 
+/// The sixth configuration, checked rather than recorded: a statement with
+/// an integer hole (or one the template path refuses), split into its
+/// template and integers, the template parsed and compiled with the
+/// integers bound — what a result-cache miss runs — returns the rows (in
+/// order), schema, `ExecStats` or error the statement as written returns
+/// under `db`'s configuration, and its key is the statement's canonical
+/// print.
+fn bound_runs_as_written(db: &Database, sql: &str) {
+    let render = |run: pdm_sql::Result<(ResultSet, ExecStats)>| match run {
+        Ok((rs, st)) => format!("{}  {}\n", render_rows(&rs), render_stats(&st)),
+        Err(e) => format!("error: {e}"),
+    };
+    let resolved = Templates::default().resolve(sql);
+    if resolved.as_ref().is_ok_and(|r| r.values.is_empty()) {
+        return;
+    }
+    let bound = resolved.as_ref().map_err(Clone::clone).and_then(|r| {
+        let disabled = pdm_obs::Recorder::disabled();
+        pdm_sql::exec::execute(
+            &db.catalog,
+            &db.config,
+            r.template.query(),
+            &r.values,
+            &disabled,
+        )
+    });
+    assert_eq!(render(bound), render(db.query_with_stats(sql)), "{sql}");
+    if let Ok(r) = resolved {
+        let canonical = pdm_sql::parser::parse_query(sql).unwrap().to_string();
+        assert_eq!(*r.key, canonical, "{sql}");
+    }
+}
+
 /// The corpus as keyed entries, in recording order. A key is
 /// `"<db> #<n> <field>"`; the statement text itself is the `sql` field.
 #[derive(Default)]
@@ -159,6 +199,7 @@ impl Corpus {
         }
         let stats = stats.iter().map(|(l, s)| format!("  {l}: {s}\n")).collect();
         self.entries.push((format!("{id} stats"), stats));
+        bound_runs_as_written(&configured(db, CONFIGS[0]), sql);
         for cfg in [CONFIGS[0], CONFIGS[4]] {
             if cfg.0 == "bare" && !explain_bare {
                 continue;

@@ -2,7 +2,8 @@
 #![allow(unsafe_code)]
 
 //! Allocation pin of the SQL front end: parsing a statement a session ships
-//! allocates what the AST it returns is made of and nothing per token.
+//! allocates what the AST it returns is made of and nothing per token, and
+//! a server's cache miss on a known template allocates no AST at all.
 //!
 //! The counts repeat exactly (nothing here depends on time, hashing or
 //! threads), so this is a test, not a benchmark. One `#[test]` only: the
@@ -13,9 +14,11 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pdm_core::rules::visibility_rules;
+use pdm_core::query::prepared::Shape;
+use pdm_core::rules::{visibility_rules, ActionKind};
 use pdm_sql::lexer::Lexer;
 use pdm_sql::parser::parse_query;
+use pdm_sql::template::Templates;
 
 thread_local! {
     /// `Some(n)` while the calling thread is counting.
@@ -103,4 +106,28 @@ fn a_parse_allocates_what_its_ast_holds() {
     }
     // `-- --nocapture` prints the table EXPERIMENTS.md quotes.
     println!("{table}");
+
+    // A result-cache miss on the navigational expand whose template the
+    // table already holds reads its text through the template instead of
+    // a parse: it allocates the split's template text and its values, and
+    // the result key (spliced into the template text's buffer, then shared)
+    // — no AST node.
+    // The id stands in both branches of the UNION: two values.
+    let expand = |id| {
+        let rules = visibility_rules();
+        common::shape_text(Shape::Expand, ActionKind::Expand, &[id], "link", &rules)
+    };
+    let templates = Templates::default();
+    templates.resolve(&expand(17)).unwrap();
+    for id in [18, 4_242, 1] {
+        let text = expand(id);
+        let (resolved, missing) = allocations(|| templates.resolve(&text).unwrap());
+        assert_eq!(*resolved.key, text);
+        assert_eq!(resolved.values.len(), 2, "{text}");
+        assert_eq!(
+            missing, 3,
+            "a miss on the expand of {id} made {missing} allocations"
+        );
+    }
+    assert_eq!(templates.len(), 1);
 }

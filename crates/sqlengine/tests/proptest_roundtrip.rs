@@ -9,8 +9,13 @@
 //! CTEs, DISTINCT, GROUP BY / HAVING, ORDER BY ordinals, and LIMIT. The
 //! modificator edits ASTs that are later rendered, shipped, and re-parsed
 //! server-side, so any asymmetry here silently corrupts rule predicates in
-//! transit.
+//! transit. The server reads a cache miss through its template instead of a
+//! parse (`pdm_sql::template`): the second property pins that this path,
+//! too, gives the text's canonical key and, bound, the query itself.
 
+mod common;
+
+use common::bind_query;
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
 
@@ -19,6 +24,7 @@ use pdm_sql::ast::{
     TableFactor, TableWithJoins, With,
 };
 use pdm_sql::parser::parse_query;
+use pdm_sql::template::Templates;
 use pdm_sql::Value;
 
 /// Every parser-reserved word, plus tokens that are contextual keywords in
@@ -262,5 +268,24 @@ fn query_round_trips_through_parser() {
         let reparsed =
             parse_query(&sql).unwrap_or_else(|err| panic!("'{sql}' failed to parse: {err}"));
         assert_eq!(q, reparsed, "round-trip mismatch for: {sql}");
+    });
+}
+
+/// The server's miss path over the same queries: the print of `q`, split
+/// into its template and integers, keyed and bound through [`Templates`],
+/// has the print of `q` as its key and binds back to `q` itself.
+#[test]
+fn template_splits_and_binds_back_to_the_query() {
+    let templates = Templates::default();
+    cases("template_round_trip", 384, 0x52, |rng| {
+        let q = arb_query(rng, 2, true);
+        let sql = q.to_string();
+        let resolved = templates
+            .resolve(&sql)
+            .unwrap_or_else(|err| panic!("'{sql}' failed to resolve: {err}"));
+        assert_eq!(&*resolved.key, sql, "spliced key");
+        let mut bound = resolved.template.query().clone();
+        bind_query(&mut bound, &resolved.values);
+        assert_eq!(q, bound, "bound template mismatch for: {sql}");
     });
 }
