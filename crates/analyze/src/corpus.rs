@@ -12,9 +12,8 @@ use pdm_sql::ast::{Query, Statement};
 
 use pdm_core::query::modificator::{ModReport, Modificator};
 use pdm_core::query::{navigational, recursive};
-use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
 use pdm_core::rules::table::RuleTable;
-use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::rules::{paper_rules, visibility_rules, ActionKind};
 
 /// One corpus member: a generated query plus the context needed to verify
 /// predicate placement (if it was modified).
@@ -32,42 +31,6 @@ pub struct CorpusEntry {
     /// The modificator's own account of its injections, cross-checked
     /// against the analyzer's re-derivation.
     pub report: Option<ModReport>,
-}
-
-/// The full §5.5 rule set: visibility rows plus a ∀rows release-flag rule,
-/// a tree-size aggregate bound, and an ∃structure specification rule —
-/// exercising steps A through D of the modification algorithm.
-pub fn paper_rules() -> RuleTable {
-    let mut t = visibility_rules();
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::ForAllRows {
-            object_type: Some("assy".into()),
-            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::TreeAggregate {
-            func: AggFunc::Count,
-            attr: None,
-            object_type: Some("assy".into()),
-            op: CmpOp::LtEq,
-            value: 10_000.0,
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "comp",
-        Condition::ExistsStructure {
-            object_table: "comp".into(),
-            relation_table: "specified_by".into(),
-            related_table: "spec".into(),
-        },
-    ));
-    t
 }
 
 fn unmodified(name: &'static str, action: ActionKind, query: Query) -> CorpusEntry {

@@ -363,42 +363,8 @@ mod tests {
     use super::*;
     use pdm_core::query::modificator::Modificator;
     use pdm_core::query::{navigational, recursive};
-    use pdm_core::rules::condition::{AggFunc, CmpOp, RowPredicate};
-    use pdm_core::rules::{visibility_rules, Rule};
+    use pdm_core::rules::paper_rules;
     use std::collections::HashSet;
-
-    fn paper_rules() -> RuleTable {
-        let mut t = visibility_rules();
-        t.add(Rule::for_all_users(
-            ActionKind::MultiLevelExpand,
-            "assy",
-            Condition::ForAllRows {
-                object_type: Some("assy".into()),
-                predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-            },
-        ));
-        t.add(Rule::for_all_users(
-            ActionKind::MultiLevelExpand,
-            "assy",
-            Condition::TreeAggregate {
-                func: AggFunc::Count,
-                attr: None,
-                object_type: Some("assy".into()),
-                op: CmpOp::LtEq,
-                value: 10_000.0,
-            },
-        ));
-        t.add(Rule::for_all_users(
-            ActionKind::MultiLevelExpand,
-            "comp",
-            Condition::ExistsStructure {
-                object_table: "comp".into(),
-                relation_table: "specified_by".into(),
-                related_table: "spec".into(),
-            },
-        ));
-        t
-    }
 
     fn modified_mle() -> (Query, ModReport) {
         let rules = paper_rules();

@@ -6,12 +6,12 @@
 
 #![allow(clippy::unwrap_used)]
 
-use pdm_analyze::corpus::paper_rules;
 use pdm_analyze::placement::check_placement;
 use pdm_analyze::{Analyzer, Check, Report, SchemaInfo};
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::{navigational, recursive};
 use pdm_core::rules::condition::{CmpOp, Condition, FnArg, RowPredicate};
+use pdm_core::rules::paper_rules;
 use pdm_core::rules::table::RuleTable;
 use pdm_core::rules::translate::row_predicate_expr;
 use pdm_core::rules::{visibility_rules, ActionKind, Rule};

@@ -70,7 +70,7 @@ pub fn register_into(reg: &mut FunctionRegistry) {
 
 /// Install the PDM functions at a database server.
 pub fn register_pdm_functions(db: &mut Database) {
-    register_into(&mut db.catalog.functions);
+    register_into(db.catalog.functions_mut());
 }
 
 /// A fresh client-side registry with builtins plus the PDM functions.

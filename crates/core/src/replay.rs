@@ -206,7 +206,7 @@ impl ReplayState {
 /// any replayed SQL can call them.
 pub(crate) fn database_from_snapshot(bytes: &[u8]) -> pdm_sql::Result<SharedDatabase> {
     let mut snapshot = decode_snapshot(bytes)?;
-    crate::functions::register_into(&mut snapshot.catalog.functions);
+    crate::functions::register_into(snapshot.catalog.functions_mut());
     Ok(SharedDatabase::from_snapshot(snapshot))
 }
 

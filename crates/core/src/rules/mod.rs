@@ -11,7 +11,7 @@ pub mod condition;
 pub mod table;
 pub mod translate;
 
-use condition::{CmpOp, Condition, RowPredicate};
+use condition::{AggFunc, CmpOp, Condition, RowPredicate};
 use table::RuleTable;
 
 /// SQL LIKE semantics shared with the server (`%` any sequence, `_` one
@@ -117,6 +117,43 @@ pub fn visibility_rules() -> RuleTable {
             Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
         ));
     }
+    t
+}
+
+/// The full §5.5 rule set: [`visibility_rules`] plus a ∀rows release-flag
+/// rule, a tree-size aggregate bound and an ∃structure specification rule
+/// on the multi-level expand — one rule of every condition class, so steps
+/// A through D of the modification algorithm all inject.
+pub fn paper_rules() -> RuleTable {
+    let mut t = visibility_rules();
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "assy",
+        Condition::ForAllRows {
+            object_type: Some("assy".into()),
+            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
+        },
+    ));
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "assy",
+        Condition::TreeAggregate {
+            func: AggFunc::Count,
+            attr: None,
+            object_type: Some("assy".into()),
+            op: CmpOp::LtEq,
+            value: 10_000.0,
+        },
+    ));
+    t.add(Rule::for_all_users(
+        ActionKind::MultiLevelExpand,
+        "comp",
+        Condition::ExistsStructure {
+            object_table: "comp".into(),
+            relation_table: "specified_by".into(),
+            related_table: "spec".into(),
+        },
+    ));
     t
 }
 

@@ -20,8 +20,9 @@
 //!   generates — costs one hash probe
 //!   ([`SharedServer::query_cached_deadline_obs`]); a miss reads its text
 //!   once, into its template (parsed once per shape, [`Templates`]) and the
-//!   integers bound to it; a computation in flight is a mark in the same
-//!   table, which concurrent misses wait on;
+//!   integers bound to it, and runs the plan the template keeps; a
+//!   computation in flight is a mark in the same table, which concurrent
+//!   misses wait on;
 //! * an **idempotency log** for failure-atomic check-outs (PR 1), shared
 //!   so tokens are unique across sessions and bounded to the
 //!   [`RETAINED_TOKENS`] most recent outcomes (an older token fails closed
@@ -1120,7 +1121,9 @@ impl SharedServer {
             waited = true;
             snapshot = self.db.snapshot();
         };
-        let (rows, stats) = snapshot.query_bound_profiled(template.query(), &values, obs)?;
+        // The template's plan, compiled once per catalog shape, runs with
+        // the values bound.
+        let (rows, stats) = snapshot.query_template_profiled(&template, &values, obs)?;
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();

@@ -10,9 +10,7 @@
 
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::{navigational, recursive};
-use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
-use pdm_core::rules::table::RuleTable;
-use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::rules::{paper_rules, ActionKind};
 use pdm_sql::parser::parse_query;
 use std::collections::HashSet;
 
@@ -34,39 +32,6 @@ UNION SELECT comp.type, comp.obid, comp.name, '' AS \"dec\", link.left AS \"pare
 SELECT type, obid, name, dec, parent, link_id, eff_from, eff_to, strc_opt, checkedout, payload FROM rtbl WHERE obid <> 1 \
 AND NOT EXISTS (SELECT * FROM rtbl WHERE type = 'assy' AND NOT rtbl.dec = '+') \
 AND (SELECT COUNT(*) FROM rtbl WHERE type = 'assy') <= 10000";
-
-fn paper_rules() -> RuleTable {
-    let mut t = visibility_rules();
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::ForAllRows {
-            object_type: Some("assy".into()),
-            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::TreeAggregate {
-            func: AggFunc::Count,
-            attr: None,
-            object_type: Some("assy".into()),
-            op: CmpOp::LtEq,
-            value: 10_000.0,
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "comp",
-        Condition::ExistsStructure {
-            object_table: "comp".into(),
-            relation_table: "specified_by".into(),
-            related_table: "spec".into(),
-        },
-    ));
-    t
-}
 
 fn modified_mle() -> pdm_sql::ast::Query {
     let rules = paper_rules();

@@ -17,7 +17,7 @@ use std::collections::HashSet;
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::prepared::Shape;
 use pdm_core::query::{navigational, recursive};
-use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
+use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
 use pdm_core::rules::{ActionKind, Rule};
 use pdm_core::{ObjectId, PdmServer, RuleTable, Session, SessionConfig, Strategy};
 use pdm_net::LinkProfile;
@@ -48,51 +48,32 @@ const ACTIONS: [ActionKind; 5] = [
 
 const VIEWS: [&str; 2] = ["link", "flink"];
 
-/// The benchmark's rules — the user sees only OPTA links and nodes —
-/// extended to the second structure view these tests navigate.
-fn visibility_rules() -> RuleTable {
-    let mut t = pdm_core::rules::visibility_rules();
-    t.add(Rule::for_all_users(
+/// The row rule that extends a rule table to the second structure view
+/// these tests navigate.
+fn flink_rule() -> Rule {
+    Rule::for_all_users(
         ActionKind::Access,
         "flink",
         Condition::Row(RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA")),
-    ));
+    )
+}
+
+/// The benchmark's rules — the user sees only OPTA links and nodes —
+/// extended to the second structure view.
+fn visibility_rules() -> RuleTable {
+    let mut t = pdm_core::rules::visibility_rules();
+    t.add(flink_rule());
     t
 }
 
-/// The rule table of `golden_sql.rs` (all four condition classes), plus a
-/// check-out ∀rows rule and a row rule whose constants read exactly like
-/// ids — a small one and one no product holds — which must stay constants.
+/// `pdm_core::rules::paper_rules` (all four condition classes) extended to
+/// the second structure view, plus a check-out ∀rows rule and a row rule
+/// whose constants read exactly like ids — a small one and one no product
+/// holds — which must stay constants. Each class keeps its rules' relative
+/// order, so the modified texts are those of the rules written out in full.
 fn paper_rules() -> RuleTable {
-    let mut t = visibility_rules();
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::ForAllRows {
-            object_type: Some("assy".into()),
-            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::TreeAggregate {
-            func: AggFunc::Count,
-            attr: None,
-            object_type: Some("assy".into()),
-            op: CmpOp::LtEq,
-            value: 10_000.0,
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "comp",
-        Condition::ExistsStructure {
-            object_table: "comp".into(),
-            relation_table: "specified_by".into(),
-            related_table: "spec".into(),
-        },
-    ));
+    let mut t = pdm_core::rules::paper_rules();
+    t.add(flink_rule());
     t.add(Rule::for_all_users(
         ActionKind::CheckOut,
         "assy",

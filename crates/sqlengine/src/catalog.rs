@@ -9,9 +9,19 @@
 //! ([`crate::shared::SharedDatabase`]) affordable — every write produces a
 //! new immutable snapshot whose cost follows the rows it touched, not the
 //! size of the database.
+//!
+//! A catalog also carries its *shape*: a number that names what a compiled
+//! plan may rely on — which tables exist with which columns and indexes,
+//! which views, which functions. DDL and function registration give it a new
+//! one; DML never does, and a clone keeps it. Shapes come from one counter
+//! for the whole process, so two catalogs share one only if one was cloned
+//! from the other with no DDL since: a catalog decoded from a checkpoint, or
+//! re-seeded on a replica, never matches a plan compiled on another. The
+//! shape is not encoded ([`crate::persist`] writes tables and views only).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::ast::Query;
@@ -37,7 +47,15 @@ pub struct ViewDef {
 pub struct Catalog {
     tables: HashMap<String, Arc<Table>>,
     views: HashMap<String, ViewDef>,
-    pub functions: FunctionRegistry,
+    functions: FunctionRegistry,
+    /// See the module docs.
+    shape: u64,
+}
+
+/// A shape no catalog had before.
+fn fresh_shape() -> u64 {
+    static SHAPES: AtomicU64 = AtomicU64::new(0);
+    SHAPES.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Default for Catalog {
@@ -46,6 +64,7 @@ impl Default for Catalog {
             tables: HashMap::new(),
             views: HashMap::new(),
             functions: FunctionRegistry::with_builtins(),
+            shape: fresh_shape(),
         }
     }
 }
@@ -72,6 +91,7 @@ impl Catalog {
         }
         self.tables
             .insert(key.clone(), Arc::new(Table::new(key, schema)));
+        self.shape = fresh_shape();
         Ok(())
     }
 
@@ -79,8 +99,16 @@ impl Catalog {
         let key = name.to_ascii_lowercase();
         self.tables
             .remove(&key)
-            .map(|_| ())
-            .ok_or_else(|| Error::Catalog(format!("no table '{key}'")))
+            .ok_or_else(|| Error::Catalog(format!("no table '{key}'")))?;
+        self.shape = fresh_shape();
+        Ok(())
+    }
+
+    /// Build a hash index on `column` of `table`.
+    pub fn create_index(&mut self, table: &str, column: &str) -> Result<()> {
+        self.table_mut(table)?.create_index(column)?;
+        self.shape = fresh_shape();
+        Ok(())
     }
 
     pub fn create_view(&mut self, name: &str, query: Query) -> Result<()> {
@@ -97,7 +125,26 @@ impl Catalog {
                 sql,
             },
         );
+        self.shape = fresh_shape();
         Ok(())
+    }
+
+    /// What a plan compiled on this catalog may rely on (see the module
+    /// docs): equal shapes, equal tables, columns, indexes, views and
+    /// functions.
+    pub fn shape(&self) -> u64 {
+        self.shape
+    }
+
+    pub fn functions(&self) -> &FunctionRegistry {
+        &self.functions
+    }
+
+    /// The function registry, to register into: the catalog takes a new
+    /// shape.
+    pub fn functions_mut(&mut self) -> &mut FunctionRegistry {
+        self.shape = fresh_shape();
+        &mut self.functions
     }
 
     pub fn table(&self, name: &str) -> Result<&Table> {
@@ -238,6 +285,39 @@ mod tests {
             1,
             "write must not reach the snapshot"
         );
+    }
+
+    #[test]
+    fn ddl_and_registration_reshape_dml_and_clones_do_not() {
+        let mut c = Catalog::new();
+        let mut shapes = vec![c.shape()];
+        c.create_table("t", schema()).unwrap();
+        shapes.push(c.shape());
+        c.create_index("t", "obid").unwrap();
+        shapes.push(c.shape());
+        c.create_view("v", parse_query("SELECT obid FROM t").unwrap())
+            .unwrap();
+        shapes.push(c.shape());
+        c.functions_mut()
+            .register("f", |_| Ok(crate::value::Value::Null));
+        shapes.push(c.shape());
+        let before_dml = c.shape();
+        c.table_mut("t")
+            .unwrap()
+            .insert(crate::row::Row::new(vec![crate::value::Value::Int(1)]))
+            .unwrap();
+        assert_eq!(c.shape(), before_dml);
+        assert_eq!(c.clone().shape(), before_dml);
+        c.drop_table("t").unwrap();
+        shapes.push(c.shape());
+        // A failed statement keeps the shape; a new catalog has its own.
+        assert!(c.drop_table("t").is_err());
+        assert_eq!(c.shape(), shapes[shapes.len() - 1]);
+        shapes.push(Catalog::new().shape());
+        let mut distinct = shapes.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), shapes.len(), "{shapes:?}");
     }
 
     #[test]

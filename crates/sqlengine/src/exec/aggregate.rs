@@ -20,8 +20,8 @@ use crate::value::Value;
 /// joined rows (`n` references each).
 pub(crate) fn run_group<'v>(
     cx: Cx<'v>,
-    sel: &'v SelectPlan<'v>,
-    group: &'v Group<'v>,
+    sel: &'v SelectPlan,
+    group: &'v Group,
     rows: &[&'v [Value]],
     n: usize,
     outer: Option<&Frame<'_, 'v>>,
@@ -84,7 +84,7 @@ pub(crate) fn run_group<'v>(
 /// every row (NULLs skipped, SQL semantics); only the running state is kept.
 fn compute<'f, 'v: 'f>(
     cx: Cx<'v>,
-    agg: &'v Agg<'v>,
+    agg: &'v Agg,
     rows: impl ExactSizeIterator<Item = Frame<'f, 'v>>,
 ) -> Result<Value> {
     let arg = match &agg.arg {
@@ -104,7 +104,7 @@ fn compute<'f, 'v: 'f>(
             continue;
         }
         count += 1;
-        match agg.func {
+        match agg.func.as_str() {
             "min" | "max" => {
                 let wanted = if agg.func == "min" {
                     Ordering::Less
@@ -138,7 +138,7 @@ fn compute<'f, 'v: 'f>(
     if let Some(e) = non_numeric {
         return Err(e);
     }
-    Ok(match agg.func {
+    Ok(match agg.func.as_str() {
         "count" => Value::Int(count as i64),
         "min" | "max" => best.map_or(Value::Null, Cow::into_owned),
         _ if count == 0 => Value::Null,

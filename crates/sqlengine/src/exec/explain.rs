@@ -1,4 +1,4 @@
-//! EXPLAIN: the `Display` of the compiled plan — which filters were pushed
+//! EXPLAIN: a rendering of the compiled plan — which filters were pushed
 //! into scans, which joins probe an index or build a hash table, how
 //! subqueries are treated. The executor runs exactly the plan rendered here
 //! ([`super::plan`]); EXPLAIN has no analysis of its own to drift.
@@ -9,19 +9,33 @@ use crate::ast::{JoinKind, Query, SetOp};
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::exec::plan::{
-    compile, Conjunct, CteBody, Factor, Join, Op, PExpr, Plan, QueryPlan, SelectPlan, SetPlan,
-    Source,
+    compile_for_explain, Conjunct, CteBody, Factor, Join, Op, PExpr, Plan, QueryPlan, SelectPlan,
+    SetPlan, Source,
 };
 use crate::exec::ExecConfig;
+use crate::storage::Table;
 
 /// Render the plan of `query` as indented text, without running it.
 pub fn explain_query(catalog: &Catalog, config: &ExecConfig, query: &Query) -> Result<String> {
-    Ok(compile(catalog, config, query, &[])?.to_string())
+    let plan = compile_for_explain(catalog, config, query)?;
+    let tables = plan.tables.iter().map(|name| catalog.table(name));
+    let tables = tables.collect::<Result<_>>()?;
+    Ok(Explained {
+        plan: &plan,
+        tables,
+    }
+    .to_string())
 }
 
-impl Display for Plan<'_> {
+/// A plan with its base tables, which name what it scans and probes.
+struct Explained<'p> {
+    plan: &'p Plan,
+    tables: Vec<&'p Table>,
+}
+
+impl Display for Explained<'_> {
     fn fmt(&self, out: &mut Formatter<'_>) -> fmt::Result {
-        query(out, &self.query, 0)
+        query(out, &self.tables, &self.plan.query, 0)
     }
 }
 
@@ -29,13 +43,13 @@ fn pad(out: &mut Formatter<'_>, depth: usize) -> fmt::Result {
     write!(out, "{:1$}", "", depth * 2)
 }
 
-fn query(out: &mut Formatter<'_>, q: &QueryPlan<'_>, depth: usize) -> fmt::Result {
+fn query(out: &mut Formatter<'_>, t: &[&Table], q: &QueryPlan, depth: usize) -> fmt::Result {
     for cte in &q.ctes {
         pad(out, depth)?;
         match &cte.body {
             CteBody::Plain(plan) => {
                 writeln!(out, "CTE {} [materialized once]", cte.name)?;
-                set_expr(out, &plan.body, depth + 1)?;
+                set_expr(out, t, &plan.body, depth + 1)?;
             }
             CteBody::Recursive {
                 terms,
@@ -56,12 +70,12 @@ fn query(out: &mut Formatter<'_>, q: &QueryPlan<'_>, depth: usize) -> fmt::Resul
                     writeln!(out, "{op}")?;
                 }
                 for (i, (term, _)) in terms.iter().enumerate() {
-                    set_expr(out, term, depth + terms.len() - i.max(1) + 1)?;
+                    set_expr(out, t, term, depth + terms.len() - i.max(1) + 1)?;
                 }
             }
         }
     }
-    set_expr(out, &q.body, depth)?;
+    set_expr(out, t, &q.body, depth)?;
     if q.sort.is_some() {
         pad(out, depth)?;
         writeln!(out, "Sort [{} key(s)]", q.order_by)?;
@@ -82,9 +96,9 @@ fn set_op_label(op: SetOp, all: bool) -> &'static str {
     }
 }
 
-fn set_expr(out: &mut Formatter<'_>, body: &SetPlan<'_>, depth: usize) -> fmt::Result {
+fn set_expr(out: &mut Formatter<'_>, t: &[&Table], body: &SetPlan, depth: usize) -> fmt::Result {
     match body {
-        SetPlan::Select(sel) => select(out, sel, depth),
+        SetPlan::Select(sel) => select(out, t, sel, depth),
         SetPlan::Op {
             op,
             all,
@@ -93,16 +107,16 @@ fn set_expr(out: &mut Formatter<'_>, body: &SetPlan<'_>, depth: usize) -> fmt::R
         } => {
             pad(out, depth)?;
             writeln!(out, "{}", set_op_label(*op, *all))?;
-            set_expr(out, left, depth + 1)?;
-            set_expr(out, right, depth + 1)
+            set_expr(out, t, left, depth + 1)?;
+            set_expr(out, t, right, depth + 1)
         }
     }
 }
 
 /// ` AND `-joined conjunct texts.
-struct Conjuncts<'p, 'a>(&'p [Conjunct<'a>]);
+struct Conjuncts<'p>(&'p [Conjunct]);
 
-impl Display for Conjuncts<'_, '_> {
+impl Display for Conjuncts<'_> {
     fn fmt(&self, out: &mut Formatter<'_>) -> fmt::Result {
         for (i, c) in self.0.iter().enumerate() {
             let sep = if i > 0 { " AND " } else { "" };
@@ -122,7 +136,7 @@ impl Display for Conjuncts<'_, '_> {
     }
 }
 
-fn select(out: &mut Formatter<'_>, sel: &SelectPlan<'_>, depth: usize) -> fmt::Result {
+fn select(out: &mut Formatter<'_>, t: &[&Table], sel: &SelectPlan, depth: usize) -> fmt::Result {
     pad(out, depth)?;
     let distinct = if sel.distinct { " [distinct]" } else { "" };
     let grouped = match &sel.group {
@@ -133,7 +147,7 @@ fn select(out: &mut Formatter<'_>, sel: &SelectPlan<'_>, depth: usize) -> fmt::R
     writeln!(out, "Select{distinct}{grouped}")?;
     for f in &sel.factors {
         pad(out, depth + 1)?;
-        factor(out, f)?;
+        factor(out, t, f)?;
         if !f.filters.is_empty() {
             write!(out, " filter[{}]", Conjuncts(&f.filters))?;
         }
@@ -148,18 +162,18 @@ fn select(out: &mut Formatter<'_>, sel: &SelectPlan<'_>, depth: usize) -> fmt::R
 
 /// One FROM binding: its access path and, past the first of a FROM item,
 /// how it joins.
-fn factor(out: &mut Formatter<'_>, f: &Factor<'_>) -> fmt::Result {
+fn factor(out: &mut Formatter<'_>, t: &[&Table], f: &Factor) -> fmt::Result {
     let (name, kind) = match &f.source {
-        Source::Table(t) => (t.name.as_str(), "table"),
-        Source::Cte { name, .. } => (*name, "cte"),
+        Source::Table(slot) => (t[*slot].name.as_str(), "table"),
+        Source::Cte { name, .. } => (name.as_str(), "cte"),
         Source::Sub {
             view: Some(name), ..
-        } => (*name, "view"),
+        } => (name.as_str(), "view"),
         Source::Sub { view: None, .. } => return write!(out, "DerivedTable {}", f.binding),
     };
     let name = name.to_ascii_lowercase();
     let column = |col: usize| match &f.source {
-        Source::Table(t) => t.schema.column(col).name.as_str(),
+        Source::Table(slot) => t[*slot].schema.column(col).name.as_str(),
         _ => unreachable!("only base tables are indexed"),
     };
     let join = match f.kind {
@@ -178,7 +192,7 @@ fn factor(out: &mut Formatter<'_>, f: &Factor<'_>) -> fmt::Result {
         (method, probe) => {
             let method = match method {
                 Join::Scanned { keys, .. } if !keys.is_empty() => "HashJoin",
-                _ if f.on.is_some() => "NestedLoopJoin",
+                _ if f.on => "NestedLoopJoin",
                 _ => "CrossJoin",
             };
             match probe {

@@ -1,10 +1,11 @@
 //! Evaluation of compiled expressions with SQL three-valued logic.
 //!
 //! Boolean "unknown" is represented as `Value::Null`; `WHERE` keeps a row
-//! only when the predicate evaluates to `Bool(true)`. A column or a literal
-//! evaluates to a *borrow* of the stored value, so predicates and join keys
-//! compare without copying; a value is cloned only when the caller keeps it
-//! (`into_owned`: a projected item, a hash key, an aggregate state).
+//! only when the predicate evaluates to `Bool(true)`. A column, a literal or
+//! a bound value evaluates to a *borrow* of the stored value, so predicates
+//! and join keys compare without copying; a value is cloned only when the
+//! caller keeps it (`into_owned`: a projected item, a hash key, an aggregate
+//! state).
 
 use std::borrow::Cow;
 
@@ -22,7 +23,7 @@ fn bool3<'v>(b: Option<bool>) -> Result<Cow<'v, Value>> {
     owned(b.map_or(Value::Null, Value::Bool))
 }
 
-impl<'a> PExpr<'a> {
+impl PExpr {
     /// Does the predicate hold (is it TRUE, not FALSE or unknown) for `f`?
     pub(crate) fn holds(&self, cx: Cx<'_>, f: &Frame<'_, '_>) -> Result<bool> {
         Ok(self.eval(cx, f)?.is_true())
@@ -31,7 +32,7 @@ impl<'a> PExpr<'a> {
     /// Evaluate for the row in `f`.
     pub(crate) fn eval<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
         let (op, args) = match self {
-            PExpr::Literal(v) => return Ok(Cow::Borrowed(*v)),
+            PExpr::Const(c) => return Ok(Cow::Borrowed(c.get(cx.rt.params))),
             PExpr::Column {
                 depth,
                 binding,
@@ -109,7 +110,9 @@ impl<'a> PExpr<'a> {
                 for a in args {
                     values.push(a.eval(cx, f)?.into_owned());
                 }
-                let func = func.ok_or_else(|| Error::Bind(format!("unknown function '{name}'")))?;
+                let func = func
+                    .as_ref()
+                    .ok_or_else(|| Error::Bind(format!("unknown function '{name}'")))?;
                 func(&values).map(Cow::Owned)
             }
             Op::Case => {
@@ -131,9 +134,9 @@ impl<'a> PExpr<'a> {
 fn eval_binary<'v>(
     cx: Cx<'v>,
     f: &Frame<'_, 'v>,
-    left: &'v PExpr<'_>,
+    left: &'v PExpr,
     op: BinOp,
-    right: &'v PExpr<'_>,
+    right: &'v PExpr,
 ) -> Result<Cow<'v, Value>> {
     // AND/OR get short-circuit three-valued treatment.
     if op == BinOp::And || op == BinOp::Or {
@@ -301,7 +304,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::exec::plan::Compiler;
-    use crate::exec::{ExecConfig, Rt};
+    use crate::exec::ExecConfig;
     use crate::parser::parse_expr;
     use crate::schema::{Column, Schema};
     use crate::storage::Table;
@@ -323,7 +326,8 @@ mod tests {
         let mut compiler = Compiler::new(&catalog, &config);
         compiler.bind_table(&table);
         let compiled = compiler.expr(&e)?;
-        let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+        let disabled = pdm_obs::Recorder::disabled();
+        let rt = compiler.rt(&disabled);
         let value = compiled
             .eval(rt.cx(), &Frame::of(&[row.as_slice()], None))?
             .into_owned();

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use crate::ast::JoinKind;
 use crate::error::Result;
-use crate::exec::plan::{Factor, Join, PExpr, SelectPlan, Source};
+use crate::exec::plan::{Const, Factor, Join, PExpr, SelectPlan, Source};
 use crate::exec::{Cx, Frame};
 use crate::row::Row;
 use crate::storage::Table;
@@ -32,7 +32,7 @@ enum Rows<'v> {
 /// derived tables.
 pub(crate) fn run_from<'v>(
     cx: Cx<'v>,
-    sel: &'v SelectPlan<'v>,
+    sel: &'v SelectPlan,
     mats: &'v [Vec<Row>],
     outer: Option<&Frame<'_, 'v>>,
 ) -> Result<Vec<&'v [Value]>> {
@@ -40,7 +40,7 @@ pub(crate) fn run_from<'v>(
     let mut acc: Vec<&'v [Value]> = Vec::new();
     for (k, f) in sel.factors.iter().enumerate() {
         let rows = match &f.source {
-            Source::Table(t) => Rows::Table(t),
+            Source::Table(slot) => Rows::Table(cx.rt.tables[*slot]),
             Source::Cte { id, .. } => Rows::Materialized(cx.cte(*id)),
             Source::Sub { slot, .. } => Rows::Materialized(&mats[*slot]),
         };
@@ -66,18 +66,19 @@ pub(crate) fn run_from<'v>(
 }
 
 /// Ascending ids of the rows of `table` whose indexed column `col` equals
-/// one of `literals` — the candidates of an index probe; the caller still
-/// evaluates its predicate on each. One look-up per literal.
+/// one of `keys` (with `params` bound) — the candidates of an index probe;
+/// the caller still evaluates its predicate on each. One look-up per key.
 pub(crate) fn index_candidates<'t>(
     table: &'t Table,
     col: usize,
-    literals: &[&Value],
+    keys: &[Const],
+    params: &[Value],
 ) -> Cow<'t, [usize]> {
-    let lookup = |v: &Value| table.index_lookup(col, v).unwrap_or(&[]);
-    if let [one] = literals {
+    let lookup = |k: &Const| table.index_lookup(col, k.get(params)).unwrap_or(&[]);
+    if let [one] = keys {
         return Cow::Borrowed(lookup(one));
     }
-    let mut ids: Vec<usize> = literals.iter().flat_map(|v| lookup(v)).copied().collect();
+    let mut ids: Vec<usize> = keys.iter().flat_map(lookup).copied().collect();
     ids.sort_unstable();
     ids.dedup();
     Cow::Owned(ids)
@@ -87,7 +88,7 @@ pub(crate) fn index_candidates<'t>(
 /// assembled (bindings `..k` from the left side, `k` the candidate).
 struct Operator<'o, 'f, 'v> {
     cx: Cx<'v>,
-    f: &'v Factor<'v>,
+    f: &'v Factor,
     k: usize,
     scratch: &'o mut [&'v [Value]],
     outer: Option<&'o Frame<'f, 'v>>,
@@ -98,7 +99,7 @@ impl<'v> Operator<'_, '_, 'v> {
     fn admits<'c>(
         &mut self,
         row: &'v [Value],
-        checks: impl IntoIterator<Item = &'c PExpr<'v>>,
+        checks: impl IntoIterator<Item = &'c PExpr>,
     ) -> Result<bool>
     where
         'v: 'c,
@@ -121,9 +122,11 @@ impl<'v> Operator<'_, '_, 'v> {
         let filters = || f.filters.iter().map(|c| &c.expr);
         let mut out = Vec::new();
         let detail = match (rows, &f.probe) {
-            (Rows::Table(t), Some((col, literals))) => {
-                self.cx.rt.stats.borrow_mut().index_probes += literals.len();
-                for &rid in index_candidates(t, *col, literals).iter() {
+            (Rows::Table(t), Some((col, keys))) => {
+                self.cx.rt.stats.borrow_mut().index_probes += keys.len();
+                let candidates = index_candidates(t, *col, keys, self.cx.rt.params);
+                out.reserve_exact(candidates.len());
+                for &rid in candidates.iter() {
                     if self.admits(t.row(rid), filters())? {
                         out.push(t.row(rid));
                     }
@@ -165,14 +168,15 @@ impl<'v> Operator<'_, '_, 'v> {
         &mut self,
         left: &[&'v [Value]],
         table: &'v Table,
-        key: &'v PExpr<'v>,
+        key: &'v PExpr,
         col: usize,
-        residual: &'v [PExpr<'v>],
+        residual: &'v [PExpr],
     ) -> Result<Vec<&'v [Value]>> {
         let (f, k) = (self.f, self.k);
         let span = self.cx.rt.obs.span(pdm_obs::kinds::JOIN, &*f.binding);
         span.set_detail("index nested-loop");
-        let mut out = Vec::new();
+        // Room for one match per left row: what a join on a key finds.
+        let mut out = Vec::with_capacity(left.len() / k * (k + 1));
         let mut probes = 0;
         for lrow in left.chunks(k) {
             self.scratch[..k].copy_from_slice(lrow);
@@ -255,7 +259,7 @@ impl<'v> Operator<'_, '_, 'v> {
     }
 
     /// A computed hash key over the assembled row; `None` if any part is NULL.
-    fn key<'c>(&self, exprs: impl Iterator<Item = &'c PExpr<'v>>) -> Result<Option<Vec<Value>>>
+    fn key<'c>(&self, exprs: impl Iterator<Item = &'c PExpr>) -> Result<Option<Vec<Value>>>
     where
         'v: 'c,
     {
@@ -274,7 +278,7 @@ impl<'v> Operator<'_, '_, 'v> {
 
 #[cfg(test)]
 mod tests {
-    use crate::exec::plan::{compile, probe_literals, Join, Op, PExpr, Refs, SelectPlan, SetPlan};
+    use crate::exec::plan::{compile, Join, Op, PExpr, Refs, SelectPlan, SetPlan};
     use crate::parser::parse_query;
     use crate::value::Value;
     use crate::Database;
@@ -292,8 +296,15 @@ mod tests {
     }
 
     /// Compile `sql` (one SELECT) and hand its plan to `check`.
-    fn with_select<T>(sql: &str, check: impl FnOnce(&SelectPlan<'_>) -> T) -> crate::Result<T> {
-        let db = db();
+    fn with_select<T>(sql: &str, check: impl FnOnce(&SelectPlan) -> T) -> crate::Result<T> {
+        with_select_in(&db(), sql, check)
+    }
+
+    fn with_select_in<T>(
+        db: &Database,
+        sql: &str,
+        check: impl FnOnce(&SelectPlan) -> T,
+    ) -> crate::Result<T> {
         let query = parse_query(sql)?;
         let plan = compile(&db.catalog, &db.config, &query, &[])?;
         match &plan.query.body {
@@ -326,13 +337,13 @@ mod tests {
 
     #[test]
     fn equality_literal_both_orders() {
+        let mut indexed = db();
+        indexed.execute("CREATE INDEX ON link (left)").unwrap();
         let probe = |conjunct: &str| {
-            with_select(&format!("SELECT 1 FROM link WHERE {conjunct}"), |sel| {
-                let filter = sel.factors[0].filters.first().or(sel.residual.first());
-                let db = db();
-                let schema = &db.catalog.table("link").unwrap().schema;
-                probe_literals(&filter.unwrap().expr, 0, schema)
-                    .map(|(c, vs)| (c, vs.into_iter().cloned().collect::<Vec<_>>()))
+            let sql = format!("SELECT 1 FROM link WHERE {conjunct}");
+            with_select_in(&indexed, &sql, |sel| {
+                let probe = sel.factors[0].probe.as_ref();
+                probe.map(|(c, keys)| (*c, keys.iter().map(|k| k.get(&[]).clone()).collect()))
             })
         };
         let ints = |vs: &[i64]| Some((1, vs.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>()));

@@ -3,11 +3,12 @@
 //! A statement is compiled once ([`plan`]) into a resolved physical plan —
 //! every column a position, every SELECT block's conjunct split, push-down
 //! targets, index probes, join methods, projection and aggregate slots fixed —
-//! and the operators in this module only *run* that plan. Between a scan and
-//! a projection a row is a handful of references into the snapshot's shared
-//! rows ([`join`]); a `Value` is cloned only where SQL materialises one.
-//! EXPLAIN is the `Display` of the same plan ([`explain`]), so it cannot
-//! drift from what runs.
+//! and the operators in this module only *run* that plan, with the values
+//! its template's `$n` are bound to and its base tables looked up in the
+//! catalog of the run ([`Plan::run`]). Between a scan and a projection a row
+//! is a handful of references into the snapshot's shared rows ([`join`]); a
+//! `Value` is cloned only where SQL materialises one. EXPLAIN renders the
+//! same plan ([`explain`]), so it cannot drift from what runs.
 //!
 //! This replaced an AST walker that resolved names per row and copied rows
 //! at every operator boundary. The paper may ignore local execution cost
@@ -33,20 +34,21 @@ pub mod subquery;
 
 use std::cell::RefCell;
 use std::ops::Range;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::row::{ResultSet, Row};
+use crate::storage::Table;
 use crate::value::Value;
 
-use plan::{CteBody, CtePlan, PExpr, QueryPlan, SelectPlan, SetPlan, Source};
+use plan::{CteBody, CtePlan, PExpr, Plan, QueryPlan, SelectPlan, SetPlan, Source};
 use subquery::Cached;
 
 /// Tunables for execution; the ablation benches flip these. They are read
 /// when a statement is compiled ([`plan`]); the run only follows the plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecConfig {
     /// Evaluate uncorrelated subqueries once per query instead of once per
     /// row (§5.3.1's optimizer assumption).
@@ -98,22 +100,34 @@ pub struct ExecStats {
     pub rows_scanned: usize,
 }
 
-/// What one statement's run shares: counters, the span recorder, and the
-/// subquery cache slots the plan numbered.
-pub(crate) struct Rt {
+/// What one statement's run shares: counters, the span recorder, the
+/// subquery cache slots the plan numbered, the values its `$n` read and the
+/// base tables its slots name.
+pub(crate) struct Rt<'r> {
     pub stats: RefCell<ExecStats>,
     /// Observability recorder for per-operator spans. Disabled by default
     /// (a free no-op handle), so profiling off changes nothing.
-    pub obs: pdm_obs::Recorder,
+    pub obs: &'r pdm_obs::Recorder,
     cache: RefCell<Vec<Option<Cached>>>,
+    /// What [`plan::Const::Param`] reads.
+    pub params: &'r [Value],
+    /// [`Source::Table`] slot → table.
+    pub tables: Vec<&'r Table>,
 }
 
-impl Rt {
-    pub fn new(obs: pdm_obs::Recorder, slots: usize) -> Self {
+impl<'r> Rt<'r> {
+    pub fn new(
+        obs: &'r pdm_obs::Recorder,
+        slots: usize,
+        params: &'r [Value],
+        tables: Vec<&'r Table>,
+    ) -> Self {
         Rt {
             stats: RefCell::default(),
             obs,
             cache: RefCell::new(vec![None; slots]),
+            params,
+            tables,
         }
     }
 
@@ -153,7 +167,7 @@ pub(crate) struct CteEnv<'c> {
 /// What every operator and expression receives.
 #[derive(Clone, Copy)]
 pub(crate) struct Cx<'c> {
-    pub rt: &'c Rt,
+    pub rt: &'c Rt<'c>,
     pub ctes: Option<&'c CteEnv<'c>>,
 }
 
@@ -201,19 +215,31 @@ pub fn execute(
     params: &[Value],
     obs: &pdm_obs::Recorder,
 ) -> Result<(ResultSet, ExecStats)> {
-    let plan = plan::compile(catalog, config, query, params)?;
-    let rt = Rt::new(obs.clone(), plan.slots);
-    let rows = run_query(rt.cx(), &plan.query, None)?;
-    let schema = Rc::clone(&plan.query.schema);
-    drop(plan);
-    let schema = Rc::try_unwrap(schema).unwrap_or_else(|shared| (*shared).clone());
-    Ok((ResultSet::new(schema, rows), rt.stats.into_inner()))
+    plan::compile(catalog, config, query, params)?.run(catalog, params, obs)
+}
+
+impl Plan {
+    /// Run the plan on `catalog`, which must have the
+    /// [`shape`](Catalog::shape) it was compiled on, with its `$n` bound to
+    /// `params`. The result shares the plan's schema.
+    pub(crate) fn run(
+        &self,
+        catalog: &Catalog,
+        params: &[Value],
+        obs: &pdm_obs::Recorder,
+    ) -> Result<(ResultSet, ExecStats)> {
+        let tables = self.tables.iter().map(|name| catalog.table(name));
+        let rt = Rt::new(obs, self.slots, params, tables.collect::<Result<_>>()?);
+        let rows = run_query(rt.cx(), &self.query, None)?;
+        let schema = Arc::clone(&self.query.schema);
+        Ok((ResultSet::new(schema, rows), rt.stats.into_inner()))
+    }
 }
 
 /// Run a query with `outer` available for correlated column references.
 pub(crate) fn run_query(
     cx: Cx<'_>,
-    q: &QueryPlan<'_>,
+    q: &QueryPlan,
     outer: Option<&Frame<'_, '_>>,
 ) -> Result<Vec<Row>> {
     if !q.ctes.is_empty() {
@@ -226,8 +252,8 @@ pub(crate) fn run_query(
 /// to the next, then run the body under all of them.
 fn run_with(
     cx: Cx<'_>,
-    ctes: &[CtePlan<'_>],
-    q: &QueryPlan<'_>,
+    ctes: &[CtePlan],
+    q: &QueryPlan,
     outer: Option<&Frame<'_, '_>>,
 ) -> Result<Vec<Row>> {
     let Some((cte, rest)) = ctes.split_first() else {
@@ -246,7 +272,7 @@ fn run_with(
     run_with(Cx { ctes, ..cx }, rest, q, outer)
 }
 
-fn run_body(cx: Cx<'_>, q: &QueryPlan<'_>, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
+fn run_body(cx: Cx<'_>, q: &QueryPlan, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
     let mut rows = run_set(cx, &q.body, outer)?;
     if let Some(sort) = &q.sort {
         let keys = sort.as_ref().map_err(Clone::clone)?;
@@ -277,7 +303,7 @@ fn run_body(cx: Cx<'_>, q: &QueryPlan<'_>, outer: Option<&Frame<'_, '_>>) -> Res
 
 pub(crate) fn run_set(
     cx: Cx<'_>,
-    body: &SetPlan<'_>,
+    body: &SetPlan,
     outer: Option<&Frame<'_, '_>>,
 ) -> Result<Vec<Row>> {
     match body {
@@ -297,7 +323,7 @@ pub(crate) fn run_set(
 }
 
 /// Evaluate one SELECT block.
-fn run_select(cx: Cx<'_>, sel: &SelectPlan<'_>, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
+fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
     // 1. FROM. Views and derived tables are materialised first, in order; a
     //    view never sees the enclosing query's rows. A constant select
     //    (`SELECT 1`) has one row of one empty binding.
@@ -313,7 +339,7 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan<'_>, outer: Option<&Frame<'_, '_>>) -
     };
 
     // 2. WHERE: the conjuncts no scan took.
-    let residual: Vec<&PExpr<'_>> = sel.residual.iter().map(|c| &c.expr).collect();
+    let residual: Vec<&PExpr> = sel.residual.iter().map(|c| &c.expr).collect();
     filter(cx, &mut rows, n, &residual, outer)?;
 
     // 3. Aggregation or plain projection: the one place a SELECT copies
@@ -336,7 +362,7 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan<'_>, outer: Option<&Frame<'_, '_>>) -
 
     // 4. DISTINCT.
     if sel.distinct {
-        out = setops::distinct(out);
+        out = setops::distinct(out.into_iter());
     }
     Ok(out)
 }
@@ -346,7 +372,7 @@ pub(crate) fn filter<'v>(
     cx: Cx<'v>,
     rows: &mut Vec<&'v [Value]>,
     n: usize,
-    conjuncts: &[&'v PExpr<'v>],
+    conjuncts: &[&'v PExpr],
     outer: Option<&Frame<'_, 'v>>,
 ) -> Result<()> {
     if conjuncts.is_empty() {
@@ -425,5 +451,42 @@ mod tests {
             .query("SELECT x, UPPER(x), 1, x AS \"Y\" FROM t")
             .unwrap();
         assert_eq!(rs.schema.names(), ["x", "upper", "col3", "y"]);
+    }
+
+    #[test]
+    fn a_plan_names_its_tables_and_is_bound_where_a_decision_read_a_value() {
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE t (a INTEGER, f DOUBLE, c VARCHAR)",
+            "CREATE TABLE u (a INTEGER)",
+            "CREATE INDEX ON t (a)",
+            "CREATE INDEX ON t (f)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        let plan = |template: &str| {
+            let q = crate::parser::parse_template(template).unwrap();
+            let values = [Value::Int(1), Value::Int(2)];
+            let plan = plan::compile(&db.catalog, &db.config, &q, &values).unwrap();
+            (plan.is_bound(), plan.tables().join(","))
+        };
+        // Values compared, probed on an INTEGER index, listed, aggregated
+        // over without being named: any values.
+        assert_eq!(
+            plan(
+                "SELECT u.a FROM u JOIN t ON t.a = u.a WHERE t.a = $1 \
+                 UNION SELECT COUNT(*) FROM t WHERE a IN ($1, $2) AND c < 'x' GROUP BY c"
+            ),
+            (false, "u,t".into())
+        );
+        for reads_a_value in [
+            "SELECT a FROM t ORDER BY $1",
+            "SELECT a FROM t UNION SELECT a FROM u ORDER BY a + $2",
+            "SELECT $1 FROM t",
+            "SELECT SUM(a + $1) FROM t",
+            "SELECT c FROM t WHERE f = $1",
+        ] {
+            assert!(plan(reads_a_value).0, "{reads_a_value}");
+        }
     }
 }

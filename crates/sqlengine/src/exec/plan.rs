@@ -1,6 +1,5 @@
-//! Compile: one walk of a [`Query`] against schemas borrowed from the
-//! catalog produces the resolved plan the run-time operators consume and
-//! EXPLAIN renders.
+//! Compile: one walk of a [`Query`] against the catalog produces the
+//! resolved plan the run-time operators consume and EXPLAIN renders.
 //!
 //! Everything that does not depend on a row is decided here, once per
 //! statement: every column reference becomes a `(scope depth, binding,
@@ -18,10 +17,24 @@
 //! would have reached it. Every other failure a statement can meet (type
 //! mismatch, arity of a set operation, a scalar subquery with two rows, …)
 //! stays where it was, at run time, in the same order.
+//!
+//! A plan owns everything it holds and borrows nothing, so it can outlive
+//! the statement it was compiled for ([`crate::template`] keeps one per
+//! template): a literal is a [`Value`] of its own; a template's `$n` is
+//! [`Const::Param`], read from the values of each run; a base table is a
+//! slot of [`Plan::tables`], looked up by name in the catalog of each run
+//! (DML replaces a table's `Arc`, not its name, schema or indexes). What a
+//! plan may rely on of the catalog — tables, columns, indexes, views,
+//! functions — is the catalog's [`shape`](Catalog::shape). A plan runs for
+//! any values of its template unless one of its decisions read the values
+//! it was compiled with: an ORDER BY ordinal, a projected `$n`'s type, an
+//! aggregate named or typed by one, the `-0.0`/`0` exactness of a probe on a
+//! FLOAT column, an error that quotes one. The compiler then marks it
+//! [`bound`](Plan::is_bound) to those values.
 
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::ast::{
     is_aggregate_name, BinOp, Cte, Expr, JoinKind, OrderItem, Query, Select, SelectItem, SetExpr,
@@ -30,17 +43,34 @@ use crate::ast::{
 use crate::catalog::{lower, Catalog};
 use crate::error::{Error, Result};
 use crate::exec::recursion::{body_references, union_chain_is_all};
-use crate::exec::ExecConfig;
+use crate::exec::{ExecConfig, Rt};
 use crate::functions::ScalarFn;
 use crate::schema::{Column, Schema};
 use crate::storage::Table;
 use crate::template;
 use crate::value::{DataType, Value};
 
-/// A compiled expression. Literals borrow from the statement; a column is a
-/// position, never a name.
-pub(crate) enum PExpr<'a> {
-    Literal(&'a Value),
+/// A value a plan reads that no row holds: written in the statement, or a
+/// template's `$n`, bound when the plan runs.
+#[derive(Debug, Clone)]
+pub(crate) enum Const {
+    Literal(Value),
+    /// `$i+1`: the run's `params[i]`.
+    Param(usize),
+}
+
+impl Const {
+    pub fn get<'v>(&'v self, params: &'v [Value]) -> &'v Value {
+        match self {
+            Const::Literal(v) => v,
+            Const::Param(i) => &params[*i],
+        }
+    }
+}
+
+/// A compiled expression; a column is a position, never a name.
+pub(crate) enum PExpr {
+    Const(Const),
     /// `depth` scopes out from the SELECT being evaluated (0 = its own FROM),
     /// then the binding's position in that FROM and the column's in its row.
     Column {
@@ -50,8 +80,8 @@ pub(crate) enum PExpr<'a> {
     },
     /// An operator over sub-expressions, in the order they were written.
     Op {
-        op: Op<'a>,
-        args: Vec<PExpr<'a>>,
+        op: Op,
+        args: Vec<PExpr>,
     },
     /// Aggregate slot of the enclosing grouped SELECT.
     Agg(usize),
@@ -61,7 +91,7 @@ pub(crate) enum PExpr<'a> {
 }
 
 /// What [`PExpr::Op`] applies to its `args` (given per variant).
-pub(crate) enum Op<'a> {
+pub(crate) enum Op {
     /// `[left, right]`
     Binary(BinOp),
     /// `[operand]`
@@ -87,27 +117,27 @@ pub(crate) enum Op<'a> {
     /// fails when called, after its arguments were evaluated, as it always
     /// did.
     Call {
-        name: &'a str,
-        func: Option<&'a ScalarFn>,
+        name: String,
+        func: Option<ScalarFn>,
     },
     /// `[condition, result, …]`, then the ELSE result if there is one.
     Case,
     /// `[]`
     Exists {
-        sub: Box<SubPlan<'a>>,
+        sub: Box<SubPlan>,
         negated: bool,
     },
-    Scalar(Box<SubPlan<'a>>),
+    Scalar(Box<SubPlan>),
     /// `[needle]`
     InSubquery {
-        sub: Box<SubPlan<'a>>,
+        sub: Box<SubPlan>,
         negated: bool,
     },
 }
 
 /// A subquery in an expression.
-pub(crate) struct SubPlan<'a> {
-    pub query: QueryPlan<'a>,
+pub(crate) struct SubPlan {
+    pub query: QueryPlan,
     /// Holds a column reference to a scope outside itself.
     pub correlated: bool,
     /// `ExecConfig::subquery_cache`: an uncorrelated result is kept in `slot`
@@ -122,42 +152,60 @@ pub(crate) struct SubPlan<'a> {
     pub semi: Option<Vec<(usize, bool)>>,
 }
 
-/// A compiled statement. Its `Display` is the EXPLAIN text.
-pub struct Plan<'a> {
-    pub(crate) query: QueryPlan<'a>,
+/// A compiled statement (see the module docs); EXPLAIN renders it.
+pub struct Plan {
+    pub(crate) query: QueryPlan,
     /// Subquery cache slots the run must provide.
     pub(crate) slots: usize,
+    /// The base tables the plan reads, by catalog name: [`Source::Table`]
+    /// names a position here.
+    pub(crate) tables: Vec<String>,
+    /// A decision read a value the plan was compiled with.
+    bound: bool,
+}
+
+impl Plan {
+    /// The base tables the plan reads (each once, in the order first met).
+    pub fn tables(&self) -> &[String] {
+        &self.tables
+    }
+
+    /// Whether the plan answers only for the values it was compiled with
+    /// (see the module docs).
+    pub fn is_bound(&self) -> bool {
+        self.bound
+    }
 }
 
 /// One query: WITH, body, ORDER BY, LIMIT.
-pub(crate) struct QueryPlan<'a> {
+pub(crate) struct QueryPlan {
     /// WITH. A query that has one starts every evaluation with the subquery
     /// `slots` compiled inside it empty.
-    pub ctes: Vec<CtePlan<'a>>,
+    pub ctes: Vec<CtePlan>,
     pub slots: Range<usize>,
-    pub body: SetPlan<'a>,
+    pub body: SetPlan,
     pub sort: SortKeys,
     /// Number of ORDER BY items written.
     pub order_by: usize,
     pub limit: Option<u64>,
     /// Output schema; narrower than the body's when ORDER BY added hidden
     /// sort columns, which are stripped after sorting.
-    pub schema: Rc<Schema>,
+    pub schema: Arc<Schema>,
 }
 
-pub(crate) enum SetPlan<'a> {
-    Select(Box<SelectPlan<'a>>),
+pub(crate) enum SetPlan {
+    Select(Box<SelectPlan>),
     Op {
         op: SetOp,
         all: bool,
-        left: Box<SetPlan<'a>>,
-        right: Box<SetPlan<'a>>,
+        left: Box<SetPlan>,
+        right: Box<SetPlan>,
     },
 }
 
-impl SetPlan<'_> {
+impl SetPlan {
     /// Names and types come from the left-most SELECT.
-    pub fn schema(&self) -> &Rc<Schema> {
+    pub fn schema(&self) -> &Arc<Schema> {
         match self {
             SetPlan::Select(sel) => &sel.schema,
             SetPlan::Op { left, .. } => left.schema(),
@@ -165,20 +213,20 @@ impl SetPlan<'_> {
     }
 }
 
-pub(crate) struct CtePlan<'a> {
-    pub name: &'a str,
+pub(crate) struct CtePlan {
+    pub name: String,
     /// What scans of this CTE look up in the run's CTE environment.
     pub id: usize,
     pub width: usize,
-    pub body: CteBody<'a>,
+    pub body: CteBody,
 }
 
-pub(crate) enum CteBody<'a> {
-    Plain(QueryPlan<'a>),
+pub(crate) enum CteBody {
+    Plain(QueryPlan),
     /// Semi-naive: the UNION chain's terms in source order, each flagged
     /// recursive (reads the CTE, i.e. the previous round's delta) or seed.
     Recursive {
-        terms: Vec<(SetPlan<'a>, bool)>,
+        terms: Vec<(SetPlan, bool)>,
         dedup: bool,
         limit: usize,
         /// Slots of subqueries in the terms; emptied every round.
@@ -187,92 +235,96 @@ pub(crate) enum CteBody<'a> {
 }
 
 /// A WHERE conjunct with the text EXPLAIN prints for it.
-pub(crate) struct Conjunct<'a> {
-    pub expr: PExpr<'a>,
-    pub text: &'a Expr,
+pub(crate) struct Conjunct {
+    pub expr: PExpr,
+    /// Printed only for EXPLAIN ([`compile_for_explain`]); empty in a plan
+    /// that runs.
+    pub text: String,
 }
 
-pub(crate) struct SelectPlan<'a> {
-    pub factors: Vec<Factor<'a>>,
+pub(crate) struct SelectPlan {
+    pub factors: Vec<Factor>,
     /// Number of views / derived tables among the factors.
     pub subs: usize,
     /// WHERE conjuncts no scan took.
-    pub residual: Vec<Conjunct<'a>>,
-    pub items: Vec<PExpr<'a>>,
+    pub residual: Vec<Conjunct>,
+    pub items: Vec<PExpr>,
     /// One column per item (hidden sort columns included).
-    pub schema: Rc<Schema>,
-    pub group: Option<Group<'a>>,
+    pub schema: Arc<Schema>,
+    pub group: Option<Group>,
     pub distinct: bool,
 }
 
-pub(crate) struct Group<'a> {
-    pub keys: Vec<PExpr<'a>>,
-    pub aggs: Vec<Agg<'a>>,
-    pub having: Option<PExpr<'a>>,
+pub(crate) struct Group {
+    pub keys: Vec<PExpr>,
+    pub aggs: Vec<Agg>,
+    pub having: Option<PExpr>,
 }
 
-pub(crate) struct Agg<'a> {
-    pub func: &'a str,
-    pub arg: AggArg<'a>,
+pub(crate) struct Agg {
+    pub func: String,
+    pub arg: AggArg,
 }
 
-pub(crate) enum AggArg<'a> {
+pub(crate) enum AggArg {
     Star,
-    Expr(PExpr<'a>),
+    Expr(PExpr),
     /// Raised when a group is computed (`SUM(*)`, `COUNT(a, b)`).
     Invalid(Error),
 }
 
 /// One FROM binding: where its rows come from, which conjuncts its scan
 /// tests, how it joins what precedes it.
-pub(crate) struct Factor<'a> {
-    pub binding: Cow<'a, str>,
-    pub source: Source<'a>,
+pub(crate) struct Factor {
+    pub binding: String,
+    pub source: Source,
     pub kind: JoinKind,
     /// Starts a FROM item (cross-joined against the items before it).
     pub new_item: bool,
-    pub on: Option<&'a Expr>,
+    /// Has an ON clause.
+    pub on: bool,
     /// Every ON conjunct reads only this SELECT's own bindings.
     pub on_local: bool,
     /// Pushed-down WHERE conjuncts: they read this binding alone.
-    pub filters: Vec<Conjunct<'a>>,
-    /// Index access for the scan: indexed column and the literals to look up.
-    pub probe: Option<(usize, Vec<&'a Value>)>,
-    pub join: Join<'a>,
+    pub filters: Vec<Conjunct>,
+    /// Index access for the scan: indexed column and the values to look up.
+    pub probe: Option<(usize, Vec<Const>)>,
+    pub join: Join,
     /// An all-NULL row of this binding: what a LEFT join pads with, and what
     /// a global aggregate over no rows reads.
     pub nulls: Cow<'static, [Value]>,
 }
 
-pub(crate) enum Source<'a> {
-    Table(&'a Table),
+pub(crate) enum Source {
+    /// The plan's base table in this slot of [`Plan::tables`].
+    Table(usize),
     Cte {
         id: usize,
-        name: &'a str,
+        name: String,
     },
     /// View (`name` set) or derived table, materialised when the SELECT
     /// starts, into `slot` of its materialisations.
     Sub {
-        plan: Box<QueryPlan<'a>>,
-        view: Option<&'a str>,
+        plan: Box<QueryPlan>,
+        view: Option<String>,
         slot: usize,
     },
 }
 
-pub(crate) enum Join<'a> {
+pub(crate) enum Join {
     /// First factor: nothing to join.
     First,
     /// Probe the table's index on `col` with `key` of each left row.
     Index {
-        key: PExpr<'a>,
+        key: PExpr,
         col: usize,
-        residual: Vec<PExpr<'a>>,
+        residual: Vec<PExpr>,
     },
     /// Scan the factor, then hash it on the `(left, right)` key pairs — or,
     /// when the ON clause has none, loop over it.
     Scanned {
-        keys: Vec<(PExpr<'a>, PExpr<'a>)>,
-        residual: Vec<PExpr<'a>>,
+        keys: Vec<(PExpr, PExpr)>,
+        residual: Vec<PExpr>,
     },
 }
 
@@ -285,7 +337,7 @@ pub(crate) type SortKeys = Option<Result<Vec<(usize, bool)>>>;
 #[derive(Debug, Clone)]
 enum SchemaRef<'a> {
     Table(&'a Schema),
-    Shared(Rc<Schema>),
+    Shared(Arc<Schema>),
 }
 
 impl Deref for SchemaRef<'_> {
@@ -310,49 +362,56 @@ pub(crate) struct Compiler<'a> {
     config: &'a ExecConfig,
     /// The values a template's [`Expr::Param`]s are bound to.
     params: &'a [Value],
+    /// Print each conjunct's text, for EXPLAIN.
+    explain: bool,
     /// Innermost last.
     scopes: Vec<Scope<'a>>,
     /// CTEs in scope, innermost last: name, id, schema.
-    ctes: Vec<(&'a str, usize, Rc<Schema>)>,
+    ctes: Vec<(&'a str, usize, Arc<Schema>)>,
     /// Subqueries being compiled: number of scopes outside, and whether a
     /// reference has reached one of those.
     open_subs: Vec<(usize, bool)>,
     /// The aggregates of the grouped SELECT whose projection / HAVING is being
     /// compiled, under their rendered forms; positions are the slots.
-    group: Option<(Vec<String>, Vec<Agg<'a>>)>,
+    group: Option<(Vec<String>, Vec<Agg>)>,
     /// Subquery cache slots allocated so far.
     pub(crate) slots: usize,
+    /// Base tables met so far, by [`Source::Table`] slot.
+    tables: Vec<&'a Table>,
+    /// A decision read one of `params` ([`Plan::is_bound`]).
+    bound: bool,
     cte_ids: usize,
     view_depth: usize,
 }
 
-/// Compile a query for execution or EXPLAIN; `$n` of a template reads
-/// `params[n-1]` ([`Expr::Param`]), exactly as a literal of that value would
-/// be read — by index probes, ORDER BY ordinals and all.
-pub fn compile<'a>(
-    catalog: &'a Catalog,
-    config: &'a ExecConfig,
-    query: &'a Query,
-    params: &'a [Value],
-) -> Result<Plan<'a>> {
-    let mut c = Compiler {
+/// Compile a query for execution; `$n` of a template reads `params[n-1]`
+/// ([`Expr::Param`]) when the plan runs, and is decided on exactly as a
+/// literal of that value would be — by index probes, ORDER BY ordinals and
+/// all — which binds the plan to it where the decision reads it.
+pub fn compile(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    query: &Query,
+    params: &[Value],
+) -> Result<Plan> {
+    Compiler {
         params,
         ..Compiler::new(catalog, config)
-    };
-    let query = c.query(query)?;
-    Ok(Plan {
-        query,
-        slots: c.slots,
-    })
+    }
+    .plan(query)
 }
 
-/// The value `e` is, if it is a literal or a parameter bound in `params`.
-fn value_of<'a>(e: &'a Expr, params: &'a [Value]) -> Option<&'a Value> {
-    match e {
-        Expr::Literal(v) => Some(v),
-        Expr::Param(i) => params.get(*i),
-        _ => None,
+/// [`compile`] a statement for EXPLAIN: with its conjuncts' texts.
+pub(crate) fn compile_for_explain(
+    catalog: &Catalog,
+    config: &ExecConfig,
+    query: &Query,
+) -> Result<Plan> {
+    Compiler {
+        explain: true,
+        ..Compiler::new(catalog, config)
     }
+    .plan(query)
 }
 
 /// All-NULL rows of up to this many columns are not allocated.
@@ -378,9 +437,9 @@ pub(crate) fn conjuncts(e: &Expr) -> Vec<&Expr> {
     out
 }
 
-impl<'a> PExpr<'a> {
+impl PExpr {
     /// The top-level AND operands of a compiled predicate, in order.
-    pub(crate) fn conjuncts(&self) -> Vec<&PExpr<'a>> {
+    pub(crate) fn conjuncts(&self) -> Vec<&PExpr> {
         match self {
             PExpr::Op {
                 op: Op::Binary(BinOp::And),
@@ -404,7 +463,7 @@ pub(crate) struct Refs {
 }
 
 impl Refs {
-    pub fn of(e: &PExpr<'_>) -> Refs {
+    pub fn of(e: &PExpr) -> Refs {
         let mut r = Refs {
             lo: usize::MAX,
             ..Refs::default()
@@ -413,7 +472,7 @@ impl Refs {
         r
     }
 
-    fn visit(&mut self, e: &PExpr<'_>) {
+    fn visit(&mut self, e: &PExpr) {
         match e {
             PExpr::Column { depth, binding, .. } => {
                 self.cols += 1;
@@ -431,7 +490,7 @@ impl Refs {
                 );
                 args.iter().for_each(|x| self.visit(x));
             }
-            PExpr::Literal(_) | PExpr::Agg(_) | PExpr::Fail(_) => {}
+            PExpr::Const(_) | PExpr::Agg(_) | PExpr::Fail(_) => {}
         }
     }
 
@@ -463,15 +522,11 @@ impl Refs {
     }
 }
 
-/// If `e` is `col = literal` (either order) or `col IN (literals)` over a
-/// column of own-scope `binding`, and a hash index on that column would find
-/// exactly the rows SQL `=` matches, the column position and the literals.
-pub(crate) fn probe_literals<'a>(
-    e: &PExpr<'a>,
-    binding: usize,
-    schema: &Schema,
-) -> Option<(usize, Vec<&'a Value>)> {
-    let as_col = |x: &PExpr<'a>| match x {
+/// If `e` is `col = value` (either order) or `col IN (values)` over a column
+/// of own-scope `binding`, the column position and the values: what an
+/// index on that column could look up instead of scanning.
+fn probe_operands(e: &PExpr, binding: usize) -> Option<(usize, Vec<&Const>)> {
+    let as_col = |x: &PExpr| match x {
         PExpr::Column {
             depth: 0,
             binding: b,
@@ -479,56 +534,28 @@ pub(crate) fn probe_literals<'a>(
         } if *b == binding => Some(*ordinal),
         _ => None,
     };
-    let as_lit = |x: &PExpr<'a>| match x {
-        PExpr::Literal(v) => Some(*v),
-        _ => None,
-    };
-    let (col, literals) = match e {
+    fn as_const(x: &PExpr) -> Option<&Const> {
+        match x {
+            PExpr::Const(c) => Some(c),
+            _ => None,
+        }
+    }
+    match e {
         PExpr::Op {
             op: Op::Binary(BinOp::Eq),
             args,
         } => [(&args[0], &args[1]), (&args[1], &args[0])]
             .into_iter()
-            .find_map(|(c, v)| Some((as_col(c)?, vec![as_lit(v)?])))?,
+            .find_map(|(c, v)| Some((as_col(c)?, vec![as_const(v)?]))),
         PExpr::Op {
             op: Op::InList { negated: false },
             args,
-        } => (
+        } => Some((
             as_col(&args[0])?,
-            args[1..].iter().map(as_lit).collect::<Option<_>>()?,
-        ),
-        _ => return None,
-    };
-    // Index keys compare by `Value::total_cmp`, which — unlike SQL `=` —
-    // tells `-0.0` from `0.0`: a zero that may meet a FLOAT is not probed.
-    let float_column = schema.column(col).dtype == DataType::Float;
-    let exact = |v: &&Value| match v {
-        Value::Float(f) => *f != 0.0,
-        Value::Int(0) => !float_column,
-        _ => true,
-    };
-    literals.iter().all(exact).then_some((col, literals))
-}
-
-/// The one index-driven access path, shared by SELECT scans, UPDATE and
-/// DELETE: the first of `conjuncts` that is a probe (see [`probe_literals`])
-/// of an indexed column of `table`. `None` — no such conjunct, or
-/// `index_pushdown` off — means scan the table.
-pub(crate) fn index_probe<'a, 'e>(
-    config: &ExecConfig,
-    table: &Table,
-    binding: usize,
-    conjuncts: impl IntoIterator<Item = &'e PExpr<'a>>,
-) -> Option<(usize, Vec<&'a Value>)>
-where
-    'a: 'e,
-{
-    if !config.index_pushdown {
-        return None;
+            args[1..].iter().map(as_const).collect::<Option<_>>()?,
+        )),
+        _ => None,
     }
-    conjuncts.into_iter().find_map(|c| {
-        probe_literals(c, binding, &table.schema).filter(|(col, _)| table.has_index(*col))
-    })
 }
 
 impl<'a> Compiler<'a> {
@@ -537,13 +564,103 @@ impl<'a> Compiler<'a> {
             catalog,
             config,
             params: &[],
+            explain: false,
             scopes: Vec::new(),
             ctes: Vec::new(),
             open_subs: Vec::new(),
             group: None,
             slots: 0,
+            tables: Vec::new(),
+            bound: false,
             cte_ids: 0,
             view_depth: 0,
+        }
+    }
+
+    fn plan(mut self, query: &'a Query) -> Result<Plan> {
+        let query = self.query(query)?;
+        Ok(Plan {
+            query,
+            slots: self.slots,
+            tables: self.tables.iter().map(|t| t.name.clone()).collect(),
+            bound: self.bound,
+        })
+    }
+
+    /// The context to run what was compiled in: no values bound, the base
+    /// tables the compiler met (UPDATE / DELETE / INSERT, which compile and
+    /// run on one catalog).
+    pub(crate) fn rt<'r>(&self, obs: &'r pdm_obs::Recorder) -> Rt<'r>
+    where
+        'a: 'r,
+    {
+        Rt::new(obs, self.slots, &[], self.tables.clone())
+    }
+
+    /// The one index-driven access path, shared by SELECT scans, UPDATE and
+    /// DELETE: the first of `conjuncts` that compares an indexed column of
+    /// `table` (own-scope `binding`) with values — `=` or `IN` — for which
+    /// the index finds exactly the rows SQL `=` matches. `None` — no such
+    /// conjunct, or `index_pushdown` off — means scan the table.
+    pub(crate) fn index_probe<'e>(
+        &mut self,
+        table: &Table,
+        binding: usize,
+        conjuncts: impl IntoIterator<Item = &'e PExpr>,
+    ) -> Option<(usize, Vec<Const>)> {
+        if !self.config.index_pushdown {
+            return None;
+        }
+        conjuncts.into_iter().find_map(|c| {
+            let (col, keys) =
+                probe_operands(c, binding).filter(|(col, _)| table.has_index(*col))?;
+            // Index keys compare by `Value::total_cmp`, which — unlike SQL
+            // `=` — tells `-0.0` from `0.0`: a zero that may meet a FLOAT is
+            // not probed.
+            let float_column = table.schema.column(col).dtype == DataType::Float;
+            let exact = keys.iter().all(|k| {
+                let v = k.get(self.params);
+                if matches!(k, Const::Param(_)) && (float_column || !matches!(v, Value::Int(_))) {
+                    self.bound = true;
+                }
+                match v {
+                    Value::Float(f) => *f != 0.0,
+                    Value::Int(0) => !float_column,
+                    _ => true,
+                }
+            });
+            exact.then(|| (col, keys.into_iter().cloned().collect()))
+        })
+    }
+
+    /// The value `e` is, if it is a literal or a bound parameter — a
+    /// decision on which binds the plan to the values.
+    fn value_of(&mut self, e: &'a Expr) -> Option<&'a Value> {
+        match e {
+            Expr::Literal(v) => Some(v),
+            Expr::Param(i) => {
+                self.bound = true;
+                self.params.get(*i)
+            }
+            _ => None,
+        }
+    }
+
+    /// [`template::print_bound`]: a print that holds a `$n` binds the plan.
+    fn print_bound(&mut self, e: &impl std::fmt::Display) -> String {
+        let (print, holes) = template::print_bound(e, self.params);
+        self.bound |= holes;
+        print
+    }
+
+    /// The slot of a base table, given at its first scan.
+    fn table_slot(&mut self, table: &'a Table) -> usize {
+        match self.tables.iter().position(|t| std::ptr::eq(*t, table)) {
+            Some(slot) => slot,
+            None => {
+                self.tables.push(table);
+                self.tables.len() - 1
+            }
         }
     }
 
@@ -562,7 +679,7 @@ impl<'a> Compiler<'a> {
 
     // -- names -------------------------------------------------------------
 
-    fn resolve(&mut self, qualifier: Option<&str>, name: &str) -> Result<PExpr<'a>> {
+    fn resolve(&mut self, qualifier: Option<&str>, name: &str) -> Result<PExpr> {
         for (depth, scope) in self.scopes.iter().rev().enumerate() {
             let visible = &scope.bindings[..scope.visible];
             let mut found = None;
@@ -604,17 +721,17 @@ impl<'a> Compiler<'a> {
 
     // -- expressions -------------------------------------------------------
 
-    fn args(&mut self, exprs: impl IntoIterator<Item = &'a Expr>) -> Result<Vec<PExpr<'a>>> {
+    fn args(&mut self, exprs: impl IntoIterator<Item = &'a Expr>) -> Result<Vec<PExpr>> {
         exprs.into_iter().map(|x| self.expr(x)).collect()
     }
 
-    pub(crate) fn expr(&mut self, e: &'a Expr) -> Result<PExpr<'a>> {
+    pub(crate) fn expr(&mut self, e: &'a Expr) -> Result<PExpr> {
         let (op, args) = match e {
-            Expr::Literal(_) | Expr::Param(_) => {
-                return value_of(e, self.params)
-                    .map(PExpr::Literal)
-                    .ok_or_else(|| Error::Bind(format!("no value bound to {e}")));
+            Expr::Literal(v) => return Ok(PExpr::Const(Const::Literal(v.clone()))),
+            Expr::Param(i) if *i < self.params.len() => {
+                return Ok(PExpr::Const(Const::Param(*i)));
             }
+            Expr::Param(_) => return Err(Error::Bind(format!("no value bound to {e}"))),
             Expr::Column { qualifier, name } => return self.resolve(qualifier.as_deref(), name),
             Expr::BinaryOp { left, op, right } => {
                 (Op::Binary(*op), self.args([&**left, &**right])?)
@@ -672,7 +789,7 @@ impl<'a> Compiler<'a> {
                     // slot. The argument compiles outside the group: a nested
                     // aggregate is the failure below.
                     Some((mut keys, mut aggs)) => {
-                        let key = template::print_bound(e, self.params);
+                        let key = self.print_bound(e);
                         let slot = match keys.iter().position(|k| *k == key) {
                             Some(slot) => slot,
                             None => {
@@ -695,7 +812,8 @@ impl<'a> Compiler<'a> {
                 return Ok(PExpr::Fail(invalid));
             }
             Expr::Function { name, args, .. } => {
-                let func = self.catalog.functions.get(name);
+                let func = self.catalog.functions().get(name).cloned();
+                let name = name.clone();
                 (Op::Call { name, func }, self.args(args)?)
             }
             Expr::Case {
@@ -709,7 +827,7 @@ impl<'a> Compiler<'a> {
         Ok(PExpr::Op { op, args })
     }
 
-    fn subquery(&mut self, q: &'a Query, exists: bool) -> Result<Box<SubPlan<'a>>> {
+    fn subquery(&mut self, q: &'a Query, exists: bool) -> Result<Box<SubPlan>> {
         let slot = self.slots;
         self.slots += 1;
         self.open_subs.push((self.scopes.len(), false));
@@ -744,7 +862,7 @@ impl<'a> Compiler<'a> {
 
     // -- queries -----------------------------------------------------------
 
-    pub(crate) fn query(&mut self, q: &'a Query) -> Result<QueryPlan<'a>> {
+    pub(crate) fn query(&mut self, q: &'a Query) -> Result<QueryPlan> {
         let slots_start = self.slots;
         let ctes_in_scope = self.ctes.len();
         let mut ctes = Vec::new();
@@ -761,7 +879,7 @@ impl<'a> Compiler<'a> {
                         (CteBody::Plain(plan), schema)
                     };
                 ctes.push(CtePlan {
-                    name: &cte.name,
+                    name: cte.name.clone(),
                     id,
                     width: schema.len(),
                     body: plan,
@@ -777,16 +895,16 @@ impl<'a> Compiler<'a> {
                 // Set operations sort by output columns / ordinals only.
                 let b = self.set_expr(body)?;
                 let sort = (!q.order_by.is_empty())
-                    .then(|| output_keys(b.schema().columns(), &q.order_by, self.params));
+                    .then(|| self.output_keys(b.schema().columns(), &q.order_by));
                 let visible = b.schema().len();
                 (b, sort, visible)
             }
         };
         self.ctes.truncate(ctes_in_scope);
         let schema = if visible == body.schema().len() {
-            Rc::clone(body.schema())
+            Arc::clone(body.schema())
         } else {
-            Rc::new(Schema::new(body.schema().columns()[..visible].to_vec()))
+            Arc::new(Schema::new(body.schema().columns()[..visible].to_vec()))
         };
         Ok(QueryPlan {
             ctes,
@@ -799,7 +917,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn set_expr(&mut self, body: &'a SetExpr) -> Result<SetPlan<'a>> {
+    fn set_expr(&mut self, body: &'a SetExpr) -> Result<SetPlan> {
         Ok(match body {
             SetExpr::Select(sel) => self.select(sel, &[])?.0,
             SetExpr::SetOp {
@@ -816,7 +934,7 @@ impl<'a> Compiler<'a> {
         })
     }
 
-    fn recursive_cte(&mut self, cte: &'a Cte, id: usize) -> Result<(CteBody<'a>, Rc<Schema>)> {
+    fn recursive_cte(&mut self, cte: &'a Cte, id: usize) -> Result<(CteBody, Arc<Schema>)> {
         if !cte.query.order_by.is_empty() || cte.query.limit.is_some() {
             return Err(Error::Bind(
                 "ORDER BY/LIMIT are not allowed in a recursive CTE body".into(),
@@ -835,8 +953,8 @@ impl<'a> Compiler<'a> {
         self.detached(|c| {
             // Seeds first: the first one names and types the CTE's columns,
             // which the recursive terms then read.
-            let mut terms: Vec<Option<(SetPlan<'a>, bool)>> = parts.iter().map(|_| None).collect();
-            let mut schema: Option<Rc<Schema>> = None;
+            let mut terms: Vec<Option<(SetPlan, bool)>> = parts.iter().map(|_| None).collect();
+            let mut schema: Option<Arc<Schema>> = None;
             for (slot, part) in terms.iter_mut().zip(&parts) {
                 if body_references(part, name) {
                     continue;
@@ -856,7 +974,7 @@ impl<'a> Compiler<'a> {
                 *slot = Some((seed, false));
             }
             let schema = schema.expect("at least one seed");
-            c.ctes.push((name, id, Rc::clone(&schema)));
+            c.ctes.push((name, id, Arc::clone(&schema)));
             for (slot, part) in terms.iter_mut().zip(&parts) {
                 if slot.is_none() {
                     *slot = Some((c.set_expr(part)?, true));
@@ -879,9 +997,9 @@ impl<'a> Compiler<'a> {
         &mut self,
         factor: &'a TableFactor,
         subs: &mut usize,
-    ) -> Result<(Source<'a>, SchemaRef<'a>)> {
-        let mut sub = |plan: QueryPlan<'a>, view| {
-            let schema = SchemaRef::Shared(Rc::clone(&plan.schema));
+    ) -> Result<(Source, SchemaRef<'a>)> {
+        let mut sub = |plan: QueryPlan, view| {
+            let schema = SchemaRef::Shared(Arc::clone(&plan.schema));
             *subs += 1;
             let source = Source::Sub {
                 plan: Box::new(plan),
@@ -898,11 +1016,13 @@ impl<'a> Compiler<'a> {
                     .rev()
                     .find(|(n, _, _)| n.eq_ignore_ascii_case(name))
                 {
-                    let source = Source::Cte { id: *id, name: cte };
-                    return Ok((source, SchemaRef::Shared(Rc::clone(schema))));
+                    let (id, name) = (*id, cte.to_string());
+                    let schema = SchemaRef::Shared(Arc::clone(schema));
+                    return Ok((Source::Cte { id, name }, schema));
                 }
                 if let Ok(table) = self.catalog.table(name) {
-                    return Ok((Source::Table(table), SchemaRef::Table(&table.schema)));
+                    let slot = self.table_slot(table);
+                    return Ok((Source::Table(slot), SchemaRef::Table(&table.schema)));
                 }
                 if let Some(view) = self.catalog.view(name) {
                     if self.view_depth > 32 {
@@ -913,7 +1033,7 @@ impl<'a> Compiler<'a> {
                     self.view_depth += 1;
                     let plan = self.detached(|c| c.query(&view.query))?;
                     self.view_depth -= 1;
-                    return Ok(sub(plan, Some(view.name.as_str())));
+                    return Ok(sub(plan, Some(view.name.clone())));
                 }
                 Err(Error::Bind(format!("unknown table '{name}'")))
             }
@@ -931,10 +1051,11 @@ impl<'a> Compiler<'a> {
         &mut self,
         sel: &'a Select,
         order_by: &'a [OrderItem],
-    ) -> Result<(SetPlan<'a>, SortKeys, usize)> {
+    ) -> Result<(SetPlan, SortKeys, usize)> {
         // 1. FROM: sources and their schemas, before this SELECT's own scope
         //    opens.
         let mut factors = Vec::new();
+        let mut ons = Vec::new();
         let mut bindings = Vec::new();
         let mut subs = 0;
         for twj in &sel.from {
@@ -943,12 +1064,13 @@ impl<'a> Compiler<'a> {
             for (i, (factor, kind, on)) in steps.enumerate() {
                 let (source, schema) = self.source(factor, &mut subs)?;
                 let binding = lower(factor.binding_name());
+                ons.push(on);
                 factors.push(Factor {
-                    binding: binding.clone(),
+                    binding: binding.to_string(),
                     source,
                     kind,
                     new_item: i == 0,
-                    on,
+                    on: on.is_some(),
                     on_local: true,
                     filters: Vec::new(),
                     probe: None,
@@ -972,7 +1094,11 @@ impl<'a> Compiler<'a> {
         for text in sel.where_clause.as_ref().map(conjuncts).unwrap_or_default() {
             let c = Conjunct {
                 expr: self.expr(text)?,
-                text,
+                text: if self.explain {
+                    text.to_string()
+                } else {
+                    String::new()
+                },
             };
             let refs = Refs::of(&c.expr);
             let target = factors.iter_mut().enumerate().find(|(k, f)| {
@@ -986,15 +1112,17 @@ impl<'a> Compiler<'a> {
 
         // 3. Access path and join method of each factor. An ON clause sees
         //    the bindings up to its own.
-        for (k, f) in factors.iter_mut().enumerate() {
+        for (k, (f, on)) in factors.iter_mut().zip(ons).enumerate() {
             self.scopes.last_mut().expect("own scope").visible = k + 1;
-            let on = self.args(f.on.map(conjuncts).unwrap_or_default())?;
+            let on = self.args(on.map(conjuncts).unwrap_or_default())?;
             f.on_local = on.iter().all(|c| Refs::of(c).local());
             if k > 0 {
                 f.join = self.join_method(f, k, on);
             }
-            if let (Source::Table(t), false) = (&f.source, matches!(f.join, Join::Index { .. })) {
-                f.probe = index_probe(self.config, t, k, f.filters.iter().map(|c| &c.expr));
+            if let (&Source::Table(slot), false) = (&f.source, matches!(f.join, Join::Index { .. }))
+            {
+                let table = self.tables[slot];
+                f.probe = self.index_probe(table, k, f.filters.iter().map(|c| &c.expr));
             }
         }
         self.scopes.last_mut().expect("own scope").visible = factors.len();
@@ -1025,7 +1153,7 @@ impl<'a> Compiler<'a> {
             subs,
             residual,
             items,
-            schema: Rc::new(Schema::new(columns)),
+            schema: Arc::new(Schema::new(columns)),
             group,
             distinct: sel.distinct,
         };
@@ -1033,10 +1161,10 @@ impl<'a> Compiler<'a> {
     }
 
     /// How factor `k` joins the factors before it, from its ON conjuncts.
-    fn join_method(&self, f: &Factor<'a>, k: usize, on: Vec<PExpr<'a>>) -> Join<'a> {
+    fn join_method(&self, f: &Factor, k: usize, on: Vec<PExpr>) -> Join {
         // An equi conjunct between the left side and this factor, and whether
         // it is written `this = left`.
-        let flipped = |c: &PExpr<'a>| match c {
+        let flipped = |c: &PExpr| match c {
             PExpr::Op {
                 op: Op::Binary(BinOp::Eq),
                 args,
@@ -1048,7 +1176,7 @@ impl<'a> Compiler<'a> {
             _ => None,
         };
         // Its operands as (left side, this factor).
-        let pair = |c: PExpr<'a>, flipped: bool| {
+        let pair = |c: PExpr, flipped: bool| {
             let PExpr::Op { args, .. } = c else {
                 unreachable!("an equi conjunct is a comparison")
             };
@@ -1067,8 +1195,8 @@ impl<'a> Compiler<'a> {
         let probe = residual.iter().enumerate().find_map(|(at, c)| {
             let flipped = flipped(c).filter(|_| self.config.index_pushdown)?;
             match (c, &f.source) {
-                (PExpr::Op { args, .. }, Source::Table(t)) => match args[!flipped as usize] {
-                    PExpr::Column { ordinal, .. } if t.has_index(ordinal) => {
+                (PExpr::Op { args, .. }, &Source::Table(slot)) => match args[!flipped as usize] {
+                    PExpr::Column { ordinal, .. } if self.tables[slot].has_index(ordinal) => {
                         Some((at, flipped, ordinal))
                     }
                     _ => None,
@@ -1095,7 +1223,7 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    fn aggregate(&mut self, agg: &'a Expr) -> Result<Agg<'a>> {
+    fn aggregate(&mut self, agg: &'a Expr) -> Result<Agg> {
         let Expr::Function { name, args, star } = agg else {
             unreachable!("called for aggregate calls")
         };
@@ -1113,7 +1241,10 @@ impl<'a> Compiler<'a> {
                 name.to_uppercase()
             )))
         };
-        Ok(Agg { func: name, arg })
+        Ok(Agg {
+            func: name.clone(),
+            arg,
+        })
     }
 
     /// Expand the projection list into compiled items and output columns,
@@ -1123,7 +1254,7 @@ impl<'a> Compiler<'a> {
         sel: &'a Select,
         order_by: &'a [OrderItem],
         grouped: bool,
-    ) -> Result<(Vec<PExpr<'a>>, Vec<Column>, SortKeys, usize)> {
+    ) -> Result<(Vec<PExpr>, Vec<Column>, SortKeys, usize)> {
         let mut items = Vec::with_capacity(sel.projection.len());
         let mut columns = Vec::with_capacity(sel.projection.len());
         // Result-schema types are best effort (the executor is dynamically
@@ -1182,7 +1313,7 @@ impl<'a> Compiler<'a> {
                     }
                     let compiled = self.expr(expr)?;
                     let dtype = if grouped {
-                        infer_agg_type(expr, self.params)
+                        self.infer_agg_type(expr)
                     } else {
                         self.infer_type(&compiled)
                     };
@@ -1198,13 +1329,13 @@ impl<'a> Compiler<'a> {
         // Aggregate selects (and DISTINCT, where hidden columns would change
         // dedup semantics) sort on output columns / ordinals only.
         if grouped || sel.distinct {
-            let sort = output_keys(&columns, order_by, self.params);
+            let sort = self.output_keys(&columns, order_by);
             return Ok((items, columns, Some(sort), visible));
         }
         let mut keys = Vec::with_capacity(order_by.len());
         let mut failed = None;
         for item in order_by {
-            let idx = match (&item.expr, value_of(&item.expr, self.params)) {
+            let idx = match (&item.expr, self.value_of(&item.expr)) {
                 (_, Some(Value::Int(n))) => {
                     let i = (*n - 1).max(0) as usize;
                     if i >= visible && failed.is_none() {
@@ -1251,7 +1382,7 @@ impl<'a> Compiler<'a> {
     }
 
     /// Best-effort output type of a plain projection item.
-    fn infer_type(&self, e: &PExpr<'a>) -> DataType {
+    fn infer_type(&mut self, e: &PExpr) -> DataType {
         match e {
             PExpr::Column {
                 depth: 0,
@@ -1261,7 +1392,10 @@ impl<'a> Compiler<'a> {
                 let scope = self.scopes.last().expect("own scope");
                 scope.bindings[*binding].1.column(*ordinal).dtype
             }
-            PExpr::Literal(v) => v.data_type().unwrap_or(DataType::Int),
+            PExpr::Const(c) => {
+                self.bound |= matches!(c, Const::Param(_));
+                c.get(self.params).data_type().unwrap_or(DataType::Int)
+            }
             PExpr::Op { op, args } => match op {
                 Op::Cast(dtype) => *dtype,
                 Op::Binary(BinOp::Concat) => DataType::Text,
@@ -1279,66 +1413,71 @@ impl<'a> Compiler<'a> {
             _ => DataType::Text,
         }
     }
-}
 
-fn infer_agg_type(e: &Expr, params: &[Value]) -> DataType {
-    match e {
-        Expr::Function { name, .. } if name == "count" => DataType::Int,
-        Expr::Function { name, .. } if name == "avg" => DataType::Float,
-        Expr::Cast { dtype, .. } => *dtype,
-        Expr::Literal(_) | Expr::Param(_) => value_of(e, params)
-            .and_then(Value::data_type)
-            .unwrap_or(DataType::Int),
-        _ => DataType::Float,
+    fn infer_agg_type(&mut self, e: &'a Expr) -> DataType {
+        match e {
+            Expr::Function { name, .. } if name == "count" => DataType::Int,
+            Expr::Function { name, .. } if name == "avg" => DataType::Float,
+            Expr::Cast { dtype, .. } => *dtype,
+            Expr::Literal(_) | Expr::Param(_) => self
+                .value_of(e)
+                .and_then(Value::data_type)
+                .unwrap_or(DataType::Int),
+            _ => DataType::Float,
+        }
     }
-}
 
-/// ORDER BY over a result as it stands: ordinals (`ORDER BY 1, 2`) or
-/// output-column names.
-fn output_keys(
-    columns: &[Column],
-    order_by: &[OrderItem],
-    params: &[Value],
-) -> Result<Vec<(usize, bool)>> {
-    let mut keys = Vec::with_capacity(order_by.len());
-    for item in order_by {
-        let idx = match (&item.expr, value_of(&item.expr, params)) {
-            (_, Some(Value::Int(n))) => {
-                let n = *n;
-                if n < 1 || n as usize > columns.len() {
-                    return Err(Error::Bind(format!(
-                        "ORDER BY ordinal {n} out of range 1..={}",
-                        columns.len()
-                    )));
+    /// ORDER BY over a result as it stands: ordinals (`ORDER BY 1, 2`) or
+    /// output-column names.
+    fn output_keys(
+        &mut self,
+        columns: &[Column],
+        order_by: &'a [OrderItem],
+    ) -> Result<Vec<(usize, bool)>> {
+        let mut keys = Vec::with_capacity(order_by.len());
+        for item in order_by {
+            let idx = match (&item.expr, self.value_of(&item.expr)) {
+                (_, Some(Value::Int(n))) => {
+                    let n = *n;
+                    if n < 1 || n as usize > columns.len() {
+                        return Err(Error::Bind(format!(
+                            "ORDER BY ordinal {n} out of range 1..={}",
+                            columns.len()
+                        )));
+                    }
+                    (n - 1) as usize
                 }
-                (n - 1) as usize
-            }
-            (
-                Expr::Column {
-                    qualifier: None,
-                    name,
-                },
-                _,
-            ) => columns
-                .iter()
-                .position(|c| c.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| Error::Bind(format!("unknown column '{name}'")))?,
-            (other, _) => {
-                return Err(Error::Bind(format!(
-                    "ORDER BY supports ordinals and output columns, got {}",
-                    template::print_bound(other, params)
-                )))
-            }
-        };
-        keys.push((idx, item.desc));
+                (
+                    Expr::Column {
+                        qualifier: None,
+                        name,
+                    },
+                    _,
+                ) => columns
+                    .iter()
+                    .position(|c| c.name.eq_ignore_ascii_case(name))
+                    .ok_or_else(|| Error::Bind(format!("unknown column '{name}'")))?,
+                (other, _) => {
+                    return Err(Error::Bind(format!(
+                        "ORDER BY supports ordinals and output columns, got {}",
+                        self.print_bound(other)
+                    )))
+                }
+            };
+            keys.push((idx, item.desc));
+        }
+        Ok(keys)
     }
-    Ok(keys)
 }
 
 /// A CTE's schema under its declared column list (keeping inferred types).
-fn rename_columns(schema: &Rc<Schema>, declared: &[String], cte_name: &str) -> Result<Rc<Schema>> {
+fn rename_columns(
+    schema: &Arc<Schema>,
+    declared: &[String],
+    cte_name: &str,
+) -> Result<Arc<Schema>> {
     if declared.is_empty() {
-        return Ok(Rc::clone(schema));
+        return Ok(Arc::clone(schema));
     }
     if declared.len() != schema.len() {
         return Err(Error::Bind(format!(
@@ -1347,7 +1486,7 @@ fn rename_columns(schema: &Rc<Schema>, declared: &[String], cte_name: &str) -> R
             schema.len()
         )));
     }
-    Ok(Rc::new(Schema::new(
+    Ok(Arc::new(Schema::new(
         declared
             .iter()
             .zip(schema.columns())
@@ -1359,14 +1498,14 @@ fn rename_columns(schema: &Rc<Schema>, declared: &[String], cte_name: &str) -> R
 /// The decorrelatable shape of a correlated EXISTS: a single SELECT without
 /// aggregation over tables and CTEs, every conjunct either local to it or an
 /// equality between a local and an outer-only expression.
-fn semijoin_pairs(query: &QueryPlan<'_>) -> Option<Vec<(usize, bool)>> {
+fn semijoin_pairs(query: &QueryPlan) -> Option<Vec<(usize, bool)>> {
     if !query.ctes.is_empty() || query.limit == Some(0) {
         return None;
     }
     let SetPlan::Select(sel) = &query.body else {
         return None;
     };
-    let plain = |f: &Factor<'_>| !matches!(f.source, Source::Sub { .. }) && f.on_local;
+    let plain = |f: &Factor| !matches!(f.source, Source::Sub { .. }) && f.on_local;
     if sel.group.is_some() || sel.factors.is_empty() || !sel.factors.iter().all(plain) {
         return None;
     }
@@ -1393,3 +1532,9 @@ fn semijoin_pairs(query: &QueryPlan<'_>) -> Option<Vec<(usize, bool)>> {
     }
     (!pairs.is_empty()).then_some(pairs)
 }
+
+// What the template table keeps across statements and threads.
+const _: () = {
+    const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
+    assert_send_sync_static::<Plan>();
+};

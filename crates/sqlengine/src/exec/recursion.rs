@@ -69,7 +69,7 @@ pub(crate) fn union_chain_is_all(body: &SetExpr) -> Result<bool> {
 
 /// Evaluate one recursive CTE into its materialised rows. `cx` holds the
 /// CTEs bound before it.
-pub(crate) fn run_recursive(cx: Cx<'_>, cte: &CtePlan<'_>) -> Result<Vec<Row>> {
+pub(crate) fn run_recursive(cx: Cx<'_>, cte: &CtePlan) -> Result<Vec<Row>> {
     let CteBody::Recursive {
         terms,
         dedup,
@@ -93,8 +93,8 @@ pub(crate) fn run_recursive(cx: Cx<'_>, cte: &CtePlan<'_>) -> Result<Vec<Row>> {
         absorb(&mut total, rows);
     }
 
-    let obs = &cx.rt.obs;
-    let rec_span = obs.span(pdm_obs::kinds::RECURSION, cte.name);
+    let obs = cx.rt.obs;
+    let rec_span = obs.span(pdm_obs::kinds::RECURSION, cte.name.as_str());
     let mut iterations = 0usize;
     // The previous round's delta is `total[delta_start..]`.
     let mut delta_start = 0;

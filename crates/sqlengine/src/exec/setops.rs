@@ -84,9 +84,9 @@ impl Seen {
 }
 
 /// Keep the first occurrence of each row, in order.
-pub(crate) fn distinct(rows: Vec<Row>) -> Vec<Row> {
+pub(crate) fn distinct(rows: impl Iterator<Item = Row>) -> Vec<Row> {
     let mut seen = Seen::default();
-    let mut out = Vec::with_capacity(rows.len());
+    let mut out = Vec::with_capacity(rows.size_hint().0);
     for row in rows {
         if seen.is_new(&out, &row) {
             out.push(row);
@@ -111,10 +111,7 @@ pub(crate) fn apply(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -
             left.extend(right);
             left
         }
-        (SetOp::Union, false) => {
-            left.extend(right);
-            distinct(left)
-        }
+        (SetOp::Union, false) => distinct(left.into_iter().chain(right)),
         (SetOp::Intersect | SetOp::Except, _) => {
             let keep_members = op == SetOp::Intersect;
             let mut members = Seen::default();

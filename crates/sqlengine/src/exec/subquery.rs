@@ -37,7 +37,7 @@ pub(crate) enum Cached {
 }
 
 /// Run the subquery for the row in `f`.
-fn run(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<Vec<Row>> {
+fn run(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan) -> Result<Vec<Row>> {
     let span = cx.rt.obs.span(pdm_obs::kinds::SUBQUERY, "eval");
     cx.rt.stats.borrow_mut().subquery_evals += 1;
     let rows = run_query(cx, &sub.query, Some(f))?;
@@ -51,7 +51,7 @@ fn run(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<Vec<Row>> {
 }
 
 /// `EXISTS (query)` for the row in `f`.
-pub(crate) fn exists(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<bool> {
+pub(crate) fn exists(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan) -> Result<bool> {
     let rt = cx.rt;
     match rt.cached(sub.slot) {
         Some(Cached::Exists(b)) => {
@@ -90,7 +90,7 @@ pub(crate) fn exists(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result
 pub(crate) fn in_subquery(
     cx: Cx<'_>,
     f: &Frame<'_, '_>,
-    sub: &SubPlan<'_>,
+    sub: &SubPlan,
     needle: &Value,
 ) -> Result<(bool, bool)> {
     if let Some(Cached::InSet(set)) = cx.rt.cached(sub.slot) {
@@ -122,7 +122,7 @@ pub(crate) fn in_subquery(
 }
 
 /// `(SELECT single-value)`; NULL on zero rows, error on more than one row.
-pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result<Value> {
+pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan) -> Result<Value> {
     if let Some(Cached::Scalar(v)) = cx.rt.cached(sub.slot) {
         cx.rt.stats.borrow_mut().subquery_cache_hits += 1;
         return Ok(v);
@@ -149,7 +149,7 @@ pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan<'_>) -> Result
 // Semi-join decorrelation
 // ---------------------------------------------------------------------------
 
-fn inner_select<'p>(sub: &'p SubPlan<'p>) -> &'p SelectPlan<'p> {
+fn inner_select(sub: &SubPlan) -> &SelectPlan {
     match &sub.query.body {
         SetPlan::Select(sel) => sel,
         SetPlan::Op { .. } => unreachable!("only a single SELECT decorrelates"),
@@ -157,10 +157,7 @@ fn inner_select<'p>(sub: &'p SubPlan<'p>) -> &'p SelectPlan<'p> {
 }
 
 /// The two operands of correlated conjunct `at`: (inner side, outer side).
-fn pair<'p>(
-    sel: &'p SelectPlan<'p>,
-    (at, inner_left): (usize, bool),
-) -> (&'p PExpr<'p>, &'p PExpr<'p>) {
+fn pair(sel: &SelectPlan, (at, inner_left): (usize, bool)) -> (&PExpr, &PExpr) {
     match &sel.residual[at].expr {
         PExpr::Op { args, .. } if inner_left => (&args[0], &args[1]),
         PExpr::Op { args, .. } => (&args[1], &args[0]),
@@ -173,11 +170,11 @@ fn pair<'p>(
 /// keys never match.
 fn build_semijoin(
     cx: Cx<'_>,
-    sub: &SubPlan<'_>,
+    sub: &SubPlan,
     pairs: &[(usize, bool)],
 ) -> Result<HashSet<Vec<Value>>> {
     let sel = inner_select(sub);
-    let local: Vec<&PExpr<'_>> = (0..sel.residual.len())
+    let local: Vec<&PExpr> = (0..sel.residual.len())
         .filter(|i| pairs.iter().all(|(at, _)| at != i))
         .map(|i| &sel.residual[i].expr)
         .collect();
@@ -205,7 +202,7 @@ fn build_semijoin(
 fn probe_semijoin(
     cx: Cx<'_>,
     f: &Frame<'_, '_>,
-    sub: &SubPlan<'_>,
+    sub: &SubPlan,
     keys: &HashSet<Vec<Value>>,
 ) -> Result<bool> {
     let sel = inner_select(sub);

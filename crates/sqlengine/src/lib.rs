@@ -66,19 +66,17 @@ impl ExecOutcome {
     }
 }
 
-/// Where every `query_ast*` entry point of [`Database`] and [`Snapshot`]
-/// meets the executor: one `engine.query` span around one
-/// [`exec::execute`]. A disabled recorder records nothing, so the rows and
-/// counters are the same with and without one.
+/// Where every query entry point of [`Database`] and [`Snapshot`] meets the
+/// executor: one `engine.query` span around one `run` — a compile and run
+/// ([`exec::execute`]) or a template's ([`template::Template::run`]). A
+/// disabled recorder records nothing, so the rows and counters are the same
+/// with and without one.
 pub(crate) fn evaluate(
-    catalog: &Catalog,
-    config: &ExecConfig,
-    query: &Query,
-    params: &[Value],
     obs: &pdm_obs::Recorder,
+    run: impl FnOnce() -> Result<(ResultSet, ExecStats)>,
 ) -> Result<(ResultSet, ExecStats)> {
     let span = obs.span(pdm_obs::kinds::ENGINE_QUERY, "eval");
-    let (rs, stats) = exec::execute(catalog, config, query, params, obs)?;
+    let (rs, stats) = run()?;
     span.set_rows(0, rs.len() as u64);
     Ok((rs, stats))
 }
@@ -138,13 +136,10 @@ impl Database {
 
     /// Run an already-parsed query, returning execution statistics.
     pub fn query_ast_with_stats(&self, query: &Query) -> Result<(ResultSet, ExecStats)> {
-        evaluate(
-            &self.catalog,
-            &self.config,
-            query,
-            &[],
-            &pdm_obs::Recorder::disabled(),
-        )
+        let disabled = pdm_obs::Recorder::disabled();
+        evaluate(&disabled, || {
+            exec::execute(&self.catalog, &self.config, query, &[], &disabled)
+        })
     }
 
     /// Execute a parsed DML/DDL statement.
@@ -165,7 +160,7 @@ impl Database {
         name: &str,
         f: impl Fn(&[Value]) -> Result<Value> + Send + Sync + 'static,
     ) {
-        self.catalog.functions.register(name, f);
+        self.catalog.functions_mut().register(name, f);
     }
 
     /// Programmatic bulk load (used by the workload generator): insert rows

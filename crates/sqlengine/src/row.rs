@@ -1,6 +1,7 @@
 //! Rows and result sets.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::schema::Schema;
 use crate::value::Value;
@@ -56,23 +57,24 @@ impl fmt::Display for Row {
     }
 }
 
-/// A materialized query result: schema plus rows.
+/// A materialized query result: schema plus rows. The schema is shared
+/// with the plan that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
-    pub schema: Schema,
+    pub schema: Arc<Schema>,
     pub rows: Vec<Row>,
 }
 
 impl ResultSet {
-    pub fn new(schema: Schema, rows: Vec<Row>) -> Self {
-        ResultSet { schema, rows }
+    pub fn new(schema: impl Into<Arc<Schema>>, rows: Vec<Row>) -> Self {
+        ResultSet {
+            schema: schema.into(),
+            rows,
+        }
     }
 
-    pub fn empty(schema: Schema) -> Self {
-        ResultSet {
-            schema,
-            rows: Vec::new(),
-        }
+    pub fn empty(schema: impl Into<Arc<Schema>>) -> Self {
+        ResultSet::new(schema, Vec::new())
     }
 
     pub fn len(&self) -> usize {

@@ -30,6 +30,7 @@ use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::ExecConfig;
 use crate::row::ResultSet;
+use crate::template::Template;
 use crate::update::execute_statement;
 use crate::{parser, Database, DmlOutcome, ExecOutcome};
 
@@ -67,18 +68,23 @@ impl Snapshot {
         query: &crate::ast::Query,
         obs: &pdm_obs::Recorder,
     ) -> Result<(ResultSet, crate::exec::ExecStats)> {
-        self.query_bound_profiled(query, &[], obs)
+        crate::evaluate(obs, || {
+            crate::exec::execute(&self.catalog, &self.config, query, &[], obs)
+        })
     }
 
     /// [`Snapshot::query_ast_profiled`] of a template's query with its `$n`
-    /// bound to `params` ([`crate::template`]).
-    pub fn query_bound_profiled(
+    /// bound to `values`, through the plan the template keeps
+    /// ([`Template::run`]).
+    pub fn query_template_profiled(
         &self,
-        query: &crate::ast::Query,
-        params: &[crate::Value],
+        template: &Template,
+        values: &[crate::Value],
         obs: &pdm_obs::Recorder,
     ) -> Result<(ResultSet, crate::exec::ExecStats)> {
-        crate::evaluate(&self.catalog, &self.config, query, params, obs)
+        crate::evaluate(obs, || {
+            template.run(&self.catalog, &self.config, values, obs)
+        })
     }
 }
 

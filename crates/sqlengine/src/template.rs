@@ -7,9 +7,10 @@
 //! with each integer literal replaced by `$1`, `$2`, …, and those integers;
 //! [`Templates`] keeps each template parsed once, its query holding
 //! [`Expr::Param`](crate::ast::Expr::Param) where the text had a value, and
-//! its canonical print cut where the values go. A miss then costs one scan
-//! of its text, one table probe and one splice, and compiles the template's
-//! query with the values bound ([`crate::exec::plan::compile`]).
+//! its canonical print cut where the values go; a template keeps its query
+//! compiled, too ([`Template::run`]). A miss then costs one scan of its text,
+//! one table probe and one splice, and runs the template's plan with the
+//! values bound.
 //!
 //! Two kinds of literal stay in the template, because the parser reads
 //! their values: one after a `-` (`-5`, `-(5)`, `- +5` fold into a negative
@@ -24,9 +25,13 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::ast::Query;
+use crate::catalog::Catalog;
 use crate::error::Result;
+use crate::exec::plan::{compile, Plan};
+use crate::exec::{ExecConfig, ExecStats};
 use crate::lexer::{Kw, Lexer, Token};
 use crate::parser::{parse_query, parse_template};
+use crate::row::ResultSet;
 use crate::value::Value;
 
 /// Templates a [`Templates`] table holds; one more empties it.
@@ -74,8 +79,8 @@ fn split(text: &str) -> Result<Split> {
     Ok(Split { template, values })
 }
 
-/// A template parsed once: its query, and its canonical print cut where the
-/// values go.
+/// A template parsed once: its query, its canonical print cut where the
+/// values go, and its query's plan.
 #[derive(Debug)]
 pub struct Template {
     query: Query,
@@ -84,6 +89,24 @@ pub struct Template {
     print: String,
     /// Each `$n` of `print`: where it stands and which value it names.
     holes: Vec<(Range<usize>, usize)>,
+    /// The query compiled once; held only to hand out or replace.
+    plan: Mutex<Option<Kept>>,
+}
+
+/// A template's plan, with what it was compiled on: a catalog of this
+/// shape under this configuration.
+struct Kept {
+    shape: u64,
+    config: ExecConfig,
+    plan: Arc<Plan>,
+}
+
+impl fmt::Debug for Kept {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kept")
+            .field("shape", &self.shape)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Template {
@@ -100,12 +123,62 @@ impl Template {
             query,
             print,
             holes,
+            plan: Mutex::default(),
         }
     }
 
     /// The query, `$n` being [`Expr::Param`](crate::ast::Expr::Param)`(n - 1)`.
     pub fn query(&self) -> &Query {
         &self.query
+    }
+
+    /// Run the query with its `$n` bound to `values` on `catalog`: through
+    /// the plan kept for the catalog's shape and `config`, or one compiled
+    /// now — and kept, unless it is bound to these values
+    /// ([`Plan::is_bound`]). Nothing is locked while it compiles or runs.
+    pub fn run(
+        &self,
+        catalog: &Catalog,
+        config: &ExecConfig,
+        values: &[Value],
+        obs: &pdm_obs::Recorder,
+    ) -> Result<(ResultSet, ExecStats)> {
+        let plan = match self.kept(catalog, config) {
+            Some(plan) => plan,
+            None => {
+                let plan = compile(catalog, config, &self.query, values)?;
+                if plan.is_bound() {
+                    return plan.run(catalog, values, obs);
+                }
+                self.keep(catalog, config, plan)
+            }
+        };
+        plan.run(catalog, values, obs)
+    }
+
+    /// The plan kept for `catalog`'s shape under `config`, if there is one.
+    fn kept(&self, catalog: &Catalog, config: &ExecConfig) -> Option<Arc<Plan>> {
+        let kept = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
+        let valid = kept.as_ref()?;
+        (valid.shape == catalog.shape() && valid.config == *config).then(|| Arc::clone(&valid.plan))
+    }
+
+    /// Keep `plan`, compiled on `catalog` under `config`, in place of
+    /// whatever was kept.
+    fn keep(&self, catalog: &Catalog, config: &ExecConfig, plan: Plan) -> Arc<Plan> {
+        let plan = Arc::new(plan);
+        let kept = Kept {
+            shape: catalog.shape(),
+            config: config.clone(),
+            plan: Arc::clone(&plan),
+        };
+        // What this replaces is freed once the lock is released.
+        let _replaced = self
+            .plan
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .replace(kept);
+        plan
     }
 
     /// Append the canonical key of the text that split into this template
@@ -151,16 +224,18 @@ fn splice(
 }
 
 /// The print of `e`, a part of a template's query, as the text the template
-/// was split from has it: every `$n` replaced by `params[n - 1]`. What the
-/// compiler names an aggregate by and quotes in an error.
-pub(crate) fn print_bound(e: &impl fmt::Display, params: &[Value]) -> String {
+/// was split from has it: every `$n` replaced by `params[n - 1]` — and
+/// whether it held one. What the compiler names an aggregate by and quotes
+/// in an error.
+pub(crate) fn print_bound(e: &impl fmt::Display, params: &[Value]) -> (String, bool) {
     let print = e.to_string();
-    if params.is_empty() {
-        return print;
+    // With values, every `$` of a template's print is a hole.
+    if params.is_empty() || !print.contains('$') {
+        return (print, false);
     }
     let mut out = String::with_capacity(print.len());
     splice(&print, holes(&print), params, &mut out);
-    out
+    (out, true)
 }
 
 /// A query text resolved through [`Templates`].
@@ -348,7 +423,9 @@ mod tests {
     #[test]
     fn print_bound_splices_the_values_back() {
         let e = Expr::binary(Expr::col("a"), crate::ast::BinOp::Plus, Expr::Param(1));
-        assert_eq!(print_bound(&e, &[]), "a + $2");
-        assert_eq!(print_bound(&e, &[Value::Int(4), Value::Int(5)]), "a + 5");
+        assert_eq!(print_bound(&e, &[]), ("a + $2".into(), false));
+        let values = [Value::Int(4), Value::Int(5)];
+        assert_eq!(print_bound(&e, &values), ("a + 5".into(), true));
+        assert_eq!(print_bound(&Expr::col("a"), &values), ("a".into(), false));
     }
 }

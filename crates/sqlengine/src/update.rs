@@ -9,8 +9,8 @@ use crate::ast::{Expr, Statement};
 use crate::catalog::Catalog;
 use crate::error::{Error, Result};
 use crate::exec::join::index_candidates;
-use crate::exec::plan::{index_probe, Compiler};
-use crate::exec::{ExecConfig, Frame, Rt};
+use crate::exec::plan::Compiler;
+use crate::exec::{ExecConfig, Frame};
 use crate::row::Row;
 use crate::value::Value;
 
@@ -82,7 +82,7 @@ pub fn execute_statement(
             Ok(DmlOutcome::ViewCreated)
         }
         Statement::CreateIndex { table, column } => {
-            catalog.table_mut(table)?.create_index(column)?;
+            catalog.create_index(table, column)?;
             Ok(DmlOutcome::IndexCreated)
         }
         Statement::DropTable { name } => {
@@ -99,7 +99,8 @@ fn eval_consts(catalog: &Catalog, config: &ExecConfig, exprs: &[Expr]) -> Result
         .iter()
         .map(|e| compiler.expr(e))
         .collect::<Result<_>>()?;
-    let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+    let disabled = pdm_obs::Recorder::disabled();
+    let rt = compiler.rt(&disabled);
     let frame = Frame::of(&[], None);
     compiled
         .iter()
@@ -181,15 +182,16 @@ fn matching_rows(
     // The index is chosen from the conjuncts; the row is judged by the
     // predicate as written (its AND is three-valued and type-checked).
     let parts = predicate.iter().flat_map(|p| p.conjuncts());
-    let probe = index_probe(config, t, 0, parts);
+    let probe = compiler.index_probe(t, 0, parts);
     let values = assignments
         .iter()
         .map(|(_, e)| compiler.expr(e))
         .collect::<Result<Vec<_>>>()?;
 
-    let rt = Rt::new(pdm_obs::Recorder::disabled(), compiler.slots);
+    let disabled = pdm_obs::Recorder::disabled();
+    let rt = compiler.rt(&disabled);
     let candidates = match &probe {
-        Some((col, literals)) => index_candidates(t, *col, literals),
+        Some((col, keys)) => index_candidates(t, *col, keys, &[]),
         None => (0..t.len()).collect(),
     };
     let mut matched = Vec::new();

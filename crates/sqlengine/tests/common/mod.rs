@@ -14,8 +14,8 @@ use pdm_sql::Value;
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::prepared::Shape;
 use pdm_core::query::{navigational, recursive};
-use pdm_core::rules::condition::{AggFunc, CmpOp, Condition, RowPredicate};
-use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
+use pdm_core::rules::{ActionKind, Rule};
 use pdm_core::RuleTable;
 
 /// The nine statements a session's actions come down to: every
@@ -57,38 +57,10 @@ pub const NINE_SHAPES: [(&str, Shape, ActionKind, &str); 9] = [
     ),
 ];
 
-/// The rule table of `crates/core/tests/golden_sql.rs` (all four condition
-/// classes) plus a check-out ∀rows rule.
+/// `pdm_core::rules::paper_rules` (all four condition classes) plus a
+/// check-out ∀rows rule, so that the check-out's statement is modified too.
 pub fn paper_rules() -> RuleTable {
-    let mut t = visibility_rules();
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::ForAllRows {
-            object_type: Some("assy".into()),
-            predicate: RowPredicate::compare("dec", CmpOp::Eq, "+"),
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "assy",
-        Condition::TreeAggregate {
-            func: AggFunc::Count,
-            attr: None,
-            object_type: Some("assy".into()),
-            op: CmpOp::LtEq,
-            value: 10_000.0,
-        },
-    ));
-    t.add(Rule::for_all_users(
-        ActionKind::MultiLevelExpand,
-        "comp",
-        Condition::ExistsStructure {
-            object_table: "comp".into(),
-            relation_table: "specified_by".into(),
-            related_table: "spec".into(),
-        },
-    ));
+    let mut t = pdm_core::rules::paper_rules();
     t.add(Rule::for_all_users(
         ActionKind::CheckOut,
         "assy",

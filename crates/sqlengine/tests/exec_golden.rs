@@ -13,11 +13,15 @@
 //! entry of the same key, and every entry must still differ from the
 //! parent's (no stale exceptions).
 //!
-//! A sixth configuration is checked, not recorded: every query with an
-//! integer literal is also run the way a server's cache miss runs it —
-//! split into its template and integers, the template parsed, compiled with
-//! the integers bound ([`bound_runs_as_written`]) — and must return exactly
-//! what the default configuration returns for the text as written.
+//! A sixth and a seventh configuration are checked, not recorded: every
+//! query with an integer literal is also run the way a server's cache miss
+//! runs it — split into its template and integers, the template parsed, its
+//! plan run with the integers bound ([`bound_runs_as_written`]) — and must
+//! return exactly what the default configuration returns for the text as
+//! written. The sixth compiles each statement's plan with its own integers;
+//! the seventh keeps one plan per template of a database, compiled with the
+//! integers of the first statement of that template, and runs it for every
+//! later one.
 //!
 //! `tests/golden/exec_spans.txt`, recorded the same way, holds the operator
 //! spans (kind, label, detail, rows in → out, nesting) a profiled run of the
@@ -111,37 +115,37 @@ fn indent(text: &str) -> String {
     text.lines().map(|l| format!("  {l}\n")).collect()
 }
 
-/// The sixth configuration, checked rather than recorded: a statement with
-/// an integer hole (or one the template path refuses), split into its
-/// template and integers, the template parsed and compiled with the
-/// integers bound — what a result-cache miss runs — returns the rows (in
-/// order), schema, `ExecStats` or error the statement as written returns
-/// under `db`'s configuration, and its key is the statement's canonical
-/// print.
-fn bound_runs_as_written(db: &Database, sql: &str) {
+/// The sixth and seventh configurations, checked rather than recorded: a
+/// statement with an integer hole (or one the template path refuses),
+/// resolved through `templates` — split into its template and integers, the
+/// template parsed once — and its template's plan run with the integers
+/// bound — what a result-cache miss runs — returns the rows (in order),
+/// schema, `ExecStats` or error the statement as written returns under
+/// `db`'s configuration, and its key is the statement's canonical print.
+/// Returns whether `templates` knew the template already (its plan, unless
+/// bound to its first values, was compiled for another statement).
+fn bound_runs_as_written(db: &Database, templates: &Templates, sql: &str) -> bool {
     let render = |run: pdm_sql::Result<(ResultSet, ExecStats)>| match run {
         Ok((rs, st)) => format!("{}  {}\n", render_rows(&rs), render_stats(&st)),
         Err(e) => format!("error: {e}"),
     };
-    let resolved = Templates::default().resolve(sql);
+    let known = templates.len();
+    let resolved = templates.resolve(sql);
+    let reused = templates.len() == known;
     if resolved.as_ref().is_ok_and(|r| r.values.is_empty()) {
-        return;
+        return false;
     }
     let bound = resolved.as_ref().map_err(Clone::clone).and_then(|r| {
         let disabled = pdm_obs::Recorder::disabled();
-        pdm_sql::exec::execute(
-            &db.catalog,
-            &db.config,
-            r.template.query(),
-            &r.values,
-            &disabled,
-        )
+        r.template
+            .run(&db.catalog, &db.config, &r.values, &disabled)
     });
     assert_eq!(render(bound), render(db.query_with_stats(sql)), "{sql}");
     if let Ok(r) = resolved {
         let canonical = pdm_sql::parser::parse_query(sql).unwrap().to_string();
         assert_eq!(*r.key, canonical, "{sql}");
     }
+    reused
 }
 
 /// The corpus as keyed entries, in recording order. A key is
@@ -150,6 +154,11 @@ fn bound_runs_as_written(db: &Database, sql: &str) {
 struct Corpus {
     entries: Vec<(String, String)>,
     counters: BTreeMap<String, usize>,
+    /// The seventh configuration's template table of each database.
+    kept: BTreeMap<String, Templates>,
+    /// Statements the seventh configuration ran through a template another
+    /// statement had made.
+    reused: usize,
 }
 
 impl Corpus {
@@ -199,7 +208,10 @@ impl Corpus {
         }
         let stats = stats.iter().map(|(l, s)| format!("  {l}: {s}\n")).collect();
         self.entries.push((format!("{id} stats"), stats));
-        bound_runs_as_written(&configured(db, CONFIGS[0]), sql);
+        let default = configured(db, CONFIGS[0]);
+        bound_runs_as_written(&default, &Templates::default(), sql);
+        let kept = self.kept.entry(db_name.to_string()).or_default();
+        self.reused += usize::from(bound_runs_as_written(&default, kept, sql));
         for cfg in [CONFIGS[0], CONFIGS[4]] {
             if cfg.0 == "bare" && !explain_bare {
                 continue;
@@ -1154,7 +1166,14 @@ fn differing(recorded: &[(String, String)], got: &[(String, String)]) -> Vec<(St
 fn executor_reproduces_the_recorded_corpus() {
     let parent = parse(&std::fs::read_to_string(golden_path("exec_corpus.txt")).unwrap());
     let changed = parse(&std::fs::read_to_string(golden_path("exec_corpus.changed.txt")).unwrap());
-    let actual = record().entries;
+    let corpus = record();
+    // The seventh configuration ran most of the corpus through kept plans.
+    assert!(
+        corpus.reused >= 50,
+        "{} statements reused a template",
+        corpus.reused
+    );
+    let actual = corpus.entries;
 
     // What differs from the parent's recording must be exactly what the
     // changed-entries file lists — no more, and nothing stale.

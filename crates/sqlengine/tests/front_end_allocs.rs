@@ -2,8 +2,10 @@
 #![allow(unsafe_code)]
 
 //! Allocation pin of the SQL front end: parsing a statement a session ships
-//! allocates what the AST it returns is made of and nothing per token, and
-//! a server's cache miss on a known template allocates no AST at all.
+//! allocates what the AST it returns is made of and nothing per token; a
+//! server's cache miss on a known template allocates no AST at all, and its
+//! run through the template's plan no plan node — only its result and a
+//! constant.
 //!
 //! The counts repeat exactly (nothing here depends on time, hashing or
 //! threads), so this is a test, not a benchmark. One `#[test]` only: the
@@ -16,9 +18,11 @@ use std::cell::Cell;
 
 use pdm_core::query::prepared::Shape;
 use pdm_core::rules::{visibility_rules, ActionKind};
+use pdm_obs::Recorder;
 use pdm_sql::lexer::Lexer;
 use pdm_sql::parser::parse_query;
 use pdm_sql::template::Templates;
+use pdm_workload::{build_database, TreeSpec};
 
 thread_local! {
     /// `Some(n)` while the calling thread is counting.
@@ -130,4 +134,38 @@ fn a_parse_allocates_what_its_ast_holds() {
         );
     }
     assert_eq!(templates.len(), 1);
+
+    // The miss then runs the template's plan, compiled once, with the
+    // values bound: it allocates what its result holds — the row vector,
+    // each row's values, each non-empty text — and a constant for the
+    // operators' scratch: the run's table slots, one frame per SELECT, per
+    // SELECT the scanned link rows and the joined pairs, the rows one of
+    // them projects, and the UNION's dedup set. No plan node.
+    let spec = TreeSpec::new(3, 3, 0.8).with_node_size(64);
+    let (db, _) = build_database(&spec).unwrap();
+    let disabled = Recorder::disabled();
+    let first = templates.resolve(&expand(2)).unwrap();
+    first
+        .template
+        .run(&db.catalog, &db.config, &first.values, &disabled)
+        .unwrap();
+    // Three assemblies: three sub-assemblies, two components, three.
+    for (id, rows, total) in [(4, 3, 25), (8, 2, 20), (9, 3, 25)] {
+        let resolved = templates.resolve(&expand(id)).unwrap();
+        let run = || {
+            let (rs, _) = (resolved.template)
+                .run(&db.catalog, &db.config, &resolved.values, &disabled)
+                .unwrap();
+            rs
+        };
+        let (rs, running) = allocations(run);
+        let (_, held) = allocations(|| rs.rows.clone());
+        assert_eq!(rs.len(), rows, "expand of {id}");
+        assert_eq!(
+            (running, running - held),
+            (total, 9),
+            "the expand of {id} allocated {running}, its result holds {held}"
+        );
+        assert_eq!(allocations(run).1, running, "a second run of {id}");
+    }
 }

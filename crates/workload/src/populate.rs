@@ -119,7 +119,7 @@ pub fn populate(db: &mut Database, data: &ProductData) -> Result<()> {
         ("comp", "obid"),
         ("specified_by", "left"),
     ] {
-        db.catalog.table_mut(table)?.create_index(col)?;
+        db.catalog.create_index(table, col)?;
     }
     Ok(())
 }

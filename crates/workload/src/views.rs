@@ -86,8 +86,8 @@ pub fn install_view(db: &mut Database, table: &str, links: &[GeneratedLink]) -> 
         })
         .collect();
     db.insert_rows(table, rows)?;
-    db.catalog.table_mut(table)?.create_index("left")?;
-    db.catalog.table_mut(table)?.create_index("right")?;
+    db.catalog.create_index(table, "left")?;
+    db.catalog.create_index(table, "right")?;
     Ok(())
 }
 
