@@ -40,6 +40,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use pdm_obs::{kinds, Counter, Histogram, MetricsRegistry, Recorder};
+use pdm_sql::ring::{Admit, Ring, Standing};
 use pdm_sql::template::{Resolved, Templates};
 use pdm_sql::{Database, ExecOutcome, ResultSet, SharedDatabase, Statement};
 
@@ -559,8 +560,12 @@ impl Drop for InFlightMarks<'_> {
 struct Slot {
     /// The storage version the rows were computed on, and the shared rows.
     /// An entry of an older version stays where it is until the key's next
-    /// publish or a capacity sweep; only [`Slot::at`] reads it.
+    /// publish or until the clock hand displaces it; only [`Slot::at`]
+    /// reads it.
     ready: Option<(u64, Arc<ResultSet>)>,
+    /// The table's miss count when `ready` was last published or hit
+    /// ([`Ring::now`]).
+    used: u64,
     /// A single-flight leader is computing this key. Concurrent misses on
     /// it wait (bounded by their deadline) on [`QueryCache::cv`] and
     /// re-probe instead of compiling + executing the same query N times —
@@ -577,9 +582,22 @@ impl Slot {
             _ => None,
         }
     }
+
+    /// [`Slot::at`], for a hit: the slot is stamped as used now.
+    fn hit(&mut self, version: u64, now: u64) -> Option<Arc<ResultSet>> {
+        let result = Arc::clone(self.at(version)?);
+        self.used = now;
+        Some(result)
+    }
 }
 
-type Slots = HashMap<Arc<str>, Slot>;
+/// The result cache's one table: its slots, and the ring of the keys whose
+/// slot holds a result.
+#[derive(Debug)]
+struct Table {
+    slots: HashMap<Arc<str>, Slot>,
+    ring: Ring<Arc<str>>,
+}
 
 /// Hit/miss counters of the cross-session cache (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -615,6 +633,16 @@ impl CacheStats {
 /// so "is it cached", "is somebody computing it" and "store it" are one
 /// look-up each under one mutex.
 ///
+/// The table holds at most [`CACHE_CAPACITY`] results, and a full one
+/// replaces by one rule ([`Ring`]): the keys holding a result sit in a ring
+/// under a clock hand, each slot is stamped with the table's miss count when
+/// its result was published or last hit, and a result new to a full table
+/// is kept only in place of the one under the hand, if that one is stale or
+/// went `2 × CACHE_CAPACITY` misses without a hit. Otherwise the new result
+/// is returned to its caller but not kept. So a working set larger than the
+/// table keeps a fixed part of itself, and one that moves on displaces what
+/// it left behind.
+///
 /// Hit/miss/invalidation counts live in the server's metrics registry
 /// (`cache.hits`, `cache.misses`, `cache.invalidations`), so they appear in
 /// the same snapshot as every other subsystem's counters.
@@ -623,14 +651,15 @@ struct QueryCache {
     /// The one table: a key is probed, claimed (or waited for) and
     /// published under this mutex, one look-up each, and the engine never
     /// runs while it is held. A key is one allocation shared with its
-    /// leader: a miss copies its printed key once.
-    slots: Mutex<Slots>,
+    /// leader and the ring: a miss copies its printed key once.
+    table: Mutex<Table>,
     /// Signalled whenever a leader leaves its slot, published or not.
     cv: Condvar,
     hits: Counter,
     misses: Counter,
-    /// Entries discarded because their storage version went stale — whether
-    /// replaced in place by a recomputation or removed by an eviction sweep.
+    /// Results that left the table other than by a hit: replaced in place by
+    /// a result of a newer version, or displaced by the clock hand — stale
+    /// or idle — to make room for another key's.
     invalidations: Counter,
     /// Computations that took single-flight leadership for their key.
     singleflight_leaders: Counter,
@@ -639,10 +668,10 @@ struct QueryCache {
     singleflight_hits: Counter,
 }
 
-/// Results the table holds at most. A publish that finds it full removes
-/// the results of stale versions and, when that leaves it still full, every
-/// result — current ones included (clear-all).
-const CACHE_CAPACITY: usize = 4096;
+/// Results the server's result cache holds at most. A publish that finds it
+/// full keeps its result only in place of a stale or idle one
+/// ([`pdm_sql::ring`]).
+pub const CACHE_CAPACITY: usize = 4096;
 
 /// Completed idempotency tokens whose outcome stays replayable: the highest
 /// (most recent) this many. An older token fails closed with
@@ -668,13 +697,16 @@ enum Claim<'a> {
     /// Nobody is computing the key: the caller is, from now on.
     Lead(Leadership<'a>),
     /// Somebody is: the table's guard, to wait on.
-    Wait(MutexGuard<'a, Slots>),
+    Wait(MutexGuard<'a, Table>),
 }
 
 impl QueryCache {
     fn new(registry: &MetricsRegistry) -> Self {
         QueryCache {
-            slots: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table {
+                slots: HashMap::new(),
+                ring: Ring::new(CACHE_CAPACITY),
+            }),
             cv: Condvar::new(),
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
@@ -685,27 +717,29 @@ impl QueryCache {
     }
 
     /// The result published under `key`, if it was computed on storage
-    /// `version`.
+    /// `version` — a hit, stamped.
     fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
-        lock_unpoisoned(&self.slots)
-            .get(key)
-            .and_then(|slot| slot.at(version))
-            .map(Arc::clone)
+        let mut table = lock_unpoisoned(&self.table);
+        let now = table.ring.now();
+        table.slots.get_mut(key)?.hit(version, now)
     }
 
     /// The one look-up of a canonical miss: return the key's current
-    /// result, or mark its slot as being computed by the caller, or — the
-    /// mark being somebody else's — hand back the guard to wait on.
+    /// result, or mark its slot as being computed by the caller — a miss of
+    /// the table, which advances its clock — or, the mark being somebody
+    /// else's, hand back the guard to wait on.
     fn claim<'a>(&'a self, key: &'a Arc<str>, version: u64) -> Claim<'a> {
-        let mut slots = lock_unpoisoned(&self.slots);
+        let mut table = lock_unpoisoned(&self.table);
+        let Table { slots, ring } = &mut *table;
         let slot = slots.entry(Arc::clone(key)).or_default();
-        if let Some(result) = slot.at(version) {
-            return Claim::Hit(Arc::clone(result));
+        if let Some(result) = slot.hit(version, ring.now()) {
+            return Claim::Hit(result);
         }
         if slot.computing {
-            return Claim::Wait(slots);
+            return Claim::Wait(table);
         }
         slot.computing = true;
+        ring.miss();
         self.singleflight_leaders.inc();
         Claim::Lead(Leadership { cache: self, key })
     }
@@ -713,42 +747,54 @@ impl QueryCache {
     /// Store `result`, computed on storage `version`, under `key` — by the
     /// key's leader (whose mark stays until it lets go of its leadership),
     /// or by a waiter that ran out of deadline and computed for itself. A
-    /// result never replaces one of a newer version. With
-    /// [`CACHE_CAPACITY`] results in the table, the stale ones are swept
-    /// first and, if that is not enough, all of them.
+    /// result never replaces one of a newer version. A key without a result
+    /// gets its place from the ring: below [`CACHE_CAPACITY`] results
+    /// always; in a full table in place of the result under the hand if
+    /// that one is stale or idle, and otherwise not at all — the caller
+    /// has its result either way.
     fn publish(&self, key: &Arc<str>, version: u64, result: &Arc<ResultSet>) {
         // What leaves the table is only *moved* out under its lock and
-        // freed after it is released: a swept result set is thousands of
-        // deallocations, and every concurrent hit would wait for them. The
-        // table keeps its allocation, so it does not regrow from nothing.
-        let (mut gone, mut replaced) = (Vec::new(), None);
-        let mut slots = lock_unpoisoned(&self.slots);
-        let results = |slots: &Slots| slots.values().filter(|s| s.ready.is_some()).count();
-        if slots.len() >= CACHE_CAPACITY && results(&slots) >= CACHE_CAPACITY {
-            // A slot that is being computed keeps its mark, whatever it held.
-            let mut sweep = |slots: &mut Slots, all: bool| {
-                slots.retain(|key, slot| {
-                    if slot.ready.is_some() && (all || slot.at(version).is_none()) {
-                        gone.push((Arc::clone(key), slot.ready.take()));
-                    }
-                    slot.computing || slot.ready.is_some()
-                });
+        // freed after it is released: a result set is thousands of
+        // deallocations, and every concurrent hit would wait for them.
+        let (mut displaced, mut replaced) = (None, None);
+        let mut table = lock_unpoisoned(&self.table);
+        let Table { slots, ring } = &mut *table;
+        if slots.get(&**key).is_none_or(|slot| slot.ready.is_none()) {
+            let standing = |victim: &Arc<str>| {
+                let slot = slots.get(victim);
+                let ready = slot.and_then(|slot| slot.ready.as_ref());
+                Standing {
+                    used: slot.map_or(0, |slot| slot.used),
+                    // Older than this result: no read asks for it again.
+                    stale: ready.is_none_or(|(v, _)| *v < version),
+                }
             };
-            sweep(&mut slots, false);
-            if results(&slots) >= CACHE_CAPACITY {
-                sweep(&mut slots, true);
+            match ring.admit(key, standing) {
+                Admit::Kept => {}
+                Admit::Displaced(victim) => {
+                    if let Entry::Occupied(mut slot) = slots.entry(victim) {
+                        displaced = slot.get_mut().ready.take();
+                        // A slot that is being computed keeps its mark.
+                        if !slot.get().computing {
+                            slot.remove();
+                        }
+                    }
+                    self.invalidations.inc();
+                }
+                Admit::Refused => return,
             }
-            self.invalidations.add(gone.len() as u64);
         }
+        let now = ring.now();
         let slot = slots.entry(Arc::clone(key)).or_default();
         if slot.ready.as_ref().is_none_or(|(v, _)| *v <= version) {
             replaced = slot.ready.replace((version, Arc::clone(result)));
+            slot.used = now;
             if replaced.as_ref().is_some_and(|(v, _)| *v != version) {
                 self.invalidations.inc();
             }
         }
-        drop(slots);
-        drop((gone, replaced));
+        drop(table);
+        drop((displaced, replaced));
     }
 }
 
@@ -764,14 +810,14 @@ struct Leadership<'a> {
 
 impl Drop for Leadership<'_> {
     fn drop(&mut self) {
-        let mut slots = lock_unpoisoned(&self.cache.slots);
-        if let Entry::Occupied(mut slot) = slots.entry(Arc::clone(self.key)) {
+        let mut table = lock_unpoisoned(&self.cache.table);
+        if let Entry::Occupied(mut slot) = table.slots.entry(Arc::clone(self.key)) {
             slot.get_mut().computing = false;
             if slot.get().ready.is_none() {
                 slot.remove();
             }
         }
-        drop(slots);
+        drop(table);
         self.cache.cv.notify_all();
     }
 }
@@ -1582,7 +1628,7 @@ mod tests {
             let _ = s.query_cached(sql);
         }));
         assert!(
-            lock_unpoisoned(&s.cache.slots).is_empty(),
+            lock_unpoisoned(&s.cache.table).slots.is_empty(),
             "the slot outlived its leader"
         );
 
@@ -1597,7 +1643,8 @@ mod tests {
             s.query_uncached("SELECT obid FROM assy").unwrap().len()
         );
         assert_eq!(s.cache.singleflight_leaders.get(), 2);
-        assert!(lock_unpoisoned(&s.cache.slots)
+        assert!(lock_unpoisoned(&s.cache.table)
+            .slots
             .values()
             .all(|slot| !slot.computing && slot.ready.is_some()));
     }
@@ -1707,39 +1754,134 @@ mod tests {
         );
         assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
         assert_eq!(s.cache.invalidations.get(), 0);
-        assert!(lock_unpoisoned(&s.cache.slots)
+        assert!(lock_unpoisoned(&s.cache.table)
+            .slots
             .values()
             .all(|slot| !slot.computing));
     }
 
-    /// Fill the cache one key past its capacity, optionally committing after
-    /// `dml_after` keys, and return `cache.invalidations` after the insert
-    /// that fills it, after the next one, and whether the first key is
-    /// still served from the cache after that. The numbers asserted below
-    /// are the ones this body reads at the two-table cache it replaced.
-    fn fill_past_capacity(dml_after: Option<usize>) -> (u64, u64, bool) {
-        let s = server();
-        let key = |i: usize| format!("SELECT obid FROM assy WHERE obid = {i}");
-        for i in 0..CACHE_CAPACITY {
-            if dml_after == Some(i) {
-                update(&s);
-            }
-            s.query_cached(&key(i)).unwrap();
-        }
-        let at_capacity = s.cache.invalidations.get();
-        s.query_cached(&key(CACHE_CAPACITY)).unwrap();
-        let past_capacity = s.cache.invalidations.get();
-        let hits = s.cache_stats().hits;
-        s.query_cached(&key(dml_after.unwrap_or(0))).unwrap();
-        (at_capacity, past_capacity, s.cache_stats().hits > hits)
+    /// `n` distinct keys, in the order the tests below publish them: the
+    /// ring holds them in that order, and the hand starts at the first.
+    fn keys(n: usize) -> Vec<Arc<str>> {
+        (0..n).map(|i| format!("k{i}").into()).collect()
+    }
+
+    /// What a miss on `key` does: lead, publish a result computed on
+    /// storage `version`, let go.
+    fn miss(cache: &QueryCache, key: &Arc<str>, version: u64) {
+        let Claim::Lead(leadership) = cache.claim(key, version) else {
+            panic!("{key} did not lead");
+        };
+        let result = Arc::new(ResultSet::empty(pdm_sql::Schema::empty()));
+        cache.publish(key, version, &result);
+        drop(leadership);
+    }
+
+    /// Does the table hold a result under `key`? (Unlike a look-up, this
+    /// does not stamp it.)
+    fn holds(cache: &QueryCache, key: &str) -> bool {
+        lock_unpoisoned(&cache.table)
+            .slots
+            .get(key)
+            .is_some_and(|slot| slot.ready.is_some())
     }
 
     #[test]
-    fn the_sweep_fires_on_the_insert_past_capacity() {
-        // All entries current: nothing is stale, so everything goes.
-        assert_eq!(fill_past_capacity(None), (0, CACHE_CAPACITY as u64, false));
-        // 1,000 entries made stale by a commit: only they go.
-        assert_eq!(fill_past_capacity(Some(1000)), (0, 1000, true));
+    fn a_stale_result_under_the_hand_is_displaced() {
+        let cache = QueryCache::new(&MetricsRegistry::new());
+        let keys = keys(CACHE_CAPACITY + 1);
+        // Key 0, under the hand, on version 1; every other on version 2.
+        miss(&cache, &keys[0], 1);
+        for key in &keys[1..] {
+            miss(&cache, key, 2);
+        }
+        assert!(!holds(&cache, &keys[0]), "a stale result kept its place");
+        assert!(holds(&cache, &keys[CACHE_CAPACITY]));
+        assert_eq!(cache.invalidations.get(), 1);
+        assert_eq!(lock_unpoisoned(&cache.table).slots.len(), CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn a_live_result_refuses_the_newcomer_which_is_still_returned() {
+        let s = server();
+        let sql = |i: usize| format!("SELECT obid FROM assy WHERE obid = {i}");
+        for i in 0..CACHE_CAPACITY {
+            s.query_cached(&sql(i)).unwrap();
+        }
+        let newcomer = "SELECT obid FROM assy ORDER BY obid";
+        for _ in 0..2 {
+            assert_eq!(
+                *s.query_cached(newcomer).unwrap(),
+                s.query_uncached(newcomer).unwrap()
+            );
+        }
+        let misses = CACHE_CAPACITY as u64 + 2;
+        assert_eq!(s.cache_stats(), CacheStats { hits: 0, misses });
+        // Nothing left the table: the first two keys, which were under the
+        // hand, are served from it.
+        s.query_cached(&sql(0)).unwrap();
+        s.query_cached(&sql(1)).unwrap();
+        assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses });
+        assert_eq!(s.cache.invalidations.get(), 0);
+        assert_eq!(lock_unpoisoned(&s.cache.table).slots.len(), CACHE_CAPACITY);
+    }
+
+    #[test]
+    fn an_idle_result_is_displaced_after_two_tables_of_misses() {
+        let cache = QueryCache::new(&MetricsRegistry::new());
+        let keys = keys(2 * CACHE_CAPACITY + 2);
+        for key in &keys[..CACHE_CAPACITY] {
+            miss(&cache, key, 1);
+        }
+        // A table-full of newcomers, each refused, while key 1 is hit and
+        // key 0 — stamped by the first miss — is not.
+        for key in &keys[CACHE_CAPACITY..2 * CACHE_CAPACITY] {
+            miss(&cache, key, 1);
+            cache.get(&keys[1], 1).unwrap();
+            assert!(!holds(&cache, key));
+        }
+        assert!(holds(&cache, &keys[0]));
+        assert_eq!(cache.invalidations.get(), 0);
+        // The next miss is the 2 × CACHE_CAPACITY-th since key 0's stamp,
+        // and the hand is back over it.
+        miss(&cache, &keys[2 * CACHE_CAPACITY], 1);
+        assert!(!holds(&cache, &keys[0]), "an idle result kept its place");
+        assert!(holds(&cache, &keys[2 * CACHE_CAPACITY]));
+        assert_eq!(cache.invalidations.get(), 1);
+        // Key 1, next under the hand, was hit all along: it stays.
+        miss(&cache, &keys[2 * CACHE_CAPACITY + 1], 1);
+        assert!(holds(&cache, &keys[1]));
+        assert!(!holds(&cache, &keys[2 * CACHE_CAPACITY + 1]));
+        assert_eq!(cache.invalidations.get(), 1);
+    }
+
+    #[test]
+    fn a_displaced_key_being_computed_keeps_its_mark_and_publishes_afterwards() {
+        let cache = QueryCache::new(&MetricsRegistry::new());
+        let keys = keys(CACHE_CAPACITY + 1);
+        for key in &keys[..CACHE_CAPACITY] {
+            miss(&cache, key, 1);
+        }
+        // Storage moves to version 2, and key 0's recomputation starts.
+        let Claim::Lead(leadership) = cache.claim(&keys[0], 2) else {
+            panic!("key 0 did not lead");
+        };
+        // A newcomer displaces key 0's stale result, not its mark.
+        miss(&cache, &keys[CACHE_CAPACITY], 2);
+        {
+            let table = lock_unpoisoned(&cache.table);
+            let slot = table.slots.get(&keys[0]).expect("the mark left the table");
+            assert!(slot.computing && slot.ready.is_none());
+        }
+        assert_eq!(cache.invalidations.get(), 1);
+        // The leader publishes in place of key 1's result, stale as well.
+        let rows = Arc::new(ResultSet::empty(pdm_sql::Schema::empty()));
+        cache.publish(&keys[0], 2, &rows);
+        drop(leadership);
+        assert!(Arc::ptr_eq(&cache.get(&keys[0], 2).unwrap(), &rows));
+        assert!(!holds(&cache, &keys[1]));
+        assert_eq!(cache.invalidations.get(), 2);
+        assert_eq!(lock_unpoisoned(&cache.table).slots.len(), CACHE_CAPACITY);
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod functions;
 pub mod lexer;
 pub mod parser;
 pub mod persist;
+pub mod ring;
 pub mod row;
 pub mod schema;
 pub mod shared;

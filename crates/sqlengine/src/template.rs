@@ -31,10 +31,11 @@ use crate::exec::plan::{compile, Plan};
 use crate::exec::{ExecConfig, ExecStats};
 use crate::lexer::{Kw, Lexer, Token};
 use crate::parser::{parse_query, parse_template};
+use crate::ring::{Admit, Ring, Standing};
 use crate::row::ResultSet;
 use crate::value::Value;
 
-/// Templates a [`Templates`] table holds; one more empties it.
+/// Templates a [`Templates`] table holds.
 const CAPACITY: usize = 1024;
 
 /// A statement text cut into its template and the integers taken out of it.
@@ -250,10 +251,39 @@ pub struct Resolved {
 
 /// A bounded table of templates, each parsed once. A template that does not
 /// parse is remembered as such: the text it came from does not parse
-/// either, and is parsed once more only to say why.
-#[derive(Debug, Default)]
+/// either, and is parsed once more only to say why. A table of 1,024
+/// templates keeps a new one only in place of one that went 2 × 1,024
+/// template misses without being found ([`Ring`]).
+#[derive(Debug)]
 pub struct Templates {
-    table: Mutex<HashMap<Box<str>, Option<Arc<Template>>>>,
+    table: Mutex<Table>,
+}
+
+/// The templates, and the ring that bounds them.
+#[derive(Debug)]
+struct Table {
+    known: HashMap<Arc<str>, Known>,
+    ring: Ring<Arc<str>>,
+}
+
+/// A template in the table: its parse, and the ring's stamp when it was
+/// last found or added.
+#[derive(Debug)]
+struct Known {
+    parsed: Option<Arc<Template>>,
+    used: u64,
+}
+
+impl Default for Templates {
+    fn default() -> Self {
+        let table = Table {
+            known: HashMap::new(),
+            ring: Ring::new(CAPACITY),
+        };
+        Templates {
+            table: Mutex::new(table),
+        }
+    }
 }
 
 impl Templates {
@@ -265,7 +295,7 @@ impl Templates {
             template: mut buffer,
             values,
         } = split(text)?;
-        let known = self.lock().get(buffer.as_str()).cloned();
+        let known = self.find(&buffer);
         let parsed = match known {
             Some(parsed) => parsed,
             None => {
@@ -294,25 +324,50 @@ impl Templates {
 
     /// Templates in the table.
     pub fn len(&self) -> usize {
-        self.lock().len()
+        self.lock().known.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<Box<str>, Option<Arc<Template>>>> {
+    fn lock(&self) -> MutexGuard<'_, Table> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Add a template; a full table is emptied first (the shapes in use
-    /// come back at one parse each) and freed once the lock is released.
+    /// The parse of `template`, if the table has it — a hit, stamped.
+    fn find(&self, template: &str) -> Option<Option<Arc<Template>>> {
+        let mut table = self.lock();
+        let now = table.ring.now();
+        let known = table.known.get_mut(template)?;
+        known.used = now;
+        Some(known.parsed.clone())
+    }
+
+    /// Count the miss on `template` and keep its parse, if the ring makes
+    /// room for it; a template it displaces is freed once the lock is
+    /// released.
     fn insert(&self, template: &str, parsed: Option<Arc<Template>>) {
         let mut table = self.lock();
-        let evicted = (table.len() >= CAPACITY).then(|| std::mem::take(&mut *table));
-        table.insert(template.into(), parsed);
+        let Table { known, ring } = &mut *table;
+        ring.miss();
+        if known.contains_key(template) {
+            // A concurrent miss on the same template kept its parse first.
+            return;
+        }
+        let key: Arc<str> = template.into();
+        let displaced = match ring.admit(&key, |victim| Standing {
+            used: known[victim].used,
+            stale: false,
+        }) {
+            Admit::Kept => None,
+            Admit::Displaced(victim) => known.remove(&victim),
+            Admit::Refused => return,
+        };
+        let used = ring.now();
+        known.insert(key, Known { parsed, used });
         drop(table);
-        drop(evicted);
+        drop(displaced);
     }
 }
 
@@ -409,15 +464,48 @@ mod tests {
         ));
     }
 
+    /// Resolve the `i`-th test template through `templates`.
+    fn resolve_nth(templates: &Templates, i: usize) {
+        templates
+            .resolve(&format!("SELECT c{i} FROM t WHERE a = 1"))
+            .unwrap();
+    }
+
+    /// Does `templates` hold the `i`-th test template? (A hit: it stamps.)
+    fn holds_nth(templates: &Templates, i: usize) -> bool {
+        templates
+            .find(&format!("SELECT c{i} FROM t WHERE a = $1"))
+            .is_some()
+    }
+
     #[test]
-    fn a_full_table_starts_over() {
+    fn a_full_table_keeps_its_templates() {
         let templates = Templates::default();
         for i in 0..=CAPACITY {
-            templates
-                .resolve(&format!("SELECT c{i} FROM t WHERE a = 1"))
-                .unwrap();
+            resolve_nth(&templates, i);
         }
-        assert_eq!(templates.len(), 1);
+        assert_eq!(templates.len(), CAPACITY);
+        assert!(holds_nth(&templates, 0), "the table was emptied");
+        assert!(
+            !holds_nth(&templates, CAPACITY),
+            "a live template was displaced"
+        );
+    }
+
+    #[test]
+    fn an_idle_template_gives_up_its_place() {
+        let templates = Templates::default();
+        for i in 0..CAPACITY {
+            resolve_nth(&templates, i);
+        }
+        // Two table-fulls of misses, during which only template 1 is found.
+        for i in CAPACITY..3 * CAPACITY {
+            resolve_nth(&templates, 1);
+            resolve_nth(&templates, i);
+        }
+        assert_eq!(templates.len(), CAPACITY);
+        assert!(!holds_nth(&templates, 0), "an idle template kept its place");
+        assert!(holds_nth(&templates, 1), "a template in use was displaced");
     }
 
     #[test]
