@@ -76,6 +76,6 @@ pub use rules::{ActionKind, Rule, UserPattern};
 pub use server::PdmServer;
 pub use session::{ExpandOutcome, QueryOutcome, Session, SessionConfig, SessionError};
 pub use shared::{
-    Acquire, CacheStats, LockEvent, LockTable, SharedServer, SharedServerError, CACHE_CAPACITY,
-    RETAINED_TOKENS,
+    Acquire, CacheStats, InFlight, LockEvent, LockTable, SharedServer, SharedServerError,
+    CACHE_CAPACITY, RETAINED_TOKENS,
 };

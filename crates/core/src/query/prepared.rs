@@ -87,6 +87,10 @@ impl Shape {
 /// constant — present in both — can never be mistaken for one.
 const HOLES: [ObjectId; 2] = [1_111_111_111_111_111_111, 2_222_222_222_222_222_222];
 
+/// The most an id takes of an IN list: 20 digits and sign (`i64::MIN`) and
+/// the `", "` that joins it to the next.
+const ID_LIST_ITEM: usize = 20 + 2;
+
 /// One prepared statement: the printed text around the places its id goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prepared {
@@ -149,9 +153,19 @@ impl Prepared {
 
     /// The statement for `ids`: one id for every shape but
     /// [`Shape::ExpandMany`], whose IN list takes them all (the printer
-    /// joins list items with `", "`).
+    /// joins list items with `", "`). One allocation: the text is sized for
+    /// the widest ids before it is written.
     pub fn bind(&self, ids: &[ObjectId]) -> String {
-        self.pieces.join(&crate::server::id_list(ids))
+        let list = ids.len() * ID_LIST_ITEM;
+        let text = self.pieces.iter().map(String::len).sum::<usize>();
+        let mut out = String::with_capacity(text + list * self.pieces.len().saturating_sub(1));
+        for (i, piece) in self.pieces.iter().enumerate() {
+            if i > 0 {
+                crate::server::push_id_list(&mut out, ids);
+            }
+            out.push_str(piece);
+        }
+        out
     }
 }
 
@@ -174,10 +188,18 @@ mod tests {
                 ")".to_string()
             ]
         );
+        let prepared = Prepared {
+            pieces: pieces.clone(),
+        };
         assert_eq!(
-            Prepared { pieces }.bind(&[7, -8]),
+            prepared.bind(&[7, -8]),
             "x = 7, -8 AND y <= 1111111111111111111 AND z IN (7, -8)"
         );
+        // The text is sized once: the widest ids fill it without growing it.
+        let bound = prepared.bind(&[ObjectId::MIN; 3]);
+        let text = pieces.iter().map(String::len).sum::<usize>();
+        assert_eq!(bound.len(), text + 2 * (3 * 20 + 2 * 2));
+        assert_eq!(bound.capacity(), text + 2 * 3 * ID_LIST_ITEM);
         // Texts that differ beyond the placeholder's digits share no split.
         assert_eq!(
             shared_pieces(&format!("x = {a}"), &format!("y = {b}")),

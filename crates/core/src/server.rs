@@ -11,6 +11,7 @@
 //! and recorder explicitly, so a caller cannot drop context by picking a
 //! shorter name.
 
+use std::fmt::Write as _;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -94,13 +95,20 @@ pub(crate) fn split_ids(rows: &ResultSet) -> Result<(Vec<ObjectId>, Vec<ObjectId
 /// Render an IN-list of ids.
 pub(crate) fn id_list(ids: &[ObjectId]) -> String {
     let mut s = String::with_capacity(ids.len() * 8);
+    push_id_list(&mut s, ids);
+    s
+}
+
+/// Append the IN-list of `ids` to `out`: the ids in decimal, joined with
+/// `", "` as the printer joins list items. Allocates only if `out` has no
+/// room for them.
+pub(crate) fn push_id_list(out: &mut String, ids: &[ObjectId]) {
     for (i, id) in ids.iter().enumerate() {
         if i > 0 {
-            s.push_str(", ");
+            out.push_str(", ");
         }
-        s.push_str(&id.to_string());
+        let _ = write!(out, "{id}");
     }
-    s
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@
 //! the server (`Deadline`), and the three structures above block in that
 //! type's one bounded condvar wait and nowhere else.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -558,6 +557,8 @@ impl Drop for InFlightMarks<'_> {
 /// either.
 #[derive(Debug, Default)]
 struct Slot {
+    /// The key, to take the slot out of the table's index by.
+    key: Arc<str>,
     /// The storage version the rows were computed on, and the shared rows.
     /// An entry of an older version stays where it is until the key's next
     /// publish or until the clock hand displaces it; only [`Slot::at`]
@@ -591,12 +592,73 @@ impl Slot {
     }
 }
 
-/// The result cache's one table: its slots, and the ring of the keys whose
-/// slot holds a result.
+/// The result cache's one table: its slots by position, each key's position,
+/// and the ring of the positions whose slot holds a result. A key is hashed
+/// to find its position; the leader that holds a position, and the clock
+/// hand, reach its slot without hashing the key again.
 #[derive(Debug)]
 struct Table {
-    slots: HashMap<Arc<str>, Slot>,
-    ring: Ring<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
+    /// A position not in `index` is free, and listed in `free`.
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    ring: Ring<usize>,
+    /// Misses waiting on [`QueryCache::cv`] for a leader: a leader that lets
+    /// go wakes them only if there are any.
+    waiters: usize,
+}
+
+impl Table {
+    /// The position of `key`'s slot — made, empty, if it has none.
+    fn position(&mut self, key: &Arc<str>) -> usize {
+        let Table {
+            index, slots, free, ..
+        } = self;
+        *index.entry(Arc::clone(key)).or_insert_with(|| {
+            let slot = Slot {
+                key: Arc::clone(key),
+                ..Slot::default()
+            };
+            match free.pop() {
+                Some(at) => {
+                    *slot_in(slots, at) = slot;
+                    at
+                }
+                None => {
+                    slots.push(slot);
+                    slots.len() - 1
+                }
+            }
+        })
+    }
+
+    /// The slot of `key`, if it has one.
+    #[cfg(test)]
+    fn slot(&self, key: &str) -> Option<&Slot> {
+        self.index.get(key).map(|&at| &self.slots[at])
+    }
+
+    /// The slot at position `at`.
+    fn slot_mut(&mut self, at: usize) -> &mut Slot {
+        slot_in(&mut self.slots, at)
+    }
+
+    /// Free the slot at `at` — neither published nor being computed — and
+    /// hand back what it held, to be dropped after the lock is released.
+    fn vacate(&mut self, at: usize) -> Slot {
+        let slot = std::mem::take(self.slot_mut(at));
+        self.index.remove(&slot.key);
+        self.free.push(at);
+        slot
+    }
+}
+
+/// The slot at position `at` of `slots`.
+fn slot_in(slots: &mut [Slot], at: usize) -> &mut Slot {
+    // lint:allow(unchecked-index): every position the table hands out — in
+    // `index`, the ring, the free list or a leadership — is one
+    // `Table::position` pushed, and `slots` never shrinks.
+    &mut slots[at]
 }
 
 /// Hit/miss counters of the cross-session cache (monotonic).
@@ -650,10 +712,11 @@ impl CacheStats {
 struct QueryCache {
     /// The one table: a key is probed, claimed (or waited for) and
     /// published under this mutex, one look-up each, and the engine never
-    /// runs while it is held. A key is one allocation shared with its
-    /// leader and the ring: a miss copies its printed key once.
+    /// runs while it is held. A key is one allocation shared by the index
+    /// and its slot: a miss copies its printed key once.
     table: Mutex<Table>,
-    /// Signalled whenever a leader leaves its slot, published or not.
+    /// Signalled when a leader leaves its slot, published or not, while a
+    /// miss waits ([`Table::waiters`]).
     cv: Condvar,
     hits: Counter,
     misses: Counter,
@@ -666,6 +729,17 @@ struct QueryCache {
     /// Lookups served by another session's in-flight computation (waited,
     /// then hit the freshly published entry).
     singleflight_hits: Counter,
+}
+
+/// What is in flight in a server: single-flight marks in the result cache,
+/// misses waiting on one, and check-out tokens whose procedure runs
+/// ([`SharedServer::in_flight`]). All zero whenever no call is inside the
+/// server: a mark, a waiter or a token that outlives its call is a leak.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InFlight {
+    pub marks: usize,
+    pub waiters: usize,
+    pub tokens: usize,
 }
 
 /// Results the server's result cache holds at most. A publish that finds it
@@ -696,16 +770,24 @@ enum Claim<'a> {
     Hit(Arc<ResultSet>),
     /// Nobody is computing the key: the caller is, from now on.
     Lead(Leadership<'a>),
-    /// Somebody is: the table's guard, to wait on.
+    /// Somebody is: the table's guard, to wait on ([`QueryCache::wait`]).
     Wait(MutexGuard<'a, Table>),
 }
+
+/// What a publish takes out of the table, freed once its lock is released:
+/// a result set is thousands of deallocations, and every concurrent hit
+/// would wait for them.
+type Gone = Option<(u64, Arc<ResultSet>)>;
 
 impl QueryCache {
     fn new(registry: &MetricsRegistry) -> Self {
         QueryCache {
             table: Mutex::new(Table {
-                slots: HashMap::new(),
+                index: HashMap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
                 ring: Ring::new(CACHE_CAPACITY),
+                waiters: 0,
             }),
             cv: Condvar::new(),
             hits: registry.counter("cache.hits"),
@@ -721,46 +803,73 @@ impl QueryCache {
     fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
         let mut table = lock_unpoisoned(&self.table);
         let now = table.ring.now();
-        table.slots.get_mut(key)?.hit(version, now)
+        let at = *table.index.get(key)?;
+        table.slot_mut(at).hit(version, now)
     }
 
     /// The one look-up of a canonical miss: return the key's current
     /// result, or mark its slot as being computed by the caller — a miss of
     /// the table, which advances its clock — or, the mark being somebody
     /// else's, hand back the guard to wait on.
-    fn claim<'a>(&'a self, key: &'a Arc<str>, version: u64) -> Claim<'a> {
+    fn claim(&self, key: &Arc<str>, version: u64) -> Claim<'_> {
         let mut table = lock_unpoisoned(&self.table);
-        let Table { slots, ring } = &mut *table;
-        let slot = slots.entry(Arc::clone(key)).or_default();
-        if let Some(result) = slot.hit(version, ring.now()) {
+        let at = table.position(key);
+        let now = table.ring.now();
+        let slot = table.slot_mut(at);
+        if let Some(result) = slot.hit(version, now) {
             return Claim::Hit(result);
         }
         if slot.computing {
             return Claim::Wait(table);
         }
         slot.computing = true;
-        ring.miss();
+        table.ring.miss();
         self.singleflight_leaders.inc();
-        Claim::Lead(Leadership { cache: self, key })
+        Claim::Lead(Leadership { cache: self, at })
     }
 
-    /// Store `result`, computed on storage `version`, under `key` — by the
-    /// key's leader (whose mark stays until it lets go of its leadership),
-    /// or by a waiter that ran out of deadline and computed for itself. A
-    /// result never replaces one of a newer version. A key without a result
-    /// gets its place from the ring: below [`CACHE_CAPACITY`] results
-    /// always; in a full table in place of the result under the hand if
-    /// that one is stale or idle, and otherwise not at all — the caller
-    /// has its result either way.
+    /// Wait, registered as a waiter, for a leader to let go of its slot —
+    /// bounded by `deadline`. `false`, without having waited, once the
+    /// deadline is spent.
+    fn wait(&self, mut table: MutexGuard<'_, Table>, deadline: &Deadline) -> bool {
+        table.waiters += 1;
+        let (woken, mut table) = match deadline.wait(&self.cv, table) {
+            Ok(table) => (true, table),
+            Err(table) => (false, table),
+        };
+        table.waiters -= 1;
+        woken
+    }
+
+    /// Store `result`, computed on storage `version`, under `key`: by a
+    /// waiter that ran out of deadline and computed for itself (a leader
+    /// publishes through [`Leadership::publish`]).
     fn publish(&self, key: &Arc<str>, version: u64, result: &Arc<ResultSet>) {
-        // What leaves the table is only *moved* out under its lock and
-        // freed after it is released: a result set is thousands of
-        // deallocations, and every concurrent hit would wait for them.
-        let (mut displaced, mut replaced) = (None, None);
         let mut table = lock_unpoisoned(&self.table);
-        let Table { slots, ring } = &mut *table;
-        if slots.get(&**key).is_none_or(|slot| slot.ready.is_none()) {
-            let standing = |victim: &Arc<str>| {
+        let at = table.position(key);
+        let gone = self.store(&mut table, at, version, result);
+        let vacated = Self::vacate_unused(&mut table, at);
+        drop(table);
+        drop((gone, vacated));
+    }
+
+    /// Store `result`, computed on storage `version`, in the slot at `at`.
+    /// A result never replaces one of a newer version. A slot without a
+    /// result gets its place from the ring: below [`CACHE_CAPACITY`]
+    /// results always; in a full table in place of the result under the
+    /// hand if that one is stale or idle, and otherwise not at all — the
+    /// caller has its result either way.
+    fn store(
+        &self,
+        table: &mut Table,
+        at: usize,
+        version: u64,
+        result: &Arc<ResultSet>,
+    ) -> [Gone; 2] {
+        let mut displaced = None;
+        if table.slot_mut(at).ready.is_none() {
+            let Table { slots, ring, .. } = table;
+            let standing = |&victim: &usize| {
                 let slot = slots.get(victim);
                 let ready = slot.and_then(|slot| slot.ready.as_ref());
                 Standing {
@@ -769,23 +878,23 @@ impl QueryCache {
                     stale: ready.is_none_or(|(v, _)| *v < version),
                 }
             };
-            match ring.admit(key, standing) {
+            match ring.admit(&at, standing) {
                 Admit::Kept => {}
                 Admit::Displaced(victim) => {
-                    if let Entry::Occupied(mut slot) = slots.entry(victim) {
-                        displaced = slot.get_mut().ready.take();
-                        // A slot that is being computed keeps its mark.
-                        if !slot.get().computing {
-                            slot.remove();
-                        }
+                    let slot = table.slot_mut(victim);
+                    displaced = slot.ready.take();
+                    // A slot that is being computed keeps its mark.
+                    if !slot.computing {
+                        table.vacate(victim);
                     }
                     self.invalidations.inc();
                 }
-                Admit::Refused => return,
+                Admit::Refused => return [None, None],
             }
         }
-        let now = ring.now();
-        let slot = slots.entry(Arc::clone(key)).or_default();
+        let now = table.ring.now();
+        let slot = table.slot_mut(at);
+        let mut replaced = None;
         if slot.ready.as_ref().is_none_or(|(v, _)| *v <= version) {
             replaced = slot.ready.replace((version, Arc::clone(result)));
             slot.used = now;
@@ -793,32 +902,57 @@ impl QueryCache {
                 self.invalidations.inc();
             }
         }
+        [displaced, replaced]
+    }
+
+    /// Take the slot at `at` out of the table if it has neither a result
+    /// nor a mark.
+    fn vacate_unused(table: &mut Table, at: usize) -> Option<Slot> {
+        let slot = table.slot_mut(at);
+        (slot.ready.is_none() && !slot.computing).then(|| table.vacate(at))
+    }
+
+    /// What a leader does when it is done, with a result or without: one
+    /// critical section stores the result, clears the mark, takes a slot
+    /// with nothing published out of the table and counts the waiters —
+    /// who are woken, after the lock is released, only if there are any.
+    fn let_go(&self, at: usize, published: Option<(u64, &Arc<ResultSet>)>) {
+        let mut table = lock_unpoisoned(&self.table);
+        let gone = published.map(|(version, result)| self.store(&mut table, at, version, result));
+        table.slot_mut(at).computing = false;
+        let vacated = Self::vacate_unused(&mut table, at);
+        let waiters = table.waiters;
         drop(table);
-        drop((displaced, replaced));
+        drop((gone, vacated));
+        if waiters > 0 {
+            self.cv.notify_all();
+        }
     }
 }
 
 /// Single-flight leadership of one canonical key: the `computing` mark on
-/// its slot. Dropping it — after the result is published, on an engine
-/// error, or while the computation unwinds — clears the mark, takes a slot
-/// with nothing published out of the table and wakes the waiters so they
-/// re-probe; a mark can therefore never outlive its leader.
+/// its slot, which stays at its position while the mark is on it.
+/// [`Leadership::publish`] stores the result and lets go in one step;
+/// dropping it without — on an engine error, or while the computation
+/// unwinds — lets go all the same, so a mark can never outlive its leader.
+/// Either way a slot with nothing published leaves the table, and waiters
+/// are woken to re-probe.
 struct Leadership<'a> {
     cache: &'a QueryCache,
-    key: &'a Arc<str>,
+    at: usize,
+}
+
+impl Leadership<'_> {
+    /// Store `result`, computed on storage `version`, and let go.
+    fn publish(self, version: u64, result: &Arc<ResultSet>) {
+        self.cache.let_go(self.at, Some((version, result)));
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for Leadership<'_> {
     fn drop(&mut self) {
-        let mut table = lock_unpoisoned(&self.cache.table);
-        if let Entry::Occupied(mut slot) = table.slots.entry(Arc::clone(self.key)) {
-            slot.get_mut().computing = false;
-            if slot.get().ready.is_none() {
-                slot.remove();
-            }
-        }
-        drop(table);
-        self.cache.cv.notify_all();
+        self.cache.let_go(self.at, None);
     }
 }
 
@@ -1035,6 +1169,21 @@ impl SharedServer {
         }
     }
 
+    /// What is in flight right now (tests and diagnostics): with no call
+    /// inside the server, [`InFlight::default`].
+    pub fn in_flight(&self) -> InFlight {
+        let table = lock_unpoisoned(&self.cache.table);
+        let marks = table.slots.iter().filter(|slot| slot.computing).count();
+        let waiters = table.waiters;
+        drop(table);
+        let tokens = lock_unpoisoned(&self.checkout_log).in_progress.len();
+        InFlight {
+            marks,
+            waiters,
+            tokens,
+        }
+    }
+
     /// The server-wide metrics registry. Covers the cache
     /// (`cache.hits/misses/invalidations`), lock table
     /// (`locks.grants/refusals/wait_ns`), WAL (`wal.appends/fsync_ns`),
@@ -1132,14 +1281,14 @@ impl SharedServer {
         let deadline = Deadline::new(deadline);
         self.m.queries.inc();
         let mut waited = false;
-        // `_leadership` is held until the result is published (or the
-        // computation fails or unwinds) and released by its drop. The first
+        // The leadership is held until the result is published (or the
+        // computation fails or unwinds, and its drop lets go). The first
         // canonical look-up shares the snapshot of the raw-text probe.
-        let _leadership = loop {
+        let leadership = loop {
             // Scope the probe span so engine spans are siblings, not
             // children, of the probe.
             let probe = obs.span(kinds::CACHE_PROBE, "lookup");
-            let slots = match self.cache.claim(&key, snapshot.version) {
+            let table = match self.cache.claim(&key, snapshot.version) {
                 Claim::Hit(result) => {
                     self.cache.hits.inc();
                     if waited {
@@ -1152,14 +1301,14 @@ impl SharedServer {
                     probe.set_detail("miss");
                     break Some(leadership);
                 }
-                Claim::Wait(slots) => slots,
+                Claim::Wait(table) => table,
             };
             probe.set_detail("miss");
             drop(probe);
             // Another session is computing this key: wait for it, bounded
             // by our propagated deadline, then re-probe on the storage that
             // is current by then.
-            if deadline.wait(&self.cache.cv, slots).is_err() {
+            if !self.cache.wait(table, &deadline) {
                 // Deadline spent: stop waiting and compute for ourselves
                 // rather than returning empty-handed.
                 break None;
@@ -1173,7 +1322,10 @@ impl SharedServer {
         let result = Arc::new(rows);
         self.m.fold_exec(&stats);
         self.cache.misses.inc();
-        self.cache.publish(&key, snapshot.version, &result);
+        match leadership {
+            Some(leadership) => leadership.publish(snapshot.version, &result),
+            None => self.cache.publish(&key, snapshot.version, &result),
+        }
         Ok(result)
     }
 
@@ -1545,6 +1697,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+
     use pdm_workload::{build_database, TreeSpec};
 
     fn server() -> Arc<SharedServer> {
@@ -1628,7 +1782,7 @@ mod tests {
             let _ = s.query_cached(sql);
         }));
         assert!(
-            lock_unpoisoned(&s.cache.table).slots.is_empty(),
+            lock_unpoisoned(&s.cache.table).index.is_empty(),
             "the slot outlived its leader"
         );
 
@@ -1643,10 +1797,11 @@ mod tests {
             s.query_uncached("SELECT obid FROM assy").unwrap().len()
         );
         assert_eq!(s.cache.singleflight_leaders.get(), 2);
-        assert!(lock_unpoisoned(&s.cache.table)
-            .slots
+        let table = lock_unpoisoned(&s.cache.table);
+        assert!(table
+            .index
             .values()
-            .all(|slot| !slot.computing && slot.ready.is_some()));
+            .all(|&at| !table.slots[at].computing && table.slots[at].ready.is_some()));
     }
 
     #[test]
@@ -1706,13 +1861,13 @@ mod tests {
         assert_eq!(cache.invalidations.get(), 1);
     }
 
-    /// A reader that leads a computation on version N while a writer
-    /// commits N+1: the second request waits out its deadline, computes on
-    /// N+1 for itself and publishes; the leader's late result — correct for
-    /// the snapshot it holds — must not take the entry back to N.
-    #[test]
-    fn a_timed_out_waiter_publishes_and_the_late_leader_leaves_it_alone() {
-        use std::sync::Barrier;
+    /// A server whose stored function `GATE` holds its first call between
+    /// two barriers it shares with the test — `entered`, then `release` —
+    /// and then answers what `first` makes of its argument; every later
+    /// call returns its argument.
+    fn server_with_gate(
+        first: fn(&pdm_sql::Value) -> pdm_sql::Result<pdm_sql::Value>,
+    ) -> (Arc<SharedServer>, Arc<Barrier>, Arc<Barrier>) {
         let (mut db, _) = build_database(&TreeSpec::new(2, 2, 1.0).with_node_size(128)).unwrap();
         let (entered, release) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
         let (armed, e, r) = (
@@ -1724,10 +1879,32 @@ mod tests {
             if armed.swap(false, Ordering::SeqCst) {
                 e.wait();
                 r.wait();
+                return first(&args[0]);
             }
             Ok(args[0].clone())
         });
-        let s = Arc::new(SharedServer::new(db));
+        (Arc::new(SharedServer::new(db)), entered, release)
+    }
+
+    /// Block until `n` misses wait on a leader.
+    fn await_waiters(s: &SharedServer, n: usize) {
+        let start = Instant::now();
+        while s.in_flight().waiters != n {
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "{n} never waited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A reader that leads a computation on version N while a writer
+    /// commits N+1: the second request waits out its deadline, computes on
+    /// N+1 for itself and publishes; the leader's late result — correct for
+    /// the snapshot it holds — must not take the entry back to N.
+    #[test]
+    fn a_timed_out_waiter_publishes_and_the_late_leader_leaves_it_alone() {
+        let (s, entered, release) = server_with_gate(|v| Ok(v.clone()));
         let sql = "SELECT GATE(obid) FROM assy";
 
         let leader = std::thread::spawn({
@@ -1740,6 +1917,8 @@ mod tests {
             .query_cached_deadline_obs(sql, Some(Duration::from_millis(20)), &Recorder::disabled())
             .unwrap();
         assert_eq!(s.cache.singleflight_leaders.get(), 1, "it waited, then ran");
+        // The waiter that ran out of deadline is no longer counted.
+        assert_eq!(s.in_flight().waiters, 0);
         assert!(
             Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
             "the waiter's own result was not published"
@@ -1754,10 +1933,39 @@ mod tests {
         );
         assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
         assert_eq!(s.cache.invalidations.get(), 0);
-        assert!(lock_unpoisoned(&s.cache.table)
-            .slots
-            .values()
-            .all(|slot| !slot.computing));
+        assert_eq!(s.in_flight(), InFlight::default());
+    }
+
+    /// A leader whose engine fails wakes its waiter, which leads in turn;
+    /// neither leaves a mark or a count behind.
+    #[test]
+    fn a_leaders_engine_error_wakes_its_waiter_and_leaves_no_count() {
+        let (s, entered, release) =
+            server_with_gate(|_| Err(pdm_sql::Error::Eval("injected engine error".into())));
+        let sql = "SELECT GATE(obid) FROM assy";
+        let leader = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || s.query_cached(sql)
+        });
+        entered.wait();
+        let waiter = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || s.query_cached(sql)
+        });
+        await_waiters(&s, 1);
+        release.wait();
+        assert!(leader.join().unwrap().is_err());
+        let rows = waiter
+            .join()
+            .unwrap()
+            .expect("the waiter ran the query itself");
+        assert_eq!(
+            rows.len(),
+            s.query_uncached("SELECT obid FROM assy").unwrap().len()
+        );
+        assert_eq!(s.cache.singleflight_leaders.get(), 2);
+        assert_eq!(s.cache.singleflight_hits.get(), 0);
+        assert_eq!(s.in_flight(), InFlight::default());
     }
 
     /// `n` distinct keys, in the order the tests below publish them: the
@@ -1773,16 +1981,14 @@ mod tests {
             panic!("{key} did not lead");
         };
         let result = Arc::new(ResultSet::empty(pdm_sql::Schema::empty()));
-        cache.publish(key, version, &result);
-        drop(leadership);
+        leadership.publish(version, &result);
     }
 
     /// Does the table hold a result under `key`? (Unlike a look-up, this
     /// does not stamp it.)
     fn holds(cache: &QueryCache, key: &str) -> bool {
         lock_unpoisoned(&cache.table)
-            .slots
-            .get(key)
+            .slot(key)
             .is_some_and(|slot| slot.ready.is_some())
     }
 
@@ -1798,7 +2004,7 @@ mod tests {
         assert!(!holds(&cache, &keys[0]), "a stale result kept its place");
         assert!(holds(&cache, &keys[CACHE_CAPACITY]));
         assert_eq!(cache.invalidations.get(), 1);
-        assert_eq!(lock_unpoisoned(&cache.table).slots.len(), CACHE_CAPACITY);
+        assert_eq!(lock_unpoisoned(&cache.table).index.len(), CACHE_CAPACITY);
     }
 
     #[test]
@@ -1823,7 +2029,7 @@ mod tests {
         s.query_cached(&sql(1)).unwrap();
         assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses });
         assert_eq!(s.cache.invalidations.get(), 0);
-        assert_eq!(lock_unpoisoned(&s.cache.table).slots.len(), CACHE_CAPACITY);
+        assert_eq!(lock_unpoisoned(&s.cache.table).index.len(), CACHE_CAPACITY);
     }
 
     #[test]
@@ -1870,18 +2076,17 @@ mod tests {
         miss(&cache, &keys[CACHE_CAPACITY], 2);
         {
             let table = lock_unpoisoned(&cache.table);
-            let slot = table.slots.get(&keys[0]).expect("the mark left the table");
+            let slot = table.slot(&keys[0]).expect("the mark left the table");
             assert!(slot.computing && slot.ready.is_none());
         }
         assert_eq!(cache.invalidations.get(), 1);
         // The leader publishes in place of key 1's result, stale as well.
         let rows = Arc::new(ResultSet::empty(pdm_sql::Schema::empty()));
-        cache.publish(&keys[0], 2, &rows);
-        drop(leadership);
+        leadership.publish(2, &rows);
         assert!(Arc::ptr_eq(&cache.get(&keys[0], 2).unwrap(), &rows));
         assert!(!holds(&cache, &keys[1]));
         assert_eq!(cache.invalidations.get(), 2);
-        assert_eq!(lock_unpoisoned(&cache.table).slots.len(), CACHE_CAPACITY);
+        assert_eq!(lock_unpoisoned(&cache.table).index.len(), CACHE_CAPACITY);
     }
 
     #[test]

@@ -199,6 +199,7 @@ impl<'a> Lexer<'a> {
     }
 
     /// Byte offset just past the last token handed out.
+    #[cfg(test)]
     pub(crate) fn position(&self) -> usize {
         self.pos
     }

@@ -26,10 +26,10 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::exec::plan::{compile, Plan};
 use crate::exec::{ExecConfig, ExecStats};
-use crate::lexer::{Kw, Lexer, Token};
+use crate::lexer::{Kw, Lexer};
 use crate::parser::{parse_query, parse_template};
 use crate::ring::{Admit, Ring, Standing};
 use crate::row::ResultSet;
@@ -48,36 +48,160 @@ struct Split {
     values: Vec<Value>,
 }
 
-/// Cut `text` into its template and its integers (see the module docs). A
-/// lexical error is the one [`parse_query`] of the text reports: both scan
-/// the whole text and stop at its first.
+/// Cut `text` into its template and its integers (see the module docs), in
+/// one pass over its bytes that tells apart only what the cut needs: string
+/// literals, quoted names and comments (skipped whole), words (one of them
+/// `LIMIT`), numbers (an integer or a float, as the lexer reads them), `-`,
+/// and the `(` and `+` that may stand between a `-` and its literal. Every
+/// other token is one or two bytes of punctuation. A text the lexer
+/// rejects is rejected at the same token, with the lexer's error — the one
+/// [`parse_query`] of the text reports, as both stop at the first.
 fn split(text: &str) -> Result<Split> {
+    let bytes = text.as_bytes();
     // Room for a few one-digit holes, which grow by a byte as `$n`.
     let mut template = String::with_capacity(text.len() + 16);
     let mut values = Vec::new();
     let holes = !text.contains('$');
-    let mut lexer = Lexer::new(text);
     let mut copied = 0;
     // The integer next would be read by value: it follows `LIMIT`, or a `-`
     // with only `(` and `+` in between.
     let mut by_value = false;
-    while let Some(token) = lexer.next_token()? {
-        match token {
-            Token::Int(n) if holes && !by_value => {
-                let end = lexer.position();
-                let digits = text[..end].bytes().rev().take_while(u8::is_ascii_digit);
-                template.push_str(&text[copied..end - digits.count()]);
-                values.push(Value::Int(n));
-                let _ = write!(template, "${}", values.len());
-                copied = end;
+    let mut at = 0;
+    while let Some(&byte) = bytes.get(at) {
+        let start = at;
+        at += 1;
+        let next = bytes.get(at).copied();
+        by_value = match byte {
+            b' ' | b'\t' | b'\r' | b'\n' | b'(' | b'+' => by_value,
+            b'-' if next == Some(b'-') => {
+                at = find(bytes, at, b'\n').unwrap_or(bytes.len());
+                by_value
             }
-            Token::Minus | Token::Kw(Kw::Limit) => by_value = true,
-            Token::LParen | Token::Plus => {}
-            _ => by_value = false,
-        }
+            b'-' => true,
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let word = bytes[at..].iter().position(|b| !WORD[usize::from(*b)]);
+                at = word.map_or(bytes.len(), |len| at + len);
+                bytes[start..at].eq_ignore_ascii_case(Kw::Limit.as_str().as_bytes())
+            }
+            b'0'..=b'9' => {
+                let number;
+                (at, number) = scan_number(bytes, start);
+                match number {
+                    Number::Int(n) if holes && !by_value => {
+                        template.push_str(&text[copied..start]);
+                        values.push(Value::Int(n));
+                        let _ = write!(template, "${}", values.len());
+                        copied = at;
+                    }
+                    Number::OutOfRange => return Err(lex_error(&text[start..])),
+                    _ => {}
+                }
+                false
+            }
+            b'\'' => {
+                // A quote byte is never part of a longer UTF-8 sequence.
+                loop {
+                    let Some(quote) = find(bytes, at, b'\'') else {
+                        return Err(lex_error(&text[start..]));
+                    };
+                    at = quote + 1;
+                    if bytes.get(at) != Some(&b'\'') {
+                        break;
+                    }
+                    at += 1;
+                }
+                false
+            }
+            b'"' => {
+                let Some(quote) = find(bytes, at, b'"') else {
+                    return Err(lex_error(&text[start..]));
+                };
+                at = quote + 1;
+                false
+            }
+            b'|' if next == Some(b'|') => {
+                at += 1;
+                false
+            }
+            b'!' if next == Some(b'=') => {
+                at += 1;
+                false
+            }
+            b')' | b',' | b'.' | b';' | b'*' | b'/' | b'%' | b'=' | b'<' | b'>' => false,
+            // A lone `|` or `!`, a `$`, or no character of SQL.
+            _ => return Err(lex_error(&text[start..])),
+        };
     }
     template.push_str(&text[copied..]);
     Ok(Split { template, values })
+}
+
+/// The bytes that continue a word: ASCII letters and digits, and `_`.
+static WORD: [bool; 256] = {
+    let mut word = [false; 256];
+    let mut b = 0;
+    while b < 256 {
+        word[b] = (b as u8).is_ascii_alphanumeric() || b == b'_' as usize;
+        b += 1;
+    }
+    word
+};
+
+/// Where `byte` next stands in `bytes`, from `from` on.
+fn find(bytes: &[u8], from: usize, byte: u8) -> Option<usize> {
+    let at = bytes.get(from..)?.iter().position(|b| *b == byte)?;
+    Some(from + at)
+}
+
+/// A number as [`Lexer`] reads one.
+enum Number {
+    Int(i64),
+    /// An integer literal beyond `i64`: a lexical error.
+    OutOfRange,
+    Float,
+}
+
+/// The number starting at `start` of `bytes`, and where it ends.
+fn scan_number(bytes: &[u8], start: usize) -> (usize, Number) {
+    let digits = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let int_end = digits(start);
+    let mut end = int_end;
+    if bytes.get(end) == Some(&b'.') && bytes.get(end + 1).is_some_and(u8::is_ascii_digit) {
+        end = digits(end + 1);
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        let sign = usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+        if bytes.get(end + 1 + sign).is_some_and(u8::is_ascii_digit) {
+            end = digits(end + 1 + sign);
+        }
+    }
+    if end > int_end {
+        return (end, Number::Float);
+    }
+    let int = bytes[start..end].iter().try_fold(0i64, |n, b| {
+        n.checked_mul(10)?.checked_add(i64::from(b - b'0'))
+    });
+    (end, int.map_or(Number::OutOfRange, Number::Int))
+}
+
+/// The lexical error [`split`] stopped at: the one the lexer reports for the
+/// token `rest` starts with.
+fn lex_error(rest: &str) -> Error {
+    let mut lexer = Lexer::new(rest);
+    loop {
+        match lexer.next_token() {
+            Ok(Some(_)) => {}
+            Err(e) => return e,
+            // The scan stops only where the lexer does (the differential
+            // test holds it to that); never silently accept.
+            Ok(None) => return Error::Lex(format!("unscanned text {rest:?}")),
+        }
+    }
 }
 
 /// A template parsed once: its query, its canonical print cut where the
@@ -423,6 +547,173 @@ mod tests {
         ] {
             assert_eq!(split(text).unwrap_err(), parse_query(text).unwrap_err());
         }
+    }
+
+    /// The split as it was before [`split`] scanned bytes itself: driven by
+    /// the lexer's tokens. The oracle of the two tests below.
+    fn split_by_tokens(text: &str) -> Result<Split> {
+        use crate::lexer::Token;
+        let mut template = String::with_capacity(text.len() + 16);
+        let mut values = Vec::new();
+        let holes = !text.contains('$');
+        let mut lexer = Lexer::new(text);
+        let mut copied = 0;
+        let mut by_value = false;
+        while let Some(token) = lexer.next_token()? {
+            match token {
+                Token::Int(n) if holes && !by_value => {
+                    let end = lexer.position();
+                    let digits = text[..end].bytes().rev().take_while(u8::is_ascii_digit);
+                    template.push_str(&text[copied..end - digits.count()]);
+                    values.push(Value::Int(n));
+                    let _ = write!(template, "${}", values.len());
+                    copied = end;
+                }
+                Token::Minus | Token::Kw(Kw::Limit) => by_value = true,
+                Token::LParen | Token::Plus => {}
+                _ => by_value = false,
+            }
+        }
+        template.push_str(&text[copied..]);
+        Ok(Split { template, values })
+    }
+
+    /// `split(text)` is the token-driven split's, and an error is the
+    /// parse's.
+    fn assert_splits_as_the_lexer_does(text: &str) {
+        let split = split(text);
+        assert_eq!(split, split_by_tokens(text), "split of {text:?}");
+        if let Err(e) = split {
+            assert_eq!(Err(e), parse_query(text).map(drop), "error of {text:?}");
+        }
+    }
+
+    /// Undo the `{:?}` escaping of a `str`.
+    fn unescape(debug: &str) -> String {
+        let mut out = String::with_capacity(debug.len());
+        let mut chars = debug.chars();
+        while let Some(c) = chars.next() {
+            if c != '\\' {
+                out.push(c);
+                continue;
+            }
+            match chars.next().unwrap() {
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                '0' => out.push('\0'),
+                'u' => {
+                    let hex: String = chars.by_ref().skip(1).take_while(|&c| c != '}').collect();
+                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).unwrap()).unwrap());
+                }
+                other => out.push(other),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_byte_scan_splits_every_corpus_text_as_the_lexer_does() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/parse_corpus.txt");
+        let corpus = std::fs::read_to_string(path).unwrap();
+        let texts: Vec<String> = corpus
+            .lines()
+            .filter_map(|line| line.split_once(" sql \""))
+            .map(|(_, quoted)| unescape(quoted.strip_suffix('"').unwrap()))
+            .collect();
+        assert!(texts.len() > 1000, "{} texts", texts.len());
+        let failing = texts.iter().filter(|t| split(t).is_err()).count();
+        assert!(failing > 20, "{failing} lexical errors");
+        for text in &texts {
+            assert_splits_as_the_lexer_does(text);
+        }
+    }
+
+    #[test]
+    fn the_byte_scan_splits_random_texts_as_the_lexer_does() {
+        // What the scan must tell apart, and what it must reject.
+        const PIECES: &[&str] = &[
+            "0",
+            "7",
+            "42",
+            "007",
+            "9223372036854775807",
+            "9223372036854775808",
+            "99999999999999999999",
+            "1.5",
+            "2.",
+            "3e",
+            "4e+",
+            "5e-2",
+            "1E9",
+            "6e99999999999999999999",
+            "e",
+            "E",
+            "-",
+            "--",
+            "(",
+            "+",
+            ")",
+            ".",
+            "'",
+            "''",
+            "\"",
+            "$",
+            "$1",
+            "\n",
+            " ",
+            "\t",
+            "LIMIT",
+            "limit",
+            "Limit",
+            "|",
+            "||",
+            "!",
+            "!=",
+            "é",
+            "a",
+            "x1",
+            "_",
+            "SELECT",
+            "FROM",
+            "t",
+            "WHERE",
+            "=",
+            "<>",
+            ">=",
+            ",",
+            "*",
+            "/",
+            "%",
+            ";",
+            "-- c\n",
+            "'s$'",
+            "\"Q\"",
+            "\r",
+            "#",
+            "\u{b}",
+        ];
+        let mut rng = pdm_prng::Prng::seed_from_u64(0x5b17);
+        let (mut split_ok, mut holed) = (0, 0);
+        for _ in 0..25_000 {
+            let mut text = String::new();
+            for _ in 0..rng.usize_inclusive(1, 16) {
+                text.push_str(PIECES[rng.index(PIECES.len())]);
+                if rng.index(3) == 0 {
+                    text.push(' ');
+                }
+            }
+            assert_splits_as_the_lexer_does(&text);
+            if let Ok(Split { values, .. }) = split(&text) {
+                split_ok += 1;
+                holed += usize::from(!values.is_empty());
+            }
+        }
+        // Both sides of the scan are reached.
+        assert!(
+            split_ok > 2_000 && holed > 1_000,
+            "{split_ok} split, {holed} with values"
+        );
     }
 
     #[test]

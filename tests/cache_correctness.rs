@@ -12,12 +12,14 @@
 //! treatment: it may change statistics, never results.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use pdm_bench::harness::server;
 use pdm_core::query::recursive;
 use pdm_core::{
-    CacheStats, PdmServer, Recorder, RuleTable, Session, SessionConfig, SharedServer, SpanKind,
-    Strategy,
+    CacheStats, InFlight, PdmServer, Recorder, RuleTable, Session, SessionConfig, SharedServer,
+    SpanKind, Strategy,
 };
 use pdm_net::LinkProfile;
 use pdm_obs::kinds;
@@ -357,4 +359,54 @@ fn malformed_text_is_still_a_parse_error() {
     }
     assert_eq!(shared.cache_stats(), CacheStats::default());
     assert_eq!(server.metrics().snapshot().counter("server.queries"), 0);
+}
+
+/// Eight threads miss one key at once: one computes, seven wait on its
+/// single-flight mark and are served its result. The leader's stored
+/// function holds it until all seven are registered as waiting, so the
+/// count does not depend on the scheduler. Afterwards nothing is in flight:
+/// no mark, no waiter, no token outlived its call.
+#[test]
+fn concurrent_misses_wait_for_one_leader_and_leave_nothing_in_flight() {
+    const THREADS: usize = 8;
+    let (mut db, _) = build_database(&TreeSpec::new(3, 2, 1.0).with_node_size(64)).unwrap();
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let opened = Arc::clone(&gate);
+    db.register_function("gate", move |args| {
+        let (open, cv) = &*opened;
+        let mut open = open.lock().unwrap();
+        while !*open {
+            open = cv.wait(open).unwrap();
+        }
+        Ok(args[0].clone())
+    });
+    let server = PdmServer::new(db);
+    let sql = "SELECT GATE(obid) AS obid FROM assy ORDER BY obid";
+    let handles: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let shared = Arc::clone(server.shared());
+            std::thread::spawn(move || shared.query_cached(sql).unwrap())
+        })
+        .collect();
+    // One leader is inside the engine; wait until the other seven wait on it.
+    let start = Instant::now();
+    while server.in_flight().waiters != THREADS - 1 {
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "{:?}",
+            server.in_flight()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
+    assert_eq!(*results[0], server.query_uncached(sql).unwrap());
+
+    let m = server.metrics().snapshot();
+    assert_eq!(m.counter("cache.singleflight_leaders"), 1);
+    assert!(m.counter("cache.singleflight_hits") >= 1);
+    assert_eq!(m.counter("cache.singleflight_hits"), (THREADS - 1) as u64);
+    assert_eq!(server.in_flight(), InFlight::default());
 }

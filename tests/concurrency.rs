@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use pdm_bench::harness::{roots, server, session};
-use pdm_core::{LockEvent, PdmServer, ProductTree, Recorder, Session, Strategy};
+use pdm_core::{InFlight, LockEvent, PdmServer, ProductTree, Recorder, Session, Strategy};
 use pdm_prng::Prng;
 use pdm_workload::TreeSpec;
 
@@ -119,6 +119,8 @@ fn stress_final_state_equals_serial_replay() {
         server.shared().lock_table().is_empty(),
         "every grant was checked back in"
     );
+    // No single-flight mark, waiter or check-out token outlived its call.
+    assert_eq!(server.shared().in_flight(), InFlight::default());
 
     // Property 2: check-out exclusion over the lock-event journal.
     let events = server.shared().take_lock_events();
@@ -192,6 +194,7 @@ fn same_root_contention_has_exactly_one_winner() {
         }));
     }
     let results: Vec<Vec<bool>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(server.shared().in_flight(), InFlight::default());
     for round in 0..10 {
         let winners = results.iter().filter(|w| w[round]).count();
         assert_eq!(
