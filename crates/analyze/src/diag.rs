@@ -282,14 +282,6 @@ impl Report {
             .filter(|d| d.severity == Severity::Error)
     }
 
-    /// Diagnostics produced by `check`.
-    pub fn of_check(&self, check: Check) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.check == check)
-            .collect()
-    }
-
     /// True if at least one diagnostic of `check` was emitted — the
     /// predicate the mutation-sensitivity tests assert on.
     pub fn flags(&self, check: Check) -> bool {

@@ -8,6 +8,8 @@
 
 use std::time::Instant;
 
+use pdm_obs::Recorder;
+use pdm_sql::parser::parse_query;
 use pdm_workload::{build_database, TreeSpec};
 
 fn forall_sql() -> String {
@@ -30,17 +32,21 @@ fn main() {
     );
     for (depth, branching) in [(3u32, 3u32), (4, 3), (5, 3), (4, 5)] {
         let spec = TreeSpec::new(depth, branching, 1.0).with_node_size(128);
-        let sql = forall_sql();
+        let query = parse_query(&forall_sql()).unwrap();
 
         let (db_on, _) = build_database(&spec).unwrap();
         let start = Instant::now();
-        let (rs_on, stats_on) = db_on.query_with_stats(&sql).unwrap();
+        let (rs_on, stats_on) = db_on
+            .query_ast_profiled(&query, &Recorder::disabled())
+            .unwrap();
         let t_on = start.elapsed().as_secs_f64() * 1e3;
 
         let (mut db_off, _) = build_database(&spec).unwrap();
         db_off.config.subquery_cache = false;
         let start = Instant::now();
-        let (rs_off, stats_off) = db_off.query_with_stats(&sql).unwrap();
+        let (rs_off, stats_off) = db_off
+            .query_ast_profiled(&query, &Recorder::disabled())
+            .unwrap();
         let t_off = start.elapsed().as_secs_f64() * 1e3;
 
         assert_eq!(rs_on.len(), rs_off.len(), "results must agree");

@@ -248,11 +248,7 @@ pub fn scripted_workload(server: &PdmServer, seed: u64, steps: usize) -> Vec<u64
 
 /// The state fingerprint of an owned database.
 pub fn fingerprint_of(db: Database) -> Vec<u8> {
-    state_fingerprint(&Snapshot {
-        catalog: db.catalog,
-        config: db.config,
-        version: 0,
-    })
+    state_fingerprint(&Snapshot { db, version: 0 })
 }
 
 /// What recovery must produce: the crashed server's published snapshot (the

@@ -99,11 +99,6 @@ pub fn run_action(session: &mut Session, action: SimAction) -> TrafficStats {
     }
 }
 
-/// Format seconds like the paper's tables (two decimals).
-pub fn fmt_s(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 /// A simulated reproduction of one paper table: the same grid as
 /// `pdm_model::tables`, but *measured* by running real SQL through the
 /// engine and the WAN simulator instead of evaluating formulas.

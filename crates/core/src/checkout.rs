@@ -8,7 +8,7 @@
 //! measure the difference.
 
 use pdm_net::TrafficStats;
-use pdm_sql::{DmlOutcome, ExecOutcome, ResultSet};
+use pdm_sql::{ExecOutcome, ResultSet};
 
 use crate::product::{ObjectId, ProductTree};
 use crate::query::prepared::Shape;
@@ -226,18 +226,19 @@ impl Session {
 }
 
 impl Session {
-    /// One metered UPDATE exchange. The check-out/check-in flag updates are
+    /// One metered DML exchange, returning the rows the statement inserted,
+    /// updated or deleted. The check-out/check-in flag updates are
     /// idempotent (`SET checkedout = <const>` over a fixed id set), so on a
     /// faulty link every failure mode — including a lost confirmation after
     /// the server applied the update — is safe to replay.
     pub(crate) fn metered_update(&mut self, sql: &str) -> SessionResult<usize> {
         let _permit = self.admit(crate::overload::Priority::Checkout)?;
         self.exchange(sql.len(), |server, deadline, obs| {
-            let updated = match server.execute_deadline_obs(sql, deadline, obs)? {
-                ExecOutcome::Dml(DmlOutcome::Updated(n)) => n,
-                _ => 0,
+            let affected = match server.execute_deadline_obs(sql, deadline, obs)? {
+                ExecOutcome::Dml(outcome) => outcome.affected(),
+                ExecOutcome::Rows(_) => 0,
             };
-            Ok((updated, 16))
+            Ok((affected, 16))
         })
     }
 }

@@ -442,7 +442,7 @@ pub struct RecoveryReport {
 }
 
 /// Rebuild a server from a surviving image: load the checkpoint, apply the
-/// log suffix through the one state machine ([`crate::replay`]), become
+/// log suffix through the one state machine (`crate::replay`), become
 /// primary. See the module docs for the invariants; the crash harness in
 /// `tests/crash_recovery.rs` checks them across hundreds of seeded crash
 /// points.
@@ -506,11 +506,7 @@ mod tests {
             .unwrap();
         db.execute("INSERT INTO assy VALUES (1, FALSE), (2, TRUE)")
             .unwrap();
-        Snapshot {
-            catalog: db.catalog,
-            config: db.config,
-            version: 3,
-        }
+        Snapshot { db, version: 3 }
     }
 
     #[test]

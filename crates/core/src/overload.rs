@@ -38,6 +38,8 @@ use std::sync::{Arc, Mutex};
 
 use pdm_obs::{Counter, Gauge, MetricsRegistry};
 
+use crate::shared::lock_unpoisoned;
+
 /// Priority class of one server action. Ordering is shed order: lower
 /// classes are rejected while higher classes still get tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -210,7 +212,7 @@ impl OverloadGate {
         let now = self.now();
         let rate = self.cfg.capacity_ops_per_s;
         {
-            let mut b = lock_bucket(&self.bucket);
+            let mut b = lock_unpoisoned(&self.bucket);
             if now > b.refilled_at {
                 b.tokens = (b.tokens + (now - b.refilled_at) * rate).min(self.cfg.burst);
                 b.refilled_at = now;
@@ -246,13 +248,6 @@ impl OverloadGate {
         Rejection {
             retry_after: retry_after.max(1e-9),
         }
-    }
-}
-
-fn lock_bucket(m: &Mutex<Bucket>) -> std::sync::MutexGuard<'_, Bucket> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
     }
 }
 

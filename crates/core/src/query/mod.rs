@@ -10,13 +10,11 @@
 //! occupies the configured node size on the wire.
 //!
 //! [`navigational`] and [`recursive`] build a statement's AST for an object
-//! id, the [`modificator`] splices the user's rules into it, and every
-//! finished AST passes the [`audit`] hook. A session does not run that
-//! pipeline per statement: [`prepared`] runs it once per statement *shape*
+//! id, and the [`modificator`] splices the user's rules into it. A session
+//! does not run that pipeline per statement: [`prepared`] runs it once per statement *shape*
 //! and splices ids into the printed text, which is all that differs between
 //! the hundreds of statements of a navigational expand.
 
-pub mod audit;
 pub mod modificator;
 pub mod navigational;
 pub mod prepared;

@@ -214,7 +214,6 @@ impl<'a> Modificator<'a> {
         let mut body = std::mem::replace(&mut query.body, empty_body());
         self.inject_row_conditions(&mut body, Region::Outer, &mut report);
         query.body = body;
-        super::audit::audit(query);
         Ok(report)
     }
 
@@ -282,7 +281,6 @@ impl<'a> Modificator<'a> {
             }
         }
 
-        super::audit::audit(query);
         Ok(report)
     }
 

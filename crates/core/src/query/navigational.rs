@@ -40,7 +40,7 @@ pub fn expand_query(parent: ObjectId) -> Query {
 /// Single-level expand through an alternative structure view (a second
 /// link table over the same objects — §1 footnote 1).
 pub fn expand_query_in(parent: ObjectId, link_table: &str) -> Query {
-    let q = Query {
+    Query {
         with: None,
         body: SetExpr::SetOp {
             op: SetOp::Union,
@@ -54,9 +54,7 @@ pub fn expand_query_in(parent: ObjectId, link_table: &str) -> Query {
         },
         order_by: Vec::new(),
         limit: None,
-    };
-    super::audit::audit(&q);
-    q
+    }
 }
 
 /// Batched single-level expand: children of *all* `parents` in ONE query
@@ -78,7 +76,7 @@ pub fn expand_many_query(parents: &[ObjectId], link_table: &str) -> Query {
     in_list(&mut assy);
     let mut comp = expand_select(T_COMP, link_table, 0);
     in_list(&mut comp);
-    let q = Query {
+    Query {
         with: None,
         body: SetExpr::SetOp {
             op: SetOp::Union,
@@ -88,9 +86,7 @@ pub fn expand_many_query(parents: &[ObjectId], link_table: &str) -> Query {
         },
         order_by: Vec::new(),
         limit: None,
-    };
-    super::audit::audit(&q);
-    q
+    }
 }
 
 /// The set-oriented Query action: all nodes of the product, no structure
@@ -111,7 +107,7 @@ pub fn query_all_query(root: ObjectId) -> Query {
     comp.projection = bare_node_projection(T_COMP);
     comp.from.push(TableWithJoins::table(T_COMP));
 
-    let q = Query {
+    Query {
         with: None,
         body: SetExpr::SetOp {
             op: SetOp::Union,
@@ -121,9 +117,7 @@ pub fn query_all_query(root: ObjectId) -> Query {
         },
         order_by: Vec::new(),
         limit: None,
-    };
-    super::audit::audit(&q);
-    q
+    }
 }
 
 /// Fetch one object's full homogenized row by id (used to prime the client
@@ -139,7 +133,7 @@ pub fn fetch_node_query(obid: ObjectId) -> Query {
     comp.from.push(TableWithJoins::table(T_COMP));
     comp.and_where(Expr::eq(Expr::qcol(T_COMP, "obid"), Expr::lit(obid)));
 
-    let q = Query {
+    Query {
         with: None,
         body: SetExpr::SetOp {
             op: SetOp::Union,
@@ -149,9 +143,7 @@ pub fn fetch_node_query(obid: ObjectId) -> Query {
         },
         order_by: Vec::new(),
         limit: None,
-    };
-    super::audit::audit(&q);
-    q
+    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! view, which rules apply to the user — and never on the object id: the
 //! modificator walks tables, bindings and rules, and the printer writes an
 //! integer literal as its decimal digits whatever surrounds it. So a
-//! session runs build → modify → audit → print once per shape
+//! session runs build → modify → print once per shape
 //! (`Prepared::new`, the only place that sequence exists) and every later
 //! statement of that shape is the printed text with the id spliced in
 //! ([`Prepared::bind`]) — byte for byte what generating it afresh prints.
@@ -125,8 +125,8 @@ fn shared_pieces(a: &str, b: &str) -> Option<Vec<String>> {
 impl Prepared {
     /// Generate `shape` with each placeholder id — the existing generator,
     /// the modificator where [`Shape::modify`] says so (one
-    /// `compile.modify` span for the shape), both of which run the
-    /// debug-build audit — print, and keep what the two texts share.
+    /// `compile.modify` span for the shape) — print, and keep what the two
+    /// texts share.
     pub(crate) fn new(
         shape: Shape,
         view: &str,

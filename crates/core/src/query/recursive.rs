@@ -114,7 +114,7 @@ pub fn mle_query_in(root: ObjectId, link_table: &str, include_root: bool) -> Que
         ));
     }
 
-    let q = Query {
+    Query {
         with: Some(With {
             recursive: true,
             ctes: vec![Cte {
@@ -129,9 +129,7 @@ pub fn mle_query_in(root: ObjectId, link_table: &str, include_root: bool) -> Que
         body: SetExpr::Select(Box::new(final_select)),
         order_by: Vec::new(),
         limit: None,
-    };
-    super::audit::audit(&q);
-    q
+    }
 }
 
 #[cfg(test)]

@@ -1058,7 +1058,7 @@ mod tests {
         assert_eq!(cluster.lag(1), 0);
         let honest = encode_snapshot(&cluster.primary.database().snapshot());
         let mut snapshot = decode_snapshot(&honest).unwrap();
-        tamper(snapshot.catalog.table_mut("comp").unwrap());
+        tamper(snapshot.db.catalog.table_mut("comp").unwrap());
         let watermark = cluster.feed.last_seq();
         let state = cluster.primary.durability().unwrap().replay_state();
         let replica = ReplicaSite::bootstrap(

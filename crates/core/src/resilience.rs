@@ -8,7 +8,7 @@
 //! data + arithmetic on the virtual clock — no wall time, no global RNG —
 //! so every simulated failure scenario replays exactly.
 //!
-//! [`exchange`] is the one place a request crosses the WAN: queries,
+//! `exchange` is the one place a request crosses the WAN: queries,
 //! updates, the function-shipping check-out and federated site queries all
 //! run through it, so deadline, retry and error-mapping rules exist once.
 

@@ -671,11 +671,6 @@ impl Session {
         self.prepared.clear();
     }
 
-    /// The link table currently navigated.
-    pub fn structure_view(&self) -> &str {
-        &self.structure_table
-    }
-
     pub fn server(&self) -> &PdmServer {
         &self.server
     }
@@ -980,7 +975,8 @@ impl Session {
 
     /// One standalone metered DML statement as its own measured action
     /// (retried per the session's policy like any other exchange). The
-    /// write path replicated clusters forward to the primary.
+    /// write path replicated clusters forward to the primary. Returns the
+    /// rows the statement inserted, updated or deleted.
     pub fn execute_update(&mut self, sql: &str) -> SessionResult<usize> {
         self.action("execute_update", |s| s.metered_update(sql))
     }
@@ -1238,6 +1234,27 @@ mod tests {
         let out = s.single_level_expand(1).unwrap();
         assert_eq!(out.stats.queries, 1);
         assert_eq!(out.tree.len(), 1 + 3); // root + visible children
+    }
+
+    /// A standalone statement reports the rows it inserted, updated or
+    /// deleted, and 0 for DDL.
+    #[test]
+    fn execute_update_returns_the_rows_affected() {
+        let mut s = session(Strategy::EarlyEval, 0.6);
+        assert_eq!(
+            s.execute_update("CREATE TABLE note (id INTEGER)").unwrap(),
+            0
+        );
+        assert_eq!(
+            s.execute_update("INSERT INTO note VALUES (1), (2), (3)")
+                .unwrap(),
+            3
+        );
+        assert_eq!(
+            s.execute_update("DELETE FROM note WHERE id <= 2").unwrap(),
+            2
+        );
+        assert_eq!(s.execute_update("UPDATE note SET id = 4").unwrap(), 1);
     }
 
     #[test]

@@ -1332,7 +1332,7 @@ impl SharedServer {
     /// Execute a read query bypassing the cache (cold path; the cache
     /// differential tests compare against this).
     pub fn query_uncached(&self, sql: &str) -> pdm_sql::Result<ResultSet> {
-        self.db.query(sql)
+        self.db.snapshot().query(sql)
     }
 
     // -- writes -----------------------------------------------------------
@@ -1649,7 +1649,7 @@ impl SharedServer {
             return Ok(false);
         }
         let list = id_list(ids);
-        let rs = self.db.query(&format!(
+        let rs = self.db.snapshot().query(&format!(
             "SELECT COUNT(*) AS n FROM {table} WHERE checkedout = TRUE AND obid IN ({list})"
         ))?;
         let row = rs
@@ -1678,7 +1678,7 @@ impl SharedServer {
             None,
             obs,
         )? {
-            ExecOutcome::Dml(pdm_sql::DmlOutcome::Updated(n)) => Ok(n),
+            ExecOutcome::Dml(outcome) => Ok(outcome.affected()),
             other => Err(pdm_sql::Error::Eval(format!(
                 "UPDATE returned unexpected outcome {other:?}"
             ))

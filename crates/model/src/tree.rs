@@ -73,11 +73,6 @@ impl KaryTree {
         self.visible_nodes()
     }
 
-    /// Expected visible nodes at the leaf level: (γβ)^δ.
-    pub fn leaf_level_visible(&self) -> f64 {
-        self.visible_branching().powi(self.depth as i32)
-    }
-
     /// Exact number of nodes at level `i` ignoring visibility.
     pub fn nodes_at_level(&self, level: u32) -> u64 {
         (self.branching as u64).pow(level)

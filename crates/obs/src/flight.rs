@@ -66,12 +66,6 @@ impl FlightDump {
         self
     }
 
-    /// Attach the action's assembled trace tree (tracing on only).
-    pub fn with_trace(mut self, trace: Option<TraceTree>) -> Self {
-        self.trace = trace.map(Box::new);
-        self
-    }
-
     pub fn is_empty(&self) -> bool {
         self.expired_in.is_empty() && self.events.is_empty() && self.trace.is_none()
     }

@@ -71,9 +71,7 @@ impl QueryProfile {
         }
         self.spans
             .iter()
-            // lint:allow(unchecked-index): span ids are dense indices into
-            // self.spans, and has_child was sized to match above.
-            .filter(|s| !has_child[s.id])
+            .filter(|s| has_child.get(s.id) != Some(&true))
             .map(|s| s.v_duration())
             .sum()
     }

@@ -14,7 +14,7 @@
 //! for no action (a background ship round) is handed a disabled one.
 //!
 //! **Clock model.** Each span records a virtual interval (netsim
-//! [`VirtualClock`] seconds — the deterministic timeline) and a wall
+//! `VirtualClock` seconds — the deterministic timeline) and a wall
 //! interval (nanoseconds since the recorder's epoch — advisory). The
 //! channel resets its virtual clock at every metering reset; the recorder
 //! keeps the action timeline monotonic across those resets by rebasing

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use crate::json;
-use crate::span::{kinds, SpanKind, SpanRecord, Subsystem};
+use crate::span::{kinds, SpanKind, SpanRecord};
 
 /// The context piggybacked on every exchange while tracing is on: which
 /// action (trace) this exchange belongs to and which span caused it.
@@ -581,13 +581,6 @@ impl AttributionTable {
         }
         format!("{{\n{}\n{pad}}}", rows.join(",\n"))
     }
-}
-
-/// Map a span subsystem to whether it can ever carry virtual width.
-/// Only the network and replication layers advance the virtual clock
-/// (PR-5 invariant); everything else is structurally zero-width.
-pub fn subsystem_is_wide(sub: Subsystem) -> bool {
-    matches!(sub, Subsystem::Network | Subsystem::Repl)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! targets, index probes, join methods, projection and aggregate slots fixed —
 //! and the operators in this module only *run* that plan, with the values
 //! its template's `$n` are bound to and its base tables looked up in the
-//! catalog of the run ([`Plan::run`]). Between a scan and a projection a row
+//! catalog of the run (`Plan::run`). Between a scan and a projection a row
 //! is a handful of references into the snapshot's shared rows ([`join`]); a
 //! `Value` is cloned only where SQL materialises one. EXPLAIN renders the
 //! same plan ([`explain`]), so it cannot drift from what runs.

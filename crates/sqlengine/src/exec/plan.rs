@@ -21,7 +21,7 @@
 //! A plan owns everything it holds and borrows nothing, so it can outlive
 //! the statement it was compiled for ([`crate::template`] keeps one per
 //! template): a literal is a [`Value`] of its own; a template's `$n` is
-//! [`Const::Param`], read from the values of each run; a base table is a
+//! `Const::Param`, read from the values of each run; a base table is a
 //! slot of [`Plan::tables`], looked up by name in the catalog of each run
 //! (DML replaces a table's `Arc`, not its name, schema or indexes). What a
 //! plan may rely on of the catalog — tables, columns, indexes, views,

@@ -7,7 +7,7 @@
 //! δ² — this is what makes the paper's one-query multi-level expand cheap on
 //! the server side. The terms were compiled once ([`super::plan`]); a round
 //! only runs them. The delta is a range of the accumulated total, and UNION
-//! de-duplication remembers positions in that total ([`Seen`]), so a row is
+//! de-duplication remembers positions in that total (`Seen`), so a row is
 //! stored once and hashed once.
 
 use crate::ast::{SetExpr, SetOp, TableFactor};

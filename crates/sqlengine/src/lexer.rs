@@ -95,7 +95,7 @@ pub enum Token<'a> {
     /// Integer literal.
     Int(i64),
     /// `$n` of a template: the `n-1`-th bound value. Scanned only by
-    /// [`Lexer::template`]; in a statement text `$` is no character of SQL.
+    /// `Lexer::template`; in a statement text `$` is no character of SQL.
     Param(usize),
     /// Floating-point literal.
     Float(f64),

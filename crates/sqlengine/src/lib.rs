@@ -67,12 +67,10 @@ impl ExecOutcome {
     }
 }
 
-/// Where every query entry point of [`Database`] and [`Snapshot`] meets the
-/// executor: one `engine.query` span around one `run` — a compile and run
-/// ([`exec::execute`]) or a template's ([`template::Template::run`]). A
-/// disabled recorder records nothing, so the rows and counters are the same
-/// with and without one.
-pub(crate) fn evaluate(
+/// Where both query entry points meet the executor: one `engine.query` span
+/// around one `run` — a compile and run ([`exec::execute`]) or a
+/// template's ([`template::Template::run`]).
+fn evaluate(
     obs: &pdm_obs::Recorder,
     run: impl FnOnce() -> Result<(ResultSet, ExecStats)>,
 ) -> Result<(ResultSet, ExecStats)> {
@@ -85,7 +83,8 @@ pub(crate) fn evaluate(
 /// An in-memory SQL database: catalog + executor configuration.
 ///
 /// Cloning is cheap (tables are `Arc`ed copy-on-write, see [`Catalog`]);
-/// for genuinely concurrent access wrap it in a [`SharedDatabase`].
+/// for genuinely concurrent access wrap it in a [`SharedDatabase`], whose
+/// published states are [`Snapshot`]s — a `Database` at a version.
 #[derive(Debug, Default, Clone)]
 pub struct Database {
     pub catalog: Catalog,
@@ -99,13 +98,20 @@ impl Database {
 
     /// Execute any single SQL statement.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
-        let stmt = parser::parse_statement(sql)?;
+        self.execute_ast(&parser::parse_statement(sql)?)
+    }
+
+    /// Execute a parsed statement: a query runs, DML/DDL applies in place.
+    pub fn execute_ast(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
         match stmt {
-            Statement::Query(q) => Ok(ExecOutcome::Rows(self.query_ast(&q)?)),
+            Statement::Query(q) => Ok(ExecOutcome::Rows(
+                self.query_ast_profiled(q, &pdm_obs::Recorder::disabled())?
+                    .0,
+            )),
             other => Ok(ExecOutcome::Dml(update::execute_statement(
                 &mut self.catalog,
                 &self.config,
-                &other,
+                other,
             )?)),
         }
     }
@@ -113,13 +119,37 @@ impl Database {
     /// Run a query given as SQL text.
     pub fn query(&self, sql: &str) -> Result<ResultSet> {
         let q = parser::parse_query(sql)?;
-        self.query_ast(&q)
+        Ok(self
+            .query_ast_profiled(&q, &pdm_obs::Recorder::disabled())?
+            .0)
     }
 
-    /// Run a query given as SQL text, returning execution statistics too.
-    pub fn query_with_stats(&self, sql: &str) -> Result<(ResultSet, ExecStats)> {
-        let q = parser::parse_query(sql)?;
-        self.query_ast_with_stats(&q)
+    /// Run an already-parsed query under one `engine.query` span, and return
+    /// the execution counters alongside the rows. A disabled recorder
+    /// records nothing, so the rows and counters are the same with and
+    /// without one.
+    pub fn query_ast_profiled(
+        &self,
+        query: &Query,
+        obs: &pdm_obs::Recorder,
+    ) -> Result<(ResultSet, ExecStats)> {
+        evaluate(obs, || {
+            exec::execute(&self.catalog, &self.config, query, &[], obs)
+        })
+    }
+
+    /// [`Database::query_ast_profiled`] of a template's query with its `$n`
+    /// bound to `values`, through the plan the template keeps
+    /// ([`template::Template::run`]).
+    pub fn query_template_profiled(
+        &self,
+        template: &template::Template,
+        values: &[Value],
+        obs: &pdm_obs::Recorder,
+    ) -> Result<(ResultSet, ExecStats)> {
+        evaluate(obs, || {
+            template.run(&self.catalog, &self.config, values, obs)
+        })
     }
 
     /// Render the executor's plan for a query without running it (the
@@ -128,31 +158,6 @@ impl Database {
     pub fn explain(&self, sql: &str) -> Result<String> {
         let q = parser::parse_query(sql)?;
         exec::explain::explain_query(&self.catalog, &self.config, &q)
-    }
-
-    /// Run an already-parsed query.
-    pub fn query_ast(&self, query: &Query) -> Result<ResultSet> {
-        Ok(self.query_ast_with_stats(query)?.0)
-    }
-
-    /// Run an already-parsed query, returning execution statistics.
-    pub fn query_ast_with_stats(&self, query: &Query) -> Result<(ResultSet, ExecStats)> {
-        let disabled = pdm_obs::Recorder::disabled();
-        evaluate(&disabled, || {
-            exec::execute(&self.catalog, &self.config, query, &[], &disabled)
-        })
-    }
-
-    /// Execute a parsed DML/DDL statement.
-    pub fn execute_ast(&mut self, stmt: &Statement) -> Result<ExecOutcome> {
-        match stmt {
-            Statement::Query(q) => Ok(ExecOutcome::Rows(self.query_ast(q)?)),
-            other => Ok(ExecOutcome::Dml(update::execute_statement(
-                &mut self.catalog,
-                &self.config,
-                other,
-            )?)),
-        }
     }
 
     /// Register a stored (user-defined) scalar function.
@@ -245,7 +250,10 @@ mod tests {
         let mut db = db_with_fixture();
         let out = db.execute("CREATE INDEX ON t (a)").unwrap();
         assert_eq!(out, ExecOutcome::Dml(DmlOutcome::IndexCreated));
-        let (_, stats) = db.query_with_stats("SELECT * FROM t WHERE a = 2").unwrap();
+        let q = parser::parse_query("SELECT * FROM t WHERE a = 2").unwrap();
+        let (_, stats) = db
+            .query_ast_profiled(&q, &pdm_obs::Recorder::disabled())
+            .unwrap();
         assert_eq!(stats.index_probes, 1);
     }
 

@@ -8,8 +8,8 @@
 //!
 //! The text is scanned once, as the grammar asks for tokens: a token borrows
 //! from the text, a name is copied (and folded to lowercase) exactly once,
-//! when it enters the AST ([`Parser::expect_ident`]), and a list is
-//! allocated once ([`Parser::comma_list`]).
+//! when it enters the AST (`Parser::expect_ident`), and a list is
+//! allocated once (`Parser::comma_list`).
 
 use crate::ast::*;
 use crate::error::{Error, Result};

@@ -434,8 +434,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
         )));
     }
     Ok(Snapshot {
-        catalog,
-        config,
+        db: crate::Database { catalog, config },
         version,
     })
 }
@@ -519,11 +518,7 @@ mod tests {
     #[test]
     fn snapshot_round_trip_preserves_state_and_queries() {
         let db = sample_db();
-        let snap = Snapshot {
-            catalog: db.catalog.clone(),
-            config: db.config.clone(),
-            version: 7,
-        };
+        let snap = Snapshot { db, version: 7 };
         let bytes = encode_snapshot(&snap);
         let back = decode_snapshot(&bytes).unwrap();
         assert_eq!(back.version, 7);
@@ -542,11 +537,7 @@ mod tests {
     #[test]
     fn encoding_is_deterministic() {
         let db = sample_db();
-        let snap = Snapshot {
-            catalog: db.catalog.clone(),
-            config: db.config.clone(),
-            version: 0,
-        };
+        let snap = Snapshot { db, version: 0 };
         assert_eq!(encode_snapshot(&snap), encode_snapshot(&snap));
     }
 
@@ -561,11 +552,7 @@ mod tests {
     #[test]
     fn truncation_is_reported_with_offset() {
         let db = sample_db();
-        let snap = Snapshot {
-            catalog: db.catalog.clone(),
-            config: db.config.clone(),
-            version: 0,
-        };
+        let snap = Snapshot { db, version: 0 };
         let bytes = encode_snapshot(&snap);
         let err = decode_snapshot(&bytes[..bytes.len() / 2]).unwrap_err();
         match err {

@@ -3,7 +3,7 @@
 //! The statements sessions ship come in a handful of shapes that differ
 //! only in object ids — a navigational expand is one text per visible node —
 //! and a result-cache miss used to parse and print each one in full to learn
-//! its canonical key. [`split`] cuts a text into its *template*, the text
+//! its canonical key. `split` cuts a text into its *template*, the text
 //! with each integer literal replaced by `$1`, `$2`, …, and those integers;
 //! [`Templates`] keeps each template parsed once, its query holding
 //! [`Expr::Param`](crate::ast::Expr::Param) where the text had a value, and

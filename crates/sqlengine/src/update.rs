@@ -26,6 +26,19 @@ pub enum DmlOutcome {
     TableDropped,
 }
 
+impl DmlOutcome {
+    /// Rows the statement inserted, updated or deleted; 0 for DDL.
+    pub fn affected(&self) -> usize {
+        match *self {
+            DmlOutcome::Inserted(n) | DmlOutcome::Updated(n) | DmlOutcome::Deleted(n) => n,
+            DmlOutcome::TableCreated
+            | DmlOutcome::ViewCreated
+            | DmlOutcome::IndexCreated
+            | DmlOutcome::TableDropped => 0,
+        }
+    }
+}
+
 /// Execute a DML/DDL statement against the catalog.
 pub fn execute_statement(
     catalog: &mut Catalog,

@@ -4,12 +4,15 @@
 //! (`parse_golden.rs`, `front_end_allocs.rs`): generator → §5.5 modificator
 //! → printer, which `crates/core/tests/prepared_sql.rs` pins as byte for
 //! byte what `Session::statement` sends. And [`bind_query`], what the
-//! template suites compare a template's query to a parse with.
+//! template suites compare a template's query to a parse with, and
+//! [`query_with_stats`], how the suites read a query's `ExecStats`.
 
 use std::collections::HashSet;
 
+use pdm_obs::Recorder;
 use pdm_sql::ast::{Expr, Query, SelectItem, SetExpr, TableFactor};
-use pdm_sql::Value;
+use pdm_sql::parser::parse_query;
+use pdm_sql::{Database, ExecStats, ResultSet, Value};
 
 use pdm_core::query::modificator::Modificator;
 use pdm_core::query::prepared::Shape;
@@ -112,6 +115,12 @@ pub fn nine_shape_texts(rules: &RuleTable, ids: &[i64]) -> Vec<(&'static str, St
         .iter()
         .map(|&(label, shape, action, view)| (label, shape_text(shape, action, ids, view, rules)))
         .collect()
+}
+
+/// `sql` parsed and run on `db` with its execution counters; a parse error
+/// is returned like an execution error.
+pub fn query_with_stats(db: &Database, sql: &str) -> pdm_sql::Result<(ResultSet, ExecStats)> {
+    db.query_ast_profiled(&parse_query(sql)?, &Recorder::disabled())
 }
 
 /// Replace every `$n` of `q` by the literal `values[n - 1]`.

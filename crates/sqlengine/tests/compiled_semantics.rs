@@ -9,6 +9,8 @@
 //! index-probe exactness rule, recursion's fixpoint. (Operator spans and the
 //! profiling-on ≡ profiling-off identity are pinned in `exec_golden.rs`.)
 
+mod common;
+
 use pdm_sql::{Database, Error, Value};
 
 fn db() -> Database {
@@ -259,7 +261,7 @@ fn a_zero_against_a_float_column_scans() {
         ("a = 0", 1, vec![]),
     ] {
         let sql = format!("SELECT a FROM t WHERE {predicate} ORDER BY 1");
-        let (rs, stats) = db.query_with_stats(&sql).unwrap();
+        let (rs, stats) = common::query_with_stats(&db, &sql).unwrap();
         assert_eq!(stats.index_probes, probes, "{sql}");
         assert_eq!(ints(&db, &sql), rows, "{sql}");
         assert_eq!(rs.len(), rows.len());
@@ -310,9 +312,7 @@ fn recursion_limit_and_union_mixing() {
                  SELECT e.dst FROM r JOIN e ON r.n = e.src) SELECT n FROM r";
     assert_eq!(db.query(cycle).unwrap_err(), Error::RecursionLimit(9));
     // UNION closes the cycle: two productive rounds and the empty one.
-    let (rs, stats) = db
-        .query_with_stats(&cycle.replace("UNION ALL", "UNION"))
-        .unwrap();
+    let (rs, stats) = common::query_with_stats(&db, &cycle.replace("UNION ALL", "UNION")).unwrap();
     assert_eq!((rs.len(), stats.recursion_iterations), (2, 2));
     let mixed = "WITH RECURSIVE r (n) AS (SELECT 0 UNION SELECT 1 UNION ALL \
                  SELECT e.dst FROM r JOIN e ON r.n = e.src) SELECT n FROM r";
@@ -327,22 +327,22 @@ fn recursion_limit_and_union_mixing() {
 #[test]
 fn duplicate_only_rounds_terminate() {
     let db = db();
-    let (rs, stats) = db
-        .query_with_stats(
-            "WITH RECURSIVE r (n) AS (SELECT 2 UNION SELECT 3 UNION \
+    let (rs, stats) = common::query_with_stats(
+        &db,
+        "WITH RECURSIVE r (n) AS (SELECT 2 UNION SELECT 3 UNION \
              SELECT 4 - (n - n) FROM r WHERE n < 4 UNION SELECT 2 FROM r) \
              SELECT n FROM r ORDER BY 1",
-        )
-        .unwrap();
+    )
+    .unwrap();
     let got: Vec<_> = rs.rows.iter().map(|r| r.get(0).clone()).collect();
     assert_eq!(got, vec![Value::Int(2), Value::Int(3), Value::Int(4)]);
     // Round 1 turns {2, 3} into {4}; round 2 finds only duplicates.
     assert_eq!(stats.recursion_iterations, 2);
     // Only duplicates from the start: one round.
-    let (rs, stats) = db
-        .query_with_stats(
-            "WITH RECURSIVE r (n) AS (SELECT 1 UNION SELECT n FROM r) SELECT n FROM r",
-        )
-        .unwrap();
+    let (rs, stats) = common::query_with_stats(
+        &db,
+        "WITH RECURSIVE r (n) AS (SELECT 1 UNION SELECT n FROM r) SELECT n FROM r",
+    )
+    .unwrap();
     assert_eq!((rs.len(), stats.recursion_iterations), (1, 1));
 }

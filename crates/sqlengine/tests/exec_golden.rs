@@ -140,7 +140,11 @@ fn bound_runs_as_written(db: &Database, templates: &Templates, sql: &str) -> boo
         r.template
             .run(&db.catalog, &db.config, &r.values, &disabled)
     });
-    assert_eq!(render(bound), render(db.query_with_stats(sql)), "{sql}");
+    assert_eq!(
+        render(bound),
+        render(common::query_with_stats(db, sql)),
+        "{sql}"
+    );
     if let Ok(r) = resolved {
         let canonical = pdm_sql::parser::parse_query(sql).unwrap().to_string();
         assert_eq!(*r.key, canonical, "{sql}");
@@ -183,7 +187,7 @@ impl Corpus {
         let mut stats: Vec<(String, String)> = Vec::new();
         for cfg in CONFIGS {
             let label = cfg.0;
-            let line = match configured(db, cfg).query_with_stats(sql) {
+            let line = match common::query_with_stats(&configured(db, cfg), sql) {
                 Ok((rs, st)) => {
                     let rows = render_rows(&rs);
                     if default_rows.as_ref() != Some(&rows) {
@@ -1204,7 +1208,7 @@ fn profiled(db: &Database, sql: &str) -> String {
     let snapshot = pdm_sql::SharedDatabase::new(db.clone()).snapshot();
     let obs = pdm_obs::Recorder::new();
     let (rows, stats) = snapshot.query_ast_profiled(&query, &obs).unwrap();
-    let (plain_rows, plain_stats) = db.query_with_stats(sql).unwrap();
+    let (plain_rows, plain_stats) = common::query_with_stats(db, sql).unwrap();
     assert_eq!(rows, plain_rows, "profiling changed the rows of {sql}");
     assert_eq!(
         render_stats(&stats),

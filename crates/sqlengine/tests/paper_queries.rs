@@ -4,6 +4,8 @@
 //! and 3) and the §5.3 condition queries, using the exact SQL printed in the
 //! paper (modulo whitespace).
 
+mod common;
+
 use pdm_sql::{Database, Value};
 
 /// Build the tables of Figure 2: 8 assemblies, 7 components, 8 links, and
@@ -302,7 +304,7 @@ WITH RECURSIVE rtbl (type, obid, name, dec) AS
 SELECT type, obid FROM rtbl
  WHERE NOT EXISTS (SELECT * FROM rtbl WHERE dec!='+')
 "#;
-    let (_, stats) = db.query_with_stats(sql).unwrap();
+    let (_, stats) = common::query_with_stats(&db, sql).unwrap();
     // 5 outer rows would mean 5 evaluations without the cache; with it the
     // NOT EXISTS body runs once and hits the cache for the remaining rows.
     assert!(stats.subquery_evals <= 1 + stats.subquery_cache_hits);

@@ -10,6 +10,8 @@
 //! catalog state published before it, and nothing a statement returned can
 //! be mutated by a later one.
 
+mod common;
+
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
 use pdm_sql::persist::{decode_snapshot, encode_snapshot, state_digest, state_fingerprint};
@@ -65,13 +67,9 @@ fn index_creation_copies_on_write() {
     let mut clone = original.clone();
     clone.execute("CREATE INDEX ON t (a)").unwrap();
 
-    let (_, stats) = clone
-        .query_with_stats("SELECT * FROM t WHERE a = 2")
-        .unwrap();
+    let (_, stats) = common::query_with_stats(&clone, "SELECT * FROM t WHERE a = 2").unwrap();
     assert_eq!(stats.index_probes, 1, "clone uses its new index");
-    let (_, stats) = original
-        .query_with_stats("SELECT * FROM t WHERE a = 2")
-        .unwrap();
+    let (_, stats) = common::query_with_stats(&original, "SELECT * FROM t WHERE a = 2").unwrap();
     assert_eq!(stats.index_probes, 0, "original must not see the index");
 }
 
@@ -102,12 +100,12 @@ fn subquery_cache_does_not_survive_the_statement() {
     d.execute("INSERT INTO s VALUES (1)").unwrap();
 
     let sql = "SELECT a FROM t WHERE a IN (SELECT v FROM s) ORDER BY a";
-    let (rs, stats) = d.query_with_stats(sql).unwrap();
+    let (rs, stats) = common::query_with_stats(&d, sql).unwrap();
     assert_eq!(rs.len(), 1);
     assert!(stats.subquery_evals >= 1);
 
     d.execute("INSERT INTO s VALUES (2), (3)").unwrap();
-    let (rs, stats) = d.query_with_stats(sql).unwrap();
+    let (rs, stats) = common::query_with_stats(&d, sql).unwrap();
     assert_eq!(rs.len(), 3, "second run must see the new subquery rows");
     assert!(
         stats.subquery_evals >= 1,
@@ -147,9 +145,15 @@ fn snapshot_index_stays_consistent_with_its_rows() {
     assert_eq!(rs.len(), 1);
     assert_eq!(rs.rows[0].get(0), &Value::Int(1));
     // Current snapshot: the row moved.
-    let rs = shared.query("SELECT a FROM t WHERE b = 'x'").unwrap();
+    let rs = shared
+        .snapshot()
+        .query("SELECT a FROM t WHERE b = 'x'")
+        .unwrap();
     assert_eq!(rs.len(), 0);
-    let rs = shared.query("SELECT a FROM t WHERE b = 'moved'").unwrap();
+    let rs = shared
+        .snapshot()
+        .query("SELECT a FROM t WHERE b = 'moved'")
+        .unwrap();
     assert_eq!(rs.len(), 1);
 }
 
@@ -318,8 +322,7 @@ fn arb_statement(rng: &mut Prng) -> String {
 
 fn snapshot_of(d: &Database) -> Snapshot {
     Snapshot {
-        catalog: d.catalog.clone(),
-        config: d.config.clone(),
+        db: d.clone(),
         version: 0,
     }
 }
@@ -401,6 +404,13 @@ fn arb_digest_statement(rng: &mut Prng) -> String {
 /// replica bootstrap path, which rebuilds the table by inserts) lands on
 /// the same state digest, and two states of a stream share a state digest
 /// exactly when they share a fingerprint.
+///
+/// The same stream through a [`SharedDatabase`] is an atomic in-place
+/// apply: a statement that succeeds in place returns the same outcome on
+/// the shared side, which publishes the in-place state at the next
+/// version; one that fails in place fails there with the same error and
+/// publishes nothing — not the rows the refused UPDATE wrote before it
+/// stopped. A snapshot held from before the stream never changes.
 #[test]
 fn maintained_digest_matches_a_fresh_one() {
     cases(
@@ -412,15 +422,43 @@ fn maintained_digest_matches_a_fresh_one() {
             db.execute("CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER NOT NULL)")
                 .unwrap();
             db.execute("CREATE INDEX ON t (k)").unwrap();
+            let mut shared = SharedDatabase::new(db.clone());
+            let held = shared.snapshot();
+            let held_fingerprint = state_fingerprint(&held);
             let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
             let (mut refused, mut empty) = (0, 0);
             for _ in 0..60 {
                 let sql = arb_digest_statement(rng);
+                let version = shared.version();
+                let published = state_fingerprint(&shared.snapshot());
                 match db.execute(&sql) {
-                    Err(_) => refused += 1,
-                    Ok(ExecOutcome::Dml(DmlOutcome::Updated(0))) => empty += 1,
-                    Ok(_) => {}
+                    Ok(outcome) => {
+                        let (on_shared, at) = shared
+                            .execute(&sql)
+                            .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                        assert_eq!(on_shared, outcome, "{sql}");
+                        assert_eq!((at, shared.version()), (version + 1, version + 1));
+                        assert!(
+                            state_fingerprint(&shared.snapshot()) == fingerprint(&db),
+                            "{sql}"
+                        );
+                        if outcome == ExecOutcome::Dml(DmlOutcome::Updated(0)) {
+                            empty += 1;
+                        }
+                    }
+                    Err(e) => {
+                        refused += 1;
+                        let on_shared = shared.execute(&sql).map(|_| ()).map_err(|e| e.to_string());
+                        assert_eq!(on_shared, Err(e.to_string()), "{sql}");
+                        assert_eq!(shared.version(), version, "{sql}");
+                        assert!(state_fingerprint(&shared.snapshot()) == published, "{sql}");
+                        shared = SharedDatabase::from_snapshot(Snapshot {
+                            db: db.clone(),
+                            version,
+                        });
+                    }
                 }
+                assert!(state_fingerprint(&held) == held_fingerprint, "{sql}");
 
                 let t = db.catalog.table("t").unwrap();
                 let fresh = t

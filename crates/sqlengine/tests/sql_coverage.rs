@@ -3,6 +3,8 @@
 //! Broad SQL-surface coverage: every feature the engine exposes, exercised
 //! through SQL text on small fixtures with hand-computed expectations.
 
+mod common;
+
 use pdm_sql::{Database, DmlOutcome, Error, ExecOutcome, Value};
 
 fn fixture() -> Database {
@@ -202,12 +204,12 @@ fn correlated_exists_and_not_exists() {
 #[test]
 fn correlated_exists_decorrelates_to_semijoin() {
     let db = fixture();
-    let (rs, stats) = db
-        .query_with_stats(
-            "SELECT name FROM part WHERE EXISTS \
+    let (rs, stats) = common::query_with_stats(
+        &db,
+        "SELECT name FROM part WHERE EXISTS \
              (SELECT * FROM bin WHERE bin.part_id = part.id)",
-        )
-        .unwrap();
+    )
+    .unwrap();
     assert_eq!(rs.len(), 4);
     assert_eq!(stats.decorrelated_semijoins, 1);
     // inner query ran at most twice (detection + set build), not once per row

@@ -229,8 +229,9 @@ mod tests {
     fn indexes_exist_for_navigational_path() {
         let spec = TreeSpec::new(2, 2, 1.0);
         let (db, _) = build_database(&spec).unwrap();
+        let q = pdm_sql::parser::parse_query("SELECT * FROM link WHERE left = 1").unwrap();
         let (_, stats) = db
-            .query_with_stats("SELECT * FROM link WHERE left = 1")
+            .query_ast_profiled(&q, &pdm_obs::Recorder::disabled())
             .unwrap();
         assert_eq!(stats.index_probes, 1);
     }

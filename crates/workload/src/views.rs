@@ -144,8 +144,9 @@ mod tests {
         let rs = db.query("SELECT COUNT(*) FROM flink").unwrap();
         assert_eq!(rs.rows[0].get(0), &Value::Int(vlinks.len() as i64));
         // indexed probe works
+        let q = pdm_sql::parser::parse_query("SELECT * FROM flink WHERE left = 1").unwrap();
         let (_, stats) = db
-            .query_with_stats("SELECT * FROM flink WHERE left = 1")
+            .query_ast_profiled(&q, &pdm_obs::Recorder::disabled())
             .unwrap();
         assert_eq!(stats.index_probes, 1);
     }

@@ -174,9 +174,11 @@ fn subquery_cache_is_result_invisible() {
     without_cache.config.subquery_cache = false;
 
     let sql = "SELECT obid FROM assy WHERE obid IN (SELECT left FROM link) ORDER BY obid";
+    let query = pdm_sql::parser::parse_query(sql).unwrap();
     let check = |a: &Database, b: &Database| {
-        let (rs_on, stats_on) = a.query_with_stats(sql).unwrap();
-        let (rs_off, stats_off) = b.query_with_stats(sql).unwrap();
+        let disabled = pdm_obs::Recorder::disabled();
+        let (rs_on, stats_on) = a.query_ast_profiled(&query, &disabled).unwrap();
+        let (rs_off, stats_off) = b.query_ast_profiled(&query, &disabled).unwrap();
         assert_eq!(rs_on, rs_off, "subquery cache changed a result");
         assert!(stats_on.subquery_cache_hits > 0, "cache never engaged");
         assert_eq!(stats_off.subquery_cache_hits, 0);
