@@ -203,11 +203,18 @@ mod tests {
         }
     }
 
-    /// The generators pointed at an alternative structure view: its link
-    /// table binds opaquely in lenient mode, so every build is clean.
+    /// The generators, one of them pointed at an alternative structure
+    /// view whose link table is registered with `link`'s columns: every
+    /// build resolves strictly and is clean.
     #[test]
-    fn generated_queries_stay_clean_in_lenient_mode() {
-        let schema = SchemaInfo::paper().lenient();
+    fn generated_queries_stay_clean() {
+        let mut schema = SchemaInfo::paper();
+        schema.add_table(
+            "alt_link",
+            &[
+                "type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt",
+            ],
+        );
         for query in [
             pdm_core::query::navigational::expand_query(42),
             pdm_core::query::navigational::expand_many_query(&[1, 2], "alt_link"),
@@ -216,7 +223,7 @@ mod tests {
             let mut report = Report::new();
             resolve::check_query(&query, &schema, &mut report);
             recursion::check_recursion(&query, &mut report);
-            assert!(!report.has_errors(), "{report}\nSQL: {query}");
+            assert!(report.is_clean(), "{report}\nSQL: {query}");
         }
     }
 
@@ -238,7 +245,7 @@ mod tests {
             order_by: Vec::new(),
             limit: None,
         };
-        let report = Analyzer::new(SchemaInfo::paper().lenient()).analyze(&q);
+        let report = Analyzer::new(SchemaInfo::paper()).analyze(&q);
         assert!(report.flags(Check::PrintParseDrift), "{report}");
     }
 }

@@ -18,8 +18,8 @@ use crate::schema::SchemaInfo;
 
 /// One name visible in a FROM scope: its binding name and, when known, its
 /// column names. `None` columns means the relation is opaque (a view, a
-/// derived table with wildcard projection, or an unknown table in lenient
-/// mode) and accepts any column.
+/// derived table with wildcard projection, or an unknown table, which is
+/// reported) and accepts any column.
 struct Binding {
     name: String,
     columns: Option<Vec<String>>,
@@ -179,8 +179,6 @@ impl Resolver<'_, '_> {
                 } else if self.schema.has_view(&key) {
                     // Views resolve but are opaque to the analyzer, like
                     // they are to the query modificator (§5.5 caveat).
-                    None
-                } else if self.schema.is_lenient() {
                     None
                 } else {
                     self.report.emit(
@@ -526,13 +524,5 @@ mod tests {
         let r = run("SELECT MYSTERY(obid) FROM assy");
         assert!(r.flags(Check::UnknownFunction));
         assert!(!r.has_errors());
-    }
-
-    #[test]
-    fn lenient_mode_accepts_unknown_tables() {
-        let q = parse_query("SELECT anything FROM design_view").expect("parse");
-        let mut report = Report::new();
-        check_query(&q, &SchemaInfo::paper().lenient(), &mut report);
-        assert!(report.is_clean(), "{report}");
     }
 }

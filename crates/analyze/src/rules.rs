@@ -94,15 +94,13 @@ fn check_rule(idx: usize, rule: &Rule, schema: &SchemaInfo, report: &mut Report)
             relation_table,
             related_table,
         } => {
-            if !schema.is_lenient() {
-                for t in [object_table, relation_table, related_table] {
-                    if !schema.has_table(t) && !schema.has_view(t) {
-                        report.emit_at(
-                            Check::UnknownTable,
-                            format!("∃structure rule references unknown table '{t}'"),
-                            loc.clone(),
-                        );
-                    }
+            for t in [object_table, relation_table, related_table] {
+                if !schema.has_table(t) && !schema.has_view(t) {
+                    report.emit_at(
+                        Check::UnknownTable,
+                        format!("∃structure rule references unknown table '{t}'"),
+                        loc.clone(),
+                    );
                 }
             }
         }

@@ -1,13 +1,7 @@
 //! The analyzer's view of the database schema: table → column names, view
-//! names, and the set of callable functions.
-//!
-//! Two operating modes:
-//!
-//! * **strict** — every table reference must resolve (the CLI corpus audit,
-//!   which has the full Figure-2 schema);
-//! * **lenient** — unknown tables are accepted as opaque bindings with
-//!   unknown columns (the generation-time hook, where alternative structure
-//!   views carry arbitrary link-table names).
+//! names, and the set of callable functions. Every table reference must
+//! resolve against it: a query over another table (an alternative
+//! structure view's link table) registers that table first.
 
 use std::collections::{HashMap, HashSet};
 
@@ -21,17 +15,15 @@ pub struct SchemaInfo {
     views: HashSet<String>,
     /// Callable scalar function names (lowercase), aggregates excluded.
     functions: HashSet<String>,
-    lenient: bool,
 }
 
 impl SchemaInfo {
-    /// An empty schema (every table unknown; useful with [`Self::lenient`]).
+    /// An empty schema (every table unknown).
     pub fn empty() -> Self {
         SchemaInfo {
             tables: HashMap::new(),
             views: HashSet::new(),
             functions: builtin_functions(),
-            lenient: false,
         }
     }
 
@@ -85,16 +77,6 @@ impl SchemaInfo {
             s.add_view(name);
         }
         s
-    }
-
-    /// Switch to lenient mode: unknown tables become opaque bindings.
-    pub fn lenient(mut self) -> Self {
-        self.lenient = true;
-        self
-    }
-
-    pub fn is_lenient(&self) -> bool {
-        self.lenient
     }
 
     pub fn add_table(&mut self, name: &str, columns: &[&str]) {

@@ -122,11 +122,11 @@ pub fn check_statement(stmt: &Statement, schema: &SchemaInfo, report: &mut Repor
     check_statement_drift(stmt, report);
 }
 
-/// The target of a DML statement must be a base table (or a view / unknown
-/// binding in lenient mode). Returns whether expression checks make sense.
+/// The target of a DML statement must be a base table or a view. Returns
+/// whether expression checks make sense.
 fn require_table(verb: &str, table: &str, schema: &SchemaInfo, report: &mut Report) -> bool {
     let t = table.to_lowercase();
-    if schema.has_table(&t) || schema.has_view(&t) || schema.is_lenient() {
+    if schema.has_table(&t) || schema.has_view(&t) {
         return true;
     }
     report.emit(

@@ -125,7 +125,7 @@ fn drift_fixture() -> Report {
         order_by: Vec::new(),
         limit: None,
     };
-    Analyzer::new(SchemaInfo::paper().lenient()).analyze(&q)
+    Analyzer::new(SchemaInfo::paper()).analyze(&q)
 }
 
 fn fixtures() -> Vec<(Check, Report)> {

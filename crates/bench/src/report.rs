@@ -222,7 +222,7 @@ fn write_file(path: &str, text: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdm_obs::{kinds, MetricsRegistry, Recorder, TraceAssembler};
+    use pdm_obs::{kinds, MetricsRegistry, Recorder};
 
     const MANDATORY: &[&str] = &["cache.hits", "net.latency_s", "locks.wait_ns"];
 
@@ -242,9 +242,7 @@ mod tests {
             exchange.advance(v);
             exchange.add_attr("trace_id", 7.0);
         }
-        let mut asm = TraceAssembler::new(7, "expand", "client1");
-        asm.add_recorder_block("client1", &rec.spans());
-        asm.finish()
+        TraceTree::assemble(7, "expand", "client1", "ok", &rec.spans())
     }
 
     fn full_report() -> Report {

@@ -19,8 +19,8 @@ use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
 use pdm_obs::{
-    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, TraceAssembler,
-    TraceContext, TraceIdGen, TraceTree, ROOT_GID,
+    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, TraceContext, TraceIdGen,
+    TraceTree, ROOT_GID,
 };
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Value};
@@ -414,13 +414,11 @@ impl Tracing {
             return result;
         };
         obs.set_context(None);
-        let mut asm = TraceAssembler::new(ctx.trace_id, name, self.site.clone());
-        asm.add_recorder_block(&self.site, &obs.spans());
-        asm.set_outcome(match &result {
+        let outcome = match &result {
             Ok(_) => "ok",
             Err(e) => e.kind_name(),
-        });
-        let tree = asm.finish();
+        };
+        let tree = TraceTree::assemble(ctx.trace_id, name, &self.site, outcome, &obs.spans());
         if let Err(e) = &mut result {
             if let Some(dump) = e.context_mut() {
                 dump.trace = Some(Box::new(tree.clone()));

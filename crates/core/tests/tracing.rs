@@ -21,12 +21,13 @@
 //!    replica spans under one trace_id, and timeout-shaped failures
 //!    carry the assembled tree in their `FlightDump`.
 
-use pdm_bench::harness::{cluster, connect};
+use pdm_bench::harness::{cluster, connect, roots};
 use pdm_core::{
-    attribution, Cluster, ClusterConfig, RuleTable, Session, SessionConfig, Strategy, TailSampler,
-    TraceContext,
+    attribution, Cluster, ClusterConfig, RoutedSession, RuleTable, Session, SessionConfig,
+    Strategy, TailSampler, TraceContext, TraceTree,
 };
-use pdm_net::{FaultPlan, LinkProfile};
+use pdm_net::fault::DEFAULT_TIMEOUT;
+use pdm_net::{FaultPlan, LinkProfile, OutageWindow};
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
@@ -305,4 +306,117 @@ fn replica_lag_timeout_carries_trace_tree() {
         .spans
         .iter()
         .any(|s| s.kind.full_name() == "repl.wait_watermark"));
+}
+
+/// The recorder's one rule, read off a tree: every span with a `v_s` starts
+/// at the bits where the running sum of the earlier `v_s` stands, every span
+/// nests in its parent, and the last such span ends at that sum.
+fn assert_tiled(step: &str, tree: &TraceTree) {
+    let mut sum = 0.0f64;
+    let mut last_end = None;
+    for s in &tree.spans {
+        let Some(&(_, v_s)) = s.attrs.iter().find(|(k, _)| *k == "v_s") else {
+            continue;
+        };
+        assert_eq!(
+            s.v_start.to_bits(),
+            sum.to_bits(),
+            "{step}: {} {} starts at {} but the sum is {sum}",
+            s.kind.full_name(),
+            s.label,
+            s.v_start
+        );
+        sum += v_s;
+        last_end = Some(s.v_end);
+    }
+    assert_eq!(
+        last_end.map(f64::to_bits),
+        Some(sum.to_bits()),
+        "{step}: the last wide span ends off the sum {sum}"
+    );
+    for s in &tree.spans {
+        let Some(p) = s.parent else { continue };
+        let parent = tree.spans.iter().find(|x| x.gid == p).unwrap();
+        assert!(
+            parent.v_start <= s.v_start && s.v_end <= parent.v_end,
+            "{step}: {} {} [{}, {}] escapes {} {} [{}, {}]",
+            s.kind.full_name(),
+            s.label,
+            s.v_start,
+            s.v_end,
+            parent.kind.full_name(),
+            parent.label,
+            parent.v_start,
+            parent.v_end
+        );
+    }
+}
+
+/// Exchanges that follow a metering reset or a wait on another clock sit on
+/// the action's running sum: a classic check-out's UPDATE phase (the channel
+/// clock restarts after the retrieval), a navigational read after a
+/// watermark wait, and writes after an outage and a lease wait.
+#[test]
+fn wide_spans_tile_the_timeline_after_resets_and_waits() {
+    let spec = TreeSpec::new(3, 3, 0.7).with_node_size(512);
+    let mut s = session_with(&spec, Strategy::Recursive, LinkProfile::wan_512());
+    s.enable_profiling();
+    let out = s.check_out(1).unwrap();
+    assert_eq!(out.update_round_trips, 2, "assy and comp flags");
+    let spans = s.recorder().spans();
+    assert_eq!(spans.iter().filter(|r| r.attr("v_s").is_some()).count(), 3);
+    assert_tiled(
+        "check_out",
+        &TraceTree::assemble(0, "check_out", "client", "ok", &spans),
+    );
+
+    let cfg = ClusterConfig::default().with_replicas(2).with_lease(30.0);
+    let mut cluster = cluster(&spec, cfg);
+    let root = roots(cluster.primary())[0];
+    let site = cluster.replica_sites()[0];
+    let mut routed = RoutedSession::connect(
+        &cluster,
+        site,
+        SessionConfig::new("scott", Strategy::EarlyEval, LinkProfile::wan_256()),
+        RuleTable::new(),
+    );
+    routed.enable_tracing(0x7113);
+    let update = format!("UPDATE assy SET payload = 'tiled' WHERE obid = {root}");
+
+    // The site's ship link is down past the write: the read waits on the
+    // watermark, then runs its exchanges.
+    let now = cluster.replica(site).unwrap().elapsed();
+    cluster.schedule_ship_outage(site, OutageWindow::new(now, now + 1.5 * DEFAULT_TIMEOUT));
+    routed.execute_dml(&mut cluster, &update).unwrap();
+    assert_tiled("update", routed.last_trace().unwrap());
+    routed.multi_level_expand(&mut cluster, root).unwrap();
+    let tree = routed.last_trace().unwrap();
+    assert!(tree
+        .spans
+        .iter()
+        .any(|s| s.kind.full_name() == "repl.wait_watermark"));
+    assert!(
+        tree.segments()
+            .filter(|s| s.kind.full_name() == "net.exchange")
+            .count()
+            > 1
+    );
+    assert_tiled("expand after a watermark wait", tree);
+
+    // A primary outage inside the lease is waited out; one past it is
+    // waited to lease expiry and promoted over.
+    for seconds in [5.0, 200.0] {
+        let now = cluster.clock();
+        cluster.schedule_outage(OutageWindow::new(now, now + seconds));
+        routed.execute_dml(&mut cluster, &update).unwrap();
+        let tree = routed.last_trace().unwrap();
+        assert!(tree
+            .spans
+            .iter()
+            .any(|s| s.kind.full_name() == "net.backoff"));
+        assert_tiled("update after an outage", tree);
+        routed.multi_level_expand(&mut cluster, root).unwrap();
+        assert_tiled("expand after an outage", routed.last_trace().unwrap());
+    }
+    assert_eq!(cluster.epoch(), 2, "the long outage promoted a replica");
 }

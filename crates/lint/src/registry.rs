@@ -1,7 +1,7 @@
 //! The lint registry and finding report, mirroring the diagnostics model
 //! of `pdm_analyze::diag` (same severity scale, same JSON object shape)
-//! so the combined `pdm-audit` output is uniform across the SQL-level
-//! and source-level analyzers.
+//! so the output of the SQL-level and source-level analyzers reads the
+//! same.
 
 use pdm_analyze::diag::{json_escape, Severity};
 

@@ -2,7 +2,7 @@
 //! server. Every exchange advances the virtual clock and updates traffic
 //! counters exactly per the paper's cost formulas.
 
-use pdm_obs::{kinds, Recorder, SpanKind};
+use pdm_obs::{kinds, Recorder};
 
 use crate::clock::VirtualClock;
 use crate::fault::{FaultEventKind, FaultPlan, LinkError, ScriptedKind};
@@ -46,7 +46,8 @@ pub struct MeteredChannel {
     stats: TrafficStats,
     /// The recorder of the action this channel works for (disabled by
     /// default — a free no-op handle): every exchange, fault charge and
-    /// backoff wait is a virtually-wide span on it. While it carries a
+    /// backoff wait is a virtually-wide span on it, handed the exact amount
+    /// it added to the clock. While it carries a
     /// [`pdm_obs::TraceContext`] each request also grows by its
     /// `WIRE_BYTES` (entering the volume model through the
     /// packet count) and every wide span carries the trace/parent ids;
@@ -105,23 +106,6 @@ impl MeteredChannel {
         request_bytes + self.obs.wire_bytes()
     }
 
-    /// Record the virtually-wide span from `start` to the clock's present,
-    /// stamped with the ids of the action's context while it is traced.
-    fn record_wide(
-        &self,
-        kind: SpanKind,
-        label: String,
-        start: f64,
-        mut attrs: Vec<(&'static str, f64)>,
-    ) {
-        if let Some(ctx) = self.obs.context() {
-            attrs.push(("trace_id", ctx.trace_id as f64));
-            attrs.push(("parent_span", ctx.parent_span as f64));
-        }
-        self.obs
-            .record_closed(kind, label, start, self.clock.now(), &attrs, "");
-    }
-
     /// A channel with a fault plan installed from the start.
     pub fn with_faults(link: LinkProfile, plan: FaultPlan) -> Self {
         let mut ch = MeteredChannel::new(link);
@@ -178,13 +162,11 @@ impl MeteredChannel {
         self.clock.now()
     }
 
-    /// Clear counters and clock before measuring a new user action.
+    /// Clear counters and clock before measuring a new user action. The
+    /// recorder's timeline is not the clock's: it keeps running.
     pub fn reset(&mut self) {
         self.clock.reset();
         self.stats = TrafficStats::new();
-        // The virtual clock restarts at 0; rebase the recorder so the
-        // action timeline stays monotonic.
-        self.obs.meter_reset();
     }
 
     /// Perform one metered request/response exchange on the reliable path
@@ -237,7 +219,6 @@ impl MeteredChannel {
         // spans in record order reproduces `elapsed()` bit-for-bit (same
         // additions, same order — interval subtraction would not).
         let advance = latency_time + transfer_time;
-        let start = self.clock.now();
         self.clock.advance(advance);
 
         let cost = RoundTrip {
@@ -250,18 +231,17 @@ impl MeteredChannel {
         // attributes in record order reproduce the TrafficStats totals
         // bit-for-bit (same additions, same order).
         if self.obs.is_enabled() {
-            self.record_wide(
+            self.obs.record_wide(
                 kinds::NET_EXCHANGE,
                 format!("q{}", self.stats.queries),
-                start,
-                vec![
+                advance,
+                &[
                     ("latency_s", latency_time),
                     ("transfer_s", transfer_time),
                     ("volume_bytes", volume),
                     ("request_bytes", request_bytes as f64),
                     ("response_bytes", response_payload_bytes as f64),
                     ("retransmits", retransmits as f64),
-                    ("v_s", advance),
                 ],
             );
         }
@@ -280,14 +260,13 @@ impl MeteredChannel {
             FaultEventKind::ServerError => self.stats.server_errors += 1,
             FaultEventKind::ResponseLost => self.stats.timeouts += 1,
         }
-        let at = self.clock.now();
         self.clock.advance(waited);
         if self.obs.is_enabled() {
-            self.record_wide(
+            self.obs.record_wide(
                 kinds::NET_FAULT,
                 format!("{kind:?} x{exchange}"),
-                at,
-                vec![("wait_s", waited), ("v_s", waited)],
+                waited,
+                &[("wait_s", waited)],
             );
         }
     }
@@ -469,16 +448,13 @@ impl MeteredChannel {
             return;
         }
         self.stats.fault_wait_time += seconds;
-        let start = self.clock.now();
         self.clock.advance(seconds);
-        if self.obs.is_enabled() {
-            self.record_wide(
-                kinds::NET_BACKOFF,
-                "backoff".into(),
-                start,
-                vec![("wait_s", seconds), ("v_s", seconds)],
-            );
-        }
+        self.obs.record_wide(
+            kinds::NET_BACKOFF,
+            "backoff",
+            seconds,
+            &[("wait_s", seconds)],
+        );
     }
 
     /// Exchange attempts started over the channel's lifetime (successful or

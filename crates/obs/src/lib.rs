@@ -42,6 +42,6 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
 pub use profile::QueryProfile;
 pub use span::{kinds, Recorder, SpanGuard, SpanKind, SpanRecord, Subsystem};
 pub use trace::{
-    attribution, chrome_trace_json, Attribution, AttributionTable, TailSampler, TraceAssembler,
-    TraceContext, TraceIdGen, TraceSpan, TraceTree, ROOT_GID,
+    attribution, chrome_trace_json, Attribution, AttributionTable, TailSampler, TraceContext,
+    TraceIdGen, TraceSpan, TraceTree, ROOT_GID,
 };

@@ -167,13 +167,11 @@ mod tests {
             let probe = rec.span(kinds::CACHE_PROBE, "probe");
             probe.set_detail("miss");
         }
-        rec.record_closed(
+        rec.record_wide(
             kinds::NET_EXCHANGE,
             "q1",
-            0.0,
             0.5,
             &[("latency_s", 0.2), ("transfer_s", 0.3)],
-            "",
         );
         drop(root);
 

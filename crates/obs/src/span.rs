@@ -16,10 +16,13 @@
 //! **Clock model.** Each span records a virtual interval (netsim
 //! `VirtualClock` seconds — the deterministic timeline) and a wall
 //! interval (nanoseconds since the recorder's epoch — advisory). The
-//! channel resets its virtual clock at every metering reset; the recorder
-//! keeps the action timeline monotonic across those resets by rebasing
-//! (`meter_reset` sets `vbase = vnow`), so `child ⊆ parent` holds on both
-//! clocks for every span of an action.
+//! action's virtual timeline is one running sum: a span that advances it
+//! moves it on by exactly its `v_s` attribute ([`Recorder::record_wide`]
+//! for a leaf the channel costs, [`SpanGuard::advance`] for work on a clock
+//! the recorder is not attached to), and nothing else moves it. So every
+//! position the recorder holds is the sum of the earlier `v_s` in record
+//! order, bit for bit, whatever the channel does with its own clock, and
+//! `child ⊆ parent` holds on both clocks for every span of an action.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -137,7 +140,6 @@ pub mod kinds {
     pub const LOCK_WAIT: SpanKind = SpanKind::new(Subsystem::Locks, "wait");
 
     pub const WAL_APPEND: SpanKind = SpanKind::new(Subsystem::Wal, "append");
-    pub const WAL_FSYNC: SpanKind = SpanKind::new(Subsystem::Wal, "fsync");
 
     pub const NET_EXCHANGE: SpanKind = SpanKind::new(Subsystem::Network, "exchange");
     pub const NET_FAULT: SpanKind = SpanKind::new(Subsystem::Network, "fault");
@@ -170,7 +172,6 @@ pub mod kinds {
         CACHE_PROBE,
         LOCK_WAIT,
         WAL_APPEND,
-        WAL_FSYNC,
         NET_EXCHANGE,
         NET_FAULT,
         NET_BACKOFF,
@@ -229,12 +230,9 @@ impl SpanRecord {
 struct RecState {
     spans: Vec<SpanRecord>,
     stack: Vec<usize>,
-    /// Current position on the action's virtual timeline.
+    /// Current position on the action's virtual timeline: the running sum
+    /// of every `v_s` recorded since `begin_action`.
     vnow: f64,
-    /// Rebase offset: the channel's virtual clock restarts at 0 on every
-    /// metering reset; `vbase + clock_time` keeps the action timeline
-    /// monotonic across resets.
-    vbase: f64,
     /// The context of the traced action in flight.
     ctx: Option<TraceContext>,
     flight: VecDeque<FlightEvent>,
@@ -296,7 +294,6 @@ impl Recorder {
             st.spans.clear();
             st.stack.clear();
             st.vnow = 0.0;
-            st.vbase = 0.0;
             st.ctx = None;
         }
     }
@@ -322,23 +319,6 @@ impl Recorder {
         match self.context() {
             Some(_) => TraceContext::WIRE_BYTES,
             None => 0,
-        }
-    }
-
-    /// The channel's virtual clock is about to restart at 0 (metering
-    /// reset); rebase so action-relative virtual time stays monotonic.
-    pub fn meter_reset(&self) {
-        if let Some(inner) = &self.inner {
-            let mut st = lock_state(inner);
-            st.vbase = st.vnow;
-        }
-    }
-
-    /// Current position on the action's virtual timeline.
-    pub fn virtual_now(&self) -> f64 {
-        match &self.inner {
-            Some(inner) => lock_state(inner).vnow,
-            None => 0.0,
         }
     }
 
@@ -393,29 +373,32 @@ impl Recorder {
         }
     }
 
-    /// Record an already-delimited span on the **channel's** virtual clock
-    /// (`clock_start..clock_end` are channel seconds; the recorder adds its
-    /// rebase offset). Used by netsim, which knows the exact virtual extent
-    /// of an exchange only after costing it. Advances `vnow` to the span
-    /// end, and logs a flight event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_closed(
+    /// Record a closed leaf span that advanced the action's virtual time by
+    /// exactly `v_s` seconds: it starts where the timeline stands and moves
+    /// it on by `v_s`. Used by netsim, which knows the exact cost of an
+    /// exchange only after computing it. The span carries `attrs`, then
+    /// `v_s`, then — while the action is traced — the context's trace and
+    /// parent ids; a flight event is logged at its end.
+    pub fn record_wide(
         &self,
         kind: SpanKind,
         label: impl Into<String>,
-        clock_start: f64,
-        clock_end: f64,
+        v_s: f64,
         attrs: &[(&'static str, f64)],
-        detail: impl Into<String>,
     ) {
         let Some(inner) = &self.inner else { return };
         let wall = Self::wall_ns(inner);
         let label = label.into();
-        let detail = detail.into();
         let mut st = lock_state(inner);
-        let v_start = st.vbase + clock_start;
-        let v_end = st.vbase + clock_end;
-        st.vnow = st.vnow.max(v_end);
+        let v_start = st.vnow;
+        st.vnow += v_s;
+        let v_end = st.vnow;
+        let mut attrs = attrs.to_vec();
+        attrs.push(("v_s", v_s));
+        if let Some(ctx) = st.ctx {
+            attrs.push(("trace_id", ctx.trace_id as f64));
+            attrs.push(("parent_span", ctx.parent_span as f64));
+        }
         let id = st.spans.len();
         let parent = st.stack.last().copied();
         st.spans.push(SpanRecord {
@@ -430,8 +413,8 @@ impl Recorder {
             wall_end_ns: wall,
             rows_in: 0,
             rows_out: 0,
-            detail,
-            attrs: attrs.to_vec(),
+            detail: String::new(),
+            attrs,
             open: false,
         });
         push_flight(
@@ -578,44 +561,57 @@ mod tests {
         let g = rec.span(kinds::ACTION, "noop");
         g.set_rows(1, 2);
         drop(g);
-        rec.record_closed(kinds::NET_EXCHANGE, "x", 0.0, 1.0, &[], "");
+        rec.record_wide(kinds::NET_EXCHANGE, "x", 1.0, &[]);
         assert!(rec.spans().is_empty());
         assert!(rec.flight().is_empty());
         assert!(!rec.is_enabled());
     }
 
     #[test]
-    fn nesting_and_rebasing() {
+    fn wide_spans_tile_the_timeline() {
         let rec = Recorder::new();
         rec.begin_action();
+        rec.set_context(Some(TraceContext::new(7, 1)));
         let root = rec.span(kinds::ACTION, "a");
-        rec.record_closed(
-            kinds::NET_EXCHANGE,
-            "x1",
-            0.0,
-            2.0,
-            &[("latency_s", 0.5)],
-            "",
-        );
-        // Metering reset: channel clock restarts, timeline must not rewind.
-        rec.meter_reset();
-        rec.record_closed(kinds::NET_EXCHANGE, "x2", 0.0, 3.0, &[], "");
+        // Awkward magnitudes on purpose: IEEE addition does not
+        // associate, so only the running sum itself reproduces its bits.
+        rec.record_wide(kinds::NET_EXCHANGE, "x1", 0.1, &[("latency_s", 0.05)]);
+        let ship = rec.span_at("primary", kinds::REPL_SHIP, "site1");
+        ship.advance(0.2);
+        drop(ship);
+        rec.record_wide(kinds::NET_EXCHANGE, "x2", 0.3, &[]);
+        rec.record_wide(kinds::NET_BACKOFF, "backoff", 7e-12, &[]);
         drop(root);
 
         let spans = rec.spans();
-        assert_eq!(spans.len(), 3);
+        assert_eq!(spans.len(), 5);
+        let mut sum = 0.0f64;
+        for s in spans.iter().filter(|s| s.attr("v_s").is_some()) {
+            assert_eq!(
+                s.v_start.to_bits(),
+                sum.to_bits(),
+                "{} starts off the sum",
+                s.label
+            );
+            sum += s.attr("v_s").unwrap();
+            assert_eq!(
+                s.v_end.to_bits(),
+                sum.to_bits(),
+                "{} ends off the sum",
+                s.label
+            );
+        }
         let root = &spans[0];
-        assert_eq!(root.parent, None);
-        assert!((root.v_end - 5.0).abs() < 1e-12);
-        let x2 = &spans[2];
-        assert_eq!(x2.parent, Some(0));
-        assert!((x2.v_start - 2.0).abs() < 1e-12);
-        assert!((x2.v_end - 5.0).abs() < 1e-12);
+        assert_eq!((root.parent, root.v_start), (None, 0.0));
+        assert_eq!(root.v_end.to_bits(), sum.to_bits());
         // child ⊆ parent on the virtual clock.
         for s in &spans[1..] {
+            assert_eq!(s.parent, Some(0));
             assert!(s.v_start >= root.v_start && s.v_end <= root.v_end);
         }
-        assert_eq!(spans[1].attr("latency_s"), Some(0.5));
+        // The caller's attributes, then the advance, then the context ids.
+        let keys: Vec<&str> = spans[1].attrs.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, ["latency_s", "v_s", "trace_id", "parent_span"]);
     }
 
     #[test]
@@ -633,7 +629,6 @@ mod tests {
         // The apply ran after the transfer, under the ship.
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!((spans[1].v_start, spans[1].v_end), (0.25, 0.25));
-        assert_eq!(rec.virtual_now(), 0.25);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! client, the primary, and every replica can be reassembled into ONE causal
 //! tree per action — the [`TraceTree`].
 //!
-//! **Bit-exactness contract.** Virtual time advances only in
-//! `MeteredChannel` (`now += d`); every virtually-wide span records the
-//! exact advance amount `d` as its `v_s` attribute. The assembler lays
-//! segments on the tree timeline with a single running-sum cursor over those
-//! exact `d` values in record order, so the tree total, the attribution
-//! total, and the channel's own `elapsed()` are the *same additions in the
-//! same order* — equal to the last bit, never "close enough". Interval
-//! subtraction (`v_end - v_start`) is NOT the reconciliation basis: IEEE
-//! addition does not telescope.
+//! **Bit-exactness contract.** Virtual time advances only by exact amounts
+//! (`MeteredChannel`'s `now += d`, a ship link's transfer), and every
+//! virtually-wide span records its `d` as the `v_s` attribute. The
+//! recorder's timeline is the running sum of those `d` in record order
+//! (see [`crate::span`]), so a tree copies the recorder's positions, and
+//! the tree total, the attribution total and the channel's own `elapsed()`
+//! are the *same additions in the same order* — equal to the last bit,
+//! never "close enough". Interval subtraction (`v_end - v_start`) is NOT
+//! the reconciliation basis: IEEE addition does not telescope.
 //!
 //! Structural spans (action roots, engine operators, lock waits, WAL
 //! appends) have `v_excl == 0.0`: adding them to the running sum is exact
@@ -84,11 +84,13 @@ impl TraceIdGen {
 ///
 /// `v_excl` is the span's *exclusive* virtual duration — the exact amount
 /// it advanced the virtual clock (0.0 for structural spans). `v_start` /
-/// `v_end` are tree-timeline positions: exact running-sum cursor values
-/// for wide spans, advisory rebased values for structural spans.
+/// `v_end` are the recorder's positions on the action timeline, copied:
+/// the running sum of the `v_excl` recorded before the span opened, and
+/// before it closed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpan {
-    /// Tree-unique span id (site block base + local index).
+    /// Tree-unique span id ([`ROOT_GID`], or a fixed base + the recorder's
+    /// span index).
     pub gid: u64,
     /// Parent gid; `None` only for the root.
     pub parent: Option<u64>,
@@ -122,6 +124,58 @@ pub struct TraceTree {
 }
 
 impl TraceTree {
+    /// The tree of one action: a synthetic zero-width root owned by `site`,
+    /// then the action's recorder spans in record order with their
+    /// positions copied. A span belongs to the site it names, `site` when
+    /// it names none. The root closes over the timeline, `total_v`, the
+    /// running sum of the spans' `v_s` in record order.
+    pub fn assemble(
+        trace_id: u64,
+        action: impl Into<String>,
+        site: &str,
+        outcome: impl Into<String>,
+        spans: &[SpanRecord],
+    ) -> TraceTree {
+        let action = action.into();
+        let total_v = spans
+            .iter()
+            .fold(0.0f64, |sum, r| sum + r.attr("v_s").unwrap_or(0.0));
+        let root = TraceSpan {
+            gid: ROOT_GID,
+            parent: None,
+            site: site.to_string(),
+            kind: kinds::ACTION,
+            label: action.clone(),
+            v_start: 0.0,
+            v_end: total_v,
+            v_excl: 0.0,
+            wall_ns: 0,
+            attrs: vec![("trace_id", trace_id as f64)],
+            detail: String::new(),
+        };
+        let gid = |id: usize| BLOCK_BASE + id as u64;
+        let copies = spans.iter().map(|r| TraceSpan {
+            gid: gid(r.id),
+            parent: Some(r.parent.map_or(ROOT_GID, gid)),
+            site: if r.site.is_empty() { site } else { &r.site }.to_string(),
+            kind: r.kind,
+            label: r.label.clone(),
+            v_start: r.v_start,
+            v_end: r.v_end,
+            v_excl: r.attr("v_s").unwrap_or(0.0),
+            wall_ns: r.wall_ns(),
+            attrs: r.attrs.clone(),
+            detail: r.detail.clone(),
+        });
+        TraceTree {
+            trace_id,
+            action,
+            outcome: outcome.into(),
+            spans: std::iter::once(root).chain(copies).collect(),
+            total_v,
+        }
+    }
+
     pub fn root(&self) -> Option<&TraceSpan> {
         self.spans.iter().find(|s| s.parent.is_none())
     }
@@ -209,104 +263,6 @@ impl TraceTree {
 /// Recorder spans are numbered from `BLOCK_BASE` in record order.
 pub const ROOT_GID: u64 = 1;
 const BLOCK_BASE: u64 = 1_000_000;
-
-/// Assembles an action's recorder spans into one [`TraceTree`], keeping
-/// the single running-sum cursor that makes the reconciliation bit-exact.
-#[derive(Debug)]
-pub struct TraceAssembler {
-    tree: TraceTree,
-    cursor: f64,
-    /// Gid of the next block's first span.
-    next_gid: u64,
-}
-
-impl TraceAssembler {
-    /// Start a tree with a synthetic zero-width root owned by `site`.
-    pub fn new(trace_id: u64, action: impl Into<String>, site: impl Into<String>) -> Self {
-        let action = action.into();
-        let root = TraceSpan {
-            gid: ROOT_GID,
-            parent: None,
-            site: site.into(),
-            kind: kinds::ACTION,
-            label: action.clone(),
-            v_start: 0.0,
-            v_end: 0.0,
-            v_excl: 0.0,
-            wall_ns: 0,
-            attrs: vec![("trace_id", trace_id as f64)],
-            detail: String::new(),
-        };
-        TraceAssembler {
-            tree: TraceTree {
-                trace_id,
-                action,
-                outcome: "ok".into(),
-                spans: vec![root],
-                total_v: 0.0,
-            },
-            cursor: 0.0,
-            next_gid: BLOCK_BASE,
-        }
-    }
-
-    /// Splice a whole recorder snapshot in as one block, in record order —
-    /// the one way spans enter a tree. A span belongs to the site it names,
-    /// `site` when it names none.
-    ///
-    /// Wide spans (those carrying the exact `v_s` attribute) are laid on
-    /// the running cursor — their positions and the tree total stay
-    /// bit-exact against the clocks' own accumulation. Structural spans
-    /// keep their recorder intervals rebased by the block offset (advisory
-    /// positions for the viewer; exactness lives in the segments).
-    pub fn add_recorder_block(&mut self, site: &str, spans: &[SpanRecord]) {
-        let offset = self.cursor;
-        let base = self.next_gid;
-        self.next_gid += spans.len() as u64;
-        for r in spans {
-            let v_excl = r.attr("v_s").unwrap_or(0.0);
-            let (v_start, v_end) = if v_excl != 0.0 {
-                let s = self.cursor;
-                self.cursor += v_excl;
-                (s, self.cursor)
-            } else {
-                (offset + r.v_start, offset + r.v_end)
-            };
-            self.tree.spans.push(TraceSpan {
-                gid: base + r.id as u64,
-                parent: Some(r.parent.map_or(ROOT_GID, |p| base + p as u64)),
-                site: if r.site.is_empty() { site } else { &r.site }.to_string(),
-                kind: r.kind,
-                label: r.label.clone(),
-                v_start,
-                v_end,
-                v_excl,
-                wall_ns: r.wall_ns(),
-                attrs: r.attrs.clone(),
-                detail: r.detail.clone(),
-            });
-        }
-    }
-
-    /// Current cursor position (== exact virtual seconds assembled so far).
-    pub fn elapsed(&self) -> f64 {
-        self.cursor
-    }
-
-    pub fn set_outcome(&mut self, outcome: impl Into<String>) {
-        self.tree.outcome = outcome.into();
-    }
-
-    /// Close the root over the full timeline and return the tree.
-    pub fn finish(mut self) -> TraceTree {
-        self.tree.total_v = self.cursor;
-        let cursor = self.cursor;
-        if let Some(root) = self.tree.spans.first_mut() {
-            root.v_end = cursor;
-        }
-        self.tree
-    }
-}
 
 /// One row of the per-action attribution table.
 #[derive(Debug, Clone, PartialEq)]
@@ -613,9 +569,7 @@ mod tests {
 
     /// The tree of what `rec` holds, for an action of `site`.
     fn assemble(rec: &Recorder, trace_id: u64, action: &str, site: &str) -> TraceTree {
-        let mut asm = TraceAssembler::new(trace_id, action, site);
-        asm.add_recorder_block(site, &rec.spans());
-        asm.finish()
+        TraceTree::assemble(trace_id, action, site, "ok", &rec.spans())
     }
 
     #[test]
@@ -679,10 +633,7 @@ mod tests {
     fn mini_tree(total: f64, outcome: &str) -> TraceTree {
         let rec = Recorder::new();
         drop(wide(&rec, "", kinds::NET_EXCHANGE, "q", total));
-        let mut asm = TraceAssembler::new(5, "a", "client");
-        asm.add_recorder_block("client", &rec.spans());
-        asm.set_outcome(outcome);
-        asm.finish()
+        TraceTree::assemble(5, "a", "client", outcome, &rec.spans())
     }
 
     #[test]

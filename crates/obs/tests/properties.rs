@@ -92,7 +92,7 @@ fn merge_is_exact_and_commutative_on_random_streams() {
 /// Build a random span tree on `rec`, interleaving zero-width server spans,
 /// time-advancing network records, and nested children. Returns the number
 /// of spans opened.
-fn grow_random_tree(rec: &Recorder, rng: &mut Prng, depth: usize, clock: &mut f64) -> usize {
+fn grow_random_tree(rec: &Recorder, rng: &mut Prng, depth: usize) -> usize {
     let mut opened = 0;
     let branches = rng.usize_inclusive(1, 3);
     for _ in 0..branches {
@@ -101,19 +101,11 @@ fn grow_random_tree(rec: &Recorder, rng: &mut Prng, depth: usize, clock: &mut f6
         // Random interior activity: network exchanges advance virtual time,
         // server-side work does not.
         for _ in 0..rng.index(3) {
-            let start = *clock;
-            *clock += rng.f64_range(0.001, 0.5);
-            rec.record_closed(
-                kinds::NET_EXCHANGE,
-                "x",
-                start,
-                *clock,
-                &[("latency_s", *clock - start)],
-                "",
-            );
+            let v_s = rng.f64_range(0.001, 0.5);
+            rec.record_wide(kinds::NET_EXCHANGE, "x", v_s, &[("latency_s", v_s)]);
         }
         if depth < 3 && rng.bool() {
-            opened += grow_random_tree(rec, rng, depth + 1, clock);
+            opened += grow_random_tree(rec, rng, depth + 1);
         }
         drop(guard);
     }
@@ -127,8 +119,7 @@ fn span_nesting_invariants_hold_on_random_trees() {
         let rec = Recorder::new();
         rec.begin_action();
         let root = rec.span(kinds::ACTION, "action");
-        let mut clock = 0.0;
-        let opened = grow_random_tree(&rec, &mut rng, 0, &mut clock);
+        let opened = grow_random_tree(&rec, &mut rng, 0);
         drop(root);
 
         let spans = rec.spans();
@@ -138,6 +129,19 @@ fn span_nesting_invariants_hold_on_random_trees() {
 }
 
 fn check_invariants(spans: &[SpanRecord]) {
+    // Wide spans tile the timeline: each starts at the bits where the
+    // running sum of the earlier `v_s` stands.
+    let mut sum = 0.0f64;
+    for s in spans.iter().filter(|s| s.attr("v_s").is_some()) {
+        assert_eq!(s.v_start.to_bits(), sum.to_bits());
+        sum += s.attr("v_s").unwrap();
+        assert_eq!(s.v_end.to_bits(), sum.to_bits());
+    }
+    assert_eq!(
+        spans[0].v_end.to_bits(),
+        sum.to_bits(),
+        "the root closes at the sum"
+    );
     for (i, s) in spans.iter().enumerate() {
         assert!(!s.open, "span {i} ({}) left open", s.kind.full_name());
         assert!(s.v_start <= s.v_end, "span {i}: negative virtual duration");
@@ -167,9 +171,8 @@ fn check_invariants(spans: &[SpanRecord]) {
 
 /// Flight-ring stress: writer threads hammer one shared recorder with
 /// events and closed spans while another thread concurrently resets the
-/// action timeline (`begin_action`) and rebases it (`meter_reset`). The
-/// ring must stay bounded, never panic or deadlock, and survive with the
-/// most recent events intact.
+/// action timeline (`begin_action`). The ring must stay bounded, never
+/// panic or deadlock, and survive with the most recent events intact.
 #[test]
 fn flight_ring_survives_concurrent_resets() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -186,14 +189,7 @@ fn flight_ring_survives_concurrent_resets() {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     rec.event(kinds::NET_FAULT, format!("w{w} e{i}"));
-                    rec.record_closed(
-                        kinds::NET_EXCHANGE,
-                        format!("w{w} q{i}"),
-                        i as f64,
-                        i as f64 + 1.0,
-                        &[("v_s", 1.0)],
-                        "",
-                    );
+                    rec.record_wide(kinds::NET_EXCHANGE, format!("w{w} q{i}"), 1.0, &[]);
                     i += 1;
                 }
                 i
@@ -208,10 +204,9 @@ fn flight_ring_survives_concurrent_resets() {
             let mut n = 0u32;
             while !stop.load(Ordering::Relaxed) {
                 rec.begin_action();
-                rec.meter_reset();
                 // Touch read paths under contention too.
                 let _ = rec.flight().len();
-                let _ = rec.virtual_now();
+                let _ = rec.spans().len();
                 n += 1;
             }
             n
