@@ -145,7 +145,10 @@ impl Session {
             }),
             Some(rows) => {
                 let mut tree = self.rooted_tree(root)?;
-                crate::session::insert_rows(&mut tree, &rows);
+                let shape = self.node_shape(&rows.schema);
+                for row in &rows.rows {
+                    tree.insert(shape.node(row, None));
+                }
                 Ok(CheckoutOutcome {
                     tree: Some(tree),
                     stats: self.stats().clone(),

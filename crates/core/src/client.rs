@@ -1,11 +1,12 @@
-//! Client-side machinery: the strategy switch and late (post-transfer) rule
-//! evaluation.
+//! Client-side machinery: the strategy switch, result rows into product
+//! nodes, and late (post-transfer) rule evaluation.
 
 use std::collections::HashMap;
 
 use pdm_sql::functions::FunctionRegistry;
-use pdm_sql::{ResultSet, Row, Value};
+use pdm_sql::{ResultSet, Row, Schema, Value};
 
+use crate::product::{ObjectId, ProductNode};
 use crate::rules::classify::ConditionClass;
 use crate::rules::condition::Condition;
 use crate::rules::table::RuleTable;
@@ -50,6 +51,102 @@ pub fn row_attrs(rs: &ResultSet, row: &Row) -> HashMap<String, Value> {
         .zip(row.values())
         .map(|(c, v)| (c.name.clone(), v.clone()))
         .collect()
+}
+
+/// How the rows of one result schema become [`ProductNode`]s: the column
+/// names resolved to positions once, so a row is assembled without hashing
+/// a name.
+///
+/// A node's attribute map equals [`row_attrs`]' (the last column of a
+/// repeated name wins); its `obid` is the `obid` column when that is an
+/// integer and 0 otherwise, its `type_name` and `name` the `type` and
+/// `name` columns when they are text and "" otherwise, and its parent the
+/// caller's when given, else the `parent` column when that is an integer.
+/// A row is as wide as its schema, as every `ResultSet` row is.
+#[derive(Debug, Clone, Default)]
+pub struct NodeShape {
+    names: Vec<String>,
+    /// Each column name → `Value::Int(its position)`.
+    positions: HashMap<String, Value>,
+    obid: Option<usize>,
+    type_name: Option<usize>,
+    name: Option<usize>,
+    parent: Option<usize>,
+}
+
+impl NodeShape {
+    pub fn new(schema: &Schema) -> Self {
+        let names: Vec<String> = schema.columns().iter().map(|c| c.name.clone()).collect();
+        let positions = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), Value::Int(i as i64)))
+            .collect();
+        let last = |column: &str| names.iter().rposition(|n| n == column);
+        NodeShape {
+            obid: last("obid"),
+            type_name: last("type"),
+            name: last("name"),
+            parent: last("parent"),
+            positions,
+            names,
+        }
+    }
+
+    /// The column names this shape was resolved from.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Keep this shape for `schema` if its column names are this shape's,
+    /// in order; rebuild it otherwise. Returns whether it was rebuilt.
+    pub fn refit(&mut self, schema: &Schema) -> bool {
+        let columns = schema.columns();
+        let same = self.names.len() == columns.len()
+            && self.names.iter().zip(columns).all(|(n, c)| *n == c.name);
+        if !same {
+            *self = NodeShape::new(schema);
+        }
+        !same
+    }
+
+    /// The row's `obid` column, when it has one and it is an integer.
+    pub fn obid(&self, row: &Row) -> Option<ObjectId> {
+        int_at(row, self.obid)
+    }
+
+    /// The node one row of this shape's result describes, under `parent`
+    /// when given.
+    pub fn node(&self, row: &Row, parent: Option<ObjectId>) -> ProductNode {
+        let mut attrs = self.positions.clone();
+        // lint:allow(unordered-iter): each entry is overwritten from the
+        // position it carries, so the order the entries are visited in
+        // cannot reach the map's contents.
+        for value in attrs.values_mut() {
+            if let Value::Int(i) = *value {
+                *value = row.values().get(i as usize).cloned().unwrap_or(Value::Null);
+            }
+        }
+        let text = |at: Option<usize>| match at.and_then(|i| row.values().get(i)) {
+            Some(Value::Text(t)) => t.clone(),
+            _ => String::new(),
+        };
+        ProductNode {
+            obid: self.obid(row).unwrap_or_default(),
+            parent: parent.or_else(|| int_at(row, self.parent)),
+            type_name: text(self.type_name),
+            name: text(self.name),
+            attrs,
+        }
+    }
+}
+
+/// The integer at position `at` of `row`, if there is one.
+fn int_at(row: &Row, at: Option<usize>) -> Option<ObjectId> {
+    match at.and_then(|i| row.values().get(i)) {
+        Some(Value::Int(i)) => Some(*i),
+        _ => None,
+    }
 }
 
 /// Per-object-type groups of relevant row-condition rules. Types with no

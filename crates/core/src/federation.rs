@@ -30,7 +30,7 @@ use crate::query::prepared::Shape;
 use crate::resilience::RetryPolicy;
 use crate::rules::table::RuleTable;
 use crate::rules::ActionKind;
-use crate::session::{node_from_attrs, Session, SessionConfig, SessionError, SessionResult};
+use crate::session::{Session, SessionConfig, SessionError, SessionResult};
 
 /// A cross-site edge as the client sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,15 +246,13 @@ impl Federation {
                         }
                         Err(e) => return Err(e),
                     };
+                    let shape = session.node_shape(&rs.schema);
                     for row in &rs.rows {
-                        let attrs = client::row_attrs(&rs, row);
-                        let obid = match attrs.get("obid") {
-                            Some(Value::Int(i)) => *i,
-                            _ => continue,
+                        let Some(obid) = shape.obid(row) else {
+                            continue;
                         };
                         let parent = if obid == r { attach_to } else { None };
-                        let node = node_from_attrs(attrs, parent);
-                        tree.insert(node);
+                        tree.insert(shape.node(row, parent));
                     }
                     // Continue at mounts whose parent made it into the tree.
                     self.enqueue_mounts(r, &tree, &rs, &mut queue)?;
@@ -321,17 +319,16 @@ impl Federation {
                             };
                             visited_sites.insert(mount.child_site);
                             let Some(row) = rs.rows.first() else { continue };
-                            let attrs = client::row_attrs(&rs, row);
+                            let node = session.node_shape(&rs.schema).node(row, Some(parent));
                             let node_groups = client::permission_groups(
                                 &self.rules,
                                 &self.user,
                                 ActionKind::MultiLevelExpand,
                                 &[crate::query::T_ASSY, crate::query::T_COMP],
                             );
-                            if !client::permitted(&attrs, &node_groups, &self.funcs) {
+                            if !client::permitted(&node.attrs, &node_groups, &self.funcs) {
                                 continue;
                             }
-                            let node = node_from_attrs(attrs, Some(parent));
                             queue.push_back(node.obid);
                             tree.insert(node);
                         }

@@ -9,8 +9,9 @@
 //! ([`Session::statement`], [`crate::query::prepared`]); *per statement* it
 //! splices the object id into that text and ships it through one metered
 //! exchange ([`crate::resilience`]); *per row* it reads the server's shared
-//! result by reference into [`ProductNode`]s — the result set itself is
-//! never copied.
+//! result by reference into [`ProductNode`]s, through column positions
+//! resolved once per result schema ([`NodeShape`]) — the result set itself
+//! is never copied.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -23,9 +24,9 @@ use pdm_obs::{
     TraceTree, ROOT_GID,
 };
 use pdm_sql::functions::FunctionRegistry;
-use pdm_sql::{Database, ResultSet, Value};
+use pdm_sql::{Database, ResultSet, Schema};
 
-use crate::client::{self, Strategy};
+use crate::client::{self, NodeShape, Strategy};
 use crate::product::{ObjectId, ProductNode, ProductTree};
 use crate::query::modificator::{ModError, Modificator};
 use crate::query::prepared::{Prepared, Shape};
@@ -473,6 +474,10 @@ pub struct Session {
     /// lookup registers the name, and a server that only ever saw early
     /// sessions reports neither.
     late_rows: Option<(Counter, Counter)>,
+    /// The shape of the last result turned into nodes, kept while results
+    /// carry the same column names (every node statement projects the same
+    /// ones).
+    node_shape: NodeShape,
 }
 
 impl Session {
@@ -505,6 +510,7 @@ impl Session {
             tracing: None,
             prepared: HashMap::new(),
             late_rows: None,
+            node_shape: NodeShape::default(),
         }
     }
 
@@ -797,8 +803,15 @@ impl Session {
         let sql = self.statement(Shape::FetchNode, ActionKind::Access, &[root])?;
         let rs = self.server.query_cached(&sql)?;
         let row = rs.rows.first().ok_or(SessionError::RootNotFound(root))?;
-        let attrs = client::row_attrs(&rs, row);
-        Ok(node_from_attrs(attrs, None))
+        Ok(self.node_shape(&rs.schema).node(row, None))
+    }
+
+    /// The shape that turns rows of `schema` into nodes: the kept one when
+    /// its column names are `schema`'s, else one resolved for `schema` and
+    /// kept from here on.
+    pub(crate) fn node_shape(&mut self, schema: &Schema) -> &NodeShape {
+        self.node_shape.refit(schema);
+        &self.node_shape
     }
 
     // ---------------------------------------------------------------------
@@ -928,7 +941,10 @@ impl Session {
         };
         let sql = self.statement(shape, ActionKind::MultiLevelExpand, &[root])?;
         let rs = self.metered_query(&sql)?;
-        insert_rows(tree, &rs);
+        let shape = self.node_shape(&rs.schema);
+        for row in &rs.rows {
+            tree.insert(shape.node(row, None));
+        }
         Ok(())
     }
 
@@ -1045,16 +1061,16 @@ impl Session {
         let late = groups
             .as_ref()
             .map(|_| self.obs.span(kinds::LATE_FILTER, label));
+        self.node_shape.refit(&rs.schema);
         let nodes: Vec<ProductNode> = rs
             .rows
             .iter()
-            .map(|row| client::row_attrs(&rs, row))
-            .filter(|attrs| {
+            .map(|row| self.node_shape.node(row, parent))
+            .filter(|node| {
                 groups
                     .as_ref()
-                    .is_none_or(|groups| client::permitted(attrs, groups, &self.funcs))
+                    .is_none_or(|groups| client::permitted(&node.attrs, groups, &self.funcs))
             })
-            .map(|attrs| node_from_attrs(attrs, parent))
             .collect();
         if let Some(span) = late {
             let (transferred, kept) = (rs.len() as u64, nodes.len() as u64);
@@ -1091,45 +1107,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<Session>();
 };
-
-/// Insert every row of a recursive result (which carries each node's
-/// `parent`) into `tree`.
-pub(crate) fn insert_rows(tree: &mut ProductTree, rs: &ResultSet) {
-    for row in &rs.rows {
-        tree.insert(node_from_attrs(client::row_attrs(rs, row), None));
-    }
-}
-
-/// Interpret a homogenized result row as a product node.
-pub(crate) fn node_from_attrs(
-    attrs: HashMap<String, Value>,
-    parent: Option<ObjectId>,
-) -> ProductNode {
-    let obid = attrs.get("obid").and_then(as_id).unwrap_or_default();
-    let type_name = match attrs.get("type") {
-        Some(Value::Text(t)) => t.clone(),
-        _ => String::new(),
-    };
-    let name = match attrs.get("name") {
-        Some(Value::Text(n)) => n.clone(),
-        _ => String::new(),
-    };
-    let parent = parent.or_else(|| attrs.get("parent").and_then(as_id));
-    ProductNode {
-        obid,
-        parent,
-        type_name,
-        name,
-        attrs,
-    }
-}
-
-fn as_id(v: &Value) -> Option<ObjectId> {
-    match v {
-        Value::Int(i) => Some(*i),
-        _ => None,
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -11,13 +11,14 @@
 
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
+use pdm_core::client::{row_attrs, NodeShape};
 use pdm_core::rules::condition::{CmpOp, RowPredicate};
 use pdm_core::rules::{visibility_rules, ActionKind};
-use pdm_core::{Session, SessionConfig, Strategy as ClientStrategy};
+use pdm_core::{ProductNode, Session, SessionConfig, Strategy as ClientStrategy};
 use pdm_net::LinkProfile;
-use pdm_sql::Value;
+use pdm_sql::{Column, DataType, ResultSet, Row, Schema, Value};
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
 
 fn arb_spec(rng: &mut Prng) -> TreeSpec {
@@ -173,4 +174,126 @@ fn traffic_accounting_consistent() {
         assert!(out.stats.volume_bytes >= out.stats.response_payload_bytes as f64);
         assert_eq!(out.stats.communications, 2 * out.stats.queries);
     });
+}
+
+/// The attribute-map oracle a result row became a node through before
+/// `NodeShape`: hash every column name into a map, then read four of them
+/// back by name.
+fn node_by_names(rs: &ResultSet, row: &Row, parent: Option<i64>) -> ProductNode {
+    let attrs = row_attrs(rs, row);
+    let id = |v: Option<&Value>| match v {
+        Some(Value::Int(i)) => Some(*i),
+        _ => None,
+    };
+    let text = |v: Option<&Value>| match v {
+        Some(Value::Text(t)) => t.clone(),
+        _ => String::new(),
+    };
+    ProductNode {
+        obid: id(attrs.get("obid")).unwrap_or_default(),
+        parent: parent.or_else(|| id(attrs.get("parent"))),
+        type_name: text(attrs.get("type")),
+        name: text(attrs.get("name")),
+        attrs,
+    }
+}
+
+/// A node with its values spelled out: `Value`'s own equality holds an
+/// `Int` equal to the `Float` of the same number, and a position left in
+/// place of a value must not pass for it.
+fn spelled(node: &ProductNode) -> String {
+    let attrs: BTreeMap<&String, String> = node
+        .attrs
+        .iter()
+        .map(|(k, v)| (k, format!("{v:?}")))
+        .collect();
+    format!(
+        "{} {:?} {:?} {:?} {attrs:?}",
+        node.obid, node.parent, node.type_name, node.name
+    )
+}
+
+fn arb_value(rng: &mut Prng) -> Value {
+    match rng.index(6) {
+        0 => Value::Null,
+        // Small integers collide with column positions on purpose.
+        1 => Value::Int(rng.i64_inclusive(-2, 15)),
+        2 => Value::Float(rng.i64_inclusive(-2, 15) as f64),
+        3 => Value::Float(rng.f64_range(-1e6, 1e6)),
+        4 => Value::Text(rng.ident(0, 6)),
+        _ => Value::Bool(rng.bool()),
+    }
+}
+
+fn schema_of(names: &[&str], dtype: DataType) -> Schema {
+    Schema::new(names.iter().map(|n| Column::new(*n, dtype)).collect())
+}
+
+/// A row becomes the node the attribute-map oracle builds — for schemas of
+/// 0–14 columns over a small name pool (so names repeat), with and without
+/// each of `obid`, `type`, `name` and `parent`, every `Value` variant in
+/// every position and any `parent` argument — and a kept shape is reused
+/// exactly when a result's column names equal its own, in order.
+#[test]
+fn node_shape_matches_the_attribute_map_oracle() {
+    const SPECIAL: [&str; 4] = ["obid", "type", "name", "parent"];
+    const PLAIN: [&str; 4] = ["strc_opt", "dec", "payload", "x"];
+    let mut kept = NodeShape::default();
+    cases(
+        "node_shape_matches_the_attribute_map_oracle",
+        512,
+        0x25,
+        |rng| {
+            let mut pool: Vec<&str> = PLAIN.to_vec();
+            pool.extend(SPECIAL.iter().filter(|_| rng.bool()));
+            let width = rng.usize_inclusive(0, 14);
+            let names: Vec<&str> = (0..width).map(|_| pool[rng.index(pool.len())]).collect();
+
+            // The reuse rule: the same names (whatever their types) keep the
+            // shape; a renamed, reordered, longer or shorter list rebuilds it.
+            let mut other = names.clone();
+            match rng.index(5) {
+                0 => {}
+                1 if !other.is_empty() => {
+                    let i = rng.index(other.len());
+                    other[i] = if other[i] == "x" { "obid" } else { "x" };
+                }
+                2 if other.len() >= 2 => {
+                    let (i, j) = (rng.index(other.len()), rng.index(other.len()));
+                    other.swap(i, j);
+                }
+                3 => other.push(SPECIAL[rng.index(SPECIAL.len())]),
+                _ => {
+                    other.pop();
+                }
+            }
+            let before = kept.names().to_vec();
+            let rebuilt = kept.refit(&schema_of(&names, DataType::Text));
+            assert_eq!(rebuilt, before != names, "{before:?} → {names:?}");
+            assert_eq!(kept.names(), names.as_slice());
+            let rebuilt = kept.refit(&schema_of(&other, DataType::Int));
+            assert_eq!(rebuilt, names != other, "{names:?} → {other:?}");
+            assert_eq!(kept.names(), other.as_slice());
+
+            for names in [&names, &other] {
+                let rows: Vec<Row> = (0..rng.usize_inclusive(1, 4))
+                    .map(|_| Row::new((0..names.len()).map(|_| arb_value(rng)).collect()))
+                    .collect();
+                let rs = ResultSet::new(schema_of(names, DataType::Text), rows);
+                kept.refit(&rs.schema);
+                let fresh = NodeShape::new(&rs.schema);
+                for row in &rs.rows {
+                    let parent = rng.bool().then(|| rng.i64_inclusive(-2, 15));
+                    let want = spelled(&node_by_names(&rs, row, parent));
+                    assert_eq!(spelled(&kept.node(row, parent)), want, "{names:?} {row}");
+                    assert_eq!(spelled(&fresh.node(row, parent)), want, "{names:?} {row}");
+                    let obid = match row_attrs(&rs, row).get("obid") {
+                        Some(Value::Int(i)) => Some(*i),
+                        _ => None,
+                    };
+                    assert_eq!(kept.obid(row), obid);
+                }
+            }
+        },
+    );
 }

@@ -138,8 +138,8 @@ impl Prng {
                 b'a' + self.index(26) as u8
             } else {
                 const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
-                // lint:allow(unchecked-index): index(n) < n by contract.
-                TAIL[self.index(TAIL.len())]
+                let i = self.index(TAIL.len());
+                TAIL.get(i).copied().expect("index(n) < n")
             };
             s.push(c as char);
         }

@@ -8,10 +8,10 @@
 
 use pdm_bench::harness::{federation, flagged_ids, roots};
 use pdm_bench::session_over;
-use pdm_core::{ProductTree, RetryPolicy, Session, SessionError, Strategy};
+use pdm_core::{ObjectId, ProductTree, RetryPolicy, Session, SessionError, Strategy};
 use pdm_net::{FaultPlan, LinkProfile, OutageWindow, ScriptedKind};
 use pdm_prng::Prng;
-use pdm_workload::TreeSpec;
+use pdm_workload::{generate, partition, TreeSpec};
 
 fn session(strategy: Strategy, spec: &TreeSpec) -> Session {
     session_over(spec, strategy, LinkProfile::wan_256())
@@ -217,6 +217,8 @@ fn classic_checkout_update_replays_are_idempotent() {
 fn federation_marks_unreachable_sites_as_partial() {
     let sp = TreeSpec::new(3, 4, 1.0).with_node_size(256);
     let build = |strategy| federation(&sp, vec![LinkProfile::wan_256(); 3], strategy);
+    // The placement the fixture's federation was built from.
+    let (_, placement) = partition(&generate(&sp), 3).unwrap();
 
     for strategy in [Strategy::Recursive, Strategy::EarlyEval] {
         let mut fed = build(strategy);
@@ -234,10 +236,26 @@ fn federation_marks_unreachable_sites_as_partial() {
             "{strategy:?}: losing a site must mark the result partial"
         );
         assert_eq!(out.unreachable_sites, vec!["site2".to_string()]);
-        assert!(
-            out.tree.len() < full.tree.len(),
-            "{strategy:?}: the dark site's subtrees are missing"
+        // Exactly the dark site's nodes are missing, and every node kept is
+        // the one the full expand returned.
+        let kept: Vec<ObjectId> = full
+            .tree
+            .node_ids()
+            .filter(|&id| placement.site_of(id) != Some(2))
+            .collect();
+        assert!(kept.len() < full.tree.len(), "site 2 holds no visible node");
+        assert_eq!(
+            out.tree.node_ids().collect::<Vec<_>>(),
+            kept,
+            "{strategy:?}: the partial tree is the full one minus site 2"
         );
+        for id in kept {
+            assert_eq!(
+                out.tree.node(id),
+                full.tree.node(id),
+                "{strategy:?}: node {id}"
+            );
+        }
         // everything still present is reachable from the root — the tree is
         // a consistent prefix, not a random subset
         assert_eq!(out.tree.reachable_from_root(), out.tree.len());
