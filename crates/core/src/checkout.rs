@@ -66,18 +66,9 @@ impl Session {
             }
         }
         self.reset_metering();
-        let mut update_round_trips = 0;
-        for (table, ids) in [("assy", &assy_ids), ("comp", &comp_ids)] {
-            if ids.is_empty() {
-                continue;
-            }
-            let sql = format!(
-                "UPDATE {table} SET checkedout = TRUE WHERE obid IN ({})",
-                id_list(ids)
-            );
-            self.metered_update(&sql)?;
-            update_round_trips += 1;
-        }
+        let updates = flag_updates(&assy_ids, &comp_ids, true);
+        self.metered_updates(&updates)?;
+        let update_round_trips = updates.len();
         // Fold ONLY the post-reset UPDATE-phase traffic: phase 1 already
         // folded itself inside multi_level_expand, and the absorbed total
         // below is for the caller's outcome, not the registry.
@@ -174,17 +165,7 @@ impl Session {
                 _ => {}
             }
         }
-        let mut n = 0;
-        for (table, ids) in [("assy", &assy_ids), ("comp", &comp_ids)] {
-            if ids.is_empty() {
-                continue;
-            }
-            let sql = format!(
-                "UPDATE {table} SET checkedout = FALSE WHERE obid IN ({})",
-                id_list(ids)
-            );
-            n += self.metered_update(&sql)?;
-        }
+        let n = self.metered_updates(&flag_updates(&assy_ids, &comp_ids, false))?;
         // Retire what a function-shipping check-out of this tree registered
         // at the server: its lock-table entries and its durable grant.
         let mut all_ids = assy_ids;
@@ -228,6 +209,22 @@ impl Session {
     }
 }
 
+/// The UPDATE statements that set the `checkedout` flag of the given
+/// assemblies and components to `checked_out`: one per table with ids.
+fn flag_updates(assy_ids: &[ObjectId], comp_ids: &[ObjectId], checked_out: bool) -> Vec<String> {
+    let flag = if checked_out { "TRUE" } else { "FALSE" };
+    [("assy", assy_ids), ("comp", comp_ids)]
+        .into_iter()
+        .filter(|(_, ids)| !ids.is_empty())
+        .map(|(table, ids)| {
+            format!(
+                "UPDATE {table} SET checkedout = {flag} WHERE obid IN ({})",
+                id_list(ids)
+            )
+        })
+        .collect()
+}
+
 impl Session {
     /// One metered DML exchange, returning the rows the statement inserted,
     /// updated or deleted. The check-out/check-in flag updates are
@@ -235,7 +232,30 @@ impl Session {
     /// faulty link every failure mode — including a lost confirmation after
     /// the server applied the update — is safe to replay.
     pub(crate) fn metered_update(&mut self, sql: &str) -> SessionResult<usize> {
-        let _permit = self.admit(crate::overload::Priority::Checkout)?;
+        self.metered_updates(std::slice::from_ref(&sql))
+    }
+
+    /// Several metered DML exchanges, one per statement, returning the rows
+    /// they affected together. The statements are admitted together: a
+    /// permit for each before the first is shipped, so an
+    /// [`SessionError::Overloaded`] rejection means none of them ran.
+    pub(crate) fn metered_updates(
+        &mut self,
+        statements: &[impl AsRef<str>],
+    ) -> SessionResult<usize> {
+        let _permits = statements
+            .iter()
+            .map(|_| self.admit(crate::overload::Priority::Checkout))
+            .collect::<SessionResult<Vec<_>>>()?;
+        let mut affected = 0;
+        for sql in statements {
+            affected += self.update_exchange(sql.as_ref())?;
+        }
+        Ok(affected)
+    }
+
+    /// One metered DML exchange, already admitted.
+    fn update_exchange(&mut self, sql: &str) -> SessionResult<usize> {
         self.exchange(sql.len(), |server, deadline, obs| {
             let affected = match server.execute_deadline_obs(sql, deadline, obs)? {
                 ExecOutcome::Dml(outcome) => outcome.affected(),

@@ -2,6 +2,8 @@
 //! nodes, and late (post-transfer) rule evaluation.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{ResultSet, Row, Schema, Value};
@@ -98,16 +100,21 @@ impl NodeShape {
         &self.names
     }
 
-    /// Keep this shape for `schema` if its column names are this shape's,
-    /// in order; rebuild it otherwise. Returns whether it was rebuilt.
-    pub fn refit(&mut self, schema: &Schema) -> bool {
+    /// Whether `schema`'s column names are this shape's, in order.
+    pub fn fits(&self, schema: &Schema) -> bool {
         let columns = schema.columns();
-        let same = self.names.len() == columns.len()
-            && self.names.iter().zip(columns).all(|(n, c)| *n == c.name);
-        if !same {
+        self.names.len() == columns.len()
+            && self.names.iter().zip(columns).all(|(n, c)| *n == c.name)
+    }
+
+    /// Keep this shape for `schema` if it [fits](NodeShape::fits); rebuild
+    /// it otherwise. Returns whether it was rebuilt.
+    pub fn refit(&mut self, schema: &Schema) -> bool {
+        let rebuild = !self.fits(schema);
+        if rebuild {
             *self = NodeShape::new(schema);
         }
-        !same
+        rebuild
     }
 
     /// The row's `obid` column, when it has one and it is an integer.
@@ -118,15 +125,6 @@ impl NodeShape {
     /// The node one row of this shape's result describes, under `parent`
     /// when given.
     pub fn node(&self, row: &Row, parent: Option<ObjectId>) -> ProductNode {
-        let mut attrs = self.positions.clone();
-        // lint:allow(unordered-iter): each entry is overwritten from the
-        // position it carries, so the order the entries are visited in
-        // cannot reach the map's contents.
-        for value in attrs.values_mut() {
-            if let Value::Int(i) = *value {
-                *value = row.values().get(i as usize).cloned().unwrap_or(Value::Null);
-            }
-        }
         let text = |at: Option<usize>| match at.and_then(|i| row.values().get(i)) {
             Some(Value::Text(t)) => t.clone(),
             _ => String::new(),
@@ -136,8 +134,166 @@ impl NodeShape {
             parent: parent.or_else(|| int_at(row, self.parent)),
             type_name: text(self.type_name),
             name: text(self.name),
-            attrs,
+            attrs: self.attrs(row),
         }
+    }
+
+    /// The attribute map of one row of this shape's result (what
+    /// [`row_attrs`] builds, without hashing a name).
+    pub fn attrs(&self, row: &Row) -> HashMap<String, Value> {
+        let mut attrs = self.positions.clone();
+        // lint:allow(unordered-iter): each entry is overwritten from the
+        // position it carries, so the order the entries are visited in
+        // cannot reach the map's contents.
+        for value in attrs.values_mut() {
+            if let Value::Int(i) = *value {
+                *value = row.values().get(i as usize).cloned().unwrap_or(Value::Null);
+            }
+        }
+        attrs
+    }
+}
+
+/// The nodes of one retrieval, kept as the server's shared result: the rows
+/// a node is read from, the shape that reads them, the parent every node
+/// hangs under (when the statement had one) and which rows survived the
+/// late filter. A node is built — its attribute map filled — only when it
+/// is asked for ([`NodeRows::iter`], [`NodeRows::get`]); [`NodeRows::obids`]
+/// reads the ids by position and builds none.
+///
+/// Two `NodeRows` are equal when they describe the same nodes in the same
+/// order: the same column names, the same parent and the same kept rows,
+/// whichever server's result they share. They print as their nodes.
+#[derive(Clone)]
+pub struct NodeRows {
+    rows: Arc<ResultSet>,
+    shape: Arc<NodeShape>,
+    parent: Option<ObjectId>,
+    /// Positions of the kept rows, ascending; `None` keeps every row.
+    kept: Option<Vec<u32>>,
+}
+
+impl NodeRows {
+    /// Every row of `rows`, read through `shape` under `parent`. The shape
+    /// must be one that [fits](NodeShape::fits) the rows' schema.
+    pub(crate) fn new(
+        rows: Arc<ResultSet>,
+        shape: Arc<NodeShape>,
+        parent: Option<ObjectId>,
+    ) -> Self {
+        NodeRows {
+            rows,
+            shape,
+            parent,
+            kept: None,
+        }
+    }
+
+    /// Only the rows at `kept` (ascending positions into the result).
+    pub(crate) fn keeping(self, kept: Vec<u32>) -> Self {
+        NodeRows {
+            kept: Some(kept),
+            ..self
+        }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.kept.as_ref().map_or(self.rows.len(), Vec::len)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The server's result the nodes are read from, including any rows the
+    /// late filter dropped.
+    pub fn rows(&self) -> &Arc<ResultSet> {
+        &self.rows
+    }
+
+    /// The `i`-th node.
+    pub fn get(&self, i: usize) -> Option<ProductNode> {
+        self.kept_rows()
+            .nth(i)
+            .map(|row| self.shape.node(row, self.parent))
+    }
+
+    /// The nodes in order, each built as it is reached.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = ProductNode> + '_ {
+        self.kept_rows()
+            .map(|row| self.shape.node(row, self.parent))
+    }
+
+    /// The nodes' ids in order (an `obid` that is not an integer reads 0,
+    /// as in the node).
+    pub fn obids(&self) -> impl ExactSizeIterator<Item = ObjectId> + '_ {
+        self.kept_rows()
+            .map(|row| self.shape.obid(row).unwrap_or_default())
+    }
+
+    /// The kept rows in order.
+    fn kept_rows(&self) -> KeptRows<'_> {
+        match &self.kept {
+            None => KeptRows::All(self.rows.rows.iter()),
+            Some(kept) => KeptRows::At {
+                rows: &self.rows.rows,
+                kept: kept.iter(),
+            },
+        }
+    }
+}
+
+/// The rows a [`NodeRows`] keeps, in order. Every kept position is a row of
+/// the result (the late filter records them while walking it), so the
+/// count of positions left is the count of rows left.
+enum KeptRows<'a> {
+    All(std::slice::Iter<'a, Row>),
+    At {
+        rows: &'a [Row],
+        kept: std::slice::Iter<'a, u32>,
+    },
+}
+
+impl<'a> Iterator for KeptRows<'a> {
+    type Item = &'a Row;
+
+    fn next(&mut self) -> Option<&'a Row> {
+        match self {
+            KeptRows::All(rows) => rows.next(),
+            KeptRows::At { rows, kept } => kept.next().and_then(|&at| rows.get(at as usize)),
+        }
+    }
+
+    fn nth(&mut self, n: usize) -> Option<&'a Row> {
+        match self {
+            KeptRows::All(rows) => rows.nth(n),
+            KeptRows::At { rows, kept } => kept.nth(n).and_then(|&at| rows.get(at as usize)),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            KeptRows::All(rows) => rows.size_hint(),
+            KeptRows::At { kept, .. } => kept.size_hint(),
+        }
+    }
+}
+
+impl ExactSizeIterator for KeptRows<'_> {}
+
+impl fmt::Debug for NodeRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for NodeRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape.names() == other.shape.names()
+            && self.parent == other.parent
+            && self.len() == other.len()
+            && self.kept_rows().zip(other.kept_rows()).all(|(a, b)| a == b)
     }
 }
 
@@ -258,6 +414,84 @@ mod tests {
     fn no_groups_means_everything_permitted() {
         let funcs = client_registry();
         assert!(permitted(&attrs(&[]), &[], &funcs));
+    }
+
+    /// One node result as a server ships it: two assemblies and a
+    /// component under object 1.
+    fn shipped() -> Arc<ResultSet> {
+        use pdm_sql::{Column, DataType};
+        let schema = Schema::new(
+            ["type", "obid", "name", "parent"]
+                .into_iter()
+                .map(|n| Column::new(n, DataType::Text))
+                .collect(),
+        );
+        let row = |t: &str, obid: i64, name: &str| {
+            Row::new(vec![t.into(), Value::Int(obid), name.into(), Value::Int(1)])
+        };
+        let rows = vec![
+            row("assy", 2, "a"),
+            row("comp", 3, "c"),
+            row("assy", 4, "b"),
+        ];
+        Arc::new(ResultSet::new(schema, rows))
+    }
+
+    fn node_rows(rows: Arc<ResultSet>, kept: Option<Vec<u32>>) -> NodeRows {
+        let shape = Arc::new(NodeShape::new(&rows.schema));
+        let all = NodeRows::new(rows, shape, None);
+        match kept {
+            None => all,
+            Some(kept) => all.keeping(kept),
+        }
+    }
+
+    #[test]
+    fn node_rows_compare_by_content() {
+        // Equal answers from two servers: two results, one node sequence.
+        let (a, b) = (shipped(), shipped());
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(node_rows(a.clone(), None), node_rows(b.clone(), None));
+        assert_eq!(
+            node_rows(a.clone(), Some(vec![0, 2])),
+            node_rows(b.clone(), Some(vec![0, 2]))
+        );
+        // Keeping every row is the same sequence as keeping all of them.
+        assert_eq!(
+            node_rows(a.clone(), None),
+            node_rows(b.clone(), Some(vec![0, 1, 2]))
+        );
+        // A different kept set is a different answer, on one result or two.
+        assert_ne!(
+            node_rows(a.clone(), Some(vec![0, 2])),
+            node_rows(a.clone(), Some(vec![0, 1]))
+        );
+        assert_ne!(
+            node_rows(a.clone(), Some(vec![0, 2])),
+            node_rows(b.clone(), Some(vec![0]))
+        );
+        assert_ne!(node_rows(a.clone(), None), node_rows(b, Some(vec![])));
+        // So is the same rows under another parent.
+        let shape = Arc::new(NodeShape::new(&a.schema));
+        assert_ne!(
+            NodeRows::new(a.clone(), Arc::clone(&shape), Some(7)),
+            NodeRows::new(a, shape, None)
+        );
+    }
+
+    #[test]
+    fn node_rows_read_their_kept_rows_in_order() {
+        let rows = node_rows(shipped(), Some(vec![0, 2]));
+        assert_eq!(rows.len(), 2);
+        assert!(!rows.is_empty());
+        assert_eq!(rows.obids().collect::<Vec<_>>(), vec![2, 4]);
+        let names: Vec<String> = rows.iter().map(|n| n.name).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(rows.iter().len(), 2);
+        assert_eq!(rows.get(1).map(|n| (n.obid, n.parent)), Some((4, Some(1))));
+        assert_eq!(rows.get(2), None);
+        assert_eq!(rows.rows().len(), 3, "the dropped row is still shipped");
+        assert!(node_rows(shipped(), Some(vec![])).is_empty());
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl Federation {
                         }
                         Err(e) => return Err(e),
                     };
-                    for node in nodes {
+                    for node in nodes.iter() {
                         queue.push_back(node.obid);
                         tree.insert(node);
                     }

@@ -9,9 +9,10 @@
 //! ([`Session::statement`], [`crate::query::prepared`]); *per statement* it
 //! splices the object id into that text and ships it through one metered
 //! exchange ([`crate::resilience`]); *per row* it reads the server's shared
-//! result by reference into [`ProductNode`]s, through column positions
-//! resolved once per result schema ([`NodeShape`]) — the result set itself
-//! is never copied.
+//! result by reference, through column positions resolved once per result
+//! schema ([`NodeShape`]) — the result set itself is never copied. A Query
+//! action hands that result back as it is ([`NodeRows`]); only the paths
+//! that assemble a [`ProductTree`] turn its rows into [`ProductNode`]s.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -26,7 +27,7 @@ use pdm_obs::{
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Schema};
 
-use crate::client::{self, NodeShape, Strategy};
+use crate::client::{self, NodeRows, NodeShape, Strategy};
 use crate::product::{ObjectId, ProductNode, ProductTree};
 use crate::query::modificator::{ModError, Modificator};
 use crate::query::prepared::{Prepared, Shape};
@@ -363,7 +364,8 @@ pub struct ExpandOutcome {
 /// Result of the set-oriented Query action (no structure information).
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    pub nodes: Vec<ProductNode>,
+    /// The visible nodes, read from the server's shared result on demand.
+    pub nodes: NodeRows,
     pub stats: TrafficStats,
 }
 
@@ -474,10 +476,10 @@ pub struct Session {
     /// lookup registers the name, and a server that only ever saw early
     /// sessions reports neither.
     late_rows: Option<(Counter, Counter)>,
-    /// The shape of the last result turned into nodes, kept while results
+    /// The shape of the last result read as nodes, kept while results
     /// carry the same column names (every node statement projects the same
-    /// ones).
-    node_shape: NodeShape,
+    /// ones) and shared with the [`NodeRows`] read through it.
+    node_shape: Arc<NodeShape>,
 }
 
 impl Session {
@@ -510,7 +512,7 @@ impl Session {
             tracing: None,
             prepared: HashMap::new(),
             late_rows: None,
-            node_shape: NodeShape::default(),
+            node_shape: Arc::default(),
         }
     }
 
@@ -809,8 +811,10 @@ impl Session {
     /// The shape that turns rows of `schema` into nodes: the kept one when
     /// its column names are `schema`'s, else one resolved for `schema` and
     /// kept from here on.
-    pub(crate) fn node_shape(&mut self, schema: &Schema) -> &NodeShape {
-        self.node_shape.refit(schema);
+    pub(crate) fn node_shape(&mut self, schema: &Schema) -> &Arc<NodeShape> {
+        if !self.node_shape.fits(schema) {
+            self.node_shape = Arc::new(NodeShape::new(schema));
+        }
         &self.node_shape
     }
 
@@ -982,7 +986,7 @@ impl Session {
                 "batched_level",
                 None,
             )?;
-            frontier = insert_all(tree, nodes);
+            frontier = insert_all(tree, &nodes);
         }
         Ok(())
     }
@@ -996,7 +1000,8 @@ impl Session {
     }
 
     /// The set-oriented Query action: all (visible) nodes of the product,
-    /// without structure information, in one query.
+    /// without structure information, in one query. The nodes stay the
+    /// server's rows: none is built until the caller reads it.
     pub fn query_all(&mut self, root: ObjectId) -> SessionResult<QueryOutcome> {
         self.action("query_all", |s| {
             let nodes = s.retrieve(
@@ -1031,16 +1036,17 @@ impl Session {
             "expand",
             Some(parent),
         )?;
-        Ok(insert_all(tree, nodes))
+        Ok(insert_all(tree, &nodes))
     }
 
     /// The one navigational retrieval every non-recursive action is built
     /// from: ship the `shape` statement for `ids` (rules spliced in under
-    /// the early strategies) and turn the transferred rows into nodes under
-    /// `parent`. Late evaluation filters after transfer — the row rules of
-    /// `tables`, evaluated on the transferred attributes — and accounts the
-    /// paper's γ split: how many rows the client kept vs threw away after
-    /// paying for their transfer.
+    /// the early strategies) and hand back the transferred rows, read as
+    /// nodes under `parent`. Late evaluation filters after transfer — the
+    /// row rules of `tables`, evaluated on each row's attribute map — keeps
+    /// the positions of the rows that pass, and accounts the paper's γ
+    /// split: how many rows the client kept vs threw away after paying for
+    /// their transfer.
     pub(crate) fn retrieve(
         &mut self,
         shape: Shape,
@@ -1049,51 +1055,44 @@ impl Session {
         tables: &[&str],
         label: &'static str,
         parent: Option<ObjectId>,
-    ) -> SessionResult<Vec<ProductNode>> {
+    ) -> SessionResult<NodeRows> {
         let sql = self.statement(shape, action, ids)?;
         let rs = self.metered_query(&sql)?;
+        let node_shape = Arc::clone(self.node_shape(&rs.schema));
 
         // Early strategies already paid for the rules at the server.
-        let groups = (!self.config.strategy.early_rules()).then(|| {
+        if self.config.strategy.early_rules() {
+            return Ok(NodeRows::new(rs, node_shape, parent));
+        }
+        let groups = {
             let _lookup = self.obs.span(kinds::RULE_LOOKUP, "permission_groups");
             client::permission_groups(&self.rules, &self.config.user, action, tables)
-        });
-        let late = groups
-            .as_ref()
-            .map(|_| self.obs.span(kinds::LATE_FILTER, label));
-        self.node_shape.refit(&rs.schema);
-        let nodes: Vec<ProductNode> = rs
-            .rows
-            .iter()
-            .map(|row| self.node_shape.node(row, parent))
-            .filter(|node| {
-                groups
-                    .as_ref()
-                    .is_none_or(|groups| client::permitted(&node.attrs, groups, &self.funcs))
-            })
+        };
+        let span = self.obs.span(kinds::LATE_FILTER, label);
+        let kept: Vec<u32> = (0u32..)
+            .zip(&rs.rows)
+            .filter(|(_, row)| client::permitted(&node_shape.attrs(row), &groups, &self.funcs))
+            .map(|(at, _)| at)
             .collect();
-        if let Some(span) = late {
-            let (transferred, kept) = (rs.len() as u64, nodes.len() as u64);
-            span.set_rows(transferred, kept);
-            drop(span);
-            let metrics = self.server.shared().metrics();
-            let (rows_kept, rows_filtered) = self.late_rows.get_or_insert_with(|| {
-                (
-                    metrics.counter("session.rows_kept"),
-                    metrics.counter("session.rows_filtered_late"),
-                )
-            });
-            rows_kept.add(kept);
-            rows_filtered.add(transferred - kept);
-        }
-        Ok(nodes)
+        let (transferred, kept_rows) = (rs.len() as u64, kept.len() as u64);
+        span.set_rows(transferred, kept_rows);
+        drop(span);
+        let metrics = self.server.shared().metrics();
+        let (rows_kept, rows_filtered) = self.late_rows.get_or_insert_with(|| {
+            (
+                metrics.counter("session.rows_kept"),
+                metrics.counter("session.rows_filtered_late"),
+            )
+        });
+        rows_kept.add(kept_rows);
+        rows_filtered.add(transferred - kept_rows);
+        Ok(NodeRows::new(rs, node_shape, parent).keeping(kept))
     }
 }
 
-/// Move `nodes` into `tree`, returning their ids in order.
-fn insert_all(tree: &mut ProductTree, nodes: Vec<ProductNode>) -> Vec<ObjectId> {
-    nodes
-        .into_iter()
+/// Insert the nodes of `rows` into `tree`, returning their ids in order.
+fn insert_all(tree: &mut ProductTree, rows: &NodeRows) -> Vec<ObjectId> {
+    rows.iter()
         .map(|node| {
             let id = node.obid;
             tree.insert(node);
@@ -1201,6 +1200,29 @@ mod tests {
         // both were single queries
         assert_eq!(l.stats.queries, 1);
         assert_eq!(e.stats.queries, 1);
+    }
+
+    /// A Query outcome is the server's result, not a copy, and equal
+    /// answers compare equal: two servers', and a late session's kept
+    /// subset of more shipped rows against the early session's answer.
+    #[test]
+    fn query_rows_are_the_shared_result_and_compare_by_content() {
+        let mut a = session(Strategy::EarlyEval, 0.6);
+        let mut b = session(Strategy::EarlyEval, 0.6);
+        let (qa, qb) = (a.query_all(1).unwrap(), b.query_all(1).unwrap());
+        assert!(!Arc::ptr_eq(qa.nodes.rows(), qb.nodes.rows()));
+        assert_eq!(qa.nodes, qb.nodes);
+        let sql = a
+            .statement(Shape::QueryAll, ActionKind::Query, &[1])
+            .unwrap();
+        let cached = a.server().query_cached(&sql).unwrap();
+        assert!(Arc::ptr_eq(qa.nodes.rows(), &cached));
+
+        let mut late = session(Strategy::LateEval, 0.6);
+        let ql = late.query_all(1).unwrap();
+        assert_eq!(ql.nodes.len(), qa.nodes.len());
+        assert!(ql.nodes.rows().len() > ql.nodes.len());
+        assert_eq!(ql.nodes, qa.nodes);
     }
 
     #[test]

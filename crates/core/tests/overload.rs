@@ -9,7 +9,10 @@
 //!    *admits* return byte-identical results to an unloaded serial oracle
 //!    replaying exactly the admitted subsequence. Admission control may
 //!    reject work; it may never corrupt it.
-//! 3. **Deadline propagation**: a write whose budget is spent is abandoned
+//! 3. **A shed action did no work** (property): after every action the
+//!    gate rejects, the published tables, the WAL and what is in flight in
+//!    the server are as the action found them.
+//! 4. **Deadline propagation**: a write whose budget is spent is abandoned
 //!    at the commit gate, on every kind of link.
 
 use std::time::Duration;
@@ -17,8 +20,8 @@ use std::time::Duration;
 use pdm_bench::harness::{durable_server, roots, server};
 use pdm_core::rules::visibility_rules;
 use pdm_core::{
-    DurabilityConfig, OverloadConfig, PdmServer, Priority, ProductTree, Recorder, RetryPolicy,
-    Session, SessionConfig, SessionError, SharedServerError, Strategy,
+    DurabilityConfig, InFlight, OverloadConfig, PdmServer, Priority, ProductTree, Recorder,
+    RetryPolicy, Session, SessionConfig, SessionError, SharedServerError, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile};
 use pdm_prng::Prng;
@@ -53,6 +56,7 @@ fn tree_print(tree: &ProductTree) -> String {
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     Expand(i64),
+    Query(i64),
     CheckOut(i64),
     CheckIn(i64),
 }
@@ -62,7 +66,8 @@ fn schedule(rng: &mut Prng, roots: &[i64], len: usize) -> Vec<Op> {
         .map(|_| {
             let root = roots[rng.index(roots.len())];
             match rng.index(10) {
-                0..=5 => Op::Expand(root),
+                0..=3 => Op::Expand(root),
+                4..=5 => Op::Query(root),
                 6..=7 => Op::CheckOut(root),
                 _ => Op::CheckIn(root),
             }
@@ -83,6 +88,11 @@ fn run_op(
             Ok(o) => Ok(format!("expand {root}: {}", tree_print(&o.tree))),
             Err(e) => Err(e),
         },
+        Op::Query(root) => s.query_all(root).map(|o| {
+            let mut ids: Vec<i64> = o.nodes.obids().collect();
+            ids.sort_unstable();
+            format!("query {root}: {ids:?}")
+        }),
         Op::CheckOut(root) => match s.check_out_function_shipping(root) {
             Ok(o) => match o.tree {
                 Some(tree) => {
@@ -193,6 +203,63 @@ fn admitted_ops_match_unloaded_serial_oracle() {
             );
         }
     });
+}
+
+/// What a shed action must leave as it found it: every published table's
+/// digest, the WAL's length and what is in flight in the server.
+fn fingerprint(server: &PdmServer) -> (Vec<(String, u64)>, usize, InFlight) {
+    let snapshot = server.database().snapshot();
+    let catalog = &snapshot.catalog;
+    let digests = catalog
+        .table_names()
+        .into_iter()
+        .map(|name| (name.to_string(), catalog.table(name).unwrap().digest()))
+        .collect();
+    let log_len = server.durability().unwrap().log_len();
+    (digests, log_len, server.in_flight())
+}
+
+/// Property: an action the gate sheds did no work. Under a tight gate, for
+/// every strategy, each `Overloaded` expand, Query, check-out or check-in
+/// leaves the published tables' digests, the WAL's length and
+/// `in_flight()` unchanged — a rejection is reported only for an action
+/// that was not carried out, in whole or in part.
+#[test]
+fn a_shed_action_did_no_work() {
+    let mut shed_writes = 0usize;
+    pdm_prng::check::cases("a_shed_action_did_no_work", 10, 0x5ED, |rng| {
+        let server = durable_server(
+            &TreeSpec::new(2, 3, 1.0).with_node_size(128),
+            CrashPlan::none(),
+            DurabilityConfig::default().checkpoint_interval,
+        );
+        let roots = roots(&server);
+        let gate = server
+            .shared()
+            .install_overload_gate(OverloadConfig::per_second(20.0));
+        let mut s = session(&server);
+        s.set_strategy(Strategy::ALL[rng.index(Strategy::ALL.len())]);
+        let mut held = std::collections::HashMap::new();
+        // Mean arrival rates from ≈ 1× to ≈ 4× the refill rate, so some
+        // cases hold the bucket near the check-out reserve, where an
+        // action of two dispatches can be admitted once and shed once.
+        let pace = rng.f64_range(0.012, 0.05);
+        let mut clock = 0.0f64;
+        let mut sheds = 0usize;
+        for op in schedule(rng, &roots, 200) {
+            clock += rng.f64_range(0.0, 2.0 * pace);
+            gate.advance_to(clock);
+            let before = fingerprint(&server);
+            if run_op(&mut s, op, &mut held).unwrap().is_none() {
+                sheds += 1;
+                shed_writes += usize::from(matches!(op, Op::CheckOut(_) | Op::CheckIn(_)));
+                assert_eq!(fingerprint(&server), before, "shed {op:?} did work");
+            }
+            assert_eq!(server.in_flight(), InFlight::default(), "{op:?}");
+        }
+        assert!(sheds > 0, "schedule must overdrive the 20/s gate");
+    });
+    assert!(shed_writes > 0, "no check-out or check-in was shed");
 }
 
 /// Concurrent misses on one cold key coalesce into a single computation:

@@ -11,13 +11,19 @@
 
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use pdm_core::client::{row_attrs, NodeShape};
-use pdm_core::rules::condition::{CmpOp, RowPredicate};
-use pdm_core::rules::{visibility_rules, ActionKind};
-use pdm_core::{ProductNode, Session, SessionConfig, Strategy as ClientStrategy};
+use pdm_core::client::{permission_groups, permitted, row_attrs, NodeShape};
+use pdm_core::functions::client_registry;
+use pdm_core::query::prepared::Shape;
+use pdm_core::query::{T_ASSY, T_COMP, T_LINK};
+use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
+use pdm_core::rules::{visibility_rules, ActionKind, Rule};
+use pdm_core::{
+    ProductNode, ProductTree, RuleTable, Session, SessionConfig, Strategy as ClientStrategy,
+};
 use pdm_net::LinkProfile;
+use pdm_obs::kinds;
 use pdm_sql::{Column, DataType, ResultSet, Row, Schema, Value};
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
 
@@ -295,5 +301,212 @@ fn node_shape_matches_the_attribute_map_oracle() {
                 }
             }
         },
+    );
+}
+
+/// A rule table that filters late: the visibility rules, and at random a
+/// `dec` rule on assemblies and an `obid` bound on components (so a
+/// component can be dropped for its own attributes, not only its link's).
+fn arb_late_rules(rng: &mut Prng) -> RuleTable {
+    let mut rules = visibility_rules();
+    if rng.bool() {
+        rules.add(Rule::for_all_users(
+            ActionKind::Access,
+            T_ASSY,
+            Condition::Row(RowPredicate::compare("dec", CmpOp::Eq, "+")),
+        ));
+    }
+    if rng.bool() {
+        let bound = rng.i64_inclusive(2, 120);
+        rules.add(Rule::for_all_users(
+            ActionKind::Access,
+            T_COMP,
+            Condition::Row(RowPredicate::compare("obid", CmpOp::Lt, bound)),
+        ));
+    }
+    rules
+}
+
+/// The eager path a retrieval took before its nodes stayed rows: ship the
+/// session's own statement, build a node from every row, then keep the
+/// ones `permitted` passes under the late strategy. Returns the nodes and
+/// the number of rows transferred.
+fn eager_nodes(
+    s: &mut Session,
+    shape: Shape,
+    ids: &[i64],
+    action: ActionKind,
+    tables: &[&str],
+    parent: Option<i64>,
+) -> (Vec<ProductNode>, usize) {
+    let sql = s.statement(shape, action, ids).unwrap();
+    let rs = s.server().query(&sql).unwrap();
+    let node_shape = NodeShape::new(&rs.schema);
+    let late = !s.config().strategy.early_rules();
+    let groups = permission_groups(s.rules(), &s.config().user, action, tables);
+    let funcs = client_registry();
+    let nodes = rs
+        .rows
+        .iter()
+        .map(|row| node_shape.node(row, parent))
+        .filter(|node| !late || permitted(&node.attrs, &groups, &funcs))
+        .collect();
+    (nodes, rs.len())
+}
+
+/// How an expand assembles its tree.
+#[derive(Debug, Clone, Copy)]
+enum Expand {
+    /// The direct children only (single-level expand).
+    Single,
+    /// The session's multi-level expand: per-node statements
+    /// (navigational) or one recursive statement.
+    Multi,
+    /// One IN-list statement per level.
+    Batched,
+}
+
+/// The tree the eager path assembled for `root`: the unmetered root row,
+/// then the rows of `how`'s statements as nodes.
+fn eager_tree(s: &mut Session, root: i64, how: Expand) -> ProductTree {
+    let tables = [T_LINK, T_ASSY, T_COMP];
+    let mle = ActionKind::MultiLevelExpand;
+    let mut tree = ProductTree::new();
+    let sql = s
+        .statement(Shape::FetchNode, ActionKind::Access, &[root])
+        .unwrap();
+    let rs = s.server().query(&sql).unwrap();
+    tree.insert(NodeShape::new(&rs.schema).node(&rs.rows[0], None));
+    let recursive = s.config().strategy == ClientStrategy::Recursive;
+    match how {
+        Expand::Single => {
+            let action = ActionKind::Expand;
+            let (nodes, _) = eager_nodes(s, Shape::Expand, &[root], action, &tables, Some(root));
+            nodes.into_iter().for_each(|n| tree.insert(n));
+        }
+        Expand::Multi if recursive => {
+            let shape = Shape::Mle {
+                include_root: false,
+            };
+            let (nodes, _) = eager_nodes(s, shape, &[root], mle, &tables, None);
+            nodes.into_iter().for_each(|n| tree.insert(n));
+        }
+        Expand::Multi => {
+            let mut queue = VecDeque::from([root]);
+            while let Some(parent) = queue.pop_front() {
+                let (nodes, _) =
+                    eager_nodes(s, Shape::Expand, &[parent], mle, &tables, Some(parent));
+                queue.extend(nodes.iter().map(|n| n.obid));
+                nodes.into_iter().for_each(|n| tree.insert(n));
+            }
+        }
+        Expand::Batched => {
+            let mut frontier = vec![root];
+            while !frontier.is_empty() {
+                let (nodes, _) = eager_nodes(s, Shape::ExpandMany, &frontier, mle, &tables, None);
+                frontier = nodes.iter().map(|n| n.obid).collect();
+                nodes.into_iter().for_each(|n| tree.insert(n));
+            }
+        }
+    }
+    tree
+}
+
+/// A tree spelled out node by node, with each node's children in order.
+fn spelled_tree(tree: &ProductTree) -> Vec<String> {
+    let mut lines = vec![format!("root {:?}", tree.root())];
+    lines.extend(
+        tree.nodes()
+            .map(|n| format!("{} → {:?}", spelled(n), tree.children(n.obid))),
+    );
+    lines
+}
+
+/// A Query action's row-backed nodes are the nodes the eager path built —
+/// a node from every shipped row, then `permitted` under late evaluation —
+/// for random trees, every strategy and rule tables that filter late; its
+/// ids read by position are those nodes' ids; the γ counters and the
+/// `LATE_FILTER` span count what the eager filter kept; and every expand
+/// still assembles the eager path's tree.
+#[test]
+fn query_rows_match_the_eager_node_oracle() {
+    // Late Query actions that dropped some shipped rows and kept others.
+    let mut filtered = 0;
+    cases("query_rows_match_the_eager_node_oracle", 32, 0x26, |rng| {
+        let spec = arb_spec(rng);
+        let rules = arb_late_rules(rng);
+        for strategy in ClientStrategy::ALL {
+            let (db, _) = build_database(&spec).unwrap();
+            let mut s = Session::new(
+                db,
+                SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
+                rules.clone(),
+            );
+            s.enable_profiling();
+
+            let out = s.query_all(1).unwrap();
+            let spans = s.recorder().spans();
+            let late: Vec<_> = spans
+                .iter()
+                .filter(|span| span.kind == kinds::LATE_FILTER)
+                .map(|span| (span.label.as_str(), span.rows_in, span.rows_out))
+                .collect();
+            let metrics = s.metrics().snapshot();
+            let gamma = (
+                metrics.counter("session.rows_kept"),
+                metrics.counter("session.rows_filtered_late"),
+            );
+
+            let (want, shipped) = eager_nodes(
+                &mut s,
+                Shape::QueryAll,
+                &[1],
+                ActionKind::Query,
+                &[T_ASSY, T_COMP],
+                None,
+            );
+            let spell = |nodes: &[ProductNode]| nodes.iter().map(spelled).collect::<Vec<_>>();
+            let got: Vec<ProductNode> = out.nodes.iter().collect();
+            assert_eq!(spell(&got), spell(&want), "{strategy:?}");
+            assert_eq!(out.nodes.len(), want.len());
+            assert_eq!(out.nodes.rows().len(), shipped, "{strategy:?}");
+            for (i, node) in want.iter().enumerate() {
+                assert_eq!(out.nodes.get(i).as_ref().map(spelled), Some(spelled(node)));
+            }
+            assert_eq!(out.nodes.get(want.len()), None);
+            assert_eq!(
+                out.nodes.obids().collect::<Vec<_>>(),
+                out.nodes.iter().map(|n| n.obid).collect::<Vec<_>>()
+            );
+
+            let (kept, transferred) = (want.len() as u64, shipped as u64);
+            if strategy.early_rules() {
+                assert_eq!(late, vec![], "{strategy:?}");
+                assert_eq!(gamma, (0, 0), "{strategy:?}");
+            } else {
+                assert_eq!(late, vec![("query_all", transferred, kept)]);
+                assert_eq!(gamma, (kept, transferred - kept));
+                filtered += usize::from(0 < kept && kept < transferred);
+            }
+
+            for how in [Expand::Single, Expand::Multi, Expand::Batched] {
+                let tree = match how {
+                    Expand::Single => s.single_level_expand(1),
+                    Expand::Multi => s.multi_level_expand(1),
+                    Expand::Batched => s.multi_level_expand_batched(1),
+                }
+                .unwrap()
+                .tree;
+                assert_eq!(
+                    spelled_tree(&tree),
+                    spelled_tree(&eager_tree(&mut s, 1, how)),
+                    "{strategy:?} {how:?}"
+                );
+            }
+        }
+    });
+    assert!(
+        filtered >= 16,
+        "only {filtered} of 32 late Query actions filtered"
     );
 }

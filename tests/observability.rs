@@ -208,6 +208,7 @@ fn profiling_is_byte_identical_to_plain_run() {
 
     let a = plain.query_all(1).unwrap();
     let b = profiled.query_all(1).unwrap();
+    assert!(!std::sync::Arc::ptr_eq(a.nodes.rows(), b.nodes.rows()));
     assert_eq!(a.nodes, b.nodes, "profiling changed query_all results");
     assert_eq!(a.stats, b.stats);
 

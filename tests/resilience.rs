@@ -319,13 +319,7 @@ fn differential_step(s: &mut Session, op: usize, root: i64, held: &mut Vec<Produ
     match op {
         0 => format!("expand {}", ids(&s.multi_level_expand(root).unwrap().tree)),
         1 => {
-            let mut ids: Vec<i64> = s
-                .query_all(root)
-                .unwrap()
-                .nodes
-                .iter()
-                .map(|n| n.obid)
-                .collect();
+            let mut ids: Vec<i64> = s.query_all(root).unwrap().nodes.obids().collect();
             ids.sort_unstable();
             format!("query {ids:?}")
         }
