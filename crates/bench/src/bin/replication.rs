@@ -277,7 +277,7 @@ fn main() {
         exemplar.trace_id,
         exemplar.action,
         exemplar.total_v,
-        exemplar.spans.len(),
+        exemplar.span_count(),
         exemplar.sites()
     );
     println!();

@@ -139,7 +139,7 @@ impl Report {
                 if let Some((_, other)) = foreign {
                     return Err(format!(
                         "tail exemplar span {} carries trace id {other}, the tree {id}",
-                        span.gid
+                        span.id
                     ));
                 }
             }
@@ -180,7 +180,7 @@ impl Report {
                 tree.action,
                 tree.outcome,
                 tree.total_v,
-                tree.spans.len(),
+                tree.span_count(),
                 sites.join(", "),
                 ex.offered,
                 ex.retained,
@@ -242,7 +242,7 @@ mod tests {
             exchange.advance(v);
             exchange.add_attr("trace_id", 7.0);
         }
-        TraceTree::assemble(7, "expand", "client1", "ok", &rec.spans())
+        TraceTree::assemble(7, "expand", "client1", "ok", rec.spans())
     }
 
     fn full_report() -> Report {
@@ -296,9 +296,10 @@ mod tests {
 
     #[test]
     fn attribution_segments_that_do_not_sum_fail() {
-        // Virtual time on the root is in the class total but in no class.
+        // A tree total its spans do not sum to: in the class total, in no
+        // class.
         let mut skewed = tree();
-        skewed.spans[0].v_excl = 0.125;
+        skewed.total_v += 0.125;
         let mut table = AttributionTable::new();
         table.add("expand", &skewed);
         let report = Report::new("unit", metrics(), MANDATORY).attribution("all", table);
@@ -318,7 +319,7 @@ mod tests {
         let mut sampler = TailSampler::new(0.0, 1);
         sampler.offer(tree());
         let mut mixed = tree();
-        mixed.spans[2].attrs = vec![("v_s", 0.5), ("trace_id", 8.0)];
+        mixed.spans[1].attrs = vec![("v_s", 0.5), ("trace_id", 8.0)];
         let report = Report::new("unit", metrics(), MANDATORY).tail_exemplar(mixed, &sampler);
         let err = report.check().unwrap_err();
         assert!(err.contains("carries trace id 8, the tree 7"), "{err}");

@@ -33,9 +33,10 @@
 //!   navigation, and partial federated results over unreachable sites;
 //! * end-to-end **observability** (`pdm-obs`): per-action span trees from
 //!   rule lookup down to engine operators, WAL appends and network
-//!   exchanges ([`Session::enable_profiling`]), a server-wide metrics
-//!   registry ([`SharedServer::metrics`]), and flight-recorder context on
-//!   timeout errors ([`SessionError::Timeout`]).
+//!   exchanges ([`Session::enable_profiling`], each read as a [`TraceTree`]
+//!   from [`Session::last_trace`]), a server-wide metrics registry
+//!   ([`SharedServer::metrics`]), and flight-recorder context on timeout
+//!   errors ([`SessionError::Timeout`]).
 
 pub mod checkout;
 pub mod client;
@@ -61,8 +62,8 @@ pub use federation::{FederatedOutcome, Federation, MountPoint};
 pub use overload::{OverloadConfig, OverloadGate, Permit, Priority, Rejection, RetryBudget};
 pub use pdm_obs::{
     attribution, chrome_trace_json, Attribution, AttributionTable, FlightDump, FlightEvent,
-    MetricsRegistry, MetricsSnapshot, QueryProfile, Recorder, SpanKind, SpanRecord, Subsystem,
-    TailSampler, TraceContext, TraceTree,
+    MetricsRegistry, MetricsSnapshot, Recorder, SpanKind, SpanRecord, Subsystem, TailSampler,
+    TraceContext, TraceTree,
 };
 pub use product::{ObjectId, ProductNode, ProductTree};
 pub use repl::{

@@ -28,7 +28,7 @@
 //! inner sessions, which a topology change rebuilds mid-action.
 
 use pdm_net::LinkProfile;
-use pdm_obs::TraceTree;
+use pdm_obs::{TraceIdGen, TraceTree};
 
 use super::{Cluster, WriteReceipt};
 use crate::checkout::CheckoutOutcome;
@@ -109,7 +109,8 @@ impl RoutedSession {
     pub fn enable_tracing(&mut self, seed: u64) {
         self.write.enable_profiling();
         self.read.attach_recorder(self.write.recorder().clone());
-        self.tracing = Some(Tracing::new(seed, format!("client{}", self.site)));
+        let ids = Some(TraceIdGen::new(seed));
+        self.tracing = Some(Tracing::new(ids, format!("client{}", self.site)));
     }
 
     /// The causal tree of the most recent traced action.

@@ -22,6 +22,9 @@ use crate::overload::RetryBudget;
 use crate::session::{SessionError, SessionResult};
 use crate::shared::SharedServerError;
 
+/// Seed of the deterministic jitter stream every backoff draws from.
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// Retry budget for one metered exchange: how many attempts, how long to
 /// back off between them, and a per-action deadline on the virtual clock.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,8 +36,6 @@ pub struct RetryPolicy {
     pub base_backoff: f64,
     /// Backoff cap in virtual seconds.
     pub max_backoff: f64,
-    /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
     /// Per-action deadline on the virtual clock, in seconds; an attempt
     /// whose backoff would cross it fails instead. `f64::INFINITY` = none.
     pub deadline: f64,
@@ -48,7 +49,6 @@ impl RetryPolicy {
             max_attempts: 1,
             base_backoff: 0.0,
             max_backoff: 0.0,
-            jitter_seed: 0,
             deadline: f64::INFINITY,
         }
     }
@@ -60,7 +60,6 @@ impl RetryPolicy {
             max_attempts: 4,
             base_backoff: 1.0,
             max_backoff: 30.0,
-            jitter_seed: 0x9E3779B97F4A7C15,
             deadline: f64::INFINITY,
         }
     }
@@ -77,11 +76,6 @@ impl RetryPolicy {
         self
     }
 
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
-    }
-
     /// Backoff before retry `retry` (1-based), salted so concurrent
     /// exchanges draw different jitter. Equal-jitter scheme: half the
     /// capped exponential is guaranteed, half is jittered.
@@ -91,7 +85,7 @@ impl RetryPolicy {
         }
         let exp = self.base_backoff * 2f64.powi(retry.saturating_sub(1).min(62) as i32);
         let capped = exp.min(self.max_backoff);
-        let bits = splitmix64(self.jitter_seed ^ splitmix64(salt.wrapping_add(retry as u64)));
+        let bits = splitmix64(JITTER_SEED ^ splitmix64(salt.wrapping_add(retry as u64)));
         let unit = (bits >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
         capped * (0.5 + 0.5 * unit)
     }
@@ -347,7 +341,6 @@ mod tests {
         let p = RetryPolicy::default_wan();
         assert_eq!(p.backoff(2, 7), p.backoff(2, 7));
         assert_ne!(p.backoff(2, 7), p.backoff(2, 8));
-        assert_ne!(p.backoff(2, 7), p.clone().with_jitter_seed(1).backoff(2, 7));
     }
 
     #[test]

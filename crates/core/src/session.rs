@@ -21,8 +21,8 @@ use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
 use pdm_obs::{
-    kinds, Counter, FlightDump, MetricsRegistry, QueryProfile, Recorder, TraceContext, TraceIdGen,
-    TraceTree, ROOT_GID,
+    kinds, Counter, FlightDump, MetricsRegistry, Recorder, TraceContext, TraceIdGen, TraceTree,
+    ROOT_GID,
 };
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Schema};
@@ -369,21 +369,24 @@ pub struct QueryOutcome {
     pub stats: TrafficStats,
 }
 
-/// Cross-site tracing state of an action owner — a [`Session`], or the
-/// routed session over two of them (DESIGN.md §15): the deterministic id
-/// stream, the owner's site label in assembled trees, and the tree of its
-/// most recent action. The context of the action in flight is not here: it
-/// lives in the recorder, where everything the action is handed to finds it.
+/// Observation state of an action owner — a [`Session`], or the routed
+/// session over two of them (DESIGN.md §15): present whenever the owner
+/// records, it holds the owner's site label, the tree of its most recent
+/// action, and — while the owner traces — the deterministic id stream.
+/// The context of the action in flight is not here: it lives in the
+/// recorder, where everything the action is handed to finds it.
 pub(crate) struct Tracing {
-    gen: TraceIdGen,
+    /// `None` for an owner that profiles without tracing: its actions
+    /// carry trace id 0 and no context, so they put no byte on the wire.
+    ids: Option<TraceIdGen>,
     site: String,
     last: Option<TraceTree>,
 }
 
 impl Tracing {
-    pub(crate) fn new(seed: u64, site: impl Into<String>) -> Self {
+    pub(crate) fn new(ids: Option<TraceIdGen>, site: impl Into<String>) -> Self {
         Tracing {
-            gen: TraceIdGen::new(seed),
+            ids,
             site: site.into(),
             last: None,
         }
@@ -393,35 +396,35 @@ impl Tracing {
         self.last.as_ref()
     }
 
-    /// Open a traced action on `obs`: a fresh timeline under the next
-    /// trace id — the one place an action becomes a traced one.
+    /// Open an action on `obs`: a fresh timeline, under the next trace id
+    /// when the owner traces — the one place an action becomes a traced
+    /// one.
     pub(crate) fn open(&mut self, obs: &Recorder) {
         obs.begin_action();
-        obs.set_context(Some(TraceContext::new(self.gen.next_id(), ROOT_GID)));
+        if let Some(ids) = &mut self.ids {
+            obs.set_context(Some(TraceContext::new(ids.next_id(), ROOT_GID)));
+        }
     }
 
     /// Close the action opened on `obs`: assemble everything recorded since
-    /// into its causal tree and remember it. The root total reconciles
-    /// bit-exactly with the virtual time the action took — both are the
-    /// same running sum of the same exact `v_s` clock-advance amounts in
-    /// the same order. A failure that carries a flight dump gets the tree
-    /// spliced in: a timeout arrives with its own causal tree up to the
-    /// failure point.
+    /// into its tree and remember it. The root total reconciles bit-exactly
+    /// with the virtual time the action took — both are the same running
+    /// sum of the same exact `v_s` clock-advance amounts in the same order.
+    /// A failure that carries a flight dump gets the tree spliced in: a
+    /// timeout arrives with its own tree up to the failure point.
     pub(crate) fn close<T>(
         &mut self,
         obs: &Recorder,
         name: &'static str,
         mut result: SessionResult<T>,
     ) -> SessionResult<T> {
-        let Some(ctx) = obs.context() else {
-            return result;
-        };
+        let trace_id = obs.context().map_or(0, |ctx| ctx.trace_id);
         obs.set_context(None);
         let outcome = match &result {
             Ok(_) => "ok",
             Err(e) => e.kind_name(),
         };
-        let tree = TraceTree::assemble(ctx.trace_id, name, &self.site, outcome, &obs.spans());
+        let tree = TraceTree::assemble(trace_id, name, self.site.as_str(), outcome, obs.spans());
         if let Err(e) = &mut result {
             if let Some(dump) = e.context_mut() {
                 dump.trace = Some(Box::new(tree.clone()));
@@ -461,7 +464,8 @@ pub struct Session {
     /// its own. The channel holds a clone of the same recorder for its
     /// network spans.
     obs: Recorder,
-    /// Cross-site tracing, `None` (zero cost, zero wire bytes) unless
+    /// The tree of the last action and, traced, the id stream: `None`
+    /// (zero cost, zero wire bytes) unless [`Session::enable_profiling`] or
     /// [`Session::enable_tracing`] turns it on.
     tracing: Option<Tracing>,
     /// The statements this session has generated, one per shape and action
@@ -519,11 +523,13 @@ impl Session {
     /// Turn on end-to-end span recording for this session: every action
     /// records a hierarchical span tree — rule lookup, query modification,
     /// parse, engine operators, cache probe, lock wait, WAL append, and
-    /// network exchange — readable via [`Session::last_profile`]. With
-    /// profiling off (the default), every recording call is a free no-op
-    /// and results are byte-identical.
+    /// network exchange — readable via [`Session::last_trace`], under trace
+    /// id 0 and with nothing added to the wire. With profiling off (the
+    /// default), every recording call is a free no-op and results are
+    /// byte-identical.
     pub fn enable_profiling(&mut self) {
         self.attach_recorder(Recorder::new());
+        self.tracing = Some(Tracing::new(None, "client"));
     }
 
     /// Record into `obs` from here on — a recorder of this session's own
@@ -546,28 +552,21 @@ impl Session {
         self.server.shared().metrics()
     }
 
-    /// Span tree of the most recent action (`None` with profiling off or
-    /// before the first action).
-    pub fn last_profile(&self) -> Option<QueryProfile> {
-        QueryProfile::from_recorder(&self.obs)
-    }
-
-    /// Turn on cross-site causal tracing (implies profiling): every action
-    /// draws a deterministic trace id from `seed`, piggybacks a
+    /// Turn on cross-site causal tracing (profiling, plus an id): every
+    /// action draws a deterministic trace id from `seed` and piggybacks a
     /// [`TraceContext`] on each exchange ([`TraceContext::WIRE_BYTES`]
-    /// request bytes — the volume model sees the real wire cost), and
-    /// assembles its spans into a [`TraceTree`] readable via
-    /// [`Session::last_trace`]. Off by default: zero work, zero wire bytes,
-    /// results byte-identical.
+    /// request bytes — the volume model sees the real wire cost); its
+    /// [`TraceTree`] carries the id. Off by default: zero work, zero wire
+    /// bytes, results byte-identical.
     pub fn enable_tracing(&mut self, seed: u64) {
         if !self.obs.is_enabled() {
             self.enable_profiling();
         }
-        self.tracing = Some(Tracing::new(seed, "client"));
+        self.tracing = Some(Tracing::new(Some(TraceIdGen::new(seed)), "client"));
     }
 
-    /// The causal tree of the most recent traced action (`None` with
-    /// tracing off or before the first action).
+    /// The span tree of the most recent action (`None` with profiling off
+    /// or before the first action).
     pub fn last_trace(&self) -> Option<&TraceTree> {
         self.tracing.as_ref().and_then(Tracing::last_tree)
     }
@@ -823,10 +822,10 @@ impl Session {
     // ---------------------------------------------------------------------
 
     /// Run `body` as one measured user action named `name`: fresh metering
-    /// and root span before it; traffic folded into the registry and the
-    /// causal tree assembled after it, whether it succeeded or not. Each
-    /// action also credits the retry budget (a fresh request earns its
-    /// fraction of a retry token).
+    /// and root span before it; traffic folded into the registry and, with
+    /// profiling on, its tree assembled after it, whether it succeeded or
+    /// not. Each action also credits the retry budget (a fresh request
+    /// earns its fraction of a retry token).
     ///
     /// A recorder that already carries a context belongs to a routed action
     /// in flight: this action is one part of that one. It adds its spans to

@@ -41,7 +41,7 @@ use pdm_core::{
 };
 use pdm_net::fault::DEFAULT_TIMEOUT;
 use pdm_net::OutageWindow;
-use pdm_obs::TraceSpan;
+use pdm_obs::SpanRecord;
 use pdm_workload::TreeSpec;
 
 const INTERVAL: u64 = 4;
@@ -55,7 +55,15 @@ fn bits(v: f64) -> String {
     format!("{:016x}({v:?})", v.to_bits())
 }
 
-fn render_span(out: &mut String, tree: &TraceTree, span: &TraceSpan, parent: usize, n: &mut usize) {
+/// Render `span` as number `n + 1` under `parent`, then the spans whose
+/// `parent` field reads `children` (`None` under the root).
+fn render_span(
+    out: &mut String,
+    tree: &TraceTree,
+    (span, children): (&SpanRecord, Option<usize>),
+    parent: usize,
+    n: &mut usize,
+) {
     *n += 1;
     let me = *n;
     let attrs: Vec<String> = span
@@ -67,18 +75,18 @@ fn render_span(out: &mut String, tree: &TraceTree, span: &TraceSpan, parent: usi
     writeln!(
         out,
         "  #{me} ^{parent} {} {} {:?} start={} end={} excl={} [{}] {:?}",
-        span.site,
+        tree.site_of(span),
         span.kind.full_name(),
         span.label,
         bits(span.v_start),
         bits(span.v_end),
-        bits(span.v_excl),
+        bits(span.v_excl()),
         attrs.join(", "),
         span.detail,
     )
     .unwrap();
-    for child in tree.spans.iter().filter(|s| s.parent == Some(span.gid)) {
-        render_span(out, tree, child, me, n);
+    for child in tree.spans.iter().filter(|s| s.parent == children) {
+        render_span(out, tree, (child, Some(child.id)), me, n);
     }
 }
 
@@ -95,10 +103,10 @@ fn render(out: &mut String, step: &str, result: &str, tree: &TraceTree) {
     )
     .unwrap();
     let mut n = 0;
-    render_span(out, tree, tree.root().unwrap(), 0, &mut n);
+    render_span(out, tree, (&tree.root(), None), 0, &mut n);
     assert_eq!(
         n,
-        tree.spans.len(),
+        tree.span_count(),
         "{step}: spans unreachable from the root"
     );
     let a = attribution(tree);

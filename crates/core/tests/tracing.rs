@@ -125,7 +125,8 @@ fn traced_runs_are_deterministic() {
         let mut tree = s.last_trace().unwrap().clone();
         // Wall nanoseconds are advisory real time, never deterministic.
         for span in &mut tree.spans {
-            span.wall_ns = 0;
+            span.wall_start_ns = 0;
+            span.wall_end_ns = 0;
         }
         trees.push(tree);
     }
@@ -334,9 +335,12 @@ fn assert_tiled(step: &str, tree: &TraceTree) {
         Some(sum.to_bits()),
         "{step}: the last wide span ends off the sum {sum}"
     );
+    let root = tree.root();
     for s in &tree.spans {
-        let Some(p) = s.parent else { continue };
-        let parent = tree.spans.iter().find(|x| x.gid == p).unwrap();
+        let parent = match s.parent {
+            Some(p) => tree.spans.get(p).unwrap(),
+            None => &root,
+        };
         assert!(
             parent.v_start <= s.v_start && s.v_end <= parent.v_end,
             "{step}: {} {} [{}, {}] escapes {} {} [{}, {}]",
@@ -367,7 +371,7 @@ fn wide_spans_tile_the_timeline_after_resets_and_waits() {
     assert_eq!(spans.iter().filter(|r| r.attr("v_s").is_some()).count(), 3);
     assert_tiled(
         "check_out",
-        &TraceTree::assemble(0, "check_out", "client", "ok", &spans),
+        &TraceTree::assemble(0, "check_out", "client", "ok", spans),
     );
 
     let cfg = ClusterConfig::default().with_replicas(2).with_lease(30.0);

@@ -44,7 +44,7 @@ pub struct FlightDump {
     pub expired_in: String,
     /// Recent flight events, oldest first.
     pub events: Vec<FlightEvent>,
-    /// The offending action's assembled causal tree (tracing on only) —
+    /// The offending action's assembled tree (profiling on only) —
     /// strictly more than the flat ring: it keeps parentage, sites, and
     /// the exact per-segment virtual durations up to the failure point.
     pub trace: Option<Box<TraceTree>>,
@@ -92,7 +92,7 @@ impl FlightDump {
                 "trace tree: id={:#x} action={} spans={} sites={} total_v={:.6}s\n",
                 t.trace_id,
                 t.action,
-                t.spans.len(),
+                t.span_count(),
                 t.sites().len(),
                 t.total_v
             ));

@@ -5,7 +5,7 @@
 //! The paper's whole argument (eqs. (1)–(6)) is a decomposition of response
 //! time into round-trips, latency, and volume; this crate extends that
 //! decomposition to the server side so every subsystem can answer "where
-//! did the seconds go". Five pieces:
+//! did the seconds go". Four pieces:
 //!
 //! * [`span`] — hierarchical spans over a per-session [`Recorder`]. Every
 //!   span carries **two** clocks: the netsim virtual clock (primary — the
@@ -16,14 +16,14 @@
 //! * [`metrics`] — named counters, gauges, and log-linear histograms
 //!   (p50/p95/p99/max, exact merge across threads) in a [`MetricsRegistry`]
 //!   snapshotted to JSON.
-//! * [`profile`] — an `EXPLAIN ANALYZE`-style rendering of the recorded
-//!   span tree, returned alongside results when profiling is on.
 //! * [`flight`] — a bounded ring of recent events per session, dumped into
 //!   `SessionError` context and chaos-bench journals.
-//! * [`trace`] — cross-site causal tracing: a [`TraceContext`] propagated
-//!   through every exchange and replication frame, assembly of per-site
-//!   spans into one [`TraceTree`] per action, bit-exact critical-path
-//!   attribution, tail-exemplar sampling, and Chrome-trace export.
+//! * [`trace`] — the [`TraceTree`] every profiled action leaves: its
+//!   recorded spans under one root, with an `EXPLAIN ANALYZE`-style render,
+//!   bit-exact critical-path attribution, tail-exemplar sampling and
+//!   Chrome-trace export; and cross-site causal tracing, a [`TraceContext`]
+//!   propagated through every exchange and replication frame so the spans
+//!   of every site an action touched land in its one tree.
 //!
 //! Determinism rules (also DESIGN.md §11): virtual-clock first, wall clock
 //! advisory; a disabled recorder is a no-op handle so profiling off is
@@ -33,15 +33,13 @@
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod span;
 pub mod trace;
 
 pub use flight::{FlightDump, FlightEvent};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use profile::QueryProfile;
 pub use span::{kinds, Recorder, SpanGuard, SpanKind, SpanRecord, Subsystem};
 pub use trace::{
     attribution, chrome_trace_json, Attribution, AttributionTable, TailSampler, TraceContext,
-    TraceIdGen, TraceSpan, TraceTree, ROOT_GID,
+    TraceIdGen, TraceTree, ROOT_GID,
 };

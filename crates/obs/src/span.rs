@@ -224,6 +224,12 @@ impl SpanRecord {
     pub fn attr(&self, key: &str) -> Option<f64> {
         self.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
     }
+
+    /// Exclusive virtual seconds: the exact amount the span advanced the
+    /// action's timeline (its `v_s` attribute), 0.0 for a structural span.
+    pub fn v_excl(&self) -> f64 {
+        self.attr("v_s").unwrap_or(0.0)
+    }
 }
 
 #[derive(Debug, Default)]

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use crate::json;
-use crate::span::{kinds, SpanKind, SpanRecord};
+use crate::span::{kinds, SpanRecord};
 
 /// The context piggybacked on every exchange while tracing is on: which
 /// action (trace) this exchange belongs to and which span caused it.
@@ -80,156 +80,129 @@ impl TraceIdGen {
     }
 }
 
-/// One node of an assembled cross-site trace tree.
+/// One causal tree for one action, spanning every site it touched: the
+/// recorder's spans as recorded, under a synthetic root that is computed
+/// where it is printed or needed, never stored.
 ///
-/// `v_excl` is the span's *exclusive* virtual duration — the exact amount
-/// it advanced the virtual clock (0.0 for structural spans). `v_start` /
-/// `v_end` are the recorder's positions on the action timeline, copied:
-/// the running sum of the `v_excl` recorded before the span opened, and
-/// before it closed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Tree-unique span id ([`ROOT_GID`], or a fixed base + the recorder's
-    /// span index).
-    pub gid: u64,
-    /// Parent gid; `None` only for the root.
-    pub parent: Option<u64>,
-    /// Which process recorded it: `client`, `primary`, `replica2`, …
-    pub site: String,
-    pub kind: SpanKind,
-    pub label: String,
-    pub v_start: f64,
-    pub v_end: f64,
-    /// Exact exclusive virtual seconds (the clock-advance amount).
-    pub v_excl: f64,
-    /// Advisory wall nanoseconds (never reconciled).
-    pub wall_ns: u64,
-    pub attrs: Vec<(&'static str, f64)>,
-    pub detail: String,
-}
-
-/// One causal tree for one action, spanning every site it touched.
+/// The root is the action itself: a zero-width `session.action` span of
+/// `site` over `[0, total_v]`, carrying the trace id. A recorded span's
+/// `parent` is its parent's index in `spans`, `None` for a child of the
+/// root; its exclusive virtual seconds are its `v_s` attribute
+/// ([`SpanRecord::v_excl`]), and its positions are the recorder's: the
+/// running sum of the `v_s` recorded before it opened, and before it
+/// closed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceTree {
+    /// The action's trace id; 0 for an action that was profiled, not
+    /// traced.
     pub trace_id: u64,
     /// Action label (root span label), e.g. `multi_level_expand`.
     pub action: String,
+    /// The owner's site: the root's, and every span's that names none.
+    pub site: String,
     /// `"ok"` or the failure variant name (`Timeout`, `Overloaded`, …).
     pub outcome: String,
     /// Record order == timeline order for wide spans.
-    pub spans: Vec<TraceSpan>,
+    pub spans: Vec<SpanRecord>,
     /// Running sum of `v_excl` in record order — the action's
     /// virtual-clock duration.
     pub total_v: f64,
 }
 
 impl TraceTree {
-    /// The tree of one action: a synthetic zero-width root owned by `site`,
-    /// then the action's recorder spans in record order with their
-    /// positions copied. A span belongs to the site it names, `site` when
-    /// it names none. The root closes over the timeline, `total_v`, the
-    /// running sum of the spans' `v_s` in record order.
+    /// The tree of one action of the owner at `site`: the recorder's spans
+    /// in record order, taken as they are. The root closes over the
+    /// timeline, `total_v`, the running sum of the spans' `v_s` in record
+    /// order.
     pub fn assemble(
         trace_id: u64,
         action: impl Into<String>,
-        site: &str,
+        site: impl Into<String>,
         outcome: impl Into<String>,
-        spans: &[SpanRecord],
+        spans: Vec<SpanRecord>,
     ) -> TraceTree {
-        let action = action.into();
-        let total_v = spans
-            .iter()
-            .fold(0.0f64, |sum, r| sum + r.attr("v_s").unwrap_or(0.0));
-        let root = TraceSpan {
-            gid: ROOT_GID,
-            parent: None,
-            site: site.to_string(),
-            kind: kinds::ACTION,
-            label: action.clone(),
-            v_start: 0.0,
-            v_end: total_v,
-            v_excl: 0.0,
-            wall_ns: 0,
-            attrs: vec![("trace_id", trace_id as f64)],
-            detail: String::new(),
-        };
-        let gid = |id: usize| BLOCK_BASE + id as u64;
-        let copies = spans.iter().map(|r| TraceSpan {
-            gid: gid(r.id),
-            parent: Some(r.parent.map_or(ROOT_GID, gid)),
-            site: if r.site.is_empty() { site } else { &r.site }.to_string(),
-            kind: r.kind,
-            label: r.label.clone(),
-            v_start: r.v_start,
-            v_end: r.v_end,
-            v_excl: r.attr("v_s").unwrap_or(0.0),
-            wall_ns: r.wall_ns(),
-            attrs: r.attrs.clone(),
-            detail: r.detail.clone(),
-        });
+        let total_v = spans.iter().fold(0.0f64, |sum, r| sum + r.v_excl());
         TraceTree {
             trace_id,
-            action,
+            action: action.into(),
+            site: site.into(),
             outcome: outcome.into(),
-            spans: std::iter::once(root).chain(copies).collect(),
+            spans,
             total_v,
         }
     }
 
-    pub fn root(&self) -> Option<&TraceSpan> {
-        self.spans.iter().find(|s| s.parent.is_none())
+    /// Spans in the tree, the synthetic root included.
+    pub fn span_count(&self) -> usize {
+        self.spans.len() + 1
+    }
+
+    /// The synthetic root, computed on each call: the action at the
+    /// owner's site, zero-width itself, over `[0, total_v]`, carrying the
+    /// trace id. It is not in `spans` (its `id` means nothing); the
+    /// recorded spans without a parent hang off it.
+    pub fn root(&self) -> SpanRecord {
+        SpanRecord {
+            id: 0,
+            parent: None,
+            kind: kinds::ACTION,
+            label: self.action.clone(),
+            site: self.site.clone(),
+            v_start: 0.0,
+            v_end: self.total_v,
+            wall_start_ns: 0,
+            wall_end_ns: 0,
+            rows_in: 0,
+            rows_out: 0,
+            detail: String::new(),
+            attrs: vec![("trace_id", self.trace_id as f64)],
+            open: false,
+        }
+    }
+
+    /// The site `span` ran at: the one it names, the owner's otherwise.
+    pub fn site_of<'a>(&'a self, span: &'a SpanRecord) -> &'a str {
+        if span.site.is_empty() {
+            &self.site
+        } else {
+            &span.site
+        }
     }
 
     /// Wide (virtual-clock-advancing) spans in record order: the exclusive
     /// segments the critical path is made of.
-    pub fn segments(&self) -> impl Iterator<Item = &TraceSpan> {
-        self.spans.iter().filter(|s| s.v_excl != 0.0)
+    pub fn segments(&self) -> impl Iterator<Item = &SpanRecord> {
+        self.spans.iter().filter(|s| s.v_excl() != 0.0)
     }
 
-    /// Sites represented in the tree, first-seen order.
+    /// Sites represented in the tree, first-seen order (the root's first).
     pub fn sites(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
+        let mut out: Vec<&str> = vec![&self.site];
         for s in &self.spans {
-            if !out.contains(&s.site.as_str()) {
-                out.push(&s.site);
+            let site = self.site_of(s);
+            if !out.contains(&site) {
+                out.push(site);
             }
         }
         out
     }
 
-    fn span_by_gid(&self, gid: u64) -> Option<&TraceSpan> {
-        self.spans.iter().find(|s| s.gid == gid)
-    }
-
-    /// Structural validation: exactly one root, every parent recorded
-    /// before its child (which rules out cycles and orphans), and the
-    /// exclusive segments tile `[0, total_v]` with *bit-exact* cursor
-    /// equality — segment k+1 starts at the bits where segment k ended.
+    /// Structural validation: every span carries its own index and hangs
+    /// off the root or a span recorded before it (which rules out cycles,
+    /// orphans and a second root), and the exclusive segments tile
+    /// `[0, total_v]` with *bit-exact* cursor equality — segment k+1 starts
+    /// at the bits where segment k ended.
     pub fn validate(&self) -> Result<(), String> {
-        if self.spans.is_empty() {
-            return Err("empty tree".into());
-        }
-        let mut roots = 0usize;
-        let mut seen: Vec<u64> = Vec::with_capacity(self.spans.len());
         for (i, s) in self.spans.iter().enumerate() {
-            if seen.contains(&s.gid) {
-                return Err(format!("duplicate gid {} at span {i}", s.gid));
+            if s.id != i {
+                return Err(format!("span {i} carries id {}", s.id));
             }
-            match s.parent {
-                None => roots += 1,
-                Some(p) => {
-                    if !seen.contains(&p) {
-                        return Err(format!(
-                            "span {i} ({}) parent {p} not recorded before it",
-                            s.kind.full_name()
-                        ));
-                    }
-                }
+            if let Some(p) = s.parent.filter(|&p| p >= i) {
+                return Err(format!(
+                    "span {i} ({}) parent {p} not recorded before it",
+                    s.kind.full_name()
+                ));
             }
-            seen.push(s.gid);
-        }
-        if roots != 1 {
-            return Err(format!("{roots} roots, want exactly 1"));
         }
         // Exclusive segments tile the timeline: consecutive cursor values
         // agree to the bit, and their running sum IS total_v.
@@ -238,14 +211,14 @@ impl TraceTree {
             if s.v_start.to_bits() != cursor.to_bits() {
                 return Err(format!(
                     "segment {} ({}) starts at {} but cursor is {cursor}",
-                    s.gid,
+                    s.id,
                     s.kind.full_name(),
                     s.v_start
                 ));
             }
-            cursor += s.v_excl;
+            cursor += s.v_excl();
             if s.v_end.to_bits() != cursor.to_bits() {
-                return Err(format!("segment {} end drifted off the cursor", s.gid));
+                return Err(format!("segment {} end drifted off the cursor", s.id));
             }
         }
         if cursor.to_bits() != self.total_v.to_bits() {
@@ -256,13 +229,58 @@ impl TraceTree {
         }
         Ok(())
     }
+
+    /// Indented per-operator report of the recorded spans: kind, label,
+    /// rows in→out, virtual seconds, detail and attributes. Every field is
+    /// deterministic (no wall clock), so the report is byte-identical
+    /// across runs.
+    pub fn render(&self) -> String {
+        let mut children: Vec<Vec<&SpanRecord>> = vec![Vec::new(); self.spans.len()];
+        let mut top: Vec<&SpanRecord> = Vec::new();
+        for s in &self.spans {
+            match s.parent.and_then(|p| children.get_mut(p)) {
+                Some(siblings) => siblings.push(s),
+                None => top.push(s),
+            }
+        }
+        let mut out = String::new();
+        for s in top {
+            render_span(s, &children, 0, &mut out);
+        }
+        out
+    }
 }
 
-/// `ROOT_GID` is public: it is the `parent_span` a fresh [`TraceContext`]
-/// points at (everything a traced action causes hangs off the root).
-/// Recorder spans are numbered from `BLOCK_BASE` in record order.
+fn render_span(s: &SpanRecord, children: &[Vec<&SpanRecord>], depth: usize, out: &mut String) {
+    let indent = "  ".repeat(depth);
+    out.push_str(&format!("{indent}{} {}", s.kind.full_name(), s.label));
+    if s.rows_in != 0 || s.rows_out != 0 {
+        out.push_str(&format!("  rows {}→{}", s.rows_in, s.rows_out));
+    }
+    out.push_str(&format!("  v={:.6}s", s.v_duration()));
+    if !s.detail.is_empty() {
+        out.push_str(&format!("  [{}]", s.detail));
+    }
+    for (k, v) in &s.attrs {
+        out.push_str(&format!("  {k}={v:.9}"));
+    }
+    out.push('\n');
+    for c in children.get(s.id).into_iter().flatten() {
+        render_span(c, children, depth + 1, out);
+    }
+}
+
+/// The root's global id. `ROOT_GID` is public: it is the `parent_span` a
+/// fresh [`TraceContext`] points at (everything a traced action causes
+/// hangs off the root). The export numbers recorded spans from
+/// `BLOCK_BASE` in record order.
 pub const ROOT_GID: u64 = 1;
 const BLOCK_BASE: u64 = 1_000_000;
+
+/// The exported global id of the recorded span at `index`.
+fn gid(index: usize) -> u64 {
+    BLOCK_BASE + index as u64
+}
 
 /// One row of the per-action attribution table.
 #[derive(Debug, Clone, PartialEq)]
@@ -296,40 +314,35 @@ impl Attribution {
 /// Segment class: virtual time spent shipping under an open watermark
 /// wait is attributed to the wait, not to generic shipping — that is the
 /// "replica lag" bucket the paper's eq. (2)–(5) decomposition lacks.
-fn class_of(tree: &TraceTree, span: &TraceSpan) -> String {
+fn class_of(tree: &TraceTree, span: &SpanRecord) -> String {
     let mut cur = span.parent;
-    let mut hops = 0;
-    while let Some(pgid) = cur {
-        if hops > tree.spans.len() {
-            break; // defensive: validate() catches cycles separately
+    // A valid tree's parents precede their children; the bound ends the
+    // walk on an invalid one (validate() reports it).
+    for _ in 0..tree.spans.len() {
+        let Some(parent) = cur.and_then(|p| tree.spans.get(p)) else {
+            break;
+        };
+        if parent.kind == kinds::REPL_WAIT_WATERMARK {
+            return kinds::REPL_WAIT_WATERMARK.full_name();
         }
-        hops += 1;
-        match tree.span_by_gid(pgid) {
-            Some(p) if p.kind == kinds::REPL_WAIT_WATERMARK => {
-                return kinds::REPL_WAIT_WATERMARK.full_name()
-            }
-            Some(p) => cur = p.parent,
-            None => break,
-        }
+        cur = parent.parent;
     }
     span.kind.full_name()
 }
 
-/// Extract the attribution table from an assembled tree.
+/// Extract the attribution table from an assembled tree: every recorded
+/// span is binned (the root is the thing being attributed).
 pub fn attribution(tree: &TraceTree) -> Attribution {
     let mut total = 0.0f64;
     let mut bins: BTreeMap<String, (f64, u64, u64)> = BTreeMap::new();
     for span in &tree.spans {
         // Single in-order pass: structural spans add exactly 0.0.
-        total += span.v_excl;
-        if span.parent.is_none() {
-            continue; // the root is the thing being attributed
-        }
-        let class = class_of(tree, span);
-        let e = bins.entry(class).or_insert((0.0, 0, 0));
-        e.0 += span.v_excl;
+        let v_excl = span.v_excl();
+        total += v_excl;
+        let e = bins.entry(class_of(tree, span)).or_insert((0.0, 0, 0));
+        e.0 += v_excl;
         e.1 += 1;
-        e.2 += span.wall_ns;
+        e.2 += span.wall_ns();
     }
     Attribution {
         total_v: total,
@@ -411,7 +424,8 @@ impl TailSampler {
 
 /// Export trees in Chrome Trace Event Format (the JSON object form), one
 /// process per site — loadable in `chrome://tracing` / Perfetto.
-/// Timestamps are virtual microseconds.
+/// Timestamps are virtual microseconds; each tree's root is exported as
+/// gid [`ROOT_GID`], its recorded spans as `BLOCK_BASE` + their index.
 pub fn chrome_trace_json(trees: &[TraceTree]) -> String {
     let mut sites: Vec<&str> = Vec::new();
     for t in trees {
@@ -421,6 +435,7 @@ pub fn chrome_trace_json(trees: &[TraceTree]) -> String {
             }
         }
     }
+    let pid = |site: &str| sites.iter().position(|x| *x == site).unwrap_or(0) + 1;
     let mut events: Vec<String> = Vec::new();
     for (i, site) in sites.iter().enumerate() {
         events.push(format!(
@@ -430,40 +445,65 @@ pub fn chrome_trace_json(trees: &[TraceTree]) -> String {
         ));
     }
     for t in trees {
+        events.push(chrome_event(
+            t.trace_id,
+            ROOT_GID,
+            None,
+            pid(&t.site),
+            &t.root(),
+        ));
         for s in &t.spans {
-            let pid = sites.iter().position(|x| *x == s.site).unwrap_or(0) + 1;
-            let name = if s.label.is_empty() {
-                s.kind.full_name()
-            } else {
-                format!("{} {}", s.kind.full_name(), s.label)
-            };
-            let mut args = vec![
-                format!("\"trace_id\":{}", t.trace_id),
-                format!("\"gid\":{}", s.gid),
-                format!("\"v_excl_s\":{}", json::number(s.v_excl)),
-            ];
-            if let Some(p) = s.parent {
-                args.push(format!("\"parent\":{p}"));
-            }
-            for (k, v) in &s.attrs {
-                args.push(format!("\"{}\":{}", json::escape(k), json::number(*v)));
-            }
-            if !s.detail.is_empty() {
-                args.push(format!("\"detail\":\"{}\"", json::escape(&s.detail)));
-            }
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":1,\"args\":{{{}}}}}",
-                json::escape(&name),
-                s.kind.subsystem.prefix(),
-                json::number(s.v_start * 1e6),
-                json::number((s.v_end - s.v_start) * 1e6),
-                args.join(",")
+            let parent = Some(s.parent.map_or(ROOT_GID, gid));
+            events.push(chrome_event(
+                t.trace_id,
+                gid(s.id),
+                parent,
+                pid(t.site_of(s)),
+                s,
             ));
         }
     }
     format!(
         "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
         events.join(",\n")
+    )
+}
+
+/// The complete (`"ph":"X"`) event of span `s` of trace `trace_id`,
+/// exported as `gid` under `parent`, in process `pid`.
+fn chrome_event(
+    trace_id: u64,
+    gid: u64,
+    parent: Option<u64>,
+    pid: usize,
+    s: &SpanRecord,
+) -> String {
+    let name = if s.label.is_empty() {
+        s.kind.full_name()
+    } else {
+        format!("{} {}", s.kind.full_name(), s.label)
+    };
+    let mut args = vec![
+        format!("\"trace_id\":{trace_id}"),
+        format!("\"gid\":{gid}"),
+        format!("\"v_excl_s\":{}", json::number(s.v_excl())),
+    ];
+    if let Some(p) = parent {
+        args.push(format!("\"parent\":{p}"));
+    }
+    for (k, v) in &s.attrs {
+        args.push(format!("\"{}\":{}", json::escape(k), json::number(*v)));
+    }
+    if !s.detail.is_empty() {
+        args.push(format!("\"detail\":\"{}\"", json::escape(&s.detail)));
+    }
+    format!(
+        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":1,\"args\":{{{}}}}}",
+        json::escape(&name),
+        s.kind.subsystem.prefix(),
+        json::number(s.v_start * 1e6),
+        json::number((s.v_end - s.v_start) * 1e6),
+        args.join(",")
     )
 }
 
@@ -486,7 +526,8 @@ impl AttributionTable {
         self.rows.is_empty()
     }
 
-    /// Fold one tree's attribution into the `action_class` row.
+    /// Fold one tree into the `action_class` row: its recorded total, and
+    /// its attribution's classes.
     pub fn add(&mut self, action_class: &str, tree: &TraceTree) {
         let a = attribution(tree);
         let row = self
@@ -494,7 +535,7 @@ impl AttributionTable {
             .entry(action_class.to_string())
             .or_insert_with(|| (0, 0.0, BTreeMap::new()));
         row.0 += 1;
-        row.1 += a.total_v;
+        row.1 += tree.total_v;
         for c in &a.classes {
             let e = row.2.entry(c.class.clone()).or_insert((0.0, 0));
             e.0 += c.v_s;
@@ -542,7 +583,7 @@ impl AttributionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{Recorder, SpanGuard};
+    use crate::span::{Recorder, SpanGuard, SpanKind, Subsystem};
 
     #[test]
     fn id_gen_is_deterministic_masked_and_nonzero() {
@@ -569,7 +610,7 @@ mod tests {
 
     /// The tree of what `rec` holds, for an action of `site`.
     fn assemble(rec: &Recorder, trace_id: u64, action: &str, site: &str) -> TraceTree {
-        TraceTree::assemble(trace_id, action, site, "ok", &rec.spans())
+        TraceTree::assemble(trace_id, action, site, "ok", rec.spans())
     }
 
     #[test]
@@ -617,23 +658,63 @@ mod tests {
         let mut tree = mini_tree(0.25, "ok");
         tree.validate().unwrap();
         let good = tree.clone();
-        // Orphan: parent gid that does not exist.
-        tree.spans[1].parent = Some(99);
+        // Orphan: a parent that was never recorded.
+        tree.spans[0].parent = Some(99);
         assert!(tree.validate().is_err());
         // Sum drift: total not the running sum.
         let mut tree2 = good.clone();
         tree2.total_v += 1e-16_f64.max(f64::EPSILON);
         assert!(tree2.validate().is_err());
-        // Second root.
-        let mut tree3 = good;
-        tree3.spans[1].parent = None;
+        // Cycle: a span that is its own parent.
+        let mut tree3 = good.clone();
+        tree3.spans[0].parent = Some(0);
         assert!(tree3.validate().is_err());
+        // A span renumbered off its record index.
+        let mut tree4 = good;
+        tree4.spans[0].id = 1;
+        assert!(tree4.validate().is_err());
     }
 
     fn mini_tree(total: f64, outcome: &str) -> TraceTree {
         let rec = Recorder::new();
         drop(wide(&rec, "", kinds::NET_EXCHANGE, "q", total));
-        TraceTree::assemble(5, "a", "client", outcome, &rec.spans())
+        TraceTree::assemble(5, "a", "client", outcome, rec.spans())
+    }
+
+    #[test]
+    fn tree_render_and_totals() {
+        let rec = Recorder::new();
+        rec.begin_action();
+        let root = rec.span(kinds::ACTION, "expand");
+        {
+            let probe = rec.span(kinds::CACHE_PROBE, "probe");
+            probe.set_detail("miss");
+        }
+        rec.record_wide(
+            kinds::NET_EXCHANGE,
+            "q1",
+            0.5,
+            &[("latency_s", 0.2), ("transfer_s", 0.3)],
+        );
+        drop(root);
+
+        let tree = assemble(&rec, 0, "expand", "client");
+        tree.validate().unwrap();
+        assert_eq!((tree.spans.len(), tree.span_count()), (3, 4));
+        assert_eq!(tree.total_v, 0.5);
+        let net = |key| {
+            let net = tree
+                .spans
+                .iter()
+                .filter(|s| s.kind.subsystem == Subsystem::Network);
+            net.filter_map(|s| s.attr(key)).fold(0.0, |sum, v| sum + v)
+        };
+        assert_eq!((net("latency_s"), net("transfer_s")), (0.2, 0.3));
+        let text = tree.render();
+        assert!(text.starts_with("session.action expand  v=0.500000s\n"));
+        assert!(text.contains("\n  cache.probe probe  v=0.000000s  [miss]\n"));
+        assert!(text.contains("\n  net.exchange q1  v=0.500000s  latency_s=0.200000000"));
+        assert!(!text.contains("wall"), "the render is deterministic");
     }
 
     #[test]

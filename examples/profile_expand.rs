@@ -20,7 +20,7 @@
 //! Event Format JSON — load it in `chrome://tracing` or Perfetto.
 
 use pdm_repro::core::rules::visibility_rules;
-use pdm_repro::core::{chrome_trace_json, Session, SessionConfig, Strategy, Subsystem};
+use pdm_repro::core::{chrome_trace_json, Session, SessionConfig, Strategy, Subsystem, TraceTree};
 use pdm_repro::model::response::response;
 use pdm_repro::model::{Action, KaryTree, Strategy as ModelStrategy};
 use pdm_repro::net::LinkProfile;
@@ -48,7 +48,7 @@ fn main() {
     session.enable_profiling();
 
     let out = session.multi_level_expand(1).unwrap();
-    let profile = session.last_profile().unwrap();
+    let tree = session.last_trace().unwrap();
 
     println!(
         "profiled multi-level expand: δ={DEPTH} β={BRANCH} γ={GAMMA}, node {NODE}B, WAN 256 kbit/s"
@@ -60,11 +60,11 @@ fn main() {
     );
     // Wall-free render: the example's output must be byte-identical
     // across runs (repo-wide determinism invariant for binaries).
-    print!("{}", profile.render_virtual());
+    print!("{}", tree.render());
 
     // Accounting 1 vs 2: the profiler against the channel's metering.
-    let latency = profile.sum_attr(Subsystem::Network, "latency_s");
-    let transfer = profile.sum_attr(Subsystem::Network, "transfer_s");
+    let latency = net_sum(tree, "latency_s");
+    let transfer = net_sum(tree, "transfer_s");
     println!("\nprofiler vs channel (bit-exact):");
     println!(
         "  latency   {latency:.6}s == {:.6}s  ({})",
@@ -85,9 +85,13 @@ fn main() {
         }
     );
     println!(
-        "  total     {:.6}s virtual (leaf sum {:.6}s)",
-        profile.virtual_total(),
-        profile.leaf_virtual_sum()
+        "  total     {:.6}s virtual (segments tile it: {})",
+        tree.total_v,
+        if tree.validate().is_ok() && tree.total_v.to_bits() == session.elapsed().to_bits() {
+            "ok"
+        } else {
+            "MISMATCH"
+        }
     );
 
     // Accounting 3: eq. (5) from the idealized tree profile.
@@ -121,8 +125,20 @@ fn main() {
         println!(
             "\nwrote {path}: trace_id={} spans={} total_v={:.6}s (chrome://tracing loadable)",
             tree.trace_id,
-            tree.spans.len(),
+            tree.span_count(),
             tree.total_v
         );
     }
+}
+
+/// Running sum of attribute `key` over the tree's network spans, in record
+/// order — the order the channel accumulated its `TrafficStats`, so the
+/// float additions reassociate identically and the totals match
+/// bit-for-bit.
+fn net_sum(tree: &TraceTree, key: &str) -> f64 {
+    let net = tree
+        .spans
+        .iter()
+        .filter(|s| s.kind.subsystem == Subsystem::Network);
+    net.filter_map(|s| s.attr(key)).fold(0.0, |sum, v| sum + v)
 }

@@ -216,7 +216,7 @@ fn session_texts_hit_without_a_parse() {
     );
     s.enable_profiling();
     let count = |s: &Session, kind: SpanKind| {
-        let spans = s.last_profile().unwrap().spans;
+        let spans = &s.last_trace().unwrap().spans;
         spans.iter().filter(|sp| sp.kind == kind).count()
     };
 
@@ -241,10 +241,10 @@ fn session_texts_hit_without_a_parse() {
     assert_eq!(count(&s, kinds::PARSE), 0, "a raw-text hit parses nothing");
     assert_eq!(count(&s, kinds::QUERY_MODIFY), 0, "nothing new to prepare");
     let probes: Vec<_> = s
-        .last_profile()
+        .last_trace()
         .unwrap()
         .spans
-        .into_iter()
+        .iter()
         .filter(|sp| sp.kind == kinds::CACHE_PROBE)
         .collect();
     assert_eq!(probes.len() as u64, n - 1, "one probe span per statement");

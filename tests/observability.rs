@@ -7,13 +7,15 @@
 //!   engine, cache, locks, WAL, network;
 //! * span nesting is well-formed: children live inside their parents, no
 //!   orphans, nothing left open;
-//! * the profile's network attributes reconcile **bit-for-bit** with the
+//! * the tree's network attributes reconcile **bit-for-bit** with the
 //!   channel's `TrafficStats` (same additions in the same order), and the
-//!   summed leaf virtual times reconcile with the action total;
+//!   tree validates with a total that IS the channel's elapsed time;
 //! * profiling off is byte-identical: same rows, same traffic;
 //! * the metrics registry carries the Table-1 quantities, the cache and
 //!   lock counters, and the WAL fsync histogram in one snapshot;
 //! * meta: every span kind a subsystem emits is declared in `kinds::ALL`.
+
+use std::collections::BTreeSet;
 
 use pdm_bench::harness::{durable_server, server, session, NO_CHECKPOINTS};
 use pdm_core::{PdmServer, Session, Strategy, Subsystem};
@@ -77,16 +79,20 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
     let out = s.check_out_function_shipping(1).unwrap();
     assert!(out.tree.is_some(), "uncontended check-out succeeds");
 
-    let profile = s.last_profile().expect("profiling on: profile available");
-    assert_well_formed(&profile.spans);
+    let tree = s.last_trace().expect("profiling on: tree available");
+    assert_well_formed(&tree.spans);
 
-    // One action, one root.
-    let root = profile.root().unwrap();
+    // One action, one root: an untraced one, under trace id 0.
+    assert_eq!(
+        (tree.trace_id, tree.action.as_str()),
+        (0, "check_out_function_shipping")
+    );
+    let root = &tree.spans[0];
     assert_eq!(root.kind, kinds::ACTION);
     assert_eq!(root.label, "check_out_function_shipping");
 
     // The tree spans ALL seven instrumented subsystems.
-    let subsystems = profile.subsystems();
+    let subsystems: BTreeSet<Subsystem> = tree.spans.iter().map(|s| s.kind.subsystem).collect();
     for sub in [
         Subsystem::Session,
         Subsystem::Compile,
@@ -100,7 +106,7 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
     }
 
     // Only declared kinds are ever emitted.
-    for s in &profile.spans {
+    for s in &tree.spans {
         assert!(
             kinds::ALL.contains(&s.kind),
             "undeclared span kind {}",
@@ -108,28 +114,33 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
         );
     }
 
-    // The latency/transfer split matches TrafficStats BIT-FOR-BIT: the
-    // profile sums the per-exchange attributes in record order, the same
+    // The latency/transfer split matches TrafficStats BIT-FOR-BIT: a
+    // running sum of the per-exchange attributes in record order, the same
     // order the channel accumulated them.
-    let latency = profile.sum_attr(Subsystem::Network, "latency_s");
-    let transfer = profile.sum_attr(Subsystem::Network, "transfer_s");
-    let volume = profile.sum_attr(Subsystem::Network, "volume_bytes");
+    let sum_attr = |key: &str| {
+        let net = tree
+            .spans
+            .iter()
+            .filter(|s| s.kind.subsystem == Subsystem::Network);
+        net.filter_map(|s| s.attr(key))
+            .fold(0.0f64, |sum, v| sum + v)
+    };
+    let latency = sum_attr("latency_s");
+    let transfer = sum_attr("transfer_s");
+    let volume = sum_attr("volume_bytes");
     assert_eq!(latency.to_bits(), out.stats.latency_time.to_bits());
     assert_eq!(transfer.to_bits(), out.stats.transfer_time.to_bits());
     assert_eq!(volume.to_bits(), out.stats.volume_bytes.to_bits());
 
-    // Leaf virtual times reconcile with the action total: only the network
-    // advances the virtual clock, and network spans are leaves.
-    let total = profile.virtual_total();
-    assert!(total > 0.0, "a WAN check-out takes virtual time");
-    assert!(
-        (profile.leaf_virtual_sum() - total).abs() <= 1e-9 * total.max(1.0),
-        "leaf sum {} vs total {total}",
-        profile.leaf_virtual_sum()
-    );
+    // The exclusive segments tile the timeline bit for bit, and their
+    // running sum IS the channel's elapsed time: a profiled, untraced
+    // action's tree reconciles exactly as a traced one's does.
+    tree.validate().unwrap();
+    assert!(tree.total_v > 0.0, "a WAN check-out takes virtual time");
+    assert_eq!(tree.total_v.to_bits(), s.elapsed().to_bits());
 
     // The rendered report mentions the load-bearing operators.
-    let report = profile.render();
+    let report = tree.render();
     for needle in ["locks.wait", "wal.append", "cache.probe", "net.exchange"] {
         assert!(report.contains(needle), "render missing {needle}");
     }
@@ -212,9 +223,9 @@ fn profiling_is_byte_identical_to_plain_run() {
     assert_eq!(a.nodes, b.nodes, "profiling changed query_all results");
     assert_eq!(a.stats, b.stats);
 
-    // The profiled session actually produced a profile; the plain one not.
-    assert!(profiled.last_profile().is_some());
-    assert!(plain.last_profile().is_none());
+    // The profiled session actually produced a tree; the plain one not.
+    assert!(profiled.last_trace().is_some());
+    assert!(plain.last_trace().is_none());
 }
 
 /// Late-rule strategies surface the paper's γ through the session span
@@ -227,9 +238,9 @@ fn late_filtering_is_visible_in_profile_and_registry() {
     let out = s.multi_level_expand(1).unwrap();
     assert!(!out.tree.is_empty());
 
-    let profile = s.last_profile().unwrap();
+    let tree = s.last_trace().unwrap();
     assert!(
-        profile.spans.iter().any(|sp| sp.kind == kinds::LATE_FILTER),
+        tree.spans.iter().any(|sp| sp.kind == kinds::LATE_FILTER),
         "late strategy must record late_filter spans"
     );
     let snap = s.metrics().snapshot();
@@ -240,8 +251,8 @@ fn late_filtering_is_visible_in_profile_and_registry() {
     let mut early = session_on(&server, Strategy::EarlyEval);
     early.enable_profiling();
     early.multi_level_expand(1).unwrap();
-    let profile = early.last_profile().unwrap();
-    assert!(profile.spans.iter().all(|sp| sp.kind != kinds::LATE_FILTER));
+    let tree = early.last_trace().unwrap();
+    assert!(tree.spans.iter().all(|sp| sp.kind != kinds::LATE_FILTER));
 }
 
 /// Meta-test: the declared kind registry is consistent — every subsystem

@@ -693,8 +693,8 @@ fn routed_writes_retain_no_spans_and_one_ack_per_epoch() {
     let tree = session.last_trace().unwrap();
     let retained = session.write_session().recorder().spans().len();
     assert_eq!(
-        retained + 1,
+        retained,
         tree.spans.len(),
-        "the recorder holds the last action's spans (the tree's, less its synthetic root)"
+        "the recorder holds the last action's spans (the tree's, as recorded)"
     );
 }
