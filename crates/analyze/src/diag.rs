@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use pdm_obs::json;
+
 /// Severity of a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -303,8 +305,8 @@ impl Report {
                 "{{\"check\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"location\":\"{}\"}}",
                 d.check.id(),
                 d.severity,
-                json_escape(&d.message),
-                json_escape(&d.location)
+                json::escape(&d.message),
+                json::escape(&d.location)
             ));
         }
         out.push(']');
@@ -325,23 +327,6 @@ impl fmt::Display for Report {
         }
         Ok(())
     }
-}
-
-/// Minimal JSON string escaping.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -377,7 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escapes_specials() {
+    fn report_json_quotes_and_newlines_are_escaped() {
         let mut r = Report::new();
         r.emit(Check::UnknownColumn, "bad \"name\"\nhere");
         let json = r.to_json();

@@ -31,16 +31,17 @@ use pdm_bench::harness::{
 };
 use pdm_bench::report::Report;
 use pdm_core::{MetricsSnapshot, Recorder};
+use pdm_obs::metrics::{families, Family};
 use pdm_prng::Prng;
 use pdm_wal::{CrashPlan, TailFault};
 
 /// Families the recovery report must carry: the victim logged commits and
 /// grants, and timed its fsyncs.
-const MANDATORY: &[&str] = &[
-    "wal.appends",
-    "server.dml_commits",
-    "locks.grants",
-    "wal.fsync_ns",
+const MANDATORY: &[Family] = &[
+    families::WAL_APPENDS,
+    families::SERVER_DML_COMMITS,
+    families::LOCKS_GRANTS,
+    families::WAL_FSYNC_NS,
 ];
 
 struct CycleFailure {

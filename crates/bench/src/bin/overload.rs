@@ -40,6 +40,7 @@ use pdm_core::{
     SessionConfig, SessionError, Strategy,
 };
 use pdm_net::LinkProfile;
+use pdm_obs::metrics::{families, Family};
 use pdm_prng::Prng;
 use pdm_workload::{Arrival, ArrivalClass, ClassMix, OpenLoop, TreeSpec};
 
@@ -64,32 +65,32 @@ const WARMUP: f64 = 5.0;
 /// counters this bench exists for, and — its sessions drive the whole read
 /// and check-out path — the WAN, cache, lock-table, engine and query totals
 /// (`session.rows_*` is pinned by `tests/observability.rs`).
-const MANDATORY: &[&str] = &[
-    "admission.admitted",
-    "admission.rejected",
-    "admission.inflight",
-    "overload.shed_interactive",
-    "overload.shed_checkout",
-    "overload.shed_batch",
-    "overload.deadline_abandons",
-    "overload.retry_budget_denials",
-    "overload.lock_queue_rejections",
-    "cache.singleflight_leaders",
-    "cache.singleflight_hits",
-    "net.queries",
-    "net.communications",
-    "net.retransmits",
-    "net.volume_bytes",
-    "net.latency_s",
-    "net.transfer_s",
-    "cache.hits",
-    "cache.misses",
-    "cache.invalidations",
-    "locks.grants",
-    "locks.refusals",
-    "locks.wait_ns",
-    "engine.rows_scanned",
-    "server.queries",
+const MANDATORY: &[Family] = &[
+    families::ADMISSION_ADMITTED,
+    families::ADMISSION_REJECTED,
+    families::ADMISSION_INFLIGHT,
+    families::OVERLOAD_SHED_INTERACTIVE,
+    families::OVERLOAD_SHED_CHECKOUT,
+    families::OVERLOAD_SHED_BATCH,
+    families::OVERLOAD_DEADLINE_ABANDONS,
+    families::OVERLOAD_RETRY_BUDGET_DENIALS,
+    families::OVERLOAD_LOCK_QUEUE_REJECTIONS,
+    families::CACHE_SINGLEFLIGHT_LEADERS,
+    families::CACHE_SINGLEFLIGHT_HITS,
+    families::NET_QUERIES,
+    families::NET_COMMUNICATIONS,
+    families::NET_RETRANSMITS,
+    families::NET_VOLUME_BYTES,
+    families::NET_LATENCY_S,
+    families::NET_TRANSFER_S,
+    families::CACHE_HITS,
+    families::CACHE_MISSES,
+    families::CACHE_INVALIDATIONS,
+    families::LOCKS_GRANTS,
+    families::LOCKS_REFUSALS,
+    families::LOCKS_WAIT_NS,
+    families::ENGINE_ROWS_SCANNED,
+    families::SERVER_QUERIES,
 ];
 
 /// One simulated user action.
@@ -283,7 +284,7 @@ fn simulate(arrivals: Vec<Arrival>, budgets_on: bool, seed: u64, cutoff: f64) ->
     // whole experiment.
     server
         .metrics()
-        .counter("overload.retry_budget_denials")
+        .counter(families::OVERLOAD_RETRY_BUDGET_DENIALS)
         .add(budget_denials);
 
     SimOut {

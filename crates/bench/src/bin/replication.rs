@@ -29,6 +29,7 @@ use pdm_bench::harness::{
 use pdm_bench::report::Report;
 use pdm_core::{replay_prefix, ClusterConfig, MetricsSnapshot, ProductTree, Session};
 use pdm_net::FaultPlan;
+use pdm_obs::metrics::{families, Family};
 use pdm_prng::splitmix64;
 use pdm_sql::persist::database_fingerprint;
 use pdm_workload::{multisite_plan, SiteStep};
@@ -37,19 +38,19 @@ const SITES: usize = 3;
 
 /// Families the replication report must carry: the cluster shipped,
 /// acknowledged and waited on watermarks, and timed all three.
-const MANDATORY: &[&str] = &[
-    "repl.ship_batches",
-    "repl.records_shipped",
-    "repl.ship_failures",
-    "repl.acked_writes",
-    "repl.watermark_waits",
-    "repl.watermark_timeouts",
-    "repl.stale_reads",
-    "repl.failovers",
-    "repl.lag_seqs",
-    "repl.ship_us",
-    "repl.failover_us",
-    "repl.watermark_wait_us",
+const MANDATORY: &[Family] = &[
+    families::REPL_SHIP_BATCHES,
+    families::REPL_RECORDS_SHIPPED,
+    families::REPL_SHIP_FAILURES,
+    families::REPL_ACKED_WRITES,
+    families::REPL_WATERMARK_WAITS,
+    families::REPL_WATERMARK_TIMEOUTS,
+    families::REPL_STALE_READS,
+    families::REPL_FAILOVERS,
+    families::REPL_LAG_SEQS,
+    families::REPL_SHIP_US,
+    families::REPL_FAILOVER_US,
+    families::REPL_WATERMARK_WAIT_US,
 ];
 
 #[derive(Default)]

@@ -36,6 +36,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use pdm_obs::metrics::families;
 use pdm_obs::{Counter, Gauge, MetricsRegistry};
 
 use crate::shared::lock_unpoisoned;
@@ -163,12 +164,12 @@ impl OverloadGate {
             now_bits: AtomicU64::new(0f64.to_bits()),
             inflight: AtomicU64::new(0),
             m: GateMetrics {
-                admitted: registry.counter("admission.admitted"),
-                rejected: registry.counter("admission.rejected"),
-                inflight: registry.gauge("admission.inflight"),
-                shed_interactive: registry.counter("overload.shed_interactive"),
-                shed_checkout: registry.counter("overload.shed_checkout"),
-                shed_batch: registry.counter("overload.shed_batch"),
+                admitted: registry.counter(families::ADMISSION_ADMITTED),
+                rejected: registry.counter(families::ADMISSION_REJECTED),
+                inflight: registry.gauge(families::ADMISSION_INFLIGHT),
+                shed_interactive: registry.counter(families::OVERLOAD_SHED_INTERACTIVE),
+                shed_checkout: registry.counter(families::OVERLOAD_SHED_CHECKOUT),
+                shed_batch: registry.counter(families::OVERLOAD_SHED_BATCH),
             },
         })
     }

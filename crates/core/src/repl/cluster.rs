@@ -73,6 +73,7 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, OutageWindow};
+use pdm_obs::metrics::families;
 use pdm_obs::{kinds, Counter, FlightDump, Gauge, Histogram, MetricsRegistry, Recorder};
 use pdm_sql::persist::{database_digest, database_fingerprint, encode_snapshot};
 use pdm_sql::{Database, SharedDatabase, Snapshot};
@@ -260,18 +261,18 @@ struct ReplMetrics {
 impl ReplMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         ReplMetrics {
-            ship_batches: registry.counter("repl.ship_batches"),
-            records_shipped: registry.counter("repl.records_shipped"),
-            ship_failures: registry.counter("repl.ship_failures"),
-            acked_writes: registry.counter("repl.acked_writes"),
-            watermark_waits: registry.counter("repl.watermark_waits"),
-            watermark_timeouts: registry.counter("repl.watermark_timeouts"),
-            stale_reads: registry.counter("repl.stale_reads"),
-            failovers: registry.counter("repl.failovers"),
-            lag_seqs: registry.gauge("repl.lag_seqs"),
-            ship_us: registry.histogram("repl.ship_us"),
-            failover_us: registry.histogram("repl.failover_us"),
-            watermark_wait_us: registry.histogram("repl.watermark_wait_us"),
+            ship_batches: registry.counter(families::REPL_SHIP_BATCHES),
+            records_shipped: registry.counter(families::REPL_RECORDS_SHIPPED),
+            ship_failures: registry.counter(families::REPL_SHIP_FAILURES),
+            acked_writes: registry.counter(families::REPL_ACKED_WRITES),
+            watermark_waits: registry.counter(families::REPL_WATERMARK_WAITS),
+            watermark_timeouts: registry.counter(families::REPL_WATERMARK_TIMEOUTS),
+            stale_reads: registry.counter(families::REPL_STALE_READS),
+            failovers: registry.counter(families::REPL_FAILOVERS),
+            lag_seqs: registry.gauge(families::REPL_LAG_SEQS),
+            ship_us: registry.histogram(families::REPL_SHIP_US),
+            failover_us: registry.histogram(families::REPL_FAILOVER_US),
+            watermark_wait_us: registry.histogram(families::REPL_WATERMARK_WAIT_US),
         }
     }
 }

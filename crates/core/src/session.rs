@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pdm_net::{FaultPlan, LinkError, LinkProfile, MeteredChannel, TrafficStats};
+use pdm_obs::metrics::families;
 use pdm_obs::{
     kinds, Counter, FlightDump, MetricsRegistry, Recorder, TraceContext, TraceIdGen, TraceTree,
     ROOT_GID,
@@ -38,6 +39,22 @@ use crate::server::PdmServer;
 use crate::shared::{SharedServer, SharedServerError};
 
 /// Errors surfaced by session actions.
+///
+/// A timeout-shaped error carries the flight recorder's dump as a
+/// `context` field the compiler requires at every construction:
+///
+/// ```
+/// use pdm_core::{FlightDump, SessionError};
+/// let (seq, applied, elapsed) = (7, 5, 0.25);
+/// let context = FlightDump::at("repl.wait_watermark");
+/// let _ = SessionError::ReplicaLagTimeout { seq, applied, elapsed, context };
+/// ```
+///
+/// ```compile_fail,E0063
+/// use pdm_core::SessionError;
+/// let (seq, applied, elapsed) = (7, 5, 0.25);
+/// let _ = SessionError::ReplicaLagTimeout { seq, applied, elapsed };
+/// ```
 #[derive(Debug)]
 pub enum SessionError {
     Sql(pdm_sql::Error),
@@ -1079,8 +1096,8 @@ impl Session {
         let metrics = self.server.shared().metrics();
         let (rows_kept, rows_filtered) = self.late_rows.get_or_insert_with(|| {
             (
-                metrics.counter("session.rows_kept"),
-                metrics.counter("session.rows_filtered_late"),
+                metrics.counter(families::SESSION_ROWS_KEPT),
+                metrics.counter(families::SESSION_ROWS_FILTERED_LATE),
             )
         });
         rows_kept.add(kept_rows);

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use pdm_obs::metrics::families;
 use pdm_obs::{kinds, Counter, Histogram, MetricsRegistry, Recorder};
 use pdm_sql::ring::{Admit, Ring, Standing};
 use pdm_sql::template::{Resolved, Templates};
@@ -790,11 +791,11 @@ impl QueryCache {
                 waiters: 0,
             }),
             cv: Condvar::new(),
-            hits: registry.counter("cache.hits"),
-            misses: registry.counter("cache.misses"),
-            invalidations: registry.counter("cache.invalidations"),
-            singleflight_leaders: registry.counter("cache.singleflight_leaders"),
-            singleflight_hits: registry.counter("cache.singleflight_hits"),
+            hits: registry.counter(families::CACHE_HITS),
+            misses: registry.counter(families::CACHE_MISSES),
+            invalidations: registry.counter(families::CACHE_INVALIDATIONS),
+            singleflight_leaders: registry.counter(families::CACHE_SINGLEFLIGHT_LEADERS),
+            singleflight_hits: registry.counter(families::CACHE_SINGLEFLIGHT_HITS),
         }
     }
 
@@ -1002,19 +1003,19 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn new(registry: &MetricsRegistry) -> Self {
         ServerMetrics {
-            queries: registry.counter("server.queries"),
-            dml_commits: registry.counter("server.dml_commits"),
-            wal_appends: registry.counter("wal.appends"),
-            wal_fsync_ns: registry.histogram("wal.fsync_ns"),
-            lock_wait_ns: registry.histogram("locks.wait_ns"),
-            lock_grants: registry.counter("locks.grants"),
-            lock_refusals: registry.counter("locks.refusals"),
-            rows_scanned: registry.counter("engine.rows_scanned"),
-            subquery_evals: registry.counter("engine.subquery_evals"),
-            subquery_cache_hits: registry.counter("engine.subquery_cache_hits"),
-            recursion_iterations: registry.counter("engine.recursion_iterations"),
-            index_probes: registry.counter("engine.index_probes"),
-            deadline_abandons: registry.counter("overload.deadline_abandons"),
+            queries: registry.counter(families::SERVER_QUERIES),
+            dml_commits: registry.counter(families::SERVER_DML_COMMITS),
+            wal_appends: registry.counter(families::WAL_APPENDS),
+            wal_fsync_ns: registry.histogram(families::WAL_FSYNC_NS),
+            lock_wait_ns: registry.histogram(families::LOCKS_WAIT_NS),
+            lock_grants: registry.counter(families::LOCKS_GRANTS),
+            lock_refusals: registry.counter(families::LOCKS_REFUSALS),
+            rows_scanned: registry.counter(families::ENGINE_ROWS_SCANNED),
+            subquery_evals: registry.counter(families::ENGINE_SUBQUERY_EVALS),
+            subquery_cache_hits: registry.counter(families::ENGINE_SUBQUERY_CACHE_HITS),
+            recursion_iterations: registry.counter(families::ENGINE_RECURSION_ITERATIONS),
+            index_probes: registry.counter(families::ENGINE_INDEX_PROBES),
+            deadline_abandons: registry.counter(families::OVERLOAD_DEADLINE_ABANDONS),
         }
     }
 
@@ -1107,7 +1108,7 @@ impl SharedServer {
         let cache = QueryCache::new(&metrics);
         let m = ServerMetrics::new(&metrics);
         let mut locks = LockTable::default();
-        locks.set_rejection_counter(metrics.counter("overload.lock_queue_rejections"));
+        locks.set_rejection_counter(metrics.counter(families::OVERLOAD_LOCK_QUEUE_REJECTIONS));
         SharedServer {
             db,
             locks,

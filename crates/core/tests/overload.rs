@@ -24,6 +24,7 @@ use pdm_core::{
     RetryPolicy, Session, SessionConfig, SessionError, SharedServerError, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile};
+use pdm_obs::metrics::{families, Family};
 use pdm_prng::Prng;
 use pdm_wal::CrashPlan;
 use pdm_workload::TreeSpec;
@@ -148,13 +149,13 @@ fn below_capacity_runs_are_byte_identical_to_ungated() {
     }
 
     let m = gated_server.metrics().snapshot();
-    assert_eq!(m.counter("admission.rejected"), 0);
-    assert_eq!(m.counter("overload.shed_interactive"), 0);
-    assert_eq!(m.counter("overload.shed_checkout"), 0);
-    assert_eq!(m.counter("overload.shed_batch"), 0);
-    assert_eq!(m.counter("overload.deadline_abandons"), 0);
-    assert_eq!(m.counter("overload.lock_queue_rejections"), 0);
-    assert!(m.counter("admission.admitted") > 0);
+    assert_eq!(m.counter(families::ADMISSION_REJECTED), 0);
+    assert_eq!(m.counter(families::OVERLOAD_SHED_INTERACTIVE), 0);
+    assert_eq!(m.counter(families::OVERLOAD_SHED_CHECKOUT), 0);
+    assert_eq!(m.counter(families::OVERLOAD_SHED_BATCH), 0);
+    assert_eq!(m.counter(families::OVERLOAD_DEADLINE_ABANDONS), 0);
+    assert_eq!(m.counter(families::OVERLOAD_LOCK_QUEUE_REJECTIONS), 0);
+    assert!(m.counter(families::ADMISSION_ADMITTED) > 0);
 }
 
 /// Property: under a tight gate, the admitted subsequence replayed on an
@@ -290,10 +291,14 @@ fn concurrent_cold_misses_coalesce_into_one_computation() {
         assert_eq!(r.rows, results[0].rows, "all callers see the same rows");
     }
     let m = server.metrics().snapshot();
-    let delta = |name: &str| m.counter(name) - base.counter(name);
-    assert_eq!(delta("cache.singleflight_leaders"), 1);
-    assert_eq!(delta("cache.misses"), 1, "the engine ran exactly once");
-    assert_eq!(delta("cache.hits"), (THREADS - 1) as u64);
+    let delta = |family: Family| m.counter(family) - base.counter(family);
+    assert_eq!(delta(families::CACHE_SINGLEFLIGHT_LEADERS), 1);
+    assert_eq!(
+        delta(families::CACHE_MISSES),
+        1,
+        "the engine ran exactly once"
+    );
+    assert_eq!(delta(families::CACHE_HITS), (THREADS - 1) as u64);
 }
 
 /// The priority classes shed in documented order as the bucket drains:
@@ -344,7 +349,7 @@ fn spent_deadline_abandons_the_write_with_or_without_a_fault_plan() {
     let sql = "UPDATE assy SET checkedout = FALSE WHERE obid = 1";
     let abandons = || {
         let m = server.metrics().snapshot();
-        m.counter("overload.deadline_abandons")
+        m.counter(families::OVERLOAD_DEADLINE_ABANDONS)
     };
     let durable_state = || {
         let log_len = server.durability().unwrap().log_len();

@@ -24,6 +24,7 @@ use pdm_core::{
 };
 use pdm_net::LinkProfile;
 use pdm_obs::kinds;
+use pdm_obs::metrics::families;
 use pdm_sql::{Column, DataType, ResultSet, Row, Schema, Value};
 use pdm_workload::{build_database, TreeSpec, VisibilityMode};
 
@@ -453,8 +454,8 @@ fn query_rows_match_the_eager_node_oracle() {
                 .collect();
             let metrics = s.metrics().snapshot();
             let gamma = (
-                metrics.counter("session.rows_kept"),
-                metrics.counter("session.rows_filtered_late"),
+                metrics.counter(families::SESSION_ROWS_KEPT),
+                metrics.counter(families::SESSION_ROWS_FILTERED_LATE),
             );
 
             let (want, shipped) = eager_nodes(

@@ -15,6 +15,7 @@ use std::process::ExitCode;
 
 use pdm_lint::lint_workspace;
 use pdm_lint::registry::Lint;
+use pdm_obs::json;
 
 fn usage() -> ExitCode {
     eprintln!("usage: pdm-lint [--json] [--list-lints] [ROOT]");
@@ -46,7 +47,7 @@ fn main() -> ExitCode {
                     lint.id(),
                     lint.family().name(),
                     lint.severity(),
-                    lint.description(),
+                    json::escape(lint.description()),
                     if i + 1 < Lint::ALL.len() { "," } else { "" }
                 );
             }

@@ -5,8 +5,7 @@
 //!
 //! Fixtures are lexed, not compiled — they only need to be
 //! token-faithful Rust. They are checked under the fixture path
-//! `crates/core/src/fixture.rs` (inside the unchecked-index scope) and
-//! [`crate::schema::Registries::fixture`].
+//! `crates/core/src/fixture.rs` (inside the unchecked-index scope).
 
 use crate::registry::Lint;
 
@@ -46,27 +45,11 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
         ),
         Lint::ReplayCatchall => (
             "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        _ => {}\n    }\n}\n",
-            FULL_REPLAY_MATCH,
-        ),
-        Lint::ReplayMissingVariant => (
-            "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        WalRecord::TokenComplete { token, rows } => self.done(token, rows),\n    }\n}\n",
-            FULL_REPLAY_MATCH,
+            "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        WalRecord::CheckoutGrant { token, assy_ids, comp_ids } => self.grant(token, assy_ids, comp_ids),\n        WalRecord::CheckoutRelease { ids } => self.release(ids),\n        WalRecord::TokenComplete { token, rows } => self.done(token, rows),\n    }\n}\n",
         ),
         Lint::UnfencedApply => (
             "fn apply_batch(&mut self, epoch: u64, records: &[(u64, WalRecord)]) {\n    for (seq, record) in records {\n        self.apply_one(seq, record);\n    }\n}\n",
             "fn apply_batch(&mut self, epoch: u64, records: &[(u64, WalRecord)]) -> Result<(), E> {\n    if epoch != self.epoch {\n        return Err(E::Fenced);\n    }\n    for (seq, record) in records {\n        self.apply_one(seq, record);\n    }\n    Ok(())\n}\n",
-        ),
-        Lint::MetricFamilyUnknown => (
-            "fn wire(reg: &MetricsRegistry) -> Counter {\n    reg.counter(\"cache.hitz\")\n}\n",
-            "fn wire(reg: &MetricsRegistry) -> Counter {\n    reg.counter(\"cache.hits\")\n}\n",
-        ),
-        Lint::SpanKindUnregistered => (
-            "fn probe_kind() -> SpanKind {\n    SpanKind::new(\"session\", \"adhoc_probe\")\n}\n",
-            "fn probe_kind() -> SpanKind {\n    kinds::SESSION_QUERY\n}\n",
-        ),
-        Lint::TimeoutWithoutFlight => (
-            "fn lag_error(&self, waited_s: f64) -> SessionError {\n    SessionError::ReplicaLagTimeout { waited_s }\n}\n",
-            "fn lag_error(&self, waited_s: f64) -> SessionError {\n    SessionError::ReplicaLagTimeout {\n        waited_s,\n        context: FlightDump::at(&self.recorder),\n    }\n}\n",
         ),
         Lint::StrayRecorder => (
             "fn assemble(cfg: ClusterConfig) -> Cluster {\n    Cluster { cfg, obs: Recorder::new() }\n}\n",
@@ -86,5 +69,3 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
         ),
     }
 }
-
-const FULL_REPLAY_MATCH: &str = "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        WalRecord::CheckoutGrant { token, assy_ids, comp_ids } => self.grant(token, assy_ids, comp_ids),\n        WalRecord::CheckoutRelease { ids } => self.release(ids),\n        WalRecord::TokenComplete { token, rows } => self.done(token, rows),\n    }\n}\n";

@@ -10,11 +10,11 @@
 //!   iteration order reaching serialized output;
 //! - **lock discipline**: acyclic lock-acquisition order, no guard held
 //!   across network/durability boundaries, no self-reacquire;
-//! - **replay exhaustiveness**: every `WalRecord` match names every
-//!   variant; record-applying functions fence their epoch;
-//! - **observability closure**: metric families and span kinds are
-//!   members of closed registries; timeout-shaped errors carry flight
-//!   dumps;
+//! - **replay**: no `WalRecord` match arm is a catch-all (so rustc's
+//!   exhaustiveness check covers every replay site); record-applying
+//!   functions fence their epoch;
+//! - **observability**: an enabled recorder is constructed only by an
+//!   action's owner;
 //! - **panic surface**: no unchecked indexing or bare counter
 //!   arithmetic in protocol crates.
 //!
@@ -27,78 +27,51 @@
 //! `// lint:allow-file(<lint-id>): <reason>`), which the tool itself
 //! audits: a marker with an unknown id, an empty reason, or nothing to
 //! suppress is a finding.
+//!
+//! What the type system can prove is left to it: span kinds and metric
+//! families are values only `pdm-obs` can make, a timeout-shaped
+//! `SessionError` does not compile without its `FlightDump`, and a
+//! `WalRecord` match without a catch-all is exhaustive or does not compile.
 
 pub mod fixtures;
 pub mod lex;
 pub mod lints;
 pub mod registry;
-pub mod schema;
 pub mod source;
 
 use std::io;
 use std::path::Path;
 
 use registry::{Finding, Lint, LintReport};
-use schema::Registries;
 use source::LintFile;
 
 /// How many lines below its comment line an allow marker covers. Two
 /// lines of comment above the annotated expression is the common shape.
 const ALLOW_WINDOW: u32 = 3;
 
-/// Lint a set of already-loaded sources against `reg`.
-pub fn lint_sources(inputs: &[(String, String)], reg: &Registries) -> LintReport {
+/// Lint a set of already-loaded sources.
+pub fn lint_sources(inputs: &[(String, String)]) -> LintReport {
     let files: Vec<LintFile> = inputs.iter().map(|(p, s)| LintFile::parse(p, s)).collect();
-    run_passes(&files, reg)
+    run_passes(&files)
 }
 
 /// Lint a single source text — the fixture entry point.
-pub fn lint_source(path: &str, text: &str, reg: &Registries) -> LintReport {
-    lint_sources(&[(path.to_string(), text.to_string())], reg)
+pub fn lint_source(path: &str, text: &str) -> LintReport {
+    lint_sources(&[(path.to_string(), text.to_string())])
 }
 
-/// Lint the workspace rooted at `root`: collect `crates/*/src`, extract
-/// the closed registries from the source itself, run every pass.
+/// Lint the workspace rooted at `root`: collect `crates/*/src`, run every
+/// pass.
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
-    let inputs = source::collect_workspace(root)?;
-    let files: Vec<LintFile> = inputs.iter().map(|(p, s)| LintFile::parse(p, s)).collect();
-    let reg = Registries::from_files(&files);
-    let mut report = run_passes(&files, &reg);
-    // The registries are load-bearing: if extraction found nothing, the
-    // dependent lints silently pass, so report that as a finding.
-    if reg.wal_variants.is_empty() {
-        report.findings.push(Finding::new(
-            Lint::ReplayMissingVariant,
-            "crates/wal/src/record.rs",
-            1,
-            "could not extract the WalRecord variant registry from source",
-        ));
-    }
-    if reg.metric_families.is_empty() {
-        report.findings.push(Finding::new(
-            Lint::MetricFamilyUnknown,
-            "crates/obs/src/metrics.rs",
-            1,
-            "could not extract the metric family registry (mod families) from source",
-        ));
-    }
-    if reg.timeout_variants.is_empty() {
-        report.findings.push(Finding::new(
-            Lint::TimeoutWithoutFlight,
-            "crates/core/src/session.rs",
-            1,
-            "could not extract the flight-carrying SessionError variants from source",
-        ));
-    }
-    Ok(report)
+    Ok(lint_sources(&source::collect_workspace(root)?))
 }
 
-fn run_passes(files: &[LintFile], reg: &Registries) -> LintReport {
+fn run_passes(files: &[LintFile]) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
     lints::determinism::run(files, &mut raw);
     lints::locks::run(files, &mut raw);
-    lints::replay::run(files, reg, &mut raw);
-    lints::obs::run(files, reg, &mut raw);
+    lints::replay::run(files, &mut raw);
+    lints::obs::run(files, &mut raw);
     lints::panics::run(files, &mut raw);
     apply_allows(files, raw)
 }

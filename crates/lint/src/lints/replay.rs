@@ -1,25 +1,27 @@
-//! Replay-exhaustiveness lints: every `match` over `WalRecord` must name
-//! every variant with no catch-all arm (a new record type must fail to
-//! compile at every replay site, not silently skip), and every function
-//! that applies shipped records must fence its epoch argument.
+//! Replay lints: no arm of a `match` over `WalRecord` may stand in for a
+//! variant it does not name (with every arm naming one, rustc's
+//! exhaustiveness check makes a new record type fail to compile at every
+//! replay site instead of silently skipping it), and every function that
+//! applies shipped records must fence its epoch argument.
 
 use std::collections::BTreeSet;
 
 use crate::lex::{Tok, TokKind};
 use crate::registry::{Finding, Lint};
-use crate::schema::Registries;
 use crate::source::{matching_brace, LintFile};
 
-pub fn run(files: &[LintFile], reg: &Registries, out: &mut Vec<Finding>) {
+pub fn run(files: &[LintFile], out: &mut Vec<Finding>) {
     for f in files {
-        wal_matches(f, reg, out);
+        wal_matches(f, out);
     }
     unfenced_apply(files, out);
 }
 
 /// Scan every non-test `match` body; if any arm pattern mentions
-/// `WalRecord ::`, the match is a replay site and gets both checks.
-fn wal_matches(f: &LintFile, reg: &Registries, out: &mut Vec<Finding>) {
+/// `WalRecord`, the match is a replay site, and every arm whose pattern
+/// names no `WalRecord::` variant is a catch-all — `_`, a binding, or a
+/// nested one such as `Some(_)`.
+fn wal_matches(f: &LintFile, out: &mut Vec<Finding>) {
     let toks = &f.toks;
     for (i, t) in toks.iter().enumerate() {
         if f.test_mask[i] || !t.is_ident("match") {
@@ -53,54 +55,20 @@ fn wal_matches(f: &LintFile, reg: &Registries, out: &mut Vec<Finding>) {
         if !mentions_wal {
             continue;
         }
-        let mut named: BTreeSet<String> = BTreeSet::new();
         for (ps, pe, _) in &arms {
-            // Variants named via `WalRecord :: X`.
-            let mut k = *ps;
-            while k + 2 <= *pe {
-                if toks[k].is_ident("WalRecord")
-                    && toks[k + 1].is_punct("::")
-                    && toks[k + 2].kind == TokKind::Ident
-                {
-                    named.insert(toks[k + 2].text.clone());
-                }
-                k += 1;
-            }
-            // Catch-all: a pattern that is a single bare identifier
-            // (`_` or a binding) at top level.
-            let top: Vec<&Tok> = toks[*ps..=*pe].iter().collect();
-            if top.len() == 1 && top[0].kind == TokKind::Ident {
+            let pattern = &toks[*ps..=*pe];
+            let names_variant = pattern.windows(3).any(|w| {
+                w[0].is_ident("WalRecord") && w[1].is_punct("::") && w[2].kind == TokKind::Ident
+            });
+            if !names_variant {
+                let text: String = pattern.iter().map(|t| t.text.as_str()).collect();
                 out.push(Finding::new(
                     Lint::ReplayCatchall,
                     &f.path,
-                    top[0].line,
+                    pattern[0].line,
                     format!(
-                        "catch-all arm `{}` in a WalRecord match — a new record type \
-                         would silently skip replay here",
-                        top[0].text
-                    ),
-                ));
-            }
-        }
-        if !reg.wal_variants.is_empty() {
-            let missing: Vec<&String> = reg
-                .wal_variants
-                .iter()
-                .filter(|v| !named.contains(*v))
-                .collect();
-            if !missing.is_empty() && !named.is_empty() {
-                let line = toks[i].line;
-                out.push(Finding::new(
-                    Lint::ReplayMissingVariant,
-                    &f.path,
-                    line,
-                    format!(
-                        "WalRecord match does not name {}",
-                        missing
-                            .iter()
-                            .map(|v| v.as_str())
-                            .collect::<Vec<_>>()
-                            .join(", ")
+                        "arm `{text}` in a WalRecord match names no WalRecord variant — \
+                         a new record type would silently skip replay here"
                     ),
                 ));
             }

@@ -3,7 +3,8 @@
 //! so the output of the SQL-level and source-level analyzers reads the
 //! same.
 
-use pdm_analyze::diag::{json_escape, Severity};
+use pdm_analyze::diag::Severity;
+use pdm_obs::json;
 
 /// The five lint families. Every lint belongs to exactly one; the
 /// `allow-hygiene` policy lint rides in `Policy`.
@@ -56,23 +57,13 @@ pub enum Lint {
     /// sliced with `wait_timeout` so deadlines and shutdown can
     /// interrupt them (the overload layer's no-unbounded-block rule).
     UnboundedWait,
-    /// A `match` over `WalRecord` with a wildcard/binding catch-all arm:
-    /// new record types would silently skip replay.
+    /// An arm of a `match` over `WalRecord` that names no `WalRecord::`
+    /// variant (`_`, a binding, or a nested `Some(_)`): new record types
+    /// would silently skip replay.
     ReplayCatchall,
-    /// A `match` over `WalRecord` that names only a subset of variants
-    /// (reachable today only via nested patterns; kept as a backstop).
-    ReplayMissingVariant,
     /// A function that applies shipped records but never compares its
     /// `epoch` argument (directly or via a fenced callee).
     UnfencedApply,
-    /// A metric registered under a family name absent from the closed
-    /// registry `pdm_obs::metrics::families::ALL`.
-    MetricFamilyUnknown,
-    /// A `SpanKind` constructed outside the closed `kinds` registry.
-    SpanKindUnregistered,
-    /// A timeout-shaped `SessionError` built without `FlightDump`
-    /// context.
-    TimeoutWithoutFlight,
     /// An enabled `Recorder::new()` outside an action owner's
     /// `enable_profiling` (and tests): a recorder nothing hands down,
     /// assembles or reads (DESIGN.md §11).
@@ -96,11 +87,7 @@ impl Lint {
         Lint::NestedLockReacquire,
         Lint::UnboundedWait,
         Lint::ReplayCatchall,
-        Lint::ReplayMissingVariant,
         Lint::UnfencedApply,
-        Lint::MetricFamilyUnknown,
-        Lint::SpanKindUnregistered,
-        Lint::TimeoutWithoutFlight,
         Lint::StrayRecorder,
         Lint::UncheckedIndex,
         Lint::UncheckedProtocolArith,
@@ -117,11 +104,7 @@ impl Lint {
             Lint::NestedLockReacquire => "nested-lock-reacquire",
             Lint::UnboundedWait => "unbounded-wait",
             Lint::ReplayCatchall => "replay-catchall",
-            Lint::ReplayMissingVariant => "replay-missing-variant",
             Lint::UnfencedApply => "unfenced-apply",
-            Lint::MetricFamilyUnknown => "metric-family-unknown",
-            Lint::SpanKindUnregistered => "span-kind-unregistered",
-            Lint::TimeoutWithoutFlight => "timeout-without-flight",
             Lint::StrayRecorder => "stray-recorder",
             Lint::UncheckedIndex => "unchecked-index",
             Lint::UncheckedProtocolArith => "unchecked-protocol-arith",
@@ -136,13 +119,8 @@ impl Lint {
             | Lint::LockAcrossBoundary
             | Lint::NestedLockReacquire
             | Lint::UnboundedWait => Family::LockDiscipline,
-            Lint::ReplayCatchall | Lint::ReplayMissingVariant | Lint::UnfencedApply => {
-                Family::Replay
-            }
-            Lint::MetricFamilyUnknown
-            | Lint::SpanKindUnregistered
-            | Lint::TimeoutWithoutFlight
-            | Lint::StrayRecorder => Family::Observability,
+            Lint::ReplayCatchall | Lint::UnfencedApply => Family::Replay,
+            Lint::StrayRecorder => Family::Observability,
             Lint::UncheckedIndex | Lint::UncheckedProtocolArith => Family::PanicSurface,
             Lint::AllowHygiene => Family::Policy,
         }
@@ -176,16 +154,8 @@ impl Lint {
             Lint::UnboundedWait => {
                 "bare Condvar::wait; waits must be wait_timeout slices so deadlines can interrupt"
             }
-            Lint::ReplayCatchall => "wildcard arm in a WalRecord replay match",
-            Lint::ReplayMissingVariant => "WalRecord replay match does not name every variant",
+            Lint::ReplayCatchall => "WalRecord replay match arm that names no WalRecord variant",
             Lint::UnfencedApply => "record-applying function never compares its epoch argument",
-            Lint::MetricFamilyUnknown => {
-                "metric name not in the closed pdm_obs::metrics::families registry"
-            }
-            Lint::SpanKindUnregistered => "SpanKind constructed outside the closed kinds registry",
-            Lint::TimeoutWithoutFlight => {
-                "timeout-shaped SessionError built without FlightDump context"
-            }
             Lint::StrayRecorder => {
                 "enabled Recorder::new() outside an action owner's enable_profiling; recorders are handed down"
             }
@@ -270,8 +240,8 @@ impl LintReport {
                 "    {{\"check\": \"{}\", \"severity\": \"{}\", \"message\": \"{}\", \"location\": \"{}\"}}{}\n",
                 f.lint.id(),
                 f.lint.severity(),
-                json_escape(&f.message),
-                json_escape(&f.location()),
+                json::escape(&f.message),
+                json::escape(&f.location()),
                 if i + 1 < self.findings.len() { "," } else { "" }
             ));
         }

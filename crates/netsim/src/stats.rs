@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use pdm_obs::metrics::families;
+
 /// Accumulated traffic counters for a measured user action.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TrafficStats {
@@ -86,40 +88,50 @@ impl TrafficStats {
 /// once per metering-reset segment (the session does so when an action
 /// completes), so registry totals equal the sum of per-action stats.
 pub fn record_traffic(registry: &pdm_obs::MetricsRegistry, stats: &TrafficStats) {
-    registry.counter("net.queries").add(stats.queries as u64);
     registry
-        .counter("net.communications")
+        .counter(families::NET_QUERIES)
+        .add(stats.queries as u64);
+    registry
+        .counter(families::NET_COMMUNICATIONS)
         .add(stats.communications as u64);
     registry
-        .counter("net.request_packets")
+        .counter(families::NET_REQUEST_PACKETS)
         .add(stats.request_packets as u64);
     registry
-        .counter("net.response_payload_bytes")
+        .counter(families::NET_RESPONSE_PAYLOAD_BYTES)
         .add(stats.response_payload_bytes as u64);
-    registry.gauge("net.volume_bytes").add(stats.volume_bytes);
-    registry.gauge("net.latency_s").add(stats.latency_time);
-    registry.gauge("net.transfer_s").add(stats.transfer_time);
     registry
-        .gauge("net.fault_wait_s")
+        .gauge(families::NET_VOLUME_BYTES)
+        .add(stats.volume_bytes);
+    registry
+        .gauge(families::NET_LATENCY_S)
+        .add(stats.latency_time);
+    registry
+        .gauge(families::NET_TRANSFER_S)
+        .add(stats.transfer_time);
+    registry
+        .gauge(families::NET_FAULT_WAIT_S)
         .add(stats.fault_wait_time);
     registry
-        .gauge("net.response_time_s")
+        .gauge(families::NET_RESPONSE_TIME_S)
         .add(stats.response_time());
     registry
-        .counter("net.retransmits")
+        .counter(families::NET_RETRANSMITS)
         .add(stats.retransmits as u64);
     registry
-        .counter("net.failed_attempts")
+        .counter(families::NET_FAILED_ATTEMPTS)
         .add(stats.failed_attempts as u64);
-    registry.counter("net.timeouts").add(stats.timeouts as u64);
     registry
-        .counter("net.server_errors")
+        .counter(families::NET_TIMEOUTS)
+        .add(stats.timeouts as u64);
+    registry
+        .counter(families::NET_SERVER_ERRORS)
         .add(stats.server_errors as u64);
     registry
-        .counter("net.outage_hits")
+        .counter(families::NET_OUTAGE_HITS)
         .add(stats.outage_hits as u64);
     registry
-        .counter("net.budget_denied_retries")
+        .counter(families::NET_BUDGET_DENIED_RETRIES)
         .add(stats.budget_denied_retries as u64);
 }
 

@@ -254,13 +254,28 @@ pub struct HistogramSnapshot {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// Named metric registry. `counter`/`gauge`/`histogram` get-or-create, so
-/// every subsystem can hold hot handles while late readers look up by name.
+/// Metric registry keyed by [`Family`]. `counter`/`gauge`/`histogram`
+/// get-or-create, so every subsystem can hold hot handles while late
+/// readers look up by family.
+///
+/// ```
+/// use pdm_obs::metrics::families;
+/// let registry = pdm_obs::MetricsRegistry::new();
+/// registry.counter(families::CACHE_HITS).inc();
+/// assert_eq!(registry.snapshot().counter(families::CACHE_HITS), 1);
+/// ```
+///
+/// A name that is not a declared family does not compile:
+///
+/// ```compile_fail,E0308
+/// let registry = pdm_obs::MetricsRegistry::new();
+/// registry.counter("cache.hitz").inc();
+/// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Counter>>,
-    gauges: Mutex<BTreeMap<String, Gauge>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    counters: Mutex<BTreeMap<Family, Counter>>,
+    gauges: Mutex<BTreeMap<Family, Gauge>>,
+    histograms: Mutex<BTreeMap<Family, Histogram>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -275,40 +290,31 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    pub fn counter(&self, name: &str) -> Counter {
-        lock(&self.counters)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+    pub fn counter(&self, family: Family) -> Counter {
+        lock(&self.counters).entry(family).or_default().clone()
     }
 
-    pub fn gauge(&self, name: &str) -> Gauge {
-        lock(&self.gauges)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+    pub fn gauge(&self, family: Family) -> Gauge {
+        lock(&self.gauges).entry(family).or_default().clone()
     }
 
-    pub fn histogram(&self, name: &str) -> Histogram {
-        lock(&self.histograms)
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+    pub fn histogram(&self, family: Family) -> Histogram {
+        lock(&self.histograms).entry(family).or_default().clone()
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: lock(&self.counters)
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.name().to_string(), v.get()))
                 .collect(),
             gauges: lock(&self.gauges)
                 .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
+                .map(|(k, v)| (k.name().to_string(), v.get()))
                 .collect(),
             histograms: lock(&self.histograms)
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.name().to_string(), v.snapshot()))
                 .collect(),
         }
     }
@@ -323,12 +329,12 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn counter(&self, family: Family) -> u64 {
+        self.counters.get(family.name()).copied().unwrap_or(0)
     }
 
-    pub fn gauge(&self, name: &str) -> f64 {
-        self.gauges.get(name).copied().unwrap_or(0.0)
+    pub fn gauge(&self, family: Family) -> f64 {
+        self.gauges.get(family.name()).copied().unwrap_or(0.0)
     }
 
     /// JSON object, sorted keys (BTreeMap order), indented by `indent`
@@ -404,90 +410,117 @@ impl MetricsSnapshot {
 // Closed metric-family registry
 // ---------------------------------------------------------------------------
 
-/// The closed registry of metric families. Every `counter`/`gauge`/
-/// `histogram` name constructed anywhere in the stack must be a member —
-/// `pdm-lint`'s `metric-family-unknown` check parses this list straight out
-/// of the source and flags any registration site that names a family not
-/// declared here, so a typo'd metric name can never silently fork a family.
-/// The bench report writer (`pdm_bench::report`) asserts the converse
-/// subset before it writes a report: the families its bin declares
-/// mandatory are members and are present in the snapshot.
+/// A metric family: a dotted `prefix.name` declared in [`families`]. Its
+/// constructor is private to this module, so the registry is closed by the
+/// type — a registration site can only name a declared family, and a typo
+/// is a compile error rather than a silently forked family.
+///
+/// ```compile_fail,E0624
+/// let _ = pdm_obs::metrics::Family::new("cache.hitz");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Family {
+    name: &'static str,
+}
+
+impl Family {
+    const fn new(name: &'static str) -> Self {
+        Family { name }
+    }
+
+    /// The family's name as it appears in a [`MetricsSnapshot`]
+    /// (`"cache.hits"`).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+/// Declares each family once: a constant, and its entry in `ALL`.
+macro_rules! declare_families {
+    ($($konst:ident = $name:literal,)*) => {
+        $(pub const $konst: Family = Family::new($name);)*
+
+        /// Every declared metric family, in declaration order.
+        pub const ALL: &[Family] = &[$($konst),*];
+    };
+}
+
+/// The closed registry of metric families, grouped by subsystem prefix.
+/// The bench report writer (`pdm_bench::report`) checks the families its
+/// bin declares mandatory are present in the snapshot before it writes a
+/// report.
 pub mod families {
-    /// Every declared metric family, grouped by subsystem prefix.
-    pub const ALL: &[&str] = &[
+    use super::Family;
+
+    declare_families! {
         // server totals
-        "server.queries",
-        "server.dml_commits",
+        SERVER_QUERIES = "server.queries",
+        SERVER_DML_COMMITS = "server.dml_commits",
         // cross-session query-result cache
-        "cache.hits",
-        "cache.misses",
-        "cache.invalidations",
+        CACHE_HITS = "cache.hits",
+        CACHE_MISSES = "cache.misses",
+        CACHE_INVALIDATIONS = "cache.invalidations",
         // check-out lock table
-        "locks.grants",
-        "locks.refusals",
-        "locks.wait_ns",
+        LOCKS_GRANTS = "locks.grants",
+        LOCKS_REFUSALS = "locks.refusals",
+        LOCKS_WAIT_NS = "locks.wait_ns",
         // write-ahead log
-        "wal.appends",
-        "wal.fsync_ns",
+        WAL_APPENDS = "wal.appends",
+        WAL_FSYNC_NS = "wal.fsync_ns",
         // engine operator counters
-        "engine.rows_scanned",
-        "engine.subquery_evals",
-        "engine.subquery_cache_hits",
-        "engine.recursion_iterations",
-        "engine.index_probes",
+        ENGINE_ROWS_SCANNED = "engine.rows_scanned",
+        ENGINE_SUBQUERY_EVALS = "engine.subquery_evals",
+        ENGINE_SUBQUERY_CACHE_HITS = "engine.subquery_cache_hits",
+        ENGINE_RECURSION_ITERATIONS = "engine.recursion_iterations",
+        ENGINE_INDEX_PROBES = "engine.index_probes",
         // session-side late filtering
-        "session.rows_kept",
-        "session.rows_filtered_late",
+        SESSION_ROWS_KEPT = "session.rows_kept",
+        SESSION_ROWS_FILTERED_LATE = "session.rows_filtered_late",
         // simulated WAN
-        "net.queries",
-        "net.communications",
-        "net.request_packets",
-        "net.response_payload_bytes",
-        "net.volume_bytes",
-        "net.latency_s",
-        "net.transfer_s",
-        "net.fault_wait_s",
-        "net.response_time_s",
-        "net.retransmits",
-        "net.failed_attempts",
-        "net.timeouts",
-        "net.server_errors",
-        "net.outage_hits",
+        NET_QUERIES = "net.queries",
+        NET_COMMUNICATIONS = "net.communications",
+        NET_REQUEST_PACKETS = "net.request_packets",
+        NET_RESPONSE_PAYLOAD_BYTES = "net.response_payload_bytes",
+        NET_VOLUME_BYTES = "net.volume_bytes",
+        NET_LATENCY_S = "net.latency_s",
+        NET_TRANSFER_S = "net.transfer_s",
+        NET_FAULT_WAIT_S = "net.fault_wait_s",
+        NET_RESPONSE_TIME_S = "net.response_time_s",
+        NET_RETRANSMITS = "net.retransmits",
+        NET_FAILED_ATTEMPTS = "net.failed_attempts",
+        NET_TIMEOUTS = "net.timeouts",
+        NET_SERVER_ERRORS = "net.server_errors",
+        NET_OUTAGE_HITS = "net.outage_hits",
         // multi-site replication
-        "repl.ship_batches",
-        "repl.records_shipped",
-        "repl.ship_failures",
-        "repl.acked_writes",
-        "repl.watermark_waits",
-        "repl.watermark_timeouts",
-        "repl.stale_reads",
-        "repl.failovers",
-        "repl.lag_seqs",
-        "repl.ship_us",
-        "repl.failover_us",
-        "repl.watermark_wait_us",
+        REPL_SHIP_BATCHES = "repl.ship_batches",
+        REPL_RECORDS_SHIPPED = "repl.records_shipped",
+        REPL_SHIP_FAILURES = "repl.ship_failures",
+        REPL_ACKED_WRITES = "repl.acked_writes",
+        REPL_WATERMARK_WAITS = "repl.watermark_waits",
+        REPL_WATERMARK_TIMEOUTS = "repl.watermark_timeouts",
+        REPL_STALE_READS = "repl.stale_reads",
+        REPL_FAILOVERS = "repl.failovers",
+        REPL_LAG_SEQS = "repl.lag_seqs",
+        REPL_SHIP_US = "repl.ship_us",
+        REPL_FAILOVER_US = "repl.failover_us",
+        REPL_WATERMARK_WAIT_US = "repl.watermark_wait_us",
         // admission control (token-bucket gate, see pdm-core overload)
-        "admission.admitted",
-        "admission.rejected",
-        "admission.inflight",
+        ADMISSION_ADMITTED = "admission.admitted",
+        ADMISSION_REJECTED = "admission.rejected",
+        ADMISSION_INFLIGHT = "admission.inflight",
         // overload protection: sheds by class, deadline abandons,
         // retry-budget denials, bounded-queue rejections
-        "overload.shed_interactive",
-        "overload.shed_checkout",
-        "overload.shed_batch",
-        "overload.deadline_abandons",
-        "overload.retry_budget_denials",
-        "overload.lock_queue_rejections",
+        OVERLOAD_SHED_INTERACTIVE = "overload.shed_interactive",
+        OVERLOAD_SHED_CHECKOUT = "overload.shed_checkout",
+        OVERLOAD_SHED_BATCH = "overload.shed_batch",
+        OVERLOAD_DEADLINE_ABANDONS = "overload.deadline_abandons",
+        OVERLOAD_RETRY_BUDGET_DENIALS = "overload.retry_budget_denials",
+        OVERLOAD_LOCK_QUEUE_REJECTIONS = "overload.lock_queue_rejections",
         // cross-session cache single-flight (dogpile protection)
-        "cache.singleflight_leaders",
-        "cache.singleflight_hits",
+        CACHE_SINGLEFLIGHT_LEADERS = "cache.singleflight_leaders",
+        CACHE_SINGLEFLIGHT_HITS = "cache.singleflight_hits",
         // client retry budget accounting folded with the WAN metering
-        "net.budget_denied_retries",
-    ];
-
-    /// Whether `name` is a declared family.
-    pub fn is_known(name: &str) -> bool {
-        ALL.contains(&name)
+        NET_BUDGET_DENIED_RETRIES = "net.budget_denied_retries",
     }
 }
 
@@ -498,8 +531,9 @@ mod tests {
     #[test]
     fn family_registry_is_closed_and_well_formed() {
         let mut seen = std::collections::BTreeSet::new();
-        for name in families::ALL {
-            assert!(seen.insert(*name), "duplicate family {name}");
+        for family in families::ALL {
+            let name = family.name();
+            assert!(seen.insert(name), "duplicate family {name}");
             let (prefix, rest) = name.split_once('.').expect("families are prefix.name");
             assert!(
                 prefix == "server"
@@ -515,23 +549,21 @@ mod tests {
                         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
                 "family {name} is not snake_case"
             );
-            assert!(families::is_known(name));
         }
-        assert!(!families::is_known("server.typo"));
     }
 
     #[test]
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("cache.hits");
+        let c = reg.counter(families::CACHE_HITS);
         c.add(3);
-        reg.counter("cache.hits").inc();
-        assert_eq!(reg.counter("cache.hits").get(), 4);
+        reg.counter(families::CACHE_HITS).inc();
+        assert_eq!(reg.counter(families::CACHE_HITS).get(), 4);
 
-        let g = reg.gauge("net.latency_s");
+        let g = reg.gauge(families::NET_LATENCY_S);
         g.add(0.5);
         g.add(0.25);
-        assert!((reg.gauge("net.latency_s").get() - 0.75).abs() < 1e-12);
+        assert!((reg.gauge(families::NET_LATENCY_S).get() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -593,20 +625,20 @@ mod tests {
     #[test]
     fn snapshot_json_is_parseable_shape() {
         let reg = MetricsRegistry::new();
-        reg.counter("a").inc();
-        reg.gauge("b").set(1.5);
-        reg.histogram("c").record(42);
+        reg.counter(families::CACHE_HITS).inc();
+        reg.gauge(families::NET_LATENCY_S).set(1.5);
+        reg.histogram(families::REPL_SHIP_US).record(42);
         let json = reg.snapshot().to_json(0);
         assert!(json.contains("\"counters\""));
-        assert!(json.contains("\"a\": 1"));
+        assert!(json.contains("\"cache.hits\": 1"));
         assert!(json.contains("\"p99\""));
     }
 
     #[test]
     fn wall_clock_histograms_print_their_count_only() {
         let reg = MetricsRegistry::new();
-        reg.histogram("wal.fsync_ns").record(1234);
-        reg.histogram("repl.ship_us").record(1234);
+        reg.histogram(families::WAL_FSYNC_NS).record(1234);
+        reg.histogram(families::REPL_SHIP_US).record(1234);
         let json = reg.snapshot().to_json(0);
         assert!(json.contains("\"wal.fsync_ns\": { \"count\": 1 }"));
         assert!(json.contains("\"repl.ship_us\": { \"count\": 1, \"sum\": 1234,"));

@@ -93,18 +93,44 @@ impl Subsystem {
     }
 }
 
-/// A span kind: subsystem plus a stable short name. All kinds used by the
-/// stack are declared in [`kinds`]; the meta-test in `tests/observability.rs`
-/// checks emitted spans against this registry.
+/// A span kind: subsystem plus a stable short name. The registry is closed
+/// by the type: the fields and the constructor are private to this module,
+/// so every kind is one of the [`kinds`] constants, and code outside
+/// `pdm-obs` reads a kind without being able to make one.
+///
+/// ```
+/// use pdm_obs::{kinds, Subsystem};
+/// assert_eq!(kinds::SCAN.subsystem(), Subsystem::Engine);
+/// assert_eq!(kinds::SCAN.name(), "scan");
+/// ```
+///
+/// ```compile_fail,E0624
+/// use pdm_obs::{SpanKind, Subsystem};
+/// let _ = SpanKind::new(Subsystem::Engine, "adhoc_probe");
+/// ```
+///
+/// ```compile_fail,E0451
+/// use pdm_obs::{SpanKind, Subsystem};
+/// let _ = SpanKind { subsystem: Subsystem::Engine, name: "adhoc_probe" };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpanKind {
-    pub subsystem: Subsystem,
-    pub name: &'static str,
+    subsystem: Subsystem,
+    name: &'static str,
 }
 
 impl SpanKind {
-    pub const fn new(subsystem: Subsystem, name: &'static str) -> Self {
+    const fn new(subsystem: Subsystem, name: &'static str) -> Self {
         SpanKind { subsystem, name }
+    }
+
+    pub fn subsystem(&self) -> Subsystem {
+        self.subsystem
+    }
+
+    /// The short name within the subsystem (`"exchange"`).
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// `"net.exchange"`-style dotted name.

@@ -500,7 +500,7 @@ fn chrome_event(
     format!(
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":1,\"args\":{{{}}}}}",
         json::escape(&name),
-        s.kind.subsystem.prefix(),
+        s.kind.subsystem().prefix(),
         json::number(s.v_start * 1e6),
         json::number((s.v_end - s.v_start) * 1e6),
         args.join(",")
@@ -706,7 +706,7 @@ mod tests {
             let net = tree
                 .spans
                 .iter()
-                .filter(|s| s.kind.subsystem == Subsystem::Network);
+                .filter(|s| s.kind.subsystem() == Subsystem::Network);
             net.filter_map(|s| s.attr(key)).fold(0.0, |sum, v| sum + v)
         };
         assert_eq!((net("latency_s"), net("transfer_s")), (0.2, 0.3));

@@ -32,6 +32,33 @@ use crate::WalError;
 
 /// One durable event. See the module docs for the protocol each variant
 /// participates in.
+///
+/// A replay site matches every variant by name, with no catch-all arm, so
+/// a new record type is a compile error there until the site handles it:
+///
+/// ```
+/// use pdm_wal::WalRecord;
+/// fn tag(record: &WalRecord) -> u8 {
+///     match record {
+///         WalRecord::DmlCommit { .. } => 1,
+///         WalRecord::CheckoutGrant { .. } => 2,
+///         WalRecord::CheckoutRelease { .. } => 3,
+///         WalRecord::TokenComplete { .. } => 4,
+///     }
+/// }
+/// assert_eq!(tag(&WalRecord::CheckoutRelease { ids: vec![1] }), 3);
+/// ```
+///
+/// ```compile_fail,E0004
+/// use pdm_wal::WalRecord;
+/// fn tag(record: &WalRecord) -> u8 {
+///     match record {
+///         WalRecord::DmlCommit { .. } => 1,
+///         WalRecord::CheckoutGrant { .. } => 2,
+///         WalRecord::CheckoutRelease { .. } => 3,
+///     }
+/// }
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A committed statement: `version` is the storage version it published.

@@ -139,6 +139,6 @@ fn net_sum(tree: &TraceTree, key: &str) -> f64 {
     let net = tree
         .spans
         .iter()
-        .filter(|s| s.kind.subsystem == Subsystem::Network);
+        .filter(|s| s.kind.subsystem() == Subsystem::Network);
     net.filter_map(|s| s.attr(key)).fold(0.0, |sum, v| sum + v)
 }

@@ -23,6 +23,7 @@ use pdm_core::{
 };
 use pdm_net::LinkProfile;
 use pdm_obs::kinds;
+use pdm_obs::metrics::families;
 use pdm_prng::Prng;
 use pdm_sql::{Database, ExecConfig};
 use pdm_workload::{build_database, TreeSpec};
@@ -250,7 +251,7 @@ fn session_texts_hit_without_a_parse() {
     assert_eq!(probes.len() as u64, n - 1, "one probe span per statement");
     assert!(probes.iter().all(|sp| sp.detail == "hit"));
     let snap = server.metrics().snapshot();
-    assert_eq!(snap.counter("server.queries"), 2 * n);
+    assert_eq!(snap.counter(families::SERVER_QUERIES), 2 * n);
 }
 
 /// A cached statement sent in another spelling — case, whitespace,
@@ -360,7 +361,13 @@ fn malformed_text_is_still_a_parse_error() {
         assert_eq!(got.to_string(), expected.to_string());
     }
     assert_eq!(shared.cache_stats(), CacheStats::default());
-    assert_eq!(server.metrics().snapshot().counter("server.queries"), 0);
+    assert_eq!(
+        server
+            .metrics()
+            .snapshot()
+            .counter(families::SERVER_QUERIES),
+        0
+    );
 }
 
 /// Eight threads miss one key at once: one computes, seven wait on its
@@ -407,8 +414,11 @@ fn concurrent_misses_wait_for_one_leader_and_leave_nothing_in_flight() {
     assert_eq!(*results[0], server.query_uncached(sql).unwrap());
 
     let m = server.metrics().snapshot();
-    assert_eq!(m.counter("cache.singleflight_leaders"), 1);
-    assert!(m.counter("cache.singleflight_hits") >= 1);
-    assert_eq!(m.counter("cache.singleflight_hits"), (THREADS - 1) as u64);
+    assert_eq!(m.counter(families::CACHE_SINGLEFLIGHT_LEADERS), 1);
+    assert!(m.counter(families::CACHE_SINGLEFLIGHT_HITS) >= 1);
+    assert_eq!(
+        m.counter(families::CACHE_SINGLEFLIGHT_HITS),
+        (THREADS - 1) as u64
+    );
     assert_eq!(server.in_flight(), InFlight::default());
 }

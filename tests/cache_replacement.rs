@@ -14,6 +14,7 @@
 //! depend on anything but its seed.
 
 use pdm_core::{CacheStats, Recorder, SharedServer, CACHE_CAPACITY};
+use pdm_obs::metrics::families;
 use pdm_prng::Prng;
 use pdm_sql::Database;
 
@@ -113,9 +114,9 @@ fn every_read_is_the_cold_read_and_a_seed_repeats() {
             }
         });
         let snap = s.metrics().snapshot();
-        let commits = snap.counter("server.dml_commits");
+        let commits = snap.counter(families::SERVER_DML_COMMITS);
         assert!(commits >= 3, "{commits} UPDATEs");
-        let gone = snap.counter("cache.invalidations");
+        let gone = snap.counter(families::CACHE_INVALIDATIONS);
         assert!(gone > 0 && stats.hits > 0, "{gone} displaced, {stats:?}");
         stats
     };
@@ -181,5 +182,10 @@ fn below_capacity_n_misses_then_n_hits() {
         let stats = counting(&s, || (0..CACHE_CAPACITY).for_each(|key| read(&s, key)));
         assert_eq!(stats, round);
     }
-    assert_eq!(s.metrics().snapshot().counter("cache.invalidations"), 0);
+    assert_eq!(
+        s.metrics()
+            .snapshot()
+            .counter(families::CACHE_INVALIDATIONS),
+        0
+    );
 }

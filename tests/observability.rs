@@ -19,6 +19,7 @@ use std::collections::BTreeSet;
 
 use pdm_bench::harness::{durable_server, server, session, NO_CHECKPOINTS};
 use pdm_core::{PdmServer, Session, Strategy, Subsystem};
+use pdm_obs::metrics::families;
 use pdm_obs::{kinds, SpanRecord};
 use pdm_wal::CrashPlan;
 use pdm_workload::TreeSpec;
@@ -92,7 +93,7 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
     assert_eq!(root.label, "check_out_function_shipping");
 
     // The tree spans ALL seven instrumented subsystems.
-    let subsystems: BTreeSet<Subsystem> = tree.spans.iter().map(|s| s.kind.subsystem).collect();
+    let subsystems: BTreeSet<Subsystem> = tree.spans.iter().map(|s| s.kind.subsystem()).collect();
     for sub in [
         Subsystem::Session,
         Subsystem::Compile,
@@ -121,7 +122,7 @@ fn profiled_checkout_covers_all_subsystems_and_reconciles() {
         let net = tree
             .spans
             .iter()
-            .filter(|s| s.kind.subsystem == Subsystem::Network);
+            .filter(|s| s.kind.subsystem() == Subsystem::Network);
         net.filter_map(|s| s.attr(key))
             .fold(0.0f64, |sum, v| sum + v)
     };
@@ -161,33 +162,33 @@ fn registry_unifies_traffic_cache_locks_and_wal() {
     let snap = s.metrics().snapshot();
     // Table-1 quantities: folded ONCE per action by the single writer.
     assert_eq!(
-        snap.counter("net.queries"),
+        snap.counter(families::NET_QUERIES),
         out.stats.queries as u64,
         "net.queries must equal the action's q exactly (no double fold)"
     );
     assert_eq!(
-        snap.counter("net.communications"),
+        snap.counter(families::NET_COMMUNICATIONS),
         out.stats.communications as u64
     );
     assert_eq!(
-        snap.gauge("net.volume_bytes").to_bits(),
+        snap.gauge(families::NET_VOLUME_BYTES).to_bits(),
         out.stats.volume_bytes.to_bits()
     );
     // Cache: the procedure's retrieval query misses the cross-session
     // cache (first execution), and the root fetch adds traffic.
-    assert!(snap.counter("cache.misses") >= 1);
+    assert!(snap.counter(families::CACHE_MISSES) >= 1);
     // Locks: the uncontended check-out acquires and promotes its grant.
-    assert_eq!(snap.counter("locks.grants"), 1);
-    assert_eq!(snap.counter("locks.refusals"), 0);
+    assert_eq!(snap.counter(families::LOCKS_GRANTS), 1);
+    assert_eq!(snap.counter(families::LOCKS_REFUSALS), 0);
     // WAL: token + grant + the procedure's commit all append.
-    assert!(snap.counter("wal.appends") >= 3);
+    assert!(snap.counter(families::WAL_APPENDS) >= 3);
     let fsync = snap
         .histograms
         .get("wal.fsync_ns")
         .expect("fsync histogram");
-    assert_eq!(fsync.count, snap.counter("wal.appends"));
+    assert_eq!(fsync.count, snap.counter(families::WAL_APPENDS));
     // Engine work flowed into the registry too.
-    assert!(snap.counter("engine.rows_scanned") > 0);
+    assert!(snap.counter(families::ENGINE_ROWS_SCANNED) > 0);
 
     // And the JSON snapshot carries all three sections.
     let json = snap.to_json(2);
@@ -244,7 +245,7 @@ fn late_filtering_is_visible_in_profile_and_registry() {
         "late strategy must record late_filter spans"
     );
     let snap = s.metrics().snapshot();
-    let kept = snap.counter("session.rows_kept");
+    let kept = snap.counter(families::SESSION_ROWS_KEPT);
     assert!(kept > 0, "late filtering kept some rows");
 
     // Early evaluation records no late-filter spans at all.
@@ -269,11 +270,11 @@ fn declared_kind_registry_is_consistent() {
         );
         assert!(
             kind.full_name()
-                .starts_with(&format!("{}.", kind.subsystem.prefix())),
+                .starts_with(&format!("{}.", kind.subsystem().prefix())),
             "kind {} not under its subsystem prefix",
             kind.full_name()
         );
-        subsystems.insert(kind.subsystem);
+        subsystems.insert(kind.subsystem());
     }
     assert_eq!(
         subsystems.len(),

@@ -37,6 +37,7 @@ use pdm_core::{
     RoutedSession, SessionError,
 };
 use pdm_net::{FaultPlan, OutageWindow};
+use pdm_obs::metrics::families;
 use pdm_prng::splitmix64;
 use pdm_sql::Value;
 use pdm_workload::{multisite_plan, SiteStep, TreeSpec};
@@ -218,7 +219,10 @@ fn laggard_past_the_retention_bound_is_reseeded() {
     // The window charged the snapshot like any ship: no site was seeded
     // through a dead link, and the lost frames are counted.
     assert!(cluster.replica(2).is_none(), "site 2's link is still down");
-    let lost = cluster.metrics().snapshot().counter("repl.ship_failures");
+    let lost = cluster
+        .metrics()
+        .snapshot()
+        .counter(families::REPL_SHIP_FAILURES);
     assert!(
         lost >= bound + INTERVAL,
         "a frame per round, batch or snapshot"
@@ -294,7 +298,10 @@ fn a_round_judges_its_replicas_after_shipping_to_all_of_them() {
         generation,
         "a replica the round had not reached yet was re-seeded"
     );
-    let shipped = cluster.metrics().snapshot().counter("repl.records_shipped");
+    let shipped = cluster
+        .metrics()
+        .snapshot()
+        .counter(families::REPL_RECORDS_SHIPPED);
     assert_eq!(shipped, 2 * bound, "both sites took the incremental path");
     assert_eq!(
         replay_prefix(cluster.epoch_base(), &cluster.feed().since(0)).unwrap(),
@@ -388,13 +395,13 @@ fn read_your_writes_holds_across_four_sites() {
     assert!(reads > 10, "plan exercised too few reads");
 
     let snap = cluster.metrics().snapshot();
-    assert!(snap.counter("repl.acked_writes") > 0);
-    assert!(snap.counter("repl.ship_batches") > 0);
+    assert!(snap.counter(families::REPL_ACKED_WRITES) > 0);
+    assert!(snap.counter(families::REPL_SHIP_BATCHES) > 0);
     assert!(
-        snap.counter("repl.watermark_waits") > 0,
+        snap.counter(families::REPL_WATERMARK_WAITS) > 0,
         "no watermark wait ever ran"
     );
-    assert_eq!(snap.counter("repl.stale_reads"), 0);
+    assert_eq!(snap.counter(families::REPL_STALE_READS), 0);
 }
 
 /// An outage outliving the lease promotes through the writer path: the
@@ -514,7 +521,7 @@ fn replica_lag_timeout_names_the_expiring_span() {
         cluster
             .metrics()
             .snapshot()
-            .counter("repl.watermark_timeouts")
+            .counter(families::REPL_WATERMARK_TIMEOUTS)
             >= 1
     );
 }
@@ -586,7 +593,13 @@ fn staleness_rung_serves_annotated_reads() {
     let staleness = out.staleness.expect("read must carry its annotation");
     assert_eq!(staleness.required_seq, receipt.seq);
     assert!(staleness.applied_seq < staleness.required_seq);
-    assert!(cluster.metrics().snapshot().counter("repl.stale_reads") >= 1);
+    assert!(
+        cluster
+            .metrics()
+            .snapshot()
+            .counter(families::REPL_STALE_READS)
+            >= 1
+    );
     assert!(session.read_session().degradation().stale_reads_served() >= 1);
 
     // Every `cooldown` (default 8) stale reads, one probe retries the full
@@ -683,7 +696,10 @@ fn routed_writes_retain_no_spans_and_one_ack_per_epoch() {
     assert!(session.read_session().recorder().spans().is_empty());
     assert!(session.write_session().recorder().spans().is_empty());
     assert!(cluster.acked_writes().len() as u64 <= cluster.epoch());
-    let acked = cluster.metrics().snapshot().counter("repl.acked_writes");
+    let acked = cluster
+        .metrics()
+        .snapshot()
+        .counter(families::REPL_ACKED_WRITES);
     assert_eq!(acked, WRITES, "the counter still counts every ack");
 
     session.enable_tracing(0x5EED);
