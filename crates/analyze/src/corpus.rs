@@ -10,8 +10,8 @@ use std::collections::HashSet;
 
 use pdm_sql::ast::{Query, Statement};
 
-use pdm_core::query::modificator::{ModReport, Modificator};
-use pdm_core::query::{navigational, recursive};
+use pdm_core::query::modificator::Modificator;
+use pdm_core::query::{navigational, recursive, T_LINK};
 use pdm_core::rules::table::RuleTable;
 use pdm_core::rules::{paper_rules, visibility_rules, ActionKind};
 
@@ -28,9 +28,6 @@ pub struct CorpusEntry {
     pub rules: Option<RuleTable>,
     pub user: &'static str,
     pub action: ActionKind,
-    /// The modificator's own account of its injections, cross-checked
-    /// against the analyzer's re-derivation.
-    pub report: Option<ModReport>,
 }
 
 fn unmodified(name: &'static str, action: ActionKind, query: Query) -> CorpusEntry {
@@ -42,7 +39,6 @@ fn unmodified(name: &'static str, action: ActionKind, query: Query) -> CorpusEnt
         rules: None,
         user: "scott",
         action,
-        report: None,
     }
 }
 
@@ -55,7 +51,7 @@ fn modified(
 ) -> CorpusEntry {
     let views = HashSet::new();
     let m = Modificator::new(&rules, "scott", action, &views);
-    let report = if recursive {
+    if recursive {
         m.modify_recursive(&mut query)
     } else {
         m.modify_navigational(&mut query)
@@ -69,7 +65,6 @@ fn modified(
         rules: Some(rules),
         user: "scott",
         action,
-        report: Some(report),
     }
 }
 
@@ -77,7 +72,11 @@ fn modified(
 /// paths over representative rule sets.
 pub fn build_corpus() -> Vec<CorpusEntry> {
     vec![
-        unmodified("expand", ActionKind::Expand, navigational::expand_query(42)),
+        unmodified(
+            "expand",
+            ActionKind::Expand,
+            navigational::expand_query_in(42, T_LINK),
+        ),
         unmodified(
             "expand-many",
             ActionKind::Expand,
@@ -97,12 +96,12 @@ pub fn build_corpus() -> Vec<CorpusEntry> {
         unmodified(
             "mle-with-root",
             ActionKind::MultiLevelExpand,
-            recursive::mle_query_with_root(1, true),
+            recursive::mle_query_in(1, T_LINK, true),
         ),
         modified(
             "expand-modified",
             ActionKind::Expand,
-            navigational::expand_query(42),
+            navigational::expand_query_in(42, T_LINK),
             visibility_rules(),
             false,
         ),
@@ -197,7 +196,7 @@ mod tests {
     fn corpus_covers_both_pipelines() {
         let corpus = build_corpus();
         assert!(corpus.len() >= 8);
-        assert!(corpus.iter().any(|e| e.report.is_some()));
+        assert!(corpus.iter().any(|e| e.rules.is_some()));
         assert!(corpus.iter().any(|e| e.query.with.is_some()));
         // Names are unique (JSON output keys on them).
         let mut names: Vec<_> = corpus.iter().map(|e| e.name).collect();

@@ -74,12 +74,9 @@ pub enum Check {
     // --- predicate placement (§4.1 / §5.5 steps A–D) ---------------------
     /// A predicate the rule table mandates for a block is missing there.
     MissingPredicate,
-    /// A rule predicate appears in a SELECT block it must not be in (the
-    /// wrong-block splice the paper's ModReport counters cannot catch).
+    /// A rule predicate appears in a SELECT block it must not be in (a
+    /// wrong-block splice that per-class injection counts cannot catch).
     MisplacedPredicate,
-    /// The modificator's ModReport disagrees with what is actually in the
-    /// query.
-    ReportMismatch,
     // --- rule-table analysis ---------------------------------------------
     /// A rule's condition is unsatisfiable: it can never permit anything.
     UnsatisfiableRule,
@@ -104,7 +101,7 @@ pub enum Check {
 
 impl Check {
     /// Every check, in registry order.
-    pub const ALL: [Check; 26] = [
+    pub const ALL: [Check; 25] = [
         Check::UnknownTable,
         Check::UnknownColumn,
         Check::AmbiguousColumn,
@@ -123,7 +120,6 @@ impl Check {
         Check::UnionAllRecursion,
         Check::MissingPredicate,
         Check::MisplacedPredicate,
-        Check::ReportMismatch,
         Check::UnsatisfiableRule,
         Check::TautologicalRule,
         Check::EmptyEffectivity,
@@ -154,7 +150,6 @@ impl Check {
             Check::UnionAllRecursion => "union-all-recursion",
             Check::MissingPredicate => "missing-predicate",
             Check::MisplacedPredicate => "misplaced-predicate",
-            Check::ReportMismatch => "report-mismatch",
             Check::UnsatisfiableRule => "unsatisfiable-rule",
             Check::TautologicalRule => "tautological-rule",
             Check::EmptyEffectivity => "empty-effectivity",
@@ -186,7 +181,6 @@ impl Check {
             Check::UnionAllRecursion => "UNION ALL recursion may not terminate on DAGs",
             Check::MissingPredicate => "every mandated rule predicate is present in its block",
             Check::MisplacedPredicate => "no rule predicate sits in a block it is banned from",
-            Check::ReportMismatch => "the ModReport matches the query's actual injections",
             Check::UnsatisfiableRule => "no rule condition is unsatisfiable",
             Check::TautologicalRule => "no rule condition is a tautology",
             Check::EmptyEffectivity => "no rule carries an empty effectivity interval",
@@ -216,7 +210,7 @@ pub struct Diagnostic {
     pub check: Check,
     pub severity: Severity,
     pub message: String,
-    /// Human-readable location: a [`BlockId`](pdm_core::query::modificator::BlockId)
+    /// Human-readable location: a [`BlockId`](crate::placement::BlockId)
     /// rendering, a rule index, or empty for whole-query findings.
     pub location: String,
 }

@@ -13,8 +13,9 @@
 //!    shape is linear, seeded, aggregate-free, and actually descends;
 //! 3. **predicate placement** ([`placement`]) — re-derives from the rule
 //!    table which condition class must land in which SELECT block (§5.5
-//!    steps A–D) and diffs that against the query and the modificator's own
-//!    [`ModReport`];
+//!    steps A–D) and diffs that against the query's WHERE clauses; the
+//!    query is the only evidence (the modificator reports nothing), and
+//!    [`placement::BlockId`] is this crate's numbering of its blocks;
 //! 4. **rule-table analysis** ([`rules`]) — unsatisfiable, tautological,
 //!    empty-effectivity, duplicate, and subsumed rules;
 //! 5. **print→parse drift** — the rendered SQL must re-parse to the same
@@ -36,7 +37,6 @@ pub mod statement;
 pub use diag::{Check, Diagnostic, Report, Severity};
 pub use schema::SchemaInfo;
 
-use pdm_core::query::modificator::ModReport;
 use pdm_core::rules::table::RuleTable;
 use pdm_core::rules::ActionKind;
 use pdm_sql::ast::{Query, Statement};
@@ -78,10 +78,9 @@ impl Analyzer {
         rules: &RuleTable,
         user: &str,
         action: ActionKind,
-        mod_report: Option<&ModReport>,
     ) -> Report {
         let mut report = self.analyze(query);
-        placement::check_placement(query, rules, user, action, mod_report, &mut report);
+        placement::check_placement(query, rules, user, action, &mut report);
         report
     }
 
@@ -130,13 +129,8 @@ pub fn audit_corpus() -> Vec<(corpus::CorpusEntry, Report)> {
         .map(|entry| {
             let mut report = match &entry.rules {
                 Some(rules) => {
-                    let mut r = analyzer.analyze_with_rules(
-                        &entry.query,
-                        rules,
-                        entry.user,
-                        entry.action,
-                        entry.report.as_ref(),
-                    );
+                    let mut r =
+                        analyzer.analyze_with_rules(&entry.query, rules, entry.user, entry.action);
                     r.extend(analyzer.analyze_rule_table(rules));
                     r
                 }
@@ -216,7 +210,7 @@ mod tests {
             ],
         );
         for query in [
-            pdm_core::query::navigational::expand_query(42),
+            pdm_core::query::navigational::expand_query_in(42, pdm_core::query::T_LINK),
             pdm_core::query::navigational::expand_many_query(&[1, 2], "alt_link"),
             pdm_core::query::recursive::mle_query(1),
         ] {

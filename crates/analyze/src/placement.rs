@@ -7,17 +7,19 @@
 //!
 //! * an expected predicate absent from its block → [`Check::MissingPredicate`];
 //! * a rule predicate present in a block it was not mandated for →
-//!   [`Check::MisplacedPredicate`];
-//! * a [`ModReport`] whose recorded sites disagree with the re-derivation →
-//!   [`Check::ReportMismatch`].
+//!   [`Check::MisplacedPredicate`].
 //!
-//! The re-derivation reuses the *same* translate functions the modificator
-//! uses, so expected and injected predicates match by structural [`Expr`]
-//! equality — not by string heuristics.
+//! The modificator keeps no account of its own: the query is the only
+//! evidence, and this module alone numbers its blocks ([`BlockId`],
+//! [`blocks`]). The re-derivation reuses the *same* translate functions the
+//! modificator uses, so expected and injected predicates match by
+//! structural [`Expr`] equality — not by string heuristics.
 
-use pdm_sql::ast::{BinOp, Expr, Query, Select, SetExpr};
+use std::fmt;
 
-use pdm_core::query::modificator::{select_bindings, select_references_table, BlockId, ModReport};
+use pdm_sql::ast::{BinOp, Expr, Query, Select, SetExpr, TableFactor};
+
+use pdm_core::query::modificator::select_bindings;
 use pdm_core::rules::classify::ConditionClass;
 use pdm_core::rules::condition::Condition;
 use pdm_core::rules::table::RuleTable;
@@ -25,6 +27,34 @@ use pdm_core::rules::translate::{condition_expr, exists_structure_expr, row_pred
 use pdm_core::rules::ActionKind;
 
 use crate::diag::{Check, Report};
+
+/// Identity of one SELECT block within a query: the coordinate system
+/// placement diagnostics are reported in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum BlockId {
+    /// `select`-th SELECT (preorder) of the outer query body.
+    Outer { select: usize },
+    /// `select`-th SELECT (preorder) of `cte`'s body that does *not*
+    /// reference the CTE itself — an initial (seed) term.
+    CteSeed { cte: String, select: usize },
+    /// `select`-th SELECT (preorder) of `cte`'s body that references the
+    /// CTE in its FROM clause — a recursive term.
+    CteRecursive { cte: String, select: usize },
+}
+
+impl fmt::Display for BlockId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BlockId::Outer { select } => write!(f, "outer query select #{select}"),
+            BlockId::CteSeed { cte, select } => {
+                write!(f, "initial term (select #{select}) of CTE '{cte}'")
+            }
+            BlockId::CteRecursive { cte, select } => {
+                write!(f, "recursive term (select #{select}) of CTE '{cte}'")
+            }
+        }
+    }
+}
 
 /// One mandated injection: class, target block, and the exact predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,46 +65,24 @@ pub struct Expectation {
 }
 
 /// Verify predicate placement of `query` against `rules`, for the given
-/// principal and action. `mod_report` — when the caller has the modificator's
-/// own account — is cross-checked against the re-derivation.
+/// principal and action.
 pub fn check_placement(
     query: &Query,
     rules: &RuleTable,
     user: &str,
     action: ActionKind,
-    mod_report: Option<&ModReport>,
     report: &mut Report,
 ) {
     let expected = expected_injections(query, rules, user, action);
-
-    // Actual conjuncts per block, consumed as expectations match.
-    let mut actual: Vec<(BlockId, Vec<Expr>)> = blocks(query)
-        .into_iter()
-        .map(|(id, sel)| {
-            let conj = sel
-                .where_clause
-                .as_ref()
-                .map(|w| conjuncts(w).into_iter().cloned().collect())
-                .unwrap_or_default();
-            (id, conj)
-        })
-        .collect();
-
-    let mut missing: Vec<&Expectation> = Vec::new();
-    for exp in &expected {
-        let found = actual
-            .iter_mut()
-            .find(|(id, _)| *id == exp.block)
-            .and_then(|(_, conj)| {
-                let pos = conj.iter().position(|c| *c == exp.predicate)?;
-                conj.remove(pos);
-                Some(())
-            });
-        if found.is_none() {
-            missing.push(exp);
+    let mut filled = vec![false; expected.len()];
+    let mut misplaced: Vec<(BlockId, &Expr, &Expectation)> = Vec::new();
+    for (id, sel) in blocks(query) {
+        if let Some(w) = &sel.where_clause {
+            match_conjuncts(w, &id, &expected, &mut filled, &mut misplaced);
         }
     }
-    for exp in missing {
+
+    for (exp, _) in expected.iter().zip(&filled).filter(|(_, f)| !**f) {
         report.emit_at(
             Check::MissingPredicate,
             format!(
@@ -84,67 +92,46 @@ pub fn check_placement(
             exp.block.to_string(),
         );
     }
-
-    // Any leftover conjunct that *is* a rule-predicate instance sits in a
-    // block the rule table did not mandate it for.
-    for (id, conj) in &actual {
-        for c in conj {
-            if let Some(exp) = expected.iter().find(|e| e.predicate == *c) {
-                report.emit_at(
-                    Check::MisplacedPredicate,
-                    format!(
-                        "rule predicate {} belongs in {} but was spliced here",
-                        c, exp.block
-                    ),
-                    id.to_string(),
-                );
-            }
-        }
-    }
-
-    if let Some(mr) = mod_report {
-        check_report(mr, &expected, report);
+    for (id, c, exp) in misplaced {
+        report.emit_at(
+            Check::MisplacedPredicate,
+            format!(
+                "rule predicate {} belongs in {} but was spliced here",
+                c, exp.block
+            ),
+            id.to_string(),
+        );
     }
 }
 
-/// Cross-check the modificator's recorded sites against the re-derivation.
-fn check_report(mr: &ModReport, expected: &[Expectation], report: &mut Report) {
-    let mut want: Vec<(ConditionClass, &BlockId, String)> = expected
-        .iter()
-        .map(|e| (e.class, &e.block, e.predicate.to_string()))
-        .collect();
-    for site in &mr.sites {
-        let key = (site.class, &site.block, site.predicate.clone());
-        if let Some(pos) = want.iter().position(|w| *w == key) {
-            want.remove(pos);
-        } else {
-            report.emit_at(
-                Check::ReportMismatch,
-                format!(
-                    "ModReport records a {:?} injection the rule table does not mandate: {}",
-                    site.class, site.predicate
-                ),
-                site.block.to_string(),
-            );
-        }
-    }
-    for (class, block, pred) in want {
-        report.emit_at(
-            Check::ReportMismatch,
-            format!("ModReport is missing a mandated {class:?} injection: {pred}"),
-            block.to_string(),
-        );
-    }
-    let counter_total =
-        mr.row_injections + mr.forall_injections + mr.aggregate_injections + mr.exists_injections;
-    if counter_total != mr.sites.len() {
-        report.emit(
-            Check::ReportMismatch,
-            format!(
-                "ModReport counters total {counter_total} but {} sites are recorded",
-                mr.sites.len()
-            ),
-        );
+/// Match the AND tree of `block`'s WHERE clause against the plan, top down.
+/// A subtree equal to an unfilled expectation of `block` fills it — whole,
+/// so a rule predicate that is itself a conjunction is matched as the one
+/// predicate it was spliced as. A subtree equal to a rule predicate `block`
+/// is not mandated to carry goes to `misplaced`. Any other AND is split
+/// into its operands; anything else is the generator's own condition.
+fn match_conjuncts<'q, 'e>(
+    expr: &'q Expr,
+    block: &BlockId,
+    expected: &'e [Expectation],
+    filled: &mut [bool],
+    misplaced: &mut Vec<(BlockId, &'q Expr, &'e Expectation)>,
+) {
+    let mandated_here = |e: &Expectation| e.block == *block && e.predicate == *expr;
+    if let Some(i) = (0..expected.len()).find(|&i| !filled[i] && mandated_here(&expected[i])) {
+        filled[i] = true;
+    } else if expected.iter().any(mandated_here) {
+        // Mandated here and already present: a repeat narrows nothing.
+    } else if let Some(exp) = expected.iter().find(|e| e.predicate == *expr) {
+        misplaced.push((block.clone(), expr, exp));
+    } else if let Expr::BinaryOp {
+        op: BinOp::And,
+        left,
+        right,
+    } = expr
+    {
+        match_conjuncts(left, block, expected, filled, misplaced);
+        match_conjuncts(right, block, expected, filled, misplaced);
     }
 }
 
@@ -293,7 +280,7 @@ fn expect_exists_structure(
 }
 
 /// Every SELECT block of the query, with its [`BlockId`]: the outer body's
-/// blocks plus each CTE's, in the modificator's preorder numbering.
+/// blocks plus each CTE's, each numbered in preorder.
 pub fn blocks(query: &Query) -> Vec<(BlockId, &Select)> {
     let mut out = Vec::new();
     for_each_outer_select(&query.body, &mut |idx, sel| {
@@ -307,6 +294,19 @@ pub fn blocks(query: &Query) -> Vec<(BlockId, &Select)> {
         }
     }
     out
+}
+
+/// True if `sel`'s FROM clause references `table` directly (by name, not
+/// through an alias of another table).
+fn select_references_table(sel: &Select, table: &str) -> bool {
+    sel.from.iter().any(|twj| {
+        std::iter::once(&twj.base)
+            .chain(twj.joins.iter().map(|j| &j.factor))
+            .any(|factor| match factor {
+                TableFactor::Table { name, .. } => name.eq_ignore_ascii_case(table),
+                TableFactor::Derived { .. } => false,
+            })
+    })
 }
 
 fn cte_block_id(cte: &str, select: usize, sel: &Select) -> BlockId {
@@ -342,84 +342,66 @@ fn for_each_outer_select<'a>(body: &'a SetExpr, f: &mut impl FnMut(usize, &'a Se
     go(body, f, &mut next);
 }
 
-/// Split an expression into its top-level AND conjuncts.
-pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
-    match expr {
-        Expr::BinaryOp {
-            op: BinOp::And,
-            left,
-            right,
-        } => {
-            let mut out = conjuncts(left);
-            out.extend(conjuncts(right));
-            out
-        }
-        other => vec![other],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pdm_core::query::modificator::Modificator;
-    use pdm_core::query::{navigational, recursive};
-    use pdm_core::rules::paper_rules;
+    use pdm_core::query::{navigational, recursive, T_LINK};
+    use pdm_core::rules::{paper_rules, visibility_rules};
     use std::collections::HashSet;
 
-    fn modified_mle() -> (Query, ModReport) {
-        let rules = paper_rules();
+    /// `query` modified by `rules` for scott's `action`, recursively or
+    /// navigationally.
+    fn modified(mut query: Query, rules: &RuleTable, action: ActionKind) -> Query {
         let views = HashSet::new();
-        let m = Modificator::new(&rules, "scott", ActionKind::MultiLevelExpand, &views);
-        let mut q = recursive::mle_query(1);
-        let report = m.modify_recursive(&mut q).expect("modify");
-        (q, report)
+        let m = Modificator::new(rules, "scott", action, &views);
+        if query.with.is_some() {
+            m.modify_recursive(&mut query).expect("modify");
+        } else {
+            m.modify_navigational(&mut query).expect("modify");
+        }
+        query
     }
 
-    fn placement_report(q: &Query, mr: Option<&ModReport>) -> Report {
-        let rules = paper_rules();
+    fn placement_report(q: &Query, rules: &RuleTable, action: ActionKind) -> Report {
         let mut out = Report::new();
-        check_placement(
-            q,
-            &rules,
-            "scott",
-            ActionKind::MultiLevelExpand,
-            mr,
-            &mut out,
-        );
+        check_placement(q, rules, "scott", action, &mut out);
         out
+    }
+
+    /// The blocks `class` is mandated for, in plan order.
+    fn blocks_of(plan: &[Expectation], class: ConditionClass) -> Vec<&BlockId> {
+        plan.iter()
+            .filter(|e| e.class == class)
+            .map(|e| &e.block)
+            .collect()
     }
 
     #[test]
     fn modified_query_verifies_clean() {
-        let (q, mr) = modified_mle();
-        let r = placement_report(&q, Some(&mr));
+        let action = ActionKind::MultiLevelExpand;
+        let q = modified(recursive::mle_query(1), &paper_rules(), action);
+        let r = placement_report(&q, &paper_rules(), action);
         assert!(r.is_clean(), "{r}");
     }
 
     #[test]
     fn unmodified_query_has_missing_predicates() {
         let q = recursive::mle_query(1);
-        let r = placement_report(&q, None);
+        let r = placement_report(&q, &paper_rules(), ActionKind::MultiLevelExpand);
         assert!(r.flags(Check::MissingPredicate));
     }
 
     #[test]
     fn navigational_modification_verifies_clean() {
-        let rules = paper_rules();
-        let views = HashSet::new();
-        let m = Modificator::new(&rules, "scott", ActionKind::MultiLevelExpand, &views);
-        let mut q = navigational::expand_query(7);
-        let mr = m.modify_navigational(&mut q).expect("modify");
-        let mut out = Report::new();
-        check_placement(
-            &q,
-            &rules,
-            "scott",
-            ActionKind::MultiLevelExpand,
-            Some(&mr),
-            &mut out,
+        let action = ActionKind::MultiLevelExpand;
+        let q = modified(
+            navigational::expand_query_in(7, T_LINK),
+            &paper_rules(),
+            action,
         );
-        assert!(out.is_clean(), "{out}");
+        let r = placement_report(&q, &paper_rules(), action);
+        assert!(r.is_clean(), "{r}");
     }
 
     #[test]
@@ -439,5 +421,70 @@ mod tests {
                         cte: "rtbl".into(),
                         select: 2
                     }));
+    }
+
+    #[test]
+    fn navigational_injection_adds_row_conditions() {
+        let rules = visibility_rules();
+        let action = ActionKind::MultiLevelExpand;
+        let q = modified(navigational::expand_query_in(1, T_LINK), &rules, action);
+        let plan = expected_injections(&q, &rules, "scott", action);
+        // 2 SELECTs × (link rule + node rule) = 4 injections, all row
+        // conditions.
+        assert_eq!(plan.len(), 4);
+        assert_eq!(
+            blocks_of(&plan, ConditionClass::Row),
+            [
+                &BlockId::Outer { select: 0 },
+                &BlockId::Outer { select: 0 },
+                &BlockId::Outer { select: 1 },
+                &BlockId::Outer { select: 1 },
+            ]
+        );
+        let r = placement_report(&q, &rules, action);
+        assert!(r.is_clean(), "{r}");
+    }
+
+    #[test]
+    fn recursive_injection_steps_a_through_d() {
+        let rules = paper_rules();
+        let action = ActionKind::MultiLevelExpand;
+        let q = modified(recursive::mle_query(1), &rules, action);
+        let plan = expected_injections(&q, &rules, "scott", action);
+        let rtbl = |select| (String::from("rtbl"), select);
+        let seed = |(cte, select)| BlockId::CteSeed { cte, select };
+        let rec = |(cte, select)| BlockId::CteRecursive { cte, select };
+
+        // A/B: one outer SELECT gets both tree predicates.
+        assert_eq!(
+            blocks_of(&plan, ConditionClass::ForAllRows),
+            [&BlockId::Outer { select: 0 }]
+        );
+        assert_eq!(
+            blocks_of(&plan, ConditionClass::TreeAggregate),
+            [&BlockId::Outer { select: 0 }]
+        );
+        // C: the comp recursive term gets the ∃structure predicate.
+        assert_eq!(
+            blocks_of(&plan, ConditionClass::ExistsStructure),
+            [&rec(rtbl(2))]
+        );
+        // D: seed (assy) + assy term (link+assy) + comp term (link+comp)
+        // = 1 + 2 + 2 row-condition injections.
+        assert_eq!(
+            blocks_of(&plan, ConditionClass::Row),
+            [
+                &seed(rtbl(0)),
+                &rec(rtbl(1)),
+                &rec(rtbl(1)),
+                &rec(rtbl(2)),
+                &rec(rtbl(2)),
+            ]
+        );
+        assert_eq!(plan.len(), 8);
+        // Every mandated predicate sits in its block of the modified query,
+        // and no rule predicate sits anywhere else.
+        let r = placement_report(&q, &rules, action);
+        assert!(r.is_clean(), "{r}");
     }
 }

@@ -18,49 +18,23 @@ pub struct SchemaInfo {
 }
 
 impl SchemaInfo {
-    /// An empty schema (every table unknown).
+    /// An empty schema (every table and function unknown).
     pub fn empty() -> Self {
         SchemaInfo {
             tables: HashMap::new(),
             views: HashSet::new(),
-            functions: builtin_functions(),
+            functions: HashSet::new(),
         }
     }
 
     /// The flattened Figure-2 PDM schema the workload populates: `assy`,
-    /// `comp`, `link`, `spec`, `specified_by`, with the PDM stored functions
-    /// registered.
+    /// `comp`, `link`, `spec`, `specified_by` — the workload's own DDL —
+    /// with the engine's built-ins and the PDM stored functions registered.
     pub fn paper() -> Self {
-        let mut s = SchemaInfo::empty();
-        s.add_table(
-            "assy",
-            &[
-                "type",
-                "obid",
-                "name",
-                "dec",
-                "make_or_buy",
-                "strc_opt",
-                "checkedout",
-                "payload",
-            ],
-        );
-        s.add_table(
-            "comp",
-            &["type", "obid", "name", "strc_opt", "checkedout", "payload"],
-        );
-        s.add_table(
-            "link",
-            &[
-                "type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt",
-            ],
-        );
-        s.add_table("spec", &["type", "obid", "name"]);
-        s.add_table("specified_by", &["obid", "left", "right"]);
-        for f in ["overlaps_interval", "set_overlaps", "effective_name"] {
-            s.add_function(f);
-        }
-        s
+        let mut db = pdm_sql::Database::new();
+        pdm_workload::create_schema(&mut db).expect("the Figure-2 DDL applies to an empty catalog");
+        pdm_core::functions::register_pdm_functions(&mut db);
+        SchemaInfo::from_database(&db)
     }
 
     /// Snapshot a live engine catalog: its tables (with columns), views, and
@@ -75,6 +49,9 @@ impl SchemaInfo {
         }
         for name in db.catalog.view_names() {
             s.add_view(name);
+        }
+        for name in db.catalog.functions().names() {
+            s.add_function(name);
         }
         s
     }
@@ -112,14 +89,6 @@ impl SchemaInfo {
     }
 }
 
-/// Built-in scalar functions of the engine's default registry.
-fn builtin_functions() -> HashSet<String> {
-    ["abs", "upper", "lower", "length", "coalesce", "nullif"]
-        .into_iter()
-        .map(String::from)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,11 +114,17 @@ mod tests {
             .expect("create");
         db.execute("CREATE VIEW v AS SELECT a FROM t")
             .expect("view");
+        db.catalog
+            .functions_mut()
+            .register("Twice", |args| Ok(args[0].clone()));
         let s = SchemaInfo::from_database(&db);
         assert_eq!(
             s.table_columns("t"),
             Some(&vec!["a".to_string(), "b".to_string()])
         );
         assert!(s.has_view("v"));
+        assert!(s.has_function("twice"));
+        assert!(s.has_function("coalesce"));
+        assert!(!s.has_function("overlaps_interval"));
     }
 }

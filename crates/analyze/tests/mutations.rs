@@ -8,8 +8,7 @@
 
 use pdm_analyze::placement::check_placement;
 use pdm_analyze::{Analyzer, Check, Report, SchemaInfo};
-use pdm_core::query::modificator::Modificator;
-use pdm_core::query::{navigational, recursive};
+use pdm_core::query::{navigational, recursive, T_LINK};
 use pdm_core::rules::condition::{CmpOp, Condition, FnArg, RowPredicate};
 use pdm_core::rules::paper_rules;
 use pdm_core::rules::table::RuleTable;
@@ -18,7 +17,6 @@ use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, TableWithJoins};
 use pdm_sql::parser::parse_query;
 use pdm_sql::Value;
-use std::collections::HashSet;
 
 /// Run the full query analysis over a SQL string fixture.
 fn analyze_sql(sql: &str) -> Report {
@@ -41,16 +39,6 @@ fn row_rule(object_type: &str, pred: RowPredicate) -> Rule {
     Rule::for_all_users(ActionKind::Access, object_type, Condition::Row(pred))
 }
 
-/// The §5.5 query, modified by the paper rule set, with its ModReport.
-fn modified_mle() -> (Query, pdm_core::query::modificator::ModReport) {
-    let rules = paper_rules();
-    let views = HashSet::new();
-    let m = Modificator::new(&rules, "scott", ActionKind::MultiLevelExpand, &views);
-    let mut q = recursive::mle_query(1);
-    let report = m.modify_recursive(&mut q).unwrap();
-    (q, report)
-}
-
 fn placement_fixture_missing() -> Report {
     // Unmodified recursive query audited against rules that demand
     // injections: every mandated predicate is missing.
@@ -61,7 +49,6 @@ fn placement_fixture_missing() -> Report {
         &paper_rules(),
         "scott",
         ActionKind::MultiLevelExpand,
-        None,
         &mut r,
     );
     r
@@ -70,7 +57,7 @@ fn placement_fixture_missing() -> Report {
 fn placement_fixture_misplaced() -> Report {
     // Splice the assy visibility predicate onto the *comp* branch of the
     // expand union — a predicate the plan expects only in the assy branch.
-    let mut q = navigational::expand_query(42);
+    let mut q = navigational::expand_query_in(42, T_LINK);
     let pred = row_predicate_expr(
         &RowPredicate::compare("strc_opt", CmpOp::Eq, "OPTA"),
         "assy",
@@ -83,30 +70,7 @@ fn placement_fixture_misplaced() -> Report {
     };
     sel.and_where(pred);
     let mut r = Report::new();
-    check_placement(
-        &q,
-        &visibility_rules(),
-        "scott",
-        ActionKind::Expand,
-        None,
-        &mut r,
-    );
-    r
-}
-
-fn placement_fixture_report_mismatch() -> Report {
-    // Tamper with the modificator's own account: drop one recorded site.
-    let (q, mut mr) = modified_mle();
-    mr.sites.pop();
-    let mut r = Report::new();
-    check_placement(
-        &q,
-        &paper_rules(),
-        "scott",
-        ActionKind::MultiLevelExpand,
-        Some(&mr),
-        &mut r,
-    );
+    check_placement(&q, &visibility_rules(), "scott", ActionKind::Expand, &mut r);
     r
 }
 
@@ -221,7 +185,6 @@ fn fixtures() -> Vec<(Check, Report)> {
         // -- predicate placement --------------------------------------
         (Check::MissingPredicate, placement_fixture_missing()),
         (Check::MisplacedPredicate, placement_fixture_misplaced()),
-        (Check::ReportMismatch, placement_fixture_report_mismatch()),
         // -- rule-table analysis --------------------------------------
         (Check::UnsatisfiableRule, {
             let mut t = RuleTable::new();

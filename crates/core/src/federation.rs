@@ -21,6 +21,7 @@
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use pdm_net::{FaultPlan, LinkProfile, TrafficStats};
+use pdm_obs::MetricsRegistry;
 use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Value};
 
@@ -45,7 +46,8 @@ pub struct MountPoint {
 /// One database site of the federation: a session on that site's server
 /// over its own link. The federation drives the session's retrieval steps
 /// directly rather than as whole actions, so a site's metering accumulates
-/// across one federated expand.
+/// across one federated expand and is folded into the site server's
+/// registry once, when the expand ends.
 pub struct FederatedSite {
     pub name: String,
     session: Session,
@@ -58,6 +60,12 @@ impl FederatedSite {
 
     pub fn elapsed(&self) -> f64 {
         self.session.elapsed()
+    }
+
+    /// The site server's metrics registry, into which each federated
+    /// expand folds this site's traffic (`net.*`).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        self.session.metrics()
     }
 }
 
@@ -214,6 +222,16 @@ impl Federation {
     /// *root's* site still fails the action (there is nothing to return).
     pub fn multi_level_expand(&mut self, root: ObjectId) -> SessionResult<FederatedOutcome> {
         self.reset_metering();
+        let result = self.expand(root);
+        // One metering segment per site, folded once whether or not the
+        // expand succeeded, as `Session::action` does.
+        for s in &self.sites {
+            s.session.fold_traffic();
+        }
+        result
+    }
+
+    fn expand(&mut self, root: ObjectId) -> SessionResult<FederatedOutcome> {
         let root_site = self.site_of(root)?;
         let mut unreachable: BTreeSet<usize> = BTreeSet::new();
 

@@ -6,7 +6,7 @@ use pdm_sql::ast::{
     Expr, Join, JoinKind, Query, Select, SetExpr, SetOp, TableFactor, TableWithJoins,
 };
 
-use super::{bare_node_projection, T_ASSY, T_COMP, T_LINK};
+use super::{bare_node_projection, T_ASSY, T_COMP};
 use crate::product::ObjectId;
 
 /// Children-of-one-node SELECT for one node kind via a structure view.
@@ -31,14 +31,10 @@ fn expand_select(node_table: &str, link_table: &str, parent: ObjectId) -> Select
 }
 
 /// The single-level expand query: ONE SQL statement fetching all direct
-/// children (assemblies and components, homogenized) of `parent`. This is
-/// the unit the navigational strategies issue once per touched node.
-pub fn expand_query(parent: ObjectId) -> Query {
-    expand_query_in(parent, T_LINK)
-}
-
-/// Single-level expand through an alternative structure view (a second
-/// link table over the same objects — §1 footnote 1).
+/// children (assemblies and components, homogenized) of `parent` through
+/// the `link_table` structure view ([`T_LINK`](super::T_LINK), or a second
+/// link table over the same objects — §1 footnote 1). This is the unit the
+/// navigational strategies issue once per touched node.
 pub fn expand_query_in(parent: ObjectId, link_table: &str) -> Query {
     Query {
         with: None,
@@ -153,7 +149,7 @@ mod tests {
 
     #[test]
     fn expand_query_renders_and_reparses() {
-        let q = expand_query(42);
+        let q = expand_query_in(42, crate::query::T_LINK);
         let sql = q.to_string();
         assert!(sql.contains("WHERE link.left = 42"));
         assert!(sql.contains("JOIN assy ON link.right = assy.obid"));

@@ -14,7 +14,7 @@
 use pdm_obs::{kinds, Recorder};
 use pdm_sql::Query;
 
-use super::modificator::{ModError, ModReport, Modificator};
+use super::modificator::{ModError, Modificator};
 use super::{navigational, recursive, T_LINK};
 use crate::product::ObjectId;
 
@@ -49,7 +49,7 @@ pub enum Shape {
 /// entry point.
 type Modify<'m> = (
     &'static str,
-    fn(&Modificator<'m>, &mut Query) -> Result<ModReport, ModError>,
+    fn(&Modificator<'m>, &mut Query) -> Result<(), ModError>,
 );
 
 impl Shape {

@@ -65,19 +65,15 @@ fn seed_term(root: ObjectId) -> Select {
 /// rule predicates are spliced in afterwards by the
 /// [modificator](super::modificator).
 pub fn mle_query(root: ObjectId) -> Query {
-    mle_query_with_root(root, false)
+    mle_query_in(root, T_LINK, false)
 }
 
-/// Like [`mle_query`], but optionally *including* the root's own row in the
-/// result. Federated expansion needs this: when the traversal continues at a
-/// remote site, the remote subtree root's data has not been transferred by
-/// any parent-side join, so the remote query must ship it (and the client
-/// re-parents it onto the mount's parent).
-pub fn mle_query_with_root(root: ObjectId, include_root: bool) -> Query {
-    mle_query_in(root, T_LINK, include_root)
-}
-
-/// Recursive MLE through an alternative structure view's link table.
+/// Recursive MLE through the `link_table` structure view, optionally
+/// *including* the root's own row in the result. Federated expansion needs
+/// the root: when the traversal continues at a remote site, the remote
+/// subtree root's data has not been transferred by any parent-side join, so
+/// the remote query must ship it (and the client re-parents it onto the
+/// mount's parent).
 pub fn mle_query_in(root: ObjectId, link_table: &str, include_root: bool) -> Query {
     let cte_body = Query {
         with: None,

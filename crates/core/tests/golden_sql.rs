@@ -9,7 +9,7 @@
 //! the snapshot in the same commit, accidental ones fail CI.
 
 use pdm_core::query::modificator::Modificator;
-use pdm_core::query::{navigational, recursive};
+use pdm_core::query::{navigational, recursive, T_LINK};
 use pdm_core::rules::{paper_rules, ActionKind};
 use pdm_sql::parser::parse_query;
 use std::collections::HashSet;
@@ -67,16 +67,16 @@ fn pipeline_queries_round_trip() {
     let rules = paper_rules();
     let views = HashSet::new();
     let m = Modificator::new(&rules, "scott", ActionKind::MultiLevelExpand, &views);
-    let mut nav = navigational::expand_query(42);
+    let mut nav = navigational::expand_query_in(42, T_LINK);
     m.modify_navigational(&mut nav).unwrap();
 
     for q in [
-        navigational::expand_query(42),
+        navigational::expand_query_in(42, T_LINK),
         navigational::expand_many_query(&[1, 2, 3], "link"),
         navigational::query_all_query(1),
         navigational::fetch_node_query(7),
         recursive::mle_query(1),
-        recursive::mle_query_with_root(1, true),
+        recursive::mle_query_in(1, T_LINK, true),
         modified_mle(),
         nav,
     ] {

@@ -24,10 +24,8 @@ pub struct FunctionRegistry {
 
 impl fmt::Debug for FunctionRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<&str> = self.funcs.keys().map(String::as_str).collect();
-        names.sort_unstable();
         f.debug_struct("FunctionRegistry")
-            .field("functions", &names)
+            .field("functions", &self.names())
             .finish()
     }
 }
@@ -96,6 +94,14 @@ impl FunctionRegistry {
 
     pub fn contains(&self, name: &str) -> bool {
         self.get(name).is_some()
+    }
+
+    /// Every registered function's (lowercase) name, built-ins included,
+    /// sorted.
+    pub fn names(&self) -> Vec<&str> {
+        let mut names: Vec<&str> = self.funcs.keys().map(String::as_str).collect();
+        names.sort_unstable();
+        names
     }
 
     pub fn call(&self, name: &str, args: &[Value]) -> Result<Value> {

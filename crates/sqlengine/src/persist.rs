@@ -251,26 +251,9 @@ pub fn read_schema(cur: &mut Cursor<'_>) -> Result<Schema> {
     Ok(Schema::new(cols))
 }
 
-/// Encode a result set (used by the WAL to record idempotency-token
-/// outcomes so a replayed token returns its rows without re-executing).
-pub fn encode_result_set(rs: &ResultSet) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_result_set(&mut out, rs);
-    out
-}
-
-pub fn decode_result_set(bytes: &[u8]) -> Result<ResultSet> {
-    let mut cur = Cursor::new(bytes);
-    let rs = read_result_set(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(Error::Persist(format!(
-            "{} trailing bytes after result set",
-            cur.remaining()
-        )));
-    }
-    Ok(rs)
-}
-
+/// Read a result set [`put_result_set`] wrote. The WAL records
+/// idempotency-token outcomes this way, so a replayed token returns its
+/// rows without re-executing.
 pub fn read_result_set(cur: &mut Cursor<'_>) -> Result<ResultSet> {
     let schema = read_schema(cur)?;
     let n = cur.u32("row count")? as usize;
@@ -545,8 +528,11 @@ mod tests {
     fn result_set_round_trip() {
         let db = sample_db();
         let rs = db.query("SELECT * FROM t ORDER BY a").unwrap();
-        let bytes = encode_result_set(&rs);
-        assert_eq!(decode_result_set(&bytes).unwrap(), rs);
+        let mut bytes = Vec::new();
+        put_result_set(&mut bytes, &rs);
+        let mut cur = Cursor::new(&bytes);
+        assert_eq!(read_result_set(&mut cur).unwrap(), rs);
+        assert!(cur.is_empty());
     }
 
     #[test]

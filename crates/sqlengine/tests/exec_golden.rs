@@ -38,7 +38,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use pdm_core::query::modificator::Modificator;
-use pdm_core::query::{navigational, recursive};
+use pdm_core::query::{navigational, recursive, T_LINK};
 use pdm_core::rules::{visibility_rules, ActionKind};
 use pdm_core::RuleTable;
 use pdm_prng::Prng;
@@ -696,7 +696,10 @@ fn pipeline_statements(ids: &[i64]) -> Vec<String> {
                     q.to_string()
                 };
                 for sql in [
-                    nav(ActionKind::Expand, navigational::expand_query(id)),
+                    nav(
+                        ActionKind::Expand,
+                        navigational::expand_query_in(id, T_LINK),
+                    ),
                     nav(
                         ActionKind::Expand,
                         navigational::expand_many_query(&[id, id + 1, 1], "link"),
@@ -1248,7 +1251,7 @@ fn record_spans() -> String {
     let views = HashSet::new();
     let rules = paper_rules();
     let modify = |action| Modificator::new(&rules, "scott", action, &views);
-    let mut expand = navigational::expand_query(1);
+    let mut expand = navigational::expand_query_in(1, T_LINK);
     modify(ActionKind::Expand)
         .modify_navigational(&mut expand)
         .unwrap();

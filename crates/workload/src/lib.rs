@@ -27,7 +27,7 @@ pub use irregular::{build_irregular_database, generate_irregular, IrregularSpec}
 pub use multisite::{multisite_plan, SiteOp, SiteStep};
 pub use openloop::{Arrival, ArrivalClass, ClassMix, OpenLoop};
 pub use partition::{partition, Mount, PartitionInfo};
-pub use populate::{build_database, populate};
+pub use populate::{build_database, create_schema, populate};
 pub use spec::{TreeSpec, VisibilityMode};
 
 /// The structure option the simulated user has selected; links carrying it

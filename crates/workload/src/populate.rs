@@ -124,7 +124,10 @@ pub fn populate(db: &mut Database, data: &ProductData) -> Result<()> {
     Ok(())
 }
 
-fn create_schema(db: &mut Database) -> Result<()> {
+/// Create the five empty Figure-2 tables (`assy`, `comp`, `link`, `spec`,
+/// `specified_by`): the catalog [`populate`] loads into, and the one the
+/// static analyzer resolves queries against.
+pub fn create_schema(db: &mut Database) -> Result<()> {
     db.catalog.create_table(
         "assy",
         Schema::new(vec![

@@ -11,6 +11,7 @@
 
 use std::collections::HashSet;
 
+use pdm_analyze::placement::expected_injections;
 use pdm_repro::core::query::modificator::Modificator;
 use pdm_repro::core::query::recursive;
 use pdm_repro::core::rules::classify::{classify, ConditionClass};
@@ -106,22 +107,25 @@ fn main() {
             class
         );
         println!("  translated: {}\n", rule.translated_sql);
-        let _ = ConditionClass::Row; // (class enum shown above)
     }
 
     // Modify the recursive MLE query for Scott's multi-level expand.
     let views = HashSet::new();
     let modificator = Modificator::new(&rules, "scott", ActionKind::MultiLevelExpand, &views);
     let mut query = recursive::mle_query(1);
-    let report = modificator
+    modificator
         .modify_recursive(&mut query)
         .expect("modification succeeds");
+    // The plan the analyzer re-derives from the rule table, and checks the
+    // modified query against block by block.
+    let plan = expected_injections(&query, &rules, "scott", ActionKind::MultiLevelExpand);
+    let injections = |class| plan.iter().filter(|e| e.class == class).count();
     println!(
         "query modification (§5.5): {} row, {} ∀rows, {} ∃structure, {} aggregate injections",
-        report.row_injections,
-        report.forall_injections,
-        report.exists_injections,
-        report.aggregate_injections
+        injections(ConditionClass::Row),
+        injections(ConditionClass::ForAllRows),
+        injections(ConditionClass::ExistsStructure),
+        injections(ConditionClass::TreeAggregate)
     );
     println!("\nmodified recursive query:\n{query}");
 }

@@ -6,8 +6,9 @@
 //! trip per *visited partition* instead of one total.
 
 use pdm_bench::{harness, session_over};
-use pdm_core::{Federation, Strategy};
-use pdm_net::LinkProfile;
+use pdm_core::{Federation, RetryPolicy, Strategy};
+use pdm_net::{FaultPlan, LinkProfile, TrafficStats};
+use pdm_obs::metrics::families;
 use pdm_workload::{generate, partition, TreeSpec};
 
 fn federation(spec: &TreeSpec, n_sites: usize, strategy: Strategy) -> Federation {
@@ -111,4 +112,61 @@ fn navigational_federation_visits_remote_sites_for_mount_children() {
     // full tree retrieved
     assert_eq!(out.tree.len(), 1 + 3 + 9);
     assert_eq!(out.sites_visited, 3);
+}
+
+/// A federated expand is one metering segment per site: every site's
+/// traffic reaches that site's registry exactly once, whether the site
+/// answered, went dark, or failed the whole expand.
+#[test]
+fn every_site_folds_its_traffic_once_per_expand() {
+    let spec = TreeSpec::new(3, 4, 1.0).with_node_size(256);
+    let dark = || FaultPlan::none().with_stall_rate(1.0).with_timeout(5.0);
+    for strategy in [Strategy::Recursive, Strategy::EarlyEval] {
+        // (site whose link is dark, whether the expand still succeeds)
+        for (dark_site, succeeds) in [(None, true), (Some(2), true), (Some(0), false)] {
+            let mut fed = federation(&spec, 3, strategy);
+            if let Some(site) = dark_site {
+                fed.set_site_fault_plan(site, dark());
+                fed.set_retry_policy(RetryPolicy::default_wan().with_max_attempts(2));
+            }
+            let mut totals = vec![TrafficStats::default(); 3];
+            for expand in 1..=2 {
+                assert_eq!(fed.multi_level_expand(1).is_ok(), succeeds);
+                for (site, total) in fed.sites().iter().zip(&mut totals) {
+                    total.absorb(site.stats());
+                    let snap = site.metrics().snapshot();
+                    let at = format!(
+                        "{strategy:?}, dark {dark_site:?}, expand {expand}, {}",
+                        site.name
+                    );
+                    assert_eq!(
+                        snap.counter(families::NET_QUERIES),
+                        total.queries as u64,
+                        "{at}"
+                    );
+                    assert_eq!(
+                        snap.gauge(families::NET_VOLUME_BYTES).to_bits(),
+                        total.volume_bytes.to_bits(),
+                        "{at}"
+                    );
+                    assert_eq!(
+                        snap.counter(families::NET_FAILED_ATTEMPTS),
+                        total.failed_attempts as u64,
+                        "{at}"
+                    );
+                }
+            }
+            // Not vacuous: traffic reached the link, and a dark site's
+            // failed attempts are among what was folded.
+            assert!(totals
+                .iter()
+                .any(|t| t.queries > 0 || t.failed_attempts > 0));
+            if let Some(site) = dark_site {
+                assert!(
+                    totals[site].failed_attempts > 0,
+                    "{strategy:?}: site {site}"
+                );
+            }
+        }
+    }
 }
