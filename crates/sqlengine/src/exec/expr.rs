@@ -2,8 +2,10 @@
 //!
 //! Boolean "unknown" is represented as `Value::Null`; `WHERE` keeps a row
 //! only when the predicate evaluates to `Bool(true)`. A column, a literal or
-//! a bound value evaluates to a *borrow* of the stored value, so predicates
-//! and join keys compare without copying; a value is cloned only when the
+//! a bound value is an operand: it evaluates to a *borrow* of the stored
+//! value (`PExpr::operand`), so predicates and join keys compare without
+//! copying, and a comparison of two operands is decided without building a
+//! value for its truth (`PExpr::holds`); a value is cloned only when the
 //! caller keeps it (`into_owned`: a projected item, a hash key, an aggregate
 //! state).
 
@@ -24,15 +26,13 @@ fn bool3<'v>(b: Option<bool>) -> Result<Cow<'v, Value>> {
 }
 
 impl PExpr {
-    /// Does the predicate hold (is it TRUE, not FALSE or unknown) for `f`?
-    pub(crate) fn holds(&self, cx: Cx<'_>, f: &Frame<'_, '_>) -> Result<bool> {
-        Ok(self.eval(cx, f)?.is_true())
-    }
-
-    /// Evaluate for the row in `f`.
-    pub(crate) fn eval<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
-        let (op, args) = match self {
-            PExpr::Const(c) => return Ok(Cow::Borrowed(c.get(cx.rt.params))),
+    /// The value a leaf reads in place — a constant (a literal, a folded
+    /// cast, a `$n`) or a column of any enclosing scope — or `None` for
+    /// anything that computes. The only definition of reading a leaf.
+    #[inline]
+    pub(crate) fn operand<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Option<&'v Value> {
+        match self {
+            PExpr::Const(c) => Some(c.get(cx.rt.params)),
             PExpr::Column {
                 depth,
                 binding,
@@ -42,11 +42,46 @@ impl PExpr {
                 for _ in 0..*depth {
                     frame = frame.outer.expect("scope depth fixed at compile time");
                 }
-                return Ok(Cow::Borrowed(&frame.row[*binding][*ordinal]));
+                Some(&frame.row[*binding][*ordinal])
             }
+            _ => None,
+        }
+    }
+
+    /// Does the predicate hold (is it TRUE, not FALSE or unknown) for `f`?
+    /// A comparison of two operands decides in place.
+    #[inline]
+    pub(crate) fn holds(&self, cx: Cx<'_>, f: &Frame<'_, '_>) -> Result<bool> {
+        if let PExpr::Op {
+            op: Op::Binary(op),
+            args,
+        } = self
+        {
+            if is_comparison(*op) {
+                if let (Some(l), Some(r)) = (args[0].operand(cx, f), args[1].operand(cx, f)) {
+                    return Ok(compare(*op, l, r)? == Some(true));
+                }
+            }
+        }
+        Ok(self.eval(cx, f)?.is_true())
+    }
+
+    /// Evaluate for the row in `f`.
+    #[inline]
+    pub(crate) fn eval<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
+        match self.operand(cx, f) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => self.compute(cx, f),
+        }
+    }
+
+    /// [`eval`](Self::eval) of anything but an operand.
+    fn compute<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
+        let (op, args) = match self {
             PExpr::Agg(slot) => return owned(f.aggs[*slot].clone()),
             PExpr::Fail(e) => return Err(e.clone()),
             PExpr::Op { op, args } => (op, args.as_slice()),
+            PExpr::Const(_) | PExpr::Column { .. } => unreachable!("an operand"),
         };
         let arg = |i: usize| args[i].eval(cx, f);
         match op {
@@ -153,20 +188,7 @@ fn eval_binary<'v>(
     let r = right.eval(cx, f)?;
     match op {
         BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            if l.is_null() || r.is_null() {
-                return owned(Value::Null);
-            }
-            let ord = l.sql_cmp(&r).ok_or_else(|| {
-                Error::Eval(format!("cannot compare {l} with {r} (type mismatch)"))
-            })?;
-            owned(Value::Bool(match op {
-                BinOp::Eq => ord.is_eq(),
-                BinOp::NotEq => ord.is_ne(),
-                BinOp::Lt => ord.is_lt(),
-                BinOp::LtEq => ord.is_le(),
-                BinOp::Gt => ord.is_gt(),
-                _ => ord.is_ge(),
-            }))
+            bool3(compare(op, &l, &r)?)
         }
         BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             eval_arithmetic(op, &l, &r).map(Cow::Owned)
@@ -177,6 +199,33 @@ fn eval_binary<'v>(
         }),
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     }
+}
+
+fn is_comparison(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq
+    )
+}
+
+/// `l op r` for a comparison `op`: unknown (`None`) if either side is NULL,
+/// an error if their types do not compare. The one truth table of `=`,
+/// `<>`, `<`, `<=`, `>`, `>=`.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    if l.is_null() || r.is_null() {
+        return Ok(None);
+    }
+    let ord = l
+        .sql_cmp(r)
+        .ok_or_else(|| Error::Eval(format!("cannot compare {l} with {r} (type mismatch)")))?;
+    Ok(Some(match op {
+        BinOp::Eq => ord.is_eq(),
+        BinOp::NotEq => ord.is_ne(),
+        BinOp::Lt => ord.is_lt(),
+        BinOp::LtEq => ord.is_le(),
+        BinOp::Gt => ord.is_gt(),
+        _ => ord.is_ge(),
+    }))
 }
 
 /// SQL LIKE matching: `%` matches any sequence, `_` any single character.

@@ -21,7 +21,14 @@
 //! relies on in §5.3.1): the executor still optimizes what changes row
 //! counts, it just no longer re-derives it per call, per round and per row.
 //! Evaluation stays row-at-a-time over materialized operator outputs — no
-//! byte-code, no iterators-of-batches.
+//! byte-code, no iterators-of-batches — but a leaf is not interpreted: a
+//! column or a constant is an *operand* (`PExpr::operand`), read in
+//! place where the plan put it. A comparison of two operands decides there
+//! (`holds`: no `Value` is built for its truth), a projected operand is
+//! cloned straight from the row, and a cast of a literal was folded into the
+//! literal when the statement compiled (a cast that fails stays an operator,
+//! to fail only where a row reaches it). Everything else goes through
+//! `PExpr::eval`, whose comparisons share the one truth table.
 
 pub mod aggregate;
 pub mod explain;
@@ -352,7 +359,10 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Re
                 let frame = Frame::of(row, outer);
                 let mut values = Vec::with_capacity(sel.items.len());
                 for e in &sel.items {
-                    values.push(e.eval(cx, &frame)?.into_owned());
+                    values.push(match e.operand(cx, &frame) {
+                        Some(v) => v.clone(),
+                        None => e.eval(cx, &frame)?.into_owned(),
+                    });
                 }
                 out.push(Row(values));
             }

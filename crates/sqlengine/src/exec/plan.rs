@@ -57,12 +57,16 @@ pub(crate) enum Const {
     Literal(Value),
     /// `$i+1`: the run's `params[i]`.
     Param(usize),
+    /// `CAST (literal AS type)`, folded into the value it yields. It keeps
+    /// the cast's type (a projected `CAST (NULL AS VARCHAR)` is a VARCHAR
+    /// column) and is no index probe's key, as the cast it replaces was not.
+    Cast(Value, DataType),
 }
 
 impl Const {
     pub fn get<'v>(&'v self, params: &'v [Value]) -> &'v Value {
         match self {
-            Const::Literal(v) => v,
+            Const::Literal(v) | Const::Cast(v, _) => v,
             Const::Param(i) => &params[*i],
         }
     }
@@ -536,6 +540,7 @@ fn probe_operands(e: &PExpr, binding: usize) -> Option<(usize, Vec<&Const>)> {
     };
     fn as_const(x: &PExpr) -> Option<&Const> {
         match x {
+            PExpr::Const(Const::Cast(..)) => None,
             PExpr::Const(c) => Some(c),
             _ => None,
         }
@@ -614,9 +619,9 @@ impl<'a> Compiler<'a> {
         conjuncts.into_iter().find_map(|c| {
             let (col, keys) =
                 probe_operands(c, binding).filter(|(col, _)| table.has_index(*col))?;
-            // Index keys compare by `Value::total_cmp`, which — unlike SQL
-            // `=` — tells `-0.0` from `0.0`: a zero that may meet a FLOAT is
-            // not probed.
+            // A zero that may meet a FLOAT is not probed. Index keys equate
+            // `-0.0` and `0.0` as SQL `=` does, so this only costs a scan;
+            // lifting it moves `ExecStats` and EXPLAIN (ROADMAP item 9).
             let float_column = table.schema.column(col).dtype == DataType::Float;
             let exact = keys.iter().all(|k| {
                 let v = k.get(self.params);
@@ -741,7 +746,17 @@ impl<'a> Compiler<'a> {
             Expr::IsNull { expr, negated } => {
                 (Op::IsNull { negated: *negated }, self.args([&**expr])?)
             }
-            Expr::Cast { expr, dtype } => (Op::Cast(*dtype), self.args([&**expr])?),
+            Expr::Cast { expr, dtype } => {
+                let arg = self.expr(expr)?;
+                // A literal's cast is decided here; one that fails stays an
+                // operator, to fail only if a row reaches it.
+                if let PExpr::Const(Const::Literal(v)) = &arg {
+                    if let Ok(cast) = v.cast(*dtype) {
+                        return Ok(PExpr::Const(Const::Cast(cast, *dtype)));
+                    }
+                }
+                (Op::Cast(*dtype), vec![arg])
+            }
             Expr::InList {
                 expr,
                 list,
@@ -1392,6 +1407,7 @@ impl<'a> Compiler<'a> {
                 let scope = self.scopes.last().expect("own scope");
                 scope.bindings[*binding].1.column(*ordinal).dtype
             }
+            PExpr::Const(Const::Cast(_, dtype)) => *dtype,
             PExpr::Const(c) => {
                 self.bound |= matches!(c, Const::Param(_));
                 c.get(self.params).data_type().unwrap_or(DataType::Int)
@@ -1538,3 +1554,70 @@ const _: () = {
     const fn assert_send_sync_static<T: Send + Sync + 'static>() {}
     assert_send_sync_static::<Plan>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Database;
+
+    /// The Query action's statement as the server keeps its plan: the
+    /// `query_all` text under the visibility rules, its root id a `$1`.
+    const QUERY_ALL: &str = "SELECT assy.type, assy.obid, assy.name, assy.dec AS \"dec\", \
+        CAST (NULL AS integer) AS \"parent\", CAST (NULL AS integer) AS \"link_id\", \
+        CAST (NULL AS integer) AS \"eff_from\", CAST (NULL AS integer) AS \"eff_to\", \
+        assy.strc_opt, assy.checkedout, assy.payload FROM assy \
+        WHERE assy.obid <> $1 AND assy.strc_opt = 'OPTA' \
+        UNION SELECT comp.type, comp.obid, comp.name, '' AS \"dec\", \
+        CAST (NULL AS integer) AS \"parent\", CAST (NULL AS integer) AS \"link_id\", \
+        CAST (NULL AS integer) AS \"eff_from\", CAST (NULL AS integer) AS \"eff_to\", \
+        comp.strc_opt, comp.checkedout, comp.payload FROM comp WHERE comp.strc_opt = 'OPTA'";
+
+    fn is_operand(e: &PExpr) -> bool {
+        matches!(e, PExpr::Const(_) | PExpr::Column { .. })
+    }
+
+    #[test]
+    fn the_query_plan_reads_its_leaves_in_place() {
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE assy (type VARCHAR, obid INTEGER, name VARCHAR, dec VARCHAR, \
+             make_or_buy VARCHAR, strc_opt VARCHAR, checkedout BOOLEAN, payload VARCHAR)",
+            "CREATE TABLE comp (type VARCHAR, obid INTEGER, name VARCHAR, strc_opt VARCHAR, \
+             checkedout BOOLEAN, payload VARCHAR)",
+            "CREATE INDEX ON assy (obid)",
+            "CREATE INDEX ON comp (obid)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        let query = crate::parser::parse_template(QUERY_ALL).unwrap();
+        let plan = compile(&db.catalog, &db.config, &query, &[Value::Int(1)]).unwrap();
+        assert!(!plan.is_bound());
+        let SetPlan::Op { left, right, .. } = &plan.query.body else {
+            panic!("a UNION")
+        };
+        let mut filters = Vec::new();
+        for side in [left, right] {
+            let SetPlan::Select(sel) = &**side else {
+                panic!("a SELECT")
+            };
+            assert_eq!(sel.items.len(), 11);
+            assert!(sel.items.iter().all(is_operand), "every item an operand");
+            let null_int =
+                |e: &PExpr| matches!(e, PExpr::Const(Const::Cast(Value::Null, DataType::Int)));
+            assert!(sel.items[4..8].iter().all(null_int), "the casts folded");
+            assert!(sel.residual.is_empty() && sel.factors[0].probe.is_none());
+            filters.extend(sel.factors[0].filters.iter().map(|c| &c.expr));
+        }
+        assert_eq!(filters.len(), 3);
+        for f in filters {
+            let PExpr::Op {
+                op: Op::Binary(BinOp::NotEq | BinOp::Eq),
+                args,
+            } = f
+            else {
+                panic!("a comparison")
+            };
+            assert!(args.iter().all(is_operand), "of two operands");
+        }
+    }
+}

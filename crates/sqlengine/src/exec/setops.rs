@@ -4,7 +4,7 @@
 //! operands must agree in arity. Dedup uses the engine's total value
 //! equality (NULL == NULL, INT and FLOAT compare numerically).
 
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 use crate::ast::SetOp;
 use crate::error::{Error, Result};
@@ -20,14 +20,78 @@ pub(crate) struct Seen {
     len: usize,
 }
 
-/// Fixed-key hash: results never depend on it, and runs must repeat exactly.
+/// A fixed hash: results never depend on it, and runs must repeat exactly.
+/// Not keyed, so a client could choose rows that collide — as under
+/// `DefaultHasher::new()` (SipHash with fixed keys), which costs several
+/// times as much per row.
 fn hash_of(row: &Row) -> u64 {
-    let mut hasher = DefaultHasher::new();
+    let mut hasher = WordHasher(0);
     row.hash(&mut hasher);
     hasher.finish()
 }
 
+/// Multiplicative word hashing (FxHash's step: rotate, xor, multiply) with a
+/// final avalanche, because [`Seen`] indexes its slots by the low bits,
+/// which a multiply alone leaves poorly mixed.
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        const K: u64 = 0xf135_7aea_2e62_a9c5;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.add(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            self.add(u64::from_le_bytes(w));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// MurmurHash3's 64-bit finaliser.
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
 impl Seen {
+    /// A set that holds `n` rows before it first grows.
+    pub fn with_capacity(n: usize) -> Self {
+        let mut seen = Seen::default();
+        if n > 0 {
+            seen.slots = vec![(0, 0); (n * 2).next_power_of_two().max(16)];
+        }
+        seen
+    }
+
     /// Position in `stored` of a row equal to `row`, among the rows this set
     /// was told about.
     pub fn find(&self, stored: &[Row], row: &Row) -> Option<usize> {
@@ -85,7 +149,7 @@ impl Seen {
 
 /// Keep the first occurrence of each row, in order.
 pub(crate) fn distinct(rows: impl Iterator<Item = Row>) -> Vec<Row> {
-    let mut seen = Seen::default();
+    let mut seen = Seen::with_capacity(rows.size_hint().0);
     let mut out = Vec::with_capacity(rows.size_hint().0);
     for row in rows {
         if seen.is_new(&out, &row) {
@@ -114,14 +178,14 @@ pub(crate) fn apply(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -
         (SetOp::Union, false) => distinct(left.into_iter().chain(right)),
         (SetOp::Intersect | SetOp::Except, _) => {
             let keep_members = op == SetOp::Intersect;
-            let mut members = Seen::default();
+            let mut members = Seen::with_capacity(right.len());
             let mut right_rows = Vec::with_capacity(right.len());
             for row in right {
                 if members.is_new(&right_rows, &row) {
                     right_rows.push(row);
                 }
             }
-            let mut seen = Seen::default();
+            let mut seen = Seen::with_capacity(left.len());
             let mut out = Vec::new();
             for row in left {
                 let member = members.find(&right_rows, &row).is_some();
@@ -187,6 +251,46 @@ mod tests {
         let l = vec![Row(vec![Value::Null]), Row(vec![Value::Null])];
         let r = vec![Row(vec![Value::Null])];
         assert_eq!(apply(SetOp::Union, false, l, r).len(), 1);
+    }
+
+    #[test]
+    fn equal_rows_hash_equal() {
+        let values = [
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(1 << 53),
+            Value::Float((1u64 << 53) as f64),
+            Value::Int((1 << 53) + 1),
+            Value::Int(-3),
+            Value::Float(-3.0),
+            Value::Float(-2.5),
+            Value::Float(f64::NAN),
+            Value::Text("ab".into()),
+            Value::Text("ab\0".into()),
+        ];
+        for a in &values {
+            for b in &values {
+                let row = |v: &Value| Row(vec![v.clone(), Value::Text("x".into())]);
+                if a.dedup_eq(b) {
+                    assert_eq!(hash_of(&row(a)), hash_of(&row(b)), "{a} vs {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn consecutive_keys_spread_over_the_low_bits() {
+        // `Seen` indexes by the low bits: 1,024 consecutive ids (as an
+        // expand's rows differ) must not crowd into few of 2,048 slots.
+        let mut used = vec![false; 2048];
+        for i in 0..1024 {
+            used[hash_of(&Row(vec![Value::Int(i)])) as usize & 2047] = true;
+        }
+        let spread = used.iter().filter(|u| **u).count();
+        assert!(spread > 700, "{spread} slots");
     }
 
     #[test]

@@ -85,15 +85,16 @@ impl Value {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
-    /// SQL ordering comparison. Numeric types compare cross-type
-    /// (INT vs FLOAT); NULL or mixed non-numeric types yield `None`.
+    /// SQL ordering comparison. Numeric types compare cross-type (INT vs
+    /// FLOAT, exactly: no INT is rounded to a FLOAT first); NULL, NaN or
+    /// mixed non-numeric types yield `None`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Float(a), Value::Float(b)) => a.partial_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).partial_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Value::Int(a), Value::Float(b)) => int_cmp_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_cmp_float(*b, *a).map(Ordering::reverse),
             (Value::Text(a), Value::Text(b)) => Some(a.cmp(b)),
             (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
             _ => None,
@@ -101,7 +102,8 @@ impl Value {
     }
 
     /// Total order for sorting and dedup: NULL < Bool < Int/Float < Text.
-    /// Cross-type numeric values interleave by numeric value.
+    /// Cross-type numeric values interleave by exact numeric value, `-0.0`
+    /// equals `0.0`, and a NaN sorts beyond the infinity of its sign.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -115,9 +117,9 @@ impl Value {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Int(a), Value::Float(b)) => (*a as f64).total_cmp(b),
-            (Value::Float(a), Value::Int(b)) => a.total_cmp(&(*b as f64)),
+            (Value::Float(a), Value::Float(b)) => unsigned_zero(*a).total_cmp(&unsigned_zero(*b)),
+            (Value::Int(a), Value::Float(b)) => int_total_cmp_float(*a, *b),
+            (Value::Float(a), Value::Int(b)) => int_total_cmp_float(*b, *a).reverse(),
             (Value::Text(a), Value::Text(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
         }
@@ -181,6 +183,50 @@ impl Value {
     }
 }
 
+/// `i` against `f` by exact value — `None` only for a NaN. The one
+/// definition of mixed INT/FLOAT order, for [`Value::sql_cmp`] and
+/// [`Value::total_cmp`]: rounding `i` to `f64` first would make
+/// `9007199254740993` equal `9007199254740992.0`, and `=` intransitive.
+fn int_cmp_float(i: i64, f: f64) -> Option<Ordering> {
+    // 2^63: every i64 is below it, and every f64 below it and at least
+    // -2^63 truncates to an i64 exactly.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() {
+        None
+    } else if f >= TWO_63 {
+        Some(Ordering::Less)
+    } else if f < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = f.trunc();
+        // Equal whole parts: the fraction decides (`0 < f - whole` means
+        // `i < f`).
+        Some(
+            i.cmp(&(whole as i64))
+                .then(0.0_f64.total_cmp(&unsigned_zero(f - whole))),
+        )
+    }
+}
+
+/// [`int_cmp_float`] with a NaN placed where `f64::total_cmp` puts it:
+/// beyond the infinity of its sign.
+fn int_total_cmp_float(i: i64, f: f64) -> Ordering {
+    int_cmp_float(i, f).unwrap_or(if f.is_sign_negative() {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    })
+}
+
+/// `-0.0` as `0.0` (SQL `=` holds between them), anything else unchanged.
+fn unsigned_zero(f: f64) -> f64 {
+    if f == 0.0 {
+        0.0
+    } else {
+        f
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -210,14 +256,15 @@ impl Hash for Value {
                 b.hash(state);
             }
             // INT and FLOAT must hash identically when numerically equal
-            // because dedup_eq treats them as equal.
+            // because dedup_eq treats them as equal: an INT equal to a FLOAT
+            // converts to it exactly, and both zeros hash as `0.0`.
             Value::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                f.to_bits().hash(state);
+                unsigned_zero(*f).to_bits().hash(state);
             }
             Value::Text(s) => {
                 3u8.hash(state);
@@ -317,6 +364,45 @@ mod tests {
     #[test]
     fn hash_consistent_with_dedup_eq_across_numeric_types() {
         assert_eq!(hash_of(&Value::Int(7)), hash_of(&Value::Float(7.0)));
+    }
+
+    #[test]
+    fn int_and_float_compare_exactly() {
+        // 2^53 + 1 has no f64: rounding it would make it equal 2^53.
+        let (odd, even) = (Value::Int((1 << 53) + 1), Value::Float((1u64 << 53) as f64));
+        assert_eq!(odd.sql_eq(&even), Some(false));
+        assert_eq!(odd.sql_cmp(&even), Some(Ordering::Greater));
+        assert_eq!(even.total_cmp(&odd), Ordering::Less);
+        assert!(Value::Int(1 << 53).dedup_eq(&even));
+        let two_63 = 9_223_372_036_854_775_808.0;
+        let top = Value::Float(two_63);
+        assert_eq!(Value::Int(i64::MAX).sql_cmp(&top), Some(Ordering::Less));
+        assert_eq!(
+            Value::Int(i64::MIN).sql_eq(&Value::Float(-two_63)),
+            Some(true)
+        );
+        assert_eq!(
+            Value::Float(-2.5).sql_cmp(&Value::Int(-2)),
+            Some(Ordering::Less)
+        );
+        assert_eq!(Value::Int(1).sql_cmp(&Value::Float(f64::NAN)), None);
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Float(f64::NAN)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).total_cmp(&Value::Float(-f64::NAN)),
+            Ordering::Greater
+        );
+    }
+
+    #[test]
+    fn zeros_are_one_value() {
+        let (neg, pos) = (Value::Float(-0.0), Value::Float(0.0));
+        assert_eq!(neg.sql_eq(&pos), Some(true));
+        assert!(neg.dedup_eq(&pos) && neg.dedup_eq(&Value::Int(0)));
+        assert_eq!(hash_of(&neg), hash_of(&pos));
+        assert_eq!(hash_of(&neg), hash_of(&Value::Int(0)));
     }
 
     #[test]

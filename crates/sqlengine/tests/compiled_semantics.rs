@@ -244,9 +244,10 @@ fn three_valued_logic_on_stored_values() {
     );
 }
 
-/// Index keys tell `-0.0` from `0.0`, SQL `=` does not: a zero that may meet a
-/// FLOAT column scans instead of probing — decided on the literal, at compile
-/// time now.
+/// A zero that may meet a FLOAT column scans instead of probing — decided on
+/// the literal, at compile time. (The rule dates from index keys that told
+/// `-0.0` from `0.0` where SQL `=` does not; the value it probes would now
+/// find both zeros, and the rows are the same either way.)
 #[test]
 fn a_zero_against_a_float_column_scans() {
     let db = db();
@@ -268,6 +269,26 @@ fn a_zero_against_a_float_column_scans() {
         let plan = db.explain(&sql).unwrap();
         assert_eq!(plan.contains("IndexScan"), probes > 0, "{sql}: {plan}");
     }
+}
+
+/// A cast of a literal is decided when the statement compiles, but one that
+/// fails fails only when a row reaches it — as when every row evaluated it.
+#[test]
+fn a_failing_constant_cast_fails_only_on_a_row() {
+    let db = db();
+    let sql = "SELECT CAST('x' AS INTEGER) FROM empty_t";
+    assert_eq!(db.query(sql).unwrap().len(), 0);
+    let sql = "SELECT CAST('x' AS INTEGER) FROM t";
+    assert_eq!(
+        db.query(sql).unwrap_err().to_string(),
+        "eval error: cannot cast 'x' to INTEGER"
+    );
+    // One that succeeds is its value, typed as the cast.
+    let rs = db
+        .query("SELECT CAST(NULL AS VARCHAR), CAST('7' AS INTEGER) + a FROM t WHERE a = 1")
+        .unwrap();
+    assert_eq!(rs.schema.columns()[0].dtype, pdm_sql::DataType::Text);
+    assert_eq!(rs.rows[0].0, vec![Value::Null, Value::Int(8)]);
 }
 
 /// UPDATE / DELETE take their index probe from the AND operands of the one

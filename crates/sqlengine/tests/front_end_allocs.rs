@@ -168,4 +168,41 @@ fn a_parse_allocates_what_its_ast_holds() {
         );
         assert_eq!(allocations(run).1, running, "a second run of {id}");
     }
+
+    // The Query action's kept plan, run the same way: what its result holds
+    // (each row's values and its non-empty texts: type, name, dec of an
+    // assembly, option, payload) and a constant — the run's table slots, one
+    // frame per SELECT, per SELECT the scanned rows and the rows it
+    // projects, the UNION's dedup set. Nothing per row that the result does
+    // not keep: a filter, a cast or a projected column costs no allocation.
+    let query_all = |id| {
+        let rules = visibility_rules();
+        common::shape_text(Shape::QueryAll, ActionKind::Query, &[id], "link", &rules)
+    };
+    let first = templates.resolve(&query_all(1)).unwrap();
+    first
+        .template
+        .run(&db.catalog, &db.config, &first.values, &disabled)
+        .unwrap();
+    // Under the visibility rules: 8 assemblies and 12 components; the id of
+    // a visible assembly (1, 4, not 2) leaves it out.
+    for (id, rows, total) in [(1, 19, 107), (2, 20, 112), (4, 19, 107)] {
+        let resolved = templates.resolve(&query_all(id)).unwrap();
+        assert_eq!(resolved.values.len(), 1, "{}", resolved.key);
+        let run = || {
+            let (rs, _) = (resolved.template)
+                .run(&db.catalog, &db.config, &resolved.values, &disabled)
+                .unwrap();
+            rs
+        };
+        let (rs, running) = allocations(run);
+        let (_, held) = allocations(|| rs.rows.clone());
+        assert_eq!(rs.len(), rows, "query of {id}");
+        assert_eq!(
+            (running, running - held),
+            (total, 11),
+            "the query of {id} allocated {running}, its result holds {held}"
+        );
+        assert_eq!(allocations(run).1, running, "a second run of {id}");
+    }
 }

@@ -10,6 +10,7 @@
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
 
+use pdm_obs::Recorder;
 use pdm_sql::ast::{BinOp, Expr};
 use pdm_sql::parser::{parse_expr, parse_query};
 use pdm_sql::{Database, Value};
@@ -19,11 +20,13 @@ use pdm_sql::{Database, Value};
 // ---------------------------------------------------------------------------
 
 fn arb_value(rng: &mut Prng) -> Value {
-    match rng.index(5) {
+    match rng.index(7) {
         0 => Value::Null,
         1 => Value::Bool(rng.bool()),
         2 => Value::Int(rng.i64_inclusive(i32::MIN as i64, i32::MAX as i64)),
         3 => Value::Float(rng.f64_range(-1e9, 1e9)),
+        4 => edge_number(rng),
+        5 => Value::Float(if rng.bool() { 0.0 } else { -0.0 }),
         _ => {
             const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
             let len = rng.usize_inclusive(0, 12);
@@ -32,6 +35,19 @@ fn arb_value(rng: &mut Prng) -> Value {
                 .collect();
             Value::Text(s)
         }
+    }
+}
+
+/// A number where INT and FLOAT part ways: around 2^53 (the last INT every
+/// FLOAT neighbour of which is exact) and the ends of the INT range, as an
+/// INT or as the nearest FLOAT.
+fn edge_number(rng: &mut Prng) -> Value {
+    let base = [1i64 << 53, -(1i64 << 53), i64::MAX, i64::MIN][rng.index(4)];
+    let i = base.saturating_add(rng.i64_inclusive(-2, 2));
+    if rng.bool() {
+        Value::Int(i)
+    } else {
+        Value::Float(i as f64)
     }
 }
 
@@ -195,6 +211,38 @@ fn total_cmp_is_transitive() {
     });
 }
 
+/// Every triple of the numbers where INT and FLOAT part ways: `total_cmp`
+/// is a total order (equal to equal is equal, below below is below), and
+/// it is SQL's order on them.
+#[test]
+fn total_cmp_orders_the_edge_numbers() {
+    use std::cmp::Ordering::{Equal, Less};
+    let mut pool = vec![Value::Float(0.0), Value::Float(-0.0), Value::Int(0)];
+    for base in [1i64 << 53, -(1i64 << 53), i64::MAX, i64::MIN] {
+        for d in -2..=2 {
+            let i = base.saturating_add(d);
+            pool.extend([Value::Int(i), Value::Float(i as f64)]);
+        }
+    }
+    for a in &pool {
+        for b in &pool {
+            assert_eq!(a.sql_cmp(b), Some(a.total_cmp(b)), "{a:?} vs {b:?}");
+            for c in &pool {
+                let (ab, bc, ac) = (a.total_cmp(b), b.total_cmp(c), a.total_cmp(c));
+                if ab == Equal && bc == Equal {
+                    assert_eq!(ac, Equal, "{a:?} = {b:?} = {c:?}");
+                }
+                if ab != Equal && ab == bc {
+                    assert_eq!(ac, ab, "{a:?}, {b:?}, {c:?}");
+                }
+                if ab == Less && bc == Equal || ab == Equal && bc == Less {
+                    assert_eq!(ac, Less, "{a:?}, {b:?}, {c:?}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn dedup_eq_implies_equal_hash() {
     cases("dedup_eq_equal_hash", 512, 0x03, |rng| {
@@ -221,6 +269,175 @@ fn sql_eq_agrees_with_dedup_eq_for_non_null() {
             assert_eq!(eq, a.dedup_eq(&b));
         }
     });
+}
+
+/// Dedup equality is SQL `=`: the two statements that disagreed before,
+/// the second one in every order of its three operands.
+#[test]
+fn union_dedups_what_equality_equates() {
+    let db = Database::new();
+    let count = |sql: &str| db.query(sql).unwrap().len();
+    assert_eq!(count("SELECT 1 WHERE 0.0 = -0.0"), 1);
+    assert_eq!(count("SELECT 0.0 UNION SELECT -0.0"), 1);
+    let (odd, float, even) = ("9007199254740993", "9007199254740992.0", "9007199254740992");
+    assert_eq!(count(&format!("SELECT 1 WHERE {odd} = {float}")), 0);
+    assert_eq!(count(&format!("SELECT 1 WHERE {even} = {float}")), 1);
+    for [a, b, c] in [
+        [odd, float, even],
+        [float, odd, even],
+        [even, odd, float],
+        [float, even, odd],
+    ] {
+        let sql = format!("SELECT {a} UNION SELECT {b} UNION SELECT {c}");
+        assert_eq!(count(&sql), 2, "{sql}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Operand path ≡ interpreter
+// ---------------------------------------------------------------------------
+
+/// The columns of both tables of the differential: name and type.
+const COLUMNS: [(&str, &str); 4] = [
+    ("i", "INTEGER"),
+    ("f", "DOUBLE"),
+    ("s", "VARCHAR"),
+    ("b", "BOOLEAN"),
+];
+
+/// A stored value of column `col`: NULLs, both zeros, INT/FLOAT neighbours
+/// of 2^53, and (for `f`) the twin of the row's INT half the time.
+fn stored(rng: &mut Prng, col: usize, twin: &Value) -> Value {
+    const BIG: i64 = 1 << 53;
+    if rng.index(5) == 0 {
+        return Value::Null;
+    }
+    match col {
+        0 => Value::Int([0, 1, 2, -3, BIG, BIG + 1][rng.index(6)]),
+        1 => match twin {
+            Value::Int(i) if rng.bool() => Value::Float(*i as f64),
+            _ => Value::Float([0.0, -0.0, 1.5, 2.0, -3.0, BIG as f64][rng.index(6)]),
+        },
+        2 => Value::Text(["", "a", "b"][rng.index(3)].into()),
+        _ => Value::Bool(rng.bool()),
+    }
+}
+
+/// A literal as written in SQL: INTs (a template lifts them into `$n`),
+/// FLOATs, texts, booleans, NULL. No sign: `-1` is an operator.
+fn literal(rng: &mut Prng, col: usize) -> String {
+    match col {
+        0 => ["0", "2", "9007199254740992", "9007199254740993"][rng.index(4)].into(),
+        1 => ["0.0", "1.5", "2.0", "9007199254740992.0"][rng.index(4)].into(),
+        2 => ["''", "'a'", "'b'"][rng.index(3)].into(),
+        _ if rng.index(3) == 0 => "NULL".into(),
+        _ => ["TRUE", "FALSE"][rng.index(2)].into(),
+    }
+}
+
+/// A leaf of type `col` (or, one time in four, of any type): a column of
+/// one of `tables`, or a literal.
+fn operand(rng: &mut Prng, col: usize, tables: &[&str]) -> String {
+    let col = if rng.index(4) == 0 { rng.index(4) } else { col };
+    if rng.bool() {
+        format!("{}.{}", tables[rng.index(tables.len())], COLUMNS[col].0)
+    } else {
+        literal(rng, col)
+    }
+}
+
+/// Rows (as `Debug`, which tells `-0.0` from `0.0`) or the error message.
+fn outcome(db: &Database, sql: &str) -> Result<Vec<String>, String> {
+    let rows = |rs: pdm_sql::ResultSet| rs.rows.iter().map(|r| format!("{:?}", r.0)).collect();
+    db.query(sql).map(rows).map_err(|e| e.to_string())
+}
+
+/// The same through a template: every INT literal of `sql` is a `$n`.
+fn templated(db: &Database, sql: &str) -> Result<Vec<String>, String> {
+    let rows = |rs: pdm_sql::ResultSet| rs.rows.iter().map(|r| format!("{:?}", r.0)).collect();
+    let resolved = pdm_sql::template::Templates::default()
+        .resolve(sql)
+        .map_err(|e| e.to_string())?;
+    db.query_template_profiled(&resolved.template, &resolved.values, &Recorder::disabled())
+        .map(|(rs, _)| rows(rs))
+        .map_err(|e| e.to_string())
+}
+
+/// A comparison of two operands is decided in place (`holds`), and a
+/// projected operand is cloned from the row; wrapped so that only the
+/// interpreter can evaluate them (`NOT (NOT (p))`, `CASE WHEN TRUE THEN c
+/// END`), each must give the same rows — and, where a type mismatch stops
+/// the statement, the same message. Columns, literals and `$n` on either
+/// side, at depth 0 and (inside `EXISTS`) depth 1. Semi-join decorrelation
+/// is off: it would take the `EXISTS` equalities away from `holds`.
+#[test]
+fn operands_read_in_place_as_the_interpreter_reads_them() {
+    let (mut rows_seen, mut errors_seen) = (0, 0);
+    cases("operand_path_vs_interpreter", 512, 0x0B, |rng| {
+        let mut db = Database::new();
+        db.config.semijoin_decorrelation = false;
+        for table in ["t", "u"] {
+            let cols: Vec<String> = COLUMNS.iter().map(|(n, ty)| format!("{n} {ty}")).collect();
+            db.execute(&format!("CREATE TABLE {table} ({})", cols.join(", ")))
+                .unwrap();
+            let rows = (0..rng.usize_inclusive(0, 6))
+                .map(|_| {
+                    let i = stored(rng, 0, &Value::Null);
+                    let rest = (1..4).map(|c| stored(rng, c, &i));
+                    pdm_sql::Row(std::iter::once(i.clone()).chain(rest).collect())
+                })
+                .collect();
+            db.insert_rows(table, rows).unwrap();
+        }
+        let op = ["=", "<>", "<", "<=", ">", ">="][rng.index(6)];
+        let ty = rng.index(4);
+        let mut pairs = Vec::new();
+        // Depth 0: a filter of `t`.
+        let (l, r) = (operand(rng, ty, &["t"]), operand(rng, ty, &["t"]));
+        pairs.push((
+            format!("SELECT t.i, t.s FROM t WHERE {l} {op} {r}"),
+            format!("SELECT t.i, t.s FROM t WHERE NOT (NOT ({l} {op} {r}))"),
+        ));
+        // Depth 1: `t`'s column inside a subquery over `u`.
+        let (l, r) = (operand(rng, ty, &["u"]), operand(rng, ty, &["t"]));
+        let (l, r) = if rng.bool() { (l, r) } else { (r, l) };
+        pairs.push((
+            format!("SELECT t.i FROM t WHERE EXISTS (SELECT 1 FROM u WHERE {l} {op} {r})"),
+            format!(
+                "SELECT t.i FROM t WHERE EXISTS (SELECT 1 FROM u WHERE NOT (NOT ({l} {op} {r})))"
+            ),
+        ));
+        // Projection over two bindings.
+        let items: Vec<String> = (0..rng.usize_inclusive(1, 4))
+            .map(|_| {
+                let ty = rng.index(4);
+                operand(rng, ty, &["t", "u"])
+            })
+            .collect();
+        let wrapped: Vec<String> = items
+            .iter()
+            .map(|c| format!("CASE WHEN TRUE THEN {c} END"))
+            .collect();
+        pairs.push((
+            format!("SELECT {} FROM t, u", items.join(", ")),
+            format!("SELECT {} FROM t, u", wrapped.join(", ")),
+        ));
+        for (fast, interpreted) in pairs {
+            for run in [outcome, templated] {
+                let got = run(&db, &fast);
+                assert_eq!(got, run(&db, &interpreted), "{fast}");
+                match got {
+                    Ok(rows) => rows_seen += usize::from(!rows.is_empty()),
+                    Err(_) => errors_seen += 1,
+                }
+            }
+        }
+    });
+    // Both outcomes are well represented (of 512 × 6 runs).
+    assert!(
+        rows_seen > 1000 && errors_seen > 200,
+        "{rows_seen} {errors_seen}"
+    );
 }
 
 // ---------------------------------------------------------------------------
