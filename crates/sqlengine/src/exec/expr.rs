@@ -187,9 +187,7 @@ fn eval_binary<'v>(
     let l = left.eval(cx, f)?;
     let r = right.eval(cx, f)?;
     match op {
-        BinOp::Eq | BinOp::NotEq | BinOp::Lt | BinOp::LtEq | BinOp::Gt | BinOp::GtEq => {
-            bool3(compare(op, &l, &r)?)
-        }
+        op if is_comparison(op) => bool3(compare(op, &l, &r)?),
         BinOp::Plus | BinOp::Minus | BinOp::Mul | BinOp::Div | BinOp::Mod => {
             eval_arithmetic(op, &l, &r).map(Cow::Owned)
         }
@@ -197,10 +195,11 @@ fn eval_binary<'v>(
             (Value::Null, _) | (_, Value::Null) => Value::Null,
             (a, b) => Value::Text(format!("{}{}", text_of(a), text_of(b))),
         }),
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        _ => unreachable!("AND and OR are handled above"),
     }
 }
 
+/// Is `op` one of the comparisons [`compare`] decides?
 fn is_comparison(op: BinOp) -> bool {
     matches!(
         op,

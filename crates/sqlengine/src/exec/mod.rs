@@ -23,12 +23,13 @@
 //! Evaluation stays row-at-a-time over materialized operator outputs — no
 //! byte-code, no iterators-of-batches — but a leaf is not interpreted: a
 //! column or a constant is an *operand* (`PExpr::operand`), read in
-//! place where the plan put it. A comparison of two operands decides there
-//! (`holds`: no `Value` is built for its truth), a projected operand is
-//! cloned straight from the row, and a cast of a literal was folded into the
-//! literal when the statement compiled (a cast that fails stays an operator,
-//! to fail only where a row reaches it). Everything else goes through
-//! `PExpr::eval`, whose comparisons share the one truth table.
+//! place where the plan put it: `PExpr::eval` returns it as a borrow before
+//! it interprets anything, so a projected column is cloned once, into the
+//! result. A comparison of two operands decides in place (`holds`: no
+//! `Value` is built for its truth, through the truth table `eval` also
+//! uses), and a cast of a literal was folded into the literal when the
+//! statement compiled (a cast that fails stays an operator, to fail only
+//! where a row reaches it).
 
 pub mod aggregate;
 pub mod explain;
@@ -359,10 +360,7 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Re
                 let frame = Frame::of(row, outer);
                 let mut values = Vec::with_capacity(sel.items.len());
                 for e in &sel.items {
-                    values.push(match e.operand(cx, &frame) {
-                        Some(v) => v.clone(),
-                        None => e.eval(cx, &frame)?.into_owned(),
-                    });
+                    values.push(e.eval(cx, &frame)?.into_owned());
                 }
                 out.push(Row(values));
             }
@@ -372,7 +370,7 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Re
 
     // 4. DISTINCT.
     if sel.distinct {
-        out = setops::distinct(out.into_iter());
+        out = setops::distinct(out.into_iter(), setops::Seen::default());
     }
     Ok(out)
 }

@@ -8,6 +8,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::ast::SetOp;
 use crate::error::{Error, Result};
+use crate::persist::WordHasher;
 use crate::row::Row;
 
 /// De-duplication by full-row hash over rows the caller stores: the set
@@ -20,66 +21,14 @@ pub(crate) struct Seen {
     len: usize,
 }
 
-/// A fixed hash: results never depend on it, and runs must repeat exactly.
-/// Not keyed, so a client could choose rows that collide — as under
-/// `DefaultHasher::new()` (SipHash with fixed keys), which costs several
-/// times as much per row.
+/// A fixed hash ([`WordHasher`]): results never depend on it, and runs must
+/// repeat exactly. Not keyed, so a client could choose rows that collide —
+/// as under `DefaultHasher::new()` (SipHash with fixed keys), which costs
+/// several times as much per row.
 fn hash_of(row: &Row) -> u64 {
-    let mut hasher = WordHasher(0);
+    let mut hasher = WordHasher::new(0);
     row.hash(&mut hasher);
     hasher.finish()
-}
-
-/// Multiplicative word hashing (FxHash's step: rotate, xor, multiply) with a
-/// final avalanche, because [`Seen`] indexes its slots by the low bits,
-/// which a multiply alone leaves poorly mixed.
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, word: u64) {
-        const K: u64 = 0xf135_7aea_2e62_a9c5;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.add(bytes.len() as u64);
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let mut w = [0; 8];
-            w.copy_from_slice(word);
-            self.add(u64::from_le_bytes(w));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut w = [0; 8];
-            w[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-
-    /// MurmurHash3's 64-bit finaliser.
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
 }
 
 impl Seen {
@@ -147,9 +96,9 @@ impl Seen {
     }
 }
 
-/// Keep the first occurrence of each row, in order.
-pub(crate) fn distinct(rows: impl Iterator<Item = Row>) -> Vec<Row> {
-    let mut seen = Seen::with_capacity(rows.size_hint().0);
+/// Keep the first occurrence of each row, in order, remembering them in
+/// `seen` (empty).
+pub(crate) fn distinct(rows: impl Iterator<Item = Row>, mut seen: Seen) -> Vec<Row> {
     let mut out = Vec::with_capacity(rows.size_hint().0);
     for row in rows {
         if seen.is_new(&out, &row) {
@@ -175,17 +124,22 @@ pub(crate) fn apply(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -
             left.extend(right);
             left
         }
-        (SetOp::Union, false) => distinct(left.into_iter().chain(right)),
+        (SetOp::Union, false) => {
+            // Sized for operands of mostly distinct rows (the Query's UNION
+            // of assemblies and components), so the set never grows.
+            let seen = Seen::with_capacity(left.len() + right.len());
+            distinct(left.into_iter().chain(right), seen)
+        }
         (SetOp::Intersect | SetOp::Except, _) => {
             let keep_members = op == SetOp::Intersect;
-            let mut members = Seen::with_capacity(right.len());
+            let mut members = Seen::default();
             let mut right_rows = Vec::with_capacity(right.len());
             for row in right {
                 if members.is_new(&right_rows, &row) {
                     right_rows.push(row);
                 }
             }
-            let mut seen = Seen::with_capacity(left.len());
+            let mut seen = Seen::default();
             let mut out = Vec::new();
             for row in left {
                 let member = members.find(&right_rows, &row).is_some();

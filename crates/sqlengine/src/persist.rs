@@ -24,6 +24,7 @@
 //! * **hash indexes** — only the indexed column *names* are stored; the
 //!   index payload is rebuilt from the rows on load.
 
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use crate::catalog::Catalog;
@@ -434,31 +435,71 @@ pub fn database_fingerprint(db: &crate::SharedDatabase) -> Vec<u8> {
     state_fingerprint(Arc::as_ref(&db.snapshot()))
 }
 
-/// 64-bit hash of `bytes` under `seed`, eight bytes at a time. Equal inputs
-/// hash equal on every site and in every run (no per-process key): replicas
+/// 64-bit hash of `bytes` under `seed` ([`WordHasher`]). Equal inputs hash
+/// equal on every site and in every run (no per-process key): replicas
 /// compare these across the ship link. Guards against corruption, not
 /// against an adversary choosing the bytes.
 pub(crate) fn hash_bytes(seed: u64, bytes: &[u8]) -> u64 {
+    let mut hasher = WordHasher::new(seed);
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// The crate's one fixed hash, eight bytes at a time: one multiply per word
+/// — each step a bijection of the state and of the word — and the
+/// splitmix64 finalizer once, to spread the last words' high bits over the
+/// result (set de-duplication indexes its slots by the low bits). Not keyed,
+/// so runs repeat exactly; it serves [`hash_bytes`] and, as a [`Hasher`],
+/// row de-duplication.
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
     const ODD: u64 = 0x9e37_79b9_7f4a_7c15;
-    // One multiply per word — each step a bijection of the state and of the
-    // word — and the splitmix64 finalizer once, to spread the last words'
-    // high bits over the result.
-    let step =
-        |h: u64, word: [u8; 8]| (h.rotate_left(29) ^ u64::from_le_bytes(word)).wrapping_mul(ODD);
-    let mut h = seed.wrapping_mul(ODD) ^ bytes.len() as u64;
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = step(h, word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+
+    pub(crate) fn new(seed: u64) -> Self {
+        WordHasher(seed.wrapping_mul(Self::ODD))
     }
-    let rest = words.remainder();
-    if !rest.is_empty() {
-        let mut word = [0u8; 8];
-        word[..rest.len()].copy_from_slice(rest);
-        h = step(h, word);
+
+    fn step(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(29) ^ word).wrapping_mul(Self::ODD);
     }
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 ^= bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(u64::from_le_bytes(
+                word.try_into().expect("chunks_exact(8) yields 8 bytes"),
+            ));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.step(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.step(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.step(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.step(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0;
+        let h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^ (h >> 31)
+    }
 }
 
 /// Compact 64-bit digest of the data in a snapshot: a hash of the
