@@ -50,7 +50,7 @@ pub fn row_attrs(rs: &ResultSet, row: &Row) -> HashMap<String, Value> {
     rs.schema
         .columns()
         .iter()
-        .zip(row.values())
+        .zip(row)
         .map(|(c, v)| (c.name.clone(), v.clone()))
         .collect()
 }
@@ -125,7 +125,7 @@ impl NodeShape {
     /// The node one row of this shape's result describes, under `parent`
     /// when given.
     pub fn node(&self, row: &Row, parent: Option<ObjectId>) -> ProductNode {
-        let text = |at: Option<usize>| match at.and_then(|i| row.values().get(i)) {
+        let text = |at: Option<usize>| match at.and_then(|i| row.try_get(i)) {
             Some(Value::Text(t)) => t.clone(),
             _ => String::new(),
         };
@@ -147,7 +147,7 @@ impl NodeShape {
         // cannot reach the map's contents.
         for value in attrs.values_mut() {
             if let Value::Int(i) = *value {
-                *value = row.values().get(i as usize).cloned().unwrap_or(Value::Null);
+                *value = row.try_get(i as usize).cloned().unwrap_or(Value::Null);
             }
         }
         attrs
@@ -299,7 +299,7 @@ impl PartialEq for NodeRows {
 
 /// The integer at position `at` of `row`, if there is one.
 fn int_at(row: &Row, at: Option<usize>) -> Option<ObjectId> {
-    match at.and_then(|i| row.values().get(i)) {
+    match at.and_then(|i| row.try_get(i)) {
         Some(Value::Int(i)) => Some(*i),
         _ => None,
     }

@@ -75,7 +75,7 @@ pub(crate) fn run_group<'v>(
         for e in &sel.items {
             values.push(e.eval(cx, &frame)?.into_owned());
         }
-        out.push(Row(values));
+        out.push(Row::new(values));
     }
     Ok(out)
 }

@@ -7,7 +7,9 @@
 //! operator keeps alive. `n` joined bindings are `n` consecutive references
 //! in one flat vector; nothing is copied and no flattened row is built. A
 //! candidate row is placed into a scratch frame, its filters are tested
-//! there, and only a row that passes is appended (as pointers).
+//! there, and only a row that passes is appended (as pointers). The scan of
+//! a sharing block (`scan_stored`) appends the stored row's `Arc` instead,
+//! which its projection clones into the result.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -17,8 +19,40 @@ use crate::error::Result;
 use crate::exec::plan::{Const, Factor, Join, PExpr, SelectPlan, Source};
 use crate::exec::{Cx, Frame};
 use crate::row::Row;
-use crate::storage::Table;
+use crate::storage::{SharedRow, Table};
 use crate::value::Value;
+
+/// What a scan appends for a row it admits: a reference to it, as a FROM
+/// binding (`&[Value]`) or, for a sharing block, as the stored row.
+pub(crate) trait Admitted<'v>: Copy {
+    fn stored(row: &'v SharedRow) -> Self;
+    fn materialized(row: &'v Row) -> Self;
+    fn values(self) -> &'v [Value];
+}
+
+impl<'v> Admitted<'v> for &'v [Value] {
+    fn stored(row: &'v SharedRow) -> Self {
+        row
+    }
+    fn materialized(row: &'v Row) -> Self {
+        row.as_slice()
+    }
+    fn values(self) -> &'v [Value] {
+        self
+    }
+}
+
+impl<'v> Admitted<'v> for &'v SharedRow {
+    fn stored(row: &'v SharedRow) -> Self {
+        row
+    }
+    fn materialized(_: &'v Row) -> Self {
+        unreachable!("a sharing block scans a base table")
+    }
+    fn values(self) -> &'v [Value] {
+        self
+    }
+}
 
 /// Where a factor's rows are read from.
 #[derive(Clone, Copy)]
@@ -63,6 +97,32 @@ pub(crate) fn run_from<'v>(
         };
     }
     Ok(acc)
+}
+
+/// The admitted stored rows of a sharing block, whose one factor is a base
+/// table ([`SelectPlan::layout`]): the same scan, filters and probe as
+/// [`run_from`]'s.
+pub(crate) fn scan_stored<'v>(
+    cx: Cx<'v>,
+    sel: &'v SelectPlan,
+    outer: Option<&Frame<'_, 'v>>,
+) -> Result<Vec<&'v SharedRow>> {
+    let [f @ Factor {
+        source: Source::Table(slot),
+        ..
+    }] = sel.factors.as_slice()
+    else {
+        unreachable!("a sharing block has one factor, a base table")
+    };
+    let mut scratch: [&'v [Value]; 1] = [&[]];
+    let mut op = Operator {
+        cx,
+        f,
+        k: 0,
+        scratch: &mut scratch,
+        outer,
+    };
+    op.scan(Rows::Table(cx.rt.tables[*slot]))
 }
 
 /// Ascending ids of the rows of `table` whose indexed column `col` equals
@@ -116,7 +176,7 @@ impl<'v> Operator<'_, '_, 'v> {
 
     /// The factor's rows that pass its pushed-down filters, visiting only
     /// the index candidates when the plan names a probe.
-    fn scan(&mut self, rows: Rows<'v>) -> Result<Vec<&'v [Value]>> {
+    fn scan<A: Admitted<'v>>(&mut self, rows: Rows<'v>) -> Result<Vec<A>> {
         let f = self.f;
         let span = self.cx.rt.obs.span(pdm_obs::kinds::SCAN, &*f.binding);
         let filters = || f.filters.iter().map(|c| &c.expr);
@@ -127,24 +187,25 @@ impl<'v> Operator<'_, '_, 'v> {
                 let candidates = index_candidates(t, *col, keys, self.cx.rt.params);
                 out.reserve_exact(candidates.len());
                 for &rid in candidates.iter() {
-                    if self.admits(t.row(rid), filters())? {
-                        out.push(t.row(rid));
+                    let row = &t.rows()[rid];
+                    if self.admits(row, filters())? {
+                        out.push(A::stored(row));
                     }
                 }
                 "index probe"
             }
             (Rows::Table(t), None) => {
-                for row in t.rows().iter().map(|r| &**r) {
+                for row in t.rows() {
                     if self.admits(row, filters())? {
-                        out.push(row);
+                        out.push(A::stored(row));
                     }
                 }
                 "full scan"
             }
             (Rows::Materialized(rows), _) => {
                 for row in rows {
-                    if self.admits(&row.0, filters())? {
-                        out.push(row.0.as_slice());
+                    if self.admits(row.as_slice(), filters())? {
+                        out.push(A::materialized(row));
                     }
                 }
                 "rows"

@@ -7,8 +7,16 @@
 //! its template's `$n` are bound to and its base tables looked up in the
 //! catalog of the run (`Plan::run`). Between a scan and a projection a row
 //! is a handful of references into the snapshot's shared rows ([`join`]); a
-//! `Value` is cloned only where SQL materialises one. EXPLAIN renders the
-//! same plan ([`explain`]), so it cannot drift from what runs.
+//! `Value` is cloned only where SQL materialises one — and not even there
+//! by a *sharing* block: a SELECT of the statement's own body (a set
+//! operation's branches included) over one base table that projects only
+//! its columns and constants, ungrouped, with no hidden ORDER BY column.
+//! Its result row is the stored row's `Arc` read through the block's layout
+//! ([`crate::row`]), as the Query action's two blocks and the root fetch
+//! are. Joins, CTE bodies, views, derived tables, subqueries and computed
+//! projections copy, so every row a FROM clause binds is a `&[Value]`.
+//! EXPLAIN renders the same plan ([`explain`]), so it cannot drift from
+//! what runs.
 //!
 //! This replaced an AST walker that resolved names per row and copied rows
 //! at every operator boundary. The paper may ignore local execution cost
@@ -47,10 +55,11 @@ use std::sync::Arc;
 use crate::ast::Query;
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::row::{ResultSet, Row};
-use crate::storage::Table;
+use crate::row::{ResultSet, Row, Slot};
+use crate::storage::{SharedRow, Table};
 use crate::value::Value;
 
+use join::Admitted;
 use plan::{CteBody, CtePlan, PExpr, Plan, QueryPlan, SelectPlan, SetPlan, Source};
 use subquery::Cached;
 
@@ -300,7 +309,7 @@ fn run_body(cx: Cx<'_>, q: &QueryPlan, outer: Option<&Frame<'_, '_>>) -> Result<
         // Strip hidden sort columns.
         let visible = q.schema.len();
         if visible < q.body.schema().len() {
-            rows.iter_mut().for_each(|row| row.0.truncate(visible));
+            rows.iter_mut().for_each(|row| row.truncate(visible));
         }
     }
     if let Some(n) = q.limit {
@@ -332,6 +341,18 @@ pub(crate) fn run_set(
 
 /// Evaluate one SELECT block.
 fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
+    let mut out = match &sel.layout {
+        Some(layout) => run_shared(cx, sel, layout, outer)?,
+        None => run_owned(cx, sel, outer)?,
+    };
+    if sel.distinct {
+        out = setops::distinct(out.into_iter(), setops::Seen::default());
+    }
+    Ok(out)
+}
+
+/// FROM, WHERE and the projection of a block that copies what it projects.
+fn run_owned(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
     // 1. FROM. Views and derived tables are materialised first, in order; a
     //    view never sees the enclosing query's rows. A constant select
     //    (`SELECT 1`) has one row of one empty binding.
@@ -347,13 +368,12 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Re
     };
 
     // 2. WHERE: the conjuncts no scan took.
-    let residual: Vec<&PExpr> = sel.residual.iter().map(|c| &c.expr).collect();
-    filter(cx, &mut rows, n, &residual, outer)?;
+    filter(cx, &mut rows, n, &residual(sel), outer)?;
 
     // 3. Aggregation or plain projection: the one place a SELECT copies
     //    values, into its result.
-    let mut out = match &sel.group {
-        Some(group) => aggregate::run_group(cx, sel, group, &rows, n, outer)?,
+    match &sel.group {
+        Some(group) => aggregate::run_group(cx, sel, group, &rows, n, outer),
         None => {
             let mut out = Vec::with_capacity(rows.len() / n);
             for row in rows.chunks(n) {
@@ -362,23 +382,39 @@ fn run_select(cx: Cx<'_>, sel: &SelectPlan, outer: Option<&Frame<'_, '_>>) -> Re
                 for e in &sel.items {
                     values.push(e.eval(cx, &frame)?.into_owned());
                 }
-                out.push(Row(values));
+                out.push(Row::new(values));
             }
-            out
+            Ok(out)
         }
-    };
-
-    // 4. DISTINCT.
-    if sel.distinct {
-        out = setops::distinct(out.into_iter(), setops::Seen::default());
     }
-    Ok(out)
+}
+
+/// FROM, WHERE and the projection of a sharing block
+/// ([`SelectPlan::layout`]): each row it admits is handed on as the stored
+/// row, read through a layout this run builds once (so concurrent runs of
+/// one kept plan count no shared reference).
+fn run_shared(
+    cx: Cx<'_>,
+    sel: &SelectPlan,
+    layout: &[Slot],
+    outer: Option<&Frame<'_, '_>>,
+) -> Result<Vec<Row>> {
+    let mut rows = join::scan_stored(cx, sel, outer)?;
+    filter(cx, &mut rows, 1, &residual(sel), outer)?;
+    let layout: Arc<[Slot]> = layout.into();
+    let share = |stored: &SharedRow| Row::shared(Arc::clone(stored), Arc::clone(&layout));
+    Ok(rows.into_iter().map(share).collect())
+}
+
+/// The WHERE conjuncts of `sel` no scan took.
+fn residual(sel: &SelectPlan) -> Vec<&PExpr> {
+    sel.residual.iter().map(|c| &c.expr).collect()
 }
 
 /// Keep the joined rows (`n` references each) on which every conjunct holds.
-pub(crate) fn filter<'v>(
+pub(crate) fn filter<'v, A: Admitted<'v>>(
     cx: Cx<'v>,
-    rows: &mut Vec<&'v [Value]>,
+    rows: &mut Vec<A>,
     n: usize,
     conjuncts: &[&'v PExpr],
     outer: Option<&Frame<'_, 'v>>,
@@ -389,8 +425,12 @@ pub(crate) fn filter<'v>(
     let span = cx.rt.obs.span(pdm_obs::kinds::FILTER, "where");
     let rows_in = rows.len() / n;
     let mut kept = 0;
+    let mut bound: Vec<&'v [Value]> = vec![&[]; n];
     'rows: for i in 0..rows_in {
-        let frame = Frame::of(&rows[i * n..(i + 1) * n], outer);
+        for (b, row) in bound.iter_mut().zip(&rows[i * n..(i + 1) * n]) {
+            *b = row.values();
+        }
+        let frame = Frame::of(&bound, outer);
         for c in conjuncts {
             if !c.holds(cx, &frame)? {
                 continue 'rows;

@@ -45,6 +45,7 @@ use crate::error::{Error, Result};
 use crate::exec::recursion::{body_references, union_chain_is_all};
 use crate::exec::{ExecConfig, Rt};
 use crate::functions::ScalarFn;
+use crate::row::Slot;
 use crate::schema::{Column, Schema};
 use crate::storage::Table;
 use crate::template;
@@ -257,6 +258,9 @@ pub(crate) struct SelectPlan {
     pub schema: Arc<Schema>,
     pub group: Option<Group>,
     pub distinct: bool,
+    /// Set on a *sharing* block ([`share_stored_rows`]): what each output
+    /// position reads of the one table's stored row.
+    pub layout: Option<Vec<Slot>>,
 }
 
 pub(crate) struct Group {
@@ -416,6 +420,50 @@ pub(crate) fn compile_for_explain(
         ..Compiler::new(catalog, config)
     }
     .plan(query)
+}
+
+/// Mark the SELECT blocks of a statement's own body (set-operation
+/// branches included) whose result rows can be the stored rows they project
+/// ([`crate::row`]): one FROM factor, a base table; no grouping; every item
+/// a column of that table or a constant written in the statement. Such a
+/// block hands on one `Arc` of each admitted row instead of a copy of its
+/// values. A statement with hidden ORDER BY columns strips them from its
+/// rows, so it shares none; and nothing below the body (a CTE, a view, a
+/// derived table, a subquery) does, so every row a FROM clause binds is
+/// owned.
+fn share_stored_rows(q: &mut QueryPlan) {
+    fn walk(body: &mut SetPlan) {
+        match body {
+            SetPlan::Select(sel) => sel.layout = layout(sel),
+            SetPlan::Op { left, right, .. } => {
+                walk(left);
+                walk(right);
+            }
+        }
+    }
+    fn layout(sel: &SelectPlan) -> Option<Vec<Slot>> {
+        let [Factor {
+            source: Source::Table(_),
+            ..
+        }] = sel.factors.as_slice()
+        else {
+            return None;
+        };
+        if sel.group.is_some() {
+            return None;
+        }
+        let slot = |e: &PExpr| match e {
+            PExpr::Column {
+                depth: 0, ordinal, ..
+            } => Some(Slot::Column(*ordinal)),
+            PExpr::Const(Const::Literal(v) | Const::Cast(v, _)) => Some(Slot::Const(v.clone())),
+            _ => None,
+        };
+        sel.items.iter().map(slot).collect()
+    }
+    if q.schema.len() == q.body.schema().len() {
+        walk(&mut q.body);
+    }
 }
 
 /// All-NULL rows of up to this many columns are not allocated.
@@ -583,7 +631,8 @@ impl<'a> Compiler<'a> {
     }
 
     fn plan(mut self, query: &'a Query) -> Result<Plan> {
-        let query = self.query(query)?;
+        let mut query = self.query(query)?;
+        share_stored_rows(&mut query);
         Ok(Plan {
             query,
             slots: self.slots,
@@ -1171,6 +1220,7 @@ impl<'a> Compiler<'a> {
             schema: Arc::new(Schema::new(columns)),
             group,
             distinct: sel.distinct,
+            layout: None,
         };
         Ok((SetPlan::Select(Box::new(plan)), sort, visible))
     }
@@ -1618,6 +1668,154 @@ mod tests {
                 panic!("a comparison")
             };
             assert!(args.iter().all(is_operand), "of two operands");
+        }
+    }
+
+    /// The Query's tables, the link table and a view over one of them.
+    fn pdm_db() -> Database {
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE assy (type VARCHAR, obid INTEGER, name VARCHAR, dec VARCHAR, \
+             make_or_buy VARCHAR, strc_opt VARCHAR, checkedout BOOLEAN, payload VARCHAR)",
+            "CREATE TABLE comp (type VARCHAR, obid INTEGER, name VARCHAR, strc_opt VARCHAR, \
+             checkedout BOOLEAN, payload VARCHAR)",
+            "CREATE TABLE link (obid INTEGER, left INTEGER, right INTEGER, eff_from INTEGER, \
+             eff_to INTEGER, strc_opt VARCHAR)",
+            "CREATE INDEX ON assy (obid)",
+            "CREATE INDEX ON comp (obid)",
+            "CREATE INDEX ON link (left)",
+            "CREATE VIEW v AS SELECT obid, name FROM assy",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        db
+    }
+
+    /// The SELECT blocks of `body`, left to right.
+    fn blocks(body: &SetPlan) -> Vec<&SelectPlan> {
+        match body {
+            SetPlan::Select(sel) => vec![sel],
+            SetPlan::Op { left, right, .. } => [blocks(left), blocks(right)].concat(),
+        }
+    }
+
+    /// The SELECT blocks one level below `q`'s body: its CTEs', and its
+    /// blocks' views, derived tables and subqueries.
+    fn nested(q: &QueryPlan) -> Vec<&SelectPlan> {
+        fn subqueries<'p>(e: &'p PExpr, out: &mut Vec<&'p SelectPlan>) {
+            if let PExpr::Op { op, args } = e {
+                if let Op::Exists { sub, .. } | Op::Scalar(sub) | Op::InSubquery { sub, .. } = op {
+                    out.extend(blocks(&sub.query.body));
+                }
+                args.iter().for_each(|a| subqueries(a, out));
+            }
+        }
+        let mut out = Vec::new();
+        for cte in &q.ctes {
+            match &cte.body {
+                CteBody::Plain(plan) => out.extend(blocks(&plan.body)),
+                CteBody::Recursive { terms, .. } => {
+                    terms.iter().for_each(|(t, _)| out.extend(blocks(t)));
+                }
+            }
+        }
+        for sel in blocks(&q.body) {
+            for f in &sel.factors {
+                if let Source::Sub { plan, .. } = &f.source {
+                    out.extend(blocks(&plan.body));
+                }
+                f.filters.iter().for_each(|c| subqueries(&c.expr, &mut out));
+            }
+            sel.residual
+                .iter()
+                .for_each(|c| subqueries(&c.expr, &mut out));
+            sel.items.iter().for_each(|e| subqueries(e, &mut out));
+        }
+        out
+    }
+
+    /// Whether each block of the statement's body shares its rows, and
+    /// (`$1` bound to 1) the layouts of those that do.
+    fn sharing(db: &Database, sql: &str) -> (Vec<bool>, Vec<String>) {
+        let query = crate::parser::parse_template(sql).unwrap();
+        let plan = compile(&db.catalog, &db.config, &query, &[Value::Int(1)]).unwrap();
+        let nested = nested(&plan.query);
+        assert!(nested.iter().all(|sel| sel.layout.is_none()), "{sql}");
+        let own = blocks(&plan.query.body);
+        let layouts = own.iter().filter_map(|sel| sel.layout.as_ref());
+        (
+            own.iter().map(|sel| sel.layout.is_some()).collect(),
+            layouts.map(|l| format!("{l:?}")).collect(),
+        )
+    }
+
+    #[test]
+    fn only_a_plain_block_of_the_statement_shares_its_rows() {
+        let db = pdm_db();
+        // The Query: both blocks, columns reordered around constants.
+        let (shares, layouts) = sharing(&db, QUERY_ALL);
+        assert_eq!(shares, [true, true]);
+        let nulls = "Const(Null), ".repeat(4);
+        assert_eq!(
+            layouts,
+            [
+                format!(
+                    "[Column(0), Column(1), Column(2), Column(3), {nulls}\
+                     Column(5), Column(6), Column(7)]"
+                ),
+                format!(
+                    "[Column(0), Column(1), Column(2), Const(Text(\"\")), {nulls}\
+                     Column(3), Column(4), Column(5)]"
+                ),
+            ]
+        );
+        let root_fetch = QUERY_ALL
+            .replace(
+                "assy.obid <> $1 AND assy.strc_opt = 'OPTA'",
+                "assy.obid = $1",
+            )
+            .replace("comp.strc_opt = 'OPTA'", "comp.obid = $1");
+        assert_eq!(sharing(&db, &root_fetch).0, [true, true]);
+
+        // A statement's own blocks that share: sorted on visible columns,
+        // filtered by a subquery (whose body does not share), DISTINCT.
+        for shares in [
+            "SELECT name, obid FROM assy ORDER BY obid DESC",
+            "SELECT * FROM assy LIMIT 3",
+            "SELECT obid FROM assy WHERE obid IN (SELECT obid FROM comp)",
+            "SELECT obid FROM assy WHERE EXISTS (SELECT 1 FROM comp WHERE comp.obid = assy.obid)",
+            "SELECT obid FROM assy WHERE obid = (SELECT obid FROM comp WHERE obid = 2)",
+            "SELECT DISTINCT strc_opt, 'x' FROM comp",
+        ] {
+            assert_eq!(sharing(&db, shares).0, [true], "{shares}");
+        }
+
+        let expand = "SELECT assy.type, assy.obid, assy.name, link.left AS \"parent\" \
+            FROM link JOIN assy ON link.right = assy.obid WHERE link.left = $1 \
+            UNION SELECT comp.type, comp.obid, comp.name, link.left AS \"parent\" \
+            FROM link JOIN comp ON link.right = comp.obid WHERE link.left = $1";
+        assert_eq!(sharing(&db, expand).0, [false, false]);
+        let mle = "WITH RECURSIVE rtbl (obid, parent) AS (SELECT assy.obid, \
+            CAST (NULL AS integer) FROM assy WHERE assy.obid = $1 UNION SELECT comp.obid, \
+            link.left FROM rtbl JOIN link ON rtbl.obid = link.left JOIN comp \
+            ON link.right = comp.obid) SELECT obid, parent FROM rtbl WHERE obid <> $1";
+        assert_eq!(sharing(&db, mle).0, [false]);
+        for owned in [
+            "SELECT obid FROM v",
+            "SELECT x.obid FROM (SELECT obid FROM assy) AS x",
+            "WITH c AS (SELECT obid FROM assy) SELECT obid FROM c",
+            "SELECT strc_opt FROM comp GROUP BY strc_opt",
+            "SELECT COUNT(*) FROM comp",
+            "SELECT obid, $1 FROM assy",
+            "SELECT obid + 1 FROM assy",
+            "SELECT CAST ('x' AS integer) FROM assy",
+            "SELECT (SELECT MAX(obid) FROM comp) FROM assy",
+            "SELECT name FROM assy ORDER BY obid",
+            "SELECT assy.obid FROM assy LEFT JOIN comp ON assy.obid = comp.obid",
+            "SELECT assy.obid FROM assy, comp",
+            "SELECT 1",
+        ] {
+            assert_eq!(sharing(&db, owned).0, [false], "{owned}");
         }
     }
 }

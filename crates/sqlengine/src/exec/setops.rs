@@ -158,7 +158,9 @@ mod tests {
     use crate::value::Value;
 
     fn rs(vals: &[i64]) -> Vec<Row> {
-        vals.iter().map(|&v| Row(vec![Value::Int(v)])).collect()
+        vals.iter()
+            .map(|&v| Row::new(vec![Value::Int(v)]))
+            .collect()
     }
 
     fn xs(rows: &[Row]) -> Vec<i64> {
@@ -202,8 +204,8 @@ mod tests {
 
     #[test]
     fn union_treats_nulls_as_duplicates() {
-        let l = vec![Row(vec![Value::Null]), Row(vec![Value::Null])];
-        let r = vec![Row(vec![Value::Null])];
+        let l = vec![Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
+        let r = vec![Row::new(vec![Value::Null])];
         assert_eq!(apply(SetOp::Union, false, l, r).len(), 1);
     }
 
@@ -227,7 +229,7 @@ mod tests {
         ];
         for a in &values {
             for b in &values {
-                let row = |v: &Value| Row(vec![v.clone(), Value::Text("x".into())]);
+                let row = |v: &Value| Row::new(vec![v.clone(), Value::Text("x".into())]);
                 if a.dedup_eq(b) {
                     assert_eq!(hash_of(&row(a)), hash_of(&row(b)), "{a} vs {b}");
                 }
@@ -241,7 +243,7 @@ mod tests {
         // expand's rows differ) must not crowd into few of 2,048 slots.
         let mut used = vec![false; 2048];
         for i in 0..1024 {
-            used[hash_of(&Row(vec![Value::Int(i)])) as usize & 2047] = true;
+            used[hash_of(&Row::new(vec![Value::Int(i)])) as usize & 2047] = true;
         }
         let spread = used.iter().filter(|u| **u).count();
         assert!(spread > 700, "{spread} slots");
@@ -253,11 +255,11 @@ mod tests {
         let mut seen = Seen::default();
         let mut stored = Vec::new();
         for i in 0..5000 {
-            let row = Row(vec![
+            let row = Row::new(vec![
                 Value::Int(i % 300),
                 Value::Text(format!("r{}", i % 7)),
             ]);
-            let twin = Row(vec![Value::Float((i % 300) as f64), row.0[1].clone()]);
+            let twin = Row::new(vec![Value::Float((i % 300) as f64), row.get(1).clone()]);
             let fresh = seen.is_new(&stored, &row);
             if fresh {
                 stored.push(row);

@@ -106,7 +106,7 @@ pub(crate) fn in_subquery(
     }
     let mut set = HashSet::with_capacity(rows.len());
     let mut saw_null = false;
-    for v in rows.into_iter().flat_map(|row| row.0) {
+    for v in rows.into_iter().flat_map(Row::into_values) {
         if v.is_null() {
             saw_null = true;
         } else {
@@ -136,7 +136,7 @@ pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan) -> Result<Val
     }
     let value = match rows.len() {
         0 => Value::Null,
-        1 => rows.swap_remove(0).0.swap_remove(0),
+        1 => rows.swap_remove(0).into_values().swap_remove(0),
         n => return Err(Error::Eval(format!("scalar subquery returned {n} rows"))),
     };
     if sub.cache && !sub.correlated {

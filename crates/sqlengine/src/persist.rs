@@ -210,7 +210,12 @@ pub fn read_value(cur: &mut Cursor<'_>) -> Result<Value> {
     })
 }
 
-pub fn put_row(out: &mut Vec<u8>, row: &[Value]) {
+pub fn put_row<'v, R>(out: &mut Vec<u8>, row: R)
+where
+    R: IntoIterator<Item = &'v Value>,
+    R::IntoIter: ExactSizeIterator,
+{
+    let row = row.into_iter();
     put_u32(out, row.len() as u32);
     for v in row {
         put_value(out, v);
@@ -269,7 +274,7 @@ pub fn put_result_set(out: &mut Vec<u8>, rs: &ResultSet) {
     put_schema(out, &rs.schema);
     put_u32(out, rs.rows.len() as u32);
     for row in &rs.rows {
-        put_row(out, row.values());
+        put_row(out, row);
     }
 }
 
@@ -293,7 +298,7 @@ fn put_table_header(out: &mut Vec<u8>, table: &Table) {
 fn put_table(out: &mut Vec<u8>, table: &Table) {
     put_table_header(out, table);
     for row in table.rows() {
-        put_row(out, row);
+        put_row(out, &**row);
     }
 }
 

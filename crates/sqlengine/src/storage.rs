@@ -103,7 +103,7 @@ impl Table {
             )));
         }
         let mut coerced = Vec::with_capacity(row.len());
-        for (value, col) in row.0.into_iter().zip(self.schema.columns()) {
+        for (value, col) in row.into_values().into_iter().zip(self.schema.columns()) {
             if value.is_null() && !col.nullable {
                 return Err(Error::Schema(format!(
                     "column '{}.{}' is NOT NULL",

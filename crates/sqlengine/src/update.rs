@@ -157,7 +157,7 @@ fn insert(
         for (pos, v) in positions.iter().zip(eval_consts(catalog, config, exprs)?) {
             row[*pos] = v;
         }
-        materialized.push(Row(row));
+        materialized.push(Row::new(row));
     }
 
     let t = catalog.table_mut(table)?;

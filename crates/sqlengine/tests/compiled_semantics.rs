@@ -288,7 +288,10 @@ fn a_failing_constant_cast_fails_only_on_a_row() {
         .query("SELECT CAST(NULL AS VARCHAR), CAST('7' AS INTEGER) + a FROM t WHERE a = 1")
         .unwrap();
     assert_eq!(rs.schema.columns()[0].dtype, pdm_sql::DataType::Text);
-    assert_eq!(rs.rows[0].0, vec![Value::Null, Value::Int(8)]);
+    assert_eq!(
+        rs.rows[0],
+        pdm_sql::Row::new(vec![Value::Null, Value::Int(8)])
+    );
 }
 
 /// UPDATE / DELETE take their index probe from the AND operands of the one

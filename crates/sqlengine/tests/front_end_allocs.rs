@@ -108,7 +108,8 @@ fn a_parse_allocates_what_its_ast_holds() {
             );
         }
     }
-    // `-- --nocapture` prints the table EXPERIMENTS.md quotes.
+    // `-- --nocapture` prints the tables EXPERIMENTS.md quotes: this one,
+    // and allocations per result row of the two kept plans below.
     println!("{table}");
 
     // A result-cache miss on the navigational expand whose template the
@@ -150,6 +151,13 @@ fn a_parse_allocates_what_its_ast_holds() {
         .run(&db.catalog, &db.config, &first.values, &disabled)
         .unwrap();
     // Three assemblies: three sub-assemblies, two components, three.
+    let mut per_row = String::new();
+    let mut pin = |shape: &str, id: i64, rows: usize, running: u64| {
+        per_row += &format!(
+            "{shape:>6} of {id}: {rows:>2} rows  {running:>4} allocations  {:>5.2} per row\n",
+            running as f64 / rows as f64
+        );
+    };
     for (id, rows, total) in [(4, 3, 25), (8, 2, 20), (9, 3, 25)] {
         let resolved = templates.resolve(&expand(id)).unwrap();
         let run = || {
@@ -167,14 +175,16 @@ fn a_parse_allocates_what_its_ast_holds() {
             "the expand of {id} allocated {running}, its result holds {held}"
         );
         assert_eq!(allocations(run).1, running, "a second run of {id}");
+        pin("expand", id, rows, running);
     }
 
-    // The Query action's kept plan, run the same way: what its result holds
-    // (each row's values and its non-empty texts: type, name, dec of an
-    // assembly, option, payload) and a constant — the run's table slots, one
-    // frame per SELECT, per SELECT the scanned rows and the rows it
-    // projects, the UNION's dedup set. Nothing per row that the result does
-    // not keep: a filter, a cast or a projected column costs no allocation.
+    // The Query action's kept plan, run the same way. Both of its SELECTs
+    // share the rows they project (one base table; columns and constants):
+    // a result row is an `Arc` of the stored row and of its block's layout,
+    // so a copy of the result allocates its row vector alone, and the run
+    // allocates the same for 19 rows as for 20 — the run's scratch, per
+    // SELECT the admitted rows, its layout and the rows it hands on, and
+    // the UNION's dedup set and result vector. Nothing per row.
     let query_all = |id| {
         let rules = visibility_rules();
         common::shape_text(Shape::QueryAll, ActionKind::Query, &[id], "link", &rules)
@@ -186,7 +196,7 @@ fn a_parse_allocates_what_its_ast_holds() {
         .unwrap();
     // Under the visibility rules: 8 assemblies and 12 components; the id of
     // a visible assembly (1, 4, not 2) leaves it out.
-    for (id, rows, total) in [(1, 19, 107), (2, 20, 112), (4, 19, 107)] {
+    for (id, rows) in [(1, 19), (2, 20), (4, 19)] {
         let resolved = templates.resolve(&query_all(id)).unwrap();
         assert_eq!(resolved.values.len(), 1, "{}", resolved.key);
         let run = || {
@@ -199,10 +209,12 @@ fn a_parse_allocates_what_its_ast_holds() {
         let (_, held) = allocations(|| rs.rows.clone());
         assert_eq!(rs.len(), rows, "query of {id}");
         assert_eq!(
-            (running, running - held),
-            (total, 11),
+            (running, held),
+            (12, 1),
             "the query of {id} allocated {running}, its result holds {held}"
         );
         assert_eq!(allocations(run).1, running, "a second run of {id}");
+        pin("query", id, rows, running);
     }
+    println!("{per_row}");
 }

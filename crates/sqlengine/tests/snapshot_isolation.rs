@@ -14,7 +14,9 @@ mod common;
 
 use pdm_prng::check::cases;
 use pdm_prng::Prng;
-use pdm_sql::persist::{decode_snapshot, encode_snapshot, state_digest, state_fingerprint};
+use pdm_sql::persist::{
+    decode_snapshot, encode_snapshot, put_result_set, state_digest, state_fingerprint,
+};
 use pdm_sql::storage::row_hash;
 use pdm_sql::{Database, DmlOutcome, ExecOutcome, Row, SharedDatabase, Snapshot, Value};
 
@@ -217,6 +219,63 @@ fn one_row_update_shares_every_untouched_row() {
     for i in 0..ROWS as usize {
         assert!(std::ptr::eq(new_t.row(i), after_t.row(i)), "row {i}");
     }
+}
+
+/// Hazard 8: a Query-shaped result — one table per block, its columns
+/// reordered around constants — holds the stored rows it projects, not
+/// copies. Kept across commits as the result cache keeps it, it must read
+/// the values it was read with after UPDATE, DELETE and INSERT commit on
+/// those very rows, down to its encoding; every table digest must still be
+/// a fresh sum of `row_hash`; and a new run must see the new values.
+#[test]
+fn a_kept_query_result_survives_commits_on_the_rows_it_shares() {
+    const QUERY: &str = "SELECT b, CAST (NULL AS integer) AS parent, a, '' AS dec \
+        FROM t WHERE a <> 2 UNION SELECT b, CAST (NULL AS integer), a, 'u' FROM t WHERE a = 2";
+    let row = |b: &str, a: i64, dec: &str| {
+        Row::new(vec![b.into(), Value::Null, Value::Int(a), dec.into()])
+    };
+    let mut d = db();
+    d.execute("CREATE INDEX ON t (a)").unwrap();
+    let shared = SharedDatabase::new(d);
+    let kept = std::sync::Arc::new(shared.snapshot().query(QUERY).unwrap());
+    let read = [row("x", 1, ""), row("z", 3, ""), row("y", 2, "u")];
+    assert_eq!(kept.rows, read);
+    // The rows are the stored ones: `b` of the first is the table's own.
+    let before = shared.snapshot();
+    let stored = &before.catalog.table("t").unwrap().row(0)[1];
+    assert!(std::ptr::eq(kept.rows[0].get(0), stored));
+    drop(before);
+    let encode = |rs: &pdm_sql::ResultSet| {
+        let mut bytes = Vec::new();
+        put_result_set(&mut bytes, rs);
+        bytes
+    };
+    let (debug, bytes) = (format!("{kept:?}"), encode(&kept));
+
+    for dml in [
+        "UPDATE t SET b = 'clobbered', a = a + 10",
+        "DELETE FROM t WHERE a = 11",
+        "INSERT INTO t VALUES (1, 'new')",
+    ] {
+        shared.execute(dml).unwrap();
+        assert_eq!(kept.rows, read, "{dml}");
+        assert_eq!(
+            (format!("{kept:?}"), encode(&kept)),
+            (debug.clone(), bytes.clone())
+        );
+        let now = shared.snapshot();
+        let t = now.catalog.table("t").unwrap();
+        let fresh = (t.rows().iter().enumerate())
+            .fold(0u64, |sum, (i, r)| sum.wrapping_add(row_hash(i, r)));
+        assert_eq!(t.digest(), fresh, "{dml}");
+    }
+    let now = shared.snapshot().query(QUERY).unwrap();
+    let clobbered = [
+        row("clobbered", 12, ""),
+        row("clobbered", 13, ""),
+        row("new", 1, ""),
+    ];
+    assert_eq!(now.rows, clobbered);
 }
 
 // ---------------------------------------------------------------------------
