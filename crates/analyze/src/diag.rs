@@ -191,6 +191,20 @@ impl Check {
         }
     }
 
+    /// The check an engine error is: that of the first `ENGINE_FAMILIES`
+    /// entry whose text its message holds (a resolution check, a
+    /// recursive-CTE shape the binder also rejects, or a write the table's
+    /// schema refuses). An error of no family — a catalog conflict, a value
+    /// error in an INSERT's constants — names what the catalog does not hold
+    /// in that form: `unknown-table`.
+    pub(crate) fn of_engine_error(err: &pdm_sql::Error) -> Check {
+        let message = err.to_string();
+        ENGINE_FAMILIES
+            .iter()
+            .find(|(family, _)| message.contains(family))
+            .map_or(Check::UnknownTable, |&(_, check)| check)
+    }
+
     /// Default severity of diagnostics this check emits.
     pub fn severity(self) -> Severity {
         match self {
@@ -203,6 +217,27 @@ impl Check {
         }
     }
 }
+
+/// The engine's error families, by a text their messages hold, and the
+/// check each one is; the first match decides.
+const ENGINE_FAMILIES: [(&str, Check); 16] = [
+    ("unknown table", Check::UnknownTable),
+    ("no table", Check::UnknownTable),
+    ("unknown column", Check::UnknownColumn),
+    ("ambiguous column", Check::AmbiguousColumn),
+    ("unknown function", Check::UnknownFunction),
+    ("is not a valid call", Check::UnknownFunction),
+    ("columns but its query produces", Check::CteArityMismatch),
+    ("recursive term of CTE", Check::CteArityMismatch),
+    ("seed terms disagree", Check::CteArityMismatch),
+    ("set operation arity", Check::SetOpArityMismatch),
+    ("outside GROUP BY", Check::AggregateInWhere),
+    ("ORDER BY", Check::OrderByOutOfRange),
+    ("no non-recursive seed term", Check::NoSeedTerm),
+    ("not UNION", Check::NonUnionRecursion),
+    ("mixes UNION and UNION ALL", Check::NonUnionRecursion),
+    ("schema error", Check::DmlArityMismatch),
+];
 
 /// One analyzer finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,6 +295,17 @@ impl Report {
             message: message.into(),
             location: location.into(),
         });
+    }
+
+    /// Report an engine error as the check it is
+    /// ([`Check::of_engine_error`]), with the engine's message — unless the
+    /// report already holds that check (a recursive-CTE shape that
+    /// [`recursion`](crate::recursion) found too).
+    pub(crate) fn emit_engine_error(&mut self, err: &pdm_sql::Error) {
+        let check = Check::of_engine_error(err);
+        if !self.flags(check) {
+            self.emit(check, err.to_string());
+        }
     }
 
     pub fn is_clean(&self) -> bool {

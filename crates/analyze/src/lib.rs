@@ -6,9 +6,13 @@
 //! what a user can see. This crate checks any generated [`Query`] **without
 //! executing it**:
 //!
-//! 1. **name/scope resolution** ([`resolve`]) — every table, column,
-//!    alias, CTE projection, and correlated reference binds against the
-//!    schema;
+//! 1. **name/scope resolution** through the engine's binder — the query
+//!    compiles (`pdm_sql::exec::explain::explain_query`, no row read)
+//!    against [`SchemaInfo`]'s database, and its first bind error becomes
+//!    the check of its family (`Check::of_engine_error`): every table,
+//!    column, alias, view, CTE projection, function and correlated
+//!    reference binds, and set-operation, CTE and recursive-term arities,
+//!    aggregate placement and ORDER BY keys hold;
 //! 2. **recursive-CTE safety** ([`recursion`]) — the §5.2 `WITH RECURSIVE`
 //!    shape is linear, seeded, aggregate-free, and actually descends;
 //! 3. **predicate placement** ([`placement`]) — re-derives from the rule
@@ -29,7 +33,6 @@ pub mod corpus;
 pub mod diag;
 pub mod placement;
 pub mod recursion;
-pub mod resolve;
 pub mod rules;
 pub mod schema;
 pub mod statement;
@@ -60,12 +63,11 @@ impl Analyzer {
         &self.schema
     }
 
-    /// Run the query-shape checks: resolution, recursion safety, and
+    /// Run the query-shape checks: recursion safety, resolution, and
     /// print→parse drift.
     pub fn analyze(&self, query: &Query) -> Report {
         let mut report = Report::new();
-        resolve::check_query(query, &self.schema, &mut report);
-        recursion::check_recursion(query, &mut report);
+        statement::check_query(query, &self.schema, &mut report);
         self.check_drift(query, &mut report);
         report
     }
@@ -85,8 +87,9 @@ impl Analyzer {
     }
 
     /// Statement-level checks (the DML shapes the recovery path replays):
-    /// target/column resolution, INSERT arity, expression analysis in the
-    /// target table's scope, and statement print→parse drift.
+    /// the statement run on a copy of the schema's database — target,
+    /// columns, INSERT arity, expressions — and statement print→parse
+    /// drift.
     pub fn analyze_statement(&self, stmt: &Statement) -> Report {
         let mut report = Report::new();
         statement::check_statement(stmt, &self.schema, &mut report);
@@ -198,27 +201,157 @@ mod tests {
     }
 
     /// The generators, one of them pointed at an alternative structure
-    /// view whose link table is registered with `link`'s columns: every
-    /// build resolves strictly and is clean.
+    /// view whose link table is created with `link`'s columns: every build
+    /// resolves strictly and is clean.
     #[test]
     fn generated_queries_stay_clean() {
-        let mut schema = SchemaInfo::paper();
-        schema.add_table(
-            "alt_link",
-            &[
-                "type", "obid", "left", "right", "eff_from", "eff_to", "strc_opt",
-            ],
-        );
+        let mut db = SchemaInfo::paper().database().clone();
+        db.execute(
+            "CREATE TABLE alt_link (type VARCHAR NOT NULL, obid INTEGER NOT NULL, \
+             left INTEGER, right INTEGER, eff_from INTEGER, eff_to INTEGER, strc_opt VARCHAR)",
+        )
+        .expect("create alt_link");
+        let analyzer = Analyzer::new(SchemaInfo::from_database(&db));
         for query in [
             pdm_core::query::navigational::expand_query_in(42, pdm_core::query::T_LINK),
             pdm_core::query::navigational::expand_many_query(&[1, 2], "alt_link"),
             pdm_core::query::recursive::mle_query(1),
         ] {
-            let mut report = Report::new();
-            resolve::check_query(&query, &schema, &mut report);
-            recursion::check_recursion(&query, &mut report);
+            let report = analyzer.analyze(&query);
             assert!(report.is_clean(), "{report}\nSQL: {query}");
         }
+    }
+
+    /// Resolution is the engine's binder: each row is a query and the one
+    /// check it flags (`None`: clean) — correlation into an outer scope, a
+    /// CTE's declared projection and an ORDER BY ordinal in range resolve,
+    /// and an unknown function is a warning, not an error.
+    #[test]
+    fn resolution_goes_through_the_engine_binder() {
+        let analyzer = Analyzer::paper();
+        for (sql, check) in [
+            (
+                "SELECT assy.name FROM link JOIN assy ON link.right = assy.obid \
+                 WHERE link.left = 1",
+                None,
+            ),
+            ("SELECT 1 FROM nonesuch", Some(Check::UnknownTable)),
+            (
+                "SELECT assy.nonexistent FROM assy",
+                Some(Check::UnknownColumn),
+            ),
+            ("SELECT obid FROM assy, comp", Some(Check::AmbiguousColumn)),
+            (
+                "SELECT comp.name FROM comp WHERE EXISTS (SELECT * FROM specified_by AS s \
+                 JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
+                None,
+            ),
+            (
+                "WITH RECURSIVE rtbl (a, b) AS (SELECT obid, name FROM assy UNION \
+                 SELECT comp.obid, comp.name FROM rtbl JOIN link ON rtbl.a = link.left \
+                 JOIN comp ON link.right = comp.obid) SELECT a, b FROM rtbl",
+                None,
+            ),
+            (
+                "WITH RECURSIVE rtbl (a) AS (SELECT obid FROM assy) SELECT missing FROM rtbl",
+                Some(Check::UnknownColumn),
+            ),
+            (
+                "WITH RECURSIVE rtbl (a, b, c) AS (SELECT obid, name FROM assy) \
+                 SELECT a FROM rtbl",
+                Some(Check::CteArityMismatch),
+            ),
+            (
+                "SELECT obid, name FROM assy UNION SELECT obid FROM comp",
+                Some(Check::SetOpArityMismatch),
+            ),
+            (
+                "SELECT obid FROM assy WHERE COUNT(*) > 1",
+                Some(Check::AggregateInWhere),
+            ),
+            (
+                "SELECT obid FROM assy ORDER BY 2",
+                Some(Check::OrderByOutOfRange),
+            ),
+            ("SELECT obid FROM assy ORDER BY 1", None),
+            (
+                "SELECT obid FROM assy ORDER BY 0",
+                Some(Check::OrderByOutOfRange),
+            ),
+            (
+                "SELECT MYSTERY(obid) FROM assy",
+                Some(Check::UnknownFunction),
+            ),
+        ] {
+            let query = pdm_sql::parser::parse_query(sql).expect("parse");
+            let report = analyzer.analyze(&query);
+            let flagged: Vec<Check> = report.diagnostics.iter().map(|d| d.check).collect();
+            assert_eq!(flagged, Vec::from_iter(check), "{sql}: {report}");
+        }
+        let mystery =
+            pdm_sql::parser::parse_query("SELECT MYSTERY(obid) FROM assy").expect("parse");
+        assert!(!analyzer.analyze(&mystery).has_errors());
+    }
+
+    /// Every engine error becomes exactly one diagnostic, of its family's
+    /// check: the first error of a statement, and none twice (a recursive
+    /// shape that `recursion` reports too is reported once).
+    #[test]
+    fn every_engine_error_becomes_one_diagnostic() {
+        let analyzer = Analyzer::paper();
+        for (sql, checks) in [
+            // Two faults: the first one the binder meets is reported.
+            (
+                "SELECT ghost FROM nonesuch WHERE COUNT(*) > 0",
+                &[Check::UnknownTable][..],
+            ),
+            ("SELECT x.* FROM assy", &[Check::UnknownTable]),
+            ("SELECT upper(*) FROM assy", &[Check::UnknownFunction]),
+            (
+                "SELECT obid FROM assy UNION SELECT obid FROM comp ORDER BY obid + 1",
+                &[Check::OrderByOutOfRange],
+            ),
+            (
+                "WITH RECURSIVE r (n) AS (SELECT obid FROM assy UNION \
+                 SELECT link.left, 1 FROM r JOIN link ON r.n = link.left) SELECT n FROM r",
+                &[Check::CteArityMismatch],
+            ),
+            (
+                "WITH RECURSIVE r (n) AS (SELECT obid FROM assy INTERSECT \
+                 SELECT link.left FROM r JOIN link ON r.n = link.left) SELECT n FROM r",
+                &[Check::NonUnionRecursion],
+            ),
+            (
+                "INSERT INTO spec (type, type) VALUES ('spec', 'spec')",
+                &[Check::DmlArityMismatch],
+            ),
+            (
+                "INSERT INTO spec VALUES ('spec', 1, 'a'), ('spec', 2)",
+                &[Check::DmlArityMismatch],
+            ),
+            ("DROP TABLE nonesuch", &[Check::UnknownTable]),
+            ("CREATE INDEX ON assy (ghost)", &[Check::UnknownColumn]),
+        ] {
+            let stmt = pdm_sql::parser::parse_statement(sql).expect("parse");
+            let report = analyzer.analyze_statement(&stmt);
+            let flagged: Vec<Check> = report.diagnostics.iter().map(|d| d.check).collect();
+            assert_eq!(flagged, checks, "{sql}: {report}");
+        }
+    }
+
+    /// A view compiles inline, so a query over one resolves its columns.
+    #[test]
+    fn views_resolve_through_the_binder() {
+        let mut db = SchemaInfo::paper().database().clone();
+        db.execute("CREATE VIEW makes AS SELECT obid, name FROM assy WHERE make_or_buy = 'make'")
+            .expect("create view");
+        let analyzer = Analyzer::new(SchemaInfo::from_database(&db));
+        let query = |sql| pdm_sql::parser::parse_query(sql).expect("parse");
+        assert!(analyzer
+            .analyze(&query("SELECT makes.name FROM makes WHERE obid > 1"))
+            .is_clean());
+        let report = analyzer.analyze(&query("SELECT make_or_buy FROM makes"));
+        assert!(report.flags(Check::UnknownColumn), "{report}");
     }
 
     #[test]

@@ -82,7 +82,10 @@ fn check_cte(name: &str, body: &Query, report: &mut Report) {
             }
         });
     }
-    if seeds == 0 {
+    // A body whose top operator is not UNION is one term: its fault is the
+    // operator (flagged above), not a missing seed — as the engine reports.
+    let union = !matches!(&body.body, SetExpr::SetOp { op, .. } if *op != SetOp::Union);
+    if seeds == 0 && union {
         report.emit_at(
             Check::NoSeedTerm,
             format!("every term of recursive CTE '{name}' references the CTE — no base case"),

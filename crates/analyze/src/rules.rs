@@ -94,8 +94,9 @@ fn check_rule(idx: usize, rule: &Rule, schema: &SchemaInfo, report: &mut Report)
             relation_table,
             related_table,
         } => {
+            let catalog = &schema.database().catalog;
             for t in [object_table, relation_table, related_table] {
-                if !schema.has_table(t) && !schema.has_view(t) {
+                if !catalog.has_table(t) && !catalog.has_view(t) {
                     report.emit_at(
                         Check::UnknownTable,
                         format!("∃structure rule references unknown table '{t}'"),

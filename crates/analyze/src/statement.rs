@@ -4,164 +4,43 @@
 //! Recovery replays whole *statements* (the checkout-flag UPDATEs, the
 //! stale-grant sweep, and whatever DML the workload committed), not just
 //! SELECT queries — so the corpus audit must cover the statement shapes
-//! too. The expression-level work (column/function resolution, aggregate
-//! misuse) is delegated to the query resolver by wrapping the statement's
-//! expressions in a synthetic single-table SELECT; on top of that come the
-//! DML-specific checks: target-table existence, assignment/INSERT column
-//! membership, INSERT arity, and statement-level print→parse drift (a
-//! statement that does not round-trip would be logged as SQL the recovery
-//! replay cannot parse back).
+//! too. A query (or a view's) binds through the engine's compiler, as
+//! [`Analyzer::analyze`](crate::Analyzer::analyze) does; any other statement
+//! runs on a copy of the schema's database, so its target, columns, INSERT
+//! arity and expressions meet exactly the checks the engine applies. On top
+//! comes statement-level print→parse drift (a statement that does not
+//! round-trip would be logged as SQL the recovery replay cannot parse back).
 
-use pdm_sql::ast::{Expr, Query, Select, SelectItem, SetExpr, Statement, TableWithJoins};
+use pdm_sql::ast::{Query, Statement};
 
 use crate::diag::{Check, Report};
-use crate::resolve;
 use crate::schema::SchemaInfo;
 
-/// Run every statement-level check. Query statements get the full query
-/// analysis; DML gets target/column/arity checks plus expression
-/// resolution in the target table's scope.
+/// Run every statement-level check: a query's shape and binding, any other
+/// statement's execution on a copy of the schema, and drift.
 pub fn check_statement(stmt: &Statement, schema: &SchemaInfo, report: &mut Report) {
     match stmt {
-        Statement::Query(q) => {
-            resolve::check_query(q, schema, report);
-            crate::recursion::check_recursion(q, report);
+        Statement::Query(query) | Statement::CreateView { query, .. } => {
+            check_query(query, schema, report);
         }
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => {
-            if require_table("INSERT", table, schema, report) {
-                let table_cols = schema.table_columns(&table.to_lowercase()).cloned();
-                if let (Some(cols), Some(tc)) = (columns, &table_cols) {
-                    for c in cols {
-                        if !tc.contains(&c.to_lowercase()) {
-                            report.emit(
-                                Check::UnknownColumn,
-                                format!("INSERT column '{c}' is not in table '{table}'"),
-                            );
-                        }
-                    }
-                }
-                let expected = columns
-                    .as_ref()
-                    .map(|c| c.len())
-                    .or_else(|| table_cols.as_ref().map(|c| c.len()));
-                for (i, row) in rows.iter().enumerate() {
-                    if let Some(n) = expected {
-                        if row.len() != n {
-                            report.emit(
-                                Check::DmlArityMismatch,
-                                format!(
-                                    "INSERT row {i} has {} value(s), expected {n} for '{table}'",
-                                    row.len()
-                                ),
-                            );
-                        }
-                    }
-                }
-                scope_check(
-                    table,
-                    rows.iter().flatten().cloned().collect(),
-                    None,
-                    schema,
-                    report,
-                );
+        other => {
+            if let Err(e) = schema.database().clone().execute_ast(other) {
+                report.emit_engine_error(&e);
             }
         }
-        Statement::Update {
-            table,
-            assignments,
-            predicate,
-        } => {
-            if require_table("UPDATE", table, schema, report) {
-                if let Some(tc) = schema.table_columns(&table.to_lowercase()) {
-                    for (col, _) in assignments {
-                        if !tc.contains(&col.to_lowercase()) {
-                            report.emit(
-                                Check::UnknownColumn,
-                                format!("UPDATE assigns unknown column '{col}' in '{table}'"),
-                            );
-                        }
-                    }
-                }
-                scope_check(
-                    table,
-                    assignments.iter().map(|(_, e)| e.clone()).collect(),
-                    predicate.clone(),
-                    schema,
-                    report,
-                );
-            }
-        }
-        Statement::Delete { table, predicate } => {
-            if require_table("DELETE", table, schema, report) {
-                scope_check(table, Vec::new(), predicate.clone(), schema, report);
-            }
-        }
-        Statement::CreateIndex { table, column } => {
-            if require_table("CREATE INDEX", table, schema, report) {
-                if let Some(tc) = schema.table_columns(&table.to_lowercase()) {
-                    if !tc.contains(&column.to_lowercase()) {
-                        report.emit(
-                            Check::UnknownColumn,
-                            format!("CREATE INDEX on unknown column '{column}' of '{table}'"),
-                        );
-                    }
-                }
-            }
-        }
-        Statement::CreateView { query, .. } => {
-            resolve::check_query(query, schema, report);
-            crate::recursion::check_recursion(query, report);
-        }
-        // Definitions introduce names rather than referencing them.
-        Statement::CreateTable { .. } | Statement::DropTable { .. } => {}
     }
     check_statement_drift(stmt, report);
 }
 
-/// The target of a DML statement must be a base table or a view. Returns
-/// whether expression checks make sense.
-fn require_table(verb: &str, table: &str, schema: &SchemaInfo, report: &mut Report) -> bool {
-    let t = table.to_lowercase();
-    if schema.has_table(&t) || schema.has_view(&t) {
-        return true;
+/// The recursive-CTE shape checks, then the engine's binder: the query
+/// compiles against the schema's database, and its first bind error is a
+/// diagnostic.
+pub(crate) fn check_query(query: &Query, schema: &SchemaInfo, report: &mut Report) {
+    crate::recursion::check_recursion(query, report);
+    let db = schema.database();
+    if let Err(e) = pdm_sql::exec::explain::explain_query(&db.catalog, &db.config, query) {
+        report.emit_engine_error(&e);
     }
-    report.emit(
-        Check::UnknownTable,
-        format!("{verb} targets unknown table '{table}'"),
-    );
-    false
-}
-
-/// Resolve a statement's expressions by wrapping them in a synthetic
-/// `SELECT <exprs> FROM <table> WHERE <predicate>` and reusing the query
-/// resolver — so column references, function calls, subqueries, and
-/// aggregate misuse in DML get exactly the SELECT-side treatment.
-fn scope_check(
-    table: &str,
-    exprs: Vec<Expr>,
-    predicate: Option<Expr>,
-    schema: &SchemaInfo,
-    report: &mut Report,
-) {
-    let mut sel = Select::new();
-    sel.projection = if exprs.is_empty() {
-        vec![SelectItem::Wildcard]
-    } else {
-        exprs.into_iter().map(SelectItem::expr).collect()
-    };
-    sel.from.push(TableWithJoins::table(table));
-    sel.where_clause = predicate;
-    let q = Query {
-        with: None,
-        body: SetExpr::Select(Box::new(sel)),
-        order_by: Vec::new(),
-        limit: None,
-    };
-    resolve::check_query(&q, schema, report);
 }
 
 /// A statement the WAL will log must survive print → parse: recovery

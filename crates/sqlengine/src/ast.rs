@@ -127,6 +127,17 @@ pub enum SetOp {
     Except,
 }
 
+impl SetOp {
+    /// The operator as SQL writes it.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            SetOp::Union => "UNION",
+            SetOp::Intersect => "INTERSECT",
+            SetOp::Except => "EXCEPT",
+        }
+    }
+}
+
 /// One SELECT block.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Select {
@@ -607,11 +618,7 @@ impl fmt::Display for SetExpr {
                 left,
                 right,
             } => {
-                let kw = match op {
-                    SetOp::Union => "UNION",
-                    SetOp::Intersect => "INTERSECT",
-                    SetOp::Except => "EXCEPT",
-                };
+                let kw = op.keyword();
                 write!(f, "{left} {kw}{}", if *all { " ALL" } else { "" })?;
                 // The grammar is left-associative with a single precedence
                 // level for all three operators, so a set-op on the *right*

@@ -79,7 +79,6 @@ impl PExpr {
     fn compute<'v>(&'v self, cx: Cx<'v>, f: &Frame<'_, 'v>) -> Result<Cow<'v, Value>> {
         let (op, args) = match self {
             PExpr::Agg(slot) => return owned(f.aggs[*slot].clone()),
-            PExpr::Fail(e) => return Err(e.clone()),
             PExpr::Op { op, args } => (op, args.as_slice()),
             PExpr::Const(_) | PExpr::Column { .. } => unreachable!("an operand"),
         };
@@ -140,14 +139,11 @@ impl PExpr {
                     "LIKE expects text operands, got {a} LIKE {b}"
                 ))),
             },
-            Op::Call { name, func } => {
+            Op::Call(func) => {
                 let mut values = Vec::with_capacity(args.len());
                 for a in args {
                     values.push(a.eval(cx, f)?.into_owned());
                 }
-                let func = func
-                    .as_ref()
-                    .ok_or_else(|| Error::Bind(format!("unknown function '{name}'")))?;
                 func(&values).map(Cow::Owned)
             }
             Op::Case => {

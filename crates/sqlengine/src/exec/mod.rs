@@ -291,8 +291,7 @@ fn run_with(
 
 fn run_body(cx: Cx<'_>, q: &QueryPlan, outer: Option<&Frame<'_, '_>>) -> Result<Vec<Row>> {
     let mut rows = run_set(cx, &q.body, outer)?;
-    if let Some(sort) = &q.sort {
-        let keys = sort.as_ref().map_err(Clone::clone)?;
+    if let Some(keys) = &q.sort {
         rows.sort_by(|a, b| {
             keys.iter()
                 .map(|&(idx, desc)| {
@@ -333,7 +332,6 @@ pub(crate) fn run_set(
         } => {
             let l = run_set(cx, left, outer)?;
             let r = run_set(cx, right, outer)?;
-            setops::check_arity(left.schema().len(), right.schema().len())?;
             Ok(setops::apply(*op, *all, l, r))
         }
     }
@@ -529,7 +527,7 @@ mod tests {
         );
         for reads_a_value in [
             "SELECT a FROM t ORDER BY $1",
-            "SELECT a FROM t UNION SELECT a FROM u ORDER BY a + $2",
+            "SELECT a FROM t UNION SELECT a FROM u ORDER BY $1",
             "SELECT $1 FROM t",
             "SELECT SUM(a + $1) FROM t",
             "SELECT c FROM t WHERE f = $1",

@@ -12,11 +12,15 @@
 //! scope outside itself — a static fact. Views compile inline. The
 //! [`ExecConfig`] flags are read here and nowhere else.
 //!
-//! The one thing the compiler reports earlier than the AST walker it
-//! replaced: an unknown or ambiguous column is an error even when no row
-//! would have reached it. Every other failure a statement can meet (type
-//! mismatch, arity of a set operation, a scalar subquery with two rows, …)
-//! stays where it was, at run time, in the same order.
+//! Compile is the binder: every name and every shape the statement fixes
+//! is checked here, before any row is read, and a failure is an
+//! [`Error::Bind`] — an unknown table, column or function, an ambiguous
+//! column, an aggregate outside a grouped projection or HAVING, a
+//! non-aggregate `f(*)`, the arity of a set operation, of a CTE's column
+//! list or of a recursive term, an ORDER BY ordinal or name. A plan holds
+//! no deferred bind error. What depends on values (a type mismatch, a
+//! failing cast, a scalar subquery with two rows, …) fails at run time,
+//! when a row reaches it.
 //!
 //! A plan owns everything it holds and borrows nothing, so it can outlive
 //! the statement it was compiled for ([`crate::template`] keeps one per
@@ -29,8 +33,8 @@
 //! any values of its template unless one of its decisions read the values
 //! it was compiled with: an ORDER BY ordinal, a projected `$n`'s type, an
 //! aggregate named or typed by one, the `-0.0`/`0` exactness of a probe on a
-//! FLOAT column, an error that quotes one. The compiler then marks it
-//! [`bound`](Plan::is_bound) to those values.
+//! FLOAT column. The compiler then marks it [`bound`](Plan::is_bound) to
+//! those values.
 
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
@@ -43,7 +47,7 @@ use crate::ast::{
 use crate::catalog::{lower, Catalog};
 use crate::error::{Error, Result};
 use crate::exec::recursion::{body_references, union_chain_is_all};
-use crate::exec::{ExecConfig, Rt};
+use crate::exec::{setops, ExecConfig, Rt};
 use crate::functions::ScalarFn;
 use crate::row::Slot;
 use crate::schema::{Column, Schema};
@@ -90,9 +94,6 @@ pub(crate) enum PExpr {
     },
     /// Aggregate slot of the enclosing grouped SELECT.
     Agg(usize),
-    /// A failure that is only one if a row reaches it (an aggregate outside a
-    /// grouped context, `f(*)`).
-    Fail(Error),
 }
 
 /// What [`PExpr::Op`] applies to its `args` (given per variant).
@@ -118,13 +119,8 @@ pub(crate) enum Op {
     Like {
         negated: bool,
     },
-    /// `[argument…]` of a scalar function, looked up once; an unknown name
-    /// fails when called, after its arguments were evaluated, as it always
-    /// did.
-    Call {
-        name: String,
-        func: Option<ScalarFn>,
-    },
+    /// `[argument…]` of a scalar function, looked up when the call compiles.
+    Call(ScalarFn),
     /// `[condition, result, …]`, then the ELSE result if there is one.
     Case,
     /// `[]`
@@ -222,7 +218,6 @@ pub(crate) struct CtePlan {
     pub name: String,
     /// What scans of this CTE look up in the run's CTE environment.
     pub id: usize,
-    pub width: usize,
     pub body: CteBody,
 }
 
@@ -336,9 +331,8 @@ pub(crate) enum Join {
     },
 }
 
-/// ORDER BY as positions in the body's rows with their `DESC` flags — or the
-/// error it raises, which a statement meets only after its body ran.
-pub(crate) type SortKeys = Option<Result<Vec<(usize, bool)>>>;
+/// ORDER BY as positions in the body's rows with their `DESC` flags.
+pub(crate) type SortKeys = Option<Vec<(usize, bool)>>;
 
 /// A schema borrowed from the catalog or shared with the plan node that
 /// produces it.
@@ -542,7 +536,7 @@ impl Refs {
                 );
                 args.iter().for_each(|x| self.visit(x));
             }
-            PExpr::Const(_) | PExpr::Agg(_) | PExpr::Fail(_) => {}
+            PExpr::Const(_) | PExpr::Agg(_) => {}
         }
     }
 
@@ -848,37 +842,35 @@ impl<'a> Compiler<'a> {
             }
             Expr::ScalarSubquery(query) => (Op::Scalar(self.subquery(query, false)?), Vec::new()),
             Expr::Function { name, .. } if is_aggregate_name(name) => {
-                return Ok(match self.group.take() {
-                    // Every occurrence of the same rendered form shares a
-                    // slot. The argument compiles outside the group: a nested
-                    // aggregate is the failure below.
-                    Some((mut keys, mut aggs)) => {
-                        let key = self.print_bound(e);
-                        let slot = match keys.iter().position(|k| *k == key) {
-                            Some(slot) => slot,
-                            None => {
-                                aggs.push(self.aggregate(e)?);
-                                keys.push(key);
-                                keys.len() - 1
-                            }
-                        };
-                        self.group = Some((keys, aggs));
-                        PExpr::Agg(slot)
-                    }
-                    None => PExpr::Fail(Error::Eval(format!(
+                // Every occurrence of the same rendered form shares a slot.
+                // The argument compiles outside the group: a nested aggregate
+                // is the error below.
+                let Some((mut keys, mut aggs)) = self.group.take() else {
+                    return Err(Error::Bind(format!(
                         "aggregate {}() used outside GROUP BY context",
                         name.to_uppercase()
-                    ))),
-                });
+                    )));
+                };
+                let key = self.print_bound(e);
+                let slot = match keys.iter().position(|k| *k == key) {
+                    Some(slot) => slot,
+                    None => {
+                        aggs.push(self.aggregate(e)?);
+                        keys.push(key);
+                        keys.len() - 1
+                    }
+                };
+                self.group = Some((keys, aggs));
+                return Ok(PExpr::Agg(slot));
             }
             Expr::Function { name, star, .. } if *star => {
-                let invalid = Error::Eval(format!("{name}(*) is not a valid call"));
-                return Ok(PExpr::Fail(invalid));
+                return Err(Error::Bind(format!("{name}(*) is not a valid call")));
             }
             Expr::Function { name, args, .. } => {
+                let args = self.args(args)?;
                 let func = self.catalog.functions().get(name).cloned();
-                let name = name.clone();
-                (Op::Call { name, func }, self.args(args)?)
+                let func = func.ok_or_else(|| Error::Bind(format!("unknown function '{name}'")))?;
+                (Op::Call(func), args)
             }
             Expr::Case {
                 branches,
@@ -945,7 +937,6 @@ impl<'a> Compiler<'a> {
                 ctes.push(CtePlan {
                     name: cte.name.clone(),
                     id,
-                    width: schema.len(),
                     body: plan,
                 });
                 self.ctes.push((&cte.name, id, schema));
@@ -958,8 +949,11 @@ impl<'a> Compiler<'a> {
             body => {
                 // Set operations sort by output columns / ordinals only.
                 let b = self.set_expr(body)?;
-                let sort = (!q.order_by.is_empty())
-                    .then(|| self.output_keys(b.schema().columns(), &q.order_by));
+                let sort = if q.order_by.is_empty() {
+                    None
+                } else {
+                    Some(self.output_keys(b.schema().columns(), &q.order_by)?)
+                };
                 let visible = b.schema().len();
                 (b, sort, visible)
             }
@@ -989,12 +983,16 @@ impl<'a> Compiler<'a> {
                 all,
                 left,
                 right,
-            } => SetPlan::Op {
-                op: *op,
-                all: *all,
-                left: Box::new(self.set_expr(left)?),
-                right: Box::new(self.set_expr(right)?),
-            },
+            } => {
+                let (left, right) = (self.set_expr(left)?, self.set_expr(right)?);
+                setops::check_arity(left.schema().len(), right.schema().len())?;
+                SetPlan::Op {
+                    op: *op,
+                    all: *all,
+                    left: Box::new(left),
+                    right: Box::new(right),
+                }
+            }
         })
     }
 
@@ -1008,10 +1006,15 @@ impl<'a> Compiler<'a> {
         let name = cte.name.as_str();
         let parts = cte.query.body.flatten_setop(SetOp::Union);
         if parts.iter().all(|t| body_references(t, name)) {
-            return Err(Error::Bind(format!(
-                "recursive CTE '{}' has no non-recursive seed term",
-                cte.name
-            )));
+            // One part that is a set operation: its terms are not combined
+            // by UNION at all.
+            let fault = match &cte.query.body {
+                SetExpr::SetOp { op, .. } => {
+                    format!("combines its terms with {}, not UNION", op.keyword())
+                }
+                SetExpr::Select(_) => "has no non-recursive seed term".to_string(),
+            };
+            return Err(Error::Bind(format!("recursive CTE '{}' {fault}", cte.name)));
         }
         let slots_start = self.slots;
         self.detached(|c| {
@@ -1041,7 +1044,16 @@ impl<'a> Compiler<'a> {
             c.ctes.push((name, id, Arc::clone(&schema)));
             for (slot, part) in terms.iter_mut().zip(&parts) {
                 if slot.is_none() {
-                    *slot = Some((c.set_expr(part)?, true));
+                    let term = c.set_expr(part)?;
+                    let width = term.schema().len();
+                    if width != schema.len() {
+                        return Err(Error::Bind(format!(
+                            "recursive term of CTE '{}' produces {width} columns, expected {}",
+                            cte.name,
+                            schema.len()
+                        )));
+                    }
+                    *slot = Some((term, true));
                 }
             }
             c.ctes.pop();
@@ -1394,22 +1406,20 @@ impl<'a> Compiler<'a> {
         // Aggregate selects (and DISTINCT, where hidden columns would change
         // dedup semantics) sort on output columns / ordinals only.
         if grouped || sel.distinct {
-            let sort = self.output_keys(&columns, order_by);
+            let sort = self.output_keys(&columns, order_by)?;
             return Ok((items, columns, Some(sort), visible));
         }
         let mut keys = Vec::with_capacity(order_by.len());
-        let mut failed = None;
         for item in order_by {
             let idx = match (&item.expr, self.value_of(&item.expr)) {
                 (_, Some(Value::Int(n))) => {
-                    let i = (*n - 1).max(0) as usize;
-                    if i >= visible && failed.is_none() {
-                        failed = Some(Error::Bind(format!(
-                            "ORDER BY ordinal {} out of range 1..={visible}",
-                            i + 1
+                    let n = *n;
+                    if n < 1 || n as usize > visible {
+                        return Err(Error::Bind(format!(
+                            "ORDER BY ordinal {n} out of range 1..={visible}"
                         )));
                     }
-                    i
+                    (n - 1) as usize
                 }
                 (
                     Expr::Column {
@@ -1420,13 +1430,10 @@ impl<'a> Compiler<'a> {
                 ) if visible_names.iter().any(|v| v.eq_ignore_ascii_case(name)) => {
                     // An unaliased expression is `col1` here but `col<position>`
                     // in the output: past position 1 the key names no column.
-                    let found = columns
+                    columns
                         .iter()
-                        .position(|c| c.name.eq_ignore_ascii_case(name));
-                    if found.is_none() && failed.is_none() {
-                        failed = Some(Error::Bind(format!("unknown column '{}'", lower(name))));
-                    }
-                    found.unwrap_or(0)
+                        .position(|c| c.name.eq_ignore_ascii_case(name))
+                        .ok_or_else(|| Error::Bind(format!("unknown column '{}'", lower(name))))?
                 }
                 (hidden, _) => {
                     let compiled = self.expr(hidden)?;
@@ -1439,11 +1446,7 @@ impl<'a> Compiler<'a> {
             };
             keys.push((idx, item.desc));
         }
-        let sort = match failed {
-            Some(e) => Err(e),
-            None => Ok(keys),
-        };
-        Ok((items, columns, Some(sort), visible))
+        Ok((items, columns, Some(keys), visible))
     }
 
     /// Best-effort output type of a plain projection item.

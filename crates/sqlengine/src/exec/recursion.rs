@@ -122,13 +122,6 @@ pub(crate) fn run_recursive(cx: Cx<'_>, cte: &CtePlan) -> Result<Vec<Row>> {
                 let ctes = Some(&delta);
                 run_set(Cx { ctes, ..cx }, term, None)?
             };
-            let width = term.schema().len();
-            if width != cte.width {
-                return Err(Error::Bind(format!(
-                    "recursive term of CTE '{}' produces {width} columns, expected {}",
-                    cte.name, cte.width
-                )));
-            }
             absorb(&mut total, rows);
         }
         round_span.set_rows(

@@ -108,6 +108,8 @@ pub(crate) fn distinct(rows: impl Iterator<Item = Row>, mut seen: Seen) -> Vec<R
     out
 }
 
+/// The operands of a set operation agree in arity: checked when the plan is
+/// built, so [`apply`] never meets a mismatch.
 pub(crate) fn check_arity(left: usize, right: usize) -> Result<()> {
     if left != right {
         return Err(Error::Bind(format!(

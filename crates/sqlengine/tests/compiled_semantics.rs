@@ -106,10 +106,81 @@ fn binding_errors_are_reported_at_compile_time() {
     assert!(db.query("SELECT 1 / 0 FROM empty_t").unwrap().is_empty());
 }
 
+/// The bind errors that once waited for a row, or for the statement to run,
+/// are compile errors: EXPLAIN reports each over an empty table, and running
+/// the statement reports the same.
+#[test]
+fn every_bind_error_is_raised_before_a_row_is_read() {
+    let mut db = db();
+    for (sql, message) in [
+        // A function is looked up when its call compiles.
+        (
+            "SELECT frobnicate(a) FROM empty_t",
+            "unknown function 'frobnicate'",
+        ),
+        // An aggregate outside a grouped projection or HAVING; `f(*)` of a
+        // function that is no aggregate.
+        (
+            "SELECT a FROM empty_t WHERE COUNT(*) > 0",
+            "aggregate COUNT() used outside GROUP BY context",
+        ),
+        (
+            "SELECT a FROM empty_t ORDER BY MAX(a)",
+            "aggregate MAX() used outside GROUP BY context",
+        ),
+        (
+            "SELECT upper(*) FROM empty_t",
+            "upper(*) is not a valid call",
+        ),
+        // Set-operation arity.
+        (
+            "SELECT a FROM empty_t UNION SELECT a, a FROM empty_t",
+            "set operation arity mismatch: 1 vs 2 columns",
+        ),
+        // ORDER BY ordinals and output names.
+        (
+            "SELECT a FROM empty_t ORDER BY 3",
+            "ORDER BY ordinal 3 out of range 1..=1",
+        ),
+        (
+            "SELECT a FROM empty_t ORDER BY 0",
+            "ORDER BY ordinal 0 out of range 1..=1",
+        ),
+        (
+            "SELECT a FROM empty_t UNION SELECT a FROM empty_t ORDER BY nope",
+            "unknown column 'nope'",
+        ),
+        (
+            "SELECT a, COUNT(*) FROM empty_t GROUP BY a ORDER BY 3",
+            "ORDER BY ordinal 3 out of range 1..=2",
+        ),
+        // A recursive term's width against its CTE's, with no seed row.
+        (
+            "WITH RECURSIVE r (n) AS (SELECT a FROM empty_t UNION \
+             SELECT u.a, 1 FROM r JOIN u ON r.n = u.a) SELECT n FROM r",
+            "recursive term of CTE 'r' produces 2 columns, expected 1",
+        ),
+    ] {
+        let message = format!("bind error: {message}");
+        assert_eq!(db.explain(sql).unwrap_err().to_string(), message, "{sql}");
+        let err = db.query(sql).unwrap_err();
+        assert!(matches!(err, Error::Bind(_)), "{sql}: {err:?}");
+        assert_eq!(err.to_string(), message, "{sql}");
+    }
+    let err = db
+        .execute("DELETE FROM empty_t WHERE COUNT(a) > 1")
+        .unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "bind error: aggregate COUNT() used outside GROUP BY context"
+    );
+}
+
 /// ORDER BY knows an unaliased expression as `col1` wherever it stands, the
 /// output names it `col<position>`: past position 1 the key names no output
-/// column. That is a bind error (lower-cased, as always), raised where it
-/// always was — after the body ran, in ORDER BY order — and never a panic.
+/// column. That is a bind error (lower-cased, as always), raised when the
+/// statement compiles — before the body runs, in ORDER BY order — and never
+/// a panic.
 #[test]
 fn order_by_col1_that_no_output_column_carries() {
     let mut db = db();
@@ -124,11 +195,8 @@ fn order_by_col1_that_no_output_column_carries() {
         ("SELECT a, a + 1 FROM empty_t ORDER BY col1", unknown),
         // The expression hides the source column of that name.
         ("SELECT x, x + 1 FROM c ORDER BY col1", unknown),
-        // The body's own failure comes first; then the keys, in order.
-        (
-            "SELECT a, 1 / 0 FROM t ORDER BY col1",
-            "eval error: division by zero",
-        ),
+        // The keys bind before the body runs, in order.
+        ("SELECT a, 1 / 0 FROM t ORDER BY col1", unknown),
         ("SELECT a, a + 1 FROM t ORDER BY col1, 5", unknown),
         (
             "SELECT a, a + 1 FROM t ORDER BY 5, col1",
@@ -343,6 +411,24 @@ fn recursion_limit_and_union_mixing() {
     assert_eq!(
         db.query(mixed).unwrap_err().to_string(),
         "bind error: recursive CTE mixes UNION and UNION ALL"
+    );
+    // Terms combined by another set operator have a seed; the operator is
+    // the fault, and the error names it.
+    for op in ["EXCEPT", "INTERSECT"] {
+        let sql = format!(
+            "WITH RECURSIVE r (n) AS (SELECT 0 {op} \
+             SELECT e.dst FROM r JOIN e ON r.n = e.src) SELECT n FROM r"
+        );
+        let message =
+            format!("bind error: recursive CTE 'r' combines its terms with {op}, not UNION");
+        assert_eq!(db.query(&sql).unwrap_err().to_string(), message);
+        assert_eq!(db.explain(&sql).unwrap_err().to_string(), message);
+    }
+    let seedless = "WITH RECURSIVE r (n) AS (SELECT e.dst FROM r JOIN e ON r.n = e.src) \
+                    SELECT n FROM r";
+    assert_eq!(
+        db.query(seedless).unwrap_err().to_string(),
+        "bind error: recursive CTE 'r' has no non-recursive seed term"
     );
 }
 
