@@ -222,77 +222,6 @@ mod tests {
         }
     }
 
-    /// Resolution is the engine's binder: each row is a query and the one
-    /// check it flags (`None`: clean) — correlation into an outer scope, a
-    /// CTE's declared projection and an ORDER BY ordinal in range resolve,
-    /// and an unknown function is a warning, not an error.
-    #[test]
-    fn resolution_goes_through_the_engine_binder() {
-        let analyzer = Analyzer::paper();
-        for (sql, check) in [
-            (
-                "SELECT assy.name FROM link JOIN assy ON link.right = assy.obid \
-                 WHERE link.left = 1",
-                None,
-            ),
-            ("SELECT 1 FROM nonesuch", Some(Check::UnknownTable)),
-            (
-                "SELECT assy.nonexistent FROM assy",
-                Some(Check::UnknownColumn),
-            ),
-            ("SELECT obid FROM assy, comp", Some(Check::AmbiguousColumn)),
-            (
-                "SELECT comp.name FROM comp WHERE EXISTS (SELECT * FROM specified_by AS s \
-                 JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
-                None,
-            ),
-            (
-                "WITH RECURSIVE rtbl (a, b) AS (SELECT obid, name FROM assy UNION \
-                 SELECT comp.obid, comp.name FROM rtbl JOIN link ON rtbl.a = link.left \
-                 JOIN comp ON link.right = comp.obid) SELECT a, b FROM rtbl",
-                None,
-            ),
-            (
-                "WITH RECURSIVE rtbl (a) AS (SELECT obid FROM assy) SELECT missing FROM rtbl",
-                Some(Check::UnknownColumn),
-            ),
-            (
-                "WITH RECURSIVE rtbl (a, b, c) AS (SELECT obid, name FROM assy) \
-                 SELECT a FROM rtbl",
-                Some(Check::CteArityMismatch),
-            ),
-            (
-                "SELECT obid, name FROM assy UNION SELECT obid FROM comp",
-                Some(Check::SetOpArityMismatch),
-            ),
-            (
-                "SELECT obid FROM assy WHERE COUNT(*) > 1",
-                Some(Check::AggregateInWhere),
-            ),
-            (
-                "SELECT obid FROM assy ORDER BY 2",
-                Some(Check::OrderByOutOfRange),
-            ),
-            ("SELECT obid FROM assy ORDER BY 1", None),
-            (
-                "SELECT obid FROM assy ORDER BY 0",
-                Some(Check::OrderByOutOfRange),
-            ),
-            (
-                "SELECT MYSTERY(obid) FROM assy",
-                Some(Check::UnknownFunction),
-            ),
-        ] {
-            let query = pdm_sql::parser::parse_query(sql).expect("parse");
-            let report = analyzer.analyze(&query);
-            let flagged: Vec<Check> = report.diagnostics.iter().map(|d| d.check).collect();
-            assert_eq!(flagged, Vec::from_iter(check), "{sql}: {report}");
-        }
-        let mystery =
-            pdm_sql::parser::parse_query("SELECT MYSTERY(obid) FROM assy").expect("parse");
-        assert!(!analyzer.analyze(&mystery).has_errors());
-    }
-
     /// Every engine error becomes exactly one diagnostic, of its family's
     /// check: the first error of a statement, and none twice (a recursive
     /// shape that `recursion` reports too is reported once).
@@ -374,5 +303,125 @@ mod tests {
         };
         let report = Analyzer::new(SchemaInfo::paper()).analyze(&q);
         assert!(report.flags(Check::PrintParseDrift), "{report}");
+    }
+}
+
+/// Name/scope resolution, one case per test: every query compiles through
+/// the engine's binder ([`Analyzer::analyze`]), and each test pins the exact
+/// checks it flags.
+#[cfg(test)]
+mod resolve {
+    mod tests {
+        use crate::{Analyzer, Check, Report};
+
+        fn run(sql: &str) -> Report {
+            let query = pdm_sql::parser::parse_query(sql).expect("parse");
+            Analyzer::paper().analyze(&query)
+        }
+
+        fn flagged(sql: &str) -> Vec<Check> {
+            run(sql).diagnostics.iter().map(|d| d.check).collect()
+        }
+
+        #[test]
+        fn clean_join_resolves() {
+            let r = run(
+                "SELECT assy.name FROM link JOIN assy ON link.right = assy.obid \
+                 WHERE link.left = 1",
+            );
+            assert!(r.is_clean(), "{r}");
+        }
+
+        #[test]
+        fn unknown_table_flagged() {
+            assert_eq!(flagged("SELECT 1 FROM nonesuch"), [Check::UnknownTable]);
+        }
+
+        #[test]
+        fn unknown_column_flagged() {
+            assert_eq!(
+                flagged("SELECT assy.nonexistent FROM assy"),
+                [Check::UnknownColumn]
+            );
+        }
+
+        #[test]
+        fn ambiguous_unqualified_column() {
+            assert_eq!(
+                flagged("SELECT obid FROM assy, comp"),
+                [Check::AmbiguousColumn]
+            );
+        }
+
+        #[test]
+        fn correlated_exists_resolves_outer_binding() {
+            let r = run(
+                "SELECT comp.name FROM comp WHERE EXISTS (SELECT * FROM specified_by AS s \
+                 JOIN spec ON s.right = spec.obid WHERE s.left = comp.obid)",
+            );
+            assert!(r.is_clean(), "{r}");
+        }
+
+        #[test]
+        fn cte_projection_visible() {
+            let r = run(
+                "WITH RECURSIVE rtbl (a, b) AS (SELECT obid, name FROM assy UNION \
+                 SELECT comp.obid, comp.name FROM rtbl JOIN link ON rtbl.a = link.left \
+                 JOIN comp ON link.right = comp.obid) SELECT a, b FROM rtbl",
+            );
+            assert!(r.is_clean(), "{r}");
+            assert_eq!(
+                flagged(
+                    "WITH RECURSIVE rtbl (a) AS (SELECT obid FROM assy) SELECT missing FROM rtbl"
+                ),
+                [Check::UnknownColumn]
+            );
+        }
+
+        #[test]
+        fn cte_arity_mismatch_flagged() {
+            assert_eq!(
+                flagged(
+                    "WITH RECURSIVE rtbl (a, b, c) AS (SELECT obid, name FROM assy) \
+                     SELECT a FROM rtbl"
+                ),
+                [Check::CteArityMismatch]
+            );
+        }
+
+        #[test]
+        fn setop_arity_mismatch_flagged() {
+            assert_eq!(
+                flagged("SELECT obid, name FROM assy UNION SELECT obid FROM comp"),
+                [Check::SetOpArityMismatch]
+            );
+        }
+
+        #[test]
+        fn aggregate_in_where_flagged() {
+            assert_eq!(
+                flagged("SELECT obid FROM assy WHERE COUNT(*) > 1"),
+                [Check::AggregateInWhere]
+            );
+        }
+
+        #[test]
+        fn order_by_ordinal_bounds() {
+            for sql in [
+                "SELECT obid FROM assy ORDER BY 2",
+                "SELECT obid FROM assy ORDER BY 0",
+            ] {
+                assert_eq!(flagged(sql), [Check::OrderByOutOfRange], "{sql}");
+            }
+            assert!(run("SELECT obid FROM assy ORDER BY 1").is_clean());
+        }
+
+        #[test]
+        fn unknown_function_is_warning() {
+            let r = run("SELECT MYSTERY(obid) FROM assy");
+            let checks: Vec<Check> = r.diagnostics.iter().map(|d| d.check).collect();
+            assert_eq!(checks, [Check::UnknownFunction], "{r}");
+            assert!(!r.has_errors());
+        }
     }
 }
