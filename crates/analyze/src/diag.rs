@@ -220,17 +220,19 @@ impl Check {
 
 /// The engine's error families, by a text their messages hold, and the
 /// check each one is; the first match decides.
-const ENGINE_FAMILIES: [(&str, Check); 16] = [
+const ENGINE_FAMILIES: [(&str, Check); 18] = [
     ("unknown table", Check::UnknownTable),
     ("no table", Check::UnknownTable),
     ("unknown column", Check::UnknownColumn),
     ("ambiguous column", Check::AmbiguousColumn),
     ("unknown function", Check::UnknownFunction),
     ("is not a valid call", Check::UnknownFunction),
+    ("expects exactly one argument", Check::UnknownFunction),
     ("columns but its query produces", Check::CteArityMismatch),
     ("recursive term of CTE", Check::CteArityMismatch),
     ("seed terms disagree", Check::CteArityMismatch),
     ("set operation arity", Check::SetOpArityMismatch),
+    ("subquery must return one column", Check::SetOpArityMismatch),
     ("outside GROUP BY", Check::AggregateInWhere),
     ("ORDER BY", Check::OrderByOutOfRange),
     ("no non-recursive seed term", Check::NoSeedTerm),

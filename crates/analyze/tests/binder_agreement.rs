@@ -1,8 +1,9 @@
 //! The analyzer and the engine bind one dialect with one binder: over random
 //! well-formed queries on the Figure-2 schema, and the same queries with one
-//! mutation each (a table, a column, a function, an aggregate's placement,
-//! a set operation's arity, an ORDER BY ordinal, a CTE's or a recursive
-//! term's width), compiling a query (`explain_query`, no row read) fails
+//! mutation each (a table, a column, a function, an aggregate's placement
+//! or argument count, a set operation's arity, an ORDER BY ordinal, a CTE's
+//! or a recursive term's width, an IN or scalar subquery's width),
+//! compiling a query (`explain_query`, no row read) fails
 //! exactly when the analyzer flags a resolution check. And a query that
 //! compiles never meets a bind error when it runs on a populated tree: the
 //! binder leaves nothing for the rows to find.
@@ -50,21 +51,27 @@ enum Mutation {
     Column,
     Function,
     Aggregate,
+    /// `SUM(*)` or `COUNT(c, c)` for a grouped body's `COUNT(*)`.
+    AggregateArity,
     SetOpArity,
     OrderBy,
     CteWidth,
     RecursiveWidth,
+    /// A two-column IN or scalar subquery in a block's WHERE.
+    SubqueryWidth,
 }
 
-const MUTATIONS: [Mutation; 8] = [
+const MUTATIONS: [Mutation; 10] = [
     Mutation::Table,
     Mutation::Column,
     Mutation::Function,
     Mutation::Aggregate,
+    Mutation::AggregateArity,
     Mutation::SetOpArity,
     Mutation::OrderBy,
     Mutation::CteWidth,
     Mutation::RecursiveWidth,
+    Mutation::SubqueryWidth,
 ];
 
 /// One SELECT block over one table: its projected columns, the lower bound
@@ -160,7 +167,12 @@ impl Body {
             Body::Select(b) => b.render(m, ""),
             Body::Grouped(b, having) => {
                 let c = format!("{}.{}", b.table, b.columns[0]);
-                let mut sql = b.render(m, ", COUNT(*)");
+                let count = match m {
+                    Some(Mutation::AggregateArity) if b.bound % 2 == 0 => ", SUM(*)".to_string(),
+                    Some(Mutation::AggregateArity) => format!(", COUNT({c}, {c})"),
+                    _ => ", COUNT(*)".to_string(),
+                };
+                let mut sql = b.render(m, &count);
                 sql.push_str(&format!(" GROUP BY {c}"));
                 if *having {
                     sql.push_str(" HAVING COUNT(*) > 0");
@@ -213,6 +225,13 @@ impl Block {
                 " AND EXISTS (SELECT 1 FROM link AS l WHERE l.right = {t}.obid)"
             ));
         }
+        if m == Some(Mutation::SubqueryWidth) {
+            let pair = "SELECT l.left, l.right FROM link AS l";
+            sql.push_str(&match self.bound % 2 {
+                0 => format!(" AND {t}.obid IN ({pair})"),
+                _ => format!(" AND {t}.obid <> ({pair} WHERE l.obid = 0)"),
+            });
+        }
         sql
     }
 }
@@ -231,6 +250,10 @@ impl Spec {
             Mutation::SetOpArity => matches!(
                 &self.shape,
                 Shape::Plain(Body::SetOp(..)) | Shape::Cte(Body::SetOp(..))
+            ),
+            Mutation::AggregateArity => matches!(
+                &self.shape,
+                Shape::Plain(Body::Grouped(..)) | Shape::Cte(Body::Grouped(..))
             ),
             Mutation::CteWidth => !matches!(self.shape, Shape::Plain(_)),
             Mutation::RecursiveWidth => matches!(self.shape, Shape::Recursive(_)),

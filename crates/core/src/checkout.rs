@@ -7,9 +7,12 @@
 //! the server. Both variants are implemented here so the benches can
 //! measure the difference.
 
+use std::sync::Arc;
+
 use pdm_net::TrafficStats;
 use pdm_sql::{ExecOutcome, ResultSet};
 
+use crate::client::NodeRows;
 use crate::product::{ObjectId, ProductTree};
 use crate::query::prepared::Shape;
 use crate::rules::classify::ConditionClass;
@@ -56,15 +59,7 @@ impl Session {
         }
 
         // Phase 3: separate UPDATE communications (§6).
-        let mut assy_ids: Vec<ObjectId> = Vec::new();
-        let mut comp_ids: Vec<ObjectId> = Vec::new();
-        for node in tree.nodes() {
-            match node.type_name.as_str() {
-                "assy" => assy_ids.push(node.obid),
-                "comp" => comp_ids.push(node.obid),
-                _ => {}
-            }
-        }
+        let (assy_ids, comp_ids) = split_by_type(&tree);
         self.reset_metering();
         let updates = flag_updates(&assy_ids, &comp_ids, true);
         self.metered_updates(&updates)?;
@@ -136,10 +131,8 @@ impl Session {
             }),
             Some(rows) => {
                 let mut tree = self.rooted_tree(root)?;
-                let shape = self.node_shape(&rows.schema);
-                for row in &rows.rows {
-                    tree.insert(shape.node(row, None));
-                }
+                let shape = Arc::clone(self.node_shape(&rows.schema));
+                tree.insert_rows(&NodeRows::new(rows, shape, None));
                 Ok(CheckoutOutcome {
                     tree: Some(tree),
                     stats: self.stats().clone(),
@@ -156,15 +149,7 @@ impl Session {
     }
 
     fn check_in_inner(&mut self, tree: &ProductTree) -> SessionResult<usize> {
-        let mut assy_ids = Vec::new();
-        let mut comp_ids = Vec::new();
-        for node in tree.nodes() {
-            match node.type_name.as_str() {
-                "assy" => assy_ids.push(node.obid),
-                "comp" => comp_ids.push(node.obid),
-                _ => {}
-            }
-        }
+        let (assy_ids, comp_ids) = split_by_type(tree);
         let n = self.metered_updates(&flag_updates(&assy_ids, &comp_ids, false))?;
         // Retire what a function-shipping check-out of this tree registered
         // at the server: its lock-table entries and its durable grant.
@@ -207,6 +192,20 @@ impl Session {
         }
         false
     }
+}
+
+/// The ids of the tree's assemblies and of its components, ascending, read
+/// without building a node.
+fn split_by_type(tree: &ProductTree) -> (Vec<ObjectId>, Vec<ObjectId>) {
+    let (mut assy_ids, mut comp_ids) = (Vec::new(), Vec::new());
+    for (obid, type_name) in tree.ids_and_types() {
+        match type_name {
+            "assy" => assy_ids.push(obid),
+            "comp" => comp_ids.push(obid),
+            _ => {}
+        }
+    }
+    (assy_ids, comp_ids)
 }
 
 /// The UPDATE statements that set the `checkedout` flag of the given

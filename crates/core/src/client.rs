@@ -122,18 +122,24 @@ impl NodeShape {
         int_at(row, self.obid)
     }
 
+    /// The row's `parent` column, when it has one and it is an integer.
+    pub fn parent(&self, row: &Row) -> Option<ObjectId> {
+        int_at(row, self.parent)
+    }
+
+    /// The row's `type` column, when it has one and it is text; "" else.
+    pub fn type_name<'r>(&self, row: &'r Row) -> &'r str {
+        text_at(row, self.type_name)
+    }
+
     /// The node one row of this shape's result describes, under `parent`
     /// when given.
     pub fn node(&self, row: &Row, parent: Option<ObjectId>) -> ProductNode {
-        let text = |at: Option<usize>| match at.and_then(|i| row.try_get(i)) {
-            Some(Value::Text(t)) => t.clone(),
-            _ => String::new(),
-        };
         ProductNode {
             obid: self.obid(row).unwrap_or_default(),
-            parent: parent.or_else(|| int_at(row, self.parent)),
-            type_name: text(self.type_name),
-            name: text(self.name),
+            parent: parent.or_else(|| self.parent(row)),
+            type_name: self.type_name(row).to_owned(),
+            name: text_at(row, self.name).to_owned(),
             attrs: self.attrs(row),
         }
     }
@@ -210,6 +216,23 @@ impl NodeRows {
     /// late filter dropped.
     pub fn rows(&self) -> &Arc<ResultSet> {
         &self.rows
+    }
+
+    /// The shape the rows are read through.
+    pub(crate) fn shape(&self) -> &Arc<NodeShape> {
+        &self.shape
+    }
+
+    /// The parent every node hangs under, when the statement had one.
+    pub(crate) fn parent(&self) -> Option<ObjectId> {
+        self.parent
+    }
+
+    /// The kept rows' positions in the result, in order.
+    pub(crate) fn positions(&self) -> impl Iterator<Item = usize> + '_ {
+        let all = self.kept.is_none().then(|| 0..self.rows.len());
+        let kept = self.kept.iter().flatten().map(|&at| at as usize);
+        all.into_iter().flatten().chain(kept)
     }
 
     /// The `i`-th node.
@@ -302,6 +325,14 @@ fn int_at(row: &Row, at: Option<usize>) -> Option<ObjectId> {
     match at.and_then(|i| row.try_get(i)) {
         Some(Value::Int(i)) => Some(*i),
         _ => None,
+    }
+}
+
+/// The text at position `at` of `row`, or "" when there is none.
+fn text_at(row: &Row, at: Option<usize>) -> &str {
+    match at.and_then(|i| row.try_get(i)) {
+        Some(Value::Text(t)) => t,
+        _ => "",
     }
 }
 

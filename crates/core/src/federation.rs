@@ -19,6 +19,7 @@
 //! `federation` bench binary quantifies this.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use pdm_net::{FaultPlan, LinkProfile, TrafficStats};
 use pdm_obs::MetricsRegistry;
@@ -264,13 +265,13 @@ impl Federation {
                         }
                         Err(e) => return Err(e),
                     };
-                    let shape = session.node_shape(&rs.schema);
-                    for row in &rs.rows {
+                    let shape = Arc::clone(session.node_shape(&rs.schema));
+                    for (at, row) in rs.rows.iter().enumerate() {
                         let Some(obid) = shape.obid(row) else {
                             continue;
                         };
                         let parent = if obid == r { attach_to } else { None };
-                        tree.insert(shape.node(row, parent));
+                        tree.insert_row(&rs, &shape, at, parent);
                     }
                     // Continue at mounts whose parent made it into the tree.
                     self.enqueue_mounts(r, &tree, &rs, &mut queue)?;
@@ -308,10 +309,8 @@ impl Federation {
                         }
                         Err(e) => return Err(e),
                     };
-                    for node in nodes.iter() {
-                        queue.push_back(node.obid);
-                        tree.insert(node);
-                    }
+                    tree.insert_rows(&nodes);
+                    queue.extend(nodes.obids());
                     // Mount children: fetch their row from the remote site,
                     // apply node rules client-side, continue expanding.
                     if let Some(mounts) = self.mounts_by_parent.get(&parent).cloned() {

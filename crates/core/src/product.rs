@@ -1,10 +1,21 @@
 //! Client-side product structure: what a PDM user actually sees after an
 //! expand — the reassembled object tree (§1: structure information is
 //! "retrieved, interpreted, and reassembled" from the flat tables).
+//!
+//! A tree keeps the server's rows. A node that arrived as a row of a
+//! retrieval's result is held as its id, its parent and the row's position
+//! in that shared result; its [`ProductNode`] — attribute map, `type` and
+//! `name` copies — is built the first time [`ProductTree::node`] or
+//! [`ProductTree::nodes`] reads it. Structure, ids and types are read from
+//! the row without building one.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use pdm_sql::Value;
+use pdm_sql::{ResultSet, Row, Value};
+
+use crate::client::{NodeRows, NodeShape};
 
 /// Object identifier (the `obid` of the flattened schema).
 pub type ObjectId = i64;
@@ -34,11 +45,32 @@ impl ProductNode {
 }
 
 /// A reassembled product tree.
-#[derive(Debug, Clone, Default)]
+///
+/// `Debug` prints every node built, whether it was read before or not.
+#[derive(Clone, Default)]
 pub struct ProductTree {
     root: Option<ObjectId>,
-    nodes: BTreeMap<ObjectId, ProductNode>,
+    nodes: BTreeMap<ObjectId, Slot>,
     children: HashMap<ObjectId, Vec<ObjectId>>,
+    /// The results nodes were inserted from as rows, one per retrieval.
+    batches: Vec<Batch>,
+}
+
+/// One retrieval's shared result and the shape that reads its rows.
+#[derive(Clone)]
+struct Batch {
+    rows: Arc<ResultSet>,
+    shape: Arc<NodeShape>,
+}
+
+/// One node of a tree: built when inserted built, else when first read.
+#[derive(Clone)]
+struct Slot {
+    parent: Option<ObjectId>,
+    /// The batch and position of the row the node is read from; `None`
+    /// for a node inserted built.
+    row: Option<(usize, usize)>,
+    node: OnceLock<ProductNode>,
 }
 
 impl ProductTree {
@@ -49,13 +81,91 @@ impl ProductTree {
     /// Insert a node; the first node without a parent (or the first node
     /// overall) becomes the root.
     pub fn insert(&mut self, node: ProductNode) {
-        if let Some(p) = node.parent {
-            self.children.entry(p).or_default().push(node.obid);
+        let (obid, parent) = (node.obid, node.parent);
+        self.place(
+            obid,
+            Slot {
+                parent,
+                row: None,
+                node: OnceLock::from(node),
+            },
+        );
+    }
+
+    /// Insert every node `rows` reads, in order, each kept as its row.
+    pub(crate) fn insert_rows(&mut self, rows: &NodeRows) {
+        for at in rows.positions() {
+            self.insert_row(rows.rows(), rows.shape(), at, rows.parent());
         }
-        if self.root.is_none() && node.parent.is_none() {
-            self.root = Some(node.obid);
+    }
+
+    /// Insert the node row `at` of `rows` describes, read through `shape`
+    /// (which must fit the rows' schema), under `parent` when given and
+    /// else under the row's `parent` column — the node
+    /// [`NodeShape::node`] builds from it, kept as the row. Returns its id,
+    /// or `None` when `rows` has no row `at`.
+    pub(crate) fn insert_row(
+        &mut self,
+        rows: &Arc<ResultSet>,
+        shape: &Arc<NodeShape>,
+        at: usize,
+        parent: Option<ObjectId>,
+    ) -> Option<ObjectId> {
+        let row = rows.rows.get(at)?;
+        let obid = shape.obid(row).unwrap_or_default();
+        let parent = parent.or_else(|| shape.parent(row));
+        let same = |b: &Batch| Arc::ptr_eq(&b.rows, rows) && Arc::ptr_eq(&b.shape, shape);
+        if !self.batches.last().is_some_and(same) {
+            self.batches.push(Batch {
+                rows: Arc::clone(rows),
+                shape: Arc::clone(shape),
+            });
         }
-        self.nodes.insert(node.obid, node);
+        let batch = self.batches.len() - 1;
+        self.place(
+            obid,
+            Slot {
+                parent,
+                row: Some((batch, at)),
+                node: OnceLock::new(),
+            },
+        );
+        Some(obid)
+    }
+
+    fn place(&mut self, obid: ObjectId, slot: Slot) {
+        if let Some(p) = slot.parent {
+            self.children.entry(p).or_default().push(obid);
+        }
+        if self.root.is_none() && slot.parent.is_none() {
+            self.root = Some(obid);
+        }
+        self.nodes.insert(obid, slot);
+    }
+
+    /// The row a slot's node is read from, and the shape that reads it.
+    fn row(&self, slot: &Slot) -> Option<(&NodeShape, &Row)> {
+        let (batch, at) = slot.row?;
+        let batch = self.batches.get(batch)?;
+        Some((&batch.shape, batch.rows.rows.get(at)?))
+    }
+
+    /// A slot's node, built on its first read.
+    fn built<'a>(&'a self, slot: &'a Slot) -> &'a ProductNode {
+        slot.node.get_or_init(|| {
+            let (shape, row) = self
+                .row(slot)
+                .expect("a node not inserted built is a row of a kept batch");
+            shape.node(row, slot.parent)
+        })
+    }
+
+    /// A slot's type discriminator, read without building its node.
+    fn type_of<'a>(&'a self, slot: &'a Slot) -> &'a str {
+        match self.row(slot) {
+            Some((shape, row)) => shape.type_name(row),
+            None => slot.node.get().map_or("", |n| n.type_name.as_str()),
+        }
     }
 
     pub fn root(&self) -> Option<ObjectId> {
@@ -74,8 +184,9 @@ impl ProductTree {
         self.nodes.contains_key(&obid)
     }
 
+    /// The node `obid`, built on its first read.
     pub fn node(&self, obid: ObjectId) -> Option<&ProductNode> {
-        self.nodes.get(&obid)
+        self.nodes.get(&obid).map(|slot| self.built(slot))
     }
 
     pub fn children(&self, obid: ObjectId) -> &[ObjectId] {
@@ -87,15 +198,23 @@ impl ProductTree {
         self.nodes.keys().copied()
     }
 
+    /// All nodes in ascending obid order, each built on its first read.
     pub fn nodes(&self) -> impl Iterator<Item = &ProductNode> {
-        self.nodes.values()
+        self.nodes.values().map(|slot| self.built(slot))
+    }
+
+    /// Every node's id and type discriminator, in ascending obid order,
+    /// read without building a node.
+    pub fn ids_and_types(&self) -> impl Iterator<Item = (ObjectId, &str)> {
+        self.nodes
+            .iter()
+            .map(|(&obid, slot)| (obid, self.type_of(slot)))
     }
 
     /// Number of nodes with the given type discriminator.
     pub fn count_of_type(&self, type_name: &str) -> usize {
-        self.nodes
-            .values()
-            .filter(|n| n.type_name == type_name)
+        self.ids_and_types()
+            .filter(|&(_, t)| t == type_name)
             .count()
     }
 
@@ -127,6 +246,25 @@ impl ProductTree {
             }
         }
         seen.len()
+    }
+}
+
+impl fmt::Debug for ProductTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Nodes<'a>(&'a ProductTree);
+        impl fmt::Debug for Nodes<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let tree = self.0;
+                f.debug_map()
+                    .entries(tree.nodes.iter().map(|(id, slot)| (id, tree.built(slot))))
+                    .finish()
+            }
+        }
+        f.debug_struct("ProductTree")
+            .field("root", &self.root)
+            .field("nodes", &Nodes(self))
+            .field("children", &self.children)
+            .finish()
     }
 }
 

@@ -11,8 +11,10 @@
 //! exchange ([`crate::resilience`]); *per row* it reads the server's shared
 //! result by reference, through column positions resolved once per result
 //! schema ([`NodeShape`]) — the result set itself is never copied. A Query
-//! action hands that result back as it is ([`NodeRows`]); only the paths
-//! that assemble a [`ProductTree`] turn its rows into [`ProductNode`]s.
+//! action hands that result back as it is ([`NodeRows`]), and a
+//! [`ProductTree`] keeps the rows it is assembled from: a row becomes a
+//! [`ProductNode`](crate::ProductNode) only when the caller reads that
+//! node.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -29,7 +31,7 @@ use pdm_sql::functions::FunctionRegistry;
 use pdm_sql::{Database, ResultSet, Schema};
 
 use crate::client::{self, NodeRows, NodeShape, Strategy};
-use crate::product::{ObjectId, ProductNode, ProductTree};
+use crate::product::{ObjectId, ProductTree};
 use crate::query::modificator::{ModError, Modificator};
 use crate::query::prepared::{Prepared, Shape};
 use crate::resilience::{DegradationController, RetryPolicy};
@@ -815,15 +817,6 @@ impl Session {
         })
     }
 
-    /// Fetch the root object without metering: the paper's footnote 4 —
-    /// "the root object is considered to be already at the client".
-    pub fn fetch_root_cached(&mut self, root: ObjectId) -> SessionResult<ProductNode> {
-        let sql = self.statement(Shape::FetchNode, ActionKind::Access, &[root])?;
-        let rs = self.server.query_cached(&sql)?;
-        let row = rs.rows.first().ok_or(SessionError::RootNotFound(root))?;
-        Ok(self.node_shape(&rs.schema).node(row, None))
-    }
-
     /// The shape that turns rows of `schema` into nodes: the kept one when
     /// its column names are `schema`'s, else one resolved for `schema` and
     /// kept from here on.
@@ -874,10 +867,16 @@ impl Session {
         }
     }
 
-    /// A tree holding just `root`, fetched unmetered.
+    /// A tree holding just `root`, kept as its row and fetched without
+    /// metering: the paper's footnote 4 — "the root object is considered
+    /// to be already at the client".
     pub(crate) fn rooted_tree(&mut self, root: ObjectId) -> SessionResult<ProductTree> {
+        let sql = self.statement(Shape::FetchNode, ActionKind::Access, &[root])?;
+        let rs = self.server.query_cached(&sql)?;
+        let shape = Arc::clone(self.node_shape(&rs.schema));
         let mut tree = ProductTree::new();
-        tree.insert(self.fetch_root_cached(root)?);
+        tree.insert_row(&rs, &shape, 0, None)
+            .ok_or(SessionError::RootNotFound(root))?;
         Ok(tree)
     }
 
@@ -961,10 +960,8 @@ impl Session {
         };
         let sql = self.statement(shape, ActionKind::MultiLevelExpand, &[root])?;
         let rs = self.metered_query(&sql)?;
-        let shape = self.node_shape(&rs.schema);
-        for row in &rs.rows {
-            tree.insert(shape.node(row, None));
-        }
+        let shape = Arc::clone(self.node_shape(&rs.schema));
+        tree.insert_rows(&NodeRows::new(rs, shape, None));
         Ok(())
     }
 
@@ -1002,7 +999,8 @@ impl Session {
                 "batched_level",
                 None,
             )?;
-            frontier = insert_all(tree, &nodes);
+            tree.insert_rows(&nodes);
+            frontier = nodes.obids().collect();
         }
         Ok(())
     }
@@ -1052,7 +1050,8 @@ impl Session {
             "expand",
             Some(parent),
         )?;
-        Ok(insert_all(tree, &nodes))
+        tree.insert_rows(&nodes);
+        Ok(nodes.obids().collect())
     }
 
     /// The one navigational retrieval every non-recursive action is built
@@ -1104,17 +1103,6 @@ impl Session {
         rows_filtered.add(transferred - kept_rows);
         Ok(NodeRows::new(rs, node_shape, parent).keeping(kept))
     }
-}
-
-/// Insert the nodes of `rows` into `tree`, returning their ids in order.
-fn insert_all(tree: &mut ProductTree, rows: &NodeRows) -> Vec<ObjectId> {
-    rows.iter()
-        .map(|node| {
-            let id = node.obid;
-            tree.insert(node);
-            id
-        })
-        .collect()
 }
 
 // Sessions are moved into worker threads of the shared-server harness.

@@ -20,13 +20,14 @@ use pdm_core::query::{T_ASSY, T_COMP, T_LINK};
 use pdm_core::rules::condition::{CmpOp, Condition, RowPredicate};
 use pdm_core::rules::{visibility_rules, ActionKind, Rule};
 use pdm_core::{
-    ProductNode, ProductTree, RuleTable, Session, SessionConfig, Strategy as ClientStrategy,
+    Federation, MountPoint, ProductNode, ProductTree, RuleTable, Session, SessionConfig,
+    Strategy as ClientStrategy,
 };
 use pdm_net::LinkProfile;
 use pdm_obs::kinds;
 use pdm_obs::metrics::families;
 use pdm_sql::{Column, DataType, ResultSet, Row, Schema, Value};
-use pdm_workload::{build_database, TreeSpec, VisibilityMode};
+use pdm_workload::{build_database, generate, partition, TreeSpec, VisibilityMode};
 
 fn arb_spec(rng: &mut Prng) -> TreeSpec {
     let depth = rng.u32_inclusive(2, 4);
@@ -367,17 +368,23 @@ enum Expand {
     Batched,
 }
 
-/// The tree the eager path assembled for `root`: the unmetered root row,
-/// then the rows of `how`'s statements as nodes.
-fn eager_tree(s: &mut Session, root: i64, how: Expand) -> ProductTree {
-    let tables = [T_LINK, T_ASSY, T_COMP];
-    let mle = ActionKind::MultiLevelExpand;
+/// A tree holding the unmetered root row as a node.
+fn eager_root(s: &mut Session, root: i64) -> ProductTree {
     let mut tree = ProductTree::new();
     let sql = s
         .statement(Shape::FetchNode, ActionKind::Access, &[root])
         .unwrap();
     let rs = s.server().query(&sql).unwrap();
     tree.insert(NodeShape::new(&rs.schema).node(&rs.rows[0], None));
+    tree
+}
+
+/// The tree the eager path assembled for `root`: the unmetered root row,
+/// then the rows of `how`'s statements as nodes.
+fn eager_tree(s: &mut Session, root: i64, how: Expand) -> ProductTree {
+    let tables = [T_LINK, T_ASSY, T_COMP];
+    let mle = ActionKind::MultiLevelExpand;
+    let mut tree = eager_root(s, root);
     let recursive = s.config().strategy == ClientStrategy::Recursive;
     match how {
         Expand::Single => {
@@ -427,8 +434,7 @@ fn spelled_tree(tree: &ProductTree) -> Vec<String> {
 /// a node from every shipped row, then `permitted` under late evaluation —
 /// for random trees, every strategy and rule tables that filter late; its
 /// ids read by position are those nodes' ids; the γ counters and the
-/// `LATE_FILTER` span count what the eager filter kept; and every expand
-/// still assembles the eager path's tree.
+/// `LATE_FILTER` span count what the eager filter kept.
 #[test]
 fn query_rows_match_the_eager_node_oracle() {
     // Late Query actions that dropped some shipped rows and kept others.
@@ -489,7 +495,126 @@ fn query_rows_match_the_eager_node_oracle() {
                 assert_eq!(gamma, (kept, transferred - kept));
                 filtered += usize::from(0 < kept && kept < transferred);
             }
+        }
+    });
+    assert!(
+        filtered >= 16,
+        "only {filtered} of 32 late Query actions filtered"
+    );
+}
 
+/// The check-in's id split of a tree: its assemblies' and components' ids.
+fn id_split<'a>(typed: impl Iterator<Item = (i64, &'a str)>) -> [Vec<i64>; 2] {
+    let mut split = [Vec::new(), Vec::new()];
+    for (obid, type_name) in typed {
+        match type_name {
+            "assy" => split[0].push(obid),
+            "comp" => split[1].push(obid),
+            _ => {}
+        }
+    }
+    split
+}
+
+/// Holds a tree that keeps its rows to the eager tree of the same
+/// retrievals: its structure, ids and types are read before any node and
+/// equal the eager tree's, then every node equals the one the eager path
+/// built from its row. A clone taken before any read, once read, equals the
+/// original, and `Debug` prints the same before and after the nodes are
+/// read. Children are compared in order when `ordered`, else as sets; the
+/// nodes in `fetched` are compared by id, parent, type and name only (a
+/// federation fetches a mount's child by its own row, without its link's
+/// columns).
+fn assert_lazy_equals_eager(
+    lazy: &ProductTree,
+    eager: &ProductTree,
+    ordered: bool,
+    fetched: &[i64],
+    what: &str,
+) {
+    let (clone, printed) = (lazy.clone(), lazy.clone());
+    assert_eq!(lazy.len(), eager.len(), "{what}");
+    assert_eq!(lazy.root(), eager.root(), "{what}");
+    let ids: Vec<i64> = lazy.node_ids().collect();
+    assert_eq!(ids, eager.node_ids().collect::<Vec<_>>(), "{what}");
+    for &id in &ids {
+        let (mut got, mut want) = (lazy.children(id).to_vec(), eager.children(id).to_vec());
+        if !ordered {
+            got.sort_unstable();
+            want.sort_unstable();
+        }
+        assert_eq!(got, want, "{what}: children of {id}");
+    }
+    for t in ["assy", "comp", ""] {
+        assert_eq!(lazy.count_of_type(t), eager.count_of_type(t), "{what}: {t}");
+    }
+    let eager_typed = eager.nodes().map(|n| (n.obid, n.type_name.as_str()));
+    assert_eq!(
+        id_split(lazy.ids_and_types()),
+        id_split(eager_typed),
+        "{what}"
+    );
+
+    let unread = format!("{printed:?}");
+    let spelled = |tree: &ProductTree| {
+        if ordered {
+            return spelled_tree(tree);
+        }
+        let head =
+            |n: &ProductNode| format!("{} {:?} {:?} {:?}", n.obid, n.parent, n.type_name, n.name);
+        tree.nodes()
+            .map(|n| {
+                if fetched.contains(&n.obid) {
+                    head(n)
+                } else {
+                    spelled(n)
+                }
+            })
+            .collect()
+    };
+    assert_eq!(spelled(lazy), spelled(eager), "{what}");
+    assert_eq!(format!("{lazy:?}"), unread, "{what}");
+    assert_eq!(spelled(&clone), spelled(lazy), "{what}");
+}
+
+/// The function-shipping check-out of `root` as the eager path assembled
+/// it: a node from every row its statement returns before the flags flip,
+/// under the root as fetched after the check-out. Returns the check-out's
+/// tree and the eager one.
+fn checkout_and_eager_tree(s: &mut Session, root: i64) -> (ProductTree, ProductTree) {
+    let sql = s
+        .statement(Shape::MlePhysical, ActionKind::CheckOut, &[root])
+        .unwrap();
+    let rs = s.server().query(&sql).unwrap();
+    let tree = s.check_out_function_shipping(root).unwrap().tree.unwrap();
+    let mut eager = eager_root(s, root);
+    let shape = NodeShape::new(&rs.schema);
+    rs.rows
+        .iter()
+        .for_each(|row| eager.insert(shape.node(row, None)));
+    (tree, eager)
+}
+
+/// A tree keeps the rows it was assembled from and builds a node when it is
+/// read; read that way it is the eager path's tree — for random trees and
+/// late rule tables, every strategy, the single-level, multi-level and
+/// level-batched expands, the function-shipping check-out, and a
+/// federation's expand over one to three sites (whose navigational loop
+/// inserts each retrieval under its parent, and whose recursive loop
+/// attaches a remote subtree's root to its mount).
+#[test]
+fn tree_rows_match_the_eager_node_oracle() {
+    cases("tree_rows_match_the_eager_node_oracle", 24, 0x27, |rng| {
+        let spec = arb_spec(rng);
+        let rules = arb_late_rules(rng);
+        let sites = rng.usize_inclusive(1, 3);
+        for strategy in ClientStrategy::ALL {
+            let (db, _) = build_database(&spec).unwrap();
+            let mut s = Session::new(
+                db,
+                SessionConfig::new("scott", strategy, LinkProfile::wan_256()),
+                rules.clone(),
+            );
             for how in [Expand::Single, Expand::Multi, Expand::Batched] {
                 let tree = match how {
                     Expand::Single => s.single_level_expand(1),
@@ -498,16 +623,42 @@ fn query_rows_match_the_eager_node_oracle() {
                 }
                 .unwrap()
                 .tree;
-                assert_eq!(
-                    spelled_tree(&tree),
-                    spelled_tree(&eager_tree(&mut s, 1, how)),
-                    "{strategy:?} {how:?}"
-                );
+                let eager = eager_tree(&mut s, 1, how);
+                let what = format!("{strategy:?} {how:?}");
+                assert_lazy_equals_eager(&tree, &eager, true, &[], &what);
             }
+
+            let (tree, eager) = checkout_and_eager_tree(&mut s, 1);
+            let what = format!("{strategy:?} check-out");
+            assert_lazy_equals_eager(&tree, &eager, true, &[], &what);
+            assert_eq!(s.check_in(&tree).unwrap(), tree.len(), "{strategy:?}");
+
+            let (dbs, info) = partition(&generate(&spec), sites).unwrap();
+            let fetched: Vec<i64> = info.mounts.iter().map(|m| m.child).collect();
+            let mounts = info
+                .mounts
+                .iter()
+                .map(|m| MountPoint {
+                    parent: m.parent,
+                    child: m.child,
+                    child_site: m.child_site,
+                    visible: m.visible,
+                })
+                .collect();
+            let mut federation = Federation::new(
+                dbs,
+                vec![LinkProfile::wan_256(); sites],
+                (0..sites).map(|i| format!("site{i}")).collect(),
+                info.site_of,
+                mounts,
+                "scott",
+                strategy,
+                rules.clone(),
+            );
+            let tree = federation.multi_level_expand(1).unwrap().tree;
+            let eager = eager_tree(&mut s, 1, Expand::Multi);
+            let what = format!("{strategy:?} federation over {sites}");
+            assert_lazy_equals_eager(&tree, &eager, sites == 1, &fetched, &what);
         }
     });
-    assert!(
-        filtered >= 16,
-        "only {filtered} of 32 late Query actions filtered"
-    );
 }

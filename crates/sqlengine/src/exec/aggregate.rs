@@ -89,7 +89,6 @@ fn compute<'f, 'v: 'f>(
 ) -> Result<Value> {
     let arg = match &agg.arg {
         AggArg::Star => return Ok(Value::Int(rows.len() as i64)),
-        AggArg::Invalid(e) => return Err(e.clone()),
         AggArg::Expr(arg) => arg,
     };
     let mut count = 0usize;

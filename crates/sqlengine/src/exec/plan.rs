@@ -16,8 +16,10 @@
 //! is checked here, before any row is read, and a failure is an
 //! [`Error::Bind`] — an unknown table, column or function, an ambiguous
 //! column, an aggregate outside a grouped projection or HAVING, a
-//! non-aggregate `f(*)`, the arity of a set operation, of a CTE's column
-//! list or of a recursive term, an ORDER BY ordinal or name. A plan holds
+//! non-aggregate `f(*)`, an aggregate's argument count (`SUM(*)`,
+//! `COUNT(a, b)`), the arity of a set operation, of a CTE's column list or
+//! of a recursive term, the one column of an IN or scalar subquery, an
+//! ORDER BY ordinal or name. A plan holds
 //! no deferred bind error. What depends on values (a type mismatch, a
 //! failing cast, a scalar subquery with two rows, …) fails at run time,
 //! when a row reaches it.
@@ -272,8 +274,6 @@ pub(crate) struct Agg {
 pub(crate) enum AggArg {
     Star,
     Expr(PExpr),
-    /// Raised when a group is computed (`SUM(*)`, `COUNT(a, b)`).
-    Invalid(Error),
 }
 
 /// One FROM binding: where its rows come from, which conjuncts its scan
@@ -831,7 +831,7 @@ impl<'a> Compiler<'a> {
                 negated,
             } => {
                 let args = self.args([&**expr])?;
-                let sub = self.subquery(query, false)?;
+                let sub = one_column(self.subquery(query, false)?, "IN")?;
                 let negated = *negated;
                 (Op::InSubquery { sub, negated }, args)
             }
@@ -840,7 +840,10 @@ impl<'a> Compiler<'a> {
                 let negated = *negated;
                 (Op::Exists { sub, negated }, Vec::new())
             }
-            Expr::ScalarSubquery(query) => (Op::Scalar(self.subquery(query, false)?), Vec::new()),
+            Expr::ScalarSubquery(query) => {
+                let sub = one_column(self.subquery(query, false)?, "scalar")?;
+                (Op::Scalar(sub), Vec::new())
+            }
             Expr::Function { name, .. } if is_aggregate_name(name) => {
                 // Every occurrence of the same rendered form shares a slot.
                 // The argument compiles outside the group: a nested aggregate
@@ -1305,18 +1308,17 @@ impl<'a> Compiler<'a> {
             unreachable!("called for aggregate calls")
         };
         let arg = if *star {
-            if name == "count" {
-                AggArg::Star
-            } else {
-                AggArg::Invalid(Error::Eval(format!("{name}(*) is not valid")))
+            if name != "count" {
+                return Err(Error::Bind(format!("{name}(*) is not a valid call")));
             }
+            AggArg::Star
         } else if let [arg] = args.as_slice() {
             AggArg::Expr(self.expr(arg)?)
         } else {
-            AggArg::Invalid(Error::Eval(format!(
+            return Err(Error::Bind(format!(
                 "{}() expects exactly one argument",
                 name.to_uppercase()
-            )))
+            )));
         };
         Ok(Agg {
             func: name.clone(),
@@ -1536,6 +1538,17 @@ impl<'a> Compiler<'a> {
             keys.push((idx, item.desc));
         }
         Ok(keys)
+    }
+}
+
+/// `sub`, when it projects the one column an IN or scalar subquery (`what`)
+/// stands for.
+fn one_column(sub: Box<SubPlan>, what: &str) -> Result<Box<SubPlan>> {
+    match sub.query.schema.len() {
+        1 => Ok(sub),
+        width => Err(Error::Bind(format!(
+            "{what} subquery must return one column, got {width}"
+        ))),
     }
 }
 

@@ -98,12 +98,6 @@ pub(crate) fn in_subquery(
         return Ok((set.0.contains(needle), set.1));
     }
     let rows = run(cx, f, sub)?;
-    let width = sub.query.schema.len();
-    if width != 1 {
-        return Err(Error::Eval(format!(
-            "IN subquery must return one column, got {width}"
-        )));
-    }
     let mut set = HashSet::with_capacity(rows.len());
     let mut saw_null = false;
     for v in rows.into_iter().flat_map(Row::into_values) {
@@ -128,12 +122,6 @@ pub(crate) fn scalar(cx: Cx<'_>, f: &Frame<'_, '_>, sub: &SubPlan) -> Result<Val
         return Ok(v);
     }
     let mut rows = run(cx, f, sub)?;
-    let width = sub.query.schema.len();
-    if width != 1 {
-        return Err(Error::Eval(format!(
-            "scalar subquery must return one column, got {width}"
-        )));
-    }
     let value = match rows.len() {
         0 => Value::Null,
         1 => rows.swap_remove(0).into_values().swap_remove(0),

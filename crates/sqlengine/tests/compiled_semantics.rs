@@ -132,6 +132,24 @@ fn every_bind_error_is_raised_before_a_row_is_read() {
             "SELECT upper(*) FROM empty_t",
             "upper(*) is not a valid call",
         ),
+        // An aggregate's argument count.
+        (
+            "SELECT a, SUM(*) FROM empty_t GROUP BY a",
+            "sum(*) is not a valid call",
+        ),
+        (
+            "SELECT a, COUNT(a, a) FROM empty_t GROUP BY a",
+            "COUNT() expects exactly one argument",
+        ),
+        // The one column of an IN or scalar subquery.
+        (
+            "SELECT a FROM empty_t WHERE a IN (SELECT a, c FROM u)",
+            "IN subquery must return one column, got 2",
+        ),
+        (
+            "SELECT (SELECT a, c FROM u) FROM empty_t",
+            "scalar subquery must return one column, got 2",
+        ),
         // Set-operation arity.
         (
             "SELECT a FROM empty_t UNION SELECT a, a FROM empty_t",
