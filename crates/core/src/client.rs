@@ -123,12 +123,12 @@ impl NodeShape {
     }
 
     /// The row's `parent` column, when it has one and it is an integer.
-    pub fn parent(&self, row: &Row) -> Option<ObjectId> {
+    pub(crate) fn parent(&self, row: &Row) -> Option<ObjectId> {
         int_at(row, self.parent)
     }
 
     /// The row's `type` column, when it has one and it is text; "" else.
-    pub fn type_name<'r>(&self, row: &'r Row) -> &'r str {
+    pub(crate) fn type_name<'r>(&self, row: &'r Row) -> &'r str {
         text_at(row, self.type_name)
     }
 
@@ -228,37 +228,30 @@ impl NodeRows {
         self.parent
     }
 
-    /// The kept rows' positions in the result, in order.
-    pub(crate) fn positions(&self) -> impl Iterator<Item = usize> + '_ {
-        let all = self.kept.is_none().then(|| 0..self.rows.len());
-        let kept = self.kept.iter().flatten().map(|&at| at as usize);
-        all.into_iter().flatten().chain(kept)
-    }
-
     /// The `i`-th node.
     pub fn get(&self, i: usize) -> Option<ProductNode> {
         self.kept_rows()
             .nth(i)
-            .map(|row| self.shape.node(row, self.parent))
+            .map(|(_, row)| self.shape.node(row, self.parent))
     }
 
     /// The nodes in order, each built as it is reached.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = ProductNode> + '_ {
         self.kept_rows()
-            .map(|row| self.shape.node(row, self.parent))
+            .map(|(_, row)| self.shape.node(row, self.parent))
     }
 
     /// The nodes' ids in order (an `obid` that is not an integer reads 0,
     /// as in the node).
     pub fn obids(&self) -> impl ExactSizeIterator<Item = ObjectId> + '_ {
         self.kept_rows()
-            .map(|row| self.shape.obid(row).unwrap_or_default())
+            .map(|(_, row)| self.shape.obid(row).unwrap_or_default())
     }
 
-    /// The kept rows in order.
-    fn kept_rows(&self) -> KeptRows<'_> {
+    /// The kept rows in order, each with its position in the result.
+    pub(crate) fn kept_rows(&self) -> KeptRows<'_> {
         match &self.kept {
-            None => KeptRows::All(self.rows.rows.iter()),
+            None => KeptRows::All(self.rows.rows.iter().enumerate()),
             Some(kept) => KeptRows::At {
                 rows: &self.rows.rows,
                 kept: kept.iter(),
@@ -267,11 +260,12 @@ impl NodeRows {
     }
 }
 
-/// The rows a [`NodeRows`] keeps, in order. Every kept position is a row of
-/// the result (the late filter records them while walking it), so the
-/// count of positions left is the count of rows left.
-enum KeptRows<'a> {
-    All(std::slice::Iter<'a, Row>),
+/// The rows a [`NodeRows`] keeps, in order, each with its position in the
+/// result. Every kept position is a row of the result (the late filter
+/// records them while walking it), so the count of positions left is the
+/// count of rows left.
+pub(crate) enum KeptRows<'a> {
+    All(std::iter::Enumerate<std::slice::Iter<'a, Row>>),
     At {
         rows: &'a [Row],
         kept: std::slice::Iter<'a, u32>,
@@ -279,19 +273,19 @@ enum KeptRows<'a> {
 }
 
 impl<'a> Iterator for KeptRows<'a> {
-    type Item = &'a Row;
+    type Item = (usize, &'a Row);
 
-    fn next(&mut self) -> Option<&'a Row> {
+    fn next(&mut self) -> Option<(usize, &'a Row)> {
         match self {
             KeptRows::All(rows) => rows.next(),
-            KeptRows::At { rows, kept } => kept.next().and_then(|&at| rows.get(at as usize)),
+            KeptRows::At { rows, kept } => kept.next().and_then(|&at| row_at(rows, at)),
         }
     }
 
-    fn nth(&mut self, n: usize) -> Option<&'a Row> {
+    fn nth(&mut self, n: usize) -> Option<(usize, &'a Row)> {
         match self {
             KeptRows::All(rows) => rows.nth(n),
-            KeptRows::At { rows, kept } => kept.nth(n).and_then(|&at| rows.get(at as usize)),
+            KeptRows::At { rows, kept } => kept.nth(n).and_then(|&at| row_at(rows, at)),
         }
     }
 
@@ -305,6 +299,12 @@ impl<'a> Iterator for KeptRows<'a> {
 
 impl ExactSizeIterator for KeptRows<'_> {}
 
+/// Row `at` of `rows`, with its position.
+fn row_at(rows: &[Row], at: u32) -> Option<(usize, &Row)> {
+    let at = at as usize;
+    rows.get(at).map(|row| (at, row))
+}
+
 impl fmt::Debug for NodeRows {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.iter()).finish()
@@ -316,7 +316,10 @@ impl PartialEq for NodeRows {
         self.shape.names() == other.shape.names()
             && self.parent == other.parent
             && self.len() == other.len()
-            && self.kept_rows().zip(other.kept_rows()).all(|(a, b)| a == b)
+            && self
+                .kept_rows()
+                .zip(other.kept_rows())
+                .all(|((_, a), (_, b))| a == b)
     }
 }
 
@@ -516,6 +519,8 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert!(!rows.is_empty());
         assert_eq!(rows.obids().collect::<Vec<_>>(), vec![2, 4]);
+        let at: Vec<usize> = rows.kept_rows().map(|(at, _)| at).collect();
+        assert_eq!(at, [0, 2]);
         let names: Vec<String> = rows.iter().map(|n| n.name).collect();
         assert_eq!(names, ["a", "b"]);
         assert_eq!(rows.iter().len(), 2);

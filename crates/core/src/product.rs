@@ -94,7 +94,7 @@ impl ProductTree {
 
     /// Insert every node `rows` reads, in order, each kept as its row.
     pub(crate) fn insert_rows(&mut self, rows: &NodeRows) {
-        for at in rows.positions() {
+        for (at, _) in rows.kept_rows() {
             self.insert_row(rows.rows(), rows.shape(), at, rows.parent());
         }
     }

@@ -434,7 +434,8 @@ fn spelled_tree(tree: &ProductTree) -> Vec<String> {
 /// a node from every shipped row, then `permitted` under late evaluation —
 /// for random trees, every strategy and rule tables that filter late; its
 /// ids read by position are those nodes' ids; the γ counters and the
-/// `LATE_FILTER` span count what the eager filter kept.
+/// `LATE_FILTER` span count what the eager filter kept; and every expand
+/// still assembles the eager path's tree.
 #[test]
 fn query_rows_match_the_eager_node_oracle() {
     // Late Query actions that dropped some shipped rows and kept others.
@@ -494,6 +495,21 @@ fn query_rows_match_the_eager_node_oracle() {
                 assert_eq!(late, vec![("query_all", transferred, kept)]);
                 assert_eq!(gamma, (kept, transferred - kept));
                 filtered += usize::from(0 < kept && kept < transferred);
+            }
+
+            for how in [Expand::Single, Expand::Multi, Expand::Batched] {
+                let tree = match how {
+                    Expand::Single => s.single_level_expand(1),
+                    Expand::Multi => s.multi_level_expand(1),
+                    Expand::Batched => s.multi_level_expand_batched(1),
+                }
+                .unwrap()
+                .tree;
+                assert_eq!(
+                    spelled_tree(&tree),
+                    spelled_tree(&eager_tree(&mut s, 1, how)),
+                    "{strategy:?} {how:?}"
+                );
             }
         }
     });
