@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 //! Ablation: the §5.3.1 optimizer assumption. The ∀rows translation places
 //! an uncorrelated `NOT EXISTS (SELECT * FROM rtbl ...)` in the outer WHERE

@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 //! Chaos bench: seeded crash/recovery cycles plus a recovery-time profile.
 //!

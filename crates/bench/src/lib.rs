@@ -1,4 +1,4 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::disallowed_methods))]
 
 //! Shared harness for the table/figure regeneration binaries: builds
 //! paper-scenario sessions and measures actions under each strategy.

@@ -547,6 +547,11 @@ impl Session {
     /// default), every recording call is a free no-op and results are
     /// byte-identical.
     pub fn enable_profiling(&mut self) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an action's owner makes its one enabled recorder; everything \
+                      below is handed this one (DESIGN.md §11)"
+        )]
         self.attach_recorder(Recorder::new());
         self.tracing = Some(Tracing::new(None, "client"));
     }

@@ -150,9 +150,11 @@ struct Deadline {
 
 impl Deadline {
     fn new(budget: Option<Duration>) -> Self {
-        // lint:allow(wall-clock): condvar, gate and fsync waits are real-OS
-        // blocking; their deadline must be measured on the OS clock, not the
-        // virtual one.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "condvar, gate and fsync waits are real-OS blocking; their \
+                      deadline must be measured on the OS clock, not the virtual one"
+        )]
         let entered = Instant::now();
         Deadline { budget, entered }
     }

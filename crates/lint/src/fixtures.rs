@@ -15,14 +15,6 @@ pub const FIXTURE_PATH: &str = "crates/core/src/fixture.rs";
 /// Returns `(bad, good)` for `lint`.
 pub fn pair(lint: Lint) -> (&'static str, &'static str) {
     match lint {
-        Lint::WallClock => (
-            "fn wait_deadline(&self) -> Instant {\n    let t = Instant::now();\n    t\n}\n",
-            "fn wait_deadline(&self) -> Instant {\n    // lint:allow(wall-clock): condvar deadlines block real OS threads and\n    // must be measured on the OS clock, not the virtual one.\n    let t = Instant::now();\n    t\n}\n",
-        ),
-        Lint::AmbientRandomness => (
-            "fn jitter(&self) -> u64 {\n    let mut rng = thread_rng();\n    rng.gen()\n}\n",
-            "fn jitter(&self, prng: &mut Prng) -> u64 {\n    prng.next_u64()\n}\n",
-        ),
         Lint::UnorderedIter => (
             "struct Cache { map: HashMap<u64, u64> }\nimpl Cache {\n    fn dump(&self) -> Vec<u64> {\n        self.map.keys().copied().collect::<Vec<u64>>()\n    }\n}\n",
             "struct Cache { map: BTreeMap<u64, u64> }\nimpl Cache {\n    fn dump(&self) -> Vec<u64> {\n        self.map.keys().copied().collect::<Vec<u64>>()\n    }\n}\n",
@@ -39,10 +31,6 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
             "impl S {\n    fn bump(&self) {\n        let g = self.state.lock();\n        let h = self.state.lock();\n    }\n}\n",
             "impl S {\n    fn bump(&self) {\n        let g = self.state.lock();\n        drop(g);\n        let h = self.state.lock();\n    }\n}\n",
         ),
-        Lint::UnboundedWait => (
-            "impl S {\n    fn wait_ready(&self) {\n    let mut g = self.state.lock();\n        while !g.ready {\n            g = self.ready_cv.wait(g).into_inner();\n        }\n    }\n}\n",
-            "impl S {\n    fn wait_ready(&self) {\n    let mut g = self.state.lock();\n        while !g.ready {\n            g = self.ready_cv.wait_timeout(g, WAIT_SLICE).into_inner().0;\n        }\n    }\n}\n",
-        ),
         Lint::ReplayCatchall => (
             "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        _ => {}\n    }\n}\n",
             "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        WalRecord::CheckoutGrant { token, assy_ids, comp_ids } => self.grant(token, assy_ids, comp_ids),\n        WalRecord::CheckoutRelease { ids } => self.release(ids),\n        WalRecord::TokenComplete { token, rows } => self.done(token, rows),\n    }\n}\n",
@@ -50,10 +38,6 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
         Lint::UnfencedApply => (
             "fn apply_batch(&mut self, epoch: u64, records: &[(u64, WalRecord)]) {\n    for (seq, record) in records {\n        self.apply_one(seq, record);\n    }\n}\n",
             "fn apply_batch(&mut self, epoch: u64, records: &[(u64, WalRecord)]) -> Result<(), E> {\n    if epoch != self.epoch {\n        return Err(E::Fenced);\n    }\n    for (seq, record) in records {\n        self.apply_one(seq, record);\n    }\n    Ok(())\n}\n",
-        ),
-        Lint::StrayRecorder => (
-            "fn assemble(cfg: ClusterConfig) -> Cluster {\n    Cluster { cfg, obs: Recorder::new() }\n}\n",
-            "impl Session {\n    fn enable_profiling(&mut self) {\n        self.attach_recorder(Recorder::new());\n    }\n}\nfn assemble(cfg: ClusterConfig) -> Cluster {\n    Cluster { cfg }\n}\nfn pump(&mut self) {\n    self.pump_for(&Recorder::disabled());\n}\n",
         ),
         Lint::UncheckedIndex => (
             "fn frame_seq(frame: &[u8], at: usize) -> u8 {\n    frame[at]\n}\n",
@@ -64,7 +48,7 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
             "fn advance(&mut self) -> u64 {\n    let seq = self.next_seq;\n    self.next_seq = self.next_seq.saturating_add(1);\n    seq\n}\n",
         ),
         Lint::AllowHygiene => (
-            "// lint:allow(wall-clock)\nfn quiet() -> u64 {\n    7\n}\n",
+            "// lint:allow(unchecked-index)\nfn quiet() -> u64 {\n    7\n}\n",
             "fn quiet() -> u64 {\n    7\n}\n",
         ),
     }

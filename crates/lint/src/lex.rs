@@ -403,12 +403,12 @@ mod tests {
 
     #[test]
     fn allow_markers_are_extracted_with_reason() {
-        let src = "// lint:allow(wall-clock): condvar deadline\nlet t = Instant::now();\n";
+        let src = "// lint:allow(unchecked-index): length-guarded\nlet b = buf[i];\n";
         let lexed = lex(src);
         assert_eq!(lexed.allows.len(), 1);
-        assert_eq!(lexed.allows[0].id, "wall-clock");
+        assert_eq!(lexed.allows[0].id, "unchecked-index");
         assert_eq!(lexed.allows[0].line, 1);
-        assert_eq!(lexed.allows[0].reason, "condvar deadline");
+        assert_eq!(lexed.allows[0].reason, "length-guarded");
     }
 
     #[test]

@@ -6,15 +6,12 @@
 //! simulator's own protocol invariants — the properties every other
 //! test suite assumes but nothing enforced statically:
 //!
-//! - **determinism**: no wall clock, no ambient randomness, no hash
-//!   iteration order reaching serialized output;
+//! - **determinism**: no hash iteration order reaching serialized output;
 //! - **lock discipline**: acyclic lock-acquisition order, no guard held
 //!   across network/durability boundaries, no self-reacquire;
 //! - **replay**: no `WalRecord` match arm is a catch-all (so rustc's
 //!   exhaustiveness check covers every replay site); record-applying
 //!   functions fence their epoch;
-//! - **observability**: an enabled recorder is constructed only by an
-//!   action's owner;
 //! - **panic surface**: no unchecked indexing or bare counter
 //!   arithmetic in protocol crates.
 //!
@@ -28,10 +25,14 @@
 //! audits: a marker with an unknown id, an empty reason, or nothing to
 //! suppress is a finding.
 //!
-//! What the type system can prove is left to it: span kinds and metric
+//! What the compiler can prove is left to it: span kinds and metric
 //! families are values only `pdm-obs` can make, a timeout-shaped
 //! `SessionError` does not compile without its `FlightDump`, and a
 //! `WalRecord` match without a catch-all is exhaustive or does not compile.
+//! The wall clock, ambient entropy, bare condvar waits and stray recorders
+//! are clippy bans by resolved path (the root `clippy.toml`); each real
+//! exception carries an `#[expect(clippy::disallowed_methods, reason = ..)]`,
+//! which `clippy -D warnings` rejects once it suppresses nothing.
 
 pub mod fixtures;
 pub mod lex;
@@ -71,7 +72,6 @@ fn run_passes(files: &[LintFile]) -> LintReport {
     lints::determinism::run(files, &mut raw);
     lints::locks::run(files, &mut raw);
     lints::replay::run(files, &mut raw);
-    lints::obs::run(files, &mut raw);
     lints::panics::run(files, &mut raw);
     apply_allows(files, raw)
 }

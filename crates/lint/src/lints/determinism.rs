@@ -1,7 +1,7 @@
-//! Determinism lints: wall-clock reads, ambient randomness, and
-//! hash-order iteration. The simulation's virtual clock and seeded PRNG
-//! are the only sanctioned sources of time and randomness (DESIGN.md §2);
-//! hash iteration order must never reach serialized output.
+//! Determinism lint: hash-order iteration must never reach serialized
+//! output. The wall clock and ambient entropy are clippy bans by resolved
+//! path (`clippy.toml`, DESIGN.md §13); clippy's `iter_over_hash_type` sees
+//! only `for` loops, so this one stays token-level.
 
 use std::collections::BTreeSet;
 
@@ -11,71 +11,7 @@ use crate::source::LintFile;
 
 pub fn run(files: &[LintFile], out: &mut Vec<Finding>) {
     for f in files {
-        wall_clock(f, out);
-        ambient_randomness(f, out);
         unordered_iter(f, out);
-    }
-}
-
-/// `Instant::now()`, `SystemTime::now()`, `UNIX_EPOCH` in non-test code.
-fn wall_clock(f: &LintFile, out: &mut Vec<Finding>) {
-    for (i, t) in f.toks.iter().enumerate() {
-        if f.test_mask[i] {
-            continue;
-        }
-        let two_ahead = |a: &str, b: &str| {
-            f.toks.get(i + 1).is_some_and(|t| t.is_punct(a))
-                && f.toks.get(i + 2).is_some_and(|t| t.is_ident(b))
-        };
-        if (t.is_ident("Instant") || t.is_ident("SystemTime")) && two_ahead("::", "now") {
-            out.push(Finding::new(
-                Lint::WallClock,
-                &f.path,
-                t.line,
-                format!(
-                    "{}::now() reads the OS clock; measured time must come from the \
-                     virtual clock (annotate advisory uses with lint:allow)",
-                    t.text
-                ),
-            ));
-        }
-        if t.is_ident("UNIX_EPOCH") {
-            out.push(Finding::new(
-                Lint::WallClock,
-                &f.path,
-                t.line,
-                "UNIX_EPOCH anchors wall time into the deterministic domain",
-            ));
-        }
-    }
-}
-
-/// Entropy-backed constructs that make runs irreproducible.
-const RANDOM_IDENTS: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "RandomState",
-    "getrandom",
-    "OsRng",
-];
-
-fn ambient_randomness(f: &LintFile, out: &mut Vec<Finding>) {
-    for (i, t) in f.toks.iter().enumerate() {
-        if f.test_mask[i] || t.kind != TokKind::Ident {
-            continue;
-        }
-        if RANDOM_IDENTS.contains(&t.text.as_str()) {
-            out.push(Finding::new(
-                Lint::AmbientRandomness,
-                &f.path,
-                t.line,
-                format!(
-                    "{} draws ambient entropy; all randomness must flow from a seeded \
-                     pdm_prng::Prng",
-                    t.text
-                ),
-            ));
-        }
     }
 }
 

@@ -185,7 +185,6 @@ struct FnModel {
 }
 
 pub fn run(files: &[LintFile], out: &mut Vec<Finding>) {
-    scan_unbounded_waits(files, out);
     let models = build_models(files);
 
     // Direct lock sets and the call graph, merged by function name.
@@ -404,52 +403,6 @@ pub fn find_cycle(graph: &BTreeMap<String, BTreeSet<String>>) -> Option<Vec<Stri
         }
     }
     None
-}
-
-/// Flag bare `Condvar::wait` calls. The receiver is judged by name: an
-/// ident containing `cv` or `cond` is a condition variable (the
-/// workspace convention — `sf_cv`, `queue_cv`, `cond`); `barrier.wait()`
-/// and the netsim `channel.wait(seconds)` pass untouched. Bare waits
-/// block forever, so a deadline or shutdown cannot interrupt them —
-/// every condvar wait must be a `wait_timeout` slice re-checked in a
-/// loop (DESIGN.md §14: no unbounded blocking point).
-fn scan_unbounded_waits(files: &[LintFile], out: &mut Vec<Finding>) {
-    for f in files {
-        for func in &f.fns {
-            if func.is_test {
-                continue;
-            }
-            let Some((open, close)) = func.body else {
-                continue;
-            };
-            let toks = &f.toks;
-            for i in open + 1..close.saturating_sub(2) {
-                if !(toks[i].is_punct(".")
-                    && toks[i + 1].is_ident("wait")
-                    && toks[i + 2].is_punct("("))
-                {
-                    continue;
-                }
-                let recv = &toks[i - 1];
-                if recv.kind != TokKind::Ident {
-                    continue;
-                }
-                let name = recv.text.to_ascii_lowercase();
-                if name.contains("cv") || name.contains("cond") {
-                    out.push(Finding::new(
-                        Lint::UnboundedWait,
-                        &f.path,
-                        toks[i + 1].line,
-                        format!(
-                            "bare `{}.wait(..)` blocks without a deadline; use a \
-                             `wait_timeout` slice re-checked in a loop",
-                            recv.text
-                        ),
-                    ));
-                }
-            }
-        }
-    }
 }
 
 /// Short lock-id prefix for a file path: `crates/core/src/shared.rs`

@@ -2,6 +2,5 @@
 
 pub mod determinism;
 pub mod locks;
-pub mod obs;
 pub mod panics;
 pub mod replay;

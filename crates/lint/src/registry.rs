@@ -6,14 +6,13 @@
 use pdm_analyze::diag::Severity;
 use pdm_obs::json;
 
-/// The five lint families. Every lint belongs to exactly one; the
+/// The four lint families. Every lint belongs to exactly one; the
 /// `allow-hygiene` policy lint rides in `Policy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     Determinism,
     LockDiscipline,
     Replay,
-    Observability,
     PanicSurface,
     Policy,
 }
@@ -24,7 +23,6 @@ impl Family {
             Family::Determinism => "determinism",
             Family::LockDiscipline => "lock-discipline",
             Family::Replay => "replay",
-            Family::Observability => "observability",
             Family::PanicSurface => "panic-surface",
             Family::Policy => "policy",
         }
@@ -32,16 +30,11 @@ impl Family {
 }
 
 /// Every lint the analyzer can raise. Adding a variant here without a
-/// fixture pair makes the meta-test fail — see `tests/meta.rs`.
+/// fixture pair makes the meta-test fail — see `tests/meta.rs`. The wall
+/// clock, ambient entropy, bare condvar waits and stray recorders are
+/// clippy bans (`clippy.toml`), not lints here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
-    /// `Instant::now()` / `SystemTime::now()` on a linted path without a
-    /// `lint:allow(wall-clock)` justification. The virtual clock is the
-    /// only measured-time authority (DESIGN.md §2).
-    WallClock,
-    /// Ambient randomness (`thread_rng`, `RandomState`, entropy seeding):
-    /// all randomness must flow from a seeded `pdm_prng::Prng`.
-    AmbientRandomness,
     /// Iterating a `HashMap`/`HashSet` whose order can reach serialized
     /// output, WAL content, or metrics without an order-insensitive sink.
     UnorderedIter,
@@ -53,10 +46,6 @@ pub enum Lint {
     /// Re-acquiring a lock while a guard for the same lock is live in
     /// the same function — self-deadlock with `std::sync::Mutex`.
     NestedLockReacquire,
-    /// A bare `Condvar::wait` on a condition variable: waits must be
-    /// sliced with `wait_timeout` so deadlines and shutdown can
-    /// interrupt them (the overload layer's no-unbounded-block rule).
-    UnboundedWait,
     /// An arm of a `match` over `WalRecord` that names no `WalRecord::`
     /// variant (`_`, a binding, or a nested `Some(_)`): new record types
     /// would silently skip replay.
@@ -64,10 +53,6 @@ pub enum Lint {
     /// A function that applies shipped records but never compares its
     /// `epoch` argument (directly or via a fenced callee).
     UnfencedApply,
-    /// An enabled `Recorder::new()` outside an action owner's
-    /// `enable_profiling` (and tests): a recorder nothing hands down,
-    /// assembles or reads (DESIGN.md §11).
-    StrayRecorder,
     /// Indexing/slicing with a non-literal index in protocol crates.
     UncheckedIndex,
     /// Bare `+`/`-` arithmetic on sequence/epoch/version/token counters.
@@ -79,16 +64,12 @@ pub enum Lint {
 
 impl Lint {
     pub const ALL: &'static [Lint] = &[
-        Lint::WallClock,
-        Lint::AmbientRandomness,
         Lint::UnorderedIter,
         Lint::LockOrderCycle,
         Lint::LockAcrossBoundary,
         Lint::NestedLockReacquire,
-        Lint::UnboundedWait,
         Lint::ReplayCatchall,
         Lint::UnfencedApply,
-        Lint::StrayRecorder,
         Lint::UncheckedIndex,
         Lint::UncheckedProtocolArith,
         Lint::AllowHygiene,
@@ -96,16 +77,12 @@ impl Lint {
 
     pub fn id(&self) -> &'static str {
         match self {
-            Lint::WallClock => "wall-clock",
-            Lint::AmbientRandomness => "ambient-randomness",
             Lint::UnorderedIter => "unordered-iter",
             Lint::LockOrderCycle => "lock-order-cycle",
             Lint::LockAcrossBoundary => "lock-across-boundary",
             Lint::NestedLockReacquire => "nested-lock-reacquire",
-            Lint::UnboundedWait => "unbounded-wait",
             Lint::ReplayCatchall => "replay-catchall",
             Lint::UnfencedApply => "unfenced-apply",
-            Lint::StrayRecorder => "stray-recorder",
             Lint::UncheckedIndex => "unchecked-index",
             Lint::UncheckedProtocolArith => "unchecked-protocol-arith",
             Lint::AllowHygiene => "allow-hygiene",
@@ -114,13 +91,11 @@ impl Lint {
 
     pub fn family(&self) -> Family {
         match self {
-            Lint::WallClock | Lint::AmbientRandomness | Lint::UnorderedIter => Family::Determinism,
-            Lint::LockOrderCycle
-            | Lint::LockAcrossBoundary
-            | Lint::NestedLockReacquire
-            | Lint::UnboundedWait => Family::LockDiscipline,
+            Lint::UnorderedIter => Family::Determinism,
+            Lint::LockOrderCycle | Lint::LockAcrossBoundary | Lint::NestedLockReacquire => {
+                Family::LockDiscipline
+            }
             Lint::ReplayCatchall | Lint::UnfencedApply => Family::Replay,
-            Lint::StrayRecorder => Family::Observability,
             Lint::UncheckedIndex | Lint::UncheckedProtocolArith => Family::PanicSurface,
             Lint::AllowHygiene => Family::Policy,
         }
@@ -135,12 +110,6 @@ impl Lint {
 
     pub fn description(&self) -> &'static str {
         match self {
-            Lint::WallClock => {
-                "wall-clock reads (Instant/SystemTime::now) outside annotated advisory sites"
-            }
-            Lint::AmbientRandomness => {
-                "ambient randomness; all randomness must flow from a seeded pdm_prng::Prng"
-            }
             Lint::UnorderedIter => {
                 "HashMap/HashSet iteration whose order can reach serialized output"
             }
@@ -151,14 +120,8 @@ impl Lint {
             Lint::NestedLockReacquire => {
                 "re-acquiring a std::sync::Mutex while its guard is live (self-deadlock)"
             }
-            Lint::UnboundedWait => {
-                "bare Condvar::wait; waits must be wait_timeout slices so deadlines can interrupt"
-            }
             Lint::ReplayCatchall => "WalRecord replay match arm that names no WalRecord variant",
             Lint::UnfencedApply => "record-applying function never compares its epoch argument",
-            Lint::StrayRecorder => {
-                "enabled Recorder::new() outside an action owner's enable_profiling; recorders are handed down"
-            }
             Lint::UncheckedIndex => "non-literal indexing/slicing in protocol crates",
             Lint::UncheckedProtocolArith => {
                 "bare +/- arithmetic on seq/epoch/version/token counters"
@@ -275,7 +238,6 @@ mod tests {
             Family::Determinism,
             Family::LockDiscipline,
             Family::Replay,
-            Family::Observability,
             Family::PanicSurface,
             Family::Policy,
         ] {
@@ -290,10 +252,14 @@ mod tests {
     #[test]
     fn report_json_shape_matches_analyze() {
         let mut r = LintReport::default();
-        r.findings
-            .push(Finding::new(Lint::WallClock, "a.rs", 3, "msg \"quoted\""));
+        r.findings.push(Finding::new(
+            Lint::UnorderedIter,
+            "a.rs",
+            3,
+            "msg \"quoted\"",
+        ));
         let json = r.to_json();
-        assert!(json.contains("\"check\": \"wall-clock\""));
+        assert!(json.contains("\"check\": \"unordered-iter\""));
         assert!(json.contains("\"severity\": \"error\""));
         assert!(json.contains("\"location\": \"a.rs:3\""));
         assert!(json.contains("msg \\\"quoted\\\""));

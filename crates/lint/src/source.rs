@@ -254,8 +254,9 @@ fn collect_fns(toks: &[Tok], mask: &[bool]) -> Vec<FnInfo> {
     fns
 }
 
-/// Crates excluded from linting. The bench harness measures real wall
-/// time by design, and this crate's own fixtures would self-flag.
+/// Crates excluded from linting. The bench harness is measurement
+/// plumbing, not protocol code (the `clippy.toml` bans still reach it), and
+/// this crate's own fixtures would self-flag.
 const SKIP_CRATES: &[&str] = &["bench", "lint"];
 
 /// Collect `(path, contents)` for every linted source file under `root`,

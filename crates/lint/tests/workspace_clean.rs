@@ -38,40 +38,79 @@ fn workspace_lints_clean() {
     }
     assert!(
         report.suppressed > 0,
-        "the annotated advisory wall-clock sites should register as suppressions"
+        "the annotated unchecked-index and lock-across-boundary sites should \
+         register as suppressions"
     );
 }
 
-/// The findings gate is only as good as the allow markers are few: a new
-/// one needs an old one retired. Counts the lines that mention the marker
-/// in `.rs` files under `crates/` and `src/`, outside `crates/lint/` (whose
-/// own sources and fixtures name it to parse it).
+/// The findings gates are only as good as their exemptions are few: a new
+/// one needs an old one retired. Counts, in `.rs` files under `crates/` and
+/// `src/` outside `crates/lint/` (whose own sources and fixtures name both
+/// to parse or demonstrate them), the lines that mention a `lint:allow`
+/// marker plus the `#[expect(clippy::disallowed_..)]` attributes that
+/// exempt a site from a `clippy.toml` ban. Each such `expect` must carry a
+/// `reason`, as a marker must. Test code's file-level
+/// `allow(clippy::disallowed_methods)` is not counted, as with
+/// `unwrap_used`; anywhere else such an `allow` fails the test.
 #[test]
 fn lint_allow_budget() {
     const BUDGET: usize = 13;
-    fn count(dir: &Path, skip: &Path, n: &mut usize) {
+    const EXPECT: &str = "#[expect(";
+    fn count(dir: &Path, root: &Path, n: &mut usize) {
         let entries = std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
         for entry in entries {
             let path = entry.expect("directory entry").path();
-            if path == skip {
+            if path == root.join("crates/lint") {
                 continue;
             }
             if path.is_dir() {
-                count(&path, skip, n);
+                count(&path, root, n);
             } else if path.extension().is_some_and(|x| x == "rs") {
                 let text = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
                 *n += text.lines().filter(|l| l.contains("lint:allow")).count();
+                let test_file = path
+                    .strip_prefix(root)
+                    .expect("walked under the root")
+                    .components()
+                    .any(|c| c.as_os_str() == "tests" || c.as_os_str() == "bin");
+                for line in text
+                    .lines()
+                    .filter(|l| l.contains("allow(clippy::disallowed_"))
+                {
+                    assert!(
+                        line.starts_with("#![cfg_attr(test, allow(")
+                            || (test_file && line.starts_with("#![allow(")),
+                        "{}: `{line}` — outside test code, exempt a site with a \
+                         reasoned `#[expect(..)]`",
+                        path.display()
+                    );
+                }
+                for (at, _) in text.match_indices(EXPECT) {
+                    let rest = &text[at..];
+                    let attr = &rest[..rest.find(")]").map_or(rest.len(), |end| end + 2)];
+                    if attr.contains("clippy::disallowed_") {
+                        assert!(
+                            attr.contains("reason = \""),
+                            "{}: `{attr}` carries no reason — justify the exemption",
+                            path.display()
+                        );
+                        *n += 1;
+                    }
+                }
             }
         }
     }
     let root = repo_root();
     let mut n = 0;
     for dir in ["crates", "src"] {
-        count(&root.join(dir), &root.join("crates/lint"), &mut n);
+        count(&root.join(dir), &root, &mut n);
     }
-    assert!(n > 0, "the walk found no marker at all");
-    assert!(n <= BUDGET, "{n} lint:allow markers, budget {BUDGET}");
+    assert!(n > 0, "the walk found no exemption at all");
+    assert!(
+        n <= BUDGET,
+        "{n} lint:allow markers and disallowed-path expects, budget {BUDGET}"
+    );
 }
 
 /// The dependency policy CI's `deps` job enforces: the build is

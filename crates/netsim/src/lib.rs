@@ -1,4 +1,4 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::disallowed_methods))]
 
 //! # pdm-net — deterministic WAN/LAN simulator
 //!

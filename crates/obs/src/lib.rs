@@ -1,4 +1,4 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::disallowed_methods))]
 //! `pdm-obs`: deterministic observability for the PDM reproduction (no
 //! dependencies outside the workspace).
 //!

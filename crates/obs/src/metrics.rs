@@ -166,8 +166,11 @@ impl Histogram {
     /// advisory histograms of real-OS blocking (a device sync, a condvar
     /// wait), which never feed the deterministic timeline.
     pub fn time<T>(&self, f: impl FnOnce() -> T) -> T {
-        // lint:allow(wall-clock): what is timed blocks a real OS thread;
-        // the virtual clock has no reading for it (DESIGN.md §11).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "what is timed blocks a real OS thread; the virtual clock has no \
+                      reading for it (DESIGN.md §11)"
+        )]
         let t0 = Instant::now();
         let out = f();
         self.record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));

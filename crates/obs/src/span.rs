@@ -292,12 +292,14 @@ fn lock_state(inner: &RecorderInner) -> MutexGuard<'_, RecState> {
 
 impl Recorder {
     /// An enabled recorder with an empty timeline.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the wall interval of a span is advisory by design (DESIGN.md §11); \
+                  the virtual clock is the sole measured-time authority"
+    )]
     pub fn new() -> Self {
         Recorder {
             inner: Some(Arc::new(RecorderInner {
-                // lint:allow(wall-clock): the wall interval of a span is
-                // advisory by design (DESIGN.md §11); the virtual clock is
-                // the sole measured-time authority.
                 epoch: Instant::now(),
                 state: Mutex::new(RecState::default()),
             })),

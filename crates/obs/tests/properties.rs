@@ -2,7 +2,7 @@
 //! error bounds and exact merges over random streams, and span-nesting
 //! invariants over randomly generated span trees.
 
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 use pdm_obs::{kinds, Histogram, Recorder, SpanRecord};
 use pdm_prng::Prng;

@@ -1,4 +1,4 @@
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::disallowed_methods))]
 
 //! # pdm-sql — in-memory relational engine with SQL:1999 recursion
 //!

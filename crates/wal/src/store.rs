@@ -119,10 +119,10 @@ impl DurableStore {
             decoded.push((seq, WalRecord::decode(&payload)?));
         }
 
+        let mut log = image.log;
+        log.truncate(valid_len);
         let store = DurableStore {
-            // lint:allow(unchecked-index): valid_len was produced by the
-            // frame scanner and is ≤ image.log.len() by construction.
-            log: SimDevice::with_contents(image.log[..valid_len].to_vec()).with_plan(plan),
+            log: SimDevice::with_contents(log).with_plan(plan),
             checkpoint: image.checkpoint,
             next_seq: max_seq.saturating_add(1),
         };

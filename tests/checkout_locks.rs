@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 //! Check-out lock-table edge cases (§6 semantics under real concurrency).
 //!
