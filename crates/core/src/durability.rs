@@ -21,14 +21,30 @@
 //!   recovery a completed token's outcome is restored into the idempotency
 //!   log without re-executing the procedure — a client replaying the token
 //!   gets its recorded rows (or recorded refusal) exactly once.
-//! * **Checkpoints** serialize the current snapshot plus the durability
+//! * **Checkpoints** serialize a published snapshot plus the durability
 //!   aux state (outstanding grants, the retained completed-token outcomes
 //!   — at most `RETAINED_TOKENS`, so a checkpoint does not grow with
-//!   history) and truncate the log. They are cut inside the write gate, so
-//!   no DML commit can interleave; grant/token records racing the
-//!   checkpoint are safe because the aux trackers are updated atomically
-//!   with their log appends under the store lock, and the sweep is
-//!   idempotent.
+//!   history) and drop the log prefix they cover. A checkpoint is a cut
+//!   and an install, in the manner of ARIES's fuzzy checkpoint (Mohan et
+//!   al., TODS 1992):
+//!   - The **cut** is taken inside the write gate, right after the commit
+//!     that crosses the interval publishes, and under the store lock. It
+//!     holds the log position, the published `Arc<Snapshot>` and a clone of
+//!     the trackers (whose outcomes are `Arc`-shared, so no rows are
+//!     copied). No DML commit can publish between that commit and the cut,
+//!     and the trackers are updated atomically with their log appends under
+//!     the store lock, so snapshot, trackers and log position agree.
+//!   - The gate is released and the same thread encodes the cell with no
+//!     lock held; other threads keep committing and logging meanwhile.
+//!   - The **install** retakes the store lock, swaps the cell in and drops
+//!     only the covered log prefix: every record logged after the cut
+//!     stays and is replayed on top of the checkpoint. An install is
+//!     refused on a crashed device, which leaves the old cell and the whole
+//!     log, and they still recover.
+//!
+//!   At most one cut is in flight. A due commit that finds one leaves the
+//!   count running, so a checkpoint is delayed, never skipped; a cut
+//!   dropped uninstalled clears its mark, so the next due commit cuts.
 //!
 //! The recovery invariant the crash harness asserts: for any crash point,
 //! `recover` produces a state byte-identical to replaying the durable
@@ -36,13 +52,16 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use pdm_sql::persist::{put_snapshot, put_u32, put_u64, Cursor};
 use pdm_sql::shared::Snapshot;
 use pdm_sql::{ResultSet, SharedDatabase};
 use pdm_wal::record::{put_ids, put_outcome, read_ids, read_outcome};
-use pdm_wal::{CrashPlan, DeviceStats, DurableImage, DurableStore, LogDamage, WalError, WalRecord};
+use pdm_wal::{
+    CrashPlan, DeviceStats, DurableImage, DurableStore, LogCut, LogDamage, WalError, WalRecord,
+};
 
 use crate::product::ObjectId;
 use crate::repl::ReplicationFeed;
@@ -95,6 +114,7 @@ struct DurState {
     /// truncated record is never forgotten. Updated atomically with the
     /// corresponding log append.
     replay: ReplayState,
+    /// DML commits logged since the last cut.
     commits_since_checkpoint: u64,
     /// Replication tap: every durably committed record is republished here
     /// (same seq the store assigned) for shipping to replica sites. The
@@ -108,6 +128,49 @@ struct DurState {
 pub struct Durability {
     state: Mutex<DurState>,
     interval: u64,
+    /// Set while a [`CheckpointCut`] exists: taken and not yet installed,
+    /// refused or dropped. Set (`Acquire`) under the store lock when a cut
+    /// is taken and cleared (`Release`) when the cut is dropped, so one
+    /// cut's install happens before the next cut.
+    cut_in_flight: AtomicBool,
+}
+
+/// A checkpoint cut: the published snapshot, the trackers and the log
+/// position they all stand at (module docs). [`CheckpointCut::install`]
+/// encodes and installs it; dropping it uninstalled abandons the
+/// checkpoint, and the next due commit cuts again.
+#[derive(Debug)]
+#[must_use = "an uninstalled cut abandons its checkpoint"]
+pub(crate) struct CheckpointCut<'a> {
+    durability: &'a Durability,
+    at: LogCut,
+    snapshot: Arc<Snapshot>,
+    replay: ReplayState,
+}
+
+impl CheckpointCut<'_> {
+    /// Encode the cut into its checkpoint cell with no lock held, then
+    /// install it under the store lock: the cell is swapped in and only the
+    /// covered log prefix is dropped. Refused if the device crashed since
+    /// the cut; the old cell and the whole log stay.
+    pub(crate) fn install(self) -> pdm_sql::Result<()> {
+        let frame = self
+            .at
+            .frame(|out| put_checkpoint(out, &self.snapshot, &self.replay));
+        let installed = lock_unpoisoned(&self.durability.state)
+            .store
+            .install_at_cut(frame);
+        // The replaced cell (megabytes) is freed here, outside the lock.
+        installed.map(drop).map_err(wal_to_sql)
+    }
+}
+
+impl Drop for CheckpointCut<'_> {
+    fn drop(&mut self) {
+        self.durability
+            .cut_in_flight
+            .store(false, Ordering::Release);
+    }
 }
 
 fn wal_to_sql(e: WalError) -> pdm_sql::Error {
@@ -134,6 +197,7 @@ impl Durability {
                 feed: None,
             }),
             interval,
+            cut_in_flight: AtomicBool::new(false),
         }
     }
 
@@ -175,12 +239,6 @@ impl Durability {
         Ok(())
     }
 
-    /// Whether the checkpoint interval has elapsed. The caller (holding the
-    /// write gate) follows up with [`Durability::checkpoint`].
-    pub fn checkpoint_due(&self) -> bool {
-        lock_unpoisoned(&self.state).commits_since_checkpoint >= self.interval
-    }
-
     /// Log a check-out grant and track it for sweeping.
     pub fn log_grant(
         &self,
@@ -208,17 +266,50 @@ impl Durability {
         self.log(WalRecord::TokenComplete { token, rows }).map(drop)
     }
 
-    /// Cut a checkpoint of `snapshot` plus the aux trackers and truncate
-    /// the log. Must be called from inside the write gate so no DML commit
-    /// interleaves between the snapshot read and the install.
-    pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
+    /// Take a checkpoint cut if the interval's DML commits have been logged
+    /// since the last cut and no cut is in flight. Called inside the write
+    /// gate right after a commit publishes, with the published snapshot: no
+    /// other commit can publish in between (module docs).
+    pub(crate) fn cut_if_due(
+        &self,
+        published: impl FnOnce() -> Arc<Snapshot>,
+    ) -> Option<CheckpointCut<'_>> {
         let mut st = lock_unpoisoned(&self.state);
-        let DurState { store, replay, .. } = &mut *st;
-        store
-            .install_checkpoint(|out| put_checkpoint(out, snapshot, replay))
-            .map_err(wal_to_sql)?;
+        if st.commits_since_checkpoint < self.interval {
+            return None;
+        }
+        self.cut(&mut st, published)
+    }
+
+    /// Cut `snapshot` and the trackers at the log's end, unless a cut is in
+    /// flight. The caller holds the store lock.
+    fn cut(
+        &self,
+        st: &mut DurState,
+        snapshot: impl FnOnce() -> Arc<Snapshot>,
+    ) -> Option<CheckpointCut<'_>> {
+        if self.cut_in_flight.swap(true, Ordering::Acquire) {
+            return None;
+        }
         st.commits_since_checkpoint = 0;
-        Ok(())
+        Some(CheckpointCut {
+            durability: self,
+            at: st.store.cut_point(),
+            snapshot: snapshot(),
+            replay: st.replay.clone(),
+        })
+    }
+
+    /// Checkpoint `snapshot` plus the trackers now: a cut, then its
+    /// install. The caller makes sure `snapshot` is the state the log
+    /// stands at (no commit can publish meanwhile: attach, promotion, a
+    /// quiescent server).
+    pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
+        let cut = self.cut(&mut lock_unpoisoned(&self.state), || {
+            Arc::new(snapshot.clone())
+        });
+        cut.ok_or_else(|| pdm_sql::Error::Eval("durability: a checkpoint cut is in flight".into()))?
+            .install()
     }
 
     /// The bytes that would survive if the process died right now.
@@ -417,7 +508,7 @@ impl From<WalError> for RecoveryError {
             WalError::Decode { offset, detail } => RecoveryError::CorruptRecord {
                 detail: format!("at offset {offset}: {detail}"),
             },
-            WalError::DeviceCrashed => RecoveryError::Wal(e),
+            WalError::DeviceCrashed | WalError::StaleCut => RecoveryError::Wal(e),
         }
     }
 }
@@ -492,6 +583,9 @@ pub fn recover_server(
 mod tests {
     use super::*;
     use crate::replay::TokenStatus;
+    use crate::SharedServer;
+    use pdm_obs::Recorder;
+    use pdm_sql::persist::{database_fingerprint, state_fingerprint};
     use pdm_sql::Database;
 
     fn encode_checkpoint(snapshot: &Snapshot, replay: &ReplayState) -> Vec<u8> {
@@ -535,6 +629,160 @@ mod tests {
     fn checkpoint_decode_rejects_truncation() {
         let payload = encode_checkpoint(&snap(), &ReplayState::default());
         assert!(decode_checkpoint(&payload[..payload.len() - 1]).is_err());
+    }
+
+    #[test]
+    fn one_cut_in_flight_and_a_dropped_cut_strands_nothing() {
+        let d = Durability::new(&DurabilityConfig::default().with_interval(2));
+        let published = || Arc::new(snap());
+        let mut version = 0;
+        let mut commit = || {
+            version += 1;
+            d.log_commit(version, "UPDATE assy SET checkedout = TRUE")
+                .unwrap();
+        };
+        commit();
+        assert!(d.cut_if_due(published).is_none(), "one commit is not due");
+        commit();
+        let cut = d.cut_if_due(published).expect("two commits are due");
+
+        // A due commit that finds the cut in flight leaves the count
+        // running; nothing else can cut meanwhile.
+        commit();
+        commit();
+        assert!(d.cut_if_due(published).is_none(), "a second cut in flight");
+        assert!(d.checkpoint(&snap()).is_err(), "a second cut in flight");
+        cut.install().unwrap();
+        let cut = d
+            .cut_if_due(published)
+            .expect("the delayed checkpoint is cut by the next due commit");
+
+        // Dropped uninstalled: the mark goes with it.
+        drop(cut);
+        commit();
+        commit();
+        assert!(
+            d.cut_if_due(published).is_some(),
+            "a dropped cut stranded its mark"
+        );
+        d.checkpoint(&snap()).unwrap();
+    }
+
+    /// A server over `assy`, logging to a device that never checkpoints on
+    /// its own (the tests cut by hand).
+    fn durable() -> (SharedServer, DurabilityConfig) {
+        let cfg = DurabilityConfig::default().with_interval(1 << 40);
+        let server = SharedServer::with_durability(assy_db(), &cfg).unwrap();
+        (server, cfg)
+    }
+
+    fn assy_db() -> Database {
+        let mut db = Database::new();
+        db.execute(
+            "CREATE TABLE assy (obid INTEGER NOT NULL, checkedout BOOLEAN, payload VARCHAR)",
+        )
+        .unwrap();
+        db.execute("INSERT INTO assy VALUES (1, FALSE, 'a'), (2, FALSE, 'b'), (3, FALSE, 'c')")
+            .unwrap();
+        db
+    }
+
+    const BEFORE_CUT: [&str; 2] = [
+        "UPDATE assy SET payload = 'x' WHERE obid = 1",
+        "UPDATE assy SET checkedout = TRUE WHERE obid = 1",
+    ];
+    const AFTER_CUT: [&str; 2] = [
+        "UPDATE assy SET payload = 'y' WHERE obid = 2",
+        "UPDATE assy SET checkedout = TRUE WHERE obid = 2",
+    ];
+
+    /// One history around a checkpoint cut: DML commits and grant 7 before
+    /// the cut; then DML commits, grant 8, token 8's outcome and grant 7's
+    /// release after it. Returns the cut, uninstalled.
+    fn history_around_a_cut(server: &SharedServer) -> CheckpointCut<'_> {
+        let d = server.durability().unwrap();
+        let execute = |sql: &str| {
+            server
+                .execute_deadline_obs(sql, None, &Recorder::disabled())
+                .unwrap();
+        };
+        BEFORE_CUT.iter().for_each(|sql| execute(sql));
+        d.log_grant(7, &[1], &[]).unwrap();
+        let cut = d
+            .cut(&mut lock_unpoisoned(&d.state), || {
+                server.database().snapshot()
+            })
+            .unwrap();
+        AFTER_CUT.iter().for_each(|sql| execute(sql));
+        d.log_grant(8, &[2], &[]).unwrap();
+        let rows = server.query_uncached("SELECT obid FROM assy").unwrap();
+        d.log_token(8, Some(Arc::new(rows))).unwrap();
+        d.log_release(&[1]).unwrap();
+        cut
+    }
+
+    /// The serial replay of that history, with the grant still outstanding
+    /// at the end (8) swept back to `FALSE`.
+    fn serial_replay() -> Vec<u8> {
+        let mut db = assy_db();
+        for sql in BEFORE_CUT.iter().chain(&AFTER_CUT) {
+            db.execute(sql).unwrap();
+        }
+        db.execute("UPDATE assy SET checkedout = FALSE WHERE obid IN (2)")
+            .unwrap();
+        state_fingerprint(&Snapshot { db, version: 0 })
+    }
+
+    #[test]
+    fn an_install_keeps_what_was_logged_after_its_cut() {
+        let (server, cfg) = durable();
+        let cut = history_around_a_cut(&server);
+        let d = server.durability().unwrap();
+        let cut_version = cut.snapshot.version;
+        cut.install().unwrap();
+        assert!(d.log_len() > 0, "the records after the cut left the log");
+
+        let (recovered, report) = recover_server(d.image(), &cfg).unwrap();
+        assert_eq!(database_fingerprint(recovered.database()), serial_replay());
+        assert_eq!(report.checkpoint_version, cut_version);
+        assert_eq!(report.replayed_commits, AFTER_CUT.len() as u64);
+        assert_eq!(report.swept_tokens, [8], "grant 8 logged after the cut");
+        assert!(
+            recovered.checkout_recorded(8),
+            "token 8 logged after the cut"
+        );
+    }
+
+    #[test]
+    fn a_crash_between_cut_and_install_keeps_the_old_checkpoint() {
+        let (server, cfg) = durable();
+        let cut = history_around_a_cut(&server);
+        let d = server.durability().unwrap();
+        d.crash_now();
+        assert!(cut.install().is_err(), "a dead device took a checkpoint");
+
+        let (recovered, report) = recover_server(d.image(), &cfg).unwrap();
+        let fingerprint = database_fingerprint(recovered.database());
+        assert_eq!(fingerprint, serial_replay());
+        // The published state, swept.
+        let mut published = server.database().snapshot().db.clone();
+        published
+            .execute("UPDATE assy SET checkedout = FALSE WHERE obid IN (2)")
+            .unwrap();
+        assert_eq!(
+            fingerprint,
+            state_fingerprint(&Snapshot {
+                db: published,
+                version: 0
+            })
+        );
+        assert_eq!(report.checkpoint_version, 0, "the attach-time checkpoint");
+        assert_eq!(
+            report.replayed_commits,
+            (BEFORE_CUT.len() + AFTER_CUT.len()) as u64
+        );
+        assert_eq!(report.swept_tokens, [8]);
+        assert!(recovered.checkout_recorded(8));
     }
 
     #[test]

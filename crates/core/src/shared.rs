@@ -1348,8 +1348,12 @@ impl SharedServer {
     /// span, feeding the `wal.fsync_ns` histogram) after the statement is
     /// applied to the copied catalog but before the snapshot is published,
     /// so a state change is visible only once durable. The checkpoint
-    /// cadence is also driven from here, inside the write gate, so a
-    /// checkpoint can never interleave with a commit.
+    /// cadence is also driven from here: the commit that crosses the
+    /// interval takes the checkpoint's cut inside the write gate, right
+    /// after it publishes, then releases the gate and encodes and installs
+    /// the checkpoint with no lock held (see [`crate::durability`]). Its
+    /// outcome stands whatever the install does: a refused install leaves
+    /// the old checkpoint and the whole log, which still recover.
     ///
     /// The work is abandoned at the commit gate if the caller's propagated
     /// `deadline` (measured from entry) is already spent — once before
@@ -1382,21 +1386,24 @@ impl SharedServer {
         // journal.
         let journal = self.journal.load(Ordering::Relaxed);
         let text = (journal || self.durability.is_some()).then(|| stmt.to_string());
-        let outcome = match (&self.durability, &text) {
+        let (outcome, cut) = match (&self.durability, &text) {
             (Some(d), Some(sql)) => {
                 let (outcome, _) = self.db.execute_ast_gated(stmt, |version| {
                     self.wal_op(obs, "commit", || d.log_commit(version, sql))
                 })?;
-                if d.checkpoint_due() {
-                    d.checkpoint(&self.db.snapshot())?;
-                }
-                outcome
+                (outcome, d.cut_if_due(|| self.db.snapshot()))
             }
-            _ => self.db.execute_ast(stmt)?.0,
+            _ => (self.db.execute_ast(stmt)?.0, None),
         };
         self.m.dml_commits.inc();
         if journal {
             log.extend(text);
+        }
+        drop(log);
+        if let Some(cut) = cut {
+            // The statement is durable and published: a refused install is
+            // not its error.
+            let _ = cut.install();
         }
         Ok(outcome)
     }

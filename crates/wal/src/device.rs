@@ -144,12 +144,20 @@ impl SimDevice {
         self.plan = plan;
     }
 
-    /// Adopt another device's crash plan *and* operation counter, so a
-    /// scheduled crash keeps ticking across a device swap (the checkpoint
-    /// truncation replaces the log device mid-run).
-    pub fn adopt_schedule(&mut self, other: &SimDevice) {
-        self.plan = other.plan;
-        self.ops = other.ops;
+    /// Bytes that survive any crash from here on.
+    pub(crate) fn synced_len(&self) -> usize {
+        self.synced_len
+    }
+
+    /// Drop the first `len` bytes, which the caller has checked are durable
+    /// (a checkpoint covers them). The bytes after them stay, and the crash
+    /// plan and operation counter carry on, so a scheduled crash still lands
+    /// after a checkpoint. The [`DeviceStats`] restart: they count the
+    /// operations since the last checkpoint.
+    pub(crate) fn drop_prefix(&mut self, len: usize) {
+        self.data.drain(..len);
+        self.synced_len = self.synced_len.saturating_sub(len);
+        self.stats = DeviceStats::default();
     }
 
     /// Total bytes currently on the device (durable prefix + unsynced tail,

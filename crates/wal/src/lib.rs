@@ -19,10 +19,11 @@
 //!   idempotency-token completion, appended and fsynced *before* the
 //!   state change is published (the commit gate of
 //!   `pdm_sql::SharedDatabase::execute_ast_gated`);
-//! * **snapshot checkpoints** ([`DurableStore::install_checkpoint`]):
-//!   the current storage snapshot is serialized and the log prefix
-//!   truncated, so recovery is checkpoint-load plus short-log-replay,
-//!   not full-history replay;
+//! * **snapshot checkpoints** ([`DurableStore::cut_point`],
+//!   [`LogCut::frame`], [`DurableStore::install_at_cut`]): a storage
+//!   snapshot is serialized with no lock held and the log prefix it covers
+//!   dropped, so recovery is checkpoint-load plus short-log-replay, not
+//!   full-history replay;
 //! * a **recovery scanner** ([`DurableStore::from_image`]) that walks the
 //!   surviving bytes, verifies checksums, and cleanly truncates any torn
 //!   or corrupt tail back to the last valid record — any byte-level
@@ -43,7 +44,7 @@ pub use codec::crc32;
 pub use device::{CrashPlan, DeviceStats, SimDevice, TailFault};
 pub use log::{LogDamage, LogScan};
 pub use record::WalRecord;
-pub use store::{DurableImage, DurableStore, RecoveredStore};
+pub use store::{CheckpointFrame, DurableImage, DurableStore, LogCut, RecoveredStore};
 
 use std::fmt;
 
@@ -60,6 +61,10 @@ pub enum WalError {
     /// checkpoint blob). Tail damage in the log is NOT an error — it is
     /// reported as [`LogScan::damage`] and truncated away.
     Damage(LogDamage),
+    /// A checkpoint cut that is not of the log as it stands: another
+    /// checkpoint was installed since it was taken, or the bytes it covers
+    /// are not all durable. Nothing was installed.
+    StaleCut,
 }
 
 impl fmt::Display for WalError {
@@ -70,6 +75,7 @@ impl fmt::Display for WalError {
                 write!(f, "record decode failed at offset {offset}: {detail}")
             }
             WalError::Damage(d) => write!(f, "unrecoverable damage: {d}"),
+            WalError::StaleCut => write!(f, "checkpoint cut does not match the log"),
         }
     }
 }

@@ -10,13 +10,24 @@
 //!
 //! A checkpoint is a single framed blob (same frame as a log record, so it
 //! gets the same checksum protection) whose sequence number is the last log
-//! sequence it covers. Installing one overwrites the checkpoint cell and
-//! truncates the log — the write-temp-then-rename idiom of real systems,
-//! modeled as atomic here (the crash planner schedules faults on *log*
-//! operations, where the interesting torn states live; a torn checkpoint is
-//! still exercised explicitly by corruption tests). Recovery therefore is:
-//! load checkpoint, replay the (short) log suffix with `seq >` the
-//! checkpoint's sequence.
+//! sequence it covers. It is made in three steps, so that the long one
+//! holds no lock:
+//!
+//! 1. [`DurableStore::cut_point`] names the cut: the last sequence it
+//!    covers and the log bytes that hold the records up to it.
+//! 2. [`LogCut::frame`] encodes and checksums the cell for that cut. It
+//!    does not touch the store, so records keep being appended meanwhile.
+//! 3. [`DurableStore::install_at_cut`] overwrites the checkpoint cell and
+//!    drops only the covered log prefix: the records appended after the
+//!    cut stay in the log.
+//!
+//! The install is the write-temp-then-rename idiom of real systems, modeled
+//! as atomic here (the crash planner schedules faults on *log* operations,
+//! where the interesting torn states live; a torn checkpoint is still
+//! exercised explicitly by corruption tests). A crash between cut and
+//! install leaves the old cell and the whole log, which still recover.
+//! Recovery therefore is: load checkpoint, replay the (short) log suffix
+//! with `seq >` the checkpoint's sequence.
 
 use crate::device::{CrashPlan, DeviceStats, SimDevice};
 use crate::log::{self, LogDamage, LogScan};
@@ -43,6 +54,42 @@ pub struct RecoveredStore {
     pub damage: Option<LogDamage>,
 }
 
+/// Where a checkpoint is cut: the last sequence it covers and the length of
+/// the log prefix that holds the records up to it. See the module docs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogCut {
+    covered: u64,
+    log_len: usize,
+    /// The store's install count at the cut: a cut is installed at most
+    /// once, and only over the log it was cut from.
+    installs: u64,
+}
+
+impl LogCut {
+    /// The last log sequence the checkpoint covers.
+    pub fn covered(&self) -> u64 {
+        self.covered
+    }
+
+    /// Encode the checkpoint cell for this cut: `write_payload` appends the
+    /// payload straight into the cell's frame, which is then checksummed.
+    /// This is a checkpoint's long step, and it needs no access to the
+    /// store.
+    pub fn frame(self, write_payload: impl FnOnce(&mut Vec<u8>)) -> CheckpointFrame {
+        CheckpointFrame {
+            cut: self,
+            bytes: log::frame_with(self.covered, write_payload),
+        }
+    }
+}
+
+/// An encoded checkpoint cell, with the cut it was encoded at.
+#[derive(Debug)]
+pub struct CheckpointFrame {
+    cut: LogCut,
+    bytes: Vec<u8>,
+}
+
 /// Write side of the WAL: assigns sequence numbers, frames records, and
 /// manages the checkpoint cell.
 #[derive(Debug, Clone)]
@@ -50,6 +97,8 @@ pub struct DurableStore {
     log: SimDevice,
     checkpoint: Vec<u8>,
     next_seq: u64,
+    /// Checkpoints installed since the store was opened.
+    installs: u64,
 }
 
 impl DurableStore {
@@ -59,6 +108,7 @@ impl DurableStore {
             log: SimDevice::new(plan),
             checkpoint: Vec::new(),
             next_seq: 1,
+            installs: 0,
         }
     }
 
@@ -125,6 +175,7 @@ impl DurableStore {
             log: SimDevice::with_contents(log).with_plan(plan),
             checkpoint: image.checkpoint,
             next_seq: max_seq.saturating_add(1),
+            installs: 0,
         };
         Ok((
             store,
@@ -159,22 +210,35 @@ impl DurableStore {
         Ok(appended)
     }
 
-    /// Install a checkpoint covering everything up to and including the
-    /// last assigned sequence, then truncate the log. `write_payload`
-    /// appends the payload straight into the checkpoint cell's frame.
-    /// Atomic (see module docs); refuses on a crashed device so a dead
-    /// server cannot checkpoint.
-    pub fn install_checkpoint(
-        &mut self,
-        write_payload: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<u64, WalError> {
+    /// The cut of a checkpoint taken now: it covers every record appended
+    /// so far. Take it where those records are synced (the caller's commit
+    /// path appends and syncs under the lock it takes this under).
+    pub fn cut_point(&self) -> LogCut {
+        LogCut {
+            covered: self.next_seq.saturating_sub(1),
+            log_len: self.log.len(),
+            installs: self.installs,
+        }
+    }
+
+    /// Install `frame` as the checkpoint cell and drop the log prefix its
+    /// cut covers; records appended after the cut stay in the log. Atomic
+    /// (see module docs). Refused on a crashed device, so a dead server
+    /// cannot checkpoint, and for a cut that is not of this log as it
+    /// stands ([`WalError::StaleCut`]); either way the old cell and the
+    /// whole log stay. Returns the replaced cell, so the caller can free it
+    /// outside its own lock.
+    pub fn install_at_cut(&mut self, frame: CheckpointFrame) -> Result<Vec<u8>, WalError> {
         if self.log.is_crashed() {
             return Err(WalError::DeviceCrashed);
         }
-        let covered = self.next_seq.saturating_sub(1);
-        self.checkpoint = log::frame_with(covered, write_payload);
-        self.log = SimDevice::with_contents(Vec::new()).with_plan_of(&self.log);
-        Ok(covered)
+        let cut = frame.cut;
+        if cut.installs != self.installs || cut.log_len > self.log.synced_len() {
+            return Err(WalError::StaleCut);
+        }
+        self.log.drop_prefix(cut.log_len);
+        self.installs = self.installs.saturating_add(1);
+        Ok(std::mem::replace(&mut self.checkpoint, frame.bytes))
     }
 
     /// The bytes that would survive if the process died right now.
@@ -210,6 +274,7 @@ impl DurableStore {
         self.next_seq
     }
 
+    /// The log device's counters since the last checkpoint install.
     pub fn device_stats(&self) -> DeviceStats {
         self.log.stats()
     }
@@ -219,13 +284,6 @@ impl SimDevice {
     /// Builder helper: keep contents, adopt a crash plan.
     fn with_plan(mut self, plan: CrashPlan) -> Self {
         self.set_plan(plan);
-        self
-    }
-
-    /// Builder helper: keep contents, adopt another device's plan and op
-    /// counter so a scheduled crash still lands after a checkpoint swap.
-    fn with_plan_of(mut self, other: &SimDevice) -> Self {
-        self.adopt_schedule(other);
         self
     }
 }
@@ -240,6 +298,19 @@ mod tests {
             version,
             sql: format!("INSERT INTO t VALUES ({version})"),
         }
+    }
+
+    /// Checkpoint everything logged so far with `payload` as the cell.
+    fn checkpoint_now(store: &mut DurableStore, payload: &[u8]) -> u64 {
+        let cut = store.cut_point();
+        store
+            .install_at_cut(cut.frame(|out| out.extend_from_slice(payload)))
+            .unwrap();
+        cut.covered()
+    }
+
+    fn seqs(recovered: &RecoveredStore) -> Vec<u64> {
+        recovered.records.iter().map(|(s, _)| *s).collect()
     }
 
     #[test]
@@ -264,9 +335,7 @@ mod tests {
         for v in 1..=3 {
             store.commit(&rec(v)).unwrap();
         }
-        let covered = store
-            .install_checkpoint(|out| out.extend_from_slice(b"snapshot-at-3"))
-            .unwrap();
+        let covered = checkpoint_now(&mut store, b"snapshot-at-3");
         assert_eq!(covered, 3);
         assert_eq!(store.log_len(), 0);
         for v in 4..=5 {
@@ -274,8 +343,58 @@ mod tests {
         }
         let (_, recovered) = DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
         assert_eq!(recovered.checkpoint, Some((3, b"snapshot-at-3".to_vec())));
-        let seqs: Vec<u64> = recovered.records.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, vec![4, 5]);
+        assert_eq!(seqs(&recovered), vec![4, 5]);
+    }
+
+    #[test]
+    fn install_keeps_the_records_appended_after_the_cut() {
+        let mut store = DurableStore::new(CrashPlan::none());
+        for v in 1..=3 {
+            store.commit(&rec(v)).unwrap();
+        }
+        let cut = store.cut_point();
+        let at_cut = store.log_len();
+        let frame = cut.frame(|out| out.extend_from_slice(b"snapshot-at-3"));
+        for v in 4..=5 {
+            store.commit(&rec(v)).unwrap();
+        }
+        let before = store.log_len();
+        let replaced = store.install_at_cut(frame).unwrap();
+        assert!(replaced.is_empty(), "a fresh store has no cell to replace");
+        assert_eq!(store.log_len(), before - at_cut, "only the cut prefix goes");
+        let (reopened, recovered) =
+            DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
+        assert_eq!(recovered.checkpoint, Some((3, b"snapshot-at-3".to_vec())));
+        assert_eq!(seqs(&recovered), vec![4, 5]);
+        assert_eq!(recovered.records[1], (5, rec(5)));
+        assert_eq!(reopened.next_seq(), 6);
+    }
+
+    #[test]
+    fn install_is_refused_on_a_crashed_device_and_for_a_stale_cut() {
+        let mut store = DurableStore::new(CrashPlan::none());
+        store.commit(&rec(1)).unwrap();
+        checkpoint_now(&mut store, b"cp-1");
+        store.commit(&rec(2)).unwrap();
+
+        // Another install since the cut: the cut's prefix is gone.
+        let stale = store.cut_point();
+        store.commit(&rec(3)).unwrap();
+        checkpoint_now(&mut store, b"cp-3");
+        let frame = stale.frame(|out| out.extend_from_slice(b"cp-2"));
+        assert_eq!(store.install_at_cut(frame), Err(WalError::StaleCut));
+
+        // A crash between cut and install: the old cell and the whole log
+        // stay, and recover.
+        store.commit(&rec(4)).unwrap();
+        let cut = store.cut_point();
+        store.commit(&rec(5)).unwrap();
+        store.crash_now();
+        let frame = cut.frame(|out| out.extend_from_slice(b"cp-4"));
+        assert_eq!(store.install_at_cut(frame), Err(WalError::DeviceCrashed));
+        let (_, recovered) = DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
+        assert_eq!(recovered.checkpoint, Some((3, b"cp-3".to_vec())));
+        assert_eq!(seqs(&recovered), vec![4, 5]);
     }
 
     #[test]
@@ -308,9 +427,7 @@ mod tests {
     fn corrupt_checkpoint_is_fatal_with_diagnostics() {
         let mut store = DurableStore::new(CrashPlan::none());
         store.commit(&rec(1)).unwrap();
-        store
-            .install_checkpoint(|out| out.extend_from_slice(b"good checkpoint payload"))
-            .unwrap();
+        checkpoint_now(&mut store, b"good checkpoint payload");
         let mut image = store.image();
         let mid = image.checkpoint.len() - 2;
         image.checkpoint[mid] ^= 0x40;
@@ -340,14 +457,12 @@ mod tests {
 
     #[test]
     fn scheduled_crash_survives_checkpoint_swap() {
-        // The crash op counter keeps ticking across install_checkpoint, so a
-        // chaos schedule targeting op N still fires if N lands after a
+        // The crash op counter keeps ticking across a checkpoint install, so
+        // a chaos schedule targeting op N still fires if N lands after a
         // checkpoint.
         let mut store = DurableStore::new(CrashPlan::at_op(5));
         store.commit(&rec(1)).unwrap(); // ops 0,1
-        store
-            .install_checkpoint(|out| out.extend_from_slice(b"cp"))
-            .unwrap();
+        checkpoint_now(&mut store, b"cp");
         store.commit(&rec(2)).unwrap(); // ops 2,3
         store.append(&rec(3)).unwrap(); // op 4
         assert_eq!(store.sync(), Err(WalError::DeviceCrashed)); // op 5

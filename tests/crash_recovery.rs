@@ -220,6 +220,49 @@ fn concurrent_workload_killed_at_random_boundary_recovers() {
     }
 }
 
+/// Checkpoints landing mid-encode: three threads on a server that cuts a
+/// checkpoint every 4 commits, killed at a PRNG-chosen write boundary. The
+/// commit that crosses the interval encodes and installs its checkpoint
+/// outside the write gate, so the other threads' commits, grants and token
+/// outcomes land between cut and install, and so can the crash. Recovery
+/// must still give the published state plus the sweep.
+#[test]
+fn concurrent_workload_with_checkpoints_mid_encode_recovers() {
+    let mut past_attach = 0;
+    for round in 0u64..40 {
+        let mut rng = Prng::seed_from_u64(0xC0DE_CE11 ^ round);
+        let crash_op = rng.u64_inclusive(5, 160);
+        let plan = CrashPlan::at_op(crash_op)
+            .with_fault(match rng.index(3) {
+                0 => TailFault::LoseTail,
+                1 => TailFault::TornWrite,
+                _ => TailFault::PartialSector,
+            })
+            .with_seed(rng.next_u64());
+        let server = durable_server(&small_tree(), plan, 4);
+        let handles: Vec<_> = (0..3u64)
+            .map(|worker| {
+                let server = server.clone();
+                let seed = rng.next_u64() ^ worker;
+                std::thread::spawn(move || scripted_workload(&server, seed, 24))
+            })
+            .collect();
+        let tokens: Vec<u64> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        let context = format!("round {round}, crash at op {crash_op}");
+        let (recovered, report) =
+            recover(crash_image(&server), 4).unwrap_or_else(|e| panic!("{context}: {e}"));
+        check_recovered(&server, &recovered, &tokens).unwrap_or_else(|e| panic!("{context}: {e}"));
+        past_attach += usize::from(report.checkpoint_version > 0);
+    }
+    assert!(
+        past_attach > 0,
+        "no round recovered from a checkpoint cut after attach"
+    );
+}
+
 /// Fault-free equivalence: with no crash, the WAL must be pure overhead —
 /// the durable server's final state is byte-identical to a WAL-less server
 /// running the same script, and to its own recovered image.
