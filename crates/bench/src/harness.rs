@@ -9,6 +9,7 @@
 //! build panics. The oracles do not — they return `Err(what broke)`, which
 //! a test `expect`s and a bin writes to its journal.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -17,7 +18,7 @@ use pdm_core::{
     recover_server, AttributionTable, Cluster, ClusterConfig, DurabilityConfig, Federation,
     MountPoint, PdmServer, ProductTree, Recorder, RecoveryReport, RoutedSession, RuleTable,
     Session, SessionConfig, SessionError, SharedServer, Staleness, Strategy, TailSampler,
-    TraceTree,
+    TraceTree, RETAINED_TOKENS,
 };
 use pdm_net::LinkProfile;
 use pdm_prng::Prng;
@@ -306,8 +307,11 @@ pub fn recover(image: DurableImage, interval: u64) -> Result<(PdmServer, Recover
 /// The recovery invariants of one `recovered` server against the `crashed`
 /// one it was rebuilt from: its state is the published snapshot plus the
 /// sweep; no check-out survives the dead process (lock table, `checkedout`
-/// flags, durable grants); and each of `tokens` that completed before the
-/// crash replays its recorded outcome without executing again.
+/// flags, durable grants); every outcome the crashed server's durable
+/// trackers retained is retained again, identical, and is what a replay of
+/// its token returns (unless the retention rule let a higher token push it
+/// out); and each of `tokens` that completed before the crash replays its
+/// recorded outcome without executing again.
 pub fn check_recovered(
     crashed: &PdmServer,
     recovered: &PdmServer,
@@ -332,6 +336,7 @@ pub fn check_recovered(
             grants.keys().collect::<Vec<_>>()
         ));
     }
+    check_retained_outcomes(crashed, recovered)?;
     for &token in tokens {
         if !recovered.checkout_recorded(token) {
             // Never completed before the crash; its grant (if any) was
@@ -350,6 +355,43 @@ pub fn check_recovered(
             .map_err(|e| format!("token {token} replay failed: {e}"))?;
         if recovered.database().version() != before {
             return Err(format!("token {token} replay re-executed the procedure"));
+        }
+    }
+    Ok(())
+}
+
+/// Every outcome the crashed server's durable trackers retained is retained
+/// by the recovered server with an identical outcome, and replaying its
+/// token returns that outcome without a write. A token may be missing only
+/// under the retention rule: the recovered server retains
+/// `RETAINED_TOKENS` outcomes, all of higher tokens.
+fn check_retained_outcomes(crashed: &PdmServer, recovered: &PdmServer) -> Result<(), String> {
+    let restored: BTreeMap<u64, Option<Arc<ResultSet>>> = recovered
+        .durability()
+        .unwrap()
+        .retained_outcomes()
+        .into_iter()
+        .collect();
+    let lowest = restored.keys().next().copied().unwrap_or(u64::MAX);
+    for (token, outcome) in crashed.durability().unwrap().retained_outcomes() {
+        match restored.get(&token) {
+            Some(held) if *held == outcome => {}
+            Some(_) => return Err(format!("token {token} recovered another outcome")),
+            None if restored.len() >= RETAINED_TOKENS && token < lowest => continue,
+            None => return Err(format!("completed token {token} lost by recovery")),
+        }
+        let before = recovered.database().version();
+        let replayed = recovered
+            .checkout_procedure_with_deadline_obs(
+                1,
+                "unused",
+                token,
+                Some(Duration::from_secs(1)),
+                &Recorder::disabled(),
+            )
+            .map_err(|e| format!("token {token} replay failed: {e}"))?;
+        if replayed.rows != outcome || recovered.database().version() != before {
+            return Err(format!("token {token} replay did not return its outcome"));
         }
     }
     Ok(())

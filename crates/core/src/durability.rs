@@ -46,6 +46,22 @@
 //!   count running, so a checkpoint is delayed, never skipped; a cut
 //!   dropped uninstalled clears its mark, so the next due commit cuts.
 //!
+//!   The checkpoint cell is a chain (`pdm_wal::store`): a full frame, then
+//!   deltas. A cut carries the **last installed** cut as its base — its
+//!   `Arc<Snapshot>` and retained outcomes, kept once its install succeeds
+//!   — and the install writes a delta against it: the snapshot header, the
+//!   rows whose `Arc` differs from the base's row at the same position (a
+//!   table whose row count changed is written whole), the whole grant map,
+//!   and the outcomes the base does not hold. A dropped or refused cut
+//!   never becomes a base: a delta against it would skip the changes
+//!   between the cell and that cut. Delta or full is decided at install
+//!   time, outside every lock: a DDL (a changed catalog shape) or a delta
+//!   that would make the chain's deltas reach half its full frame writes
+//!   a full frame, which starts a new chain. The first cut after
+//!   `Durability::resume` (recovery, promotion) has no base, so it is
+//!   full. Recovery decodes the full frame and applies the deltas in
+//!   chain order; a damaged delta is as fatal as a damaged full frame.
+//!
 //! The recovery invariant the crash harness asserts: for any crash point,
 //! `recover` produces a state byte-identical to replaying the durable
 //! commit-log prefix serially and sweeping the outstanding grants.
@@ -55,9 +71,12 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pdm_sql::persist::{put_snapshot, put_u32, put_u64, Cursor};
+use pdm_sql::persist::{
+    apply_snapshot_delta, decode_snapshot, put_snapshot, put_snapshot_delta, put_u32, put_u64,
+    Cursor,
+};
 use pdm_sql::shared::Snapshot;
-use pdm_sql::{ResultSet, SharedDatabase};
+use pdm_sql::ResultSet;
 use pdm_wal::record::{put_ids, put_outcome, read_ids, read_outcome};
 use pdm_wal::{
     CrashPlan, DeviceStats, DurableImage, DurableStore, LogCut, LogDamage, WalError, WalRecord,
@@ -65,7 +84,7 @@ use pdm_wal::{
 
 use crate::product::ObjectId;
 use crate::repl::ReplicationFeed;
-use crate::replay::{become_primary, database_from_snapshot, ReplayState};
+use crate::replay::{become_primary, database_from, ReplayState, TokenLog};
 use crate::shared::lock_unpoisoned;
 
 /// Tuning knobs for the durability layer.
@@ -114,6 +133,10 @@ struct DurState {
     /// truncated record is never forgotten. Updated atomically with the
     /// corresponding log append.
     replay: ReplayState,
+    /// The last installed cut, which the next delta is cut against; `None`
+    /// until this attachment installs one (the first cut after
+    /// [`Durability::resume`] is a full frame).
+    installed: Option<Arc<InstalledCut>>,
     /// DML commits logged since the last cut.
     commits_since_checkpoint: u64,
     /// Replication tap: every durably committed record is republished here
@@ -135,10 +158,21 @@ pub struct Durability {
     cut_in_flight: AtomicBool,
 }
 
+/// What a delta is cut against: the snapshot and the retained token
+/// outcomes of the last installed cut. Holding the snapshot keeps its rows
+/// alive, so a row whose `Arc` is still the same is unchanged
+/// ([`pdm_sql::persist::put_snapshot_delta`]).
+#[derive(Debug)]
+struct InstalledCut {
+    snapshot: Arc<Snapshot>,
+    tokens: TokenLog,
+}
+
 /// A checkpoint cut: the published snapshot, the trackers and the log
-/// position they all stand at (module docs). [`CheckpointCut::install`]
-/// encodes and installs it; dropping it uninstalled abandons the
-/// checkpoint, and the next due commit cuts again.
+/// position they all stand at, and the last installed cut at that moment
+/// (module docs). [`CheckpointCut::install`] encodes and installs it;
+/// dropping it uninstalled abandons the checkpoint, and the next due
+/// commit cuts again.
 #[derive(Debug)]
 #[must_use = "an uninstalled cut abandons its checkpoint"]
 pub(crate) struct CheckpointCut<'a> {
@@ -146,22 +180,42 @@ pub(crate) struct CheckpointCut<'a> {
     at: LogCut,
     snapshot: Arc<Snapshot>,
     replay: ReplayState,
+    base: Option<Arc<InstalledCut>>,
 }
 
 impl CheckpointCut<'_> {
-    /// Encode the cut into its checkpoint cell with no lock held, then
-    /// install it under the store lock: the cell is swapped in and only the
-    /// covered log prefix is dropped. Refused if the device crashed since
-    /// the cut; the old cell and the whole log stay.
-    pub(crate) fn install(self) -> pdm_sql::Result<()> {
+    /// Encode the cut with no lock held — a delta against the last
+    /// installed cut if the chain has room for it, else a full frame —
+    /// then install it under the store lock: only the covered log prefix
+    /// is dropped, and the cut becomes what the next delta is cut against.
+    /// Refused if the device crashed since the cut; the old chain, the
+    /// whole log and the old base stay.
+    pub(crate) fn install(mut self) -> pdm_sql::Result<()> {
         let frame = self
-            .at
-            .frame(|out| put_checkpoint(out, &self.snapshot, &self.replay));
-        let installed = lock_unpoisoned(&self.durability.state)
-            .store
-            .install_at_cut(frame);
-        // The replaced cell (megabytes) is freed here, outside the lock.
-        installed.map(drop).map_err(wal_to_sql)
+            .base
+            .as_deref()
+            .and_then(|base| {
+                self.at.delta(|out, room| {
+                    put_checkpoint_delta(out, base, &self.snapshot, &self.replay, room)
+                })
+            })
+            .unwrap_or_else(|| {
+                self.at
+                    .frame(|out| put_checkpoint(out, &self.snapshot, &self.replay))
+            });
+        let installed = Arc::new(InstalledCut {
+            snapshot: Arc::clone(&self.snapshot),
+            tokens: std::mem::take(&mut self.replay.tokens),
+        });
+        let replaced = {
+            let mut st = lock_unpoisoned(&self.durability.state);
+            st.store
+                .install_at_cut(frame)
+                .map(|frames| (frames, st.installed.replace(installed)))
+        };
+        // The replaced frames (megabytes for a full install) and the old
+        // base are freed here, outside the lock.
+        replaced.map(drop).map_err(wal_to_sql)
     }
 }
 
@@ -193,6 +247,7 @@ impl Durability {
             state: Mutex::new(DurState {
                 store,
                 replay,
+                installed: None,
                 commits_since_checkpoint: 0,
                 feed: None,
             }),
@@ -297,6 +352,7 @@ impl Durability {
             at: st.store.cut_point(),
             snapshot: snapshot(),
             replay: st.replay.clone(),
+            base: st.installed.clone(),
         })
     }
 
@@ -337,6 +393,17 @@ impl Durability {
         lock_unpoisoned(&self.state).replay.tokens.tokens()
     }
 
+    /// The retained token outcomes, ascending by token (diagnostics and
+    /// tests: a recovered server must hold the same).
+    pub fn retained_outcomes(&self) -> Vec<(u64, Option<Arc<ResultSet>>)> {
+        let st = lock_unpoisoned(&self.state);
+        st.replay
+            .tokens
+            .iter()
+            .map(|(token, rows)| (token, rows.clone()))
+            .collect()
+    }
+
     /// The trackers as of now (a re-seeded replica and a new primary's
     /// idempotency log both start from these).
     pub(crate) fn replay_state(&self) -> ReplayState {
@@ -353,6 +420,12 @@ impl Durability {
         lock_unpoisoned(&self.state).store.checkpoint_len()
     }
 
+    /// Bytes of each frame of the checkpoint chain: the full frame, then
+    /// the deltas.
+    pub fn checkpoint_frames(&self) -> Vec<usize> {
+        lock_unpoisoned(&self.state).store.checkpoint_frames()
+    }
+
     pub fn device_stats(&self) -> DeviceStats {
         lock_unpoisoned(&self.state).store.device_stats()
     }
@@ -363,55 +436,144 @@ impl Durability {
 // ---------------------------------------------------------------------------
 
 /// Append the checkpoint payload to `out`: length-prefixed snapshot,
-/// outstanding grants, retained token outcomes. Written in place — the
-/// snapshot length is patched in once the snapshot has been written.
+/// outstanding grants, retained token outcomes.
 fn put_checkpoint(out: &mut Vec<u8>, snapshot: &Snapshot, replay: &ReplayState) {
+    put_payload(
+        out,
+        |out| {
+            put_snapshot(out, snapshot);
+            true
+        },
+        &replay.grants,
+        replay.tokens.iter(),
+    );
+}
+
+/// Append a delta payload of the same layout: the snapshot delta against
+/// `base`, the whole grant map, and the retained outcomes `base` does not
+/// hold (a token it holds with another outcome `Arc` counts as not held).
+/// Gives up (`false`) past `room` bytes or on a DDL, which only a full
+/// frame can carry.
+fn put_checkpoint_delta(
+    out: &mut Vec<u8>,
+    base: &InstalledCut,
+    snapshot: &Snapshot,
+    replay: &ReplayState,
+    room: usize,
+) -> bool {
+    let start = out.len();
+    let fresh = replay.tokens.iter().filter(|&(token, rows)| {
+        !matches!(base.tokens.outcome(token), Some(held) if same_outcome(held, rows))
+    });
+    put_payload(
+        out,
+        |out| put_snapshot_delta(out, &base.snapshot, snapshot, room).is_some(),
+        &replay.grants,
+        fresh,
+    ) && out.len() - start <= room
+}
+
+fn same_outcome(a: &Option<Arc<ResultSet>>, b: &Option<Arc<ResultSet>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// The checkpoint payload layout, full or delta: the snapshot image
+/// `put_image` writes (it returns `false` to give up), length-prefixed and
+/// patched in place once written; the outstanding grants; `tokens`' outcomes.
+fn put_payload<'a>(
+    out: &mut Vec<u8>,
+    put_image: impl FnOnce(&mut Vec<u8>) -> bool,
+    grants: &BTreeMap<u64, GrantIds>,
+    tokens: impl Iterator<Item = (u64, &'a Option<Arc<ResultSet>>)>,
+) -> bool {
     let len_at = out.len();
     put_u32(out, 0);
-    put_snapshot(out, snapshot);
-    let snap_len = (out.len() - len_at - 4) as u32;
-    out.get_mut(len_at..len_at + 4)
-        .expect("the length slot was pushed above")
-        .copy_from_slice(&snap_len.to_le_bytes());
-    put_u32(out, replay.grants.len() as u32);
-    for (token, g) in &replay.grants {
+    if !put_image(out) {
+        return false;
+    }
+    let image_len = (out.len() - len_at - 4) as u32;
+    patch_u32(out, len_at, image_len);
+    put_u32(out, grants.len() as u32);
+    for (token, g) in grants {
         put_u64(out, *token);
         put_ids(out, &g.assy);
         put_ids(out, &g.comp);
     }
-    put_u32(out, replay.tokens.len() as u32);
-    for (token, rows) in replay.tokens.iter() {
+    let count_at = out.len();
+    put_u32(out, 0);
+    let mut count = 0u32;
+    for (token, rows) in tokens {
         put_u64(out, token);
         put_outcome(out, rows.as_deref());
+        count += 1;
     }
+    patch_u32(out, count_at, count);
+    true
 }
 
-fn decode_checkpoint(payload: &[u8]) -> pdm_sql::Result<(SharedDatabase, ReplayState)> {
-    let mut cur = Cursor::new(payload);
-    let snap_len = cur.u32("checkpoint snapshot length")? as usize;
-    let db = database_from_snapshot(cur.take(snap_len, "checkpoint snapshot")?)?;
+fn patch_u32(out: &mut [u8], at: usize, value: u32) {
+    out.get_mut(at..at + 4)
+        .expect("the slot was pushed above")
+        .copy_from_slice(&value.to_le_bytes());
+}
+
+/// What a checkpoint chain decodes to.
+#[derive(Debug)]
+struct Decoded {
+    snapshot: Snapshot,
+    replay: ReplayState,
+    /// Rows each delta rewrote, in chain order.
+    delta_rows: Vec<usize>,
+}
+
+/// Decode a checkpoint chain: the full frame's payload, then each delta's
+/// applied on top, in chain order. A delta replaces the grants and adds
+/// its outcomes to the retained ones, which keeps the highest
+/// `RETAINED_TOKENS`: what the full frame of the same cut would hold.
+fn decode_checkpoint(full: &[u8], deltas: &[(u64, Vec<u8>)]) -> pdm_sql::Result<Decoded> {
     let mut replay = ReplayState::default();
-    let n_grants = cur.u32("checkpoint grant count")? as usize;
-    for _ in 0..n_grants {
-        let token = cur.u64("grant token")?;
-        let assy = read_ids(&mut cur, "grant assy ids")?;
-        let comp = read_ids(&mut cur, "grant comp ids")?;
-        replay.grants.insert(token, GrantIds { assy, comp });
+    let mut snapshot = None;
+    let mut delta_rows = Vec::with_capacity(deltas.len());
+    for payload in std::iter::once(full).chain(deltas.iter().map(|(_, p)| p.as_slice())) {
+        let mut cur = Cursor::new(payload);
+        let snap_len = cur.u32("checkpoint snapshot length")? as usize;
+        let image = cur.take(snap_len, "checkpoint snapshot")?;
+        match snapshot.as_mut() {
+            None => snapshot = Some(decode_snapshot(image)?),
+            Some(snapshot) => delta_rows.push(apply_snapshot_delta(snapshot, image)?),
+        }
+        replay.grants.clear();
+        let n_grants = cur.u32("checkpoint grant count")? as usize;
+        for _ in 0..n_grants {
+            let token = cur.u64("grant token")?;
+            let assy = read_ids(&mut cur, "grant assy ids")?;
+            let comp = read_ids(&mut cur, "grant comp ids")?;
+            replay.grants.insert(token, GrantIds { assy, comp });
+        }
+        let n_tokens = cur.u32("checkpoint token count")? as usize;
+        for _ in 0..n_tokens {
+            let token = cur.u64("token id")?;
+            replay
+                .tokens
+                .record(token, read_outcome(&mut cur)?.map(Arc::new));
+        }
+        if !cur.is_empty() {
+            return Err(pdm_sql::Error::Persist(format!(
+                "{} trailing bytes after checkpoint",
+                cur.remaining()
+            )));
+        }
     }
-    let n_tokens = cur.u32("checkpoint token count")? as usize;
-    for _ in 0..n_tokens {
-        let token = cur.u64("token id")?;
-        replay
-            .tokens
-            .record(token, read_outcome(&mut cur)?.map(Arc::new));
-    }
-    if !cur.is_empty() {
-        return Err(pdm_sql::Error::Persist(format!(
-            "{} trailing bytes after checkpoint",
-            cur.remaining()
-        )));
-    }
-    Ok((db, replay))
+    let snapshot = snapshot.expect("the full frame is decoded first");
+    Ok(Decoded {
+        snapshot,
+        replay,
+        delta_rows,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +684,9 @@ pub struct RecoveryReport {
     pub replayed_commits: u64,
     /// Completed token outcomes restored into the idempotency log.
     pub restored_tokens: usize,
+    /// Rows each checkpoint delta rewrote, in chain order (empty: the chain
+    /// was its full frame alone).
+    pub delta_rows: Vec<usize>,
     /// Tokens whose grants were outstanding at the crash and were swept.
     pub swept_tokens: Vec<u64>,
     /// Assembly / component ids the sweep reset to `checkedout = FALSE`.
@@ -546,10 +711,16 @@ pub fn recover_server(
     let (_cp_seq, cp_payload) = recovered
         .checkpoint
         .ok_or(RecoveryError::MissingCheckpoint)?;
-    let (db, mut state) =
-        decode_checkpoint(&cp_payload).map_err(|e| RecoveryError::CheckpointDecode {
+    let Decoded {
+        snapshot,
+        replay: mut state,
+        delta_rows,
+    } = decode_checkpoint(&cp_payload, &recovered.deltas).map_err(|e| {
+        RecoveryError::CheckpointDecode {
             detail: e.to_string(),
-        })?;
+        }
+    })?;
+    let db = database_from(snapshot);
     let checkpoint_version = db.version();
 
     for (seq, record) in &recovered.records {
@@ -571,6 +742,7 @@ pub fn recover_server(
         checkpoint_version,
         replayed_commits,
         restored_tokens,
+        delta_rows,
         swept_tokens: sweep.tokens,
         swept_assy: sweep.assy,
         swept_comp: sweep.comp,
@@ -583,9 +755,10 @@ pub fn recover_server(
 mod tests {
     use super::*;
     use crate::replay::TokenStatus;
+    use crate::shared::RETAINED_TOKENS;
     use crate::SharedServer;
     use pdm_obs::Recorder;
-    use pdm_sql::persist::{database_fingerprint, state_fingerprint};
+    use pdm_sql::persist::{database_fingerprint, state_digest, state_fingerprint};
     use pdm_sql::Database;
 
     fn encode_checkpoint(snapshot: &Snapshot, replay: &ReplayState) -> Vec<u8> {
@@ -618,8 +791,10 @@ mod tests {
             ..ReplayState::default()
         };
         state.tokens.record(7, None);
-        let (db, replay) = decode_checkpoint(&encode_checkpoint(&snap(), &state)).unwrap();
-        assert_eq!(db.version(), 3);
+        let Decoded {
+            snapshot, replay, ..
+        } = decode_checkpoint(&encode_checkpoint(&snap(), &state), &[]).unwrap();
+        assert_eq!(snapshot.version, 3);
         assert_eq!(replay.grants, grants);
         assert_eq!(replay.tokens.tokens(), [7]);
         assert!(matches!(replay.tokens.status(7), TokenStatus::Done(None)));
@@ -628,7 +803,7 @@ mod tests {
     #[test]
     fn checkpoint_decode_rejects_truncation() {
         let payload = encode_checkpoint(&snap(), &ReplayState::default());
-        assert!(decode_checkpoint(&payload[..payload.len() - 1]).is_err());
+        assert!(decode_checkpoint(&payload[..payload.len() - 1], &[]).is_err());
     }
 
     #[test]
@@ -783,6 +958,250 @@ mod tests {
         );
         assert_eq!(report.swept_tokens, [8]);
         assert!(recovered.checkout_recorded(8));
+    }
+
+    /// One step of a random durable history.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A statement through the write gate: one- and multi-row UPDATEs,
+        /// INSERT and DELETE (a table written whole), DDL (a full frame).
+        Sql(String),
+        /// This many token completions; every third a recorded refusal.
+        Tokens(usize),
+        Grant(u64, ObjectId),
+        Release(ObjectId),
+        /// Cut and install.
+        Install,
+        /// Cut, then drop the cut uninstalled.
+        Drop,
+        /// Cut; a second checkpoint is refused while it is in flight; then
+        /// install.
+        Refuse,
+        /// Cut, crash the device, and have the install refused.
+        Crash,
+    }
+
+    const CHAIN_ROWS: i64 = 12;
+
+    fn chain_db() -> Database {
+        let mut db = Database::new();
+        db.execute(
+            "CREATE TABLE assy (obid INTEGER NOT NULL, checkedout BOOLEAN, payload VARCHAR)",
+        )
+        .unwrap();
+        db.execute("CREATE TABLE comp (obid INTEGER NOT NULL, name VARCHAR)")
+            .unwrap();
+        for obid in 1..=CHAIN_ROWS {
+            db.execute(&format!(
+                "INSERT INTO assy VALUES ({obid}, FALSE, 'p{obid}')"
+            ))
+            .unwrap();
+            db.execute(&format!("INSERT INTO comp VALUES ({obid}, 'c{obid}')"))
+                .unwrap();
+        }
+        db.execute("CREATE INDEX ON assy (obid)").unwrap();
+        db
+    }
+
+    fn random_history(rng: &mut pdm_prng::Prng) -> Vec<Step> {
+        let mut tables = 0;
+        let mut next_comp = CHAIN_ROWS;
+        let obid = |rng: &mut pdm_prng::Prng| rng.i64_inclusive(1, CHAIN_ROWS);
+        (0..rng.usize_inclusive(40, 120))
+            .map(|_| match rng.index(200) {
+                0..=59 => Step::Sql(format!(
+                    "UPDATE assy SET payload = '{}' WHERE obid = {}",
+                    rng.ident(1, 8),
+                    obid(rng)
+                )),
+                60..=79 => Step::Sql(format!(
+                    "UPDATE assy SET checkedout = {} WHERE obid >= {}",
+                    rng.bool(),
+                    obid(rng)
+                )),
+                80..=91 => {
+                    next_comp += 1;
+                    Step::Sql(format!(
+                        "INSERT INTO comp VALUES ({next_comp}, '{}')",
+                        rng.ident(1, 8)
+                    ))
+                }
+                92..=99 => Step::Sql(format!(
+                    "DELETE FROM comp WHERE obid = {}",
+                    rng.i64_inclusive(1, next_comp)
+                )),
+                100..=102 => Step::Sql("CREATE INDEX ON comp (name)".into()),
+                103..=105 => {
+                    tables += 1;
+                    Step::Sql(format!("CREATE TABLE extra{tables} (a INTEGER)"))
+                }
+                106..=129 => Step::Tokens(rng.usize_inclusive(10, 50)),
+                130..=139 => Step::Grant(rng.u64_inclusive(1, 8), obid(rng)),
+                140..=147 => Step::Release(obid(rng)),
+                148..=179 => Step::Install,
+                180..=189 => Step::Drop,
+                190..=198 => Step::Refuse,
+                _ => Step::Crash,
+            })
+            .collect()
+    }
+
+    /// What one history exercised.
+    #[derive(Default)]
+    struct Exercised {
+        deltas: usize,
+        longest_chain: usize,
+        fulls_after_ddl: usize,
+        tokens: u64,
+    }
+
+    /// The cell decodes to what a full frame of the last installed cut
+    /// decodes to: state bytes, digest, version, retained outcomes, grants.
+    fn chain_matches_a_full_frame(
+        d: &Durability,
+        (snapshot, replay): &(Arc<Snapshot>, ReplayState),
+    ) -> Result<(), String> {
+        let (_, stored) = DurableStore::from_image(d.image(), CrashPlan::none())
+            .map_err(|e| format!("image: {e}"))?;
+        let (_, full) = stored.checkpoint.ok_or("no checkpoint")?;
+        let chain = decode_checkpoint(&full, &stored.deltas).map_err(|e| format!("chain: {e}"))?;
+        let reference = decode_checkpoint(&encode_checkpoint(snapshot, replay), &[])
+            .map_err(|e| format!("full frame: {e}"))?;
+        let (a, b) = (&chain.snapshot, &reference.snapshot);
+        if state_fingerprint(a) != state_fingerprint(b) {
+            return Err("state fingerprints differ".into());
+        }
+        if state_digest(a) != state_digest(b) || a.version != b.version {
+            return Err(format!(
+                "digest or version differ (v{} vs v{})",
+                a.version, b.version
+            ));
+        }
+        if !chain
+            .replay
+            .tokens
+            .iter()
+            .eq(reference.replay.tokens.iter())
+        {
+            return Err(format!(
+                "retained tokens differ: {:?} vs {:?}",
+                chain.replay.tokens.tokens(),
+                reference.replay.tokens.tokens()
+            ));
+        }
+        if chain.replay.grants != reference.replay.grants {
+            return Err("grants differ".into());
+        }
+        Ok(())
+    }
+
+    fn run_history(steps: &[Step], seen: &mut Exercised) -> Result<(), String> {
+        let cfg = DurabilityConfig::default().with_interval(1 << 40);
+        let server = SharedServer::with_durability(chain_db(), &cfg).unwrap();
+        let d = server.durability().unwrap();
+        let mut installed = (server.database().snapshot(), ReplayState::default());
+        let mut ddl_since_install = false;
+        let mut next_token = 1u64;
+        for (at, step) in steps.iter().enumerate() {
+            let take_cut = || {
+                d.cut(&mut lock_unpoisoned(&d.state), || {
+                    server.database().snapshot()
+                })
+                .ok_or(format!("step {at}: a cut was left in flight"))
+            };
+            match step {
+                Step::Sql(sql) => {
+                    let done = server.execute_deadline_obs(sql, None, &Recorder::disabled());
+                    ddl_since_install |= done.is_ok() && sql.starts_with("CREATE");
+                }
+                Step::Tokens(n) => {
+                    for _ in 0..*n {
+                        let rows = (!next_token.is_multiple_of(3)).then(|| {
+                            let sql = format!(
+                                "SELECT obid, payload FROM assy WHERE obid <= {}",
+                                next_token % 4
+                            );
+                            Arc::new(server.query_uncached(&sql).unwrap())
+                        });
+                        let _ = d.log_token(next_token, rows);
+                        next_token += 1;
+                    }
+                }
+                Step::Grant(token, id) => {
+                    let _ = d.log_grant(*token, &[*id], &[id + 100]);
+                }
+                Step::Release(id) => {
+                    let _ = d.log_release(&[*id, id + 100]);
+                }
+                Step::Drop => drop(take_cut()?),
+                Step::Install | Step::Refuse | Step::Crash => {
+                    let cut = take_cut()?;
+                    if matches!(step, Step::Refuse) && d.checkpoint(&cut.snapshot).is_ok() {
+                        return Err(format!("step {at}: a second cut while one is in flight"));
+                    }
+                    if matches!(step, Step::Crash) {
+                        d.crash_now();
+                    }
+                    let taken = (Arc::clone(&cut.snapshot), cut.replay.clone());
+                    if cut.install().is_ok() {
+                        installed = taken;
+                        let frames = d.checkpoint_frames().len();
+                        if ddl_since_install && frames != 1 {
+                            return Err(format!("step {at}: a DDL was installed as a delta"));
+                        }
+                        seen.fulls_after_ddl += usize::from(ddl_since_install);
+                        seen.deltas += usize::from(frames > 1);
+                        seen.longest_chain = seen.longest_chain.max(frames);
+                        ddl_since_install = false;
+                    } else if !d.is_crashed() {
+                        return Err(format!("step {at}: an install refused on a live device"));
+                    }
+                    chain_matches_a_full_frame(d, &installed)
+                        .map_err(|e| format!("step {at}: {e}"))?;
+                }
+            }
+        }
+        seen.tokens = next_token - 1;
+        Ok(())
+    }
+
+    /// A chain decodes to what a full frame of the same cut decodes to,
+    /// over random histories of every kind of change, with refused and
+    /// dropped cuts between the installs.
+    #[test]
+    fn a_chain_decodes_like_a_full_frame_of_the_same_cut() {
+        let mut total = Exercised::default();
+        let mut over_retention = 0;
+        pdm_prng::check::shrinking(
+            "chain_decodes_like_a_full_frame",
+            pdm_prng::check::DEFAULT_CASES,
+            0xC4A1_0047,
+            random_history,
+            |steps| {
+                let mut seen = Exercised::default();
+                run_history(steps, &mut seen)?;
+                total.deltas += seen.deltas;
+                total.fulls_after_ddl += seen.fulls_after_ddl;
+                total.longest_chain = total.longest_chain.max(seen.longest_chain);
+                over_retention += usize::from(seen.tokens > RETAINED_TOKENS as u64);
+                Ok(())
+            },
+        );
+        assert!(total.deltas >= 100, "{} deltas installed", total.deltas);
+        assert!(
+            total.longest_chain >= 4,
+            "longest chain {}",
+            total.longest_chain
+        );
+        assert!(
+            total.fulls_after_ddl >= 10,
+            "{} DDL installs",
+            total.fulls_after_ddl
+        );
+        assert!(
+            over_retention >= 10,
+            "{over_retention} histories past retention"
+        );
     }
 
     #[test]

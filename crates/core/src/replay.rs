@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pdm_sql::persist::decode_snapshot;
-use pdm_sql::{ResultSet, SharedDatabase};
+use pdm_sql::{ResultSet, SharedDatabase, Snapshot};
 use pdm_wal::WalRecord;
 
 use pdm_obs::Recorder;
@@ -53,6 +53,11 @@ impl TokenLog {
         while self.done.len() > RETAINED_TOKENS {
             self.done.pop_first();
         }
+    }
+
+    /// The retained outcome of `token`, if it is retained.
+    pub(crate) fn outcome(&self, token: u64) -> Option<&Option<Arc<ResultSet>>> {
+        self.done.get(&token)
     }
 
     pub(crate) fn status(&self, token: u64) -> TokenStatus<'_> {
@@ -205,9 +210,14 @@ impl ReplayState {
 /// builtin functions only; the PDM stored functions are restored before
 /// any replayed SQL can call them.
 pub(crate) fn database_from_snapshot(bytes: &[u8]) -> pdm_sql::Result<SharedDatabase> {
-    let mut snapshot = decode_snapshot(bytes)?;
+    Ok(database_from(decode_snapshot(bytes)?))
+}
+
+/// A live database over a decoded snapshot, the PDM stored functions
+/// restored (see [`database_from_snapshot`]).
+pub(crate) fn database_from(mut snapshot: Snapshot) -> SharedDatabase {
     crate::functions::register_into(snapshot.db.catalog.functions_mut());
-    Ok(SharedDatabase::from_snapshot(snapshot))
+    SharedDatabase::from_snapshot(snapshot)
 }
 
 /// The last step of crash recovery and of failover promotion alike: turn

@@ -382,26 +382,23 @@ pub fn read_catalog(cur: &mut Cursor<'_>) -> Result<Catalog> {
 /// Serialize a published snapshot: format version, storage version,
 /// executor configuration, catalog.
 pub fn put_snapshot(out: &mut Vec<u8>, snapshot: &Snapshot) {
+    put_snapshot_header(out, snapshot);
+    put_catalog(out, &snapshot.catalog);
+}
+
+/// Everything [`put_snapshot`] writes ahead of the catalog.
+fn put_snapshot_header(out: &mut Vec<u8>, snapshot: &Snapshot) {
     put_u32(out, SNAPSHOT_FORMAT);
     put_u64(out, snapshot.version);
     put_u8(out, snapshot.config.subquery_cache as u8);
     put_u8(out, snapshot.config.semijoin_decorrelation as u8);
     put_u8(out, snapshot.config.index_pushdown as u8);
     put_u64(out, snapshot.config.recursion_limit as u64);
-    put_catalog(out, &snapshot.catalog);
 }
 
-/// [`put_snapshot`] into a fresh buffer.
-pub fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_snapshot(&mut out, snapshot);
-    out
-}
-
-/// Reload a snapshot. The function registry comes back as builtins only —
-/// callers that registered custom functions must re-register them.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
-    let mut cur = Cursor::new(bytes);
+/// Read what [`put_snapshot_header`] wrote: the version and the executor
+/// configuration.
+fn read_snapshot_header(cur: &mut Cursor<'_>) -> Result<(u64, ExecConfig)> {
     let format = cur.u32("snapshot format")?;
     if format != SNAPSHOT_FORMAT {
         return Err(Error::Persist(format!(
@@ -415,17 +412,166 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
         index_pushdown: cur.u8("config.index_pushdown")? != 0,
         recursion_limit: cur.u64("config.recursion_limit")? as usize,
     };
+    Ok((version, config))
+}
+
+/// [`put_snapshot`] into a fresh buffer.
+pub fn encode_snapshot(snapshot: &Snapshot) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_snapshot(&mut out, snapshot);
+    out
+}
+
+/// Reload a snapshot. The function registry comes back as builtins only —
+/// callers that registered custom functions must re-register them.
+pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot> {
+    let mut cur = Cursor::new(bytes);
+    let (version, config) = read_snapshot_header(&mut cur)?;
     let catalog = read_catalog(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(Error::Persist(format!(
-            "{} trailing bytes after snapshot",
-            cur.remaining()
-        )));
-    }
+    expect_end(&cur, "snapshot")?;
     Ok(Snapshot {
         db: crate::Database { catalog, config },
         version,
     })
+}
+
+fn expect_end(cur: &Cursor<'_>, what: &str) -> Result<()> {
+    if cur.is_empty() {
+        return Ok(());
+    }
+    Err(Error::Persist(format!(
+        "{} trailing bytes after {what}",
+        cur.remaining()
+    )))
+}
+
+// ---------------------------------------------------------------------------
+// Row-level snapshot deltas
+// ---------------------------------------------------------------------------
+
+/// A delta entry: some rows of a table, at their positions.
+const DELTA_ROWS: u8 = 0;
+/// A delta entry: a whole table, as [`put_snapshot`] writes it.
+const DELTA_TABLE: u8 = 1;
+
+/// Append the delta that turns `base` into `cut`, two snapshots of one
+/// database: the snapshot header, then, per table in name order, the rows
+/// whose `Arc` differs from `base`'s row at the same position, each with
+/// its position. A table whose row count changed is written whole. A
+/// row's `Arc` is shared until a mutator rewrites it (`crate::storage`),
+/// and `base` keeps its rows alive, so an equal pointer is an unchanged
+/// row; a row rewritten to equal values is written, which costs bytes, not
+/// exactness. Views are not written: equal shapes have equal views.
+///
+/// Returns the rows written, or `None` when no delta can express the
+/// change — the catalogs differ in [`Catalog::shape`] (DDL) — or when it
+/// would append more than `budget` bytes. On `None`, `out` holds a partial
+/// delta the caller discards.
+pub fn put_snapshot_delta(
+    out: &mut Vec<u8>,
+    base: &Snapshot,
+    cut: &Snapshot,
+    budget: usize,
+) -> Option<usize> {
+    if base.catalog.shape() != cut.catalog.shape() {
+        return None;
+    }
+    let start = out.len();
+    put_snapshot_header(out, cut);
+    let count_at = out.len();
+    put_u32(out, 0);
+    let (mut entries, mut rows) = (0u32, 0);
+    for name in cut.catalog.table_names() {
+        let (now, then) = (
+            cut.catalog.table(name).ok()?,
+            base.catalog.table(name).ok()?,
+        );
+        if std::ptr::eq(now, then) {
+            continue;
+        }
+        if now.len() != then.len() {
+            put_u8(out, DELTA_TABLE);
+            put_table(out, now);
+            rows += now.len();
+        } else {
+            let changed: Vec<(usize, &[Value])> = (now.rows().iter().zip(then.rows()))
+                .enumerate()
+                .filter(|(_, (row, was))| !Arc::ptr_eq(row, was))
+                .map(|(i, (row, _))| (i, &**row))
+                .collect();
+            if changed.is_empty() {
+                continue;
+            }
+            put_u8(out, DELTA_ROWS);
+            put_str(out, name);
+            put_u32(out, changed.len() as u32);
+            for (i, row) in &changed {
+                put_u32(out, *i as u32);
+                put_row(out, *row);
+            }
+            rows += changed.len();
+        }
+        entries += 1;
+        if out.len() - start > budget {
+            return None;
+        }
+    }
+    out.get_mut(count_at..count_at + 4)
+        .expect("the count slot was pushed above")
+        .copy_from_slice(&entries.to_le_bytes());
+    Some(rows)
+}
+
+/// Apply a delta [`put_snapshot_delta`] wrote to `snapshot`, which must be
+/// the state of that delta's base. Rows are written through
+/// [`Table::apply_updates`] and whole tables rebuilt as [`decode_snapshot`]
+/// builds them, so each table's digest and indexes stay exact. Returns the
+/// rows rewritten.
+pub fn apply_snapshot_delta(snapshot: &mut Snapshot, bytes: &[u8]) -> Result<usize> {
+    let mut cur = Cursor::new(bytes);
+    let (version, config) = read_snapshot_header(&mut cur)?;
+    let entries = cur.u32("delta entry count")?;
+    let mut rows = 0;
+    for _ in 0..entries {
+        let at = cur.offset();
+        match cur.u8("delta entry kind")? {
+            DELTA_ROWS => {
+                let name = cur.str("delta table name")?;
+                let table = snapshot.db.catalog.table_mut(&name)?;
+                let n = cur.u32("delta row count")? as usize;
+                let mut updates = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let at = cur.offset();
+                    let pos = cur.u32("delta row position")? as usize;
+                    let row = read_row(&mut cur)?;
+                    if pos >= table.len() || row.len() != table.schema.len() {
+                        return Err(Error::Persist(format!(
+                            "delta row {pos} of arity {} does not fit table '{name}' at offset {at}",
+                            row.len()
+                        )));
+                    }
+                    updates.push((pos, row.into_values().into_iter().enumerate().collect()));
+                }
+                table.apply_updates(&updates)?;
+                rows += n;
+            }
+            DELTA_TABLE => {
+                let table = read_table(&mut cur)?;
+                rows += table.len();
+                let name = table.name.clone();
+                *snapshot.db.catalog.table_mut(&name)? = table;
+            }
+            other => {
+                return Err(Error::Persist(format!(
+                    "invalid delta entry kind {other} at offset {at}"
+                )))
+            }
+        }
+    }
+    expect_end(&cur, "snapshot delta")?;
+    snapshot.version = version;
+    snapshot.db.config = config;
+    Ok(rows)
 }
 
 /// Canonical byte image of the *data* in a snapshot (tables only, sorted) —
@@ -591,6 +737,97 @@ mod tests {
             Error::Persist(m) => assert!(m.contains("offset"), "{m}"),
             other => panic!("expected Persist error, got {other:?}"),
         }
+    }
+
+    /// `base` with `statements` committed on top, as a server publishes
+    /// them: each on a copy of the one before, rows shared until written.
+    fn committed(base: &Snapshot, statements: &[&str]) -> Snapshot {
+        let mut db = base.db.clone();
+        for sql in statements {
+            db.execute(sql).unwrap();
+        }
+        Snapshot {
+            db,
+            version: base.version + statements.len() as u64,
+        }
+    }
+
+    /// Decode `base`, apply the delta to `cut`, and hold the result to a
+    /// fresh decode of `cut`: bytes, digest, indexes.
+    fn assert_delta_rebuilds(base: &Snapshot, cut: &Snapshot, rows: usize) {
+        let mut delta = Vec::new();
+        assert_eq!(
+            put_snapshot_delta(&mut delta, base, cut, usize::MAX),
+            Some(rows)
+        );
+        let mut applied = decode_snapshot(&encode_snapshot(base)).unwrap();
+        assert_eq!(apply_snapshot_delta(&mut applied, &delta).unwrap(), rows);
+        let fresh = decode_snapshot(&encode_snapshot(cut)).unwrap();
+        assert_eq!(encode_snapshot(&applied), encode_snapshot(&fresh));
+        assert_eq!(state_digest(&applied), state_digest(&fresh));
+        let probe = "SELECT b FROM t WHERE a = 2";
+        assert_eq!(applied.query(probe).unwrap(), fresh.query(probe).unwrap());
+        let t = applied.catalog.table("t").unwrap();
+        assert!(t.has_index(t.schema.index_of("a").unwrap()));
+    }
+
+    #[test]
+    fn a_delta_holds_the_rewritten_rows_and_rebuilds_the_cut() {
+        let base = Snapshot {
+            db: sample_db(),
+            version: 4,
+        };
+        let cut = committed(&base, &["UPDATE t SET b = 'y', a = 9 WHERE a = 2"]);
+        assert_delta_rebuilds(&base, &cut, 1);
+        let again = committed(&cut, &["UPDATE t SET a = 2 WHERE a = 9"]);
+        assert_delta_rebuilds(&cut, &again, 1);
+        // A changed row count writes the table whole.
+        let grown = committed(&base, &["INSERT INTO t VALUES (3, 'z', 0.0, NULL)"]);
+        assert_delta_rebuilds(&base, &grown, 3);
+        let shrunk = committed(&base, &["DELETE FROM t WHERE a = 1"]);
+        assert_delta_rebuilds(&base, &shrunk, 1);
+        // Nothing written, nothing changed: an empty delta.
+        assert_delta_rebuilds(&base, &committed(&base, &[]), 0);
+    }
+
+    #[test]
+    fn ddl_and_an_exhausted_budget_refuse_the_delta() {
+        let base = Snapshot {
+            db: sample_db(),
+            version: 0,
+        };
+        let indexed = committed(&base, &["CREATE INDEX ON t (b)"]);
+        assert_eq!(
+            put_snapshot_delta(&mut Vec::new(), &base, &indexed, usize::MAX),
+            None
+        );
+        let cut = committed(&base, &["UPDATE t SET b = 'long enough to matter'"]);
+        let mut delta = Vec::new();
+        let rows = put_snapshot_delta(&mut delta, &base, &cut, usize::MAX);
+        assert_eq!(rows, Some(2));
+        assert_eq!(
+            put_snapshot_delta(&mut Vec::new(), &base, &cut, delta.len() - 1),
+            None
+        );
+        assert_eq!(
+            put_snapshot_delta(&mut Vec::new(), &base, &cut, delta.len()),
+            rows
+        );
+    }
+
+    #[test]
+    fn a_delta_that_does_not_fit_its_base_is_refused() {
+        let base = Snapshot {
+            db: sample_db(),
+            version: 0,
+        };
+        let cut = committed(&base, &["UPDATE t SET b = 'y' WHERE a = 2"]);
+        let mut delta = Vec::new();
+        put_snapshot_delta(&mut delta, &base, &cut, usize::MAX).unwrap();
+        let mut empty = committed(&base, &["DELETE FROM t"]);
+        assert!(apply_snapshot_delta(&mut empty, &delta).is_err());
+        let mut applied = base.clone();
+        assert!(apply_snapshot_delta(&mut applied, &delta[..delta.len() - 1]).is_err());
     }
 
     #[test]

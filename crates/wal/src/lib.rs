@@ -20,10 +20,10 @@
 //!   state change is published (the commit gate of
 //!   `pdm_sql::SharedDatabase::execute_ast_gated`);
 //! * **snapshot checkpoints** ([`DurableStore::cut_point`],
-//!   [`LogCut::frame`], [`DurableStore::install_at_cut`]): a storage
-//!   snapshot is serialized with no lock held and the log prefix it covers
-//!   dropped, so recovery is checkpoint-load plus short-log-replay, not
-//!   full-history replay;
+//!   [`LogCut::frame`], [`LogCut::delta`], [`DurableStore::install_at_cut`]):
+//!   a storage snapshot, or what changed since the last one, is serialized
+//!   with no lock held and the log prefix it covers dropped, so recovery is
+//!   checkpoint-chain-load plus short-log-replay, not full-history replay;
 //! * a **recovery scanner** ([`DurableStore::from_image`]) that walks the
 //!   surviving bytes, verifies checksums, and cleanly truncates any torn
 //!   or corrupt tail back to the last valid record — any byte-level

@@ -122,11 +122,18 @@ pub fn frame(seq: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Encode one frame whose payload `write_payload` appends straight into
-/// the frame's buffer (a checkpoint payload is megabytes; it is written
-/// once, in place). The header is filled in afterwards.
+/// the frame's buffer, written once, in place. The header is filled in
+/// afterwards.
 pub fn frame_with(seq: u64, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut out = vec![0u8; HEADER];
     write_payload(&mut out);
+    seal(seq, &mut out);
+    out
+}
+
+/// Fill in the header of a frame whose payload follows `HEADER` zeroed
+/// bytes in `out`: magic, length, `seq` and the checksum.
+pub(crate) fn seal(seq: u64, out: &mut [u8]) {
     let len = (out.len() - HEADER) as u32;
     let seq_bytes = seq.to_le_bytes();
     let crc = crc32_pair(&seq_bytes, &out[HEADER..]);
@@ -134,7 +141,6 @@ pub fn frame_with(seq: u64, write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8>
     out[1..5].copy_from_slice(&len.to_le_bytes());
     out[5..13].copy_from_slice(&seq_bytes);
     out[13..HEADER].copy_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Append one framed record to the device (no sync — the caller decides

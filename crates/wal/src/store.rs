@@ -8,26 +8,41 @@
 //!
 //! ## Checkpoints
 //!
-//! A checkpoint is a single framed blob (same frame as a log record, so it
-//! gets the same checksum protection) whose sequence number is the last log
-//! sequence it covers. It is made in three steps, so that the long one
-//! holds no lock:
+//! The checkpoint cell is a chain of frames (same frame as a log record, so
+//! each gets the same checksum protection): one **full** frame, then zero
+//! or more **delta** frames. A frame's sequence number is the last log
+//! sequence it covers; a delta's payload starts with the sequence of the
+//! frame before it (its link), so the chain says which cut each delta was
+//! taken against. What a payload holds is the caller's business; the store
+//! only knows that a delta applies on top of the frames before it. A
+//! checkpoint is made in three steps, so that the long one holds no lock:
 //!
 //! 1. [`DurableStore::cut_point`] names the cut: the last sequence it
-//!    covers and the log bytes that hold the records up to it.
-//! 2. [`LogCut::frame`] encodes and checksums the cell for that cut. It
-//!    does not touch the store, so records keep being appended meanwhile.
-//! 3. [`DurableStore::install_at_cut`] overwrites the checkpoint cell and
-//!    drops only the covered log prefix: the records appended after the
-//!    cut stay in the log.
+//!    covers, the log bytes that hold the records up to it, and the chain
+//!    it would extend.
+//! 2. [`LogCut::frame`] encodes and checksums a full frame for that cut, or
+//!    [`LogCut::delta`] a delta frame. Neither touches the store, so
+//!    records keep being appended meanwhile.
+//! 3. [`DurableStore::install_at_cut`] installs the frame — a full frame
+//!    replaces the chain, a delta is appended to it — and drops only the
+//!    covered log prefix: the records appended after the cut stay in the
+//!    log.
 //!
-//! The install is the write-temp-then-rename idiom of real systems, modeled
-//! as atomic here (the crash planner schedules faults on *log* operations,
-//! where the interesting torn states live; a torn checkpoint is still
-//! exercised explicitly by corruption tests). A crash between cut and
-//! install leaves the old cell and the whole log, which still recover.
-//! Recovery therefore is: load checkpoint, replay the (short) log suffix
-//! with `seq >` the checkpoint's sequence.
+//! A delta is refused when the chain's deltas together would reach half
+//! the full frame: the cell stays under 1.5 full frames, and that bounds
+//! what recovery reads. The caller then writes a full frame, which starts
+//! a new chain.
+//!
+//! Each install is the write-temp-then-rename idiom of real systems,
+//! modeled as atomic here (the crash planner schedules faults on *log*
+//! operations, where the interesting torn states live; a torn checkpoint is
+//! still exercised explicitly by corruption tests). A crash between cut and
+//! install leaves the old chain and the whole log, which still recover.
+//! Recovery therefore is: load the chain, replay the (short) log suffix
+//! with `seq >` the chain's last sequence. Damage to any frame of the chain
+//! is fatal: the cell was written atomically, so damage there is
+//! corruption, and a chain missing a delta would recover a state that
+//! never was.
 
 use crate::device::{CrashPlan, DeviceStats, SimDevice};
 use crate::log::{self, LogDamage, LogScan};
@@ -37,6 +52,8 @@ use crate::WalError;
 /// The bytes that survive a crash: checkpoint cell + log device image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurableImage {
+    /// The checkpoint chain's frames, back to back: the full frame, then
+    /// the deltas.
     pub checkpoint: Vec<u8>,
     pub log: Vec<u8>,
 }
@@ -44,25 +61,46 @@ pub struct DurableImage {
 /// Everything recovery learns from a surviving image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveredStore {
-    /// `(covered_seq, payload)` from the checkpoint cell, if one was ever
-    /// installed.
+    /// `(covered_seq, payload)` of the chain's full frame, if a checkpoint
+    /// was ever installed.
     pub checkpoint: Option<(u64, Vec<u8>)>,
-    /// Decoded log records with `seq` beyond the checkpoint, in order.
+    /// `(covered_seq, payload)` of each delta frame after it, in chain
+    /// order (the link stripped): each applies on top of the frames before
+    /// it.
+    pub deltas: Vec<(u64, Vec<u8>)>,
+    /// Decoded log records with `seq` beyond the chain, in order.
     pub records: Vec<(u64, WalRecord)>,
     /// Tail damage that was truncated away (the normal signature of a crash
     /// mid-append), kept for the recovery report.
     pub damage: Option<LogDamage>,
 }
 
-/// Where a checkpoint is cut: the last sequence it covers and the length of
-/// the log prefix that holds the records up to it. See the module docs.
+/// Bytes of a delta frame's link: the sequence of the frame before it.
+const LINK: usize = 8;
+
+/// The checkpoint chain as it stood at a cut: what a delta cut there would
+/// extend.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ChainShape {
+    /// Bytes of the full frame (0: no chain).
+    full: usize,
+    /// Bytes of the delta frames after it.
+    deltas: usize,
+    /// The sequence the chain's last frame covers.
+    tip: u64,
+}
+
+/// Where a checkpoint is cut: the last sequence it covers, the length of
+/// the log prefix that holds the records up to it, and the chain it would
+/// extend. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogCut {
     covered: u64,
     log_len: usize,
     /// The store's install count at the cut: a cut is installed at most
-    /// once, and only over the log it was cut from.
+    /// once, and only over the log and chain it was cut from.
     installs: u64,
+    chain: ChainShape,
 }
 
 impl LogCut {
@@ -71,34 +109,113 @@ impl LogCut {
         self.covered
     }
 
-    /// Encode the checkpoint cell for this cut: `write_payload` appends the
-    /// payload straight into the cell's frame, which is then checksummed.
-    /// This is a checkpoint's long step, and it needs no access to the
-    /// store.
+    /// Encode a full frame for this cut: `write_payload` appends the payload
+    /// straight into the frame, which is then checksummed. This is a
+    /// checkpoint's long step, and it needs no access to the store.
     pub fn frame(self, write_payload: impl FnOnce(&mut Vec<u8>)) -> CheckpointFrame {
         CheckpointFrame {
             cut: self,
             bytes: log::frame_with(self.covered, write_payload),
+            delta: false,
         }
+    }
+
+    /// Encode a delta frame for this cut, to apply on top of the chain as
+    /// it stood at the cut. `write_payload` is handed the most bytes the
+    /// payload may take and returns `false` if it gives up. `None` when
+    /// there is no chain, when the writer gives up, or when the chain's
+    /// deltas together would reach half its full frame (module docs): the
+    /// caller writes a full frame instead. Nothing is checksummed unless
+    /// the delta is kept.
+    pub fn delta(
+        self,
+        write_payload: impl FnOnce(&mut Vec<u8>, usize) -> bool,
+    ) -> Option<CheckpointFrame> {
+        let ChainShape { full, deltas, tip } = self.chain;
+        let room = (full / 2).checked_sub(deltas + log::HEADER + LINK)?;
+        let mut bytes = vec![0u8; log::HEADER];
+        bytes.extend_from_slice(&tip.to_le_bytes());
+        if !write_payload(&mut bytes, room) || 2 * (deltas + bytes.len()) >= full {
+            return None;
+        }
+        log::seal(self.covered, &mut bytes);
+        Some(CheckpointFrame {
+            cut: self,
+            bytes,
+            delta: true,
+        })
     }
 }
 
-/// An encoded checkpoint cell, with the cut it was encoded at.
+/// An encoded checkpoint frame, full or delta, with the cut it was encoded
+/// at.
 #[derive(Debug)]
 pub struct CheckpointFrame {
     cut: LogCut,
     bytes: Vec<u8>,
+    delta: bool,
 }
 
 /// Write side of the WAL: assigns sequence numbers, frames records, and
-/// manages the checkpoint cell.
+/// manages the checkpoint chain.
 #[derive(Debug, Clone)]
 pub struct DurableStore {
     log: SimDevice,
-    checkpoint: Vec<u8>,
+    /// The checkpoint chain: the full frame, then the deltas (empty before
+    /// the first install).
+    chain: Vec<Vec<u8>>,
+    /// The sequence the chain's last frame covers.
+    tip: u64,
     next_seq: u64,
     /// Checkpoints installed since the store was opened.
     installs: u64,
+}
+
+/// A checkpoint cell read back: see [`read_chain`].
+#[derive(Default)]
+struct Chain {
+    full: Option<(u64, Vec<u8>)>,
+    deltas: Vec<(u64, Vec<u8>)>,
+    /// Each frame's bytes, header included.
+    frames: Vec<Vec<u8>>,
+}
+
+/// The chain of a checkpoint cell, validated: every frame's checksum, and
+/// each delta's link to the frame before it.
+fn read_chain(cell: &[u8]) -> Result<Chain, WalError> {
+    let scan = log::scan(cell);
+    if let Some(d) = scan.damage {
+        return Err(WalError::Damage(d));
+    }
+    let mut chain = Chain::default();
+    let mut offset = 0;
+    for (seq, payload) in scan.records {
+        let end = offset + log::HEADER + payload.len();
+        chain
+            .frames
+            .push(cell.get(offset..end).unwrap_or_default().to_vec());
+        let Some((tip, _)) = chain.deltas.last().or(chain.full.as_ref()) else {
+            chain.full = Some((seq, payload));
+            offset = end;
+            continue;
+        };
+        let link = payload
+            .get(..LINK)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("LINK bytes")));
+        if link != Some(*tip) || seq < *tip {
+            return Err(WalError::Decode {
+                offset,
+                detail: format!(
+                    "checkpoint delta at seq {seq} links to {link:?}; the chain before it ends at seq {tip}"
+                ),
+            });
+        }
+        chain
+            .deltas
+            .push((seq, payload.get(LINK..).unwrap_or_default().to_vec()));
+        offset = end;
+    }
+    Ok(chain)
 }
 
 impl DurableStore {
@@ -106,7 +223,8 @@ impl DurableStore {
     pub fn new(plan: CrashPlan) -> Self {
         DurableStore {
             log: SimDevice::new(plan),
-            checkpoint: Vec::new(),
+            chain: Vec::new(),
+            tip: 0,
             next_seq: 1,
             installs: 0,
         }
@@ -115,32 +233,19 @@ impl DurableStore {
     /// Re-open a store from a surviving image, scanning and validating it.
     /// The log is truncated back to its valid record prefix (tail damage is
     /// reported, not fatal); sequence numbering continues after the highest
-    /// surviving sequence. A damaged *checkpoint* is fatal — it was written
-    /// atomically, so damage there is real corruption, not a crash artifact.
+    /// surviving sequence. Damage anywhere in the *checkpoint chain*, or a
+    /// delta that does not link to the frame before it, is fatal — the
+    /// cell was written atomically, so that is corruption, not a crash
+    /// artifact.
     pub fn from_image(
         image: DurableImage,
         plan: CrashPlan,
     ) -> Result<(Self, RecoveredStore), WalError> {
-        // Checkpoint cell: empty, or exactly one intact frame.
-        let checkpoint = if image.checkpoint.is_empty() {
-            None
-        } else {
-            let scan = log::scan(&image.checkpoint);
-            if let Some(d) = scan.damage {
-                return Err(WalError::Damage(d));
-            }
-            if scan.records.len() != 1 {
-                return Err(WalError::Decode {
-                    offset: 0,
-                    detail: format!(
-                        "checkpoint cell holds {} frames, expected 1",
-                        scan.records.len()
-                    ),
-                });
-            }
-            let (seq, payload) = scan.records.into_iter().next().unwrap_or_default();
-            Some((seq, payload))
-        };
+        let Chain {
+            full: checkpoint,
+            deltas,
+            frames: chain,
+        } = read_chain(&image.checkpoint)?;
 
         let LogScan {
             records,
@@ -148,7 +253,7 @@ impl DurableStore {
             damage,
         } = log::scan(&image.log);
 
-        let base_seq = checkpoint.as_ref().map(|(s, _)| *s).unwrap_or(0);
+        let base_seq = deltas.last().or(checkpoint.as_ref()).map_or(0, |(s, _)| *s);
         let mut decoded = Vec::with_capacity(records.len());
         let mut max_seq = base_seq;
         let mut prev = None;
@@ -173,7 +278,8 @@ impl DurableStore {
         log.truncate(valid_len);
         let store = DurableStore {
             log: SimDevice::with_contents(log).with_plan(plan),
-            checkpoint: image.checkpoint,
+            chain,
+            tip: base_seq,
             next_seq: max_seq.saturating_add(1),
             installs: 0,
         };
@@ -181,6 +287,7 @@ impl DurableStore {
             store,
             RecoveredStore {
                 checkpoint,
+                deltas,
                 records: decoded,
                 damage,
             },
@@ -214,21 +321,29 @@ impl DurableStore {
     /// so far. Take it where those records are synced (the caller's commit
     /// path appends and syncs under the lock it takes this under).
     pub fn cut_point(&self) -> LogCut {
+        let mut frames = self.chain.iter().map(Vec::len);
+        let full = frames.next().unwrap_or(0);
         LogCut {
             covered: self.next_seq.saturating_sub(1),
             log_len: self.log.len(),
             installs: self.installs,
+            chain: ChainShape {
+                full,
+                deltas: frames.sum(),
+                tip: self.tip,
+            },
         }
     }
 
-    /// Install `frame` as the checkpoint cell and drop the log prefix its
-    /// cut covers; records appended after the cut stay in the log. Atomic
-    /// (see module docs). Refused on a crashed device, so a dead server
-    /// cannot checkpoint, and for a cut that is not of this log as it
-    /// stands ([`WalError::StaleCut`]); either way the old cell and the
-    /// whole log stay. Returns the replaced cell, so the caller can free it
-    /// outside its own lock.
-    pub fn install_at_cut(&mut self, frame: CheckpointFrame) -> Result<Vec<u8>, WalError> {
+    /// Install `frame` and drop the log prefix its cut covers; records
+    /// appended after the cut stay in the log. A full frame replaces the
+    /// chain, a delta is appended to it. Atomic (see module docs). Refused
+    /// on a crashed device, so a dead server cannot checkpoint, and for a
+    /// cut that is not of this log and chain as they stand
+    /// ([`WalError::StaleCut`]); either way the old chain and the whole log
+    /// stay. Returns the replaced frames (none for a delta), so the caller
+    /// can free them outside its own lock.
+    pub fn install_at_cut(&mut self, frame: CheckpointFrame) -> Result<Vec<Vec<u8>>, WalError> {
         if self.log.is_crashed() {
             return Err(WalError::DeviceCrashed);
         }
@@ -238,13 +353,19 @@ impl DurableStore {
         }
         self.log.drop_prefix(cut.log_len);
         self.installs = self.installs.saturating_add(1);
-        Ok(std::mem::replace(&mut self.checkpoint, frame.bytes))
+        self.tip = cut.covered;
+        if frame.delta {
+            self.chain.push(frame.bytes);
+            Ok(Vec::new())
+        } else {
+            Ok(std::mem::replace(&mut self.chain, vec![frame.bytes]))
+        }
     }
 
     /// The bytes that would survive if the process died right now.
     pub fn image(&self) -> DurableImage {
         DurableImage {
-            checkpoint: self.checkpoint.clone(),
+            checkpoint: self.chain.concat(),
             log: self.log.surviving().to_vec(),
         }
     }
@@ -266,7 +387,13 @@ impl DurableStore {
 
     /// Bytes in the checkpoint cell.
     pub fn checkpoint_len(&self) -> usize {
-        self.checkpoint.len()
+        self.chain.iter().map(Vec::len).sum()
+    }
+
+    /// Bytes of each frame of the checkpoint chain: the full frame, then
+    /// the deltas.
+    pub fn checkpoint_frames(&self) -> Vec<usize> {
+        self.chain.iter().map(Vec::len).collect()
     }
 
     /// Sequence the next append will receive.
@@ -395,6 +522,118 @@ mod tests {
         let (_, recovered) = DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
         assert_eq!(recovered.checkpoint, Some((3, b"cp-3".to_vec())));
         assert_eq!(seqs(&recovered), vec![4, 5]);
+    }
+
+    /// Install a delta of everything logged so far with `payload`.
+    fn delta_now(store: &mut DurableStore, payload: &[u8]) -> Option<u64> {
+        let cut = store.cut_point();
+        let frame = cut.delta(|out, room| {
+            out.extend_from_slice(payload);
+            payload.len() <= room
+        })?;
+        assert!(store.install_at_cut(frame).unwrap().is_empty());
+        Some(cut.covered())
+    }
+
+    #[test]
+    fn deltas_chain_onto_the_full_frame_and_recover_in_order() {
+        let mut store = DurableStore::new(CrashPlan::none());
+        assert_eq!(delta_now(&mut store, b"d"), None, "no chain to extend");
+        store.commit(&rec(1)).unwrap();
+        checkpoint_now(&mut store, &[0xF; 256]);
+        store.commit(&rec(2)).unwrap();
+        assert_eq!(delta_now(&mut store, b"delta-2"), Some(2));
+        store.commit(&rec(3)).unwrap();
+        assert_eq!(delta_now(&mut store, b"delta-3"), Some(3));
+        store.commit(&rec(4)).unwrap();
+        assert_eq!(store.log_len(), log::frame(4, &rec(4).encode()).len());
+        let frames = store.checkpoint_frames();
+        assert_eq!(frames.len(), 3);
+        assert_eq!(store.checkpoint_len(), frames.iter().sum::<usize>());
+
+        let (reopened, recovered) =
+            DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
+        assert_eq!(recovered.checkpoint, Some((1, vec![0xF; 256])));
+        assert_eq!(
+            recovered.deltas,
+            vec![(2, b"delta-2".to_vec()), (3, b"delta-3".to_vec())]
+        );
+        assert_eq!(seqs(&recovered), vec![4]);
+        assert_eq!(reopened.checkpoint_frames(), frames);
+        assert_eq!(reopened.next_seq(), 5);
+    }
+
+    #[test]
+    fn deltas_stop_at_half_the_full_frame_and_a_full_frame_restarts_the_chain() {
+        let mut store = DurableStore::new(CrashPlan::none());
+        checkpoint_now(&mut store, &[0xF; 400]);
+        let full = store.checkpoint_len();
+        let mut deltas = 0;
+        while delta_now(&mut store, &[0xD; 40]).is_some() {
+            deltas += 1;
+        }
+        assert!(
+            deltas >= 2,
+            "{deltas} deltas of 40 bytes under a 400-byte frame"
+        );
+        let in_deltas = store.checkpoint_len() - full;
+        assert!(
+            2 * in_deltas < full,
+            "{in_deltas} delta bytes reach half of {full}"
+        );
+        // A writer told it has no room gives up.
+        assert!(store
+            .cut_point()
+            .delta(|out, room| {
+                out.extend_from_slice(&[0xD; 40]);
+                room >= 40
+            })
+            .is_none());
+        let replaced = store
+            .install_at_cut(
+                store
+                    .cut_point()
+                    .frame(|out| out.extend_from_slice(b"full")),
+            )
+            .unwrap();
+        assert_eq!(replaced.len(), 1 + deltas);
+        assert_eq!(store.checkpoint_frames().len(), 1);
+        let (_, recovered) = DurableStore::from_image(store.image(), CrashPlan::none()).unwrap();
+        assert_eq!(recovered.checkpoint, Some((0, b"full".to_vec())));
+        assert!(recovered.deltas.is_empty());
+    }
+
+    #[test]
+    fn damage_anywhere_in_the_chain_is_fatal() {
+        let mut store = DurableStore::new(CrashPlan::none());
+        checkpoint_now(&mut store, &[0xF; 64]);
+        store.commit(&rec(1)).unwrap();
+        delta_now(&mut store, b"delta-1").unwrap();
+        let full = store.checkpoint_frames()[0];
+
+        let mut image = store.image();
+        let last = image.checkpoint.len() - 1;
+        image.checkpoint[last] ^= 0x40;
+        match DurableStore::from_image(image, CrashPlan::none()) {
+            Err(WalError::Damage(LogDamage::ChecksumMismatch { offset, .. })) => {
+                assert_eq!(offset, full, "the delta frame starts after the full frame")
+            }
+            other => panic!("expected checksum damage in the delta, got {other:?}"),
+        }
+
+        // A delta that does not link to the frame before it.
+        let mut image = store.image();
+        image.checkpoint.truncate(full);
+        image
+            .checkpoint
+            .extend_from_slice(&log::frame(1, &7u64.to_le_bytes()));
+        match DurableStore::from_image(image, CrashPlan::none()) {
+            Err(WalError::Decode { offset, detail }) => {
+                assert_eq!(offset, full);
+                assert!(detail.contains("links to Some(7)"), "{detail}");
+            }
+            other => panic!("expected a broken link, got {other:?}"),
+        }
     }
 
     #[test]

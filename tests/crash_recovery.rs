@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use pdm_bench::harness::{
     check_recovered, crash_image, database, durable_server, fingerprint_of, flagged_ids, recover,
-    scripted_workload, server, session, small_tree, NO_CHECKPOINTS,
+    roots, scripted_workload, server, session, small_tree, NO_CHECKPOINTS,
 };
 use pdm_core::query::recursive;
 use pdm_core::{
@@ -40,6 +40,7 @@ use pdm_core::{
 use pdm_prng::Prng;
 use pdm_sql::persist::database_fingerprint;
 use pdm_wal::{CrashPlan, DurableImage, DurableStore, TailFault, WalRecord};
+use pdm_workload::TreeSpec;
 
 const WORKLOAD_SEED: u64 = 0x000C_0FFE_E001;
 
@@ -184,6 +185,45 @@ fn exhaustive_crash_point_sweep_recovers_exactly() {
     assert!(
         crash_points >= 200,
         "acceptance floor: only {crash_points} crash points exercised"
+    );
+}
+
+/// The sweep over checkpoint chains: the same script on a server that
+/// checkpoints every 4 commits, killed at every device op under every tail
+/// fault, so most crash points find a full frame plus deltas in the cell.
+/// Each recovery is held to the crashed server's published state plus the
+/// sweep and to its durable token outcomes (`check_recovered`).
+#[test]
+fn exhaustive_crash_point_sweep_over_checkpoint_chains_recovers() {
+    let (mut crash_points, mut over_chains) = (0u64, 0u64);
+    for fault in [
+        TailFault::LoseTail,
+        TailFault::TornWrite,
+        TailFault::PartialSector,
+    ] {
+        for op in 0.. {
+            let plan = CrashPlan::at_op(op)
+                .with_fault(fault)
+                .with_seed(WORKLOAD_SEED ^ op);
+            let victim = durable_server(&small_tree(), plan, 4);
+            let tokens = scripted_workload(&victim, WORKLOAD_SEED, 30);
+            if !victim.durability().unwrap().is_crashed() {
+                break; // past the script's last device op
+            }
+            let image = crash_image(&victim);
+            let (_, stored) = DurableStore::from_image(image.clone(), CrashPlan::none()).unwrap();
+            over_chains += u64::from(!stored.deltas.is_empty());
+            let context = format!("{fault:?} op {op}");
+            let (recovered, _) = recover(image, 4).unwrap_or_else(|e| panic!("{context}: {e}"));
+            check_recovered(&victim, &recovered, &tokens)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            crash_points += 1;
+        }
+    }
+    assert!(crash_points >= 200, "only {crash_points} crash points");
+    assert!(
+        2 * over_chains > crash_points,
+        "only {over_chains} of {crash_points} crash points found a delta in the cell"
     );
 }
 
@@ -374,6 +414,69 @@ fn corrupt_checkpoint_surfaces_offset_and_checksums() {
             && rendered.contains("expected crc 0x"),
         "diagnostic lost detail: {rendered}"
     );
+}
+
+/// A damaged delta frame is as fatal as a damaged full frame: recovery
+/// names the delta's offset in the cell and never falls back to the chain
+/// before it, which would lose the delta's changes.
+#[test]
+fn corrupt_checkpoint_delta_surfaces_its_offset() {
+    let server = durable_server(&small_tree(), CrashPlan::none(), 4);
+    scripted_workload(&server, WORKLOAD_SEED, 12);
+    let mut image = server.shared().durability().unwrap().image();
+    let (_, stored) = DurableStore::from_image(image.clone(), CrashPlan::none()).unwrap();
+    assert!(
+        !stored.deltas.is_empty(),
+        "setup: the cell must hold a delta"
+    );
+    let (_, full) = stored.checkpoint.unwrap();
+    let delta_at = pdm_wal::log::HEADER + full.len();
+    image.checkpoint[delta_at + pdm_wal::log::HEADER + 4] ^= 0x40;
+
+    let cfg = DurabilityConfig::default().with_interval(4);
+    let err = recover_server(image, &cfg).expect_err("a corrupt delta must be fatal");
+    match SessionError::from(err) {
+        SessionError::CorruptLog {
+            offset,
+            expected,
+            found,
+        } => {
+            assert_eq!(offset, delta_at, "the delta starts after the full frame");
+            assert_ne!(expected, found);
+        }
+        other => panic!("expected CorruptLog, got {other:?}"),
+    }
+}
+
+/// Checkpoint work follows the change: k one-row UPDATEs that cross the
+/// interval install a delta of exactly those k rows, a small fraction of
+/// the full frame, and recovery applies it.
+#[test]
+fn k_one_row_updates_checkpoint_as_a_k_row_delta() {
+    const K: usize = 8;
+    let spec = TreeSpec::new(4, 4, 1.0).with_node_size(64);
+    let server = durable_server(&spec, CrashPlan::none(), K as u64);
+    for (i, id) in roots(&server).into_iter().take(K).enumerate() {
+        server
+            .execute_deadline_obs(
+                &format!("UPDATE assy SET payload = 'pin{i}' WHERE obid = {id}"),
+                None,
+                &Recorder::disabled(),
+            )
+            .unwrap();
+    }
+    let durability = server.durability().unwrap();
+    let frames = durability.checkpoint_frames();
+    assert_eq!(frames.len(), 2, "a full frame and one delta: {frames:?}");
+    assert!(
+        10 * frames[1] < frames[0],
+        "a {K}-row delta of {} bytes against a {}-byte full frame",
+        frames[1],
+        frames[0]
+    );
+    let (recovered, report) = recover(durability.image(), K as u64).unwrap();
+    assert_eq!(report.delta_rows, [K]);
+    check_recovered(&server, &recovered, &[]).unwrap();
 }
 
 /// Satellite: torn-tail damage in the LOG (as opposed to the checkpoint) is
