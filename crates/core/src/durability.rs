@@ -983,7 +983,8 @@ mod tests {
 
     const CHAIN_ROWS: i64 = 12;
 
-    fn chain_db() -> Database {
+    /// `assy` and `comp` of `rows` rows each, `assy` indexed on `obid`.
+    fn chain_db(rows: i64) -> Database {
         let mut db = Database::new();
         db.execute(
             "CREATE TABLE assy (obid INTEGER NOT NULL, checkedout BOOLEAN, payload VARCHAR)",
@@ -991,7 +992,7 @@ mod tests {
         .unwrap();
         db.execute("CREATE TABLE comp (obid INTEGER NOT NULL, name VARCHAR)")
             .unwrap();
-        for obid in 1..=CHAIN_ROWS {
+        for obid in 1..=rows {
             db.execute(&format!(
                 "INSERT INTO assy VALUES ({obid}, FALSE, 'p{obid}')"
             ))
@@ -1003,10 +1004,11 @@ mod tests {
         db
     }
 
-    fn random_history(rng: &mut pdm_prng::Prng) -> Vec<Step> {
+    /// A history over [`chain_db`] of `rows` rows.
+    fn random_history(rows: i64, rng: &mut pdm_prng::Prng) -> Vec<Step> {
         let mut tables = 0;
-        let mut next_comp = CHAIN_ROWS;
-        let obid = |rng: &mut pdm_prng::Prng| rng.i64_inclusive(1, CHAIN_ROWS);
+        let mut next_comp = rows;
+        let obid = |rng: &mut pdm_prng::Prng| rng.i64_inclusive(1, rows);
         (0..rng.usize_inclusive(40, 120))
             .map(|_| match rng.index(200) {
                 0..=59 => Step::Sql(format!(
@@ -1053,6 +1055,10 @@ mod tests {
         longest_chain: usize,
         fulls_after_ddl: usize,
         tokens: u64,
+        /// Statements that took `comp` across a chunk edge of its storage,
+        /// to more chunks and to fewer.
+        grown_across_edge: usize,
+        shrunk_across_edge: usize,
     }
 
     /// The cell decodes to what a full frame of the last installed cut
@@ -1095,9 +1101,14 @@ mod tests {
         Ok(())
     }
 
-    fn run_history(steps: &[Step], seen: &mut Exercised) -> Result<(), String> {
+    fn run_history(rows: i64, steps: &[Step], seen: &mut Exercised) -> Result<(), String> {
         let cfg = DurabilityConfig::default().with_interval(1 << 40);
-        let server = SharedServer::with_durability(chain_db(), &cfg).unwrap();
+        let server = SharedServer::with_durability(chain_db(rows), &cfg).unwrap();
+        let comp_chunks = || {
+            let snapshot = server.database().snapshot();
+            let comp = snapshot.catalog.table("comp").map(|t| t.len());
+            comp.unwrap_or(0).div_ceil(pdm_sql::storage::CHUNK)
+        };
         let d = server.durability().unwrap();
         let mut installed = (server.database().snapshot(), ReplayState::default());
         let mut ddl_since_install = false;
@@ -1111,7 +1122,11 @@ mod tests {
             };
             match step {
                 Step::Sql(sql) => {
+                    let before = comp_chunks();
                     let done = server.execute_deadline_obs(sql, None, &Recorder::disabled());
+                    let after = comp_chunks();
+                    seen.grown_across_edge += usize::from(after > before);
+                    seen.shrunk_across_edge += usize::from(after < before);
                     ddl_since_install |= done.is_ok() && sql.starts_with("CREATE");
                 }
                 Step::Tokens(n) => {
@@ -1176,10 +1191,10 @@ mod tests {
             "chain_decodes_like_a_full_frame",
             pdm_prng::check::DEFAULT_CASES,
             0xC4A1_0047,
-            random_history,
+            |rng| random_history(CHAIN_ROWS, rng),
             |steps| {
                 let mut seen = Exercised::default();
-                run_history(steps, &mut seen)?;
+                run_history(CHAIN_ROWS, steps, &mut seen)?;
                 total.deltas += seen.deltas;
                 total.fulls_after_ddl += seen.fulls_after_ddl;
                 total.longest_chain = total.longest_chain.max(seen.longest_chain);
@@ -1201,6 +1216,32 @@ mod tests {
         assert!(
             over_retention >= 10,
             "{over_retention} histories past retention"
+        );
+
+        // Tables of three chunks, give or take a row: row deltas land in
+        // every chunk, and `comp`'s inserts and deletes cross chunk edges.
+        let chunk = pdm_sql::storage::CHUNK as i64;
+        let (mut deltas, mut grown, mut shrunk) = (0, 0, 0);
+        for rows in [3 * chunk - 1, 3 * chunk, 3 * chunk + 1] {
+            pdm_prng::check::shrinking(
+                "chain_decodes_like_a_full_frame_across_chunks",
+                8,
+                0xC4A1_0048 + rows as u64,
+                |rng| random_history(rows, rng),
+                |steps| {
+                    let mut seen = Exercised::default();
+                    run_history(rows, steps, &mut seen)?;
+                    deltas += seen.deltas;
+                    grown += seen.grown_across_edge;
+                    shrunk += seen.shrunk_across_edge;
+                    Ok(())
+                },
+            );
+        }
+        assert!(deltas >= 20, "{deltas} deltas installed across chunks");
+        assert!(
+            grown > 0 && shrunk > 0,
+            "comp crossed a chunk edge {grown} times growing, {shrunk} shrinking"
         );
     }
 

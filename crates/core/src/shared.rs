@@ -570,11 +570,13 @@ struct Slot {
     /// The table's miss count when `ready` was last published or hit
     /// ([`Ring::now`]).
     used: u64,
-    /// A single-flight leader is computing this key. Concurrent misses on
-    /// it wait (bounded by their deadline) on [`QueryCache::cv`] and
-    /// re-probe instead of compiling + executing the same query N times —
-    /// the cache-stampede (dogpile) fix.
-    computing: bool,
+    /// A single-flight leader is computing this key, on this storage
+    /// version. Concurrent misses on a version no newer wait (bounded by
+    /// their deadline) on [`QueryCache::cv`] and re-probe instead of
+    /// compiling + executing the same query N times — the cache-stampede
+    /// (dogpile) fix. A miss on a newer version does not wait: the
+    /// leader's result would be stale to it.
+    computing: Option<u64>,
 }
 
 impl Slot {
@@ -773,7 +775,12 @@ enum Claim<'a> {
     Hit(Arc<ResultSet>),
     /// Nobody is computing the key: the caller is, from now on.
     Lead(Leadership<'a>),
-    /// Somebody is: the table's guard, to wait on ([`QueryCache::wait`]).
+    /// Somebody is, on an older storage version than the caller's: the
+    /// caller computes for itself, unmarked, and stores its result with
+    /// [`QueryCache::publish`].
+    Behind,
+    /// Somebody is, on the caller's version or a newer one: the table's
+    /// guard, to wait on ([`QueryCache::wait`]).
     Wait(MutexGuard<'a, Table>),
 }
 
@@ -811,9 +818,11 @@ impl QueryCache {
     }
 
     /// The one look-up of a canonical miss: return the key's current
-    /// result, or mark its slot as being computed by the caller — a miss of
-    /// the table, which advances its clock — or, the mark being somebody
-    /// else's, hand back the guard to wait on.
+    /// result, or mark its slot as being computed by the caller on
+    /// `version` — a miss of the table, which advances its clock — or, the
+    /// mark being somebody else's, hand back the guard to wait on. A mark
+    /// of an older version is not waited for: its result cannot be a hit
+    /// on `version`, so the caller misses, unmarked ([`Claim::Behind`]).
     fn claim(&self, key: &Arc<str>, version: u64) -> Claim<'_> {
         let mut table = lock_unpoisoned(&self.table);
         let at = table.position(key);
@@ -822,10 +831,14 @@ impl QueryCache {
         if let Some(result) = slot.hit(version, now) {
             return Claim::Hit(result);
         }
-        if slot.computing {
-            return Claim::Wait(table);
+        match slot.computing {
+            Some(leader) if leader < version => {
+                table.ring.miss();
+                return Claim::Behind;
+            }
+            Some(_) => return Claim::Wait(table),
+            None => slot.computing = Some(version),
         }
-        slot.computing = true;
         table.ring.miss();
         self.singleflight_leaders.inc();
         Claim::Lead(Leadership { cache: self, at })
@@ -845,8 +858,9 @@ impl QueryCache {
     }
 
     /// Store `result`, computed on storage `version`, under `key`: by a
-    /// waiter that ran out of deadline and computed for itself (a leader
-    /// publishes through [`Leadership::publish`]).
+    /// miss that computed for itself — its leader was on an older version,
+    /// or it ran out of deadline waiting — (a leader publishes through
+    /// [`Leadership::publish`]).
     fn publish(&self, key: &Arc<str>, version: u64, result: &Arc<ResultSet>) {
         let mut table = lock_unpoisoned(&self.table);
         let at = table.position(key);
@@ -887,7 +901,7 @@ impl QueryCache {
                     let slot = table.slot_mut(victim);
                     displaced = slot.ready.take();
                     // A slot that is being computed keeps its mark.
-                    if !slot.computing {
+                    if slot.computing.is_none() {
                         table.vacate(victim);
                     }
                     self.invalidations.inc();
@@ -912,7 +926,7 @@ impl QueryCache {
     /// nor a mark.
     fn vacate_unused(table: &mut Table, at: usize) -> Option<Slot> {
         let slot = table.slot_mut(at);
-        (slot.ready.is_none() && !slot.computing).then(|| table.vacate(at))
+        (slot.ready.is_none() && slot.computing.is_none()).then(|| table.vacate(at))
     }
 
     /// What a leader does when it is done, with a result or without: one
@@ -922,7 +936,7 @@ impl QueryCache {
     fn let_go(&self, at: usize, published: Option<(u64, &Arc<ResultSet>)>) {
         let mut table = lock_unpoisoned(&self.table);
         let gone = published.map(|(version, result)| self.store(&mut table, at, version, result));
-        table.slot_mut(at).computing = false;
+        table.slot_mut(at).computing = None;
         let vacated = Self::vacate_unused(&mut table, at);
         let waiters = table.waiters;
         drop(table);
@@ -1176,7 +1190,9 @@ impl SharedServer {
     /// inside the server, [`InFlight::default`].
     pub fn in_flight(&self) -> InFlight {
         let table = lock_unpoisoned(&self.cache.table);
-        let marks = table.slots.iter().filter(|slot| slot.computing).count();
+        let marks = (table.slots.iter())
+            .filter(|slot| slot.computing.is_some())
+            .count();
         let waiters = table.waiters;
         drop(table);
         let tokens = lock_unpoisoned(&self.checkout_log).in_progress.len();
@@ -1247,7 +1263,10 @@ impl SharedServer {
     /// `deadline`: concurrent misses on the same canonical key wait for the
     /// first computation (up to `deadline`) and share its result instead of
     /// stampeding the engine. A waiter whose deadline runs out falls back to
-    /// computing for itself — never worse than no single-flight.
+    /// computing for itself — never worse than no single-flight. A miss on
+    /// a newer storage version than the computation's does not wait at
+    /// all: it computes for itself, since the result it would wait for is
+    /// stale to it.
     pub fn query_cached_deadline_obs(
         &self,
         sql: &str,
@@ -1303,6 +1322,12 @@ impl SharedServer {
                 Claim::Lead(leadership) => {
                     probe.set_detail("miss");
                     break Some(leadership);
+                }
+                // The leader computes on an older version: its result
+                // would not be ours to take.
+                Claim::Behind => {
+                    probe.set_detail("miss");
+                    break None;
                 }
                 Claim::Wait(table) => table,
             };
@@ -1811,7 +1836,7 @@ mod tests {
         assert!(table
             .index
             .values()
-            .all(|&at| !table.slots[at].computing && table.slots[at].ready.is_some()));
+            .all(|&at| table.slots[at].computing.is_none() && table.slots[at].ready.is_some()));
     }
 
     #[test]
@@ -1942,6 +1967,109 @@ mod tests {
             "a result of the older version replaced the newer entry"
         );
         assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(s.cache.invalidations.get(), 0);
+        assert_eq!(s.in_flight(), InFlight::default());
+    }
+
+    /// A reader that leads a computation on version N while a writer
+    /// commits N+1: the second request, on N+1, does not wait for a result
+    /// that would be stale to it. It returns while the leader is still
+    /// held, never counted as a waiter, and its result is published; the
+    /// leader's late one, of the older version, leaves it in place.
+    #[test]
+    fn a_miss_on_a_newer_version_does_not_wait_for_an_older_leader() {
+        let (s, entered, release) = server_with_gate(|v| Ok(v.clone()));
+        let sql = "SELECT GATE(obid) FROM assy";
+
+        let leader = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || s.query_cached(sql).unwrap()
+        });
+        entered.wait(); // the leader is inside the engine on N, its slot marked
+        update(&s);
+        let second = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || {
+                s.query_cached_deadline_obs(
+                    sql,
+                    Some(Duration::from_secs(60)),
+                    &Recorder::disabled(),
+                )
+                .unwrap()
+            }
+        });
+        let start = Instant::now();
+        while !second.is_finished() {
+            assert_eq!(s.in_flight().waiters, 0, "the second request waited");
+            assert!(
+                start.elapsed() < Duration::from_secs(30),
+                "the second request never returned"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let own = second.join().unwrap();
+        assert_eq!(s.in_flight().marks, 1, "the leader is still held");
+        assert_eq!(s.cache.singleflight_leaders.get(), 1);
+        assert!(
+            Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
+            "the second request's result was not published"
+        );
+
+        release.wait();
+        let late = leader.join().unwrap();
+        assert!(!Arc::ptr_eq(&late, &own));
+        assert!(
+            Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
+            "a result of the older version replaced the newer entry"
+        );
+        assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(s.cache.singleflight_hits.get(), 0);
+        assert_eq!(s.cache.invalidations.get(), 0);
+        assert_eq!(s.in_flight(), InFlight::default());
+    }
+
+    /// A miss on the leader's own version waits for it, bounded by its
+    /// deadline: once that runs out, it stops waiting, computes for itself
+    /// and publishes, and the leader's late result of the same version
+    /// stands in its place.
+    #[test]
+    fn a_waiter_that_times_out_on_a_same_version_leader_computes_for_itself() {
+        let (s, entered, release) = server_with_gate(|v| Ok(v.clone()));
+        let sql = "SELECT GATE(obid) FROM assy";
+
+        let leader = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || s.query_cached(sql).unwrap()
+        });
+        entered.wait();
+        let waiter = std::thread::spawn({
+            let s = Arc::clone(&s);
+            move || {
+                s.query_cached_deadline_obs(
+                    sql,
+                    Some(Duration::from_millis(50)),
+                    &Recorder::disabled(),
+                )
+                .unwrap()
+            }
+        });
+        await_waiters(&s, 1);
+        let own = waiter.join().unwrap();
+        // The waiter that ran out of deadline is no longer counted.
+        assert_eq!(s.in_flight().waiters, 0);
+        assert_eq!(s.cache.singleflight_leaders.get(), 1, "it waited, then ran");
+        assert!(
+            Arc::ptr_eq(&own, &s.query_cached(sql).unwrap()),
+            "the waiter's own result was not published"
+        );
+
+        release.wait();
+        let late = leader.join().unwrap();
+        assert!(!Arc::ptr_eq(&late, &own));
+        assert!(Arc::ptr_eq(&late, &s.query_cached(sql).unwrap()));
+        assert_eq!(*late, *own);
+        assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(s.cache.singleflight_hits.get(), 0);
         assert_eq!(s.cache.invalidations.get(), 0);
         assert_eq!(s.in_flight(), InFlight::default());
     }
@@ -2087,7 +2215,7 @@ mod tests {
         {
             let table = lock_unpoisoned(&cache.table);
             let slot = table.slot(&keys[0]).expect("the mark left the table");
-            assert!(slot.computing && slot.ready.is_none());
+            assert!(slot.computing.is_some() && slot.ready.is_none());
         }
         assert_eq!(cache.invalidations.get(), 1);
         // The leader publishes in place of key 1's result, stale as well.

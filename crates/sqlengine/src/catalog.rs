@@ -4,8 +4,9 @@
 //! only the table maps and `Arc` pointers are copied, never the rows. DML
 //! then copies-on-write exactly the tables it touches (via
 //! [`Arc::make_mut`]) — and of such a table only the spine: one pointer per
-//! row, the rows and indexes themselves staying shared until written (see
-//! [`crate::storage`]). That is what makes the shared-server storage model
+//! chunk of [`crate::storage::CHUNK`] rows, the chunks, rows and indexes
+//! themselves staying shared until written (see [`crate::storage`]). That
+//! is what makes the shared-server storage model
 //! ([`crate::shared::SharedDatabase`]) affordable — every write produces a
 //! new immutable snapshot whose cost follows the rows it touched, not the
 //! size of the database.
@@ -167,7 +168,8 @@ impl Catalog {
 
     /// Mutable access for DML. If the table is shared with an older
     /// snapshot, this copies its spine first (`Arc::make_mut`: one pointer
-    /// per row; the table's mutators then copy the rows they change), so
+    /// per chunk of [`crate::storage::CHUNK`] rows; the table's mutators
+    /// then copy the chunks they write into and the rows they change), so
     /// writes never reach rows a concurrent reader is scanning.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         let key = lower(name);

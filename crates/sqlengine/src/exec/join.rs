@@ -186,8 +186,9 @@ impl<'v> Operator<'_, '_, 'v> {
                 self.cx.rt.stats.borrow_mut().index_probes += keys.len();
                 let candidates = index_candidates(t, *col, keys, self.cx.rt.params);
                 out.reserve_exact(candidates.len());
+                let rows = t.rows();
                 for &rid in candidates.iter() {
-                    let row = &t.rows()[rid];
+                    let row = rows.get(rid).expect("an index names stored rows");
                     if self.admits(row, filters())? {
                         out.push(A::stored(row));
                     }

@@ -461,7 +461,9 @@ const DELTA_TABLE: u8 = 1;
 /// row's `Arc` is shared until a mutator rewrites it (`crate::storage`),
 /// and `base` keeps its rows alive, so an equal pointer is an unchanged
 /// row; a row rewritten to equal values is written, which costs bytes, not
-/// exactness. Views are not written: equal shapes have equal views.
+/// exactness. A chunk of rows is likewise shared until a mutator writes
+/// into it, so a chunk that is `base`'s own is skipped without comparing
+/// its rows. Views are not written: equal shapes have equal views.
 ///
 /// Returns the rows written, or `None` when no delta can express the
 /// change — the catalogs differ in [`Catalog::shape`] (DDL) — or when it
@@ -494,22 +496,18 @@ pub fn put_snapshot_delta(
             put_table(out, now);
             rows += now.len();
         } else {
-            let changed: Vec<(usize, &[Value])> = (now.rows().iter().zip(then.rows()))
-                .enumerate()
-                .filter(|(_, (row, was))| !Arc::ptr_eq(row, was))
-                .map(|(i, (row, _))| (i, &**row))
-                .collect();
+            let changed = now.rows().changed_since(then.rows());
             if changed.is_empty() {
                 continue;
             }
             put_u8(out, DELTA_ROWS);
             put_str(out, name);
             put_u32(out, changed.len() as u32);
-            for (i, row) in &changed {
-                put_u32(out, *i as u32);
-                put_row(out, *row);
-            }
             rows += changed.len();
+            for (i, row) in changed {
+                put_u32(out, i as u32);
+                put_row(out, &**row);
+            }
         }
         entries += 1;
         if out.len() - start > budget {
@@ -676,6 +674,7 @@ pub fn database_digest(db: &crate::SharedDatabase) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{SharedRow, CHUNK};
     use crate::Database;
 
     fn sample_db() -> Database {
@@ -828,6 +827,88 @@ mod tests {
         assert!(apply_snapshot_delta(&mut empty, &delta).is_err());
         let mut applied = base.clone();
         assert!(apply_snapshot_delta(&mut applied, &delta[..delta.len() - 1]).is_err());
+    }
+
+    /// [`put_snapshot_delta`] as it was before chunks were skipped: every
+    /// row of an equal-length table compared by pointer.
+    fn row_by_row_delta(base: &Snapshot, cut: &Snapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_snapshot_header(&mut out, cut);
+        let mut entries = Vec::new();
+        for name in cut.catalog.table_names() {
+            let (now, then) = (
+                cut.catalog.table(name).unwrap(),
+                base.catalog.table(name).unwrap(),
+            );
+            let mut entry = Vec::new();
+            if now.len() != then.len() {
+                put_u8(&mut entry, DELTA_TABLE);
+                put_table(&mut entry, now);
+            } else {
+                let changed: Vec<(usize, &SharedRow)> = (now.rows().iter().zip(then.rows()))
+                    .enumerate()
+                    .filter(|(_, (row, was))| !Arc::ptr_eq(row, was))
+                    .map(|(i, (row, _))| (i, row))
+                    .collect();
+                if changed.is_empty() {
+                    continue;
+                }
+                put_u8(&mut entry, DELTA_ROWS);
+                put_str(&mut entry, name);
+                put_u32(&mut entry, changed.len() as u32);
+                for (i, row) in changed {
+                    put_u32(&mut entry, i as u32);
+                    put_row(&mut entry, &**row);
+                }
+            }
+            entries.push(entry);
+        }
+        put_u32(&mut out, entries.len() as u32);
+        out.extend(entries.concat());
+        out
+    }
+
+    #[test]
+    fn skipping_shared_chunks_writes_the_row_by_row_delta() {
+        // `w` spans four chunks, the last holding one row.
+        let mut db = sample_db();
+        db.execute("CREATE TABLE w (k INTEGER NOT NULL, s VARCHAR)")
+            .unwrap();
+        let rows = (0..3 * CHUNK as i64 + 1)
+            .map(|k| Row::new(vec![Value::Int(k), Value::Text(format!("w{k}"))]))
+            .collect();
+        db.insert_rows("w", rows).unwrap();
+        let base = Snapshot { db, version: 3 };
+        let (edge, last) = (CHUNK as i64, 3 * CHUNK as i64);
+        let cuts: Vec<Vec<String>> = vec![
+            vec![],
+            vec![format!("UPDATE w SET s = 'x' WHERE k = {}", edge - 1)],
+            vec![format!("UPDATE w SET s = 'x' WHERE k = {edge}")],
+            vec![format!(
+                "UPDATE w SET s = 'x' WHERE k IN ({}, {edge}, {}, {last})",
+                edge - 1,
+                edge + 1
+            )],
+            // A row rewritten to its own values is written all the same.
+            vec![format!("UPDATE w SET s = s WHERE k = {}", 2 * edge)],
+            vec![
+                "UPDATE t SET b = 'y' WHERE a = 2".into(),
+                format!("UPDATE w SET s = 'x' WHERE k = {}", 2 * edge + 5),
+            ],
+            vec!["UPDATE w SET s = 'all'".into()],
+            vec![format!("INSERT INTO w VALUES ({}, 'grown')", last + 1)],
+            vec![format!("DELETE FROM w WHERE k = {edge}")],
+        ];
+        for statements in cuts {
+            let statements: Vec<&str> = statements.iter().map(String::as_str).collect();
+            let cut = committed(&base, &statements);
+            let mut delta = Vec::new();
+            put_snapshot_delta(&mut delta, &base, &cut, usize::MAX).unwrap();
+            assert!(
+                delta == row_by_row_delta(&base, &cut),
+                "{statements:?}: the chunk-skipping delta differs"
+            );
+        }
     }
 
     #[test]

@@ -6,16 +6,23 @@
 //! negligible, which matches the paper's premise that transmission — not
 //! server execution — dominates response time.
 //!
-//! Rows and indexes are individually shared (`Arc`), so cloning a table —
-//! what [`crate::Catalog::table_mut`] does when an older snapshot still
-//! reads it — copies one pointer per row, and a mutator then copies only
-//! the rows it changes. An index is copied or rebuilt only when a column
-//! it covers is written. A commit therefore costs in proportion to the
-//! rows it touches, not to the size of the table they live in.
+//! Rows are stored in chunks of [`CHUNK`] rows, and rows, chunks and
+//! indexes are each shared (`Arc`). Cloning a table — what
+//! [`crate::Catalog::table_mut`] does when an older snapshot still reads
+//! it — copies one pointer per chunk. A mutator then copies only the
+//! chunks it writes and the rows it changes in them: a one-row UPDATE
+//! copies one chunk of [`CHUNK`] pointers and one row. An index is copied
+//! or rebuilt only when a column it covers is written. A commit therefore
+//! costs in proportion to the rows it touches, plus one pointer per
+//! [`CHUNK`] rows of the table they live in. Every chunk but the last
+//! holds exactly [`CHUNK`] rows, so row `i` is slot `i % CHUNK` of chunk
+//! `i / CHUNK`; [`Table::rows`] reads them through a [`Rows`] view. A
+//! chunk holds its row pointers in its own allocation, so a read follows
+//! one pointer more than a flat spine of rows would.
 //!
 //! Each table also carries a 64-bit [`Table::digest`] of its rows — the
 //! wrapping sum of [`row_hash`] over `(row id, row)` — which the same three
-//! mutators that write `rows` keep current: [`Table::insert`] adds a term,
+//! mutators that write the rows keep current: [`Table::insert`] adds a term,
 //! [`Table::apply_updates`] swaps the terms of the rows it writes,
 //! [`Table::delete_rows`] recomputes (row ids shift). Comparing two states
 //! ([`crate::persist::state_digest`]) therefore never re-reads the rows.
@@ -31,6 +38,14 @@ use crate::value::Value;
 
 /// One stored tuple, shared between every snapshot that has not rewritten it.
 pub type SharedRow = Arc<[Value]>;
+
+/// Rows per chunk of a table's spine (module docs).
+pub const CHUNK: usize = 64;
+
+/// [`CHUNK`] consecutive rows, shared between every snapshot that has
+/// not written one of them. A table's last chunk may end in empty slots;
+/// no other chunk has one.
+type Chunk = Arc<[Option<SharedRow>; CHUNK]>;
 
 /// Value → ascending row ids of one indexed column.
 type Index = HashMap<Value, Vec<usize>>;
@@ -55,9 +70,11 @@ fn row_hash_in(scratch: &mut Vec<u8>, row_id: usize, row: &[Value]) -> u64 {
 pub struct Table {
     pub name: String,
     pub schema: Schema,
-    rows: Vec<SharedRow>,
+    /// The rows in storage order, [`CHUNK`] to a chunk; see the module docs.
+    chunks: Vec<Chunk>,
+    len: usize,
     indexes: HashMap<usize, Arc<Index>>,
-    /// Wrapping sum of [`row_hash`] over `rows`; see the module docs.
+    /// Wrapping sum of [`row_hash`] over the rows; see the module docs.
     digest: u64,
 }
 
@@ -66,23 +83,27 @@ impl Table {
         Table {
             name: name.into().to_ascii_lowercase(),
             schema,
-            rows: Vec::new(),
+            chunks: Vec::new(),
+            len: 0,
             indexes: HashMap::new(),
             digest: 0,
         }
     }
 
     /// The stored rows, in storage order.
-    pub fn rows(&self) -> &[SharedRow] {
-        &self.rows
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            chunks: &self.chunks,
+            len: self.len,
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len == 0
     }
 
     /// Digest of the stored rows in storage order, maintained by the
@@ -117,7 +138,7 @@ impl Table {
                 ))
             })?);
         }
-        let row_id = self.rows.len();
+        let row_id = self.len;
         // lint:allow(unordered-iter): each index is keyed by a distinct
         // column and updated independently; visit order cannot change the
         // resulting postings.
@@ -128,8 +149,20 @@ impl Table {
                 .push(row_id);
         }
         self.digest = self.digest.wrapping_add(row_hash(row_id, &coerced));
-        self.rows.push(coerced.into());
+        self.push(coerced.into());
         Ok(())
+    }
+
+    /// Append `row` to the last chunk — copied first if an older snapshot
+    /// shares it — or to a new one when the last is full.
+    fn push(&mut self, row: SharedRow) {
+        let slot = self.len % CHUNK;
+        if slot == 0 {
+            self.chunks.push(Arc::new(std::array::from_fn(|_| None)));
+        }
+        let last = self.chunks.last_mut().expect("a chunk holds every slot");
+        Arc::make_mut(last)[slot] = Some(row);
+        self.len += 1;
     }
 
     /// Build (or rebuild) a hash index on the named column.
@@ -141,7 +174,7 @@ impl Table {
 
     fn rebuild_index(&mut self, col_idx: usize) {
         let mut map = Index::new();
-        for (row_id, row) in self.rows.iter().enumerate() {
+        for (row_id, row) in self.rows().iter().enumerate() {
             map.entry(row[col_idx].clone()).or_default().push(row_id);
         }
         self.indexes.insert(col_idx, Arc::new(map));
@@ -174,24 +207,28 @@ impl Table {
     }
 
     pub fn row(&self, id: usize) -> &[Value] {
-        &self.rows[id]
+        match self.rows().get(id) {
+            Some(row) => row,
+            None => panic!("row {id} of a table of {} rows", self.len),
+        }
     }
 
     /// Apply per-row updates (`row id` → list of `(column, value)`), then
     /// rebuild the affected indexes once. Used by UPDATE, whose assignment
     /// expressions may evaluate differently per row (`SET x = x + 1`).
-    /// Only the listed rows are copied; every other row stays shared with
-    /// older snapshots. A refused assignment (NOT NULL, type) stops the
-    /// statement with the earlier assignments written; the digest and the
-    /// indexes describe the rows as they then are.
+    /// Only the listed rows and the chunks they live in are copied; every
+    /// other row and chunk stays shared with older snapshots. A refused
+    /// assignment (NOT NULL, type) stops the statement with the earlier
+    /// assignments written; the digest and the indexes describe the rows
+    /// as they then are.
     pub fn apply_updates(&mut self, updates: &[(usize, Vec<(usize, Value)>)]) -> Result<usize> {
         let mut touched: std::collections::HashSet<usize> = std::collections::HashSet::new();
         let mut outcome = Ok(updates.len());
         let mut scratch = Vec::new();
         for (rid, cols) in updates {
-            let before = row_hash_in(&mut scratch, *rid, &self.rows[*rid]);
+            let before = row_hash_in(&mut scratch, *rid, self.row(*rid));
             let written = self.write_row(*rid, cols, &mut touched);
-            let after = row_hash_in(&mut scratch, *rid, &self.rows[*rid]);
+            let after = row_hash_in(&mut scratch, *rid, self.row(*rid));
             self.digest = self.digest.wrapping_sub(before).wrapping_add(after);
             if let Err(refused) = written {
                 outcome = Err(refused);
@@ -209,7 +246,8 @@ impl Table {
         outcome
     }
 
-    /// Assign `cols` to row `rid`, recording the columns written.
+    /// Assign `cols` to row `rid`, recording the columns written. The row
+    /// and its chunk are copied first if an older snapshot shares them.
     fn write_row(
         &mut self,
         rid: usize,
@@ -224,29 +262,36 @@ impl Table {
                     self.name, col.name
                 )));
             }
-            Arc::make_mut(&mut self.rows[rid])[*col_idx] = value.coerce_for_column(col.dtype)?;
+            let value = value.coerce_for_column(col.dtype)?;
+            let chunk = Arc::make_mut(&mut self.chunks[rid / CHUNK]);
+            let row = chunk[rid % CHUNK]
+                .as_mut()
+                .expect("an update names a stored row");
+            Arc::make_mut(row)[*col_idx] = value;
             touched.insert(*col_idx);
         }
         Ok(())
     }
 
-    /// Remove the given rows (ids into the current ordering); rebuilds all
-    /// indexes and the digest (the surviving rows change position).
+    /// Remove the given rows (ids into the current ordering); rebuilds the
+    /// spine, all indexes and the digest (the surviving rows change
+    /// position).
     pub fn delete_rows(&mut self, row_ids: &[usize]) -> usize {
         if row_ids.is_empty() {
             return 0;
         }
         let doomed: std::collections::HashSet<usize> = row_ids.iter().copied().collect();
-        let before = self.rows.len();
-        let mut kept = Vec::with_capacity(before - doomed.len());
-        for (i, row) in self.rows.drain(..).enumerate() {
-            if !doomed.contains(&i) {
-                kept.push(row);
-            }
+        let before = self.len;
+        let kept: Vec<SharedRow> = (self.rows().iter().enumerate())
+            .filter(|(i, _)| !doomed.contains(i))
+            .map(|(_, row)| Arc::clone(row))
+            .collect();
+        (self.chunks, self.len) = (Vec::new(), 0);
+        for row in kept {
+            self.push(row);
         }
-        self.rows = kept;
         let mut scratch = Vec::new();
-        self.digest = self.rows.iter().enumerate().fold(0, |sum, (i, row)| {
+        self.digest = self.rows().iter().enumerate().fold(0, |sum, (i, row)| {
             sum.wrapping_add(row_hash_in(&mut scratch, i, row))
         });
         let mut indexed: Vec<usize> = self.indexes.keys().copied().collect();
@@ -254,7 +299,88 @@ impl Table {
         for col_idx in indexed {
             self.rebuild_index(col_idx);
         }
-        before - self.rows.len()
+        before - self.len
+    }
+}
+
+/// A table's rows in storage order ([`Table::rows`]): a view of its
+/// chunks, cheap to copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'t> {
+    chunks: &'t [Chunk],
+    len: usize,
+}
+
+impl<'t> Rows<'t> {
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Row `id`, if the table has that many.
+    pub fn get(&self, id: usize) -> Option<&'t SharedRow> {
+        self.chunks.get(id / CHUNK)?[id % CHUNK].as_ref()
+    }
+
+    pub fn iter(&self) -> RowIter<'t> {
+        RowIter {
+            chunks: self.chunks.iter(),
+            rows: [].iter(),
+        }
+    }
+
+    /// The rows, by position, that are not `base`'s row at the same
+    /// position (the same `Arc`), `base` being as long. A chunk that is
+    /// `base`'s own allocation is skipped without comparing its rows: a
+    /// mutator copies a chunk before it writes into it.
+    pub fn changed_since(&self, base: Rows<'_>) -> Vec<(usize, &'t SharedRow)> {
+        let mut changed = Vec::new();
+        for (c, (chunk, was)) in self.chunks.iter().zip(base.chunks).enumerate() {
+            if Arc::ptr_eq(chunk, was) {
+                continue;
+            }
+            for (i, (row, was)) in chunk.iter().zip(was.iter()).enumerate() {
+                match (row, was) {
+                    (Some(row), Some(was)) if Arc::ptr_eq(row, was) => {}
+                    (Some(row), _) => changed.push((c * CHUNK + i, row)),
+                    (None, _) => break,
+                }
+            }
+        }
+        changed
+    }
+}
+
+impl<'t> IntoIterator for Rows<'t> {
+    type Item = &'t SharedRow;
+    type IntoIter = RowIter<'t>;
+
+    fn into_iter(self) -> RowIter<'t> {
+        self.iter()
+    }
+}
+
+/// The iterator of [`Rows`].
+#[derive(Debug, Clone)]
+pub struct RowIter<'t> {
+    chunks: std::slice::Iter<'t, Chunk>,
+    rows: std::slice::Iter<'t, Option<SharedRow>>,
+}
+
+impl<'t> Iterator for RowIter<'t> {
+    type Item = &'t SharedRow;
+
+    fn next(&mut self) -> Option<&'t SharedRow> {
+        loop {
+            match self.rows.next() {
+                // An empty slot is the end of the last chunk.
+                Some(slot) => return slot.as_ref(),
+                None => self.rows = self.chunks.next()?.iter(),
+            }
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use pdm_prng::Prng;
 use pdm_sql::persist::{
     decode_snapshot, encode_snapshot, put_result_set, state_digest, state_fingerprint,
 };
-use pdm_sql::storage::row_hash;
+use pdm_sql::storage::{row_hash, CHUNK};
 use pdm_sql::{Database, DmlOutcome, ExecOutcome, Row, SharedDatabase, Snapshot, Value};
 
 fn db() -> Database {
@@ -162,7 +162,10 @@ fn snapshot_index_stays_consistent_with_its_rows() {
 /// Hazard 7: copy-on-write is per row. A one-row UPDATE on a large indexed
 /// table must leave every other row of the new snapshot the very same
 /// allocation as in the old one (a commit costs the rows it touches, not
-/// the table), while the old snapshot keeps reading the old value.
+/// the table), while the old snapshot keeps reading the old value. The
+/// same holds at the edges of the chunks the rows are stored in: inserts
+/// that fill a chunk and start the next, updates on either side of an
+/// edge, and a delete that moves every later row back across one.
 #[test]
 fn one_row_update_shares_every_untouched_row() {
     const ROWS: i64 = 10_000;
@@ -219,6 +222,72 @@ fn one_row_update_shares_every_untouched_row() {
     for i in 0..ROWS as usize {
         assert!(std::ptr::eq(new_t.row(i), after_t.row(i)), "row {i}");
     }
+
+    // A table of three chunks less a row, and what each commit shares.
+    let rows = 3 * CHUNK - 1;
+    let mut d = Database::new();
+    d.execute("CREATE TABLE edge (a INTEGER NOT NULL, b VARCHAR)")
+        .unwrap();
+    d.insert_rows(
+        "edge",
+        (0..rows as i64)
+            .map(|i| Row::new(vec![Value::Int(i), Value::Text(format!("e{i}"))]))
+            .collect(),
+    )
+    .unwrap();
+    d.execute("CREATE INDEX ON edge (a)").unwrap();
+    let shared = SharedDatabase::new(d);
+    let edge = |s: &Snapshot| s.catalog.table_arc("edge").unwrap();
+    let held = shared.snapshot();
+    let mut before = edge(&held);
+    let statements = [
+        // Fills the last chunk, then starts a fourth.
+        format!("INSERT INTO edge VALUES ({rows}, 'i0')"),
+        format!("INSERT INTO edge VALUES ({}, 'i1')", rows + 1),
+        format!("UPDATE edge SET b = 'u' WHERE a = {}", CHUNK - 1),
+        format!("UPDATE edge SET b = 'u' WHERE a = {CHUNK}"),
+        format!("UPDATE edge SET b = 'u' WHERE a = {}", 3 * CHUNK),
+        format!("DELETE FROM edge WHERE a = {}", CHUNK - 1),
+    ];
+    for (step, sql) in statements.iter().enumerate() {
+        shared.execute(sql).unwrap();
+        let after = edge(&shared.snapshot());
+        // The row each step copies, inserts or deletes, by position.
+        let (copied, inserted, deleted) = match step {
+            0 | 1 => (None, Some(before.len()), None),
+            2 => (Some(CHUNK - 1), None, None),
+            3 => (Some(CHUNK), None, None),
+            4 => (Some(3 * CHUNK), None, None),
+            _ => (None, None, Some(CHUNK - 1)),
+        };
+        let expected =
+            before.len() + usize::from(inserted.is_some()) - usize::from(deleted.is_some());
+        assert_eq!(after.len(), expected, "{sql}");
+        for i in 0..after.len() {
+            let was = match deleted {
+                Some(gone) if i >= gone => i + 1,
+                _ => i,
+            };
+            if Some(i) == inserted {
+                continue;
+            }
+            assert_eq!(
+                std::ptr::eq(after.row(i), before.row(was)),
+                Some(i) != copied,
+                "{sql}: row {i}"
+            );
+        }
+        before = after;
+    }
+    // The snapshot held from before every step reads what it read.
+    let t = edge(&held);
+    assert_eq!(t.len(), rows);
+    for i in 0..rows {
+        assert_eq!(t.row(i)[1], Value::Text(format!("e{i}")), "row {i}");
+    }
+    let fresh =
+        (t.rows().iter().enumerate()).fold(0u64, |sum, (i, r)| sum.wrapping_add(row_hash(i, r)));
+    assert_eq!(t.digest(), fresh);
 }
 
 /// Hazard 8: a Query-shaped result — one table per block, its columns
@@ -395,7 +464,9 @@ fn fingerprint(d: &Database) -> Vec<u8> {
 /// streams the two must be indistinguishable: same outcome (or the same
 /// refusal — a FLOAT into the INTEGER column, say) and byte-identical state
 /// after every statement, and the same rows in the same order for SELECTs
-/// whose IN lists are now answered from the index.
+/// whose IN lists are now answered from the index. A second set of cases
+/// starts from a table of three chunks, give or take a row, so that its
+/// inserts and deletes cross chunk edges.
 #[test]
 fn index_driven_dml_matches_the_scan() {
     cases(
@@ -403,34 +474,116 @@ fn index_driven_dml_matches_the_scan() {
         40,
         0x1DE0_0015,
         |rng| {
-            let mut probing = Database::new();
-            for ddl in [
-                "CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER)",
-                "CREATE INDEX ON t (k)",
-                "CREATE INDEX ON t (f)",
-                "CREATE INDEX ON t (s)",
-            ] {
-                probing.execute(ddl).unwrap();
-            }
-            let mut scanning = probing.clone();
-            scanning.config.index_pushdown = false;
-
-            for _ in 0..60 {
-                let sql = arb_statement(rng);
-                let a = probing.execute(&sql).map_err(|e| e.to_string());
-                let b = scanning.execute(&sql).map_err(|e| e.to_string());
-                assert_eq!(a, b, "{sql}");
-                assert!(fingerprint(&probing) == fingerprint(&scanning), "{sql}");
-
-                let select = format!("SELECT * FROM t WHERE {}", arb_predicate(rng));
-                assert_eq!(
-                    probing.query(&select).map_err(|e| e.to_string()),
-                    scanning.query(&select).map_err(|e| e.to_string()),
-                    "{select}"
-                );
-            }
+            dml_stream_matches_the_scan(rng, 0);
         },
     );
+    let mut crossed = Crossings::default();
+    cases(
+        "index_driven_dml_matches_the_scan_across_chunks",
+        20,
+        0x1DE0_0017,
+        |rng| {
+            let preload = 3 * CHUNK - 1 + rng.index(3);
+            crossed.add(dml_stream_matches_the_scan(rng, preload));
+        },
+    );
+    crossed.assert_both("index_driven_dml_matches_the_scan_across_chunks");
+}
+
+/// One case of [`index_driven_dml_matches_the_scan`] over a table that
+/// starts with `preload` rows; returns the chunk edges its statements
+/// crossed.
+fn dml_stream_matches_the_scan(rng: &mut Prng, preload: usize) -> Crossings {
+    let mut crossed = Crossings::default();
+    let mut probing = Database::new();
+    for ddl in [
+        "CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER)",
+        "CREATE INDEX ON t (k)",
+        "CREATE INDEX ON t (f)",
+        "CREATE INDEX ON t (s)",
+    ] {
+        probing.execute(ddl).unwrap();
+    }
+    preload_t(&mut probing, rng, preload);
+    let mut scanning = probing.clone();
+    scanning.config.index_pushdown = false;
+
+    for _ in 0..60 {
+        let sql = arb_statement(rng);
+        let before = rows_of_t(&probing);
+        let a = probing.execute(&sql).map_err(|e| e.to_string());
+        crossed.note(before, rows_of_t(&probing));
+        let b = scanning.execute(&sql).map_err(|e| e.to_string());
+        assert_eq!(a, b, "{sql}");
+        assert!(fingerprint(&probing) == fingerprint(&scanning), "{sql}");
+
+        let select = format!("SELECT * FROM t WHERE {}", arb_predicate(rng));
+        assert_eq!(
+            probing.query(&select).map_err(|e| e.to_string()),
+            scanning.query(&select).map_err(|e| e.to_string()),
+            "{select}"
+        );
+    }
+    crossed
+}
+
+/// Insert `n` rows into `t (k, f, s, n)` drawn from the domains the
+/// statements use (`n` never NULL).
+fn preload_t(d: &mut Database, rng: &mut Prng, n: usize) {
+    if n == 0 {
+        return;
+    }
+    let rows = (0..n)
+        .map(|_| {
+            format!(
+                "({}, {}, {}, {})",
+                arb_int(rng),
+                arb_number(rng),
+                arb_text(rng),
+                rng.i64_inclusive(0, 9)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
+    d.execute(&format!("INSERT INTO t VALUES {rows}")).unwrap();
+    assert_eq!(rows_of_t(d), n);
+}
+
+fn rows_of_t(d: &Database) -> usize {
+    d.catalog.table("t").unwrap().len()
+}
+
+/// Statements that moved `t` across a chunk edge: to more chunks (an
+/// insert) and to fewer (a delete), each while `t` spanned three or more.
+#[derive(Debug, Default)]
+struct Crossings {
+    grown: usize,
+    shrunk: usize,
+}
+
+impl Crossings {
+    fn note(&mut self, before: usize, after: usize) {
+        let chunks = |rows: usize| rows.div_ceil(CHUNK);
+        if chunks(before).max(chunks(after)) >= 3 {
+            match chunks(after).cmp(&chunks(before)) {
+                std::cmp::Ordering::Greater => self.grown += 1,
+                std::cmp::Ordering::Less => self.shrunk += 1,
+                std::cmp::Ordering::Equal => {}
+            }
+        }
+    }
+
+    fn add(&mut self, other: Crossings) {
+        self.grown += other.grown;
+        self.shrunk += other.shrunk;
+    }
+
+    fn assert_both(&self, what: &str) {
+        assert!(
+            self.grown > 0 && self.shrunk > 0,
+            "{what}: no insert or no delete crossed a chunk edge ({self:?})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +622,9 @@ fn arb_digest_statement(rng: &mut Prng) -> String {
 /// the shared side, which publishes the in-place state at the next
 /// version; one that fails in place fails there with the same error and
 /// publishes nothing — not the rows the refused UPDATE wrote before it
-/// stopped. A snapshot held from before the stream never changes.
+/// stopped. A snapshot held from before the stream never changes. A second
+/// set of cases starts from a table of three chunks, give or take a row,
+/// so that its inserts and deletes cross chunk edges.
 #[test]
 fn maintained_digest_matches_a_fresh_one() {
     cases(
@@ -477,68 +632,92 @@ fn maintained_digest_matches_a_fresh_one() {
         40,
         0x1DE0_0016,
         |rng| {
-            let mut db = Database::new();
-            db.execute("CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER NOT NULL)")
-                .unwrap();
-            db.execute("CREATE INDEX ON t (k)").unwrap();
-            let mut shared = SharedDatabase::new(db.clone());
-            let held = shared.snapshot();
-            let held_fingerprint = state_fingerprint(&held);
-            let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
-            let (mut refused, mut empty) = (0, 0);
-            for _ in 0..60 {
-                let sql = arb_digest_statement(rng);
-                let version = shared.version();
-                let published = state_fingerprint(&shared.snapshot());
-                match db.execute(&sql) {
-                    Ok(outcome) => {
-                        let (on_shared, at) = shared
-                            .execute(&sql)
-                            .unwrap_or_else(|e| panic!("{sql}: {e}"));
-                        assert_eq!(on_shared, outcome, "{sql}");
-                        assert_eq!((at, shared.version()), (version + 1, version + 1));
-                        assert!(
-                            state_fingerprint(&shared.snapshot()) == fingerprint(&db),
-                            "{sql}"
-                        );
-                        if outcome == ExecOutcome::Dml(DmlOutcome::Updated(0)) {
-                            empty += 1;
-                        }
-                    }
-                    Err(e) => {
-                        refused += 1;
-                        let on_shared = shared.execute(&sql).map(|_| ()).map_err(|e| e.to_string());
-                        assert_eq!(on_shared, Err(e.to_string()), "{sql}");
-                        assert_eq!(shared.version(), version, "{sql}");
-                        assert!(state_fingerprint(&shared.snapshot()) == published, "{sql}");
-                        shared = SharedDatabase::from_snapshot(Snapshot {
-                            db: db.clone(),
-                            version,
-                        });
-                    }
-                }
-                assert!(state_fingerprint(&held) == held_fingerprint, "{sql}");
-
-                let t = db.catalog.table("t").unwrap();
-                let fresh = t
-                    .rows()
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |sum, (i, row)| sum.wrapping_add(row_hash(i, row)));
-                assert_eq!(t.digest(), fresh, "{sql}");
-
-                let snapshot = snapshot_of(&db);
-                let digest = state_digest(&snapshot);
-                let reloaded = decode_snapshot(&encode_snapshot(&snapshot)).unwrap();
-                assert_eq!(state_digest(&reloaded), digest, "{sql}");
-                seen.push((state_fingerprint(&snapshot), digest));
-            }
-            assert!(refused > 0 && empty > 0, "stream too tame");
-            for (i, (fp_a, digest_a)) in seen.iter().enumerate() {
-                for (fp_b, digest_b) in &seen[..i] {
-                    assert_eq!(fp_a == fp_b, digest_a == digest_b);
-                }
-            }
+            digest_stream_matches_a_fresh_one(rng, 0);
         },
     );
+    let mut crossed = Crossings::default();
+    cases(
+        "maintained_digest_matches_a_fresh_one_across_chunks",
+        20,
+        0x1DE0_0018,
+        |rng| {
+            let preload = 3 * CHUNK - 1 + rng.index(3);
+            crossed.add(digest_stream_matches_a_fresh_one(rng, preload));
+        },
+    );
+    crossed.assert_both("maintained_digest_matches_a_fresh_one_across_chunks");
+}
+
+/// One case of [`maintained_digest_matches_a_fresh_one`] over a table
+/// that starts with `preload` rows; returns the chunk edges its statements
+/// crossed.
+fn digest_stream_matches_a_fresh_one(rng: &mut Prng, preload: usize) -> Crossings {
+    let mut crossed = Crossings::default();
+    let mut db = Database::new();
+    db.execute("CREATE TABLE t (k INTEGER, f DOUBLE, s VARCHAR, n INTEGER NOT NULL)")
+        .unwrap();
+    db.execute("CREATE INDEX ON t (k)").unwrap();
+    preload_t(&mut db, rng, preload);
+    let mut shared = SharedDatabase::new(db.clone());
+    let held = shared.snapshot();
+    let held_fingerprint = state_fingerprint(&held);
+    let mut seen: Vec<(Vec<u8>, u64)> = Vec::new();
+    let (mut refused, mut empty) = (0, 0);
+    for _ in 0..60 {
+        let sql = arb_digest_statement(rng);
+        let version = shared.version();
+        let published = state_fingerprint(&shared.snapshot());
+        let before = rows_of_t(&db);
+        let in_place = db.execute(&sql);
+        crossed.note(before, rows_of_t(&db));
+        match in_place {
+            Ok(outcome) => {
+                let (on_shared, at) = shared
+                    .execute(&sql)
+                    .unwrap_or_else(|e| panic!("{sql}: {e}"));
+                assert_eq!(on_shared, outcome, "{sql}");
+                assert_eq!((at, shared.version()), (version + 1, version + 1));
+                assert!(
+                    state_fingerprint(&shared.snapshot()) == fingerprint(&db),
+                    "{sql}"
+                );
+                if outcome == ExecOutcome::Dml(DmlOutcome::Updated(0)) {
+                    empty += 1;
+                }
+            }
+            Err(e) => {
+                refused += 1;
+                let on_shared = shared.execute(&sql).map(|_| ()).map_err(|e| e.to_string());
+                assert_eq!(on_shared, Err(e.to_string()), "{sql}");
+                assert_eq!(shared.version(), version, "{sql}");
+                assert!(state_fingerprint(&shared.snapshot()) == published, "{sql}");
+                shared = SharedDatabase::from_snapshot(Snapshot {
+                    db: db.clone(),
+                    version,
+                });
+            }
+        }
+        assert!(state_fingerprint(&held) == held_fingerprint, "{sql}");
+
+        let t = db.catalog.table("t").unwrap();
+        let fresh = t
+            .rows()
+            .iter()
+            .enumerate()
+            .fold(0u64, |sum, (i, row)| sum.wrapping_add(row_hash(i, row)));
+        assert_eq!(t.digest(), fresh, "{sql}");
+
+        let snapshot = snapshot_of(&db);
+        let digest = state_digest(&snapshot);
+        let reloaded = decode_snapshot(&encode_snapshot(&snapshot)).unwrap();
+        assert_eq!(state_digest(&reloaded), digest, "{sql}");
+        seen.push((state_fingerprint(&snapshot), digest));
+    }
+    assert!(refused > 0 && empty > 0, "stream too tame");
+    for (i, (fp_a, digest_a)) in seen.iter().enumerate() {
+        for (fp_b, digest_b) in &seen[..i] {
+            assert_eq!(fp_a == fp_b, digest_a == digest_b);
+        }
+    }
+    crossed
 }

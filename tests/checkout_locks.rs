@@ -215,18 +215,42 @@ fn old_tokens_expire_closed_and_checkpoints_stop_growing() {
     check(&recover(durability.image(), interval).unwrap().0);
 
     // A checkpoint is cut every 64 commits = 16 cycles; once the log is
-    // full, each one carries the same number of outcomes.
+    // full, each one carries the same number of outcomes. The cell is a
+    // full frame plus deltas, so it rises as deltas pile up and falls when
+    // they fold into a new full frame. Sampled once per checkpoint, the
+    // chain stays a bounded multiple of its full frame, and each full frame
+    // cut in the window — a sample that finds the chain one frame long —
+    // is no larger than the first. (The full frame standing at cycle 300
+    // was cut before the log was full, so it is not the reference.)
     for _ in completed..300 {
         cycle(&mut alice);
     }
-    let at_300 = durability.checkpoint_len();
-    for _ in 300..600 {
-        cycle(&mut alice);
+    let mut folds = Vec::new();
+    for done in 300..=600 {
+        if (done - 300) % 16 == 0 || done == 600 {
+            let frames = durability.checkpoint_frames();
+            let (cell, full) = (durability.checkpoint_len(), frames[0]);
+            assert!(
+                2 * cell < 3 * full,
+                "after {done} check-outs the cell is {cell} bytes, 1.5x or more of its \
+                 {full}-byte full frame (frames {frames:?})"
+            );
+            if frames.len() == 1 {
+                folds.push((done, full));
+            }
+        }
+        if done < 600 {
+            cycle(&mut alice);
+        }
     }
     assert!(
-        durability.checkpoint_len() <= at_300,
-        "checkpoint grew from {at_300} to {} bytes over 300 more check-outs",
-        durability.checkpoint_len()
+        folds.len() >= 2,
+        "the chain folded into a full frame at {folds:?} only"
+    );
+    let (_, first) = folds[0];
+    assert!(
+        folds.iter().all(|&(_, full)| full <= first),
+        "the full frame grew over 300 more check-outs: (cycle, bytes) {folds:?}"
     );
 }
 
