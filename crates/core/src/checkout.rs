@@ -109,6 +109,10 @@ impl Session {
         let token = self.server().next_token();
         let request_bytes = sql.len() + 32; // procedure-call framing
 
+        // The root is read before the procedure flips the flags, as its
+        // rows are: one tree, one `checkedout` value.
+        let mut tree = self.rooted_tree(root)?;
+
         // A conflicting check-out that is mid-procedure on another session's
         // thread makes the server-side call WAIT; the session's per-action
         // deadline bounds that wait and surfaces as a Timeout. If the
@@ -130,7 +134,6 @@ impl Session {
                 update_round_trips: 0,
             }),
             Some(rows) => {
-                let mut tree = self.rooted_tree(root)?;
                 let shape = Arc::clone(self.node_shape(&rows.schema));
                 tree.insert_rows(&NodeRows::new(rows, shape, None));
                 Ok(CheckoutOutcome {

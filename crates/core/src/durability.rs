@@ -69,8 +69,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
+use pdm_obs::lock::{Lock, LockGuard, LockId};
 use pdm_sql::persist::{
     apply_snapshot_delta, decode_snapshot, put_snapshot, put_snapshot_delta, put_u32, put_u64,
     Cursor,
@@ -85,7 +86,6 @@ use pdm_wal::{
 use crate::product::ObjectId;
 use crate::repl::ReplicationFeed;
 use crate::replay::{become_primary, database_from, ReplayState, TokenLog};
-use crate::shared::lock_unpoisoned;
 
 /// Tuning knobs for the durability layer.
 #[derive(Debug, Clone, Copy)]
@@ -149,7 +149,7 @@ struct DurState {
 /// The durability attachment of a [`crate::SharedServer`].
 #[derive(Debug)]
 pub struct Durability {
-    state: Mutex<DurState>,
+    state: Lock<DurState>,
     interval: u64,
     /// Set while a [`CheckpointCut`] exists: taken and not yet installed,
     /// refused or dropped. Set (`Acquire`) under the store lock when a cut
@@ -157,6 +157,11 @@ pub struct Durability {
     /// cut's install happens before the next cut.
     cut_in_flight: AtomicBool,
 }
+
+static STATE: LockId = LockId::new("core.durability.state", 90).across_io(
+    "append + fsync under the store lock is the commit point: the log's seq \
+     and the trackers advance atomically with the durable record",
+);
 
 /// What a delta is cut against: the snapshot and the retained token
 /// outcomes of the last installed cut. Holding the snapshot keeps its rows
@@ -208,7 +213,7 @@ impl CheckpointCut<'_> {
             tokens: std::mem::take(&mut self.replay.tokens),
         });
         let replaced = {
-            let mut st = lock_unpoisoned(&self.durability.state);
+            let mut st = self.durability.state.lock();
             st.store
                 .install_at_cut(frame)
                 .map(|frames| (frames, st.installed.replace(installed)))
@@ -244,13 +249,16 @@ impl Durability {
     /// Durability over `store`, carrying already-replayed trackers.
     pub(crate) fn resume(store: DurableStore, replay: ReplayState, interval: u64) -> Self {
         Durability {
-            state: Mutex::new(DurState {
-                store,
-                replay,
-                installed: None,
-                commits_since_checkpoint: 0,
-                feed: None,
-            }),
+            state: Lock::new(
+                &STATE,
+                DurState {
+                    store,
+                    replay,
+                    installed: None,
+                    commits_since_checkpoint: 0,
+                    feed: None,
+                },
+            ),
             interval,
             cut_in_flight: AtomicBool::new(false),
         }
@@ -260,7 +268,7 @@ impl Durability {
     /// republished to it under the store-assigned sequence number, in
     /// commit order (the publish happens under the store lock).
     pub fn attach_feed(&self, feed: Arc<ReplicationFeed>) {
-        lock_unpoisoned(&self.state).feed = Some(feed);
+        self.state.lock().feed = Some(feed);
     }
 
     /// The one logging step: append + fsync the record, apply it to the
@@ -268,11 +276,9 @@ impl Durability {
     /// checkpoint can never see the record without its tracker effect (or
     /// vice versa) and feed order is commit order. Returns the guard so a
     /// caller can finish its own bookkeeping in the same critical section.
-    fn log(&self, record: WalRecord) -> pdm_sql::Result<MutexGuard<'_, DurState>> {
-        // lint:allow(lock-across-boundary): append+fsync under the store
-        // lock IS the commit point; seq and in-memory state must advance
-        // atomically (DESIGN.md §10).
-        let mut st = lock_unpoisoned(&self.state);
+    fn log(&self, record: WalRecord) -> pdm_sql::Result<LockGuard<'_, DurState>> {
+        let mut st = self.state.lock();
+        pdm_obs::lock::crossing("wal.fsync");
         let (seq, payload_bytes) = st.store.commit(&record).map_err(wal_to_sql)?;
         st.replay
             .apply(None, seq, &record)
@@ -329,7 +335,7 @@ impl Durability {
         &self,
         published: impl FnOnce() -> Arc<Snapshot>,
     ) -> Option<CheckpointCut<'_>> {
-        let mut st = lock_unpoisoned(&self.state);
+        let mut st = self.state.lock();
         if st.commits_since_checkpoint < self.interval {
             return None;
         }
@@ -361,42 +367,40 @@ impl Durability {
     /// stands at (no commit can publish meanwhile: attach, promotion, a
     /// quiescent server).
     pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
-        let cut = self.cut(&mut lock_unpoisoned(&self.state), || {
-            Arc::new(snapshot.clone())
-        });
+        let cut = self.cut(&mut self.state.lock(), || Arc::new(snapshot.clone()));
         cut.ok_or_else(|| pdm_sql::Error::Eval("durability: a checkpoint cut is in flight".into()))?
             .install()
     }
 
     /// The bytes that would survive if the process died right now.
     pub fn image(&self) -> DurableImage {
-        lock_unpoisoned(&self.state).store.image()
+        self.state.lock().store.image()
     }
 
     /// Kill the device at the current boundary (harness hook).
     pub fn crash_now(&self) {
-        lock_unpoisoned(&self.state).store.crash_now();
+        self.state.lock().store.crash_now();
     }
 
     pub fn is_crashed(&self) -> bool {
-        lock_unpoisoned(&self.state).store.is_crashed()
+        self.state.lock().store.is_crashed()
     }
 
     /// Outstanding (unreleased) grants, for diagnostics and tests.
     pub fn outstanding_grants(&self) -> BTreeMap<u64, GrantIds> {
-        lock_unpoisoned(&self.state).replay.grants.clone()
+        self.state.lock().replay.grants.clone()
     }
 
     /// The tokens whose outcomes are retained, ascending (diagnostics and
     /// tests).
     pub fn retained_tokens(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.state).replay.tokens.tokens()
+        self.state.lock().replay.tokens.tokens()
     }
 
     /// The retained token outcomes, ascending by token (diagnostics and
     /// tests: a recovered server must hold the same).
     pub fn retained_outcomes(&self) -> Vec<(u64, Option<Arc<ResultSet>>)> {
-        let st = lock_unpoisoned(&self.state);
+        let st = self.state.lock();
         st.replay
             .tokens
             .iter()
@@ -407,27 +411,27 @@ impl Durability {
     /// The trackers as of now (a re-seeded replica and a new primary's
     /// idempotency log both start from these).
     pub(crate) fn replay_state(&self) -> ReplayState {
-        lock_unpoisoned(&self.state).replay.clone()
+        self.state.lock().replay.clone()
     }
 
     /// Current log size in bytes (excludes the checkpoint cell).
     pub fn log_len(&self) -> usize {
-        lock_unpoisoned(&self.state).store.log_len()
+        self.state.lock().store.log_len()
     }
 
     /// Current checkpoint cell size in bytes.
     pub fn checkpoint_len(&self) -> usize {
-        lock_unpoisoned(&self.state).store.checkpoint_len()
+        self.state.lock().store.checkpoint_len()
     }
 
     /// Bytes of each frame of the checkpoint chain: the full frame, then
     /// the deltas.
     pub fn checkpoint_frames(&self) -> Vec<usize> {
-        lock_unpoisoned(&self.state).store.checkpoint_frames()
+        self.state.lock().store.checkpoint_frames()
     }
 
     pub fn device_stats(&self) -> DeviceStats {
-        lock_unpoisoned(&self.state).store.device_stats()
+        self.state.lock().store.device_stats()
     }
 }
 
@@ -884,9 +888,7 @@ mod tests {
         BEFORE_CUT.iter().for_each(|sql| execute(sql));
         d.log_grant(7, &[1], &[]).unwrap();
         let cut = d
-            .cut(&mut lock_unpoisoned(&d.state), || {
-                server.database().snapshot()
-            })
+            .cut(&mut d.state.lock(), || server.database().snapshot())
             .unwrap();
         AFTER_CUT.iter().for_each(|sql| execute(sql));
         d.log_grant(8, &[2], &[]).unwrap();
@@ -1115,10 +1117,8 @@ mod tests {
         let mut next_token = 1u64;
         for (at, step) in steps.iter().enumerate() {
             let take_cut = || {
-                d.cut(&mut lock_unpoisoned(&d.state), || {
-                    server.database().snapshot()
-                })
-                .ok_or(format!("step {at}: a cut was left in flight"))
+                d.cut(&mut d.state.lock(), || server.database().snapshot())
+                    .ok_or(format!("step {at}: a cut was left in flight"))
             };
             match step {
                 Step::Sql(sql) => {

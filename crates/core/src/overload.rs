@@ -34,12 +34,11 @@
 //! schedule — the overload bench replays bit-identically across runs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use pdm_obs::lock::{Lock, LockId};
 use pdm_obs::metrics::families;
 use pdm_obs::{Counter, Gauge, MetricsRegistry};
-
-use crate::shared::lock_unpoisoned;
 
 /// Priority class of one server action. Ordering is shed order: lower
 /// classes are rejected while higher classes still get tokens.
@@ -144,12 +143,14 @@ struct GateMetrics {
 #[derive(Debug)]
 pub struct OverloadGate {
     cfg: OverloadConfig,
-    bucket: Mutex<Bucket>,
+    bucket: Lock<Bucket>,
     /// Virtual now, as f64 bits; writers take the max so time is monotone.
     now_bits: AtomicU64,
     inflight: AtomicU64,
     m: GateMetrics,
 }
+
+static BUCKET: LockId = LockId::new("core.overload.bucket", 60);
 
 impl OverloadGate {
     /// Build a gate registering its `admission.*`/`overload.*` metric
@@ -157,10 +158,13 @@ impl OverloadGate {
     pub fn new(cfg: OverloadConfig, registry: &MetricsRegistry) -> Arc<Self> {
         Arc::new(OverloadGate {
             cfg,
-            bucket: Mutex::new(Bucket {
-                tokens: cfg.burst,
-                refilled_at: 0.0,
-            }),
+            bucket: Lock::new(
+                &BUCKET,
+                Bucket {
+                    tokens: cfg.burst,
+                    refilled_at: 0.0,
+                },
+            ),
             now_bits: AtomicU64::new(0f64.to_bits()),
             inflight: AtomicU64::new(0),
             m: GateMetrics {
@@ -213,7 +217,7 @@ impl OverloadGate {
         let now = self.now();
         let rate = self.cfg.capacity_ops_per_s;
         {
-            let mut b = lock_unpoisoned(&self.bucket);
+            let mut b = self.bucket.lock();
             if now > b.refilled_at {
                 b.tokens = (b.tokens + (now - b.refilled_at) * rate).min(self.cfg.burst);
                 b.refilled_at = now;

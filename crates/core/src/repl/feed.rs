@@ -18,11 +18,10 @@
 //! [`RETENTION_INTERVALS`] checkpoint intervals is re-seeded from the new
 //! base instead.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
+use pdm_obs::lock::{Lock, LockId};
 use pdm_wal::WalRecord;
-
-use crate::shared::lock_unpoisoned;
 
 /// How many checkpoint intervals of records the feed retains for a lagging
 /// replica before the cluster stops waiting for it: at
@@ -64,14 +63,17 @@ struct FeedState {
 #[derive(Debug)]
 pub struct ReplicationFeed {
     epoch: u64,
-    state: Mutex<FeedState>,
+    state: Lock<FeedState>,
 }
+
+/// Published to under the durability store's lock.
+static FEED: LockId = LockId::new("core.repl.feed", 100);
 
 impl ReplicationFeed {
     pub fn new(epoch: u64) -> Self {
         ReplicationFeed {
             epoch,
-            state: Mutex::new(FeedState::default()),
+            state: Lock::new(&FEED, FeedState::default()),
         }
     }
 
@@ -85,7 +87,7 @@ impl ReplicationFeed {
     /// `payload_bytes`. Called by the durability layer under the store
     /// lock, so sequences arrive strictly increasing.
     pub fn publish(&self, seq: u64, record: WalRecord, payload_bytes: usize) {
-        let mut st = lock_unpoisoned(&self.state);
+        let mut st = self.state.lock();
         debug_assert!(seq > st.last_seq, "feed sequence must be monotonic");
         st.records.push(Retained {
             seq,
@@ -98,19 +100,19 @@ impl ReplicationFeed {
 
     /// Highest published sequence (0 = nothing published this epoch).
     pub fn last_seq(&self) -> u64 {
-        lock_unpoisoned(&self.state).last_seq
+        self.state.lock().last_seq
     }
 
     /// The sequence the retained records start above.
     pub fn base_seq(&self) -> u64 {
-        lock_unpoisoned(&self.state).base_seq
+        self.state.lock().base_seq
     }
 
     /// The retained records with `after < seq <= through`, in order, and
     /// their size on the ship link (empty when `through <= after`).
     /// Sequences are strictly increasing, so binary searches find both cuts.
     pub(crate) fn batch(&self, after: u64, through: u64) -> (Vec<Shipped>, usize) {
-        let st = lock_unpoisoned(&self.state);
+        let st = self.state.lock();
         let from = st.records.partition_point(|r| r.seq <= after);
         let to = st.records.partition_point(|r| r.seq <= through);
         let cut = st.records.get(from..to).unwrap_or_default();
@@ -136,14 +138,14 @@ impl ReplicationFeed {
     /// Move the base to `last_seq`, dropping every retained record. The
     /// caller replaces its epoch-base snapshot in the same step.
     pub(crate) fn rebase(&self) {
-        let mut st = lock_unpoisoned(&self.state);
+        let mut st = self.state.lock();
         st.records.clear();
         st.base_seq = st.last_seq;
     }
 
     /// Number of records published this epoch (never decreases).
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).published
+        self.state.lock().published
     }
 
     pub fn is_empty(&self) -> bool {
@@ -152,7 +154,7 @@ impl ReplicationFeed {
 
     /// Number of records held in memory: those above [`Self::base_seq`].
     pub fn retained(&self) -> usize {
-        lock_unpoisoned(&self.state).records.len()
+        self.state.lock().records.len()
     }
 }
 

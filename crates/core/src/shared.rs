@@ -35,9 +35,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::{Duration, Instant};
 
+use pdm_obs::lock::{Lock, LockGuard, LockId};
 use pdm_obs::metrics::families;
 use pdm_obs::{kinds, Counter, Histogram, MetricsRegistry, Recorder};
 use pdm_sql::ring::{Admit, Ring, Standing};
@@ -49,16 +50,6 @@ use crate::overload::{OverloadConfig, OverloadGate};
 use crate::product::ObjectId;
 use crate::replay::{ReplayState, TokenLog, TokenStatus};
 use crate::server::{id_list, split_ids, CheckoutProcedureResult};
-
-/// Lock a mutex, treating poison as "the panicking thread is gone, the data
-/// is still consistent" (every critical section here is short and
-/// non-panicking in release paths).
-pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
 
 /// Errors surfaced by the shared server itself (the session layer maps
 /// these onto [`crate::SessionError`]).
@@ -188,16 +179,13 @@ impl Deadline {
     fn wait<'a, T>(
         &self,
         cv: &Condvar,
-        guard: MutexGuard<'a, T>,
-    ) -> Result<MutexGuard<'a, T>, MutexGuard<'a, T>> {
+        guard: LockGuard<'a, T>,
+    ) -> Result<LockGuard<'a, T>, LockGuard<'a, T>> {
         let Ok(left) = self.remaining() else {
             return Err(guard);
         };
         let slice = left.map_or(WAIT_SLICE, |left| left.min(WAIT_SLICE));
-        Ok(match cv.wait_timeout(guard, slice) {
-            Ok((guard, _)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        })
+        Ok(guard.wait_timeout(cv, slice))
     }
 }
 
@@ -283,7 +271,7 @@ struct LockTableState {
 /// grants per conflict class).
 #[derive(Debug)]
 pub struct LockTable {
-    state: Mutex<LockTableState>,
+    state: Lock<LockTableState>,
     cv: Condvar,
     journal: AtomicBool,
     /// Maximum queued waiters; past it new waiters are rejected with
@@ -294,10 +282,12 @@ pub struct LockTable {
     rejections: Counter,
 }
 
+static LOCK_TABLE: LockId = LockId::new("core.lock_table", 40);
+
 impl Default for LockTable {
     fn default() -> Self {
         LockTable {
-            state: Mutex::new(LockTableState::default()),
+            state: Lock::new(&LOCK_TABLE, LockTableState::default()),
             cv: Condvar::new(),
             journal: AtomicBool::new(false),
             queue_bound: AtomicUsize::new(usize::MAX),
@@ -376,7 +366,7 @@ impl LockTable {
         token: u64,
         deadline: &Deadline,
     ) -> Result<Acquire, SharedServerError> {
-        let mut guard = lock_unpoisoned(&self.state);
+        let mut guard = self.state.lock();
         // This call's ticket, once it has had to queue.
         let mut ticket = None;
         let outcome = loop {
@@ -433,7 +423,7 @@ impl LockTable {
 
     /// Current number of queued waiters.
     pub fn queue_depth(&self) -> usize {
-        lock_unpoisoned(&self.state).queue.len()
+        self.state.lock().queue.len()
     }
 
     /// Queue-full rejections so far.
@@ -490,7 +480,7 @@ impl LockTable {
         next: impl Fn(Option<LockState>) -> Option<LockState>,
         event: impl FnOnce() -> LockEvent,
     ) {
-        let mut guard = lock_unpoisoned(&self.state);
+        let mut guard = self.state.lock();
         for id in ids {
             match next(guard.locks.get(id).copied()) {
                 Some(lock) => guard.locks.insert(*id, lock),
@@ -504,7 +494,7 @@ impl LockTable {
 
     /// Which token holds this object (completed check-outs only).
     pub fn holder(&self, id: ObjectId) -> Option<u64> {
-        match lock_unpoisoned(&self.state).locks.get(&id) {
+        match self.state.lock().locks.get(&id) {
             Some(LockState::Held(t)) => Some(*t),
             _ => None,
         }
@@ -512,7 +502,7 @@ impl LockTable {
 
     /// Number of live entries (in-flight + held).
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.state).locks.len()
+        self.state.lock().locks.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -524,7 +514,7 @@ impl LockTable {
     }
 
     fn take_events(&self) -> Vec<LockEvent> {
-        std::mem::take(&mut lock_unpoisoned(&self.state).events)
+        std::mem::take(&mut self.state.lock().events)
     }
 }
 
@@ -719,7 +709,7 @@ struct QueryCache {
     /// published under this mutex, one look-up each, and the engine never
     /// runs while it is held. A key is one allocation shared by the index
     /// and its slot: a miss copies its printed key once.
-    table: Mutex<Table>,
+    table: Lock<Table>,
     /// Signalled when a leader leaves its slot, published or not, while a
     /// miss waits ([`Table::waiters`]).
     cv: Condvar,
@@ -735,6 +725,8 @@ struct QueryCache {
     /// then hit the freshly published entry).
     singleflight_hits: Counter,
 }
+
+static CACHE_TABLE: LockId = LockId::new("core.cache.table", 50);
 
 /// What is in flight in a server: single-flight marks in the result cache,
 /// misses waiting on one, and check-out tokens whose procedure runs
@@ -781,7 +773,7 @@ enum Claim<'a> {
     Behind,
     /// Somebody is, on the caller's version or a newer one: the table's
     /// guard, to wait on ([`QueryCache::wait`]).
-    Wait(MutexGuard<'a, Table>),
+    Wait(LockGuard<'a, Table>),
 }
 
 /// What a publish takes out of the table, freed once its lock is released:
@@ -792,13 +784,16 @@ type Gone = Option<(u64, Arc<ResultSet>)>;
 impl QueryCache {
     fn new(registry: &MetricsRegistry) -> Self {
         QueryCache {
-            table: Mutex::new(Table {
-                index: HashMap::new(),
-                slots: Vec::new(),
-                free: Vec::new(),
-                ring: Ring::new(CACHE_CAPACITY),
-                waiters: 0,
-            }),
+            table: Lock::new(
+                &CACHE_TABLE,
+                Table {
+                    index: HashMap::new(),
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                    ring: Ring::new(CACHE_CAPACITY),
+                    waiters: 0,
+                },
+            ),
             cv: Condvar::new(),
             hits: registry.counter(families::CACHE_HITS),
             misses: registry.counter(families::CACHE_MISSES),
@@ -811,7 +806,7 @@ impl QueryCache {
     /// The result published under `key`, if it was computed on storage
     /// `version` — a hit, stamped.
     fn get(&self, key: &str, version: u64) -> Option<Arc<ResultSet>> {
-        let mut table = lock_unpoisoned(&self.table);
+        let mut table = self.table.lock();
         let now = table.ring.now();
         let at = *table.index.get(key)?;
         table.slot_mut(at).hit(version, now)
@@ -824,7 +819,7 @@ impl QueryCache {
     /// of an older version is not waited for: its result cannot be a hit
     /// on `version`, so the caller misses, unmarked ([`Claim::Behind`]).
     fn claim(&self, key: &Arc<str>, version: u64) -> Claim<'_> {
-        let mut table = lock_unpoisoned(&self.table);
+        let mut table = self.table.lock();
         let at = table.position(key);
         let now = table.ring.now();
         let slot = table.slot_mut(at);
@@ -847,7 +842,7 @@ impl QueryCache {
     /// Wait, registered as a waiter, for a leader to let go of its slot —
     /// bounded by `deadline`. `false`, without having waited, once the
     /// deadline is spent.
-    fn wait(&self, mut table: MutexGuard<'_, Table>, deadline: &Deadline) -> bool {
+    fn wait(&self, mut table: LockGuard<'_, Table>, deadline: &Deadline) -> bool {
         table.waiters += 1;
         let (woken, mut table) = match deadline.wait(&self.cv, table) {
             Ok(table) => (true, table),
@@ -862,7 +857,7 @@ impl QueryCache {
     /// or it ran out of deadline waiting — (a leader publishes through
     /// [`Leadership::publish`]).
     fn publish(&self, key: &Arc<str>, version: u64, result: &Arc<ResultSet>) {
-        let mut table = lock_unpoisoned(&self.table);
+        let mut table = self.table.lock();
         let at = table.position(key);
         let gone = self.store(&mut table, at, version, result);
         let vacated = Self::vacate_unused(&mut table, at);
@@ -934,7 +929,7 @@ impl QueryCache {
     /// with nothing published out of the table and counts the waiters —
     /// who are woken, after the lock is released, only if there are any.
     fn let_go(&self, at: usize, published: Option<(u64, &Arc<ResultSet>)>) {
-        let mut table = lock_unpoisoned(&self.table);
+        let mut table = self.table.lock();
         let gone = published.map(|(version, result)| self.store(&mut table, at, version, result));
         table.slot_mut(at).computing = None;
         let vacated = Self::vacate_unused(&mut table, at);
@@ -984,7 +979,9 @@ struct TokenClaim<'a> {
 
 impl Drop for TokenClaim<'_> {
     fn drop(&mut self) {
-        lock_unpoisoned(&self.server.checkout_log)
+        self.server
+            .checkout_log
+            .lock()
             .in_progress
             .remove(&self.token);
         self.server.checkout_cv.notify_all();
@@ -1062,13 +1059,13 @@ pub struct SharedServer {
     /// Check-outs by idempotency token (shared across sessions — tokens are
     /// drawn from [`SharedServer::next_token`]). Calls finding their token
     /// in progress wait on `checkout_cv` for its recorded outcome.
-    checkout_log: Mutex<CheckoutLog>,
+    checkout_log: Lock<CheckoutLog>,
     checkout_cv: Condvar,
     token_counter: AtomicU64,
     /// DML journal: the exact commit order of every write statement, for
     /// deterministic serial replay. `write_gate` makes append atomic with
     /// execution.
-    write_gate: Mutex<Vec<String>>,
+    write_gate: Lock<Vec<String>>,
     journal: AtomicBool,
     /// Optional write-ahead log + checkpoint attachment. When present,
     /// every DML commit, check-out grant/release, and token completion is
@@ -1085,6 +1082,12 @@ pub struct SharedServer {
     /// as it did before overload protection existed.
     overload: OnceLock<Arc<OverloadGate>>,
 }
+
+static CHECKOUT_LOG: LockId = LockId::new("core.checkout_log", 30);
+static WRITE_GATE: LockId = LockId::new("core.write_gate", 10).across_io(
+    "the write gate serializes DML with its journal entry, so a commit's WAL \
+     fsync lands before its version is published (fsync-before-publish)",
+);
 
 impl SharedServer {
     /// Wrap a populated database, installing the PDM stored functions.
@@ -1130,10 +1133,10 @@ impl SharedServer {
             locks,
             cache,
             templates: Templates::default(),
-            checkout_log: Mutex::new(checkout_log),
+            checkout_log: Lock::new(&CHECKOUT_LOG, checkout_log),
             checkout_cv: Condvar::new(),
             token_counter: AtomicU64::new(state.next_token()),
-            write_gate: Mutex::new(Vec::new()),
+            write_gate: Lock::new(&WRITE_GATE, Vec::new()),
             journal: AtomicBool::new(false),
             durability,
             metrics,
@@ -1189,13 +1192,13 @@ impl SharedServer {
     /// What is in flight right now (tests and diagnostics): with no call
     /// inside the server, [`InFlight::default`].
     pub fn in_flight(&self) -> InFlight {
-        let table = lock_unpoisoned(&self.cache.table);
+        let table = self.cache.table.lock();
         let marks = (table.slots.iter())
             .filter(|slot| slot.computing.is_some())
             .count();
         let waiters = table.waiters;
         drop(table);
-        let tokens = lock_unpoisoned(&self.checkout_log).in_progress.len();
+        let tokens = self.checkout_log.lock().in_progress.len();
         InFlight {
             marks,
             waiters,
@@ -1221,7 +1224,7 @@ impl SharedServer {
 
     /// Drain the DML commit log (statements in exact commit order).
     pub fn take_dml_log(&self) -> Vec<String> {
-        std::mem::take(&mut *lock_unpoisoned(&self.write_gate))
+        std::mem::take(&mut *self.write_gate.lock())
     }
 
     /// Drain the lock-event journal.
@@ -1400,10 +1403,7 @@ impl SharedServer {
         }
         let deadline = Deadline::new(deadline);
         self.check_deadline(&deadline, "write_gate", obs)?;
-        // lint:allow(lock-across-boundary): the write gate serializes DML
-        // so the WAL fsync lands before the new version is published
-        // (fsync-before-publish, DESIGN.md §9).
-        let mut log = lock_unpoisoned(&self.write_gate);
+        let mut log = self.write_gate.lock();
         // The gate wait itself may have consumed the deadline: abandon
         // before the fsync, while nothing has been applied yet.
         self.check_deadline(&deadline, "wal_commit", obs)?;
@@ -1505,7 +1505,7 @@ impl SharedServer {
         // token too old to still have an outcome is refused, not re-run.
         let deadline = Deadline::new(deadline);
         {
-            let mut log = lock_unpoisoned(&self.checkout_log);
+            let mut log = self.checkout_log.lock();
             while log.in_progress.contains(&token) {
                 log = deadline
                     .wait(&self.checkout_cv, log)
@@ -1541,7 +1541,8 @@ impl SharedServer {
         }
         // A failed call records nothing: the token stays replayable.
         if let Ok(outcome) = &result {
-            lock_unpoisoned(&self.checkout_log)
+            self.checkout_log
+                .lock()
                 .done
                 .record(token, outcome.rows.as_ref().map(Arc::clone));
         }
@@ -1640,7 +1641,7 @@ impl SharedServer {
     /// Whether a check-out with this token has completed.
     pub fn checkout_recorded(&self, token: u64) -> bool {
         matches!(
-            lock_unpoisoned(&self.checkout_log).done.status(token),
+            self.checkout_log.lock().done.status(token),
             TokenStatus::Done(_)
         )
     }
@@ -1817,7 +1818,7 @@ mod tests {
             let _ = s.query_cached(sql);
         }));
         assert!(
-            lock_unpoisoned(&s.cache.table).index.is_empty(),
+            s.cache.table.lock().index.is_empty(),
             "the slot outlived its leader"
         );
 
@@ -1832,7 +1833,7 @@ mod tests {
             s.query_uncached("SELECT obid FROM assy").unwrap().len()
         );
         assert_eq!(s.cache.singleflight_leaders.get(), 2);
-        let table = lock_unpoisoned(&s.cache.table);
+        let table = s.cache.table.lock();
         assert!(table
             .index
             .values()
@@ -1852,7 +1853,7 @@ mod tests {
                 &Recorder::disabled(),
             );
         }));
-        assert!(lock_unpoisoned(&s.checkout_log).in_progress.is_empty());
+        assert!(s.checkout_log.lock().in_progress.is_empty());
 
         // The client's retry of the same token runs the procedure; it does
         // not wait out its deadline on a call that no longer exists.
@@ -2125,7 +2126,9 @@ mod tests {
     /// Does the table hold a result under `key`? (Unlike a look-up, this
     /// does not stamp it.)
     fn holds(cache: &QueryCache, key: &str) -> bool {
-        lock_unpoisoned(&cache.table)
+        cache
+            .table
+            .lock()
             .slot(key)
             .is_some_and(|slot| slot.ready.is_some())
     }
@@ -2142,7 +2145,7 @@ mod tests {
         assert!(!holds(&cache, &keys[0]), "a stale result kept its place");
         assert!(holds(&cache, &keys[CACHE_CAPACITY]));
         assert_eq!(cache.invalidations.get(), 1);
-        assert_eq!(lock_unpoisoned(&cache.table).index.len(), CACHE_CAPACITY);
+        assert_eq!(cache.table.lock().index.len(), CACHE_CAPACITY);
     }
 
     #[test]
@@ -2167,7 +2170,7 @@ mod tests {
         s.query_cached(&sql(1)).unwrap();
         assert_eq!(s.cache_stats(), CacheStats { hits: 2, misses });
         assert_eq!(s.cache.invalidations.get(), 0);
-        assert_eq!(lock_unpoisoned(&s.cache.table).index.len(), CACHE_CAPACITY);
+        assert_eq!(s.cache.table.lock().index.len(), CACHE_CAPACITY);
     }
 
     #[test]
@@ -2213,7 +2216,7 @@ mod tests {
         // A newcomer displaces key 0's stale result, not its mark.
         miss(&cache, &keys[CACHE_CAPACITY], 2);
         {
-            let table = lock_unpoisoned(&cache.table);
+            let table = cache.table.lock();
             let slot = table.slot(&keys[0]).expect("the mark left the table");
             assert!(slot.computing.is_some() && slot.ready.is_none());
         }
@@ -2224,7 +2227,7 @@ mod tests {
         assert!(Arc::ptr_eq(&cache.get(&keys[0], 2).unwrap(), &rows));
         assert!(!holds(&cache, &keys[1]));
         assert_eq!(cache.invalidations.get(), 2);
-        assert_eq!(lock_unpoisoned(&cache.table).index.len(), CACHE_CAPACITY);
+        assert_eq!(cache.table.lock().index.len(), CACHE_CAPACITY);
     }
 
     #[test]

@@ -594,16 +594,15 @@ fn assert_lazy_equals_eager(
 }
 
 /// The function-shipping check-out of `root` as the eager path assembled
-/// it: a node from every row its statement returns before the flags flip,
-/// under the root as fetched after the check-out. Returns the check-out's
-/// tree and the eager one.
+/// it: the root and a node from every row its statement returns, all read
+/// before the flags flip. Returns the check-out's tree and the eager one.
 fn checkout_and_eager_tree(s: &mut Session, root: i64) -> (ProductTree, ProductTree) {
     let sql = s
         .statement(Shape::MlePhysical, ActionKind::CheckOut, &[root])
         .unwrap();
     let rs = s.server().query(&sql).unwrap();
-    let tree = s.check_out_function_shipping(root).unwrap().tree.unwrap();
     let mut eager = eager_root(s, root);
+    let tree = s.check_out_function_shipping(root).unwrap().tree.unwrap();
     let shape = NodeShape::new(&rs.schema);
     rs.rows
         .iter()

@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 //! Lock-queue fairness regression tests: the ticketed FIFO queue must
 //! grant same-object contenders in strict arrival order (no starvation by

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Shows that clippy, under the root `clippy.toml`, rejects what the retired
 # pdm-lint token lints (wall-clock, ambient-randomness, unbounded-wait,
-# stray-recorder) caught, and accepts their corrected twins.
+# stray-recorder) caught and a lock built without a `pdm_obs::lock` class
+# (unnamed-lock), and accepts their corrected twins.
 #
 #   crates/lint/clippy_fixtures/check.sh
 #

@@ -19,18 +19,6 @@ pub fn pair(lint: Lint) -> (&'static str, &'static str) {
             "struct Cache { map: HashMap<u64, u64> }\nimpl Cache {\n    fn dump(&self) -> Vec<u64> {\n        self.map.keys().copied().collect::<Vec<u64>>()\n    }\n}\n",
             "struct Cache { map: BTreeMap<u64, u64> }\nimpl Cache {\n    fn dump(&self) -> Vec<u64> {\n        self.map.keys().copied().collect::<Vec<u64>>()\n    }\n}\n",
         ),
-        Lint::LockOrderCycle => (
-            "impl S {\n    fn promote(&self) {\n        let ga = self.alpha.lock();\n        let gb = self.beta.lock();\n    }\n    fn demote(&self) {\n        let gb = self.beta.lock();\n        let ga = self.alpha.lock();\n    }\n}\n",
-            "impl S {\n    fn promote(&self) {\n        let ga = self.alpha.lock();\n        let gb = self.beta.lock();\n    }\n    fn demote(&self) {\n        let ga = self.alpha.lock();\n        let gb = self.beta.lock();\n    }\n}\n",
-        ),
-        Lint::LockAcrossBoundary => (
-            "impl S {\n    fn relay(&mut self) {\n        let g = self.state.lock();\n        self.channel.exchange(g.bytes);\n    }\n}\n",
-            "impl S {\n    fn relay(&mut self) {\n        let bytes = {\n            let g = self.state.lock();\n            g.bytes\n        };\n        self.channel.exchange(bytes);\n    }\n}\n",
-        ),
-        Lint::NestedLockReacquire => (
-            "impl S {\n    fn bump(&self) {\n        let g = self.state.lock();\n        let h = self.state.lock();\n    }\n}\n",
-            "impl S {\n    fn bump(&self) {\n        let g = self.state.lock();\n        drop(g);\n        let h = self.state.lock();\n    }\n}\n",
-        ),
         Lint::ReplayCatchall => (
             "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        _ => {}\n    }\n}\n",
             "fn replay(&mut self, record: &WalRecord) {\n    match record {\n        WalRecord::DmlCommit { version, sql } => self.dml(version, sql),\n        WalRecord::CheckoutGrant { token, assy_ids, comp_ids } => self.grant(token, assy_ids, comp_ids),\n        WalRecord::CheckoutRelease { ids } => self.release(ids),\n        WalRecord::TokenComplete { token, rows } => self.done(token, rows),\n    }\n}\n",

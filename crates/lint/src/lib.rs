@@ -7,8 +7,6 @@
 //! test suite assumes but nothing enforced statically:
 //!
 //! - **determinism**: no hash iteration order reaching serialized output;
-//! - **lock discipline**: acyclic lock-acquisition order, no guard held
-//!   across network/durability boundaries, no self-reacquire;
 //! - **replay**: no `WalRecord` match arm is a catch-all (so rustc's
 //!   exhaustiveness check covers every replay site); record-applying
 //!   functions fence their epoch;
@@ -29,6 +27,9 @@
 //! families are values only `pdm-obs` can make, a timeout-shaped
 //! `SessionError` does not compile without its `FlightDump`, and a
 //! `WalRecord` match without a catch-all is exhaustive or does not compile.
+//! Lock order is checked where a lock is taken: every lock is a
+//! `pdm_obs::lock` type with a named, levelled class, and debug builds
+//! assert the order at each acquisition and at each I/O crossing.
 //! The wall clock, ambient entropy, bare condvar waits and stray recorders
 //! are clippy bans by resolved path (the root `clippy.toml`); each real
 //! exception carries an `#[expect(clippy::disallowed_methods, reason = ..)]`,
@@ -70,7 +71,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
 fn run_passes(files: &[LintFile]) -> LintReport {
     let mut raw: Vec<Finding> = Vec::new();
     lints::determinism::run(files, &mut raw);
-    lints::locks::run(files, &mut raw);
     lints::replay::run(files, &mut raw);
     lints::panics::run(files, &mut raw);
     apply_allows(files, raw)

@@ -6,12 +6,11 @@
 use pdm_analyze::diag::Severity;
 use pdm_obs::json;
 
-/// The four lint families. Every lint belongs to exactly one; the
+/// The three lint families. Every lint belongs to exactly one; the
 /// `allow-hygiene` policy lint rides in `Policy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     Determinism,
-    LockDiscipline,
     Replay,
     PanicSurface,
     Policy,
@@ -21,7 +20,6 @@ impl Family {
     pub fn name(&self) -> &'static str {
         match self {
             Family::Determinism => "determinism",
-            Family::LockDiscipline => "lock-discipline",
             Family::Replay => "replay",
             Family::PanicSurface => "panic-surface",
             Family::Policy => "policy",
@@ -32,20 +30,13 @@ impl Family {
 /// Every lint the analyzer can raise. Adding a variant here without a
 /// fixture pair makes the meta-test fail — see `tests/meta.rs`. The wall
 /// clock, ambient entropy, bare condvar waits and stray recorders are
-/// clippy bans (`clippy.toml`), not lints here.
+/// clippy bans (`clippy.toml`), and lock order is checked at run time by
+/// `pdm_obs::lock`, not lints here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Lint {
     /// Iterating a `HashMap`/`HashSet` whose order can reach serialized
     /// output, WAL content, or metrics without an order-insensitive sink.
     UnorderedIter,
-    /// A cycle in the static lock-acquisition order graph.
-    LockOrderCycle,
-    /// A mutex guard held across a network/durability boundary call
-    /// (`exchange`, ship, `sync`/fsync) — latency under a lock.
-    LockAcrossBoundary,
-    /// Re-acquiring a lock while a guard for the same lock is live in
-    /// the same function — self-deadlock with `std::sync::Mutex`.
-    NestedLockReacquire,
     /// An arm of a `match` over `WalRecord` that names no `WalRecord::`
     /// variant (`_`, a binding, or a nested `Some(_)`): new record types
     /// would silently skip replay.
@@ -65,9 +56,6 @@ pub enum Lint {
 impl Lint {
     pub const ALL: &'static [Lint] = &[
         Lint::UnorderedIter,
-        Lint::LockOrderCycle,
-        Lint::LockAcrossBoundary,
-        Lint::NestedLockReacquire,
         Lint::ReplayCatchall,
         Lint::UnfencedApply,
         Lint::UncheckedIndex,
@@ -78,9 +66,6 @@ impl Lint {
     pub fn id(&self) -> &'static str {
         match self {
             Lint::UnorderedIter => "unordered-iter",
-            Lint::LockOrderCycle => "lock-order-cycle",
-            Lint::LockAcrossBoundary => "lock-across-boundary",
-            Lint::NestedLockReacquire => "nested-lock-reacquire",
             Lint::ReplayCatchall => "replay-catchall",
             Lint::UnfencedApply => "unfenced-apply",
             Lint::UncheckedIndex => "unchecked-index",
@@ -92,9 +77,6 @@ impl Lint {
     pub fn family(&self) -> Family {
         match self {
             Lint::UnorderedIter => Family::Determinism,
-            Lint::LockOrderCycle | Lint::LockAcrossBoundary | Lint::NestedLockReacquire => {
-                Family::LockDiscipline
-            }
             Lint::ReplayCatchall | Lint::UnfencedApply => Family::Replay,
             Lint::UncheckedIndex | Lint::UncheckedProtocolArith => Family::PanicSurface,
             Lint::AllowHygiene => Family::Policy,
@@ -112,13 +94,6 @@ impl Lint {
         match self {
             Lint::UnorderedIter => {
                 "HashMap/HashSet iteration whose order can reach serialized output"
-            }
-            Lint::LockOrderCycle => "cycle in the static lock-acquisition order graph",
-            Lint::LockAcrossBoundary => {
-                "mutex guard held across a network or durability boundary call"
-            }
-            Lint::NestedLockReacquire => {
-                "re-acquiring a std::sync::Mutex while its guard is live (self-deadlock)"
             }
             Lint::ReplayCatchall => "WalRecord replay match arm that names no WalRecord variant",
             Lint::UnfencedApply => "record-applying function never compares its epoch argument",
@@ -236,7 +211,6 @@ mod tests {
     fn every_family_has_at_least_one_lint() {
         for fam in [
             Family::Determinism,
-            Family::LockDiscipline,
             Family::Replay,
             Family::PanicSurface,
             Family::Policy,

@@ -27,27 +27,6 @@ fn every_lint_rejects_its_fixture_and_accepts_the_twin() {
     }
 }
 
-/// `pdm-core`'s one exchange routine takes the server call as a closure.
-/// A guard live across a call to it is still a lock held across the
-/// network boundary — the closure does not hide the crossing.
-#[test]
-fn lock_across_the_closure_taking_exchange_routine_is_flagged() {
-    let bad = "impl S {\n    fn relay(&mut self, sql: &str) {\n        let g = self.state.lock();\n                       exchange(&mut self.channel, &self.retry, None, sql.len(), |deadline| {\n                           self.server.query_cached_deadline_obs(sql, deadline, &g.obs)\n        });\n    }\n}\n";
-    let good = "impl S {\n    fn relay(&mut self, sql: &str) {\n        let obs = {\n                            let g = self.state.lock();\n            g.obs.clone()\n        };\n                        exchange(&mut self.channel, &self.retry, None, sql.len(), |deadline| {\n                            self.server.query_cached_deadline_obs(sql, deadline, &obs)\n        });\n    }\n}\n";
-    let rbad = lint_source(FIXTURE_PATH, bad);
-    assert!(
-        rbad.flags(Lint::LockAcrossBoundary),
-        "guard across exchange(.., |..| ..) not flagged: {:?}",
-        rbad.findings
-    );
-    let rgood = lint_source(FIXTURE_PATH, good);
-    assert!(
-        !rgood.flags(Lint::LockAcrossBoundary),
-        "scoped guard flagged: {:?}",
-        rgood.findings
-    );
-}
-
 #[test]
 fn fixtures_are_minimal_enough_to_differ() {
     for lint in Lint::ALL {
@@ -61,7 +40,6 @@ fn fixtures_are_minimal_enough_to_differ() {
 fn every_family_carries_a_lint_and_the_count_is_pinned() {
     for fam in [
         Family::Determinism,
-        Family::LockDiscipline,
         Family::Replay,
         Family::PanicSurface,
         Family::Policy,
@@ -71,7 +49,7 @@ fn every_family_carries_a_lint_and_the_count_is_pinned() {
     }
     assert_eq!(
         Lint::ALL.len(),
-        9,
+        6,
         "lint count drifted; update fixtures and docs together"
     );
 }
@@ -112,9 +90,9 @@ fn allow_marker_with_reason_suppresses_and_counts() {
 
 #[test]
 fn markers_cannot_suppress_a_different_lint() {
-    // A lock-across-boundary marker over an unchecked-index site: the
-    // finding survives and the marker is flagged as suppressing nothing.
-    let src = "fn frame_seq(frame: &[u8], at: usize) -> u8 {\n    // lint:allow(lock-across-boundary): wrong id on purpose\n    frame[at]\n}\n";
+    // An unordered-iter marker over an unchecked-index site: the finding
+    // survives and the marker is flagged as suppressing nothing.
+    let src = "fn frame_seq(frame: &[u8], at: usize) -> u8 {\n    // lint:allow(unordered-iter): wrong id on purpose\n    frame[at]\n}\n";
     let r = lint_source(FIXTURE_PATH, src);
     assert!(r.flags(Lint::UncheckedIndex));
     assert!(r.flags(Lint::AllowHygiene));

@@ -38,8 +38,7 @@ fn workspace_lints_clean() {
     }
     assert!(
         report.suppressed > 0,
-        "the annotated unchecked-index and lock-across-boundary sites should \
-         register as suppressions"
+        "the annotated unchecked-index sites should register as suppressions"
     );
 }
 

@@ -280,6 +280,7 @@ impl MeteredChannel {
     /// `fault_wait_time`, and — except for [`LinkError::ResponseLost`],
     /// which phase 1 never returns — the server has seen nothing.
     pub fn try_send_request(&mut self, request_bytes: usize) -> Result<PendingRequest, LinkError> {
+        pdm_obs::lock::crossing("net.send_request");
         let request_bytes = self.wire_request_bytes(request_bytes);
         let exchange = self.exchange_index;
         self.exchange_index += 1;
@@ -386,6 +387,7 @@ impl MeteredChannel {
         pending: PendingRequest,
         response_payload_bytes: usize,
     ) -> Result<RoundTrip, LinkError> {
+        pdm_obs::lock::crossing("net.receive_response");
         let PendingRequest {
             request_bytes,
             request_packets,

@@ -18,6 +18,9 @@
 //!   snapshotted to JSON.
 //! * [`flight`] — a bounded ring of recent events per session, dumped into
 //!   `SessionError` context and chaos-bench journals.
+//! * [`lock`] — [`lock::Lock`] and [`lock::RwLock`], the workspace's only
+//!   locks: each is built with a named, levelled [`lock::LockId`], and
+//!   debug builds check acquisition order where it happens.
 //! * [`trace`] — the [`TraceTree`] every profiled action leaves: its
 //!   recorded spans under one root, with an `EXPLAIN ANALYZE`-style render,
 //!   bit-exact critical-path attribution, tail-exemplar sampling and
@@ -32,6 +35,7 @@
 
 pub mod flight;
 pub mod json;
+pub mod lock;
 pub mod metrics;
 pub mod span;
 pub mod trace;

@@ -9,10 +9,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::json;
+use crate::lock::{Lock, LockId};
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -274,17 +275,25 @@ pub struct HistogramSnapshot {
 /// let registry = pdm_obs::MetricsRegistry::new();
 /// registry.counter("cache.hitz").inc();
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<Family, Counter>>,
-    gauges: Mutex<BTreeMap<Family, Gauge>>,
-    histograms: Mutex<BTreeMap<Family, Histogram>>,
+    counters: Lock<BTreeMap<Family, Counter>>,
+    gauges: Lock<BTreeMap<Family, Gauge>>,
+    histograms: Lock<BTreeMap<Family, Histogram>>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+// A snapshot holds each map while it takes the next.
+static COUNTERS: LockId = LockId::new("obs.metrics.counters", 120);
+static GAUGES: LockId = LockId::new("obs.metrics.gauges", 121);
+static HISTOGRAMS: LockId = LockId::new("obs.metrics.histograms", 122);
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry {
+            counters: Lock::new(&COUNTERS, BTreeMap::new()),
+            gauges: Lock::new(&GAUGES, BTreeMap::new()),
+            histograms: Lock::new(&HISTOGRAMS, BTreeMap::new()),
+        }
     }
 }
 
@@ -294,28 +303,34 @@ impl MetricsRegistry {
     }
 
     pub fn counter(&self, family: Family) -> Counter {
-        lock(&self.counters).entry(family).or_default().clone()
+        self.counters.lock().entry(family).or_default().clone()
     }
 
     pub fn gauge(&self, family: Family) -> Gauge {
-        lock(&self.gauges).entry(family).or_default().clone()
+        self.gauges.lock().entry(family).or_default().clone()
     }
 
     pub fn histogram(&self, family: Family) -> Histogram {
-        lock(&self.histograms).entry(family).or_default().clone()
+        self.histograms.lock().entry(family).or_default().clone()
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: lock(&self.counters)
+            counters: self
+                .counters
+                .lock()
                 .iter()
                 .map(|(k, v)| (k.name().to_string(), v.get()))
                 .collect(),
-            gauges: lock(&self.gauges)
+            gauges: self
+                .gauges
+                .lock()
                 .iter()
                 .map(|(k, v)| (k.name().to_string(), v.get()))
                 .collect(),
-            histograms: lock(&self.histograms)
+            histograms: self
+                .histograms
+                .lock()
                 .iter()
                 .map(|(k, v)| (k.name().to_string(), v.snapshot()))
                 .collect(),

@@ -25,10 +25,11 @@
 //! `child ⊆ parent` holds on both clocks for every span of an action.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::flight::{FlightEvent, FLIGHT_CAPACITY};
+use crate::lock::{Lock, LockId};
 use crate::trace::TraceContext;
 
 /// The instrumented layers of the stack. One span kind belongs to exactly
@@ -273,21 +274,18 @@ struct RecState {
 #[derive(Debug)]
 struct RecorderInner {
     epoch: Instant,
-    state: Mutex<RecState>,
+    state: Lock<RecState>,
 }
+
+/// A recorder's state: the innermost lock there is (taken last, around
+/// bookkeeping only).
+static RECORDER: LockId = LockId::new("obs.recorder", 130);
 
 /// Per-action observation context. Cloning shares the underlying state;
 /// `Recorder::disabled()` (also `Default`) is a free no-op handle.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<RecorderInner>>,
-}
-
-fn lock_state(inner: &RecorderInner) -> MutexGuard<'_, RecState> {
-    match inner.state.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 impl Recorder {
@@ -301,7 +299,7 @@ impl Recorder {
         Recorder {
             inner: Some(Arc::new(RecorderInner {
                 epoch: Instant::now(),
-                state: Mutex::new(RecState::default()),
+                state: Lock::new(&RECORDER, RecState::default()),
             })),
         }
     }
@@ -324,7 +322,7 @@ impl Recorder {
     /// persists across actions (that is its point).
     pub fn begin_action(&self) {
         if let Some(inner) = &self.inner {
-            let mut st = lock_state(inner);
+            let mut st = inner.state.lock();
             st.spans.clear();
             st.stack.clear();
             st.vnow = 0.0;
@@ -336,13 +334,13 @@ impl Recorder {
     /// once; everything the recorder is handed to reads it from here.
     pub fn set_context(&self, ctx: Option<TraceContext>) {
         if let Some(inner) = &self.inner {
-            lock_state(inner).ctx = ctx;
+            inner.state.lock().ctx = ctx;
         }
     }
 
     /// The context of the traced action in flight, if there is one.
     pub fn context(&self) -> Option<TraceContext> {
-        self.inner.as_ref().and_then(|inner| lock_state(inner).ctx)
+        self.inner.as_ref().and_then(|inner| inner.state.lock().ctx)
     }
 
     /// Bytes the action's context adds to a frame sent on its behalf:
@@ -379,7 +377,7 @@ impl Recorder {
             };
         };
         let wall = Self::wall_ns(inner);
-        let mut st = lock_state(inner);
+        let mut st = inner.state.lock();
         let id = st.spans.len();
         let parent = st.stack.last().copied();
         let vnow = st.vnow;
@@ -423,7 +421,7 @@ impl Recorder {
         let Some(inner) = &self.inner else { return };
         let wall = Self::wall_ns(inner);
         let label = label.into();
-        let mut st = lock_state(inner);
+        let mut st = inner.state.lock();
         let v_start = st.vnow;
         st.vnow += v_s;
         let v_end = st.vnow;
@@ -464,7 +462,7 @@ impl Recorder {
     /// Log a flight-ring event without creating a span.
     pub fn event(&self, kind: SpanKind, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
-        let mut st = lock_state(inner);
+        let mut st = inner.state.lock();
         let vtime = st.vnow;
         push_flight(
             &mut st.flight,
@@ -479,7 +477,7 @@ impl Recorder {
     /// Snapshot of the current action's spans (closed and still-open).
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => lock_state(inner).spans.clone(),
+            Some(inner) => inner.state.lock().spans.clone(),
             None => Vec::new(),
         }
     }
@@ -487,7 +485,7 @@ impl Recorder {
     /// Snapshot of the flight ring, oldest first.
     pub fn flight(&self) -> Vec<FlightEvent> {
         match &self.inner {
-            Some(inner) => lock_state(inner).flight.iter().cloned().collect(),
+            Some(inner) => inner.state.lock().flight.iter().cloned().collect(),
             None => Vec::new(),
         }
     }
@@ -495,7 +493,7 @@ impl Recorder {
     fn close_span(&self, idx: usize) {
         let Some(inner) = &self.inner else { return };
         let wall = Self::wall_ns(inner);
-        let mut st = lock_state(inner);
+        let mut st = inner.state.lock();
         // Guards drop LIFO, so idx is normally the stack top; be defensive
         // anyway so a mis-nested guard cannot corrupt the stack.
         if let Some(pos) = st.stack.iter().rposition(|&i| i == idx) {
@@ -517,7 +515,7 @@ impl Recorder {
 
     fn with_span(&self, idx: usize, f: impl FnOnce(&mut SpanRecord)) {
         if let Some(inner) = &self.inner {
-            let mut st = lock_state(inner);
+            let mut st = inner.state.lock();
             if let Some(span) = st.spans.get_mut(idx) {
                 f(span);
             }
@@ -568,7 +566,7 @@ impl SpanGuard {
     /// record it as the span's exact `v_s` attribute.
     pub fn advance(&self, v_s: f64) {
         if let (Some(idx), Some(inner)) = (self.idx, &self.rec.inner) {
-            let mut st = lock_state(inner);
+            let mut st = inner.state.lock();
             st.vnow += v_s;
             if let Some(span) = st.spans.get_mut(idx) {
                 span.attrs.push(("v_s", v_s));

@@ -23,7 +23,9 @@
 //!   still *v*. The PDM layer keys its cross-session result cache on this.
 
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
+
+use pdm_obs::lock::{Lock, LockId, RwLock};
 
 use crate::ast::Statement;
 use crate::error::Result;
@@ -56,8 +58,14 @@ pub struct SharedDatabase {
     current: RwLock<Arc<Snapshot>>,
     /// Serializes writers: DML is read-copy-update, so two writers must
     /// not both start from the same base snapshot.
-    writer: Mutex<()>,
+    writer: Lock<()>,
 }
+
+static WRITER: LockId = LockId::new("sql.writer", 20).across_io(
+    "a commit's gate (the WAL append and fsync) runs under the writer, \
+     after the copy is changed and before it is published",
+);
+static CURRENT: LockId = LockId::new("sql.current", 110);
 
 impl SharedDatabase {
     /// Publish an owned database as version 0.
@@ -69,17 +77,14 @@ impl SharedDatabase {
     /// version chain continues from `snapshot.version` instead of 0.
     pub fn from_snapshot(snapshot: Snapshot) -> Self {
         SharedDatabase {
-            current: RwLock::new(Arc::new(snapshot)),
-            writer: Mutex::new(()),
+            current: RwLock::new(&CURRENT, Arc::new(snapshot)),
+            writer: Lock::new(&WRITER, ()),
         }
     }
 
     /// The currently published snapshot.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        match self.current.read() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(poisoned) => Arc::clone(&poisoned.into_inner()),
-        }
+        Arc::clone(&self.current.read())
     }
 
     /// Current storage version (the cache epoch): the published snapshot's.
@@ -130,20 +135,14 @@ impl SharedDatabase {
                 .0;
             return Ok((ExecOutcome::Rows(rows), snap.version));
         }
-        let _writers = match self.writer.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let _writers = self.writer.lock();
         let base = self.snapshot();
         let mut db = base.db.clone();
         let version = base.version.saturating_add(1);
         let outcome = db.execute_ast(stmt)?;
         gate(version)?;
         let next = Arc::new(Snapshot { db, version });
-        match self.current.write() {
-            Ok(mut guard) => *guard = next,
-            Err(poisoned) => *poisoned.into_inner() = next,
-        }
+        *self.current.write() = next;
         Ok((outcome, version))
     }
 }

@@ -22,7 +22,9 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
+
+use pdm_obs::lock::{Lock, LockId};
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
@@ -215,8 +217,10 @@ pub struct Template {
     /// Each `$n` of `print`: where it stands and which value it names.
     holes: Vec<(Range<usize>, usize)>,
     /// The query compiled once; held only to hand out or replace.
-    plan: Mutex<Option<Kept>>,
+    plan: Lock<Option<Kept>>,
 }
+
+static PLAN: LockId = LockId::new("sql.template.plan", 80);
 
 /// A template's plan, with what it was compiled on: a catalog of this
 /// shape under this configuration.
@@ -248,7 +252,7 @@ impl Template {
             query,
             print,
             holes,
-            plan: Mutex::default(),
+            plan: Lock::new(&PLAN, None),
         }
     }
 
@@ -283,7 +287,7 @@ impl Template {
 
     /// The plan kept for `catalog`'s shape under `config`, if there is one.
     fn kept(&self, catalog: &Catalog, config: &ExecConfig) -> Option<Arc<Plan>> {
-        let kept = self.plan.lock().unwrap_or_else(PoisonError::into_inner);
+        let kept = self.plan.lock();
         let valid = kept.as_ref()?;
         (valid.shape == catalog.shape() && valid.config == *config).then(|| Arc::clone(&valid.plan))
     }
@@ -298,11 +302,7 @@ impl Template {
             plan: Arc::clone(&plan),
         };
         // What this replaces is freed once the lock is released.
-        let _replaced = self
-            .plan
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .replace(kept);
+        let _replaced = self.plan.lock().replace(kept);
         plan
     }
 
@@ -380,8 +380,10 @@ pub struct Resolved {
 /// template misses without being found ([`Ring`]).
 #[derive(Debug)]
 pub struct Templates {
-    table: Mutex<Table>,
+    table: Lock<Table>,
 }
+
+static TEMPLATES: LockId = LockId::new("sql.templates", 70);
 
 /// The templates, and the ring that bounds them.
 #[derive(Debug)]
@@ -405,7 +407,7 @@ impl Default for Templates {
             ring: Ring::new(CAPACITY),
         };
         Templates {
-            table: Mutex::new(table),
+            table: Lock::new(&TEMPLATES, table),
         }
     }
 }
@@ -448,20 +450,16 @@ impl Templates {
 
     /// Templates in the table.
     pub fn len(&self) -> usize {
-        self.lock().known.len()
+        self.table.lock().known.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, Table> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The parse of `template`, if the table has it — a hit, stamped.
     fn find(&self, template: &str) -> Option<Option<Arc<Template>>> {
-        let mut table = self.lock();
+        let mut table = self.table.lock();
         let now = table.ring.now();
         let known = table.known.get_mut(template)?;
         known.used = now;
@@ -472,7 +470,7 @@ impl Templates {
     /// room for it; a template it displaces is freed once the lock is
     /// released.
     fn insert(&self, template: &str, parsed: Option<Arc<Template>>) {
-        let mut table = self.lock();
+        let mut table = self.table.lock();
         let Table { known, ring } = &mut *table;
         ring.miss();
         if known.contains_key(template) {

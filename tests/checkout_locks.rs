@@ -13,6 +13,7 @@
 //!   their outcome, an older one fails closed, and checkpoints stop
 //!   growing with the number of check-outs ever completed.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -138,6 +139,29 @@ fn checkin_releases_lock_entries() {
 
     // Released: bob now wins.
     assert!(bob.check_out_function_shipping(1).unwrap().tree.is_some());
+}
+
+/// A function-shipping check-out returns its tree in one state: the nodes
+/// are the procedure's rows, read before the flags flip, and the root is
+/// read before the call too. Every node, root included, reads the same
+/// `checkedout` value.
+#[test]
+fn a_checked_out_tree_reads_one_checkedout_value() {
+    let server = fresh_server();
+    let mut alice = session_on(&server, "alice");
+    let tree = alice.check_out_function_shipping(1).unwrap().tree.unwrap();
+    assert_eq!(tree.root(), Some(1));
+    let flags: BTreeMap<String, Vec<i64>> = tree.nodes().fold(BTreeMap::new(), |mut by, n| {
+        let flag = format!("{:?}", n.attrs.get("checkedout"));
+        by.entry(flag).or_default().push(n.obid);
+        by
+    });
+    assert_eq!(flags.len(), 1, "nodes by `checkedout`: {flags:?}");
+    assert_eq!(
+        flagged(&server),
+        tree.len(),
+        "the check-out flagged its tree"
+    );
 }
 
 /// A session check-in retires the durable grant its function-shipping
