@@ -282,10 +282,10 @@ pub struct MetricsRegistry {
     histograms: Lock<BTreeMap<Family, Histogram>>,
 }
 
-// A snapshot holds each map while it takes the next.
+// Leaves at one level: nothing holds one map while it takes another.
 static COUNTERS: LockId = LockId::new("obs.metrics.counters", 120);
-static GAUGES: LockId = LockId::new("obs.metrics.gauges", 121);
-static HISTOGRAMS: LockId = LockId::new("obs.metrics.histograms", 122);
+static GAUGES: LockId = LockId::new("obs.metrics.gauges", 120);
+static HISTOGRAMS: LockId = LockId::new("obs.metrics.histograms", 120);
 
 impl Default for MetricsRegistry {
     fn default() -> Self {
@@ -315,25 +315,20 @@ impl MetricsRegistry {
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {
+        // One map at a time: no guard outlives its statement.
+        let counters = (self.counters.lock().iter())
+            .map(|(k, v)| (k.name().to_string(), v.get()))
+            .collect();
+        let gauges = (self.gauges.lock().iter())
+            .map(|(k, v)| (k.name().to_string(), v.get()))
+            .collect();
+        let histograms = (self.histograms.lock().iter())
+            .map(|(k, v)| (k.name().to_string(), v.snapshot()))
+            .collect();
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.name().to_string(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.name().to_string(), v.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.name().to_string(), v.snapshot()))
-                .collect(),
+            counters,
+            gauges,
+            histograms,
         }
     }
 }

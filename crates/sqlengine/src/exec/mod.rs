@@ -52,7 +52,7 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::ast::Query;
+use crate::ast::{Query, SetOp};
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::row::{ResultSet, Row, Slot};
@@ -115,6 +115,9 @@ pub struct ExecStats {
     /// Rows a scan handed on after its pushed-down filters, plus the rows
     /// an index nested-loop join produced.
     pub rows_scanned: usize,
+    /// UNIONs whose de-duplication hashed one column of each row, not the
+    /// whole row (`setops::Seen`): the paper's Query runs one.
+    pub keyed_dedups: usize,
 }
 
 /// What one statement's run shares: counters, the span recorder, the
@@ -332,9 +335,33 @@ pub(crate) fn run_set(
         } => {
             let l = run_set(cx, left, outer)?;
             let r = run_set(cx, right, outer)?;
-            Ok(setops::apply(*op, *all, l, r))
+            let key = match (op, all) {
+                (SetOp::Union, false) => unique_key(cx, left, right),
+                _ => None,
+            };
+            cx.rt.stats.borrow_mut().keyed_dedups += usize::from(key.is_some());
+            Ok(setops::apply(*op, *all, key, l, r))
         }
     }
+}
+
+/// The output ordinal a UNION of two sharing blocks ([`SelectPlan::layout`])
+/// de-duplicates by: the first at which each block reads a column its
+/// table, in the snapshot this statement runs on, holds unique
+/// ([`Table::holds_unique`]). `None` (hash the whole row) for any other
+/// operand, and when no ordinal qualifies. The reading only bounds the
+/// dedup's probe chains ([`setops::Seen`]): the rows kept do not depend
+/// on it.
+fn unique_key(cx: Cx<'_>, left: &SetPlan, right: &SetPlan) -> Option<usize> {
+    let (SetPlan::Select(l), SetPlan::Select(r)) = (left, right) else {
+        return None;
+    };
+    let unique = |sel: &SelectPlan, slot: &Slot| match (&sel.factors[0].source, slot) {
+        (Source::Table(table), Slot::Column(column)) => cx.rt.tables[*table].holds_unique(*column),
+        _ => false,
+    };
+    let (l_layout, r_layout) = (l.layout.as_ref()?, r.layout.as_ref()?);
+    (l_layout.iter().zip(r_layout)).position(|(a, b)| unique(l, a) && unique(r, b))
 }
 
 /// Evaluate one SELECT block.

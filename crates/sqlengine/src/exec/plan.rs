@@ -1834,4 +1834,49 @@ mod tests {
             assert_eq!(sharing(&db, owned).0, [false], "{owned}");
         }
     }
+
+    /// The Query over populated Figure-2 tables de-duplicates on `obid`
+    /// (ordinal 1 of both blocks: the first each table holds unique), falls
+    /// back to the whole row once `comp.obid` holds a duplicate, and keys
+    /// again once it does not: one kept plan, the key read at each run.
+    /// (`plan_validity.rs` holds the fallback's rows to the full-row dedup.)
+    #[test]
+    fn the_query_keys_its_dedup_on_obid_while_both_tables_hold_it_unique() {
+        let mut db = pdm_db();
+        for insert in [
+            "INSERT INTO assy VALUES ('assy', 1, 'root', 'd', 'make', 'OPTA', FALSE, 'p'), \
+             ('assy', 2, 'a2', 'd', 'buy', 'OPTA', FALSE, 'p')",
+            "INSERT INTO comp VALUES ('comp', 10, 'c10', 'OPTA', FALSE, 'p'), \
+             ('comp', 11, 'c11', 'OPTA', FALSE, 'p')",
+        ] {
+            db.execute(insert).unwrap();
+        }
+        let query = crate::parser::parse_template(QUERY_ALL).unwrap();
+        let params = [Value::Int(1)];
+        let plan = compile(&db.catalog, &db.config, &query, &params).unwrap();
+        assert_eq!(plan.query.schema.column(1).name, "obid");
+        let SetPlan::Op { left, right, .. } = &plan.query.body else {
+            panic!("a UNION")
+        };
+        let obs = pdm_obs::Recorder::disabled();
+        let run = |db: &Database| {
+            let tables = plan.tables.iter().map(|name| db.catalog.table(name));
+            let rt = crate::exec::Rt::new(
+                &obs,
+                plan.slots,
+                &params,
+                tables.collect::<Result<_>>().unwrap(),
+            );
+            let key = crate::exec::unique_key(rt.cx(), left, right);
+            let (rs, stats) = plan.run(&db.catalog, &params, &obs).unwrap();
+            (key, stats.keyed_dedups, rs.rows.len())
+        };
+        assert_eq!(run(&db), (Some(1), 1, 3));
+        db.execute("UPDATE comp SET obid = 10 WHERE obid = 11")
+            .unwrap();
+        assert_eq!(run(&db), (None, 0, 3));
+        db.execute("UPDATE comp SET obid = 12 WHERE name = 'c11'")
+            .unwrap();
+        assert_eq!(run(&db), (Some(1), 1, 3));
+    }
 }

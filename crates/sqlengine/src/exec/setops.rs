@@ -11,30 +11,51 @@ use crate::error::{Error, Result};
 use crate::persist::WordHasher;
 use crate::row::Row;
 
-/// De-duplication by full-row hash over rows the caller stores: the set
-/// remembers *positions* in that store, so a row is hashed once, compared
-/// against the rows already kept, and never copied. (Open addressing with
-/// linear probing; a slot holds the row's hash and its position + 1.)
+/// De-duplication by hash over rows the caller stores: the set remembers
+/// *positions* in that store, so a row is hashed once, compared against the
+/// rows already kept, and never copied. (Open addressing with linear
+/// probing; a slot holds the row's hash and its position + 1.)
+///
+/// A set hashes the whole row, or — `key` — the one value at that output
+/// ordinal. Either hash is consistent with full-row equality (`Row::eq`,
+/// which alone decides a match): equal rows hold equal values at every
+/// ordinal, and equal values hash equal. So a key only changes which rows
+/// share a hash, never which rows are kept. A UNION of two sharing blocks
+/// keys on a column each block's table holds unique (`exec::run_set`):
+/// each operand then adds at most one row per key value, so a probe meets
+/// at most two rows of its key value, and the row's other values — a PDM
+/// node's payload among them — are never read into a hash. Correctness
+/// does not rest on that reading: a key that turned out not unique would
+/// only make longer probe chains.
 #[derive(Default)]
 pub(crate) struct Seen {
     slots: Vec<(u64, u32)>,
     len: usize,
+    key: Option<usize>,
 }
 
-/// A fixed hash ([`WordHasher`]): results never depend on it, and runs must
-/// repeat exactly. Not keyed, so a client could choose rows that collide —
-/// as under `DefaultHasher::new()` (SipHash with fixed keys), which costs
-/// several times as much per row.
-fn hash_of(row: &Row) -> u64 {
+/// A fixed hash ([`WordHasher`]) of `row`, or of its value at `key`:
+/// results never depend on it, and runs must repeat exactly. Not keyed, so
+/// a client could choose rows that collide — as under
+/// `DefaultHasher::new()` (SipHash with fixed keys), which costs several
+/// times as much per row.
+fn hash_of(row: &Row, key: Option<usize>) -> u64 {
     let mut hasher = WordHasher::new(0);
-    row.hash(&mut hasher);
+    match key {
+        None => row.hash(&mut hasher),
+        Some(ordinal) => row.get(ordinal).hash(&mut hasher),
+    }
     hasher.finish()
 }
 
 impl Seen {
-    /// A set that holds `n` rows before it first grows.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut seen = Seen::default();
+    /// A set hashing the value at `key` (`None`: the whole row) that holds
+    /// `n` rows before it first grows.
+    pub fn with_capacity(n: usize, key: Option<usize>) -> Self {
+        let mut seen = Seen {
+            key,
+            ..Seen::default()
+        };
         if n > 0 {
             seen.slots = vec![(0, 0); (n * 2).next_power_of_two().max(16)];
         }
@@ -44,7 +65,7 @@ impl Seen {
     /// Position in `stored` of a row equal to `row`, among the rows this set
     /// was told about.
     pub fn find(&self, stored: &[Row], row: &Row) -> Option<usize> {
-        self.probe(stored, row, hash_of(row)).ok()
+        self.probe(stored, row, hash_of(row, self.key)).ok()
     }
 
     /// True if no row of `stored` seen so far equals `row`, which is then
@@ -53,7 +74,7 @@ impl Seen {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let hash = hash_of(row);
+        let hash = hash_of(row, self.key);
         match self.probe(stored, row, hash) {
             Ok(_) => false,
             Err(slot) => {
@@ -119,8 +140,16 @@ pub(crate) fn check_arity(left: usize, right: usize) -> Result<()> {
     Ok(())
 }
 
-/// Apply a set operation to operands of equal arity.
-pub(crate) fn apply(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -> Vec<Row> {
+/// Apply a set operation to operands of equal arity. A UNION's dedup hashes
+/// the value at `key` (`None`: the whole row; see [`Seen`]); INTERSECT and
+/// EXCEPT hash whole rows.
+pub(crate) fn apply(
+    op: SetOp,
+    all: bool,
+    key: Option<usize>,
+    mut left: Vec<Row>,
+    right: Vec<Row>,
+) -> Vec<Row> {
     match (op, all) {
         (SetOp::Union, true) => {
             left.extend(right);
@@ -129,7 +158,7 @@ pub(crate) fn apply(op: SetOp, all: bool, mut left: Vec<Row>, right: Vec<Row>) -
         (SetOp::Union, false) => {
             // Sized for operands of mostly distinct rows (the Query's UNION
             // of assemblies and components), so the set never grows.
-            let seen = Seen::with_capacity(left.len() + right.len());
+            let seen = Seen::with_capacity(left.len() + right.len(), key);
             distinct(left.into_iter().chain(right), seen)
         }
         (SetOp::Intersect | SetOp::Except, _) => {
@@ -176,25 +205,31 @@ mod tests {
 
     #[test]
     fn union_dedups_preserving_first_occurrence() {
-        let out = apply(SetOp::Union, false, rs(&[1, 2, 2]), rs(&[2, 3]));
+        let out = apply(SetOp::Union, false, None, rs(&[1, 2, 2]), rs(&[2, 3]));
         assert_eq!(xs(&out), vec![1, 2, 3]);
     }
 
     #[test]
     fn union_all_keeps_duplicates() {
-        let out = apply(SetOp::Union, true, rs(&[1, 2]), rs(&[2, 3]));
+        let out = apply(SetOp::Union, true, None, rs(&[1, 2]), rs(&[2, 3]));
         assert_eq!(xs(&out), vec![1, 2, 2, 3]);
     }
 
     #[test]
     fn intersect() {
-        let out = apply(SetOp::Intersect, false, rs(&[1, 2, 2, 3]), rs(&[2, 3, 4]));
+        let out = apply(
+            SetOp::Intersect,
+            false,
+            None,
+            rs(&[1, 2, 2, 3]),
+            rs(&[2, 3, 4]),
+        );
         assert_eq!(xs(&out), vec![2, 3]);
     }
 
     #[test]
     fn except() {
-        let out = apply(SetOp::Except, false, rs(&[1, 2, 2, 3]), rs(&[2]));
+        let out = apply(SetOp::Except, false, None, rs(&[1, 2, 2, 3]), rs(&[2]));
         assert_eq!(xs(&out), vec![1, 3]);
     }
 
@@ -208,7 +243,7 @@ mod tests {
     fn union_treats_nulls_as_duplicates() {
         let l = vec![Row::new(vec![Value::Null]), Row::new(vec![Value::Null])];
         let r = vec![Row::new(vec![Value::Null])];
-        assert_eq!(apply(SetOp::Union, false, l, r).len(), 1);
+        assert_eq!(apply(SetOp::Union, false, None, l, r).len(), 1);
     }
 
     #[test]
@@ -233,7 +268,8 @@ mod tests {
             for b in &values {
                 let row = |v: &Value| Row::new(vec![v.clone(), Value::Text("x".into())]);
                 if a.dedup_eq(b) {
-                    assert_eq!(hash_of(&row(a)), hash_of(&row(b)), "{a} vs {b}");
+                    assert_eq!(hash_of(&row(a), None), hash_of(&row(b), None), "{a} vs {b}");
+                    assert_eq!(hash_of(&row(a), Some(0)), hash_of(&row(b), Some(0)));
                 }
             }
         }
@@ -245,7 +281,7 @@ mod tests {
         // expand's rows differ) must not crowd into few of 2,048 slots.
         let mut used = vec![false; 2048];
         for i in 0..1024 {
-            used[hash_of(&Row::new(vec![Value::Int(i)])) as usize & 2047] = true;
+            used[hash_of(&Row::new(vec![Value::Int(i)]), Some(0)) as usize & 2047] = true;
         }
         let spread = used.iter().filter(|u| **u).count();
         assert!(spread > 700, "{spread} slots");
@@ -253,21 +289,24 @@ mod tests {
 
     #[test]
     fn seen_survives_growth_and_collisions() {
-        // Many rows, INT/FLOAT twins included (equal, and hashed equal).
-        let mut seen = Seen::default();
-        let mut stored = Vec::new();
-        for i in 0..5000 {
-            let row = Row::new(vec![
-                Value::Int(i % 300),
-                Value::Text(format!("r{}", i % 7)),
-            ]);
-            let twin = Row::new(vec![Value::Float((i % 300) as f64), row.get(1).clone()]);
-            let fresh = seen.is_new(&stored, &row);
-            if fresh {
-                stored.push(row);
+        // Many rows, INT/FLOAT twins included (equal, and hashed equal),
+        // hashed whole or by either value: a key that is not unique makes
+        // longer chains, never a different set.
+        for key in [None, Some(0), Some(1)] {
+            let mut seen = Seen::with_capacity(0, key);
+            let mut stored = Vec::new();
+            for i in 0..5000 {
+                let row = Row::new(vec![
+                    Value::Int(i % 300),
+                    Value::Text(format!("r{}", i % 7)),
+                ]);
+                let twin = Row::new(vec![Value::Float((i % 300) as f64), row.get(1).clone()]);
+                if seen.is_new(&stored, &row) {
+                    stored.push(row);
+                }
+                assert!(seen.find(&stored, &twin).is_some());
             }
-            assert!(seen.find(&stored, &twin).is_some());
+            assert_eq!(stored.len(), 300 * 7, "{key:?}");
         }
-        assert_eq!(stored.len(), 300 * 7);
     }
 }

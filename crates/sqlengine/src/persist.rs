@@ -614,6 +614,24 @@ impl WordHasher {
     }
 }
 
+/// The last 1–7 bytes of a [`WordHasher::write`] as one little-endian word,
+/// zero above them: two overlapping `u32` reads from 4 bytes on (the bytes
+/// both read land on the same bits), a byte loop below.
+fn tail_word(rest: &[u8]) -> u64 {
+    let n = rest.len();
+    debug_assert!((1..8).contains(&n));
+    if n >= 4 {
+        let u32_at = |at: usize| {
+            u64::from(u32::from_le_bytes(
+                rest[at..at + 4].try_into().expect("4 bytes"),
+            ))
+        };
+        u32_at(0) | u32_at(n - 4) << ((n - 4) * 8)
+    } else {
+        (rest.iter().rev()).fold(0, |word, &byte| word << 8 | u64::from(byte))
+    }
+}
+
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
         self.0 ^= bytes.len() as u64;
@@ -625,9 +643,7 @@ impl Hasher for WordHasher {
         }
         let rest = words.remainder();
         if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.step(u64::from_le_bytes(word));
+            self.step(tail_word(rest));
         }
     }
 
@@ -908,6 +924,112 @@ mod tests {
                 delta == row_by_row_delta(&base, &cut),
                 "{statements:?}: the chunk-skipping delta differs"
             );
+        }
+    }
+
+    /// Every column of `u` in `snapshot`: `holds_unique` against a fresh
+    /// count of distinct values (`dedup_eq`, pairwise) on the indexed ones,
+    /// and `false` on the others.
+    fn assert_unique_readings(snapshot: &Snapshot, after: &str) {
+        let t = snapshot.catalog.table("u").unwrap();
+        let rows: Vec<&[Value]> = t.rows().iter().map(|row| &**row).collect();
+        for col in 0..t.schema.len() {
+            let distinct = (0..rows.len())
+                .filter(|&i| !rows[..i].iter().any(|r| r[col].dedup_eq(&rows[i][col])))
+                .count();
+            let unique = t.has_index(col) && distinct == rows.len();
+            assert_eq!(t.holds_unique(col), unique, "column {col} after {after}");
+        }
+    }
+
+    #[test]
+    fn the_unique_reading_follows_every_write_decode_and_delta() {
+        let mut db = Database::new();
+        for ddl in [
+            "CREATE TABLE u (k INTEGER, f DOUBLE, s VARCHAR)",
+            "CREATE INDEX ON u (k)",
+            "CREATE INDEX ON u (f)",
+        ] {
+            db.execute(ddl).unwrap();
+        }
+        let mut state = Snapshot { db, version: 0 };
+        let (mut unique_seen, mut duplicate_seen) = (0, 0);
+        for sql in [
+            "INSERT INTO u VALUES (1, 0.0, 'a'), (2, 1.0, 'b')",
+            // `-0.0` equals `0.0`: `f` holds a duplicate, `k` none.
+            "INSERT INTO u VALUES (3, -0.0, 'c')",
+            // A duplicate made on the indexed column, then removed.
+            "UPDATE u SET k = 1 WHERE s = 'b'",
+            "UPDATE u SET k = 2 WHERE s = 'b'",
+            // Another column written.
+            "UPDATE u SET s = 'z' WHERE k = 3",
+            // NULL equals NULL; an INT key equals the FLOAT of its value.
+            "INSERT INTO u VALUES (NULL, 5.0, 'n')",
+            "INSERT INTO u VALUES (NULL, 5, 'm')",
+            "DELETE FROM u WHERE s = 'm'",
+            "DELETE FROM u WHERE s = 'z'",
+        ] {
+            let next = committed(&state, &[sql]);
+            assert_unique_readings(&next, sql);
+            let decoded = decode_snapshot(&encode_snapshot(&next)).unwrap();
+            assert_unique_readings(&decoded, &format!("{sql}, decoded"));
+            let mut delta = Vec::new();
+            put_snapshot_delta(&mut delta, &state, &next, usize::MAX).unwrap();
+            let mut applied = decode_snapshot(&encode_snapshot(&state)).unwrap();
+            apply_snapshot_delta(&mut applied, &delta).unwrap();
+            assert_unique_readings(&applied, &format!("{sql}, delta applied"));
+            let t = next.catalog.table("u").unwrap();
+            match (t.holds_unique(0), t.holds_unique(1)) {
+                (true, true) => unique_seen += 1,
+                (false, false) => duplicate_seen += 1,
+                _ => {}
+            }
+            state = next;
+        }
+        assert!(unique_seen >= 2 && duplicate_seen >= 1);
+    }
+
+    /// `WordHasher::write` as it was written first: the tail copied into a
+    /// zeroed word. The oracle of the overlapping reads (`tail_word`):
+    /// replicas compare `hash_bytes` values, so none may move.
+    fn copied_tail_hash(seed: u64, bytes: &[u8]) -> u64 {
+        let mut hasher = WordHasher::new(seed);
+        hasher.0 ^= bytes.len() as u64;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            hasher.step(u64::from_le_bytes(word.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            hasher.step(u64::from_le_bytes(word));
+        }
+        hasher.finish()
+    }
+
+    #[test]
+    fn the_tail_word_hashes_as_the_copied_tail() {
+        let mut rng = pdm_prng::Prng::seed_from_u64(0x7A11);
+        for len in 0..=72 {
+            for _ in 0..200 {
+                let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                let seed = rng.next_u64();
+                assert_eq!(
+                    hash_bytes(seed, &bytes),
+                    copied_tail_hash(seed, &bytes),
+                    "{bytes:?}"
+                );
+            }
+        }
+        // Each tail byte lands on its own bits: a flip anywhere moves it.
+        for len in 1..8 {
+            let zeros = [0u8; 7];
+            for at in 0..len {
+                let mut one = zeros;
+                one[at] = 0x80;
+                assert_eq!(tail_word(&one[..len]), 0x80 << (8 * at));
+            }
         }
     }
 

@@ -185,6 +185,16 @@ impl Table {
         self.indexes.contains_key(&col_idx)
     }
 
+    /// True if the column (by position) is indexed and no two rows hold
+    /// equal values in it (`NULL` equal to `NULL`, an INT to the FLOAT of
+    /// its value): its index has one key per row. A reading of the rows as
+    /// they are now, not a constraint — the next write may change it.
+    pub fn holds_unique(&self, col_idx: usize) -> bool {
+        self.indexes
+            .get(&col_idx)
+            .is_some_and(|index| index.len() == self.len)
+    }
+
     /// Names of the indexed columns, sorted so the list is stable across
     /// runs. The persistence layer stores these so indexes can be rebuilt
     /// on snapshot reload.

@@ -156,6 +156,53 @@ fn no_statement_a_session_ships_is_bound_to_its_values() {
     }
 }
 
+/// A UNION of two sharing blocks hashes one column (`obid`) while both
+/// tables hold it unique: the Query and the root fetch do, the expands and
+/// the MLEs (joins, a recursive CTE) do not (`ExecStats::keyed_dedups`).
+/// The key is read from the tables at each run, not kept with the plan:
+/// once `comp.obid` holds a duplicate, the kept Query plan hashes whole
+/// rows, and its rows are still the first occurrences of its `UNION ALL`.
+#[test]
+fn a_kept_union_keys_its_dedup_on_what_each_run_finds_unique() {
+    let (mut db, ids) = database();
+    let templates = Templates::default();
+    let run = |db: &Database, text: &str| {
+        let r = templates.resolve(text).unwrap();
+        let disabled = Recorder::disabled();
+        let (rs, stats) = (db.query_template_profiled(&r.template, &r.values, &disabled)).unwrap();
+        let (parsed, parsed_stats) = common::query_with_stats(db, text).unwrap();
+        assert_eq!(rs.rows, parsed.rows, "{text}");
+        assert_eq!(stats.keyed_dedups, parsed_stats.keyed_dedups, "{text}");
+        (rs, stats.keyed_dedups)
+    };
+    let texts = common::nine_shape_texts(&common::paper_rules(), &ids[..3]);
+    for (label, text) in &texts {
+        let keyed = usize::from(matches!(*label, "query_all" | "fetch_node"));
+        assert_eq!(run(&db, text).1, keyed, "{label}");
+    }
+
+    let query = &texts
+        .iter()
+        .find(|(label, _)| *label == "query_all")
+        .unwrap()
+        .1;
+    let comps = db.query("SELECT obid FROM comp").unwrap();
+    let [a, b] = [0, 1].map(|k| comps.rows[k].get(0).to_string());
+    db.execute(&format!("UPDATE comp SET obid = {b} WHERE obid = {a}"))
+        .unwrap();
+    let (rs, keyed) = run(&db, query);
+    assert_eq!(keyed, 0);
+    assert_eq!(query.matches(" UNION ").count(), 1, "{query}");
+    let all = db.query(&query.replace(" UNION ", " UNION ALL ")).unwrap();
+    let first = (all.rows.iter().enumerate())
+        .filter(|&(k, row)| !all.rows[..k].contains(row))
+        .map(|(_, row)| row);
+    assert_eq!(
+        format!("{:?}", rs.rows.iter().collect::<Vec<_>>()),
+        format!("{:?}", first.collect::<Vec<_>>())
+    );
+}
+
 #[test]
 fn kept_plans_answer_as_the_parse_path_across_dml_and_ddl() {
     let (db, ids) = database();

@@ -649,6 +649,196 @@ fn shared_rows_read_as_the_owned_rows_they_replace() {
 }
 
 // ---------------------------------------------------------------------------
+// Keyed UNION dedup ≡ full-row dedup ≡ first occurrences
+// ---------------------------------------------------------------------------
+
+/// One step of a keyed-dedup history: the statement's shape, an index, or
+/// a stored row. Shrinking drops steps; a history without a shape step
+/// runs the default shape.
+#[derive(Clone, Debug)]
+enum UnionStep {
+    /// Each block projects its key column (`i` or `f`) at ordinal `at` of
+    /// its other items; `filters` narrow the blocks (`""`: none).
+    Shape {
+        keys: [&'static str; 2],
+        at: usize,
+        items: [Vec<&'static str>; 2],
+        filters: [&'static str; 2],
+    },
+    /// `CREATE INDEX` on this column of `t` (0) or `u` (1).
+    Index(usize, &'static str),
+    /// A row `(i, f, s, p)` of `t` (0) or `u` (1).
+    Row(usize, [Value; 4]),
+}
+
+/// A key of column `col` (`i`: 0, `f`: 1): NULL, both zeros, an INT and the
+/// FLOAT of its value. `fresh` draws from a pool no other row of the table
+/// drew from (a unique column), else from a small pool (duplicates).
+fn union_key(rng: &mut Prng, col: usize, fresh: &mut Vec<Value>, unique: bool) -> Value {
+    if unique && !fresh.is_empty() {
+        return fresh.swap_remove(rng.index(fresh.len()));
+    }
+    match (col, rng.index(5)) {
+        (_, 0) => Value::Null,
+        (0, k) => Value::Int(k as i64 % 3),
+        (_, 1) => Value::Float(0.0),
+        (_, 2) => Value::Float(-0.0),
+        (_, k) => Value::Float((k - 2) as f64),
+    }
+}
+
+/// A history: a shape, indexes on the key columns most of the time, and up
+/// to 7 rows per table, whose keys are drawn unique in three tables of
+/// four. A row of `u` copies a row of `t` one time in eight, or its key
+/// alone one time in eight.
+fn union_history(rng: &mut Prng) -> Vec<UnionStep> {
+    const ITEMS: [&str; 6] = ["s", "p", "i", "f", "'c'", "CAST (NULL AS integer)"];
+    let keys = [["i", "f"][rng.index(2)], ["i", "f"][rng.index(2)]];
+    let width = rng.usize_inclusive(0, 3);
+    let mut items = || (0..width).map(|_| ITEMS[rng.index(ITEMS.len())]).collect();
+    let items = [items(), items()];
+    let filters = ["", "", "WHERE s <> 'b'", "WHERE i IS NOT NULL"];
+    let shape = UnionStep::Shape {
+        keys,
+        at: rng.usize_inclusive(0, width),
+        items,
+        filters: [filters[rng.index(4)], filters[rng.index(4)]],
+    };
+    let mut steps = vec![shape];
+    for (table, key) in keys.iter().enumerate() {
+        if rng.index(8) != 0 {
+            steps.push(UnionStep::Index(table, key));
+        }
+    }
+    let mut t_rows: Vec<[Value; 4]> = Vec::new();
+    for (table, key) in keys.iter().enumerate() {
+        let col = usize::from(*key == "f");
+        let unique = rng.index(4) != 0;
+        let mut fresh: Vec<Value> = match col {
+            0 => [0, 1, 2, 3, 4, 5, 7].map(Value::Int).to_vec(),
+            _ => [[0.0, -0.0][rng.index(2)], 1.0, 2.0, 2.5, 3.0, 4.5, 8.0]
+                .map(Value::Float)
+                .to_vec(),
+        };
+        fresh.push(Value::Null);
+        for _ in 0..rng.usize_inclusive(0, 7) {
+            let mut row = [
+                Value::Int(rng.index(3) as i64),
+                Value::Float(rng.index(3) as f64),
+                Value::Text(["a", "b"][rng.index(2)].into()),
+                Value::Text(["p", "q"][rng.index(2)].repeat(1 + 40 * rng.index(2))),
+            ];
+            row[col] = union_key(rng, col, &mut fresh, unique);
+            if table == 1 && !t_rows.is_empty() && rng.index(4) == 0 {
+                let twin = t_rows[rng.index(t_rows.len())].clone();
+                if rng.bool() {
+                    row = twin;
+                } else {
+                    row[col] = twin[col].clone();
+                }
+            }
+            if table == 0 {
+                t_rows.push(row.clone());
+            }
+            steps.push(UnionStep::Row(table, row));
+        }
+    }
+    steps
+}
+
+/// The first occurrence of each row, in order, by `==`, pairwise.
+fn first_occurrences(rows: &[pdm_sql::Row]) -> Vec<&pdm_sql::Row> {
+    (rows.iter().enumerate())
+        .filter(|&(k, row)| !rows[..k].contains(row))
+        .map(|(_, row)| row)
+        .collect()
+}
+
+/// A UNION of two sharing blocks hashes one column when both tables hold
+/// it unique (`ExecStats::keyed_dedups`); either way it keeps what the
+/// full-row dedup keeps (the same statement over the same rows with no
+/// index, so no key) and what a pairwise first-occurrence pass over its
+/// `UNION ALL` keeps: rows and order, by `Debug` (which tells `-0.0` from
+/// `0.0` and INT from FLOAT). Keys unique or not, indexed or not, NULL,
+/// `0.0` beside `-0.0`, an INT key against a FLOAT key, rows equal across
+/// the branches and rows equal in the key alone.
+#[test]
+fn keyed_union_dedup_keeps_what_the_full_row_dedup_keeps() {
+    let (mut keyed, mut runs) = (0, 0);
+    pdm_prng::check::shrinking(
+        "keyed_union_dedup_vs_full_row",
+        256,
+        0x0D,
+        union_history,
+        |steps| {
+            let (mut indexed, mut plain) = (Database::new(), Database::new());
+            for db in [&mut indexed, &mut plain] {
+                for table in ["t", "u"] {
+                    let ddl =
+                        format!("CREATE TABLE {table} (i INTEGER, f DOUBLE, s VARCHAR, p VARCHAR)");
+                    db.execute(&ddl).map_err(|e| e.to_string())?;
+                }
+            }
+            let mut shape = ("SELECT i FROM t".to_string(), "SELECT i FROM u".to_string());
+            for step in steps {
+                match step {
+                    UnionStep::Shape {
+                        keys,
+                        at,
+                        items,
+                        filters,
+                    } => {
+                        let block = |b: usize, table: &str| {
+                            let mut items = items[b].clone();
+                            items.insert(*at, keys[b]);
+                            format!("SELECT {} FROM {table} {}", items.join(", "), filters[b])
+                        };
+                        shape = (block(0, "t"), block(1, "u"));
+                    }
+                    UnionStep::Index(table, col) => {
+                        let ddl = format!("CREATE INDEX ON {} ({col})", ["t", "u"][*table]);
+                        indexed.execute(&ddl).map_err(|e| e.to_string())?;
+                    }
+                    UnionStep::Row(table, values) => {
+                        for db in [&mut indexed, &mut plain] {
+                            let row = pdm_sql::Row::new(values.to_vec());
+                            db.insert_rows(["t", "u"][*table], vec![row])
+                                .map_err(|e| e.to_string())?;
+                        }
+                    }
+                }
+            }
+            let union = format!("{} UNION {}", shape.0, shape.1);
+            let run = |db: &Database, sql: &str| {
+                let query = parse_query(sql).map_err(|e| e.to_string())?;
+                (db.query_ast_profiled(&query, &Recorder::disabled())).map_err(|e| e.to_string())
+            };
+            let (got, stats) = run(&indexed, &union)?;
+            let (full_row, plain_stats) = run(&plain, &union)?;
+            let (all, _) = run(&indexed, &format!("{} UNION ALL {}", shape.0, shape.1))?;
+            let debug = |rows: &[&pdm_sql::Row]| format!("{rows:?}");
+            let got_rows: Vec<_> = got.rows.iter().collect();
+            let want = debug(&first_occurrences(&all.rows));
+            if debug(&got_rows) != want || debug(&full_row.rows.iter().collect::<Vec<_>>()) != want
+            {
+                return Err(format!(
+                    "{union}\nkeyed ({} keyed): {got_rows:?}\nfull row: {:?}\nfirst occurrences: {want}",
+                    stats.keyed_dedups, full_row.rows
+                ));
+            }
+            if plain_stats.keyed_dedups != 0 || stats.keyed_dedups > 1 {
+                return Err(format!("{union}: {stats:?} / {plain_stats:?}"));
+            }
+            keyed += stats.keyed_dedups;
+            runs += 1;
+            Ok(())
+        },
+    );
+    // At least a quarter of the cases took the keyed path.
+    assert!(runs == 256 && keyed * 4 >= runs, "{keyed} keyed of {runs}");
+}
+
+// ---------------------------------------------------------------------------
 // Parser round-trips over generated expressions
 // ---------------------------------------------------------------------------
 
