@@ -278,13 +278,16 @@ mod tests {
     #[test]
     fn consecutive_keys_spread_over_the_low_bits() {
         // `Seen` indexes by the low bits: 1,024 consecutive ids (as an
-        // expand's rows differ) must not crowd into few of 2,048 slots.
-        let mut used = vec![false; 2048];
-        for i in 0..1024 {
-            used[hash_of(&Row::new(vec![Value::Int(i)]), Some(0)) as usize & 2047] = true;
+        // expand's rows differ) must not crowd into few of 2,048 slots,
+        // whether the whole row is hashed or only its key column.
+        for key in [None, Some(0)] {
+            let mut used = vec![false; 2048];
+            for i in 0..1024 {
+                used[hash_of(&Row::new(vec![Value::Int(i)]), key) as usize & 2047] = true;
+            }
+            let spread = used.iter().filter(|u| **u).count();
+            assert!(spread > 700, "{key:?}: {spread} slots");
         }
-        let spread = used.iter().filter(|u| **u).count();
-        assert!(spread > 700, "{spread} slots");
     }
 
     #[test]
