@@ -252,10 +252,10 @@ pub fn fingerprint_of(db: Database) -> Vec<u8> {
     state_fingerprint(&Snapshot { db, version: 0 })
 }
 
-/// What recovery must produce: the crashed server's published snapshot (the
-/// commit gate syncs before publishing, so published == durable) with every
-/// outstanding grant swept back to `FALSE` — sorted, deduplicated unions,
-/// one UPDATE per non-empty table, as recovery does it.
+/// What recovery must produce: the crashed server's published snapshot (a
+/// commit's gate, under the writer, syncs before the publish: published ==
+/// durable) with every outstanding grant swept back to `FALSE` — sorted,
+/// deduplicated unions, one UPDATE per non-empty table, as recovery does it.
 pub fn published_plus_sweep(crashed: &PdmServer) -> Vec<u8> {
     let snapshot = crashed.database().snapshot();
     let mut db = Database {

@@ -27,15 +27,18 @@
 //!   history) and drop the log prefix they cover. A checkpoint is a cut
 //!   and an install, in the manner of ARIES's fuzzy checkpoint (Mohan et
 //!   al., TODS 1992):
-//!   - The **cut** is taken inside the write gate, right after the commit
-//!     that crosses the interval publishes, and under the store lock. It
-//!     holds the log position, the published `Arc<Snapshot>` and a clone of
-//!     the trackers (whose outcomes are `Arc`-shared, so no rows are
-//!     copied). No DML commit can publish between that commit and the cut,
+//!   - The **cut** is taken in the commit gate of the commit that crosses
+//!     the interval, under the database's writer, after its record is
+//!     logged and before its snapshot is published, and under the store
+//!     lock. It holds the log position, the `Arc<Snapshot>` the commit is
+//!     about to publish and a clone of the trackers (whose outcomes are
+//!     `Arc`-shared, so no rows are copied). No other DML commit can log or
+//!     publish between that record and the cut (all DML takes the writer),
 //!     and the trackers are updated atomically with their log appends under
 //!     the store lock, so snapshot, trackers and log position agree.
-//!   - The gate is released and the same thread encodes the cell with no
-//!     lock held; other threads keep committing and logging meanwhile.
+//!   - The commit publishes and releases the writer, and the same thread
+//!     encodes the cell with no lock held; other threads keep committing
+//!     and logging meanwhile.
 //!   - The **install** retakes the store lock, swaps the cell in and drops
 //!     only the covered log prefix: every record logged after the cut
 //!     stays and is replayed on top of the checkpoint. An install is
@@ -327,28 +330,22 @@ impl Durability {
         self.log(WalRecord::TokenComplete { token, rows }).map(drop)
     }
 
-    /// Take a checkpoint cut if the interval's DML commits have been logged
-    /// since the last cut and no cut is in flight. Called inside the write
-    /// gate right after a commit publishes, with the published snapshot: no
-    /// other commit can publish in between (module docs).
-    pub(crate) fn cut_if_due(
-        &self,
-        published: impl FnOnce() -> Arc<Snapshot>,
-    ) -> Option<CheckpointCut<'_>> {
+    /// Take a checkpoint cut of `next` if the interval's DML commits have
+    /// been logged since the last cut and no cut is in flight. Called in
+    /// the commit gate, under the database's writer, with the snapshot the
+    /// commit whose record was just logged is about to publish: no other
+    /// commit can log or publish in between (module docs).
+    pub(crate) fn cut_if_due(&self, next: &Arc<Snapshot>) -> Option<CheckpointCut<'_>> {
         let mut st = self.state.lock();
         if st.commits_since_checkpoint < self.interval {
             return None;
         }
-        self.cut(&mut st, published)
+        self.cut(&mut st, next)
     }
 
     /// Cut `snapshot` and the trackers at the log's end, unless a cut is in
     /// flight. The caller holds the store lock.
-    fn cut(
-        &self,
-        st: &mut DurState,
-        snapshot: impl FnOnce() -> Arc<Snapshot>,
-    ) -> Option<CheckpointCut<'_>> {
+    fn cut(&self, st: &mut DurState, snapshot: &Arc<Snapshot>) -> Option<CheckpointCut<'_>> {
         if self.cut_in_flight.swap(true, Ordering::Acquire) {
             return None;
         }
@@ -356,7 +353,7 @@ impl Durability {
         Some(CheckpointCut {
             durability: self,
             at: st.store.cut_point(),
-            snapshot: snapshot(),
+            snapshot: Arc::clone(snapshot),
             replay: st.replay.clone(),
             base: st.installed.clone(),
         })
@@ -367,7 +364,7 @@ impl Durability {
     /// stands at (no commit can publish meanwhile: attach, promotion, a
     /// quiescent server).
     pub fn checkpoint(&self, snapshot: &Snapshot) -> pdm_sql::Result<()> {
-        let cut = self.cut(&mut self.state.lock(), || Arc::new(snapshot.clone()));
+        let cut = self.cut(&mut self.state.lock(), &Arc::new(snapshot.clone()));
         cut.ok_or_else(|| pdm_sql::Error::Eval("durability: a checkpoint cut is in flight".into()))?
             .install()
     }
@@ -813,7 +810,7 @@ mod tests {
     #[test]
     fn one_cut_in_flight_and_a_dropped_cut_strands_nothing() {
         let d = Durability::new(&DurabilityConfig::default().with_interval(2));
-        let published = || Arc::new(snap());
+        let published = &Arc::new(snap());
         let mut version = 0;
         let mut commit = || {
             version += 1;
@@ -887,9 +884,8 @@ mod tests {
         };
         BEFORE_CUT.iter().for_each(|sql| execute(sql));
         d.log_grant(7, &[1], &[]).unwrap();
-        let cut = d
-            .cut(&mut d.state.lock(), || server.database().snapshot())
-            .unwrap();
+        let published = server.database().snapshot();
+        let cut = d.cut(&mut d.state.lock(), &published).unwrap();
         AFTER_CUT.iter().for_each(|sql| execute(sql));
         d.log_grant(8, &[2], &[]).unwrap();
         let rows = server.query_uncached("SELECT obid FROM assy").unwrap();
@@ -965,8 +961,9 @@ mod tests {
     /// One step of a random durable history.
     #[derive(Debug, Clone)]
     enum Step {
-        /// A statement through the write gate: one- and multi-row UPDATEs,
-        /// INSERT and DELETE (a table written whole), DDL (a full frame).
+        /// A statement through the server's commit path: one- and
+        /// multi-row UPDATEs, INSERT and DELETE (a table written whole),
+        /// DDL (a full frame).
         Sql(String),
         /// This many token completions; every third a recorded refusal.
         Tokens(usize),
@@ -1117,7 +1114,8 @@ mod tests {
         let mut next_token = 1u64;
         for (at, step) in steps.iter().enumerate() {
             let take_cut = || {
-                d.cut(&mut d.state.lock(), || server.database().snapshot())
+                let published = server.database().snapshot();
+                d.cut(&mut d.state.lock(), &published)
                     .ok_or(format!("step {at}: a cut was left in flight"))
             };
             match step {

@@ -1063,9 +1063,9 @@ pub struct SharedServer {
     checkout_cv: Condvar,
     token_counter: AtomicU64,
     /// DML journal: the exact commit order of every write statement, for
-    /// deterministic serial replay. `write_gate` makes append atomic with
-    /// execution.
-    write_gate: Lock<Vec<String>>,
+    /// deterministic serial replay. Appended inside the commit gate, under
+    /// the database's writer, so its order is the commit order.
+    dml_log: Lock<Vec<String>>,
     journal: AtomicBool,
     /// Optional write-ahead log + checkpoint attachment. When present,
     /// every DML commit, check-out grant/release, and token completion is
@@ -1084,10 +1084,7 @@ pub struct SharedServer {
 }
 
 static CHECKOUT_LOG: LockId = LockId::new("core.checkout_log", 30);
-static WRITE_GATE: LockId = LockId::new("core.write_gate", 10).across_io(
-    "the write gate serializes DML with its journal entry, so a commit's WAL \
-     fsync lands before its version is published (fsync-before-publish)",
-);
+static DML_LOG: LockId = LockId::new("core.dml_log", 140);
 
 impl SharedServer {
     /// Wrap a populated database, installing the PDM stored functions.
@@ -1136,7 +1133,7 @@ impl SharedServer {
             checkout_log: Lock::new(&CHECKOUT_LOG, checkout_log),
             checkout_cv: Condvar::new(),
             token_counter: AtomicU64::new(state.next_token()),
-            write_gate: Lock::new(&WRITE_GATE, Vec::new()),
+            dml_log: Lock::new(&DML_LOG, Vec::new()),
             journal: AtomicBool::new(false),
             durability,
             metrics,
@@ -1224,7 +1221,7 @@ impl SharedServer {
 
     /// Drain the DML commit log (statements in exact commit order).
     pub fn take_dml_log(&self) -> Vec<String> {
-        std::mem::take(&mut *self.write_gate.lock())
+        std::mem::take(&mut *self.dml_log.lock())
     }
 
     /// Drain the lock-event journal.
@@ -1368,26 +1365,26 @@ impl SharedServer {
 
     // -- writes -----------------------------------------------------------
 
-    /// Execute any statement. Writes serialize on the commit gate so the
-    /// DML journal order is exactly the storage commit order.
+    /// Execute any statement. A write commits through
+    /// [`SharedDatabase::execute_ast_gated`]: everything below runs in its
+    /// gate, under the writer lock, so it happens in commit order.
     ///
-    /// With durability attached, the write path runs the WAL commit gate:
-    /// the commit record is appended and fsynced (under a `wal.append`
-    /// span, feeding the `wal.fsync_ns` histogram) after the statement is
-    /// applied to the copied catalog but before the snapshot is published,
-    /// so a state change is visible only once durable. The checkpoint
-    /// cadence is also driven from here: the commit that crosses the
-    /// interval takes the checkpoint's cut inside the write gate, right
-    /// after it publishes, then releases the gate and encodes and installs
-    /// the checkpoint with no lock held (see [`crate::durability`]). Its
-    /// outcome stands whatever the install does: a refused install leaves
-    /// the old checkpoint and the whole log, which still recover.
+    /// With durability attached, the gate appends and fsyncs the commit
+    /// record (under a `wal.append` span, feeding the `wal.fsync_ns`
+    /// histogram) before the snapshot is published, so a state change is
+    /// visible only once durable. The commit that crosses the checkpoint
+    /// interval also takes the cut of the snapshot it is about to publish,
+    /// then encodes and installs the checkpoint after releasing the writer
+    /// (see [`crate::durability`]); its outcome stands whatever the install
+    /// does. With journaling on, the gate appends the statement to the DML
+    /// journal.
     ///
-    /// The work is abandoned at the commit gate if the caller's propagated
-    /// `deadline` (measured from entry) is already spent — once before
-    /// waiting on the gate, and once after acquiring it (before the WAL
-    /// fsync), so a doomed commit never pays for an fsync whose result the
-    /// client gave up on. `None` never abandons.
+    /// The work is abandoned if the caller's propagated `deadline`
+    /// (measured from entry) is spent — checked before waiting on the
+    /// writer, and again in the gate, before the WAL fsync: a commit whose
+    /// budget ran out while it waited has executed its statement on the
+    /// copy by then, but publishes nothing and never pays for an fsync
+    /// whose result the client gave up on. `None` never abandons.
     pub fn execute_deadline_obs(
         &self,
         sql: &str,
@@ -1402,29 +1399,26 @@ impl SharedServer {
             return Ok(outcome);
         }
         let deadline = Deadline::new(deadline);
-        self.check_deadline(&deadline, "write_gate", obs)?;
-        let mut log = self.write_gate.lock();
-        // The gate wait itself may have consumed the deadline: abandon
-        // before the fsync, while nothing has been applied yet.
-        self.check_deadline(&deadline, "wal_commit", obs)?;
+        self.check_deadline(&deadline, "writer", obs)?;
         // The canonical text, printed once for the WAL record and the DML
         // journal.
         let journal = self.journal.load(Ordering::Relaxed);
         let text = (journal || self.durability.is_some()).then(|| stmt.to_string());
-        let (outcome, cut) = match (&self.durability, &text) {
-            (Some(d), Some(sql)) => {
-                let (outcome, _) = self.db.execute_ast_gated(stmt, |version| {
-                    self.wal_op(obs, "commit", || d.log_commit(version, sql))
-                })?;
-                (outcome, d.cut_if_due(|| self.db.snapshot()))
+        let mut cut = None;
+        let (outcome, _) = self.db.execute_ast_gated(stmt, |next| {
+            // The writer wait may have consumed the deadline: abandon before
+            // the fsync, while nothing is published.
+            self.check_deadline(&deadline, "wal_commit", obs)?;
+            if let (Some(d), Some(sql)) = (&self.durability, &text) {
+                self.wal_op(obs, "commit", || d.log_commit(next.version, sql))?;
+                cut = d.cut_if_due(next);
             }
-            _ => (self.db.execute_ast(stmt)?.0, None),
-        };
+            if journal {
+                self.dml_log.lock().extend(text);
+            }
+            Ok::<_, SharedServerError>(())
+        })?;
         self.m.dml_commits.inc();
-        if journal {
-            log.extend(text);
-        }
-        drop(log);
         if let Some(cut) = cut {
             // The statement is durable and published: a refused install is
             // not its error.

@@ -1,4 +1,4 @@
-#![allow(clippy::unwrap_used)]
+#![allow(clippy::unwrap_used, clippy::disallowed_methods)]
 
 //! Overload-layer safety tests.
 //!
@@ -13,8 +13,11 @@
 //!    gate rejects, the published tables, the WAL and what is in flight in
 //!    the server are as the action found them.
 //! 4. **Deadline propagation**: a write whose budget is spent is abandoned
-//!    at the commit gate, on every kind of link.
+//!    before it waits for the writer, on every kind of link, and a write
+//!    whose budget runs out while it waits is abandoned in the commit gate,
+//!    before the WAL fsync.
 
+use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
 use pdm_bench::harness::{durable_server, roots, server};
@@ -24,6 +27,7 @@ use pdm_core::{
     RetryPolicy, Session, SessionConfig, SessionError, SharedServerError, Strategy,
 };
 use pdm_net::{FaultPlan, LinkProfile};
+use pdm_obs::kinds;
 use pdm_obs::metrics::{families, Family};
 use pdm_prng::Prng;
 use pdm_wal::CrashPlan;
@@ -335,10 +339,11 @@ fn batch_sheds_before_checkout_sheds_before_interactive() {
         .expect("interactive must still be admitted when batch sheds");
 }
 
-/// A write whose server-side budget is already spent is abandoned at the
-/// commit gate — no new version, no WAL record — and the session surfaces
-/// that as a `Timeout` pinned at `overload.abandon`. The session's deadline
-/// reaches the server whether or not a fault plan is installed.
+/// A write whose server-side budget is already spent on entry is abandoned
+/// before it waits for the writer — no new version, no WAL record — and the
+/// session surfaces that as a `Timeout` pinned at `overload.abandon`. The
+/// session's deadline reaches the server whether or not a fault plan is
+/// installed.
 #[test]
 fn spent_deadline_abandons_the_write_with_or_without_a_fault_plan() {
     let server = durable_server(
@@ -409,4 +414,69 @@ fn spent_deadline_abandons_the_write_with_or_without_a_fault_plan() {
         }
         assert_eq!(s.stats().queries, 1, "faulty={faulty}");
     }
+}
+
+/// A commit whose budget runs out while it waits for the writer is
+/// abandoned in the commit gate, under the writer, by the deadline's second
+/// check. By then it has executed its statement on the copy; it publishes
+/// nothing and never reaches the WAL fsync. The writer is held meanwhile by
+/// another thread parked inside a gate of its own, whose gate then fails,
+/// so that it publishes nothing either.
+#[test]
+fn a_deadline_spent_waiting_for_the_writer_abandons_the_commit_in_the_gate() {
+    let server = &durable_server(
+        &TreeSpec::new(2, 3, 1.0).with_node_size(128),
+        CrashPlan::none(),
+        DurabilityConfig::default().checkpoint_interval,
+    );
+    let abandons = || {
+        let m = server.metrics().snapshot();
+        m.counter(families::OVERLOAD_DEADLINE_ABANDONS)
+    };
+    let durable_state = || {
+        let log_len = server.durability().unwrap().log_len();
+        (server.database().version(), log_len)
+    };
+    let untouched = durable_state();
+    let park = &Barrier::new(2);
+    let budget = Duration::from_millis(50);
+    let held = pdm_sql::parser::parse_statement("UPDATE assy SET checkedout = TRUE WHERE obid = 2")
+        .unwrap();
+    let obs = &Recorder::new();
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            server.database().execute_ast_gated(&held, |_| {
+                park.wait(); // the writer is held
+                park.wait(); // the late commit's budget is spent
+                Err(pdm_sql::Error::Eval("the holder publishes nothing".into()))
+            })
+        });
+        park.wait();
+        let (started_tx, started) = mpsc::channel();
+        let late = scope.spawn(move || {
+            started_tx.send(()).unwrap();
+            let sql = "UPDATE assy SET checkedout = FALSE WHERE obid = 1";
+            server.execute_deadline_obs(sql, Some(budget), obs)
+        });
+        started.recv().unwrap();
+        std::thread::sleep(budget * 10);
+        park.wait();
+        assert!(holder.join().unwrap().is_err());
+        let err = late.join().unwrap().unwrap_err();
+        assert!(
+            matches!(err, SharedServerError::DeadlineExpired { .. }),
+            "{err}"
+        );
+    });
+    let abandoned: Vec<_> = (obs.spans().into_iter())
+        .filter(|span| span.kind == kinds::OVERLOAD_ABANDON)
+        .map(|span| span.label)
+        .collect();
+    assert_eq!(
+        abandoned,
+        ["wal_commit"],
+        "abandoned in the gate, not on entry"
+    );
+    assert_eq!(abandons(), 1);
+    assert_eq!(durable_state(), untouched);
 }

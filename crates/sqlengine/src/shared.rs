@@ -62,8 +62,8 @@ pub struct SharedDatabase {
 }
 
 static WRITER: LockId = LockId::new("sql.writer", 20).across_io(
-    "a commit's gate (the WAL append and fsync) runs under the writer, \
-     after the copy is changed and before it is published",
+    "the one commit serializer: a commit's gate (the WAL append and fsync) \
+     runs under the writer, after the copy is changed and before it is published",
 );
 static CURRENT: LockId = LockId::new("sql.current", 110);
 
@@ -116,18 +116,19 @@ impl SharedDatabase {
     /// durable. A statement or gate error abandons the copy: nothing is
     /// published and the version does not advance.
     ///
-    /// The gate receives the version the commit would publish as. Read
-    /// queries never invoke the gate.
+    /// The gate receives the snapshot the commit will publish, version and
+    /// all. Read queries never invoke the gate.
     ///
     /// The write protocol, in its one place: serialize on the writer mutex,
     /// clone the current snapshot's database (cheap: `Arc`ed tables),
     /// [`Database::execute_ast`] on the copy, run the gate, swap the copy
-    /// in.
-    pub fn execute_ast_gated(
+    /// in. The swap is the only step after the gate, so whatever the gates
+    /// do happens in commit order.
+    pub fn execute_ast_gated<E: From<crate::Error>>(
         &self,
         stmt: &Statement,
-        gate: impl FnOnce(u64) -> Result<()>,
-    ) -> Result<(ExecOutcome, u64)> {
+        gate: impl FnOnce(&Arc<Snapshot>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(ExecOutcome, u64), E> {
         if let Statement::Query(q) = stmt {
             let snap = self.snapshot();
             let rows = snap
@@ -140,8 +141,8 @@ impl SharedDatabase {
         let mut db = base.db.clone();
         let version = base.version.saturating_add(1);
         let outcome = db.execute_ast(stmt)?;
-        gate(version)?;
         let next = Arc::new(Snapshot { db, version });
+        gate(&next)?;
         *self.current.write() = next;
         Ok((outcome, version))
     }

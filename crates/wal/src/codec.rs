@@ -1,8 +1,8 @@
 //! CRC-32 (IEEE 802.3 polynomial), hand-rolled because the workspace is
 //! offline and cannot pull a checksum crate. The tables are computed at
 //! compile time. A checkpoint frame is megabytes long and is checksummed on
-//! the thread whose commit crossed the checkpoint interval (outside the
-//! write gate, but that client waits for it), so the loop is slice-by-8:
+//! the thread whose commit crossed the checkpoint interval (after it
+//! releases the writer, but that client waits for it), so the loop is slice-by-8:
 //! eight bytes and eight independent table look-ups per step instead of one
 //! dependent look-up per byte.
 //

@@ -263,7 +263,7 @@ fn concurrent_workload_killed_at_random_boundary_recovers() {
 /// Checkpoints landing mid-encode: three threads on a server that cuts a
 /// checkpoint every 4 commits, killed at a PRNG-chosen write boundary. The
 /// commit that crosses the interval encodes and installs its checkpoint
-/// outside the write gate, so the other threads' commits, grants and token
+/// after it releases the writer, so the other threads' commits, grants and token
 /// outcomes land between cut and install, and so can the crash. Recovery
 /// must still give the published state plus the sweep.
 #[test]
